@@ -9,7 +9,8 @@
 # The smoke lane exists so the benchmark regression loop (archive to
 # benchmarks/results/*.json, diff p95/fps against the previous run's
 # baseline via repro.experiments.regression) is exercised on every PR,
-# not just when a human runs the benchmarks by hand.  Lane 4 exercises
+# not just when a human runs the benchmarks by hand; it ends with the
+# bench-e2e self-check (benchmarks/e2e/run.py --smoke).  Lane 4 exercises
 # the cgen C plan backend (renderer parity tests twice — single-thread
 # and with a 2-wide worker pool — plus quick C-served bench runs); on
 # hosts without a C compiler it prints a visible skip notice and runs
@@ -59,6 +60,17 @@ if [[ "${1:-}" == "--full" ]]; then
     python -m repro.experiments bench-adapt --quick
 fi
 python benchmarks/check_regression.py
+# bench-e2e self-check at 1/20 size: metric names/units vs BENCHMARK.json,
+# span nesting, self times tiling each window within 2 % — so a change
+# under src/ that breaks the benchmark's wrappers fails on the PR, not at
+# measurement time.  Two of its workloads serve through cgen, so without
+# a C compiler it loud-skips, exactly as lane 4 does
+if python -c 'import sys; from repro.engine.backends import find_cc; sys.exit(0 if find_cc() else 1)'; then
+    python benchmarks/e2e/run.py --smoke
+else
+    echo "NOTICE: bench-e2e smoke SKIPPED — no C compiler on this host;"
+    echo "        its cgen workloads would only measure the numpy fallback"
+fi
 
 echo "=== lane 4: cgen backend (C plan renderer parity + quick bench) ==="
 # the C backend needs a host compiler; when there is none the engine

@@ -78,8 +78,12 @@ forward replays the eager train kernels (and is offered to the plan
 backend's renderer stage-by-stage, exactly like inference), the backward
 program is pruned to the gradient paths that reach BN gamma/beta
 (conv/linear weight gradients are never computed) and offered to the
-renderer too — under ``cgen`` the BN gamma/beta gradient reductions and
-the pruned chain run as threaded C stages — and
+renderer too — under ``cgen`` train-mode BN forward, the BN gamma/beta
+gradient reductions, max-pool backward and the pruned chain run as
+threaded C stages, while conv input gradients stay on BLAS: one shared
+dgrad GEMM (:func:`repro.nn.functional._conv_dgrad`) plus an ordered
+strided col2im (:func:`repro.nn.functional._col2im_accumulate`, bitwise
+the indexed scatter it replaced) that eager and compiled both call — and
 activations/saved-buffers/gradients share the engine's arena with
 liveness computed over the combined forward+backward program.
 :class:`~repro.engine.compile.CompiledAdaptStep` caches those plans per

@@ -41,7 +41,7 @@ import numpy as np
 
 from ..nn import functional as F
 from ..nn import tensor as T
-from ..nn.functional import _im2col_indices, _pair
+from ..nn.functional import _pair
 from ..nn.modules import _BatchNormBase
 from .backends.core import (
     PlanProfile,
@@ -331,14 +331,6 @@ class AdaptationPlan:
                 use(("ls", index), pos)
             elif kind == "maxpool":
                 use(("arg", index), pos)
-                if has_bwd[index]:
-                    use(("gcols", index), pos)
-                    use(("gpad", index), pos)
-            elif kind == "conv" and has_bwd[index]:
-                use(("gcols", index), pos)
-                use(("gpad", index), pos)
-            elif kind == "relu" and has_bwd[index]:
-                use(("mask", index), pos)
         use(("a", root(self._loss_vid)), 2 * num)  # returned to caller: pinned
         # gradient buffers: born at the backward stage of their latest
         # consumer, die at the backward stage of their producer
@@ -422,7 +414,17 @@ class AdaptationPlan:
                 kind = kinds[index]
                 builder = getattr(self, f"_bwd_{kind}")
                 before = len(self._bwd)
-                builder(node, index, cells[index], alloc, sink, grad_inputs(index))
+
+                def scratch(tag, shape, dtype, index=index, pos=pos):
+                    # stage-local buffer: born in this backward stage and
+                    # released with it, so it never enters the liveness
+                    # table and costs arena bytes only when a builder
+                    # actually asks for it
+                    dying.setdefault(pos, []).append((tag, index))
+                    return alloc((tag, index), shape, dtype)
+
+                builder(node, index, cells[index], scratch, sink,
+                        grad_inputs(index))
                 if self._renderer is not None:
                     # backward stages live in the renderer's second
                     # section; profiling wraps happen at finalize
@@ -680,11 +682,7 @@ class AdaptationPlan:
         out2 = out4.reshape(n * c, p_total)
         register(node.out_vid, out4)
         get_x = self._getter(x_ref)
-        cell.update(
-            x_shape=x_shape, kernel=kernel, stride=stride, padding=padding,
-            h_eff=geo.h_eff, w_eff=geo.w_eff, arg=arg, scatter=geo.kij,
-            p_total=p_total,
-        )
+        cell.update(geo=geo, arg=arg)
 
         def run():
             x = get_x()
@@ -745,10 +743,12 @@ class AdaptationPlan:
             # fills the slots, and garbage would make probes flaky
             gamma_slot = np.ones((groups, c), dtype=np.float64)
             beta_slot = np.zeros((groups, c), dtype=np.float64)
+            gamma_src, beta_src = ("slot", gamma_slot), ("slot", beta_slot)
             get_gamma = lambda: gamma_slot.reshape(pshape)  # noqa: E731
             get_beta = lambda: beta_slot.reshape(pshape)  # noqa: E731
         else:
             gamma_slot = beta_slot = None
+            gamma_src = beta_src = ("module", module)
             stat = (1, 1, c) + (1,) * (len(pshape) - 3)
             get_gamma = lambda: module.weight.data.reshape(stat)  # noqa: E731
             get_beta = lambda: module.bias.data.reshape(stat)  # noqa: E731
@@ -767,7 +767,7 @@ class AdaptationPlan:
         cell.update(
             gshape=gshape, axes=axes, m=m, tap=tap, xhat=xhat,
             get_gamma=get_gamma, inv_std=inv_std, inv5=inv5, hw=hw,
-            gamma_slot=gamma_slot, module=module,
+            gamma_src=gamma_src,
         )
 
         def run():
@@ -788,7 +788,17 @@ class AdaptationPlan:
             tap.batch_mean[...] = mean.reshape(groups, c)
             tap.batch_var[...] = var.reshape(groups, c)
 
-        self._fwd.append(run)
+        self._offer(
+            "bn_train",
+            dict(
+                x_src=self._render_source(x_ref), out=out, xhat=xhat,
+                inv_std=inv_std, batch_mean=tap.batch_mean,
+                batch_var=tap.batch_var, gamma=gamma_src, beta=beta_src,
+                dims=(groups, group_size, c, hw), eps=eps,
+                dtype=node.out_dtype,
+            ),
+            run,
+        )
         register(node.out_vid, out)
 
     # ------------------------------------------------------------------
@@ -796,18 +806,22 @@ class AdaptationPlan:
     # ------------------------------------------------------------------
     def _contribute(self, vid, sink, compute_fresh, compute_value,
                     offer=None):
-        """Emit one gradient contribution into ``vid``.
+        """Emit one gradient contribution into ``vid`` (see :meth:`_emit`)."""
+        self._emit(*sink(vid), compute_fresh, compute_value, offer)
+
+    def _emit(self, dst, fresh, compute_fresh, compute_value, offer=None):
+        """Emit one gradient contribution into the sunk buffer ``dst``.
 
         ``compute_fresh(dst)`` writes the contribution with ``out=``;
         ``compute_value()`` returns it (used in accumulate mode, where the
         eager path also materializes a temporary before ``existing +
         grad``).  ``offer`` is an optional ``(kind, spec)`` renderer offer
         for the fresh-write form — the destination buffer is added to the
-        spec once the sink fixes it.  Accumulating contributions are never
-        offered (the rendered backward covers the reduced single-writer
-        chain).
+        spec.  Accumulating contributions are never offered (the rendered
+        backward covers the reduced single-writer chain).  Builders whose
+        scratch needs depend on ``fresh`` sink first and call this
+        directly.
         """
-        dst, fresh = sink(vid)
         if fresh:
             fallback = lambda: compute_fresh(dst)  # noqa: E731
             if offer is not None and self._renderer is not None:
@@ -822,7 +836,7 @@ class AdaptationPlan:
         else:
             self._bwd.append(lambda: np.add(dst, compute_value(), out=dst))
 
-    def _bwd_mean(self, node, index, cell, alloc, sink, grad_in):
+    def _bwd_mean(self, node, index, cell, scratch, sink, grad_in):
         if not grad_in:  # pragma: no cover - loss always carries
             return
         vid = grad_in[0]
@@ -834,7 +848,7 @@ class AdaptationPlan:
             offer=("fill", dict(value=seed, dtype=self._dtypes[vid])),
         )
 
-    def _bwd_neg(self, node, index, cell, alloc, sink, grad_in):
+    def _bwd_neg(self, node, index, cell, scratch, sink, grad_in):
         if not grad_in:
             return
         g = self._grads[node.out_vid]
@@ -844,7 +858,7 @@ class AdaptationPlan:
             lambda: -g,
         )
 
-    def _bwd_sum(self, node, index, cell, alloc, sink, grad_in):
+    def _bwd_sum(self, node, index, cell, scratch, sink, grad_in):
         if not grad_in:
             return
         g = self._grads[node.out_vid]
@@ -862,7 +876,7 @@ class AdaptationPlan:
             expanded,
         )
 
-    def _bwd_mul(self, node, index, cell, alloc, sink, grad_in):
+    def _bwd_mul(self, node, index, cell, scratch, sink, grad_in):
         g = self._grads[node.out_vid]
         a_ref, b_ref = node.inputs[0], node.inputs[1]
         get_a, get_b = self._getter(a_ref), self._getter(b_ref)
@@ -879,7 +893,7 @@ class AdaptationPlan:
                 lambda: g * get_a(),
             )
 
-    def _bwd_exp(self, node, index, cell, alloc, sink, grad_in):
+    def _bwd_exp(self, node, index, cell, scratch, sink, grad_in):
         if not grad_in:
             return
         g = self._grads[node.out_vid]
@@ -890,7 +904,7 @@ class AdaptationPlan:
             lambda: g * out,
         )
 
-    def _bwd_logsoftmax(self, node, index, cell, alloc, sink, grad_in):
+    def _bwd_logsoftmax(self, node, index, cell, scratch, sink, grad_in):
         if not grad_in:
             return
         g = self._grads[node.out_vid]
@@ -910,7 +924,7 @@ class AdaptationPlan:
             lambda: g - value(),
         )
 
-    def _bwd_reshape(self, node, index, cell, alloc, sink, grad_in):
+    def _bwd_reshape(self, node, index, cell, scratch, sink, grad_in):
         if not grad_in:
             return
         g = self._grads[node.out_vid]
@@ -926,7 +940,7 @@ class AdaptationPlan:
             offer=("copy", dict(g=g, dtype=node.out_dtype)),
         )
 
-    def _bwd_add(self, node, index, cell, alloc, sink, grad_in):
+    def _bwd_add(self, node, index, cell, scratch, sink, grad_in):
         g = self._grads[node.out_vid]
         for ref in node.inputs[:2]:
             if isinstance(ref, ValueRef) and ref.vid in grad_in:
@@ -937,12 +951,12 @@ class AdaptationPlan:
                     offer=("copy", dict(g=g, dtype=node.out_dtype)),
                 )
 
-    def _bwd_relu(self, node, index, cell, alloc, sink, grad_in):
+    def _bwd_relu(self, node, index, cell, scratch, sink, grad_in):
         if not grad_in:
             return
         g = self._grads[node.out_vid]
         out = self._fixed[node.out_vid]
-        mask = alloc(("mask", index), node.out_shape, np.bool_)
+        mask = scratch("mask", node.out_shape, np.bool_)
 
         def fresh(dst):
             np.greater(out, 0, out=mask)
@@ -957,7 +971,7 @@ class AdaptationPlan:
             offer=("relu_bwd", dict(g=g, y=out, dtype=node.out_dtype)),
         )
 
-    def _bwd_linear(self, node, index, cell, alloc, sink, grad_in):
+    def _bwd_linear(self, node, index, cell, scratch, sink, grad_in):
         if not grad_in:
             return
         g = self._grads[node.out_vid]
@@ -973,96 +987,98 @@ class AdaptationPlan:
             )),
         )
 
-    def _bwd_conv(self, node, index, cell, alloc, sink, grad_in):
+    def _bwd_conv(self, node, index, cell, scratch, sink, grad_in):
         if not grad_in:
             return
         g4 = self._grads[node.out_vid]
         weight = node.inputs[1].tensor
-        n, c, h, w = cell["x_shape"]
+        x_shape = cell["x_shape"]
+        n = x_shape[0]
         stride, padding = cell["stride"], cell["padding"]
         k_total, p_total, f_out = cell["k_total"], cell["p_total"], cell["f_out"]
         dtype = node.out_dtype
-        grad_cols = alloc(("gcols", index), (n, k_total, p_total), dtype)
-        if cell["identity_cols"]:
-            def value():
-                g_mat = g4.reshape(n, f_out, p_total)
-                np.einsum(
-                    "fk,nfp->nkp", weight.data.reshape(f_out, k_total), g_mat,
-                    out=grad_cols, optimize=True,
-                )
-                return grad_cols.reshape(n, c, h, w)
-
-            self._contribute(
-                grad_in[0], sink,
-                lambda dst: np.copyto(dst, value()),
-                value,
-                offer=("conv_bwd", dict(
-                    g=g4, weight=weight, g_dims=(n, f_out, p_total),
-                    kt=k_total, dtype=dtype,
-                )),
-            )
-            return
-        else:
-            kernel = (weight.shape[2], weight.shape[3])
-            k, i, j, _, _ = _im2col_indices(c, h, w, kernel, stride, padding)
-            hp, wp = h + 2 * padding[0], w + 2 * padding[1]
-            gpad = alloc(("gpad", index), (n, c, hp, wp), dtype)
-            inner = gpad[:, :, padding[0]:padding[0] + h,
-                         padding[1]:padding[1] + w]
-
-            def value():
-                g_mat = g4.reshape(n, f_out, p_total)
-                np.einsum(
-                    "fk,nfp->nkp", weight.data.reshape(f_out, k_total), g_mat,
-                    out=grad_cols, optimize=True,
-                )
-                gpad.fill(0.0)
-                np.add.at(gpad, (slice(None), k, i, j), grad_cols)
-                return inner
-
-        self._contribute(
-            grad_in[0], sink,
-            lambda dst: np.copyto(dst, value()),
-            value,
+        kernel = (weight.shape[2], weight.shape[3])
+        identity = cell["identity_cols"]
+        dst, fresh = sink(grad_in[0])
+        # a fresh 1x1 contribution is the GEMM itself, written straight
+        # into the gradient buffer; every other case lands the GEMM in
+        # column scratch first
+        grad_cols = (
+            None if identity and fresh
+            else scratch("gcols", (n, k_total, p_total), dtype)
         )
 
-    def _bwd_maxpool(self, node, index, cell, alloc, sink, grad_in):
+        def dgrad(out):
+            F._conv_dgrad(
+                weight.data.reshape(f_out, k_total),
+                g4.reshape(n, f_out, p_total),
+                out=out,
+            )
+
+        if identity:
+            def compute_fresh(dst):
+                dgrad(dst.reshape(n, k_total, p_total))
+
+            def compute_value():
+                dgrad(grad_cols)
+                return grad_cols.reshape(x_shape)
+
+            offer = ("conv_bwd", dict(
+                g=g4, weight=weight, g_dims=(n, f_out, p_total),
+                kt=k_total, dtype=dtype,
+            ))
+        else:
+            # accumulating contributions materialize the image first, as
+            # the eager `existing + grad` does
+            image = None if fresh else scratch("gpad", x_shape, dtype)
+
+            def compute_fresh(dst):
+                dgrad(grad_cols)
+                dst.fill(0.0)
+                F._col2im_accumulate(dst, grad_cols, kernel, stride, padding)
+
+            def compute_value():
+                compute_fresh(image)
+                return image
+
+            offer = None
+        self._emit(dst, fresh, compute_fresh, compute_value, offer)
+
+    def _bwd_maxpool(self, node, index, cell, scratch, sink, grad_in):
         if not grad_in:
             return
         g4 = self._grads[node.out_vid]
-        n, c, h, w = cell["x_shape"]
-        kernel, stride, padding = cell["kernel"], cell["stride"], cell["padding"]
-        h_eff, w_eff = cell["h_eff"], cell["w_eff"]
+        geo = cell["geo"]
+        nc, h, w = geo.n * geo.c, geo.h, geo.w
         arg = cell["arg"]
-        k, i, j = cell["scatter"]
-        p_total = cell["p_total"]
         dtype = node.out_dtype
-        grad_cols = alloc(
-            ("gcols", index), (n * c, kernel[0] * kernel[1], p_total), dtype
+        dst, fresh = sink(grad_in[0])
+        grad_cols = scratch(
+            "gcols", (nc, geo.kernel[0] * geo.kernel[1], geo.p_total), dtype
         )
-        gpad = alloc(("gpad", index), (n * c, 1, h_eff, w_eff), dtype)
-        ph, pw = padding
+        image = None if fresh else scratch("gpad", dst.shape, dtype)
 
-        def value():
-            g_flat = g4.reshape(n * c, -1)
+        def compute_fresh(dst):
             grad_cols.fill(0.0)
             np.put_along_axis(
-                grad_cols, arg[:, None, :], g_flat[:, None, :], axis=1
+                grad_cols, arg[:, None, :], g4.reshape(nc, 1, -1), axis=1
             )
-            gpad.fill(0.0)
-            np.add.at(gpad, (slice(None), k, i, j), grad_cols)
-            grad = gpad.reshape(n, c, h_eff, w_eff)
-            if ph or pw:
-                return grad[:, :, ph:ph + h, pw:pw + w]
-            return grad
+            dst.fill(0.0)
+            F._col2im_accumulate(
+                dst.reshape(nc, 1, h, w), grad_cols, geo.kernel, geo.stride,
+                geo.padding,
+            )
 
-        self._contribute(
-            grad_in[0], sink,
-            lambda dst: np.copyto(dst, value()),
-            value,
+        def compute_value():
+            compute_fresh(image)
+            return image
+
+        self._emit(
+            dst, fresh, compute_fresh, compute_value,
+            offer=("maxpool_bwd", dict(g=g4, arg=arg, geo=geo, dtype=dtype)),
         )
 
-    def _bwd_bn(self, node, index, cell, alloc, sink, grad_in):
+    def _bwd_bn(self, node, index, cell, scratch, sink, grad_in):
         g = self._grads[node.out_vid]
         gshape, axes, m = cell["gshape"], cell["axes"], cell["m"]
         tap, xhat = cell["tap"], cell["xhat"]
@@ -1082,15 +1098,11 @@ class AdaptationPlan:
             )
             return g5, xh5
 
-        gamma_src = (
-            ("slot", cell["gamma_slot"]) if cell["gamma_slot"] is not None
-            else ("module", cell["module"])
-        )
         spec = dict(
             g=g, xhat=xhat, inv_std=cell["inv_std"],
             grad_gamma=tap.grad_gamma, grad_beta=tap.grad_beta,
             dims=(groups, self.group_size, c, cell["hw"]),
-            m=m, gamma=gamma_src, dtype=node.out_dtype,
+            m=m, gamma=cell["gamma_src"], dtype=node.out_dtype,
         )
 
         if grad_in:
@@ -1160,4 +1172,7 @@ class AdaptationPlan:
         out["arena_bytes"] = self.stats.arena_bytes
         out["requested_bytes"] = self.stats.requested_bytes
         out["workspace_bytes"] = self.stats.workspace_bytes
+        # which stage kinds still replay as Python closures (codegen
+        # backends only; on the numpy backend that is every stage)
+        out["numpy_stages"] = self.backend_info.get("numpy_stages")
         return out

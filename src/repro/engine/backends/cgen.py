@@ -5,9 +5,13 @@ The renderer rides along :class:`~repro.engine.plan.ExecutionPlan` /
 stage the numpy lowering produces is *offered* together with its closure,
 and the renderer either emits an equivalent C stage function or declines
 (unsupported op, dynamic-slot input, non-contiguous buffer, exotic
-dtype).  For adaptation plans both the forward *and* the pruned
-LD-BN-ADAPT backward (BN gamma/beta grads + the reduced chain) are
-offered.  At finalize time the accepted stages become one translation
+dtype).  For adaptation plans both the forward — train-mode BatchNorm
+included, so the backbone forward replays as one rendered segment — *and*
+the pruned LD-BN-ADAPT backward (BN gamma/beta grads, the reduced chain,
+max-pool backward) are offered; conv dgrad deliberately stays a BLAS
+closure (the renderer's GEMM loses to BLAS on these shapes).
+``backend_info["numpy_stages"]`` counts, by stage label, what still
+replays as a Python closure.  At finalize time the accepted stages become one translation
 unit
 
 * one ``static void s<id>(char** T, i64 tid, i64 nt)`` function per
@@ -266,6 +270,10 @@ class CRenderer:
         self.threads = max(1, int(threads))
         self._offers: List[_Offer] = []
         self._funcs: List[str] = []
+        # shared `static` kernels taking dims as arguments, one per
+        # (stage kind, dtype): stages of that kind are thin call stubs,
+        # so 20 BN layers cost the compiler one loop nest, not 20
+        self._helpers: Dict[str, str] = {}
         self._nslots = 1  # slot 0 is the plan input, bound per replay
         self._static: List[Tuple[int, np.ndarray]] = []
         self._static_ids: Dict[int, int] = {}
@@ -787,6 +795,27 @@ class CRenderer:
         offer.binders.append(bind)
         return sflag, s_sc, s_sh, s_m, s_v, s_g, s_b, eps
 
+    def _affine_slot(self, source, attr: str, offer: _Offer):
+        """Slot of a train-mode BN's f64 gamma/beta vector, or ``None``.
+
+        ``source`` is ``("slot", array)`` — a stable per-group
+        ``(groups, c)`` array the fleet fills before each grouped replay —
+        or ``("module", bn)`` — the live ``bn.<attr>`` parameter, rebound
+        per replay so optimizer updates flow through without recompiling.
+        """
+        mode, value = source
+        if mode == "slot":
+            return self._fixed_slot(value, np.float64)
+        slot = self._slot()
+        holder = self._tab_holder
+        cell = [None, None, False]
+
+        def bind():
+            _bindv(holder[0], slot, getattr(value, attr).data, cell)
+
+        offer.binders.append(bind)
+        return slot
+
     def _try_linear(self, spec, fallback):
         dtype = np.dtype(spec["out_dtype"])
         ct = _CTYPE.get(dtype.name)
@@ -1158,7 +1187,7 @@ class CRenderer:
         ``dst[n,k,p] = sum_f W[f,k] * g[n,f,p]``.
 
         Threads own pixel columns; the f-order per element is serial.
-        Band parity only — the oracle is an einsum.
+        Band parity only — the oracle is a BLAS matmul.
         """
         dtype = np.dtype(spec["dtype"])
         ct = _CTYPE.get(dtype.name)
@@ -1242,26 +1271,10 @@ class CRenderer:
                 return None
             outs.append(dst)
         offer = _Offer(-1, fallback, outs)
-        gmode, gval = spec["gamma"]
-        if gmode == "slot":
-            # per-group gamma slots: a stable (groups, c) f64 array the
-            # fleet fills before each grouped replay
-            sga = self._fixed_slot(gval, np.float64)
-            if sga is None:
-                return None
-            gidx = "u"
-        else:
-            # live module parameter: rebound per replay so optimizer
-            # updates flow through without recompiling
-            sga = self._slot()
-            holder = self._tab_holder
-            cell = [None, None, False]
-
-            def bind(module=gval, slot=sga, cell=cell, holder=holder):
-                _bindv(holder[0], slot, module.weight.data, cell)
-
-            offer.binders.append(bind)
-            gidx = "ch"
+        sga = self._affine_slot(spec["gamma"], "weight", offer)
+        if sga is None:
+            return None
+        gidx = "u" if spec["gamma"][0] == "slot" else "ch"
         total = groups * c
         lines = [
             f"    const {ct}* restrict G_ = (const {ct}*)T[{sg_}];",
@@ -1314,6 +1327,157 @@ class CRenderer:
             mt=self._mt(2 * groups * gs * c * hw), tol_dtype=dtype,
         )
 
+    def _try_bn_train(self, spec, fallback):
+        """Train-mode BN forward: per-(group, channel) batch statistics,
+        ``inv_std``, ``xhat``, the affine output and the tap's
+        ``batch_mean``/``batch_var`` in one stage.
+
+        Threads own (group, channel) pairs exactly as in
+        :meth:`_try_bn_bwd`; each pair's mean and sum of squared
+        deviations are serial two-pass f64 reductions (deterministic for
+        any nt), rounded to the data dtype before ``1/sqrt(var+eps)`` so
+        everything downstream repeats the numpy op sequence.  The
+        oracle's pairwise sums differ in the last bits, hence band
+        parity (keyed to the data dtype — the f64 taps hold data-dtype
+        statistics); strict plans keep the stage only when it happens to
+        match bitwise.
+        """
+        dtype = np.dtype(spec["dtype"])
+        ct = _CTYPE.get(dtype.name)
+        if ct is None:
+            return None
+        out, xh, inv = spec["out"], spec["xhat"], spec["inv_std"]
+        bm, bv = spec["batch_mean"], spec["batch_var"]
+        so = self._fixed_slot(out, dtype)
+        sxh = self._fixed_slot(xh, dtype)
+        siv = self._fixed_slot(inv, dtype)
+        sbm = self._fixed_slot(bm, np.float64)
+        sbv = self._fixed_slot(bv, np.float64)
+        if None in (so, sxh, siv, sbm, sbv):
+            return None
+        outs = [out, xh, inv, bm, bv]
+        offer = _Offer(-1, fallback, outs)
+        sx = self._source_slot(spec["x_src"], dtype, offer)
+        if sx is None:
+            return None
+        sga = self._affine_slot(spec["gamma"], "weight", offer)
+        sbe = self._affine_slot(spec["beta"], "bias", offer)
+        if sga is None or sbe is None:
+            return None
+        per_group = int(spec["gamma"][0] == "slot")
+        groups, gs, c, hw = spec["dims"]
+        sqrt = "sqrt" if ct == "double" else "sqrtf"
+        name = f"bn_train_{ct}"
+        self._helpers.setdefault(name, f"""\
+static void {name}(
+    const {ct}* restrict X, {ct}* restrict XH, {ct}* restrict O, {ct}* IS,
+    const double* GA, const double* BE, double* BM, double* BV,
+    i64 groups, i64 gs, i64 c, i64 hw, i64 per_group, double eps,
+    i64 tid, i64 nt)
+{{
+    const i64 total = groups * c;
+    const i64 ulo = (total * tid) / nt, uhi = (total * (tid + 1)) / nt;
+    const double m = (double)(gs * hw);
+    for (i64 u = ulo; u < uhi; ++u) {{
+        const i64 gr = u / c, ch = u % c;
+        const i64 first = (gr * gs * c + ch) * hw, step = c * hw;
+        double sum = 0.0, sq = 0.0;
+        for (i64 s = 0; s < gs; ++s) {{
+            const {ct}* xs = X + first + s * step;
+            for (i64 t = 0; t < hw; ++t) sum += (double)xs[t];
+        }}
+        const double mu = sum / m;
+        for (i64 s = 0; s < gs; ++s) {{
+            const {ct}* xs = X + first + s * step;
+            for (i64 t = 0; t < hw; ++t) {{
+                double d = (double)xs[t] - mu;
+                sq += d * d;
+            }}
+        }}
+        const {ct} mean = ({ct})mu;
+        const {ct} var = ({ct})(sq / m);
+        const {ct} iv = ({ct})1 / {sqrt}(var + ({ct})eps);
+        IS[u] = iv;
+        BM[u] = (double)mean;
+        BV[u] = (double)var;
+        const double ga = GA[per_group ? u : ch];
+        const double be = BE[per_group ? u : ch];
+        for (i64 s = 0; s < gs; ++s) {{
+            const {ct}* xs = X + first + s * step;
+            {ct}* xh = XH + first + s * step;
+            {ct}* os = O + first + s * step;
+            for (i64 t = 0; t < hw; ++t) {{
+                {ct} h = xs[t] - mean;
+                h = h * iv;
+                xh[t] = h;
+                {ct} v = ({ct})((double)h * ga);
+                os[t] = ({ct})((double)v + be);
+            }}
+        }}
+    }}
+}}
+""")
+        body = (
+            f"    {name}((const {ct}*)T[{sx}], ({ct}*)T[{sxh}], "
+            f"({ct}*)T[{so}], ({ct}*)T[{siv}],\n"
+            f"        (const double*)T[{sga}], (const double*)T[{sbe}], "
+            f"(double*)T[{sbm}], (double*)T[{sbv}],\n"
+            f"        {groups}, {gs}, {c}, {hw}, {per_group}, "
+            f"{float(spec['eps'])!r}, tid, nt);\n"
+        )
+        return self._accept(
+            fallback, outs, body, offer.binders,
+            mt=self._mt(3 * groups * gs * c * hw), tol_dtype=dtype,
+        )
+
+    def _try_maxpool_bwd(self, spec, fallback):
+        """Grad wrt a max-pool input: zero the plane, then add ``g`` at
+        each window's stored argmax.
+
+        Threads own (n, c) planes, so no two threads touch one plane.
+        Windows are visited last to first: an input cell covered by
+        several windows then receives them in ascending kernel-offset
+        order — the col2im summation order of the oracle — so the stage
+        is bitwise and survives the strict probe.
+        """
+        dtype = np.dtype(spec["dtype"])
+        ct = _CTYPE.get(dtype.name)
+        if ct is None:
+            return None
+        geo: PoolLowering = spec["geo"]
+        g, arg, dst = spec["g"], spec["arg"], spec["dst"]
+        sg = self._fixed_slot(g, dtype)
+        sa = self._fixed_slot(arg, np.intp)
+        so = self._fixed_slot(dst, dtype)
+        if sg is None or sa is None or so is None:
+            return None
+        nc, hw, p = geo.n * geo.c, geo.h * geo.w, geo.p_total
+        lines = [
+            f"    const {ct}* restrict G = (const {ct}*)T[{sg}];",
+            f"    const i64* restrict A = (const i64*)T[{sa}];",
+            f"    {ct}* restrict O = ({ct}*)T[{so}];",
+        ]
+        lines += self._tile(nc, "qlo", "qhi")
+        lines += [
+            "    for (i64 q = qlo; q < qhi; ++q) {",
+            f"        {ct}* on = O + q * {hw}LL;",
+            f"        for (i64 t = 0; t < {hw}; ++t) on[t] = ({ct})0;",
+            f"        for (i64 p = {p - 1}; p >= 0; --p) {{",
+            f"            const i64 a = A[q * {p}LL + p];",
+            f"            const i64 y = (p / {geo.out_w}) * {geo.stride[0]}"
+            f" + a / {geo.kernel[1]} - {geo.padding[0]};",
+            f"            const i64 x = (p % {geo.out_w}) * {geo.stride[1]}"
+            f" + a % {geo.kernel[1]} - {geo.padding[1]};",
+            f"            if (y >= 0 && y < {geo.h} && x >= 0 && x < {geo.w})",
+            f"                on[y * {geo.w} + x] += G[q * {p}LL + p];",
+            "        }",
+            "    }",
+        ]
+        return self._accept(
+            fallback, [dst], "\n".join(lines) + "\n",
+            mt=self._mt(nc * (hw + p)),
+        )
+
     # -- finalize --------------------------------------------------------
     def _assemble(self) -> str:
         parts = [
@@ -1325,6 +1489,7 @@ class CRenderer:
             scratch_prelude(self.threads, self._scratch_bytes),
             "",
         ]
+        parts += self._helpers.values()
         parts += self._funcs
         names = ", ".join(f"s{o.sid}" for o in self._offers)
         flags = ", ".join("1" if o.mt else "0" for o in self._offers)
@@ -1375,20 +1540,27 @@ class CRenderer:
             "threads": self.threads,
             "mt_stages": 0,
             "workspace_freed": 0,
+            # stage label -> how many such stages replay as Python
+            # closures (never offered, declined or demoted alike)
+            "numpy_stages": {},
         }
         labels = self._pos_labels()
+        numpy_stages: Dict[str, int] = info["numpy_stages"]
+
+        def on_numpy(si: int, pos: int) -> str:
+            label = labels.get((si, pos), "stage")
+            numpy_stages[label] = numpy_stages.get(label, 0) + 1
+            return label
 
         def bail(reason: Optional[str]):
             for si, steps in enumerate(sections):
                 for pos, step in enumerate(steps):
                     if isinstance(step, _Offer):
                         steps[pos] = step.fallback
-                if profile is not None:
-                    for pos in range(len(steps)):
-                        steps[pos] = _timed_step(
-                            steps[pos], labels.get((si, pos), "stage"),
-                            profile,
-                        )
+                for pos in range(len(steps)):
+                    label = on_numpy(si, pos)
+                    if profile is not None:
+                        steps[pos] = _timed_step(steps[pos], label, profile)
             info["fallback_reason"] = reason
             return info
 
@@ -1534,10 +1706,9 @@ class CRenderer:
                 fn = step.fallback if isinstance(step, _Offer) else step
                 if isinstance(step, _Offer):
                     demoted += 1
+                label = on_numpy(si, i)
                 if profile is not None:
-                    fn = _timed_step(
-                        fn, labels.get((si, i), "stage"), profile
-                    )
+                    fn = _timed_step(fn, label, profile)
                 new_steps.append(fn)
                 i += 1
             steps[:] = new_steps

@@ -95,8 +95,7 @@ class ConvLowering:
     kernel is 1x1/stride-1/unpadded (``identity_cols``) the input itself
     is the column matrix and no workspace exists.  ``kij`` keeps the raw
     ``(k, i, j)`` im2col index triple for backends that need per-element
-    coordinates (the C renderer's padding-sentinel indices, the
-    adaptation plan's scatter).
+    coordinates (the C renderer's padding-sentinel indices).
     """
 
     n: int
@@ -188,8 +187,6 @@ class PoolLowering:
     c: int
     h: int
     w: int
-    h_eff: int
-    w_eff: int
     kernel: Tuple[int, int]
     stride: Tuple[int, int]
     padding: Tuple[int, int]
@@ -232,9 +229,9 @@ def lower_pool(
     cols = np.empty((n * c, kernel[0] * kernel[1], p_total), dtype=x_dtype)
     workspace = cols.nbytes + (padded.nbytes if padded is not None else 0)
     return PoolLowering(
-        n=n, c=c, h=h, w=w, h_eff=h_eff, w_eff=w_eff, kernel=kernel,
-        stride=stride, padding=padding, out_h=out_h, out_w=out_w,
-        p_total=p_total, x_dtype=x_dtype, flat=flat, kij=(k, i, j),
+        n=n, c=c, h=h, w=w, kernel=kernel, stride=stride, padding=padding,
+        out_h=out_h, out_w=out_w, p_total=p_total, x_dtype=x_dtype,
+        flat=flat, kij=(k, i, j),
         padded=padded, core=core, cols=cols, workspace_nbytes=workspace,
     )
 

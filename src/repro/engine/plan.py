@@ -754,4 +754,7 @@ class ExecutionPlan:
         out["arena_bytes"] = self.stats.arena_bytes
         out["requested_bytes"] = self.stats.requested_bytes
         out["workspace_bytes"] = self.stats.workspace_bytes
+        # which stage kinds still replay as Python closures (codegen
+        # backends only; on the numpy backend that is every stage)
+        out["numpy_stages"] = self.backend_info.get("numpy_stages")
         return out

@@ -14,6 +14,13 @@ backbone, measured in host wallclock over identical inputs:
   the pre-fleet-batching cost) versus ONE fused grouped replay through
   :class:`repro.serve.FleetAdaptationBatcher`.
 
+Every **single** row also carries the ``cgen`` C backend beside the
+numpy plan — ``cgen_p50_ms``/``cgen_p95_ms`` sampled *interleaved* with a
+numpy-plan adapter (``numpy_ab_p50_ms``) so machine drift cancels in
+``cgen_speedup_p95``, its own parity verdict, and ``op_ms``: the
+per-stage table (ms per step, by stage label) of one profiled plan per
+backend, which is where "which layer is still on numpy" shows.
+
 Each row also records a numerical-parity verdict: the post-step model
 state of the compiled path must match the eager oracle to float
 precision (the single-stream compiled step is bitwise-identical in
@@ -23,12 +30,14 @@ practice; the fused path differs only by GEMM batching at the last ulp).
 from __future__ import annotations
 
 import time
+import warnings
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .. import nn
 from ..adapt.bn_adapt import LDBNAdapt, LDBNAdaptConfig
+from ..engine import CompiledAdaptStep
 from ..models import build_model, get_config
 from ..pipeline.monitor import latency_percentile
 from ..serve.adapt_batch import FleetAdaptationBatcher
@@ -38,6 +47,10 @@ from .config import BACKBONES, RunScale, get_run_scale
 DEFAULT_FLEET_STREAMS = 4
 PARITY_RTOL = 1e-7
 PARITY_ATOL = 1e-9
+# numpy's compiled step is near-bitwise; C-rendered stages reorder
+# accumulation (FMA, serial reductions), so they get a float band
+CGEN_PARITY_ATOL = 1e-6
+PROFILE_STEPS = 10
 
 
 def _time_ms(fn, reps: int) -> List[float]:
@@ -73,6 +86,68 @@ def _state_parity(
         )
         for key in states["compiled"]
     )
+
+
+def _stage_table(model, x: np.ndarray, backend: str):
+    """``(op_ms per step, backend_info)`` of one profiled plan."""
+    plan = CompiledAdaptStep(model, profile=True, backend=backend).plan_for(x)
+    for _ in range(3):  # warm the caches the timed replays run from
+        plan.run(x)
+    plan.profile.op_ms.clear()
+    for _ in range(PROFILE_STEPS):
+        plan.run(x)
+    op_ms = {
+        label: total / PROFILE_STEPS
+        for label, total in plan.profile_summary()["op_ms"].items()
+    }
+    return op_ms, plan.backend_info
+
+
+def _cgen_columns(
+    model, pristine, parity_frames, lr: float, x: np.ndarray, reps: int
+) -> Dict[str, object]:
+    """The cgen-served compiled step measured beside the numpy plan."""
+    with warnings.catch_warnings():
+        # a missing C compiler warns once per plan; the fallback is
+        # recorded in the row instead
+        warnings.simplefilter("ignore", RuntimeWarning)
+        state_diff = _state_parity(
+            model, pristine, parity_frames, lr, steps=2, backend="cgen"
+        )
+        adapters = {
+            backend: LDBNAdapt(
+                model, LDBNAdaptConfig(lr=lr, batch_size=1, backend=backend)
+            )
+            for backend in ("numpy", "cgen")
+        }
+        tables = {
+            backend: _stage_table(model, x, backend) for backend in adapters
+        }
+        samples: Dict[str, List[float]] = {b: [] for b in adapters}
+        with nn.adaptation_mode(True):
+            for adapter in adapters.values():
+                adapter.adapt(x)  # warm: trace + compile outside timing
+            # interleave the two plans so slow machine drift hits both
+            # sample sets equally and cancels in the ratio
+            for _ in range(reps):
+                for backend, adapter in adapters.items():
+                    samples[backend] += _time_ms(lambda: adapter.adapt(x), 1)
+    model.load_state_dict(pristine)
+    info = tables["cgen"][1]
+    cgen_p95 = latency_percentile(samples["cgen"], 95)
+    return {
+        "cgen_p50_ms": latency_percentile(samples["cgen"], 50),
+        "cgen_p95_ms": cgen_p95,
+        "numpy_ab_p50_ms": latency_percentile(samples["numpy"], 50),
+        "cgen_speedup_p95": latency_percentile(samples["numpy"], 95) / cgen_p95,
+        "cgen_rendered": info["rendered"],
+        "cgen_stages": info["stages"],
+        "cgen_fallback": info["rendered"] == 0,
+        "cgen_numpy_stages": info["numpy_stages"],
+        "cgen_max_state_diff": state_diff,
+        "cgen_parity_ok": bool(state_diff <= CGEN_PARITY_ATOL),
+        "op_ms": {backend: table for backend, (table, _) in tables.items()},
+    }
 
 
 def _fleet_parity(
@@ -134,9 +209,9 @@ def run_bench_adapt(
     selected backend; non-numpy backends are held to the looser
     float-band tolerance rather than the near-bitwise numpy bar."""
     scale = scale if scale is not None else get_run_scale()
-    # numpy's compiled step is near-bitwise; C-rendered forwards reorder
-    # accumulation (FMA), so band backends get a float-band tolerance
-    parity_atol = PARITY_ATOL if backend in (None, "numpy") else 1e-6
+    parity_atol = (
+        PARITY_ATOL if backend in (None, "numpy") else CGEN_PARITY_ATOL
+    )
     rng = np.random.default_rng(seed)
     rows: List[Dict[str, object]] = []
     for backbone in backbones:
@@ -186,6 +261,9 @@ def run_bench_adapt(
                 "speedup_p50": eager_p50 / compiled_p50,
                 "max_state_diff": state_diff,
                 "parity_ok": bool(state_diff <= parity_atol),
+                **_cgen_columns(
+                    model, pristine, parity_frames, scale.adapt_lr, x, reps
+                ),
             }
         )
 

@@ -289,7 +289,7 @@ def _run_bench_adapt(
             columns=[
                 "backbone", "mode", "streams", "eager_p50_ms",
                 "compiled_p50_ms", "compiled_p95_ms", "speedup_p50",
-                "parity_ok",
+                "cgen_p95_ms", "cgen_speedup_p95", "parity_ok",
             ],
             floatfmt=".3f",
         )
@@ -297,6 +297,25 @@ def _run_bench_adapt(
     if not all(r["parity_ok"] for r in rows):
         print("PARITY FAILURE: compiled adaptation diverged from eager")
         return 1
+    singles = [r for r in rows if r["mode"] == "single"]
+    if not all(r["cgen_fallback"] or r["cgen_parity_ok"] for r in singles):
+        print("PARITY FAILURE: cgen adaptation left the float band vs eager")
+        return 1
+    if all(r["cgen_fallback"] for r in singles):
+        print(
+            "NOTICE: cgen comparison SKIPPED — no C compiler, plans fell "
+            "back to numpy closures"
+        )
+    for row in singles:
+        print(f"per-stage ms/step ({row['backbone']}, one profiled plan):")
+        print(format_table(
+            [
+                {"stage": label, "backend": backend, "ms_per_step": ms}
+                for backend, table in row["op_ms"].items()
+                for label, ms in list(table.items())[:6]
+            ],
+            columns=["backend", "stage", "ms_per_step"], floatfmt=".3f",
+        ))
     if backend in (None, "numpy"):
         # non-default backends would diff against the numpy baseline
         save_json(os.path.join(results_dir, "adapt_step.json"), rows)

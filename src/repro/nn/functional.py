@@ -100,6 +100,49 @@ def _im2col(
     return cols, out_h, out_w
 
 
+def _col2im_accumulate(
+    image: np.ndarray,
+    cols: np.ndarray,
+    kernel: Tuple[int, int],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int] = (0, 0),
+) -> None:
+    """Add columns (N, C*kh*kw, out_h*out_w) into ``image`` (N, C, H, W).
+
+    One strided slice-add per kernel offset ``(a, b)``, clipped to the
+    window positions whose tap lands inside the image, so contributions
+    to padding cells are dropped without a padded buffer.  Offsets are
+    visited in ``(kh, kw)`` row-major order: every image element receives
+    its contributions in ascending column-row order, exactly the order
+    of an indexed scatter-add (``ufunc.at``) over the im2col indices, so
+    the sums are bitwise identical to one.
+    """
+    n, c, h, w = image.shape
+    kh, kw = kernel
+    sh, sw = stride
+    ph, pw = padding
+    out_h = _conv_output_size(h, kh, sh, ph)
+    out_w = _conv_output_size(w, kw, sw, pw)
+    cols6 = cols.reshape(n, c, kh, kw, out_h, out_w)
+    for a in range(kh):
+        # window rows [lo, hi) whose tap `a` is not in the padding
+        lo_h = max(0, -((a - ph) // sh))
+        hi_h = min(out_h, (h - 1 + ph - a) // sh + 1)
+        if hi_h <= lo_h:
+            continue
+        top = a - ph + sh * lo_h
+        rows = slice(top, top + sh * (hi_h - lo_h - 1) + 1, sh)
+        for b in range(kw):
+            lo_w = max(0, -((b - pw) // sw))
+            hi_w = min(out_w, (w - 1 + pw - b) // sw + 1)
+            if hi_w <= lo_w:
+                continue
+            left = b - pw + sw * lo_w
+            image[:, :, rows, left : left + sw * (hi_w - lo_w - 1) + 1 : sw] += (
+                cols6[:, :, a, b, lo_h:hi_h, lo_w:hi_w]
+            )
+
+
 def _col2im(
     cols: np.ndarray,
     x_shape: Tuple[int, int, int, int],
@@ -108,14 +151,20 @@ def _col2im(
     padding: Tuple[int, int],
 ) -> np.ndarray:
     """Scatter-add columns back to image space (adjoint of :func:`_im2col`)."""
-    n, c, h, w = x_shape
-    ph, pw = padding
-    padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
-    k, i, j, _, _ = _im2col_indices(c, h, w, kernel, stride, padding)
-    np.add.at(padded, (slice(None), k, i, j), cols)
-    if ph or pw:
-        return padded[:, :, ph : ph + h, pw : pw + w]
-    return padded
+    image = np.zeros(x_shape, dtype=cols.dtype)
+    _col2im_accumulate(image, cols, kernel, stride, padding)
+    return image
+
+
+def _conv_dgrad(
+    w_mat: np.ndarray, g_mat: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Column-space input gradient of a conv: (K, F) @ (N, F, P) -> (N, K, P).
+
+    Shared by the eager backward and the compiled adaptation plan so both
+    issue the same BLAS call on the same operands.
+    """
+    return np.matmul(w_mat.T, g_mat, out=out)
 
 
 # ----------------------------------------------------------------------
@@ -163,9 +212,12 @@ class _Conv2d(Function):
         grad_w = np.einsum("nfp,nkp->fk", g_mat, cols, optimize=True)
         grad_w = grad_w.reshape(w_shape)
         grad_b = g_mat.sum(axis=(0, 2)) if ctx.attrs["has_bias"] else None
-        grad_cols = np.einsum("fk,nfp->nkp", w_mat, g_mat, optimize=True)
         grad_x = _col2im(
-            grad_cols, x_shape, (kh, kw), ctx.attrs["stride"], ctx.attrs["padding"]
+            _conv_dgrad(w_mat, g_mat),
+            x_shape,
+            (kh, kw),
+            ctx.attrs["stride"],
+            ctx.attrs["padding"],
         )
         if ctx.attrs["has_bias"]:
             return grad_x, grad_w, grad_b
@@ -234,18 +286,12 @@ class _MaxPool2d(Function):
                 mode="constant",
                 constant_values=-np.inf,
             )
-            pad_now = (0, 0)
-            h_eff, w_eff = x_flat.shape[2], x_flat.shape[3]
-        else:
-            pad_now = (0, 0)
-            h_eff, w_eff = h, w
-        cols, out_h, out_w = _im2col(x_flat, kernel, stride, pad_now)
+        cols, out_h, out_w = _im2col(x_flat, kernel, stride, (0, 0))
         # cols: (n*c, kh*kw, P)
         arg = cols.argmax(axis=1)
         out = cols.max(axis=1).reshape(n, c, out_h, out_w)
         ctx.attrs.update(
             x_shape=(n, c, h, w),
-            padded_shape=(n * c, 1, h_eff, w_eff),
             kernel=kernel,
             stride=stride,
             padding=padding,
@@ -258,20 +304,20 @@ class _MaxPool2d(Function):
         n, c, h, w = ctx.attrs["x_shape"]
         arg = ctx.attrs["arg"]  # (n*c, P) winning window offsets
         kernel = ctx.attrs["kernel"]
-        stride = ctx.attrs["stride"]
-        ph, pw = ctx.attrs["padding"]
         g_flat = g.reshape(n * c, -1)
         cols_shape = (arg.shape[0], kernel[0] * kernel[1], arg.shape[1])
         grad_cols = _pool_grad_buffer(cols_shape, g.dtype)
         np.put_along_axis(grad_cols, arg[:, None, :], g_flat[:, None, :], axis=1)
-        _, _, h_eff, w_eff = ctx.attrs["padded_shape"]
-        grad_padded = _col2im(
-            grad_cols, (n * c, 1, h_eff, w_eff), kernel, stride, (0, 0)
+        # the forward's -inf border is the col2im padding: gradient that
+        # lands on it is clipped away
+        grad = _col2im(
+            grad_cols,
+            (n * c, 1, h, w),
+            kernel,
+            ctx.attrs["stride"],
+            ctx.attrs["padding"],
         )
-        grad_padded = grad_padded.reshape(n, c, h_eff, w_eff)
-        if ph or pw:
-            grad_padded = grad_padded[:, :, ph : ph + h, pw : pw + w]
-        return (grad_padded,)
+        return (grad.reshape(n, c, h, w),)
 
 
 def max_pool2d(

@@ -770,3 +770,127 @@ class TestRenderedBackward:
         )
         assert oracle.shape == (2,) == loss.shape
         np.testing.assert_allclose(loss, oracle, rtol=1e-5, atol=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# rendered train-mode BN forward + max-pool backward
+
+
+def _pool_stack(seed, dtype):
+    """conv-BN-ReLU-maxpool-conv-BN in one dtype: the 3x3/stride-2/pad-1
+    pool has overlapping windows and a padded border, and sits between
+    two train-mode BNs so its backward is on the gradient path."""
+    rng = np.random.default_rng(seed)
+    model = nn.Sequential(
+        nn.Conv2d(3, 6, 3, padding=1, bias=False, rng=rng),
+        nn.BatchNorm2d(6),
+        nn.ReLU(),
+        nn.MaxPool2d(3, stride=2, padding=1),
+        nn.Conv2d(6, 4, 1, rng=rng),
+        nn.BatchNorm2d(4),
+    )
+    for module in model.modules():
+        if isinstance(module, nn.BatchNorm2d):
+            # a non-identity affine, so a wrong gamma/beta binding shows
+            module.weight.data[...] = rng.uniform(0.5, 1.5, module.num_features)
+            module.bias.data[...] = rng.uniform(-0.5, 0.5, module.num_features)
+    for param in model.parameters():
+        param.data = param.data.astype(dtype)
+    model.train()
+    return model
+
+
+def _run_pool_stack(backend, dtype, groups, threads=None):
+    """One replay of the stack's adaptation plan -> (plan, outputs)."""
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal((2 * groups, 3, 9, 13)).astype(dtype)
+    plan = CompiledAdaptStep(
+        _pool_stack(29, dtype), backend=backend, threads=threads
+    ).plan_for(x, groups=groups)
+    for tap in plan.bn_taps:
+        if tap.gamma_slot is not None:  # per-group fleet slots
+            tap.gamma_slot[...] = rng.uniform(0.5, 1.5, tap.gamma_slot.shape)
+            tap.beta_slot[...] = rng.uniform(-0.5, 0.5, tap.beta_slot.shape)
+    outputs = [np.array(plan.run(x))]
+    for tap in plan.bn_taps:
+        outputs += [
+            tap.batch_mean.copy(), tap.batch_var.copy(),
+            tap.grad_gamma.copy(), tap.grad_beta.copy(),
+        ]
+    return plan, outputs
+
+
+_NEW_STAGES = ("fwd:bn", "bwd:maxpool")
+
+
+@needs_cc
+class TestRenderedTrainBNAndPoolBackward:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_band_parity_vs_numpy_closures(self, dtype, groups, threads):
+        """Every bn_train / maxpool_bwd stage survives the per-stage band
+        probe against its own numpy closure (none demoted, none left on
+        numpy), and the replay lands beside the numpy plan — per-group
+        statistics and gamma/beta slots included."""
+        _, want = _run_pool_stack("numpy", dtype, groups)
+        plan, got = _run_pool_stack("cgen", dtype, groups, threads)
+        info = plan.backend_info
+        assert info["demoted"] == 0 and info["declined"] == 0
+        assert not set(_NEW_STAGES) & set(info["numpy_stages"])
+        tol = (
+            dict(rtol=2e-3, atol=2e-5) if dtype == np.float32
+            else dict(rtol=1e-7, atol=1e-10)
+        )
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            np.testing.assert_allclose(a, b, **tol)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_strict_is_bitwise_or_demoted(self, dtype, groups, threads):
+        """Under cgen-strict an offered stage either reproduces its
+        closure's bytes or is counted in ``demoted`` and replays as that
+        closure — so the plan equals the numpy plan bit for bit."""
+        _, want = _run_pool_stack("numpy", dtype, groups)
+        plan, got = _run_pool_stack(
+            CGenBackend(parity="strict"), dtype, groups, threads
+        )
+        info = plan.backend_info
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        assert info["offered"] == (
+            info["rendered"] + info["demoted"] + info["declined"]
+        )
+        assert info["stages"] == (
+            info["rendered"] + sum(info["numpy_stages"].values())
+        )
+        # serial f64 statistics cannot promise the oracle's pairwise
+        # bits, so train-BN may demote; the pool backward repeats the
+        # col2im summation order and must survive
+        assert info["numpy_stages"].get("fwd:bn", 0) <= info["demoted"]
+        assert "bwd:maxpool" not in info["numpy_stages"]
+
+    def test_small_r18_forward_is_one_rendered_segment(self):
+        """With train-BN rendered nothing splits the backbone forward:
+        one ``repro_run`` call covers it up to the entropy-loss tail."""
+        from repro.models.registry import build_model, get_config
+
+        model = build_model("small-r18", num_lanes=2)
+        model.eval()
+        h, w = get_config("small-r18", num_lanes=2).input_hw
+        x = np.random.default_rng(5).standard_normal((1, 3, h, w)).astype(
+            np.float32
+        )
+        plan = CompiledAdaptStep(model, backend="cgen").plan_for(x)
+        info = plan.backend_info
+        assert info["offered"] == info["rendered"]
+        forward_numpy = {
+            label for label in info["numpy_stages"] if label.startswith("fwd:")
+        }
+        assert forward_numpy == {"fwd:logsoftmax", "fwd:sum", "fwd:mean"}
+        first_closure = next(
+            i for i, step in enumerate(plan._fwd) if step.__name__ != "seg"
+        )
+        assert first_closure == 1, "backbone forward split into segments"

@@ -204,3 +204,70 @@ class TestConvShapeProperties:
         out = F.conv2d(Tensor(x), Tensor(w)).numpy()
         expected = np.einsum("fc,nchw->nfhw", w[:, :, 0, 0], x)
         np.testing.assert_allclose(out, expected, rtol=1e-6, atol=1e-8)
+
+
+def _scatter_col2im(cols, x_shape, kernel, stride, padding):
+    """The ``np.add.at`` scatter the engine used to run — kept here only,
+    as the summation-order reference for the slice-loop col2im."""
+    n, c, h, w = x_shape
+    ph, pw = padding
+    padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
+    k, i, j, _, _ = F._im2col_indices(c, h, w, kernel, stride, padding)
+    np.add.at(padded, (slice(None), k, i, j), cols)
+    return padded[:, :, ph : ph + h, pw : pw + w]
+
+
+@st.composite
+def col2im_cases(draw):
+    """Random geometry: non-square kernels, stride below the kernel
+    (overlapping windows) and above it (gaps), padding 0-2, f32/f64."""
+    kernel = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    stride = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    padding = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+    x_shape = (
+        draw(st.integers(1, 3)),
+        draw(st.integers(1, 3)),
+        draw(st.integers(max(1, kernel[0] - 2 * padding[0]), 9)),
+        draw(st.integers(max(1, kernel[1] - 2 * padding[1]), 9)),
+    )
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    seed = draw(st.integers(0, 2**31))
+    return x_shape, kernel, stride, padding, dtype, seed
+
+
+class TestCol2imProperties:
+    @given(case=col2im_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_accumulate_is_bitwise_the_scatter(self, case):
+        """The strided slice loop visits kernel offsets in (kh, kw)
+        order, so every image element sums its contributions in the same
+        order as the scatter — equal bytes, not just close values."""
+        x_shape, kernel, stride, padding, dtype, seed = case
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(x_shape).astype(dtype)
+        cols, _, _ = F._im2col(x, kernel, stride, padding)
+        # wide dynamic range so a different summation order would show
+        grad = (
+            rng.standard_normal(cols.shape) * 10.0 ** rng.integers(-6, 6, cols.shape)
+        ).astype(dtype)
+        want = _scatter_col2im(grad, x_shape, kernel, stride, padding)
+        image = np.zeros(x_shape, dtype=dtype)
+        F._col2im_accumulate(image, grad, kernel, stride, padding)
+        assert image.tobytes() == np.ascontiguousarray(want).tobytes()
+        assert F._col2im(grad, x_shape, kernel, stride, padding).tobytes() == (
+            image.tobytes()
+        )
+
+    @given(case=col2im_cases())
+    @settings(**SETTINGS)
+    def test_accumulate_is_the_adjoint_of_im2col(self, case):
+        """<im2col(x), y> == <x, col2im(y)> through the new helper."""
+        x_shape, kernel, stride, padding, _, seed = case
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(x_shape)
+        cols, _, _ = F._im2col(x, kernel, stride, padding)
+        y = rng.standard_normal(cols.shape)
+        x_back = np.zeros(x_shape)
+        F._col2im_accumulate(x_back, y, kernel, stride, padding)
+        lhs, rhs = float((cols * y).sum()), float((x * x_back).sum())
+        assert abs(lhs - rhs) < 1e-8 * max(abs(lhs), 1.0)
