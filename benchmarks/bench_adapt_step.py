@@ -17,8 +17,9 @@ serial eager steps on both backbones, and the compiled/fused paths match
 the eager oracle to float precision.  Each single row also archives the
 ``cgen`` backend beside the numpy plan (interleaved A/B, parity held to
 the float band) and the per-stage ``op_ms`` table of one profiled plan
-per backend; deliberately no cgen-vs-numpy speedup gate — the C forward
-convs still trail BLAS on these shapes (see EXPERIMENTS.md).
+per backend (alternating replays); asserted on it: the rendered forward
+convs (``cgen:fwd:conv``) cost no more than the numpy/BLAS ones
+(``fwd:conv``) on the r18 single row.
 """
 
 from conftest import results_path
@@ -57,6 +58,14 @@ def test_adapt_step_speedup(benchmark):
         if row["mode"] == "single":
             assert row["cgen_fallback"] or row["cgen_parity_ok"], (
                 f"cgen adaptation left the float band vs eager: {row}"
+            )
+        if (row["mode"] == "single" and row["backbone"] == "r18"
+                and not row["cgen_fallback"]):
+            c_ms = row["op_ms"]["cgen"]["cgen:fwd:conv"]
+            np_ms = row["op_ms"]["numpy"]["fwd:conv"]
+            assert c_ms <= np_ms, (
+                f"rendered forward convs ({c_ms:.3f} ms/step) lost to the "
+                f"numpy/BLAS ones ({np_ms:.3f} ms/step) on {row['preset']}"
             )
         if row["mode"] == "single" and row["backbone"] == "r18":
             assert row["speedup_p50"] >= MIN_SPEEDUP_R18, (

@@ -7,15 +7,22 @@ timing rounds, unlike the single-shot experiment benches.
 
 ``test_micro_ops_backends`` additionally races the engine's two plan
 backends per kernel family (fused conv-BN-ReLU, 1x1 identity-columns
-GEMM, padded im2col conv, linear, max-pool, elementwise ReLU) and
-archives the rows to ``results/micro_ops.json``, whose ``*_p95_ms`` keys
-ride the standard regression gate — a slowdown in any one kernel fails
-CI even when the end-to-end backbone numbers still pass.  There is no
-per-kernel cross-backend speedup gate: at micro scale an isolated BLAS
-GEMM legitimately beats the C kernel, and plan dispatch overhead
-dominates the tiniest shapes; the end-to-end >= 1.3x cgen gate lives in
+GEMM, padded im2col conv, linear, max-pool, elementwise ReLU, and the
+``small-r18`` conv shapes as serving feeds them — float32 inputs widened
+into float64 GEMMs) and archives the rows to ``results/micro_ops.json``,
+whose ``*_p95_ms`` keys ride the standard regression gate — a slowdown in
+any one kernel fails CI even when the end-to-end backbone numbers still
+pass.  Gated here, on interleaved samples: the rendered conv must not
+lose to the numpy/BLAS closure on any serving-shape row with at least
+``MIN_GATED_PIXELS`` output pixels, and a 2-wide pool must not lose to
+one thread on any ``*_mt`` row whose stage the renderer tiles (a stage
+it keeps inline runs the same code at both widths and ties by
+construction).  Smaller convs tie BLAS or drown in plan dispatch
+overhead on both backends; the end-to-end >= 1.3x cgen gate lives in
 ``bench_infer_engine.py``.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -85,9 +92,15 @@ def test_batchnorm_train_forward(benchmark):
 
 
 MICRO_REPS = 200
+# serving-shape conv rows at or above this many output pixels: cgen >=
+# BLAS.  The 40-pixel row is a tie on an AVX-512 OpenBLAS host (0.89-1.15
+# over six runs), so a 1.0 bar there would only measure the noise.
+MIN_GATED_PIXELS = 160
+MIN_CONV_SPEEDUP = 1.0
+MIN_MT_SPEEDUP = 0.95   # a tiled stage at 2 threads vs 1
 
 MICRO_COLUMNS = [
-    "op", "shape", "numpy_p50_ms", "numpy_p95_ms",
+    "op", "shape", "out_pixels", "numpy_p50_ms", "numpy_p95_ms",
     "cgen_p50_ms", "cgen_p95_ms", "speedup_p95",
     "rendered", "fallback", "max_abs_diff",
 ]
@@ -95,7 +108,8 @@ MICRO_COLUMNS = [
 MICRO_MT_COLUMNS = [
     "op", "shape", "threads", "cgen_st_p50_ms", "cgen_st_p95_ms",
     "cgen_mt_p50_ms", "cgen_mt_p95_ms", "mt_speedup_p95",
-    "mt_stages", "rendered", "fallback", "max_abs_diff",
+    "mt_stages", "dispatch_p50_us", "dispatch_p95_us", "rendered",
+    "fallback", "max_abs_diff",
 ]
 
 
@@ -108,13 +122,18 @@ def test_micro_ops_backends(benchmark):
     print(format_table(rows, columns=MICRO_COLUMNS, floatfmt=".4f"))
 
     # threaded-vs-single-thread rows ride the same archive (and so the
-    # same regression gate on their *_p95_ms keys); the speedup column
-    # is informational — 1-core CI hosts cannot promise > 1x
+    # same regression gate on their *_p95_ms keys)
     mt_rows = run_micro_threaded(reps=MICRO_REPS, threads=2)
     print("\nMICRO — per-kernel single-thread vs 2-thread cgen latency (ms)")
     print(format_table(mt_rows, columns=MICRO_MT_COLUMNS, floatfmt=".4f"))
     save_json(results_path("micro_ops.json"), rows + mt_rows)
 
+    one_core = (os.cpu_count() or 1) < 2
+    if one_core:
+        print(
+            "NOTICE: mt_speedup_p95 gate SKIPPED — single-core host, a "
+            "worker pool cannot tie single-thread kernels here"
+        )
     for row in mt_rows:
         assert row["max_abs_diff"] < 1e-3, (
             f"threaded cgen kernel diverged from single-thread: {row}"
@@ -123,6 +142,10 @@ def test_micro_ops_backends(benchmark):
             print(
                 f"NOTICE: threaded timing for {row['op']} measured the "
                 "numpy fallback — no C compiler rendered the plan"
+            )
+        elif row.get("mt_stages") and not one_core:
+            assert row["mt_speedup_p95"] >= MIN_MT_SPEEDUP, (
+                f"2-thread cgen lost to single-thread cgen: {row}"
             )
 
     for row in rows:
@@ -134,9 +157,11 @@ def test_micro_ops_backends(benchmark):
                 f"NOTICE: cgen timing for {row['op']} measured the numpy "
                 "fallback — no C compiler rendered the plan"
             )
-        # No cross-backend speedup assertion per kernel: at micro scale
-        # per-call plan overhead dominates and an isolated BLAS GEMM can
-        # legitimately beat the C kernel (cgen wins end-to-end through
-        # fusion — that >= 1.3x gate lives in bench_infer_engine.py).
-        # Drift in either backend's kernels is caught by the regression
-        # gate over the archived *_p95_ms keys.
+        elif (row["op"].endswith("_f32")
+                and row["out_pixels"] >= MIN_GATED_PIXELS):
+            assert row["speedup_p95"] >= MIN_CONV_SPEEDUP, (
+                f"rendered conv lost to the numpy/BLAS closure: {row}"
+            )
+        # The float64 rows and the smaller shapes are archived ungated;
+        # drift in either backend's kernels is still caught by the
+        # regression gate over the *_p95_ms keys.

@@ -12,7 +12,8 @@
 # not just when a human runs the benchmarks by hand; it ends with the
 # bench-e2e self-check (benchmarks/e2e/run.py --smoke).  Lane 4 exercises
 # the cgen C plan backend (renderer parity tests twice — single-thread
-# and with a 2-wide worker pool — plus quick C-served bench runs); on
+# and with a 2-wide worker pool — plus quick C-served bench runs and the
+# per-kernel micro gates of benchmarks/bench_micro_ops.py); on
 # hosts without a C compiler it prints a visible skip notice and runs
 # only the compiler-free fallback/registry tests, and on single-core
 # hosts the threaded bench smoke loud-skips (the threaded code path is
@@ -95,9 +96,14 @@ then
     # in bench_infer_engine.py and loud-skips on single-core hosts
     if [[ "$(python -c 'import os; print(os.cpu_count() or 1)')" -ge 2 ]]; then
         python -m repro.experiments bench-infer --quick --backend cgen --threads 2
+        # per-kernel gates: the rendered conv micro-kernel vs the
+        # numpy/BLAS closure on the serving shapes, and the *_mt rows
+        # (2 threads must win, or the stage runs inline and ties)
+        python -m pytest benchmarks/bench_micro_ops.py -q -k backends
     else
-        echo "NOTICE: threaded bench smoke SKIPPED — single-core host;"
-        echo "        the pool cannot beat single-thread kernels here"
+        echo "NOTICE: threaded bench smoke and micro-kernel gates SKIPPED —"
+        echo "        single-core host; the pool cannot beat single-thread"
+        echo "        kernels here"
     fi
 else
     echo "NOTICE: cgen lane SKIPPED — no C compiler on this host;"

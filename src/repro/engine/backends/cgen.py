@@ -8,8 +8,9 @@ and the renderer either emits an equivalent C stage function or declines
 dtype).  For adaptation plans both the forward — train-mode BatchNorm
 included, so the backbone forward replays as one rendered segment — *and*
 the pruned LD-BN-ADAPT backward (BN gamma/beta grads, the reduced chain,
-max-pool backward) are offered; conv dgrad deliberately stays a BLAS
-closure (the renderer's GEMM loses to BLAS on these shapes).
+max-pool backward) are offered; the k>1 conv dgrad deliberately stays a
+BLAS closure (sized in ROADMAP item 3: a C col2im eats what the GEMM
+would win).
 ``backend_info["numpy_stages"]`` counts, by stage label, what still
 replays as a Python closure.  At finalize time the accepted stages become one translation
 unit
@@ -23,19 +24,45 @@ unit
 * a persistent pthread worker pool (see
   :mod:`repro.engine.backends.threading`), spawned once per loaded
   ``.so`` and refcounted across the plans sharing it.  Heavy stages are
-  tiled over the pool by *fixed output-row ownership* — thread ``t`` of
-  ``nt`` owns rows ``[total*t//nt, total*(t+1)//nt)`` and runs the same
+  tiled over the pool by *fixed output ownership* — thread ``t`` of
+  ``nt`` owns units ``[total*t//nt, total*(t+1)//nt)`` and runs the same
   serial reduction order per element as the single-thread kernel, so no
   accumulator is shared, no atomics exist, and outputs are bitwise
   identical run-to-run and across thread counts.  Each dispatch is
   barrier-synced, so replay semantics and the runtime pointer table are
-  unchanged.  Conv stages fold the im2col gather into the GEMM loop:
-  each thread gathers only its own pixel tile into per-thread scratch
-  inside the ``.so``, and the plan-side im2col workspaces of surviving
-  conv stages are released at finalize (``profile_summary()`` shows
-  zero im2col workspace bytes for converted layers).
+  unchanged.  A stage is tiled only when its estimated kernel time
+  repays the dispatch round trip (``_MT_MIN_US``, set against the
+  measured ``pool_dispatch_us`` micro-benchmark row); everything
+  smaller runs inline on the dispatching thread.
 
-compiled with ``cc -shared -O2 -march=native -pthread`` (plus
+Conv stages are call stubs into three ``static`` helpers emitted once per
+translation unit and dtype pair (the way ``bn_train_<ctype>`` is), taking
+the layer's dims as a ``conv_dims`` constant:
+
+* ``im2col_<xt>_<ct>`` — a *structured* im2col rendered from the conv's
+  scalar geometry ``(c, h, w, kernel, stride, padding)``: per
+  ``(channel, a, b)`` column row and output image row, the padded edge
+  is zeroed and the valid run copied (and widened) from one input row.
+  No index table exists; the plan-side im2col workspaces of surviving
+  conv stages are released at finalize (``profile_summary()`` shows zero
+  im2col workspace bytes for converted layers).
+* ``gemm_<ct>`` — under band parity one register-blocked micro-kernel:
+  ``_MR`` filters x NR pixels of accumulators stay in vector registers
+  across the whole ``k`` loop (GCC vector extensions at the host's widest
+  width), weights broadcast, the column panel loaded once per ``k``, and
+  the bias/BN/ReLU epilogue applied op-for-op on the spilled tile at
+  store time.  Columns are zero-padded to a multiple of NR and edge
+  filter blocks repeat the last filter, so there is no scalar remainder
+  path: every output element is the same serial-``k`` FMA chain whatever
+  tile it falls in.  Under strict parity the same signature holds the
+  float64-accumulation loop.
+* ``conv_<xt>_<ct>`` — the driver: fixed ownership of (sample, NR-pixel
+  panel) units per thread, walked in ``CONV_PC``-pixel chunks (im2col
+  into ``POOL_SCR(tid)``, then the GEMM straight into the output rows).
+  The 1x1 conv backward is a second caller, reading the weight matrix
+  transposed by stride.
+
+The unit is compiled with ``cc -shared -O2 -march=native -pthread`` (plus
 ``-ffp-contract=off`` under strict parity) and loaded through
 :mod:`ctypes`.  Artifacts are cached on disk keyed by the source hash
 *and* a plan-variant tag (thread count, parity — two configs rendering
@@ -98,9 +125,36 @@ _ENV_CACHE = "REPRO_CGEN_CACHE"
 _BASE_CFLAGS = ["-shared", "-fPIC", "-O2", "-march=native", "-pthread",
                 "-fno-math-errno", "-fvect-cost-model=dynamic"]
 
-# stages below this many inner-loop iterations run inline: a pool
-# dispatch costs a wake+barrier (~µs), so tiny stages stay serial
-_MT_MIN_WORK = 1 << 15
+# Inline/tiled threshold, in estimated single-thread kernel time.  A
+# tiled stage pays one pool dispatch — condvar wake, barrier, join — and
+# at two threads wins back at most half its kernel time.  The
+# `pool_dispatch_us` row of benchmarks/results/micro_ops.json (empty
+# stage, 2 threads, workers asleep as they are between real dispatches)
+# is bimodal on the reference host: ~5 us when the scheduler wakes the
+# worker on its waker's core — where a real stage then runs its two
+# halves back to back — and 40-60 us when it wakes on the second core.
+# Tiled conv stages measured against themselves inline lose at 370 us
+# of estimated kernel time (0.98x p50, 0.62x p95) and win from 740 us up
+# (1.13x-1.59x p50), so the line sits at about ten cross-core round
+# trips.  Below it a stage runs inline on the dispatching thread.
+_MT_MIN_US = 500.0
+# what that estimate assumes one thread sustains, in inner-loop
+# iterations per us: FMAs of the register-tiled conv GEMM (im2col
+# included), and everything else — memory-bound sweeps, reductions, the
+# dot-product linear kernels
+_GEMM_PER_US = 16000.0
+_SWEEP_PER_US = 2000.0
+
+# conv GEMM register tile: _MR filters x _NV vectors of pixels — 12
+# accumulators + 3 column vectors + 1 weight broadcast fill the 16 vector
+# registers of AVX2; wider hosts keep the shape and widen the vector
+# (VEC_BYTES in the rendered source), so NR = _NV * VEC_BYTES / itemsize
+# is the compiler's to know and the renderer sizes scratch for the widest
+_MR, _NV = 4, 3
+_VEC_BYTES_MAX = 64
+# pixels im2col'd then multiplied per pass (CONV_PC): a multiple of every
+# NR, small enough that one chunk's columns stay cache-resident
+_CONV_PC = 96
 
 
 def _cflags(strict: bool) -> List[str]:
@@ -115,6 +169,242 @@ PARITY_RTOL = {"float64": 1e-9, "float32": 3e-4}
 PARITY_ATOL = {"float64": 1e-12, "float32": 1e-6}
 
 _CTYPE = {"float64": "double", "float32": "float"}
+
+
+_CONV_PRELUDE = f"""\
+#if defined(__AVX512F__)
+#define VEC_BYTES 64
+#else
+#define VEC_BYTES 32
+#endif
+#define CONV_PC {_CONV_PC}LL
+/* one conv as a GEMM: (f, kt) weights x (kt, p) im2col columns */
+typedef struct {{
+    i64 n, c, h, w, kh, kw, sh, sw, ph, pw, ow, p, f, kt;
+}} conv_dims;
+/* store-time epilogue: bias (compute dtype, may be 0), then mode 1 —
+ * per-sample folded affine e0=scale e1=shift, rows of f per sample — or
+ * mode 2 — running stats e0=mean e1=var e2=gamma e3=beta — then ReLU */
+typedef struct {{
+    const void* bias; i64 mode;
+    const double *e0, *e1, *e2, *e3; double eps; i64 relu;
+}} conv_epi;
+"""
+
+
+def _epilogue_source(ct: str) -> str:
+    """``NR_<ct>`` (pixels per register tile) and ``epilogue_<ct>``: the
+    numpy closure's post-GEMM op sequence over one output row, op-for-op
+    (bias add, ``_bn_epilogue``, ReLU)."""
+    return f"""\
+#define NR_{ct} ({_NV} * (i64)(VEC_BYTES / sizeof({ct})))
+static inline void epilogue_{ct}({ct}* restrict t, i64 nv, i64 fi,
+                                 const conv_epi* E)
+{{
+    if (E->bias) {{
+        const {ct} b = ((const {ct}*)E->bias)[fi];
+        for (i64 q = 0; q < nv; ++q) t[q] = t[q] + b;
+    }}
+    if (E->mode == 1) {{
+        const double sc = E->e0[fi], sh = E->e1[fi];
+        for (i64 q = 0; q < nv; ++q) {{
+            {ct} v = ({ct})(t[q] * sc);
+            t[q] = ({ct})(v + sh);
+        }}
+    }} else if (E->mode == 2) {{
+        const double m = E->e0[fi], iv = 1.0 / sqrt(E->e1[fi] + E->eps);
+        const double g = E->e2[fi], b = E->e3[fi];
+        for (i64 q = 0; q < nv; ++q) {{
+            {ct} v = ({ct})(t[q] - m);
+            v = ({ct})(v * iv);
+            v = ({ct})(v * g);
+            t[q] = ({ct})(v + b);
+        }}
+    }}
+    if (E->relu)
+        for (i64 q = 0; q < nv; ++q) {{
+            {ct} v = t[q];
+            t[q] = v > 0 ? v : (v != v ? v : ({ct})0);
+        }}
+}}
+"""
+
+
+def _gemm_source(ct: str) -> str:
+    """``gemm_<ct>``, band parity: the register-blocked micro-kernel.
+
+    ``O[f, q] = epilogue(sum_k A[f*as_f + k*as_k] * B[k*ldb + q])`` for
+    ``q < tw``, with ``B`` zero-padded to ``ldb`` (a multiple of NR)
+    columns.  A tile of ``_MR x NR`` accumulators stays in vector
+    registers across the whole ``k`` loop — per ``k`` one column panel
+    load feeds ``_MR`` broadcast-FMA rows — and is spilled once, to a
+    stack tile the epilogue runs over before the valid ``nv`` columns
+    are stored.  Every output element is the same serial-``k`` FMA chain
+    in its own vector lane whatever ``tw``, the panel or the lane is:
+    edge panels multiply the zero padding and edge filter blocks repeat
+    the last filter rather than take a scalar remainder path, which is
+    what keeps outputs bitwise identical across thread counts.
+    """
+    rows, vecs = range(_MR), range(_NV)
+    ptrs = "\n".join(
+        f"            const {ct}* a{r} = "
+        f"A + (f0 + {r} < f ? f0 + {r} : f - 1) * as_f;" for r in rows
+    )
+    zero = ", ".join(f"c{r}{v} = {{0}}" for r in rows for v in vecs)
+    loads = ", ".join(
+        f"b{v} = *(const v_{ct}*)(b + {v} * VL)" for v in vecs
+    )
+    fmas = "\n".join(
+        f"                w = *a{r}; a{r} += as_k; "
+        + " ".join(f"c{r}{v} += w * b{v};" for v in vecs) for r in rows
+    )
+    spill = "\n".join(
+        "            " + " ".join(
+            f"*(v_{ct}*)(tile[{r}] + {v} * VL) = c{r}{v};" for v in vecs
+        ) for r in rows
+    )
+    return f"""\
+typedef {ct} v_{ct}
+    __attribute__((vector_size(VEC_BYTES), aligned(sizeof({ct})), may_alias));
+static void gemm_{ct}(const {ct}* restrict A, i64 as_f, i64 as_k,
+                      const {ct}* restrict B, i64 ldb,
+                      {ct}* restrict O, i64 ldo, i64 f, i64 kt, i64 tw,
+                      const conv_epi* E)
+{{
+    enum {{ VL = VEC_BYTES / sizeof({ct}), NR = NR_{ct} }};
+    for (i64 q0 = 0; q0 < tw; q0 += NR) {{
+        const i64 nv = tw - q0 < NR ? tw - q0 : NR;
+        for (i64 f0 = 0; f0 < f; f0 += {_MR}) {{
+{ptrs}
+            v_{ct} {zero};
+            const {ct}* b = B + q0;
+            for (i64 k = 0; k < kt; ++k, b += ldb) {{
+                const v_{ct} {loads};
+                {ct} w;
+{fmas}
+            }}
+            {ct} tile[{_MR}][NR];
+{spill}
+            const i64 mr = f - f0 < {_MR} ? f - f0 : {_MR};
+            for (i64 r = 0; r < mr; ++r) {{
+                epilogue_{ct}(tile[r], NR, f0 + r, E);
+                {ct}* o = O + (f0 + r) * ldo + q0;
+                for (i64 q = 0; q < nv; ++q) o[q] = tile[r][q];
+            }}
+        }}
+    }}
+}}
+"""
+
+
+def _gemm_strict_source(ct: str) -> str:
+    """``gemm_<ct>``, strict parity: float64-accumulation GEMM — fixed
+    k-order double sums back the bitwise probe (and stay exact when the
+    oracle happens to sum in the same order)."""
+    return f"""\
+static void gemm_{ct}(const {ct}* restrict A, i64 as_f, i64 as_k,
+                      const {ct}* restrict B, i64 ldb,
+                      {ct}* restrict O, i64 ldo, i64 f, i64 kt, i64 tw,
+                      const conv_epi* E)
+{{
+    for (i64 fi = 0; fi < f; ++fi) {{
+        {ct}* o = O + fi * ldo;
+        const {ct}* a = A + fi * as_f;
+        for (i64 q = 0; q < tw; ++q) {{
+            double acc = 0.0;
+            for (i64 k = 0; k < kt; ++k)
+                acc += (double)a[k * as_k] * (double)B[k * ldb + q];
+            o[q] = ({ct})acc;
+        }}
+        epilogue_{ct}(o, tw, fi, E);
+    }}
+}}
+"""
+
+
+def _conv_source(xt: str, ct: str) -> str:
+    """``im2col_<xt>_<ct>`` + the ``conv_<xt>_<ct>`` stage driver.
+
+    The im2col is structured, not indexed: column row ``(ch, a, b)`` of
+    output pixels ``[q0, q1)`` is, per output image row, a zeroed padded
+    edge, the valid run copied (and widened ``xt`` -> ``ct``) from one
+    input row — contiguous at stride 1 — and a zeroed edge again, then
+    zeros up to ``ld``.  The driver splits the stage's (sample, NR-pixel
+    panel) units over the pool by fixed ownership and walks its share in
+    ``CONV_PC``-pixel chunks: im2col into the thread's ``POOL_SCR``,
+    then ``gemm_<ct>`` straight into the output rows.
+    """
+    return f"""\
+static void im2col_{xt}_{ct}(const {xt}* restrict xs, {ct}* restrict cw,
+                             i64 ld, const conv_dims* D, i64 q0, i64 q1)
+{{
+    const i64 ow = D->ow, sw = D->sw;
+    const i64 y0 = q0 / ow, y1 = (q1 - 1) / ow;
+    /* output columns [xl[b], xh[b]) whose tap b lands inside the row */
+    i64 xl[D->kw], xh[D->kw];
+    for (i64 b = 0; b < D->kw; ++b) {{
+        const i64 span = D->w + D->pw - b;
+        xl[b] = D->pw > b ? (D->pw - b + sw - 1) / sw : 0;
+        xh[b] = span > 0 ? (span + sw - 1) / sw : 0;
+        if (xh[b] > ow) xh[b] = ow;
+    }}
+    for (i64 ch = 0; ch < D->c; ++ch)
+    for (i64 a = 0; a < D->kh; ++a)
+    for (i64 b = 0; b < D->kw; ++b, cw += ld) {{
+        const i64 xlo = xl[b], xhi = xh[b];
+        {ct}* d = cw;
+        for (i64 oy = y0; oy <= y1; ++oy) {{
+            const i64 lo = oy == y0 ? q0 - y0 * ow : 0;
+            const i64 hi = oy == y1 ? q1 - y1 * ow : ow;
+            const i64 iy = oy * D->sh + a - D->ph;
+            i64 vlo = lo > xlo ? lo : xlo, vhi = hi < xhi ? hi : xhi;
+            if (iy < 0 || iy >= D->h || vhi <= vlo) vlo = vhi = hi;
+            for (i64 t = lo; t < vlo; ++t) d[t - lo] = ({ct})0;
+            if (vhi > vlo) {{
+                const {xt}* s =
+                    xs + (ch * D->h + iy) * D->w + vlo * sw + b - D->pw;
+                {ct}* dv = d + (vlo - lo);
+                const i64 cnt = vhi - vlo;
+                /* strides 1 and 2 are spelled out so the compiler can
+                 * vectorize them (a plain copy, a de-interleave) */
+                if (sw == 1)
+                    for (i64 t = 0; t < cnt; ++t) dv[t] = ({ct})s[t];
+                else if (sw == 2)
+                    for (i64 t = 0; t < cnt; ++t) dv[t] = ({ct})s[t * 2];
+                else
+                    for (i64 t = 0; t < cnt; ++t) dv[t] = ({ct})s[t * sw];
+            }}
+            for (i64 t = vhi; t < hi; ++t) d[t - lo] = ({ct})0;
+            d += hi - lo;
+        }}
+        for (i64 t = d - cw; t < ld; ++t) cw[t] = ({ct})0;
+    }}
+}}
+
+static void conv_{xt}_{ct}(const {xt}* X, const {ct}* A, i64 as_f, i64 as_k,
+                           {ct}* O, const conv_dims* D, const conv_epi* E,
+                           i64 tid, i64 nt)
+{{
+    const i64 NR = NR_{ct}, p = D->p;
+    const i64 panels = (p + NR - 1) / NR, units = D->n * panels;
+    const i64 ulo = (units * tid) / nt, uhi = (units * (tid + 1)) / nt;
+    {ct}* cw = ({ct}*)POOL_SCR(tid);
+    for (i64 n = ulo / panels; n * panels < uhi; ++n) {{
+        const i64 first = ulo - n * panels, last = uhi - n * panels;
+        const i64 plo = first > 0 ? first * NR : 0;
+        const i64 phi = last < panels ? last * NR : p;
+        conv_epi En = *E;
+        if (En.mode == 1) {{ En.e0 += n * D->f; En.e1 += n * D->f; }}
+        for (i64 q0 = plo; q0 < phi; q0 += CONV_PC) {{
+            const i64 q1 = q0 + CONV_PC < phi ? q0 + CONV_PC : phi;
+            const i64 ld = (q1 - q0 + NR - 1) / NR * NR;
+            im2col_{xt}_{ct}(X + n * D->c * D->h * D->w, cw, ld, D, q0, q1);
+            gemm_{ct}(A, as_f, as_k, cw, ld, O + n * D->f * p + q0, p,
+                      D->f, D->kt, q1 - q0, &En);
+        }}
+    }}
+}}
+"""
 
 
 def find_cc() -> Optional[str]:
@@ -346,10 +636,10 @@ class CRenderer:
         return self._bind_static(arr)
 
     # -- threading helpers -----------------------------------------------
-    def _mt(self, work: int) -> bool:
+    def _mt(self, est_us: float) -> bool:
         """Dispatch this stage across the pool? Only with >1 threads and
-        enough inner-loop work to amortize the wake+barrier."""
-        return self.threads > 1 and work >= _MT_MIN_WORK
+        an estimated kernel time that repays the dispatch round trip."""
+        return self.threads > 1 and est_us >= _MT_MIN_US
 
     def _need_scratch(self, nbytes: int) -> None:
         self._scratch_bytes = max(self._scratch_bytes, int(nbytes))
@@ -393,13 +683,35 @@ class CRenderer:
         return offer
 
     # -- stage builders --------------------------------------------------
+    def _conv_helpers(self, xt: str, ct: str) -> str:
+        """Emit (once per TU) the conv kernels for input type ``xt`` and
+        compute type ``ct``; returns the driver's name."""
+        self._helpers.setdefault("conv_prelude", _CONV_PRELUDE)
+        self._helpers.setdefault(
+            f"gemm_{ct}",
+            _epilogue_source(ct)
+            + (_gemm_strict_source(ct) if self.strict else _gemm_source(ct)),
+        )
+        name = f"conv_{xt}_{ct}"
+        self._helpers.setdefault(name, _conv_source(xt, ct))
+        return name
+
+    def _conv_mt(self, n: int, f: int, p: int, kt: int,
+                 dtype: np.dtype) -> bool:
+        """Reserve one conv's per-thread column panel — ``kt`` rows of at
+        most one pixel chunk, padded to the widest NR — and decide
+        whether the stage is tiled: only when it has at least two
+        (sample, panel) units to hand out and repays the dispatch."""
+        nr = _NV * _VEC_BYTES_MAX // dtype.itemsize
+        panels = -(-p // nr)
+        self._need_scratch(kt * min(_CONV_PC, panels * nr) * dtype.itemsize)
+        return n * panels >= 2 and self._mt(n * f * p * kt / _GEMM_PER_US)
+
     def _try_conv(self, spec, fallback):
         geo: ConvLowering = spec["geo"]
         ct = _CTYPE.get(geo.compute_dtype.name)
         xt = _CTYPE.get(geo.x_dtype.name)
         if ct is None or xt is None:
-            return None
-        if geo.identity_cols and geo.x_dtype != geo.compute_dtype:
             return None
         weight = spec["weight"]
         if (weight.data.dtype != geo.compute_dtype
@@ -422,317 +734,54 @@ class CRenderer:
             return None
         sw = self._slot()
         offer.binders.append(self._const_binder(weight, sw, geo.compute_dtype))
-        sb = None
+        bias_ptr = "0"
         if bias is not None:
             sb = self._slot()
             offer.binders.append(
                 self._const_binder(bias, sb, geo.compute_dtype)
             )
+            bias_ptr = f"T[{sb}]"
+        relu = int(bool(spec["relu"]))
 
         n, f, p, kt = geo.n, geo.f_out, geo.p_total, geo.k_total
-        chw = geo.c * geo.h * geo.w
-        item = geo.compute_dtype.itemsize
         lines = [
-            f"    const {xt}* restrict X = (const {xt}*)T[{sx}];",
-            f"    const {ct}* restrict Wt = (const {ct}*)T[{sw}];",
-            f"    {ct}* restrict O = ({ct}*)T[{so}];",
+            "    static const conv_dims D = {"
+            f"{n}, {geo.c}, {geo.h}, {geo.w}, "
+            f"{geo.kernel[0]}, {geo.kernel[1]}, "
+            f"{geo.stride[0]}, {geo.stride[1]}, "
+            f"{geo.padding[0]}, {geo.padding[1]}, "
+            f"{geo.out_w}, {p}, {f}, {kt}}};",
         ]
-        # small output tiles flip the column layout to (P, KT) and use a
-        # dot-product kernel: contiguous k-runs vectorize where the axpy
-        # form would spend its time on 3..10-element inner loops.  Small
-        # stages stay on the dispatching thread.
-        small = (not self.strict) and p < 16
-        mt = (not small) and self._mt(n * f * p * kt)
-        if not geo.identity_cols:
-            k, i, j = geo.kij
-            ih = i - geo.padding[0]
-            iw = j - geo.padding[1]
-            valid = (ih >= 0) & (ih < geo.h) & (iw >= 0) & (iw < geo.w)
-            idx = (
-                np.where(valid, (k * geo.h + ih) * geo.w + iw, -1)
-                .astype(np.int64).reshape(kt, p)
-            )
-            if small:
-                idx = idx.T
-            idx = np.ascontiguousarray(idx.reshape(-1))
-            si = self._bind_static(idx)
-            lines.append(f"    const i64* restrict IX = (const i64*)T[{si}];")
-            # fused im2col: each thread gathers only its own pixel tile
-            # into per-thread scratch inside the .so — there is no
-            # plan-side cols workspace for this stage at all
-            rows = -(-p // self.threads) if mt else p
-            self._need_scratch(kt * rows * item)
-        elif small:
-            self._need_scratch(kt * p * item)
-        if sb is not None:
-            lines.append(f"    const {ct}* Bi = (const {ct}*)T[{sb}];")
-
         bn_module = spec["bn_module"]
         if bn_module is not None:
             bn = self._bn_slots(bn_module, n, f, offer)
             if bn is None:
                 return None
             sflag, s_sc, s_sh, s_m, s_v, s_g, s_b, eps = bn
+            # the fleet's per-sample folded affine when installed, else
+            # the live running statistics (see epilogue_<ct>)
             lines += [
-                f"    const i64 ps = *(const i64*)T[{sflag}];",
-                f"    const double* SC = (const double*)T[{s_sc}];",
-                f"    const double* SH = (const double*)T[{s_sh}];",
-                f"    const double* MU = (const double*)T[{s_m}];",
-                f"    const double* VA = (const double*)T[{s_v}];",
-                f"    const double* GA = (const double*)T[{s_g}];",
-                f"    const double* BE = (const double*)T[{s_b}];",
+                f"    const conv_epi E = *(const i64*)T[{sflag}]",
+                f"        ? (conv_epi){{{bias_ptr}, 1, (const double*)T[{s_sc}]"
+                f", (const double*)T[{s_sh}], 0, 0, 0.0, {relu}}}",
+                f"        : (conv_epi){{{bias_ptr}, 2, (const double*)T[{s_m}]"
+                f", (const double*)T[{s_v}],",
+                f"            (const double*)T[{s_g}], "
+                f"(const double*)T[{s_b}], {eps!r}, {relu}}};",
             ]
-        relu = spec["relu"]
-        bias_op = f"v = v + Bi[f];" if sb is not None else ""
-        relu_op = (
-            f"v = v > 0 ? v : (v != v ? v : ({ct})0);" if relu else ""
+        else:
+            lines.append(
+                f"    const conv_epi E = {{{bias_ptr}, 0, 0, 0, 0, 0, 0.0, "
+                f"{relu}}};"
+            )
+        lines.append(
+            f"    {self._conv_helpers(xt, ct)}((const {xt}*)T[{sx}], "
+            f"(const {ct}*)T[{sw}], {kt}, 1, ({ct}*)T[{so}], &D, &E, tid, nt);"
         )
-
-        if small:
-            lines += self._conv_small_body(
-                geo, ct, xt, n, f, p, kt, chw, bn_module is not None,
-                bias_op, relu_op, eps if bn_module is not None else None,
-            )
-            return self._accept(
-                fallback, [out3], "\n".join(lines) + "\n", offer.binders,
-                mt=False, geo=geo,
-            )
-
-        # tiled kernels: thread `tid` owns output pixels [plo, phi) of
-        # every (n, f) row and computes them with the single-thread
-        # kernel's serial k-order — bitwise invariant across nt
-        lines += self._tile(p, "plo", "phi")
-        lines.append("    const i64 tw = phi - plo;")
-        lines.append("    if (tw <= 0) return;")
-        if not geo.identity_cols:
-            lines.append(f"    {ct}* restrict CW = ({ct}*)POOL_SCR(tid);")
-        lines.append(f"    for (i64 n = 0; n < {n}; ++n) {{")
-        lines.append(f"        const {xt}* xs = X + n * {chw}LL;")
-        if geo.identity_cols:
-            lines += [
-                f"        const {ct}* cols = (const {ct}*)xs + plo;",
-                f"        const i64 cst = {p}LL;",
-            ]
-        else:
-            lines += [
-                f"        for (i64 k = 0; k < {kt}; ++k) {{",
-                f"            const i64* ik = IX + k * {p} + plo;",
-                f"            {ct}* cw = CW + k * tw;",
-                "            for (i64 t = 0; t < tw; ++t) "
-                f"{{ i64 v = ik[t]; cw[t] = v < 0 ? ({ct})0 : ({ct})xs[v]; }}",
-                "        }",
-                f"        const {ct}* cols = CW;",
-                "        const i64 cst = tw;",
-            ]
-        lines.append(f"        {ct}* on = O + n * {f * p}LL;")
-        if self.strict:
-            # float64-accumulation GEMM: fixed k-order double sums back
-            # the bitwise probe (and stay exact when the oracle happens
-            # to sum in the same order)
-            lines += [
-                f"        for (i64 f = 0; f < {f}; ++f) {{",
-                f"            {ct}* of = on + f * {p} + plo;",
-                f"            const {ct}* wf = Wt + f * {kt};",
-                "            for (i64 q = 0; q < tw; ++q) {",
-                "                double acc = 0.0;",
-                f"                for (i64 k = 0; k < {kt}; ++k) "
-                "acc += (double)wf[k] * (double)cols[k * cst + q];",
-                f"                of[q] = ({ct})acc;",
-                "            }",
-                "        }",
-            ]
-        else:
-            # 4-way filter-blocked axpy GEMM: each column row load feeds
-            # four accumulator rows, and -ffp-contract=fast lets the
-            # vectorizer emit FMAs over the contiguous pixel tile
-            f4 = f & ~3
-            lines += [
-                f"        for (i64 f = 0; f < {f4}; f += 4) {{",
-                f"            {ct}* o0 = on + f * {p} + plo;",
-                f"            {ct}* o1 = o0 + {p};",
-                f"            {ct}* o2 = o1 + {p};",
-                f"            {ct}* o3 = o2 + {p};",
-                f"            const {ct}* w0 = Wt + f * {kt};",
-                f"            const {ct}* w1 = w0 + {kt};",
-                f"            const {ct}* w2 = w1 + {kt};",
-                f"            const {ct}* w3 = w2 + {kt};",
-                "            for (i64 q = 0; q < tw; ++q) "
-                f"{{ o0[q] = ({ct})0; o1[q] = ({ct})0; "
-                f"o2[q] = ({ct})0; o3[q] = ({ct})0; }}",
-                f"            for (i64 k = 0; k < {kt}; ++k) {{",
-                f"                {ct} a0 = w0[k], a1 = w1[k], "
-                "a2 = w2[k], a3 = w3[k];",
-                f"                const {ct}* ck = cols + k * cst;",
-                "                for (i64 q = 0; q < tw; ++q) {",
-                f"                    {ct} cv = ck[q];",
-                "                    o0[q] += a0 * cv; o1[q] += a1 * cv;",
-                "                    o2[q] += a2 * cv; o3[q] += a3 * cv;",
-                "                }",
-                "            }",
-                "        }",
-                f"        for (i64 f = {f4}; f < {f}; ++f) {{",
-                f"            {ct}* of = on + f * {p} + plo;",
-                f"            const {ct}* wf = Wt + f * {kt};",
-                f"            for (i64 q = 0; q < tw; ++q) of[q] = ({ct})0;",
-                f"            for (i64 k = 0; k < {kt}; ++k) {{",
-                f"                {ct} wv = wf[k];",
-                f"                const {ct}* ck = cols + k * cst;",
-                "                for (i64 q = 0; q < tw; ++q) "
-                "of[q] += wv * ck[q];",
-                "            }",
-                "        }",
-            ]
-
-        def epi_loop(setup: str, ops: List[str]) -> List[str]:
-            body = [
-                f"        for (i64 f = 0; f < {f}; ++f) {{",
-                f"            {ct}* of = on + f * {p} + plo;",
-            ]
-            if setup:
-                body.append(f"            {setup}")
-            body.append("            for (i64 q = 0; q < tw; ++q) {")
-            body.append(f"                {ct} v = of[q];")
-            for op in ops:
-                if op:
-                    body.append(f"                {op}")
-            body.append("                of[q] = v;")
-            body.append("            }")
-            body.append("        }")
-            return body
-
-        if bn_module is not None:
-            # the epilogue mirrors _bn_epilogue op-for-op: per-sample
-            # folded affine when the fleet override is installed, else
-            # subtract mean / scale by 1/sqrt(var+eps) / gamma / beta
-            lines.append("        if (ps) {")
-            lines += [
-                "    " + ln for ln in epi_loop(
-                    f"double sc = SC[n * {f} + f]; "
-                    f"double sh = SH[n * {f} + f];",
-                    [bias_op,
-                     f"v = ({ct})(v * sc);",
-                     f"v = ({ct})(v + sh);",
-                     relu_op],
-                )
-            ]
-            lines.append("        } else {")
-            lines += [
-                "    " + ln for ln in epi_loop(
-                    f"double m = MU[f]; "
-                    f"double iv = 1.0 / sqrt(VA[f] + {eps!r}); "
-                    "double g = GA[f]; double b = BE[f];",
-                    [bias_op,
-                     f"v = ({ct})(v - m);",
-                     f"v = ({ct})(v * iv);",
-                     f"v = ({ct})(v * g);",
-                     f"v = ({ct})(v + b);",
-                     relu_op],
-                )
-            ]
-            lines.append("        }")
-        elif sb is not None or relu:
-            lines += epi_loop("", [bias_op, relu_op])
-        lines.append("    }")
-
         return self._accept(
             fallback, [out3], "\n".join(lines) + "\n", offer.binders,
-            mt=mt, geo=geo,
+            mt=self._conv_mt(n, f, p, kt, geo.compute_dtype), geo=geo,
         )
-
-    def _conv_small_body(self, geo, ct, xt, n, f, p, kt, chw,
-                         has_bn, bias_op, relu_op, eps) -> List[str]:
-        """The small-P (P, KT) dot kernel, single-threaded: eight
-        explicit accumulator chains over the contiguous k run —
-        independent streams the vectorizer can SLP-combine without any
-        reassociation flags."""
-        lines = [f"    {ct}* restrict CW = ({ct}*)POOL_SCR(0);"]
-        lines.append(f"    for (i64 n = 0; n < {n}; ++n) {{")
-        lines.append(f"        const {xt}* xs = X + n * {chw}LL;")
-        if geo.identity_cols:
-            # transpose the (C, P) input into (P, C) columns
-            lines += [
-                f"        for (i64 p = 0; p < {p}; ++p)",
-                f"            for (i64 k = 0; k < {kt}; ++k) "
-                f"CW[p * {kt} + k] = ({ct})xs[k * {p} + p];",
-            ]
-        else:
-            lines += [
-                f"        for (i64 t = 0; t < {kt * p}; ++t) "
-                f"{{ i64 v = IX[t]; "
-                f"CW[t] = v < 0 ? ({ct})0 : ({ct})xs[v]; }}",
-            ]
-        lines.append(f"        const {ct}* cols = CW;")
-        lines.append(f"        {ct}* on = O + n * {f * p}LL;")
-        accs = ", ".join(f"a{q} = ({ct})0" for q in range(8))
-        muls = " ".join(
-            f"a{q} += wf[k + {q}] * cp[k + {q}];" for q in range(8)
-        )
-        lines += [
-            f"        for (i64 f = 0; f < {f}; ++f) {{",
-            f"            {ct}* of = on + f * {p};",
-            f"            const {ct}* wf = Wt + f * {kt};",
-            f"            for (i64 p = 0; p < {p}; ++p) {{",
-            f"                const {ct}* cp = cols + p * {kt};",
-            f"                {ct} {accs};",
-            "                i64 k = 0;",
-            f"                for (; k + 8 <= {kt}; k += 8) "
-            f"{{ {muls} }}",
-            f"                for (; k < {kt}; ++k) "
-            "a0 += wf[k] * cp[k];",
-            "                of[p] = ((a0 + a1) + (a2 + a3))"
-            " + ((a4 + a5) + (a6 + a7));",
-            "            }",
-            "        }",
-        ]
-
-        def epi_loop(setup: str, ops: List[str]) -> List[str]:
-            body = [
-                f"        for (i64 f = 0; f < {f}; ++f) {{",
-                f"            {ct}* of = on + f * {p};",
-            ]
-            if setup:
-                body.append(f"            {setup}")
-            body.append(f"            for (i64 p = 0; p < {p}; ++p) {{")
-            body.append(f"                {ct} v = of[p];")
-            for op in ops:
-                if op:
-                    body.append(f"                {op}")
-            body.append("                of[p] = v;")
-            body.append("            }")
-            body.append("        }")
-            return body
-
-        if has_bn:
-            lines.append("        if (ps) {")
-            lines += [
-                "    " + ln for ln in epi_loop(
-                    f"double sc = SC[n * {f} + f]; "
-                    f"double sh = SH[n * {f} + f];",
-                    [bias_op,
-                     f"v = ({ct})(v * sc);",
-                     f"v = ({ct})(v + sh);",
-                     relu_op],
-                )
-            ]
-            lines.append("        } else {")
-            lines += [
-                "    " + ln for ln in epi_loop(
-                    f"double m = MU[f]; "
-                    f"double iv = 1.0 / sqrt(VA[f] + {eps!r}); "
-                    "double g = GA[f]; double b = BE[f];",
-                    [bias_op,
-                     f"v = ({ct})(v - m);",
-                     f"v = ({ct})(v * iv);",
-                     f"v = ({ct})(v * g);",
-                     f"v = ({ct})(v + b);",
-                     relu_op],
-                )
-            ]
-            lines.append("        }")
-        elif bias_op or relu_op:
-            lines += epi_loop("", [bias_op, relu_op])
-        lines.append("    }")
-        return lines
 
     def _const_binder(self, tensor, slot: int, dtype):
         holder = self._tab_holder
@@ -849,7 +898,7 @@ class CRenderer:
 
         n, fin = x_shape
         fout = out2.shape[1]
-        mt = self._mt(n * fout * fin)
+        mt = self._mt(n * fout * fin / _SWEEP_PER_US)
         lines = [
             f"    const {ct}* restrict X = (const {ct}*)T[{sx}];",
             f"    const {ct}* restrict Wt = (const {ct}*)T[{sw}];",
@@ -943,7 +992,7 @@ class CRenderer:
         hw = geo.h * geo.w
         p = geo.p_total
         kk = geo.kernel[0] * geo.kernel[1]
-        mt = self._mt(nc * p * kk)
+        mt = self._mt(nc * p * kk / _SWEEP_PER_US)
         lines = [
             f"    const {xt}* restrict X = (const {xt}*)T[{sx}];",
             f"    {xt}* restrict O = ({xt}*)T[{so}];",
@@ -1021,7 +1070,7 @@ class CRenderer:
             ]
         ) + "\n"
         return self._accept(
-            fallback, [out], body, offer.binders, mt=self._mt(size)
+            fallback, [out], body, offer.binders, mt=self._mt(size / _SWEEP_PER_US)
         )
 
     def _try_relu(self, spec, fallback):
@@ -1075,7 +1124,7 @@ class CRenderer:
             + self._tile(size)
             + [f"    for (i64 t = lo; t < hi; ++t) O[t] = ({ct}){value!r};"]
         ) + "\n"
-        return self._accept(fallback, [dst], body, mt=self._mt(size))
+        return self._accept(fallback, [dst], body, mt=self._mt(size / _SWEEP_PER_US))
 
     def _try_copy(self, spec, fallback):
         """Pass a gradient through unchanged (add / reshape backward)."""
@@ -1099,7 +1148,7 @@ class CRenderer:
             + self._tile(size)
             + ["    for (i64 t = lo; t < hi; ++t) O[t] = G[t];"]
         ) + "\n"
-        return self._accept(fallback, [dst], body, mt=self._mt(size))
+        return self._accept(fallback, [dst], body, mt=self._mt(size / _SWEEP_PER_US))
 
     def _try_relu_bwd(self, spec, fallback):
         """Gate the gradient by the forward output's sign.
@@ -1133,7 +1182,7 @@ class CRenderer:
                 f"O[t] = Y[t] > ({ct})0 ? G[t] * ({ct})1 : G[t] * ({ct})0;"
             ]
         ) + "\n"
-        return self._accept(fallback, [dst], body, mt=self._mt(size))
+        return self._accept(fallback, [dst], body, mt=self._mt(size / _SWEEP_PER_US))
 
     def _try_linear_bwd(self, spec, fallback):
         """Grad wrt a linear layer's input: ``dst = g @ W``.
@@ -1179,15 +1228,15 @@ class CRenderer:
         ]
         return self._accept(
             fallback, [dst], "\n".join(lines) + "\n", offer.binders,
-            mt=self._mt(n * fout * fin),
+            mt=self._mt(n * fout * fin / _SWEEP_PER_US),
         )
 
     def _try_conv_bwd(self, spec, fallback):
         """Grad wrt a 1x1 (identity-cols) conv input:
-        ``dst[n,k,p] = sum_f W[f,k] * g[n,f,p]``.
-
-        Threads own pixel columns; the f-order per element is serial.
-        Band parity only — the oracle is a BLAS matmul.
+        ``dst[n,k,p] = sum_f W[f,k] * g[n,f,p]`` — the forward conv
+        driver over a 1x1 geometry with the weight matrix read
+        transposed by stride.  Band parity only — the oracle is a BLAS
+        matmul.
         """
         dtype = np.dtype(spec["dtype"])
         ct = _CTYPE.get(dtype.name)
@@ -1206,35 +1255,17 @@ class CRenderer:
         offer = _Offer(-1, fallback, [dst])
         sw = self._slot()
         offer.binders.append(self._const_binder(weight, sw, dtype))
-        lines = [
-            f"    const {ct}* restrict G = (const {ct}*)T[{sg}];",
-            f"    const {ct}* restrict W = (const {ct}*)T[{sw}];",
-            f"    {ct}* restrict O = ({ct}*)T[{so}];",
-        ]
-        lines += self._tile(p, "plo", "phi")
-        lines += [
-            f"    for (i64 n = 0; n < {n}; ++n) {{",
-            f"        const {ct}* gn = G + n * {f * p}LL;",
-            f"        {ct}* dn = O + n * {kt * p}LL;",
-            f"        for (i64 k = 0; k < {kt}; ++k) {{",
-            f"            {ct}* dk = dn + k * {p};",
-            f"            for (i64 q = plo; q < phi; ++q) dk[q] = ({ct})0;",
-            "        }",
-            f"        for (i64 f = 0; f < {f}; ++f) {{",
-            f"            const {ct}* gf = gn + f * {p};",
-            f"            const {ct}* wf = W + f * {kt};",
-            f"            for (i64 k = 0; k < {kt}; ++k) {{",
-            f"                {ct} a = wf[k];",
-            f"                {ct}* dk = dn + k * {p};",
-            "                for (i64 q = plo; q < phi; ++q) "
-            "dk[q] += a * gf[q];",
-            "            }",
-            "        }",
-            "    }",
-        ]
+        body = (
+            "    static const conv_dims D = {"
+            f"{n}, {f}, 1, {p}, 1, 1, 1, 1, 0, 0, {p}, {p}, {kt}, {f}}};\n"
+            "    const conv_epi E = {0, 0, 0, 0, 0, 0, 0.0, 0};\n"
+            f"    {self._conv_helpers(ct, ct)}((const {ct}*)T[{sg}], "
+            f"(const {ct}*)T[{sw}], 1, {kt}, ({ct}*)T[{so}], &D, &E, "
+            "tid, nt);\n"
+        )
         return self._accept(
-            fallback, [dst], "\n".join(lines) + "\n", offer.binders,
-            mt=self._mt(n * f * kt * p),
+            fallback, [dst], body, offer.binders,
+            mt=self._conv_mt(n, kt, p, f, dtype),
         )
 
     def _try_bn_bwd(self, spec, fallback):
@@ -1324,7 +1355,7 @@ class CRenderer:
         lines.append("    }")
         return self._accept(
             fallback, outs, "\n".join(lines) + "\n", offer.binders,
-            mt=self._mt(2 * groups * gs * c * hw), tol_dtype=dtype,
+            mt=self._mt(2 * groups * gs * c * hw / _SWEEP_PER_US), tol_dtype=dtype,
         )
 
     def _try_bn_train(self, spec, fallback):
@@ -1427,7 +1458,7 @@ static void {name}(
         )
         return self._accept(
             fallback, outs, body, offer.binders,
-            mt=self._mt(3 * groups * gs * c * hw), tol_dtype=dtype,
+            mt=self._mt(3 * groups * gs * c * hw / _SWEEP_PER_US), tol_dtype=dtype,
         )
 
     def _try_maxpool_bwd(self, spec, fallback):
@@ -1475,7 +1506,7 @@ static void {name}(
         ]
         return self._accept(
             fallback, [dst], "\n".join(lines) + "\n",
-            mt=self._mt(nc * (hw + p)),
+            mt=self._mt(nc * (hw + p) / _SWEEP_PER_US),
         )
 
     # -- finalize --------------------------------------------------------

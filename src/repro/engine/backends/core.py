@@ -93,9 +93,9 @@ class ConvLowering:
     column entry; ``padded``/``core``/``cols`` are the cached per-layer
     workspaces replays gather into with ``np.take(..., out=)``.  When the
     kernel is 1x1/stride-1/unpadded (``identity_cols``) the input itself
-    is the column matrix and no workspace exists.  ``kij`` keeps the raw
-    ``(k, i, j)`` im2col index triple for backends that need per-element
-    coordinates (the C renderer's padding-sentinel indices).
+    is the column matrix and no workspace exists.  Backends that build
+    their columns structurally (the C renderer) need only the scalar
+    geometry above.
     """
 
     n: int
@@ -117,7 +117,6 @@ class ConvLowering:
     padded: Optional[np.ndarray] = None
     core: Optional[np.ndarray] = None
     cols: Optional[np.ndarray] = None
-    kij: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
     workspace_nbytes: int = 0
 
     def release_workspace(self) -> None:
@@ -126,9 +125,9 @@ class ConvLowering:
         Called by a codegen backend once every stage using this lowering
         gathers inside its own kernel (fused im2col) — the plan-side
         buffers would otherwise sit resident for the plan's lifetime.
-        ``flat``/``kij`` stay: they are compile-time geometry, not
-        workspace.  Irreversible for this plan; the numpy closures that
-        captured these arrays must already be unreachable.
+        ``flat`` stays: it is compile-time geometry, not workspace.
+        Irreversible for this plan; the numpy closures that captured
+        these arrays must already be unreachable.
         """
         self.padded = None
         self.core = None
@@ -164,7 +163,6 @@ def lower_conv(
     )
     if not geo.identity_cols:
         k, i, j, _, _ = _im2col_indices(c, h, w, (kh, kw), stride, padding)
-        geo.kij = (k, i, j)
         hp, wp = h + 2 * padding[0], w + 2 * padding[1]
         geo.flat = ((k * hp + i) * wp + j).astype(np.intp)
         if padding != (0, 0):

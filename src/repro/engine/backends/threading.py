@@ -13,8 +13,9 @@ persistent pthread pool that lives *inside* the generated ``.so``:
   tid 0 itself, and waits until every worker checked in — replay
   semantics and the runtime pointer table are exactly the single-thread
   backend's, one stage fully finishes before the next starts;
-* stages too small to amortize a wake-up are flagged non-threadable and
-  run inline on the dispatching thread.
+* stages whose estimated kernel time does not repay that round trip
+  (``repro_pool_ping`` measures it; the renderer holds the threshold)
+  are flagged non-threadable and run inline on the dispatching thread.
 
 **Deterministic-reduction rule** (what keeps ``cgen-strict`` bitwise and
 every run reproducible): the iteration space is partitioned by *fixed
@@ -24,7 +25,7 @@ start-to-finish in the same serial reduction order the single-thread
 kernel uses.  No accumulator is ever shared, no atomics exist, and the
 per-element arithmetic is independent of both ``nt`` and the tile
 boundaries, so outputs are bitwise identical run-to-run *and* across
-thread counts.  Per-thread im2col gather scratch lives in a static
+thread counts.  Per-thread im2col column scratch lives in a static
 arena inside the ``.so`` (``POOL_SCR(tid)``), sized at render time.
 
 Thread-count resolution (``resolve_threads``) follows the config chain:
@@ -112,14 +113,15 @@ def scratch_prelude(nt: int, scratch_bytes: int) -> str:
     functions (they address their tile through ``POOL_SCR(tid)``).
 
     ``scratch_bytes`` is the largest per-thread tile any stage needs
-    (fused-im2col gather tiles, small-P transpose buffers); the stride
-    is 64-aligned so threads never share a cache line.
+    (one conv's im2col column chunk); the stride
+    is 64-aligned, and so is the arena, so threads never share a cache
+    line and full-width vector loads of a tile never split one.
     """
     stride = max((scratch_bytes + 63) // 64 * 64, 64)
     words = (nt * stride) // 8
     return (
         f"#define SCR_STRIDE {stride}LL\n"
-        f"static double POOL_SCRATCH[{words}];\n"
+        f"static double POOL_SCRATCH[{words}] __attribute__((aligned(64)));\n"
         "#define POOL_SCR(t) "
         "((char*)POOL_SCRATCH + (i64)(t) * SCR_STRIDE)\n"
     )
@@ -165,7 +167,7 @@ static void* pool_worker(void* argp) {{
         char** tab = POOL_TAB;
         i64 sid = POOL_SID;
         pthread_mutex_unlock(&POOL_MU);
-        STAGES[sid](tab, tid, POOL_NT);
+        if (sid >= 0) STAGES[sid](tab, tid, POOL_NT);
         pthread_mutex_lock(&POOL_MU);
         if (++POOL_NDONE == POOL_NT - 1)
             pthread_cond_signal(&POOL_DONE);
@@ -213,25 +215,38 @@ i64 repro_pool_refs(void) {{
 
 i64 repro_pool_width(void) {{ return POOL_NT; }}
 
+/* one barrier-synced round trip: publish (table, stage), wake the
+ * workers, work as tid 0, wait for every worker to check in.  sid < 0
+ * is the empty stage repro_pool_ping times. */
+static void pool_dispatch(char** T, i64 sid) {{
+    pthread_mutex_lock(&POOL_MU);
+    POOL_TAB = T;
+    POOL_SID = sid;
+    POOL_NDONE = 0;
+    POOL_EPOCH++;
+    pthread_cond_broadcast(&POOL_GO);
+    pthread_mutex_unlock(&POOL_MU);
+    if (sid >= 0) STAGES[sid](T, 0, POOL_NT);
+    pthread_mutex_lock(&POOL_MU);
+    while (POOL_NDONE < POOL_NT - 1)
+        pthread_cond_wait(&POOL_DONE, &POOL_MU);
+    pthread_mutex_unlock(&POOL_MU);
+}}
+
+/* `reps` empty-stage round trips: what a tiled stage pays before its
+ * first useful instruction (the pool_dispatch_us micro-benchmark row) */
+void repro_pool_ping(i64 reps) {{
+    if (POOL_NT > 1 && POOL_LIVE)
+        for (i64 q = 0; q < reps; ++q) pool_dispatch(0, -1);
+}}
+
 void repro_run(char** T, const i64* ids, i64 n) {{
     for (i64 q = 0; q < n; ++q) {{
         i64 sid = ids[q];
-        if (POOL_NT > 1 && POOL_LIVE && STAGE_MT[sid]) {{
-            pthread_mutex_lock(&POOL_MU);
-            POOL_TAB = T;
-            POOL_SID = sid;
-            POOL_NDONE = 0;
-            POOL_EPOCH++;
-            pthread_cond_broadcast(&POOL_GO);
-            pthread_mutex_unlock(&POOL_MU);
-            STAGES[sid](T, 0, POOL_NT);  /* main thread works as tid 0 */
-            pthread_mutex_lock(&POOL_MU);
-            while (POOL_NDONE < POOL_NT - 1)
-                pthread_cond_wait(&POOL_DONE, &POOL_MU);
-            pthread_mutex_unlock(&POOL_MU);
-        }} else {{
+        if (POOL_NT > 1 && POOL_LIVE && STAGE_MT[sid])
+            pool_dispatch(T, sid);
+        else
             STAGES[sid](T, 0, 1);
-        }}
     }}
 }}
 """

@@ -19,7 +19,9 @@ numpy plan — ``cgen_p50_ms``/``cgen_p95_ms`` sampled *interleaved* with a
 numpy-plan adapter (``numpy_ab_p50_ms``) so machine drift cancels in
 ``cgen_speedup_p95``, its own parity verdict, and ``op_ms``: the
 per-stage table (ms per step, by stage label) of one profiled plan per
-backend, which is where "which layer is still on numpy" shows.
+backend, replayed alternately — which is where "which layer is still on
+numpy" shows, and where the rendered forward convs (``cgen:fwd:conv``)
+are held against the numpy/BLAS ones (``fwd:conv``).
 
 Each row also records a numerical-parity verdict: the post-step model
 state of the compiled path must match the eager oracle to float
@@ -88,19 +90,34 @@ def _state_parity(
     )
 
 
-def _stage_table(model, x: np.ndarray, backend: str):
-    """``(op_ms per step, backend_info)`` of one profiled plan."""
-    plan = CompiledAdaptStep(model, profile=True, backend=backend).plan_for(x)
-    for _ in range(3):  # warm the caches the timed replays run from
-        plan.run(x)
-    plan.profile.op_ms.clear()
-    for _ in range(PROFILE_STEPS):
-        plan.run(x)
-    op_ms = {
-        label: total / PROFILE_STEPS
-        for label, total in plan.profile_summary()["op_ms"].items()
+def _stage_tables(model, x: np.ndarray, backends: Sequence[str]):
+    """``{backend: (op_ms per step, backend_info)}`` of one profiled plan
+    per backend, replayed alternately so machine drift lands on every
+    backend's table alike and per-stage rows can be compared across them.
+    """
+    plans = {
+        backend: CompiledAdaptStep(
+            model, profile=True, backend=backend
+        ).plan_for(x)
+        for backend in backends
     }
-    return op_ms, plan.backend_info
+    for plan in plans.values():
+        for _ in range(3):  # warm the caches the timed replays run from
+            plan.run(x)
+        plan.profile.op_ms.clear()
+    for _ in range(PROFILE_STEPS):
+        for plan in plans.values():
+            plan.run(x)
+    return {
+        backend: (
+            {
+                label: total / PROFILE_STEPS
+                for label, total in plan.profile_summary()["op_ms"].items()
+            },
+            plan.backend_info,
+        )
+        for backend, plan in plans.items()
+    }
 
 
 def _cgen_columns(
@@ -120,9 +137,7 @@ def _cgen_columns(
             )
             for backend in ("numpy", "cgen")
         }
-        tables = {
-            backend: _stage_table(model, x, backend) for backend in adapters
-        }
+        tables = _stage_tables(model, x, tuple(adapters))
         samples: Dict[str, List[float]] = {b: [] for b in adapters}
         with nn.adaptation_mode(True):
             for adapter in adapters.values():

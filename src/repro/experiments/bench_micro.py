@@ -17,6 +17,7 @@ construction; the harness skips the speedup assertions for them.
 
 from __future__ import annotations
 
+import ctypes
 import time
 import warnings
 from typing import Dict, List
@@ -67,16 +68,79 @@ def _micro_cases(rng: np.random.Generator):
             rng.standard_normal((1, 32, 32, 80)),
         ),
     ]
+    # what serving actually runs: the small-r18 conv shapes at batch 1,
+    # float32 frames/activations gathered into float64 GEMMs
+    for name, cin, cout, k, stride, hw in (
+        ("conv7x7s2_3to16_f32", 3, 16, 7, 2, (64, 160)),
+        ("conv3x3_16_f32", 16, 16, 3, 1, (16, 40)),
+        ("conv3x3_32_f32", 32, 32, 3, 1, (8, 20)),
+        ("conv3x3_64_f32", 64, 64, 3, 1, (4, 10)),
+        ("conv3x3_128_f32", 128, 128, 3, 1, (2, 5)),
+        ("conv1x1s2_16to32_f32", 16, 32, 1, 2, (16, 40)),
+    ):
+        cases.append(
+            (
+                name,
+                nn.Conv2d(cin, cout, k, stride=stride, padding=k // 2,
+                          bias=False, rng=rng),
+                rng.standard_normal((1, cin) + hw).astype(np.float32),
+            )
+        )
     return cases
 
 
-def _time_ms(fn, reps: int) -> List[float]:
-    samples = []
+def _interleaved_ms(fn_a, fn_b, reps: int):
+    """Alternate two callables so machine drift cancels in their ratio."""
+    a_ms, b_ms = [], []
     for _ in range(reps):
         start = time.perf_counter()
-        fn()
-        samples.append(1e3 * (time.perf_counter() - start))
-    return samples
+        fn_a()
+        a_ms.append(1e3 * (time.perf_counter() - start))
+        start = time.perf_counter()
+        fn_b()
+        b_ms.append(1e3 * (time.perf_counter() - start))
+    return a_ms, b_ms
+
+
+def _pool_dispatch_row(reps: int, threads: int) -> Dict[str, object]:
+    """Round trip of one *empty* tiled stage through a loaded plan's pool
+    (``repro_pool_ping``): what a stage pays for being dispatched before
+    its first useful instruction.  A plan replay runs between samples so
+    the workers are as asleep as they are between real dispatches.  The
+    renderer's inline/tiled threshold (``cgen._MT_MIN_US``) is set
+    against this number.
+    """
+    model = nn.Sequential(nn.ReLU())
+    model.eval()
+    x = np.zeros((1, 4, 8, 8))
+    engine = compile_model(model, backend="cgen", threads=threads)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        engine(x)
+    info = engine.plan_for(x.shape, x.dtype).backend_info
+    row: Dict[str, object] = {
+        "op": "pool_dispatch_us",
+        "shape": "empty stage",
+        "threads": info.get("threads", threads),
+        "reps": reps,
+        "rendered": info["rendered"],
+        "fallback": info["rendered"] == 0,
+        "max_abs_diff": 0.0,
+    }
+    if info["rendered"]:
+        # same dlopen handle as the plan's: the live pool is shared
+        ping = ctypes.CDLL(info["so"]).repro_pool_ping
+        ping.argtypes = [ctypes.c_longlong]
+        ping.restype = None
+        samples = []
+        for _ in range(reps):
+            engine(x)
+            start = time.perf_counter()
+            ping(1)
+            samples.append(1e6 * (time.perf_counter() - start))
+        row["dispatch_p50_us"] = latency_percentile(samples, 50)
+        row["dispatch_p95_us"] = latency_percentile(samples, 95)
+    return row
 
 
 def run_micro_threaded(
@@ -89,11 +153,13 @@ def run_micro_threaded(
     no workspace materialization), and the rendered adaptation backward
     (BN gamma/beta grads + reduced chain).  Samples are interleaved so
     machine drift cancels in ``mt_speedup_p95``; the ``*_p95_ms`` keys
-    ride the regression gate, the speedup key does not (1-core CI hosts
-    cannot promise > 1x).
+    ride the regression gate.  A stage the renderer keeps inline
+    (``mt_stages`` 0 — its estimated kernel time does not repay a
+    dispatch) runs the same code at both widths and ties.  The first row
+    is the dispatch round trip itself (:func:`_pool_dispatch_row`).
     """
     rng = np.random.default_rng(seed)
-    rows: List[Dict[str, object]] = []
+    rows: List[Dict[str, object]] = [_pool_dispatch_row(reps, threads)]
 
     fwd_cases = [
         (
@@ -116,14 +182,9 @@ def run_micro_threaded(
             y_st = eng_st(x).numpy().copy()
             y_mt = eng_mt(x).numpy().copy()
         info = eng_mt.plan_for(x.shape, x.dtype).backend_info
-        st_ms, mt_ms = [], []
-        for _ in range(reps):
-            start = time.perf_counter()
-            eng_st(x)
-            st_ms.append(1e3 * (time.perf_counter() - start))
-            start = time.perf_counter()
-            eng_mt(x)
-            mt_ms.append(1e3 * (time.perf_counter() - start))
+        st_ms, mt_ms = _interleaved_ms(
+            lambda: eng_st(x), lambda: eng_mt(x), reps
+        )
         st_p95 = latency_percentile(st_ms, 95)
         mt_p95 = latency_percentile(mt_ms, 95)
         rows.append(
@@ -163,14 +224,9 @@ def run_micro_threaded(
         loss_st = float(np.asarray(plan_st.run(x)).ravel()[0])
         loss_mt = float(np.asarray(plan_mt.run(x)).ravel()[0])
     info = plan_mt.backend_info
-    st_ms, mt_ms = [], []
-    for _ in range(reps):
-        start = time.perf_counter()
-        plan_st.run(x)
-        st_ms.append(1e3 * (time.perf_counter() - start))
-        start = time.perf_counter()
-        plan_mt.run(x)
-        mt_ms.append(1e3 * (time.perf_counter() - start))
+    st_ms, mt_ms = _interleaved_ms(
+        lambda: plan_st.run(x), lambda: plan_mt.run(x), reps
+    )
     st_p95 = latency_percentile(st_ms, 95)
     mt_p95 = latency_percentile(mt_ms, 95)
     rows.append(
@@ -209,15 +265,21 @@ def run_micro_ops(reps: int = 200, seed: int = 0) -> List[Dict[str, object]]:
         y_np = eng_np(x).numpy().copy()
         info = eng_c.plan_for(x.shape, x.dtype).backend_info
 
-        np_ms = _time_ms(lambda: eng_np(x), reps)
-        c_ms = _time_ms(lambda: eng_c(x), reps)
+        # cheap ops get more samples (up to 10x) so a p95 over ~10 us
+        # calls is not three preemptions deciding the ratio
+        probe = min(_interleaved_ms(lambda: eng_np(x), lambda: eng_c(x), 5)[0])
+        reps_row = int(min(10 * reps, max(reps, 50.0 / probe)))
+        np_ms, c_ms = _interleaved_ms(
+            lambda: eng_np(x), lambda: eng_c(x), reps_row
+        )
         np_p95 = latency_percentile(np_ms, 95)
         c_p95 = latency_percentile(c_ms, 95)
         rows.append(
             {
                 "op": name,
                 "shape": "x".join(str(d) for d in x.shape),
-                "reps": reps,
+                "out_pixels": int(np.prod(y_np.shape[2:])),
+                "reps": reps_row,
                 "numpy_p50_ms": latency_percentile(np_ms, 50),
                 "numpy_p95_ms": np_p95,
                 "cgen_p50_ms": latency_percentile(c_ms, 50),

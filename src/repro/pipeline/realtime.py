@@ -125,20 +125,32 @@ class RealTimePipeline:
             self._adapt_ms = None
         self.timer = Timer()
         self._compiled = None  # built lazily on the first compiled forward
+        self._warmed = set()  # frame signatures already traced/compiled
 
     # ------------------------------------------------------------------
     def _warm_engine(self, frame: LaneSample) -> None:
-        """Trace/compile outside the timed region (one-time, per shape)."""
-        if nn.compiled_inference_enabled():
+        """Trace/compile outside the timed region, once per frame
+        signature: shape, dtype and the compiled-path switches in force
+        (so a run under a toggled mode still warms what it will use)."""
+        image = frame.image
+        compiled_inference = nn.compiled_inference_enabled()
+        key = (
+            image.shape, image.dtype, compiled_inference,
+            nn.compiled_adaptation_enabled(),
+        )
+        if key in self._warmed:
+            return
+        self._warmed.add(key)
+        if compiled_inference:
             if self._compiled is None:
                 self._compiled = compile_model(
                     self.model, backend=self.config.backend,
                     threads=self.threads,
                 )
             self.model.eval()
-            self._compiled.warm(frame.image[None])
+            self._compiled.warm(image[None])
         if hasattr(self.adapter, "warm"):
-            self.adapter.warm(frame.image)
+            self.adapter.warm(image)
 
     def _predict(self, frame: LaneSample) -> np.ndarray:
         self.model.eval()

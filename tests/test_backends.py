@@ -40,6 +40,8 @@ from repro.engine.backends import (
     resolve_threads,
     tile_bounds,
 )
+from repro.engine.backends import cgen
+from repro.engine.backends.core import lower_conv
 from repro.engine.backends.threading import ENV_THREADS, MAX_THREADS
 from repro.pipeline.realtime import PipelineConfig
 from repro.serve.server import FleetConfig
@@ -687,6 +689,25 @@ class TestFusedIm2colWorkspace:
         assert freed > 0
         assert plan.stats.workspace_bytes == max(0, np_ws - freed)
 
+    def test_conv_stages_bind_no_index_table(self, rng):
+        """The im2col is rendered from the conv's scalar geometry: a
+        conv-only plan keeps no integer array bigger than its stage ids
+        (an index gather would need one entry per column element)."""
+        model = _bn_model(rng)
+        x = rng.standard_normal((2, 3, 16, 40)).astype(np.float32)
+        engine = compile_model(model, backend=CGenBackend(threads=2))
+        engine(x)
+        plan = engine.plan_for(x.shape, x.dtype)
+        info = plan.backend_info
+        assert info["rendered"] == info["stages"]
+        tables = [
+            held for held in plan._cgen_keep
+            if isinstance(held, np.ndarray) and held.dtype.kind == "i"
+        ]
+        assert all(t.size <= info["stages"] for t in tables), [
+            t.shape for t in tables
+        ]
+
     def test_fallback_frees_nothing(self, rng, monkeypatch, tmp_path):
         _fresh_cache(monkeypatch, tmp_path)
         monkeypatch.setenv("REPRO_CC", "/nonexistent-compiler")
@@ -697,6 +718,133 @@ class TestFusedIm2colWorkspace:
             engine(x)
         info = engine.plan_for(x.shape, x.dtype).backend_info
         assert info["workspace_freed"] == 0
+
+
+# ---------------------------------------------------------------------------
+# the conv GEMM micro-kernel and its structured im2col
+
+
+def _tile_everything(monkeypatch):
+    """Tile every stage, however small, so few-pixel test convs still
+    exercise the pool's unit ownership."""
+    monkeypatch.setattr(cgen, "_MT_MIN_US", 0.0)
+
+
+@needs_cc
+class TestConvMicroKernel:
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_edge_tiles_epilogues_and_pool_widths(self, data):
+        """Filter counts off the MR grid, pixel counts off (and below)
+        the NR grid, both compute dtypes, float32 inputs widened into
+        float64 GEMMs, every epilogue: inside the band of the numpy
+        closure, and bit-for-bit the same at pool widths 1, 2 and 3 —
+        no output element may take a remainder path the others don't."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        f = data.draw(st.sampled_from([1, 3, 5, 6, 9, 13]))
+        c = data.draw(st.integers(1, 5))
+        k = data.draw(st.sampled_from([1, 3]))
+        h = data.draw(st.integers(1, 9))
+        w = data.draw(st.sampled_from([1, 3, 7, 11, 25, 50]))
+        n = data.draw(st.integers(1, 3))
+        x_dtype, w_dtype = data.draw(st.sampled_from([
+            (np.float32, np.float32), (np.float64, np.float64),
+            (np.float32, np.float64),
+        ]))
+        bias = data.draw(st.booleans())
+        epilogue = data.draw(st.sampled_from(["none", "relu", "bn", "bn_relu"]))
+        assume(f % cgen._MR or (h * w) % 12)
+
+        conv = nn.Conv2d(c, f, k, padding=k // 2, bias=bias, rng=rng)
+        conv.weight.data = conv.weight.data.astype(w_dtype)
+        if bias:
+            conv.bias.data = conv.bias.data.astype(w_dtype)
+        layers = [conv]
+        if epilogue.startswith("bn"):
+            bn = nn.BatchNorm2d(f)
+            bn.running_mean[...] = rng.standard_normal(f)
+            bn.running_var[...] = rng.uniform(0.5, 2.0, f)
+            layers.append(bn)
+        if epilogue.endswith("relu"):
+            layers.append(nn.ReLU())
+        model = nn.Sequential(*layers)
+        model.eval()
+        x = rng.standard_normal((n, c, h, w)).astype(x_dtype)
+
+        oracle = compile_model(model)(x).numpy()
+        with pytest.MonkeyPatch.context() as patch:
+            _tile_everything(patch)
+            outs = []
+            for nt in (1, 2, 3):
+                engine = compile_model(model, backend=CGenBackend(threads=nt))
+                outs.append(engine(x).numpy().copy())
+                info = engine.plan_for(x.shape, x.dtype).backend_info
+                assert info["rendered"] == 1, info
+        np.testing.assert_allclose(outs[0], oracle, **_band(oracle.dtype))
+        assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
+
+    def test_serving_shape_is_tiled_and_width_invariant(self, rng):
+        """A conv big enough to repay a dispatch on its own merits (no
+        threshold override) is tiled, and stays bitwise width-invariant."""
+        model = nn.Sequential(
+            nn.Conv2d(16, 32, 3, padding=1, bias=False, rng=rng)
+        )
+        model.eval()
+        x = rng.standard_normal((4, 16, 16, 40)).astype(np.float32)
+        outs = []
+        for nt in (1, 2, 3):
+            engine = compile_model(model, backend=CGenBackend(threads=nt))
+            outs.append(engine(x).numpy().copy())
+            info = engine.plan_for(x.shape, x.dtype).backend_info
+            assert info["mt_stages"] == (1 if nt > 1 else 0)
+        assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
+        np.testing.assert_allclose(
+            outs[0], compile_model(model)(x).numpy(), **_band(np.float64)
+        )
+
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_structured_im2col_equals_the_index_gather(self, data):
+        """An identity weight matrix makes the conv's output its column
+        matrix (``1*x`` and ``+0`` are exact), so the rendered im2col is
+        compared ``tobytes`` with the numpy plan's ``geo.flat`` gather:
+        kernels 1-7 (non-square included), strides 1-3, padding 0-3,
+        tiled across the pool so tile seams land mid-row."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        kh, kw = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+        stride = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
+        padding = (data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3)))
+        c = data.draw(st.integers(1, 3))
+        h = data.draw(st.integers(max(1, kh - 2 * padding[0]), 12))
+        w = data.draw(st.integers(max(1, kw - 2 * padding[1]), 30))
+        x_dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        nt = data.draw(st.integers(1, 3))
+        n, kt = 2, c * kh * kw
+
+        conv = nn.Conv2d(c, kt, (kh, kw), stride=stride, padding=padding,
+                         bias=False, rng=rng)
+        conv.weight.data = np.eye(kt).reshape(kt, c, kh, kw)
+        model = nn.Sequential(conv)
+        model.eval()
+        x = rng.standard_normal((n, c, h, w)).astype(x_dtype)
+
+        geo = lower_conv(x.shape, conv.weight.shape, stride, padding,
+                         np.float64, x_dtype)
+        if geo.identity_cols:
+            want = x.reshape(n, c, -1)
+        elif geo.padded is not None:
+            geo.core[...] = x
+            want = np.take(geo.padded.reshape(n, -1), geo.flat, axis=1)
+        else:
+            want = np.take(x.reshape(n, -1), geo.flat, axis=1)
+        want = want.astype(np.float64).reshape(n, kt, geo.out_h, geo.out_w)
+
+        with pytest.MonkeyPatch.context() as patch:
+            _tile_everything(patch)
+            engine = compile_model(model, backend=CGenBackend(threads=nt))
+            got = engine(x).numpy()
+            assert engine.plan_for(x.shape, x.dtype).backend_info["rendered"] == 1
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,57 @@ class TestRealTimePipeline:
         assert all(f.deadline_met for f in report.frames)
         assert not report.truncated
 
+    def test_engine_warms_once_per_frame_signature(
+        self, _trained_tiny_state, tiny_benchmark
+    ):
+        """``_warm_engine`` sits in the frame gap: it must trace/compile
+        once per (shape, dtype), not walk the model and allocate a zero
+        batch on every frame — and skipping it changes nothing served."""
+        from dataclasses import replace
+
+        from repro import nn
+        from repro.models import build_model
+
+        class RewarmEveryFrame(RealTimePipeline):
+            def _warm_engine(self, frame):
+                self._warmed.clear()
+                super()._warm_engine(frame)
+
+        reports, warm_calls = [], []
+        for cls in (RewarmEveryFrame, RealTimePipeline):
+            model = build_model(
+                "tiny-r18", num_lanes=2, rng=np.random.default_rng(1)
+            )
+            model.load_state_dict(_trained_tiny_state)
+            adapter = LDBNAdapt(model, LDBNAdaptConfig(lr=1e-3))
+            calls, real_warm = [], adapter.warm
+            adapter.warm = lambda image: (
+                calls.append(image.shape), real_warm(image)
+            )
+            pipeline = cls(
+                model, adapter, PipelineConfig(latency_model="orin"),
+                device=ORIN_POWER_MODES["orin-60w"],
+                spec=get_config("paper-r18").to_spec(),
+            )
+            stream = tiny_benchmark.target_stream(rng=np.random.default_rng(0))
+            reports.append(pipeline.run(stream, 10))
+            warm_calls.append(calls)
+        assert len(warm_calls[0]) == 10 and len(warm_calls[1]) == 1
+        assert reports[0].frames == reports[1].frames
+
+        # a new frame shape warms again, exactly once (eager inference so
+        # the fixed-size head is not traced at the odd shape)
+        adapter.warm = lambda image: calls.append(image.shape)
+        frame = next(iter(tiny_benchmark.target_stream(
+            rng=np.random.default_rng(0)
+        )))
+        cropped = replace(frame, image=frame.image[:, :-2, :])
+        before = len(calls)
+        with nn.inference_mode(False):
+            pipeline._warm_engine(cropped)
+            pipeline._warm_engine(cropped)
+        assert calls[before:] == [cropped.image.shape]
+
     def test_short_stream_returns_truncated_report(
         self, trained_tiny_model, tiny_benchmark
     ):
