@@ -12,7 +12,8 @@
 # not just when a human runs the benchmarks by hand; it ends with the
 # bench-e2e self-check (benchmarks/e2e/run.py --smoke).  Lane 4 exercises
 # the cgen C plan backend (renderer parity tests twice — single-thread
-# and with a 2-wide worker pool — plus quick C-served bench runs and the
+# and with a 2-wide worker pool — the bitwise engine suites under
+# REPRO_BACKEND=cgen-strict, plus quick C-served bench runs and the
 # per-kernel micro gates of benchmarks/bench_micro_ops.py); on
 # hosts without a C compiler it prints a visible skip notice and runs
 # only the compiler-free fallback/registry tests, and on single-core
@@ -88,6 +89,11 @@ then
     # threaded dispatch/barrier/teardown paths even on 1-core hosts
     # (correctness is thread-count-invariant by construction)
     REPRO_CGEN_THREADS=2 python -m pytest tests/test_backends.py -q
+    # the bitwise-vs-eager engine suites through the strict renderer (and
+    # the only lane that resolves the backend from $REPRO_BACKEND): strict
+    # plans must stay bitwise on adapted BN states, not just the probe
+    REPRO_BACKEND=cgen-strict python -m pytest tests/test_engine.py \
+        tests/test_adapt_engine.py -q
     # quick end-to-end run with the C backend serving the compiled
     # column: band parity vs eager is asserted inside the command
     python -m repro.experiments bench-infer --quick --backend cgen

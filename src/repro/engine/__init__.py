@@ -1,55 +1,67 @@
-"""``repro.engine`` — compiled inference: trace once, replay many.
+"""``repro.engine`` — compiled inference and adaptation: trace once, replay many.
 
-The serving hot path (one eval-mode forward per camera frame, fleet
-batches of them per tick) previously paid full eager-mode overhead on
-every call: an autograd ``Context`` and output ``Tensor`` per op, im2col
-gather indices rebuilt per conv, fresh padded/column/output arrays per
-layer, and four elementwise temporaries per BatchNorm.  This package
-removes all of it while staying **bit-exact** with the eager path (on
-the default backend; see parity below).
+The paper's method is "same network, BN-only update": every frame runs
+one eval-mode forward, and inside the same budget the *same* forward
+again with train-mode BN plus a backward restricted to gamma/beta.  Run
+eagerly, both pay an autograd ``Context`` and output ``Tensor`` per op,
+im2col gather indices rebuilt per conv, fresh padded/column/output arrays
+per layer, elementwise temporaries per BatchNorm, and conv/linear weight
+gradients that are computed and discarded.  This package removes all of
+it while staying **bit-exact** with the eager path (on the default
+backend; see parity below).
 
-Architecture (four layers):
+Architecture — one lowering, compiled through one entry point:
 
-* :mod:`~repro.engine.tracer` — run the model once on a representative
-  input with a hook on ``Function.apply``; every op becomes a node in a
-  flat static plan.  BatchNorm layers are captured as opaque nodes
-  referencing the live module, so gamma/beta, running statistics and the
-  per-sample ``(scale, shift)`` fleet override remain *plan inputs*
-  resolved at replay time — LD-BN-ADAPT can keep rewriting BN state
-  between frames without ever retracing.
-* :mod:`~repro.engine.plan` — lower the trace to closures: conv→BN→ReLU
-  chains fuse into a single im2col GEMM (``np.matmul(..., out=)``) with
-  the folded BN affine and ReLU applied in place as the GEMM epilogue;
-  liveness analysis recycles op outputs through a byte-arena pool
-  (:mod:`~repro.engine.backends.core` holds the backend-neutral
-  arena/liveness/im2col machinery); and im2col workspaces are cached per
-  layer so steady-state replays allocate nothing.
-* :mod:`~repro.engine.backends` — pluggable *plan backends* decide what
-  executes each lowered stage.  ``numpy`` (the default) replays the
-  closures above and is the bit-exact oracle.  ``cgen`` renders the
-  fused stage list into one C translation unit per plan, compiles it
-  with the host toolchain (``$REPRO_CC``, else cc/gcc/clang) and replays
-  consecutive rendered stages as single ctypes calls over a pointer
-  table; live BN fold vectors and per-sample fleet overrides are bound
-  into that table at replay time, so LD-BN-ADAPT updates never recompile.
-  Compiled ``.so``\\ s are cached on disk keyed by source hash
-  (``$REPRO_CGEN_CACHE``, default ``~/.cache/repro_cgen``) and the cache
-  is consulted *before* the compiler lookup, so hosts without a
-  toolchain can serve from a shipped cache.  Parity is structural: any
-  stage the renderer declines — and the whole plan, when no compiler
-  exists — falls back to the numpy closure, with ``cgen-strict``
-  demoting every stage that cannot reproduce the oracle bitwise
-  (float64-accumulation GEMMs back the ones that can) and plain ``cgen``
-  holding rendered stages to a per-dtype float band instead.  Rendered
-  kernels are *threaded*: heavy stages (conv GEMMs with the im2col
-  gather fused into the kernel loop — no workspace materialization —
-  linear, max-pool, large elementwise sweeps, the rendered BN backward)
-  tile their output rows over a persistent pthread pool living inside
-  the generated ``.so`` (refcounted across plans sharing a cached
-  library, barrier-synced per stage; see
-  :mod:`~repro.engine.backends.threading`).  Fixed tile ownership with
-  no shared accumulators keeps ``cgen-strict`` bitwise at every pool
-  width and every run reproducible.  Width resolves ``threads=`` (on
+* :mod:`~repro.engine.tracer` — one recorder hooks ``Function.apply``
+  and runs the model once; every op becomes a node of a flat graph.
+  :func:`trace` records the eval forward, :func:`trace_entropy_step` the
+  train-mode-BN forward plus entropy loss.  BatchNorm layers are opaque
+  nodes referencing the live module, so gamma/beta, running statistics
+  and the per-sample ``(scale, shift)`` fleet override remain *plan
+  inputs* resolved at replay time — LD-BN-ADAPT rewrites BN state between
+  frames without ever retracing.
+* :mod:`~repro.engine.plan` — the lowering.  ``StaticPlan`` declares each
+  shared op once (op table, numpy closure, renderer offer spec) and asks
+  the calling plan only where the output lives.  :class:`ExecutionPlan`
+  is the forward program with no backward: conv→BN→ReLU chains fuse into
+  one im2col GEMM (``np.matmul(..., out=)``) with the folded BN affine
+  and ReLU as its in-place epilogue, liveness recycles outputs through a
+  byte-arena pool, and im2col workspaces are cached per layer
+  (:mod:`~repro.engine.backends.core`), so replays allocate nothing.
+* :mod:`~repro.engine.adapt_plan` — :class:`AdaptationPlan` is that
+  forward lowering plus a backward program: grouped train-mode BN and its
+  taps, the loss tail, backward rules pruned to the gradient paths that
+  reach a BN gamma/beta, and arena liveness over forward+backward.
+  ``groups > 1`` is the fleet's batched same-phase adaptation: per-group
+  batch statistics and gamma/beta slots make one replay equal G serial
+  steps.  Conv input gradients stay on BLAS under every backend: one
+  dgrad GEMM (:func:`repro.nn.functional._conv_dgrad`) plus an ordered
+  strided col2im (:func:`repro.nn.functional._col2im_accumulate`) that
+  eager and compiled both call.
+* :mod:`~repro.engine.backends` — a *plan backend* contributes only the
+  stage renderer handed to the lowering; ``PlanBackend.compile(graph)``
+  builds the plan kind the graph records.  ``numpy`` (the default) passes
+  none: every stage replays its closure, the bit-exact oracle.  ``cgen``
+  renders the offered stages of either plan — forward, train-BN, the BN
+  gamma/beta reductions, max-pool backward, the pruned chain — into one C
+  translation unit, compiles it with the host toolchain (``$REPRO_CC``,
+  else cc/gcc/clang) and replays consecutive rendered stages as single
+  ctypes calls over a pointer table; live BN vectors and fleet overrides
+  are bound into that table at replay time, so LD-BN-ADAPT updates never
+  recompile.  ``.so``\\ s are cached on disk by source hash
+  (``$REPRO_CGEN_CACHE``, default ``~/.cache/repro_cgen``), consulted
+  *before* the compiler lookup so hosts without a toolchain can serve
+  from a shipped cache.  Parity is structural: any stage the renderer
+  declines — and the whole plan, when no compiler exists — keeps its
+  numpy closure, and every rendered stage is probed against that closure:
+  ``cgen`` within a per-dtype float band, ``cgen-strict`` bitwise, which
+  is why strict offers only order-preserving stages (elementwise, copies,
+  max-pool; GEMMs, BN reductions and ``exp`` stay numpy).  Rendered
+  kernels are *threaded*: heavy stages tile their output rows over a
+  persistent pthread pool inside the ``.so`` (refcounted across plans,
+  barrier-synced per stage; :mod:`~repro.engine.backends.threading`), and
+  fixed tile ownership with no shared accumulators keeps every run
+  reproducible at every pool width.  Width resolves ``threads=`` (on
   ``compile_model``/``CompiledAdaptStep``, ``FleetConfig``,
   ``PipelineConfig``, ``LDBNAdaptConfig``, or ``--threads``) →
   ``$REPRO_CGEN_THREADS`` → device-profile cores → host CPUs;
@@ -60,39 +72,16 @@ Architecture (four layers):
   the faster device honestly.  Select a backend via
   ``compile_model(model, backend=...)``, ``$REPRO_BACKEND``,
   ``FleetConfig(backend=...)``, ``PipelineConfig(backend=...)``, or the
-  ``--backend``/``--parity`` CLI flags on ``fleet`` and the ``bench-*``
-  subcommands.
+  ``--backend``/``--parity`` CLI flags on ``fleet`` and ``bench-*``.
 * :mod:`~repro.engine.compile` — :func:`compile_model` /
-  :class:`CompiledInference`: a shape-keyed plan cache, retracing
-  transparently when the input shape changes (fleet batch sizes).
+  :class:`CompiledInference` and :class:`CompiledAdaptStep`: plan caches
+  keyed by ``(shape, dtype[, groups])``, retracing transparently when the
+  input shape changes (fleet batch sizes).
 
-:class:`repro.pipeline.RealTimePipeline` and
-:class:`repro.serve.FleetServer` use this path for inference by default;
-``repro.nn.inference_mode(False)`` is the escape hatch back to eager.
-
-The same machinery covers the *adaptation* hot path:
-:func:`~repro.engine.tracer.trace_entropy_step` traces one LD-BN-ADAPT
-entropy step (train-mode BN forward + entropy loss), and
-:mod:`~repro.engine.adapt_plan` lowers it to a second static plan — the
-forward replays the eager train kernels (and is offered to the plan
-backend's renderer stage-by-stage, exactly like inference), the backward
-program is pruned to the gradient paths that reach BN gamma/beta
-(conv/linear weight gradients are never computed) and offered to the
-renderer too — under ``cgen`` train-mode BN forward, the BN gamma/beta
-gradient reductions, max-pool backward and the pruned chain run as
-threaded C stages, while conv input gradients stay on BLAS: one shared
-dgrad GEMM (:func:`repro.nn.functional._conv_dgrad`) plus an ordered
-strided col2im (:func:`repro.nn.functional._col2im_accumulate`, bitwise
-the indexed scatter it replaced) that eager and compiled both call — and
-activations/saved-buffers/gradients share the engine's arena with
-liveness computed over the combined forward+backward program.
-:class:`~repro.engine.compile.CompiledAdaptStep` caches those plans per
-``(shape, dtype, groups)``; ``groups > 1`` is the fleet's batched
-same-phase adaptation: per-group batch statistics and per-group
-gamma/beta slots make one replay equal G serial steps.
-:class:`repro.adapt.LDBNAdapt` uses this path by default;
-``repro.nn.adaptation_mode(False)`` falls back to the eager autograd
-step (the correctness oracle).
+:class:`repro.pipeline.RealTimePipeline`, :class:`repro.serve.FleetServer`
+and :class:`repro.adapt.LDBNAdapt` use these paths by default;
+``repro.nn.inference_mode(False)`` / ``repro.nn.adaptation_mode(False)``
+are the escape hatches back to eager (the correctness oracle).
 """
 
 from .adapt_plan import (

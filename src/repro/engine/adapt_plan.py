@@ -1,26 +1,28 @@
 """Compile the LD-BN-ADAPT entropy step into a replayable static plan.
 
-The adaptation hot path — one train-mode forward (BatchNorm normalizing
-with live batch statistics), the Shannon-entropy loss, and a backward
-pass restricted to BN gamma/beta — previously ran through eager autograd:
-a ``Context`` and output ``Tensor`` per op, conv/linear *weight* gradients
-computed and discarded (everything but BN affine is frozen), and fresh
-temporaries per layer.  This module lowers the traced step
-(:func:`repro.engine.tracer.trace_entropy_step`) to closures the same way
-:mod:`repro.engine.plan` lowers inference:
+The adaptation hot path is the *same network* as inference run again —
+one train-mode forward (BatchNorm normalizing with live batch
+statistics), the Shannon-entropy loss, and a backward pass restricted to
+BN gamma/beta.  :class:`AdaptationPlan` is therefore the forward
+lowering of :mod:`repro.engine.plan` plus a backward program: conv,
+linear, max-pool and the elementwise ops come from the shared
+:class:`~repro.engine.plan.StaticPlan` builders (same closures, same
+renderer offers), and this module holds only what is adaptation-specific:
 
-* every kernel replays the eager op sequence on the same values in the
-  same order, so gradients match the autograd oracle;
-* the backward program is pruned to the gradient paths that actually
-  reach a BN gamma/beta — conv/linear weight gradients and the gradient
-  into the stem conv are never computed;
-* activations, saved-for-backward buffers (``x_hat``, pool argmax, ReLU
-  masks) and gradient buffers live in the engine's arena
-  (:class:`repro.engine.plan._Arena`) with liveness computed over the
-  combined forward+backward program, and im2col workspaces are cached per
-  layer exactly like the inference plan;
-* no autograd ``Context`` or ``Tensor`` is allocated anywhere on the
-  replay path.
+* the output-buffer policy — activations, saved-for-backward buffers
+  (``x_hat``, pool argmax, ReLU masks) and gradient buffers live in the
+  engine's arena with liveness computed over the combined
+  forward+backward program, so nothing is written in place;
+* the grouped train-mode BN forward and its :class:`BNLayerTap`, and the
+  loss tail (log-softmax, sum, per-group mean);
+* the backward rules, pruned to the gradient paths that actually reach a
+  BN gamma/beta — conv/linear weight gradients and the gradient into the
+  stem conv are never computed.  A traced op is supported iff it has a
+  ``_bwd_<kind>`` rule here.
+
+Every kernel replays the eager op sequence on the same values in the same
+order, so gradients match the autograd oracle, and no autograd
+``Context`` or ``Tensor`` is allocated anywhere on the replay path.
 
 **Grouped replay** is the fleet-batching mechanism: with ``groups=G`` the
 batch axis is split into G contiguous groups of equal size, every
@@ -40,17 +42,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..nn import functional as F
-from ..nn import tensor as T
-from ..nn.functional import _pair
 from ..nn.modules import _BatchNormBase
-from .backends.core import (
-    PlanProfile,
-    _Arena,
-    _timed_step,
-    lower_conv,
-    lower_pool,
-)
-from .tracer import ConstRef, OpNode, TraceGraph, ValueRef
+from .plan import _ELEMENTWISE, StaticPlan, op_kind
+from .tracer import TraceGraph, ValueRef
 
 
 class UnsupportedAdaptGraph(RuntimeError):
@@ -99,7 +93,7 @@ class AdaptPlanStats:
     workspace_bytes: int  # dedicated im2col/pool workspaces
 
 
-class AdaptationPlan:
+class AdaptationPlan(StaticPlan):
     """Executable entropy step at one (input shape, group count).
 
     ``run(x)`` replays the compiled forward, computes the loss, replays
@@ -117,105 +111,32 @@ class AdaptationPlan:
             )
         self.groups = groups
         self.group_size = batch // groups
-        self._input_shape = graph.input_shape
         self._fwd: List[Callable[[], None]] = []
         self._bwd: List[Callable[[], None]] = []
-        self._fixed: Dict[int, np.ndarray] = {}
         self._grads: Dict[int, np.ndarray] = {}
-        self._input_cell: List[Optional[np.ndarray]] = [None]
         self.bn_taps: List[BNLayerTap] = []
-        self._renderer = renderer
-        self._pre_replay: Optional[Callable[[np.ndarray], np.ndarray]] = None
-        self.backend_info: Dict[str, object] = {"backend": "numpy"}
-        # profiling is a compile-time choice, exactly as in ExecutionPlan:
-        # the unprofiled closures carry no timing code at all
-        self.profile: Optional[PlanProfile] = PlanProfile() if profile else None
-        self._compile(graph)
-        if renderer is not None:
-            # both the forward stages and the pruned backward chain are
-            # offered for rendering; the renderer walks `_fwd` then
-            # `_bwd` (its section order) at finalize
-            self.backend_info = renderer.finalize(self, graph)
-            # drop the renderer (it holds every offered fallback closure
-            # and the workspaces they capture) — see plan.py
-            self._renderer = None
+        super().__init__(graph, profile, renderer)
+
+    @property
+    def sections(self) -> Tuple[list, ...]:
+        return (self._fwd, self._bwd)
 
     # ------------------------------------------------------------------
-    # value access
+    # output-buffer policy
     # ------------------------------------------------------------------
-    def _getter(self, ref) -> Callable[[], object]:
-        if isinstance(ref, ValueRef):
-            vid = ref.vid
-            if vid == self._input_vid:
-                cell = self._input_cell
-                return lambda: cell[0]
-            fixed = self._fixed[vid]
-            return lambda: fixed
-        if isinstance(ref, ConstRef):
-            tensor = ref.tensor
-            return lambda: tensor.data
-        value = ref
-        return lambda: value
+    def _alloc(self, key, shape, dtype) -> np.ndarray:
+        """An arena buffer owned by liveness ``key`` until `_compile`'s
+        ``advance`` reaches the key's last use."""
+        block, view = self._arena.alloc(shape, dtype)
+        block.alive.add(key)
+        self._ct.blocks[key] = block
+        return view
 
-    def _ref_shape_dtype(self, ref):
-        if isinstance(ref, ValueRef):
-            return self._shapes[ref.vid], self._dtypes[ref.vid]
-        if isinstance(ref, ConstRef):
-            return tuple(ref.tensor.shape), ref.tensor.data.dtype
-        return None, None
-
-    def _render_source(self, ref):
-        """Classify a forward-stage input for the renderer (see plan.py)."""
-        if isinstance(ref, ValueRef):
-            if ref.vid == self._input_vid:
-                return ("input", None)
-            fixed = self._fixed.get(ref.vid)
-            if fixed is not None:
-                return ("fixed", fixed)
-            return None
-        if isinstance(ref, ConstRef):
-            return ("const", ref.tensor)
-        return None
-
-    def _offer(self, kind: str, spec: dict, fallback) -> None:
-        """Offer one lowered forward stage to the renderer; append it."""
-        step = fallback
-        if self._renderer is not None:
-            placed = self._renderer.offer_stage(kind, spec, fallback)
-            if placed is not None:
-                step = placed
-        self._fwd.append(step)
-
-    @staticmethod
-    def _kind(node: OpNode) -> str:
-        if node.module is not None:
-            return "bn"
-        fn = node.function
-        if fn is F._Conv2d:
-            return "conv"
-        if fn is F._Linear:
-            return "linear"
-        if fn is F._MaxPool2d:
-            return "maxpool"
-        if fn is F._ReLU:
-            return "relu"
-        if fn is F._LogSoftmax:
-            return "logsoftmax"
-        if fn is T.Add:
-            return "add"
-        if fn is T.Mul:
-            return "mul"
-        if fn is T.Exp:
-            return "exp"
-        if fn is T.Neg:
-            return "neg"
-        if fn is T.Sum:
-            return "sum"
-        if fn is T.Mean:
-            return "mean"
-        if fn is T.Reshape:
-            return "reshape"
-        return "unsupported"
+    def _out(self, vid, shape, dtype, reuse=()) -> np.ndarray:
+        # the backward reads activations long after their forward
+        # consumers ran: always a fresh block, never one of `reuse`
+        out = self._fixed[vid] = self._alloc(("a", vid), shape, dtype)
+        return out
 
     # ------------------------------------------------------------------
     # compilation
@@ -223,24 +144,20 @@ class AdaptationPlan:
     def _compile(self, graph: TraceGraph) -> None:
         nodes = graph.nodes
         num = len(nodes)
-        self._input_vid = graph.input_vid
         self._loss_vid = graph.output_vid
-        shapes: Dict[int, Tuple[int, ...]] = {graph.input_vid: graph.input_shape}
-        dtypes: Dict[int, np.dtype] = {graph.input_vid: graph.input_dtype}
+        shapes, dtypes = self._ct.shapes, self._ct.dtypes
+        blocks = self._ct.blocks = {}  # liveness key -> arena block
         producer: Dict[int, int] = {}
         kinds: List[str] = []
         for index, node in enumerate(nodes):
-            kind = self._kind(node)
-            if kind == "unsupported":
+            kind = op_kind(node)
+            if not hasattr(self, f"_bwd_{kind}"):
                 raise UnsupportedAdaptGraph(
-                    f"op {node.function.__name__} has no adaptation-plan "
-                    f"lowering; use the eager step"
+                    f"op {getattr(node.function, '__name__', kind)} has no "
+                    f"adaptation-plan lowering; use the eager step"
                 )
             kinds.append(kind)
-            shapes[node.out_vid] = node.out_shape
-            dtypes[node.out_vid] = node.out_dtype
             producer[node.out_vid] = index
-        self._shapes, self._dtypes = shapes, dtypes
         loss_node = nodes[-1]
         if (
             loss_node.out_vid != self._loss_vid
@@ -342,19 +259,7 @@ class AdaptationPlan:
             if pos <= 2 * num - 1:
                 dying.setdefault(pos, []).append(key)
 
-        arena = _Arena()
-        self._arena = arena
-        blocks: Dict[object, object] = {}
-        workspace_bytes = [0]
-
-        def alloc(key, shape, dtype) -> np.ndarray:
-            block, view = arena.alloc(shape, dtype)
-            block.alive.add(key)
-            blocks[key] = block
-            return view
-
-        def register(vid: int, array: np.ndarray) -> None:
-            self._fixed[vid] = array
+        arena, alloc = self._arena, self._alloc
 
         def advance(pos: int) -> None:
             for key in dying.get(pos, ()):
@@ -383,36 +288,37 @@ class AdaptationPlan:
         # per-node compile-time state shared between fwd and bwd closures
         cells: List[dict] = [dict() for _ in range(num)]
 
-        profile = self.profile
-
-        def wrap_tail(steps: List[Callable[[], None]], start: int,
-                      label: str) -> None:
-            # instrument whatever closures the builder just appended
-            for p in range(start, len(steps)):
-                steps[p] = _timed_step(steps[p], label, profile)
-
-        # -- forward ----------------------------------------------------
+        # -- forward: the shared lowering, buffers per `_out` -------------
+        self._ct.emitting = self._fwd
         for index, node in enumerate(nodes):
-            kind = kinds[index]
-            builder = getattr(self, f"_fwd_{kind}")
+            kind, cell = kinds[index], cells[index]
             before = len(self._fwd)
-            builder(node, index, cells[index], alloc, register, workspace_bytes)
-            if self._renderer is not None:
-                # profiling wraps for the forward happen at finalize,
-                # after the renderer resolves which stages survived
-                self._renderer.note_stage(before, len(self._fwd), f"fwd:{kind}")
-            elif profile is not None:
-                wrap_tail(self._fwd, before, f"fwd:{kind}")
+            if kind == "conv":
+                cell["geo"] = self._lower_conv(node, node.out_vid)
+            elif kind == "linear":
+                self._lower_linear(node, node.out_vid)
+            elif kind == "maxpool":
+                # the argmax is allocated before the pool's output
+                cell["geo"], cell["arg"] = self._lower_maxpool(
+                    node,
+                    lambda geo, index=index: alloc(
+                        ("arg", index), (geo.n * geo.c, geo.p_total), np.intp
+                    ),
+                )
+            elif kind in _ELEMENTWISE:
+                self._lower_elementwise(node, kind)
+            else:
+                getattr(self, f"_fwd_{kind}")(node, index, cell)
+            self._label_stages(before, f"fwd:{kind}")
             advance(index)
 
         # -- backward (pruned) ------------------------------------------
+        self._ct.emitting = self._bwd
         emitted = 0
         for index in range(num - 1, -1, -1):
             pos = bwd_pos(index)
             if has_bwd[index]:
-                node = nodes[index]
                 kind = kinds[index]
-                builder = getattr(self, f"_bwd_{kind}")
                 before = len(self._bwd)
 
                 def scratch(tag, shape, dtype, index=index, pos=pos):
@@ -423,21 +329,15 @@ class AdaptationPlan:
                     dying.setdefault(pos, []).append((tag, index))
                     return alloc((tag, index), shape, dtype)
 
-                builder(node, index, cells[index], scratch, sink,
-                        grad_inputs(index))
-                if self._renderer is not None:
-                    # backward stages live in the renderer's second
-                    # section; profiling wraps happen at finalize
-                    self._renderer.note_stage(
-                        before, len(self._bwd), f"bwd:{kind}", section=1
-                    )
-                elif profile is not None:
-                    wrap_tail(self._bwd, before, f"bwd:{kind}")
+                getattr(self, f"_bwd_{kind}")(
+                    nodes[index], index, cells[index], scratch, sink,
+                    grad_inputs(index),
+                )
+                self._label_stages(before, f"bwd:{kind}")
                 emitted += 1
             advance(pos)
 
-        loss_buf = self._fixed[self._loss_vid]
-        self._loss_out = loss_buf
+        self._loss_out = self._fixed[self._loss_vid]
         self.stats = AdaptPlanStats(
             num_ops=num,
             backward_stages=emitted,
@@ -445,164 +345,13 @@ class AdaptationPlan:
             arena_blocks=len(arena.blocks),
             arena_bytes=arena.total_bytes,
             requested_bytes=arena.requested_bytes,
-            workspace_bytes=workspace_bytes[0],
+            workspace_bytes=self._ct.workspace_bytes,
         )
 
     # ------------------------------------------------------------------
-    # forward stage builders
+    # adaptation-only forward stages: the loss tail and train-mode BN
     # ------------------------------------------------------------------
-    def _fwd_conv(self, node, index, cell, alloc, register, workspace_bytes):
-        x_ref = node.inputs[0]
-        x_shape, x_dtype = self._ref_shape_dtype(x_ref)
-        weight = node.inputs[1].tensor
-        bias_ref = node.inputs[2]
-        bias = bias_ref.tensor if isinstance(bias_ref, ConstRef) else None
-        stride = _pair(node.inputs[3])
-        padding = _pair(node.inputs[4])
-
-        geo = lower_conv(
-            x_shape, weight.shape, stride, padding, node.out_dtype, x_dtype
-        )
-        n, c = geo.n, geo.c
-        f_out, p_total, k_total = geo.f_out, geo.p_total, geo.k_total
-        identity_cols = geo.identity_cols
-        padded, core, cols, flat = geo.padded, geo.core, geo.cols, geo.flat
-        workspace_bytes[0] += geo.workspace_nbytes
-        cell.update(
-            x_shape=x_shape, stride=stride, padding=padding,
-            identity_cols=identity_cols, k_total=k_total, p_total=p_total,
-            f_out=f_out,
-        )
-
-        out3 = alloc(("a", node.out_vid), (n, f_out, p_total),
-                     geo.compute_dtype)
-        out4 = out3.reshape(n, f_out, geo.out_h, geo.out_w)
-        register(node.out_vid, out4)
-        get_x = self._getter(x_ref)
-
-        def run():
-            x = get_x()
-            if padded is not None:
-                core[...] = x
-                np.take(padded.reshape(n, -1), flat, axis=1, out=cols,
-                        mode="clip")
-                cc = cols
-            elif identity_cols:
-                cc = x.reshape(n, c, p_total)
-            else:
-                np.take(x.reshape(n, -1), flat, axis=1, out=cols, mode="clip")
-                cc = cols
-            np.matmul(weight.data.reshape(f_out, k_total), cc, out=out3)
-            if bias is not None:
-                np.add(out3, bias.data.reshape(1, -1, 1), out=out3)
-
-        self._offer(
-            "conv",
-            dict(
-                geo=geo, x_src=self._render_source(x_ref), weight=weight,
-                bias=bias, bn_module=None, relu=False, out3=out3,
-            ),
-            run,
-        )
-
-    def _fwd_linear(self, node, index, cell, alloc, register, workspace_bytes):
-        x_ref = node.inputs[0]
-        x_shape, _ = self._ref_shape_dtype(x_ref)
-        weight = node.inputs[1].tensor
-        bias_ref = node.inputs[2]
-        bias = bias_ref.tensor if isinstance(bias_ref, ConstRef) else None
-        out2 = alloc(("a", node.out_vid), node.out_shape, node.out_dtype)
-        register(node.out_vid, out2)
-        get_x = self._getter(x_ref)
-
-        x_dtype = self._ref_shape_dtype(x_ref)[1]
-
-        def run():
-            np.matmul(get_x(), weight.data.T, out=out2)
-            if bias is not None:
-                np.add(out2, bias.data, out=out2)
-
-        self._offer(
-            "linear",
-            dict(
-                x_src=self._render_source(x_ref), x_shape=x_shape,
-                x_dtype=x_dtype, out_dtype=node.out_dtype, weight=weight,
-                bias=bias, relu=False, out2=out2,
-            ),
-            run,
-        )
-
-    def _fwd_relu(self, node, index, cell, alloc, register, workspace_bytes):
-        out = alloc(("a", node.out_vid), node.out_shape, node.out_dtype)
-        register(node.out_vid, out)
-        x_ref = node.inputs[0]
-        get_x = self._getter(x_ref)
-        self._offer(
-            "relu",
-            dict(x_src=self._render_source(x_ref), out=out,
-                 dtype=node.out_dtype),
-            lambda: np.maximum(get_x(), 0.0, out=out),
-        )
-
-    def _fwd_add(self, node, index, cell, alloc, register, workspace_bytes):
-        out = alloc(("a", node.out_vid), node.out_shape, node.out_dtype)
-        register(node.out_vid, out)
-        a_ref, b_ref = node.inputs[0], node.inputs[1]
-        get_a, get_b = self._getter(a_ref), self._getter(b_ref)
-        self._offer(
-            "add",
-            dict(
-                a_src=self._render_source(a_ref),
-                b_src=self._render_source(b_ref),
-                a_shape=self._ref_shape_dtype(a_ref)[0],
-                b_shape=self._ref_shape_dtype(b_ref)[0],
-                out_shape=node.out_shape, out=out, dtype=node.out_dtype,
-            ),
-            lambda: np.add(get_a(), get_b(), out=out),
-        )
-
-    def _fwd_mul(self, node, index, cell, alloc, register, workspace_bytes):
-        out = alloc(("a", node.out_vid), node.out_shape, node.out_dtype)
-        register(node.out_vid, out)
-        a_ref, b_ref = node.inputs[0], node.inputs[1]
-        get_a, get_b = self._getter(a_ref), self._getter(b_ref)
-        self._offer(
-            "mul",
-            dict(
-                a_src=self._render_source(a_ref),
-                b_src=self._render_source(b_ref),
-                a_shape=self._ref_shape_dtype(a_ref)[0],
-                b_shape=self._ref_shape_dtype(b_ref)[0],
-                out_shape=node.out_shape, out=out, dtype=node.out_dtype,
-            ),
-            lambda: np.multiply(get_a(), get_b(), out=out),
-        )
-
-    def _fwd_exp(self, node, index, cell, alloc, register, workspace_bytes):
-        out = alloc(("a", node.out_vid), node.out_shape, node.out_dtype)
-        register(node.out_vid, out)
-        x_ref = node.inputs[0]
-        get_x = self._getter(x_ref)
-        self._offer(
-            "exp",
-            dict(x_src=self._render_source(x_ref), out=out,
-                 dtype=node.out_dtype),
-            lambda: np.exp(get_x(), out=out),
-        )
-
-    def _fwd_neg(self, node, index, cell, alloc, register, workspace_bytes):
-        out = alloc(("a", node.out_vid), node.out_shape, node.out_dtype)
-        register(node.out_vid, out)
-        x_ref = node.inputs[0]
-        get_x = self._getter(x_ref)
-        self._offer(
-            "neg",
-            dict(x_src=self._render_source(x_ref), out=out,
-                 dtype=node.out_dtype),
-            lambda: np.negative(get_x(), out=out),
-        )
-
-    def _fwd_reshape(self, node, index, cell, alloc, register, workspace_bytes):
+    def _fwd_reshape(self, node, index, cell):
         src = node.inputs[0]
         shape = node.kwargs["shape"]
         if not isinstance(src, ValueRef) or src.vid == self._input_vid:
@@ -611,44 +360,42 @@ class AdaptationPlan:
         view = base.reshape(shape)
         if not np.shares_memory(view, base):  # pragma: no cover - arena bufs
             raise UnsupportedAdaptGraph("non-view reshape in adaptation trace")
-        register(node.out_vid, view)
-        # pure view: zero replay cost, no stage emitted — but keep the
-        # source alive as long as the view (same arena block)
+        # pure view: zero replay cost, no stage emitted — liveness keeps
+        # the source alive as long as the view (same arena block)
+        self._fixed[node.out_vid] = view
 
-    def _fwd_sum(self, node, index, cell, alloc, register, workspace_bytes):
+    def _fwd_sum(self, node, index, cell):
         axis = node.kwargs.get("axis")
         keepdims = node.kwargs.get("keepdims", False)
         if not isinstance(axis, int):
             raise UnsupportedAdaptGraph("sum lowering supports a single axis")
-        out = alloc(("a", node.out_vid), node.out_shape, node.out_dtype)
-        register(node.out_vid, out)
+        out = self._out(node.out_vid, node.out_shape, node.out_dtype)
         get_x = self._getter(node.inputs[0])
         cell.update(axis=axis, keepdims=keepdims)
         self._fwd.append(
             lambda: np.sum(get_x(), axis=axis, keepdims=keepdims, out=out)
         )
 
-    def _fwd_mean(self, node, index, cell, alloc, register, workspace_bytes):
+    def _fwd_mean(self, node, index, cell):
         # only emitted for the final global-mean loss (validated upfront):
         # lowered as one mean per group so a grouped replay returns each
         # stream's own loss
         in_shape, _ = self._ref_shape_dtype(node.inputs[0])
         groups = self.groups
         per_group = int(np.prod(in_shape)) // groups
-        out = np.empty((groups,), dtype=node.out_dtype)
-        register(node.out_vid, out)
+        out = self._fixed[node.out_vid] = np.empty(
+            (groups,), dtype=node.out_dtype
+        )
         get_x = self._getter(node.inputs[0])
-        cell.update(per_group=per_group, in_shape=in_shape)
+        cell.update(per_group=per_group)
         self._fwd.append(
             lambda: np.mean(get_x().reshape(groups, per_group), axis=1, out=out)
         )
 
-    def _fwd_logsoftmax(self, node, index, cell, alloc, register,
-                        workspace_bytes):
+    def _fwd_logsoftmax(self, node, index, cell):
         axis = node.inputs[1]
-        out = alloc(("a", node.out_vid), node.out_shape, node.out_dtype)
-        register(node.out_vid, out)
-        scratch = alloc(("ls", index), node.out_shape, node.out_dtype)
+        out = self._out(node.out_vid, node.out_shape, node.out_dtype)
+        scratch = self._alloc(("ls", index), node.out_shape, node.out_dtype)
         get_x = self._getter(node.inputs[0])
         cell.update(axis=axis, scratch=scratch)
 
@@ -663,49 +410,7 @@ class AdaptationPlan:
 
         self._fwd.append(run)
 
-    def _fwd_maxpool(self, node, index, cell, alloc, register, workspace_bytes):
-        x_ref = node.inputs[0]
-        x_shape, x_dtype = self._ref_shape_dtype(x_ref)
-        kernel = _pair(node.inputs[1])
-        stride = _pair(node.inputs[2] if node.inputs[2] is not None else kernel)
-        padding = _pair(node.inputs[3])
-        geo = lower_pool(
-            x_shape, node.out_shape, kernel, stride, padding, x_dtype
-        )
-        n, c, h, w = geo.n, geo.c, geo.h, geo.w
-        p_total = geo.p_total
-        padded, core, cols, flat = geo.padded, geo.core, geo.cols, geo.flat
-        workspace_bytes[0] += geo.workspace_nbytes
-        arg = alloc(("arg", index), (n * c, p_total), np.intp)
-
-        out4 = alloc(("a", node.out_vid), node.out_shape, node.out_dtype)
-        out2 = out4.reshape(n * c, p_total)
-        register(node.out_vid, out4)
-        get_x = self._getter(x_ref)
-        cell.update(geo=geo, arg=arg)
-
-        def run():
-            x = get_x()
-            if padded is not None:
-                core[...] = x.reshape(n * c, h, w)
-                np.take(padded.reshape(n * c, -1), flat, axis=1, out=cols,
-                        mode="clip")
-            else:
-                np.take(x.reshape(n * c, -1), flat, axis=1, out=cols,
-                        mode="clip")
-            np.argmax(cols, axis=1, out=arg)
-            np.max(cols, axis=1, out=out2)
-
-        self._offer(
-            "maxpool",
-            dict(
-                geo=geo, x_src=self._render_source(x_ref),
-                out_dtype=node.out_dtype, out2=out2, arg=arg,
-            ),
-            run,
-        )
-
-    def _fwd_bn(self, node, index, cell, alloc, register, workspace_bytes):
+    def _fwd_bn(self, node, index, cell):
         if not node.train_bn:
             raise UnsupportedAdaptGraph(
                 "eval-mode BN inside an adaptation trace"
@@ -730,8 +435,8 @@ class AdaptationPlan:
         m = float(group_size * int(np.prod(x_shape[2:], dtype=np.int64)))
         eps = module.eps
 
-        out = alloc(("a", node.out_vid), node.out_shape, node.out_dtype)
-        xhat = alloc(("xh", index), node.out_shape, node.out_dtype)
+        out = self._out(node.out_vid, node.out_shape, node.out_dtype)
+        xhat = self._alloc(("xh", index), node.out_shape, node.out_dtype)
         # inv_std persists in a plan-owned buffer (not a per-run
         # temporary): the rendered backward reads it through a pointer
         # fixed at compile time.  Tiny — (G, C) per BN layer.
@@ -799,7 +504,6 @@ class AdaptationPlan:
             ),
             run,
         )
-        register(node.out_vid, out)
 
     # ------------------------------------------------------------------
     # backward stage builders (emitted in reverse node order)
@@ -822,19 +526,13 @@ class AdaptationPlan:
         scratch needs depend on ``fresh`` sink first and call this
         directly.
         """
-        if fresh:
-            fallback = lambda: compute_fresh(dst)  # noqa: E731
-            if offer is not None and self._renderer is not None:
-                kind, spec = offer
-                placed = self._renderer.offer_stage(
-                    kind, dict(spec, dst=dst), fallback
-                )
-                if placed is not None:
-                    self._bwd.append(placed)
-                    return
-            self._bwd.append(fallback)
-        else:
+        if not fresh:
             self._bwd.append(lambda: np.add(dst, compute_value(), out=dst))
+        elif offer is None:
+            self._bwd.append(lambda: compute_fresh(dst))
+        else:
+            kind, spec = offer
+            self._offer(kind, dict(spec, dst=dst), lambda: compute_fresh(dst))
 
     def _bwd_mean(self, node, index, cell, scratch, sink, grad_in):
         if not grad_in:  # pragma: no cover - loss always carries
@@ -845,7 +543,7 @@ class AdaptationPlan:
             vid, sink,
             lambda dst: dst.fill(seed),
             lambda: seed,
-            offer=("fill", dict(value=seed, dtype=self._dtypes[vid])),
+            offer=("fill", dict(value=seed, dtype=self._ct.dtypes[vid])),
         )
 
     def _bwd_neg(self, node, index, cell, scratch, sink, grad_in):
@@ -864,7 +562,7 @@ class AdaptationPlan:
         g = self._grads[node.out_vid]
         axis = cell["axis"]
         keepdims = cell["keepdims"]
-        in_shape = self._shapes[grad_in[0]]
+        in_shape = self._ct.shapes[grad_in[0]]
         axis_norm = axis % len(in_shape)
 
         def expanded():
@@ -928,7 +626,7 @@ class AdaptationPlan:
         if not grad_in:
             return
         g = self._grads[node.out_vid]
-        in_shape = self._shapes[grad_in[0]]
+        in_shape = self._ct.shapes[grad_in[0]]
 
         def reshaped():
             return g.reshape(in_shape)
@@ -982,7 +680,7 @@ class AdaptationPlan:
             lambda: g @ weight.data,
             offer=("linear_bwd", dict(
                 g=g, weight=weight,
-                g_shape=self._shapes[node.out_vid],
+                g_shape=self._ct.shapes[node.out_vid],
                 fin=int(weight.shape[1]), dtype=node.out_dtype,
             )),
         )
@@ -992,13 +690,12 @@ class AdaptationPlan:
             return
         g4 = self._grads[node.out_vid]
         weight = node.inputs[1].tensor
-        x_shape = cell["x_shape"]
-        n = x_shape[0]
-        stride, padding = cell["stride"], cell["padding"]
-        k_total, p_total, f_out = cell["k_total"], cell["p_total"], cell["f_out"]
+        geo = cell["geo"]  # the forward's lowering: same layer geometry
+        n, x_shape = geo.n, (geo.n, geo.c, geo.h, geo.w)
+        kernel, stride, padding = geo.kernel, geo.stride, geo.padding
+        k_total, p_total, f_out = geo.k_total, geo.p_total, geo.f_out
         dtype = node.out_dtype
-        kernel = (weight.shape[2], weight.shape[3])
-        identity = cell["identity_cols"]
+        identity = geo.identity_cols
         dst, fresh = sink(grad_in[0])
         # a fresh 1x1 contribution is the GEMM itself, written straight
         # into the gradient buffer; every other case lands the GEMM in
@@ -1106,6 +803,8 @@ class AdaptationPlan:
         )
 
         if grad_in:
+            in_shape = self._ct.shapes[grad_in[0]]
+
             def value():
                 g5, xh5 = grads_gamma_beta()
                 dx_hat = g5 * get_gamma()
@@ -1118,7 +817,7 @@ class AdaptationPlan:
                         - xh5 * (dx_hat * xh5).sum(axis=axes, keepdims=True)
                     )
                 )
-                return grad5.reshape(self._shapes[grad_in[0]])
+                return grad5.reshape(in_shape)
 
             self._contribute(
                 grad_in[0], sink,
@@ -1128,13 +827,7 @@ class AdaptationPlan:
             )
         else:
             # the first BN in the network: nothing upstream needs gradient
-            fallback = lambda: grads_gamma_beta()  # noqa: E731
-            step = fallback
-            if self._renderer is not None:
-                placed = self._renderer.offer_stage("bn_bwd", spec, fallback)
-                if placed is not None:
-                    step = placed
-            self._bwd.append(step)
+            self._offer("bn_bwd", spec, grads_gamma_beta)
 
     # ------------------------------------------------------------------
     # replay
@@ -1145,34 +838,9 @@ class AdaptationPlan:
         BN gradients and batch statistics are left in :attr:`bn_taps`
         (plan-owned buffers, overwritten by the next ``run``).
         """
-        if x.shape != self._input_shape:
-            raise ValueError(
-                f"adaptation plan compiled for input {self._input_shape}, "
-                f"got {x.shape}"
-            )
-        if self._pre_replay is not None:
-            x = self._pre_replay(x)
-        self._input_cell[0] = x
-        if self.profile is not None:
-            self.profile.runs += 1
+        self._begin(x)
         for step in self._fwd:
             step()
         for step in self._bwd:
             step()
         return self._loss_out
-
-    def profile_summary(self) -> Optional[Dict[str, object]]:
-        """Per-op timing plus arena byte counters.
-
-        ``None`` unless the plan was compiled with ``profile=True``.
-        """
-        if self.profile is None:
-            return None
-        out = self.profile.summary()
-        out["arena_bytes"] = self.stats.arena_bytes
-        out["requested_bytes"] = self.stats.requested_bytes
-        out["workspace_bytes"] = self.stats.workspace_bytes
-        # which stage kinds still replay as Python closures (codegen
-        # backends only; on the numpy backend that is every stage)
-        out["numpy_stages"] = self.backend_info.get("numpy_stages")
-        return out

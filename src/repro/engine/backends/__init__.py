@@ -1,4 +1,4 @@
-"""Plan backends: pluggable lowerings of traced graphs to executable plans.
+"""Plan backends: what executes the stages of the one plan lowering.
 
 ``numpy`` is the bit-exact closure oracle, ``cgen``/``cgen-strict``
 render plans to a compiled C translation unit with per-stage numpy
@@ -8,7 +8,7 @@ output space over a persistent pthread pool living inside the generated
 ownership of output rows and unshared accumulators so ``cgen-strict``
 stays bitwise at any thread count.  Pool width resolves
 ``CGenConfig.threads`` → ``$REPRO_CGEN_THREADS`` → device-profile cores
-→ host CPUs, and every ``compile_*`` entry point takes a ``threads``
+→ host CPUs, and ``PlanBackend.compile`` takes a ``threads``
 override.  See :mod:`repro.engine.backends.base` for the interface and
 registry, :mod:`repro.engine.backends.core` for the shared
 arena/liveness/im2col lowering machinery.

@@ -1,14 +1,13 @@
 """The ``plan -> backend`` interface: how traced graphs become plans.
 
-A :class:`PlanBackend` lowers a traced graph (inference forward or
-LD-BN-ADAPT entropy step) into an executable plan.  All backends share
-the front half of the pipeline — tracing, fusion scan, liveness/arena
-assignment, im2col workspace lowering (:mod:`repro.engine.backends.core`)
-— and differ only in what executes each stage:
+Every backend shares the one lowering (:mod:`repro.engine.plan`: op
+table, forward stage builders, fusion, arena liveness, the adaptation
+backward).  A :class:`PlanBackend` contributes only the *stage renderer*
+handed to that lowering, i.e. what executes each stage:
 
-* ``numpy`` (:mod:`~repro.engine.backends.numpy_backend`) — the original
-  closure lowering; bit-exact with the eager autograd path and therefore
-  the correctness oracle for everything else.
+* ``numpy`` (:mod:`~repro.engine.backends.numpy_backend`) — no renderer:
+  every stage stays the numpy closure the lowering built; bit-exact with
+  the eager autograd path and therefore the correctness oracle.
 * ``cgen`` / ``cgen-strict`` (:mod:`~repro.engine.backends.cgen`) — the
   plan rendered to one C translation unit, compiled at runtime and
   driven through ``ctypes``; unrenderable stages (or a missing compiler)
@@ -29,25 +28,26 @@ _ENV_BACKEND = "REPRO_BACKEND"
 
 
 class PlanBackend:
-    """Lowers traced graphs to executable plans.
-
-    Implementations must return objects with the
-    :class:`~repro.engine.plan.ExecutionPlan` /
-    :class:`~repro.engine.adapt_plan.AdaptationPlan` interface (``run``,
-    ``stats``, ``profile_summary``, ``backend_info``) — today they *are*
-    those classes, differing only in the stage renderer handed to the
-    compilation.
-    """
+    """Lowers traced graphs to executable plans."""
 
     name: str = "abstract"
 
-    def compile_inference(self, graph, profile: bool = False,
-                          threads=None):
-        raise NotImplementedError
+    def _renderer(self, threads):
+        """The stage renderer for one compilation (``None``: numpy)."""
+        return None
 
-    def compile_adaptation(self, graph, groups: int = 1,
-                           profile: bool = False, threads=None):
-        raise NotImplementedError
+    def compile(self, graph, groups: int = 1, profile: bool = False,
+                threads=None):
+        """Lower ``graph`` to the plan it records: a ``groups``-way
+        ``AdaptationPlan`` for an entropy-step trace (it carries
+        train-mode BN nodes), else the inference ``ExecutionPlan``."""
+        from ..adapt_plan import AdaptationPlan
+        from ..plan import ExecutionPlan
+
+        renderer = self._renderer(threads)
+        if any(node.train_bn for node in graph.nodes):
+            return AdaptationPlan(graph, groups, profile, renderer)
+        return ExecutionPlan(graph, profile, renderer)
 
 
 _REGISTRY: Dict[str, Callable[[], PlanBackend]] = {}

@@ -54,8 +54,7 @@ the layer's dims as a ``conv_dims`` constant:
   store time.  Columns are zero-padded to a multiple of NR and edge
   filter blocks repeat the last filter, so there is no scalar remainder
   path: every output element is the same serial-``k`` FMA chain whatever
-  tile it falls in.  Under strict parity the same signature holds the
-  float64-accumulation loop.
+  tile it falls in.  Strict plans never call it (convs are declined).
 * ``conv_<xt>_<ct>`` — the driver: fixed ownership of (sample, NR-pixel
   panel) units per thread, walked in ``CONV_PC``-pixel chunks (im2col
   into ``POOL_SCR(tid)``, then the GEMM straight into the output rows).
@@ -84,9 +83,9 @@ closure (snapshot the output buffers, run the oracle, rewind, run the C
 stage — through the same pool dispatch production uses — compare) and
 demoted back to the closure on mismatch.  ``cgen`` compares within a
 tight tolerance band (:data:`PARITY_RTOL` / :data:`PARITY_ATOL`);
-``cgen-strict`` compares bitwise (``tobytes``) and backs the comparison
-with a float64-accumulation GEMM variant — stages that cannot match the
-BLAS-backed oracle bit-for-bit simply stay numpy.  A missing compiler
+``cgen-strict`` compares bitwise (``tobytes``) and offers only
+order-preserving stages: GEMMs, BN reductions and ``exp`` are declined up
+front (:data:`_ORDER_DEPENDENT`) and stay numpy.  A missing compiler
 (or a failed compile) falls the whole plan back to the numpy closures
 with a visible :class:`RuntimeWarning`.
 """
@@ -169,6 +168,15 @@ PARITY_RTOL = {"float64": 1e-9, "float32": 3e-4}
 PARITY_ATOL = {"float64": 1e-12, "float32": 1e-6}
 
 _CTYPE = {"float64": "double", "float32": "float"}
+
+# Stage kinds whose bytes depend on summation order or on a BLAS/libm
+# implementation: a C loop can match the numpy oracle on the probe input
+# and still differ on the next one, so strict parity declines them up
+# front instead of trusting the probe (which stays the safety net for the
+# order-preserving kinds: elementwise, copy/fill, relu_bwd, max-pool).
+_ORDER_DEPENDENT = frozenset(
+    ("conv", "linear", "conv_bwd", "linear_bwd", "bn_train", "bn_bwd", "exp")
+)
 
 
 _CONV_PRELUDE = f"""\
@@ -292,31 +300,6 @@ static void gemm_{ct}(const {ct}* restrict A, i64 as_f, i64 as_k,
                 for (i64 q = 0; q < nv; ++q) o[q] = tile[r][q];
             }}
         }}
-    }}
-}}
-"""
-
-
-def _gemm_strict_source(ct: str) -> str:
-    """``gemm_<ct>``, strict parity: float64-accumulation GEMM — fixed
-    k-order double sums back the bitwise probe (and stay exact when the
-    oracle happens to sum in the same order)."""
-    return f"""\
-static void gemm_{ct}(const {ct}* restrict A, i64 as_f, i64 as_k,
-                      const {ct}* restrict B, i64 ldb,
-                      {ct}* restrict O, i64 ldo, i64 f, i64 kt, i64 tw,
-                      const conv_epi* E)
-{{
-    for (i64 fi = 0; fi < f; ++fi) {{
-        {ct}* o = O + fi * ldo;
-        const {ct}* a = A + fi * as_f;
-        for (i64 q = 0; q < tw; ++q) {{
-            double acc = 0.0;
-            for (i64 k = 0; k < kt; ++k)
-                acc += (double)a[k * as_k] * (double)B[k * ldb + q];
-            o[q] = ({ct})acc;
-        }}
-        epilogue_{ct}(o, tw, fi, E);
     }}
 }}
 """
@@ -545,18 +528,14 @@ class _Offer:
 class CRenderer:
     """Stage renderer handed to one plan compilation (single use).
 
-    ``sections`` names the plan step lists rendered in replay order —
-    ``("_steps",)`` for inference plans, ``("_fwd", "_bwd")`` for
-    adaptation plans.  ``threads`` is the resolved worker-pool width
-    baked into this plan's kernels.
+    Renders whatever step lists the plan exposes as ``plan.sections``, in
+    replay order.  ``threads`` is the resolved worker-pool width baked
+    into this plan's kernels.
     """
 
-    def __init__(self, backend: "CGenBackend",
-                 sections: Tuple[str, ...] = ("_steps",),
-                 threads: int = 1):
+    def __init__(self, backend: "CGenBackend", threads: int = 1):
         self.backend = backend
         self.strict = backend.parity == "strict"
-        self._sections = tuple(sections)
         self.threads = max(1, int(threads))
         self._offers: List[_Offer] = []
         self._funcs: List[str] = []
@@ -568,7 +547,7 @@ class CRenderer:
         self._static: List[Tuple[int, np.ndarray]] = []
         self._static_ids: Dict[int, int] = {}
         self._tab_holder: List[Optional[np.ndarray]] = [None]
-        self._labels: List[Tuple[int, int, int, str]] = []
+        self._labels: Dict[Tuple[int, int], str] = {}  # (id(steps), pos)
         self._scratch_bytes = 0
         self.offered = 0
         self.declined = 0
@@ -611,22 +590,7 @@ class CRenderer:
             if data.dtype != dtype or not data.flags.c_contiguous:
                 return None
             slot = self._slot()
-            holder = self._tab_holder
-            cell = [None]
-
-            def bind(tensor=val, slot=slot, want=np.dtype(dtype)):
-                d = tensor.data
-                if d is cell[0]:
-                    return
-                if d.dtype != want or not d.flags.c_contiguous:
-                    raise RuntimeError(
-                        "cgen plan parameter changed dtype/layout after "
-                        "compilation; recompile the plan"
-                    )
-                holder[0][slot] = d.ctypes.data
-                cell[0] = d
-
-            offer.binders.append(bind)
+            offer.binders.append(self._const_binder(val, slot, dtype))
             return slot
         return None
 
@@ -654,13 +618,16 @@ class CRenderer:
         ]
 
     # -- plan hooks ------------------------------------------------------
-    def note_stage(self, start: int, end: int, label: str,
-                   section: int = 0) -> None:
-        self._labels.append((section, start, end, label))
+    def note_stage(self, steps: list, start: int, end: int,
+                   label: str) -> None:
+        for pos in range(start, end):
+            self._labels[(id(steps), pos)] = label
 
     def offer_stage(self, kind: str, spec: dict, fallback):
         self.offered += 1
         builder = getattr(self, f"_try_{kind}", None)
+        if self.strict and kind in _ORDER_DEPENDENT:
+            builder = None
         offer = builder(spec, fallback) if builder is not None else None
         if offer is None:
             self.declined += 1
@@ -688,9 +655,7 @@ class CRenderer:
         compute type ``ct``; returns the driver's name."""
         self._helpers.setdefault("conv_prelude", _CONV_PRELUDE)
         self._helpers.setdefault(
-            f"gemm_{ct}",
-            _epilogue_source(ct)
-            + (_gemm_strict_source(ct) if self.strict else _gemm_source(ct)),
+            f"gemm_{ct}", _epilogue_source(ct) + _gemm_source(ct)
         )
         name = f"conv_{xt}_{ct}"
         self._helpers.setdefault(name, _conv_source(xt, ct))
@@ -916,31 +881,23 @@ class CRenderer:
             "        for (i64 o = olo; o < ohi; ++o) {",
             f"            const {ct}* wo = Wt + o * {fin}LL;",
         ]
-        if self.strict:
-            lines += [
-                "            double acc = 0.0;",
-                f"            for (i64 i = 0; i < {fin}; ++i) "
-                "acc += (double)wo[i] * (double)xn[i];",
-                f"            {ct} v = ({ct})acc;",
-            ]
-        else:
-            # eight accumulator chains, same shape as the small-P conv
-            # dot kernel: independent streams SLP-vectorize without any
-            # reassociation flags (a single acc is a serial FMA chain)
-            accs = ", ".join(f"a{q} = ({ct})0" for q in range(8))
-            muls = " ".join(
-                f"a{q} += wo[i + {q}] * xn[i + {q}];" for q in range(8)
-            )
-            lines += [
-                f"            {ct} {accs};",
-                "            i64 i = 0;",
-                f"            for (; i + 8 <= {fin}; i += 8) "
-                f"{{ {muls} }}",
-                f"            for (; i < {fin}; ++i) "
-                "a0 += wo[i] * xn[i];",
-                f"            {ct} v = ((a0 + a1) + (a2 + a3))"
-                " + ((a4 + a5) + (a6 + a7));",
-            ]
+        # eight accumulator chains, same shape as the small-P conv
+        # dot kernel: independent streams SLP-vectorize without any
+        # reassociation flags (a single acc is a serial FMA chain)
+        accs = ", ".join(f"a{q} = ({ct})0" for q in range(8))
+        muls = " ".join(
+            f"a{q} += wo[i + {q}] * xn[i + {q}];" for q in range(8)
+        )
+        lines += [
+            f"            {ct} {accs};",
+            "            i64 i = 0;",
+            f"            for (; i + 8 <= {fin}; i += 8) "
+            f"{{ {muls} }}",
+            f"            for (; i < {fin}; ++i) "
+            "a0 += wo[i] * xn[i];",
+            f"            {ct} v = ((a0 + a1) + (a2 + a3))"
+            " + ((a4 + a5) + (a6 + a7));",
+        ]
         if sb is not None:
             lines.append("            v = v + Bi[o];")
         if spec["relu"]:
@@ -1369,9 +1326,8 @@ class CRenderer:
         any nt), rounded to the data dtype before ``1/sqrt(var+eps)`` so
         everything downstream repeats the numpy op sequence.  The
         oracle's pairwise sums differ in the last bits, hence band
-        parity (keyed to the data dtype — the f64 taps hold data-dtype
-        statistics); strict plans keep the stage only when it happens to
-        match bitwise.
+        parity only (keyed to the data dtype — the f64 taps hold
+        data-dtype statistics).
         """
         dtype = np.dtype(spec["dtype"])
         ct = _CTYPE.get(dtype.name)
@@ -1544,15 +1500,8 @@ static void {name}(
             equal_nan=True,
         ))
 
-    def _pos_labels(self) -> Dict[Tuple[int, int], str]:
-        out: Dict[Tuple[int, int], str] = {}
-        for sec, start, end, label in self._labels:
-            for pos in range(start, end):
-                out[(sec, pos)] = label
-        return out
-
     def finalize(self, plan, graph) -> Dict[str, object]:
-        sections: List[list] = [getattr(plan, a) for a in self._sections]
+        sections: Tuple[list, ...] = plan.sections
         profile = plan.profile
         if profile is not None:
             profile.backend = self.backend.name
@@ -1575,21 +1524,21 @@ static void {name}(
             # closures (never offered, declined or demoted alike)
             "numpy_stages": {},
         }
-        labels = self._pos_labels()
+        labels = self._labels
         numpy_stages: Dict[str, int] = info["numpy_stages"]
 
-        def on_numpy(si: int, pos: int) -> str:
-            label = labels.get((si, pos), "stage")
+        def on_numpy(steps: list, pos: int) -> str:
+            label = labels.get((id(steps), pos), "stage")
             numpy_stages[label] = numpy_stages.get(label, 0) + 1
             return label
 
         def bail(reason: Optional[str]):
-            for si, steps in enumerate(sections):
+            for steps in sections:
                 for pos, step in enumerate(steps):
                     if isinstance(step, _Offer):
                         steps[pos] = step.fallback
                 for pos in range(len(steps)):
-                    label = on_numpy(si, pos)
+                    label = on_numpy(steps, pos)
                     if profile is not None:
                         steps[pos] = _timed_step(steps[pos], label, profile)
             info["fallback_reason"] = reason
@@ -1685,7 +1634,7 @@ static void {name}(
         # stages), demoted/declined stages keep their numpy closures
         binders: List[Callable[[], None]] = []
         rendered = demoted = 0
-        for si, steps in enumerate(sections):
+        for steps in sections:
             new_steps: List[Callable[[], None]] = []
             i = 0
             while i < len(steps):
@@ -1728,7 +1677,7 @@ static void {name}(
 
                         new_steps.append(_timed_step(
                             call,
-                            "cgen:" + labels.get((si, i), "stage"),
+                            "cgen:" + labels.get((id(steps), i), "stage"),
                             profile,
                         ))
                         rendered += 1
@@ -1737,7 +1686,7 @@ static void {name}(
                 fn = step.fallback if isinstance(step, _Offer) else step
                 if isinstance(step, _Offer):
                     demoted += 1
-                label = on_numpy(si, i)
+                label = on_numpy(steps, i)
                 if profile is not None:
                     fn = _timed_step(fn, label, profile)
                 new_steps.append(fn)
@@ -1824,29 +1773,8 @@ class CGenBackend(PlanBackend):
             threads if threads is not None else self.threads
         )
 
-    def compile_inference(self, graph, profile: bool = False,
-                          threads: Optional[int] = None):
-        from ..plan import ExecutionPlan
-
-        return ExecutionPlan(
-            graph, profile=profile,
-            renderer=CRenderer(
-                self, ("_steps",), threads=self._resolve_threads(threads)
-            ),
-        )
-
-    def compile_adaptation(self, graph, groups: int = 1,
-                           profile: bool = False,
-                           threads: Optional[int] = None):
-        from ..adapt_plan import AdaptationPlan
-
-        return AdaptationPlan(
-            graph, groups=groups, profile=profile,
-            renderer=CRenderer(
-                self, ("_fwd", "_bwd"),
-                threads=self._resolve_threads(threads),
-            ),
-        )
+    def _renderer(self, threads: Optional[int]) -> CRenderer:
+        return CRenderer(self, threads=self._resolve_threads(threads))
 
 
 register_backend("cgen", CGenBackend)

@@ -1,24 +1,21 @@
 """Backend-neutral lowering machinery shared by every plan backend.
 
-Both static plans — the inference :class:`~repro.engine.plan.ExecutionPlan`
-and the adaptation :class:`~repro.engine.adapt_plan.AdaptationPlan` — used
-to carry private copies of the same three pieces of compile-time
-infrastructure.  They live here now, and every :class:`PlanBackend`
-(numpy closures, generated C) builds on the same objects:
+The compile-time infrastructure under the one plan lowering
+(:class:`~repro.engine.plan.StaticPlan`, which both the inference and
+the adaptation plan are built from); every :class:`PlanBackend` (numpy
+closures, generated C) builds on the same objects:
 
 * :class:`_Arena` / :class:`_Block` — the liveness-driven byte-arena pool
   op outputs are recycled through;
 * :class:`ConvLowering` / :class:`PoolLowering` — the im2col geometry of
   one conv/pool layer (gather indices, padded-image buffer, column
-  workspace) computed once at compile time, exactly as both plans did it;
+  workspace) computed once at compile time;
 * :class:`PlanProfile` / :func:`_timed_step` — the opt-in per-stage
-  replay profiler, now tagged with the ``backend`` that produced the
-  stages it times.
+  replay profiler, tagged with the ``backend`` that produced the stages
+  it times.
 
 Nothing in this module touches numpy kernels at replay time — the
-workspaces are plain arrays the backends capture however they like — so
-extracting it is a pure refactor: the numpy closures issue the same
-kernels on the same buffers in the same order as before.
+workspaces are plain arrays the backends capture however they like.
 """
 
 from __future__ import annotations
@@ -143,7 +140,7 @@ def lower_conv(
     compute_dtype,
     x_dtype,
 ) -> ConvLowering:
-    """The shared conv lowering both plans previously duplicated inline."""
+    """im2col geometry and gather workspaces of one conv layer."""
     n, c, h, w = x_shape
     f_out, _, kh, kw = weight_shape
     out_h = _conv_output_size(h, kh, stride[0], padding[0])
@@ -208,7 +205,7 @@ def lower_pool(
     padding: Tuple[int, int],
     x_dtype,
 ) -> PoolLowering:
-    """The shared max-pool lowering both plans previously duplicated."""
+    """Window geometry and gather workspaces of one max-pool layer."""
     n, c, h, w = x_shape
     _, _, out_h, out_w = out_shape
     p_total = out_h * out_w

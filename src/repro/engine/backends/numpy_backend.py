@@ -1,11 +1,12 @@
-"""The numpy-closure backend: the engine's original lowering, as a backend.
+"""The numpy-closure backend: the engine's lowering with no renderer.
 
 This is the bit-exactness oracle — every stage issues the same numpy
 kernels on the same buffers in the same order as the eager autograd
-path.  The codegen backends compile through the *same* plan classes and
+path.  The codegen backends compile through the *same* lowering and
 differ only in the renderer they pass, which is what makes their
 per-stage fallback structural: a declined stage simply keeps the closure
-this backend would have produced.
+this backend would have produced.  ``threads`` is ignored: numpy's
+kernels thread (or don't) per BLAS build, not per plan.
 """
 
 from __future__ import annotations
@@ -15,20 +16,6 @@ from .base import PlanBackend, register_backend
 
 class NumpyBackend(PlanBackend):
     name = "numpy"
-
-    # ``threads`` is accepted for interface parity and ignored: numpy's
-    # kernels thread (or don't) per BLAS build, not per plan
-    def compile_inference(self, graph, profile: bool = False,
-                          threads=None):
-        from ..plan import ExecutionPlan
-
-        return ExecutionPlan(graph, profile=profile)
-
-    def compile_adaptation(self, graph, groups: int = 1,
-                           profile: bool = False, threads=None):
-        from ..adapt_plan import AdaptationPlan
-
-        return AdaptationPlan(graph, groups=groups, profile=profile)
 
 
 register_backend("numpy", NumpyBackend)

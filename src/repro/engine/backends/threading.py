@@ -28,10 +28,8 @@ boundaries, so outputs are bitwise identical run-to-run *and* across
 thread counts.  Per-thread im2col column scratch lives in a static
 arena inside the ``.so`` (``POOL_SCR(tid)``), sized at render time.
 
-Thread-count resolution (``resolve_threads``) follows the config chain:
-an explicit ``CGenConfig.threads`` value wins, then
-``$REPRO_CGEN_THREADS``, then the serving device profile's core count,
-then the host CPU count.
+Thread-count resolution is :func:`resolve_threads` (per compilation) and
+:func:`serving_threads` (what a serving loop's ``threads`` option means).
 """
 
 from __future__ import annotations
@@ -54,8 +52,7 @@ class CGenConfig:
     ``parity`` selects the kernel family (``"band"`` — fast kernels held
     to a per-dtype float tolerance; ``"strict"`` — bitwise-reproducible
     kernels).  ``threads`` is the worker-pool width baked into rendered
-    plans; ``None`` defers to ``$REPRO_CGEN_THREADS`` / the device core
-    count / the host CPU count at compile time.
+    plans; ``None`` defers to :func:`resolve_threads` at compile time.
     """
 
     parity: str = "band"
@@ -79,7 +76,6 @@ def resolve_threads(explicit: Optional[int] = None,
     device profile's CPU core count) > the host CPU count.  Always
     clamped to ``[1, MAX_THREADS]``.
     """
-    n: Optional[int] = None
     if explicit is not None:
         n = int(explicit)
     else:
@@ -96,6 +92,14 @@ def resolve_threads(explicit: Optional[int] = None,
         else:
             n = os.cpu_count() or 1
     return max(1, min(n, MAX_THREADS))
+
+
+def serving_threads(cfg_threads: Optional[int]) -> Optional[int]:
+    """Pool width a serving loop's ``threads`` option selects: ``None``
+    keeps single-thread plans *and* single-thread roofline pricing
+    (bitwise-stable with pre-threading runs); an explicit width threads
+    both, and outranks any device core count in :func:`resolve_threads`."""
+    return None if cfg_threads is None else resolve_threads(cfg_threads)
 
 
 def tile_bounds(total: int, tid: int, nt: int) -> Tuple[int, int]:

@@ -56,16 +56,10 @@ class CompiledInference:
         key = (arr.shape, arr.dtype.str)
         plan = self._plans.get(key)
         if plan is None:
-            graph = trace(self.model, arr)
-            if self.threads is None:
-                plan = self.backend.compile_inference(
-                    graph, profile=self.profile
-                )
-            else:
-                plan = self.backend.compile_inference(
-                    graph, profile=self.profile, threads=self.threads
-                )
-            self._plans[key] = plan
+            plan = self._plans[key] = self.backend.compile(
+                trace(self.model, arr), profile=self.profile,
+                threads=self.threads,
+            )
         return plan
 
     def warm(self, x) -> None:
@@ -143,17 +137,10 @@ class CompiledAdaptStep:
         key = (arr.shape, arr.dtype.str, int(groups))
         plan = self._plans.get(key)
         if plan is None:
-            graph = trace_entropy_step(self.model, arr, self.loss_fn)
-            if self.threads is None:
-                plan = self.backend.compile_adaptation(
-                    graph, groups=groups, profile=self.profile
-                )
-            else:
-                plan = self.backend.compile_adaptation(
-                    graph, groups=groups, profile=self.profile,
-                    threads=self.threads,
-                )
-            self._plans[key] = plan
+            plan = self._plans[key] = self.backend.compile(
+                trace_entropy_step(self.model, arr, self.loss_fn),
+                groups=groups, profile=self.profile, threads=self.threads,
+            )
         return plan
 
     def warm(self, x, groups: int = 1) -> None:

@@ -1,10 +1,23 @@
-"""Compile a :class:`~repro.engine.tracer.TraceGraph` into a replayable plan.
+"""The one lowering: traced graphs become replayable plans here.
 
-The plan is a flat list of zero-argument closures ("stages"), each writing
-into buffers fixed at compile time.  Three optimizations make replay fast
-while staying **bit-exact** with the eager autograd path (every stage
-issues the same numpy kernels on the same values in the same order — only
-the bookkeeping around them is removed):
+A plan is flat lists of zero-argument closures ("stages"), each writing
+into buffers fixed at compile time and issuing the eager path's numpy
+kernels on the same values in the same order — replay is **bit-exact**
+with autograd, only the bookkeeping around the kernels is removed.
+
+:class:`StaticPlan` is everything the inference plan and the adaptation
+plan (:mod:`repro.engine.adapt_plan`) share, each piece exactly once:
+the op table (:data:`OP_KINDS`: traced ``Function`` -> stage kind), value
+access, the renderer offer, the forward stage builders for conv, linear,
+max-pool and the elementwise ops (numpy closure plus offer spec), the
+replay prologue and the profile summary.  The builders take their
+*output-buffer policy* from the calling plan through :meth:`_out`, which
+is the only place the two plans disagree about a shared op: inference
+recycles a block as soon as its last consumer ran and writes in place
+where it can; adaptation keeps activations alive for the backward.
+
+:class:`ExecutionPlan` is then just the forward program with no
+backward, plus the three inference-only optimizations:
 
 * **Fusion** — a ``conv -> eval-BN -> relu`` chain (and ``linear -> relu``)
   becomes one stage: im2col-GEMM via ``np.matmul(..., out=)`` into the
@@ -18,22 +31,21 @@ the bookkeeping around them is removed):
   nothing beyond tiny per-channel fold vectors.
 * **Cached im2col workspaces** — gather indices, padded-image buffers and
   column matrices are precomputed per conv/pool layer for the traced
-  input shape; replays gather with ``np.take(..., out=)`` instead of
-  rebuilding indices and materializing fresh columns.
+  input shape (:mod:`repro.engine.backends.core`); replays gather with
+  ``np.take(..., out=)`` instead of rebuilding indices and columns.
 
-The arena/liveness/workspace machinery lives in
-:mod:`repro.engine.backends.core` (shared with the adaptation plan); a
-codegen backend may pass a *renderer* that is offered every stage as it
+A codegen backend passes a *renderer* that is offered every stage as it
 is lowered and replaces the accepted ones with compiled-kernel calls at
-finalize time — see :mod:`repro.engine.backends.cgen`.  Without a
-renderer this module is the pure numpy-closure backend and no autograd
-``Context`` (or ``Tensor``) is allocated anywhere on the replay path.
+finalize time — see :mod:`repro.engine.backends.cgen`.  Without one this
+module is the pure numpy-closure backend and no autograd ``Context`` (or
+``Tensor``) is allocated anywhere on the replay path.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -42,8 +54,7 @@ from ..nn import functional as F
 from ..nn import tensor as T
 from ..nn.functional import _pair
 from ..nn.tensor import Context
-from .backends.core import (  # noqa: F401  (re-exported for compatibility)
-    _ALIGN,
+from .backends.core import (
     _Arena,
     _Block,
     PlanProfile,
@@ -52,6 +63,30 @@ from .backends.core import (  # noqa: F401  (re-exported for compatibility)
     lower_pool,
 )
 from .tracer import ConstRef, OpNode, TraceGraph, ValueRef
+
+#: traced ``Function`` -> stage kind, for both plans.  A kind is lowered by
+#: the shared ``StaticPlan._lower_<kind>`` builder when there is one, else
+#: by the plan's own; anything absent is ``"generic"`` (inference re-runs
+#: the op's eager forward, adaptation refuses the graph).
+OP_KINDS = {
+    F._Conv2d: "conv", F._Linear: "linear", F._MaxPool2d: "maxpool",
+    F._ReLU: "relu", F._LogSoftmax: "logsoftmax", T.Add: "add",
+    T.Mul: "mul", T.Exp: "exp", T.Neg: "neg", T.Sum: "sum", T.Mean: "mean",
+    T.Reshape: "reshape", T.Transpose: "transpose",
+}
+
+#: elementwise kinds -> (ufunc, trailing constant operands); the traced
+#: node's leading ``ufunc.nin - len(constants)`` inputs are the tensors
+_ELEMENTWISE = {
+    "relu": (np.maximum, (0.0,)), "exp": (np.exp, ()),
+    "neg": (np.negative, ()), "add": (np.add, ()), "mul": (np.multiply, ()),
+}
+
+
+def op_kind(node: OpNode) -> str:
+    if node.module is not None:
+        return "bn"
+    return OP_KINDS.get(node.function, "generic")
 
 
 @dataclass(frozen=True)
@@ -99,29 +134,39 @@ def _bn_epilogue(buf3: np.ndarray, module, n: int) -> None:
         buf3 += module.bias.data.reshape(1, c, 1)
 
 
-class ExecutionPlan:
-    """Executable form of one traced forward at one input shape.
+class StaticPlan:
+    """What every compiled plan is made of (see the module docstring).
 
-    ``run`` returns a view into plan-owned storage: the contents are
-    overwritten by the next ``run`` call, so copy if you need to keep a
-    result across frames (serving loops decode immediately and don't).
+    Subclasses provide ``_compile(graph)`` (walk the nodes, call the
+    builders, set ``stats``), ``_out`` (the output-buffer policy),
+    ``sections`` (their step lists in replay order) and ``run``.
 
     ``renderer`` (optional) is a codegen backend's stage renderer: every
     lowered stage is *offered* to it along with the numpy closure; at the
-    end of compilation :meth:`finalize` replaces accepted stages with
+    end of compilation its ``finalize`` replaces accepted stages with
     compiled-kernel calls (declined or parity-demoted stages keep their
     numpy closures, so fallback is per-stage and structural).
     """
 
-    def __init__(self, graph: TraceGraph, profile: bool = False,
-                 renderer=None):
+    def __init__(self, graph: TraceGraph, profile: bool, renderer):
         self._input_shape = graph.input_shape
         self._input_vid = graph.input_vid
-        self._steps: List[Callable[[], None]] = []
-        self._slots: Dict[int, np.ndarray] = {}
+        shapes: Dict[int, Tuple[int, ...]] = {graph.input_vid: graph.input_shape}
+        dtypes: Dict[int, np.dtype] = {graph.input_vid: graph.input_dtype}
+        for node in graph.nodes:
+            shapes[node.out_vid] = node.out_shape
+            dtypes[node.out_vid] = node.out_dtype
+        # everything only compilation needs (each plan adds its liveness
+        # tables): dropped as one object when compilation ends
+        self._ct = SimpleNamespace(
+            shapes=shapes, dtypes=dtypes, renderer=renderer,
+            emitting=None,  # the step list stages are being appended to
+            workspace_bytes=0,
+        )
+        self._fixed: Dict[int, np.ndarray] = {}  # buffers fixed at compile time
+        self._slots: Dict[int, np.ndarray] = {}  # per-replay values
         self._input_cell: List[Optional[np.ndarray]] = [None]
-        self._fixed: Dict[int, np.ndarray] = {}
-        self._renderer = renderer
+        self._arena = _Arena()
         self._pre_replay: Optional[Callable[[np.ndarray], np.ndarray]] = None
         self.backend_info: Dict[str, object] = {"backend": "numpy"}
         # opt-in profiling must be chosen at compile time: the traced
@@ -132,14 +177,17 @@ class ExecutionPlan:
         self._compile(graph)
         if renderer is not None:
             self.backend_info = renderer.finalize(self, graph)
-            # the renderer holds every offered stage (and its numpy
-            # fallback closure, which captures the im2col workspaces);
-            # dropping it here is what lets a fused-im2col backend
-            # actually free the workspaces it released
-            self._renderer = None
-        # the graph (and its keepalive of every traced activation) is not
-        # retained: closures captured what replay needs, parameters stay
-        # reachable through their ConstRef-held tensors
+        # Neither the graph (and its keepalive of every traced activation)
+        # nor the compile-time state is retained: closures captured what
+        # replay needs, parameters stay reachable through their
+        # ConstRef-held tensors.  The renderer holds every offered stage
+        # and its numpy fallback closure, which captures the im2col
+        # workspaces — dropping it is what lets a fused-im2col backend
+        # actually free the workspaces it released; and the small tables,
+        # allocated between those big transient buffers, would otherwise
+        # pin the freed heap for the plan's lifetime (+16 MB peak RSS on
+        # the benchmark's fleet workloads when they were kept).
+        del self._ct
 
     # -- value access ---------------------------------------------------
     def _getter(self, ref) -> Callable[[], object]:
@@ -178,32 +226,282 @@ class ExecutionPlan:
             return ("const", ref.tensor)
         return None
 
-    def _offer(self, kind: str, spec: dict, fallback):
-        """Offer one lowered stage to the renderer; append the step."""
-        step = fallback
-        if self._renderer is not None:
-            placed = self._renderer.offer_stage(kind, spec, fallback)
-            if placed is not None:
-                step = placed
-        self._steps.append(step)
-
-    def _ref_shape_dtype(self, ref, shapes, dtypes):
+    def _ref_shape_dtype(self, ref):
         if isinstance(ref, ValueRef):
-            return shapes[ref.vid], dtypes[ref.vid]
+            return self._ct.shapes[ref.vid], self._ct.dtypes[ref.vid]
         if isinstance(ref, ConstRef):
             return tuple(ref.tensor.shape), ref.tensor.data.dtype
         return None, None
 
+    # -- stage emission -------------------------------------------------
+    def _offer(self, kind: str, spec: dict, fallback) -> None:
+        """Offer one lowered stage to the renderer; append the step to the
+        section being emitted (``self._ct.emitting``)."""
+        step = fallback
+        if self._ct.renderer is not None:
+            placed = self._ct.renderer.offer_stage(kind, spec, fallback)
+            if placed is not None:
+                step = placed
+        self._ct.emitting.append(step)
+
+    def _label_stages(self, before: int, label: str) -> None:
+        """Name the closures appended to the current section since
+        position ``before`` (profile ``op_ms`` / ``numpy_stages`` keys)."""
+        steps = self._ct.emitting
+        if self._ct.renderer is not None:
+            # profiling wraps happen at finalize (the renderer decides per
+            # stage whether the C kernel or the numpy fallback survived)
+            self._ct.renderer.note_stage(steps, before, len(steps), label)
+        elif self.profile is not None:
+            for pos in range(before, len(steps)):
+                steps[pos] = _timed_step(steps[pos], label, self.profile)
+
+    def _gemm_stage(self, load, gemm, epilogue):
+        """One GEMM stage closure from its three phases: ``load()`` returns
+        the right-hand operand (im2col columns / input rows), ``gemm``
+        multiplies it into the output, ``epilogue()`` finishes in place.
+
+        A profiled numpy plan times each phase into ``bucket_ms``
+        (``im2col`` / ``gemm`` / ``epilogue``, summing to the stage's
+        ``op_ms``); with a renderer the closure is the parity oracle and
+        fallback, timed per stage at finalize like any other.
+        """
+        if self.profile is None or self._ct.renderer is not None:
+
+            def run():
+                gemm(load())
+                epilogue()
+
+            return run
+        add_bucket = self.profile.add_bucket
+
+        def run():
+            t0 = time.perf_counter()
+            operand = load()
+            t1 = time.perf_counter()
+            gemm(operand)
+            t2 = time.perf_counter()
+            epilogue()
+            t3 = time.perf_counter()
+            add_bucket("im2col", t1 - t0)
+            add_bucket("gemm", t2 - t1)
+            add_bucket("epilogue", t3 - t2)
+
+        return run
+
+    # -- shared forward stage builders ------------------------------------
+    def _lower_conv(self, node, out_vid, bn_module=None, relu=False):
+        """conv [-> eval-BN] [-> relu] into the buffer backing ``out_vid``;
+        returns the layer's :class:`~.backends.core.ConvLowering`."""
+        x_ref = node.inputs[0]
+        x_shape, x_dtype = self._ref_shape_dtype(x_ref)
+        weight = node.inputs[1].tensor
+        bias_ref = node.inputs[2]
+        bias = bias_ref.tensor if isinstance(bias_ref, ConstRef) else None
+        geo = lower_conv(
+            x_shape, weight.shape, _pair(node.inputs[3]),
+            _pair(node.inputs[4]), node.out_dtype, x_dtype,
+        )
+        n, c = geo.n, geo.c
+        f_out, p_total, k_total = geo.f_out, geo.p_total, geo.k_total
+        identity_cols = geo.identity_cols
+        padded, core, cols, flat = geo.padded, geo.core, geo.cols, geo.flat
+        self._ct.workspace_bytes += geo.workspace_nbytes
+
+        out4 = self._out(
+            out_vid, (n, f_out, geo.out_h, geo.out_w), geo.compute_dtype
+        )
+        out3 = out4.reshape(n, f_out, p_total)
+        get_x = self._getter(x_ref)
+
+        def im2col():
+            x = get_x()
+            if padded is not None:
+                core[...] = x
+                np.take(padded.reshape(n, -1), flat, axis=1, out=cols,
+                        mode="clip")
+                return cols
+            if identity_cols:
+                return x.reshape(n, c, p_total)
+            np.take(x.reshape(n, -1), flat, axis=1, out=cols, mode="clip")
+            return cols
+
+        def gemm(cc):
+            np.matmul(weight.data.reshape(f_out, k_total), cc, out=out3)
+
+        def epilogue():
+            if bias is not None:
+                np.add(out3, bias.data.reshape(1, -1, 1), out=out3)
+            if bn_module is not None:
+                _bn_epilogue(out3, bn_module, n)
+            if relu:
+                np.maximum(out3, 0.0, out=out3)
+
+        self._offer(
+            "conv",
+            dict(
+                geo=geo, x_src=self._render_source(x_ref), weight=weight,
+                bias=bias, bn_module=bn_module, relu=relu, out3=out3,
+            ),
+            self._gemm_stage(im2col, gemm, epilogue),
+        )
+        return geo
+
+    def _lower_linear(self, node, out_vid, relu=False):
+        x_ref = node.inputs[0]
+        x_shape, x_dtype = self._ref_shape_dtype(x_ref)
+        weight = node.inputs[1].tensor
+        bias_ref = node.inputs[2]
+        bias = bias_ref.tensor if isinstance(bias_ref, ConstRef) else None
+        out2 = self._out(out_vid, node.out_shape, node.out_dtype)
+
+        def gemm(x):
+            np.matmul(x, weight.data.T, out=out2)
+
+        def epilogue():
+            if bias is not None:
+                np.add(out2, bias.data, out=out2)
+            if relu:
+                np.maximum(out2, 0.0, out=out2)
+
+        self._offer(
+            "linear",
+            dict(
+                x_src=self._render_source(x_ref), x_shape=x_shape,
+                x_dtype=x_dtype, out_dtype=node.out_dtype, weight=weight,
+                bias=bias, relu=relu, out2=out2,
+            ),
+            self._gemm_stage(self._getter(x_ref), gemm, epilogue),
+        )
+
+    def _lower_maxpool(self, node, alloc_arg=None):
+        """Max-pool forward.  ``alloc_arg(geo)`` (adaptation) provides the
+        buffer the window argmax is saved into for the backward; returns
+        ``(geo, arg)``."""
+        x_ref = node.inputs[0]
+        x_shape, x_dtype = self._ref_shape_dtype(x_ref)
+        kernel = _pair(node.inputs[1])
+        stride = _pair(node.inputs[2] if node.inputs[2] is not None else kernel)
+        geo = lower_pool(
+            x_shape, node.out_shape, kernel, stride, _pair(node.inputs[3]),
+            x_dtype,
+        )
+        n, c, h, w = geo.n, geo.c, geo.h, geo.w
+        padded, core, cols, flat = geo.padded, geo.core, geo.cols, geo.flat
+        self._ct.workspace_bytes += geo.workspace_nbytes
+        arg = alloc_arg(geo) if alloc_arg is not None else None
+        out4 = self._out(node.out_vid, node.out_shape, node.out_dtype)
+        out2 = out4.reshape(n * c, geo.p_total)
+        get_x = self._getter(x_ref)
+
+        def run():
+            x = get_x()
+            if padded is not None:
+                core[...] = x.reshape(n * c, h, w)
+                np.take(padded.reshape(n * c, -1), flat, axis=1, out=cols,
+                        mode="clip")
+            else:
+                np.take(x.reshape(n * c, -1), flat, axis=1, out=cols,
+                        mode="clip")
+            if arg is not None:
+                np.argmax(cols, axis=1, out=arg)
+            np.max(cols, axis=1, out=out2)
+
+        self._offer(
+            "maxpool",
+            dict(
+                geo=geo, x_src=self._render_source(x_ref),
+                out_dtype=node.out_dtype, out2=out2, arg=arg,
+            ),
+            run,
+        )
+        return geo, arg
+
+    def _lower_elementwise(self, node, kind):
+        """relu / exp / neg / add / mul: one ufunc call with ``out=``; the
+        tensor inputs are in-place candidates where the plan's buffer
+        policy allows it."""
+        ufunc, consts = _ELEMENTWISE[kind]
+        refs = node.inputs[:ufunc.nin - len(consts)]
+        out = self._out(node.out_vid, node.out_shape, node.out_dtype, refs)
+        get_a = self._getter(refs[0])
+        if len(refs) == 1:
+            self._offer(
+                kind,
+                dict(x_src=self._render_source(refs[0]), out=out,
+                     dtype=node.out_dtype),
+                lambda: ufunc(get_a(), *consts, out=out),
+            )
+            return
+        get_b = self._getter(refs[1])
+        self._offer(
+            kind,
+            dict(
+                a_src=self._render_source(refs[0]),
+                b_src=self._render_source(refs[1]),
+                a_shape=self._ref_shape_dtype(refs[0])[0],
+                b_shape=self._ref_shape_dtype(refs[1])[0],
+                out_shape=node.out_shape, out=out, dtype=node.out_dtype,
+            ),
+            lambda: ufunc(get_a(), get_b(), out=out),
+        )
+
+    # -- replay -----------------------------------------------------------
+    def _begin(self, x: np.ndarray) -> None:
+        """Replay prologue: check the shape, bind the input (through the
+        backend's ``_pre_replay`` when stages were rendered)."""
+        if x.shape != self._input_shape:
+            raise ValueError(
+                f"plan compiled for input {self._input_shape}, "
+                f"got {x.shape}"
+            )
+        if self._pre_replay is not None:
+            x = self._pre_replay(x)
+        self._input_cell[0] = x
+        if self.profile is not None:
+            self.profile.runs += 1
+
+    def profile_summary(self) -> Optional[Dict[str, object]]:
+        """Per-op timing plus arena byte counters.
+
+        ``None`` unless the plan was compiled with ``profile=True``.
+        """
+        if self.profile is None:
+            return None
+        out = self.profile.summary()
+        out["arena_bytes"] = self.stats.arena_bytes
+        out["requested_bytes"] = self.stats.requested_bytes
+        out["workspace_bytes"] = self.stats.workspace_bytes
+        # which stage kinds still replay as Python closures (codegen
+        # backends only; on the numpy backend that is every stage)
+        out["numpy_stages"] = self.backend_info.get("numpy_stages")
+        return out
+
+
+class ExecutionPlan(StaticPlan):
+    """Executable form of one traced forward at one input shape.
+
+    ``run`` returns a view into plan-owned storage: the contents are
+    overwritten by the next ``run`` call, so copy if you need to keep a
+    result across frames (serving loops decode immediately and don't).
+    """
+
+    def __init__(self, graph: TraceGraph, profile: bool = False,
+                 renderer=None):
+        self._steps: List[Callable[[], None]] = []
+        super().__init__(graph, profile, renderer)
+
+    @property
+    def sections(self) -> Tuple[list, ...]:
+        return (self._steps,)
+
     # -- compilation ----------------------------------------------------
     def _compile(self, graph: TraceGraph) -> None:
         nodes = graph.nodes
-        shapes: Dict[int, Tuple[int, ...]] = {graph.input_vid: graph.input_shape}
-        dtypes: Dict[int, np.dtype] = {graph.input_vid: graph.input_dtype}
+        self._ct.emitting = self._steps
         consumers: Dict[int, int] = {}
         last_use: Dict[int, int] = {}
         for index, node in enumerate(nodes):
-            shapes[node.out_vid] = node.out_shape
-            dtypes[node.out_vid] = node.out_dtype
             last_use.setdefault(node.out_vid, index)  # dead outputs die at birth
             for ref in node.inputs:
                 if isinstance(ref, ValueRef):
@@ -215,10 +513,9 @@ class ExecutionPlan:
         for vid, where in last_use.items():
             dying.setdefault(where, []).append(vid)
 
-        arena = _Arena()
-        self._arena = arena
+        arena = self._arena
         blocks: Dict[int, _Block] = {}
-        workspace_bytes = [0]
+        self._ct.blocks, self._ct.last_use = blocks, last_use
         fused = 0
         num_stages = 0
 
@@ -231,116 +528,73 @@ class ExecutionPlan:
                         if not block.alive:
                             arena.release(block)
 
-        def pin_inputs(node: OpNode) -> None:
-            # a generic op's output may be a view of any tensor input;
-            # its blocks must never be recycled under it
-            for ref in node.inputs:
-                if isinstance(ref, ValueRef):
-                    block = blocks.get(ref.vid)
-                    if block is not None:
-                        block.pinned = True
-
-        def can_write_inplace(vid: int, end: int, shape, dtype) -> bool:
-            block = blocks.get(vid)
+        def fuses(scan: int, tail: OpNode, kind: str) -> bool:
+            # nodes[scan] is a `kind` node and the sole consumer of `tail`
+            if scan >= len(nodes) or op_kind(nodes[scan]) != kind:
+                return False
+            ref = nodes[scan].inputs[0]
             return (
-                block is not None
-                and not block.pinned
-                and block.alive == {vid}
-                and last_use[vid] == end
-                and self._fixed.get(vid) is not None
-                and shapes[vid] == shape
-                and dtypes[vid] == dtype
+                isinstance(ref, ValueRef)
+                and ref.vid == tail.out_vid
+                and consumers.get(tail.out_vid, 0) == 1
+                and tail.out_vid != graph.output_vid
+                and nodes[scan].out_dtype == tail.out_dtype
             )
 
         index = 0
         while index < len(nodes):
             node = nodes[index]
-            kind = self._kind(node)
-            end = index
+            kind = op_kind(node)
+            end = self._ct.cursor = index
             before = len(self._steps)
 
-            if kind == "conv" or kind == "linear":
+            if kind in ("conv", "linear") and node.out_dtype == np.result_type(
+                self._ref_shape_dtype(node.inputs[0])[1],
+                self._ref_shape_dtype(node.inputs[1])[1],
+            ):
                 bn_node = relu_node = None
-                x_ref = node.inputs[0]
-                _, x_dtype = self._ref_shape_dtype(x_ref, shapes, dtypes)
-                w_shape, w_dtype = self._ref_shape_dtype(
-                    node.inputs[1], shapes, dtypes
-                )
-                gemm_dtype = np.result_type(x_dtype, w_dtype)
-                if gemm_dtype == node.out_dtype:
-                    scan = index + 1
-                    if (
-                        kind == "conv"
-                        and scan < len(nodes)
-                        and self._kind(nodes[scan]) == "bn"
-                        and self._consumes(nodes[scan], node.out_vid)
-                        and consumers.get(node.out_vid, 0) == 1
-                        and node.out_vid != graph.output_vid
-                        and nodes[scan].out_dtype == node.out_dtype
-                    ):
-                        bn_node = nodes[scan]
-                        scan += 1
-                    tail = bn_node if bn_node is not None else node
-                    if (
-                        scan < len(nodes)
-                        and self._kind(nodes[scan]) == "relu"
-                        and self._consumes(nodes[scan], tail.out_vid)
-                        and consumers.get(tail.out_vid, 0) == 1
-                        and tail.out_vid != graph.output_vid
-                        and nodes[scan].out_dtype == tail.out_dtype
-                    ):
-                        relu_node = nodes[scan]
-                        scan += 1
-                    end = scan - 1
-                    builder = (
-                        self._build_conv_stage
-                        if kind == "conv"
-                        else self._build_linear_stage
+                # BN fuses only behind a conv: BatchNorm1d after Linear
+                # would need a 2-D epilogue
+                scan = index + 1
+                if kind == "conv" and fuses(scan, node, "bn"):
+                    bn_node = nodes[scan]
+                    scan += 1
+                tail = bn_node or node
+                if fuses(scan, tail, "relu"):
+                    relu_node = nodes[scan]
+                    scan += 1
+                end = scan - 1
+                out_vid = (relu_node or tail).out_vid
+                if kind == "conv":
+                    self._lower_conv(
+                        node, out_vid,
+                        bn_node.module if bn_node is not None else None,
+                        relu_node is not None,
                     )
-                    builder(
-                        node, bn_node, relu_node, shapes, dtypes, arena,
-                        blocks, workspace_bytes,
-                    )
-                    if end > index:
-                        fused += 1
                 else:
-                    self._build_generic_stage(node)
-                    pin_inputs(node)
+                    self._lower_linear(node, out_vid, relu_node is not None)
+                if end > index:
+                    fused += 1
             elif kind == "maxpool":
-                self._build_maxpool_stage(
-                    node, shapes, dtypes, arena, blocks, workspace_bytes
-                )
-            elif kind == "relu":
-                self._build_relu_stage(
-                    node, shapes, dtypes, arena, blocks, can_write_inplace, index
-                )
-            elif kind == "add":
-                self._build_add_stage(
-                    node, shapes, dtypes, arena, blocks, can_write_inplace, index
-                )
+                self._lower_maxpool(node)
+            elif kind in ("relu", "add"):
+                self._lower_elementwise(node, kind)
             elif kind in ("reshape", "transpose"):
-                self._build_view_stage(node, kind, blocks)
+                self._lower_view(node, kind)
             elif kind == "bn":
-                self._build_bn_stage(node, shapes, dtypes)
+                self._lower_eval_bn(node)
             else:
-                self._build_generic_stage(node)
-                pin_inputs(node)
+                self._lower_generic(node)
+                # a generic op's output may be a view of any tensor
+                # input; its blocks must never be recycled under it
+                for ref in node.inputs:
+                    if isinstance(ref, ValueRef) and ref.vid in blocks:
+                        blocks[ref.vid].pinned = True
 
             num_stages += 1
-            if self.profile is not None or self._renderer is not None:
-                label = "+".join(
-                    self._stage_label(nodes[i]) for i in range(index, end + 1)
-                )
-                if self._renderer is not None:
-                    # profiling wraps happen at finalize (the renderer
-                    # decides per stage whether the C kernel or the numpy
-                    # fallback survived)
-                    self._renderer.note_stage(before, len(self._steps), label)
-                else:
-                    for pos in range(before, len(self._steps)):
-                        self._steps[pos] = _timed_step(
-                            self._steps[pos], label, self.profile
-                        )
+            self._label_stages(before, "+".join(
+                self._stage_label(nodes[i]) for i in range(index, end + 1)
+            ))
             release_after(index, end)
             index = end + 1
 
@@ -358,296 +612,53 @@ class ExecutionPlan:
             arena_blocks=len(arena.blocks),
             arena_bytes=arena.total_bytes,
             requested_bytes=arena.requested_bytes,
-            workspace_bytes=workspace_bytes[0],
+            workspace_bytes=self._ct.workspace_bytes,
         )
 
     @staticmethod
-    def _kind(node: OpNode) -> str:
-        if node.module is not None:
-            return "bn"
-        fn = node.function
-        if fn is F._Conv2d:
-            return "conv"
-        if fn is F._Linear:
-            return "linear"
-        if fn is F._MaxPool2d:
-            return "maxpool"
-        if fn is F._ReLU:
-            return "relu"
-        if fn is T.Add:
-            return "add"
-        if fn is T.Reshape:
-            return "reshape"
-        if fn is T.Transpose:
-            return "transpose"
-        return "generic"
-
-    @classmethod
-    def _stage_label(cls, node: OpNode) -> str:
-        kind = cls._kind(node)
+    def _stage_label(node: OpNode) -> str:
+        kind = op_kind(node)
         if kind == "generic":
             return getattr(node.function, "__name__", "generic").lower()
         return kind
 
-    @staticmethod
-    def _consumes(node: OpNode, vid: int) -> bool:
-        ref = node.inputs[0]
-        return isinstance(ref, ValueRef) and ref.vid == vid
+    # -- output-buffer policy ---------------------------------------------
+    def _out(self, vid, shape, dtype, reuse=()) -> np.ndarray:
+        """The buffer backing value ``vid``: one of the ``reuse`` inputs
+        written in place when this stage is its last use, else an arena
+        block (recycled once every value aliased to it is dead)."""
+        for ref in reuse:
+            if isinstance(ref, ValueRef) and self._can_write_inplace(
+                ref.vid, shape, dtype
+            ):
+                array, block = self._fixed[ref.vid], self._ct.blocks[ref.vid]
+                break
+        else:
+            block, array = self._arena.alloc(shape, dtype)
+        self._register(vid, array, block)
+        return array
 
-    def _register(self, vid: int, array: np.ndarray, block: Optional[_Block],
-                  blocks: Dict[int, _Block]) -> None:
+    def _can_write_inplace(self, vid: int, shape, dtype) -> bool:
+        block = self._ct.blocks.get(vid)
+        return (
+            block is not None
+            and not block.pinned
+            and block.alive == {vid}
+            and self._ct.last_use[vid] == self._ct.cursor
+            and self._fixed.get(vid) is not None
+            and self._ct.shapes[vid] == shape
+            and self._ct.dtypes[vid] == dtype
+        )
+
+    def _register(self, vid: int, array: np.ndarray,
+                  block: Optional[_Block]) -> None:
         self._fixed[vid] = array
         if block is not None:
             block.alive.add(vid)
-            blocks[vid] = block
+            self._ct.blocks[vid] = block
 
-    # -- stage builders -------------------------------------------------
-    def _build_conv_stage(self, node, bn_node, relu_node, shapes, dtypes,
-                          arena, blocks, workspace_bytes):
-        x_ref = node.inputs[0]
-        x_shape, x_dtype = self._ref_shape_dtype(x_ref, shapes, dtypes)
-        weight = node.inputs[1].tensor
-        bias_ref = node.inputs[2]
-        bias = bias_ref.tensor if isinstance(bias_ref, ConstRef) else None
-        stride = _pair(node.inputs[3])
-        padding = _pair(node.inputs[4])
-
-        geo = lower_conv(
-            x_shape, weight.shape, stride, padding, node.out_dtype, x_dtype
-        )
-        n, c = geo.n, geo.c
-        f_out, p_total, k_total = geo.f_out, geo.p_total, geo.k_total
-        identity_cols = geo.identity_cols
-        padded, core, cols, flat = geo.padded, geo.core, geo.cols, geo.flat
-        workspace_bytes[0] += geo.workspace_nbytes
-
-        block, out3 = arena.alloc((n, f_out, p_total), geo.compute_dtype)
-        out_vid = (relu_node or bn_node or node).out_vid
-        out4 = out3.reshape(n, f_out, geo.out_h, geo.out_w)
-        self._register(out_vid, out4, block, blocks)
-
-        get_x = self._getter(x_ref)
-        bn_module = bn_node.module if bn_node is not None else None
-        fuse_relu = relu_node is not None
-
-        if self.profile is None or self._renderer is not None:
-
-            def run():
-                x = get_x()
-                if padded is not None:
-                    core[...] = x
-                    np.take(padded.reshape(n, -1), flat, axis=1, out=cols,
-                            mode="clip")
-                    cc = cols
-                elif identity_cols:
-                    cc = x.reshape(n, c, p_total)
-                else:
-                    np.take(x.reshape(n, -1), flat, axis=1, out=cols,
-                            mode="clip")
-                    cc = cols
-                np.matmul(weight.data.reshape(f_out, k_total), cc, out=out3)
-                if bias is not None:
-                    np.add(out3, bias.data.reshape(1, -1, 1), out=out3)
-                if bn_module is not None:
-                    _bn_epilogue(out3, bn_module, n)
-                if fuse_relu:
-                    np.maximum(out3, 0.0, out=out3)
-
-        else:
-            profile = self.profile
-
-            def run():
-                t0 = time.perf_counter()
-                x = get_x()
-                if padded is not None:
-                    core[...] = x
-                    np.take(padded.reshape(n, -1), flat, axis=1, out=cols,
-                            mode="clip")
-                    cc = cols
-                elif identity_cols:
-                    cc = x.reshape(n, c, p_total)
-                else:
-                    np.take(x.reshape(n, -1), flat, axis=1, out=cols,
-                            mode="clip")
-                    cc = cols
-                t1 = time.perf_counter()
-                np.matmul(weight.data.reshape(f_out, k_total), cc, out=out3)
-                t2 = time.perf_counter()
-                if bias is not None:
-                    np.add(out3, bias.data.reshape(1, -1, 1), out=out3)
-                if bn_module is not None:
-                    _bn_epilogue(out3, bn_module, n)
-                if fuse_relu:
-                    np.maximum(out3, 0.0, out=out3)
-                t3 = time.perf_counter()
-                profile.add_bucket("im2col", t1 - t0)
-                profile.add_bucket("gemm", t2 - t1)
-                profile.add_bucket("epilogue", t3 - t2)
-
-        self._offer(
-            "conv",
-            dict(
-                geo=geo, x_src=self._render_source(x_ref), weight=weight,
-                bias=bias, bn_module=bn_module, relu=fuse_relu, out3=out3,
-            ),
-            run,
-        )
-
-    def _build_linear_stage(self, node, bn_node, relu_node, shapes, dtypes,
-                            arena, blocks, workspace_bytes):
-        # bn fusion after linear is not emitted (BatchNorm1d after Linear
-        # would need the 2-D epilogue); the scan never pairs them because
-        # _build path only fuses bn behind conv.
-        del bn_node, workspace_bytes
-        x_ref = node.inputs[0]
-        x_shape, x_dtype = self._ref_shape_dtype(x_ref, shapes, dtypes)
-        weight = node.inputs[1].tensor
-        bias_ref = node.inputs[2]
-        bias = bias_ref.tensor if isinstance(bias_ref, ConstRef) else None
-        n = x_shape[0]
-        out_features = weight.shape[0]
-
-        block, out2 = arena.alloc((n, out_features), node.out_dtype)
-        out_vid = (relu_node or node).out_vid
-        self._register(out_vid, out2, block, blocks)
-
-        get_x = self._getter(x_ref)
-        fuse_relu = relu_node is not None
-
-        if self.profile is None or self._renderer is not None:
-
-            def run():
-                np.matmul(get_x(), weight.data.T, out=out2)
-                if bias is not None:
-                    np.add(out2, bias.data, out=out2)
-                if fuse_relu:
-                    np.maximum(out2, 0.0, out=out2)
-
-        else:
-            profile = self.profile
-
-            def run():
-                t0 = time.perf_counter()
-                np.matmul(get_x(), weight.data.T, out=out2)
-                t1 = time.perf_counter()
-                if bias is not None:
-                    np.add(out2, bias.data, out=out2)
-                if fuse_relu:
-                    np.maximum(out2, 0.0, out=out2)
-                t2 = time.perf_counter()
-                profile.add_bucket("gemm", t1 - t0)
-                profile.add_bucket("epilogue", t2 - t1)
-
-        self._offer(
-            "linear",
-            dict(
-                x_src=self._render_source(x_ref), x_shape=x_shape,
-                x_dtype=x_dtype, out_dtype=node.out_dtype, weight=weight,
-                bias=bias, relu=fuse_relu, out2=out2,
-            ),
-            run,
-        )
-
-    def _build_maxpool_stage(self, node, shapes, dtypes, arena, blocks,
-                             workspace_bytes):
-        x_ref = node.inputs[0]
-        x_shape, x_dtype = self._ref_shape_dtype(x_ref, shapes, dtypes)
-        kernel = _pair(node.inputs[1])
-        stride = _pair(node.inputs[2] if node.inputs[2] is not None else kernel)
-        padding = _pair(node.inputs[3])
-
-        geo = lower_pool(
-            x_shape, node.out_shape, kernel, stride, padding, x_dtype
-        )
-        n, c, h, w = geo.n, geo.c, geo.h, geo.w
-        p_total = geo.p_total
-        padded, core, cols, flat = geo.padded, geo.core, geo.cols, geo.flat
-        workspace_bytes[0] += geo.workspace_nbytes
-
-        block, out4 = arena.alloc(
-            (n, c, geo.out_h, geo.out_w), node.out_dtype
-        )
-        out2 = out4.reshape(n * c, p_total)
-        self._register(node.out_vid, out4, block, blocks)
-        get_x = self._getter(x_ref)
-
-        def run():
-            x = get_x()
-            if padded is not None:
-                core[...] = x.reshape(n * c, h, w)
-                np.take(padded.reshape(n * c, -1), flat, axis=1, out=cols,
-                        mode="clip")
-            else:
-                np.take(x.reshape(n * c, -1), flat, axis=1, out=cols,
-                        mode="clip")
-            np.max(cols, axis=1, out=out2)
-
-        self._offer(
-            "maxpool",
-            dict(
-                geo=geo, x_src=self._render_source(x_ref),
-                out_dtype=node.out_dtype, out2=out2,
-            ),
-            run,
-        )
-
-    def _build_relu_stage(self, node, shapes, dtypes, arena, blocks,
-                          can_write_inplace, index):
-        x_ref = node.inputs[0]
-        if isinstance(x_ref, ValueRef) and can_write_inplace(
-            x_ref.vid, index, node.out_shape, node.out_dtype
-        ):
-            buf = self._fixed[x_ref.vid]
-            block = blocks[x_ref.vid]
-            self._register(node.out_vid, buf, block, blocks)
-            self._offer(
-                "relu",
-                dict(x_src=("fixed", buf), out=buf, dtype=node.out_dtype),
-                lambda: np.maximum(buf, 0.0, out=buf),
-            )
-            return
-        block, out = arena.alloc(node.out_shape, node.out_dtype)
-        self._register(node.out_vid, out, block, blocks)
-        get_x = self._getter(x_ref)
-        self._offer(
-            "relu",
-            dict(
-                x_src=self._render_source(x_ref), out=out,
-                dtype=node.out_dtype,
-            ),
-            lambda: np.maximum(get_x(), 0.0, out=out),
-        )
-
-    def _build_add_stage(self, node, shapes, dtypes, arena, blocks,
-                         can_write_inplace, index):
-        a_ref, b_ref = node.inputs[0], node.inputs[1]
-        target = block = None
-        for ref in (a_ref, b_ref):
-            if isinstance(ref, ValueRef) and can_write_inplace(
-                ref.vid, index, node.out_shape, node.out_dtype
-            ):
-                target = self._fixed[ref.vid]
-                block = blocks[ref.vid]
-                break
-        if target is None:
-            block, target = arena.alloc(node.out_shape, node.out_dtype)
-        self._register(node.out_vid, target, block, blocks)
-        get_a, get_b = self._getter(a_ref), self._getter(b_ref)
-        out = target
-        a_shape, _ = self._ref_shape_dtype(a_ref, shapes, dtypes)
-        b_shape, _ = self._ref_shape_dtype(b_ref, shapes, dtypes)
-        self._offer(
-            "add",
-            dict(
-                a_src=self._render_source(a_ref),
-                b_src=self._render_source(b_ref),
-                a_shape=a_shape, b_shape=b_shape,
-                out_shape=node.out_shape, out=out, dtype=node.out_dtype,
-            ),
-            lambda: np.add(get_a(), get_b(), out=out),
-        )
-
-    def _build_view_stage(self, node, kind, blocks):
+    # -- inference-only stage builders ------------------------------------
+    def _lower_view(self, node, kind):
         src = node.inputs[0]
         if kind == "reshape":
             param = node.kwargs["shape"]
@@ -664,7 +675,7 @@ class ExecutionPlan:
                 # the result genuinely aliases the live buffer
                 if np.shares_memory(view, fixed):
                     self._register(
-                        node.out_vid, view, blocks.get(src.vid), blocks
+                        node.out_vid, view, self._ct.blocks.get(src.vid)
                     )
                     return  # pure view of a fixed buffer: zero replay cost
         get_src = self._getter(src)
@@ -675,7 +686,7 @@ class ExecutionPlan:
 
         self._steps.append(run)
 
-    def _build_bn_stage(self, node, shapes, dtypes):
+    def _lower_eval_bn(self, node):
         """Standalone eval-mode BN (not behind a conv): literal eager math.
 
         Never offered to a renderer: the numpy path allocates fresh
@@ -714,7 +725,7 @@ class ExecutionPlan:
 
         self._steps.append(run)
 
-    def _build_generic_stage(self, node):
+    def _lower_generic(self, node):
         """Fallback: re-run the op's forward with a throwaway context."""
         fn = node.function
         getters = [self._getter(ref) for ref in node.inputs]
@@ -729,32 +740,7 @@ class ExecutionPlan:
 
     # -- replay ---------------------------------------------------------
     def run(self, x: np.ndarray) -> np.ndarray:
-        if x.shape != self._input_shape:
-            raise ValueError(
-                f"plan compiled for input {self._input_shape}, "
-                f"got {x.shape}"
-            )
-        if self._pre_replay is not None:
-            x = self._pre_replay(x)
-        self._input_cell[0] = x
-        if self.profile is not None:
-            self.profile.runs += 1
+        self._begin(x)
         for step in self._steps:
             step()
         return self._fetch_output()
-
-    def profile_summary(self) -> Optional[Dict[str, object]]:
-        """Per-op timing plus arena byte counters.
-
-        ``None`` unless the plan was compiled with ``profile=True``.
-        """
-        if self.profile is None:
-            return None
-        out = self.profile.summary()
-        out["arena_bytes"] = self.stats.arena_bytes
-        out["requested_bytes"] = self.stats.requested_bytes
-        out["workspace_bytes"] = self.stats.workspace_bytes
-        # which stage kinds still replay as Python closures (codegen
-        # backends only; on the numpy backend that is every stage)
-        out["numpy_stages"] = self.backend_info.get("numpy_stages")
-        return out

@@ -96,6 +96,83 @@ class TraceGraph:
         return len(self.nodes)
 
 
+def _record_forward(example: np.ndarray, forward,
+                    train_bn: bool) -> TraceGraph:
+    """Run ``forward(x_t)`` under both hooks; return the recorded graph.
+
+    The one recorder behind :func:`trace` and :func:`trace_entropy_step`:
+    they differ only in the BN mode they run the model in (``train_bn``
+    tags the opaque BatchNorm nodes) and in what ``forward`` returns.
+    """
+    nodes: List[OpNode] = []
+    keepalive: List[Tensor] = []
+    x_t = Tensor(example, _copy=False)
+    vids: Dict[int, int] = {id(x_t): 0}
+    keepalive.append(x_t)
+
+    def _ref(arg):
+        if isinstance(arg, Tensor):
+            vid = vids.get(id(arg))
+            if vid is not None:
+                return ValueRef(vid)
+            return ConstRef(arg)
+        return arg
+
+    def _record(function, args, kwargs, out, module=None):
+        vid = len(nodes) + 1
+        vids[id(out)] = vid
+        keepalive.append(out)
+        nodes.append(
+            OpNode(
+                function=function,
+                inputs=[_ref(a) for a in args],
+                kwargs=dict(kwargs),
+                out_vid=vid,
+                out_shape=tuple(out.shape),
+                out_dtype=out.data.dtype,
+                module=module,
+                train_bn=train_bn and module is not None,
+            )
+        )
+
+    bn_orig = _BatchNormBase.forward
+
+    def bn_forward(self, x):
+        # run the real layer with generic recording suspended, then emit
+        # one opaque node holding the module (state resolved per replay)
+        tensor_mod._TRACE_HOOK = None
+        try:
+            out = bn_orig(self, x)
+        finally:
+            tensor_mod._TRACE_HOOK = _record
+        _record(None, (x,), {}, out, module=self)
+        return out
+
+    tensor_mod._TRACE_HOOK = _record
+    _BatchNormBase.forward = bn_forward
+    try:
+        with autograd.no_grad():
+            out = forward(x_t)
+    finally:
+        tensor_mod._TRACE_HOOK = None
+        _BatchNormBase.forward = bn_orig
+
+    out_vid = vids.get(id(out))
+    if out_vid is None:
+        raise RuntimeError(
+            "the traced output was not produced by a traced op; cannot "
+            "compile"
+        )
+    return TraceGraph(
+        nodes=nodes,
+        input_vid=0,
+        output_vid=out_vid,
+        input_shape=tuple(example.shape),
+        input_dtype=example.dtype,
+        _keepalive=keepalive,
+    )
+
+
 def trace(model, example: np.ndarray) -> TraceGraph:
     """Run ``model`` once on ``example`` and record the op stream.
 
@@ -108,79 +185,7 @@ def trace(model, example: np.ndarray) -> TraceGraph:
             "trace() requires eval mode; call model.eval() first "
             "(adaptation steps keep using the eager autograd path)"
         )
-    example = np.asarray(example)
-
-    nodes: List[OpNode] = []
-    vids: Dict[int, int] = {}
-    keepalive: List[Tensor] = []
-    x_t = Tensor(example, _copy=False)
-    vids[id(x_t)] = 0
-    keepalive.append(x_t)
-    counter = [1]
-
-    def _ref(arg):
-        if isinstance(arg, Tensor):
-            vid = vids.get(id(arg))
-            if vid is not None:
-                return ValueRef(vid)
-            return ConstRef(arg)
-        return arg
-
-    def _record(function, args, kwargs, out, module=None):
-        vid = counter[0]
-        counter[0] += 1
-        vids[id(out)] = vid
-        keepalive.append(out)
-        nodes.append(
-            OpNode(
-                function=function,
-                inputs=[_ref(a) for a in args],
-                kwargs=dict(kwargs),
-                out_vid=vid,
-                out_shape=tuple(out.shape),
-                out_dtype=out.data.dtype,
-                module=module,
-            )
-        )
-
-    def hook(cls, args, kwargs, out):
-        _record(cls, args, kwargs, out)
-
-    bn_orig = _BatchNormBase.forward
-
-    def bn_forward(self, x):
-        # run the real layer with generic recording suspended, then emit
-        # one opaque node holding the module (state resolved per replay)
-        tensor_mod._TRACE_HOOK = None
-        try:
-            out = bn_orig(self, x)
-        finally:
-            tensor_mod._TRACE_HOOK = hook
-        _record(None, (x,), {}, out, module=self)
-        return out
-
-    tensor_mod._TRACE_HOOK = hook
-    _BatchNormBase.forward = bn_forward
-    try:
-        with autograd.no_grad():
-            out = model(x_t)
-    finally:
-        tensor_mod._TRACE_HOOK = None
-        _BatchNormBase.forward = bn_orig
-
-    out_vid = vids.get(id(out))
-    if out_vid is None:
-        raise RuntimeError(
-            "model output was not produced by a traced op; cannot compile"
-        )
-    return TraceGraph(
-        nodes=nodes,
-        input_vid=0,
-        output_vid=out_vid,
-        input_shape=tuple(example.shape),
-        input_dtype=example.dtype,
-        _keepalive=keepalive,
-    )
+    return _record_forward(np.asarray(example), model, False)
 
 
 def trace_entropy_step(model, example: np.ndarray, loss_fn) -> TraceGraph:
@@ -199,7 +204,6 @@ def trace_entropy_step(model, example: np.ndarray, loss_fn) -> TraceGraph:
     buffers and ``num_batches_tracked`` counters the training forward
     mutates are snapshotted before and restored after.
     """
-    example = np.asarray(example)
     bn_modules = [m for m in model.modules() if isinstance(m, _BatchNormBase)]
     if not bn_modules:
         raise ValueError("model has no BatchNorm layers; nothing to adapt")
@@ -211,82 +215,15 @@ def trace_entropy_step(model, example: np.ndarray, loss_fn) -> TraceGraph:
         for m in bn_modules
     ]
     saved_training = [m.training for m in bn_modules]
-
-    nodes: List[OpNode] = []
-    vids: Dict[int, int] = {}
-    keepalive: List[Tensor] = []
-    x_t = Tensor(example, _copy=False)
-    vids[id(x_t)] = 0
-    keepalive.append(x_t)
-    counter = [1]
-
-    def _ref(arg):
-        if isinstance(arg, Tensor):
-            vid = vids.get(id(arg))
-            if vid is not None:
-                return ValueRef(vid)
-            return ConstRef(arg)
-        return arg
-
-    def _record(function, args, kwargs, out, module=None, train_bn=False):
-        vid = counter[0]
-        counter[0] += 1
-        vids[id(out)] = vid
-        keepalive.append(out)
-        nodes.append(
-            OpNode(
-                function=function,
-                inputs=[_ref(a) for a in args],
-                kwargs=dict(kwargs),
-                out_vid=vid,
-                out_shape=tuple(out.shape),
-                out_dtype=out.data.dtype,
-                module=module,
-                train_bn=train_bn,
-            )
-        )
-
-    def hook(cls, args, kwargs, out):
-        _record(cls, args, kwargs, out)
-
-    bn_orig = _BatchNormBase.forward
-
-    def bn_forward(self, x):
-        tensor_mod._TRACE_HOOK = None
-        try:
-            out = bn_orig(self, x)
-        finally:
-            tensor_mod._TRACE_HOOK = hook
-        _record(None, (x,), {}, out, module=self, train_bn=True)
-        return out
-
     for module in bn_modules:
         object.__setattr__(module, "training", True)
-    tensor_mod._TRACE_HOOK = hook
-    _BatchNormBase.forward = bn_forward
     try:
-        with autograd.no_grad():
-            loss = loss_fn(model(x_t))
+        return _record_forward(
+            np.asarray(example), lambda x: loss_fn(model(x)), True
+        )
     finally:
-        tensor_mod._TRACE_HOOK = None
-        _BatchNormBase.forward = bn_orig
         for module, training in zip(bn_modules, saved_training):
             object.__setattr__(module, "training", training)
         for module, bufs in zip(bn_modules, saved_buffers):
             for name, value in bufs.items():
                 getattr(module, name)[...] = value
-
-    loss_vid = vids.get(id(loss))
-    if loss_vid is None:
-        raise RuntimeError(
-            "loss was not produced by a traced op; cannot compile the "
-            "adaptation step"
-        )
-    return TraceGraph(
-        nodes=nodes,
-        input_vid=0,
-        output_vid=loss_vid,
-        input_shape=tuple(example.shape),
-        input_dtype=example.dtype,
-        _keepalive=keepalive,
-    )

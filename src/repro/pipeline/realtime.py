@@ -35,7 +35,7 @@ from .. import nn
 from ..adapt.base import Adapter
 from ..engine import compile_model
 from ..engine.backends import available_backends
-from ..engine.backends.threading import resolve_threads
+from ..engine.backends.threading import serving_threads
 from ..data.dataset import FrameStream, LaneSample
 from ..hw.deadline import DEADLINE_30FPS_MS
 from ..hw.device import DeviceProfile
@@ -98,14 +98,7 @@ class RealTimePipeline:
         self.config = config if config is not None else PipelineConfig()
         # explicit threads both compiles threaded plans and re-prices the
         # roofline model; None keeps single-thread everywhere (stable)
-        cfg_threads = self.config.threads
-        self.threads: Optional[int] = (
-            resolve_threads(
-                cfg_threads, device_cores=getattr(device, "cpu_cores", None)
-            )
-            if cfg_threads is not None
-            else None
-        )
+        self.threads: Optional[int] = serving_threads(self.config.threads)
         if self.config.latency_model == "orin":
             if device is None or spec is None:
                 raise ValueError(

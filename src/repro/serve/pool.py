@@ -46,7 +46,7 @@ import numpy as np
 
 from .. import nn
 from ..engine import compile_model
-from ..engine.backends.threading import resolve_threads
+from ..engine.backends.threading import serving_threads
 from ..hw.deadline import (
     adaptation_budget_ms,
     deadline_slack_ms,
@@ -396,14 +396,8 @@ class DeviceWorker:
         # kernel-pool width: only an explicit FleetConfig.threads threads
         # the compiled plans AND the roofline pricing — None keeps both
         # at single-thread, bitwise-stable with pre-threading runs
-        cfg_threads = getattr(config, "threads", None)
-        self.threads: Optional[int] = (
-            resolve_threads(
-                cfg_threads,
-                device_cores=getattr(device, "cpu_cores", None),
-            )
-            if cfg_threads is not None
-            else None
+        self.threads: Optional[int] = serving_threads(
+            getattr(config, "threads", None)
         )
         nt = self.threads or 1
         if config.latency_model == "orin":

@@ -25,9 +25,10 @@ the parity tests in ``tests/test_telemetry.py`` enforce it.
 
 :mod:`~repro.telemetry.dashboard` renders a run's telemetry as a text
 dashboard (the ``python -m repro.experiments trace`` artifact); the
-engine's opt-in per-op profiling hooks live with the plans themselves
-(``engine/plan.py`` / ``engine/adapt_plan.py``) and report through
-plain dicts, so this package stays free of serving/engine imports.
+engine's opt-in per-op profiling hooks live with the plan lowering
+(``StaticPlan`` in ``engine/plan.py``, shared by both plan kinds) and
+report through plain dicts, so this package stays free of
+serving/engine imports.
 """
 
 from .dashboard import render_dashboard

@@ -921,6 +921,73 @@ class TestRenderedBackward:
 
 
 # ---------------------------------------------------------------------------
+# strict parity offers only order-preserving stages
+
+
+_ORDER_DEPENDENT_LABELS = ("conv", "linear", "bn", "exp")
+
+
+def _model_and_frames(preset, batch, seed):
+    from repro.models import build_model
+
+    rng = np.random.default_rng(seed)
+    model = build_model(preset, rng=rng)
+    model.eval()
+    h, w = model.config.input_hw
+    return model, rng, rng.standard_normal((batch, 3, h, w)).astype(np.float32)
+
+
+@needs_cc
+class TestStrictDeclinesOrderDependentStages:
+    def test_bitwise_across_adapted_bn_states(self):
+        """A plan traced on pristine BN state must stay bitwise after
+        LD-BN-ADAPT rewrote it: a GEMM stage that matched BLAS on the
+        probe input by coincidence differs on the next state."""
+        model, rng, x = _model_and_frames("tiny-r34", 2, 12345)
+        engines = {
+            name: compile_model(model, backend=name)
+            for name in ("numpy", "cgen-strict")
+        }
+        for engine in engines.values():
+            engine.warm(x)
+        adapter = LDBNAdapt(model, LDBNAdaptConfig(batch_size=2))
+        with nn.adaptation_mode(False):  # eager steps: no plan involved
+            for _ in range(3):
+                adapter.adapt(rng.standard_normal(x.shape).astype(np.float32))
+        model.eval()
+        got = {name: engine(x).numpy().copy() for name, engine in engines.items()}
+        assert np.array_equal(got["numpy"], got["cgen-strict"])
+
+    @pytest.mark.parametrize("preset", ["tiny-r18", "tiny-r34", "small-r18"])
+    @pytest.mark.parametrize("batch", [1, 2, 4])
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_no_gemm_or_reduction_stage_is_rendered(self, preset, batch, seed):
+        """Nothing whose bytes depend on summation order (or libm) may
+        replay as C in a strict plan — survival of the probe is luck."""
+        model, _, x = _model_and_frames(preset, batch, seed)
+        infer = compile_model(model, profile=True, backend="cgen-strict")
+        infer(x)
+        adapt = CompiledAdaptStep(
+            model, profile=True, backend="cgen-strict"
+        ).plan_for(x)
+        adapt.run(x)
+        for plan in (infer.plan_for(x.shape), adapt):
+            rendered = [
+                label for label in plan.profile_summary()["op_calls"]
+                if label.startswith("cgen:")
+            ]
+            assert rendered, "order-preserving stages must still render"
+            assert not [
+                label for label in rendered
+                if any(kind in label for kind in _ORDER_DEPENDENT_LABELS)
+            ]
+            info = plan.backend_info
+            assert info["offered"] == (
+                info["rendered"] + info["demoted"] + info["declined"]
+            )
+
+
+# ---------------------------------------------------------------------------
 # rendered train-mode BN forward + max-pool backward
 
 
@@ -1015,9 +1082,11 @@ class TestRenderedTrainBNAndPoolBackward:
             info["rendered"] + sum(info["numpy_stages"].values())
         )
         # serial f64 statistics cannot promise the oracle's pairwise
-        # bits, so train-BN may demote; the pool backward repeats the
-        # col2im summation order and must survive
-        assert info["numpy_stages"].get("fwd:bn", 0) <= info["demoted"]
+        # bits, so train-BN is declined (or demoted); the pool backward
+        # repeats the col2im summation order and must survive
+        assert info["numpy_stages"].get("fwd:bn", 0) <= (
+            info["demoted"] + info["declined"]
+        )
         assert "bwd:maxpool" not in info["numpy_stages"]
 
     def test_small_r18_forward_is_one_rendered_segment(self):

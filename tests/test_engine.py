@@ -16,7 +16,12 @@ import pytest
 from repro import nn
 from repro.adapt import LDBNAdapt, LDBNAdaptConfig, NoAdapt
 from repro.data.dataset import LaneSample
-from repro.engine import CompiledInference, compile_model, trace
+from repro.engine import (
+    CompiledAdaptStep,
+    CompiledInference,
+    compile_model,
+    trace,
+)
 from repro.engine.plan import ExecutionPlan
 from repro.models import build_model, get_config
 from repro.nn.modules import _BatchNormBase
@@ -174,6 +179,33 @@ class TestPlanStructure:
         # liveness recycles buffers: the arena holds less than the ops asked
         assert 0 < stats.arena_bytes < stats.requested_bytes
         assert stats.arena_blocks < stats.num_stages
+
+    @pytest.mark.parametrize(
+        "preset, infer_arena, adapt_arena, workspace",
+        [
+            ("tiny-r18", 61440, 488576, 1794144),
+            ("small-r18", 491520, 3819776, 10569056),
+        ],
+    )
+    def test_plan_shape_pin(self, preset, infer_arena, adapt_arena, workspace):
+        """Both plan kinds come out of one lowering; a change to it must
+        not silently move stage counts or buffer footprints (values of the
+        two-lowering engine, batch 1, numpy backend, ``groups=1``)."""
+        model = build_model(preset, rng=np.random.default_rng(0))
+        model.eval()
+        x = _frames(np.random.default_rng(5), model.config, 1)
+        infer = compile_model(model, backend="numpy")
+        infer.warm(x)
+        stats = infer.plan_for(x.shape).stats
+        assert (stats.num_stages, stats.fused_stages) == (42, 21)
+        assert (stats.arena_blocks, stats.arena_bytes) == (3, infer_arena)
+        assert stats.workspace_bytes == workspace
+        plan = CompiledAdaptStep(model, backend="numpy").plan_for(x)
+        stats = plan.stats
+        assert (stats.backward_stages, stats.skipped_backward) == (77, 1)
+        assert (stats.arena_blocks, stats.arena_bytes) == (50, adapt_arena)
+        assert stats.workspace_bytes == workspace
+        assert [len(steps) for steps in plan.sections] == [76, 86]
 
     def test_noncontiguous_view_not_frozen(self, rng):
         """reshape-of-transpose copies; the plan must recompute it per
