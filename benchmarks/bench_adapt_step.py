@@ -17,9 +17,11 @@ serial eager steps on both backbones, and the compiled/fused paths match
 the eager oracle to float precision.  Each single row also archives the
 ``cgen`` backend beside the numpy plan (interleaved A/B, parity held to
 the float band) and the per-stage ``op_ms`` table of one profiled plan
-per backend (alternating replays); asserted on it: the rendered forward
-convs (``cgen:fwd:conv``) cost no more than the numpy/BLAS ones
-(``fwd:conv``) on the r18 single row.
+per backend (alternating replays); asserted on it, on the r18 single
+row: the rendered forward convs (``cgen:fwd:conv``) and the rendered
+conv input gradients (``cgen:bwd:conv``) each cost no more than the
+numpy/BLAS ones (``fwd:conv`` / ``bwd:conv``), and no ``bwd:conv`` stage
+of the cgen plan is left on numpy.
 """
 
 from conftest import results_path
@@ -61,11 +63,16 @@ def test_adapt_step_speedup(benchmark):
             )
         if (row["mode"] == "single" and row["backbone"] == "r18"
                 and not row["cgen_fallback"]):
-            c_ms = row["op_ms"]["cgen"]["cgen:fwd:conv"]
-            np_ms = row["op_ms"]["numpy"]["fwd:conv"]
-            assert c_ms <= np_ms, (
-                f"rendered forward convs ({c_ms:.3f} ms/step) lost to the "
-                f"numpy/BLAS ones ({np_ms:.3f} ms/step) on {row['preset']}"
+            for stage in ("fwd:conv", "bwd:conv"):
+                c_ms = row["op_ms"]["cgen"]["cgen:" + stage]
+                np_ms = row["op_ms"]["numpy"][stage]
+                assert c_ms <= np_ms, (
+                    f"rendered {stage} ({c_ms:.3f} ms/step) lost to the "
+                    f"numpy/BLAS ones ({np_ms:.3f} ms/step) on "
+                    f"{row['preset']}"
+                )
+            assert "bwd:conv" not in row["cgen_numpy_stages"], (
+                f"conv input gradients left on numpy: {row}"
             )
         if row["mode"] == "single" and row["backbone"] == "r18":
             assert row["speedup_p50"] >= MIN_SPEEDUP_R18, (

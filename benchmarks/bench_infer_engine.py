@@ -25,7 +25,10 @@ kernel pool end-to-end: cgen compiled at the host's core count must be
 r34 batch 4.  Skipped with a visible notice on single-core or
 compiler-less hosts — there is no parallelism to measure there (the
 threaded *code path* is still exercised by the unit suite at
-``REPRO_CGEN_THREADS=2``).
+``REPRO_CGEN_THREADS=2``) — and, parity still asserted, when the
+renderer tiled no stage (``cgen_mt_stages == 0``: at tiny scale every
+stage is below ``cgen._MT_MIN_US``, both columns run the same inline
+code and the ratio is 1.0 by construction).
 """
 
 import os
@@ -142,6 +145,14 @@ def test_infer_engine_threaded_speedup(benchmark):
         assert row["cgen_mt_within_band"], (
             f"threaded cgen output left the parity band: {row}"
         )
+        if row["cgen_mt_stages"] == 0:
+            print(
+                "NOTICE: threaded cgen speed gate SKIPPED — the renderer "
+                f"kept every stage of {row['backbone']} batch "
+                f"{row['batch']} inline (none repays a pool dispatch at "
+                "this scale), so both columns ran the same code"
+            )
+            continue
         assert row["cgen_mt_speedup_p95"] >= MIN_MT_SPEEDUP_R34, (
             f"{threads}-thread cgen should be >= {MIN_MT_SPEEDUP_R34}x "
             f"faster (p95) than single-thread cgen at r34 batch 4: {row}"

@@ -7,14 +7,17 @@ timing rounds, unlike the single-shot experiment benches.
 
 ``test_micro_ops_backends`` additionally races the engine's two plan
 backends per kernel family (fused conv-BN-ReLU, 1x1 identity-columns
-GEMM, padded im2col conv, linear, max-pool, elementwise ReLU, and the
+GEMM, padded im2col conv, linear, max-pool, elementwise ReLU, the
 ``small-r18`` conv shapes as serving feeds them — float32 inputs widened
-into float64 GEMMs) and archives the rows to ``results/micro_ops.json``,
+into float64 GEMMs — and the conv input-gradient shapes of its
+adaptation step, ``dgrad*``: BLAS GEMM + col2im against the gather-form
+phase convs) and archives the rows to ``results/micro_ops.json``,
 whose ``*_p95_ms`` keys ride the standard regression gate — a slowdown in
 any one kernel fails CI even when the end-to-end backbone numbers still
-pass.  Gated here, on interleaved samples: the rendered conv must not
-lose to the numpy/BLAS closure on any serving-shape row with at least
-``MIN_GATED_PIXELS`` output pixels, and a 2-wide pool must not lose to
+pass.  Gated here, on interleaved samples: the rendered conv — forward
+or input gradient — must not lose to the numpy/BLAS closure on any
+serving-shape row with at least ``MIN_GATED_PIXELS`` output pixels (for
+a ``dgrad`` row: ``dX`` pixels), and a 2-wide pool must not lose to
 one thread on any ``*_mt`` row whose stage the renderer tiles (a stage
 it keeps inline runs the same code at both widths and ties by
 construction).  Smaller convs tie BLAS or drown in plan dispatch
@@ -157,11 +160,11 @@ def test_micro_ops_backends(benchmark):
                 f"NOTICE: cgen timing for {row['op']} measured the numpy "
                 "fallback — no C compiler rendered the plan"
             )
-        elif (row["op"].endswith("_f32")
+        elif ((row["op"].endswith("_f32") or row["op"].startswith("dgrad"))
                 and row["out_pixels"] >= MIN_GATED_PIXELS):
             assert row["speedup_p95"] >= MIN_CONV_SPEEDUP, (
                 f"rendered conv lost to the numpy/BLAS closure: {row}"
             )
-        # The float64 rows and the smaller shapes are archived ungated;
-        # drift in either backend's kernels is still caught by the
-        # regression gate over the *_p95_ms keys.
+        # The other float64 rows and the smaller shapes are archived
+        # ungated; drift in either backend's kernels is still caught by
+        # the regression gate over the *_p95_ms keys.

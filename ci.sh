@@ -99,7 +99,9 @@ then
     python -m repro.experiments bench-infer --quick --backend cgen
     # thread-scaling bench smoke: adds the MT columns (threaded parity
     # asserted inside); the >= 1.3x wallclock speedup gate itself lives
-    # in bench_infer_engine.py and loud-skips on single-core hosts
+    # in bench_infer_engine.py and loud-skips on single-core hosts and
+    # when the renderer tiled no stage (cgen_mt_stages == 0: every stage
+    # is below _MT_MIN_US, so both widths run the same inline code)
     if [[ "$(python -c 'import os; print(os.cpu_count() or 1)')" -ge 2 ]]; then
         python -m repro.experiments bench-infer --quick --backend cgen --threads 2
         # per-kernel gates: the rendered conv micro-kernel vs the

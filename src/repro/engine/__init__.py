@@ -34,16 +34,20 @@ Architecture — one lowering, compiled through one entry point:
   reach a BN gamma/beta, and arena liveness over forward+backward.
   ``groups > 1`` is the fleet's batched same-phase adaptation: per-group
   batch statistics and gamma/beta slots make one replay equal G serial
-  steps.  Conv input gradients stay on BLAS under every backend: one
-  dgrad GEMM (:func:`repro.nn.functional._conv_dgrad`) plus an ordered
-  strided col2im (:func:`repro.nn.functional._col2im_accumulate`) that
-  eager and compiled both call.
+  steps.  The numpy lowering of a conv input gradient is the one eager
+  runs: a BLAS dgrad GEMM (:func:`repro.nn.functional._conv_dgrad`) plus
+  an ordered strided col2im
+  (:func:`repro.nn.functional._col2im_accumulate`); ``cgen`` replaces it
+  with the *gather* form — ``dX`` as a stride-1 forward conv of ``dY``
+  per output phase, weights read live, transposed and flipped — on the
+  forward's register-blocked kernel, probed against that closure.
 * :mod:`~repro.engine.backends` — a *plan backend* contributes only the
   stage renderer handed to the lowering; ``PlanBackend.compile(graph)``
   builds the plan kind the graph records.  ``numpy`` (the default) passes
   none: every stage replays its closure, the bit-exact oracle.  ``cgen``
-  renders the offered stages of either plan — forward, train-BN, the BN
-  gamma/beta reductions, max-pool backward, the pruned chain — into one C
+  renders the offered stages of either plan — forward, train-BN, the
+  entropy tail, conv input gradients, the BN gamma/beta reductions,
+  max-pool backward, the pruned chain — into one C
   translation unit, compiles it with the host toolchain (``$REPRO_CC``,
   else cc/gcc/clang) and replays consecutive rendered stages as single
   ctypes calls over a pointer table; live BN vectors and fleet overrides
@@ -56,7 +60,8 @@ Architecture — one lowering, compiled through one entry point:
   numpy closure, and every rendered stage is probed against that closure:
   ``cgen`` within a per-dtype float band, ``cgen-strict`` bitwise, which
   is why strict offers only order-preserving stages (elementwise, copies,
-  max-pool; GEMMs, BN reductions and ``exp`` stay numpy).  Rendered
+  max-pool; GEMMs, reductions, ``exp`` and log-softmax stay numpy).
+  Rendered
   kernels are *threaded*: heavy stages tile their output rows over a
   persistent pthread pool inside the ``.so`` (refcounted across plans,
   barrier-synced per stage; :mod:`~repro.engine.backends.threading`), and

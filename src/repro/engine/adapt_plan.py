@@ -36,6 +36,7 @@ modules and the plan is the single-stream compiled step.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -53,6 +54,15 @@ class UnsupportedAdaptGraph(RuntimeError):
     Callers fall back to the eager autograd step (which handles every
     op); the compiled path only ever covers graphs it can replay exactly.
     """
+
+
+def _axis_dims(shape, axis: int) -> Tuple[int, int, int]:
+    """``shape`` as ``(outer, len, inner)`` around ``axis``."""
+    axis %= len(shape)
+    return (
+        int(np.prod(shape[:axis], dtype=np.int64)), int(shape[axis]),
+        int(np.prod(shape[axis + 1:], dtype=np.int64)),
+    )
 
 
 @dataclass
@@ -132,6 +142,23 @@ class AdaptationPlan(StaticPlan):
         self._ct.blocks[key] = block
         return view
 
+    def _fallback_scratch(self, tag, shape, dtype) -> np.ndarray:
+        """Scratch for the numpy fallback of a stage the renderer took,
+        outside the arena (the rendered stage needs none).  Such
+        fallbacks fill their scratch anew on every call and never run
+        concurrently, so all of them share one buffer per ``tag`` — the
+        largest asked for so far — which lives as long as they do (for a
+        stage that survives its probe: until compilation ends).  An
+        anonymous mapping rather than heap: once the last fallback is
+        dropped the pages go back to the OS, where freed heap chunks of
+        this size stay resident under the long-lived objects allocated
+        after them."""
+        buffers = self._ct.fallback_scratch
+        need = int(np.prod(shape)) * np.dtype(dtype).itemsize
+        if tag not in buffers or buffers[tag].nbytes < need:
+            buffers[tag] = np.frombuffer(mmap.mmap(-1, need), dtype=np.uint8)
+        return buffers[tag][:need].view(dtype).reshape(shape)
+
     def _out(self, vid, shape, dtype, reuse=()) -> np.ndarray:
         # the backward reads activations long after their forward
         # consumers ran: always a fresh block, never one of `reuse`
@@ -147,6 +174,7 @@ class AdaptationPlan(StaticPlan):
         self._loss_vid = graph.output_vid
         shapes, dtypes = self._ct.shapes, self._ct.dtypes
         blocks = self._ct.blocks = {}  # liveness key -> arena block
+        self._ct.fallback_scratch = {}  # tag -> buffer, see the method
         producer: Dict[int, int] = {}
         kinds: List[str] = []
         for index, node in enumerate(nodes):
@@ -371,9 +399,14 @@ class AdaptationPlan(StaticPlan):
             raise UnsupportedAdaptGraph("sum lowering supports a single axis")
         out = self._out(node.out_vid, node.out_shape, node.out_dtype)
         get_x = self._getter(node.inputs[0])
-        cell.update(axis=axis, keepdims=keepdims)
-        self._fwd.append(
-            lambda: np.sum(get_x(), axis=axis, keepdims=keepdims, out=out)
+        in_shape, _ = self._ref_shape_dtype(node.inputs[0])
+        cell.update(axis=axis, keepdims=keepdims,
+                    dims=_axis_dims(in_shape, axis))
+        self._offer(
+            "reduce",
+            dict(x_src=self._render_source(node.inputs[0]), out=out,
+                 dims=cell["dims"], mean=False, dtype=node.out_dtype),
+            lambda: np.sum(get_x(), axis=axis, keepdims=keepdims, out=out),
         )
 
     def _fwd_mean(self, node, index, cell):
@@ -388,8 +421,11 @@ class AdaptationPlan(StaticPlan):
         )
         get_x = self._getter(node.inputs[0])
         cell.update(per_group=per_group)
-        self._fwd.append(
-            lambda: np.mean(get_x().reshape(groups, per_group), axis=1, out=out)
+        self._offer(
+            "reduce",
+            dict(x_src=self._render_source(node.inputs[0]), out=out,
+                 dims=(groups, per_group, 1), mean=True, dtype=node.out_dtype),
+            lambda: np.mean(get_x().reshape(groups, per_group), axis=1, out=out),
         )
 
     def _fwd_logsoftmax(self, node, index, cell):
@@ -397,7 +433,8 @@ class AdaptationPlan(StaticPlan):
         out = self._out(node.out_vid, node.out_shape, node.out_dtype)
         scratch = self._alloc(("ls", index), node.out_shape, node.out_dtype)
         get_x = self._getter(node.inputs[0])
-        cell.update(axis=axis, scratch=scratch)
+        cell.update(axis=axis, scratch=scratch,
+                    dims=_axis_dims(node.out_shape, axis))
 
         def run():
             x = get_x()
@@ -408,7 +445,12 @@ class AdaptationPlan(StaticPlan):
             np.log(s, out=s)
             np.subtract(out, s, out=out)
 
-        self._fwd.append(run)
+        self._offer(
+            "logsoftmax",
+            dict(x_src=self._render_source(node.inputs[0]), out=out,
+                 dims=cell["dims"], dtype=node.out_dtype),
+            run,
+        )
 
     def _fwd_bn(self, node, index, cell):
         if not node.train_bn:
@@ -519,20 +561,21 @@ class AdaptationPlan(StaticPlan):
         ``compute_fresh(dst)`` writes the contribution with ``out=``;
         ``compute_value()`` returns it (used in accumulate mode, where the
         eager path also materializes a temporary before ``existing +
-        grad``).  ``offer`` is an optional ``(kind, spec)`` renderer offer
-        for the fresh-write form — the destination buffer is added to the
-        spec.  Accumulating contributions are never offered (the rendered
-        backward covers the reduced single-writer chain).  Builders whose
-        scratch needs depend on ``fresh`` sink first and call this
-        directly.
+        grad``).  ``offer`` is an optional ``(kind, spec)`` renderer
+        offer; the destination buffer and ``accumulate`` (add to what
+        ``dst`` holds instead of overwriting it) are added to the spec.
+        Builders whose scratch needs depend on ``fresh`` sink first and
+        call this directly.
         """
-        if not fresh:
-            self._bwd.append(lambda: np.add(dst, compute_value(), out=dst))
-        elif offer is None:
-            self._bwd.append(lambda: compute_fresh(dst))
+        if fresh:
+            step = lambda: compute_fresh(dst)  # noqa: E731
+        else:
+            step = lambda: np.add(dst, compute_value(), out=dst)  # noqa: E731
+        if offer is None:
+            self._bwd.append(step)
         else:
             kind, spec = offer
-            self._offer(kind, dict(spec, dst=dst), lambda: compute_fresh(dst))
+            self._offer(kind, dict(spec, dst=dst, accumulate=not fresh), step)
 
     def _bwd_mean(self, node, index, cell, scratch, sink, grad_in):
         if not grad_in:  # pragma: no cover - loss always carries
@@ -554,6 +597,7 @@ class AdaptationPlan(StaticPlan):
             grad_in[0], sink,
             lambda dst: np.negative(g, out=dst),
             lambda: -g,
+            offer=("neg_bwd", dict(g=g, dtype=node.out_dtype)),
         )
 
     def _bwd_sum(self, node, index, cell, scratch, sink, grad_in):
@@ -572,24 +616,26 @@ class AdaptationPlan(StaticPlan):
             grad_in[0], sink,
             lambda dst: np.copyto(dst, expanded()),
             expanded,
+            offer=("broadcast", dict(
+                g=g, dims=cell["dims"], dtype=node.out_dtype,
+            )),
         )
 
     def _bwd_mul(self, node, index, cell, scratch, sink, grad_in):
         g = self._grads[node.out_vid]
         a_ref, b_ref = node.inputs[0], node.inputs[1]
-        get_a, get_b = self._getter(a_ref), self._getter(b_ref)
-        if isinstance(a_ref, ValueRef) and a_ref.vid in grad_in:
-            self._contribute(
-                a_ref.vid, sink,
-                lambda dst: np.multiply(g, get_b(), out=dst),
-                lambda: g * get_b(),
-            )
-        if isinstance(b_ref, ValueRef) and b_ref.vid in grad_in:
-            self._contribute(
-                b_ref.vid, sink,
-                lambda dst: np.multiply(g, get_a(), out=dst),
-                lambda: g * get_a(),
-            )
+        for ref, other in ((a_ref, b_ref), (b_ref, a_ref)):
+            if isinstance(ref, ValueRef) and ref.vid in grad_in:
+                get_other = self._getter(other)
+                self._contribute(
+                    ref.vid, sink,
+                    lambda dst, get=get_other: np.multiply(g, get(), out=dst),
+                    lambda get=get_other: g * get(),
+                    offer=("mul_bwd", dict(
+                        g=g, other=self._render_source(other),
+                        dtype=node.out_dtype,
+                    )),
+                )
 
     def _bwd_exp(self, node, index, cell, scratch, sink, grad_in):
         if not grad_in:
@@ -600,6 +646,7 @@ class AdaptationPlan(StaticPlan):
             grad_in[0], sink,
             lambda dst: np.multiply(g, out, out=dst),
             lambda: g * out,
+            offer=("exp_bwd", dict(g=g, other=out, dtype=node.out_dtype)),
         )
 
     def _bwd_logsoftmax(self, node, index, cell, scratch, sink, grad_in):
@@ -620,6 +667,9 @@ class AdaptationPlan(StaticPlan):
             grad_in[0], sink,
             lambda dst: np.subtract(g, value(), out=dst),
             lambda: g - value(),
+            offer=("logsoftmax_bwd", dict(
+                g=g, y=out, dims=cell["dims"], dtype=node.out_dtype,
+            )),
         )
 
     def _bwd_reshape(self, node, index, cell, scratch, sink, grad_in):
@@ -697,49 +747,61 @@ class AdaptationPlan(StaticPlan):
         dtype = node.out_dtype
         identity = geo.identity_cols
         dst, fresh = sink(grad_in[0])
-        # a fresh 1x1 contribution is the GEMM itself, written straight
-        # into the gradient buffer; every other case lands the GEMM in
-        # column scratch first
-        grad_cols = (
-            None if identity and fresh
-            else scratch("gcols", (n, k_total, p_total), dtype)
-        )
 
-        def dgrad(out):
-            F._conv_dgrad(
-                weight.data.reshape(f_out, k_total),
-                g4.reshape(n, f_out, p_total),
-                out=out,
+        def lowering(scratch):
+            """The numpy step, its column/image scratch from ``scratch``."""
+            # a fresh 1x1 contribution is the GEMM itself, written straight
+            # into the gradient buffer; every other case lands the GEMM in
+            # column scratch first
+            grad_cols = (
+                None if identity and fresh
+                else scratch("gcols", (n, k_total, p_total), dtype)
             )
 
-        if identity:
-            def compute_fresh(dst):
-                dgrad(dst.reshape(n, k_total, p_total))
+            def dgrad(out):
+                F._conv_dgrad(
+                    weight.data.reshape(f_out, k_total),
+                    g4.reshape(n, f_out, p_total),
+                    out=out,
+                )
 
-            def compute_value():
-                dgrad(grad_cols)
-                return grad_cols.reshape(x_shape)
+            if identity:
+                def compute_fresh(dst):
+                    dgrad(dst.reshape(n, k_total, p_total))
 
-            offer = ("conv_bwd", dict(
-                g=g4, weight=weight, g_dims=(n, f_out, p_total),
-                kt=k_total, dtype=dtype,
-            ))
-        else:
-            # accumulating contributions materialize the image first, as
-            # the eager `existing + grad` does
-            image = None if fresh else scratch("gpad", x_shape, dtype)
+                def compute_value():
+                    dgrad(grad_cols)
+                    return grad_cols.reshape(x_shape)
+            else:
+                # accumulating contributions materialize the image first,
+                # as the eager `existing + grad` does
+                image = None if fresh else scratch("gpad", x_shape, dtype)
 
-            def compute_fresh(dst):
-                dgrad(grad_cols)
-                dst.fill(0.0)
-                F._col2im_accumulate(dst, grad_cols, kernel, stride, padding)
+                def compute_fresh(dst):
+                    dgrad(grad_cols)
+                    dst.fill(0.0)
+                    F._col2im_accumulate(
+                        dst, grad_cols, kernel, stride, padding
+                    )
 
-            def compute_value():
-                compute_fresh(image)
-                return image
+                def compute_value():
+                    compute_fresh(image)
+                    return image
 
-            offer = None
-        self._emit(dst, fresh, compute_fresh, compute_value, offer)
+            if fresh:
+                return lambda: compute_fresh(dst)
+            return lambda: np.add(dst, compute_value(), out=dst)
+
+        # a rendered dgrad accumulates in registers and stores once: the
+        # numpy step is then only its probe oracle and fallback, and
+        # keeps its scratch out of the arena
+        placed = self._ct.renderer is not None and self._place(
+            "conv_dgrad",
+            dict(g=g4, weight=weight, geo=geo, dtype=dtype, dst=dst,
+                 accumulate=not fresh),
+            lowering(self._fallback_scratch),
+        )
+        self._bwd.append(placed or lowering(scratch))
 
     def _bwd_maxpool(self, node, index, cell, scratch, sink, grad_in):
         if not grad_in:

@@ -5,15 +5,20 @@ The renderer rides along :class:`~repro.engine.plan.ExecutionPlan` /
 stage the numpy lowering produces is *offered* together with its closure,
 and the renderer either emits an equivalent C stage function or declines
 (unsupported op, dynamic-slot input, non-contiguous buffer, exotic
-dtype).  For adaptation plans both the forward — train-mode BatchNorm
-included, so the backbone forward replays as one rendered segment — *and*
-the pruned LD-BN-ADAPT backward (BN gamma/beta grads, the reduced chain,
-max-pool backward) are offered; the k>1 conv dgrad deliberately stays a
-BLAS closure (sized in ROADMAP item 3: a C col2im eats what the GEMM
-would win).
+dtype).  For adaptation plans the whole step is offered: the forward —
+train-mode BatchNorm and the entropy tail (log-softmax, sum, mean)
+included — *and* the pruned LD-BN-ADAPT backward (BN gamma/beta grads,
+the reduced chain, max-pool backward, the tail's rules, fresh and
+accumulating contributions alike).  Conv input gradients run in *gather*
+form on the forward's own kernels: with the weights frozen, ``dX`` is a
+stride-1 forward conv of ``dY`` with the weight read transposed and
+flipped, one per output phase of a strided layer, each over its own tap
+subset — no column-gradient block, no col2im, no zero-dilated ``dY``
+(ROADMAP item 3 has the sizing of both forms).  So a band-parity
+``small-r18`` step is two C calls, forward and backward;
 ``backend_info["numpy_stages"]`` counts, by stage label, what still
-replays as a Python closure.  At finalize time the accepted stages become one translation
-unit
+replays as a Python closure.  At finalize time the accepted stages
+become one translation unit
 
 * one ``static void s<id>(char** T, i64 tid, i64 nt)`` function per
   stage, reading its buffers from a pointer table at
@@ -45,21 +50,27 @@ the layer's dims as a ``conv_dims`` constant:
   is zeroed and the valid run copied (and widened) from one input row.
   No index table exists; the plan-side im2col workspaces of surviving
   conv stages are released at finalize (``profile_summary()`` shows zero
-  im2col workspace bytes for converted layers).
+  im2col workspace bytes for converted layers).  A negative padding
+  crops, which is how a gradient phase addresses its ``dY`` window.
 * ``gemm_<ct>`` — under band parity one register-blocked micro-kernel:
   ``_MR`` filters x NR pixels of accumulators stay in vector registers
   across the whole ``k`` loop (GCC vector extensions at the host's widest
-  width), weights broadcast, the column panel loaded once per ``k``, and
-  the bias/BN/ReLU epilogue applied op-for-op on the spilled tile at
-  store time.  Columns are zero-padded to a multiple of NR and edge
+  width), weights broadcast from where they live — the ``k`` walk is up
+  to three nested strided levels over ``weight.data``, one flat run for
+  a forward conv, (filter, tap row, tap) with negative steps for a
+  gradient phase — the column panel loaded once per ``k``, and the
+  bias/BN/ReLU epilogue applied op-for-op on the spilled tile at store
+  time, through an output view (contiguous rows, or a phase's strided
+  pixels; ``dst + acc`` for an accumulating gradient).  Columns are
+  zero-padded to a multiple of NR and edge
   filter blocks repeat the last filter, so there is no scalar remainder
   path: every output element is the same serial-``k`` FMA chain whatever
   tile it falls in.  Strict plans never call it (convs are declined).
 * ``conv_<xt>_<ct>`` — the driver: fixed ownership of (sample, NR-pixel
   panel) units per thread, walked in ``CONV_PC``-pixel chunks (im2col
-  into ``POOL_SCR(tid)``, then the GEMM straight into the output rows).
-  The 1x1 conv backward is a second caller, reading the weight matrix
-  transposed by stride.
+  into ``POOL_SCR(tid)``, then the GEMM straight into the output view).
+  A ``conv_dgrad`` stage calls it once per output phase; phases own
+  disjoint ``dX`` pixels, so no barrier separates them.
 
 The unit is compiled with ``cc -shared -O2 -march=native -pthread`` (plus
 ``-ffp-contract=off`` under strict parity) and loaded through
@@ -84,8 +95,9 @@ stage — through the same pool dispatch production uses — compare) and
 demoted back to the closure on mismatch.  ``cgen`` compares within a
 tight tolerance band (:data:`PARITY_RTOL` / :data:`PARITY_ATOL`);
 ``cgen-strict`` compares bitwise (``tobytes``) and offers only
-order-preserving stages: GEMMs, BN reductions and ``exp`` are declined up
-front (:data:`_ORDER_DEPENDENT`) and stay numpy.  A missing compiler
+order-preserving stages: GEMMs (conv input gradients included), BN and
+loss-tail reductions, ``exp`` and log-softmax are declined up front
+(:data:`_ORDER_DEPENDENT`) and stay numpy.  A missing compiler
 (or a failed compile) falls the whole plan back to the numpy closures
 with a visible :class:`RuntimeWarning`.
 """
@@ -99,6 +111,7 @@ import shutil
 import subprocess
 import warnings
 from dataclasses import replace as _dc_replace
+from itertools import product
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -174,9 +187,13 @@ _CTYPE = {"float64": "double", "float32": "float"}
 # and still differ on the next one, so strict parity declines them up
 # front instead of trusting the probe (which stays the safety net for the
 # order-preserving kinds: elementwise, copy/fill, relu_bwd, max-pool).
-_ORDER_DEPENDENT = frozenset(
-    ("conv", "linear", "conv_bwd", "linear_bwd", "bn_train", "bn_bwd", "exp")
-)
+_ORDER_DEPENDENT = frozenset((
+    "conv", "linear", "conv_dgrad", "linear_bwd", "bn_train", "bn_bwd",
+    "exp", "exp_bwd", "logsoftmax", "logsoftmax_bwd", "reduce",
+))
+# backward kinds rendered for a fresh gradient buffer only: offered an
+# accumulating contribution (``existing + grad``) they decline
+_FRESH_ONLY = frozenset(("linear_bwd", "bn_bwd", "maxpool_bwd"))
 
 
 _CONV_PRELUDE = f"""\
@@ -186,9 +203,16 @@ _CONV_PRELUDE = f"""\
 #define VEC_BYTES 32
 #endif
 #define CONV_PC {_CONV_PC}LL
-/* one conv as a GEMM: (f, kt) weights x (kt, p) im2col columns */
+/* one conv as a GEMM: (f, kt) weights x (kt, p) im2col columns.  The
+ * weights are read in place: row i starts at A[i*as_f] and its kt taps
+ * are walked as up to three nested levels, outermost first, of kn[l]
+ * steps of ks[l] elements (a flat row is {{1, 1, kt}} x {{0, 0, 1}}).
+ * Pixel (y, x) of output row i of sample s is
+ * O[(s*f + i)*ldo + y*oy + x*ox], added to what is there when acc. */
 typedef struct {{
     i64 n, c, h, w, kh, kw, sh, sw, ph, pw, ow, p, f, kt;
+    i64 as_f, kn[3], ks[3];
+    i64 ldo, oy, ox, acc;
 }} conv_dims;
 /* store-time epilogue: bias (compute dtype, may be 0), then mode 1 —
  * per-sample folded affine e0=scale e1=shift, rows of f per sample — or
@@ -241,30 +265,36 @@ static inline void epilogue_{ct}({ct}* restrict t, i64 nv, i64 fi,
 def _gemm_source(ct: str) -> str:
     """``gemm_<ct>``, band parity: the register-blocked micro-kernel.
 
-    ``O[f, q] = epilogue(sum_k A[f*as_f + k*as_k] * B[k*ldb + q])`` for
-    ``q < tw``, with ``B`` zero-padded to ``ldb`` (a multiple of NR)
-    columns.  A tile of ``_MR x NR`` accumulators stays in vector
-    registers across the whole ``k`` loop — per ``k`` one column panel
-    load feeds ``_MR`` broadcast-FMA rows — and is spilled once, to a
-    stack tile the epilogue runs over before the valid ``nv`` columns
-    are stored.  Every output element is the same serial-``k`` FMA chain
-    in its own vector lane whatever ``tw``, the panel or the lane is:
-    edge panels multiply the zero padding and edge filter blocks repeat
-    the last filter rather than take a scalar remainder path, which is
-    what keeps outputs bitwise identical across thread counts.
+    ``acc[i, q] = sum_k A[i, k] * B[k*ldb + q]`` for the ``tw`` pixels
+    from ``q0`` on, ``A`` walked in place by the ``conv_dims`` tap levels
+    and ``B`` zero-padded to ``ldb`` (a multiple of NR) columns.  A tile
+    of ``_MR x NR`` accumulators stays in vector registers across the
+    whole ``k`` walk — per ``k`` one column panel load feeds ``_MR``
+    broadcast-FMA rows — and is spilled once, to a stack tile the
+    epilogue runs over before the valid ``nv`` columns are stored through
+    the output view (one run when its rows abut, else pixel by pixel;
+    ``dst + acc`` for an accumulating gradient).  Every output element is
+    the same serial-``k`` FMA chain in its own vector lane whatever
+    ``tw``, the panel or the lane is: edge panels multiply the zero
+    padding and edge filter blocks repeat the last filter rather than
+    take a scalar remainder path, which is what keeps outputs bitwise
+    identical across thread counts.
     """
     rows, vecs = range(_MR), range(_NV)
     ptrs = "\n".join(
         f"            const {ct}* a{r} = "
-        f"A + (f0 + {r} < f ? f0 + {r} : f - 1) * as_f;" for r in rows
+        f"A + (f0 + {r} < f ? f0 + {r} : f - 1) * D->as_f;" for r in rows
     )
     zero = ", ".join(f"c{r}{v} = {{0}}" for r in rows for v in vecs)
     loads = ", ".join(
         f"b{v} = *(const v_{ct}*)(b + {v} * VL)" for v in vecs
     )
     fmas = "\n".join(
-        f"                w = *a{r}; a{r} += as_k; "
+        f"                w = *a{r}; a{r} += s2; "
         + " ".join(f"c{r}{v} += w * b{v};" for v in vecs) for r in rows
+    )
+    step1, step0 = (
+        " ".join(f"a{r} += {s};" for r in rows) for s in ("s1", "s0")
     )
     spill = "\n".join(
         "            " + " ".join(
@@ -274,30 +304,56 @@ def _gemm_source(ct: str) -> str:
     return f"""\
 typedef {ct} v_{ct}
     __attribute__((vector_size(VEC_BYTES), aligned(sizeof({ct})), may_alias));
-static void gemm_{ct}(const {ct}* restrict A, i64 as_f, i64 as_k,
-                      const {ct}* restrict B, i64 ldb,
-                      {ct}* restrict O, i64 ldo, i64 f, i64 kt, i64 tw,
+static void gemm_{ct}(const {ct}* restrict A, const {ct}* restrict B, i64 ldb,
+                      {ct}* restrict O, const conv_dims* D, i64 q0, i64 tw,
                       const conv_epi* E)
 {{
     enum {{ VL = VEC_BYTES / sizeof({ct}), NR = NR_{ct} }};
-    for (i64 q0 = 0; q0 < tw; q0 += NR) {{
-        const i64 nv = tw - q0 < NR ? tw - q0 : NR;
+    const i64 f = D->f, n0 = D->kn[0], n1 = D->kn[1], n2 = D->kn[2];
+    /* pointer steps: per tap, and the carry when a level wraps */
+    const i64 s2 = D->ks[2], s1 = D->ks[1] - n2 * s2;
+    const i64 s0 = D->ks[0] - n1 * D->ks[1];
+    const int run = D->ox == 1 && D->oy == D->ow;
+    for (i64 q = 0; q < tw; q += NR) {{
+        const i64 nv = tw - q < NR ? tw - q : NR;
+        const i64 py = run ? 0 : (q0 + q) / D->ow, px = (q0 + q) - py * D->ow;
         for (i64 f0 = 0; f0 < f; f0 += {_MR}) {{
 {ptrs}
             v_{ct} {zero};
-            const {ct}* b = B + q0;
-            for (i64 k = 0; k < kt; ++k, b += ldb) {{
+            const {ct}* b = B + q;
+            for (i64 k0 = 0; k0 < n0; ++k0) {{
+            for (i64 k1 = 0; k1 < n1; ++k1) {{
+            for (i64 k2 = 0; k2 < n2; ++k2, b += ldb) {{
                 const v_{ct} {loads};
                 {ct} w;
 {fmas}
             }}
+            {step1} }}
+            {step0} }}
             {ct} tile[{_MR}][NR];
 {spill}
             const i64 mr = f - f0 < {_MR} ? f - f0 : {_MR};
             for (i64 r = 0; r < mr; ++r) {{
                 epilogue_{ct}(tile[r], NR, f0 + r, E);
-                {ct}* o = O + (f0 + r) * ldo + q0;
-                for (i64 q = 0; q < nv; ++q) o[q] = tile[r][q];
+                const {ct}* t = tile[r];
+                {ct}* o = O + (f0 + r) * D->ldo;
+                if (run) {{
+                    o += q0 + q;
+                    if (D->acc) for (i64 j = 0; j < nv; ++j) o[j] = o[j] + t[j];
+                    else for (i64 j = 0; j < nv; ++j) o[j] = t[j];
+                }} else {{
+                    for (i64 j = 0, y = py, x = px; j < nv; ++y, x = 0) {{
+                        const i64 ox = D->ox, left = D->ow - x;
+                        const i64 m = nv - j < left ? nv - j : left;
+                        {ct}* d = o + y * D->oy + x * ox;
+                        if (D->acc)
+                            for (i64 i = 0; i < m; ++i)
+                                d[i * ox] = d[i * ox] + t[j + i];
+                        else
+                            for (i64 i = 0; i < m; ++i) d[i * ox] = t[j + i];
+                        j += m;
+                    }}
+                }}
             }}
         }}
     }}
@@ -312,10 +368,12 @@ def _conv_source(xt: str, ct: str) -> str:
     output pixels ``[q0, q1)`` is, per output image row, a zeroed padded
     edge, the valid run copied (and widened ``xt`` -> ``ct``) from one
     input row — contiguous at stride 1 — and a zeroed edge again, then
-    zeros up to ``ld``.  The driver splits the stage's (sample, NR-pixel
-    panel) units over the pool by fixed ownership and walks its share in
-    ``CONV_PC``-pixel chunks: im2col into the thread's ``POOL_SCR``,
-    then ``gemm_<ct>`` straight into the output rows.
+    zeros up to ``ld``.  A negative padding crops instead: the phases of
+    a conv input gradient read their ``dY`` windows that way.  The driver
+    splits the stage's (sample, NR-pixel panel) units over the pool by
+    fixed ownership and walks its share in ``CONV_PC``-pixel chunks:
+    im2col into the thread's ``POOL_SCR``, then ``gemm_<ct>`` straight
+    into the output view.
     """
     return f"""\
 static void im2col_{xt}_{ct}(const {xt}* restrict xs, {ct}* restrict cw,
@@ -364,8 +422,8 @@ static void im2col_{xt}_{ct}(const {xt}* restrict xs, {ct}* restrict cw,
     }}
 }}
 
-static void conv_{xt}_{ct}(const {xt}* X, const {ct}* A, i64 as_f, i64 as_k,
-                           {ct}* O, const conv_dims* D, const conv_epi* E,
+static void conv_{xt}_{ct}(const {xt}* X, const {ct}* A, {ct}* O,
+                           const conv_dims* D, const conv_epi* E,
                            i64 tid, i64 nt)
 {{
     const i64 NR = NR_{ct}, p = D->p;
@@ -381,13 +439,51 @@ static void conv_{xt}_{ct}(const {xt}* X, const {ct}* A, i64 as_f, i64 as_k,
         for (i64 q0 = plo; q0 < phi; q0 += CONV_PC) {{
             const i64 q1 = q0 + CONV_PC < phi ? q0 + CONV_PC : phi;
             const i64 ld = (q1 - q0 + NR - 1) / NR * NR;
-            im2col_{xt}_{ct}(X + n * D->c * D->h * D->w, cw, ld, D, q0, q1);
-            gemm_{ct}(A, as_f, as_k, cw, ld, O + n * D->f * p + q0, p,
-                      D->f, D->kt, q1 - q0, &En);
+            /* a phase no tap reaches has no columns: its tile is zero */
+            if (D->kt)
+                im2col_{xt}_{ct}(X + n * D->c * D->h * D->w, cw, ld, D, q0, q1);
+            gemm_{ct}(A, cw, ld, O + n * D->f * D->ldo, D, q0, q1 - q0, &En);
         }}
     }}
 }}
 """
+
+
+def _tap_levels(levels):
+    """Canonical three-level form of an in-place weight-row walk given as
+    ``(steps, stride)`` levels, outermost first: single-step levels are
+    dropped and a level merges into the one inside it when the two are
+    one run (``stride == inner_steps * inner_stride``), so a contiguous
+    row — every forward conv — walks as one flat inner loop."""
+    out: List[Tuple[int, int]] = []
+    for steps, stride in levels:
+        if steps == 1:
+            continue
+        if out and out[-1][1] == steps * stride:
+            out[-1] = (out[-1][0] * steps, stride)
+        else:
+            out.append((steps, stride))
+    return [(1, 0)] * (3 - len(out)) + out
+
+
+def _phase_axis(size: int, k: int, s: int, p: int):
+    """One axis of a conv input gradient, split by residue mod the stride.
+
+    The input cells ``r, r + s, ...`` receive only the kernel offsets
+    congruent to ``r + p`` mod ``s``, and over those the gradient is a
+    stride-1 window sliding along ``dY``.  Per residue with any cell:
+    ``(r, cells, taps, last, pad)`` — walked from the ``last`` (largest)
+    offset down, the ``taps`` offsets read ``dY`` from ``pad`` cells
+    before cell 0's window on (negative: that far inside)."""
+    out = []
+    for r in range(min(s, size)):
+        first = (r + p) % s
+        taps = len(range(first, k, s))
+        out.append((
+            r, -(-(size - r) // s), taps, first + s * (taps - 1),
+            taps - 1 - (r + p - first) // s,
+        ))
+    return out
 
 
 def find_cc() -> Optional[str]:
@@ -626,7 +722,9 @@ class CRenderer:
     def offer_stage(self, kind: str, spec: dict, fallback):
         self.offered += 1
         builder = getattr(self, f"_try_{kind}", None)
-        if self.strict and kind in _ORDER_DEPENDENT:
+        if (self.strict and kind in _ORDER_DEPENDENT) or (
+            kind in _FRESH_ONLY and spec.get("accumulate")
+        ):
             builder = None
         offer = builder(spec, fallback) if builder is not None else None
         if offer is None:
@@ -661,16 +759,30 @@ class CRenderer:
         self._helpers.setdefault(name, _conv_source(xt, ct))
         return name
 
-    def _conv_mt(self, n: int, f: int, p: int, kt: int,
-                 dtype: np.dtype) -> bool:
-        """Reserve one conv's per-thread column panel — ``kt`` rows of at
-        most one pixel chunk, padded to the widest NR — and decide
-        whether the stage is tiled: only when it has at least two
-        (sample, panel) units to hand out and repays the dispatch."""
-        nr = _NV * _VEC_BYTES_MAX // dtype.itemsize
+    def _conv_call(self, xt: str, ct: str, x: str, a: str, o: str, *,
+                   n, c, hw, kernel, stride, padding, out_w, p, f, as_f,
+                   levels, ldo, oy, ox, acc=0, tag=""):
+        """One conv-as-GEMM through the shared driver (the ``conv_dims``
+        comment names the fields; ``levels`` is the weight-row walk as
+        :func:`_tap_levels` takes it; the stage declares ``E``).
+        Reserves the per-thread column panel — ``kt`` rows of at most one
+        pixel chunk, padded to the widest NR — and returns ``(C lines,
+        (sample, panel) units to hand out, estimated kernel us)``."""
+        kt = c * kernel[0] * kernel[1]
+        itemsize = 8 if ct == "double" else 4
+        nr = _NV * _VEC_BYTES_MAX // itemsize
         panels = -(-p // nr)
-        self._need_scratch(kt * min(_CONV_PC, panels * nr) * dtype.itemsize)
-        return n * panels >= 2 and self._mt(n * f * p * kt / _GEMM_PER_US)
+        self._need_scratch(kt * min(_CONV_PC, panels * nr) * itemsize)
+        kn, ks = zip(*_tap_levels(levels))
+        dims = (n, c, *hw, *kernel, *stride, *padding, out_w, p, f, kt,
+                as_f, *kn, *ks, ldo, oy, ox, acc)
+        lines = [
+            f"    static const conv_dims D{tag} = "
+            f"{{{', '.join(str(int(v)) for v in dims)}}};",
+            f"    {self._conv_helpers(xt, ct)}({x}, {a}, {o}, &D{tag}, &E, "
+            "tid, nt);",
+        ]
+        return lines, n * panels, n * f * p * kt / _GEMM_PER_US
 
     def _try_conv(self, spec, fallback):
         geo: ConvLowering = spec["geo"]
@@ -709,14 +821,6 @@ class CRenderer:
         relu = int(bool(spec["relu"]))
 
         n, f, p, kt = geo.n, geo.f_out, geo.p_total, geo.k_total
-        lines = [
-            "    static const conv_dims D = {"
-            f"{n}, {geo.c}, {geo.h}, {geo.w}, "
-            f"{geo.kernel[0]}, {geo.kernel[1]}, "
-            f"{geo.stride[0]}, {geo.stride[1]}, "
-            f"{geo.padding[0]}, {geo.padding[1]}, "
-            f"{geo.out_w}, {p}, {f}, {kt}}};",
-        ]
         bn_module = spec["bn_module"]
         if bn_module is not None:
             bn = self._bn_slots(bn_module, n, f, offer)
@@ -725,7 +829,7 @@ class CRenderer:
             sflag, s_sc, s_sh, s_m, s_v, s_g, s_b, eps = bn
             # the fleet's per-sample folded affine when installed, else
             # the live running statistics (see epilogue_<ct>)
-            lines += [
+            lines = [
                 f"    const conv_epi E = *(const i64*)T[{sflag}]",
                 f"        ? (conv_epi){{{bias_ptr}, 1, (const double*)T[{s_sc}]"
                 f", (const double*)T[{s_sh}], 0, 0, 0.0, {relu}}}",
@@ -735,17 +839,20 @@ class CRenderer:
                 f"(const double*)T[{s_b}], {eps!r}, {relu}}};",
             ]
         else:
-            lines.append(
+            lines = [
                 f"    const conv_epi E = {{{bias_ptr}, 0, 0, 0, 0, 0, 0.0, "
                 f"{relu}}};"
-            )
-        lines.append(
-            f"    {self._conv_helpers(xt, ct)}((const {xt}*)T[{sx}], "
-            f"(const {ct}*)T[{sw}], {kt}, 1, ({ct}*)T[{so}], &D, &E, tid, nt);"
+            ]
+        call, units, est_us = self._conv_call(
+            xt, ct, f"(const {xt}*)T[{sx}]", f"(const {ct}*)T[{sw}]",
+            f"({ct}*)T[{so}]", n=n, c=geo.c, hw=(geo.h, geo.w),
+            kernel=geo.kernel, stride=geo.stride, padding=geo.padding,
+            out_w=geo.out_w, p=p, f=f, as_f=kt, levels=[(kt, 1)],
+            ldo=p, oy=geo.out_w, ox=1,
         )
         return self._accept(
-            fallback, [out3], "\n".join(lines) + "\n", offer.binders,
-            mt=self._conv_mt(n, f, p, kt, geo.compute_dtype), geo=geo,
+            fallback, [out3], "\n".join(lines + call) + "\n", offer.binders,
+            mt=units >= 2 and self._mt(est_us), geo=geo,
         )
 
     def _const_binder(self, tensor, slot: int, dtype):
@@ -988,124 +1095,111 @@ class CRenderer:
             fallback, outs, "\n".join(lines) + "\n", offer.binders, mt=mt
         )
 
-    # elementwise stages: same-shape same-dtype only, one flat loop ------
-    def _try_elementwise(self, spec, fallback, expr_fn, binary=False):
-        dtype = np.dtype(spec["dtype"])
+    def _reads(self, operands, dtype, ct, offer, size=None):
+        """``const <ct>* NAME`` declarations binding ``(C name, plan
+        buffer or stage source)`` inputs — each of ``size`` elements when
+        one is given — or ``None`` when any cannot be bound."""
+        lines = []
+        for name, src in operands:
+            if isinstance(src, np.ndarray):
+                src = ("fixed", src)
+            slot = self._source_slot(src, dtype, offer)
+            if slot is None:
+                return None
+            if size is not None and src[0] != "input" and size != (
+                src[1] if src[0] == "fixed" else src[1].data
+            ).size:
+                return None
+            lines.append(f"    const {ct}* {name} = (const {ct}*)T[{slot}];")
+        return lines
+
+    # flat stages: same-size same-dtype buffers, one loop ----------------
+    def _flat(self, fallback, out, dtype, operands, expr, accumulate=False):
+        """``out[t] = expr`` over the ``operands`` (see :meth:`_reads`) the
+        expression indexes by ``t`` (``{ct}`` in it is the C type); an
+        accumulating gradient contribution stores ``out[t] + (expr)``,
+        the ``existing + grad`` of the closure."""
+        dtype = np.dtype(dtype)
         ct = _CTYPE.get(dtype.name)
         if ct is None:
             return None
-        out = spec["out"]
         so = self._out_slot(out, dtype)
         if so is None:
             return None
-        offer = _Offer(-1, fallback, [out])
-        if binary:
-            if not (
-                spec["a_shape"] == spec["b_shape"] == spec["out_shape"]
-            ):
-                return None
-            sa = self._source_slot(spec["a_src"], dtype, offer)
-            sb = self._source_slot(spec["b_src"], dtype, offer)
-            if sa is None or sb is None:
-                return None
-            decls = [
-                f"    const {ct}* A = (const {ct}*)T[{sa}];",
-                f"    const {ct}* B = (const {ct}*)T[{sb}];",
-            ]
-        else:
-            sx = self._source_slot(spec["x_src"], dtype, offer)
-            if sx is None:
-                return None
-            decls = [f"    const {ct}* X = (const {ct}*)T[{sx}];"]
         size = int(out.size)
-        body = "\n".join(
-            decls + [
-                f"    {ct}* O = ({ct}*)T[{so}];",
-            ] + self._tile(size) + [
-                f"    for (i64 t = lo; t < hi; ++t) {{ "
-                f"{expr_fn(ct)} }}",
-            ]
-        ) + "\n"
+        offer = _Offer(-1, fallback, [out])
+        lines = self._reads(operands, dtype, ct, offer, size)
+        if lines is None:
+            return None
+        value = expr.format(ct=ct)
+        if accumulate:
+            value = f"O[t] + ({value})"
+        lines += [f"    {ct}* O = ({ct}*)T[{so}];"] + self._tile(size) + [
+            f"    for (i64 t = lo; t < hi; ++t) O[t] = {value};"
+        ]
         return self._accept(
-            fallback, [out], body, offer.binders, mt=self._mt(size / _SWEEP_PER_US)
+            fallback, [out], "\n".join(lines) + "\n", offer.binders,
+            mt=self._mt(size / _SWEEP_PER_US),
         )
+
+    def _try_elementwise(self, spec, fallback, expr):
+        if "x_src" in spec:
+            operands = [("X", spec["x_src"])]
+        elif spec["a_shape"] == spec["b_shape"] == spec["out_shape"]:
+            operands = [("A", spec["a_src"]), ("B", spec["b_src"])]
+        else:
+            return None
+        return self._flat(fallback, spec["out"], spec["dtype"], operands, expr)
 
     def _try_relu(self, spec, fallback):
         return self._try_elementwise(
             spec, fallback,
-            lambda ct: (
-                f"{ct} v = X[t]; "
-                f"O[t] = v > 0 ? v : (v != v ? v : ({ct})0);"
-            ),
+            "X[t] > 0 ? X[t] : (X[t] != X[t] ? X[t] : ({ct})0)",
         )
 
     def _try_add(self, spec, fallback):
-        return self._try_elementwise(
-            spec, fallback, lambda ct: "O[t] = A[t] + B[t];", binary=True
-        )
+        return self._try_elementwise(spec, fallback, "A[t] + B[t]")
 
     def _try_mul(self, spec, fallback):
-        return self._try_elementwise(
-            spec, fallback, lambda ct: "O[t] = A[t] * B[t];", binary=True
-        )
+        return self._try_elementwise(spec, fallback, "A[t] * B[t]")
 
     def _try_neg(self, spec, fallback):
-        return self._try_elementwise(
-            spec, fallback, lambda ct: "O[t] = -X[t];"
-        )
+        return self._try_elementwise(spec, fallback, "-X[t]")
 
     def _try_exp(self, spec, fallback):
-        return self._try_elementwise(
-            spec, fallback,
-            lambda ct: (
-                "O[t] = exp(X[t]);" if ct == "double"
-                else "O[t] = expf(X[t]);"
-            ),
-        )
+        libm = "exp" if np.dtype(spec["dtype"]) == np.float64 else "expf"
+        return self._try_elementwise(spec, fallback, f"{libm}(X[t])")
 
     # backward stages (adaptation plans): the pruned LD-BN-ADAPT chain --
+    def _flat_bwd(self, spec, fallback, expr, **operands):
+        """A flat gradient rule ``dst = expr``; ``G="g"`` binds C name
+        ``G`` to spec entry ``g``."""
+        return self._flat(
+            fallback, spec["dst"], spec["dtype"],
+            [(name, spec[key]) for name, key in operands.items()],
+            expr, spec["accumulate"],
+        )
+
     def _try_fill(self, spec, fallback):
         """Seed a gradient buffer with a constant (the loss-mean grad)."""
-        dtype = np.dtype(spec["dtype"])
-        ct = _CTYPE.get(dtype.name)
-        if ct is None:
-            return None
-        dst = spec["dst"]
-        so = self._fixed_slot(dst, dtype)
-        if so is None:
-            return None
-        value = float(spec["value"])
-        size = int(dst.size)
-        body = "\n".join(
-            [f"    {ct}* O = ({ct}*)T[{so}];"]
-            + self._tile(size)
-            + [f"    for (i64 t = lo; t < hi; ++t) O[t] = ({ct}){value!r};"]
-        ) + "\n"
-        return self._accept(fallback, [dst], body, mt=self._mt(size / _SWEEP_PER_US))
+        return self._flat_bwd(
+            spec, fallback, f"({{ct}}){float(spec['value'])!r}"
+        )
 
     def _try_copy(self, spec, fallback):
         """Pass a gradient through unchanged (add / reshape backward)."""
-        dtype = np.dtype(spec["dtype"])
-        ct = _CTYPE.get(dtype.name)
-        if ct is None:
-            return None
-        g, dst = spec["g"], spec["dst"]
-        if g.size != dst.size:
-            return None
-        sg = self._fixed_slot(g, dtype)
-        so = self._fixed_slot(dst, dtype)
-        if sg is None or so is None:
-            return None
-        size = int(dst.size)
-        body = "\n".join(
-            [
-                f"    const {ct}* G = (const {ct}*)T[{sg}];",
-                f"    {ct}* O = ({ct}*)T[{so}];",
-            ]
-            + self._tile(size)
-            + ["    for (i64 t = lo; t < hi; ++t) O[t] = G[t];"]
-        ) + "\n"
-        return self._accept(fallback, [dst], body, mt=self._mt(size / _SWEEP_PER_US))
+        return self._flat_bwd(spec, fallback, "G[t]", G="g")
+
+    def _try_neg_bwd(self, spec, fallback):
+        return self._flat_bwd(spec, fallback, "-G[t]", G="g")
+
+    def _try_mul_bwd(self, spec, fallback):
+        """``g`` times the other factor — also the ``exp`` rule, whose
+        other factor is its own output."""
+        return self._flat_bwd(spec, fallback, "G[t] * B[t]", G="g", B="other")
+
+    # its own kind, so strict declines it together with the forward exp
+    _try_exp_bwd = _try_mul_bwd
 
     def _try_relu_bwd(self, spec, fallback):
         """Gate the gradient by the forward output's sign.
@@ -1114,32 +1208,10 @@ class CRenderer:
         and ``g * 0.0`` preserves NaNs and signed zeros, so this stage
         survives even the strict probe.
         """
-        dtype = np.dtype(spec["dtype"])
-        ct = _CTYPE.get(dtype.name)
-        if ct is None:
-            return None
-        g, y, dst = spec["g"], spec["y"], spec["dst"]
-        if not (g.size == y.size == dst.size):
-            return None
-        sg = self._fixed_slot(g, dtype)
-        sy = self._fixed_slot(y, dtype)
-        so = self._fixed_slot(dst, dtype)
-        if sg is None or sy is None or so is None:
-            return None
-        size = int(dst.size)
-        body = "\n".join(
-            [
-                f"    const {ct}* G = (const {ct}*)T[{sg}];",
-                f"    const {ct}* Y = (const {ct}*)T[{sy}];",
-                f"    {ct}* O = ({ct}*)T[{so}];",
-            ]
-            + self._tile(size)
-            + [
-                "    for (i64 t = lo; t < hi; ++t) "
-                f"O[t] = Y[t] > ({ct})0 ? G[t] * ({ct})1 : G[t] * ({ct})0;"
-            ]
-        ) + "\n"
-        return self._accept(fallback, [dst], body, mt=self._mt(size / _SWEEP_PER_US))
+        return self._flat_bwd(
+            spec, fallback,
+            "Y[t] > ({ct})0 ? G[t] * ({ct})1 : G[t] * ({ct})0", G="g", Y="y",
+        )
 
     def _try_linear_bwd(self, spec, fallback):
         """Grad wrt a linear layer's input: ``dst = g @ W``.
@@ -1188,13 +1260,23 @@ class CRenderer:
             mt=self._mt(n * fout * fin / _SWEEP_PER_US),
         )
 
-    def _try_conv_bwd(self, spec, fallback):
-        """Grad wrt a 1x1 (identity-cols) conv input:
-        ``dst[n,k,p] = sum_f W[f,k] * g[n,f,p]`` — the forward conv
-        driver over a 1x1 geometry with the weight matrix read
-        transposed by stride.  Band parity only — the oracle is a BLAS
-        matmul.
+    def _try_conv_dgrad(self, spec, fallback):
+        """Grad wrt a conv's input, in gather form.  With the weights
+        frozen, ``dX[c,y,x] = sum_{f,a,b} W[f,c,a,b] * dY[f,(y+p-a)/s,
+        (x+p-b)/s]`` is a stride-1 forward conv of ``dY`` with the weight
+        read transposed and flipped, so it runs on the forward's kernels:
+        one call per output phase (:func:`_phase_axis`; stride 1 is the
+        one-phase case with every tap, a strided 1x1 one tap in one
+        phase), each over its own taps and storing to its strided view of
+        ``dX``.  Phases own disjoint pixels, so an accumulating
+        contribution is ``dst + acc`` at store time and a phase no tap
+        reaches stores zeros (or, accumulating, is skipped).  The weight
+        is walked live in ``weight.data`` — for one ``f``, rows ``c..c+3``
+        and all taps are one contiguous run — so an in-place
+        ``load_state_dict`` is seen like any other parameter update.
+        Band parity only: the oracle is a BLAS GEMM plus col2im.
         """
+        geo: ConvLowering = spec["geo"]
         dtype = np.dtype(spec["dtype"])
         ct = _CTYPE.get(dtype.name)
         if ct is None:
@@ -1203,8 +1285,6 @@ class CRenderer:
         if weight.data.dtype != dtype or not weight.data.flags.c_contiguous:
             return None
         g, dst = spec["g"], spec["dst"]
-        n, f, p = spec["g_dims"]
-        kt = spec["kt"]
         sg = self._fixed_slot(g, dtype)
         so = self._fixed_slot(dst, dtype)
         if sg is None or so is None:
@@ -1212,18 +1292,120 @@ class CRenderer:
         offer = _Offer(-1, fallback, [dst])
         sw = self._slot()
         offer.binders.append(self._const_binder(weight, sw, dtype))
-        body = (
-            "    static const conv_dims D = {"
-            f"{n}, {f}, 1, {p}, 1, 1, 1, 1, 0, 0, {p}, {p}, {kt}, {f}}};\n"
-            "    const conv_epi E = {0, 0, 0, 0, 0, 0, 0.0, 0};\n"
-            f"    {self._conv_helpers(ct, ct)}((const {ct}*)T[{sg}], "
-            f"(const {ct}*)T[{sw}], 1, {kt}, ({ct}*)T[{so}], &D, &E, "
-            "tid, nt);\n"
-        )
+        acc = int(spec["accumulate"])
+        (kh, kw), (sh, sw_) = geo.kernel, geo.stride
+        lines = ["    const conv_epi E = {0, 0, 0, 0, 0, 0, 0.0, 0};"]
+        units = est_us = 0
+        for (ry, hp, ka, a_last, pad_h), (rx, wp, kb, b_last, pad_w) in product(
+            _phase_axis(geo.h, kh, sh, geo.padding[0]),
+            _phase_axis(geo.w, kw, sw_, geo.padding[1]),
+        ):
+            taps = ka * kb
+            if acc and not taps:
+                continue
+            call, phase_units, phase_us = self._conv_call(
+                ct, ct, f"(const {ct}*)T[{sg}]",
+                f"(const {ct}*)T[{sw}] + {a_last * kw + b_last if taps else 0}",
+                f"({ct}*)T[{so}] + {ry * geo.w + rx}",
+                n=geo.n, c=geo.f_out, hw=(geo.out_h, geo.out_w),
+                kernel=(ka, kb), stride=(1, 1), padding=(pad_h, pad_w),
+                out_w=wp, p=hp * wp, f=geo.c, as_f=kh * kw,
+                levels=[(geo.f_out, geo.c * kh * kw), (ka, -sh * kw),
+                        (kb, -sw_)],
+                ldo=geo.h * geo.w, oy=sh * geo.w, ox=sw_, acc=acc,
+                tag=f"{ry}_{rx}",
+            )
+            lines += call
+            units = max(units, phase_units)
+            est_us += phase_us
         return self._accept(
-            fallback, [dst], body, offer.binders,
-            mt=self._conv_mt(n, kt, p, f, dtype),
+            fallback, [dst], "\n".join(lines) + "\n", offer.binders,
+            mt=units >= 2 and self._mt(est_us),
         )
+
+    # line stages: the entropy tail's axis reductions ---------------------
+    def _line_stage(self, spec, fallback, out, reads, body):
+        """One serial pass per *line* — the ``len`` elements ``inner``
+        apart along the reduced axis of an ``(outer, len, inner)`` block —
+        lines tiled over the pool.  ``reads`` are the inputs (see
+        :meth:`_reads`), ``body`` the C lines run with ``u`` the line and
+        ``at`` its first element's offset in the full block."""
+        dtype = np.dtype(spec["dtype"])
+        ct = _CTYPE.get(dtype.name)
+        if ct is None:
+            return None
+        so = self._fixed_slot(out, dtype)
+        if so is None:
+            return None
+        offer = _Offer(-1, fallback, [out])
+        lines = self._reads(reads, dtype, ct, offer)
+        if lines is None:
+            return None
+        outer, length, inner = spec["dims"]
+        lines += [f"    {ct}* O = ({ct}*)T[{so}];"] + self._tile(
+            outer * inner
+        ) + [
+            f"    enum {{ LEN = {length}, INNER = {inner} }};",
+            "    for (i64 u = lo; u < hi; ++u) {",
+            "        const i64 at = (u / INNER) * LEN * INNER + u % INNER;",
+        ] + [
+            "        " + line.format(ct=ct, f="" if ct == "double" else "f")
+            for line in body
+        ] + ["    }"]
+        return self._accept(
+            fallback, [out], "\n".join(lines) + "\n", offer.binders,
+            mt=self._mt(outer * length * inner / _SWEEP_PER_US),
+        )
+
+    def _try_reduce(self, spec, fallback):
+        """Sum (or mean) along the axis; serial where numpy sums pairwise."""
+        mean = "/ ({ct})LEN" if spec["mean"] else ""
+        return self._line_stage(spec, fallback, spec["out"], [
+            ("X", spec["x_src"]),
+        ], [
+            "{ct} s = ({ct})0;",
+            "for (i64 a = 0; a < LEN; ++a) s += X[at + a * INNER];",
+            f"O[u] = s {mean};",
+        ])
+
+    def _try_broadcast(self, spec, fallback):
+        """The sum's gradient: every element of a line gets the line's."""
+        store = "O[at + a * INNER] + G[u]" if spec["accumulate"] else "G[u]"
+        return self._line_stage(spec, fallback, spec["dst"], [
+            ("G", spec["g"]),
+        ], [
+            f"for (i64 a = 0; a < LEN; ++a) O[at + a * INNER] = {store};",
+        ])
+
+    def _try_logsoftmax(self, spec, fallback):
+        """``x - max - log(sum(exp(x - max)))`` along the axis."""
+        return self._line_stage(spec, fallback, spec["out"], [
+            ("X", spec["x_src"]),
+        ], [
+            "{ct} m = X[at], s = ({ct})0;",
+            "for (i64 a = 1; a < LEN; ++a)",
+            "    if (X[at + a * INNER] > m) m = X[at + a * INNER];",
+            "for (i64 a = 0; a < LEN; ++a) {{",
+            "    const {ct} v = X[at + a * INNER] - m;",
+            "    O[at + a * INNER] = v;",
+            "    s += exp{f}(v);",
+            "}}",
+            "s = log{f}(s);",
+            "for (i64 a = 0; a < LEN; ++a) O[at + a * INNER] -= s;",
+        ])
+
+    def _try_logsoftmax_bwd(self, spec, fallback):
+        """``g - softmax * sum(g)`` along the axis, from the saved output."""
+        value = "G[at + a * INNER] - exp{f}(Y[at + a * INNER]) * s"
+        if spec["accumulate"]:
+            value = f"O[at + a * INNER] + ({value})"
+        return self._line_stage(spec, fallback, spec["dst"], [
+            ("G", spec["g"]), ("Y", spec["y"]),
+        ], [
+            "{ct} s = ({ct})0;",
+            "for (i64 a = 0; a < LEN; ++a) s += G[at + a * INNER];",
+            f"for (i64 a = 0; a < LEN; ++a) O[at + a * INNER] = {value};",
+        ])
 
     def _try_bn_bwd(self, spec, fallback):
         """The rendered LD-BN-ADAPT backward: per-(group, channel) BN

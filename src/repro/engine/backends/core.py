@@ -285,4 +285,5 @@ def _timed_step(step, label: str, profile: PlanProfile):
         step()
         profile.add_op(label, time.perf_counter() - t0)
 
+    timed.label = label  # lets a benchmark pick one stage out of a plan
     return timed

@@ -234,15 +234,17 @@ class StaticPlan:
         return None, None
 
     # -- stage emission -------------------------------------------------
+    def _place(self, kind: str, spec: dict, fallback):
+        """The renderer's stage for one lowered stage, or ``None`` (no
+        renderer, or it declined)."""
+        if self._ct.renderer is None:
+            return None
+        return self._ct.renderer.offer_stage(kind, spec, fallback)
+
     def _offer(self, kind: str, spec: dict, fallback) -> None:
         """Offer one lowered stage to the renderer; append the step to the
         section being emitted (``self._ct.emitting``)."""
-        step = fallback
-        if self._ct.renderer is not None:
-            placed = self._ct.renderer.offer_stage(kind, spec, fallback)
-            if placed is not None:
-                step = placed
-        self._ct.emitting.append(step)
+        self._ct.emitting.append(self._place(kind, spec, fallback) or fallback)
 
     def _label_stages(self, before: int, label: str) -> None:
         """Name the closures appended to the current section since

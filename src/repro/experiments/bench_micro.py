@@ -4,7 +4,9 @@ Each case traces a single-layer model through both plan backends and
 times the resulting one-stage plans head-to-head, isolating one kernel
 family: the im2col-GEMM conv (gather + matmul + fused BN/ReLU epilogue),
 the identity-columns 1x1 GEMM, the linear GEMM, max-pool, and the
-elementwise ReLU epilogue.  Rows are archived to
+elementwise ReLU epilogue — and, picked out of a three-layer adaptation
+plan, the conv input-gradient stage (numpy: BLAS dgrad GEMM + col2im;
+cgen: the gather-form phase convs).  Rows are archived to
 ``results/micro_ops.json`` by :mod:`benchmarks.bench_micro_ops`; the
 ``*_p95_ms`` keys ride the standard regression gate
 (:mod:`repro.experiments.regression`), so a slowdown in either backend's
@@ -25,7 +27,7 @@ from typing import Dict, List
 import numpy as np
 
 from .. import nn
-from ..engine import compile_model
+from ..engine import CompiledAdaptStep, compile_model
 from ..pipeline.monitor import latency_percentile
 
 
@@ -86,7 +88,66 @@ def _micro_cases(rng: np.random.Generator):
                 rng.standard_normal((1, cin) + hw).astype(np.float32),
             )
         )
+    # the conv input gradients of one small-r18 adaptation step (float64
+    # end to end): BN -> conv -> BN in train mode, timed on the conv's
+    # backward stage alone (`_dgrad_pair`)
+    for name, cin, cout, k, stride, hw in (
+        ("dgrad3x3_16_f64", 16, 16, 3, 1, (16, 40)),
+        ("dgrad3x3_32_f64", 32, 32, 3, 1, (8, 20)),
+        ("dgrad3x3_64_f64", 64, 64, 3, 1, (4, 10)),
+        ("dgrad3x3_128_f64", 128, 128, 3, 1, (2, 5)),
+        ("dgrad3x3s2_16to32_f64", 16, 32, 3, 2, (16, 40)),
+        ("dgrad1x1s2_16to32_f64", 16, 32, 1, 2, (16, 40)),
+    ):
+        cases.append(
+            (
+                name,
+                nn.Sequential(
+                    nn.BatchNorm2d(cin),
+                    nn.Conv2d(cin, cout, k, stride=stride, padding=k // 2,
+                              bias=False, rng=rng),
+                    nn.BatchNorm2d(cout),
+                ),
+                rng.standard_normal((1, cin) + hw),
+            )
+        )
     return cases
+
+
+def _forward_pair(model, x):
+    """``(numpy fn, cgen fn, numpy out, cgen out, cgen backend_info)`` of
+    the model's one-stage inference plans."""
+    model.eval()
+    eng_np = compile_model(model)
+    eng_c = compile_model(model, backend="cgen")
+    y_c = eng_c(x).numpy().copy()
+    y_np = eng_np(x).numpy().copy()
+    info = eng_c.plan_for(x.shape, x.dtype).backend_info
+    return (lambda: eng_np(x)), (lambda: eng_c(x)), y_np, y_c, info
+
+
+def _dgrad_pair(model, x):
+    """The same five for the conv input-gradient stage of the model's
+    adaptation plans: profiled plans replay stage by stage, so after one
+    full step the ``bwd:conv`` closure reruns alone on the step's
+    gradients.  The outputs compared are the first BN's gamma gradients,
+    which every ``dX`` element feeds."""
+    fns, grads, info = [], [], None
+    for backend in ("numpy", "cgen"):
+        model.train()
+        plan = CompiledAdaptStep(
+            model, profile=True, backend=backend
+        ).plan_for(x)
+        plan.run(x)
+        grads.append(plan.bn_taps[0].grad_gamma.copy())
+        # the closure alone does not keep the plan's pointer table alive
+        fns += [
+            (lambda step=step, plan=plan: step())
+            for step in plan.sections[1] if step.label.endswith("bwd:conv")
+        ]
+        info = plan.backend_info
+    fn_np, fn_c = fns
+    return fn_np, fn_c, grads[0], grads[1], info
 
 
 def _interleaved_ms(fn_a, fn_b, reps: int):
@@ -254,31 +315,27 @@ def run_micro_ops(reps: int = 200, seed: int = 0) -> List[Dict[str, object]]:
     rng = np.random.default_rng(seed)
     rows: List[Dict[str, object]] = []
     for name, model, x in _micro_cases(rng):
-        model.eval()
-        eng_np = compile_model(model)
-        eng_c = compile_model(model, backend="cgen")
-        eng_np(x)
+        dgrad = name.startswith("dgrad")
         with warnings.catch_warnings():
             # a missing compiler warns; the row records the fallback
             warnings.simplefilter("ignore", RuntimeWarning)
-            y_c = eng_c(x).numpy().copy()
-        y_np = eng_np(x).numpy().copy()
-        info = eng_c.plan_for(x.shape, x.dtype).backend_info
+            fn_np, fn_c, y_np, y_c, info = (
+                _dgrad_pair if dgrad else _forward_pair
+            )(model, x)
 
         # cheap ops get more samples (up to 10x) so a p95 over ~10 us
         # calls is not three preemptions deciding the ratio
-        probe = min(_interleaved_ms(lambda: eng_np(x), lambda: eng_c(x), 5)[0])
+        probe = min(_interleaved_ms(fn_np, fn_c, 5)[0])
         reps_row = int(min(10 * reps, max(reps, 50.0 / probe)))
-        np_ms, c_ms = _interleaved_ms(
-            lambda: eng_np(x), lambda: eng_c(x), reps_row
-        )
+        np_ms, c_ms = _interleaved_ms(fn_np, fn_c, reps_row)
         np_p95 = latency_percentile(np_ms, 95)
         c_p95 = latency_percentile(c_ms, 95)
         rows.append(
             {
                 "op": name,
                 "shape": "x".join(str(d) for d in x.shape),
-                "out_pixels": int(np.prod(y_np.shape[2:])),
+                # a dgrad row's output is dX, the size of its input
+                "out_pixels": int(np.prod((x if dgrad else y_np).shape[2:])),
                 "reps": reps_row,
                 "numpy_p50_ms": latency_percentile(np_ms, 50),
                 "numpy_p95_ms": np_p95,

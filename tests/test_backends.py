@@ -1089,9 +1089,10 @@ class TestRenderedTrainBNAndPoolBackward:
         )
         assert "bwd:maxpool" not in info["numpy_stages"]
 
-    def test_small_r18_forward_is_one_rendered_segment(self):
-        """With train-BN rendered nothing splits the backbone forward:
-        one ``repro_run`` call covers it up to the entropy-loss tail."""
+    def test_small_r18_step_is_two_rendered_segments(self):
+        """With train-BN, every conv dgrad and the entropy tail rendered,
+        nothing splits the step: one ``repro_run`` call replays the
+        forward and one the backward, and no stage is left on numpy."""
         from repro.models.registry import build_model, get_config
 
         model = build_model("small-r18", num_lanes=2)
@@ -1102,12 +1103,211 @@ class TestRenderedTrainBNAndPoolBackward:
         )
         plan = CompiledAdaptStep(model, backend="cgen").plan_for(x)
         info = plan.backend_info
-        assert info["offered"] == info["rendered"]
-        forward_numpy = {
-            label for label in info["numpy_stages"] if label.startswith("fwd:")
-        }
-        assert forward_numpy == {"fwd:logsoftmax", "fwd:sum", "fwd:mean"}
-        first_closure = next(
-            i for i, step in enumerate(plan._fwd) if step.__name__ != "seg"
+        assert info["offered"] == info["rendered"] == info["stages"]
+        assert info["numpy_stages"] == {}
+        assert [len(steps) for steps in plan.sections] == [1, 1]
+        assert all(
+            step.__name__ == "seg" for steps in plan.sections for step in steps
         )
-        assert first_closure == 1, "backbone forward split into segments"
+
+
+# ---------------------------------------------------------------------------
+# rendered conv input gradients (gather form) and the entropy tail
+
+
+def _step_outputs(plan, x):
+    """One replay -> [losses, per-tap gamma/beta gradients]."""
+    outputs = [np.array(plan.run(x))]
+    for tap in plan.bn_taps:
+        outputs += [tap.grad_gamma.copy(), tap.grad_beta.copy()]
+    return outputs
+
+
+class _TwoBranch(nn.Module):
+    """BN -> (conv_a + conv_b) -> BN: the first BN's output feeds both
+    convs, so the backward lands one *fresh* conv input gradient (conv_b,
+    visited first) and one *accumulating* (conv_a) in the same buffer."""
+
+    def __init__(self, c, f, kernel, stride, padding, dtype, rng):
+        super().__init__()
+        self.bn_in = nn.BatchNorm2d(c)
+        self.conv_a = nn.Conv2d(c, f, kernel, stride=stride, padding=padding,
+                                bias=False, rng=rng)
+        self.conv_b = nn.Conv2d(c, f, kernel, stride=stride, padding=padding,
+                                bias=False, rng=rng)
+        self.bn_out = nn.BatchNorm2d(f)
+        for param in self.parameters():
+            param.data = param.data.astype(dtype)
+
+    def forward(self, x):
+        y = self.bn_in(x)
+        return self.bn_out(self.conv_a(y) + self.conv_b(y))
+
+
+def _dx(plan):
+    """The first BN's output gradient: the last gradient buffer the
+    backward creates, still intact after the step (nothing runs after
+    the first BN's backward, which only reads it)."""
+    return list(plan._grads.values())[-1]
+
+
+@needs_cc
+class TestRenderedConvDgrad:
+    @pytest.mark.parametrize("preset", ["tiny-r18", "small-r18"])
+    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("env_threads", [None, "2"])
+    def test_weights_overwritten_in_place_are_seen(
+        self, preset, groups, env_threads, monkeypatch
+    ):
+        """``load_state_dict`` writes ``param.data[...]`` in place — same
+        array object, so no binder rebinds anything.  The dgrad reads the
+        weights the forward reads: after the overwrite a compiled cgen
+        plan must step like a numpy plan compiled *afterwards*.  A packed
+        or flipped weight copy made at compile time would fail here."""
+        from repro.models import build_model
+
+        if env_threads is None:
+            monkeypatch.delenv(ENV_THREADS, raising=False)
+        else:
+            monkeypatch.setenv(ENV_THREADS, env_threads)
+        model = build_model(preset, rng=np.random.default_rng(1))
+        model.eval()
+        h, w = model.config.input_hw
+        x = np.random.default_rng(2).standard_normal(
+            (groups, 3, h, w)
+        ).astype(np.float32)
+        plan = CompiledAdaptStep(model, backend="cgen").plan_for(
+            x, groups=groups
+        )
+        assert "bwd:conv" not in plan.backend_info["numpy_stages"]
+        before = _step_outputs(plan, x)
+
+        convs = [m for m in model.modules() if isinstance(m, nn.Conv2d)]
+        held = [conv.weight.data for conv in convs]
+        other = build_model(preset, rng=np.random.default_rng(99))
+        model.load_state_dict(other.state_dict())
+        assert all(c.weight.data is d for c, d in zip(convs, held))
+
+        got = _step_outputs(plan, x)
+        want = _step_outputs(
+            CompiledAdaptStep(model, backend="numpy").plan_for(
+                x, groups=groups
+            ),
+            x,
+        )
+        assert not np.allclose(before[0], want[0]), "overwrite changed nothing"
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-9)
+
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_phases_taps_and_sinks_vs_the_numpy_closure(self, data):
+        """Kernels 1-5 (non-square too), strides 1-3 — beyond the kernel
+        included, and with trailing rows/cols no window reaches — padding
+        0-2, both dtypes, a fresh and an accumulating sink per example:
+        every rendered dgrad survives the probe against ``_conv_dgrad`` +
+        ``_col2im_accumulate``, the step lands beside the numpy plan,
+        cells no window reaches hold exactly 0, and every gradient
+        buffer is bit-for-bit the same at pool widths 1, 2 and 3."""
+        from repro.nn import functional as F
+
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        kernel = (data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5)))
+        stride = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
+        padding = (data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2)))
+        n = data.draw(st.integers(1, 3))
+        c, f = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        h = data.draw(st.integers(max(1, kernel[0] - 2 * padding[0]), 9))
+        w = data.draw(st.integers(max(1, kernel[1] - 2 * padding[1]), 14))
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        x = rng.standard_normal((n, c, h, w)).astype(dtype)
+
+        def plan_for(backend, threads=None):
+            model = _TwoBranch(c, f, kernel, stride, padding, dtype,
+                               np.random.default_rng(7))
+            model.train()
+            return CompiledAdaptStep(
+                model, backend=backend, threads=threads
+            ).plan_for(x)
+
+        oracle = plan_for("numpy")
+        want = _step_outputs(oracle, x)
+        with pytest.MonkeyPatch.context() as patch:
+            _tile_everything(patch)
+            plans = [plan_for("cgen", nt) for nt in (1, 2, 3)]
+            got = [_step_outputs(plan, x) for plan in plans]
+        for plan in plans:
+            info = plan.backend_info
+            assert info["demoted"] == 0, info
+            assert "bwd:conv" not in info["numpy_stages"], info
+        tol = (
+            dict(rtol=2e-3, atol=2e-5) if dtype == np.float32
+            else dict(rtol=1e-7, atol=1e-10)
+        )
+        for a, b in zip(got[0], want):
+            np.testing.assert_allclose(a, b, **tol)
+        np.testing.assert_allclose(_dx(plans[0]), _dx(oracle), **tol)
+        # cells of dX under no window: a column block of ones scatters
+        # a count >= 1 into every cell some window covers
+        geo = lower_conv(x.shape, (f, c) + kernel, stride, padding,
+                         dtype, dtype)
+        reached = F._col2im(
+            np.ones((n, geo.k_total, geo.p_total)), x.shape, kernel, stride,
+            padding,
+        )
+        assert not _dx(plans[0])[reached == 0].any()
+        grads = [[g.tobytes() for g in p._grads.values()] for p in plans]
+        assert grads[0] == grads[1] == grads[2]
+
+    def test_strict_keeps_every_dgrad_on_the_closure(self):
+        """Summation order differs from BLAS-then-col2im, so strict
+        declines the kind up front and replays the numpy plan's bytes."""
+        model, _, x = _model_and_frames("small-r18", 1, 3)
+        want = _step_outputs(CompiledAdaptStep(model).plan_for(x), x)
+        plan = CompiledAdaptStep(model, backend="cgen-strict").plan_for(x)
+        got = _step_outputs(plan, x)
+        band = CompiledAdaptStep(model, backend="cgen").plan_for(x)
+        assert plan.backend_info["numpy_stages"]["bwd:conv"] == 20
+        assert "bwd:conv" not in band.backend_info["numpy_stages"]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_rendered_dgrad_needs_no_column_or_image_scratch(self):
+        """The closure's ``gcols`` (and, accumulating, ``gpad``) blocks
+        are what the numpy plan requests from the arena beyond the cgen
+        plan, to the byte; strict, declining the kind, requests them."""
+        n, c, f, h, w = 2, 4, 6, 7, 9
+        x = np.random.default_rng(0).standard_normal((n, c, h, w))
+
+        def requested(backend):
+            model = _TwoBranch(c, f, (3, 3), (1, 1), (1, 1), np.float64,
+                               np.random.default_rng(7))
+            model.train()
+            plan = CompiledAdaptStep(model, backend=backend).plan_for(x)
+            return plan.stats.requested_bytes, plan.stats.arena_bytes
+
+        gcols = n * (c * 9) * (h * w) * 8
+        gpad = n * c * h * w * 8
+        numpy_req, numpy_arena = requested("numpy")
+        cgen_req, cgen_arena = requested("cgen")
+        assert numpy_req - cgen_req == 2 * gcols + gpad
+        assert cgen_arena < numpy_arena
+        assert requested("cgen-strict") == (numpy_req, numpy_arena)
+
+    def test_one_offer_kind_for_every_geometry(self, monkeypatch):
+        """``conv_bwd`` (the identity-only 1x1 path) is gone: every conv
+        input gradient of small-r18 — 3x3, strided 3x3, strided 1x1
+        downsample, the head's plain 1x1 — is offered as ``conv_dgrad``."""
+        assert not hasattr(cgen.CRenderer, "_try_conv_bwd")
+        kinds = []
+        offer_stage = cgen.CRenderer.offer_stage
+
+        def spy(self, kind, spec, fallback):
+            kinds.append(kind)
+            return offer_stage(self, kind, spec, fallback)
+
+        monkeypatch.setattr(cgen.CRenderer, "offer_stage", spy)
+        model, _, x = _model_and_frames("small-r18", 1, 3)
+        CompiledAdaptStep(model, backend="cgen").plan_for(x)
+        assert kinds.count("conv_dgrad") == 20
+        assert "conv_bwd" not in kinds
