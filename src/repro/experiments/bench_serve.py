@@ -40,12 +40,15 @@ every row is exactly reproducible and safe to regression-gate.
 
 from __future__ import annotations
 
+import os
+import tempfile
 import time
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..adapt import LDBNAdaptConfig
+from ..data import ScenarioStream, get_scenario
 from ..data.benchmarks import make_benchmark
 from ..hw.device import get_power_mode
 from ..models.registry import get_config
@@ -53,6 +56,7 @@ from ..hw.deadline import DEADLINE_30FPS_MS
 from ..serve import (
     AdmissionConfig,
     CheckpointConfig,
+    DriftResetConfig,
     FaultSchedule,
     FleetConfig,
     FleetServer,
@@ -60,6 +64,7 @@ from ..serve import (
 )
 from ..telemetry import SpanTracer
 from ..utils.logging import Logger
+from .bench_infer import _time_ms
 from .config import RunScale, get_run_scale
 from .fig2_accuracy import train_source_model
 
@@ -553,6 +558,72 @@ RECOVERY_COLUMNS = (
 )
 
 
+#: checkpoint-store timing: a recurring-shift stream served until the
+#: session's drift bank holds two regimes (the shape a fleet session
+#: checkpoints at steady state), then timed writes / verified loads of it
+STORE_SCENARIO = "tunnel_strobe"
+STORE_TICKS = 48
+STORE_SAMPLES = 200
+
+#: display order of the checkpoint-store table
+STORE_COLUMNS = (
+    "scenario", "bank", "checkpoint_arrays", "checkpoint_bytes",
+    "checkpoint_write_ms_p50", "checkpoint_write_ms_p95",
+    "checkpoint_load_ms_p50", "checkpoint_load_ms_p95", "tmp_left",
+)
+
+
+def _store_row(model, pristine, scale: RunScale, backend: str) -> Dict[str, object]:
+    """Write / load timings of the session store on a full-bank session."""
+    model.load_state_dict(pristine)
+    with tempfile.TemporaryDirectory(prefix="repro-bench-ckpt-") as root:
+        server = FleetServer(
+            model,
+            FleetConfig(
+                latency_model="orin",
+                drift=DriftResetConfig(),
+                checkpoint=CheckpointConfig(
+                    interval_frames=RECOVERY_INTERVAL, dir=root
+                ),
+                backend=backend,
+            ),
+            device=get_power_mode("orin-60w"),
+            spec=get_config("paper-r18").to_spec(),
+        )
+        frames = (
+            ScenarioStream(
+                get_scenario(STORE_SCENARIO),
+                get_config(
+                    scale.preset("r18"), num_lanes=model.config.num_lanes
+                ),
+                seed=scale.seed,
+                stream_id="s0",
+                horizon=STORE_TICKS,
+            )
+            .take(STORE_TICKS)
+            .samples
+        )
+        server.add_stream(
+            "s0", iter(frames), adapter_config=LDBNAdaptConfig(lr=scale.adapt_lr)
+        )
+        server.run(STORE_TICKS)
+        session, store = server.registry.get("s0"), server.checkpoints
+        write_ms = _time_ms(lambda: store.checkpoint(session), STORE_SAMPLES)
+        load_ms = _time_ms(lambda: store.load("s0"), STORE_SAMPLES)
+        arrays, _ = store.load("s0")
+        return {
+            "scenario": "store",
+            "bank": len(session.drift.bank),
+            "checkpoint_arrays": len(arrays),
+            "checkpoint_bytes": os.path.getsize(store.path_for("s0")),
+            "checkpoint_write_ms_p50": float(np.percentile(write_ms, 50)),
+            "checkpoint_write_ms_p95": float(np.percentile(write_ms, 95)),
+            "checkpoint_load_ms_p50": float(np.percentile(load_ms, 50)),
+            "checkpoint_load_ms_p95": float(np.percentile(load_ms, 95)),
+            "tmp_left": sum(n.endswith(".tmp") for n in os.listdir(root)),
+        }
+
+
 def _recovery_row(scenario: str, report) -> Dict[str, object]:
     return {
         "scenario": scenario,
@@ -589,6 +660,12 @@ def run_bench_recovery(
       bitwise (``replay_ok``).  Every session hosted by the dead device
       must recover, and the adapted-state frames lost must stay under
       ``RECOVERY_INTERVAL`` per recovered stream (``loss_bounded``).
+
+    A fifth ``store`` row (:data:`STORE_COLUMNS`) times the session
+    checkpoint store itself — durable write and verified load, p50/p95
+    over :data:`STORE_SAMPLES` calls, and bytes per write — on a session
+    whose drift bank holds two regimes, so the regression gate sees the
+    checkpoint path at its steady-state size, not a fresh session's.
     """
     scale = scale if scale is not None else get_run_scale()
     benchmark, model = _prepare(scale)
@@ -645,6 +722,8 @@ def run_bench_recovery(
     replay_ok = crash_outputs[0] == crash_outputs[1]
     for row in rows[2:]:
         row["replay_ok"] = replay_ok
+    log.info("bench-serve: checkpoint store on a full-bank session")
+    rows.append(_store_row(model, pristine, scale, backend))
     return rows
 
 
@@ -664,6 +743,12 @@ def check_recovery(rows: List[Dict[str, object]]) -> None:
     assert crash["recoveries"] >= 1, (
         "the crashed device hosted no recovered session"
     )
+    store = by_scenario["store"]
+    assert store["bank"] >= 2, (
+        f"the store was timed on a session with {store['bank']} banked "
+        "regimes, not a full-bank one"
+    )
+    assert store["tmp_left"] == 0, "the store left *.tmp files behind"
     assert crash["loss_bounded"], (
         f"frames lost {crash['frames_lost']} exceeded the checkpoint "
         f"interval x recovered streams bound"

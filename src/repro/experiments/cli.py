@@ -62,6 +62,7 @@ from .bench_serve import (
     DEVICE_COLUMNS as BENCH_DEVICE_COLUMNS,
     OVERHEAD_COLUMNS as BENCH_OVERHEAD_COLUMNS,
     RECOVERY_COLUMNS as BENCH_RECOVERY_COLUMNS,
+    STORE_COLUMNS as BENCH_STORE_COLUMNS,
     STRIDES,
     check_device_scaling,
     check_recovery,
@@ -345,11 +346,16 @@ def _run_bench_serve(
             backend=backend if backend is not None else "numpy",
         )
         print("BENCH-SERVE — crash recovery: checkpointed elastic pool")
-        print(
-            format_table(
-                rows, columns=list(BENCH_RECOVERY_COLUMNS), floatfmt=".3f"
-            )
-        )
+        for title, columns, part in (
+            (None, BENCH_RECOVERY_COLUMNS,
+             [r for r in rows if r["scenario"] != "store"]),
+            ("BENCH-SERVE — session checkpoint store, full-bank session",
+             BENCH_STORE_COLUMNS,
+             [r for r in rows if r["scenario"] == "store"]),
+        ):
+            if title:
+                print(title)
+            print(format_table(part, columns=list(columns), floatfmt=".3f"))
         try:
             check_recovery(rows)
         except AssertionError as exc:

@@ -14,9 +14,15 @@ arrays against it, so a truncated or mixed-up archive is rejected instead
 of silently restoring partial state.
 
 :func:`save_arrays` / :func:`load_arrays` are the raw layer (any string →
-array mapping, e.g. the fleet's per-session checkpoints);
-:func:`save_checkpoint` / :func:`load_checkpoint` specialize them to
-module state dicts.
+array mapping); :func:`save_checkpoint` / :func:`load_checkpoint`
+specialize them to module state dicts.
+
+The fleet's per-session checkpoints do *not* use this module: a session
+is hundreds of small arrays rewritten every few frames, where zip
+framing costs ~10 ms a write, so :mod:`repro.serve.checkpoint` keeps
+its own flat, CRC-checked container.  Model checkpoints are written
+once, hold a few large arrays, and gain more from being readable with
+stock ``np.load`` than from speed — so they stay ``.npz``.
 """
 
 from __future__ import annotations

@@ -107,7 +107,9 @@ Architecture
 * **checkpoint.py / faults.py** — session durability and deterministic
   failure injection (see the failure model below).
   :class:`SessionCheckpointStore` periodically serializes each
-  session's complete adapted state to atomic ``.npz`` archives;
+  session's complete adapted state to one flat, CRC-checked buffer per
+  stream (schema ``repro-session-checkpoint-v2``, layout in
+  :mod:`repro.serve.checkpoint`; model checkpoints stay ``.npz``);
   :class:`FaultSchedule` is a seeded, replayable list of crash / stall
   / slow-down / join events the coordinator drains through its event
   loop like a second arrival stream.
@@ -122,12 +124,15 @@ fault event).  What is durable, what is lost, and how recovery runs:
   gamma/beta (the ``ParameterSnapshot``), optimizer slots, the
   adapter's pending-frame buffer and step index, admission
   debt/deferrals, serving counters and the arrival-process cursor.
-  Checkpoints are written atomically (tmp + ``os.replace`` with an
-  embedded key manifest — a torn archive can never be loaded), every
+  Checkpoints are written atomically (tmp + ``os.replace``) as magic +
+  version, a JSON header (metadata and a sorted ``[key, dtype, shape]``
+  manifest), one contiguous payload and a CRC32 over all of it — a
+  torn, truncated or bit-flipped file is rejected with
+  :class:`CheckpointCorrupt` before a single array is restored — every
   ``CheckpointConfig.interval_frames`` served frames, plus a baseline
-  at attach time.  ``mode="async"`` models a write-behind store: a
-  capture is staged and only durable at the next opportunity, bounded
-  by ``max_staleness_frames``.
+  at attach time.  ``mode="async"`` models a write-behind store: the
+  packed capture is staged and only durable at the next opportunity,
+  bounded by ``max_staleness_frames``.
 * **Lost on a crash** — everything since the last durable checkpoint:
   adapted-state progress of frames served since then (counted per
   stream in ``FleetReport.frames_lost``, bounded by the checkpoint
@@ -149,9 +154,13 @@ fault event).  What is durable, what is lost, and how recovery runs:
   counted dead; each hosted session is restored from its durable
   checkpoint, re-placed over the surviving pool by the normal placement
   path, re-quoted at the new device's prices, and its admission
-  debt re-imported.  Nothing is recomputed: serving counters stand,
-  only adapted state rolls back, so no frame is ever served twice and
-  per-stream frame order is preserved.  Joined or freshly drained
+  debt re-imported.  A checkpoint that fails verification is a
+  *reported fallback*, not a crash: the session is handled as if it had
+  no durable checkpoint (its live state untouched, every frame since
+  registration counted lost) and the recovery record and
+  ``FleetReport.corrupt_checkpoints`` say so.  Nothing is recomputed:
+  serving counters stand, only adapted state rolls back, so no frame is
+  ever served twice and per-stream frame order is preserved.  Joined or freshly drained
   devices are re-priced within a bounded number of idle-decay ticks by
   a canary probe that snaps their stale slack EWMA to the roofline
   prior.
@@ -159,7 +168,8 @@ fault event).  What is durable, what is lost, and how recovery runs:
 Checkpointing, fault injection and recovery all run on the simulated
 event clock, so a seeded ``FaultSchedule`` replays bitwise — and with
 no faults scheduled, a checkpointing run is bitwise identical to a
-fault-free baseline (captures copy; they never touch live state).
+fault-free baseline (a capture serializes the live arrays into its
+own buffer; it never touches live state).
 * **report.py** — fleet dashboard: p50/p95/p99 latency, deadline-slack
   percentiles, queue depth at batch launch, per-stream accuracy,
   adaptation-step p50/p95, admission grants/skips, dropped frames,
@@ -196,9 +206,12 @@ from .adapt_batch import FleetAdaptationBatcher, static_fuse_key
 from .admission import AdmissionConfig, SlackAdmission, StepCandidate
 from .checkpoint import (
     CheckpointConfig,
+    CheckpointCorrupt,
     SessionCheckpointStore,
     capture_session_state,
+    pack_checkpoint,
     restore_session_state,
+    unpack_checkpoint,
 )
 from .drift import DriftResetConfig, SessionDriftState
 from .faults import FaultEvent, FaultSchedule
@@ -232,9 +245,12 @@ __all__ = [
     "FleetConfig",
     "FleetReport",
     "CheckpointConfig",
+    "CheckpointCorrupt",
     "SessionCheckpointStore",
     "capture_session_state",
     "restore_session_state",
+    "pack_checkpoint",
+    "unpack_checkpoint",
     "FaultEvent",
     "FaultSchedule",
     "DriftResetConfig",

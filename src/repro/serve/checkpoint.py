@@ -5,52 +5,180 @@ statistics and gamma/beta, optimizer slots, admission debt, the arrival
 cursor.  A device crash destroys exactly that state for every hosted
 stream — so the fleet periodically serializes each
 :class:`~repro.serve.streams.StreamSession`'s complete adapted state to
-a checkpoint store built on :mod:`repro.nn.serialization`'s atomic
-``.npz`` archives.  Recovery (:meth:`repro.serve.server.FleetServer.
+a checkpoint store.  Recovery (:meth:`repro.serve.server.FleetServer.
 crash_device`) restores the last *durable* checkpoint; frames served
 between that checkpoint and the crash are counted as lost, never
 recomputed.
 
-Layout: one archive per stream (``<root>/<stream-id>.npz``), atomically
-replaced on every write, with array keys
+Container (schema ``repro-session-checkpoint-v2``): one flat file per
+stream (``<root>/<stream-id>.ckpt``), atomically replaced on every
+write (``<path>.tmp`` + :func:`os.replace`)::
+
+    offset 0    magic ``RPCKPT`` (6 bytes) | version u16 | header length u32
+    offset 12   header: UTF-8 JSON ``{"meta": {...}, "arrays": [[key,
+                dtype, shape], ...]}`` — the manifest is sorted by key
+    ...         payload: every manifested array's C-order bytes, back
+                to back in manifest order (no padding)
+    last 4      CRC32 (u32) of every byte before it
+
+(all integers little-endian).  :func:`unpack_checkpoint` verifies the
+magic and version, that the file is long enough for its header, that
+the manifest's byte count equals the payload's, and the CRC — which
+covers prefix, header and payload, so a flipped bit anywhere in the
+file is caught — and raises :class:`CheckpointCorrupt` otherwise,
+*before* any array is handed out: a restore is all-or-nothing.
+
+A session is ~350 small arrays once its drift bank holds two regimes;
+``np.savez`` spent 10 ms per write on per-member zip framing (and
+doubled the file with member headers), where this container is one
+``join`` and one ``write``.  *Model* checkpoints
+(:mod:`repro.nn.serialization`) deliberately stay ``.npz``: they are
+written once per training run, are few large arrays (framing is noise),
+and being openable with stock numpy is worth more there than speed —
+the one place the repo keeps two formats.
+
+Array keys:
 
 * ``bn.param.<i>`` — the BN snapshot's interleaved gamma/beta copies
 * ``bn.buffer.<i>.<name>`` — per-layer running mean/var/count buffers
 * ``opt.<j>.<slot>`` — optimizer slots per trainable parameter
   (SGD momentum, Adam step/m/v; scratch buffers are excluded)
 * ``adapt.buffer.<k>`` — frames buffered toward the next adaptation step
+* ``drift.*`` — detector vector, regime accumulators, warm-start bank
 
-and a JSON metadata blob carrying the scalar state: serving counters,
+and the header's ``meta`` carries the scalar state: serving counters,
 the adapter's step index, admission debt/deferrals, and the arrival
 process cursor (frame index, last timestamp, generator state) so a
 cold restore resumes the exact seeded arrival realization.
 
 Policy lives in :class:`CheckpointConfig`: ``interval_frames`` sets the
 cadence (and thus the worst-case loss per stream), ``mode="async"``
-models a background writer — a capture is *staged* in memory and only
-becomes durable at the session's next checkpoint opportunity, so a
-crash loses the staged capture exactly like a real write-behind store —
-and ``max_staleness_frames`` bounds how stale the durable copy may get
-before the writer is forced synchronous.
+models a background writer — a capture is *staged* in memory (as its
+packed bytes) and only becomes durable at the session's next checkpoint
+opportunity, so a crash loses the staged capture exactly like a real
+write-behind store — and ``max_staleness_frames`` bounds how stale the
+durable copy may get before the writer is forced synchronous.
 
-Checkpointing never mutates session state (captures copy), so a run
-with checkpointing enabled is bitwise identical to one without.
+Checkpointing never mutates session state (a capture serializes the
+live arrays into its own buffer), so a run with checkpointing enabled
+is bitwise identical to one without.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
+import struct
 import tempfile
+import zlib
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..nn.serialization import load_arrays, save_arrays
+SCHEMA = "repro-session-checkpoint-v2"
 
-SCHEMA = "repro-session-checkpoint-v1"
+MAGIC = b"RPCKPT"
+VERSION = 2
+_PREFIX = struct.Struct("<6sHI")  # magic, version, header length
+_TRAILER = struct.Struct("<I")  # CRC32 of everything before it
+_KINDS = "biufc"  # dtype kinds whose ``.str`` describes them completely
+
+
+class CheckpointCorrupt(ValueError):
+    """A session checkpoint failed its magic / length / manifest / CRC check."""
+
+
+def pack_checkpoint(arrays: Mapping[str, np.ndarray], meta: dict) -> bytes:
+    """Serialize ``arrays`` + JSON-able ``meta`` into one v2 buffer.
+
+    Each array is copied exactly once (its C-order bytes, whatever its
+    strides), so the buffer is frozen the moment this returns.
+    """
+    manifest = []
+    chunks = []
+    for key in sorted(arrays):
+        arr = np.asarray(arrays[key])
+        if arr.dtype.kind not in _KINDS:
+            raise ValueError(
+                f"array {key!r} has dtype {arr.dtype}; a flat checkpoint "
+                "holds plain numeric arrays only"
+            )
+        manifest.append((key, arr.dtype.str, arr.shape))
+        chunks.append(arr.tobytes())
+    header = json.dumps(
+        {"meta": meta, "arrays": manifest}, separators=(",", ":")
+    ).encode("utf-8")
+    body = b"".join([_PREFIX.pack(MAGIC, VERSION, len(header)), header] + chunks)
+    return body + _TRAILER.pack(zlib.crc32(body))
+
+
+def _unpack_header(blob: bytes, source: str) -> Tuple[dict, list, int]:
+    """Parse prefix + JSON header; returns ``(meta, manifest, payload offset)``."""
+    if len(blob) < _PREFIX.size:
+        raise CheckpointCorrupt(f"checkpoint {source} is shorter than its prefix")
+    magic, version, header_len = _PREFIX.unpack_from(blob)
+    if magic != MAGIC or version != VERSION:
+        raise CheckpointCorrupt(
+            f"checkpoint {source} is not a v{VERSION} session checkpoint "
+            f"(magic {magic!r}, version {version})"
+        )
+    end = _PREFIX.size + header_len
+    if len(blob) < end:
+        raise CheckpointCorrupt(f"checkpoint {source} is shorter than its header")
+    try:
+        header = json.loads(blob[_PREFIX.size:end].decode("utf-8"))
+        return header["meta"], header["arrays"], end
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointCorrupt(
+            f"checkpoint {source} has an unreadable header: {exc}"
+        ) from exc
+
+
+def unpack_checkpoint(
+    blob: bytes, source: str = "<bytes>"
+) -> Tuple[Dict[str, np.ndarray], dict]:
+    """Verify a v2 buffer and return ``(arrays, meta)``.
+
+    The arrays are read-only views into ``blob``.  Raises
+    :class:`CheckpointCorrupt` on a bad magic/version, a short file, a
+    CRC mismatch, or a manifest whose byte count differs from the
+    payload's — all checked before the first array is built.
+    """
+    meta, manifest, offset = _unpack_header(blob, source)
+    stop = len(blob) - _TRAILER.size
+    if stop < offset:
+        raise CheckpointCorrupt(f"checkpoint {source} is shorter than its trailer")
+    (stored,) = _TRAILER.unpack_from(blob, stop)
+    if zlib.crc32(memoryview(blob)[:stop]) != stored:
+        raise CheckpointCorrupt(f"checkpoint {source} fails its CRC32")
+    try:
+        entries = [
+            (key, np.dtype(dtype), tuple(shape), math.prod(shape))
+            for key, dtype, shape in manifest
+        ]
+        if any(dtype.kind not in _KINDS for _, dtype, _, _ in entries):
+            raise ValueError("non-numeric dtype")
+    except (ValueError, TypeError) as exc:
+        raise CheckpointCorrupt(
+            f"checkpoint {source} has an unreadable manifest: {exc}"
+        ) from exc
+    described = sum(dtype.itemsize * count for _, dtype, _, count in entries)
+    if offset + described != stop:
+        raise CheckpointCorrupt(
+            f"checkpoint {source} holds {stop - offset} payload bytes, "
+            f"its manifest describes {described}"
+        )
+    arrays: Dict[str, np.ndarray] = {}
+    for key, dtype, shape, count in entries:
+        arrays[key] = np.frombuffer(
+            blob, dtype=dtype, count=count, offset=offset
+        ).reshape(shape)
+        offset += count * dtype.itemsize
+    return arrays, meta
+
 
 #: optimizer slots that are scratch space, not state (fully overwritten
 #: each step) — excluded from checkpoints
@@ -106,15 +234,16 @@ class CheckpointConfig:
 # ----------------------------------------------------------------------
 # pure capture/restore helpers (no I/O) — the store and the property
 # tests share them
-def capture_session_state(
+def pack_session_state(
     session,
     admission_state: Optional[Dict[str, object]] = None,
     now_ms: float = 0.0,
-) -> Tuple[Dict[str, np.ndarray], dict]:
-    """Snapshot a session's complete adapted state as ``(arrays, meta)``.
+) -> bytes:
+    """Serialize a session's complete adapted state into one v2 buffer.
 
-    Everything is copied — the capture stays frozen while the live
-    session keeps serving.  ``admission_state`` is the non-destructive
+    The live arrays are packed directly (:func:`pack_checkpoint` copies
+    each once), so the buffer stays frozen while the session keeps
+    serving.  ``admission_state`` is the non-destructive
     :meth:`~repro.serve.admission.SlackAdmission.peek_stream` view of
     the hosting device's controller (the fuse key is *not* serialized;
     it is recomputed from the adapter at restore).
@@ -122,10 +251,10 @@ def capture_session_state(
     arrays: Dict[str, np.ndarray] = {}
     bn = session.bn_state
     for i, saved in enumerate(bn.params.saved):
-        arrays[f"bn.param.{i}"] = saved.copy()
+        arrays[f"bn.param.{i}"] = saved
     for i, bufs in enumerate(bn.buffers):
         for name, arr in bufs.items():
-            arrays[f"bn.buffer.{i}.{name}"] = np.array(arr)
+            arrays[f"bn.buffer.{i}.{name}"] = arr
     optimizer = getattr(session.adapter, "optimizer", None)
     if optimizer is not None:
         for j, param in enumerate(optimizer.params):
@@ -135,10 +264,10 @@ def capture_session_state(
             for slot, value in slots.items():
                 if slot in _SCRATCH_SLOTS:
                     continue
-                arrays[f"opt.{j}.{slot}"] = np.asarray(value).copy()
+                arrays[f"opt.{j}.{slot}"] = value
     pending = getattr(session.adapter, "_buffer", None) or []
     for k, frame in enumerate(pending):
-        arrays[f"adapt.buffer.{k}"] = np.asarray(frame).copy()
+        arrays[f"adapt.buffer.{k}"] = frame
     drift = getattr(session, "drift", None)
     if drift is not None:
         # detector vector, regime accumulators and warm-start bank (the
@@ -177,7 +306,24 @@ def capture_session_state(
         }
     if drift is not None:
         meta["drift"] = drift.state_meta()
-    return arrays, meta
+    return pack_checkpoint(arrays, meta)
+
+
+def capture_session_state(
+    session,
+    admission_state: Optional[Dict[str, object]] = None,
+    now_ms: float = 0.0,
+) -> Tuple[Dict[str, np.ndarray], dict]:
+    """Snapshot a session's state as frozen ``(arrays, meta)``.
+
+    Exactly what a checkpoint written now would load back as: the
+    arrays are read-only views into a private :func:`pack_session_state`
+    buffer.
+    """
+    return unpack_checkpoint(
+        pack_session_state(session, admission_state, now_ms),
+        f"of stream {session.stream_id!r}",
+    )
 
 
 def restore_session_state(
@@ -278,7 +424,7 @@ class SessionCheckpointStore:
     :meth:`observe` after serving a session; the store decides from
     ``config`` whether a capture is due and whether it becomes durable
     now (sync / staleness-forced) or is staged for the next opportunity
-    (async).  :meth:`restore` reads the last durable archive — staged
+    (async).  :meth:`restore` reads the last durable file — staged
     captures are deliberately *not* consulted: a crash loses them, like
     any write-behind store.
     """
@@ -291,15 +437,16 @@ class SessionCheckpointStore:
             else tempfile.mkdtemp(prefix="repro-ckpt-")
         )
         os.makedirs(self.root, exist_ok=True)
-        self.writes = 0  # durable archives written
+        self.writes = 0  # durable files written
         self.staged_writes = 0  # captures parked for the background writer
-        self._staged: Dict[str, Tuple[Dict[str, np.ndarray], dict]] = {}
+        # packed capture + the frames_seen it was taken at, per stream
+        self._staged: Dict[str, Tuple[bytes, int]] = {}
         self._last_capture_frames: Dict[str, int] = {}
         self._last_durable_frames: Dict[str, int] = {}
 
     def path_for(self, stream_id: str) -> str:
         safe = re.sub(r"[^A-Za-z0-9._-]+", "_", stream_id)
-        return os.path.join(self.root, f"{safe}.npz")
+        return os.path.join(self.root, f"{safe}.ckpt")
 
     # ------------------------------------------------------------------
     def observe(
@@ -323,7 +470,7 @@ class SessionCheckpointStore:
         last = self._last_capture_frames.get(sid, 0)
         if session.frames_seen - last < self.config.interval_frames:
             return written
-        arrays, meta = capture_session_state(session, admission_state, now_ms)
+        blob = pack_session_state(session, admission_state, now_ms)
         self._last_capture_frames[sid] = session.frames_seen
         force_sync = (
             self.config.max_staleness_frames is not None
@@ -331,9 +478,9 @@ class SessionCheckpointStore:
             >= self.config.max_staleness_frames
         )
         if self.config.mode == "sync" or force_sync:
-            written += self._write(sid, arrays, meta)
+            written += self._write(sid, blob, session.frames_seen)
         else:
-            self._staged[sid] = (arrays, meta)
+            self._staged[sid] = (blob, session.frames_seen)
             self.staged_writes += 1
         return written
 
@@ -348,10 +495,10 @@ class SessionCheckpointStore:
         Used at registration/attach time so every session has a durable
         baseline before it serves a single frame.
         """
-        arrays, meta = capture_session_state(session, admission_state, now_ms)
+        blob = pack_session_state(session, admission_state, now_ms)
         self._staged.pop(session.stream_id, None)
         self._last_capture_frames[session.stream_id] = session.frames_seen
-        return self._write(session.stream_id, arrays, meta)
+        return self._write(session.stream_id, blob, session.frames_seen)
 
     def flush(self) -> int:
         """Make every staged capture durable (end-of-run barrier)."""
@@ -364,12 +511,14 @@ class SessionCheckpointStore:
         """Discard a staged capture (its device crashed before the write)."""
         self._staged.pop(stream_id, None)
 
-    def _write(
-        self, stream_id: str, arrays: Dict[str, np.ndarray], meta: dict
-    ) -> int:
-        save_arrays(self.path_for(stream_id), arrays, meta)
+    def _write(self, stream_id: str, blob: bytes, frames_seen: int) -> int:
+        path = self.path_for(stream_id)
+        tmp = path + ".tmp"
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
         self.writes += 1
-        self._last_durable_frames[stream_id] = int(meta["frames_seen"])
+        self._last_durable_frames[stream_id] = frames_seen
         return 1
 
     # ------------------------------------------------------------------
@@ -377,12 +526,14 @@ class SessionCheckpointStore:
         return os.path.exists(self.path_for(stream_id))
 
     def load(self, stream_id: str) -> Tuple[Dict[str, np.ndarray], dict]:
-        """Read a stream's durable archive (strict manifest check)."""
+        """Read and verify a stream's durable checkpoint.
+
+        Raises :class:`CheckpointCorrupt` unless the whole file checks
+        out (see :func:`unpack_checkpoint`).
+        """
         path = self.path_for(stream_id)
-        arrays, meta = load_arrays(path, strict=True)
-        if meta is None:
-            raise ValueError(f"checkpoint {path!r} carries no metadata")
-        return arrays, meta
+        with open(path, "rb") as fh:
+            return unpack_checkpoint(fh.read(), repr(path))
 
     def restore(self, session, counters: bool = False) -> Optional[dict]:
         """Restore ``session`` from its last durable checkpoint.
@@ -390,27 +541,29 @@ class SessionCheckpointStore:
         Returns the checkpoint's metadata (the caller computes frames
         lost as ``session.frames_seen - meta["frames_seen"]`` and
         re-imports admission state), or None when the stream has no
-        durable checkpoint yet.
+        durable checkpoint yet.  All-or-nothing: the file is verified in
+        full before the first in-place write, so a
+        :class:`CheckpointCorrupt` leaves the session untouched.
         """
         if not self.has_checkpoint(session.stream_id):
             return None
         arrays, meta = self.load(session.stream_id)
-        meta["admission"] = dict(meta["admission"])
         meta["admission"].update(
             restore_session_state(session, arrays, meta, counters=counters)
         )
         return meta
 
     def metadata(self, stream_id: str) -> Optional[dict]:
-        """The durable checkpoint's metadata without touching any session."""
+        """The durable checkpoint's metadata without touching any session.
+
+        Reads prefix and header only — the payload is neither read nor
+        CRC-checked.
+        """
         if not self.has_checkpoint(stream_id):
             return None
         path = self.path_for(stream_id)
-        with np.load(path, allow_pickle=False) as data:
-            if "__repro_meta__" not in data.files:
-                return None
-            meta = json.loads(
-                bytes(data["__repro_meta__"].tobytes()).decode("utf-8")
-            )
-        meta.pop("__keys__", None)
-        return meta
+        with open(path, "rb") as fh:
+            prefix = fh.read(_PREFIX.size)
+            if len(prefix) == _PREFIX.size:
+                prefix += fh.read(_PREFIX.unpack(prefix)[2])
+        return _unpack_header(prefix, repr(path))[0]

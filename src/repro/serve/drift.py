@@ -241,23 +241,24 @@ class SessionDriftState:
 
     # ------------------------------------------------------------------
     # checkpoint round-trip (arrays + meta merged into the session's
-    # checkpoint archive by serve.checkpoint)
+    # checkpoint by serve.checkpoint)
     # ------------------------------------------------------------------
     def state_arrays(self) -> Dict[str, np.ndarray]:
+        """The live arrays, uncopied — the checkpoint packer copies once."""
         arrays: Dict[str, np.ndarray] = {
             "drift.detector": self.detector.state_vector()
         }
         if self._sig_sum is not None:
-            arrays["drift.sig_sum"] = np.array(self._sig_sum)
+            arrays["drift.sig_sum"] = self._sig_sum
         if self.regime_sig is not None:
-            arrays["drift.regime_sig"] = np.array(self.regime_sig)
+            arrays["drift.regime_sig"] = self.regime_sig
         for b, (sig, state) in enumerate(self.bank):
-            arrays[f"drift.bank.{b}.sig"] = np.array(sig)
+            arrays[f"drift.bank.{b}.sig"] = sig
             for j, p in enumerate(state["params"]):
-                arrays[f"drift.bank.{b}.param.{j}"] = np.array(p)
+                arrays[f"drift.bank.{b}.param.{j}"] = p
             for j, bufs in enumerate(state["buffers"]):
                 for name, arr in bufs.items():
-                    arrays[f"drift.bank.{b}.buffer.{j}.{name}"] = np.array(arr)
+                    arrays[f"drift.bank.{b}.buffer.{j}.{name}"] = arr
         return arrays
 
     def state_meta(self) -> Dict[str, int]:

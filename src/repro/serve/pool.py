@@ -354,6 +354,19 @@ class _Decision:
         self.planned_step = planned_step
 
 
+def _memoised(quote):
+    """``quote(size)`` evaluated once per distinct ``size``."""
+    cache: Dict[int, float] = {}
+
+    def lookup(size: int) -> float:
+        value = cache.get(size)
+        if value is None:
+            value = cache[size] = quote(size)
+        return value
+
+    return lookup
+
+
 class DeviceWorker:
     """One pool device: its scheduler, queue, budgets and serving path.
 
@@ -401,12 +414,21 @@ class DeviceWorker:
         )
         nt = self.threads or 1
         if config.latency_model == "orin":
-            self.latency_fn = lambda b: self.slowdown * (  # noqa: E731
-                batched_inference_latency_ms(spec, device, b, threads=nt)
+            # spec, device and nt are fixed for the worker's life and the
+            # roofline walk is pure, so each batch / step size is quoted
+            # once; slowdown multiplies outside the memo, read live
+            infer_quote = _memoised(
+                lambda b: batched_inference_latency_ms(
+                    spec, device, b, threads=nt
+                )
             )
-            self.adapt_cost_fn = lambda n: self.slowdown * (  # noqa: E731
-                ld_bn_adapt_latency(spec, device, n, threads=nt).adaptation_ms
+            adapt_quote = _memoised(
+                lambda n: ld_bn_adapt_latency(
+                    spec, device, n, threads=nt
+                ).adaptation_ms
             )
+            self.latency_fn = lambda b: self.slowdown * infer_quote(b)  # noqa: E731
+            self.adapt_cost_fn = lambda n: self.slowdown * adapt_quote(n)  # noqa: E731
         else:
             # wallclock mode measures instead of planning; batch greedily
             self.latency_fn = None

@@ -278,6 +278,13 @@ class FleetReport:
         return len(self.recovery_events)
 
     @property
+    def corrupt_checkpoints(self) -> int:
+        """Recoveries that fell back because the checkpoint failed its checks."""
+        return sum(
+            1 for e in self.recovery_events if e.get("checkpoint_corrupt")
+        )
+
+    @property
     def total_frames_lost(self) -> int:
         """Served frames whose adaptation effect was rolled back by crashes."""
         return sum(self.frames_lost.values())
@@ -362,6 +369,7 @@ class FleetReport:
             "frames_lost": float(self.total_frames_lost),
             "crash_dropped_frames": float(self.total_crash_dropped_frames),
             "checkpoint_writes": float(self.checkpoint_writes),
+            "corrupt_checkpoints": float(self.corrupt_checkpoints),
             "canary_probes": float(self.canary_probes),
             "drift_events": float(self.total_drift_events),
             "drift_resets": float(self.total_drift_resets),

@@ -70,7 +70,11 @@ from ..utils.profiling import Timer
 from ..utils.rng import child_seed
 from .adapt_batch import static_fuse_key
 from .admission import AdmissionConfig
-from .checkpoint import CheckpointConfig, SessionCheckpointStore
+from .checkpoint import (
+    CheckpointConfig,
+    CheckpointCorrupt,
+    SessionCheckpointStore,
+)
 from .drift import DriftResetConfig, SessionDriftState
 from .faults import FaultEvent, FaultSchedule
 from .pool import (
@@ -517,7 +521,13 @@ class FleetServer:
            from the checkpoint and its adaptation price re-quoted by the
            new device.  Frames served between the checkpoint and the
            crash are **lost, not recomputed**: serving counters stand,
-           only the adapted state rolls back (``frames_lost`` row).
+           only the adapted state rolls back (``frames_lost`` row).  A
+           checkpoint that fails verification
+           (:class:`~repro.serve.checkpoint.CheckpointCorrupt`) is a
+           counted fallback, not an error: the session is handled as
+           if it had no durable checkpoint (every frame since
+           registration lost, live state left as it was) and its record
+           carries ``checkpoint_corrupt=True``.
 
         Returns the per-session recovery records (also appended to the
         run report).
@@ -562,11 +572,17 @@ class FleetServer:
         for session in list(worker.sessions.values()):
             sid = session.stream_id
             worker.detach(session)  # dead controller's debt is lost too
+            meta = None
+            corrupt = False
             if self.checkpoints is not None:
                 self.checkpoints.drop_staged(sid)
-                meta = self.checkpoints.restore(session)
-            else:
-                meta = None
+                try:
+                    meta = self.checkpoints.restore(session)
+                except CheckpointCorrupt:
+                    # verified before the first in-place write, so the
+                    # session is untouched: same as no durable checkpoint
+                    corrupt = True
+                    self.metrics.counter("fleet/corrupt_checkpoints").inc()
             if meta is not None:
                 frames_lost = session.frames_seen - int(meta["frames_seen"])
                 admission_state = {
@@ -606,6 +622,7 @@ class FleetServer:
                 "frames_lost": frames_lost,
                 "crash_dropped": self._crash_dropped.get(sid, 0),
                 "checkpoint_frames": int(meta["frames_seen"]) if meta else 0,
+                "checkpoint_corrupt": corrupt,
                 "recovery_latency_ms": detect_ms - now_ms,
             }
             records.append(record)

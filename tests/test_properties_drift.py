@@ -12,7 +12,7 @@ The guarantees the drift-reset serving path leans on:
 * **bitwise state round-trip** — serializing mid-stream and resuming a
   fresh detector from the state vector replays the identical alarm
   sequence and lands on the identical state, including through the
-  ``.npz`` archive format the checkpoint store uses;
+  flat container the session checkpoint store writes;
 * the detector never fires during warmup, and ``recalibrate`` resets
   the decision statistic without losing lifetime counters.
 """
@@ -21,7 +21,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.metrics import DriftConfig, DriftDetector
-from repro.nn.serialization import load_arrays, save_arrays
+from repro.serve import pack_checkpoint, unpack_checkpoint
 
 SETTINGS = dict(max_examples=40, deadline=None)
 
@@ -118,19 +118,17 @@ class TestStateRoundTrip:
             original.state_vector(), resumed.state_vector()
         )
 
-    @given(prefix=samples, seed=seeds)
+    @given(prefix=samples)
     @settings(**SETTINGS)
-    def test_state_survives_npz_archive(self, prefix, seed, tmp_path_factory):
+    def test_state_survives_checkpoint_container(self, prefix):
         original = DriftDetector(DriftConfig())
         for v in prefix:
             original.update(v)
         state = original.state_vector()
 
-        path = str(
-            tmp_path_factory.mktemp("drift") / f"state_{seed}.npz"
+        arrays, meta = unpack_checkpoint(
+            pack_checkpoint({"drift.detector": state}, {"schema": 1})
         )
-        save_arrays(path, {"drift.detector": state}, metadata={"schema": 1})
-        arrays, meta = load_arrays(path, strict=True)
         assert meta["schema"] == 1
 
         resumed = DriftDetector(DriftConfig())

@@ -9,14 +9,17 @@ The acceptance claims under test:
 * the identical :class:`FaultSchedule` replays bitwise;
 * a fault-free run with checkpointing enabled matches the fault-free
   baseline exactly (captures copy, they never touch live state);
-* checkpoint archives are atomic (tmp + ``os.replace``) and strict
-  loads reject archives that do not match their embedded key manifest;
+* session checkpoints are atomic (tmp + ``os.replace``) flat buffers;
+  a load rejects a file whose manifest, length or CRC does not check
+  out *before* touching the session, and a crash that finds such a file
+  falls back (counted, replayable) instead of raising;
 * a joining device is priced from the roofline prior immediately and a
   drained one is re-priced by the canary probe within a bounded number
   of idle-decay ticks.
 """
 
 import os
+import zlib
 
 import numpy as np
 import pytest
@@ -25,9 +28,10 @@ from repro.adapt import LDBNAdaptConfig
 from repro.experiments.bench_serve import per_stream_outputs
 from repro.hw import ORIN_POWER_MODES
 from repro.models import get_config
-from repro.nn.serialization import load_arrays, save_arrays
+from repro.nn.serialization import save_arrays
 from repro.serve import (
     CheckpointConfig,
+    CheckpointCorrupt,
     FaultEvent,
     FaultSchedule,
     FleetConfig,
@@ -35,8 +39,11 @@ from repro.serve import (
     MigrationConfig,
     SessionCheckpointStore,
     capture_session_state,
+    pack_checkpoint,
     restore_session_state,
+    unpack_checkpoint,
 )
+from repro.serve.checkpoint import _PREFIX, _TRAILER
 
 DEVICE = ORIN_POWER_MODES["orin-60w"]
 SPEC = get_config("paper-r18").to_spec()
@@ -52,7 +59,7 @@ def _frame_lists(benchmark, count, frames, seed=320):
     ]
 
 
-def _serve(model, pristine, frame_lists, ticks, **cfg):
+def _serve(model, pristine, frame_lists, ticks, prepare=None, **cfg):
     model.load_state_dict(pristine)
     server = FleetServer(
         model,
@@ -60,11 +67,19 @@ def _serve(model, pristine, frame_lists, ticks, **cfg):
         device=DEVICE,
         spec=SPEC,
     )
+    if prepare is not None:
+        prepare(server)
     for i, frames in enumerate(frame_lists):
         server.add_stream(
             f"s{i}", iter(list(frames)), adapter_config=LDBNAdaptConfig(lr=1e-3)
         )
     return server.run(ticks), server
+
+
+def _assert_same_state(left, right):
+    assert set(left) == set(right)
+    for key in left:
+        np.testing.assert_array_equal(left[key], right[key])
 
 
 class TestFaultEvent:
@@ -186,7 +201,7 @@ class TestCheckpointStore:
         )
         store = server.checkpoints
         names = os.listdir(store.root)
-        assert names and all(n.endswith(".npz") for n in names)
+        assert names and all(n.endswith(".ckpt") for n in names)
         assert report.checkpoint_writes == store.writes > 0
 
     def test_interval_bounds_checkpoint_staleness(
@@ -260,26 +275,104 @@ class TestCheckpointStore:
             )
 
     def test_strict_load_rejects_manifest_mismatch(
-        self, trained_tiny_model, tiny_benchmark, tmp_path
+        self, trained_tiny_model, tiny_benchmark
     ):
         _, server = self._serve_with_store(
             trained_tiny_model, tiny_benchmark, streams=1
         )
         store = server.checkpoints
-        arrays, _ = load_arrays(store.path_for("s0"), strict=True)
+        arrays, meta = store.load("s0")
 
-        # re-write the archive raw, dropping one manifested array
-        with np.load(store.path_for("s0"), allow_pickle=False) as data:
-            payload = {k: data[k] for k in data.files}
-        dropped = next(k for k in payload if k != "__repro_meta__")
-        del payload[dropped]
-        torn = str(tmp_path / "torn.npz")
-        with open(torn, "wb") as fh:
-            np.savez(fh, **payload)
-        with pytest.raises(KeyError):
-            load_arrays(torn, strict=True)
-        state, _ = load_arrays(torn, strict=False)
-        assert set(state) == set(arrays) - {dropped}
+        # re-frame the file with one manifested array's bytes missing
+        # from the payload and a CRC that matches the torn file: only
+        # the manifest-vs-payload size check can catch it
+        good = pack_checkpoint(arrays, meta)
+        dropped = sorted(arrays)[0]
+        short = pack_checkpoint(
+            {k: v for k, v in arrays.items() if k != dropped}, meta
+        )
+        good_payload = _PREFIX.size + _PREFIX.unpack_from(good)[2]
+        short_payload = _PREFIX.size + _PREFIX.unpack_from(short)[2]
+        torn = good[:good_payload] + short[short_payload:-_TRAILER.size]
+        torn += _TRAILER.pack(zlib.crc32(torn))
+        with open(store.path_for("s0"), "wb") as fh:
+            fh.write(torn)
+        with pytest.raises(CheckpointCorrupt, match="manifest"):
+            store.load("s0")
+        # the header alone still parses
+        assert store.metadata("s0") == meta
+
+    def test_corrupt_file_is_rejected_before_any_write(
+        self, trained_tiny_model, tiny_benchmark
+    ):
+        _, server = self._serve_with_store(
+            trained_tiny_model, tiny_benchmark, streams=1
+        )
+        store = server.checkpoints
+        session = server.registry.get("s0")
+        path = store.path_for("s0")
+        with open(path, "rb") as fh:
+            good = fh.read()
+        # move the live session off the checkpoint, so a partial restore
+        # would show
+        for saved in session.bn_state.params.saved:
+            saved += 0.5
+        before, _ = capture_session_state(session)
+
+        header_end = _PREFIX.size + _PREFIX.unpack_from(good)[2]
+        trailer = len(good) - _TRAILER.size
+        damaged = {
+            f"truncated at {cut}": good[:cut]
+            for cut in (0, _PREFIX.size, header_end, trailer, len(good) - 1)
+        }
+        for where, at in (
+            ("magic", 0),
+            ("header", (_PREFIX.size + header_end) // 2),
+            ("payload", (header_end + trailer) // 2),
+            ("trailer", trailer + 1),
+        ):
+            flipped = bytearray(good)
+            flipped[at] ^= 0x10
+            damaged[f"flipped in {where}"] = bytes(flipped)
+        damaged["an old .npz archive"] = b"PK\x03\x04" + good[4:]
+        for what, blob in damaged.items():
+            with open(path, "wb") as fh:
+                fh.write(blob)
+            with pytest.raises(CheckpointCorrupt):
+                store.restore(session)
+            after, _ = capture_session_state(session)
+            _assert_same_state(after, before)
+
+        assert issubclass(CheckpointCorrupt, ValueError)
+        with open(path, "wb") as fh:
+            fh.write(good)
+        assert store.restore(session) is not None
+
+    def test_async_flush_writes_the_staged_capture_not_live_state(
+        self, trained_tiny_model, tiny_benchmark, tmp_path
+    ):
+        _, server = self._serve_with_store(
+            trained_tiny_model, tiny_benchmark, streams=1
+        )
+        session = server.registry.get("s0")
+        store = SessionCheckpointStore(
+            CheckpointConfig(
+                interval_frames=1, mode="async", dir=str(tmp_path / "wb")
+            )
+        )
+        assert store.observe(session) == 0  # staged, nothing durable yet
+        assert store.staged_writes == 1 and not store.has_checkpoint("s0")
+        staged, _ = capture_session_state(session)
+        for saved in session.bn_state.params.saved:
+            saved += 1.0
+        assert store.flush() == 1
+        durable, meta = store.load("s0")
+        _assert_same_state(durable, staged)
+        assert meta["frames_seen"] == session.frames_seen
+        live, _ = capture_session_state(session)
+        assert any(
+            not np.array_equal(live[key], durable[key]) for key in durable
+        )
 
     def test_save_arrays_reserves_the_meta_key(self, tmp_path):
         with pytest.raises(ValueError):
@@ -382,6 +475,60 @@ class TestCrashRecovery:
             )[0]
             for _ in range(2)
         ]
+        assert per_stream_outputs(runs[0]) == per_stream_outputs(runs[1])
+        assert runs[0].summary() == runs[1].summary()
+        assert runs[0].recovery_events == runs[1].recovery_events
+
+    def test_corrupt_checkpoint_is_a_counted_replayable_fallback(
+        self, trained_tiny_model, tiny_benchmark
+    ):
+        schedule = FaultSchedule.parse(
+            f"crash@{4 * PERIOD_MS:g}:0,join@{6 * PERIOD_MS:g}:orin-30w"
+        )
+        pristine = trained_tiny_model.state_dict()
+        cfg = dict(
+            devices=2,
+            pristine=pristine,
+            checkpoint=CheckpointConfig(interval_frames=2),
+            faults=schedule,
+            migration=MigrationConfig(),
+        )
+        clean, _ = self._fleet(trained_tiny_model, tiny_benchmark, **cfg)
+        victim = clean.recovery_events[0]["stream"]
+        assert clean.corrupt_checkpoints == 0
+
+        def bad_disk(server):
+            # every write of the victim's checkpoint lands with one
+            # payload bit flipped
+            store = server.checkpoints
+            write = store._write
+
+            def rotten(stream_id, blob, frames_seen):
+                if stream_id == victim:
+                    blob = bytearray(blob)
+                    blob[len(blob) // 2] ^= 0x01
+                return write(stream_id, bytes(blob), frames_seen)
+
+            store._write = rotten
+
+        runs = [
+            self._fleet(
+                trained_tiny_model, tiny_benchmark, prepare=bad_disk, **cfg
+            )[0]
+            for _ in range(2)
+        ]
+        report = runs[0]
+        assert report.corrupt_checkpoints == 1
+        assert report.summary()["corrupt_checkpoints"] == 1.0
+        assert report.recoveries == clean.recoveries
+        for event in report.recovery_events:
+            assert event["checkpoint_corrupt"] == (event["stream"] == victim)
+            if event["stream"] == victim:
+                # handled as "no durable checkpoint": everything since
+                # registration counts as lost
+                assert event["checkpoint_frames"] == 0
+                assert event["frames_lost"] > 0
+        assert report.total_frames == clean.total_frames
         assert per_stream_outputs(runs[0]) == per_stream_outputs(runs[1])
         assert runs[0].summary() == runs[1].summary()
         assert runs[0].recovery_events == runs[1].recovery_events

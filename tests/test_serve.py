@@ -1025,6 +1025,57 @@ class TestDevicePool:
         placements = [server.device_of(f"s{i}") for i in range(4)]
         assert sorted(placements) == [0, 0, 1, 1]
 
+    def test_worker_quotes_the_roofline_once_per_size(
+        self, trained_tiny_model, monkeypatch
+    ):
+        """Pure layer walks are memoised per worker; slow-downs still scale."""
+        from repro.serve import pool as pool_module
+
+        calls = {"infer": 0, "adapt": 0}
+        infer, adapt = (
+            pool_module.batched_inference_latency_ms,
+            pool_module.ld_bn_adapt_latency,
+        )
+
+        def counted_infer(*args, **kwargs):
+            calls["infer"] += 1
+            return infer(*args, **kwargs)
+
+        def counted_adapt(*args, **kwargs):
+            calls["adapt"] += 1
+            return adapt(*args, **kwargs)
+
+        monkeypatch.setattr(
+            pool_module, "batched_inference_latency_ms", counted_infer
+        )
+        monkeypatch.setattr(pool_module, "ld_bn_adapt_latency", counted_adapt)
+        server = FleetServer(
+            trained_tiny_model,
+            FleetConfig(latency_model="orin", devices=2),
+            device=self.DEVICE,
+            spec=self.SPEC,
+        )
+        worker, other = server.workers
+        quotes = [(worker.latency_fn(b), worker.adapt_cost_fn(b)) for b in (1, 2)]
+        assert calls == {"infer": 2, "adapt": 2}
+        for _ in range(3):
+            assert [
+                (worker.latency_fn(b), worker.adapt_cost_fn(b)) for b in (1, 2)
+            ] == quotes
+        assert calls == {"infer": 2, "adapt": 2}
+        # bitwise the direct walk, and each worker owns its memo
+        assert quotes[0] == (
+            infer(self.SPEC, self.DEVICE, 1, threads=1),
+            adapt(self.SPEC, self.DEVICE, 1, threads=1).adaptation_ms,
+        )
+        other.latency_fn(1)
+        assert calls["infer"] == 3
+        # fault injection scales the cached quote without re-walking
+        worker.set_slowdown(1.5)
+        assert worker.latency_fn(1) == 1.5 * quotes[0][0]
+        assert worker.adapt_cost_fn(2) == 1.5 * quotes[1][1]
+        assert calls == {"infer": 3, "adapt": 2}
+
     def test_heterogeneous_pool_prices_per_device(
         self, trained_tiny_model, tiny_benchmark
     ):
