@@ -12,9 +12,10 @@
 # not just when a human runs the benchmarks by hand; it ends with the
 # bench-e2e self-check (benchmarks/e2e/run.py --smoke).  Lane 4 exercises
 # the cgen C plan backend (renderer parity tests twice — single-thread
-# and with a 2-wide worker pool — the bitwise engine suites under
-# REPRO_BACKEND=cgen-strict, plus quick C-served bench runs and the
-# per-kernel micro gates of benchmarks/bench_micro_ops.py); on
+# and with a 2-wide worker pool — the conv helpers under ASan + UBSan,
+# the bitwise engine suites under REPRO_BACKEND=cgen-strict, plus quick
+# C-served bench runs and the per-kernel micro gates of
+# benchmarks/bench_micro_ops.py); on
 # hosts without a C compiler it prints a visible skip notice and runs
 # only the compiler-free fallback/registry tests, and on single-core
 # hosts the threaded bench smoke loud-skips (the threaded code path is
@@ -89,6 +90,12 @@ then
     # threaded dispatch/barrier/teardown paths even on 1-core hosts
     # (correctness is thread-count-invariant by construction)
     REPRO_CGEN_THREADS=2 python -m pytest tests/test_backends.py -q
+    # the rendered conv helpers under -fsanitize=address,undefined on
+    # exact-size heap buffers: the implicit GEMM's last panel reads up to
+    # NR - 1 cells past the last valid position of its padded copy, and
+    # only this harness would notice that slack missing.  Without a
+    # sanitizer runtime it skips, and -rs prints the NOTICE
+    python -m pytest tests/test_conv_sanitizer.py -q -rs
     # the bitwise-vs-eager engine suites through the strict renderer (and
     # the only lane that resolves the backend from $REPRO_BACKEND): strict
     # plans must stay bitwise on adapted BN states, not just the probe

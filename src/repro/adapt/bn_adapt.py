@@ -42,6 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .. import nn
+from ..nn.functional import update_running_stat
 from ..nn.modules import _BatchNormBase
 from .base import AdaptResult, Adapter, freeze_except, set_bn_training
 from .entropy import entropy_loss
@@ -169,8 +170,9 @@ class LDBNAdapt(Adapter):
         """One compiled entropy step; returns the loss or None (fallback).
 
         Replays the traced plan, persists the batch statistics into the
-        running buffers with the same in-place kernel sequence the eager
-        train forward uses, installs the gamma/beta gradients and runs
+        running buffers through the eager train forward's own
+        :func:`~repro.nn.functional.update_running_stat`, installs the
+        gamma/beta gradients and runs
         the (fused, in-place) optimizer step.
         """
         plan = self._compiled_plan(images)
@@ -180,10 +182,12 @@ class LDBNAdapt(Adapter):
         for tap in plan.bn_taps:
             module = tap.module
             module.num_batches_tracked += 1
-            module.running_mean *= 1.0 - momentum
-            module.running_mean += momentum * tap.batch_mean.reshape(-1)
-            module.running_var *= 1.0 - momentum
-            module.running_var += momentum * tap.batch_var.reshape(-1)
+            update_running_stat(
+                module.running_mean, tap.batch_mean.reshape(-1), momentum
+            )
+            update_running_stat(
+                module.running_var, tap.batch_var.reshape(-1), momentum
+            )
             module.weight.grad = tap.grad_gamma.reshape(-1)
             module.bias.grad = tap.grad_beta.reshape(-1)
         self.optimizer.step()

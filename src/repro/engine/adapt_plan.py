@@ -552,11 +552,7 @@ class AdaptationPlan(StaticPlan):
     # ------------------------------------------------------------------
     def _contribute(self, vid, sink, compute_fresh, compute_value,
                     offer=None):
-        """Emit one gradient contribution into ``vid`` (see :meth:`_emit`)."""
-        self._emit(*sink(vid), compute_fresh, compute_value, offer)
-
-    def _emit(self, dst, fresh, compute_fresh, compute_value, offer=None):
-        """Emit one gradient contribution into the sunk buffer ``dst``.
+        """Emit one gradient contribution into ``vid``'s sunk buffer.
 
         ``compute_fresh(dst)`` writes the contribution with ``out=``;
         ``compute_value()`` returns it (used in accumulate mode, where the
@@ -565,8 +561,9 @@ class AdaptationPlan(StaticPlan):
         offer; the destination buffer and ``accumulate`` (add to what
         ``dst`` holds instead of overwriting it) are added to the spec.
         Builders whose scratch needs depend on ``fresh`` sink first and
-        call this directly.
+        go through :meth:`_emit_scratch_free`.
         """
+        dst, fresh = sink(vid)
         if fresh:
             step = lambda: compute_fresh(dst)  # noqa: E731
         else:
@@ -792,14 +789,22 @@ class AdaptationPlan(StaticPlan):
                 return lambda: compute_fresh(dst)
             return lambda: np.add(dst, compute_value(), out=dst)
 
-        # a rendered dgrad accumulates in registers and stores once: the
-        # numpy step is then only its probe oracle and fallback, and
-        # keeps its scratch out of the arena
-        placed = self._ct.renderer is not None and self._place(
+        self._emit_scratch_free(
             "conv_dgrad",
             dict(g=g4, weight=weight, geo=geo, dtype=dtype, dst=dst,
                  accumulate=not fresh),
-            lowering(self._fallback_scratch),
+            lowering, scratch,
+        )
+
+    def _emit_scratch_free(self, kind, spec, lowering, scratch):
+        """Emit a backward stage whose rendered form needs no scratch
+        (it accumulates in registers, or in place, and stores once).
+        ``lowering(scratch)`` builds the numpy step with its column /
+        image scratch drawn from ``scratch``: when the renderer takes
+        the stage that step is only its probe oracle and fallback, and
+        keeps its scratch out of the arena."""
+        placed = self._ct.renderer is not None and self._place(
+            kind, spec, lowering(self._fallback_scratch)
         )
         self._bwd.append(placed or lowering(scratch))
 
@@ -812,29 +817,36 @@ class AdaptationPlan(StaticPlan):
         arg = cell["arg"]
         dtype = node.out_dtype
         dst, fresh = sink(grad_in[0])
-        grad_cols = scratch(
-            "gcols", (nc, geo.kernel[0] * geo.kernel[1], geo.p_total), dtype
-        )
-        image = None if fresh else scratch("gpad", dst.shape, dtype)
 
-        def compute_fresh(dst):
-            grad_cols.fill(0.0)
-            np.put_along_axis(
-                grad_cols, arg[:, None, :], g4.reshape(nc, 1, -1), axis=1
+        def lowering(scratch):
+            grad_cols = scratch(
+                "gcols", (nc, geo.kernel[0] * geo.kernel[1], geo.p_total),
+                dtype,
             )
-            dst.fill(0.0)
-            F._col2im_accumulate(
-                dst.reshape(nc, 1, h, w), grad_cols, geo.kernel, geo.stride,
-                geo.padding,
-            )
+            image = None if fresh else scratch("gpad", dst.shape, dtype)
 
-        def compute_value():
-            compute_fresh(image)
-            return image
+            def compute_fresh(dst):
+                grad_cols.fill(0.0)
+                np.put_along_axis(
+                    grad_cols, arg[:, None, :], g4.reshape(nc, 1, -1), axis=1
+                )
+                dst.fill(0.0)
+                F._col2im_accumulate(
+                    dst.reshape(nc, 1, h, w), grad_cols, geo.kernel,
+                    geo.stride, geo.padding,
+                )
 
-        self._emit(
-            dst, fresh, compute_fresh, compute_value,
-            offer=("maxpool_bwd", dict(g=g4, arg=arg, geo=geo, dtype=dtype)),
+            def accumulate():
+                compute_fresh(image)
+                np.add(dst, image, out=dst)
+
+            return (lambda: compute_fresh(dst)) if fresh else accumulate
+
+        self._emit_scratch_free(
+            "maxpool_bwd",
+            dict(g=g4, arg=arg, geo=geo, dtype=dtype, dst=dst,
+                 accumulate=not fresh),
+            lowering, scratch,
         )
 
     def _bwd_bn(self, node, index, cell, scratch, sink, grad_in):

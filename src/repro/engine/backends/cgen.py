@@ -40,37 +40,46 @@ become one translation unit
   measured ``pool_dispatch_us`` micro-benchmark row); everything
   smaller runs inline on the dispatching thread.
 
-Conv stages are call stubs into three ``static`` helpers emitted once per
+Conv stages are call stubs into ``static`` helpers emitted once per
 translation unit and dtype pair (the way ``bn_train_<ctype>`` is), taking
-the layer's dims as a ``conv_dims`` constant:
+the layer's geometry as ``conv_pad`` / ``conv_dims`` constants.  A conv
+is an *implicit* GEMM — no column matrix is ever materialised:
 
-* ``im2col_<xt>_<ct>`` — a *structured* im2col rendered from the conv's
-  scalar geometry ``(c, h, w, kernel, stride, padding)``: per
-  ``(channel, a, b)`` column row and output image row, the padded edge
-  is zeroed and the valid run copied (and widened) from one input row.
-  No index table exists; the plan-side im2col workspaces of surviving
-  conv stages are released at finalize (``profile_summary()`` shows zero
-  im2col workspace bytes for converted layers).  A negative padding
-  crops, which is how a gradient phase addresses its ``dY`` window.
+* ``pad_<xt>_<ct>`` — the one pass over the input: per sample a
+  zero-padded copy (widened ``xt`` -> ``ct``) into the thread's
+  ``POOL_SCR``, rendered from the scalar geometry ``(c, h, w, stride,
+  padding)``.  A stride-``s`` conv de-interleaves it into the ``sh x sw``
+  phase planes its taps read, so every tap then walks a plane at unit
+  stride; a negative padding crops.  No index table exists; the
+  plan-side im2col workspaces of surviving conv stages are released at
+  finalize (``profile_summary()`` shows zero im2col workspace bytes for
+  converted layers).
 * ``gemm_<ct>`` — under band parity one register-blocked micro-kernel:
-  ``_MR`` filters x NR pixels of accumulators stay in vector registers
-  across the whole ``k`` loop (GCC vector extensions at the host's widest
-  width), weights broadcast from where they live — the ``k`` walk is up
-  to three nested strided levels over ``weight.data``, one flat run for
-  a forward conv, (filter, tap row, tap) with negative steps for a
-  gradient phase — the column panel loaded once per ``k``, and the
-  bias/BN/ReLU epilogue applied op-for-op on the spilled tile at store
-  time, through an output view (contiguous rows, or a phase's strided
-  pixels; ``dst + acc`` for an accumulating gradient).  Columns are
-  zero-padded to a multiple of NR and edge
-  filter blocks repeat the last filter, so there is no scalar remainder
-  path: every output element is the same serial-``k`` FMA chain whatever
-  tile it falls in.  Strict plans never call it (convs are declined).
-* ``conv_<xt>_<ct>`` — the driver: fixed ownership of (sample, NR-pixel
-  panel) units per thread, walked in ``CONV_PC``-pixel chunks (im2col
-  into ``POOL_SCR(tid)``, then the GEMM straight into the output view).
-  A ``conv_dgrad`` stage calls it once per output phase; phases own
-  disjoint ``dX`` pixels, so no barrier separates them.
+  ``CONV_MR`` filters x NR output positions of accumulators stay in named
+  vector registers across the whole ``k`` loop (GCC vector extensions at
+  the host's widest width; 4 x 3 vectors, 8 x 3 where AVX-512's 32
+  registers hold them).  Output positions are walked flat at the padded
+  pitch (``j = y*pw + x``), so the B operand of tap ``k`` for a whole
+  panel is one unaligned vector run of the copy at ``boff[k] + j`` — no
+  row logic, no column block; the ``pw - ow`` positions past each row's
+  end are garbage lanes, computed and never stored.  The ``k`` walk is
+  one flat loop over per-tap offsets for both operands (``aoff[k]`` into
+  ``weight.data`` where it lives, ``boff[k]`` into the copy; ``conv_taps``
+  derives them per call, at most ``kt`` entries per GEMM), in
+  ``(channel, tap row, tap)`` order — forward for a conv, negative weight
+  steps for a gradient phase.  The bias/BN/ReLU epilogue is applied
+  op-for-op on the spilled tile at store time, through an output view
+  (contiguous rows, or a phase's strided pixels; ``dst + acc`` for an
+  accumulating gradient).  Edge filter blocks repeat the last filter, so
+  there is no scalar remainder path: every output element is the same
+  serial-``k`` FMA chain whatever tile or lane it falls in.  Strict plans
+  never call it (convs are declined).
+* ``conv_<xt>_<ct>`` — the driver: fixed ownership of (sample,
+  NR-position panel) units per thread; per owned sample one pad, then
+  the thread's share of every GEMM of the stage straight from the copy
+  into the output view.  A ``conv_dgrad`` stage is one call whose GEMMs
+  are the output phases of the layer: they share one padded ``dY`` and
+  own disjoint ``dX`` pixels, so no barrier separates them.
 
 The unit is compiled with ``cc -shared -O2 -march=native -pthread`` (plus
 ``-ffp-contract=off`` under strict parity) and loaded through
@@ -110,6 +119,7 @@ import os
 import shutil
 import subprocess
 import warnings
+from collections import namedtuple
 from dataclasses import replace as _dc_replace
 from itertools import product
 from typing import Callable, Dict, List, Optional, Tuple
@@ -142,31 +152,47 @@ _BASE_CFLAGS = ["-shared", "-fPIC", "-O2", "-march=native", "-pthread",
 # at two threads wins back at most half its kernel time.  The
 # `pool_dispatch_us` row of benchmarks/results/micro_ops.json (empty
 # stage, 2 threads, workers asleep as they are between real dispatches)
-# is bimodal on the reference host: ~5 us when the scheduler wakes the
-# worker on its waker's core — where a real stage then runs its two
-# halves back to back — and 40-60 us when it wakes on the second core.
-# Tiled conv stages measured against themselves inline lose at 370 us
-# of estimated kernel time (0.98x p50, 0.62x p95) and win from 740 us up
-# (1.13x-1.59x p50), so the line sits at about ten cross-core round
-# trips.  Below it a stage runs inline on the dispatching thread.
+# reads 38-50 us p50 / 57-105 us p95 on the reference host (six runs):
+# the scheduler wakes the worker on the second core; when it wakes it on
+# its waker's core instead (~5 us) a real stage runs its two halves back
+# to back.  What the round trip buys depends on whether that second core
+# is free.  A 3x3 conv stage of n 16x40 samples, tiled (threshold
+# overridden) against itself inline, 600 interleaved samples per size:
+# with the host's neighbours quiet it ties at 114 us of inline time
+# (1.00x p50 / 1.05x p95) and wins from 317 us up (1.24x / 1.04x; 460 us
+# 1.27x / 1.34x; 644 us 1.39x / 1.25x; 1.05 ms 1.68x / 1.39x); with them
+# busy it loses at every size up to 970 us (0.92-0.98x p50, 0.81-0.95x
+# p95) and wins only at 1.5 ms (1.49x).  The line stays at about ten
+# cross-core round trips; below it a stage runs inline on the
+# dispatching thread.  The `*_mt` rows of micro_ops.json sit below it
+# (`mt_stages` 0: 0.13 / 0.20 / 1.3 ms at both widths, ties by
+# construction); of bench-e2e's plans only the stem at batch >= 2 is
+# above it.
 _MT_MIN_US = 500.0
 # what that estimate assumes one thread sustains, in inner-loop
-# iterations per us: FMAs of the register-tiled conv GEMM (im2col
-# included), and everything else — memory-bound sweeps, reductions, the
-# dot-product linear kernels
-_GEMM_PER_US = 16000.0
+# iterations per us.  FMAs of the implicit conv GEMM, pad included, from
+# the stages of a `small-r18` plan timed inside full replays (weights
+# stream) and the `conv3x3_16_f32` / `conv7x7s2_3to16_f32` micro rows
+# less their ~8 us of Python dispatch (64 -> 56 us for 1.47 M FMAs, 240
+# -> 232 us for 6.02 M): 21 600-23 900 per us on the 640- and 2560-pixel
+# shapes in a batch-1 plan, 24 900-27 000 at batch 4, 26 000 in the
+# micro rows — the shapes that can reach the threshold (layer 4's
+# 10-pixel shapes, which stream 1.2 MB of weights through one panel, run
+# at 11 000-13 700 and never come near it).  And everything else:
+# memory-bound sweeps, reductions, the dot-product linear kernels.
+_GEMM_PER_US = 22000.0
 _SWEEP_PER_US = 2000.0
 
 # conv GEMM register tile: _MR filters x _NV vectors of pixels — 12
-# accumulators + 3 column vectors + 1 weight broadcast fill the 16 vector
-# registers of AVX2; wider hosts keep the shape and widen the vector
-# (VEC_BYTES in the rendered source), so NR = _NV * VEC_BYTES / itemsize
-# is the compiler's to know and the renderer sizes scratch for the widest
-_MR, _NV = 4, 3
+# accumulators + 3 panel vectors + 1 weight broadcast fill the 16 vector
+# registers of AVX2.  AVX-512 hosts widen the vector (VEC_BYTES in the
+# rendered source) and, with 32 registers, double the rows to _MR_WIDE
+# (24 + 3, weights broadcast from memory): the same kernel text, its row
+# list picked by the preprocessor when the TU is compiled (CONV_ROWS).
+# NR = _NV * VEC_BYTES / itemsize is thus the compiler's to know, and
+# the renderer sizes scratch for the widest.
+_MR, _MR_WIDE, _NV = 4, 8, 3
 _VEC_BYTES_MAX = 64
-# pixels im2col'd then multiplied per pass (CONV_PC): a multiple of every
-# NR, small enough that one chunk's columns stay cache-resident
-_CONV_PC = 96
 
 
 def _cflags(strict: bool) -> List[str]:
@@ -196,23 +222,57 @@ _ORDER_DEPENDENT = frozenset((
 _FRESH_ONLY = frozenset(("linear_bwd", "bn_bwd", "maxpool_bwd"))
 
 
+# Python mirrors of the C ``conv_pad`` / ``conv_dims`` structs below: field
+# order is the initializer's, the C comments say what each field means;
+# ``kn`` / ``ks`` are the three-level ``(channel, tap row, tap)`` walk
+_ConvPad = namedtuple("_ConvPad", "n c h w sh sw rh rw pt pl ph pw")
+_ConvDims = namedtuple(
+    "_ConvDims", "f oh ow kn ks a0 as_f da db o0 ldo oy ox acc",
+    defaults=(0, 0, 0, 0, 0, 0, 0, 1, 0),  # a0 .. acc; ox = 1
+)
+
+
+def _c_init(fields) -> str:
+    """The C brace initializer of a (nested) tuple of ints."""
+    return "{" + ", ".join(
+        _c_init(v) if isinstance(v, tuple) else str(int(v)) for v in fields
+    ) + "}"
+
+
+def _rows(count: int) -> str:
+    return " ".join(f"R({r})" for r in range(count))
+
+
 _CONV_PRELUDE = f"""\
 #if defined(__AVX512F__)
 #define VEC_BYTES 64
+#define CONV_MR {_MR_WIDE}
+#define CONV_ROWS(R) {_rows(_MR_WIDE)}
 #else
 #define VEC_BYTES 32
+#define CONV_MR {_MR}
+#define CONV_ROWS(R) {_rows(_MR)}
 #endif
-#define CONV_PC {_CONV_PC}LL
-/* one conv as a GEMM: (f, kt) weights x (kt, p) im2col columns.  The
- * weights are read in place: row i starts at A[i*as_f] and its kt taps
- * are walked as up to three nested levels, outermost first, of kn[l]
- * steps of ks[l] elements (a flat row is {{1, 1, kt}} x {{0, 0, 1}}).
- * Pixel (y, x) of output row i of sample s is
- * O[(s*f + i)*ldo + y*oy + x*ox], added to what is there when acc. */
+/* The padded copy a conv stage reads, made once per sample: per channel
+ * and input phase (r, s) — rh x rw of them, the residues mod the stride
+ * any tap lands on — one plane of ph rows at pitch pw whose cell (Y, X)
+ * is input pixel (Y*sh + r - pt, X*sw + s - pl), zero outside the image
+ * (a negative pt/pl crops).  Every tap of a stride-1 walk over the
+ * output then reads a plane at unit stride. */
 typedef struct {{
-    i64 n, c, h, w, kh, kw, sh, sw, ph, pw, ow, p, f, kt;
-    i64 as_f, kn[3], ks[3];
-    i64 ldo, oy, ox, acc;
+    i64 n, c, h, w, sh, sw, rh, rw, pt, pl, ph, pw;
+}} conv_pad;
+/* One GEMM over a padded copy: f weight rows x the oh x ow output grid,
+ * walked flat at the copy's pitch (position j = y*pw + x; the pw - ow
+ * positions past a row's end are garbage lanes, computed and never
+ * stored).  Weight row i starts at A[a0 + i*as_f]; its taps are kn[0]
+ * channels x kn[1] tap rows x kn[2] taps, ks[l] weight elements apart,
+ * tap (0, 0) reading cell (da, db) of the copy.  Pixel (y, x) of row i
+ * of sample s is O[o0 + (s*f + i)*ldo + y*oy + x*ox], added to what is
+ * there when acc. */
+typedef struct {{
+    i64 f, oh, ow, kn[3], ks[3], a0, as_f, da, db;
+    i64 o0, ldo, oy, ox, acc;
 }} conv_dims;
 /* store-time epilogue: bias (compute dtype, may be 0), then mode 1 —
  * per-sample folded affine e0=scale e1=shift, rows of f per sample — or
@@ -221,6 +281,34 @@ typedef struct {{
     const void* bias; i64 mode;
     const double *e0, *e1, *e2, *e3; double eps; i64 relu;
 }} conv_epi;
+static inline i64 conv_kt(const conv_dims* D)
+{{
+    return D->kn[0] * D->kn[1] * D->kn[2];
+}}
+/* nr-position panels of one GEMM: its flat walk ends at the last row's
+ * last pixel */
+static inline i64 conv_panels(const conv_dims* D, i64 pw, i64 nr)
+{{
+    return ((D->oh - 1) * pw + D->ow + nr - 1) / nr;
+}}
+/* The GEMM's k walk is one flat loop over per-tap offsets, k in
+ * (channel, tap row, tap) order: aoff[k] into a weight row, boff[k] to
+ * the cell output position 0 reads.  Derived here, per call, from the
+ * dims — at most kt entries per GEMM, nothing per pixel, and no table
+ * in the plan or the source. */
+static void conv_taps(const conv_pad* P, const conv_dims* D,
+                      i64* restrict aoff, i64* restrict boff)
+{{
+    const i64 ps = P->ph * P->pw;
+    for (i64 ch = 0, k = 0; ch < D->kn[0]; ++ch)
+    for (i64 a = 0; a < D->kn[1]; ++a)
+    for (i64 b = 0; b < D->kn[2]; ++b, ++k) {{
+        const i64 ya = a + D->da, xb = b + D->db;
+        aoff[k] = ch * D->ks[0] + a * D->ks[1] + b * D->ks[2];
+        boff[k] = ((ch * P->rh + ya % P->sh) * P->rw + xb % P->sw) * ps
+            + ya / P->sh * P->pw + xb / P->sw;
+    }}
+}}
 """
 
 
@@ -263,207 +351,183 @@ static inline void epilogue_{ct}({ct}* restrict t, i64 nv, i64 fi,
 
 
 def _gemm_source(ct: str) -> str:
-    """``gemm_<ct>``, band parity: the register-blocked micro-kernel.
+    """``gemm_<ct>``, band parity: the register-blocked implicit GEMM.
 
-    ``acc[i, q] = sum_k A[i, k] * B[k*ldb + q]`` for the ``tw`` pixels
-    from ``q0`` on, ``A`` walked in place by the ``conv_dims`` tap levels
-    and ``B`` zero-padded to ``ldb`` (a multiple of NR) columns.  A tile
-    of ``_MR x NR`` accumulators stays in vector registers across the
-    whole ``k`` walk — per ``k`` one column panel load feeds ``_MR``
-    broadcast-FMA rows — and is spilled once, to a stack tile the
-    epilogue runs over before the valid ``nv`` columns are stored through
-    the output view (one run when its rows abut, else pixel by pixel;
-    ``dst + acc`` for an accumulating gradient).  Every output element is
-    the same serial-``k`` FMA chain in its own vector lane whatever
-    ``tw``, the panel or the lane is: edge panels multiply the zero
-    padding and edge filter blocks repeat the last filter rather than
-    take a scalar remainder path, which is what keeps outputs bitwise
-    identical across thread counts.
+    ``acc[i, j] = sum_k A[i, aoff[k]] * xp[boff[k] + j]`` for the flat
+    positions ``[j0, j1)`` of one ``conv_dims`` over a padded copy.  A
+    tile of ``CONV_MR x NR`` accumulators stays in named vector registers
+    across the whole ``k`` walk — per tap one unaligned panel load,
+    straight from the copy, feeds ``CONV_MR`` broadcast-FMA rows — and is
+    spilled once, to a stack tile the epilogue runs over before the valid
+    lanes are stored through the output view row by row (``dst + acc``
+    for an accumulating gradient).  Every output element is the same
+    serial-``k`` FMA chain in its own vector lane whatever the panel or
+    the lane is: the lanes past a row's end read the cells they fall on
+    (the next row, or up to NR - 1 cells of slack after the copy) and are
+    dropped, and edge filter blocks repeat the last filter rather than
+    take a scalar remainder path — which is what keeps outputs bitwise
+    identical across thread counts, tile shapes and the parent's
+    explicit-im2col kernel.
     """
-    rows, vecs = range(_MR), range(_NV)
-    ptrs = "\n".join(
-        f"            const {ct}* a{r} = "
-        f"A + (f0 + {r} < f ? f0 + {r} : f - 1) * D->as_f;" for r in rows
-    )
-    zero = ", ".join(f"c{r}{v} = {{0}}" for r in rows for v in vecs)
-    loads = ", ".join(
-        f"b{v} = *(const v_{ct}*)(b + {v} * VL)" for v in vecs
-    )
-    fmas = "\n".join(
-        f"                w = *a{r}; a{r} += s2; "
-        + " ".join(f"c{r}{v} += w * b{v};" for v in vecs) for r in rows
-    )
-    step1, step0 = (
-        " ".join(f"a{r} += {s};" for r in rows) for s in ("s1", "s0")
-    )
-    spill = "\n".join(
-        "            " + " ".join(
-            f"*(v_{ct}*)(tile[{r}] + {v} * VL) = c{r}{v};" for v in vecs
-        ) for r in rows
+    vecs = range(_NV)
+    zero = ", ".join(f"c##r##{v} = {{0}}" for v in vecs)
+    loads = ", ".join(f"b{v} = *(const v_{ct}*)(bk + {v} * VL)" for v in vecs)
+    fmas = " ".join(f"c##r##{v} += w * b{v};" for v in vecs)
+    spill = " ".join(
+        f"*(v_{ct}*)(tile[r] + {v} * VL) = c##r##{v};" for v in vecs
     )
     return f"""\
 typedef {ct} v_{ct}
     __attribute__((vector_size(VEC_BYTES), aligned(sizeof({ct})), may_alias));
-static void gemm_{ct}(const {ct}* restrict A, const {ct}* restrict B, i64 ldb,
-                      {ct}* restrict O, const conv_dims* D, i64 q0, i64 tw,
-                      const conv_epi* E)
+#define ROW_PTR(r) \\
+    const {ct}* a##r = A + (f0 + r < f ? f0 + r : f - 1) * D->as_f;
+#define ROW_ZERO(r) v_{ct} {zero};
+#define ROW_FMA(r) {{ const {ct} w = a##r[ao]; {fmas} }}
+#define ROW_SPILL(r) {spill}
+static void gemm_{ct}(const {ct}* restrict A, const {ct}* restrict xp,
+                      {ct}* restrict O, const conv_dims* D, i64 pw, i64 kt,
+                      const i64* restrict aoff, const i64* restrict boff,
+                      i64 j0, i64 j1, const conv_epi* E)
 {{
     enum {{ VL = VEC_BYTES / sizeof({ct}), NR = NR_{ct} }};
-    const i64 f = D->f, n0 = D->kn[0], n1 = D->kn[1], n2 = D->kn[2];
-    /* pointer steps: per tap, and the carry when a level wraps */
-    const i64 s2 = D->ks[2], s1 = D->ks[1] - n2 * s2;
-    const i64 s0 = D->ks[0] - n1 * D->ks[1];
-    const int run = D->ox == 1 && D->oy == D->ow;
-    for (i64 q = 0; q < tw; q += NR) {{
-        const i64 nv = tw - q < NR ? tw - q : NR;
-        const i64 py = run ? 0 : (q0 + q) / D->ow, px = (q0 + q) - py * D->ow;
-        for (i64 f0 = 0; f0 < f; f0 += {_MR}) {{
-{ptrs}
-            v_{ct} {zero};
-            const {ct}* b = B + q;
-            for (i64 k0 = 0; k0 < n0; ++k0) {{
-            for (i64 k1 = 0; k1 < n1; ++k1) {{
-            for (i64 k2 = 0; k2 < n2; ++k2, b += ldb) {{
+    const i64 f = D->f, oh = D->oh, ow = D->ow, ox = D->ox;
+    for (i64 j = j0; j < j1; j += NR) {{
+        const i64 py = j / pw, px = j - py * pw;
+        const {ct}* xj = xp + j;
+        for (i64 f0 = 0; f0 < f; f0 += CONV_MR) {{
+            CONV_ROWS(ROW_PTR)
+            CONV_ROWS(ROW_ZERO)
+            for (i64 k = 0; k < kt; ++k) {{
+                const {ct}* bk = xj + boff[k];
+                const i64 ao = aoff[k];
                 const v_{ct} {loads};
-                {ct} w;
-{fmas}
+                CONV_ROWS(ROW_FMA)
             }}
-            {step1} }}
-            {step0} }}
-            {ct} tile[{_MR}][NR];
-{spill}
-            const i64 mr = f - f0 < {_MR} ? f - f0 : {_MR};
+            {ct} tile[CONV_MR][NR];
+            CONV_ROWS(ROW_SPILL)
+            const i64 mr = f - f0 < CONV_MR ? f - f0 : CONV_MR;
             for (i64 r = 0; r < mr; ++r) {{
                 epilogue_{ct}(tile[r], NR, f0 + r, E);
-                const {ct}* t = tile[r];
                 {ct}* o = O + (f0 + r) * D->ldo;
-                if (run) {{
-                    o += q0 + q;
-                    if (D->acc) for (i64 j = 0; j < nv; ++j) o[j] = o[j] + t[j];
-                    else for (i64 j = 0; j < nv; ++j) o[j] = t[j];
-                }} else {{
-                    for (i64 j = 0, y = py, x = px; j < nv; ++y, x = 0) {{
-                        const i64 ox = D->ox, left = D->ow - x;
-                        const i64 m = nv - j < left ? nv - j : left;
-                        {ct}* d = o + y * D->oy + x * ox;
+                /* the panel's lanes row by row: the first ow cells of
+                 * each pitch-pw row are pixels, the rest garbage */
+                for (i64 q = 0, y = py, x = px; q < NR && y < oh;
+                     q += pw - x, ++y, x = 0) {{
+                    const i64 left = NR - q < ow - x ? NR - q : ow - x;
+                    const {ct}* t = tile[r] + q;
+                    {ct}* d = o + y * D->oy + x * ox;
+                    if (ox == 1) {{
                         if (D->acc)
-                            for (i64 i = 0; i < m; ++i)
-                                d[i * ox] = d[i * ox] + t[j + i];
+                            for (i64 i = 0; i < left; ++i) d[i] = d[i] + t[i];
                         else
-                            for (i64 i = 0; i < m; ++i) d[i * ox] = t[j + i];
-                        j += m;
-                    }}
+                            for (i64 i = 0; i < left; ++i) d[i] = t[i];
+                    }} else if (D->acc)
+                        for (i64 i = 0; i < left; ++i)
+                            d[i * ox] = d[i * ox] + t[i];
+                    else
+                        for (i64 i = 0; i < left; ++i) d[i * ox] = t[i];
                 }}
             }}
         }}
     }}
 }}
+#undef ROW_PTR
+#undef ROW_ZERO
+#undef ROW_FMA
+#undef ROW_SPILL
 """
 
 
 def _conv_source(xt: str, ct: str) -> str:
-    """``im2col_<xt>_<ct>`` + the ``conv_<xt>_<ct>`` stage driver.
+    """``pad_<xt>_<ct>`` + the ``conv_<xt>_<ct>`` stage driver.
 
-    The im2col is structured, not indexed: column row ``(ch, a, b)`` of
-    output pixels ``[q0, q1)`` is, per output image row, a zeroed padded
-    edge, the valid run copied (and widened ``xt`` -> ``ct``) from one
-    input row — contiguous at stride 1 — and a zeroed edge again, then
-    zeros up to ``ld``.  A negative padding crops instead: the phases of
-    a conv input gradient read their ``dY`` windows that way.  The driver
-    splits the stage's (sample, NR-pixel panel) units over the pool by
-    fixed ownership and walks its share in ``CONV_PC``-pixel chunks:
-    im2col into the thread's ``POOL_SCR``, then ``gemm_<ct>`` straight
-    into the output view.
+    The pad is the only pass over the input: one sample's planes (see
+    ``conv_pad``) written row by row — zeroed edge, the valid run copied
+    and widened ``xt`` -> ``ct`` from one input row (contiguous at stride
+    1, a de-interleave at stride 2), zeroed edge.  The driver hands the
+    stage's (sample, NR-position panel) units — every GEMM of the stage
+    in turn, per sample — out over the pool by fixed ownership; a thread
+    derives the tap offsets once, then pads each sample it owns a panel
+    of into its ``POOL_SCR`` and runs its share of every GEMM straight
+    from that copy into the output view.  The GEMMs of one stage (the
+    phases of a strided layer's input gradient) share the copy and own
+    disjoint output pixels, so no barrier separates them.
     """
     return f"""\
-static void im2col_{xt}_{ct}(const {xt}* restrict xs, {ct}* restrict cw,
-                             i64 ld, const conv_dims* D, i64 q0, i64 q1)
+static void pad_{xt}_{ct}(const {xt}* restrict xs, {ct}* restrict xp,
+                          const conv_pad* P)
 {{
-    const i64 ow = D->ow, sw = D->sw;
-    const i64 y0 = q0 / ow, y1 = (q1 - 1) / ow;
-    /* output columns [xl[b], xh[b]) whose tap b lands inside the row */
-    i64 xl[D->kw], xh[D->kw];
-    for (i64 b = 0; b < D->kw; ++b) {{
-        const i64 span = D->w + D->pw - b;
-        xl[b] = D->pw > b ? (D->pw - b + sw - 1) / sw : 0;
-        xh[b] = span > 0 ? (span + sw - 1) / sw : 0;
-        if (xh[b] > ow) xh[b] = ow;
-    }}
-    for (i64 ch = 0; ch < D->c; ++ch)
-    for (i64 a = 0; a < D->kh; ++a)
-    for (i64 b = 0; b < D->kw; ++b, cw += ld) {{
-        const i64 xlo = xl[b], xhi = xh[b];
-        {ct}* d = cw;
-        for (i64 oy = y0; oy <= y1; ++oy) {{
-            const i64 lo = oy == y0 ? q0 - y0 * ow : 0;
-            const i64 hi = oy == y1 ? q1 - y1 * ow : ow;
-            const i64 iy = oy * D->sh + a - D->ph;
-            i64 vlo = lo > xlo ? lo : xlo, vhi = hi < xhi ? hi : xhi;
-            if (iy < 0 || iy >= D->h || vhi <= vlo) vlo = vhi = hi;
-            for (i64 t = lo; t < vlo; ++t) d[t - lo] = ({ct})0;
-            if (vhi > vlo) {{
-                const {xt}* s =
-                    xs + (ch * D->h + iy) * D->w + vlo * sw + b - D->pw;
-                {ct}* dv = d + (vlo - lo);
-                const i64 cnt = vhi - vlo;
-                /* strides 1 and 2 are spelled out so the compiler can
-                 * vectorize them (a plain copy, a de-interleave) */
-                if (sw == 1)
-                    for (i64 t = 0; t < cnt; ++t) dv[t] = ({ct})s[t];
-                else if (sw == 2)
-                    for (i64 t = 0; t < cnt; ++t) dv[t] = ({ct})s[t * 2];
-                else
-                    for (i64 t = 0; t < cnt; ++t) dv[t] = ({ct})s[t * sw];
-            }}
-            for (i64 t = vhi; t < hi; ++t) d[t - lo] = ({ct})0;
-            d += hi - lo;
+    const i64 w = P->w, sw = P->sw, pw = P->pw;
+    for (i64 ch = 0; ch < P->c; ++ch)
+    for (i64 r = 0; r < P->rh; ++r)
+    for (i64 s = 0; s < P->rw; ++s) {{
+        /* cells [xlo, xhi) of a row come from the image */
+        const i64 span = w + P->pl - s;
+        const i64 xlo = P->pl > s ? (P->pl - s + sw - 1) / sw : 0;
+        i64 xhi = span > 0 ? (span + sw - 1) / sw : 0;
+        if (xhi > pw) xhi = pw;
+        for (i64 y = 0; y < P->ph; ++y, xp += pw) {{
+            const i64 iy = y * P->sh + r - P->pt;
+            const int in = iy >= 0 && iy < P->h && xlo < xhi;
+            const i64 lo = in ? xlo : pw, hi = in ? xhi : pw;
+            const i64 at = (ch * P->h + iy) * w + s - P->pl;
+            for (i64 t = 0; t < lo; ++t) xp[t] = ({ct})0;
+            /* strides 1 and 2 are spelled out so the compiler can
+             * vectorize them (a plain copy, a de-interleave) */
+            if (sw == 1)
+                for (i64 t = lo; t < hi; ++t) xp[t] = ({ct})xs[at + t];
+            else if (sw == 2)
+                for (i64 t = lo; t < hi; ++t) xp[t] = ({ct})xs[at + t * 2];
+            else
+                for (i64 t = lo; t < hi; ++t) xp[t] = ({ct})xs[at + t * sw];
+            for (i64 t = hi; t < pw; ++t) xp[t] = ({ct})0;
         }}
-        for (i64 t = d - cw; t < ld; ++t) cw[t] = ({ct})0;
     }}
 }}
 
 static void conv_{xt}_{ct}(const {xt}* X, const {ct}* A, {ct}* O,
-                           const conv_dims* D, const conv_epi* E,
-                           i64 tid, i64 nt)
+                           const conv_pad* P, const conv_dims* D, i64 nd,
+                           const conv_epi* E, i64 tid, i64 nt)
 {{
-    const i64 NR = NR_{ct}, p = D->p;
-    const i64 panels = (p + NR - 1) / NR, units = D->n * panels;
+    enum {{ NR = NR_{ct} }};
+    const i64 pw = P->pw;
+    i64 per = 0, taps = 0;  /* one sample's panels, the stage's taps */
+    for (i64 d = 0; d < nd; ++d) {{
+        per += conv_panels(D + d, pw, NR);
+        taps += conv_kt(D + d);
+    }}
+    const i64 units = P->n * per;
     const i64 ulo = (units * tid) / nt, uhi = (units * (tid + 1)) / nt;
-    {ct}* cw = ({ct}*)POOL_SCR(tid);
-    for (i64 n = ulo / panels; n * panels < uhi; ++n) {{
-        const i64 first = ulo - n * panels, last = uhi - n * panels;
-        const i64 plo = first > 0 ? first * NR : 0;
-        const i64 phi = last < panels ? last * NR : p;
+    if (ulo >= uhi) return;
+    /* POOL_SCR(tid): the tap offsets of every GEMM, then (64-aligned) the
+     * padded copy and NR cells of slack for the last panel's garbage */
+    i64* const off = (i64*)POOL_SCR(tid);
+    {ct}* const xp = ({ct}*)(off + (2 * taps + 7) / 8 * 8);
+    const i64 cells = P->c * P->rh * P->rw * P->ph * pw;
+    for (i64 t = 0; t < NR; ++t) xp[cells + t] = ({ct})0;
+    for (i64 d = 0, at = 0; d < nd; at += 2 * conv_kt(D + d), ++d)
+        conv_taps(P, D + d, off + at, off + at + conv_kt(D + d));
+    for (i64 n = ulo / per; n * per < uhi; ++n) {{
+        const i64 first = ulo > n * per ? ulo - n * per : 0;
+        const i64 last = uhi - n * per < per ? uhi - n * per : per;
+        pad_{xt}_{ct}(X + n * P->c * P->h * P->w, xp, P);
         conv_epi En = *E;
         if (En.mode == 1) {{ En.e0 += n * D->f; En.e1 += n * D->f; }}
-        for (i64 q0 = plo; q0 < phi; q0 += CONV_PC) {{
-            const i64 q1 = q0 + CONV_PC < phi ? q0 + CONV_PC : phi;
-            const i64 ld = (q1 - q0 + NR - 1) / NR * NR;
-            /* a phase no tap reaches has no columns: its tile is zero */
-            if (D->kt)
-                im2col_{xt}_{ct}(X + n * D->c * D->h * D->w, cw, ld, D, q0, q1);
-            gemm_{ct}(A, cw, ld, O + n * D->f * D->ldo, D, q0, q1 - q0, &En);
+        for (i64 d = 0, base = 0, at = 0; d < nd; ++d) {{
+            const conv_dims* G = D + d;
+            const i64 kt = conv_kt(G), panels = conv_panels(G, pw, NR);
+            const i64 lo = first > base ? first - base : 0;
+            const i64 hi = last - base < panels ? last - base : panels;
+            if (lo < hi)
+                gemm_{ct}(A + G->a0, xp, O + G->o0 + n * G->f * G->ldo, G,
+                          pw, kt, off + at, off + at + kt, lo * NR, hi * NR,
+                          &En);
+            base += panels;
+            at += 2 * kt;
         }}
     }}
 }}
 """
-
-
-def _tap_levels(levels):
-    """Canonical three-level form of an in-place weight-row walk given as
-    ``(steps, stride)`` levels, outermost first: single-step levels are
-    dropped and a level merges into the one inside it when the two are
-    one run (``stride == inner_steps * inner_stride``), so a contiguous
-    row — every forward conv — walks as one flat inner loop."""
-    out: List[Tuple[int, int]] = []
-    for steps, stride in levels:
-        if steps == 1:
-            continue
-        if out and out[-1][1] == steps * stride:
-            out[-1] = (out[-1][0] * steps, stride)
-        else:
-            out.append((steps, stride))
-    return [(1, 0)] * (3 - len(out)) + out
 
 
 def _phase_axis(size: int, k: int, s: int, p: int):
@@ -484,6 +548,19 @@ def _phase_axis(size: int, k: int, s: int, p: int):
             taps - 1 - (r + p - first) // s,
         ))
     return out
+
+
+def _shared_pad(axis):
+    """One axis of the padded ``dY`` every phase of :func:`_phase_axis`
+    reads: ``(lead, extent)`` — the largest leading pad a phase with taps
+    asks for (negative when all of them crop) and the cells that then
+    cover every phase's windows.  A phase with pad ``p`` finds its tap 0
+    ``lead - p`` cells in."""
+    lead = max((pad for _, _, taps, _, pad in axis if taps), default=0)
+    return lead, max(
+        cells + (lead - pad + taps - 1 if taps else 0)
+        for _, cells, taps, _, pad in axis
+    )
 
 
 def find_cc() -> Optional[str]:
@@ -759,30 +836,31 @@ class CRenderer:
         self._helpers.setdefault(name, _conv_source(xt, ct))
         return name
 
-    def _conv_call(self, xt: str, ct: str, x: str, a: str, o: str, *,
-                   n, c, hw, kernel, stride, padding, out_w, p, f, as_f,
-                   levels, ldo, oy, ox, acc=0, tag=""):
-        """One conv-as-GEMM through the shared driver (the ``conv_dims``
-        comment names the fields; ``levels`` is the weight-row walk as
-        :func:`_tap_levels` takes it; the stage declares ``E``).
-        Reserves the per-thread column panel — ``kt`` rows of at most one
-        pixel chunk, padded to the widest NR — and returns ``(C lines,
-        (sample, panel) units to hand out, estimated kernel us)``."""
-        kt = c * kernel[0] * kernel[1]
+    def _conv_call(self, xt: str, ct: str, x: str, a: str, o: str,
+                   pad: _ConvPad, gemms: List[_ConvDims]):
+        """One conv stage through the shared driver: every GEMM of
+        ``gemms`` run over one ``pad`` copy of the input (the C comments
+        name the fields; the stage declares ``E``).  Reserves the
+        per-thread scratch — the tap offsets, one padded sample, a widest
+        NR of slack — and returns ``(C lines, (sample, panel) units to
+        hand out, estimated kernel us)``."""
         itemsize = 8 if ct == "double" else 4
         nr = _NV * _VEC_BYTES_MAX // itemsize
-        panels = -(-p // nr)
-        self._need_scratch(kt * min(_CONV_PC, panels * nr) * itemsize)
-        kn, ks = zip(*_tap_levels(levels))
-        dims = (n, c, *hw, *kernel, *stride, *padding, out_w, p, f, kt,
-                as_f, *kn, *ks, ldo, oy, ox, acc)
+        panels = fmas = taps = 0
+        for g in gemms:
+            kt = g.kn[0] * g.kn[1] * g.kn[2]
+            panels += -(-((g.oh - 1) * pad.pw + g.ow) // nr)
+            fmas += g.f * g.oh * g.ow * kt
+            taps += kt
+        cells = pad.c * pad.rh * pad.rw * pad.ph * pad.pw
+        self._need_scratch(-(-2 * taps // 8) * 64 + (cells + nr) * itemsize)
         lines = [
-            f"    static const conv_dims D{tag} = "
-            f"{{{', '.join(str(int(v)) for v in dims)}}};",
-            f"    {self._conv_helpers(xt, ct)}({x}, {a}, {o}, &D{tag}, &E, "
-            "tid, nt);",
+            f"    static const conv_pad P = {_c_init(pad)};",
+            f"    static const conv_dims D[] = {_c_init(tuple(gemms))};",
+            f"    {self._conv_helpers(xt, ct)}({x}, {a}, {o}, &P, D, "
+            f"{len(gemms)}, &E, tid, nt);",
         ]
-        return lines, n * panels, n * f * p * kt / _GEMM_PER_US
+        return lines, pad.n * panels, pad.n * fmas / _GEMM_PER_US
 
     def _try_conv(self, spec, fallback):
         geo: ConvLowering = spec["geo"]
@@ -843,12 +921,17 @@ class CRenderer:
                 f"    const conv_epi E = {{{bias_ptr}, 0, 0, 0, 0, 0, 0.0, "
                 f"{relu}}};"
             ]
+        (kh, kw), (sh, sw_) = geo.kernel, geo.stride
         call, units, est_us = self._conv_call(
             xt, ct, f"(const {xt}*)T[{sx}]", f"(const {ct}*)T[{sw}]",
-            f"({ct}*)T[{so}]", n=n, c=geo.c, hw=(geo.h, geo.w),
-            kernel=geo.kernel, stride=geo.stride, padding=geo.padding,
-            out_w=geo.out_w, p=p, f=f, as_f=kt, levels=[(kt, 1)],
-            ldo=p, oy=geo.out_w, ox=1,
+            f"({ct}*)T[{so}]",
+            _ConvPad(n, geo.c, geo.h, geo.w, sh, sw_,
+                     rh=min(sh, kh), rw=min(sw_, kw),
+                     pt=geo.padding[0], pl=geo.padding[1],
+                     ph=geo.out_h + (kh - 1) // sh,
+                     pw=geo.out_w + (kw - 1) // sw_),
+            [_ConvDims(f, geo.out_h, geo.out_w, kn=(geo.c, kh, kw),
+                       ks=(kh * kw, kw, 1), as_f=kt, ldo=p, oy=geo.out_w)],
         )
         return self._accept(
             fallback, [out3], "\n".join(lines + call) + "\n", offer.binders,
@@ -1265,14 +1348,15 @@ class CRenderer:
         frozen, ``dX[c,y,x] = sum_{f,a,b} W[f,c,a,b] * dY[f,(y+p-a)/s,
         (x+p-b)/s]`` is a stride-1 forward conv of ``dY`` with the weight
         read transposed and flipped, so it runs on the forward's kernels:
-        one call per output phase (:func:`_phase_axis`; stride 1 is the
+        one GEMM per output phase (:func:`_phase_axis`; stride 1 is the
         one-phase case with every tap, a strided 1x1 one tap in one
-        phase), each over its own taps and storing to its strided view of
+        phase), each over its own taps of the one padded ``dY`` they
+        share (:func:`_shared_pad`) and storing to its strided view of
         ``dX``.  Phases own disjoint pixels, so an accumulating
         contribution is ``dst + acc`` at store time and a phase no tap
         reaches stores zeros (or, accumulating, is skipped).  The weight
-        is walked live in ``weight.data`` — for one ``f``, rows ``c..c+3``
-        and all taps are one contiguous run — so an in-place
+        is walked live in ``weight.data`` — for one ``f``, the tile's
+        rows ``c..`` and all taps are one contiguous run — so an in-place
         ``load_state_dict`` is seen like any other parameter update.
         Band parity only: the oracle is a BLAS GEMM plus col2im.
         """
@@ -1294,30 +1378,29 @@ class CRenderer:
         offer.binders.append(self._const_binder(weight, sw, dtype))
         acc = int(spec["accumulate"])
         (kh, kw), (sh, sw_) = geo.kernel, geo.stride
-        lines = ["    const conv_epi E = {0, 0, 0, 0, 0, 0, 0.0, 0};"]
-        units = est_us = 0
-        for (ry, hp, ka, a_last, pad_h), (rx, wp, kb, b_last, pad_w) in product(
-            _phase_axis(geo.h, kh, sh, geo.padding[0]),
-            _phase_axis(geo.w, kw, sw_, geo.padding[1]),
-        ):
-            taps = ka * kb
-            if acc and not taps:
-                continue
-            call, phase_units, phase_us = self._conv_call(
-                ct, ct, f"(const {ct}*)T[{sg}]",
-                f"(const {ct}*)T[{sw}] + {a_last * kw + b_last if taps else 0}",
-                f"({ct}*)T[{so}] + {ry * geo.w + rx}",
-                n=geo.n, c=geo.f_out, hw=(geo.out_h, geo.out_w),
-                kernel=(ka, kb), stride=(1, 1), padding=(pad_h, pad_w),
-                out_w=wp, p=hp * wp, f=geo.c, as_f=kh * kw,
-                levels=[(geo.f_out, geo.c * kh * kw), (ka, -sh * kw),
-                        (kb, -sw_)],
+        rows = _phase_axis(geo.h, kh, sh, geo.padding[0])
+        cols = _phase_axis(geo.w, kw, sw_, geo.padding[1])
+        (pt, ph), (pl, pw) = _shared_pad(rows), _shared_pad(cols)
+        gemms = [
+            _ConvDims(
+                geo.c, hp, wp, kn=(geo.f_out, ka, kb),
+                ks=(geo.c * kh * kw, -sh * kw, -sw_),
+                a0=a_last * kw + b_last if ka * kb else 0, as_f=kh * kw,
+                da=pt - pad_h, db=pl - pad_w, o0=ry * geo.w + rx,
                 ldo=geo.h * geo.w, oy=sh * geo.w, ox=sw_, acc=acc,
-                tag=f"{ry}_{rx}",
             )
-            lines += call
-            units = max(units, phase_units)
-            est_us += phase_us
+            for (ry, hp, ka, a_last, pad_h), (rx, wp, kb, b_last, pad_w)
+            in product(rows, cols)
+            if ka * kb or not acc
+        ]
+        call, units, est_us = self._conv_call(
+            ct, ct, f"(const {ct}*)T[{sg}]", f"(const {ct}*)T[{sw}]",
+            f"({ct}*)T[{so}]",
+            _ConvPad(geo.n, geo.f_out, geo.out_h, geo.out_w, 1, 1, 1, 1,
+                     pt, pl, ph, pw),
+            gemms,
+        )
+        lines = ["    const conv_epi E = {0, 0, 0, 0, 0, 0, 0.0, 0};"] + call
         return self._accept(
             fallback, [dst], "\n".join(lines) + "\n", offer.binders,
             mt=units >= 2 and self._mt(est_us),

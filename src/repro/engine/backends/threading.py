@@ -25,8 +25,9 @@ start-to-finish in the same serial reduction order the single-thread
 kernel uses.  No accumulator is ever shared, no atomics exist, and the
 per-element arithmetic is independent of both ``nt`` and the tile
 boundaries, so outputs are bitwise identical run-to-run *and* across
-thread counts.  Per-thread im2col column scratch lives in a static
-arena inside the ``.so`` (``POOL_SCR(tid)``), sized at render time.
+thread counts.  Per-thread conv scratch (one padded sample and the tap
+offsets) lives in a static arena inside the ``.so`` (``POOL_SCR(tid)``),
+sized at render time.
 
 Thread-count resolution is :func:`resolve_threads` (per compilation) and
 :func:`serving_threads` (what a serving loop's ``threads`` option means).
@@ -113,13 +114,13 @@ def tile_bounds(total: int, tid: int, nt: int) -> Tuple[int, int]:
 
 
 def scratch_prelude(nt: int, scratch_bytes: int) -> str:
-    """Per-thread gather-scratch arena, emitted *before* the stage
-    functions (they address their tile through ``POOL_SCR(tid)``).
+    """Per-thread scratch arena, emitted *before* the stage functions
+    (they address their share through ``POOL_SCR(tid)``).
 
-    ``scratch_bytes`` is the largest per-thread tile any stage needs
-    (one conv's im2col column chunk); the stride
-    is 64-aligned, and so is the arena, so threads never share a cache
-    line and full-width vector loads of a tile never split one.
+    ``scratch_bytes`` is the largest per-thread need of any stage (one
+    conv's tap offsets and padded sample, slack for the last panel
+    included); the stride is 64-aligned, and so is the arena, so threads
+    never share a cache line.
     """
     stride = max((scratch_bytes + 63) // 64 * 64, 64)
     words = (nt * stride) // 8

@@ -638,6 +638,27 @@ class _BatchNormEval(Function):
         return grad_x, grad_gamma, grad_beta
 
 
+def update_running_stat(
+    running: np.ndarray, batch: np.ndarray, momentum: float
+) -> None:
+    """In place, ``running <- (1 - momentum) * running + momentum * batch``.
+
+    Every path that persists batch statistics (the eager train forward,
+    the compiled adaptation step, the fleet's fused group step) goes
+    through here, so they stay bitwise each other's.  Momentum exactly
+    1.0 — ``stats_mode="replace"`` — is a plain copy: the blend's
+    ``running * 0.0`` keeps a non-finite running value forever
+    (``nan * 0 = inf * 0 = nan``), and "replace" must replace.  For
+    finite buffers the copy is bitwise the blend, up to the sign of an
+    exactly-zero statistic.
+    """
+    if momentum == 1.0:
+        running[...] = batch
+    else:
+        running *= 1.0 - momentum
+        running += momentum * batch
+
+
 def batch_norm(
     x: Tensor,
     gamma: Tensor,
@@ -672,10 +693,8 @@ def batch_norm(
         batch_mean = x.data.mean(axis=axes, keepdims=True)
         batch_var = x.data.var(axis=axes, keepdims=True)
         # update running stats in place (buffers are flat C-vectors)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * batch_mean.reshape(-1)
-        running_var *= 1.0 - momentum
-        running_var += momentum * batch_var.reshape(-1)
+        update_running_stat(running_mean, batch_mean.reshape(-1), momentum)
+        update_running_stat(running_var, batch_var.reshape(-1), momentum)
         return _BatchNorm.apply(x, gamma, beta, batch_mean, batch_var, axes, eps)
 
     mean = running_mean.reshape(stat_shape)

@@ -39,6 +39,7 @@ from .. import nn
 from ..adapt.base import AdaptResult
 from ..adapt.bn_adapt import LDBNAdapt
 from ..engine import CompiledAdaptStep, UnsupportedAdaptGraph
+from ..nn.functional import update_running_stat
 from ..nn.optim import sgd_update
 from .streams import StreamSession
 
@@ -196,9 +197,7 @@ class FleetAdaptationBatcher:
                     ("running_mean", tap.batch_mean[k]),
                     ("running_var", tap.batch_var[k]),
                 ):
-                    buf = bufs[name]
-                    buf *= 1.0 - momentum
-                    buf += momentum * stat
+                    update_running_stat(bufs[name], stat, momentum)
                 for saved, grad, param in (
                     (session.bn_state.params.saved[2 * j],
                      tap.grad_gamma[k], tap.module.weight),

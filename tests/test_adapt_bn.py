@@ -267,3 +267,113 @@ class TestEntropyLoss:
             rng.standard_normal((2, 4, 2, 3)).astype(np.float64), requires_grad=True
         )
         gradcheck(lambda x: entropy_loss(x), [logits])
+
+
+def _poison(mean, var):
+    mean[0] = np.nan
+    var[1] = np.inf
+
+
+class TestReplaceModeDropsNonFiniteRunningStats:
+    """``stats_mode="replace"`` persists with momentum 1.0, and the blend
+    ``running *= 0.0; running += batch`` keeps a non-finite running value
+    forever (``nan * 0 = inf * 0 = nan``).  "Replace" must replace: after
+    one step a poisoned buffer holds the batch statistics — the ones a
+    clean model persists from the same frame, since a train-mode forward
+    never reads the running buffers — on every path that persists."""
+
+    @staticmethod
+    def _bn_buffers(model):
+        return [
+            (m.running_mean.copy(), m.running_var.copy())
+            for m in model.modules() if isinstance(m, nn.BatchNorm2d)
+        ]
+
+    def _step(self, state, images, poisoned, compiled, backend, **config):
+        from repro.models import build_model
+
+        model = build_model("tiny-r18", num_lanes=2,
+                            rng=np.random.default_rng(1))
+        model.load_state_dict(state)
+        model.eval()
+        if poisoned:
+            for m in model.modules():
+                if isinstance(m, nn.BatchNorm2d):
+                    _poison(m.running_mean, m.running_var)
+        adapter = LDBNAdapt(model, LDBNAdaptConfig(backend=backend, **config))
+        with nn.adaptation_mode(compiled):
+            adapter.adapt(images)
+        return self._bn_buffers(model)
+
+    @pytest.mark.parametrize("compiled, backend", [
+        (False, "numpy"), (True, "numpy"), (True, "cgen"),
+    ])
+    def test_poisoned_buffers_hold_the_batch_statistics_after_one_step(
+        self, _trained_tiny_state, target_images, compiled, backend
+    ):
+        from repro.engine.backends import find_cc
+
+        if backend == "cgen" and find_cc() is None:
+            pytest.skip("no C compiler")
+        images = target_images[:1]
+        got = self._step(_trained_tiny_state, images, True, compiled, backend)
+        want = self._step(_trained_tiny_state, images, False, compiled, backend)
+        for (gm, gv), (wm, wv) in zip(got, want):
+            assert np.isfinite(gm).all() and np.isfinite(gv).all()
+            assert np.array_equal(gm, wm) and np.array_equal(gv, wv)
+
+    def test_fleet_fused_group_step_replaces_too(self, trained_tiny_model, rng):
+        from repro.serve import FleetAdaptationBatcher, StreamRegistry
+
+        model = trained_tiny_model
+        h, w = model.config.input_hw
+        frames = [
+            rng.normal(0.5, 0.3, size=(3, h, w)).astype(np.float32)
+            for _ in range(2)
+        ]
+
+        def fused(poisoned):
+            registry = StreamRegistry(model)
+            sessions = [
+                registry.register(
+                    f"s{i}", iter(()), LDBNAdapt(model, LDBNAdaptConfig()),
+                    deadline_ms=33.3,
+                )
+                for i in range(2)
+            ]
+            if poisoned:
+                for bufs in sessions[0].bn_state.buffers:
+                    _poison(bufs["running_mean"], bufs["running_var"])
+            FleetAdaptationBatcher(model).stage(sessions, frames).execute()
+            return [
+                [(b["running_mean"].copy(), b["running_var"].copy())
+                 for b in s.bn_state.buffers]
+                for s in sessions
+            ]
+
+        for got, want in zip(fused(True), fused(False)):
+            for (gm, gv), (wm, wv) in zip(got, want):
+                assert np.isfinite(gm).all() and np.isfinite(gv).all()
+                assert np.array_equal(gm, wm) and np.array_equal(gv, wv)
+
+    def test_ema_mode_still_blends(self, _trained_tiny_state, target_images):
+        """Momentum below 1 is the blend, bit for bit — non-finite values
+        included: ``ema`` has no batch value to fall back on, so clearing
+        it is a rail's job (ROADMAP item 4), not this helper's."""
+        from repro.nn.functional import update_running_stat
+
+        rng = np.random.default_rng(0)
+        running, batch = rng.standard_normal(8), rng.standard_normal(8)
+        want = running * (1.0 - 0.1) + 0.1 * batch
+        got = running.copy()
+        update_running_stat(got, batch, 0.1)
+        assert got.tobytes() == want.tobytes()
+        # and for finite buffers the copy is what the blend computed
+        replaced = running.copy()
+        update_running_stat(replaced, batch, 1.0)
+        assert replaced.tobytes() == (running * 0.0 + 1.0 * batch).tobytes()
+        poisoned = self._step(
+            _trained_tiny_state, target_images[:1], True, True, "numpy",
+            stats_mode="ema", ema_momentum=0.1,
+        )
+        assert all(np.isnan(m[0]) and np.isinf(v[1]) for m, v in poisoned)

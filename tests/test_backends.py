@@ -848,6 +848,146 @@ class TestConvMicroKernel:
 
 
 # ---------------------------------------------------------------------------
+# implicit GEMM: garbage lanes, phase planes, scratch reuse
+
+
+@needs_cc
+class TestImplicitGemmLanes:
+    """The kernel walks output positions flat at the padded pitch, so
+    every NR-wide panel also computes the ``pw - ow`` cells past each
+    row's end (and past the last row) and drops them.  A NaN is the
+    tracer: one poisoned input pixel must reach exactly the outputs
+    whose window covers it — a garbage lane that leaks, a tap read from
+    the wrong phase plane or a scratch row left over from the previous
+    sample all move the footprint."""
+
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_nan_footprint_forward(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        kh, kw = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        stride = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
+        padding = (data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3)))
+        n, c, f = 2, data.draw(st.integers(1, 4)), data.draw(st.integers(1, 9))
+        h = data.draw(st.integers(max(1, kh - 2 * padding[0]), 10))
+        w = data.draw(st.integers(max(1, kw - 2 * padding[1]), 27))
+        x_dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        nt = data.draw(st.integers(1, 3))
+
+        conv = nn.Conv2d(c, f, (kh, kw), stride=stride, padding=padding,
+                         bias=False, rng=rng)
+        model = nn.Sequential(conv)
+        model.eval()
+        x = rng.standard_normal((n, c, h, w)).astype(x_dtype)
+        # sample 0 only: sample 1 is padded into the same scratch next
+        x[0, rng.integers(c), rng.integers(h), rng.integers(w)] = np.nan
+
+        want = compile_model(model)(x).numpy()
+        with pytest.MonkeyPatch.context() as patch:
+            _tile_everything(patch)
+            engine = compile_model(model, backend=CGenBackend(threads=nt))
+            got = engine(x).numpy()
+            assert engine.plan_for(x.shape, x.dtype).backend_info["rendered"] == 1
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert not np.isnan(got[1]).any()
+        np.testing.assert_allclose(got, want, **_band(np.float32))
+
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_nan_footprint_dgrad(self, data):
+        """The same through the input gradient, a fresh and an
+        accumulating sink: after one full step the two ``dY`` buffers get
+        a NaN pixel each and the two ``bwd:conv`` stages are rerun alone
+        (profiled plans replay stage by stage), numpy closure against
+        rendered phases."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        kernel = (data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5)))
+        stride = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
+        padding = (data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2)))
+        n, c, f = 2, data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        h = data.draw(st.integers(max(1, kernel[0] - 2 * padding[0]), 9))
+        w = data.draw(st.integers(max(1, kernel[1] - 2 * padding[1]), 25))
+        nt = data.draw(st.integers(1, 3))
+        x = rng.standard_normal((n, c, h, w))
+
+        def dx_after_poisoned_rerun(backend, threads=None):
+            model = _TwoBranch(c, f, kernel, stride, padding, np.float64,
+                               np.random.default_rng(7))
+            model.train()
+            plan = CompiledAdaptStep(
+                model, profile=True, backend=backend, threads=threads
+            ).plan_for(x)
+            plan.run(x)
+            # gradient buffers in creation order: ..., dY of conv_a, dY of
+            # conv_b, dX (see `_dx`)
+            *_, dy_a, dy_b, dx = plan._grads.values()
+            spot = np.random.default_rng(3)
+            for dy in (dy_a, dy_b):
+                dy[(0,) + tuple(spot.integers(d) for d in dy.shape[1:])] = np.nan
+            steps = [s for s in plan.sections[1]
+                     if s.label.endswith("bwd:conv")]
+            assert len(steps) == 2
+            for step in steps:
+                step()
+            return dx.copy(), plan.backend_info
+
+        want, _ = dx_after_poisoned_rerun("numpy")
+        with pytest.MonkeyPatch.context() as patch:
+            _tile_everything(patch)
+            got, info = dx_after_poisoned_rerun("cgen", nt)
+        assert "bwd:conv" not in info["numpy_stages"], info
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert not np.isnan(got[1]).any()
+        np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-10)
+
+    def test_one_conv_data_path_in_the_rendered_unit(
+        self, monkeypatch, tmp_path
+    ):
+        """All three conv directions of a small-r18 step — forward, and
+        every phase of every input gradient — are call stubs into the
+        helpers emitted once per TU and dtype pair; no im2col pass, no
+        chunk loop and no rendered offset table exist beside them."""
+        _fresh_cache(monkeypatch, tmp_path)  # the .c sits beside a fresh .so
+        model, _, x = _model_and_frames("small-r18", 1, 3)
+        plan = CompiledAdaptStep(model, backend="cgen").plan_for(x)
+        with open(plan.backend_info["so"][:-len(".so")] + ".c") as fh:
+            source = fh.read()
+        assert "im2col" not in source and "CONV_PC" not in source
+        for helper in ("gemm_double", "pad_float_double", "pad_double_double",
+                       "conv_float_double", "conv_double_double", "conv_taps"):
+            assert source.count(f"static void {helper}(") == 1, helper
+        # definition + stem; definition + 20 forward + 20 input gradients
+        assert source.count("conv_float_double(") == 2
+        assert source.count("conv_double_double(") == 41
+        assert "aoff[" not in source.split("static void s0(")[1]
+
+    @pytest.mark.parametrize("w", [5, 10, 11, 23, 25])
+    def test_rows_straddling_panel_seams_are_width_invariant(
+        self, w, monkeypatch
+    ):
+        """Widths whose padded pitch is coprime to (or just off) the
+        panel width put every seam — garbage run split across panels,
+        a panel starting inside one, a row ending flush with one — in a
+        handful of rows: pads 0-3, bit for bit at pool widths 1, 2, 3."""
+        _tile_everything(monkeypatch)
+        rng = np.random.default_rng(w)
+        for pad in range(4):
+            conv = nn.Conv2d(3, 5, 3, padding=pad, bias=False, rng=rng)
+            model = nn.Sequential(conv)
+            model.eval()
+            x = rng.standard_normal((2, 3, 6, w)).astype(np.float32)
+            outs = [
+                compile_model(model, backend=CGenBackend(threads=nt))(x)
+                .numpy().copy()
+                for nt in (1, 2, 3)
+            ]
+            assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
+            np.testing.assert_allclose(
+                outs[0], compile_model(model)(x).numpy(), **_band(np.float64)
+            )
+
+
+# ---------------------------------------------------------------------------
 # rendered LD-BN-ADAPT backward
 
 
@@ -1088,6 +1228,22 @@ class TestRenderedTrainBNAndPoolBackward:
             info["demoted"] + info["declined"]
         )
         assert "bwd:maxpool" not in info["numpy_stages"]
+
+    @pytest.mark.parametrize("backend", ["cgen", "cgen-strict"])
+    def test_rendered_pool_backward_needs_no_column_scratch(self, backend):
+        """The closure's ``gcols`` block — only the probe runs it once the
+        stage is rendered — is what the numpy plan requests from the
+        arena beyond the C plan, to the byte (the stack's one conv input
+        gradient is a fresh 1x1, which needs none in either)."""
+        numpy_plan, _ = _run_pool_stack("numpy", np.float64, 1)
+        plan, _ = _run_pool_stack(backend, np.float64, 1)
+        assert "bwd:maxpool" not in plan.backend_info["numpy_stages"]
+        n, c, pooled = 2, 6, 5 * 7  # the 9x13 map under a 3x3/2/1 pool
+        gcols = n * c * 9 * pooled * 8
+        assert (
+            numpy_plan.stats.requested_bytes - plan.stats.requested_bytes
+            == gcols
+        )
 
     def test_small_r18_step_is_two_rendered_segments(self):
         """With train-BN, every conv dgrad and the entropy tail rendered,

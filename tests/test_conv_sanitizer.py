@@ -1,0 +1,204 @@
+"""The rendered conv helpers under AddressSanitizer + UBSan.
+
+The implicit-GEMM kernel reads its B operand straight from a padded copy
+in per-thread scratch, a whole NR-wide panel at a time: the last panel's
+garbage lanes legitimately read up to NR - 1 cells past the last valid
+position, and nothing in the parity suites would notice if that slack
+were not there (the scratch arena is one static block, rounded up, shared
+by every stage).  This harness proves it is: the renderer's own stage
+builders render a sweep of forward and input-gradient geometries for
+(f32 -> f64, f64 -> f64, f32 -> f32), and a generated ``main`` runs every
+stage — as both halves of a 2-wide pool — on exact-size heap buffers,
+each stage with exactly the scratch ``_need_scratch`` reserved for it,
+compiled ``-fsanitize=address,undefined`` as an executable.  Any read or
+write outside a buffer, misaligned table or signed overflow aborts it.
+
+Loud skip when the host has no compiler or no sanitizer runtime.
+"""
+
+import os
+import subprocess
+
+import numpy as np
+import pytest
+
+from repro import nn
+from repro.engine.backends import CGenBackend, cgen, find_cc
+from repro.engine.backends.core import lower_conv
+from repro.engine.backends.threading import scratch_prelude
+
+THREADS = 2
+SAN_FLAGS = ["-O2", "-g", "-march=native", "-pthread", "-ffp-contract=fast",
+             "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
+
+
+def _geometries():
+    """(kernel, stride, padding, h, w): the seam widths x pads 0-3 at
+    3x3, then kernels / strides / pads off the common path — strides
+    beyond the kernel, one-pixel images, padding beyond the kernel,
+    trailing rows no window reaches."""
+    sweep = [((3, 3), (1, 1), (pad, pad), 6, w)
+             for w in (5, 10, 11, 23, 25) for pad in range(4)]
+    rng = np.random.default_rng(17)
+    for _ in range(24):
+        kernel = (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+        stride = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        padding = (int(rng.integers(0, 3)), int(rng.integers(0, 3)))
+        h = int(rng.integers(max(1, kernel[0] - 2 * padding[0]), 10))
+        w = int(rng.integers(max(1, kernel[1] - 2 * padding[1]), 27))
+        sweep.append((kernel, stride, padding, h, w))
+    sweep += [((1, 1), (1, 1), (0, 0), 2, 5), ((1, 1), (2, 2), (0, 0), 5, 9),
+              ((7, 7), (2, 2), (3, 3), 12, 30), ((1, 1), (3, 3), (1, 1), 1, 1)]
+    return sweep
+
+
+def _render(renderer):
+    """Offer every geometry's forward conv (three dtype pairs) and input
+    gradient (fresh and accumulating, two dtypes) to ``renderer``;
+    returns per stage the scratch it reserved, and the arrays to keep."""
+    rng = np.random.default_rng(5)
+    needs, keep = [], []
+
+    def offered(kind, spec):
+        renderer._scratch_bytes = 0
+        assert renderer.offer_stage(kind, spec, None) is not None, spec
+        needs.append(renderer._scratch_bytes)
+
+    for kernel, stride, padding, h, w in _geometries():
+        n, c, f = 2, int(rng.integers(1, 4)), int(rng.integers(1, 10))
+        for xd, cd in ((np.float32, np.float64), (np.float64, np.float64),
+                       (np.float32, np.float32)):
+            geo = lower_conv((n, c, h, w), (f, c) + kernel, stride, padding,
+                             cd, xd)
+            weight = nn.Tensor(rng.standard_normal((f, c) + kernel).astype(cd))
+            x = rng.standard_normal((n, c, h, w)).astype(xd)
+            out3 = np.empty((n, f, geo.p_total), dtype=cd)
+            keep += [weight, x, out3]
+            offered("conv", dict(
+                geo=geo, weight=weight, bias=None, out3=out3,
+                x_src=("fixed", x), relu=False, bn_module=None,
+            ))
+            if xd != cd:
+                continue
+            g = rng.standard_normal((n, f, geo.out_h, geo.out_w)).astype(cd)
+            for accumulate in (False, True):
+                dst = np.zeros((n, c, h, w), dtype=cd)
+                keep += [g, dst]
+                offered("conv_dgrad", dict(
+                    geo=geo, dtype=cd, weight=weight, g=g, dst=dst,
+                    accumulate=accumulate,
+                ))
+    return needs, keep
+
+
+def _harness_source(renderer, needs, keep):
+    """The renderer's TU with its static scratch arena swapped for
+    per-stage exact-size heap blocks, plus a ``main`` that copies every
+    bound buffer into an exact-size heap block and runs each stage as
+    both threads of a 2-wide pool."""
+    tab = np.zeros(renderer._nslots, dtype=np.uintp)
+    renderer._tab_holder[0] = tab
+    for slot, arr in renderer._static:
+        tab[slot] = arr.ctypes.data
+    for offer in renderer._offers:
+        for bind in offer.binders:
+            bind()
+    # slot -> bytes: plan-owned buffers by identity, weights by address
+    sizes = {slot: arr.nbytes for slot, arr in renderer._static}
+    by_address = {}
+    for held in keep:
+        data = held.data if isinstance(held, nn.Tensor) else held
+        by_address[data.ctypes.data] = data.nbytes
+    for slot in range(1, renderer._nslots):
+        sizes.setdefault(slot, by_address[int(tab[slot])])
+
+    source = renderer._assemble()
+    arena = scratch_prelude(renderer.threads, renderer._scratch_bytes)
+    assert arena in source
+    source = source.replace(
+        arena,
+        f"static char* SCR[{THREADS}];\n#define POOL_SCR(t) (SCR[t])\n",
+    )
+    sized = ", ".join(str(sizes.get(slot, 0)) for slot in range(renderer._nslots))
+    return source + f"""
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
+static const i64 SIZES[] = {{ {sized} }};
+static const i64 NEEDS[] = {{ {", ".join(str(v) for v in needs)} }};
+int main(void) {{
+    enum {{ NSLOTS = {renderer._nslots}, NSTAGES = {len(needs)} }};
+    char* T[NSLOTS];
+    for (i64 s = 0; s < NSLOTS; ++s) {{
+        T[s] = SIZES[s] ? malloc(SIZES[s]) : 0;
+        /* 0x3c bytes: a small finite float at either width */
+        if (T[s]) memset(T[s], 0x3c, SIZES[s]);
+    }}
+    for (i64 q = 0; q < NSTAGES; ++q) {{
+        for (i64 t = 0; t < {THREADS}; ++t) SCR[t] = malloc(NEEDS[q]);
+        for (i64 t = 0; t < {THREADS}; ++t) STAGES[q](T, t, {THREADS});
+        for (i64 t = 0; t < {THREADS}; ++t) free(SCR[t]);
+    }}
+    double sum = 0.0;
+    for (i64 s = 0; s < NSLOTS; ++s) {{
+        for (i64 b = 0; b < SIZES[s]; ++b) sum += (unsigned char)T[s][b];
+        free(T[s]);
+    }}
+    printf("%d stages, checksum %.0f\\n", (int)NSTAGES, sum);
+    return 0;
+}}
+"""
+
+
+def _sanitizer_runtime(cc, tmp_path):
+    """``None`` when ``cc`` links and runs a sanitized executable, else
+    the reason it does not."""
+    probe = tmp_path / "probe.c"
+    probe.write_text("int main(void) { return 0; }\n")
+    exe = tmp_path / "probe"
+    built = subprocess.run(
+        [cc, *SAN_FLAGS, str(probe), "-o", str(exe)],
+        capture_output=True, text=True,
+    )
+    if built.returncode != 0:
+        return built.stderr.strip()[-300:] or "link failed"
+    ran = subprocess.run([str(exe)], capture_output=True, text=True,
+                         env=_san_env())
+    if ran.returncode != 0:
+        return ran.stderr.strip()[-300:] or f"exit {ran.returncode}"
+    return None
+
+
+def _san_env():
+    # leak checking needs ptrace, which sandboxes commonly deny
+    return dict(os.environ, ASAN_OPTIONS="detect_leaks=0",
+                UBSAN_OPTIONS="print_stacktrace=1")
+
+
+def test_conv_helpers_run_clean_under_asan_and_ubsan(tmp_path):
+    cc = find_cc()
+    if cc is None:
+        pytest.skip("NOTICE: conv sanitizer harness SKIPPED — no C compiler")
+    missing = _sanitizer_runtime(cc, tmp_path)
+    if missing is not None:
+        pytest.skip(
+            "NOTICE: conv sanitizer harness SKIPPED — no usable "
+            f"-fsanitize=address,undefined runtime here: {missing}"
+        )
+
+    renderer = cgen.CRenderer(CGenBackend(), threads=THREADS)
+    needs, keep = _render(renderer)
+    assert {"conv_float_double", "conv_double_double",
+            "conv_float_float"} <= set(renderer._helpers)
+    src = tmp_path / "harness.c"
+    src.write_text(_harness_source(renderer, needs, keep))
+    exe = tmp_path / "harness"
+    built = subprocess.run(
+        [cc, *SAN_FLAGS, str(src), "-o", str(exe), "-lm"],
+        capture_output=True, text=True,
+    )
+    assert built.returncode == 0, built.stderr[-2000:]
+    ran = subprocess.run([str(exe)], capture_output=True, text=True,
+                         env=_san_env())
+    assert ran.returncode == 0, (ran.stdout + ran.stderr)[-4000:]
+    assert f"{len(needs)} stages" in ran.stdout
