@@ -10,7 +10,8 @@
 # benchmarks/results/*.json, diff p95/fps against the previous run's
 # baseline via repro.experiments.regression) is exercised on every PR,
 # not just when a human runs the benchmarks by hand; it ends with the
-# bench-e2e self-check (benchmarks/e2e/run.py --smoke).  Lane 4 exercises
+# bench-e2e self-check (benchmarks/e2e/run.py --smoke) and the line
+# counts of src/repro/{engine,serve,hw}.  Lane 4 exercises
 # the cgen C plan backend (renderer parity tests twice — single-thread
 # and with a 2-wide worker pool — the conv helpers under ASan + UBSan,
 # the bitwise engine suites under REPRO_BACKEND=cgen-strict, plus quick
@@ -74,6 +75,10 @@ else
     echo "NOTICE: bench-e2e smoke SKIPPED — no C compiler on this host;"
     echo "        its cgen workloads would only measure the numpy fallback"
 fi
+# the meter of ROADMAP item 2 ("engine + serve + hw down >= 15 % together")
+for layer in engine serve hw; do
+    echo "src/repro/$layer: $(find "src/repro/$layer" -name '*.py' | xargs cat | wc -l) lines"
+done
 
 echo "=== lane 4: cgen backend (C plan renderer parity + quick bench) ==="
 # the C backend needs a host compiler; when there is none the engine

@@ -33,25 +33,63 @@ class Adapter(abc.ABC):
     """Online test-time adapter bound to a model.
 
     Lifecycle: construct with the model (this configures which parameters
-    are trainable), call :meth:`adapt` with successive unlabeled batches,
-    optionally :meth:`reset` to restore the pristine model.
+    are trainable), call :meth:`adapt` with successive unlabeled batches
+    — or feed single frames to :meth:`observe_frame`, the stream
+    interface the serving loops use — and optionally :meth:`reset` to
+    restore the pristine model.
     """
 
     name: str = "adapter"
+    config = None  # subclasses with hyper-parameters set a config object
 
     def __init__(self, model: nn.Module):
         self.model = model
         self._initial_state = model.state_dict()
         self._step = 0
+        self._buffer: list = []  # frames observed toward the next step
 
     @abc.abstractmethod
     def adapt(self, images: np.ndarray) -> AdaptResult:
         """Consume one unlabeled batch ``(N, 3, H, W)``; update the model."""
 
+    @property
+    def batch_size(self) -> int:
+        """Frames per adaptation step (``config.batch_size``, default 1)."""
+        return getattr(self.config, "batch_size", 1)
+
+    @property
+    def pending_frames(self) -> int:
+        """Frames buffered by :meth:`observe_frame` toward the next step."""
+        return len(self._buffer)
+
+    def observe_frame(self, image: np.ndarray) -> Optional[AdaptResult]:
+        """Stream interface: buffer one frame; adapt when the batch fills.
+
+        Returns the :class:`AdaptResult` on steps where adaptation ran,
+        else None.  This implements the paper's "adaptation after every
+        image or every 2/4 images" batching.
+        """
+        if image.ndim != 3:
+            raise ValueError(f"expected a single (3, H, W) frame, got {image.shape}")
+        self._buffer.append(np.asarray(image, dtype=np.float32))
+        if len(self._buffer) < self.batch_size:
+            return None
+        batch = np.stack(self._buffer)
+        self._buffer.clear()
+        return self.adapt(batch)
+
+    def warm(self, image: np.ndarray) -> None:
+        """Do any one-time work a step on frames like ``image`` needs.
+
+        Serving loops call this outside their timed regions; adapters
+        with nothing to compile inherit this no-op.
+        """
+
     def reset(self) -> None:
         """Restore the model to its pre-adaptation state."""
         self.model.load_state_dict(self._initial_state)
         self._step = 0
+        self._buffer.clear()
 
     @property
     def steps_taken(self) -> int:

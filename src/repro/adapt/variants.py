@@ -60,7 +60,6 @@ class _GroupAdapter(Adapter):
         self.optimizer = nn.SGD(
             self._params, lr=self.config.lr, momentum=self.config.momentum
         )
-        self._buffer: list = []
 
     def adapt(self, images: np.ndarray) -> AdaptResult:
         images = np.asarray(images, dtype=np.float32)
@@ -84,18 +83,8 @@ class _GroupAdapter(Adapter):
             step_index=self._step,
         )
 
-    def observe_frame(self, image: np.ndarray) -> Optional[AdaptResult]:
-        """Buffer one frame; adapt when ``batch_size`` frames accumulated."""
-        self._buffer.append(np.asarray(image, dtype=np.float32))
-        if len(self._buffer) < self.config.batch_size:
-            return None
-        batch = np.stack(self._buffer)
-        self._buffer.clear()
-        return self.adapt(batch)
-
     def reset(self) -> None:
         super().reset()
-        self._buffer.clear()
         self.optimizer.state.clear()
 
 

@@ -13,11 +13,7 @@ module hosts two studies on the simulated Jetson Orin:
   when hot, caught up when idle, phase-packed when fusing helps).  The
   asserted claim is Pareto dominance: at equal deadline-miss rate,
   slack admission sustains at least the static fleet's adaptation
-  throughput.  A final ``parity`` row re-runs the fleet with zero
-  jitter/drops through both ingest modes and checks the async loop
-  reproduces the synchronous loop's per-stream outputs exactly (the
-  refactor guard — it runs at the configured pool size, so the sharded
-  path is covered too).
+  throughput.
 * :func:`run_bench_devices` — device-pool scaling: for each pool size,
   grow the number of always-adapting streams until the fleet misses
   more than :data:`SCALING_MISS_BUDGET` of its deadlines; the largest
@@ -92,7 +88,7 @@ SCALING_FACTOR = 1.8  # 2 devices must sustain >= 1.8x the streams of 1
 COLUMNS = (
     "policy", "frames", "dropped", "miss_rate", "adapt_steps",
     "steps_per_tick", "adapting_streams", "grant_rate",
-    "mean_queue_depth", "slack_p10_ms", "fleet_fps", "parity_ok",
+    "mean_queue_depth", "slack_p10_ms", "fleet_fps",
 )
 
 #: display order of the device-scaling table
@@ -212,8 +208,7 @@ def run_bench_serve(
     """The jittered-arrival admission study; returns table-ready rows.
 
     ``devices``/``placement`` shard every fleet of the study across a
-    homogeneous pool — including the async/sync parity guard, so the
-    sharded coordinator is held to the same exactness bar.
+    homogeneous pool.
     """
     scale = scale if scale is not None else get_run_scale()
     benchmark, model = _prepare(scale)
@@ -239,23 +234,6 @@ def run_bench_serve(
         admission=AdmissionConfig(), **arrival, **shard,
     )
     rows.append(_policy_row("slack", report, num_ticks))
-
-    # refactor guard: zero-jitter async ingest == the synchronous loop.
-    # Exact parity needs a fleet the device keeps up with on average (a
-    # cumulative backlog lets the async loop fold late cohorts into
-    # draining batches, which is its point), hence 2 streams, stride 4.
-    log.info("bench-serve: zero-jitter async-vs-sync parity check")
-    outputs = [
-        per_stream_outputs(
-            _run_fleet(
-                model, pristine, benchmark, scale, 2, num_ticks,
-                adapt_stride=4, ingest=ingest, **shard,
-            )
-        )
-        for ingest in ("async", "sync")
-    ]
-    for row in rows:
-        row["parity_ok"] = outputs[0] == outputs[1]
     return rows
 
 

@@ -105,9 +105,8 @@ class RealTimePipeline:
                     "latency_model='orin' requires a DeviceProfile and a "
                     "paper-size ModelSpec (the platform under study)"
                 )
-            batch = getattr(getattr(adapter, "config", None), "batch_size", 1)
             breakdown = ld_bn_adapt_latency(
-                spec, device, batch, threads=self.threads or 1
+                spec, device, adapter.batch_size, threads=self.threads or 1
             )
             # inference happens every frame; the adaptation step is paid on
             # the frames where a step actually runs
@@ -142,8 +141,7 @@ class RealTimePipeline:
                 )
             self.model.eval()
             self._compiled.warm(image[None])
-        if hasattr(self.adapter, "warm"):
-            self.adapter.warm(image)
+        self.adapter.warm(image)
 
     def _predict(self, frame: LaneSample) -> np.ndarray:
         self.model.eval()
@@ -188,9 +186,7 @@ class RealTimePipeline:
             with self.timer.measure("inference"):
                 pred = self._predict(frame)
             with self.timer.measure("adaptation"):
-                result = self.adapter.observe_frame(frame.image) if hasattr(
-                    self.adapter, "observe_frame"
-                ) else self.adapter.adapt(frame.image[None])
+                result = self.adapter.observe_frame(frame.image)
 
             metrics = point_accuracy(
                 pred[None],

@@ -23,7 +23,7 @@ Architecture
                  per-stream BN   │ DeviceProfile-priced costs
                  state + adapter │ DeadlineAwareScheduler  (scheduler.py)
                                  │ SlackAdmission budget   (admission.py)
-                                 │ compiled plan caches
+                                 │ the pool's ONE compiled engine pair
                                  └ batched fwd + fused adaptation
                                                            (adapt_batch.py)
 
@@ -43,9 +43,12 @@ Architecture
 * **pool.py** — the device layer.  A :class:`DeviceWorker` owns one
   device's :class:`~repro.hw.device.DeviceProfile` (heterogeneous pools
   price each stream per device), its scheduler + queue, its admission
-  budget, its compiled inference/adaptation plan caches and its clock;
-  the per-batch serving path (shared forward → decode → admission-gated
-  fused/serial adaptation) lives here.  :func:`place_stream` is the
+  budget, its pricing (memoised roofline quotes) and its clock; the
+  per-batch serving path (shared forward → decode → admission-gated
+  fused/serial adaptation → per-frame record → drift resets →
+  checkpoints, one method each) lives here.  The compiled engines are
+  the coordinator's, shared by every worker: one frozen network, so
+  each plan is lowered once per pool.  :func:`place_stream` is the
   pure placement policy ("least_loaded" over roofline-estimated stream
   cost, "round_robin", "pinned") and :class:`MigrationPlanner` the pure
   migration rule: when per-device slack EWMAs diverge past
@@ -78,21 +81,25 @@ Architecture
   stagger remains as the legacy policy when no :class:`AdmissionConfig`
   is given.
 * **adapt_batch.py** — batched same-batch adaptation, one batcher per
-  device.  Granted steps that land in the same served batch fuse into
-  ONE grouped replay of the compiled adaptation plan with per-stream
-  state slots read straight from each session's snapshot (no model
-  swap); per-stream results match serial stepping to float precision.
+  device over the pool's shared adaptation step (the fused-billing
+  verdict stays per device).  Granted steps that land in the same
+  served batch fuse into ONE grouped replay of the compiled adaptation
+  plan with per-stream state slots read straight from each session's
+  snapshot (no model swap); per-stream results match serial stepping
+  to float precision.
   ``FleetConfig(batch_adaptation=False)`` disables fusing.
-* **server.py** — the fleet coordinator.  One fleet-wide time-ordered
-  arrival heap; arrivals route to the session's current device; each
-  worker launches a deadline-feasible batch at ``max(device_free,
-  earliest pending arrival)``, executed in global time order across the
-  pool; after each batch the migration planner may rebalance.
+* **server.py** — the fleet coordinator.  It builds the pool's one
+  compiled engine pair and runs the one event loop: a fleet-wide
+  time-ordered arrival heap; arrivals route to the session's current
+  device; each worker launches a deadline-feasible batch at
+  ``max(device_free, earliest pending arrival)``, executed in global
+  time order across the pool; after each batch the migration planner
+  may rebalance.
   ``FleetConfig(devices=N, placement=..., migration=...)`` configures
   the pool (an explicit heterogeneous ``device_pool`` may be passed to
   the server); ``FleetConfig(devices=1)`` — the default — reproduces
-  the former single-device server exactly, and ``ingest="sync"`` keeps
-  the tick-synchronous loop as the parity oracle.
+  the former single-device server exactly (the tick-synchronous drain
+  survives only as ``tests/tick_oracle.py``, the parity reference).
 * **drift.py** — drift-aware adaptation resets.  Each session can
   feed its per-frame mean prediction entropy to a one-sided CUSUM
   (:class:`repro.metrics.DriftDetector`); an alarm re-initializes the

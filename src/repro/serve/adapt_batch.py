@@ -60,14 +60,19 @@ def static_fuse_key(adapter):
 
 
 class StagedGroupStep:
-    """One fused adaptation step, assembled but not yet executed.
+    """One fused adaptation step of a served batch.
 
     Staging (batch assembly + plan lookup, which traces on first use)
     happens outside the serving loop's timed region; :meth:`execute`
-    is the measured work.
+    is the measured work.  The first member the worker's record loop
+    meets launches it and fills in ``results`` and the completion
+    bookkeeping the other members then read.
     """
 
-    __slots__ = ("batcher", "sessions", "images", "plan", "group_size")
+    __slots__ = (
+        "batcher", "sessions", "images", "plan", "group_size",
+        "results", "per_stream_ms", "done_clock_ms",
+    )
 
     def __init__(self, batcher, sessions, images, plan, group_size):
         self.batcher = batcher
@@ -75,6 +80,9 @@ class StagedGroupStep:
         self.images = images
         self.plan = plan
         self.group_size = group_size
+        self.results: Optional[Dict[int, AdaptResult]] = None
+        self.per_stream_ms = 0.0
+        self.done_clock_ms = 0.0
 
     @property
     def num_streams(self) -> int:
@@ -85,12 +93,20 @@ class StagedGroupStep:
 
 
 class FleetAdaptationBatcher:
-    """Plans and runs fused same-phase adaptation steps for one model."""
+    """Plans and runs fused same-phase adaptation steps for one model.
 
-    def __init__(self, model, backend=None, threads=None):
-        self.model = model
-        self._compiled = CompiledAdaptStep(model, backend=backend,
-                                           threads=threads)
+    Stages from ``compiled``'s plan cache — a device pool passes the one
+    :class:`~repro.engine.CompiledAdaptStep` its workers share — or from
+    a step of its own built from ``backend`` / ``threads``; the
+    ``fuse_billable`` verdict is per batcher either way.
+    """
+
+    def __init__(self, model, backend=None, threads=None, compiled=None):
+        self._compiled = (
+            compiled
+            if compiled is not None
+            else CompiledAdaptStep(model, backend=backend, threads=threads)
+        )
         self._unsupported = False
         self._fused_proven = False  # a grouped stage has succeeded
         self._module_index: Optional[Dict[int, int]] = None

@@ -265,7 +265,7 @@ def pack_session_state(
                 if slot in _SCRATCH_SLOTS:
                     continue
                 arrays[f"opt.{j}.{slot}"] = value
-    pending = getattr(session.adapter, "_buffer", None) or []
+    pending = session.adapter._buffer
     for k, frame in enumerate(pending):
         arrays[f"adapt.buffer.{k}"] = frame
     drift = getattr(session, "drift", None)
@@ -365,28 +365,18 @@ def restore_session_state(
             arr[...] = arrays[f"bn.buffer.{i}.{name}"]
     optimizer = getattr(session.adapter, "optimizer", None)
     if optimizer is not None:
-        for j, param in enumerate(optimizer.params):
+        for param in optimizer.params:
             optimizer.state.pop(id(param), None)
-            prefix = f"opt.{j}."
-            slots = {
-                key[len(prefix):]: arrays[key]
-                for key in arrays
-                if key.startswith(prefix)
-            }
-            if not slots:
-                continue
-            restored: Dict[str, object] = {}
-            for slot, value in slots.items():
-                if slot == "step":
-                    restored[slot] = int(value)
-                else:
-                    restored[slot] = value.copy()
-            optimizer.state[id(param)] = restored
-    if hasattr(session.adapter, "_buffer"):
-        session.adapter._buffer = [
-            arrays[f"adapt.buffer.{k}"].copy()
-            for k in range(int(meta.get("adapt_pending", 0)))
-        ]
+        # one pass over the manifest: ``opt.<j>.<slot>`` keys by parameter
+        for key, value in arrays.items():
+            if key.startswith("opt."):
+                _, j, slot = key.split(".", 2)
+                slots = optimizer.state.setdefault(id(optimizer.params[int(j)]), {})
+                slots[slot] = int(value) if slot == "step" else value.copy()
+    session.adapter._buffer = [
+        arrays[f"adapt.buffer.{k}"].copy()
+        for k in range(int(meta.get("adapt_pending", 0)))
+    ]
     session.adapter._step = int(meta["adapter_step"])
     drift = getattr(session, "drift", None)
     if drift is not None and "drift" in meta:

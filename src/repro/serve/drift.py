@@ -288,25 +288,18 @@ class SessionDriftState:
             if "drift.regime_sig" in arrays
             else None
         )
+        # a banked state is a ``_capture_bn`` of this session, so the
+        # source capture's layout names every key: no manifest scan
         self.bank = []
         for b in range(int(meta["bank"])):
-            sig = np.array(arrays[f"drift.bank.{b}.sig"])
-            params = []
-            j = 0
-            while f"drift.bank.{b}.param.{j}" in arrays:
-                params.append(np.array(arrays[f"drift.bank.{b}.param.{j}"]))
-                j += 1
-            buffers = []
-            j = 0
-            prefix = f"drift.bank.{b}.buffer.{j}."
-            while any(k.startswith(prefix) for k in arrays):
-                buffers.append(
-                    {
-                        k[len(prefix):]: np.array(arrays[k])
-                        for k in arrays
-                        if k.startswith(prefix)
-                    }
-                )
-                j += 1
-                prefix = f"drift.bank.{b}.buffer.{j}."
+            prefix = f"drift.bank.{b}."
+            params = [
+                np.array(arrays[f"{prefix}param.{j}"])
+                for j in range(len(self.source["params"]))
+            ]
+            buffers = [
+                {n: np.array(arrays[f"{prefix}buffer.{j}.{n}"]) for n in bufs}
+                for j, bufs in enumerate(self.source["buffers"])
+            ]
+            sig = np.array(arrays[prefix + "sig"])
             self.bank.append((sig, {"params": params, "buffers": buffers}))

@@ -10,11 +10,15 @@ module holds the three layers of that sharding:
   heterogeneous pools of mixed power modes are first-class), its
   :class:`~repro.serve.scheduler.DeadlineAwareScheduler` and queue, its
   own :class:`~repro.serve.admission.SlackAdmission` budget, its
-  compiled inference/adaptation plan caches, and its device clock plus
-  load metrics.  The per-batch serving path (shared forward, decode,
-  admission-gated fused/serial adaptation) lives here — extracted
-  verbatim from the former single-device ``FleetServer`` loop, so a
-  pool of one device reproduces it exactly (the parity oracle).
+  :class:`DevicePricing` and its device clock plus load metrics.  The
+  compiled engines are *not* per device: every stream shares the one
+  frozen network, so the coordinator builds one
+  :class:`~repro.engine.CompiledInference` and one
+  :class:`~repro.engine.CompiledAdaptStep` and hands them to every
+  worker — each ``(shape, groups)`` plan is lowered once per pool.  The
+  per-batch serving path lives here, one method per ledger line:
+  shared forward + decode, admission and staging, fused/serial
+  adaptation, the per-frame record, drift resets, checkpoints.
 * :func:`place_stream` — pure placement policies over roofline-estimated
   per-stream device cost: ``"least_loaded"`` (argmin of projected
   utilization, the default), ``"round_robin"`` (registration order
@@ -40,12 +44,12 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .. import nn
-from ..engine import compile_model
+from ..engine import CompiledAdaptStep, CompiledInference, compile_model
 from ..engine.backends.threading import serving_threads
 from ..hw.deadline import (
     adaptation_budget_ms,
@@ -58,7 +62,11 @@ from ..metrics.lane_accuracy import point_accuracy
 from ..models.ufld import decode_predictions
 from ..telemetry.metrics import Histogram, MetricsRegistry
 from ..telemetry.trace import NULL_TRACER, SpanTracer
-from .adapt_batch import FleetAdaptationBatcher, static_fuse_key
+from .adapt_batch import (
+    FleetAdaptationBatcher,
+    StagedGroupStep,
+    static_fuse_key,
+)
 from .admission import SlackAdmission, StepCandidate
 from .checkpoint import SessionCheckpointStore
 from .report import DeviceReport
@@ -319,25 +327,7 @@ class MigrationPlanner:
         self._last_moved_ms[decision.stream_id] = now_ms
 
 
-class StagedGroup:
-    """Execution state of one fused adaptation step within a served batch.
-
-    Created at staging time (before the timed region); the first member
-    encountered in the record loop launches :meth:`DeviceWorker._run_group`,
-    which fills in the results and completion bookkeeping every other
-    member then reads.
-    """
-
-    __slots__ = ("staged", "results", "per_stream_ms", "done_clock_ms")
-
-    def __init__(self, staged):
-        self.staged = staged
-        self.results = None
-        self.per_stream_ms = 0.0
-        self.done_clock_ms = 0.0
-
-
-class _Decision:
+class _Decision(NamedTuple):
     """One frame's admission outcome: feed the adapter or withhold it.
 
     ``planned_step`` records whether the admission controller budgeted an
@@ -347,24 +337,49 @@ class _Decision:
     unbudgeted step.
     """
 
-    __slots__ = ("feed", "planned_step")
-
-    def __init__(self, feed: bool, planned_step: bool):
-        self.feed = feed
-        self.planned_step = planned_step
+    feed: bool
+    planned_step: bool
 
 
-def _memoised(quote):
-    """``quote(size)`` evaluated once per distinct ``size``."""
-    cache: Dict[int, float] = {}
+class DevicePricing:
+    """One device's modeled service times: memoised roofline quotes
+    times the fault-injection ``slowdown``.
 
-    def lookup(size: int) -> float:
-        value = cache.get(size)
-        if value is None:
-            value = cache[size] = quote(size)
-        return value
+    ``spec``, ``device`` and the kernel-pool width ``nt`` never change
+    and the roofline walk is pure, so each batch / step size is quoted
+    once; ``slowdown`` multiplies outside the memo, read live (1.0 is
+    bitwise inert).  Scheduler and admission keep this object's bound
+    methods, so it holds no worker: a back-reference would tie worker,
+    sessions and model into a cycle only the cyclic collector frees.
+    """
 
-    return lookup
+    def __init__(self, spec, device, nt: int):
+        self.spec = spec
+        self.device = device
+        self.nt = nt
+        self.slowdown = 1.0
+        self._infer_quotes: Dict[int, float] = {}
+        self._adapt_quotes: Dict[int, float] = {}
+
+    def infer_ms(self, batch_size: int) -> float:
+        """Modeled latency of one batched forward."""
+        quote = self._infer_quotes.get(batch_size)
+        if quote is None:
+            quote = self._infer_quotes[batch_size] = (
+                batched_inference_latency_ms(
+                    self.spec, self.device, batch_size, threads=self.nt
+                )
+            )
+        return self.slowdown * quote
+
+    def adapt_ms(self, num_frames: int) -> float:
+        """Modeled cost of one adaptation step over ``num_frames``."""
+        quote = self._adapt_quotes.get(num_frames)
+        if quote is None:
+            quote = self._adapt_quotes[num_frames] = ld_bn_adapt_latency(
+                self.spec, self.device, num_frames, threads=self.nt
+            ).adaptation_ms
+        return self.slowdown * quote
 
 
 class DeviceWorker:
@@ -375,7 +390,8 @@ class DeviceWorker:
     but every *modeled* cost — batched inference latency, adaptation
     step price, admission feasibility budget — comes from this worker's
     own :class:`DeviceProfile`, so heterogeneous pools price each stream
-    per device.
+    per device.  ``engine`` and ``adapt_step`` are the pool's shared
+    compiled engines; a worker constructed without them builds its own.
     """
 
     def __init__(
@@ -386,53 +402,31 @@ class DeviceWorker:
         device=None,
         spec=None,
         timer=None,
-        slack_alpha: float = 0.25,
         metrics: Optional[MetricsRegistry] = None,
         tracer: SpanTracer = NULL_TRACER,
         checkpoints: Optional[SessionCheckpointStore] = None,
+        engine: Optional[CompiledInference] = None,
+        adapt_step: Optional[CompiledAdaptStep] = None,
     ):
         self.index = index
         self.model = model
         self.config = config
         self.device = device
-        self.spec = spec
         self.timer = timer
         self.tracer = tracer
         self.checkpoints = checkpoints
-        # fault-injection state: a multiplier of 1.0 is bitwise-inert for
-        # the modeled latencies, so the slow-down hook can live in the
-        # closures permanently without perturbing fault-free runs
-        self.slowdown = 1.0
         self.alive = True
         self.crashed_ms: Optional[float] = None
         self.joined_ms = 0.0
         # kernel-pool width: only an explicit FleetConfig.threads threads
         # the compiled plans AND the roofline pricing — None keeps both
         # at single-thread, bitwise-stable with pre-threading runs
-        self.threads: Optional[int] = serving_threads(
-            getattr(config, "threads", None)
-        )
-        nt = self.threads or 1
-        if config.latency_model == "orin":
-            # spec, device and nt are fixed for the worker's life and the
-            # roofline walk is pure, so each batch / step size is quoted
-            # once; slowdown multiplies outside the memo, read live
-            infer_quote = _memoised(
-                lambda b: batched_inference_latency_ms(
-                    spec, device, b, threads=nt
-                )
-            )
-            adapt_quote = _memoised(
-                lambda n: ld_bn_adapt_latency(
-                    spec, device, n, threads=nt
-                ).adaptation_ms
-            )
-            self.latency_fn = lambda b: self.slowdown * infer_quote(b)  # noqa: E731
-            self.adapt_cost_fn = lambda n: self.slowdown * adapt_quote(n)  # noqa: E731
-        else:
-            # wallclock mode measures instead of planning; batch greedily
-            self.latency_fn = None
-            self.adapt_cost_fn = None
+        threads = serving_threads(config.threads)
+        self.pricing = DevicePricing(spec, device, threads or 1)
+        # wallclock mode measures instead of planning; batch greedily
+        priced = config.latency_model == "orin"
+        self.latency_fn = self.pricing.infer_ms if priced else None
+        self.adapt_cost_fn = self.pricing.adapt_ms if priced else None
         self.scheduler = DeadlineAwareScheduler(
             latency_fn=self.latency_fn,
             max_batch_size=config.max_batch_size,
@@ -443,13 +437,17 @@ class DeviceWorker:
             if config.admission is not None
             else None
         )
-        self._compiled = None  # built lazily; plans cached per batch size
-        self._adapt_batcher = FleetAdaptationBatcher(
-            model,
-            backend=getattr(config, "backend", None),
-            threads=self.threads,
+        # plans are cached per (batch shape, groups) inside the engines
+        own = dict(backend=config.backend, threads=threads)
+        self._compiled = (
+            engine if engine is not None else compile_model(model, **own)
         )
-        self._slack_alpha = slack_alpha
+        self._adapt_batcher = FleetAdaptationBatcher(
+            model, compiled=adapt_step, **own
+        )
+        self._slack_alpha = (
+            config.migration.ewma_alpha if config.migration is not None else 0.25
+        )
         self.slack_ewma_ms: Optional[float] = None
         self.device_free_ms = 0.0
         self.busy_ms = 0.0
@@ -460,7 +458,6 @@ class DeviceWorker:
         self.session_cost_ms: Dict[str, float] = {}
         self.batch_sizes = Histogram()
         self.queue_depths = Histogram()
-        self.adapt_batch_sizes = Histogram()
         self._last_served_ms: Optional[float] = None  # idle-decay anchor
         self.slack_decays = 0
         self.canary_probes = 0
@@ -471,7 +468,6 @@ class DeviceWorker:
         # serializes batches).  Instruments are cached here so the hot
         # path never does a registry lookup.
         metrics = metrics if metrics is not None else MetricsRegistry()
-        self.metrics = metrics
         self._m_batch_sizes = metrics.histogram("fleet/batch_size")
         self._m_adapt_batch_sizes = metrics.histogram("fleet/adapt_batch_size")
         self._m_queue_depths = metrics.histogram("fleet/queue_depth")
@@ -505,11 +501,23 @@ class DeviceWorker:
         """
         if self.latency_fn is None:
             return self.config.period_ms
-        batch = getattr(getattr(adapter, "config", None), "batch_size", 1)
+        batch = adapter.batch_size
         per_frame_adapt = self.adapt_cost_fn(batch) / (
             batch * max(self.config.adapt_stride, 1)
         )
         return self.latency_fn(1) + per_frame_adapt
+
+    def _requote(self, session: StreamSession) -> None:
+        """Price ``session`` on this device as it stands now: its modeled
+        adaptation step and its per-period service demand (attach, a
+        slow-down and a drift reset all re-quote through here)."""
+        if self.config.latency_model == "orin":
+            session.adapt_latency_ms = self.adapt_cost_fn(
+                session.adapter.batch_size
+            )
+        self.session_cost_ms[session.stream_id] = self.estimate_cost_ms(
+            session.adapter
+        )
 
     @property
     def load(self) -> float:
@@ -538,12 +546,9 @@ class DeviceWorker:
         """
         sid = session.stream_id
         self.sessions[sid] = session
-        if self.config.latency_model == "orin":
-            batch = getattr(
-                getattr(session.adapter, "config", None), "batch_size", 1
-            )
-            session.adapt_latency_ms = self.adapt_cost_fn(batch)
-        self.session_cost_ms[sid] = self.estimate_cost_ms(session.adapter)
+        # a session handed over at ``now_ms`` cannot be served earlier
+        self.device_free_ms = max(self.device_free_ms, now_ms)
+        self._requote(session)
         if self.admission is not None:
             if admission_state is not None:
                 self.admission.import_stream(sid, admission_state)
@@ -577,25 +582,16 @@ class DeviceWorker:
     def set_slowdown(self, factor: float) -> None:
         """Degrade this device's modeled service times by ``factor``.
 
-        Compounds with earlier slow-downs (the closures read
-        ``self.slowdown`` live).  Hosted sessions are re-quoted so
-        admission feasibility and placement see the new prices.
+        Compounds with earlier slow-downs.  The scheduler and the
+        admission controller read the pricing's ``slowdown`` live; the
+        hosted sessions' cached quotes are refreshed here, so admission
+        feasibility and placement see the new prices.
         """
         if factor <= 0:
             raise ValueError(f"slowdown factor must be > 0, got {factor}")
-        self.slowdown *= factor
-        if self.config.latency_model != "orin":
-            return
-        # the scheduler/admission closures read self.slowdown live; only
-        # the cached per-session quotes need refreshing
+        self.pricing.slowdown *= factor
         for session in self.sessions.values():
-            batch = getattr(
-                getattr(session.adapter, "config", None), "batch_size", 1
-            )
-            session.adapt_latency_ms = self.adapt_cost_fn(batch)
-            self.session_cost_ms[session.stream_id] = self.estimate_cost_ms(
-                session.adapter
-            )
+            self._requote(session)
 
     def crash(self, now_ms: float) -> None:
         """Mark this device dead at ``now_ms``; it never launches again.
@@ -732,10 +728,10 @@ class DeviceWorker:
     def launch(self, now_ms: float) -> float:
         """Record launch metrics, pop the next batch and serve it.
 
-        The one entry point both ingest loops use: queue depth is
-        captured *before* the pop (the pending count at launch, the
-        admission controller's pressure signal), then the planned batch
-        is served.  Returns the device-clock completion time.
+        The serving path's one entry point: queue depth is captured
+        *before* the pop (the pending count at launch, the admission
+        controller's pressure signal), then the planned batch is
+        served.  Returns the device-clock completion time.
         """
         depth = self.scheduler.pending_count
         self.queue_depths.record(depth)
@@ -761,31 +757,7 @@ class DeviceWorker:
         self._m_batch_sizes.record(plan.batch_size)
         self.frames_served += plan.batch_size
 
-        images = np.stack([f.image for f in frames]).astype(np.float32)
-        self.model.eval()
-        if nn.compiled_inference_enabled():
-            if self._compiled is None:
-                self._compiled = compile_model(
-                    self.model,
-                    backend=getattr(config, "backend", None),
-                    threads=self.threads,
-                )
-            # one-time trace per batch size, outside the timed region
-            self._compiled.warm(images)
-        with self.timer.measure("inference"):
-            with per_stream_inference(sessions):
-                if nn.compiled_inference_enabled():
-                    # the warm path above already built self._compiled
-                    logits = self._compiled(images)
-                else:
-                    with nn.no_grad():
-                        logits = self.model(nn.Tensor(images, _copy=False))
-            # decode is part of serving a frame, so wallclock inference cost
-            # includes it — same accounting as RealTimePipeline._predict
-            preds = decode_predictions(
-                logits.numpy(), self.model.config, method=config.decode_method
-            )
-
+        logits, preds = self._forward(sessions, frames)
         if config.latency_model == "orin":
             infer_ms = plan.planned_latency_ms
         else:
@@ -796,7 +768,6 @@ class DeviceWorker:
         # compiled replays (per-stream state slots, no model swap), with
         # remaining granted steps running serially in batch order
         clock_ms = start_ms + infer_ms
-        infer_done_ms = clock_ms
         tracer = self.tracer
         if tracer.enabled and config.latency_model == "orin":
             # device-lane batch spans only exist on the simulated clock:
@@ -812,7 +783,7 @@ class DeviceWorker:
                 batch=plan.batch_size,
             )
             tracer.instant(
-                "decode", infer_done_ms, pid=self.name, tid="device", cat="batch"
+                "decode", clock_ms, pid=self.name, tid="device", cat="batch"
             )
         decisions, group_of = self._plan_adaptation(
             plan, start_ms, infer_ms, leftover_depth
@@ -830,86 +801,18 @@ class DeviceWorker:
         for frame_pos, (req, session, frame, pred) in enumerate(
             zip(plan.requests, sessions, frames, preds)
         ):
-            metrics = point_accuracy(
-                pred[None], frame.gt_cells[None], config.accuracy_threshold_cells
-            )
-            result = None
-            adapt_step_ms = 0.0
-            completion_ms = clock_ms
-            decision = decisions[id(req)]
-            if decision.feed:
+            fed = decisions[id(req)].feed
+            result, adapt_step_ms, completion_ms = None, 0.0, clock_ms
+            if fed:
                 session.adapt_grants += 1
-                group = group_of.get(id(req))
-                if group is not None:
-                    if group.results is None:  # first member launches it
-                        clock_ms = self._run_group(group, clock_ms)
-                    result = group.results[id(session)]
-                    adapt_step_ms = group.per_stream_ms
-                    completion_ms = group.done_clock_ms
-                else:
-                    session.swap_in()
-                    with self.timer.measure("adaptation"):
-                        result = session.adapter.observe_frame(
-                            frame.image
-                        ) if hasattr(
-                            session.adapter, "observe_frame"
-                        ) else session.adapter.adapt(frame.image[None])
-                    session.swap_out()
-                    wall_ms = 1e3 * self.timer.records["adaptation"][-1]
-                    if result is not None:
-                        adapt_step_ms = (
-                            session.adapt_latency_ms
-                            if config.latency_model == "orin"
-                            else wall_ms
-                        )
-                        clock_ms += adapt_step_ms
-                        if tracer.enabled and config.latency_model == "orin":
-                            tracer.span(
-                                "adapt",
-                                clock_ms - adapt_step_ms,
-                                adapt_step_ms,
-                                pid=self.name,
-                                tid="device",
-                                cat="adapt",
-                                stream=session.stream_id,
-                            )
-                    completion_ms = clock_ms
+                result, adapt_step_ms, clock_ms, completion_ms = self._adapt(
+                    session, frame, group_of.get(id(req)), clock_ms
+                )
             else:
                 session.adapt_skips += 1
-            stepped = result is not None
-            if config.latency_model == "orin":
-                latency_ms = completion_ms - req.arrival_ms
-            else:
-                # processing cost only (no simulated queueing): this frame's
-                # share of the batched forward plus its adaptation share
-                latency_ms = infer_ms / plan.batch_size + adapt_step_ms
-            slack_ms = deadline_slack_ms(latency_ms, config.deadline_ms)
-            if config.latency_model == "orin":
-                self.observe_slack(slack_ms)
-                if self.admission is not None:
-                    self.admission.observe_slack(slack_ms)
-            self._m_latency.record(latency_ms)
-            self._m_slack.record(slack_ms)
-            self._m_accuracy.record(metrics.accuracy)
-            if stepped:
-                self._m_adapt.record(adapt_step_ms)
-            if latency_ms > config.deadline_ms:
-                self._m_misses.inc()
-            if tracer.enabled:
-                self._trace_frame(
-                    req,
-                    session,
-                    start_ms,
-                    infer_ms,
-                    infer_done_ms,
-                    completion_ms,
-                    adapt_step_ms if stepped else 0.0,
-                    plan.batch_size,
-                    decision,
-                )
-            session.record(
-                frame, latency_ms, metrics.accuracy, result,
-                adapt_ms=adapt_step_ms if result is not None else None,
+            self._record_frame(
+                plan, start_ms, infer_ms, req, pred,
+                fed, result, adapt_step_ms, completion_ms,
             )
             if session.drift is not None and session.drift.observe(
                 float(batch_entropy[frame_pos]), frame.image
@@ -927,74 +830,201 @@ class DeviceWorker:
         self._last_served_ms = clock_ms
         self._decays_since_served = 0  # real traffic resets the canary
         for session, image in drift_fired.values():
-            mode = session.drift.reset(session, image)
-            sid = session.stream_id
-            # the incoming regime re-prices the stream's adaptation step
-            # on this device (same quote path as attach/set_slowdown)
-            if config.latency_model == "orin":
-                batch = getattr(
-                    getattr(session.adapter, "config", None), "batch_size", 1
-                )
-                session.adapt_latency_ms = self.adapt_cost_fn(batch)
-            self.session_cost_ms[sid] = self.estimate_cost_ms(session.adapter)
-            self._m_drift_events.inc()
-            self._m_drift_resets.inc()
-            if mode == "cluster":
-                self._m_drift_cluster.inc()
-            if tracer.enabled:
-                tracer.instant(
-                    "drift_reset",
-                    clock_ms,
-                    pid=self.name,
-                    tid="device",
-                    cat="drift",
-                    stream=sid,
-                    mode=mode,
-                    frames_seen=session.frames_seen,
-                )
-            if self.checkpoints is not None:
-                # bill an unconditional durable checkpoint: a crash
-                # racing the reset must never restore pre-reset state
-                # from a stale archive (staged captures are dropped too)
-                self._m_checkpoints.inc(
-                    self.checkpoints.checkpoint(
-                        session, self._admission_view(sid), clock_ms
-                    )
-                )
+            self._reset_drifted(session, image, clock_ms)
         if self.checkpoints is not None:
-            seen: Set[int] = set()
-            for session in sessions:
-                if id(session) in seen:
-                    continue
-                seen.add(id(session))
-                wrote = self.checkpoints.observe(
-                    session, self._admission_view(session.stream_id), clock_ms
-                )
-                if wrote:
-                    self._m_checkpoints.inc(wrote)
-                    if tracer.enabled:
-                        tracer.instant(
-                            "checkpoint",
-                            clock_ms,
-                            pid=self.name,
-                            tid="device",
-                            cat="fault",
-                            stream=session.stream_id,
-                            frames_seen=session.frames_seen,
-                        )
+            self._observe_checkpoints(sessions, clock_ms)
         return clock_ms
 
+    def _forward(self, sessions: List[StreamSession], frames):
+        """The batch's one shared forward, decoded: ``(logits, preds)``.
+
+        ``logits`` views storage the pool's engine overwrites on its
+        next replay of this batch shape — every reader (decode, the
+        drift entropy) runs before this worker returns to the loop.
+        """
+        images = np.stack([f.image for f in frames]).astype(np.float32)
+        self.model.eval()
+        compiled = nn.compiled_inference_enabled()
+        if compiled:
+            # one-time trace per batch size, outside the timed region
+            self._compiled.warm(images)
+        with self.timer.measure("inference"):
+            with per_stream_inference(sessions):
+                if compiled:
+                    logits = self._compiled(images)
+                else:
+                    with nn.no_grad():
+                        logits = self.model(nn.Tensor(images, _copy=False))
+            # decode is part of serving a frame, so wallclock inference cost
+            # includes it — same accounting as RealTimePipeline._predict
+            preds = decode_predictions(
+                logits.numpy(), self.model.config,
+                method=self.config.decode_method,
+            )
+        return logits, preds
+
+    def _adapt(
+        self, session: StreamSession, frame,
+        group: Optional[StagedGroupStep], clock_ms: float,
+    ):
+        """Feed one granted frame to its adapter — through its fused
+        group when staging placed it in one, else the serial stepper.
+
+        Returns ``(result, adapt_step_ms, clock_ms, completion_ms)``:
+        the step's :class:`AdaptResult` (None when the frame only
+        buffered), the stream's share of its cost, the advanced device
+        clock and the instant this frame's work completed.
+        """
+        if group is not None:
+            if group.results is None:  # first member launches it
+                clock_ms = self._run_group(group, clock_ms)
+            result = group.results[id(session)]
+            return result, group.per_stream_ms, clock_ms, group.done_clock_ms
+        session.swap_in()
+        with self.timer.measure("adaptation"):
+            result = session.adapter.observe_frame(frame.image)
+        session.swap_out()
+        if result is None:
+            return None, 0.0, clock_ms, clock_ms
+        orin = self.config.latency_model == "orin"
+        adapt_step_ms = (
+            session.adapt_latency_ms
+            if orin
+            else 1e3 * self.timer.records["adaptation"][-1]
+        )
+        clock_ms += adapt_step_ms
+        if self.tracer.enabled and orin:
+            self.tracer.span(
+                "adapt",
+                clock_ms - adapt_step_ms,
+                adapt_step_ms,
+                pid=self.name,
+                tid="device",
+                cat="adapt",
+                stream=session.stream_id,
+            )
+        return result, adapt_step_ms, clock_ms, clock_ms
+
+    def _run_group(self, group: StagedGroupStep, clock_ms: float) -> float:
+        """Execute one fused adaptation step; returns the advanced clock."""
+        with self.timer.measure("adaptation"):
+            group.results = group.execute()
+        if self.config.latency_model == "orin":
+            fused_ms = self.adapt_cost_fn(group.num_streams * group.group_size)
+        else:
+            fused_ms = 1e3 * self.timer.records["adaptation"][-1]
+        self._m_adapt_batch_sizes.record(group.num_streams)
+        group.per_stream_ms = fused_ms / group.num_streams
+        group.done_clock_ms = clock_ms + fused_ms
+        if self.tracer.enabled and self.config.latency_model == "orin":
+            self.tracer.span(
+                "adapt_fused",
+                clock_ms,
+                fused_ms,
+                pid=self.name,
+                tid="device",
+                cat="adapt",
+                streams=group.num_streams,
+                group_size=group.group_size,
+            )
+        return group.done_clock_ms
+
+    def _record_frame(
+        self, plan: BatchPlan, start_ms: float, infer_ms: float, req, pred,
+        fed: bool, result, adapt_step_ms: float, completion_ms: float,
+    ) -> None:
+        """Book one served frame: accuracy, latency and slack into the
+        heat signals, the fleet histograms, the tracer and the
+        session's own report."""
+        config = self.config
+        session, frame = req.payload
+        accuracy = point_accuracy(
+            pred[None], frame.gt_cells[None], config.accuracy_threshold_cells
+        ).accuracy
+        if config.latency_model == "orin":
+            latency_ms = completion_ms - req.arrival_ms
+        else:
+            # processing cost only (no simulated queueing): this frame's
+            # share of the batched forward plus its adaptation share
+            latency_ms = infer_ms / plan.batch_size + adapt_step_ms
+        slack_ms = deadline_slack_ms(latency_ms, config.deadline_ms)
+        if config.latency_model == "orin":
+            self.observe_slack(slack_ms)
+            if self.admission is not None:
+                self.admission.observe_slack(slack_ms)
+        self._m_latency.record(latency_ms)
+        self._m_slack.record(slack_ms)
+        self._m_accuracy.record(accuracy)
+        if result is not None:
+            self._m_adapt.record(adapt_step_ms)
+        if latency_ms > config.deadline_ms:
+            self._m_misses.inc()
+        if self.tracer.enabled:
+            self._trace_frame(
+                plan, start_ms, infer_ms, req, fed, adapt_step_ms, completion_ms
+            )
+        session.record(
+            frame, latency_ms, accuracy, result,
+            adapt_ms=adapt_step_ms if result is not None else None,
+        )
+
+    def _reset_drifted(
+        self, session: StreamSession, image: np.ndarray, clock_ms: float
+    ) -> None:
+        """Apply one fired drift alarm once its batch has completed."""
+        mode = session.drift.reset(session, image)
+        sid = session.stream_id
+        # the incoming regime re-prices the stream's adaptation step
+        self._requote(session)
+        self._m_drift_events.inc()
+        self._m_drift_resets.inc()
+        if mode == "cluster":
+            self._m_drift_cluster.inc()
+        if self.tracer.enabled:
+            self.tracer.instant(
+                "drift_reset",
+                clock_ms,
+                pid=self.name,
+                tid="device",
+                cat="drift",
+                stream=sid,
+                mode=mode,
+                frames_seen=session.frames_seen,
+            )
+        if self.checkpoints is not None:
+            # bill an unconditional durable checkpoint: a crash
+            # racing the reset must never restore pre-reset state
+            # from a stale archive (staged captures are dropped too)
+            self._m_checkpoints.inc(
+                self.checkpoints.checkpoint(
+                    session, self._admission_view(sid), clock_ms
+                )
+            )
+
+    def _observe_checkpoints(
+        self, sessions: List[StreamSession], clock_ms: float
+    ) -> None:
+        """Give the store one opportunity per distinct served session."""
+        for session in {id(s): s for s in sessions}.values():
+            wrote = self.checkpoints.observe(
+                session, self._admission_view(session.stream_id), clock_ms
+            )
+            if wrote:
+                self._m_checkpoints.inc(wrote)
+                if self.tracer.enabled:
+                    self.tracer.instant(
+                        "checkpoint",
+                        clock_ms,
+                        pid=self.name,
+                        tid="device",
+                        cat="fault",
+                        stream=session.stream_id,
+                        frames_seen=session.frames_seen,
+                    )
+
     def _trace_frame(
-        self,
-        req,
-        session: StreamSession,
-        start_ms: float,
-        infer_ms: float,
-        infer_done_ms: float,
-        completion_ms: float,
-        adapt_step_ms: float,
-        batch_size: int,
-        decision: "_Decision",
+        self, plan: BatchPlan, start_ms: float, infer_ms: float, req,
+        fed: bool, adapt_step_ms: float, completion_ms: float,
     ) -> None:
         """Emit one frame's span chain on its stream lane.
 
@@ -1005,55 +1035,39 @@ class DeviceWorker:
         frame's forward share plus its own adaptation cost.  Pure reads
         of already-computed values — tracing cannot move any clock.
         """
-        pid, tid, frame_idx = self.name, session.stream_id, req.frame_index
+        tracer, batch = self.tracer, plan.batch_size
+        lane = dict(pid=self.name, tid=req.stream_id, frame=req.frame_index)
         if self.config.latency_model == "orin":
-            self.tracer.span(
-                "queue",
-                req.arrival_ms,
-                start_ms - req.arrival_ms,
-                pid=pid, tid=tid, cat="frame", frame=frame_idx,
+            tracer.span(
+                "queue", req.arrival_ms, start_ms - req.arrival_ms,
+                cat="frame", **lane,
             )
-            self.tracer.span(
-                "forward",
-                start_ms,
-                infer_ms,
-                pid=pid, tid=tid, cat="frame", frame=frame_idx, batch=batch_size,
+            tracer.span(
+                "forward", start_ms, infer_ms, cat="frame", **lane, batch=batch
             )
+            infer_done_ms = start_ms + infer_ms
             wait_ms = completion_ms - adapt_step_ms - infer_done_ms
             if wait_ms > 1e-9:
-                self.tracer.span(
-                    "adapt_wait",
-                    infer_done_ms,
-                    wait_ms,
-                    pid=pid, tid=tid, cat="frame", frame=frame_idx,
+                tracer.span(
+                    "adapt_wait", infer_done_ms, wait_ms, cat="frame", **lane
                 )
         else:
-            self.tracer.span(
-                "forward",
-                start_ms,
-                infer_ms / batch_size,
-                pid=pid, tid=tid, cat="frame", frame=frame_idx, batch=batch_size,
+            tracer.span(
+                "forward", start_ms, infer_ms / batch,
+                cat="frame", **lane, batch=batch,
             )
         if adapt_step_ms > 0.0:
-            self.tracer.span(
-                "adapt",
-                completion_ms - adapt_step_ms,
-                adapt_step_ms,
-                pid=pid, tid=tid, cat="frame", frame=frame_idx,
+            tracer.span(
+                "adapt", completion_ms - adapt_step_ms, adapt_step_ms,
+                cat="frame", **lane,
             )
-        elif decision.feed:
-            self.tracer.instant(
-                "adapt_buffered", completion_ms,
-                pid=pid, tid=tid, cat="admission", frame=frame_idx,
+        elif fed:
+            tracer.instant(
+                "adapt_buffered", completion_ms, cat="admission", **lane
             )
         else:
-            self.tracer.instant(
-                "adapt_shed", completion_ms,
-                pid=pid, tid=tid, cat="admission", frame=frame_idx,
-            )
-        self.tracer.instant(
-            "emit", completion_ms, pid=pid, tid=tid, cat="frame", frame=frame_idx
-        )
+            tracer.instant("adapt_shed", completion_ms, cat="admission", **lane)
+        tracer.instant("emit", completion_ms, cat="frame", **lane)
 
     # ------------------------------------------------------------------
     def _admission_decisions(
@@ -1084,11 +1098,9 @@ class DeviceWorker:
         first_step: Dict[int, int] = {}
         for i, (req, session) in enumerate(zip(requests, sessions)):
             adapter = session.adapter
-            batch_size = getattr(getattr(adapter, "config", None), "batch_size", 1)
+            batch_size = adapter.batch_size
             if id(session) not in assumed_pending:
-                assumed_pending[id(session)] = getattr(
-                    adapter, "pending_frames", batch_size - 1
-                )
+                assumed_pending[id(session)] = adapter.pending_frames
             pending = assumed_pending[id(session)]
             would_step = pending >= batch_size - 1
             assumed_pending[id(session)] = 0 if would_step else pending + 1
@@ -1141,12 +1153,11 @@ class DeviceWorker:
             session, _ = req.payload
             decision = decisions[id(req)]
             adapter = session.adapter
-            if not decision.feed or not hasattr(adapter, "pending_frames"):
-                continue  # bufferless adapters step every granted frame
-            batch_size = getattr(getattr(adapter, "config", None), "batch_size", 1)
+            if not decision.feed:
+                continue
             if id(session) not in sim_pending:
                 sim_pending[id(session)] = adapter.pending_frames
-            would_step = sim_pending[id(session)] >= batch_size - 1
+            would_step = sim_pending[id(session)] >= adapter.batch_size - 1
             if would_step and not decision.planned_step:
                 decisions[id(req)] = _Decision(False, False)
                 continue  # refused: buffer state unchanged
@@ -1156,11 +1167,11 @@ class DeviceWorker:
 
     def _plan_adaptation(
         self, plan: BatchPlan, start_ms: float, infer_ms: float, leftover_depth: int
-    ) -> Tuple[Dict[int, _Decision], Dict[int, StagedGroup]]:
+    ) -> Tuple[Dict[int, _Decision], Dict[int, StagedGroupStep]]:
         """Admission decisions + staged fused steps for this served batch.
 
         Returns ``(decisions, group_of)``: the per-request admission
-        outcome and ``{id(request): StagedGroup}`` for every granted
+        outcome and ``{id(request): StagedGroupStep}`` for every granted
         step joining a fused replay; everything else granted keeps the
         serial path.  Staging (batch assembly + one-time trace/compile)
         happens here, outside the timed region, mirroring the inference
@@ -1168,7 +1179,7 @@ class DeviceWorker:
         """
         decisions = self._admission_decisions(plan, start_ms, infer_ms, leftover_depth)
         self._reconcile_buffer_drift(plan, decisions)
-        group_of: Dict[int, StagedGroup] = {}
+        group_of: Dict[int, StagedGroupStep] = {}
         due = []
         seen_sessions = set()
         for req in plan.requests:
@@ -1190,38 +1201,10 @@ class DeviceWorker:
                 )
                 if staged is None:  # graph not lowerable: serial fallback
                     continue
-                group = StagedGroup(staged)
                 for req, _, _ in members:
-                    group_of[id(req)] = group
+                    group_of[id(req)] = staged
         # serial steppers warm their compiled plan outside the timed region
         for req, session, frame in due:
-            if id(req) not in group_of and hasattr(session.adapter, "warm"):
+            if id(req) not in group_of:
                 session.adapter.warm(frame.image)
         return decisions, group_of
-
-    def _run_group(self, group: StagedGroup, clock_ms: float) -> float:
-        """Execute one fused adaptation step; returns the advanced clock."""
-        staged = group.staged
-        with self.timer.measure("adaptation"):
-            group.results = staged.execute()
-        wall_ms = 1e3 * self.timer.records["adaptation"][-1]
-        if self.config.latency_model == "orin":
-            fused_ms = self.adapt_cost_fn(staged.num_streams * staged.group_size)
-        else:
-            fused_ms = wall_ms
-        self.adapt_batch_sizes.record(staged.num_streams)
-        self._m_adapt_batch_sizes.record(staged.num_streams)
-        group.per_stream_ms = fused_ms / staged.num_streams
-        group.done_clock_ms = clock_ms + fused_ms
-        if self.tracer.enabled and self.config.latency_model == "orin":
-            self.tracer.span(
-                "adapt_fused",
-                clock_ms,
-                fused_ms,
-                pid=self.name,
-                tid="device",
-                cat="adapt",
-                streams=staged.num_streams,
-                group_size=staged.group_size,
-            )
-        return group.done_clock_ms

@@ -295,18 +295,6 @@ class FleetReport:
         return sum(self.crash_dropped_frames.values())
 
     @property
-    def mean_recovery_latency_ms(self) -> float:
-        """Mean crash-to-replacement latency across recovered sessions."""
-        latencies = [
-            e["recovery_latency_ms"]
-            for e in self.recovery_events
-            if "recovery_latency_ms" in e
-        ]
-        if not latencies:
-            return 0.0
-        return float(sum(latencies) / len(latencies))
-
-    @property
     def total_drift_events(self) -> int:
         """Drift alarms fired across the fleet."""
         return sum(self.drift_events.values())

@@ -5,9 +5,19 @@ One :class:`FleetServer` now fronts a *pool* of devices.  Each pool
 member is a :class:`~repro.serve.pool.DeviceWorker` owning everything a
 single device needs — its :class:`~repro.hw.device.DeviceProfile`, its
 :class:`~repro.serve.scheduler.DeadlineAwareScheduler` and queue, its
-:class:`~repro.serve.admission.SlackAdmission` budget and its compiled
-plan caches — while the coordinator owns what spans devices:
+:class:`~repro.serve.admission.SlackAdmission` budget and its pricing —
+while the coordinator owns what spans devices:
 
+* **the compiled engines** — LD-BN-ADAPT adapts only the BN parameters,
+  so every stream shares one frozen network and one plan per input
+  shape.  One :class:`~repro.engine.CompiledInference` and one
+  :class:`~repro.engine.CompiledAdaptStep`, built from
+  ``FleetConfig.backend`` / ``threads``, go to every worker (joins
+  included) and to every adapter created here with ``backend`` /
+  ``threads`` left at ``None``.  Safe because the event loop replays
+  batches serially on one host thread, plans read weights and BN state
+  live from the shared model, and logits and BN taps are consumed
+  before the next launch.
 * **placement** — at registration each stream is placed by
   ``FleetConfig(placement=...)``: ``"least_loaded"`` (argmin projected
   utilization from the roofline-estimated per-stream cost *on each
@@ -23,8 +33,9 @@ plan caches — while the coordinator owns what spans devices:
   launches a deadline-feasible batch the moment it is free and frames
   are pending, at ``max(device_free, earliest pending arrival)`` — the
   same event-driven discipline as before, generalized to many device
-  clocks.  ``FleetConfig(ingest="sync")`` keeps the tick-synchronous
-  loop as the parity oracle, drained per worker.
+  clocks.  With zero jitter, drops and phase spread the arrivals form
+  one cohort per camera period (``tests/tick_oracle.py`` keeps the
+  former tick-synchronous drain as the parity tests' reference).
 * **migration** — with ``FleetConfig(migration=MigrationConfig(...))``
   each worker's observed-slack EWMA feeds a
   :class:`~repro.serve.pool.MigrationPlanner`; when one device runs
@@ -39,8 +50,8 @@ plan caches — while the coordinator owns what spans devices:
 A pool of one device (``FleetConfig(devices=1)``, the default)
 reproduces the former single-device ``FleetServer`` outputs exactly —
 the per-batch serving path moved verbatim into ``DeviceWorker`` and the
-merged event loop degenerates to the old one — for both ingest modes;
-the test suite and the throughput benchmark guard that parity.
+merged event loop degenerates to the old one; the test suite guards
+that parity.
 
 Latency accounting is unchanged (see ``DeviceWorker.serve_batch``):
 ``latency_model="orin"`` is a discrete-event simulation over roofline
@@ -59,7 +70,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from ..adapt.base import Adapter
 from ..adapt.bn_adapt import LDBNAdapt, LDBNAdaptConfig
 from ..data.dataset import LaneSample
+from ..engine import CompiledAdaptStep, compile_model
 from ..engine.backends import available_backends
+from ..engine.backends.threading import serving_threads
 from ..hw.deadline import DEADLINE_30FPS_MS, stream_utilization
 from ..hw.device import DeviceProfile, get_power_mode
 from ..metrics.lane_accuracy import TUSIMPLE_THRESHOLD_CELLS
@@ -108,7 +121,6 @@ class FleetConfig:
     aging_rate: float = 0.1
     adapt_stride: int = 1  # static fallback policy: every k-th frame adapts
     batch_adaptation: bool = True  # fuse same-batch streams' entropy steps
-    ingest: str = "async"  # "async" (event-driven) | "sync" (legacy oracle)
     jitter_ms: float = 0.0  # per-frame arrival delay, uniform in [0, jitter]
     drop_rate: float = 0.0  # probability a frame is lost before the server
     phase_spread_ms: float = 0.0  # stream i's arrival phase = i * spread
@@ -146,8 +158,6 @@ class FleetConfig:
             raise ValueError(f"adapt_stride must be >= 1, got {self.adapt_stride}")
         if self.threads is not None and self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
-        if self.ingest not in ("async", "sync"):
-            raise ValueError(f"unknown ingest mode {self.ingest!r}")
         if self.jitter_ms < 0:
             raise ValueError(f"jitter_ms must be >= 0, got {self.jitter_ms}")
         if not 0.0 <= self.drop_rate < 1.0:
@@ -155,13 +165,6 @@ class FleetConfig:
         if self.phase_spread_ms < 0:
             raise ValueError(
                 f"phase_spread_ms must be >= 0, got {self.phase_spread_ms}"
-            )
-        if self.ingest == "sync" and (
-            self.jitter_ms > 0 or self.drop_rate > 0 or self.phase_spread_ms > 0
-        ):
-            raise ValueError(
-                "ingest='sync' is the tick-synchronous parity oracle and "
-                "requires jitter_ms == drop_rate == phase_spread_ms == 0"
             )
         if self.devices < 1:
             raise ValueError(f"devices must be >= 1, got {self.devices}")
@@ -175,16 +178,6 @@ class FleetConfig:
                 f"unknown plan backend {self.backend!r}; expected one of "
                 f"{available_backends()}"
             )
-        if self.ingest == "sync" and self.migration is not None:
-            raise ValueError(
-                "ingest='sync' is the tick-synchronous parity oracle and "
-                "cannot migrate: its per-tick drain has no global launch "
-                "clock, so a backlogged device's sessions would stay "
-                "pinned (busy_until on the device clock vs the tick "
-                "clock) and migration would silently never fire — use "
-                "the event-driven async ingest for device pools that "
-                "rebalance"
-            )
         if self.latency_model == "wallclock" and self.migration is not None:
             raise ValueError(
                 "latency_model='wallclock' has no modeled deadline slack, "
@@ -193,13 +186,12 @@ class FleetConfig:
                 "the simulated 'orin' clock"
             )
         if self.faults is not None and len(self.faults):
-            if self.ingest != "async" or self.latency_model != "orin":
+            if self.latency_model != "orin":
                 raise ValueError(
-                    "fault injection is driven through the event-driven "
-                    "launch clock — it requires ingest='async' and "
-                    "latency_model='orin' (the sync oracle and wallclock "
-                    "serving have no global simulated time to schedule "
-                    "faults on)"
+                    "fault injection is driven through the simulated "
+                    "launch clock — it requires latency_model='orin' "
+                    "(wallclock serving has no global simulated time to "
+                    "schedule faults on)"
                 )
             if self.faults.crash_count and self.checkpoint is None:
                 raise ValueError(
@@ -243,20 +235,12 @@ class FleetServer:
                     f"contradicts an explicit pool of {len(profiles)} devices"
                 )
         if self.config.latency_model == "orin":
-            if profiles is not None:
-                pool = profiles
-            else:
-                if device is None:
-                    raise ValueError(
-                        "latency_model='orin' requires a DeviceProfile (or an "
-                        "explicit device_pool) and a paper-size ModelSpec "
-                        "(the platform under study)"
-                    )
-                pool = [device] * self.config.devices
-            if spec is None:
+            pool = profiles or [device] * self.config.devices
+            if pool[0] is None or spec is None:
                 raise ValueError(
-                    "latency_model='orin' requires a DeviceProfile and a "
-                    "paper-size ModelSpec (the platform under study)"
+                    "latency_model='orin' requires a DeviceProfile (or an "
+                    "explicit device_pool) and a paper-size ModelSpec "
+                    "(the platform under study)"
                 )
         else:
             if profiles is not None:
@@ -269,29 +253,22 @@ class FleetServer:
             pool = [None] * self.config.devices
         self.device = pool[0] if pool[0] is not None else device
         self.timer = Timer()
-        self._slack_alpha = (
-            self.config.migration.ewma_alpha
-            if self.config.migration is not None
-            else 0.25
-        )
         self.checkpoints: Optional[SessionCheckpointStore] = (
             SessionCheckpointStore(self.config.checkpoint)
             if self.config.checkpoint is not None
             else None
         )
+        # one frozen network, so one plan per input shape for the whole
+        # pool: every worker and every default adapter replays these
+        threads = serving_threads(self.config.threads)
+        self._engine = compile_model(
+            model, backend=self.config.backend, threads=threads
+        )
+        self._adapt_step = CompiledAdaptStep(
+            model, backend=self.config.backend, threads=threads
+        )
         self.workers: List[DeviceWorker] = [
-            DeviceWorker(
-                index,
-                model,
-                self.config,
-                device=profile,
-                spec=spec,
-                timer=self.timer,
-                slack_alpha=self._slack_alpha,
-                metrics=self.metrics,
-                tracer=self.tracer,
-                checkpoints=self.checkpoints,
-            )
+            self._new_worker(index, profile)
             for index, profile in enumerate(pool)
         ]
         self.registry = StreamRegistry(model)
@@ -313,6 +290,35 @@ class FleetServer:
         self._recovery_events: List[Dict[str, object]] = []
         self._frames_lost: Dict[str, int] = {}
         self._crash_dropped: Dict[str, int] = {}
+
+    def _new_worker(self, index: int, profile: Optional[DeviceProfile]) -> DeviceWorker:
+        """A pool member wired to everything the pool shares."""
+        return DeviceWorker(
+            index, self.model, self.config, device=profile, spec=self.spec,
+            timer=self.timer, metrics=self.metrics, tracer=self.tracer,
+            checkpoints=self.checkpoints,
+            engine=self._engine, adapt_step=self._adapt_step,
+        )
+
+    def _place(
+        self, adapter: Adapter, policy: str, index: int,
+        device: Optional[int] = None,
+    ) -> DeviceWorker:
+        """The alive worker ``policy`` puts a stream of ``adapter``'s
+        roofline-estimated cost on; ``device`` pins a pool index."""
+        alive = self.alive_workers
+        period = self.config.period_ms
+        costs = [
+            stream_utilization(worker.estimate_cost_ms(adapter), period)
+            for worker in alive
+        ]
+        loads = [worker.load for worker in alive]
+        pinned = None
+        if device is not None:
+            pinned = next(
+                i for i, worker in enumerate(alive) if worker.index == device
+            )
+        return alive[place_stream(policy, index, costs, loads, pinned=pinned)]
 
     # -- single-device compatibility views -----------------------------
     @property
@@ -342,7 +348,10 @@ class FleetServer:
         each vehicle should start from.  Without an explicit ``adapter``
         a per-stream :class:`LDBNAdapt` is created (optionally from
         ``adapter_config``); every session owns its adapter and therefore
-        its optimizer momentum.
+        its optimizer momentum.  A created adapter whose config leaves
+        ``backend`` and ``threads`` at ``None`` replays the pool's shared
+        adaptation step; one configured explicitly, or built by the
+        caller, compiles its own.
 
         Without an explicit ``arrival`` model the stream gets the fleet
         default: phase offset ``i * phase_spread_ms`` for the *i*-th
@@ -360,9 +369,13 @@ class FleetServer:
         if adapter is not None and adapter_config is not None:
             raise ValueError("pass either adapter or adapter_config, not both")
         if adapter is None:
+            if adapter_config is None:
+                adapter_config = LDBNAdaptConfig()
+            # ``None`` inherits: in a fleet, the pool's shared step
+            inherits = adapter_config.backend is None and adapter_config.threads is None
             adapter = LDBNAdapt(
-                self.model,
-                adapter_config if adapter_config is not None else LDBNAdaptConfig(),
+                self.model, adapter_config,
+                compiled=self._adapt_step if inherits else None,
             )
         index = len(self.registry)
         if arrival is None:
@@ -373,16 +386,6 @@ class FleetServer:
                 drop_rate=self.config.drop_rate,
                 seed=child_seed(self.config.arrival_seed, stream_id),
             )
-        elif self.config.ingest == "sync" and (
-            arrival.jitter_ms > 0 or arrival.drop_rate > 0 or arrival.phase_ms > 0
-        ):
-            raise ValueError(
-                "ingest='sync' ignores arrival processes; an explicit "
-                "jittered/dropping/phase-shifted ArrivalModel would be "
-                "silently discarded — use the async ingest"
-            )
-        period = self.config.period_ms
-        alive = self.alive_workers
         if device is not None:
             if not 0 <= device < len(self.workers):
                 raise ValueError(
@@ -391,19 +394,7 @@ class FleetServer:
                 )
             if not self.workers[device].alive:
                 raise ValueError(f"cannot pin stream to dead device {device}")
-        costs = [
-            stream_utilization(worker.estimate_cost_ms(adapter), period)
-            for worker in alive
-        ]
-        loads = [worker.load for worker in alive]
-        pinned = None
-        if device is not None:
-            pinned = next(
-                i for i, worker in enumerate(alive) if worker.index == device
-            )
-        target = alive[
-            place_stream(self.config.placement, index, costs, loads, pinned=pinned)
-        ].index
+        target = self._place(adapter, self.config.placement, index, device)
         session = self.registry.register(
             stream_id,
             stream,
@@ -418,8 +409,8 @@ class FleetServer:
             # captured now, while the snapshot still holds the pristine
             # source state — that capture is the reset target
             session.drift = SessionDriftState(self.config.drift, session)
-        self.workers[target].attach(session)
-        self._placements[stream_id] = target
+        target.attach(session)
+        self._placements[stream_id] = target.index
         return session
 
     @property
@@ -456,17 +447,9 @@ class FleetServer:
             profile = self.device
         if self.config.latency_model == "orin" and profile is None:
             raise ValueError("latency_model='orin' joins need a DeviceProfile")
-        worker = DeviceWorker(
+        worker = self._new_worker(
             len(self.workers),
-            self.model,
-            self.config,
-            device=profile if self.config.latency_model == "orin" else None,
-            spec=self.spec,
-            timer=self.timer,
-            slack_alpha=self._slack_alpha,
-            metrics=self.metrics,
-            tracer=self.tracer,
-            checkpoints=self.checkpoints,
+            profile if self.config.latency_model == "orin" else None,
         )
         worker.device_free_ms = now_ms
         worker.joined_ms = now_ms
@@ -551,8 +534,7 @@ class FleetServer:
                 detect_ms=detect_ms,
                 sessions=len(worker.sessions),
             )
-        alive = self.alive_workers
-        if not alive and worker.sessions:
+        if not self.alive_workers and worker.sessions:
             raise RuntimeError(
                 f"device {index} crashed with {len(worker.sessions)} hosted "
                 "sessions and no surviving device to recover them onto"
@@ -568,7 +550,13 @@ class FleetServer:
                     len(lost)
                 )
         records: List[Dict[str, object]] = []
-        period = self.config.period_ms
+        # recovery always re-places by load — a "pinned" fleet's pin
+        # died with the device
+        placement = (
+            self.config.placement
+            if self.config.placement != "pinned"
+            else "least_loaded"
+        )
         for session in list(worker.sessions.values()):
             sid = session.stream_id
             worker.detach(session)  # dead controller's debt is lost too
@@ -593,25 +581,12 @@ class FleetServer:
             else:  # no durable checkpoint: all adapted state is gone
                 frames_lost = session.frames_seen
                 admission_state = None
-            costs = [
-                stream_utilization(w.estimate_cost_ms(session.adapter), period)
-                for w in alive
-            ]
-            loads = [w.load for w in alive]
-            # recovery always re-places by load — a "pinned" fleet's pin
-            # died with the device
-            placement = (
-                self.config.placement
-                if self.config.placement != "pinned"
-                else "least_loaded"
+            target = self._place(
+                session.adapter, placement, len(self._placements)
             )
-            target = alive[
-                place_stream(placement, len(self._placements), costs, loads)
-            ]
             target.attach(
                 session, admission_state=admission_state, now_ms=detect_ms
             )
-            target.device_free_ms = max(target.device_free_ms, detect_ms)
             self._placements[sid] = target.index
             session.migrations += 1
             record = {
@@ -694,72 +669,20 @@ class FleetServer:
         arrival process (fewer when frames drop or the source ends early;
         truncated streams simply stop contributing while the fleet keeps
         serving the others).
+
+        Event-driven: one fleet-wide time-ordered event queue holds
+        every stream's next arrival; arrivals route to the session's
+        current device, and each worker launches a batch whenever it is
+        free and frames are pending, at ``max(device_free, earliest
+        pending arrival)`` — so batches form from what has actually
+        arrived by launch time, and a backlogged device folds late
+        arrivals into the draining batches instead of waiting out the
+        tick grid.  Launches execute in global time order across workers
+        (ties by pool index), which keeps the simulation deterministic
+        and the fleet-wide metric streams time-ordered.
         """
         if len(self.registry) == 0:
             raise ValueError("no streams registered")
-        if self.config.ingest == "sync":
-            return self._run_sync(num_ticks)
-        return self._run_async(num_ticks)
-
-    def _run_sync(self, num_ticks: int) -> FleetReport:
-        """Legacy tick-synchronous loop: one cohort per period, drained
-        per device.
-
-        The parity oracle for the event-driven loop — with zero jitter,
-        drops and phase spread both loops see identical arrivals, and
-        whenever each device keeps up within its camera period they form
-        identical batches.
-        """
-        period = self.config.period_ms
-        for tick in range(num_ticks):
-            if self.registry.all_exhausted:
-                break
-            arrival_ms = tick * period
-            for session in self.registry:
-                frame = session.next_frame()
-                if frame is None:
-                    continue
-                worker = self._worker_of(session)
-                worker.scheduler.submit(
-                    FrameRequest(
-                        stream_id=session.stream_id,
-                        frame_index=session.frames_ingested - 1,
-                        arrival_ms=arrival_ms,
-                        deadline_ms=arrival_ms + self.config.deadline_ms,
-                        payload=(session, frame),
-                    )
-                )
-                if self.tracer.enabled:
-                    self.tracer.instant(
-                        "ingest",
-                        arrival_ms,
-                        pid=worker.name,
-                        tid=session.stream_id,
-                        cat="ingest",
-                        frame=session.frames_ingested - 1,
-                    )
-            for worker in self.workers:
-                while worker.scheduler.pending_count:
-                    start_ms = max(worker.device_free_ms, arrival_ms)
-                    worker.device_free_ms = worker.launch(start_ms)
-        return self._build_report(
-            max(worker.device_free_ms for worker in self.workers)
-        )
-
-    def _run_async(self, num_ticks: int) -> FleetReport:
-        """Event-driven loop over each stream's jittered arrival process.
-
-        One fleet-wide time-ordered event queue holds every stream's
-        next arrival; arrivals route to the session's current device,
-        and each worker launches a batch whenever it is free and frames
-        are pending, at ``max(device_free, earliest pending arrival)`` —
-        so batches form from what has actually arrived by launch time,
-        and a backlogged device folds late arrivals into the draining
-        batches instead of waiting out the tick grid.  Launches execute
-        in global time order across workers (ties by pool index), which
-        keeps the simulation deterministic and the fleet-wide metric
-        streams time-ordered.
-        """
         wallclock = self.config.latency_model == "wallclock"
         heap: List[Tuple[float, int, bool, StreamSession]] = []
         for session in self.registry:
@@ -854,13 +777,7 @@ class FleetServer:
 
     def _push_arrival(self, heap, session: StreamSession, num_ticks: int) -> None:
         """Queue the session's next arrival event, if any frames remain."""
-        if session.exhausted:
-            return
-        if session.arrivals is None:
-            session.arrivals = ArrivalProcess(
-                ArrivalModel(period_ms=self.config.period_ms)
-            )
-        if session.arrivals.frames_emitted >= num_ticks:
+        if session.exhausted or session.arrivals.frames_emitted >= num_ticks:
             return
         _, arrival_ms, dropped = session.arrivals.next_event()
         heapq.heappush(heap, (arrival_ms, self._event_seq, dropped, session))
@@ -870,10 +787,10 @@ class FleetServer:
     def _maybe_migrate(self, now_ms: float) -> bool:
         """Rebalance once: move a session off a sustained-hot device.
 
-        Called at every async batch launch; returns True when a session
+        Called at every batch launch; returns True when a session
         moved (the caller re-derives its launch plan).  A no-op without
-        a migration config — the sync/wallclock modes, where migration
-        cannot work, are rejected at config time.
+        a migration config — wallclock serving, where migration cannot
+        work, is rejected at config time.
         """
         planner = self._migration_planner
         if planner is None:
@@ -887,10 +804,9 @@ class FleetServer:
             return False
         if planner.in_cooldown(now_ms):
             return False  # no decision possible: skip the movable scans
-        if not planner.any_hot(
-            [worker.slack_ewma_ms for worker in alive],
-            [worker.frames_served for worker in alive],
-        ):
+        ewmas = [worker.slack_ewma_ms for worker in alive]
+        served = [worker.frames_served for worker in alive]
+        if not planner.any_hot(ewmas, served):
             return False  # no sustained-hot source: skip the scans too
         movable = set()
         for worker in alive:
@@ -916,12 +832,8 @@ class FleetServer:
             for sid, cost in worker.session_cost_ms.items()
         }
         decision = planner.plan(
-            now_ms,
-            [worker.slack_ewma_ms for worker in alive],
-            [worker.frames_served for worker in alive],
-            [list(worker.sessions) for worker in alive],
-            movable,
-            costs,
+            now_ms, ewmas, served,
+            [list(worker.sessions) for worker in alive], movable, costs,
         )
         if decision is None:
             return False
@@ -963,20 +875,17 @@ class FleetServer:
         the modeled adaptation price (re-quoted from the target's own
         profile), and the session's *queued frames* — re-submitted to
         the target's scheduler with arrivals and deadlines intact, so a
-        saturated device can actually shed its backlog.  The target's
-        clock is floored at the handoff instant: re-homed frames can
-        never launch before ``now_ms``, which (with the ``busy_until``
-        movability gate) keeps one session from being served by two
-        devices in overlapping windows.
+        saturated device can actually shed its backlog.  ``attach``
+        floors the target's clock at the handoff instant: re-homed
+        frames can never launch before ``now_ms``, which (with the
+        ``busy_until`` movability gate) keeps one session from being
+        served by two devices in overlapping windows.
         """
         session = self.registry.get(stream_id)
         state = self.workers[source].detach(session)
         self.workers[target].attach(session, admission_state=state, now_ms=now_ms)
         for request in self.workers[source].scheduler.extract_stream(stream_id):
             self.workers[target].scheduler.submit(request)
-        self.workers[target].device_free_ms = max(
-            self.workers[target].device_free_ms, now_ms
-        )
         self.workers[source].migrations_out += 1
         self.workers[target].migrations_in += 1
         session.migrations += 1

@@ -89,8 +89,8 @@ class ArrivalProcess:
     delayed frame cannot be overtaken by its successor on the same
     camera link, so arrivals are monotonized with a running max).  With
     ``jitter_ms == 0`` and ``drop_rate == 0`` the process degenerates to
-    the tick-synchronous schedule the legacy fleet loop assumed —
-    the async-ingest parity guarantee rests on that.
+    the tick-synchronous schedule — one cohort per camera period — that
+    the parity tests' reference drain (``tests/tick_oracle.py``) serves.
     """
 
     def __init__(self, model: ArrivalModel):
@@ -196,7 +196,6 @@ class StreamSession:
         rolling_window: int = 30,
         adapt_stride: int = 1,
         adapt_phase: int = 0,
-        adapt_latency_ms: float = 0.0,
         arrivals: Optional[ArrivalProcess] = None,
     ):
         if adapt_stride < 1:
@@ -206,7 +205,7 @@ class StreamSession:
         self.adapter = adapter
         self.adapt_stride = adapt_stride
         self.adapt_phase = adapt_phase
-        self.adapt_latency_ms = adapt_latency_ms
+        self.adapt_latency_ms = 0.0  # quoted by the hosting device at attach
         self.arrivals = arrivals
         self.bn_state = BNStateSnapshot(model)
         self.monitor = DeadlineMonitor(deadline_ms)
@@ -322,7 +321,6 @@ class StreamRegistry:
         rolling_window: int = 30,
         adapt_stride: int = 1,
         adapt_phase: int = 0,
-        adapt_latency_ms: float = 0.0,
         arrivals: Optional[ArrivalProcess] = None,
     ) -> StreamSession:
         """Add a stream; its BN snapshot is the model's *current* state."""
@@ -341,7 +339,6 @@ class StreamRegistry:
             rolling_window=rolling_window,
             adapt_stride=adapt_stride,
             adapt_phase=adapt_phase,
-            adapt_latency_ms=adapt_latency_ms,
             arrivals=arrivals,
         )
         self._sessions[stream_id] = session
@@ -364,9 +361,6 @@ class StreamRegistry:
     def stream_ids(self) -> List[str]:
         return list(self._sessions)
 
-    @property
-    def all_exhausted(self) -> bool:
-        return all(s.exhausted for s in self._sessions.values())
 
 
 @contextmanager

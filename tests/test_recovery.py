@@ -172,10 +172,10 @@ class TestCheckpointConfig:
             # a crash without a checkpoint store cannot recover anything
             FleetConfig(latency_model="orin", devices=2, faults=crash)
         with pytest.raises(ValueError):
+            # faults are scheduled on the simulated launch clock only
             FleetConfig(
-                latency_model="orin",
+                latency_model="wallclock",
                 devices=2,
-                ingest="sync",
                 faults=crash,
                 checkpoint=CheckpointConfig(),
             )
@@ -592,7 +592,7 @@ class TestCrashRecovery:
         )
         assert [e["kind"] for e in report.fault_events] == ["stall", "slow"]
         assert server.workers[1].alive
-        assert server.workers[1].slowdown == 1.5
+        assert server.workers[1].pricing.slowdown == 1.5
         assert report.crashes == 0 and report.recoveries == 0
         # a 1.5x slower device quotes 1.5x the healthy adaptation price
         healthy = server.workers[0]

@@ -24,6 +24,11 @@ from repro.serve import (
 )
 from repro.serve.adapt_batch import FleetAdaptationBatcher
 from repro.serve.streams import BNStateSnapshot
+from tick_oracle import run_ticks
+
+#: the event loop and its tick-synchronous reference, by the names the
+#: parity tests have always used for the two
+INGEST_LOOPS = (("async", FleetServer.run), ("sync", run_ticks))
 
 
 def _request(sid, arrival, deadline, index=0):
@@ -469,11 +474,12 @@ class TestFleetServer:
     ):
         """Acceptance: per-stream accuracy within noise of the serial twin.
 
-        Uses the tick-synchronous ingest oracle: serial pipelines adapt
-        between every pair of consecutive frames, which only the
-        one-frame-per-stream-per-tick loop guarantees (the async loop
-        legitimately folds a backlogged stream's consecutive frames into
-        one batch, serving frame i+1 before frame i's step applies).
+        Uses the tick-synchronous oracle (``tick_oracle.run_ticks``):
+        serial pipelines adapt between every pair of consecutive frames,
+        which only the one-frame-per-stream-per-tick loop guarantees
+        (the event loop legitimately folds a backlogged stream's
+        consecutive frames into one batch, serving frame i+1 before
+        frame i's step applies).
         """
         frames = 8
         frame_lists = self._frame_lists(tiny_benchmark, 3, frames)
@@ -493,12 +499,12 @@ class TestFleetServer:
             serial.append(pipeline.run(iter(frame_list), frames).mean_accuracy)
 
         trained_tiny_model.load_state_dict(pristine)
-        server = self._server(trained_tiny_model, ingest="sync")
+        server = self._server(trained_tiny_model)
         for i, frame_list in enumerate(frame_lists):
             server.add_stream(
                 f"s{i}", iter(frame_list), adapter_config=LDBNAdaptConfig(lr=1e-3)
             )
-        report = server.run(frames)
+        report = run_ticks(server, frames)
 
         fleet = list(report.per_stream_accuracy.values())
         assert fleet == pytest.approx(serial, abs=0.02)
@@ -606,7 +612,10 @@ class TestAsyncIngest:
             for i in range(count)
         ]
 
-    def _run(self, model, pristine, frame_lists, ticks, arrivals=None, **cfg):
+    def _run(
+        self, model, pristine, frame_lists, ticks, arrivals=None,
+        run=FleetServer.run, **cfg
+    ):
         model.load_state_dict(pristine)
         config = FleetConfig(**cfg)
         server = (
@@ -624,7 +633,7 @@ class TestAsyncIngest:
                     arrival=arrivals[i] if arrivals else None,
                 )
             )
-        return server.run(ticks), sessions
+        return run(server, ticks), sessions
 
     def test_zero_jitter_async_matches_sync_exactly(
         self, trained_tiny_model, tiny_benchmark
@@ -635,10 +644,10 @@ class TestAsyncIngest:
         frame_lists = self._frame_lists(tiny_benchmark, 2, 8)
         pristine = trained_tiny_model.state_dict()
         reports = {}
-        for ingest in ("async", "sync"):
+        for ingest, run in INGEST_LOOPS:
             reports[ingest], _ = self._run(
                 trained_tiny_model, pristine, frame_lists, 8,
-                latency_model="orin", adapt_stride=4, ingest=ingest,
+                latency_model="orin", adapt_stride=4, run=run,
             )
         assert _per_frame_outputs(reports["async"]) == _per_frame_outputs(
             reports["sync"]
@@ -656,10 +665,10 @@ class TestAsyncIngest:
         frame_lists = self._frame_lists(tiny_benchmark, 3, 6)
         pristine = trained_tiny_model.state_dict()
         outputs = {}
-        for ingest in ("async", "sync"):
+        for ingest, run in INGEST_LOOPS:
             report, sessions = self._run(
                 trained_tiny_model, pristine, frame_lists, 6,
-                latency_model="wallclock", deadline_ms=1e9, ingest=ingest,
+                latency_model="wallclock", deadline_ms=1e9, run=run,
             )
             outputs[ingest] = (
                 [
@@ -720,25 +729,6 @@ class TestAsyncIngest:
         )
         assert staggered.mean_batch_size == pytest.approx(1.0)
         assert aligned.mean_batch_size == pytest.approx(2.0)
-
-    def test_sync_ingest_rejects_jitter(self, trained_tiny_model):
-        with pytest.raises(ValueError):
-            FleetConfig(ingest="sync", jitter_ms=1.0)
-        with pytest.raises(ValueError):
-            FleetConfig(ingest="sync", drop_rate=0.1)
-        with pytest.raises(ValueError):
-            FleetConfig(ingest="bus")
-        # an explicit jittered arrival model would be silently discarded
-        # by the sync loop, so registration refuses it outright
-        server = FleetServer(
-            trained_tiny_model,
-            FleetConfig(latency_model="wallclock", ingest="sync"),
-        )
-        with pytest.raises(ValueError):
-            server.add_stream(
-                "s0", iter(()),
-                arrival=ArrivalModel(period_ms=33.3, jitter_ms=5.0),
-            )
 
     def test_arrival_model_validation(self):
         with pytest.raises(ValueError):
@@ -935,7 +925,8 @@ class TestDevicePool:
 
     def _run(
         self, model, pristine, frame_lists, ticks,
-        stream_ids=None, pins=None, device_pool=None, **cfg
+        stream_ids=None, pins=None, device_pool=None,
+        run=FleetServer.run, **cfg
     ):
         model.load_state_dict(pristine)
         server = FleetServer(
@@ -955,7 +946,7 @@ class TestDevicePool:
                     device=pins[i] if pins else None,
                 )
             )
-        return server.run(ticks), server, sessions
+        return run(server, ticks), server, sessions
 
     def test_default_pool_is_single_device(self, trained_tiny_model):
         server = FleetServer(
@@ -1164,10 +1155,10 @@ class TestDevicePool:
         frame_lists = self._frame_lists(tiny_benchmark, 4, 6)
         pristine = trained_tiny_model.state_dict()
         reports = {}
-        for ingest in ("async", "sync"):
+        for ingest, run in INGEST_LOOPS:
             reports[ingest], _, _ = self._run(
                 trained_tiny_model, pristine, frame_lists, 6,
-                devices=2, adapt_stride=4, ingest=ingest,
+                devices=2, adapt_stride=4, run=run,
             )
         assert _per_frame_outputs(reports["async"]) == _per_frame_outputs(
             reports["sync"]
@@ -1251,6 +1242,189 @@ class TestDevicePool:
         assert session.adapt_latency_ms == pytest.approx(
             ld_bn_adapt_latency(self.SPEC, pool[1], 1).adaptation_ms
         )
+
+
+class TestBuildsEachThingOnce:
+    """ISSUE 18: one event loop, one compiled engine pair per pool,
+    pricing that holds no worker."""
+
+    DEVICE = ORIN_POWER_MODES["orin-60w"]
+    SPEC = get_config("paper-r18").to_spec()
+
+    def _frames(self, benchmark, stream, count):
+        return iter(
+            benchmark.target_stream(rng=np.random.default_rng(900 + stream))
+            .take(count)
+            .samples
+        )
+
+    def _server(self, model, tracer=None, **cfg):
+        return FleetServer(
+            model, FleetConfig(latency_model="orin", **cfg),
+            device=self.DEVICE, spec=self.SPEC, tracer=tracer,
+        )
+
+    def test_dropped_server_is_freed_by_refcount(
+        self, trained_tiny_model, tiny_benchmark, tmp_path
+    ):
+        """No reference cycle in ``repro.serve``: dropping the server
+        frees every worker, session, adapter and the model at once, with
+        the cyclic collector switched off."""
+        import gc
+        import weakref
+
+        from repro.models import build_model
+        from repro.serve import CheckpointConfig, DriftResetConfig
+
+        model = build_model("tiny-r18", num_lanes=2, rng=np.random.default_rng(1))
+        model.load_state_dict(trained_tiny_model.state_dict())
+        model.eval()
+        gc.collect()
+        gc.disable()
+        try:
+            server = self._server(
+                model, devices=2, admission=AdmissionConfig(),
+                drift=DriftResetConfig(),
+                checkpoint=CheckpointConfig(interval_frames=2, dir=str(tmp_path)),
+            )
+            for i in range(3):
+                server.add_stream(f"s{i}", self._frames(tiny_benchmark, i, 6))
+            assert server.run(6).total_frames == 18
+            refs = [weakref.ref(model)]
+            refs += [weakref.ref(worker) for worker in server.workers]
+            for session in server.registry:
+                refs += [weakref.ref(session), weakref.ref(session.adapter)]
+            del server, model, session
+            assert [ref() for ref in refs] == [None] * len(refs)
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leftovers = [
+                type(obj).__qualname__ for obj in gc.garbage
+                if type(obj).__module__.startswith("repro.serve")
+            ]
+            assert leftovers == []
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+
+    def test_pool_lowers_each_plan_once(self, trained_tiny_model, tiny_benchmark):
+        """A 3-device fleet with a join: every worker replays the
+        coordinator's one engine pair, so the pool holds one plan per
+        batch size served; default adapters inherit the pool's step, an
+        explicitly configured or caller-built adapter keeps its own."""
+        from repro.serve import FaultSchedule
+        from repro.telemetry import SpanTracer
+
+        tracer = SpanTracer()
+        server = self._server(
+            trained_tiny_model, tracer=tracer, devices=3,
+            faults=FaultSchedule.parse("join@70:orin-30w"),
+        )
+        defaults = [
+            server.add_stream(f"s{i}", self._frames(tiny_benchmark, i, 6))
+            for i in range(4)
+        ]
+        explicit = server.add_stream(
+            "explicit", self._frames(tiny_benchmark, 4, 6),
+            adapter_config=LDBNAdaptConfig(backend="numpy"),
+        )
+        built = server.add_stream(
+            "built", self._frames(tiny_benchmark, 5, 6),
+            adapter=LDBNAdapt(trained_tiny_model),
+        )
+        server.run(6)
+        assert len(server.workers) == 4  # the join arrived
+        engine, step = server._engine, server._adapt_step
+        assert all(worker._compiled is engine for worker in server.workers)
+        assert all(
+            worker._adapt_batcher._compiled is step for worker in server.workers
+        )
+        served = {e.args["batch"] for e in tracer.spans("forward", tid="device")}
+        assert engine.num_plans == len(served)
+        assert all(session.adapter._compiled is step for session in defaults)
+        assert step.num_plans >= 1  # the defaults' steps went through it
+        for session in (explicit, built):
+            own = session.adapter._compiled
+            assert own is not None and own is not step and own.num_plans == 1
+
+    def test_cgen_fleet_serves_singleton_steps_in_c(
+        self, trained_tiny_model, tiny_benchmark, tmp_path, monkeypatch
+    ):
+        """``backend=None`` inherits: under ``FleetConfig(backend="cgen")``
+        a default adapter's serial fallback step replays a C plan, not a
+        numpy one of its own."""
+        from repro.engine.backends import find_cc
+
+        if find_cc() is None:
+            pytest.skip("NOTICE: no C compiler — cgen fleet step not exercised")
+        monkeypatch.setenv("REPRO_CGEN_CACHE", str(tmp_path))
+        server = self._server(trained_tiny_model, backend="cgen")
+        session = server.add_stream("s0", self._frames(tiny_benchmark, 0, 2))
+        report = server.run(2)
+        assert report.adaptation_steps == 2 and not report.adapt_batch_sizes
+        step = session.adapter._compiled
+        assert step is server._adapt_step and step.num_plans == 1
+        (plan,) = step._plans.values()
+        assert plan.backend_info["backend"] == "cgen"
+        assert plan.backend_info["rendered"] > 0
+
+    def test_zero_jitter_cohorts_in_closed_form(
+        self, trained_tiny_model, tiny_benchmark
+    ):
+        """What the tick loop used to witness, stated directly: a fleet
+        whose devices finish every cohort inside its camera period (10
+        FPS cameras here) launches frame k of every hosted stream at
+        ``k * period`` in one batch."""
+        from repro.telemetry import SpanTracer
+
+        tracer = SpanTracer()
+        server = self._server(
+            trained_tiny_model, tracer=tracer, devices=2, adapt_stride=2,
+            frame_period_ms=100.0, deadline_ms=100.0,
+        )
+        for i, device in enumerate((0, 0, 0, 1, 1)):
+            server.add_stream(
+                f"s{i}", self._frames(tiny_benchmark, i, 5), device=device
+            )
+        report = server.run(5)
+        period = server.config.period_ms
+        for worker, hosted in zip(server.workers, (3, 2)):
+            launches = tracer.spans("forward", pid=worker.name, tid="device")
+            assert [e.ts_ms for e in launches] == [k * period for k in range(5)]
+            assert [e.args["batch"] for e in launches] == [hosted] * 5
+            assert worker.queue_depths == [hosted] * 5
+        assert report.total_frames == 25 and report.deadline_misses == 0
+
+    def test_group_adapter_billed_one_step_per_batch(
+        self, trained_tiny_model, tiny_benchmark, monkeypatch
+    ):
+        """A buffering non-LDBN adapter reports its real buffer phase:
+        ``ConvAdapt(batch_size=4)`` offers admission one billable step
+        per four feeds, not one per feed."""
+        from repro.adapt import ConvAdapt
+        from repro.adapt.variants import VariantConfig
+
+        server = self._server(
+            trained_tiny_model, admission=AdmissionConfig(),
+            deadline_ms=1e6, frame_period_ms=1e6,
+        )
+        session = server.add_stream(
+            "conv", self._frames(tiny_benchmark, 0, 8),
+            adapter=ConvAdapt(trained_tiny_model, VariantConfig(batch_size=4)),
+        )
+        offered = []
+        admit = server.admission.admit
+
+        def recording(candidates, *args, **kwargs):
+            offered.extend(c.would_step for c in candidates)
+            return admit(candidates, *args, **kwargs)
+
+        monkeypatch.setattr(server.admission, "admit", recording)
+        report = server.run(8)
+        assert offered == [False, False, False, True] * 2
+        assert session.adapter.steps_taken == report.adaptation_steps == 2
+        assert report.admission_grants["conv"] == 8
 
 
 class TestEmptyWindowPercentiles:

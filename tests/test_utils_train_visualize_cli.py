@@ -288,7 +288,6 @@ class TestCLI:
         payload = json.loads(artifact.read_text())
         rows = payload["jittered_admission_quick"]
         assert {r["policy"] for r in rows} >= {"stride-1", "slack"}
-        assert all(r["parity_ok"] for r in rows)
         baseline = tmp_path / "results" / "baseline" / "serve_throughput.json"
         assert baseline.exists()  # first run recorded the baseline
         # the simulated study is deterministic, so a second run diffs
