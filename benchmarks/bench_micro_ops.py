@@ -9,16 +9,19 @@ timing rounds, unlike the single-shot experiment benches.
 backends per kernel family (fused conv-BN-ReLU, 1x1 identity-columns
 GEMM, padded im2col conv, linear, max-pool, elementwise ReLU, the
 ``small-r18`` conv shapes as serving feeds them — float32 inputs widened
-into float64 GEMMs — and the conv input-gradient shapes of its
-adaptation step, ``dgrad*``: BLAS GEMM + col2im against the gather-form
-phase GEMMs) and archives the rows to ``results/micro_ops.json``,
+into float64 GEMMs — the conv input-gradient shapes of its adaptation
+step, ``dgrad*``: BLAS GEMM + col2im against the gather-form phase
+GEMMs, and its train-mode BN shapes, ``bn_train_*`` / ``bn_bwd_*``) and
+archives the rows to ``results/micro_ops.json``,
 whose ``*_p95_ms`` keys ride the standard regression gate — a slowdown in
 any one kernel fails CI even when the end-to-end backbone numbers still
 pass.  Gated here, on interleaved samples: the rendered conv — forward
 or input gradient — must not lose to the numpy/BLAS closure on any
 serving-shape row with at least ``MIN_GATED_PIXELS`` output pixels (for
-a ``dgrad`` row: ``dX`` pixels), and a 2-wide pool must not lose to
-one thread on any ``*_mt`` row whose stage the renderer tiles (a stage
+a ``dgrad`` row: ``dX`` pixels), the rendered BN stages and the 3x3
+stride-2 max-pool must not lose to their closures from
+``MIN_GATED_PLANE`` elements per plane up, and a 2-wide pool must not
+lose to one thread on any ``*_mt`` row whose stage the renderer tiles (a stage
 it keeps inline runs the same code at both widths and ties by
 construction).  Smaller convs tie BLAS or drown in plan dispatch
 overhead on both backends; the end-to-end >= 1.3x cgen gate lives in
@@ -103,6 +106,11 @@ MICRO_REPS = 200
 # BLAS, and `dgrad3x3_128_f64` 1.28-1.75 over the same runs.
 MIN_GATED_PIXELS = 40
 MIN_CONV_SPEEDUP = 1.0
+# BN and max-pool rows from this many elements per plane: below it (the
+# 40- and 10-element planes of layers 3 and 4) a stage is mostly its
+# per-channel epilogue and its ~15 us of dispatch on both sides
+MIN_GATED_PLANE = 160
+_PLANE_GATED = ("bn_train", "bn_bwd", "maxpool3x3s2")
 MIN_MT_SPEEDUP = 0.95   # a tiled stage at 2 threads vs 1
 
 MICRO_COLUMNS = [
@@ -167,6 +175,11 @@ def test_micro_ops_backends(benchmark):
                 and row["out_pixels"] >= MIN_GATED_PIXELS):
             assert row["speedup_p95"] >= MIN_CONV_SPEEDUP, (
                 f"rendered conv lost to the numpy/BLAS closure: {row}"
+            )
+        elif (row["op"].startswith(_PLANE_GATED)
+                and row["out_pixels"] >= MIN_GATED_PLANE):
+            assert row["speedup_p95"] >= MIN_CONV_SPEEDUP, (
+                f"rendered stage lost to its numpy closure: {row}"
             )
         # The other float64 rows and the smaller shapes are archived
         # ungated; drift in either backend's kernels is still caught by

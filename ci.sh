@@ -13,10 +13,10 @@
 # bench-e2e self-check (benchmarks/e2e/run.py --smoke) and the line
 # counts of src/repro/{engine,serve,hw}.  Lane 4 exercises
 # the cgen C plan backend (renderer parity tests twice — single-thread
-# and with a 2-wide worker pool — the conv helpers under ASan + UBSan,
-# the bitwise engine suites under REPRO_BACKEND=cgen-strict, plus quick
-# C-served bench runs and the per-kernel micro gates of
-# benchmarks/bench_micro_ops.py); on
+# and with a 2-wide worker pool — the conv, BN and max-pool kernels under
+# ASan + UBSan, the bitwise engine suites under REPRO_BACKEND=cgen-strict,
+# plus quick C-served bench runs and the per-kernel micro gates of
+# benchmarks/bench_micro_ops.py: convs, train-BN, max-pool); on
 # hosts without a C compiler it prints a visible skip notice and runs
 # only the compiler-free fallback/registry tests, and on single-core
 # hosts the threaded bench smoke loud-skips (the threaded code path is
@@ -98,8 +98,12 @@ then
     # the rendered conv helpers under -fsanitize=address,undefined on
     # exact-size heap buffers: the implicit GEMM's last panel reads up to
     # NR - 1 cells past the last valid position of its padded copy, and
-    # only this harness would notice that slack missing.  Without a
-    # sanitizer runtime it skips, and -rs prints the NOTICE
+    # only this harness would notice that slack missing.  The same main
+    # runs bn_train / bn_bwd (whole-vector loads up to a plane's last
+    # full one, a scalar remainder that must stop at its end) and the
+    # geometry-walked max-pool, every buffer starting one element past
+    # its block.  Without a sanitizer runtime it skips, and -rs prints
+    # the NOTICE
     python -m pytest tests/test_conv_sanitizer.py -q -rs
     # the bitwise-vs-eager engine suites through the strict renderer (and
     # the only lane that resolves the backend from $REPRO_BACKEND): strict
@@ -117,8 +121,10 @@ then
     if [[ "$(python -c 'import os; print(os.cpu_count() or 1)')" -ge 2 ]]; then
         python -m repro.experiments bench-infer --quick --backend cgen --threads 2
         # per-kernel gates: the rendered conv micro-kernel vs the
-        # numpy/BLAS closure on the serving shapes, and the *_mt rows
-        # (2 threads must win, or the stage runs inline and ties)
+        # numpy/BLAS closure on the serving shapes, the train-BN and
+        # max-pool stages vs their closures from 160 elements a plane
+        # up, and the *_mt rows (2 threads must win, or the stage runs
+        # inline and ties)
         python -m pytest benchmarks/bench_micro_ops.py -q -k backends
     else
         echo "NOTICE: threaded bench smoke and micro-kernel gates SKIPPED —"

@@ -32,6 +32,14 @@ Implementation notes
   the eager step.  ``repro.nn.adaptation_mode(False)`` forces the eager
   path (the correctness oracle); models whose graphs the plan cannot
   lower fall back to it automatically.
+* With the SGD optimizer the step's epilogue is the plan's too: its
+  last stage, the *update tail*, persists the batch statistics and takes
+  the momentum step on gamma/beta, writing where this adapter says its
+  state lives (:meth:`LDBNAdapt.bn_arrays`: the live modules; momentum
+  buffers stay in ``optimizer.state``, so ``reset()`` and checkpoints
+  see them).  On the ``numpy`` backend that stage is the Python loop
+  this module used to hold; ``cgen`` renders it, so a step is two C
+  calls with no per-layer Python after them.  Adam steps here.
 """
 
 from __future__ import annotations
@@ -170,18 +178,27 @@ class LDBNAdapt(Adapter):
             self._compiled_unsupported = True
             return None
 
+    @staticmethod
+    def bn_arrays(module: _BatchNormBase):
+        """Where the update tail of a single-stream step writes (see
+        :meth:`repro.engine.AdaptationPlan.run`): the live module."""
+        return (
+            module.running_mean, module.running_var,
+            module.num_batches_tracked, module.weight.data, module.bias.data,
+        )
+
     def _adapt_compiled(self, images: np.ndarray, momentum: float):
         """One compiled entropy step; returns the loss or None (fallback).
 
-        Replays the traced plan, persists the batch statistics into the
-        running buffers through the eager train forward's own
-        :func:`~repro.nn.functional.update_running_stat`, installs the
-        gamma/beta gradients and runs
-        the (fused, in-place) optimizer step.
+        With SGD the whole step is the plan's: its update tail persists
+        the batch statistics and steps gamma/beta on this adapter's
+        optimizer state.  Adam steps here, over the taps the replay left.
         """
         plan = self._compiled_plan(images)
         if plan is None:
             return None
+        if self.config.optimizer == "sgd":
+            return float(plan.run(images, update=(self,))[0])
         losses = plan.run(images)
         for tap in plan.bn_taps:
             module = tap.module

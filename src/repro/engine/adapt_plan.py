@@ -18,7 +18,12 @@ renderer offers), and this module holds only what is adaptation-specific:
 * the backward rules, pruned to the gradient paths that actually reach a
   BN gamma/beta — conv/linear weight gradients and the gradient into the
   stem conv are never computed.  A traced op is supported iff it has a
-  ``_bwd_<kind>`` rule here.
+  ``_bwd_<kind>`` rule here;
+* the *update tail*, the backward section's last stage: what a step does
+  with the taps — running statistics blended in, one SGD-momentum step
+  on gamma/beta — applied per group to the destinations a caller arms
+  :meth:`AdaptationPlan.run` with (:func:`_update_tail`), and nothing
+  when it does not.
 
 Every kernel replays the eager op sequence on the same values in the same
 order, so gradients match the autograd oracle, and no autograd
@@ -38,12 +43,14 @@ from __future__ import annotations
 
 import mmap
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..nn import functional as F
+from ..nn.functional import update_running_stat
 from ..nn.modules import _BatchNormBase
+from ..nn.optim import sgd_update
 from .plan import _ELEMENTWISE, StaticPlan, op_kind
 from .tracer import TraceGraph, ValueRef
 
@@ -103,13 +110,59 @@ class AdaptPlanStats:
     workspace_bytes: int  # dedicated im2col/pool workspaces
 
 
+def _update_tail(armed: list, taps: List[BNLayerTap]) -> Callable[[], None]:
+    """The update tail's numpy closure over ``armed[0]``, the per-group
+    destinations of the running replay (see :meth:`AdaptationPlan.run`);
+    it takes them, so whoever applies an update applies it once.
+
+    Per group and BN layer this is the epilogue every LD-BN-ADAPT step has
+    always run: count the batch, persist its statistics through
+    :func:`~repro.nn.functional.update_running_stat`, step gamma and beta
+    through :func:`~repro.nn.optim.sgd_update` (momentum buffers in the
+    optimizer's own ``state``, keyed by the module's parameters wherever
+    the stepped arrays live).  It captures no plan: plans stay free of
+    reference cycles.
+    """
+
+    def apply_update() -> None:
+        targets = armed[0]
+        if targets is None:
+            return
+        armed[0] = None
+        for k, target in enumerate(targets):
+            momentum = target.effective_momentum
+            optimizer = target.optimizer
+            for tap in taps:
+                module = tap.module
+                mean, var, count, gamma, beta = target.bn_arrays(module)
+                count += 1
+                update_running_stat(mean, tap.batch_mean[k], momentum)
+                update_running_stat(var, tap.batch_var[k], momentum)
+                for data, grad, param in (
+                    (gamma, tap.grad_gamma[k], module.weight),
+                    (beta, tap.grad_beta[k], module.bias),
+                ):
+                    sgd_update(
+                        data,
+                        grad,
+                        optimizer.state.setdefault(id(param), {}),
+                        optimizer.lr,
+                        momentum=optimizer.momentum,
+                        weight_decay=optimizer.weight_decay,
+                        nesterov=optimizer.nesterov,
+                    )
+
+    return apply_update
+
+
 class AdaptationPlan(StaticPlan):
     """Executable entropy step at one (input shape, group count).
 
     ``run(x)`` replays the compiled forward, computes the loss, replays
     the pruned backward, and returns the per-group losses ``(G,)``.
     Gradients and batch statistics are left in the :class:`BNLayerTap`
-    buffers (overwritten by the next ``run``).
+    buffers (overwritten by the next ``run``); ``run(x, update=...)``
+    also applies them.
     """
 
     def __init__(self, graph: TraceGraph, groups: int = 1,
@@ -125,6 +178,9 @@ class AdaptationPlan(StaticPlan):
         self._bwd: List[Callable[[], None]] = []
         self._grads: Dict[int, np.ndarray] = {}
         self.bn_taps: List[BNLayerTap] = []
+        # what the running replay's update tail writes to (see `run`)
+        self._update: List[Optional[Sequence]] = [None]
+        self._apply_update = _update_tail(self._update, self.bn_taps)
         super().__init__(graph, profile, renderer)
 
     @property
@@ -364,6 +420,13 @@ class AdaptationPlan(StaticPlan):
                 self._label_stages(before, f"bwd:{kind}")
                 emitted += 1
             advance(pos)
+        before = len(self._bwd)
+        self._offer(
+            "bn_update",
+            dict(update=self._update, taps=self.bn_taps, groups=self.groups),
+            self._apply_update,
+        )
+        self._label_stages(before, "bwd:update")
 
         self._loss_out = self._fixed[self._loss_vid]
         self.stats = AdaptPlanStats(
@@ -906,15 +969,34 @@ class AdaptationPlan(StaticPlan):
     # ------------------------------------------------------------------
     # replay
     # ------------------------------------------------------------------
-    def run(self, x: np.ndarray) -> np.ndarray:
+    def run(self, x: np.ndarray,
+            update: Optional[Sequence] = None) -> np.ndarray:
         """One compiled entropy step; returns per-group losses ``(G,)``.
 
         BN gradients and batch statistics are left in :attr:`bn_taps`
         (plan-owned buffers, overwritten by the next ``run``).
+
+        ``update`` arms the update tail for this replay: one destination
+        per group, each with ``optimizer`` (an :class:`~repro.nn.SGD`),
+        ``effective_momentum`` (what the running statistics blend with;
+        1.0 replaces) and ``bn_arrays(module)`` — where that BN layer's
+        ``(running_mean, running_var, num_batches_tracked, gamma, beta)``
+        live: the module itself for a single-stream step, a session's
+        saved copies in a fused one.  Plans are shared between
+        adapters, so a destination is only ever an argument.
         """
+        if update is not None and len(update) != self.groups:
+            raise ValueError(
+                f"{len(update)} update destinations for {self.groups} groups"
+            )
+        self._update[0] = update
         self._begin(x)
         for step in self._fwd:
             step()
         for step in self._bwd:
             step()
+        if self._update[0] is not None:
+            # a rendered tail left these destinations to the closure (an
+            # optimizer state it does not render, a first step)
+            self._apply_update()
         return self._loss_out

@@ -15,7 +15,11 @@ stride-1 forward conv of ``dY`` with the weight read transposed and
 flipped, one per output phase of a strided layer, each over its own tap
 subset — no column-gradient block, no col2im, no zero-dilated ``dY``
 (ROADMAP item 3 has the sizing of both forms).  So a band-parity
-``small-r18`` step is two C calls, forward and backward;
+``small-r18`` step is two C calls, forward and backward — the backward
+ending in the *update tail*, the running-statistics refresh and the
+SGD-momentum step on gamma/beta over the taps the stages before it
+filled, armed per replay with the arrays it writes
+(:meth:`CRenderer._try_bn_update`);
 ``backend_info["numpy_stages"]`` counts, by stage label, what still
 replays as a Python closure.  At finalize time the accepted stages
 become one translation unit
@@ -50,10 +54,12 @@ is an *implicit* GEMM — no column matrix is ever materialised:
   ``POOL_SCR``, rendered from the scalar geometry ``(c, h, w, stride,
   padding)``.  A stride-``s`` conv de-interleaves it into the ``sh x sw``
   phase planes its taps read, so every tap then walks a plane at unit
-  stride; a negative padding crops.  No index table exists; the
-  plan-side im2col workspaces of surviving conv stages are released at
-  finalize (``profile_summary()`` shows zero im2col workspace bytes for
-  converted layers).
+  stride; a negative padding crops.  No index table exists anywhere in
+  the unit — the max-pool walks its windows from the same kind of
+  scalar geometry (:meth:`CRenderer._try_maxpool`); the plan-side im2col
+  workspaces of surviving conv stages are released at finalize
+  (``profile_summary()`` shows zero im2col workspace bytes for converted
+  layers).
 * ``gemm_<ct>`` — under band parity one register-blocked micro-kernel:
   ``CONV_MR`` filters x NR output positions of accumulators stay in named
   vector registers across the whole ``k`` loop (GCC vector extensions at
@@ -80,6 +86,14 @@ is an *implicit* GEMM — no column matrix is ever materialised:
   into the output view.  A ``conv_dgrad`` stage is one call whose GEMMs
   are the output phases of the layer: they share one padded ``dY`` and
   own disjoint ``dX`` pixels, so no barrier separates them.
+
+What is not a GEMM reduces on the same vector type: the train-mode BN
+statistics and the gamma/beta gradients accumulate in f64 on four named
+vector accumulators per sum (:func:`_lane_pass`) — ``-O2`` may not
+reassociate a scalar ``sum += x[t]``, which retires one add per FP-add
+latency — with a fixed lane assignment and fold order, so the one owner
+thread per (group, channel) still writes the same bytes at every pool
+width.
 
 The unit is compiled with ``cc -shared -O2 -march=native -pthread`` (plus
 ``-ffp-contract=off`` under strict parity) and loaded through
@@ -119,6 +133,7 @@ import os
 import shutil
 import subprocess
 import warnings
+import weakref
 from collections import namedtuple
 from dataclasses import replace as _dc_replace
 from itertools import product
@@ -178,9 +193,20 @@ _MT_MIN_US = 500.0
 # shapes in a batch-1 plan, 24 900-27 000 at batch 4, 26 000 in the
 # micro rows — the shapes that can reach the threshold (layer 4's
 # 10-pixel shapes, which stream 1.2 MB of weights through one panel, run
-# at 11 000-13 700 and never come near it).  And everything else:
-# memory-bound sweeps, reductions, the dot-product linear kernels.
+# at 11 000-13 700 and never come near it).
 _GEMM_PER_US = 22000.0
+# And everything else — sweeps, reductions, the dot-product linear
+# kernels — in the elements each builder counts (a BN forward three per
+# element, its backward two, a max-pool one per window cell).  Stages of
+# a `small-r18` adaptation plan inside full replays, re-measured with the
+# BN reductions on vector lanes and the pool walked from its geometry:
+# at batch 1, bn_train 1 900-2 300 per us (1 000 on the serial chain),
+# bn_bwd 3 200-5 100, ReLU 1 600-3 600, add 3 400, linear 3 200, max-pool
+# 1 300 forward / 1 000 backward; at batch 4, where the stem's sweeps
+# leave L2 and are the only ones within 2x of the threshold, bn_train
+# 1 500, bn_bwd 3 000, ReLU 1 000-1 700, max-pool 1 300, linear 3 800.
+# One constant through the middle of the streaming ones: a stage is
+# tiled from about a million counted elements.
 _SWEEP_PER_US = 2000.0
 
 # conv GEMM register tile: _MR filters x _NV vectors of pixels — 12
@@ -213,9 +239,11 @@ _CTYPE = {"float64": "double", "float32": "float"}
 # and still differ on the next one, so strict parity declines them up
 # front instead of trusting the probe (which stays the safety net for the
 # order-preserving kinds: elementwise, copy/fill, relu_bwd, max-pool).
+# The update tail is here because the probe cannot see it at all: the
+# traced example replays unarmed.
 _ORDER_DEPENDENT = frozenset((
     "conv", "linear", "conv_dgrad", "linear_bwd", "bn_train", "bn_bwd",
-    "exp", "exp_bwd", "logsoftmax", "logsoftmax_bwd", "reduce",
+    "exp", "exp_bwd", "logsoftmax", "logsoftmax_bwd", "reduce", "bn_update",
 ))
 # backward kinds rendered for a fresh gradient buffer only: offered an
 # accumulating contribution (``existing + grad``) they decline
@@ -243,13 +271,30 @@ def _rows(count: int) -> str:
     return " ".join(f"R({r})" for r in range(count))
 
 
-_CONV_PRELUDE = f"""\
+# the widest vector the host has, shared by the conv micro-kernel and the
+# BN reductions; `v_<ct>` is that many bytes of <ct> lanes, loadable from
+# any element boundary
+_VEC_PRELUDE = """\
 #if defined(__AVX512F__)
 #define VEC_BYTES 64
+#else
+#define VEC_BYTES 32
+#endif
+"""
+
+
+def _vec_type(ct: str, nbytes: str = "VEC_BYTES", name: str = "v") -> str:
+    return (
+        f"typedef {ct} {name}_{ct} __attribute__((vector_size({nbytes}), "
+        f"aligned(sizeof({ct})), may_alias));\n"
+    )
+
+
+_CONV_PRELUDE = f"""\
+#if VEC_BYTES == 64
 #define CONV_MR {_MR_WIDE}
 #define CONV_ROWS(R) {_rows(_MR_WIDE)}
 #else
-#define VEC_BYTES 32
 #define CONV_MR {_MR}
 #define CONV_ROWS(R) {_rows(_MR)}
 #endif
@@ -377,8 +422,6 @@ def _gemm_source(ct: str) -> str:
         f"*(v_{ct}*)(tile[r] + {v} * VL) = c##r##{v};" for v in vecs
     )
     return f"""\
-typedef {ct} v_{ct}
-    __attribute__((vector_size(VEC_BYTES), aligned(sizeof({ct})), may_alias));
 #define ROW_PTR(r) \\
     const {ct}* a##r = A + (f0 + r < f ? f0 + r : f - 1) * D->as_f;
 #define ROW_ZERO(r) v_{ct} {zero};
@@ -528,6 +571,262 @@ static void conv_{xt}_{ct}(const {xt}* X, const {ct}* A, {ct}* O,
     }}
 }}
 """
+
+
+def _lanes_source(ct: str) -> str:
+    """``LANES_<ct>(p)``: the ``LV`` elements of ``ct`` at ``p`` (any
+    element boundary) widened to the f64 lanes of one accumulator."""
+    if ct == "double":
+        return "#define LANES_double(p) (*(const v_double*)(p))\n"
+    return _vec_type(ct, "VEC_BYTES / 2", "vh") + (
+        f"#define LANES_{ct}(p) "
+        f"__builtin_convertvector(*(const vh_{ct}*)(p), v_double)\n"
+    )
+
+
+# BN statistics and gamma/beta gradients reduce on vector lanes: `-O2`
+# without `-fassociative-math` may not reassociate `sum += x[t]`, so a
+# scalar accumulator retires one add per FP-add latency.  Each sum gets
+# four named f64 vector accumulators (LV lanes each) and a scalar for the
+# last `hw % LV` elements of a plane; element `t` of a plane always lands
+# in lane `t % LV` of accumulator `(t / LV) % 4`, and the fold order is
+# fixed, so one owner thread per (group, channel) still gives the same
+# bytes run to run and at every pool width.
+_LANES_PRELUDE = """\
+enum { LV = VEC_BYTES / sizeof(double) };
+static inline double lanes_fold(v_double a0, v_double a1, v_double a2,
+                                v_double a3, double tail)
+{
+    const v_double v = (a0 + a1) + (a2 + a3);
+    double s = v[0];
+    for (int i = 1; i < LV; ++i) s += v[i];
+    return s + tail;
+}
+"""
+
+
+def _lane_pass(planes: str, vec, tail: str) -> str:
+    """One reduction pass over the ``gs`` planes (``hw`` elements, ``step``
+    apart from ``first``) of a (group, channel) unit.  ``planes`` declares
+    sample ``s``'s plane pointers; ``vec(q, o)`` is one LV-lane step at
+    element offset ``o`` into accumulator ``q`` of each sum; ``tail``
+    takes the remainder element ``t``, so nothing reads past the plane."""
+    main = "\n                ".join(
+        vec(q, f"t + {q} * LV" if q else "t") for q in range(4)
+    )
+    rest = "\n".join(
+        f"            if (t + LV <= hw) {{ {vec(q, 't')} t += LV; }}"
+        for q in range(3)
+    )
+    return f"""\
+        for (i64 s = 0; s < gs; ++s) {{
+            {planes}
+            i64 t = 0;
+            for (; t + 4 * LV <= hw; t += 4 * LV) {{
+                {main}
+            }}
+{rest}
+            for (; t < hw; ++t) {{ {tail} }}
+        }}
+"""
+
+
+def _lane_sums(*names: str) -> str:
+    """Declarations of the zeroed accumulators of :func:`_lane_pass`."""
+    vecs = ", ".join(f"{n}{q} = {{0}}" for n in names for q in range(4))
+    tails = ", ".join(f"{n}t = 0.0" for n in names)
+    return f"        v_double {vecs};\n        double {tails};\n"
+
+
+# the (group, channel) units a thread owns, and where unit u's planes are
+_BN_UNITS = """\
+    const i64 total = groups * c;
+    const i64 ulo = (total * tid) / nt, uhi = (total * (tid + 1)) / nt;
+    for (i64 u = ulo; u < uhi; ++u) {
+        const i64 gr = u / c, ch = u % c;
+        const i64 first = (gr * gs * c + ch) * hw, step = c * hw;
+"""
+
+
+def _bn_train_source(ct: str) -> str:
+    """``bn_train_<ct>``: see :meth:`CRenderer._try_bn_train`."""
+    sqrt = "sqrt" if ct == "double" else "sqrtf"
+    planes = f"const {ct}* xs = X + first + s * step;"
+    sum_pass = _lane_pass(
+        planes, lambda q, o: f"a{q} += LANES_{ct}(xs + {o});",
+        "at += (double)xs[t];",
+    )
+    sq_pass = _lane_pass(
+        planes,
+        lambda q, o: f"{{ const v_double d = LANES_{ct}(xs + {o}) - mu; "
+                     f"q{q} += d * d; }}",
+        "const double d = (double)xs[t] - mu; qt += d * d;",
+    )
+    return f"""\
+static void bn_train_{ct}(
+    const {ct}* restrict X, {ct}* restrict XH, {ct}* restrict O, {ct}* IS,
+    const double* GA, const double* BE, double* BM, double* BV,
+    i64 groups, i64 gs, i64 c, i64 hw, i64 per_group, double eps,
+    i64 tid, i64 nt)
+{{
+    const double m = (double)(gs * hw);
+{_BN_UNITS}{_lane_sums("a", "q")}{sum_pass}\
+        const double mu = lanes_fold(a0, a1, a2, a3, at) / m;
+{sq_pass}\
+        const {ct} mean = ({ct})mu;
+        const {ct} var = ({ct})(lanes_fold(q0, q1, q2, q3, qt) / m);
+        const {ct} iv = ({ct})1 / {sqrt}(var + ({ct})eps);
+        IS[u] = iv;
+        BM[u] = (double)mean;
+        BV[u] = (double)var;
+        const double ga = GA[per_group ? u : ch];
+        const double be = BE[per_group ? u : ch];
+        for (i64 s = 0; s < gs; ++s) {{
+            {planes}
+            {ct}* xh = XH + first + s * step;
+            {ct}* os = O + first + s * step;
+            for (i64 t = 0; t < hw; ++t) {{
+                {ct} h = xs[t] - mean;
+                h = h * iv;
+                xh[t] = h;
+                {ct} v = ({ct})((double)h * ga);
+                os[t] = ({ct})((double)v + be);
+            }}
+        }}
+    }}
+}}
+"""
+
+
+def _bn_bwd_source(ct: str) -> str:
+    """``bn_bwd_<ct>``: see :meth:`CRenderer._try_bn_bwd`; ``O`` is null
+    for the network's first BN (nothing upstream takes a gradient)."""
+    planes = (f"const {ct}* gp = G + first + s * step; "
+              f"const {ct}* xh = XH + first + s * step;")
+    grad_pass = _lane_pass(
+        planes,
+        lambda q, o: f"{{ const v_double g = LANES_{ct}(gp + {o}); "
+                     f"b{q} += g; w{q} += g * LANES_{ct}(xh + {o}); }}",
+        "const double g = (double)gp[t]; bt += g; wt += g * (double)xh[t];",
+    )
+    return f"""\
+static void bn_bwd_{ct}(
+    const {ct}* restrict G, const {ct}* restrict XH, const {ct}* IS,
+    const double* GA, double* GG, double* GB, {ct}* restrict O,
+    i64 groups, i64 gs, i64 c, i64 hw, i64 per_group, double m,
+    i64 tid, i64 nt)
+{{
+{_BN_UNITS}{_lane_sums("b", "w")}{grad_pass}\
+        const double sg = lanes_fold(b0, b1, b2, b3, bt);
+        const double sgx = lanes_fold(w0, w1, w2, w3, wt);
+        GG[u] = sgx;
+        GB[u] = sg;
+        if (!O) continue;
+        const double ga = GA[per_group ? u : ch];
+        const double sdx = ga * sg, sdxx = ga * sgx;
+        const double c0 = (double)IS[u] / m;
+        for (i64 s = 0; s < gs; ++s) {{
+            {planes}
+            {ct}* os = O + first + s * step;
+            for (i64 t = 0; t < hw; ++t)
+                os[t] = ({ct})(c0 * (m * ((double)gp[t] * ga) - sdx
+                                     - (double)xh[t] * sdxx));
+        }}
+    }}
+}}
+"""
+
+
+# The update tail (see :meth:`CRenderer._try_bn_update`): per BN layer the
+# slots of the tap's plan-owned (groups, c) buffers, and per (group, layer)
+# the destination arrays bound for this replay.
+_BN_UPDATE_SOURCE = """\
+typedef struct { i64 mean, var, ggamma, gbeta, c; } bn_tap;
+typedef struct {
+    double *rmean, *rvar, *gamma, *beta, *mgamma, *mbeta; i64* count;
+} bn_dest;
+/* H: per group (lr, momentum, running-stat momentum).  Op for op
+ * update_running_stat (momentum 1.0 is a plain copy) then sgd_update
+ * without weight decay or Nesterov; disarms itself. */
+static void bn_update(char** T, const bn_tap* taps, i64 ntaps, i64 groups,
+                      const bn_dest* D, const double* H, i64* armed)
+{
+    if (!*armed) return;
+    *armed = 0;
+    for (i64 k = 0; k < groups; ++k)
+    for (i64 j = 0; j < ntaps; ++j) {
+        const double lr = H[3 * k], mom = H[3 * k + 1], sm = H[3 * k + 2];
+        const bn_dest* d = D + k * ntaps + j;
+        const i64 c = taps[j].c;
+        const double* restrict bm = (const double*)T[taps[j].mean] + k * c;
+        const double* restrict bv = (const double*)T[taps[j].var] + k * c;
+        const double* restrict gg = (const double*)T[taps[j].ggamma] + k * c;
+        const double* restrict gb = (const double*)T[taps[j].gbeta] + k * c;
+        *d->count += 1;
+        if (sm == 1.0)
+            for (i64 i = 0; i < c; ++i) {
+                d->rmean[i] = bm[i];
+                d->rvar[i] = bv[i];
+            }
+        else
+            for (i64 i = 0; i < c; ++i) {
+                d->rmean[i] = d->rmean[i] * (1.0 - sm) + sm * bm[i];
+                d->rvar[i] = d->rvar[i] * (1.0 - sm) + sm * bv[i];
+            }
+        if (mom != 0.0)
+            for (i64 i = 0; i < c; ++i) {
+                d->mgamma[i] = d->mgamma[i] * mom + gg[i];
+                d->gamma[i] -= lr * d->mgamma[i];
+                d->mbeta[i] = d->mbeta[i] * mom + gb[i];
+                d->beta[i] -= lr * d->mbeta[i];
+            }
+        else
+            for (i64 i = 0; i < c; ++i) {
+                d->gamma[i] -= lr * gg[i];
+                d->beta[i] -= lr * gb[i];
+            }
+    }
+}
+"""
+_NO_STATE: Dict[str, object] = {}
+
+
+def _bind_dests(target, taps, held: list, row: np.ndarray) -> bool:
+    """Point ``row`` — one group's ``bn_dest`` structs — at ``target``'s
+    arrays, identity-cached in ``held`` like every other binder (a
+    rebound ``param.data`` or a momentum buffer replaced by ``reset()`` or
+    a checkpoint restore is seen, an in-place write needs nothing).
+    False when the C tail cannot step this state: a momentum buffer not
+    there yet (the optimizer's first step), or anything but contiguous
+    float64 vectors."""
+    state = target.optimizer.state
+    need_buffers = bool(target.optimizer.momentum)
+    at = 0
+    for tap in taps:
+        module = tap.module
+        mean, var, count, gamma, beta = target.bn_arrays(module)
+        mgamma = mbeta = None
+        if need_buffers:
+            mgamma = state.get(id(module.weight), _NO_STATE).get("momentum")
+            mbeta = state.get(id(module.bias), _NO_STATE).get("momentum")
+            if mgamma is None or mbeta is None:
+                return False
+        c = module.num_features
+        for arr in (mean, var, gamma, beta, mgamma, mbeta, count):
+            if arr is not held[at]:
+                if arr is None:
+                    row[at] = 0
+                elif (
+                    arr.dtype != (np.int64 if arr is count else np.float64)
+                    or arr.size != (1 if arr is count else c)
+                    or not arr.flags.c_contiguous
+                ):
+                    return False
+                else:
+                    row[at] = arr.ctypes.data
+                held[at] = arr
+            at += 1
+    return True
 
 
 def _phase_axis(size: int, k: int, s: int, p: int):
@@ -825,9 +1124,25 @@ class CRenderer:
         return offer
 
     # -- stage builders --------------------------------------------------
+    def _vec_helpers(self, ct: str) -> None:
+        """Emit (once per TU) ``VEC_BYTES`` and the ``v_<ct>`` vector."""
+        self._helpers.setdefault("vec", _VEC_PRELUDE)
+        self._helpers.setdefault(f"v_{ct}", _vec_type(ct))
+
+    def _bn_helper(self, name: str, ct: str, source) -> str:
+        """Emit (once per TU) the f64 lane accumulators over ``ct`` data
+        and the BN kernel ``<name>_<ct>`` reducing on them; returns the
+        kernel's name."""
+        self._vec_helpers("double")
+        self._helpers.setdefault("lanes", _LANES_PRELUDE)
+        self._helpers.setdefault(f"lanes_{ct}", _lanes_source(ct))
+        self._helpers.setdefault(f"{name}_{ct}", source(ct))
+        return f"{name}_{ct}"
+
     def _conv_helpers(self, xt: str, ct: str) -> str:
         """Emit (once per TU) the conv kernels for input type ``xt`` and
         compute type ``ct``; returns the driver's name."""
+        self._vec_helpers(ct)
         self._helpers.setdefault("conv_prelude", _CONV_PRELUDE)
         self._helpers.setdefault(
             f"gemm_{ct}", _epilogue_source(ct) + _gemm_source(ct)
@@ -1104,6 +1419,18 @@ class CRenderer:
         )
 
     def _try_maxpool(self, spec, fallback):
+        """Max-pool forward, walked from the layer's scalar geometry the
+        way ``pad_<xt>_<ct>`` walks a conv's input: per output row, every
+        tap ``(ky, kx)`` in order sweeps one input row at the pool's
+        stride with a compare-and-select the compiler vectorises — no
+        index table.  Each output keeps the *first* maximum of its window
+        in ``(ky, kx)`` order (padding counts as ``-inf`` and never
+        wins), and a NaN wins the compare once and stays, so values and
+        the saved argmax (window offset ``ky * kw + kx``, what
+        :meth:`_try_maxpool_bwd` decodes) are ``np.max`` / ``np.argmax``
+        of the closure's column block, NaNs included.  Threads own
+        (n, c) planes.
+        """
         geo: PoolLowering = spec["geo"]
         dtype = np.dtype(spec["out_dtype"])
         xt = _CTYPE.get(dtype.name)
@@ -1115,67 +1442,57 @@ class CRenderer:
             return None
         arg = spec.get("arg")
         outs = [out2]
-        sa = None
+        a_decl = a_init = a_take = ""
         if arg is not None:
             if arg.dtype != np.dtype(np.intp) or not arg.flags.c_contiguous:
                 return None
-            sa = self._bind_static(arg)
             outs.append(arg)
+            a_decl = (f"i64* restrict a = (i64*)T[{self._bind_static(arg)}]"
+                      " + (q * OH + oy) * OW;")
+            a_init = "a[ox] = 0;"
+            a_take = "a[ox] = take ? ky * KW + kx : a[ox];"
         offer = _Offer(-1, fallback, outs)
         sx = self._source_slot(spec["x_src"], dtype, offer)
         if sx is None:
             return None
-
-        k, i, j = geo.kij
-        ih = i - geo.padding[0]
-        iw = j - geo.padding[1]
-        valid = (ih >= 0) & (ih < geo.h) & (iw >= 0) & (iw < geo.w)
-        idx = np.ascontiguousarray(
-            np.where(valid, ih * geo.w + iw, -1).astype(np.int64).reshape(-1)
-        )
-        si = self._bind_static(idx)
-
         nc = geo.n * geo.c
-        hw = geo.h * geo.w
-        p = geo.p_total
+        tile = "\n".join(self._tile(nc, "qlo", "qhi"))
+        body = f"""\
+    enum {{ H = {geo.h}, W = {geo.w}, OH = {geo.out_h}, OW = {geo.out_w},
+           KH = {geo.kernel[0]}, KW = {geo.kernel[1]}, SH = {geo.stride[0]},
+           SW = {geo.stride[1]}, PT = {geo.padding[0]}, PL = {geo.padding[1]} }};
+    const {xt}* X = (const {xt}*)T[{sx}];
+    {xt}* O = ({xt}*)T[{so}];
+{tile}
+    for (i64 q = qlo; q < qhi; ++q)
+    for (i64 oy = 0; oy < OH; ++oy) {{
+        {xt}* restrict m = O + (q * OH + oy) * OW;
+        {a_decl}
+        for (i64 ox = 0; ox < OW; ++ox) {{ m[ox] = -INFINITY; {a_init} }}
+        for (i64 ky = 0; ky < KH; ++ky) {{
+            const i64 iy = oy * SH + ky - PT;
+            if (iy < 0 || iy >= H) continue;
+            const {xt}* restrict row = X + (q * H + iy) * W;
+            for (i64 kx = 0; kx < KW; ++kx) {{
+                /* outputs [lo, hi) find an image cell under tap kx */
+                const i64 span = W + PL - kx;
+                const i64 lo = PL > kx ? (PL - kx + SW - 1) / SW : 0;
+                i64 hi = span > 0 ? (span + SW - 1) / SW : 0;
+                if (hi > OW) hi = OW;
+                for (i64 ox = lo; ox < hi; ++ox) {{
+                    const {xt} xv = row[ox * SW + kx - PL], mv = m[ox];
+                    const int take = (xv > mv) | ((xv != xv) & (mv == mv));
+                    m[ox] = take ? xv : mv;
+                    {a_take}
+                }}
+            }}
+        }}
+    }}
+"""
         kk = geo.kernel[0] * geo.kernel[1]
-        mt = self._mt(nc * p * kk / _SWEEP_PER_US)
-        lines = [
-            f"    const {xt}* restrict X = (const {xt}*)T[{sx}];",
-            f"    {xt}* restrict O = ({xt}*)T[{so}];",
-            f"    const i64* restrict IX = (const i64*)T[{si}];",
-        ]
-        if sa is not None:
-            lines.append(f"    i64* A = (i64*)T[{sa}];")
-        # threads own (n, c) planes: each plane's max/argmax scan keeps
-        # the single-thread window order, so ties break identically
-        lines += self._tile(nc, "qlo", "qhi")
-        lines += [
-            "    for (i64 q = qlo; q < qhi; ++q) {",
-            f"        const {xt}* xs = X + q * {hw}LL;",
-            f"        {xt}* on = O + q * {p}LL;",
-        ]
-        if sa is not None:
-            lines.append(f"        i64* an = A + q * {p}LL;")
-        lines += [
-            f"        for (i64 p = 0; p < {p}; ++p) {{",
-            f"            {xt} m = -INFINITY;",
-            "            i64 ai = 0;",
-            f"            for (i64 k = 0; k < {kk}; ++k) {{",
-            f"                i64 v = IX[k * {p} + p];",
-            f"                if (v >= 0) {{ {xt} xv = xs[v]; "
-            "if (xv > m) { m = xv; ai = k; } }",
-            "            }",
-            "            on[p] = m;",
-        ]
-        if sa is not None:
-            lines.append("            an[p] = ai;")
-        lines += [
-            "        }",
-            "    }",
-        ]
         return self._accept(
-            fallback, outs, "\n".join(lines) + "\n", offer.binders, mt=mt
+            fallback, outs, body, offer.binders,
+            mt=self._mt(nc * geo.p_total * kk / _SWEEP_PER_US),
         )
 
     def _reads(self, operands, dtype, ct, offer, size=None):
@@ -1494,90 +1811,53 @@ class CRenderer:
         """The rendered LD-BN-ADAPT backward: per-(group, channel) BN
         gamma/beta grads plus (optionally) the reduced input-grad chain.
 
-        Threads own (group, channel) pairs; each pair's two reductions
-        run serially in f64 — deterministic for any nt.  The band
-        tolerance is keyed to the *data* dtype (``tol_dtype``): the f64
-        tap buffers hold f32-sourced sums whose pairwise-vs-serial
-        difference lives at f32 scale.
+        Threads own (group, channel) pairs; each pair's two sums
+        accumulate in f64 on the vector lanes of :func:`_lane_pass` —
+        deterministic for any nt.  The band tolerance is keyed to the
+        *data* dtype (``tol_dtype``): the f64 tap buffers hold
+        f32-sourced sums whose pairwise-vs-lane difference lives at f32
+        scale.
         """
         dtype = np.dtype(spec["dtype"])
         ct = _CTYPE.get(dtype.name)
         if ct is None:
             return None
-        g, xh, inv = spec["g"], spec["xhat"], spec["inv_std"]
         gg, gb = spec["grad_gamma"], spec["grad_beta"]
         dst = spec.get("dst")
-        groups, gs, c, hw = spec["dims"]
-        m = float(spec["m"])
-        sg_ = self._fixed_slot(g, dtype)
-        sxh = self._fixed_slot(xh, dtype)
-        siv = self._fixed_slot(inv, dtype)
+        sg = self._fixed_slot(spec["g"], dtype)
+        sxh = self._fixed_slot(spec["xhat"], dtype)
+        siv = self._fixed_slot(spec["inv_std"], dtype)
         sgg = self._fixed_slot(gg, np.float64)
         sgb = self._fixed_slot(gb, np.float64)
-        if None in (sg_, sxh, siv, sgg, sgb):
+        if None in (sg, sxh, siv, sgg, sgb):
             return None
         outs = [gg, gb]
-        so = None
+        out_ptr = "0"
         if dst is not None:
             so = self._fixed_slot(dst, dtype)
             if so is None:
                 return None
             outs.append(dst)
+            out_ptr = f"({ct}*)T[{so}]"
         offer = _Offer(-1, fallback, outs)
         sga = self._affine_slot(spec["gamma"], "weight", offer)
         if sga is None:
             return None
-        gidx = "u" if spec["gamma"][0] == "slot" else "ch"
-        total = groups * c
-        lines = [
-            f"    const {ct}* restrict G_ = (const {ct}*)T[{sg_}];",
-            f"    const {ct}* restrict XH = (const {ct}*)T[{sxh}];",
-            f"    const {ct}* IS = (const {ct}*)T[{siv}];",
-            f"    const double* GA = (const double*)T[{sga}];",
-            f"    double* GG = (double*)T[{sgg}];",
-            f"    double* GB = (double*)T[{sgb}];",
-        ]
-        if so is not None:
-            lines.append(f"    {ct}* restrict O = ({ct}*)T[{so}];")
-        lines += self._tile(total, "ulo", "uhi")
-        lines += [
-            "    for (i64 u = ulo; u < uhi; ++u) {",
-            f"        const i64 gr = u / {c};",
-            f"        const i64 ch = u % {c};",
-            "        double sg = 0.0, sgx = 0.0;",
-            f"        for (i64 s = 0; s < {gs}; ++s) {{",
-            f"            const i64 base = "
-            f"((gr * {gs} + s) * {c} + ch) * {hw}LL;",
-            f"            for (i64 t = 0; t < {hw}; ++t) {{",
-            "                double gv = (double)G_[base + t];",
-            "                sg += gv;",
-            "                sgx += gv * (double)XH[base + t];",
-            "            }",
-            "        }",
-            "        GG[u] = sgx;",
-            "        GB[u] = sg;",
-        ]
-        if so is not None:
-            lines += [
-                f"        double ga = GA[{gidx}];",
-                "        double iv = (double)IS[u];",
-                "        double sdx = ga * sg;",
-                "        double sdxx = ga * sgx;",
-                f"        double c0 = iv / {m!r};",
-                f"        for (i64 s = 0; s < {gs}; ++s) {{",
-                f"            const i64 base = "
-                f"((gr * {gs} + s) * {c} + ch) * {hw}LL;",
-                f"            for (i64 t = 0; t < {hw}; ++t) {{",
-                "                double gv = (double)G_[base + t];",
-                f"                O[base + t] = ({ct})(c0 * ({m!r} * "
-                "(gv * ga) - sdx - (double)XH[base + t] * sdxx));",
-                "            }",
-                "        }",
-            ]
-        lines.append("    }")
+        per_group = int(spec["gamma"][0] == "slot")
+        groups, gs, c, hw = spec["dims"]
+        name = self._bn_helper("bn_bwd", ct, _bn_bwd_source)
+        body = (
+            f"    {name}((const {ct}*)T[{sg}], (const {ct}*)T[{sxh}], "
+            f"(const {ct}*)T[{siv}],\n"
+            f"        (const double*)T[{sga}], (double*)T[{sgg}], "
+            f"(double*)T[{sgb}], {out_ptr},\n"
+            f"        {groups}, {gs}, {c}, {hw}, {per_group}, "
+            f"{float(spec['m'])!r}, tid, nt);\n"
+        )
         return self._accept(
-            fallback, outs, "\n".join(lines) + "\n", offer.binders,
-            mt=self._mt(2 * groups * gs * c * hw / _SWEEP_PER_US), tol_dtype=dtype,
+            fallback, outs, body, offer.binders,
+            mt=self._mt(2 * groups * gs * c * hw / _SWEEP_PER_US),
+            tol_dtype=dtype,
         )
 
     def _try_bn_train(self, spec, fallback):
@@ -1587,12 +1867,12 @@ class CRenderer:
 
         Threads own (group, channel) pairs exactly as in
         :meth:`_try_bn_bwd`; each pair's mean and sum of squared
-        deviations are serial two-pass f64 reductions (deterministic for
-        any nt), rounded to the data dtype before ``1/sqrt(var+eps)`` so
-        everything downstream repeats the numpy op sequence.  The
-        oracle's pairwise sums differ in the last bits, hence band
-        parity only (keyed to the data dtype — the f64 taps hold
-        data-dtype statistics).
+        deviations are two passes of f64 vector-lane accumulators
+        (:func:`_lane_pass`; deterministic for any nt), rounded to the
+        data dtype before ``1/sqrt(var+eps)`` so everything downstream
+        repeats the numpy op sequence.  The oracle's pairwise sums differ
+        in the last bits, hence band parity only (keyed to the data
+        dtype — the f64 taps hold data-dtype statistics).
         """
         dtype = np.dtype(spec["dtype"])
         ct = _CTYPE.get(dtype.name)
@@ -1618,57 +1898,7 @@ class CRenderer:
             return None
         per_group = int(spec["gamma"][0] == "slot")
         groups, gs, c, hw = spec["dims"]
-        sqrt = "sqrt" if ct == "double" else "sqrtf"
-        name = f"bn_train_{ct}"
-        self._helpers.setdefault(name, f"""\
-static void {name}(
-    const {ct}* restrict X, {ct}* restrict XH, {ct}* restrict O, {ct}* IS,
-    const double* GA, const double* BE, double* BM, double* BV,
-    i64 groups, i64 gs, i64 c, i64 hw, i64 per_group, double eps,
-    i64 tid, i64 nt)
-{{
-    const i64 total = groups * c;
-    const i64 ulo = (total * tid) / nt, uhi = (total * (tid + 1)) / nt;
-    const double m = (double)(gs * hw);
-    for (i64 u = ulo; u < uhi; ++u) {{
-        const i64 gr = u / c, ch = u % c;
-        const i64 first = (gr * gs * c + ch) * hw, step = c * hw;
-        double sum = 0.0, sq = 0.0;
-        for (i64 s = 0; s < gs; ++s) {{
-            const {ct}* xs = X + first + s * step;
-            for (i64 t = 0; t < hw; ++t) sum += (double)xs[t];
-        }}
-        const double mu = sum / m;
-        for (i64 s = 0; s < gs; ++s) {{
-            const {ct}* xs = X + first + s * step;
-            for (i64 t = 0; t < hw; ++t) {{
-                double d = (double)xs[t] - mu;
-                sq += d * d;
-            }}
-        }}
-        const {ct} mean = ({ct})mu;
-        const {ct} var = ({ct})(sq / m);
-        const {ct} iv = ({ct})1 / {sqrt}(var + ({ct})eps);
-        IS[u] = iv;
-        BM[u] = (double)mean;
-        BV[u] = (double)var;
-        const double ga = GA[per_group ? u : ch];
-        const double be = BE[per_group ? u : ch];
-        for (i64 s = 0; s < gs; ++s) {{
-            const {ct}* xs = X + first + s * step;
-            {ct}* xh = XH + first + s * step;
-            {ct}* os = O + first + s * step;
-            for (i64 t = 0; t < hw; ++t) {{
-                {ct} h = xs[t] - mean;
-                h = h * iv;
-                xh[t] = h;
-                {ct} v = ({ct})((double)h * ga);
-                os[t] = ({ct})((double)v + be);
-            }}
-        }}
-    }}
-}}
-""")
+        name = self._bn_helper("bn_train", ct, _bn_train_source)
         body = (
             f"    {name}((const {ct}*)T[{sx}], ({ct}*)T[{sxh}], "
             f"({ct}*)T[{so}], ({ct}*)T[{siv}],\n"
@@ -1679,8 +1909,79 @@ static void {name}(
         )
         return self._accept(
             fallback, outs, body, offer.binders,
-            mt=self._mt(3 * groups * gs * c * hw / _SWEEP_PER_US), tol_dtype=dtype,
+            mt=self._mt(3 * groups * gs * c * hw / _SWEEP_PER_US),
+            tol_dtype=dtype,
         )
+
+    def _try_bn_update(self, spec, fallback):
+        """The step's update tail (``adapt_plan._update_tail`` is the
+        closure): running statistics blended in at the adapter's
+        momentum, then the SGD-momentum step on gamma/beta, over every
+        BN layer of every group — a few lines of C over the taps the
+        stages before it filled, inline on the dispatching thread.
+
+        Armed per replay by its binder, which reads the destinations the
+        caller passed ``run`` and, when the C can step them (plain
+        SGD-momentum, momentum buffers already there, float64 vectors),
+        binds one ``bn_dest`` row per group and takes them; whatever it
+        leaves — weight decay, Nesterov, an optimizer's first step — the
+        plan hands to the closure after the replay.  Rows are cached per
+        destination, weakly, so alternating fleet groups rebind nothing.
+        """
+        taps, groups, armed = spec["taps"], spec["groups"], spec["update"]
+        rows = []
+        for tap in taps:
+            slots = [
+                self._fixed_slot(arr, np.float64) for arr in (
+                    tap.batch_mean, tap.batch_var, tap.grad_gamma,
+                    tap.grad_beta,
+                )
+            ]
+            if None in slots:
+                return None
+            rows.append(tuple(slots) + (tap.module.num_features,))
+        if not rows:
+            return None
+        ntaps = len(rows)
+        flag = np.zeros(1, dtype=np.int64)
+        hyper = np.zeros((groups, 3), dtype=np.float64)
+        dests = np.zeros((groups, 7 * ntaps), dtype=np.uintp)
+        sf, sh, sd = (self._bind_static(arr) for arr in (flag, hyper, dests))
+        cache = weakref.WeakKeyDictionary()  # destination -> (held, row)
+
+        def bind():
+            flag[0] = 0
+            targets = armed[0]
+            if targets is None:
+                return
+            for k, target in enumerate(targets):
+                optimizer = target.optimizer
+                if optimizer.weight_decay or optimizer.nesterov:
+                    return
+                bound = cache.get(target)
+                if bound is None:
+                    bound = cache[target] = (
+                        [None] * (7 * ntaps),
+                        np.zeros(7 * ntaps, dtype=np.uintp),
+                    )
+                if not _bind_dests(target, taps, *bound):
+                    return
+                dests[k] = bound[1]
+                hyper[k] = (
+                    optimizer.lr, optimizer.momentum,
+                    target.effective_momentum,
+                )
+            flag[0] = 1
+            armed[0] = None
+
+        self._helpers.setdefault("bn_update", _BN_UPDATE_SOURCE)
+        body = (
+            f"    static const bn_tap TAPS[] = {_c_init(tuple(rows))};\n"
+            f"    bn_update(T, TAPS, {ntaps}, {groups}, "
+            f"(const bn_dest*)T[{sd}],\n"
+            f"        (const double*)T[{sh}], (i64*)T[{sf}]);\n"
+        )
+        return self._accept(fallback, [], body, [bind])
 
     def _try_maxpool_bwd(self, spec, fallback):
         """Grad wrt a max-pool input: zero the plane, then add ``g`` at

@@ -190,7 +190,6 @@ class PoolLowering:
     p_total: int
     x_dtype: np.dtype
     flat: np.ndarray
-    kij: Tuple[np.ndarray, np.ndarray, np.ndarray]
     padded: Optional[np.ndarray] = None
     core: Optional[np.ndarray] = None
     cols: Optional[np.ndarray] = None
@@ -219,14 +218,14 @@ def lower_pool(
                       padding[1]:padding[1] + w]
     else:
         h_eff, w_eff = h, w
-    k, i, j, _, _ = _im2col_indices(1, h_eff, w_eff, kernel, stride, (0, 0))
+    _, i, j, _, _ = _im2col_indices(1, h_eff, w_eff, kernel, stride, (0, 0))
     flat = (i * w_eff + j).astype(np.intp)
     cols = np.empty((n * c, kernel[0] * kernel[1], p_total), dtype=x_dtype)
     workspace = cols.nbytes + (padded.nbytes if padded is not None else 0)
     return PoolLowering(
         n=n, c=c, h=h, w=w, kernel=kernel, stride=stride, padding=padding,
         out_h=out_h, out_w=out_w, p_total=p_total, x_dtype=x_dtype,
-        flat=flat, kij=(k, i, j),
+        flat=flat,
         padded=padded, core=core, cols=cols, workspace_nbytes=workspace,
     )
 

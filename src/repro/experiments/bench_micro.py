@@ -4,9 +4,11 @@ Each case traces a single-layer model through both plan backends and
 times the resulting one-stage plans head-to-head, isolating one kernel
 family: the im2col-GEMM conv (gather + matmul + fused BN/ReLU epilogue),
 the identity-columns 1x1 GEMM, the linear GEMM, max-pool, and the
-elementwise ReLU epilogue — and, picked out of a three-layer adaptation
-plan, the conv input-gradient stage (numpy: BLAS dgrad GEMM + col2im;
-cgen: the gather-form phase convs).  Rows are archived to
+elementwise ReLU epilogue — and, picked out of a small adaptation plan,
+the conv input-gradient stage (numpy: BLAS dgrad GEMM + col2im; cgen:
+the gather-form phase convs) and the train-mode BN forward and backward
+(numpy: a ufunc pass per op; cgen: lane-accumulator reductions and one
+normalise sweep).  Rows are archived to
 ``results/micro_ops.json`` by :mod:`benchmarks.bench_micro_ops`; the
 ``*_p95_ms`` keys ride the standard regression gate
 (:mod:`repro.experiments.regression`), so a slowdown in either backend's
@@ -88,9 +90,25 @@ def _micro_cases(rng: np.random.Generator):
                 rng.standard_normal((1, cin) + hw).astype(np.float32),
             )
         )
-    # the conv input gradients of one small-r18 adaptation step (float64
-    # end to end): BN -> conv -> BN in train mode, timed on the conv's
-    # backward stage alone (`_dgrad_pair`)
+    cases.append((
+        "maxpool3x3s2_16_f64", nn.MaxPool2d(3, 2, 1),
+        rng.standard_normal((1, 16, 32, 80)),
+    ))
+    # the BN layer shapes of one small-r18 adaptation step, channels x
+    # plane: BN -> BN in train mode, timed on the first forward stage
+    # and on the second layer's backward (the one with an input gradient
+    # to write, as 19 of the step's 20 have)
+    for c, hw in ((16, (32, 80)), (16, (16, 40)), (32, (8, 20)),
+                  (64, (4, 10)), (128, (2, 5))):
+        for kind in ("bn_train", "bn_bwd"):
+            cases.append((
+                f"{kind}_{c}x{hw[0] * hw[1]}_f64",
+                nn.Sequential(nn.BatchNorm2d(c), nn.BatchNorm2d(c)),
+                rng.standard_normal((1, c) + hw),
+            ))
+    # the conv input gradients of the same step (float64 end to end):
+    # BN -> conv -> BN in train mode, timed on the conv's backward stage
+    # alone (`_stage_pair`)
     for name, cin, cout, k, stride, hw in (
         ("dgrad3x3_16_f64", 16, 16, 3, 1, (16, 40)),
         ("dgrad3x3_32_f64", 32, 32, 3, 1, (8, 20)),
@@ -126,12 +144,19 @@ def _forward_pair(model, x):
     return (lambda: eng_np(x)), (lambda: eng_c(x)), y_np, y_c, info
 
 
-def _dgrad_pair(model, x):
-    """The same five for the conv input-gradient stage of the model's
-    adaptation plans: profiled plans replay stage by stage, so after one
-    full step the ``bwd:conv`` closure reruns alone on the step's
-    gradients.  The outputs compared are the first BN's gamma gradients,
-    which every ``dX`` element feeds."""
+#: adaptation-plan rows: op prefix -> (section, label) of the stage timed
+_ADAPT_STAGES = {
+    "dgrad": (1, "bwd:conv"), "bn_train": (0, "fwd:bn"),
+    "bn_bwd": (1, "bwd:bn"),
+}
+
+
+def _stage_pair(model, x, section, label):
+    """The same five for one stage of the model's adaptation plans, the
+    first labelled ``label`` in ``section``: profiled plans replay stage
+    by stage, so after one full step that stage reruns alone on the
+    step's buffers.  The outputs compared are the first BN's gamma
+    gradients, which everything in these plans feeds."""
     fns, grads, info = [], [], None
     for backend in ("numpy", "cgen"):
         model.train()
@@ -140,11 +165,11 @@ def _dgrad_pair(model, x):
         ).plan_for(x)
         plan.run(x)
         grads.append(plan.bn_taps[0].grad_gamma.copy())
+        step = next(
+            s for s in plan.sections[section] if s.label.endswith(label)
+        )
         # the closure alone does not keep the plan's pointer table alive
-        fns += [
-            (lambda step=step, plan=plan: step())
-            for step in plan.sections[1] if step.label.endswith("bwd:conv")
-        ]
+        fns.append(lambda step=step, plan=plan: step())
         info = plan.backend_info
     fn_np, fn_c = fns
     return fn_np, fn_c, grads[0], grads[1], info
@@ -315,13 +340,17 @@ def run_micro_ops(reps: int = 200, seed: int = 0) -> List[Dict[str, object]]:
     rng = np.random.default_rng(seed)
     rows: List[Dict[str, object]] = []
     for name, model, x in _micro_cases(rng):
-        dgrad = name.startswith("dgrad")
+        stage = next(
+            (at for op, at in _ADAPT_STAGES.items() if name.startswith(op)),
+            None,
+        )
         with warnings.catch_warnings():
             # a missing compiler warns; the row records the fallback
             warnings.simplefilter("ignore", RuntimeWarning)
             fn_np, fn_c, y_np, y_c, info = (
-                _dgrad_pair if dgrad else _forward_pair
-            )(model, x)
+                _forward_pair(model, x) if stage is None
+                else _stage_pair(model, x, *stage)
+            )
 
         # cheap ops get more samples (up to 10x) so a p95 over ~10 us
         # calls is not three preemptions deciding the ratio
@@ -334,8 +363,11 @@ def run_micro_ops(reps: int = 200, seed: int = 0) -> List[Dict[str, object]]:
             {
                 "op": name,
                 "shape": "x".join(str(d) for d in x.shape),
-                # a dgrad row's output is dX, the size of its input
-                "out_pixels": int(np.prod((x if dgrad else y_np).shape[2:])),
+                # an adaptation row's output (dX, a BN plane) is the
+                # size of its input
+                "out_pixels": int(
+                    np.prod((y_np if stage is None else x).shape[2:])
+                ),
                 "reps": reps_row,
                 "numpy_p50_ms": latency_percentile(np_ms, 50),
                 "numpy_p95_ms": np_p95,

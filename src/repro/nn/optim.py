@@ -71,9 +71,15 @@ def sgd_update(
     (``buf = momentum * buf + grad; p -= lr * buf``) but with ``out=``
     everywhere, reusing the momentum buffer and a float64 work scratch
     kept in ``state`` — no per-parameter temporaries on the adaptation
-    hot path.  Shared by :meth:`SGD.step` and the fleet server's batched
-    per-stream adaptation updater (:mod:`repro.serve.adapt_batch`), so
-    serial and batched stepping apply bitwise-identical updates.
+    hot path.  Shared by :meth:`SGD.step` (source training, the eager
+    adaptation step) and the compiled adaptation plan's update tail
+    (:func:`repro.engine.adapt_plan._update_tail`), which steps the live
+    parameters for a single stream and each session's saved copies in a
+    fleet's fused group — so eager, serial and batched stepping apply
+    bitwise-identical updates.  The ``cgen`` backend renders the
+    momentum-only case of this sequence in C
+    (``bn_update`` in :mod:`repro.engine.backends.cgen`); weight decay
+    and Nesterov always run here.
     """
     work = state.get("work")
     if work is None or work.shape != grad.shape:

@@ -144,7 +144,6 @@ class RealTimePipeline:
         self.adapter.warm(image)
 
     def _predict(self, frame: LaneSample) -> np.ndarray:
-        self.model.eval()
         batch = frame.image[None]
         if nn.compiled_inference_enabled():
             if self._compiled is None:
@@ -152,8 +151,11 @@ class RealTimePipeline:
                     self.model, backend=self.config.backend,
                     threads=self.threads,
                 )
+            # no per-frame model.eval() walk: the engine refuses a model
+            # in training mode, `_warm_engine` set it once
             logits = self._compiled(batch)
         else:
+            self.model.eval()
             with nn.no_grad():
                 logits = self.model(nn.Tensor(batch, _copy=False))
         return decode_predictions(

@@ -14,24 +14,24 @@ adaptation plan (:class:`repro.engine.CompiledAdaptStep` with
   statistics and that stream's own gamma/beta (plan-input slots filled
   straight from the stream's :class:`~repro.serve.streams.BNStateSnapshot`
   — no model swap-in/swap-out at all);
-* the plan returns one loss and one gamma/beta gradient set per stream;
-* per-stream SGD updates and running-statistics refreshes are then
-  applied directly to each stream's snapshot through the same fused
-  :func:`repro.nn.optim.sgd_update` kernels the serial path uses, so the
-  resulting per-stream states match serial stepping to float precision
-  (the only divergence is GEMM batching at the last-ulp level).
+* the plan returns one loss per stream, and its update tail — the stage
+  a serial step ends in too, armed here with the sessions themselves —
+  applies every stream's running-statistics refresh and SGD step
+  directly to that stream's snapshot, so the resulting per-stream states
+  match serial stepping to float precision (the only divergence is GEMM
+  batching at the last-ulp level).
 
 Batching contract: a stream joins a fused step when its adapter is an
 :class:`~repro.adapt.LDBNAdapt` with the SGD optimizer, the incoming
 frame completes its adaptation batch, and the fused batch sizes agree.
-Learning rates, momenta and stats modes may differ per stream — they
-only enter the per-stream update loop.  Everything else (Adam adapters,
+Learning rates, momenta and stats modes may differ per stream — the
+update tail reads them per group.  Everything else (Adam adapters,
 exotic adapters, unsupported graphs) falls back to the serial path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -39,8 +39,6 @@ from .. import nn
 from ..adapt.base import AdaptResult
 from ..adapt.bn_adapt import LDBNAdapt
 from ..engine import CompiledAdaptStep, UnsupportedAdaptGraph
-from ..nn.functional import update_running_stat
-from ..nn.optim import sgd_update
 from .streams import StreamSession
 
 
@@ -109,7 +107,6 @@ class FleetAdaptationBatcher:
         )
         self._unsupported = False
         self._fused_proven = False  # a grouped stage has succeeded
-        self._module_index: Optional[Dict[int, int]] = None
 
     @property
     def unsupported(self) -> bool:
@@ -179,56 +176,21 @@ class FleetAdaptationBatcher:
         return StagedGroupStep(self, list(sessions), images, plan, group_size)
 
     # ------------------------------------------------------------------
-    def _layer_index(self, session: StreamSession) -> Dict[int, int]:
-        if self._module_index is None:
-            self._module_index = {
-                id(module): j
-                for j, module in enumerate(session.bn_state.modules)
-            }
-        return self._module_index
-
     def _execute(self, staged: StagedGroupStep) -> Dict[int, AdaptResult]:
-        """Run one fused step and apply per-stream state updates."""
+        """Run one fused step; its update tail steps every stream's state."""
         sessions, plan = staged.sessions, staged.plan
-        index_of = self._layer_index(sessions[0])
         # parameter slots: row k is stream k's adapted gamma/beta
         for tap in plan.bn_taps:
-            j = index_of[id(tap.module)]
             for k, session in enumerate(sessions):
-                tap.gamma_slot[k] = session.bn_state.params.saved[2 * j]
-                tap.beta_slot[k] = session.bn_state.params.saved[2 * j + 1]
-        losses = plan.run(staged.images)
+                *_, gamma, beta = session.bn_arrays(tap.module)
+                tap.gamma_slot[k] = gamma
+                tap.beta_slot[k] = beta
+        losses = plan.run(staged.images, update=sessions)
 
         results: Dict[int, AdaptResult] = {}
         for k, session in enumerate(sessions):
             adapter = session.adapter
             adapter._buffer.clear()
-            momentum = adapter.effective_momentum
-            optimizer = adapter.optimizer
-            for tap in plan.bn_taps:
-                j = index_of[id(tap.module)]
-                bufs = session.bn_state.buffers[j]
-                bufs["num_batches_tracked"] += 1
-                for name, stat in (
-                    ("running_mean", tap.batch_mean[k]),
-                    ("running_var", tap.batch_var[k]),
-                ):
-                    update_running_stat(bufs[name], stat, momentum)
-                for saved, grad, param in (
-                    (session.bn_state.params.saved[2 * j],
-                     tap.grad_gamma[k], tap.module.weight),
-                    (session.bn_state.params.saved[2 * j + 1],
-                     tap.grad_beta[k], tap.module.bias),
-                ):
-                    sgd_update(
-                        saved,
-                        grad,
-                        optimizer.state.setdefault(id(param), {}),
-                        optimizer.lr,
-                        momentum=optimizer.momentum,
-                        weight_decay=optimizer.weight_decay,
-                        nesterov=optimizer.nesterov,
-                    )
             adapter._step += 1
             loss = float(losses[k])
             results[id(session)] = AdaptResult(

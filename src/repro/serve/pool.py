@@ -437,7 +437,10 @@ class DeviceWorker:
             if config.admission is not None
             else None
         )
-        # plans are cached per (batch shape, groups) inside the engines
+        # plans are cached per (batch shape, groups) inside the engines,
+        # which refuse a model in training mode: set once, here, not by
+        # walking the module tree on every batch
+        model.eval()
         own = dict(backend=config.backend, threads=threads)
         self._compiled = (
             engine if engine is not None else compile_model(model, **own)
@@ -843,11 +846,12 @@ class DeviceWorker:
         drift entropy) runs before this worker returns to the loop.
         """
         images = np.stack([f.image for f in frames]).astype(np.float32)
-        self.model.eval()
         compiled = nn.compiled_inference_enabled()
         if compiled:
             # one-time trace per batch size, outside the timed region
             self._compiled.warm(images)
+        else:
+            self.model.eval()
         with self.timer.measure("inference"):
             with per_stream_inference(sessions):
                 if compiled:

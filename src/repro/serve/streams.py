@@ -136,6 +136,18 @@ class BNStateSnapshot:
             {name: np.array(getattr(m, name)) for name in _BN_BUFFER_NAMES}
             for m in self.modules
         ]
+        self._index = {id(m): j for j, m in enumerate(self.modules)}
+
+    def arrays(self, module: _BatchNormBase):
+        """This snapshot's ``(running_mean, running_var,
+        num_batches_tracked, gamma, beta)`` of one BN layer."""
+        j = self._index[id(module)]
+        bufs = self.buffers[j]
+        return (
+            bufs["running_mean"], bufs["running_var"],
+            bufs["num_batches_tracked"],
+            self.params.saved[2 * j], self.params.saved[2 * j + 1],
+        )
 
     def swap_in(self) -> None:
         """Write this snapshot's state into the shared model."""
@@ -276,6 +288,20 @@ class StreamSession:
 
     def swap_out(self) -> None:
         self.bn_state.swap_out()
+
+    # A session is its group's destination in a fused adaptation step
+    # (see repro.engine.AdaptationPlan.run): the adapter's optimizer
+    # stepping the snapshot, no swap onto the model.
+    @property
+    def optimizer(self):
+        return self.adapter.optimizer
+
+    @property
+    def effective_momentum(self) -> float:
+        return self.adapter.effective_momentum
+
+    def bn_arrays(self, module: _BatchNormBase):
+        return self.bn_state.arrays(module)
 
     def record(
         self,

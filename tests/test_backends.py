@@ -988,6 +988,127 @@ class TestImplicitGemmLanes:
 
 
 # ---------------------------------------------------------------------------
+# max-pool walked from its geometry: first maximum, NaNs propagate
+
+
+def _profiled_plan_and_specs(model, x, backend, threads=None, groups=1):
+    """A profiled adaptation plan (it replays stage by stage, so one
+    stage can be rerun alone) and, by kind, the offer specs of its stages
+    in emission order — the buffers each stage reads and writes."""
+    from repro.engine.adapt_plan import AdaptationPlan
+
+    specs = {}
+    offer = AdaptationPlan._offer
+
+    def spy(self, kind, spec, fallback):
+        specs.setdefault(kind, []).append(spec)
+        return offer(self, kind, spec, fallback)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(AdaptationPlan, "_offer", spy)
+        plan = CompiledAdaptStep(
+            model, profile=True, backend=backend, threads=threads
+        ).plan_for(x, groups=groups)
+    return plan, specs
+
+
+def _stages(plan, section, label):
+    return [s for s in plan.sections[section] if s.label.endswith(label)]
+
+
+def _pool_stage_alone(model, x_traced, x, backend, threads=None):
+    """The pool's output and saved argmax after its stage reran alone on
+    ``x`` (later stages recycle the pool's arena blocks), from a plan
+    traced on ``x_traced``."""
+    plan, specs = _profiled_plan_and_specs(model, x_traced, backend, threads)
+    plan.run(x)
+    (stage,) = _stages(plan, 0, "fwd:maxpool")
+    stage()
+    (spec,) = specs["maxpool"]
+    return spec["out2"].copy(), spec["arg"].copy(), plan.backend_info
+
+
+@needs_cc
+class TestMaxPoolFromGeometry:
+    """``np.max`` propagates a NaN and ``np.argmax`` saves the first
+    NaN's window offset; a compare that drops NaNs (``xv > m``) would
+    hide a poisoned pixel from everything downstream of the pool."""
+
+    @pytest.mark.parametrize("at, block, poisoned", [(2, 4, 9), (3, 1, 4)])
+    def test_nan_reaches_every_window_that_covers_it(self, at, block, poisoned):
+        x = np.random.default_rng(0).standard_normal((1, 1, 8, 8)).astype(
+            np.float32
+        )
+        x[0, 0, at:at + block, at:at + block] = np.nan
+        model = nn.Sequential(nn.MaxPool2d(3, 2, 1))
+        model.eval()
+        want = compile_model(model)(x).numpy()
+        assert np.isnan(want).sum() == poisoned
+        for backend in ("cgen", "cgen-strict"):
+            engine = compile_model(model, backend=backend)
+            got = engine(x).numpy()
+            assert engine.plan_for(x.shape).backend_info["rendered"] == 1
+            assert np.array_equal(got, want, equal_nan=True), backend
+            assert not np.isinf(got).any()
+
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_values_and_argmax_footprint(self, data):
+        """Kernels 1-4 (non-square too), strides 1-3, padding up to past
+        the kernel, both dtypes, pool widths 1-3; few distinct values so
+        windows tie, infinities of both signs, and NaN pixels: forward
+        values and the saved argmax equal the numpy plan's, band and
+        strict."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        kernel = (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)))
+        stride = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
+        padding = (data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2)))
+        n, c = 2, data.draw(st.integers(1, 3))
+        h = data.draw(st.integers(max(1, kernel[0] - 2 * padding[0]), 9))
+        w = data.draw(st.integers(max(1, kernel[1] - 2 * padding[1]), 21))
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        nt = data.draw(st.integers(1, 3))
+
+        model = nn.Sequential(
+            nn.MaxPool2d(kernel, stride, padding),
+            nn.Conv2d(c, 2, 1, rng=rng), nn.BatchNorm2d(2),
+        )
+        for param in model.parameters():
+            param.data = param.data.astype(dtype)
+        model.train()
+        clean = rng.integers(-2, 3, (n, c, h, w)).astype(dtype)
+        x = clean.copy()
+        for value in (np.nan, np.nan, np.inf, -np.inf):
+            x[tuple(rng.integers(d) for d in x.shape)] = value
+
+        want, want_arg, _ = _pool_stage_alone(model, clean, x, "numpy")
+        with pytest.MonkeyPatch.context() as patch:
+            _tile_everything(patch)
+            for backend in ("cgen", "cgen-strict"):
+                got, got_arg, info = _pool_stage_alone(
+                    model, clean, x, backend, nt
+                )
+                assert "fwd:maxpool" not in info["numpy_stages"], info
+                assert np.array_equal(got, want, equal_nan=True), backend
+                assert np.array_equal(got_arg, want_arg), backend
+
+    def test_no_index_table_is_bound(self, rng):
+        """The only integer array a pool-only plan keeps is its stage id
+        (the parent bound a ``(kh * kw, P)`` window-index table)."""
+        model = nn.Sequential(nn.MaxPool2d(3, 2, 1))
+        model.eval()
+        x = rng.standard_normal((2, 3, 16, 40)).astype(np.float32)
+        engine = compile_model(model, backend="cgen")
+        engine(x)
+        plan = engine.plan_for(x.shape, x.dtype)
+        assert plan.backend_info["rendered"] == 1
+        assert [
+            held.size for held in plan._cgen_keep
+            if isinstance(held, np.ndarray) and held.dtype.kind == "i"
+        ] == [1]
+
+
+# ---------------------------------------------------------------------------
 # rendered LD-BN-ADAPT backward
 
 
@@ -1265,6 +1386,412 @@ class TestRenderedTrainBNAndPoolBackward:
         assert all(
             step.__name__ == "seg" for steps in plan.sections for step in steps
         )
+
+
+# ---------------------------------------------------------------------------
+# BN reductions on vector-lane accumulators
+
+
+_PLANE_WIDTHS = (2560, 160, 40, 33, 32, 31, 10, 9, 8, 7, 1)
+
+
+def _plane_chain(dtype):
+    """BN at every plane size of ``_PLANE_WIDTHS``, one plan: (1, k)
+    convs at stride (1, s) step a 2560-wide row down the list, so a
+    replay crosses every remainder path of the lane loop — planes under
+    one vector, exact multiples of one and of four, each with and
+    without a scalar tail, at 4 and at 8 lanes."""
+    rng = np.random.default_rng(31)
+    steps = ((16, 16), (4, 4), (8, 1), (2, 1), (2, 1), (4, 3), (2, 1),
+             (2, 1), (2, 1), (7, 1))
+    layers = [nn.BatchNorm2d(3)]
+    for k, s in steps:
+        layers += [nn.Conv2d(3, 3, (1, k), stride=(1, s), rng=rng),
+                   nn.BatchNorm2d(3)]
+    model = nn.Sequential(*layers)
+    for module in model.modules():
+        if isinstance(module, nn.BatchNorm2d):
+            module.weight.data[...] = rng.uniform(0.5, 1.5, 3)
+            module.bias.data[...] = rng.uniform(-0.5, 0.5, 3)
+    for param in model.parameters():
+        param.data = param.data.astype(dtype)
+    model.train()
+    return model
+
+
+def _run_plane_chain(backend, dtype, groups, threads=None):
+    rng = np.random.default_rng(37)
+    # four samples a group: at plane size 1 they are all a BN averages
+    x = rng.standard_normal((4 * groups, 3, 1, _PLANE_WIDTHS[0])).astype(dtype)
+    plan = CompiledAdaptStep(
+        _plane_chain(dtype), backend=backend, threads=threads
+    ).plan_for(x, groups=groups)
+    for tap in plan.bn_taps:
+        if tap.gamma_slot is not None:
+            tap.gamma_slot[...] = rng.uniform(0.5, 1.5, tap.gamma_slot.shape)
+            tap.beta_slot[...] = rng.uniform(-0.5, 0.5, tap.beta_slot.shape)
+    outputs = [np.array(plan.run(x))]
+    for tap in plan.bn_taps:
+        outputs += [tap.batch_mean.copy(), tap.batch_var.copy(),
+                    tap.grad_gamma.copy(), tap.grad_beta.copy()]
+    return plan, outputs + [_dx(plan).copy()]
+
+
+@needs_cc
+class TestBNReductionsOnLanes:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_every_remainder_path_at_every_pool_width(
+        self, dtype, groups, monkeypatch
+    ):
+        """All 11 ``bn_train`` and 11 ``bn_bwd`` stages survive the probe
+        (the first has no input gradient), the step lands beside the
+        numpy plan, and statistics, gamma/beta gradients and every
+        gradient buffer are the same bytes at pool widths 1, 2 and 3."""
+        _tile_everything(monkeypatch)
+        _, want = _run_plane_chain("numpy", dtype, groups)
+        runs = [_run_plane_chain("cgen", dtype, groups, nt) for nt in (1, 2, 3)]
+        tol = (
+            dict(rtol=2e-3, atol=2e-5) if dtype == np.float32
+            else dict(rtol=1e-7, atol=1e-10)
+        )
+        for plan, got in runs:
+            info = plan.backend_info
+            assert [tap.batch_mean.shape for tap in plan.bn_taps] == (
+                [(groups, 3)] * len(_PLANE_WIDTHS)
+            )
+            assert info["demoted"] == 0 and info["numpy_stages"] == {}, info
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                np.testing.assert_allclose(a, b, **tol)
+        as_bytes = [
+            [a.tobytes() for a in got + list(plan._grads.values())]
+            for plan, got in runs
+        ]
+        assert as_bytes[0] == as_bytes[1] == as_bytes[2]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_a_non_finite_element_is_never_lost(self, dtype, groups):
+        """A NaN or an infinity anywhere in a plane — a lane of any of
+        the four accumulators, the second sample's plane, the scalar
+        remainder — reaches ``batch_mean`` / ``batch_var`` and the
+        gamma/beta gradients exactly where numpy's sums put it."""
+        hw, c = 77, 3  # two rounds of 4 x 8 lanes, one vector, five tail
+        spots = (0, 9, 18, 27, 36, 64, 70, 72, 76)
+        rng = np.random.default_rng(41)
+        clean = rng.standard_normal((2 * groups, c, 1, hw)).astype(dtype)
+
+        def build(backend):
+            model = nn.Sequential(
+                nn.BatchNorm2d(c), nn.ReLU(), nn.BatchNorm2d(c)
+            )
+            for param in model.parameters():
+                param.data = param.data.astype(dtype)
+            model.train()
+            return _profiled_plan_and_specs(
+                model, clean, backend, 2, groups
+            )
+
+        def poisoned(backend):
+            plan, specs = build(backend)
+            first = specs["bn_train"][0]
+            # the last BN's backward is emitted first; it has an input
+            # gradient to write
+            bwd, grads = _stages(plan, 1, "bwd:bn")[0], specs["bn_bwd"][0]
+            out = []
+            for at, value in zip(
+                spots, (np.nan, np.inf, -np.inf) * len(spots)
+            ):
+                x = clean.copy()
+                x[-1, at % c, 0, at] = value
+                plan.run(x)
+                out += [first["batch_mean"].copy(), first["batch_var"].copy()]
+                plan.run(clean)
+                grads["g"].reshape(-1, c, hw)[-1, at % c, at] = value
+                bwd()
+                out += [grads["grad_gamma"].copy(), grads["grad_beta"].copy(),
+                        grads["dst"].copy()]
+            return out, plan.backend_info
+
+        want, _ = poisoned("numpy")
+        got, info = poisoned("cgen")
+        assert info["numpy_stages"] == {}, info
+        tol = (
+            dict(rtol=2e-3, atol=2e-5) if dtype == np.float32
+            else dict(rtol=1e-7, atol=1e-10)
+        )
+        for a, b in zip(got, want):
+            assert not np.isfinite(b).all()
+            assert np.array_equal(np.isnan(a), np.isnan(b))
+            assert np.array_equal(np.isposinf(a), np.isposinf(b))
+            assert np.array_equal(np.isneginf(a), np.isneginf(b))
+            finite = np.isfinite(b)
+            np.testing.assert_allclose(a[finite], b[finite], **tol)
+
+
+# ---------------------------------------------------------------------------
+# the update tail: running statistics + the SGD step as the last stage
+
+
+def _adapter_state(adapter):
+    """Everything a step writes: gamma/beta, running statistics and
+    ``num_batches_tracked`` (the state dict), the momentum buffers."""
+    state = dict(adapter.model.state_dict())
+    for j, param in enumerate(adapter.optimizer.params):
+        slots = adapter.optimizer.state.get(id(param), {})
+        for name in ("momentum", "m", "v"):
+            if name in slots:
+                state[f"opt.{j}.{name}"] = slots[name]
+    return {key: np.array(value) for key, value in state.items()}
+
+
+def _assert_states_close(got, want):
+    assert got.keys() == want.keys()
+    for key in want:
+        np.testing.assert_allclose(
+            got[key], want[key], rtol=0, atol=1e-9, err_msg=key
+        )
+
+
+class _KernelCalls:
+    """Counts the update tail's Python kernel (``sgd_update`` as
+    ``adapt_plan`` calls it) under ``calls[side]``, ``side`` being
+    whichever backend's twin the test is stepping."""
+
+    def __init__(self, monkeypatch):
+        from repro.engine import adapt_plan
+
+        self.calls = {"numpy": 0, "cgen": 0}
+        self.side = None
+        kernel = adapt_plan.sgd_update
+
+        def counted(*args, **kwargs):
+            self.calls[self.side] += 1
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(adapt_plan, "sgd_update", counted)
+
+
+class _TailRun(_KernelCalls):
+    """A cgen and a numpy :class:`LDBNAdapt` over twin models, fed the
+    same frames, with the Python update kernel counted per side."""
+
+    def __init__(self, monkeypatch, **config):
+        super().__init__(monkeypatch)
+        self.adapters = {}
+        for backend in self.calls:
+            model = _pool_stack(29, np.float64)
+            model.eval()
+            self.adapters[backend] = LDBNAdapt(
+                model, LDBNAdaptConfig(backend=backend, lr=1e-2, **config)
+            )
+        self.rng = np.random.default_rng(43)
+
+    def __iter__(self):
+        return iter(self.adapters.items())
+
+    def step(self, count=1):
+        for _ in range(count):
+            x = self.rng.standard_normal((1, 3, 9, 13)).astype(np.float32)
+            for self.side, adapter in self:
+                adapter.adapt(x)
+
+    def assert_in_step(self):
+        _assert_states_close(*(
+            _adapter_state(self.adapters[side]) for side in ("cgen", "numpy")
+        ))
+
+
+@needs_cc
+class TestRenderedUpdateTail:
+    @pytest.mark.parametrize("stats_mode", ["replace", "ema"])
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_cgen_adapter_tracks_the_numpy_adapter(
+        self, stats_mode, momentum, monkeypatch
+    ):
+        """After 1, 2 and 5 steps gamma/beta, momentum buffers, running
+        statistics and ``num_batches_tracked`` sit within 1e-9 of the
+        numpy adapter's.  The Python kernel steps the cgen side only
+        while the optimizer has no momentum buffers: the first step."""
+        run = _TailRun(monkeypatch, stats_mode=stats_mode, momentum=momentum)
+        taken = 0
+        for upto in (1, 2, 5):
+            run.step(upto - taken)
+            taken = upto
+            run.assert_in_step()
+        state = _adapter_state(run.adapters["cgen"])
+        assert state["1.num_batches_tracked"] == 5
+        assert run.calls["numpy"] == 5 * 4
+        assert run.calls["cgen"] == (4 if momentum else 0)
+        info = run.adapters["cgen"]._compiled.plan_for(
+            np.zeros((1, 3, 9, 13), dtype=np.float32)
+        ).backend_info
+        assert info["numpy_stages"] == {} and info["demoted"] == 0
+
+    def test_an_unarmed_replay_updates_nothing(self):
+        x = np.random.default_rng(0).standard_normal((1, 3, 9, 13)).astype(
+            np.float32
+        )
+        for backend in ("numpy", "cgen"):
+            model = _pool_stack(29, np.float64)
+            model.eval()
+            before = {k: np.array(v) for k, v in model.state_dict().items()}
+            plan = CompiledAdaptStep(model, backend=backend).plan_for(x)
+            plan.run(x)
+            with pytest.raises(ValueError, match="2 update destinations"):
+                plan.run(x, update=(None, None))
+            for key, value in model.state_dict().items():
+                assert value.tobytes() == before[key].tobytes(), (backend, key)
+
+    def test_reset_then_a_step_rebinds_fresh_buffers(self, monkeypatch):
+        run = _TailRun(monkeypatch)
+        run.step(3)
+        stale = {
+            side: [
+                adapter.optimizer.state[id(p)]["momentum"]
+                for p in adapter.optimizer.params
+            ]
+            for side, adapter in run
+        }
+        kept = [buf.copy() for buf in stale["cgen"]]
+        for _, adapter in run:
+            adapter.reset()
+            assert adapter.optimizer.state == {}
+        run.step(3)
+        run.assert_in_step()
+        assert run.calls["cgen"] == 2 * 4  # one first step before, one after
+        for buf, copy in zip(stale["cgen"], kept):
+            assert buf.tobytes() == copy.tobytes()  # nothing wrote the old ones
+
+    def test_a_rebound_param_is_seen(self, monkeypatch):
+        run = _TailRun(monkeypatch)
+        run.step(2)
+        old = {}
+        for side, adapter in run:
+            for param in adapter.optimizer.params[:2]:
+                old[side, id(param)] = param.data
+                param.data = param.data.astype(np.float64)  # same values, new array
+                assert param.data is not old[side, id(param)]
+        kept = {key: data.copy() for key, data in old.items()}
+        run.step(2)
+        run.assert_in_step()
+        assert run.calls["cgen"] == 4  # still only the first step
+        for key, data in old.items():
+            assert data.tobytes() == kept[key].tobytes()
+        # and a dtype the C tail does not step goes back to the closure
+        for _, adapter in run:
+            param = adapter.optimizer.params[0]
+            param.data = param.data.astype(np.float32)
+        run.step(1)
+        assert run.calls["cgen"] == 4 + 4
+        run.assert_in_step()
+
+    @pytest.mark.parametrize("tweak", ["weight_decay", "nesterov"])
+    def test_what_the_c_does_not_step_keeps_the_python_loop(
+        self, tweak, monkeypatch
+    ):
+        run = _TailRun(monkeypatch)
+        for _, adapter in run:
+            setattr(adapter.optimizer, tweak, 1e-3 if tweak == "weight_decay" else True)
+        run.step(3)
+        run.assert_in_step()
+        assert run.calls["cgen"] == run.calls["numpy"] == 3 * 4
+
+    def test_adam_still_steps_in_python(self, monkeypatch):
+        run = _TailRun(monkeypatch, optimizer="adam")
+        run.step(3)
+        run.assert_in_step()
+        assert run.calls == {"numpy": 0, "cgen": 0}
+        for _, adapter in run:
+            assert {
+                slots["step"] for slots in adapter.optimizer.state.values()
+            } == {3}
+
+    def test_strict_keeps_the_closure(self):
+        x = np.random.default_rng(0).standard_normal((1, 3, 9, 13)).astype(
+            np.float32
+        )
+        model = _pool_stack(29, np.float64)
+        model.eval()
+        plan = CompiledAdaptStep(model, backend="cgen-strict").plan_for(x)
+        assert plan.backend_info["numpy_stages"]["bwd:update"] == 1
+
+    def test_fused_groups_and_checkpoints(self, monkeypatch):
+        """The fleet path: sessions as destinations, two groups of two
+        alternating over one shared plan, per-stream lr / momentum /
+        stats mode.  Snapshots and momentum buffers track a numpy
+        batcher's; a checkpoint taken after a tail step restores
+        ``tobytes``-equal, and the step after it (restored buffers are
+        new arrays) still lands beside numpy's."""
+        from repro.serve import capture_session_state, restore_session_state
+        from repro.serve.adapt_batch import FleetAdaptationBatcher
+        from repro.serve.streams import StreamRegistry
+
+        counter = _KernelCalls(monkeypatch)
+        configs = [
+            dict(lr=1e-2), dict(lr=3e-3, momentum=0.5),
+            dict(lr=1e-2, stats_mode="ema"), dict(lr=2e-2, momentum=0.0),
+        ]
+        sides = {}
+        for backend in ("numpy", "cgen"):
+            model = _pool_stack(29, np.float64)
+            model.eval()
+            registry = StreamRegistry(model)
+            sessions = [
+                registry.register(
+                    f"s{i}", iter(()), LDBNAdapt(model, LDBNAdaptConfig(**cfg)),
+                    deadline_ms=33.3,
+                )
+                for i, cfg in enumerate(configs)
+            ]
+            sides[backend] = (
+                FleetAdaptationBatcher(model, backend=backend), sessions
+            )
+        rng = np.random.default_rng(47)
+
+        def fused_round():
+            for pair in ((0, 1), (2, 3)):
+                frames = [
+                    rng.standard_normal((3, 9, 13)).astype(np.float32)
+                    for _ in pair
+                ]
+                for counter.side, (batcher, sessions) in sides.items():
+                    batcher.stage([sessions[i] for i in pair], frames).execute()
+
+        def states(backend):
+            out = {}
+            for session in sides[backend][1]:
+                arrays, _ = capture_session_state(session)
+                out.update({
+                    f"{session.stream_id}.{key}": np.array(value)
+                    for key, value in arrays.items()
+                })
+            return out
+
+        for _ in range(3):
+            fused_round()
+        _assert_states_close(states("cgen"), states("numpy"))
+        assert any(".opt." in key for key in states("cgen"))
+
+        taken = {
+            backend: [capture_session_state(s) for s in sessions]
+            for backend, (_, sessions) in sides.items()
+        }
+        before = states("cgen")
+        fused_round()
+        for backend, (_, sessions) in sides.items():
+            for session, (arrays, meta) in zip(sessions, taken[backend]):
+                restore_session_state(session, arrays, meta)
+        after = states("cgen")
+        assert after.keys() == before.keys()
+        for key in before:
+            assert after[key].tobytes() == before[key].tobytes(), key
+        fused_round()
+        _assert_states_close(states("cgen"), states("numpy"))
+        # the Python kernel stepped the cgen side in the first round only
+        # (no momentum buffers yet): 4 streams x 2 BN layers x gamma, beta
+        assert counter.calls == {"numpy": 5 * 16, "cgen": 16}
 
 
 # ---------------------------------------------------------------------------

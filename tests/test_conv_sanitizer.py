@@ -1,4 +1,4 @@
-"""The rendered conv helpers under AddressSanitizer + UBSan.
+"""The rendered conv, BN and max-pool kernels under AddressSanitizer + UBSan.
 
 The implicit-GEMM kernel reads its B operand straight from a padded copy
 in per-thread scratch, a whole NR-wide panel at a time: the last panel's
@@ -13,6 +13,14 @@ each stage with exactly the scratch ``_need_scratch`` reserved for it,
 compiled ``-fsanitize=address,undefined`` as an executable.  Any read or
 write outside a buffer, misaligned table or signed overflow aborts it.
 
+The same ``main`` runs the kernels that walk planes a vector at a time:
+``bn_train`` / ``bn_bwd`` (f64 lane accumulators loaded at any element
+boundary, a scalar remainder that must stop at the plane's end) over
+planes of 1 to 77 elements, one and two groups, both data dtypes, and the
+geometry-walked max-pool at odd sizes.  Every buffer starts one element
+past its heap block's start — no vector load may assume more alignment
+than its element type has — and ends where the block ends.
+
 Loud skip when the host has no compiler or no sanitizer runtime.
 """
 
@@ -24,7 +32,8 @@ import pytest
 
 from repro import nn
 from repro.engine.backends import CGenBackend, cgen, find_cc
-from repro.engine.backends.core import lower_conv
+from repro.engine.backends.core import lower_conv, lower_pool
+from repro.nn.functional import _conv_output_size
 from repro.engine.backends.threading import scratch_prelude
 
 THREADS = 2
@@ -88,6 +97,61 @@ def _render(renderer):
                     geo=geo, dtype=cd, weight=weight, g=g, dst=dst,
                     accumulate=accumulate,
                 ))
+
+    # planes below, at and off every multiple of the 4- and 8-lane loops
+    for hw, groups, dtype in [
+        (hw, groups, dtype) for hw in (1, 3, 7, 9, 15, 31, 33, 65, 77)
+        for groups in (1, 2) for dtype in (np.float32, np.float64)
+    ]:
+        gs, c = 2, 3
+        shape = (groups * gs, c, 1, hw)
+        x, out, xhat, g, dst = (
+            rng.standard_normal(shape).astype(dtype) for _ in range(5)
+        )
+        inv_std = np.ones((groups, c), dtype=dtype)
+        taps = [np.zeros((groups, c)) for _ in range(4)]
+        if groups > 1:
+            gamma = ("slot", np.ones((groups, c)))
+            beta = ("slot", np.zeros((groups, c)))
+            keep += [gamma[1], beta[1]]
+        else:
+            module = nn.BatchNorm2d(c)
+            gamma = beta = ("module", module)
+            keep += [module.weight, module.bias]
+        keep += [x, out, xhat, g, dst, inv_std] + taps
+        dims = (groups, gs, c, hw)
+        offered("bn_train", dict(
+            x_src=("fixed", x), out=out, xhat=xhat, inv_std=inv_std,
+            batch_mean=taps[0], batch_var=taps[1], gamma=gamma, beta=beta,
+            dims=dims, eps=1e-5, dtype=dtype,
+        ))
+        for sink in (dst, None):  # the network's first BN has none
+            offered("bn_bwd", dict(
+                g=g, xhat=xhat, inv_std=inv_std, grad_gamma=taps[2],
+                grad_beta=taps[3], dst=sink, dims=dims, m=float(gs * hw),
+                gamma=gamma, dtype=dtype, accumulate=False,
+            ))
+
+    for kernel, stride, padding, h, w in [
+        ((3, 3), (2, 2), (1, 1), 7, 13), ((3, 3), (2, 2), (1, 1), 8, 16),
+        ((2, 3), (1, 2), (0, 2), 5, 9), ((1, 1), (1, 1), (0, 0), 1, 1),
+        ((4, 2), (3, 1), (2, 0), 6, 11), ((3, 3), (1, 3), (3, 3), 2, 4),
+    ]:
+        for dtype in (np.float32, np.float64):
+            n, c = 2, 3
+            oh = _conv_output_size(h, kernel[0], stride[0], padding[0])
+            ow = _conv_output_size(w, kernel[1], stride[1], padding[1])
+            geo = lower_pool((n, c, h, w), (n, c, oh, ow), kernel, stride,
+                             padding, dtype)
+            x = rng.standard_normal((n, c, h, w)).astype(dtype)
+            out2 = np.empty((n * c, oh * ow), dtype=dtype)
+            arg = np.empty((n * c, oh * ow), dtype=np.intp)
+            keep += [x, out2, arg]
+            for saved in (arg, None):  # inference plans save no argmax
+                offered("maxpool", dict(
+                    geo=geo, x_src=("fixed", x), out_dtype=dtype, out2=out2,
+                    arg=saved,
+                ))
     return needs, keep
 
 
@@ -103,14 +167,16 @@ def _harness_source(renderer, needs, keep):
     for offer in renderer._offers:
         for bind in offer.binders:
             bind()
-    # slot -> bytes: plan-owned buffers by identity, weights by address
-    sizes = {slot: arr.nbytes for slot, arr in renderer._static}
+    # slot -> (bytes, element bytes): plan-owned buffers by identity,
+    # parameters by address
+    sizes = {slot: (arr.nbytes, arr.itemsize) for slot, arr in renderer._static}
     by_address = {}
     for held in keep:
         data = held.data if isinstance(held, nn.Tensor) else held
-        by_address[data.ctypes.data] = data.nbytes
+        by_address[data.ctypes.data] = (data.nbytes, data.itemsize)
     for slot in range(1, renderer._nslots):
         sizes.setdefault(slot, by_address[int(tab[slot])])
+    sizes[0] = (0, 0)  # the plan input: no stage here reads it
 
     source = renderer._assemble()
     arena = scratch_prelude(renderer.threads, renderer._scratch_bytes)
@@ -119,18 +185,20 @@ def _harness_source(renderer, needs, keep):
         arena,
         f"static char* SCR[{THREADS}];\n#define POOL_SCR(t) (SCR[t])\n",
     )
-    sized = ", ".join(str(sizes.get(slot, 0)) for slot in range(renderer._nslots))
+    slots = range(renderer._nslots)
     return source + f"""
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
-static const i64 SIZES[] = {{ {sized} }};
+static const i64 SIZES[] = {{ {", ".join(str(sizes[s][0]) for s in slots)} }};
+static const i64 ITEMS[] = {{ {", ".join(str(sizes[s][1]) for s in slots)} }};
 static const i64 NEEDS[] = {{ {", ".join(str(v) for v in needs)} }};
 int main(void) {{
     enum {{ NSLOTS = {renderer._nslots}, NSTAGES = {len(needs)} }};
     char* T[NSLOTS];
     for (i64 s = 0; s < NSLOTS; ++s) {{
-        T[s] = SIZES[s] ? malloc(SIZES[s]) : 0;
+        /* one element into its block, ending where the block ends */
+        T[s] = SIZES[s] ? (char*)malloc(SIZES[s] + ITEMS[s]) + ITEMS[s] : 0;
         /* 0x3c bytes: a small finite float at either width */
         if (T[s]) memset(T[s], 0x3c, SIZES[s]);
     }}
@@ -142,7 +210,7 @@ int main(void) {{
     double sum = 0.0;
     for (i64 s = 0; s < NSLOTS; ++s) {{
         for (i64 b = 0; b < SIZES[s]; ++b) sum += (unsigned char)T[s][b];
-        free(T[s]);
+        if (T[s]) free(T[s] - ITEMS[s]);
     }}
     printf("%d stages, checksum %.0f\\n", (int)NSTAGES, sum);
     return 0;
@@ -188,8 +256,9 @@ def test_conv_helpers_run_clean_under_asan_and_ubsan(tmp_path):
 
     renderer = cgen.CRenderer(CGenBackend(), threads=THREADS)
     needs, keep = _render(renderer)
-    assert {"conv_float_double", "conv_double_double",
-            "conv_float_float"} <= set(renderer._helpers)
+    assert {"conv_float_double", "conv_double_double", "conv_float_float",
+            "bn_train_float", "bn_train_double", "bn_bwd_float",
+            "bn_bwd_double"} <= set(renderer._helpers)
     src = tmp_path / "harness.c"
     src.write_text(_harness_source(renderer, needs, keep))
     exe = tmp_path / "harness"

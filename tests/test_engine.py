@@ -205,7 +205,8 @@ class TestPlanStructure:
         assert (stats.backward_stages, stats.skipped_backward) == (77, 1)
         assert (stats.arena_blocks, stats.arena_bytes) == (50, adapt_arena)
         assert stats.workspace_bytes == workspace
-        assert [len(steps) for steps in plan.sections] == [76, 86]
+        # 86 gradient stages + the update tail
+        assert [len(steps) for steps in plan.sections] == [76, 87]
 
     def test_noncontiguous_view_not_frozen(self, rng):
         """reshape-of-transpose copies; the plan must recompute it per
