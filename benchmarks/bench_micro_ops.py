@@ -11,7 +11,7 @@ GEMM, padded im2col conv, linear, max-pool, elementwise ReLU, the
 ``small-r18`` conv shapes as serving feeds them — float32 inputs widened
 into float64 GEMMs — the conv input-gradient shapes of its adaptation
 step, ``dgrad*``: BLAS GEMM + col2im against the gather-form phase
-GEMMs, and its train-mode BN shapes, ``bn_train_*`` / ``bn_bwd_*``) and
+GEMMs (the scatter form on layer 4's grid), and its train-mode BN shapes, ``bn_train_*`` / ``bn_bwd_*``) and
 archives the rows to ``results/micro_ops.json``,
 whose ``*_p95_ms`` keys ride the standard regression gate — a slowdown in
 any one kernel fails CI even when the end-to-end backbone numbers still
@@ -23,8 +23,7 @@ stride-2 max-pool must not lose to their closures from
 ``MIN_GATED_PLANE`` elements per plane up, and a 2-wide pool must not
 lose to one thread on any ``*_mt`` row whose stage the renderer tiles (a stage
 it keeps inline runs the same code at both widths and ties by
-construction).  Smaller convs tie BLAS or drown in plan dispatch
-overhead on both backends; the end-to-end >= 1.3x cgen gate lives in
+construction).  The end-to-end >= 1.3x cgen gate lives in
 ``bench_infer_engine.py``.
 """
 
@@ -99,12 +98,11 @@ def test_batchnorm_train_forward(benchmark):
 
 MICRO_REPS = 200
 # serving-shape conv rows at or above this many output pixels: cgen >=
-# BLAS.  The 40-pixel rows read `conv3x3_64_f32` 1.26-1.64 and
-# `dgrad3x3_64_f64` 1.88-2.33 over seven runs.  The 10-pixel rows stay
-# ungated: one panel, 58 % of its lanes empty, 1.2 MB of weights
-# streamed per call — `conv3x3_128_f32` reads 0.90-1.10, either side of
-# BLAS, and `dgrad3x3_128_f64` 1.28-1.75 over the same runs.
-MIN_GATED_PIXELS = 40
+# BLAS — every row there is, down to layer 4's 2x5 grid, which runs the
+# small-grid kernels (`conv3x3_128_f32`, `conv3x3s2_64to128_f32`,
+# `dgrad3x3_128_f64`; the `dgrad3x3s2_64to128_f64` row is 40 `dX` pixels
+# off a 10-pixel `dY` grid).
+MIN_GATED_PIXELS = 10
 MIN_CONV_SPEEDUP = 1.0
 # BN and max-pool rows from this many elements per plane: below it (the
 # 40- and 10-element planes of layers 3 and 4) a stage is mostly its

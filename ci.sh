@@ -100,10 +100,13 @@ then
     # NR - 1 cells past the last valid position of its padded copy, and
     # only this harness would notice that slack missing.  The same main
     # runs bn_train / bn_bwd (whole-vector loads up to a plane's last
-    # full one, a scalar remainder that must stop at its end) and the
-    # geometry-walked max-pool, every buffer starting one element past
-    # its block.  Without a sanitizer runtime it skips, and -rs prints
-    # the NOTICE
+    # full one, a scalar remainder that must stop at its end), the
+    # geometry-walked max-pool and the two small-grid conv kernels
+    # (convk_* / convt_*: row, result, parked-accumulator and Z blocks in
+    # scratch) over the grids on either side of conv_small — built and
+    # run a second time at 32-byte vectors where the host has AVX-512 —
+    # every buffer starting one element past its block.  Without a
+    # sanitizer runtime it skips, and -rs prints the NOTICE
     python -m pytest tests/test_conv_sanitizer.py -q -rs
     # the bitwise-vs-eager engine suites through the strict renderer (and
     # the only lane that resolves the backend from $REPRO_BACKEND): strict
@@ -120,11 +123,12 @@ then
     # is below _MT_MIN_US, so both widths run the same inline code)
     if [[ "$(python -c 'import os; print(os.cpu_count() or 1)')" -ge 2 ]]; then
         python -m repro.experiments bench-infer --quick --backend cgen --threads 2
-        # per-kernel gates: the rendered conv micro-kernel vs the
-        # numpy/BLAS closure on the serving shapes, the train-BN and
-        # max-pool stages vs their closures from 160 elements a plane
-        # up, and the *_mt rows (2 threads must win, or the stage runs
-        # inline and ties)
+        # per-kernel gates: the rendered conv kernels vs the numpy/BLAS
+        # closure on every serving shape, forward and input gradient,
+        # down to layer 4's 2x5 grid (the small-grid kernels), the
+        # train-BN and max-pool stages vs their closures from 160
+        # elements a plane up, and the *_mt rows (2 threads must win, or
+        # the stage runs inline and ties)
         python -m pytest benchmarks/bench_micro_ops.py -q -k backends
     else
         echo "NOTICE: threaded bench smoke and micro-kernel gates SKIPPED —"

@@ -14,7 +14,8 @@ form on the forward's own kernels: with the weights frozen, ``dX`` is a
 stride-1 forward conv of ``dY`` with the weight read transposed and
 flipped, one per output phase of a strided layer, each over its own tap
 subset — no column-gradient block, no col2im, no zero-dilated ``dY``
-(ROADMAP item 3 has the sizing of both forms).  So a band-parity
+(ROADMAP item 3 has the sizing of both forms; the few-pixel grids of the
+last stage are the exception, below).  So a band-parity
 ``small-r18`` step is two C calls, forward and backward — the backward
 ending in the *update tail*, the running-statistics refresh and the
 SGD-momentum step on gamma/beta over the taps the stages before it
@@ -86,6 +87,20 @@ is an *implicit* GEMM — no column matrix is ever materialised:
   into the output view.  A ``conv_dgrad`` stage is one call whose GEMMs
   are the output phases of the layer: they share one padded ``dY`` and
   own disjoint ``dX`` pixels, so no barrier separates them.
+* ``convk_<xt>_<ct>`` / ``convt_<ct>`` — the same two directions for a
+  grid of at most half a panel (``conv_small``: one comparison in the
+  stage's C, on its own dims — layer 4's 2x5, and 1x3), where pixels on
+  the lanes would be mostly padding.  Both put the axis that is
+  unit-stride in live ``weight.data`` on the lanes, so nothing is packed:
+  the forward gathers one row of ``kt`` inputs per output position of the
+  batch from the padded copy and reduces ``k`` on the lanes (vector loads
+  of both operands, a fixed-order fold, then the same epilogue and output
+  view); the input gradient is one scatter-form GEMM ``Z[p][(c, tap)] =
+  sum_f W[f][(c, tap)] * dY[f][p]`` with the weight columns on the lanes
+  and a col2im that owns stride, padding and out-of-image taps — no
+  phases, no padded ``dY``.  Threads own filter blocks / channel ranges;
+  every output is one summation chain whatever the pool width or the
+  sample's place in a batch.
 
 What is not a GEMM reduces on the same vector type: the train-mode BN
 statistics and the gamma/beta gradients accumulate in f64 on four named
@@ -191,9 +206,11 @@ _MT_MIN_US = 500.0
 # less their ~8 us of Python dispatch (64 -> 56 us for 1.47 M FMAs, 240
 # -> 232 us for 6.02 M): 21 600-23 900 per us on the 640- and 2560-pixel
 # shapes in a batch-1 plan, 24 900-27 000 at batch 4, 26 000 in the
-# micro rows — the shapes that can reach the threshold (layer 4's
-# 10-pixel shapes, which stream 1.2 MB of weights through one panel, run
-# at 11 000-13 700 and never come near it).
+# micro rows.  Layer 4's 10-pixel shapes, on the small-grid kernels, issue
+# what they use and no longer sit below that: 17 500-22 000 forward (row
+# gather and lane fold included), 24 600-27 800 as input gradients, with
+# 1.2 MB of weights streaming from L3 in both.  One constant serves every
+# conv stage.
 _GEMM_PER_US = 22000.0
 # And everything else — sweeps, reductions, the dot-product linear
 # kernels — in the elements each builder counts (a BN forward three per
@@ -216,9 +233,18 @@ _SWEEP_PER_US = 2000.0
 # (24 + 3, weights broadcast from memory): the same kernel text, its row
 # list picked by the preprocessor when the TU is compiled (CONV_ROWS).
 # NR = _NV * VEC_BYTES / itemsize is thus the compiler's to know, and
-# the renderer sizes scratch for the widest.
+# the renderer sizes scratch for the widest.  That tile has output pixels
+# on the lanes, which a grid of at most half a panel (`conv_small` in the
+# rendered prelude: 2x5 and 1x3 at 64 bytes, 1x3 at 32, for f64) would
+# fill mostly with padding.  Such a stage puts the axis its live weights
+# are contiguous along on the lanes instead — the reduction `k` in a
+# forward conv, the weight columns `(channel, tap)` in an input gradient —
+# in a tile of _SG_ROWS rows (filters; vectors of columns) x SG_NP
+# positions: 5 where 32 registers hold 20 accumulators, 3 under AVX2's 16.
+# The choice is that one comparison, made in C on the stage's own dims.
 _MR, _MR_WIDE, _NV = 4, 8, 3
-_VEC_BYTES_MAX = 64
+_VEC_BYTES_MIN, _VEC_BYTES_MAX = 32, 64
+_SG_ROWS, _SG_NP_WIDE, _SG_NP = 4, 5, 3
 
 
 def _cflags(strict: bool) -> List[str]:
@@ -267,18 +293,18 @@ def _c_init(fields) -> str:
     ) + "}"
 
 
-def _rows(count: int) -> str:
-    return " ".join(f"R({r})" for r in range(count))
+def _rows(count: int, macro: str = "R") -> str:
+    return " ".join(f"{macro}({r})" for r in range(count))
 
 
 # the widest vector the host has, shared by the conv micro-kernel and the
 # BN reductions; `v_<ct>` is that many bytes of <ct> lanes, loadable from
 # any element boundary
-_VEC_PRELUDE = """\
+_VEC_PRELUDE = f"""\
 #if defined(__AVX512F__)
-#define VEC_BYTES 64
+#define VEC_BYTES {_VEC_BYTES_MAX}
 #else
-#define VEC_BYTES 32
+#define VEC_BYTES {_VEC_BYTES_MIN}
 #endif
 """
 
@@ -294,9 +320,13 @@ _CONV_PRELUDE = f"""\
 #if VEC_BYTES == 64
 #define CONV_MR {_MR_WIDE}
 #define CONV_ROWS(R) {_rows(_MR_WIDE)}
+#define SG_NP {_SG_NP_WIDE}
+#define SG_COLS(Q) {_rows(_SG_NP_WIDE, "Q")}
 #else
 #define CONV_MR {_MR}
 #define CONV_ROWS(R) {_rows(_MR)}
+#define SG_NP {_SG_NP}
+#define SG_COLS(Q) {_rows(_SG_NP, "Q")}
 #endif
 /* The padded copy a conv stage reads, made once per sample: per channel
  * and input phase (r, s) — rh x rw of them, the residues mod the stride
@@ -330,6 +360,15 @@ static inline i64 conv_kt(const conv_dims* D)
 {{
     return D->kn[0] * D->kn[1] * D->kn[2];
 }}
+/* The one rule that picks a stage's kernel, on the GEMM's pixel grid for
+ * one sample (a forward conv's output grid, an input gradient's dY grid):
+ * when it fills at most half an nr-position panel, pixels on the lanes
+ * would issue mostly padding, so the stage puts the axis its weights are
+ * contiguous along there instead (convk_* forward, convt_* gradient). */
+static inline int conv_small(const conv_dims* D, i64 nr)
+{{
+    return 2 * D->oh * D->ow <= nr;
+}}
 /* nr-position panels of one GEMM: its flat walk ends at the last row's
  * last pixel */
 static inline i64 conv_panels(const conv_dims* D, i64 pw, i64 nr)
@@ -339,19 +378,23 @@ static inline i64 conv_panels(const conv_dims* D, i64 pw, i64 nr)
 /* The GEMM's k walk is one flat loop over per-tap offsets, k in
  * (channel, tap row, tap) order: aoff[k] into a weight row, boff[k] to
  * the cell output position 0 reads.  Derived here, per call, from the
- * dims — at most kt entries per GEMM, nothing per pixel, and no table
- * in the plan or the source. */
+ * dims — channel 0's taps from the geometry, every later channel's one
+ * weight step and one set of planes on; at most kt entries per GEMM,
+ * nothing per pixel, and no table in the plan or the source. */
 static void conv_taps(const conv_pad* P, const conv_dims* D,
                       i64* restrict aoff, i64* restrict boff)
 {{
-    const i64 ps = P->ph * P->pw;
-    for (i64 ch = 0, k = 0; ch < D->kn[0]; ++ch)
-    for (i64 a = 0; a < D->kn[1]; ++a)
+    const i64 ps = P->ph * P->pw, kk = D->kn[1] * D->kn[2];
+    for (i64 a = 0, k = 0; a < D->kn[1]; ++a)
     for (i64 b = 0; b < D->kn[2]; ++b, ++k) {{
         const i64 ya = a + D->da, xb = b + D->db;
-        aoff[k] = ch * D->ks[0] + a * D->ks[1] + b * D->ks[2];
-        boff[k] = ((ch * P->rh + ya % P->sh) * P->rw + xb % P->sw) * ps
+        aoff[k] = a * D->ks[1] + b * D->ks[2];
+        boff[k] = (ya % P->sh * P->rw + xb % P->sw) * ps
             + ya / P->sh * P->pw + xb / P->sw;
+    }}
+    for (i64 k = kk; k < kk * D->kn[0]; ++k) {{
+        aoff[k] = aoff[k - kk] + D->ks[0];
+        boff[k] = boff[k - kk] + P->rh * P->rw * ps;
     }}
 }}
 """
@@ -573,12 +616,295 @@ static void conv_{xt}_{ct}(const {xt}* X, const {ct}* A, {ct}* O,
 """
 
 
+def _gemmk_source(ct: str) -> str:
+    """``gemmk_<ct>``: the forward GEMM of a small grid, ``k`` on the lanes.
+
+    ``out[i][p] = sum_k A[i][k] * rows[p][k]`` over the ``n * oh * ow``
+    positions of a batch — each a row of ``kt`` inputs in the weight's own
+    order, so both operands are unit-stride vector loads and nothing is
+    broadcast.  A tile of ``_SG_ROWS`` filters x ``SG_NP`` positions keeps
+    one vector of partial sums per output (lane ``l`` takes ``k = l mod
+    VL``).  ``k`` is walked in chunks whose rows stay in L1 while every
+    filter block passes over them — the rows are the operand reused
+    ``f / _SG_ROWS`` times, the weights stream through once — with the
+    tile's vectors parked in ``acc`` between chunks, which changes no
+    sum.  After the last chunk each vector is folded in a fixed order and
+    takes the last ``kt % VL`` taps as scalars; edge tiles repeat the
+    last filter / position, so every output is the same chain wherever it
+    falls in a tile or a batch.  A filter block's results then take
+    ``epilogue_<ct>`` once per (filter, sample), as the panel kernel's
+    do, and go through the output view.
+    """
+    rows = range(_SG_ROWS)
+    ptrs = "\n        ".join(
+        f"const {ct}* a{r} = A + (f0 + {r} < f ? f0 + {r} : f - 1) * D->as_f;"
+        for r in rows
+    )
+    zero = ", ".join(f"c{r}##q = {{0}}" for r in rows)
+    take = " ".join(f"c{r}##q = ac[{r} * SG_NP + q];" for r in rows)
+    park = " ".join(f"ac[{r} * SG_NP + q] = c{r}##q;" for r in rows)
+    loads = ", ".join(f"w{r} = *(const v_{ct}*)(a{r} + k)" for r in rows)
+    fmas = " ".join(f"c{r}##q += w{r} * x;" for r in rows)
+    half = _SG_ROWS // 2
+    fetch_ptrs = " ".join(
+        f"const {ct}* pf{r} = (p0 ? a{half + r} : a{r}) + ahead;"
+        for r in range(half)
+    )
+    fetch = " ".join(f"__builtin_prefetch(pf{r} + k);" for r in range(half))
+    return f"""\
+static inline {ct} lanes_sum_{ct}(const v_{ct}* v)
+{{
+    enum {{ HL = VEC_BYTES / sizeof({ct}) / 2 }};
+    {ct} l[HL];
+    *(vh_{ct}*)l = *(const vh_{ct}*)v + *((const vh_{ct}*)v + 1);
+    for (int w = HL / 2; w; w /= 2)
+        for (int i = 0; i < w; ++i) l[i] += l[i + w];
+    return l[0];
+}}
+#define KCOL_PTR(q) \\
+    const {ct}* x##q = rows + (p0 + q < np ? p0 + q : np - 1) * kt;
+#define KCOL_TAKE(q) v_{ct} {zero}; if (k0) {{ {take} }}
+#define KCOL_FMA(q) {{ const v_{ct} x = *(const v_{ct}*)(x##q + k); {fmas} }}
+#define KCOL_PARK(q) {park}
+static void gemmk_{ct}(const {ct}* restrict A, const {ct}* restrict rows,
+                       {ct}* restrict O, const conv_dims* D, i64 n, i64 kt,
+                       i64 b0, i64 b1, {ct}* restrict res, const conv_epi* E)
+{{
+    /* L1_ROWS: what a chunk's rows may take of a 32-48 kB L1, beside a
+     * block's weights and the accumulators passing through */
+    enum {{ VL = VEC_BYTES / sizeof({ct}), FB = {_SG_ROWS},
+           TILE = FB * SG_NP, L1_ROWS = 24 << 10 }};
+    const i64 f = D->f, oh = D->oh, ow = D->ow, hw = oh * ow, np = n * hw;
+    const i64 tiles = (np + SG_NP - 1) / SG_NP, kv = kt / VL * VL;
+    i64 kc = L1_ROWS / (i64)sizeof({ct}) / np / VL * VL;
+    if (kc < 4 * VL) kc = 4 * VL;
+    /* after the results: one vector per output of the owned blocks */
+    v_{ct}* const acc = (v_{ct}*)(res + FB * np);
+    for (i64 k0 = 0; k0 < kv; k0 += kc) {{
+        const i64 k1 = k0 + kc < kv ? k0 + kc : kv;
+        v_{ct}* ac = acc;
+        for (i64 f0 = b0 * FB; f0 < b1 * FB; f0 += FB) {{
+            {ptrs}
+            const i64 next = f0 + FB < b1 * FB
+                ? FB * D->as_f : (b0 * FB - f0) * D->as_f + kc;
+            for (i64 p0 = 0; p0 < np; p0 += SG_NP, ac += TILE) {{
+                SG_COLS(KCOL_PTR)
+                SG_COLS(KCOL_TAKE)
+                /* the weights are the one operand that streams, and a
+                 * block's first tile would take all its misses: tile 0
+                 * fetches half of the next block's lines of this chunk
+                 * (the first block's of the next chunk, after the last),
+                 * tile 1 the other half */
+                const i64 ahead = p0 < 2 * SG_NP ? next : 0;
+                {fetch_ptrs}
+                for (i64 k = k0; k < k1; k += VL) {{
+                    {fetch}
+                    const v_{ct} {loads};
+                    SG_COLS(KCOL_FMA)
+                }}
+                SG_COLS(KCOL_PARK)
+            }}
+        }}
+    }}
+    const v_{ct}* ac = acc;
+    for (i64 f0 = b0 * FB; f0 < b1 * FB; f0 += FB, ac += tiles * TILE) {{
+        const i64 mr = f - f0 < FB ? f - f0 : FB;
+        for (i64 r = 0; r < mr; ++r) {{
+            const {ct}* a = A + (f0 + r) * D->as_f;
+            {ct}* row = res + r * np;
+            for (i64 p = 0; p < np; ++p) {{
+                const {ct}* x = rows + p * kt;
+                /* a row shorter than one vector parked nothing */
+                {ct} v = !kv ? ({ct})0 : lanes_sum_{ct}(
+                    ac + p / SG_NP * TILE + r * SG_NP + p % SG_NP);
+                for (i64 k = kv; k < kt; ++k) v += a[k] * x[k];
+                row[p] = v;
+            }}
+        }}
+        for (i64 r = 0; r < mr; ++r)
+        for (i64 s = 0; s < n; ++s) {{
+            {ct}* row = res + r * np + s * hw;
+            conv_epi En = *E;
+            if (En.mode == 1) {{ En.e0 += s * f; En.e1 += s * f; }}
+            epilogue_{ct}(row, hw, f0 + r, &En);
+            {ct}* o = O + (s * f + f0 + r) * D->ldo;
+            for (i64 y = 0; y < oh; ++y)
+            for (i64 x = 0; x < ow; ++x) {{
+                {ct}* d = o + y * D->oy + x * D->ox;
+                *d = D->acc ? *d + row[y * ow + x] : row[y * ow + x];
+            }}
+        }}
+    }}
+}}
+#undef KCOL_PTR
+#undef KCOL_TAKE
+#undef KCOL_FMA
+#undef KCOL_PARK
+"""
+
+
+def _convk_source(xt: str, ct: str) -> str:
+    """``convk_<xt>_<ct>``: the small-grid forward driver.  Threads own
+    fixed blocks of ``_SG_ROWS`` filters; each pads every sample in turn
+    (``pad_<xt>_<ct>``) and gathers one row per output position through
+    the tap offsets, then runs its blocks over all of them — the samples
+    of a batch are just more positions, so the weights are walked once."""
+    return f"""\
+static void convk_{xt}_{ct}(const {xt}* X, const {ct}* A, {ct}* O,
+                            const conv_pad* P, const conv_dims* D,
+                            const conv_epi* E, i64 tid, i64 nt)
+{{
+    const i64 kt = conv_kt(D), pw = P->pw, hw = D->oh * D->ow;
+    const i64 blocks = (D->f + {_SG_ROWS} - 1) / {_SG_ROWS};
+    const i64 b0 = (blocks * tid) / nt, b1 = (blocks * (tid + 1)) / nt;
+    if (b0 >= b1) return;
+    /* POOL_SCR(tid): the tap offsets, (64-aligned) one padded sample, a
+     * row of kt inputs per position, one filter block's results, then
+     * gemmk's parked accumulators */
+    i64* const off = (i64*)POOL_SCR(tid);
+    const i64* const boff = off + kt;
+    {ct}* const xp = ({ct}*)(off + (2 * kt + 7) / 8 * 8);
+    {ct}* const rows = xp + P->c * P->rh * P->rw * P->ph * pw;
+    conv_taps(P, D, off, off + kt);
+    for (i64 n = 0; n < P->n; ++n) {{
+        pad_{xt}_{ct}(X + n * P->c * P->h * P->w, xp, P);
+        for (i64 y = 0; y < D->oh; ++y)
+        for (i64 x = 0; x < D->ow; ++x) {{
+            {ct}* restrict row = rows + (n * hw + y * D->ow + x) * kt;
+            const {ct}* at = xp + y * pw + x;
+            for (i64 k = 0; k < kt; ++k) row[k] = at[boff[k]];
+        }}
+    }}
+    gemmk_{ct}(A + D->a0, rows, O + D->o0, D, P->n, kt, b0, b1,
+               rows + P->n * hw * kt, E);
+}}
+"""
+
+
+def _convt_source(ct: str) -> str:
+    """``convt_<ct>``: a small grid's input gradient in scatter form,
+    described by the *forward* conv's ``(conv_pad, conv_dims)`` with ``X``
+    its output gradient and ``O`` its input's.
+
+    One GEMM, ``Z[p][j] = sum_i A[i][j] * dY[i][p]`` over the columns ``j
+    = (channel, tap row, tap)`` of the live weight matrix — contiguous in
+    every row ``i``, so they ride the lanes (``_SG_ROWS`` vectors x
+    ``SG_NP`` positions of accumulators, ``dY`` broadcast; columns past
+    the last whole tile take the same serial-``i`` chain as scalars).  A
+    column panel of a row-major matrix is one short run per row, a page
+    apart, so ``i`` is walked in chunks of ``IC`` rows — few enough that a
+    panel's lines stay in L1 for every tile and its pages in the TLB, and
+    along each row the panels follow one another — with ``Z`` itself the
+    accumulator between chunks (the tile loads what the chunk before
+    stored, which changes no sum).  Then a col2im adds each ``Z`` element
+    to the one ``dX`` cell it belongs to, taps outside the image skipped,
+    in (tap row, tap) order per cell.  Stride and padding live only
+    there: no padded ``dY``, no phases.  Threads own fixed channel ranges
+    — the ``Z`` columns a thread computes are the ones it scatters, into
+    planes nobody else touches.
+    """
+    rows = range(_SG_ROWS)
+    zero = ", ".join(f"c{r}##q = {{0}}" for r in rows)
+    take = " ".join(
+        f"c{r}##q = *(const v_{ct}*)(z##q + {r} * VL);" for r in rows
+    )
+    loads = ", ".join(
+        f"w{r} = *(const v_{ct}*)(wi + {r} * VL)" for r in rows
+    )
+    fmas = " ".join(f"c{r}##q += w{r} * g;" for r in rows)
+    spill = " ".join(f"*(v_{ct}*)(z##q + {r} * VL) = c{r}##q;" for r in rows)
+    half = _SG_ROWS // 2
+    fetch = " ".join(
+        f"__builtin_prefetch(pf + {r} * VL);" for r in range(half)
+    )
+    return f"""\
+#define TCOL_PTR(q) \\
+    const i64 at##q = p0 + q < np ? p0 + q : np - 1; \\
+    const {ct}* g##q = G + at##q / hw * f * hw + at##q % hw; \\
+    {ct}* z##q = Z + at##q * nj + j0 - jlo;
+#define TCOL_TAKE(q) v_{ct} {zero}; if (i0) {{ {take} }}
+#define TCOL_FMA(q) {{ const {ct} g = g##q[i * hw]; {fmas} }}
+#define TCOL_SPILL(q) if (p0 + q < np) {{ {spill} }}
+static void convt_{ct}(const {ct}* restrict G, const {ct}* restrict A,
+                       {ct}* restrict O, const conv_pad* P,
+                       const conv_dims* D, i64 tid, i64 nt)
+{{
+    enum {{ VL = VEC_BYTES / sizeof({ct}), JB = {_SG_ROWS} * VL, IC = 32 }};
+    const i64 f = D->f, oh = D->oh, ow = D->ow, hw = oh * ow, np = P->n * hw;
+    const i64 kh = D->kn[1], kw = D->kn[2], kk = kh * kw;
+    const i64 clo = (P->c * tid) / nt, chi = (P->c * (tid + 1)) / nt;
+    if (clo >= chi) return;
+    const i64 jlo = clo * kk, jhi = chi * kk, nj = jhi - jlo;
+    const i64 jv = jlo + nj / JB * JB;  /* whole tiles end here */
+    const {ct}* const W = A + D->a0;
+    {ct}* const Z = ({ct}*)POOL_SCR(tid);  /* np rows of the nj columns */
+    for (i64 i0 = 0; i0 < f; i0 += IC) {{
+        const i64 i1 = i0 + IC < f ? i0 + IC : f;
+        for (i64 j0 = jlo; j0 < jv; j0 += JB)
+        for (i64 p0 = 0; p0 < np; p0 += SG_NP) {{
+            SG_COLS(TCOL_PTR)
+            SG_COLS(TCOL_TAKE)
+            const {ct}* wi = W + i0 * D->as_f + j0;
+            /* the next panel's lines of these rows, half per tile: a
+             * panel's first tile would otherwise take every miss */
+            const {ct}* pf = wi + JB + (p0 ? {half} * VL : 0);
+            for (i64 i = i0; i < i1; ++i, wi += D->as_f, pf += D->as_f) {{
+                {fetch}
+                const v_{ct} {loads};
+                SG_COLS(TCOL_FMA)
+            }}
+            SG_COLS(TCOL_SPILL)
+        }}
+    }}
+    for (i64 j = jv; j < jhi; ++j)
+        for (i64 p = 0; p < np; ++p) {{
+            const {ct}* g = G + p / hw * f * hw + p % hw;
+            {ct} z = 0;
+            for (i64 i = 0; i < f; ++i) z += W[i * D->as_f + j] * g[i * hw];
+            Z[p * nj + j - jlo] = z;
+        }}
+    const i64 h = P->h, w = P->w, sh = P->sh, sw = P->sw;
+    if (!D->acc)
+        for (i64 s = 0; s < P->n; ++s) {{
+            {ct}* o = O + (s * P->c + clo) * h * w;
+            for (i64 t = 0; t < (chi - clo) * h * w; ++t) o[t] = ({ct})0;
+        }}
+    for (i64 a = 0; a < kh; ++a) {{
+        /* dY rows [ylo, yhi) put tap row a inside the image */
+        const i64 below = h + P->pt - a;
+        const i64 ylo = P->pt > a ? (P->pt - a + sh - 1) / sh : 0;
+        i64 yhi = below > 0 ? (below + sh - 1) / sh : 0;
+        if (yhi > oh) yhi = oh;
+        for (i64 b = 0; b < kw; ++b) {{
+            const i64 span = w + P->pl - b;
+            const i64 xlo = P->pl > b ? (P->pl - b + sw - 1) / sw : 0;
+            i64 xhi = span > 0 ? (span + sw - 1) / sw : 0;
+            if (xhi > ow) xhi = ow;
+            for (i64 s = 0; s < P->n; ++s)
+            for (i64 ch = clo; ch < chi; ++ch) {{
+                const {ct}* z = Z + s * hw * nj + ch * kk + a * kw + b - jlo;
+                {ct}* restrict o = O + (s * P->c + ch) * h * w
+                    + (a - P->pt) * w + b - P->pl;
+                for (i64 y = ylo; y < yhi; ++y)
+                for (i64 x = xlo; x < xhi; ++x)
+                    o[y * sh * w + x * sw] += z[(y * ow + x) * nj];
+            }}
+        }}
+    }}
+}}
+#undef TCOL_PTR
+#undef TCOL_TAKE
+#undef TCOL_FMA
+#undef TCOL_SPILL
+"""
+
+
 def _lanes_source(ct: str) -> str:
     """``LANES_<ct>(p)``: the ``LV`` elements of ``ct`` at ``p`` (any
     element boundary) widened to the f64 lanes of one accumulator."""
     if ct == "double":
         return "#define LANES_double(p) (*(const v_double*)(p))\n"
-    return _vec_type(ct, "VEC_BYTES / 2", "vh") + (
+    return (
         f"#define LANES_{ct}(p) "
         f"__builtin_convertvector(*(const vh_{ct}*)(p), v_double)\n"
     )
@@ -847,6 +1173,24 @@ def _phase_axis(size: int, k: int, s: int, p: int):
             taps - 1 - (r + p - first) // s,
         ))
     return out
+
+
+def _forward_dims(geo: ConvLowering, acc: int = 0):
+    """``(conv_pad, conv_dims)`` of ``geo``'s forward conv: the padded copy
+    its taps read and the one GEMM over it, weight rows walked flat.  With
+    ``acc`` the same pair describes the conv's input gradient to
+    ``convt_<ct>`` (add to the sink instead of overwriting it)."""
+    (kh, kw), (sh, sw) = geo.kernel, geo.stride
+    return (
+        _ConvPad(geo.n, geo.c, geo.h, geo.w, sh, sw,
+                 rh=min(sh, kh), rw=min(sw, kw),
+                 pt=geo.padding[0], pl=geo.padding[1],
+                 ph=geo.out_h + (kh - 1) // sh,
+                 pw=geo.out_w + (kw - 1) // sw),
+        _ConvDims(geo.f_out, geo.out_h, geo.out_w, kn=(geo.c, kh, kw),
+                  ks=(kh * kw, kw, 1), as_f=geo.k_total, ldo=geo.p_total,
+                  oy=geo.out_w, acc=acc),
+    )
 
 
 def _shared_pad(axis):
@@ -1125,15 +1469,20 @@ class CRenderer:
 
     # -- stage builders --------------------------------------------------
     def _vec_helpers(self, ct: str) -> None:
-        """Emit (once per TU) ``VEC_BYTES`` and the ``v_<ct>`` vector."""
+        """Emit (once per TU) ``VEC_BYTES``, the ``v_<ct>`` vector and its
+        half ``vh_<ct>``."""
         self._helpers.setdefault("vec", _VEC_PRELUDE)
-        self._helpers.setdefault(f"v_{ct}", _vec_type(ct))
+        self._helpers.setdefault(
+            f"v_{ct}",
+            _vec_type(ct) + _vec_type(ct, "VEC_BYTES / 2", "vh"),
+        )
 
     def _bn_helper(self, name: str, ct: str, source) -> str:
         """Emit (once per TU) the f64 lane accumulators over ``ct`` data
         and the BN kernel ``<name>_<ct>`` reducing on them; returns the
         kernel's name."""
         self._vec_helpers("double")
+        self._vec_helpers(ct)
         self._helpers.setdefault("lanes", _LANES_PRELUDE)
         self._helpers.setdefault(f"lanes_{ct}", _lanes_source(ct))
         self._helpers.setdefault(f"{name}_{ct}", source(ct))
@@ -1141,26 +1490,41 @@ class CRenderer:
 
     def _conv_helpers(self, xt: str, ct: str) -> str:
         """Emit (once per TU) the conv kernels for input type ``xt`` and
-        compute type ``ct``; returns the driver's name."""
+        compute type ``ct`` — both forward drivers, panel and small-grid;
+        returns the panel driver's name."""
         self._vec_helpers(ct)
         self._helpers.setdefault("conv_prelude", _CONV_PRELUDE)
         self._helpers.setdefault(
-            f"gemm_{ct}", _epilogue_source(ct) + _gemm_source(ct)
+            f"gemm_{ct}",
+            _epilogue_source(ct) + _gemm_source(ct) + _gemmk_source(ct),
         )
         name = f"conv_{xt}_{ct}"
-        self._helpers.setdefault(name, _conv_source(xt, ct))
+        self._helpers.setdefault(
+            name, _conv_source(xt, ct) + _convk_source(xt, ct)
+        )
         return name
 
     def _conv_call(self, xt: str, ct: str, x: str, a: str, o: str,
-                   pad: _ConvPad, gemms: List[_ConvDims]):
-        """One conv stage through the shared driver: every GEMM of
-        ``gemms`` run over one ``pad`` copy of the input (the C comments
-        name the fields; the stage declares ``E``).  Reserves the
-        per-thread scratch — the tap offsets, one padded sample, a widest
-        NR of slack — and returns ``(C lines, (sample, panel) units to
-        hand out, estimated kernel us)``."""
+                   pad: _ConvPad, gemms: List[_ConvDims], forward=None):
+        """One conv stage (the C comments name the fields; the stage
+        declares ``E``): every GEMM of ``gemms`` run over one ``pad`` copy
+        of the input through the panel driver — or, where the C's
+        ``conv_small`` holds, the stage's small-grid form: ``gemms[0]``
+        itself with ``k`` on the lanes for a forward conv, the scatter
+        form over ``forward`` — the ``(pad, dims)`` of the conv whose
+        input gradient this is — otherwise.  The rule depends on the
+        vector width the compiler finds; where both widths agree only
+        that branch is written, so a stage above the rule is the text it
+        always was and one below it carries no phases.  Reserves the
+        per-thread scratch of what can run — the tap offsets, one padded
+        sample and a widest NR of slack; the small forward's rows, result
+        block and parked accumulators; the gradient's ``Z`` — and returns
+        ``(C lines, units to hand out, estimated kernel us)``."""
         itemsize = 8 if ct == "double" else 4
-        nr = _NV * _VEC_BYTES_MAX // itemsize
+        nr_lo, nr = (
+            _NV * nbytes // itemsize
+            for nbytes in (_VEC_BYTES_MIN, _VEC_BYTES_MAX)
+        )
         panels = fmas = taps = 0
         for g in gemms:
             kt = g.kn[0] * g.kn[1] * g.kn[2]
@@ -1168,14 +1532,47 @@ class CRenderer:
             fmas += g.f * g.oh * g.ow * kt
             taps += kt
         cells = pad.c * pad.rh * pad.rw * pad.ph * pad.pw
-        self._need_scratch(-(-2 * taps // 8) * 64 + (cells + nr) * itemsize)
-        lines = [
-            f"    static const conv_pad P = {_c_init(pad)};",
-            f"    static const conv_dims D[] = {_c_init(tuple(gemms))};",
-            f"    {self._conv_helpers(xt, ct)}({x}, {a}, {o}, &P, D, "
-            f"{len(gemms)}, &E, tid, nt);",
-        ]
-        return lines, pad.n * panels, pad.n * fmas / _GEMM_PER_US
+        offsets = -(-2 * taps // 8) * 64
+        driver = self._conv_helpers(xt, ct)
+        args = f"{x}, {a}, {o}"
+        spad, sdims = forward or (pad, gemms[0])
+        grid = 2 * sdims.oh * sdims.ow
+        positions = spad.n * sdims.oh * sdims.ow
+        decls, panel, small, units = [], None, None, 0
+        if grid > nr_lo or forward is None:
+            decls += [
+                f"    static const conv_pad P = {_c_init(pad)};",
+                f"    static const conv_dims D[] = {_c_init(tuple(gemms))};",
+            ]
+        if grid > nr_lo:  # the panel driver, at some vector width
+            self._need_scratch(offsets + (cells + nr) * itemsize)
+            panel = f"{driver}({args}, &P, D, {len(gemms)}, &E, tid, nt);"
+            units = pad.n * panels
+        if grid <= nr and forward is None:
+            units = -(-sdims.f // _SG_ROWS)
+            parked = units * _SG_ROWS * -(-positions // _SG_NP_WIDE)
+            self._need_scratch(
+                offsets + (cells + positions * (taps + _SG_ROWS)) * itemsize
+                + parked * _SG_NP_WIDE * _VEC_BYTES_MAX
+            )
+            small = f"convk_{xt}_{ct}({args}, &P, D, &E, tid, nt);"
+        elif grid <= nr:
+            units = spad.c
+            kn = sdims.kn
+            self._need_scratch(positions * kn[0] * kn[1] * kn[2] * itemsize)
+            self._helpers.setdefault(f"convt_{ct}", _convt_source(ct))
+            decls += [
+                f"    static const conv_pad PF = {_c_init(spad)};",
+                f"    static const conv_dims DF = {_c_init(sdims)};",
+            ]
+            small = f"convt_{ct}({args}, &PF, &DF, tid, nt);"
+        if panel and small:
+            rule = "D" if forward is None else "&DF"
+            call = [f"    if (conv_small({rule}, NR_{ct}))",
+                    f"        {small}", "    else", f"        {panel}"]
+        else:
+            call = [f"    {panel or small}"]
+        return decls + call, units, pad.n * fmas / _GEMM_PER_US
 
     def _try_conv(self, spec, fallback):
         geo: ConvLowering = spec["geo"]
@@ -1213,7 +1610,7 @@ class CRenderer:
             bias_ptr = f"T[{sb}]"
         relu = int(bool(spec["relu"]))
 
-        n, f, p, kt = geo.n, geo.f_out, geo.p_total, geo.k_total
+        n, f = geo.n, geo.f_out
         bn_module = spec["bn_module"]
         if bn_module is not None:
             bn = self._bn_slots(bn_module, n, f, offer)
@@ -1236,17 +1633,10 @@ class CRenderer:
                 f"    const conv_epi E = {{{bias_ptr}, 0, 0, 0, 0, 0, 0.0, "
                 f"{relu}}};"
             ]
-        (kh, kw), (sh, sw_) = geo.kernel, geo.stride
+        pad, dims = _forward_dims(geo)
         call, units, est_us = self._conv_call(
             xt, ct, f"(const {xt}*)T[{sx}]", f"(const {ct}*)T[{sw}]",
-            f"({ct}*)T[{so}]",
-            _ConvPad(n, geo.c, geo.h, geo.w, sh, sw_,
-                     rh=min(sh, kh), rw=min(sw_, kw),
-                     pt=geo.padding[0], pl=geo.padding[1],
-                     ph=geo.out_h + (kh - 1) // sh,
-                     pw=geo.out_w + (kw - 1) // sw_),
-            [_ConvDims(f, geo.out_h, geo.out_w, kn=(geo.c, kh, kw),
-                       ks=(kh * kw, kw, 1), as_f=kt, ldo=p, oy=geo.out_w)],
+            f"({ct}*)T[{so}]", pad, [dims],
         )
         return self._accept(
             fallback, [out3], "\n".join(lines + call) + "\n", offer.binders,
@@ -1715,7 +2105,7 @@ class CRenderer:
             f"({ct}*)T[{so}]",
             _ConvPad(geo.n, geo.f_out, geo.out_h, geo.out_w, 1, 1, 1, 1,
                      pt, pl, ph, pw),
-            gemms,
+            gemms, forward=_forward_dims(geo, acc),
         )
         lines = ["    const conv_epi E = {0, 0, 0, 0, 0, 0, 0.0, 0};"] + call
         return self._accept(

@@ -6,7 +6,8 @@ family: the im2col-GEMM conv (gather + matmul + fused BN/ReLU epilogue),
 the identity-columns 1x1 GEMM, the linear GEMM, max-pool, and the
 elementwise ReLU epilogue — and, picked out of a small adaptation plan,
 the conv input-gradient stage (numpy: BLAS dgrad GEMM + col2im; cgen:
-the gather-form phase convs) and the train-mode BN forward and backward
+the gather-form phase convs, or on layer 4's 2x5 grid the scatter form
+with the weight columns on the lanes) and the train-mode BN forward and backward
 (numpy: a ufunc pass per op; cgen: lane-accumulator reductions and one
 normalise sweep).  Rows are archived to
 ``results/micro_ops.json`` by :mod:`benchmarks.bench_micro_ops`; the
@@ -80,6 +81,7 @@ def _micro_cases(rng: np.random.Generator):
         ("conv3x3_32_f32", 32, 32, 3, 1, (8, 20)),
         ("conv3x3_64_f32", 64, 64, 3, 1, (4, 10)),
         ("conv3x3_128_f32", 128, 128, 3, 1, (2, 5)),
+        ("conv3x3s2_64to128_f32", 64, 128, 3, 2, (4, 10)),
         ("conv1x1s2_16to32_f32", 16, 32, 1, 2, (16, 40)),
     ):
         cases.append(
@@ -114,6 +116,7 @@ def _micro_cases(rng: np.random.Generator):
         ("dgrad3x3_32_f64", 32, 32, 3, 1, (8, 20)),
         ("dgrad3x3_64_f64", 64, 64, 3, 1, (4, 10)),
         ("dgrad3x3_128_f64", 128, 128, 3, 1, (2, 5)),
+        ("dgrad3x3s2_64to128_f64", 64, 128, 3, 2, (4, 10)),
         ("dgrad3x3s2_16to32_f64", 16, 32, 3, 2, (16, 40)),
         ("dgrad1x1s2_16to32_f64", 16, 32, 1, 2, (16, 40)),
     ):

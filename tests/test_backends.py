@@ -43,6 +43,7 @@ from repro.engine.backends import (
 from repro.engine.backends import cgen
 from repro.engine.backends.core import lower_conv
 from repro.engine.backends.threading import ENV_THREADS, MAX_THREADS
+from repro.nn import functional as F
 from repro.pipeline.realtime import PipelineConfig
 from repro.serve.server import FleetConfig
 
@@ -1994,3 +1995,293 @@ class TestRenderedConvDgrad:
         CompiledAdaptStep(model, backend="cgen").plan_for(x)
         assert kinds.count("conv_dgrad") == 20
         assert "conv_bwd" not in kinds
+
+
+# ---------------------------------------------------------------------------
+# small grids: the reduction (forward) or the weight columns (input
+# gradient) on the lanes
+
+
+class _StageUnit:
+    """Stages offered straight to one renderer and compiled as one unit,
+    each run as every thread of a pool of any width up to ``WIDTH`` in
+    turn (``tid`` / ``nt`` are a stage's arguments; ownership is fixed and
+    disjoint, so one thread after another writes what they would side by
+    side) — 45 geometries cost one compile instead of hundreds."""
+
+    WIDTH = 3
+
+    def __init__(self):
+        self.renderer = cgen.CRenderer(CGenBackend(), threads=self.WIDTH)
+
+    def offer(self, kind, **spec):
+        offer = self.renderer.offer_stage(kind, spec, None)
+        assert offer is not None, (kind, spec)
+        return offer.sid
+
+    def build(self, cache_dir):
+        from test_conv_sanitizer import bound_table
+
+        self.tab = bound_table(self.renderer)
+        source = self.renderer._assemble() + (
+            "void stage_as(char** T, i64 sid, i64 nt)\n"
+            "{ for (i64 t = 0; t < nt; ++t) STAGES[sid](T, t, nt); }\n"
+        )
+        so, _, err = cgen._ensure_so(source, str(cache_dir), cgen._cflags(False))
+        assert so is not None, err
+        self.lib = ctypes.CDLL(so)
+
+    def run(self, sid, nt=1):
+        self.lib.stage_as(
+            ctypes.c_void_p(self.tab.ctypes.data), ctypes.c_longlong(sid),
+            ctypes.c_longlong(nt),
+        )
+
+
+class _SmallGridCase:
+    """One geometry of ``small_grid_cases``: the forward conv and both
+    sinks of its input gradient on the whole batch and on every sample
+    alone, with the numpy closures' arithmetic as the reference."""
+
+    def __init__(self, unit, index, kernel, stride, padding, h, w, n, c, f):
+        rng = np.random.default_rng(100 + index)
+        xd, cd = [(np.float32, np.float64), (np.float64, np.float64),
+                  (np.float32, np.float32)][index % 3]
+        self.n, self.cd = n, cd
+        self.conv = dict(stride=stride, padding=padding)
+        self.kernel = kernel
+        self.weight = nn.Tensor(rng.standard_normal((f, c) + kernel).astype(cd))
+        self.bias = (
+            nn.Tensor(rng.standard_normal(f).astype(cd)) if index % 2 else None
+        )
+        self.relu = index % 4 == 1
+        self.x = rng.standard_normal((n, c, h, w)).astype(xd)
+        self.g = None
+        self.base = rng.standard_normal((n, c, h, w)).astype(cd)
+        self.fwd, self.bwd = [], {False: [], True: []}
+        # the batch first, then each sample alone
+        for rows in [slice(0, n)] + [slice(i, i + 1) for i in range(n)]:
+            x = np.ascontiguousarray(self.x[rows])
+            geo = lower_conv(x.shape, self.weight.shape, stride, padding, cd, xd)
+            if self.g is None:
+                self.g = rng.standard_normal(
+                    (n, f, geo.out_h, geo.out_w)
+                ).astype(cd)
+            out3 = np.empty((x.shape[0], f, geo.p_total), dtype=cd)
+            self.fwd.append((unit.offer(
+                "conv", geo=geo, weight=self.weight, bias=self.bias, out3=out3,
+                x_src=("fixed", x), relu=self.relu, bn_module=None,
+            ), x, out3, rows))
+            g = np.ascontiguousarray(self.g[rows])
+            for accumulate in (False, True):
+                dst = np.empty(x.shape, dtype=cd)
+                self.bwd[accumulate].append((unit.offer(
+                    "conv_dgrad", geo=geo, dtype=cd, weight=self.weight, g=g,
+                    dst=dst, accumulate=accumulate,
+                ), g, dst, rows))
+
+    def forward_closure(self, x):
+        out = F.conv2d(
+            nn.Tensor(x.astype(self.cd)), self.weight, self.bias, **self.conv
+        ).numpy()
+        return np.maximum(out, 0) if self.relu else out
+
+    def dgrad_closure(self, g, accumulate, rows):
+        n, f = g.shape[:2]
+        cols = F._conv_dgrad(
+            self.weight.data.reshape(f, -1), g.reshape(n, f, -1)
+        )
+        image = F._col2im(
+            cols, self.base[rows].shape, self.kernel, self.conv["stride"],
+            self.conv["padding"],
+        )
+        return self.base[rows] + image if accumulate else image
+
+    def run_dgrad(self, unit, accumulate, which=0, nt=1):
+        sid, _, dst, rows = self.bwd[accumulate][which]
+        dst[...] = self.base[rows] if accumulate else np.nan
+        unit.run(sid, nt)
+        return dst
+
+
+@pytest.fixture(scope="module")
+def small_grids(tmp_path_factory):
+    from test_conv_sanitizer import small_grid_cases
+
+    unit = _StageUnit()
+    cases = [
+        _SmallGridCase(unit, index, *case)
+        for index, case in enumerate(small_grid_cases())
+    ]
+    unit.build(tmp_path_factory.mktemp("small-grid-unit"))
+    return unit, cases
+
+
+@needs_cc
+class TestSmallGridKernels:
+    """Grids of at most half a panel leave the pixels-on-lanes kernel
+    mostly padding, so ``conv_small`` sends them to ``convk_*`` / ``convt_*``.
+    The geometries are the sanitizer harness's: 1x1, 1x3, 2x5 and the
+    grids on either side of the rule at both vector widths, ``kt`` / ``9C``
+    off every vector length, strides 1-2, padding 0-2, batches 1-4."""
+
+    def test_band_parity_and_pool_width_invariance(self, small_grids):
+        unit, cases = small_grids
+        for case in cases:
+            sid, x, out3, _ = case.fwd[0]
+            unit.run(sid, 1)
+            np.testing.assert_allclose(
+                out3.reshape(case.forward_closure(x).shape),
+                case.forward_closure(x), **_band(case.cd),
+            )
+            first = out3.tobytes()
+            for nt in (2, 3):
+                out3[...] = np.nan
+                unit.run(sid, nt)
+                assert out3.tobytes() == first, (case.conv, nt)
+            for accumulate in (False, True):
+                got = case.run_dgrad(unit, accumulate).copy()
+                np.testing.assert_allclose(
+                    got,
+                    case.dgrad_closure(case.g, accumulate, slice(0, case.n)),
+                    **_band(case.cd),
+                )
+                for nt in (2, 3):
+                    again = case.run_dgrad(unit, accumulate, nt=nt)
+                    assert again.tobytes() == got.tobytes(), (case.conv, nt)
+
+    def test_a_sample_alone_is_the_sample_in_a_batch(self, small_grids):
+        """The samples of a batch are just more positions of one GEMM:
+        wherever a sample sits, each of its outputs is the same chain."""
+        unit, cases = small_grids
+        for case in cases:
+            (sid, _, batch, _), *alone = case.fwd
+            unit.run(sid)
+            for sid_i, _, out3, rows in alone:
+                unit.run(sid_i)
+                assert out3.tobytes() == batch[rows].tobytes(), case.conv
+            for accumulate in (False, True):
+                whole = case.run_dgrad(unit, accumulate).copy()
+                for i in range(case.n):
+                    part = case.run_dgrad(unit, accumulate, which=1 + i)
+                    assert part.tobytes() == whole[i:i + 1].tobytes(), case.conv
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    def test_non_finite_footprints_are_the_closures(self, small_grids, poison):
+        """One poisoned input pixel / ``dY`` element reaches exactly the
+        cells it reaches in the numpy closure, and nothing of the next
+        sample.  The scatter form skips taps that fall outside the image
+        where the gather form multiplied padding zeros — the same cells
+        for finite weights, which is what both closures assume too."""
+        unit, cases = small_grids
+        spot = np.random.default_rng(9)
+        for case in cases:
+            sid, x, out3, _ = case.fwd[0]
+            at = (0,) + tuple(spot.integers(d) for d in x.shape[1:])
+            kept, x[at] = x[at], poison
+            with np.errstate(invalid="ignore"):
+                want = case.forward_closure(x)
+            unit.run(sid)
+            x[at] = kept
+            got = out3.reshape(want.shape)
+            assert np.array_equal(np.isfinite(got), np.isfinite(want)), case.conv
+            np.testing.assert_allclose(got, want, **_band(np.float32))
+            assert np.isfinite(got[1:]).all()
+
+            g = case.bwd[False][0][1]
+            at = (0,) + tuple(spot.integers(d) for d in g.shape[1:])
+            kept, g[at] = g[at], poison
+            for accumulate in (False, True):
+                with np.errstate(invalid="ignore"):
+                    want = case.dgrad_closure(g, accumulate, slice(0, case.n))
+                got = case.run_dgrad(unit, accumulate)
+                assert np.array_equal(np.isfinite(got), np.isfinite(want))
+                np.testing.assert_allclose(got, want, **_band(np.float32))
+                assert np.isfinite(got[1:]).all()
+            g[at] = kept
+
+    def test_per_sample_affine_follows_its_sample(self, rng):
+        """Fleet overrides on a 2x5 grid: a batch's positions share one
+        tile, each still folded with its own sample's (scale, shift)."""
+        model = nn.Sequential(
+            nn.Conv2d(4, 6, 3, padding=1, bias=False, rng=rng),
+            nn.BatchNorm2d(6), nn.ReLU(),
+        )
+        model.eval()
+        x = rng.standard_normal((3, 4, 2, 5)).astype(np.float32)
+        bn = model[1]
+        bn.per_sample_stats = (
+            rng.uniform(0.5, 2.0, size=(3, 6)), rng.uniform(-1, 1, size=(3, 6))
+        )
+        want = compile_model(model)(x).numpy().copy()
+        for nt in (1, 2, 3):
+            got = compile_model(model, backend=CGenBackend(threads=nt))(x).numpy()
+            np.testing.assert_allclose(got, want, **_band(np.float32))
+
+    @pytest.mark.parametrize("preset", ["small-r18", "tiny-r18"])
+    def test_every_stage_survives_the_probe(self, preset):
+        """Layers 3 and 4 of tiny-r18 are 2x5 and 1x3, layer 4 of
+        small-r18 is 2x5: both plans of both presets stay all-C."""
+        model, _, x = _model_and_frames(preset, 1, 3)
+        engine = compile_model(model, backend="cgen")
+        engine(x)
+        for plan in (
+            engine.plan_for(x.shape, x.dtype),
+            CompiledAdaptStep(model, backend="cgen").plan_for(x),
+        ):
+            info = plan.backend_info
+            assert info["demoted"] == 0 and info["numpy_stages"] == {}, info
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_small_r18_steps_beside_the_numpy_adapter(self, groups):
+        """Logits and everything a step writes, after 1 and 5 LD-BN-ADAPT
+        steps on the same frames: within 1e-9 of the numpy adapter's,
+        batch 1 and fused groups of 2 (one plan, per-group taps)."""
+        from repro.serve.adapt_batch import FleetAdaptationBatcher
+        from repro.serve.streams import StreamRegistry
+
+        sides = {}
+        for backend in ("numpy", "cgen"):
+            model, _, _ = _model_and_frames("small-r18", 1, 5)
+            registry = StreamRegistry(model)
+            sessions = [
+                registry.register(
+                    f"s{i}", iter(()),
+                    LDBNAdapt(model, LDBNAdaptConfig(lr=1e-3, backend=backend)),
+                    deadline_ms=33.3,
+                )
+                for i in range(groups)
+            ]
+            sides[backend] = (
+                model, sessions, FleetAdaptationBatcher(model, backend=backend)
+            )
+        frames = np.random.default_rng(6)
+        h, w = sides["numpy"][0].config.input_hw
+        probe = frames.standard_normal((1, 3, h, w)).astype(np.float32)
+        taken = 0
+        for upto in (1, 5):
+            for _ in range(upto - taken):
+                batch = [
+                    frames.standard_normal((3, h, w)).astype(np.float32)
+                    for _ in range(groups)
+                ]
+                for model, sessions, batcher in sides.values():
+                    if groups == 1:
+                        sessions[0].adapter.adapt(batch[0][None])
+                    else:
+                        batcher.stage(sessions, batch).execute()
+            taken = upto
+            states, logits = {}, {}
+            for backend, (model, sessions, _) in sides.items():
+                states[backend] = [
+                    _adapter_state(s.adapter) for s in sessions
+                ]
+                model.eval()
+                logits[backend] = compile_model(model, backend=backend)(
+                    probe
+                ).numpy().copy()
+            for got, want in zip(states["cgen"], states["numpy"]):
+                _assert_states_close(got, want)
+            np.testing.assert_allclose(
+                logits["cgen"], logits["numpy"], rtol=0, atol=1e-9
+            )

@@ -21,6 +21,16 @@ geometry-walked max-pool at odd sizes.  Every buffer starts one element
 past its heap block's start — no vector load may assume more alignment
 than its element type has — and ends where the block ends.
 
+The two small-grid kernels — ``convk_*`` (forward, ``k`` on the lanes:
+a row block, parked accumulators and a result block in scratch, whole
+vectors of weights up to a row's last full one) and ``convt_*`` (input
+gradient in scatter form: a ``Z`` block, weight-column tiles up to the
+last whole one, prefetches that run past the matrix) — take the same
+treatment over the grids on either side of ``conv_small`` at both vector
+widths: where the host has AVX-512 the harness is built and run a second
+time with it switched off, so the rule, the tiles and the scratch they
+index are exercised at 32 and at 64 bytes.
+
 Loud skip when the host has no compiler or no sanitizer runtime.
 """
 
@@ -61,6 +71,39 @@ def _geometries():
     return sweep
 
 
+def small_grid_cases():
+    """(kernel, stride, padding, h, w, n, c, f) whose *output* grid —
+    the GEMM grid of the forward conv and of its input gradient — is 1x1,
+    1x3, 2x5 or the first grid on either side of ``2 * oh * ow <= NR``
+    for NR = 12 / 24 / 48 (f64 and f32 tiles at 32- and 64-byte
+    vectors): 6 | 7, 12 | 13 and 24 | 25 positions.  3x3 and 1x1
+    kernels over 3, 4 and 5 channels (``kt`` and ``9C`` off every vector
+    length), strides 1-2, padding 0-2, batches 1-4."""
+    grids = [(1, 1), (1, 3), (2, 5), (2, 3), (1, 7), (3, 4), (1, 13),
+             (4, 6), (5, 5)]
+    combos = [((3, 3), 1, 1), ((3, 3), 2, 2), ((1, 1), 1, 0), ((1, 1), 2, 1),
+              ((3, 3), 2, 0)]
+    rng = np.random.default_rng(23)
+    cases = []
+    for at, (oh, ow) in enumerate(grids):
+        for shift, (kernel, stride, pad) in enumerate(combos):
+            sizes = []
+            for out, k in zip((oh, ow), kernel):
+                p = pad
+                while (out - 1) * stride + k - 2 * p < 1:
+                    p -= 1
+                sizes.append(((out - 1) * stride + k - 2 * p, p))
+            (h, ph), (w, pw) = sizes
+            assert _conv_output_size(h, kernel[0], stride, ph) == oh
+            assert _conv_output_size(w, kernel[1], stride, pw) == ow
+            cases.append((
+                kernel, (stride, stride), (ph, pw), h, w,
+                1 + (at + shift) % 4, 3 + (at + shift) % 3,
+                int(rng.integers(1, 10)),
+            ))
+    return cases
+
+
 def _render(renderer):
     """Offer every geometry's forward conv (three dtype pairs) and input
     gradient (fresh and accumulating, two dtypes) to ``renderer``;
@@ -73,8 +116,11 @@ def _render(renderer):
         assert renderer.offer_stage(kind, spec, None) is not None, spec
         needs.append(renderer._scratch_bytes)
 
-    for kernel, stride, padding, h, w in _geometries():
-        n, c, f = 2, int(rng.integers(1, 4)), int(rng.integers(1, 10))
+    cases = [
+        geometry + (2, int(rng.integers(1, 4)), int(rng.integers(1, 10)))
+        for geometry in _geometries()
+    ] + small_grid_cases()
+    for kernel, stride, padding, h, w, n, c, f in cases:
         for xd, cd in ((np.float32, np.float64), (np.float64, np.float64),
                        (np.float32, np.float32)):
             geo = lower_conv((n, c, h, w), (f, c) + kernel, stride, padding,
@@ -155,11 +201,9 @@ def _render(renderer):
     return needs, keep
 
 
-def _harness_source(renderer, needs, keep):
-    """The renderer's TU with its static scratch arena swapped for
-    per-stage exact-size heap blocks, plus a ``main`` that copies every
-    bound buffer into an exact-size heap block and runs each stage as
-    both threads of a 2-wide pool."""
+def bound_table(renderer):
+    """The pointer table ``finalize`` would build for the stages offered
+    so far: plan-owned buffers placed, every binder run once."""
     tab = np.zeros(renderer._nslots, dtype=np.uintp)
     renderer._tab_holder[0] = tab
     for slot, arr in renderer._static:
@@ -167,6 +211,15 @@ def _harness_source(renderer, needs, keep):
     for offer in renderer._offers:
         for bind in offer.binders:
             bind()
+    return tab
+
+
+def _harness_source(renderer, needs, keep):
+    """The renderer's TU with its static scratch arena swapped for
+    per-stage exact-size heap blocks, plus a ``main`` that copies every
+    bound buffer into an exact-size heap block and runs each stage as
+    both threads of a 2-wide pool."""
+    tab = bound_table(renderer)
     # slot -> (bytes, element bytes): plan-owned buffers by identity,
     # parameters by address
     sizes = {slot: (arr.nbytes, arr.itemsize) for slot, arr in renderer._static}
@@ -237,6 +290,16 @@ def _sanitizer_runtime(cc, tmp_path):
     return None
 
 
+def _narrow_flags(cc):
+    """The flags that rebuild the harness at 32-byte vectors, or ``[]``
+    when that is what ``-march=native`` already gives."""
+    macros = subprocess.run(
+        [cc, "-march=native", "-dM", "-E", "-"], input="",
+        capture_output=True, text=True,
+    ).stdout
+    return ["-mno-avx512f"] if "__AVX512F__" in macros else []
+
+
 def _san_env():
     # leak checking needs ptrace, which sandboxes commonly deny
     return dict(os.environ, ASAN_OPTIONS="detect_leaks=0",
@@ -259,15 +322,21 @@ def test_conv_helpers_run_clean_under_asan_and_ubsan(tmp_path):
     assert {"conv_float_double", "conv_double_double", "conv_float_float",
             "bn_train_float", "bn_train_double", "bn_bwd_float",
             "bn_bwd_double"} <= set(renderer._helpers)
+    source = _harness_source(renderer, needs, keep)
+    for kernel in ("convk_float_double", "convk_double_double",
+                   "convk_float_float", "convt_double", "convt_float"):
+        assert f"static void {kernel}(" in source, kernel
     src = tmp_path / "harness.c"
-    src.write_text(_harness_source(renderer, needs, keep))
-    exe = tmp_path / "harness"
-    built = subprocess.run(
-        [cc, *SAN_FLAGS, str(src), "-o", str(exe), "-lm"],
-        capture_output=True, text=True,
-    )
-    assert built.returncode == 0, built.stderr[-2000:]
-    ran = subprocess.run([str(exe)], capture_output=True, text=True,
-                         env=_san_env())
-    assert ran.returncode == 0, (ran.stdout + ran.stderr)[-4000:]
-    assert f"{len(needs)} stages" in ran.stdout
+    src.write_text(source)
+    narrow = _narrow_flags(cc)
+    for width in ([], narrow) if narrow else ([],):
+        exe = tmp_path / "harness"
+        built = subprocess.run(
+            [cc, *SAN_FLAGS, *width, str(src), "-o", str(exe), "-lm"],
+            capture_output=True, text=True,
+        )
+        assert built.returncode == 0, built.stderr[-2000:]
+        ran = subprocess.run([str(exe)], capture_output=True, text=True,
+                             env=_san_env())
+        assert ran.returncode == 0, (width, (ran.stdout + ran.stderr)[-4000:])
+        assert f"{len(needs)} stages" in ran.stdout
