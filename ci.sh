@@ -11,8 +11,9 @@
 # baseline via repro.experiments.regression) is exercised on every PR,
 # not just when a human runs the benchmarks by hand; it ends with the
 # bench-e2e self-check (benchmarks/e2e/run.py --smoke) and the line
-# counts of src/repro/{engine,serve,hw}.  Lane 4 exercises
-# the cgen C plan backend (renderer parity tests twice — single-thread
+# counts of src/repro/{engine,serve,hw} and of the cgen backend.  Lane 4
+# exercises the cgen C plan backend (the kernel library's cold build and
+# its reuse by a second plan shape, the parity tests twice — single-thread
 # and with a 2-wide worker pool — the conv, BN and max-pool kernels under
 # ASan + UBSan, the bitwise engine suites under REPRO_BACKEND=cgen-strict,
 # plus quick C-served bench runs and the per-kernel micro gates of
@@ -27,7 +28,14 @@ cd "$(dirname "$0")"
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "=== lane 1: tier-1 tests (pytest -x -q) ==="
+# wall time and the libraries it left in the cgen cache: against an empty
+# $REPRO_CGEN_CACHE that is one .so per (pool width, parity) the suite
+# touches (9; 291 per-plan units before the kernel library)
+tier1_start=$(date +%s)
 python -m pytest -x -q
+cgen_cache="${REPRO_CGEN_CACHE:-$HOME/.cache/repro_cgen}"
+echo "tier-1: $(( $(date +%s) - tier1_start )) s wall," \
+    "$(find "$cgen_cache" -name '*.so' 2>/dev/null | wc -l) .so in $cgen_cache"
 
 echo "=== lane 2: slow marker (pytest -m slow) ==="
 python -m pytest -m slow -q
@@ -75,8 +83,9 @@ else
     echo "NOTICE: bench-e2e smoke SKIPPED — no C compiler on this host;"
     echo "        its cgen workloads would only measure the numpy fallback"
 fi
-# the meter of ROADMAP item 2 ("engine + serve + hw down >= 15 % together")
-for layer in engine serve hw; do
+# the meter of ROADMAP item 2 ("engine + serve + hw down >= 15 % together"),
+# the cgen backend (a package since the kernel library) on its own line
+for layer in engine serve hw engine/backends/cgen; do
     echo "src/repro/$layer: $(find "src/repro/$layer" -name '*.py' | xargs cat | wc -l) lines"
 done
 
@@ -90,13 +99,47 @@ from repro.engine.backends import find_cc
 sys.exit(0 if find_cc() else 1)
 EOF
 then
+    # one kernel library per host: its cold build (the parts compiled side
+    # by side, then linked) into a fresh cache, and two plan shapes that
+    # must find it there instead of compiling anything
+    python - <<'PYEOF'
+import os, tempfile, time
+import numpy as np
+
+with tempfile.TemporaryDirectory() as cache:
+    os.environ["REPRO_CGEN_CACHE"] = cache
+    from repro.engine import compile_model
+    from repro.engine.backends.cgen import K, _cflags, _plan_variant, build
+    from repro.models import build_model
+
+    start = time.perf_counter()
+    so, hit, err = build._ensure_so(
+        K.library_source(2), cache, _cflags(False), _plan_variant(2, False),
+        K.LIBRARY_PARTS,
+    )
+    assert so and not hit, err
+    print(f"cgen library: cold cc {time.perf_counter() - start:.2f} s "
+          f"({K.LIBRARY_PARTS} parts side by side + link)")
+    model = build_model("small-r18", rng=np.random.default_rng(0))
+    model.eval()
+    h, w = model.config.input_hw
+    engine = compile_model(model, backend="cgen", threads=2)
+    for batch in (1, 2):
+        start = time.perf_counter()
+        engine(np.zeros((batch, 3, h, w), dtype=np.float32))
+        info = engine.plan_for((batch, 3, h, w), np.float32).backend_info
+        assert info["cache_hit"] is True and info["so"] == so, info
+        assert info["rendered"] == info["stages"], info
+        print(f"cgen plan batch {batch}: {time.perf_counter() - start:.2f} s, "
+              f"cache_hit {info['cache_hit']}, program {info['program']}")
+PYEOF
     python -m pytest tests/test_backends.py -q
     # the same parity suite with a 2-wide worker pool: exercises the
     # threaded dispatch/barrier/teardown paths even on 1-core hosts
     # (correctness is thread-count-invariant by construction)
     REPRO_CGEN_THREADS=2 python -m pytest tests/test_backends.py -q
-    # the rendered conv helpers under -fsanitize=address,undefined on
-    # exact-size heap buffers: the implicit GEMM's last panel reads up to
+    # the library's conv kernels, driven row by row from a generated main,
+    # under -fsanitize=address,undefined on exact-size heap buffers: the implicit GEMM's last panel reads up to
     # NR - 1 cells past the last valid position of its padded copy, and
     # only this harness would notice that slack missing.  The same main
     # runs bn_train / bn_bwd (whole-vector loads up to a plane's last

@@ -45,24 +45,23 @@ Architecture — one lowering, compiled through one entry point:
   stage renderer handed to the lowering; ``PlanBackend.compile(graph)``
   builds the plan kind the graph records.  ``numpy`` (the default) passes
   none: every stage replays its closure, the bit-exact oracle.  ``cgen``
-  renders the offered stages of either plan — forward, train-BN, the
+  turns the offered stages of either plan — forward, train-BN, the
   entropy tail, conv input gradients, the BN gamma/beta reductions,
-  max-pool backward, the pruned chain — into one C
-  translation unit, compiles it with the host toolchain (``$REPRO_CC``,
-  else cc/gcc/clang) and replays consecutive rendered stages as single
-  ctypes calls over a pointer table; live BN vectors and fleet overrides
-  are bound into that table at replay time, so LD-BN-ADAPT updates never
-  recompile.  ``.so``\\ s are cached on disk by source hash
-  (``$REPRO_CGEN_CACHE``, default ``~/.cache/repro_cgen``), consulted
-  *before* the compiler lookup so hosts without a toolchain can serve
-  from a shipped cache.  Parity is structural: any stage the renderer
+  max-pool backward, the pruned chain — into rows of a stage table over
+  one C kernel library, compiled once per host with the host toolchain
+  (``$REPRO_CC``, else cc/gcc/clang), and replays consecutive rows as
+  single ctypes calls over a pointer table; live BN vectors and fleet
+  overrides are bound into that table at replay time, so LD-BN-ADAPT
+  updates never recompile, and neither does a new shape.  The library is
+  cached on disk (``$REPRO_CGEN_CACHE``, default ``~/.cache/repro_cgen``),
+  consulted *before* the compiler lookup so hosts without a toolchain can
+  serve from a shipped cache.  Parity is structural: any stage the renderer
   declines — and the whole plan, when no compiler exists — keeps its
   numpy closure, and every rendered stage is probed against that closure:
   ``cgen`` within a per-dtype float band, ``cgen-strict`` bitwise, which
   is why strict offers only order-preserving stages (elementwise, copies,
   max-pool; GEMMs, reductions, ``exp`` and log-softmax stay numpy).
-  Rendered
-  kernels are *threaded*: heavy stages tile their output rows over a
+  The kernels are *threaded*: heavy stages tile their output rows over a
   persistent pthread pool inside the ``.so`` (refcounted across plans,
   barrier-synced per stage; :mod:`~repro.engine.backends.threading`), and
   fixed tile ownership with no shared accumulators keeps every run

@@ -1,17 +1,17 @@
 """Plan backends: what executes the stages of the one plan lowering.
 
-``numpy`` is the bit-exact closure oracle, ``cgen``/``cgen-strict``
-render plans to a compiled C translation unit with per-stage numpy
-fallback.  The cgen kernels are *threaded*: heavy stages tile their
-output space over a persistent pthread pool living inside the generated
-``.so`` (:mod:`repro.engine.backends.threading`), with fixed tile
-ownership of output rows and unshared accumulators so ``cgen-strict``
-stays bitwise at any thread count.  Pool width resolves
-``CGenConfig.threads`` → ``$REPRO_CGEN_THREADS`` → device-profile cores
-→ host CPUs, and ``PlanBackend.compile`` takes a ``threads``
-override.  See :mod:`repro.engine.backends.base` for the interface and
-registry, :mod:`repro.engine.backends.core` for the shared
-arena/liveness/im2col lowering machinery.
+``numpy`` is the bit-exact closure oracle; ``cgen``/``cgen-strict`` turn
+plans into stage tables over one compiled C kernel library per host, with
+per-stage numpy fallback.  The library's kernels are *threaded*: heavy
+stages tile their output space over a persistent pthread pool living
+inside the ``.so`` (:mod:`repro.engine.backends.threading`), with fixed
+tile ownership of output rows and unshared accumulators so outputs are
+bitwise at any thread count.  Pool width resolves ``CGenConfig.threads``
+→ ``$REPRO_CGEN_THREADS`` → device-profile cores → host CPUs, and
+``PlanBackend.compile`` takes a ``threads`` override.  See
+:mod:`repro.engine.backends.base` for the interface and registry,
+:mod:`repro.engine.backends.core` for the shared arena/liveness/im2col
+lowering machinery.
 """
 
 from .base import (

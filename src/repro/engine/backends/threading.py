@@ -1,21 +1,25 @@
-"""Worker-pool runtime for the threaded C plan backend.
+"""Worker-pool runtime and row walk of the cgen kernel library.
 
-The cgen renderer tiles its heavy kernels (conv GEMMs, linear, max-pool,
-large elementwise sweeps, the rendered BN backward) over a small
-persistent pthread pool that lives *inside* the generated ``.so``:
+The library tiles its heavy kernels (conv GEMMs, linear, max-pool, large
+sweeps, the BN forward and backward) over a small persistent pthread pool
+that lives *inside* the ``.so`` — one library, so one pool, per (parity
+flags, pool width), shared by every plan of the process:
 
 * the pool is spawned once per loaded library (``repro_pool_start``,
-  refcounted — every plan holding the library takes one reference and
-  drops it on teardown, so two plans sharing a cached ``.so`` share one
-  pool and the workers are joined when the last plan dies);
-* each stage dispatch is barrier-synced: the driver publishes
-  ``(table, stage)`` under a mutex, wakes the workers, runs the stage as
-  tid 0 itself, and waits until every worker checked in — replay
-  semantics and the runtime pointer table are exactly the single-thread
-  backend's, one stage fully finishes before the next starts;
-* stages whose estimated kernel time does not repay that round trip
-  (``repro_pool_ping`` measures it; the renderer holds the threshold)
-  are flagged non-threadable and run inline on the dispatching thread.
+  refcounted — every plan takes one reference and drops it on teardown,
+  and the workers are joined when the last plan dies);
+* a plan is rows of a stage table (kernel id, mt flag, args offset, slot
+  indices) that ``repro_run`` walks.  A row flagged ``mt`` is dispatched
+  barrier-synced: the driver publishes ``(table, row, args)`` under a
+  mutex, wakes the workers, runs the row as tid 0 itself, and waits until
+  every worker checked in, so one stage fully finishes before the next
+  starts; every other row runs inline (the renderer holds the threshold,
+  ``repro_pool_ping`` measures the round trip it is set against);
+* per-thread scratch is one heap block of the library (``POOL_SCR(tid)``
+  = pointer + ``tid`` x stride) that ``repro_scratch_reserve`` grows and
+  never shrinks: a plan reserves its largest stage's need when it loads.
+  Kernels keep nothing there between calls and one replay runs at a time
+  per library (the engine is single-threaded above the pool).
 
 **Deterministic-reduction rule** (what keeps ``cgen-strict`` bitwise and
 every run reproducible): the iteration space is partitioned by *fixed
@@ -25,9 +29,7 @@ start-to-finish in the same serial reduction order the single-thread
 kernel uses.  No accumulator is ever shared, no atomics exist, and the
 per-element arithmetic is independent of both ``nt`` and the tile
 boundaries, so outputs are bitwise identical run-to-run *and* across
-thread counts.  Per-thread conv scratch (one padded sample and the tap
-offsets) lives in a static arena inside the ``.so`` (``POOL_SCR(tid)``),
-sized at render time.
+thread counts.
 
 Thread-count resolution is :func:`resolve_threads` (per compilation) and
 :func:`serving_threads` (what a serving loop's ``threads`` option means).
@@ -113,34 +115,10 @@ def tile_bounds(total: int, tid: int, nt: int) -> Tuple[int, int]:
     return (total * tid) // nt, (total * (tid + 1)) // nt
 
 
-def scratch_prelude(nt: int, scratch_bytes: int) -> str:
-    """Per-thread scratch arena, emitted *before* the stage functions
-    (they address their share through ``POOL_SCR(tid)``).
-
-    ``scratch_bytes`` is the largest per-thread need of any stage (one
-    conv's tap offsets and padded sample, slack for the last panel
-    included); the stride is 64-aligned, and so is the arena, so threads
-    never share a cache line.
-    """
-    stride = max((scratch_bytes + 63) // 64 * 64, 64)
-    words = (nt * stride) // 8
-    return (
-        f"#define SCR_STRIDE {stride}LL\n"
-        f"static double POOL_SCRATCH[{words}] __attribute__((aligned(64)));\n"
-        "#define POOL_SCR(t) "
-        "((char*)POOL_SCRATCH + (i64)(t) * SCR_STRIDE)\n"
-    )
-
-
 def pool_runtime_source(nt: int) -> str:
-    """The C worker-pool runtime embedded in every rendered TU.
-
-    ``nt`` is the pool width baked into this plan (``POOL_NT``).  Stage
-    functions take ``(char** T, i64 tid, i64 nt)`` and the driver either
-    dispatches a stage across the pool (``STAGE_MT`` set) or runs it
-    inline single-threaded.  Emitted *after* the stage table — it
-    references ``STAGES`` / ``STAGE_MT``.
-    """
+    """The C worker-pool runtime and row walk closing the kernel library
+    (after its ``KERNELS`` table); ``nt`` is the pool width baked into it
+    (``POOL_NT``)."""
     return f"""
 #define POOL_NT {nt}LL
 
@@ -154,7 +132,15 @@ static i64 POOL_QUIT = 0;
 static i64 POOL_EPOCH = 0;  /* work generation, bumped per dispatch */
 static i64 POOL_NDONE = 0;  /* workers finished the current epoch */
 static char** POOL_TAB = 0;
-static i64 POOL_SID = -1;
+static const stage_row* POOL_ROW = 0;
+static const char* POOL_BLOB = 0;
+char* POOL_SCRATCH = 0;
+i64 SCR_STRIDE = 0;
+
+static inline void stage_call(char** T, const stage_row* row,
+                              const char* args, i64 tid, i64 nt) {{
+    KERNELS[row->kernel](T, row->slot, args + row->args, tid, nt);
+}}
 
 static void* pool_worker(void* argp) {{
     i64 tid = (i64)(intptr_t)argp;
@@ -170,9 +156,10 @@ static void* pool_worker(void* argp) {{
         if (POOL_QUIT) break;
         seen = POOL_EPOCH;
         char** tab = POOL_TAB;
-        i64 sid = POOL_SID;
+        const stage_row* row = POOL_ROW;
+        const char* args = POOL_BLOB;
         pthread_mutex_unlock(&POOL_MU);
-        if (sid >= 0) STAGES[sid](tab, tid, POOL_NT);
+        if (row) stage_call(tab, row, args, tid, POOL_NT);
         pthread_mutex_lock(&POOL_MU);
         if (++POOL_NDONE == POOL_NT - 1)
             pthread_cond_signal(&POOL_DONE);
@@ -218,20 +205,40 @@ i64 repro_pool_refs(void) {{
     return refs;
 }}
 
-i64 repro_pool_width(void) {{ return POOL_NT; }}
+/* Grow the per-thread scratch to at least `bytes` a thread; returns the
+ * stride now in place (the old one when the allocation fails).  Kernels
+ * keep nothing there between calls, so growing is a swap; plans reserve
+ * when they load, never during a replay. */
+i64 repro_scratch_reserve(i64 bytes) {{
+    const i64 stride = (bytes + 63) / 64 * 64;
+    pthread_mutex_lock(&POOL_MU);
+    if (stride > SCR_STRIDE) {{
+        char* block = (char*)aligned_alloc(64, POOL_NT * stride);
+        if (block) {{
+            memset(block, 0, POOL_NT * stride);
+            free(POOL_SCRATCH);
+            POOL_SCRATCH = block;
+            SCR_STRIDE = stride;
+        }}
+    }}
+    const i64 have = SCR_STRIDE;
+    pthread_mutex_unlock(&POOL_MU);
+    return have;
+}}
 
-/* one barrier-synced round trip: publish (table, stage), wake the
- * workers, work as tid 0, wait for every worker to check in.  sid < 0
- * is the empty stage repro_pool_ping times. */
-static void pool_dispatch(char** T, i64 sid) {{
+/* one barrier-synced round trip: publish (table, row), wake the
+ * workers, work as tid 0, wait for every worker to check in.  A null
+ * row is the empty stage repro_pool_ping times. */
+static void pool_dispatch(char** T, const stage_row* row, const char* args) {{
     pthread_mutex_lock(&POOL_MU);
     POOL_TAB = T;
-    POOL_SID = sid;
+    POOL_ROW = row;
+    POOL_BLOB = args;
     POOL_NDONE = 0;
     POOL_EPOCH++;
     pthread_cond_broadcast(&POOL_GO);
     pthread_mutex_unlock(&POOL_MU);
-    if (sid >= 0) STAGES[sid](T, 0, POOL_NT);
+    if (row) stage_call(T, row, args, 0, POOL_NT);
     pthread_mutex_lock(&POOL_MU);
     while (POOL_NDONE < POOL_NT - 1)
         pthread_cond_wait(&POOL_DONE, &POOL_MU);
@@ -242,17 +249,27 @@ static void pool_dispatch(char** T, i64 sid) {{
  * first useful instruction (the pool_dispatch_us micro-benchmark row) */
 void repro_pool_ping(i64 reps) {{
     if (POOL_NT > 1 && POOL_LIVE)
-        for (i64 q = 0; q < reps; ++q) pool_dispatch(0, -1);
+        for (i64 q = 0; q < reps; ++q) pool_dispatch(0, 0, 0);
 }}
 
-void repro_run(char** T, const i64* ids, i64 n) {{
+/* the plan's rows `ids`, in order: over the pool when the row is tiled */
+void repro_run(char** T, const stage_row* rows, const char* args,
+               const i64* ids, i64 n) {{
     for (i64 q = 0; q < n; ++q) {{
-        i64 sid = ids[q];
-        if (POOL_NT > 1 && POOL_LIVE && STAGE_MT[sid])
-            pool_dispatch(T, sid);
+        const stage_row* row = rows + ids[q];
+        if (POOL_NT > 1 && POOL_LIVE && row->mt)
+            pool_dispatch(T, row, args);
         else
-            STAGES[sid](T, 0, 1);
+            stage_call(T, row, args, 0, 1);
     }}
+}}
+
+/* test entry: one row as every thread of an `nt`-wide pool in turn
+ * (ownership is fixed and disjoint, so one thread after another writes
+ * what they would side by side); nt <= POOL_NT */
+void repro_stage_as(char** T, const stage_row* rows, const char* args,
+                    i64 id, i64 nt) {{
+    for (i64 t = 0; t < nt; ++t) stage_call(T, rows + id, args, t, nt);
 }}
 """
 

@@ -669,6 +669,234 @@ print(info["so"])
 
 
 # ---------------------------------------------------------------------------
+# one library per host: every shape, every process, the same artifact
+
+
+def _count_compiles(monkeypatch):
+    """Count compiler processes: ``subprocess.run`` is built on ``Popen``,
+    so this sees the parts' compiles and the link alike."""
+    spawned = []
+    popen_init = subprocess.Popen.__init__
+
+    def spy(self, args, *a, **k):
+        spawned.append(args)
+        return popen_init(self, args, *a, **k)
+
+    monkeypatch.setattr(subprocess.Popen, "__init__", spy)
+    return spawned
+
+
+def _child_env():
+    import repro
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (
+            os.path.dirname(os.path.dirname(repro.__file__)),
+            env.get("PYTHONPATH", ""),
+        ) if p
+    )
+    return env
+
+
+def _scratch_stride(info):
+    reserve = ctypes.CDLL(info["so"]).repro_scratch_reserve
+    reserve.argtypes = [ctypes.c_longlong]
+    reserve.restype = ctypes.c_longlong
+    return int(reserve(0))
+
+
+@needs_cc
+class TestOneLibraryPerHost:
+    def test_a_cached_library_serves_new_shapes_without_a_compiler(
+        self, rng, monkeypatch, tmp_path
+    ):
+        """Batch-1 inference compiles the library; with the compiler then
+        hidden, a new batch size and an adaptation plan still render every
+        stage, spawn nothing and warn about nothing."""
+        _fresh_cache(monkeypatch, tmp_path)
+        model = _bn_model(rng)
+        engine = compile_model(model, backend=CGenBackend(threads=2))
+        x = rng.standard_normal((1, 3, 8, 12)).astype(np.float32)
+        engine(x)
+        first = engine.plan_for(x.shape, x.dtype).backend_info
+        assert first["cache_hit"] is False and first["rendered"] > 0
+
+        monkeypatch.setenv("REPRO_CC", "/nonexistent-compiler")
+        monkeypatch.setenv("PATH", "")
+        assert find_cc() is None
+        spawned = _count_compiles(monkeypatch)
+        x2 = rng.standard_normal((2, 3, 8, 12)).astype(np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = engine(x2).numpy()
+            adapt = CompiledAdaptStep(
+                _train_stack(11), backend=CGenBackend(threads=2)
+            ).plan_for(x2)
+        for info in (engine.plan_for(x2.shape, x2.dtype).backend_info,
+                     adapt.backend_info):
+            assert info["rendered"] == info["stages"], info
+            assert info["so"] == first["so"] and info["cache_hit"] is True
+        assert spawned == []
+        np.testing.assert_allclose(
+            out, compile_model(model)(x2).numpy(), **_band(np.float32)
+        )
+
+    def test_a_truncated_library_is_rebuilt_once_for_every_plan(
+        self, monkeypatch, tmp_path
+    ):
+        """The recovery of ``test_corrupted_so_is_recompiled``, counted:
+        one rebuild, flagged on the plan that found the damage, and the
+        next plan in the process loads what it left."""
+        _fresh_cache(monkeypatch, tmp_path)
+        proc = subprocess.run(
+            [sys.executable, "-c", TestThreadVariantCache._WARM_CACHE],
+            capture_output=True, text=True, env=_child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        so = proc.stdout.strip()
+        with open(so, "r+b") as fh:
+            fh.truncate(os.path.getsize(so) // 2)
+
+        spawned = _count_compiles(monkeypatch)
+        seed = np.random.default_rng(0)
+        model = _bn_model(seed)
+        engine = compile_model(model, backend=CGenBackend(threads=2))
+        infos = []
+        for batch in (1, 2):
+            x = seed.standard_normal((batch, 3, 8, 12)).astype(np.float32)
+            engine(x)
+            infos.append(engine.plan_for(x.shape, x.dtype).backend_info)
+            assert infos[-1]["rendered"] == infos[-1]["stages"]
+        links = [args for args in spawned if "-c" not in args]
+        assert len(links) == 1, spawned
+        assert [i["cache_recovered"] for i in infos] == [True, False]
+        assert [i["cache_hit"] for i in infos] == [False, True]
+        assert infos[0]["so"] == infos[1]["so"] == so
+
+    def test_no_compiler_and_no_cache_warns_once_per_plan(
+        self, rng, monkeypatch, tmp_path
+    ):
+        _fresh_cache(monkeypatch, tmp_path)
+        monkeypatch.setenv("REPRO_CC", "/nonexistent-compiler")
+        model = _bn_model(rng)
+        engine = compile_model(model, backend=CGenBackend())
+        for batch in (1, 2):
+            x = rng.standard_normal((batch, 3, 8, 12)).astype(np.float32)
+            with pytest.warns(RuntimeWarning, match="falling back") as caught:
+                out = engine(x).numpy()
+            assert len(caught) == 1
+            info = engine.plan_for(x.shape, x.dtype).backend_info
+            assert info["rendered"] == 0 and info["fallback_reason"]
+            assert np.array_equal(out, compile_model(model)(x).numpy())
+            engine(x)  # the plan is built: replaying it warns no more
+
+    def test_the_larger_scratch_reserve_wins(self, rng, monkeypatch, tmp_path):
+        """Scratch belongs to the library, grow-only: a plan with a bigger
+        conv raises it under a plan already loaded, whose bytes do not
+        change; a smaller plan after it lowers nothing."""
+        _fresh_cache(monkeypatch, tmp_path)
+
+        def plan_and_output(channels, hw):
+            conv = nn.Conv2d(channels, 8, 3, padding=1, bias=False,
+                             rng=np.random.default_rng(channels))
+            model = nn.Sequential(conv)
+            model.eval()
+            x = np.random.default_rng(hw[0]).standard_normal(
+                (1, channels) + hw
+            ).astype(np.float32)
+            engine = compile_model(model, backend=CGenBackend(threads=2))
+            out = engine(x).numpy().copy()
+            return engine, x, out, engine.plan_for(x.shape, x.dtype).backend_info
+
+        small, x, out, info = plan_and_output(2, (6, 10))
+        before = _scratch_stride(info)
+        _, _, _, big = plan_and_output(16, (16, 40))
+        assert big["so"] == info["so"]
+        after = _scratch_stride(info)
+        assert after > before > 0
+        assert small(x).numpy().tobytes() == out.tobytes()
+        plan_and_output(2, (6, 10))
+        assert _scratch_stride(info) == after
+
+    _COLD_START = """
+import json, sys
+import numpy as np
+from repro import nn
+from repro.engine import CompiledAdaptStep, compile_model
+from repro.engine.backends import CGenBackend
+
+rng = np.random.default_rng(0)
+model = nn.Sequential(
+    nn.Conv2d(3, 8, 3, padding=1, bias=False, rng=rng),
+    nn.BatchNorm2d(8),
+    nn.ReLU(),
+    nn.Conv2d(8, 4, 1, rng=rng),
+)
+model.eval()
+x = rng.standard_normal((int(sys.argv[1]), 3, 8, 12)).astype(np.float32)
+engine = compile_model(model, backend=CGenBackend(threads=2))
+engine(x)
+infos = [engine.plan_for(x.shape, x.dtype).backend_info,
+         CompiledAdaptStep(model, backend=CGenBackend(threads=2))
+         .plan_for(x).backend_info]
+print(json.dumps([
+    {k: i[k] for k in ("rendered", "stages", "fallback_reason", "so",
+                       "program")}
+    for i in infos
+]))
+"""
+
+    def _cold_children(self, batches):
+        import json
+
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-c", self._COLD_START, str(batch)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                env=_child_env(),
+            )
+            for batch in batches
+        ]
+        reports = []
+        for child in children:
+            stdout, stderr = child.communicate(timeout=300)
+            assert child.returncode == 0, stderr
+            reports.append(json.loads(stdout.strip().splitlines()[-1]))
+        return reports
+
+    def test_two_processes_cold_start_on_one_empty_cache(
+        self, monkeypatch, tmp_path
+    ):
+        """Every process on a host races for the same file: both children
+        end all-C on the one library, and nothing half-written or
+        temporary is left beside it."""
+        _fresh_cache(monkeypatch, tmp_path)
+        reports = self._cold_children((1, 1))
+        for report in reports:
+            for info in report:
+                assert info["rendered"] == info["stages"], info
+                assert info["fallback_reason"] is None
+        cache = tmp_path / "cgen-cache"
+        (so,) = [p for p in os.listdir(cache) if p.endswith(".so")]
+        assert {info["so"] for r in reports for info in r} == {str(cache / so)}
+        assert sorted(os.listdir(cache)) == sorted([so, so[:-3] + ".c"])
+
+    def test_program_digest_agrees_across_processes(
+        self, monkeypatch, tmp_path
+    ):
+        """``program`` is library key + rows + args — slot indices, no
+        address — so two processes building the same plan agree on it and
+        a different shape does not."""
+        _fresh_cache(monkeypatch, tmp_path)
+        same_a, same_b, other = self._cold_children((1, 1, 2))
+        programs = [[info["program"] for info in r] for r in (same_a, same_b)]
+        assert programs[0] == programs[1] and None not in programs[0]
+        assert len(set(programs[0])) == 2  # inference != adaptation
+        assert [info["program"] for info in other] != programs[0]
+
+
+# ---------------------------------------------------------------------------
 # fused im2col: the gather workspace disappears for rendered convs
 
 
@@ -941,13 +1169,14 @@ class TestImplicitGemmLanes:
         assert not np.isnan(got[1]).any()
         np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-10)
 
-    def test_one_conv_data_path_in_the_rendered_unit(
-        self, monkeypatch, tmp_path
-    ):
+    def test_one_conv_data_path_in_the_library(self, monkeypatch, tmp_path):
         """All three conv directions of a small-r18 step — forward, and
-        every phase of every input gradient — are call stubs into the
-        helpers emitted once per TU and dtype pair; no im2col pass, no
-        chunk loop and no rendered offset table exist beside them."""
+        every phase of every input gradient — are rows over the kernels
+        the library defines once per dtype pair; no im2col pass, no chunk
+        loop, no offset table and no per-stage function exist beside
+        them."""
+        import re
+
         _fresh_cache(monkeypatch, tmp_path)  # the .c sits beside a fresh .so
         model, _, x = _model_and_frames("small-r18", 1, 3)
         plan = CompiledAdaptStep(model, backend="cgen").plan_for(x)
@@ -957,10 +1186,14 @@ class TestImplicitGemmLanes:
         for helper in ("gemm_double", "pad_float_double", "pad_double_double",
                        "conv_float_double", "conv_double_double", "conv_taps"):
             assert source.count(f"static void {helper}(") == 1, helper
-        # definition + stem; definition + 20 forward + 20 input gradients
+        # definition + the one call in its adapter, whatever the plan
         assert source.count("conv_float_double(") == 2
-        assert source.count("conv_double_double(") == 41
-        assert "aoff[" not in source.split("static void s0(")[1]
+        assert source.count("conv_double_double(") == 2
+        assert not re.search(r"static void s\d+\(", source)
+        # the stem; 20 forward + 20 input gradients
+        kernels = [int(k) for k in plan._cgen_keep[3]["kernel"]]
+        assert kernels.count(cgen.KERNEL_ID["conv_float_double"]) == 1
+        assert kernels.count(cgen.KERNEL_ID["conv_double_double"]) == 40
 
     @pytest.mark.parametrize("w", [5, 10, 11, 23, 25])
     def test_rows_straddling_panel_seams_are_width_invariant(
@@ -1052,6 +1285,9 @@ class TestMaxPoolFromGeometry:
             assert np.array_equal(got, want, equal_nan=True), backend
             assert not np.isinf(got).any()
 
+    @pytest.mark.filterwarnings(
+        "ignore:invalid value encountered:RuntimeWarning"
+    )
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
     def test_values_and_argmax_footprint(self, data):
@@ -1471,6 +1707,9 @@ class TestBNReductionsOnLanes:
         ]
         assert as_bytes[0] == as_bytes[1] == as_bytes[2]
 
+    @pytest.mark.filterwarnings(
+        "ignore:invalid value encountered:RuntimeWarning"
+    )
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("groups", [1, 2])
     def test_a_non_finite_element_is_never_lost(self, dtype, groups):
@@ -2003,11 +2242,12 @@ class TestRenderedConvDgrad:
 
 
 class _StageUnit:
-    """Stages offered straight to one renderer and compiled as one unit,
-    each run as every thread of a pool of any width up to ``WIDTH`` in
-    turn (``tid`` / ``nt`` are a stage's arguments; ownership is fixed and
-    disjoint, so one thread after another writes what they would side by
-    side) — 45 geometries cost one compile instead of hundreds."""
+    """Stages offered straight to one renderer, run from its table through
+    the library's test entry: each as every thread of a pool of any width
+    up to ``WIDTH`` in turn (``tid`` / ``nt`` are a kernel's arguments;
+    ownership is fixed and disjoint, so one thread after another writes
+    what they would side by side) — 45 geometries cost no compile beyond
+    the library's own."""
 
     WIDTH = 3
 
@@ -2019,23 +2259,20 @@ class _StageUnit:
         assert offer is not None, (kind, spec)
         return offer.sid
 
-    def build(self, cache_dir):
+    def build(self):
         from test_conv_sanitizer import bound_table
 
         self.tab = bound_table(self.renderer)
-        source = self.renderer._assemble() + (
-            "void stage_as(char** T, i64 sid, i64 nt)\n"
-            "{ for (i64 t = 0; t < nt; ++t) STAGES[sid](T, t, nt); }\n"
-        )
-        so, _, err = cgen._ensure_so(source, str(cache_dir), cgen._cflags(False))
-        assert so is not None, err
-        self.lib = ctypes.CDLL(so)
+        self.rows, self.args = self.renderer._tables()
+        lib, err = self.renderer._load({})  # reserves the stages' scratch
+        assert lib is not None, err
+        self.stage_as = lib.repro_stage_as
+        self.stage_as.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_longlong] * 2
+        self.stage_as.restype = None
 
     def run(self, sid, nt=1):
-        self.lib.stage_as(
-            ctypes.c_void_p(self.tab.ctypes.data), ctypes.c_longlong(sid),
-            ctypes.c_longlong(nt),
-        )
+        self.stage_as(self.tab.ctypes.data, self.rows.ctypes.data,
+                      self.args.ctypes.data, sid, nt)
 
 
 class _SmallGridCase:
@@ -2105,7 +2342,7 @@ class _SmallGridCase:
 
 
 @pytest.fixture(scope="module")
-def small_grids(tmp_path_factory):
+def small_grids():
     from test_conv_sanitizer import small_grid_cases
 
     unit = _StageUnit()
@@ -2113,7 +2350,7 @@ def small_grids(tmp_path_factory):
         _SmallGridCase(unit, index, *case)
         for index, case in enumerate(small_grid_cases())
     ]
-    unit.build(tmp_path_factory.mktemp("small-grid-unit"))
+    unit.build()
     return unit, cases
 
 

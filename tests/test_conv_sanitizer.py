@@ -1,17 +1,19 @@
-"""The rendered conv, BN and max-pool kernels under AddressSanitizer + UBSan.
+"""The library's conv, BN and max-pool kernels under AddressSanitizer + UBSan.
 
 The implicit-GEMM kernel reads its B operand straight from a padded copy
 in per-thread scratch, a whole NR-wide panel at a time: the last panel's
 garbage lanes legitimately read up to NR - 1 cells past the last valid
 position, and nothing in the parity suites would notice if that slack
-were not there (the scratch arena is one static block, rounded up, shared
-by every stage).  This harness proves it is: the renderer's own stage
-builders render a sweep of forward and input-gradient geometries for
-(f32 -> f64, f64 -> f64, f32 -> f32), and a generated ``main`` runs every
-stage — as both halves of a 2-wide pool — on exact-size heap buffers,
-each stage with exactly the scratch ``_need_scratch`` reserved for it,
-compiled ``-fsanitize=address,undefined`` as an executable.  Any read or
-write outside a buffer, misaligned table or signed overflow aborts it.
+were not there (the library's scratch is one block, rounded up, grown to
+the largest stage any plan brought).  This harness proves it is: the
+renderer's own row builders fill a table for a sweep of forward and
+input-gradient geometries for (f32 -> f64, f64 -> f64, f32 -> f32), and
+a generated ``main`` appended to the library source — one unit, built
+once per vector width — runs every row as both halves of a 2-wide pool on
+exact-size heap buffers, each thread of each stage with exactly the
+scratch ``_need_scratch`` reserved for it, compiled
+``-fsanitize=address,undefined`` as an executable.  Any read or write
+outside a buffer, misaligned table or signed overflow aborts it.
 
 The same ``main`` runs the kernels that walk planes a vector at a time:
 ``bn_train`` / ``bn_bwd`` (f64 lane accumulators loaded at any element
@@ -42,9 +44,9 @@ import pytest
 
 from repro import nn
 from repro.engine.backends import CGenBackend, cgen, find_cc
+from repro.engine.backends.cgen.kernels import library_source
 from repro.engine.backends.core import lower_conv, lower_pool
 from repro.nn.functional import _conv_output_size
-from repro.engine.backends.threading import scratch_prelude
 
 THREADS = 2
 SAN_FLAGS = ["-O2", "-g", "-march=native", "-pthread", "-ffp-contract=fast",
@@ -214,11 +216,16 @@ def bound_table(renderer):
     return tab
 
 
+def _c_array(values):
+    return "{ " + ", ".join(str(int(v)) for v in values) + " }"
+
+
 def _harness_source(renderer, needs, keep):
-    """The renderer's TU with its static scratch arena swapped for
-    per-stage exact-size heap blocks, plus a ``main`` that copies every
-    bound buffer into an exact-size heap block and runs each stage as
-    both threads of a 2-wide pool."""
+    """The library as one unit plus a ``main`` that copies every bound
+    buffer into an exact-size heap block and runs each row of the
+    renderer's table as both threads of a 2-wide pool — every thread on a
+    scratch block of exactly the stage's reserve (stride 0: whichever
+    ``tid`` runs finds it at ``POOL_SCR(tid)``)."""
     tab = bound_table(renderer)
     # slot -> (bytes, element bytes): plan-owned buffers by identity,
     # parameters by address
@@ -231,23 +238,19 @@ def _harness_source(renderer, needs, keep):
         sizes.setdefault(slot, by_address[int(tab[slot])])
     sizes[0] = (0, 0)  # the plan input: no stage here reads it
 
-    source = renderer._assemble()
-    arena = scratch_prelude(renderer.threads, renderer._scratch_bytes)
-    assert arena in source
-    source = source.replace(
-        arena,
-        f"static char* SCR[{THREADS}];\n#define POOL_SCR(t) (SCR[t])\n",
-    )
+    rows, args = renderer._tables()
     slots = range(renderer._nslots)
-    return source + f"""
+    return library_source(THREADS) + f"""
 #include <stdio.h>
-#include <stdlib.h>
-#include <string.h>
-static const i64 SIZES[] = {{ {", ".join(str(sizes[s][0]) for s in slots)} }};
-static const i64 ITEMS[] = {{ {", ".join(str(sizes[s][1]) for s in slots)} }};
-static const i64 NEEDS[] = {{ {", ".join(str(v) for v in needs)} }};
+static const i64 SIZES[] = {_c_array(sizes[s][0] for s in slots)};
+static const i64 ITEMS[] = {_c_array(sizes[s][1] for s in slots)};
+static const i64 NEEDS[] = {_c_array(needs)};
+/* the table as the plan holds it: rows, then the args blob in words */
+static const i64 ROWS[] = {_c_array(rows.view(np.int64))};
+static const unsigned long long ARGS[] = {_c_array(args.view(np.uint64))};
 int main(void) {{
     enum {{ NSLOTS = {renderer._nslots}, NSTAGES = {len(needs)} }};
+    const stage_row* rows = (const stage_row*)ROWS;
     char* T[NSLOTS];
     for (i64 s = 0; s < NSLOTS; ++s) {{
         /* one element into its block, ending where the block ends */
@@ -255,11 +258,13 @@ int main(void) {{
         /* 0x3c bytes: a small finite float at either width */
         if (T[s]) memset(T[s], 0x3c, SIZES[s]);
     }}
-    for (i64 q = 0; q < NSTAGES; ++q) {{
-        for (i64 t = 0; t < {THREADS}; ++t) SCR[t] = malloc(NEEDS[q]);
-        for (i64 t = 0; t < {THREADS}; ++t) STAGES[q](T, t, {THREADS});
-        for (i64 t = 0; t < {THREADS}; ++t) free(SCR[t]);
-    }}
+    SCR_STRIDE = 0;
+    for (i64 q = 0; q < NSTAGES; ++q)
+        for (i64 t = 0; t < {THREADS}; ++t) {{
+            POOL_SCRATCH = (char*)malloc(NEEDS[q]);
+            stage_call(T, rows + q, (const char*)ARGS, t, {THREADS});
+            free(POOL_SCRATCH);
+        }}
     double sum = 0.0;
     for (i64 s = 0; s < NSLOTS; ++s) {{
         for (i64 b = 0; b < SIZES[s]; ++b) sum += (unsigned char)T[s][b];
@@ -319,13 +324,15 @@ def test_conv_helpers_run_clean_under_asan_and_ubsan(tmp_path):
 
     renderer = cgen.CRenderer(CGenBackend(), threads=THREADS)
     needs, keep = _render(renderer)
-    assert {"conv_float_double", "conv_double_double", "conv_float_float",
-            "bn_train_float", "bn_train_double", "bn_bwd_float",
-            "bn_bwd_double"} <= set(renderer._helpers)
     source = _harness_source(renderer, needs, keep)
-    for kernel in ("convk_float_double", "convk_double_double",
-                   "convk_float_float", "convt_double", "convt_float"):
+    for kernel in ("conv_float_double", "conv_double_double",
+                   "conv_float_float", "convk_float_double",
+                   "convk_double_double", "convk_float_float",
+                   "convt_double", "convt_float"):
         assert f"static void {kernel}(" in source, kernel
+    for kernel in ("bn_train_float", "bn_train_double", "bn_bwd_float",
+                   "bn_bwd_double"):
+        assert f"KERNEL({kernel})" in source, kernel
     src = tmp_path / "harness.c"
     src.write_text(source)
     narrow = _narrow_flags(cc)
