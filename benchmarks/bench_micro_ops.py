@@ -120,7 +120,8 @@ MICRO_COLUMNS = [
 MICRO_MT_COLUMNS = [
     "op", "shape", "threads", "cgen_st_p50_ms", "cgen_st_p95_ms",
     "cgen_mt_p50_ms", "cgen_mt_p95_ms", "mt_speedup_p95",
-    "mt_stages", "dispatch_p50_us", "dispatch_p95_us", "rendered",
+    "mt_stages", "dispatch_p50_us", "dispatch_p95_us", "glue_p50_us",
+    "glue_p95_us", "rendered",
     "fallback", "max_abs_diff",
 ]
 

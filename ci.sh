@@ -12,7 +12,8 @@
 # not just when a human runs the benchmarks by hand; it ends with the
 # bench-e2e self-check (benchmarks/e2e/run.py --smoke) and the line
 # counts of src/repro/{engine,serve,hw} and of the cgen backend.  Lane 4
-# exercises the cgen C plan backend (the kernel library's cold build and
+# exercises the cgen C plan backend (its line count beside the parent
+# commit's, the kernel library's cold build and
 # its reuse by a second plan shape, the parity tests twice — single-thread
 # and with a 2-wide worker pool — the conv, BN and max-pool kernels under
 # ASan + UBSan, the bitwise engine suites under REPRO_BACKEND=cgen-strict,
@@ -90,6 +91,14 @@ for layer in engine serve hw engine/backends/cgen; do
 done
 
 echo "=== lane 4: cgen backend (C plan renderer parity + quick bench) ==="
+# ROADMAP item 6 asks a kernel PR to come in at net zero lines here: the
+# package now, next to what the parent commit had
+cgen_pkg=src/repro/engine/backends/cgen
+cgen_was=$(git ls-tree -r --name-only HEAD^ -- "$cgen_pkg" 2>/dev/null \
+    | { grep '\.py$' || true; } \
+    | while read -r f; do git show "HEAD^:$f"; done | wc -l) || cgen_was="?"
+echo "$cgen_pkg: $(find "$cgen_pkg" -name '*.py' | xargs cat | wc -l) lines" \
+    "(parent commit: $cgen_was)"
 # the C backend needs a host compiler; when there is none the engine
 # falls back to numpy closures by design, so this lane degrades to a
 # loud skip rather than a silent pass-through

@@ -46,7 +46,10 @@ class Adapter(abc.ABC):
         self.model = model
         self._initial_state = model.state_dict()
         self._step = 0
-        self._buffer: list = []  # frames observed toward the next step
+        # frames observed toward the next step: copies, rows of `_frames`
+        # unless a restore installed its own
+        self._buffer: list = []
+        self._frames: Optional[np.ndarray] = None  # (batch_size, 3, H, W)
 
     @abc.abstractmethod
     def adapt(self, images: np.ndarray) -> AdaptResult:
@@ -68,15 +71,29 @@ class Adapter(abc.ABC):
         Returns the :class:`AdaptResult` on steps where adaptation ran,
         else None.  This implements the paper's "adaptation after every
         image or every 2/4 images" batching.
+
+        The frame is copied into this adapter's own batch array — the
+        caller may hand over the same buffer again for the next frame (a
+        camera ring) — and that array is what :meth:`adapt` sees, valid
+        until the next step.
         """
         if image.ndim != 3:
             raise ValueError(f"expected a single (3, H, W) frame, got {image.shape}")
-        self._buffer.append(np.asarray(image, dtype=np.float32))
-        if len(self._buffer) < self.batch_size:
+        pending, frames = self._buffer, self._frames
+        if frames is None or frames.shape[1:] != image.shape:
+            frames = self._frames = np.empty(
+                (self.batch_size,) + image.shape, dtype=np.float32
+            )
+        row = frames[len(pending)]
+        row[...] = image
+        if len(pending) + 1 < len(frames):
+            pending.append(row)
             return None
-        batch = np.stack(self._buffer)
-        self._buffer.clear()
-        return self.adapt(batch)
+        for k, held in enumerate(pending):
+            if held.base is not frames:  # put there by a restore
+                frames[k] = held
+        pending.clear()
+        return self.adapt(frames)
 
     def warm(self, image: np.ndarray) -> None:
         """Do any one-time work a step on frames like ``image`` needs.

@@ -50,6 +50,7 @@ from typing import Optional
 import numpy as np
 
 from .. import nn
+from ..engine import CompiledAdaptStep, UnsupportedAdaptGraph
 from ..nn.functional import update_running_stat
 from ..nn.modules import _BatchNormBase
 from .base import AdaptResult, Adapter, freeze_except, set_bn_training
@@ -165,8 +166,6 @@ class LDBNAdapt(Adapter):
 
     def _compiled_plan(self, images: np.ndarray):
         """The adaptation plan for ``images``, or None to use eager."""
-        from ..engine import CompiledAdaptStep, UnsupportedAdaptGraph
-
         if self._compiled is None:
             self._compiled = CompiledAdaptStep(
                 self.model, backend=self.config.backend,

@@ -32,8 +32,9 @@ class PlanBackend:
 
     name: str = "abstract"
 
-    def _renderer(self, threads):
-        """The stage renderer for one compilation (``None``: numpy)."""
+    def _renderer(self, threads, adapting: bool):
+        """The stage renderer for one compilation of an inference plan or
+        (``adapting``) an adaptation plan; ``None``: numpy."""
         return None
 
     def compile(self, graph, groups: int = 1, profile: bool = False,
@@ -44,8 +45,9 @@ class PlanBackend:
         from ..adapt_plan import AdaptationPlan
         from ..plan import ExecutionPlan
 
-        renderer = self._renderer(threads)
-        if any(node.train_bn for node in graph.nodes):
+        adapting = any(node.train_bn for node in graph.nodes)
+        renderer = self._renderer(threads, adapting)
+        if adapting:
             return AdaptationPlan(graph, groups, profile, renderer)
         return ExecutionPlan(graph, profile, renderer)
 

@@ -55,10 +55,24 @@ small-grid kernels at run time) and how the BN reductions use the vector
 lanes is documented with the kernels' text in :mod:`.kernels`.
 
 Nothing is baked that LD-BN-ADAPT mutates at runtime: the BN fold
-vectors (running stats, gamma/beta) and the per-sample fleet ``(scale,
-shift)`` override are pointer-table entries rebound per replay by tiny
-identity-cached binders, so adaptation updates and fleet overrides need
-no retrace.
+vectors (running stats, gamma/beta), every parameter and the per-sample
+fleet ``(scale, shift)`` override are pointer-table entries bound by
+small identity-cached binders, so adaptation updates and fleet overrides
+need no retrace.  A replay does not call them: it reads every attribute
+they bind from in one sweep (:func:`_sweep`) and runs them only when one
+names another object than last time — a rebound array is seen on the next
+replay, an in-place write needs nothing, a dtype or layout change still
+raises.  The update tail's destinations, an argument of each replay, are
+swept the same way when it is armed.
+
+A frame that is served and then adapted convolves its input once: the
+inference plan's stem conv also stores its accumulator rows — bias added,
+no BN folded — into the model's :class:`StemMemo`, with a copy of the
+frames and of the weights it used, and the adaptation plan's stem conv
+takes those rows when its own input and the live weights are the stored
+bytes (``memo_lookup`` in the C; ``backend_info["stem_memo"]`` counts
+hits and misses by reason).  Decided by content, never by call order; a
+miss runs the conv as if there were no memo.
 
 Parity is enforced structurally, per stage: after loading, every
 rendered stage is probed on the traced example against its own numpy
@@ -84,13 +98,15 @@ import weakref
 from dataclasses import replace as _dc_replace
 from functools import partial
 from itertools import product
-from typing import Callable, Dict, List, Optional, Tuple
+from operator import is_
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..base import PlanBackend, register_backend
 from ..core import ConvLowering, PoolLowering, _timed_step
 from ..threading import CGenConfig, PoolHandle, resolve_threads
+from ...tracer import ValueRef
 from .build import (
     _cflags, _load_lib, _plan_variant, default_cache_dir, find_cc,
 )
@@ -181,41 +197,44 @@ def _pack(dtype: np.dtype, *fields) -> bytes:
 _NO_STATE: Dict[str, object] = {}
 
 
-def _bind_dests(target, taps, held: list, row: np.ndarray) -> bool:
-    """Point ``row`` — one group's ``bn_dest`` structs — at ``target``'s
-    arrays, identity-cached in ``held`` like every other binder (a
-    rebound ``param.data`` or a momentum buffer replaced by ``reset()`` or
-    a checkpoint restore is seen, an in-place write needs nothing).
-    False when the C tail cannot step this state: a momentum buffer not
-    there yet (the optimizer's first step), or anything but contiguous
-    float64 vectors."""
-    state = target.optimizer.state
+def _bind_dests(target, modules, held: list, row: np.ndarray):
+    """Point ``row`` — one group's ``bn_dest`` structs over the BN layers
+    ``modules`` — at ``target``'s arrays: one identity sweep against
+    ``held``, what the row was last filled from, and only when some array
+    is another object (a rebound ``param.data``, a momentum buffer
+    replaced by ``reset()`` or a checkpoint restore; an in-place write
+    needs nothing) the checks and the addresses again.  True when the row
+    was rewritten, False when it stands, None when the C tail cannot step
+    this state: a momentum buffer not there yet (the optimizer's first
+    step), or anything but contiguous float64 vectors."""
+    slots_of = target.optimizer.state.get
     need_buffers = bool(target.optimizer.momentum)
-    at = 0
-    for tap in taps:
-        module = tap.module
-        mean, var, count, gamma, beta = target.bn_arrays(module)
+    arrays = target.bn_arrays
+    now: list = []
+    for module in modules:
+        mean, var, count, gamma, beta = arrays(module)
         mgamma = mbeta = None
         if need_buffers:
-            mgamma = state.get(id(module.weight), _NO_STATE).get("momentum")
-            mbeta = state.get(id(module.bias), _NO_STATE).get("momentum")
+            mgamma = slots_of(id(module.weight), _NO_STATE).get("momentum")
+            mbeta = slots_of(id(module.bias), _NO_STATE).get("momentum")
             if mgamma is None or mbeta is None:
-                return False
-        c = module.num_features
-        for arr in (mean, var, gamma, beta, mgamma, mbeta, count):
-            if arr is not held[at]:
-                if arr is None:
-                    row[at] = 0
-                elif (
-                    arr.dtype != (np.int64 if arr is count else np.float64)
-                    or arr.size != (1 if arr is count else c)
-                    or not arr.flags.c_contiguous
-                ):
-                    return False
-                else:
-                    row[at] = arr.ctypes.data
-                held[at] = arr
-            at += 1
+                return None
+        now += (mean, var, gamma, beta, mgamma, mbeta, count)
+    if all(map(is_, now, held)):
+        return False
+    for at, arr in enumerate(now):
+        counts = at % 7 == 6
+        if arr is None:
+            row[at] = 0
+        elif (
+            arr.dtype != (np.int64 if counts else np.float64)
+            or arr.size != (1 if counts else modules[at // 7].num_features)
+            or not arr.flags.c_contiguous
+        ):
+            return None
+        else:
+            row[at] = arr.ctypes.data
+    held[:] = now
     return True
 
 
@@ -279,33 +298,121 @@ def _pool_args(geo: PoolLowering, arg: bool) -> bytes:
     )
 
 
-def _bindv(tab: np.ndarray, slot: int, src: np.ndarray, cell: list) -> None:
+def _bindv(tab: np.ndarray, slot: int, src: np.ndarray, cell: list) -> bool:
     """Bind a float64 vector pointer, identity-cached: while the same
     already-f64-contiguous array (always, in this repo) stays installed
     the pointer is right and in-place mutations (LD-BN-ADAPT's gamma/beta
     updates) flow through it; a source that needed a conversion copy is
-    converted again every replay so it stays fresh."""
+    converted again every replay so it stays fresh — the binder says so
+    by returning True."""
     if src is cell[0] and cell[2]:
-        return
+        return False
     arr = np.ascontiguousarray(src, dtype=np.float64)
     tab[slot] = arr.ctypes.data
     cell[0] = src
     cell[1] = arr  # keep the converted copy alive while bound
     cell[2] = arr is src
+    return arr is not src
+
+
+class StemMemo:
+    """What a model's stem conv last did for an inference plan, for its
+    adaptation plans to take: the C ``stem_memo`` (``header``, the one
+    address rows carry) over storage this object owns.
+
+    Every inference plan whose first conv reads the plan input announces
+    its batch and geometry (:meth:`want`); storage exists only once an
+    adaptation plan asked for lookups (:meth:`enable`), sized for the
+    largest batch of the latest geometry — a model that is only served
+    stores nothing.  Resizing empties the memo and frees the old rows (an
+    adaptation plan's repointed table entry is rewritten by its stem row
+    before anything reads it); the header array never moves, so plans
+    compiled before it stay bound.
+    """
+
+    def __init__(self):
+        self.header = np.zeros(1, dtype=K.STEM_MEMO)
+        self._geometry = None  # (byte sizes, conv_pad past n) stored for
+        self._n = 0            # samples the largest storing plan brings
+        self._enabled = False
+        self._storage = ()     # the arrays header's pointers are into
+
+    def want(self, pad: _ConvPad, sizes: Tuple[int, int, int, int]) -> None:
+        """Room for a storing stage over ``pad`` whose input sample,
+        weights, bias and one sample's rows take ``sizes`` bytes."""
+        geometry = (sizes, pad[1:])
+        if geometry == self._geometry and pad.n <= self._n:
+            return
+        self._n = max(pad.n, self._n) if geometry == self._geometry else pad.n
+        self._geometry = geometry
+        head = self.header[0]
+        head["xbytes"], head["wbytes"], head["bbytes"], head["rbytes"] = sizes
+        head["P"] = tuple(pad)
+        self._allocate()
+
+    def enable(self) -> None:
+        """An adaptation plan will look: allocate."""
+        if not self._enabled:
+            self._enabled = True
+            self._allocate()
+
+    def _allocate(self) -> None:
+        head = self.header[0]
+        head["cap"] = head["n"] = 0
+        if not (self._enabled and self._n):
+            return
+        (xbytes, wbytes, bbytes, rbytes), _ = self._geometry
+        self._storage = [
+            np.empty(size, dtype=np.uint8)
+            for size in (self._n * xbytes, wbytes + bbytes, self._n * rbytes)
+        ]
+        head["key"], head["wsnap"], head["raw"] = (
+            arr.ctypes.data for arr in self._storage
+        )
+        head["cap"] = self._n
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of storage held (0 until somebody looks)."""
+        return sum(arr.nbytes for arr in self._storage)
+
+
+class _MemoCounts(Mapping):
+    """``backend_info["stem_memo"]`` of an adaptation plan: a live view of
+    the counters its stem row keeps (``K.MEMO_COUNTS``) — ``alias`` (the
+    table entry a whole-batch hit repoints; 0: hits copy), ``hits``, and
+    the misses by reason: ``frame`` (some sample's bytes are not stored),
+    ``weights`` (the stem weights or bias changed since), ``shape`` (the
+    memo holds another geometry), ``empty`` (no inference replay stored
+    yet)."""
+
+    def __init__(self, io: np.ndarray):
+        self._io = io
+
+    def __getitem__(self, key: str) -> int:
+        return int(self._io[K.MEMO_COUNTS.index(key)])
+
+    def __iter__(self):
+        return iter(K.MEMO_COUNTS)
+
+    def __len__(self) -> int:
+        return len(K.MEMO_COUNTS)
 
 
 class _Offer:
     """One accepted stage: its row id, oracle closure, outputs."""
 
-    __slots__ = ("sid", "fallback", "outs", "binders", "demoted", "mt",
-                 "geo", "tol_dtype")
+    __slots__ = ("sid", "fallback", "outs", "binders", "watched", "arm",
+                 "demoted", "mt", "geo", "tol_dtype")
 
     def __init__(self, fallback: Callable[[], None],
                  outs: List[np.ndarray]):
         self.sid = -1            # its row in the stage table, on accept
         self.fallback = fallback
         self.outs = outs
-        self.binders: List[Callable[[], None]] = []
+        self.binders: List[Callable[[], object]] = []
+        self.watched: List[tuple] = []  # (owner, path): what they read
+        self.arm: Optional[Callable[[], None]] = None  # run every replay
         self.demoted = False
         self.mt = False          # dispatched across the worker pool
         self.geo = None          # ConvLowering whose im2col workspace
@@ -313,19 +420,62 @@ class _Offer:
         self.tol_dtype = None    # band-tolerance override (reductions
         #                          whose outs are wider than their data)
 
+    def bind_on(self, bind: Callable[[], object], owner, *paths: str) -> None:
+        """Register ``bind``, which points table entries at the arrays
+        ``owner.<path>`` currently are (``path``: ``data`` of a tensor,
+        ``<name>`` or ``<name>.data`` of a module).  A replay runs the
+        plan's binders only when one of the watched attributes reads
+        another object than the replay before saw (or a binder returned
+        True: bind me again)."""
+        self.binders.append(bind)
+        self.watched += [(owner, path) for path in paths]
+
+
+def _sweep(watched: List[tuple]) -> Callable[[], list]:
+    """The one read of everything a plan's binders bind from: a function
+    returning the objects the ``watched`` (owner, path) pairs currently
+    name, each pair once.  Module attributes are instance attributes, read
+    from the instance dict — a third of ``getattr``'s price, and this runs
+    before every replay."""
+    tensors, attrs, datas = [], [], []
+    for owner, path in {(id(o), p): (o, p) for o, p in watched}.values():
+        name, _, leaf = path.partition(".")
+        if path == "data":
+            tensors.append(owner)
+        elif leaf in ("", "data") and name in vars(owner):
+            (datas if leaf else attrs).append((vars(owner), name))
+        else:
+            raise ValueError(f"cannot watch {type(owner).__name__}.{path}")
+
+    def sweep() -> list:
+        now = [tensor.data for tensor in tensors]
+        now += [fields[name] for fields, name in attrs]
+        now += [fields[name].data for fields, name in datas]
+        return now
+
+    return sweep
+
 
 class CRenderer:
     """Row builder handed to one plan compilation (single use).
 
     Fills a stage table for whatever step lists the plan exposes as
     ``plan.sections``, in replay order.  ``threads`` is the resolved
-    worker-pool width, i.e. which library the plan loads.
+    worker-pool width, i.e. which library the plan loads; ``adapting``
+    says the plan is an adaptation step, whose stem conv asks the model's
+    :class:`StemMemo` where an inference plan's feeds it.
     """
 
-    def __init__(self, backend: "CGenBackend", threads: int = 1):
+    def __init__(self, backend: "CGenBackend", threads: int = 1,
+                 adapting: bool = False):
         self.backend = backend
         self.strict = backend.parity == "strict"
         self.threads = max(1, int(threads))
+        self.adapting = adapting
+        # a looking-up stem row's counters and output, the memos in use
+        self._memo_io: Optional[np.ndarray] = None
+        self._memo_out: Optional[np.ndarray] = None
+        self._memos: List[StemMemo] = []
         self._offers: List[_Offer] = []
         self._rows: List[tuple] = []     # K.STAGE_ROW values, by stage id
         self._args = bytearray()         # their args structs, back to back
@@ -397,7 +547,7 @@ class CRenderer:
             holder[0][slot] = d.ctypes.data
             cell[0] = d
 
-        offer.binders.append(bind)
+        offer.bind_on(bind, tensor, "data")
         return slot
 
     # -- threading helpers -----------------------------------------------
@@ -519,14 +669,85 @@ class CRenderer:
             eps = bn[1]
         pad, dims = _forward_dims(geo)
         units, est_us = self._conv_units(ct, pad, [dims])
+        memo = 0
+        if sx == 0:
+            memo = self._stem_memo(spec, pad, dims, slots)
         args = _pack(
             K.CONV_ARGS, pad, pad, dims, 1, 0, int(sb != 0),
-            int(bn_module is not None), int(bool(spec["relu"])), eps,
+            int(bn_module is not None), int(bool(spec["relu"])), memo, eps,
         ) + _pack(K.CONV_DIMS, *dims)
         return self._accept(
             offer, kernel, slots, args,
             mt=units >= 2 and self._mt(est_us), geo=geo,
         )
+
+    def _stem_memo(self, spec, pad: _ConvPad, dims: _ConvDims,
+                   slots: list) -> int:
+        """The ``memo`` field of a conv row over the plan input, its slots
+        completed: 1 — an inference plan's stage also stores its rows,
+        bias added and nothing folded, into the model's
+        :class:`StemMemo`; 2 — an adaptation plan's asks the memo first
+        and runs only when the bytes of some sample or of the weights are
+        not the ones stored (``backend_info["stem_memo"]`` counts which);
+        0 — no memo: the conv could run as a small grid at some vector
+        width, or the weight is not a model parameter.  Whether a replay
+        hits is decided in C, by content (``memo_lookup``)."""
+        geo: ConvLowering = spec["geo"]
+        itemsize = geo.compute_dtype.itemsize
+        never_small = 2 * dims.oh * dims.ow > _NV * _VEC_BYTES_MAX // itemsize
+        looking = self.adapting and (
+            spec["bn_module"] is None and not spec["relu"]
+        )
+        memo = self.backend.stem_memo(spec["weight"])
+        if memo is None or not never_small or self.adapting != looking:
+            return 0
+        slots += [0] * (K.ROW_SLOTS - 1 - len(slots))
+        slots.append(self._bind_static(memo.header))
+        self._memos.append(memo)
+        if not looking:
+            memo.want(pad, (
+                geo.c * geo.h * geo.w * geo.x_dtype.itemsize,
+                geo.f_out * geo.k_total * itemsize,
+                geo.f_out * itemsize if spec["bias"] is not None else 0,
+                geo.f_out * geo.p_total * itemsize,
+            ))
+            return 1
+        memo.enable()
+        if self._memo_io is None:
+            self._memo_io = np.zeros(len(K.MEMO_COUNTS), dtype=np.int64)
+            self._memo_out = spec["out3"]
+        slots[4] = self._bind_static(self._memo_io)
+        return 2
+
+    def _alias_slot(self, plan, graph) -> int:
+        """The table entry every rendered reader of the stem conv's output
+        goes through — a whole-batch memo hit points it at the stored rows
+        instead of copying them — or 0 when there is no such single entry:
+        the value cannot be told from the graph, or some node's output is
+        a view of it (readers this cannot list).  The conv's own entry is
+        private to its row and always names the plan's buffer."""
+        at = self._memo_out.ctypes.data
+
+        def reads(node, vid):
+            return any(
+                isinstance(ref, ValueRef) and ref.vid == vid
+                for ref in node.inputs
+            )
+
+        def placed_there(node):
+            out = plan._fixed.get(node.out_vid)
+            return out is not None and out.ctypes.data == at
+
+        stems = [
+            node.out_vid for node in graph.nodes
+            if reads(node, graph.input_vid) and placed_there(node)
+        ]
+        if len(stems) != 1 or any(
+            reads(node, stems[0]) and placed_there(node)
+            for node in graph.nodes
+        ):
+            return 0
+        return self._static_ids.get(id(plan._fixed[stems[0]]), 0)
 
     def _bn_slots(self, module, n: int, c: int, offer: _Offer):
         """``(slots, eps)`` — the per-sample flag, (scale, shift) and the
@@ -559,17 +780,19 @@ class CRenderer:
                         f"per_sample_stats shaped {scale.shape}, "
                         f"expected ({n}, {c})"
                     )
-                _bindv(tab, s_sc, scale, cells[0])
-                _bindv(tab, s_sh, shift, cells[1])
                 flag[0] = 1
-            else:
-                _bindv(tab, s_m, module.running_mean, cells[2])
-                _bindv(tab, s_v, module.running_var, cells[3])
-                _bindv(tab, s_g, module.weight.data, cells[4])
-                _bindv(tab, s_b, module.bias.data, cells[5])
-                flag[0] = 0
+                return (_bindv(tab, s_sc, scale, cells[0])
+                        | _bindv(tab, s_sh, shift, cells[1]))
+            flag[0] = 0
+            return (_bindv(tab, s_m, module.running_mean, cells[2])
+                    | _bindv(tab, s_v, module.running_var, cells[3])
+                    | _bindv(tab, s_g, module.weight.data, cells[4])
+                    | _bindv(tab, s_b, module.bias.data, cells[5]))
 
-        offer.binders.append(bind)
+        offer.bind_on(
+            bind, module, "training", "per_sample_stats", "running_mean",
+            "running_var", "weight.data", "bias.data",
+        )
         return [sflag] + slots, eps
 
     def _affine_slot(self, source, attr: str, offer: _Offer):
@@ -586,9 +809,9 @@ class CRenderer:
         cell = [None, None, False]
 
         def bind():
-            _bindv(holder[0], slot, getattr(value, attr).data, cell)
+            return _bindv(holder[0], slot, getattr(value, attr).data, cell)
 
-        offer.binders.append(bind)
+        offer.bind_on(bind, value, attr + ".data")
         return slot
 
     def _try_linear(self, spec, fallback):
@@ -758,7 +981,7 @@ class CRenderer:
                        pt, pl, ph, pw)
         forward = _forward_dims(geo, acc)
         units, est_us = self._conv_units(ct, pad, gemms, forward)
-        args = _pack(K.CONV_ARGS, pad, *forward, len(gemms), 1, 0, 0, 0, 0.0)
+        args = _pack(K.CONV_ARGS, pad, *forward, len(gemms), 1, 0, 0, 0, 0, 0.0)
         args += np.array(gemms, dtype=K.CONV_DIMS).tobytes()
         return self._accept(
             offer, f"conv_{ct}_{ct}", (so, sg, sw), args,
@@ -838,13 +1061,16 @@ class CRenderer:
         BN layer of every group — a few lines of C over the taps the
         stages before it filled, inline on the dispatching thread.
 
-        Armed per replay by its binder, which reads the destinations the
-        caller passed ``run`` and, when the C can step them (plain
-        SGD-momentum, momentum buffers already there, float64 vectors),
-        binds one ``bn_dest`` row per group and takes them; whatever it
-        leaves — weight decay, Nesterov, an optimizer's first step — the
-        plan hands to the closure after the replay.  Rows are cached per
-        destination, weakly, so alternating fleet groups rebind nothing.
+        Armed per replay (``offer.arm``, every replay's one call beside
+        the binders' sweep): it reads the destinations the caller passed
+        ``run`` and, when the C can step them (plain SGD-momentum,
+        momentum buffers already there, float64 vectors), binds one
+        ``bn_dest`` row per group and takes them; whatever it leaves —
+        weight decay, Nesterov, an optimizer's first step — the plan hands
+        to the closure after the replay.  Rows are cached per
+        destination, weakly, and refilled only when one of its arrays is
+        another object, so alternating fleet groups copy a row and a
+        steady single stream touches nothing.
         """
         taps, groups, armed = spec["taps"], spec["groups"], spec["update"]
         rows = []
@@ -861,12 +1087,15 @@ class CRenderer:
         if not rows:
             return None
         ntaps = len(rows)
+        modules = [tap.module for tap in taps]
         flag = np.zeros(1, dtype=np.int64)
         hyper = np.zeros((groups, 3), dtype=np.float64)
         dests = np.zeros((groups, 7 * ntaps), dtype=np.uintp)
-        cache = weakref.WeakKeyDictionary()  # destination -> (held, row)
+        cache = weakref.WeakKeyDictionary()  # destination -> [held, row]
+        # per group: whose row dests[k] holds, the hyper-parameters set
+        filled: List[list] = [[None, None] for _ in range(groups)]
 
-        def bind():
+        def arm():
             flag[0] = 0
             targets = armed[0]
             if targets is None:
@@ -881,18 +1110,22 @@ class CRenderer:
                         [None] * (7 * ntaps),
                         np.zeros(7 * ntaps, dtype=np.uintp),
                     )
-                if not _bind_dests(target, taps, *bound):
+                rewritten = _bind_dests(target, modules, *bound)
+                if rewritten is None:
                     return
-                dests[k] = bound[1]
-                hyper[k] = (
-                    optimizer.lr, optimizer.momentum,
-                    target.effective_momentum,
-                )
+                was = filled[k]
+                if rewritten or was[0] is not bound:
+                    dests[k] = bound[1]
+                    was[0] = bound
+                step = (optimizer.lr, optimizer.momentum,
+                        target.effective_momentum)
+                if step != was[1]:
+                    hyper[k] = was[1] = step
             flag[0] = 1
             armed[0] = None
 
         offer = _Offer(fallback, [])
-        offer.binders.append(bind)
+        offer.arm = arm
         return self._accept(
             offer, "bn_update",
             [self._bind_static(arr) for arr in (dests, hyper, flag)],
@@ -987,6 +1220,9 @@ class CRenderer:
             # stage label -> how many such stages replay as Python
             # closures (never offered, declined or demoted alike)
             "numpy_stages": {},
+            # an adaptation plan whose stem conv asks the model's memo:
+            # live counts of its replays' hits and misses by reason
+            "stem_memo": None,
         }
         labels = self._labels
         numpy_stages: Dict[str, int] = info["numpy_stages"]
@@ -1077,6 +1313,8 @@ class CRenderer:
                 try:
                     for bind in step.binders:
                         bind()
+                    if step.arm is not None:
+                        step.arm()
                     one[0] = step.sid
                     run_fn(tab_ptr, rows_ptr, args_ptr, one.ctypes.data, 1)
                     step.demoted = not all(
@@ -1094,7 +1332,9 @@ class CRenderer:
         # -- rebuild the step lists: surviving rendered stages become
         # repro_run segments (one ctypes call per run of consecutive
         # stages), demoted/declined stages keep their numpy closures
-        binders: List[Callable[[], None]] = []
+        binders: List[Callable[[], object]] = []
+        watched: List[tuple] = []
+        arms: List[Callable[[], None]] = []
         rendered = demoted = 0
         for steps in sections:
             new_steps: List[Callable[[], None]] = []
@@ -1113,6 +1353,9 @@ class CRenderer:
                         j += 1
                     for offer in steps[i:j]:
                         binders.extend(offer.binders)
+                        watched.extend(offer.watched)
+                        if offer.arm is not None:
+                            arms.append(offer.arm)
                     fn = segment([offer.sid for offer in steps[i:j]])
                     if profile is not None:
                         fn = _timed_step(
@@ -1159,21 +1402,45 @@ class CRenderer:
             )
         info["workspace_freed"] = freed
 
+        if self._memo_io is not None:
+            # the probe's lookups are not replays; a table entry may
+            # follow the memo only when no Python closure reads the
+            # buffer it names
+            self._memo_io[:] = 0
+            if not numpy_stages:
+                self._memo_io[0] = self._alias_slot(plan, graph)
+            info["stem_memo"] = _MemoCounts(self._memo_io)
+        keep.extend(self._memos)
+
         if rendered:
             in_dtype = graph.input_dtype
-            hold = [x_probe]
+            hold = [None]
+            # what the binders last bound from; stale until a replay's
+            # binders all ran and none asked to run again
+            seen: List[object] = []
+            stale = [True]
+            sweep = _sweep(watched)
 
             def pre_replay(x: np.ndarray) -> np.ndarray:
-                if x.dtype != in_dtype:
-                    raise TypeError(
-                        f"cgen plan compiled for input dtype {in_dtype}, "
-                        f"got {x.dtype}"
-                    )
-                x = np.ascontiguousarray(x)
-                tab[0] = x.ctypes.data
-                hold[0] = x
-                for bind in binders:
-                    bind()
+                if x is not hold[0]:
+                    if x.dtype != in_dtype:
+                        raise TypeError(
+                            f"cgen plan compiled for input dtype "
+                            f"{in_dtype}, got {x.dtype}"
+                        )
+                    x = np.ascontiguousarray(x)
+                    tab[0] = x.ctypes.data
+                    hold[0] = x
+                now = sweep()
+                if stale[0] or not all(map(is_, now, seen)):
+                    stale[0] = True
+                    again = False
+                    for bind in binders:
+                        again |= bool(bind())
+                    seen[:] = now
+                    stale[0] = again
+                for arm in arms:
+                    arm()
                 return x
 
             plan._pre_replay = pre_replay
@@ -1195,6 +1462,19 @@ class CGenBackend(PlanBackend):
         self.parity = config.parity
         self.threads = config.threads
         self.name = "cgen-strict" if config.parity == "strict" else "cgen"
+        # stem conv weight -> its memo, for as long as the model lives
+        self._stem_memos = weakref.WeakKeyDictionary()
+
+    def stem_memo(self, weight) -> Optional[StemMemo]:
+        """The memo every plan convolving the input with ``weight`` shares
+        (``None`` for a tensor that is not a model parameter)."""
+        try:
+            memo = self._stem_memos.get(weight)
+            if memo is None:
+                memo = self._stem_memos[weight] = StemMemo()
+        except TypeError:  # a bare Tensor takes no weak reference
+            return None
+        return memo
 
     @property
     def cache_dir(self) -> str:
@@ -1202,10 +1482,10 @@ class CGenBackend(PlanBackend):
         # $REPRO_CGEN_CACHE without rebuilding backend instances
         return default_cache_dir()
 
-    def _renderer(self, threads: Optional[int]) -> CRenderer:
+    def _renderer(self, threads: Optional[int], adapting: bool) -> CRenderer:
         return CRenderer(self, threads=resolve_threads(
             threads if threads is not None else self.threads
-        ))
+        ), adapting=adapting)
 
 
 register_backend("cgen", CGenBackend)

@@ -30,8 +30,12 @@ from typing import Dict, List
 import numpy as np
 
 from .. import nn
+from ..adapt import LDBNAdapt, LDBNAdaptConfig
+from ..data import ScenarioStream, get_scenario
 from ..engine import CompiledAdaptStep, compile_model
+from ..models import build_model, get_config
 from ..pipeline.monitor import latency_percentile
+from ..pipeline.realtime import PipelineConfig, RealTimePipeline
 
 
 def _micro_cases(rng: np.random.Generator):
@@ -232,6 +236,73 @@ def _pool_dispatch_row(reps: int, threads: int) -> Dict[str, object]:
     return row
 
 
+#: what a stubbed replay streams through the caches before the interpreter
+#: gets the core back: about what the two replays of a small-r18 frame do
+GLUE_EVICT_MB = 8
+
+
+def _frame_glue_row(reps: int, threads: int) -> Dict[str, object]:
+    """The interpreter's share of a served-and-adapted frame: one
+    :class:`~repro.pipeline.RealTimePipeline` frame of ``small-r18`` with
+    both replays stubbed — every binder sweep, the frame copy, decode,
+    accuracy and the loop's bookkeeping run, no kernel does.  In a real
+    frame that code finds its objects evicted by ~4 ms of kernels, which
+    roughly doubles its cost, so each stubbed replay first streams
+    ``GLUE_EVICT_MB`` through the caches; the time inside the stub is
+    not part of a sample.
+    """
+    config = get_config("small-r18", num_lanes=2)
+    model = build_model("small-r18", num_lanes=2, rng=np.random.default_rng(0))
+    model.eval()
+    adapter = LDBNAdapt(
+        model, LDBNAdaptConfig(backend="cgen", threads=threads)
+    )
+    pipeline = RealTimePipeline(model, adapter, PipelineConfig(
+        latency_model="wallclock", backend="cgen", threads=threads,
+    ))
+    pool = ScenarioStream(
+        get_scenario("night_cut"), config, seed=11, horizon=16
+    ).take(16).samples
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        pipeline.run(iter(pool), 4)  # compile; the optimizer's first step
+    x = pool[0].image[None]
+    infer = pipeline._compiled.plan_for(x.shape, x.dtype)
+    adapt = adapter._compiled.plan_for(x)
+    ballast = np.zeros(GLUE_EVICT_MB << 17)  # float64
+    inside = [0.0]
+
+    def stub():
+        start = time.perf_counter()
+        np.add(ballast, 1.0, out=ballast)
+        inside[0] += time.perf_counter() - start
+
+    infer._steps[:] = [stub]
+    adapt._fwd[:], adapt._bwd[:] = [stub], []
+    pulled, stubbed = [], []
+
+    def frames():
+        for index in range(reps + 1):
+            pulled.append(time.perf_counter())
+            stubbed.append(inside[0])
+            yield pool[index % len(pool)]
+
+    pipeline.run(frames(), reps + 1)
+    samples = 1e6 * (np.diff(pulled) - np.diff(stubbed))
+    info = infer.backend_info
+    return {
+        "op": "frame_glue_us",
+        "shape": f"small-r18 frame, replays stubbed, {GLUE_EVICT_MB} MB evicted",
+        "threads": info.get("threads", threads),
+        "reps": reps,
+        "rendered": info.get("rendered", 0),
+        "fallback": info.get("rendered", 0) == 0,
+        "max_abs_diff": 0.0,
+        "glue_p50_us": latency_percentile(samples, 50),
+        "glue_p95_us": latency_percentile(samples, 95),
+    }
+
+
 def run_micro_threaded(
     reps: int = 200, seed: int = 0, threads: int = 2
 ) -> List[Dict[str, object]]:
@@ -245,7 +316,8 @@ def run_micro_threaded(
     ride the regression gate.  A stage the renderer keeps inline
     (``mt_stages`` 0 — its estimated kernel time does not repay a
     dispatch) runs the same code at both widths and ties.  The first row
-    is the dispatch round trip itself (:func:`_pool_dispatch_row`).
+    is the dispatch round trip itself (:func:`_pool_dispatch_row`), the
+    last the interpreter's share of a frame (:func:`_frame_glue_row`).
     """
     rng = np.random.default_rng(seed)
     rows: List[Dict[str, object]] = [_pool_dispatch_row(reps, threads)]
@@ -335,6 +407,7 @@ def run_micro_threaded(
             "max_abs_diff": abs(loss_mt - loss_st),
         }
     )
+    rows.append(_frame_glue_row(reps, threads))
     return rows
 
 

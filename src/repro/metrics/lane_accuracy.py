@@ -91,30 +91,27 @@ def point_accuracy(
 
     gt_present = ~np.isnan(gt_cells)
     pred_present = ~np.isnan(pred_cells)
+    # NaN on either side compares False: a correct point has both
+    correct = np.abs(pred_cells - gt_cells) <= threshold_cells
 
-    diff = np.abs(np.where(pred_present, pred_cells, np.inf) - np.where(
-        gt_present, gt_cells, np.nan
-    ))
-    correct = gt_present & pred_present & (diff <= threshold_cells)
-
-    num_gt = int(gt_present.sum())
-    num_correct = int(correct.sum())
+    # per (image, lane slot): GT points, matched points
+    gt_counts = gt_present.sum(axis=1)
+    match_counts = correct.sum(axis=1)
+    num_gt = int(gt_counts.sum())
+    num_correct = int(match_counts.sum())
     accuracy = num_correct / num_gt if num_gt else 1.0
 
-    # lane-level statistics per (image, lane slot)
-    gt_lane_mask = gt_present.any(axis=1)  # (N, lanes): lane exists in GT
+    # lane-level statistics: a lane exists where it has a point, and is
+    # detected — which takes a GT lane and a predicted one — at the ratio
+    gt_lane_mask = gt_counts > 0
     pred_lane_mask = pred_present.any(axis=1)
-    gt_counts = gt_present.sum(axis=1)  # points per GT lane
-    match_counts = correct.sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        match_ratio = np.where(gt_counts > 0, match_counts / np.maximum(gt_counts, 1), 0.0)
-
-    detected = gt_lane_mask & (match_ratio >= LANE_MATCH_RATIO)
-    num_gt_lanes = int(gt_lane_mask.sum())
-    num_pred_lanes = int(pred_lane_mask.sum())
-    false_neg = int((gt_lane_mask & ~detected).sum())
+    detected = match_counts / np.maximum(gt_counts, 1) >= LANE_MATCH_RATIO
+    num_detected = int(np.count_nonzero(detected))
+    num_gt_lanes = int(np.count_nonzero(gt_lane_mask))
+    num_pred_lanes = int(np.count_nonzero(pred_lane_mask))
+    false_neg = num_gt_lanes - num_detected
     # predicted lane with no GT counterpart, or too few matching points
-    false_pos = int((pred_lane_mask & ~detected).sum())
+    false_pos = num_pred_lanes - num_detected
 
     return LaneMetrics(
         accuracy=accuracy,

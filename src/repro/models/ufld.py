@@ -22,6 +22,7 @@ This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -214,6 +215,15 @@ def ufld_loss(
     return loss
 
 
+@lru_cache(maxsize=None)
+def _cell_index(num_cells: int) -> np.ndarray:
+    """``arange(num_cells)`` shaped to weight a ``(N, cells, anchors,
+    lanes)`` block; shared, so read-only."""
+    idx = np.arange(num_cells, dtype=np.float64).reshape(1, -1, 1, 1)
+    idx.flags.writeable = False
+    return idx
+
+
 def decode_predictions(
     logits: np.ndarray,
     config: UFLDConfig,
@@ -231,26 +241,27 @@ def decode_predictions(
     """
     if logits.ndim == 3:
         logits = logits[None]
-    n, c, anchors, lanes = logits.shape
-    if c != config.num_classes:
-        raise ValueError(f"expected {config.num_classes} classes, got {c}")
+    num_cells = config.num_cells  # the absent class is index num_cells
+    if logits.shape[1] != num_cells + 1:
+        raise ValueError(
+            f"expected {num_cells + 1} classes, got {logits.shape[1]}"
+        )
     hard = logits.argmax(axis=1)  # (N, anchors, lanes)
-    absent = hard == config.absent_class
 
     if method == "argmax":
         positions = hard.astype(np.float64)
     elif method == "expectation":
-        loc_logits = logits[:, : config.num_cells, :, :]
-        shifted = loc_logits - loc_logits.max(axis=1, keepdims=True)
-        probs = np.exp(shifted)
+        loc_logits = logits[:, :num_cells]
+        probs = loc_logits - loc_logits.max(axis=1, keepdims=True)
+        np.exp(probs, out=probs)
         probs /= probs.sum(axis=1, keepdims=True)
-        idx = np.arange(config.num_cells, dtype=np.float64).reshape(1, -1, 1, 1)
-        positions = (probs * idx).sum(axis=1)
+        positions = (probs * _cell_index(num_cells)).sum(axis=1)
+        # float64 already unless the logits were wider than that
+        positions = positions.astype(np.float64, copy=False)
     else:
         raise ValueError(f"unknown decode method {method!r}")
 
-    positions = positions.astype(np.float64)
-    positions[absent] = np.nan
+    np.putmask(positions, hard == num_cells, np.nan)
     return positions
 
 

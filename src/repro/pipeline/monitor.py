@@ -110,10 +110,10 @@ class RollingAccuracy:
         self._values: Deque[float] = deque(maxlen=window)
         self._all: List[float] = []
 
-    def update(self, value: float) -> float:
+    def update(self, value: float) -> None:
+        """Record one frame; the means are taken when they are read."""
         self._values.append(value)
         self._all.append(value)
-        return self.current
 
     @property
     def current(self) -> float:

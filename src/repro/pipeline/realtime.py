@@ -26,6 +26,7 @@ escape hatches).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -44,7 +45,7 @@ from ..metrics.lane_accuracy import TUSIMPLE_THRESHOLD_CELLS, point_accuracy
 from ..models.spec import ModelSpec
 from ..models.ufld import decode_predictions
 from ..utils.profiling import Timer
-from .monitor import DeadlineMonitor, FrameRecord, PipelineReport, RollingAccuracy
+from .monitor import DeadlineMonitor, FrameRecord, PipelineReport
 
 
 @dataclass(frozen=True)
@@ -144,15 +145,11 @@ class RealTimePipeline:
         self.adapter.warm(image)
 
     def _predict(self, frame: LaneSample) -> np.ndarray:
+        """Lane estimates ``(1, anchors, lanes)`` of one frame."""
         batch = frame.image[None]
         if nn.compiled_inference_enabled():
-            if self._compiled is None:
-                self._compiled = compile_model(
-                    self.model, backend=self.config.backend,
-                    threads=self.threads,
-                )
-            # no per-frame model.eval() walk: the engine refuses a model
-            # in training mode, `_warm_engine` set it once
+            # `_warm_engine` built the engine and set eval mode once: no
+            # per-frame model walk, the engine refuses a training model
             logits = self._compiled(batch)
         else:
             self.model.eval()
@@ -160,7 +157,7 @@ class RealTimePipeline:
                 logits = self.model(nn.Tensor(batch, _copy=False))
         return decode_predictions(
             logits.numpy(), self.model.config, method=self.config.decode_method
-        )[0]
+        )
 
     def run(self, stream: Iterable[LaneSample], num_frames: int) -> PipelineReport:
         """Process ``num_frames`` frames; returns the full report.
@@ -172,9 +169,15 @@ class RealTimePipeline:
         partial report is returned with ``report.truncated`` set instead of
         leaking the stream's ``StopIteration``.
         """
-        report = PipelineReport(deadline_ms=self.config.deadline_ms)
-        monitor = DeadlineMonitor(self.config.deadline_ms)
-        rolling = RollingAccuracy(self.config.rolling_window)
+        config = self.config
+        deadline_ms = config.deadline_ms
+        threshold = config.accuracy_threshold_cells
+        modelled = config.latency_model == "orin"
+        report = PipelineReport(deadline_ms=deadline_ms)
+        frames = report.frames
+        monitor = DeadlineMonitor(deadline_ms)
+        timer, observe = self.timer, self.adapter.observe_frame
+        clock = time.perf_counter
         iterator = iter(stream)
 
         for index in range(num_frames):
@@ -185,38 +188,34 @@ class RealTimePipeline:
                 break
 
             self._warm_engine(frame)
-            with self.timer.measure("inference"):
-                pred = self._predict(frame)
-            with self.timer.measure("adaptation"):
-                result = self.adapter.observe_frame(frame.image)
+            start = clock()
+            pred = self._predict(frame)
+            served = clock()
+            result = observe(frame.image)
+            adapt_s = clock() - served
+            timer.add("inference", served - start)
+            timer.add("adaptation", adapt_s)
 
-            metrics = point_accuracy(
-                pred[None],
-                frame.gt_cells[None],
-                self.config.accuracy_threshold_cells,
-            )
-            rolling.update(metrics.accuracy)
+            accuracy = point_accuracy(
+                pred, frame.gt_cells[None], threshold
+            ).accuracy
 
-            if self.config.latency_model == "orin":
+            if modelled:
                 latency = self._infer_ms + (self._adapt_ms if result else 0.0)
                 adapt_ms = self._adapt_ms if result else None
             else:
-                adapt_wall_ms = 1e3 * self.timer.records["adaptation"][-1]
-                latency = (
-                    1e3 * self.timer.records["inference"][-1] + adapt_wall_ms
-                )
-                adapt_ms = adapt_wall_ms if result else None
-            met = monitor.record(latency)
+                latency = 1e3 * (served - start) + 1e3 * adapt_s
+                adapt_ms = 1e3 * adapt_s if result else None
 
-            report.frames.append(
+            frames.append(
                 FrameRecord(
                     index=index,
                     timestamp=frame.timestamp,
                     domain=frame.domain,
                     latency_ms=latency,
-                    deadline_ms=self.config.deadline_ms,
-                    deadline_met=met,
-                    accuracy=metrics.accuracy,
+                    deadline_ms=deadline_ms,
+                    deadline_met=monitor.record(latency),
+                    accuracy=accuracy,
                     entropy=result.loss if result else None,
                     adapted=result is not None,
                     adapt_ms=adapt_ms,

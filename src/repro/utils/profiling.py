@@ -11,11 +11,12 @@ from ..telemetry.sketch import QuantileSketch
 class Timer:
     """Context-manager stopwatch accumulating named intervals.
 
-    Alongside the raw per-interval records (kept for exact totals and
-    the pipeline's last-interval reads), every interval also feeds a
-    streaming :class:`~repro.telemetry.sketch.QuantileSketch` per name,
-    so tail percentiles stay O(1)-memory and timers from different
-    workers can be merged without concatenating lists.
+    The raw per-interval records are kept (exact totals, last-interval
+    reads); percentiles come from a streaming
+    :class:`~repro.telemetry.sketch.QuantileSketch` per name, so timers
+    from different workers merge without sorting concatenated lists.  A
+    sketch is brought up to date with its records when it is read, not
+    on every interval: recording one is a list append.
 
     >>> t = Timer()
     >>> with t.measure("inference"):
@@ -32,11 +33,23 @@ class Timer:
         return _Interval(self, name)
 
     def add(self, name: str, seconds: float) -> None:
-        self.records.setdefault(name, []).append(seconds)
+        series = self.records.get(name)
+        if series is None:
+            series = self.records[name] = []
+        series.append(seconds)
+
+    def _sketch(self, name: str) -> Optional[QuantileSketch]:
+        """``name``'s sketch with every record so far in it, in the order
+        they were taken; ``None`` for a name never measured."""
+        series = self.records.get(name)
+        if series is None:
+            return None
         sketch = self._sketches.get(name)
         if sketch is None:
             sketch = self._sketches[name] = QuantileSketch()
-        sketch.add(seconds)
+        if sketch.count < len(series):
+            sketch.extend(series[sketch.count:])
+        return sketch
 
     def total(self, name: str) -> float:
         return sum(self.records.get(name, []))
@@ -51,7 +64,7 @@ class Timer:
     def percentile(self, name: str, q: float) -> float:
         """Percentile ``q`` in [0, 100] of an interval series (seconds);
         0.0 when the name was never measured."""
-        sketch = self._sketches.get(name)
+        sketch = self._sketch(name)
         if sketch is None:
             if not 0.0 <= q <= 100.0:
                 raise ValueError(f"percentile must be in [0, 100], got {q}")
@@ -61,15 +74,16 @@ class Timer:
     def merge(self, other: "Timer") -> "Timer":
         """Fold another timer's intervals into this one, in place."""
         for name, values in other.records.items():
-            self.records.setdefault(name, []).extend(values)
-        for name, sketch in other._sketches.items():
-            mine = self._sketches.get(name)
+            theirs = other._sketch(name)
+            mine = self._sketch(name)
             if mine is None:
-                self._sketches[name] = QuantileSketch.of([], alpha=sketch.alpha).merge(
-                    sketch
-                )
+                self.records[name] = []
+                self._sketches[name] = QuantileSketch.of(
+                    [], alpha=theirs.alpha
+                ).merge(theirs)
             else:
-                mine.merge(sketch)
+                mine.merge(theirs)
+            self.records[name].extend(values)
         return self
 
     def reset(self) -> None:

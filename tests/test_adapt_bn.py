@@ -188,6 +188,36 @@ class TestLDBNAdapt:
         result = adapter.observe_frame(target_images[2])
         assert result is not None and result.num_frames == 3
 
+    def test_observe_frame_copies_a_reused_frame_buffer(
+        self, trained_tiny_model, target_images
+    ):
+        """A source that hands over one buffer again and again (a camera
+        ring) must not turn the batch into copies of its last frame; and
+        frames a restore put in the pending list join the batch in order."""
+        seen = []
+
+        class Recording(NoAdapt):
+            config = LDBNAdaptConfig(batch_size=3)
+
+            def adapt(self, images):
+                seen.append(images.mean(axis=(1, 2, 3)).tolist())
+                assert images.dtype == np.float32
+                return super().adapt(images)
+
+        adapter = Recording(trained_tiny_model)
+        ring = np.empty_like(target_images[0], dtype=np.float32)
+        for value in (1.0, 2.0, 3.0, 4.0, 5.0):
+            ring[...] = value
+            result = adapter.observe_frame(ring)
+        assert seen == [[1.0, 2.0, 3.0]] and result is None
+        assert adapter.pending_frames == 2
+        adapter._buffer = [np.full_like(target_images[0], 7.0)]  # a restore
+        ring[...] = 8.0
+        assert adapter.observe_frame(ring) is None
+        ring[...] = 9.0
+        assert adapter.observe_frame(ring).num_frames == 3
+        assert seen[1] == [7.0, 8.0, 9.0]
+
     def test_observe_frame_rejects_batches(self, trained_tiny_model, target_images):
         adapter = LDBNAdapt(trained_tiny_model)
         with pytest.raises(ValueError):

@@ -2522,3 +2522,386 @@ class TestSmallGridKernels:
             np.testing.assert_allclose(
                 logits["cgen"], logits["numpy"], rtol=0, atol=1e-9
             )
+
+
+# ---------------------------------------------------------------------------
+# the stem memo: one stem conv per served-and-adapted frame
+
+
+def _stem_pair(threads):
+    """A served model's two engines over one backend instance (so one
+    memo), the step compiled first: storage exists from the first served
+    frame on."""
+    from repro.models import build_model
+
+    backend = CGenBackend(threads=threads)
+    model = build_model("tiny-r18", rng=np.random.default_rng(1))
+    model.eval()
+    engine = compile_model(model, backend=backend)
+    step = CompiledAdaptStep(model, backend=backend)
+    memo = backend.stem_memo(model.backbone.conv1.weight)
+    return model, engine, step, memo
+
+
+def _stem_frames(batch, seed=2):
+    from repro.models import get_config
+
+    h, w = get_config("tiny-r18").input_hw
+    return np.random.default_rng(seed).standard_normal(
+        (batch, 3, h, w)
+    ).astype(np.float32)
+
+
+def _frame_bytes(threads, x_served, x_stepped, groups, between=None):
+    """Serve ``x_served``, run ``between(model, memo)``, step on
+    ``x_stepped`` -> (the step plan's memo counts, every byte the frame
+    left: losses, the taps, the state an armed single-stream step wrote,
+    the next served logits)."""
+    model, engine, step, memo = _stem_pair(threads)
+    plan = step.plan_for(x_stepped, groups=groups)
+    engine(x_served)
+    if between is not None:
+        between(model, memo)
+    adapter = LDBNAdapt(
+        model, LDBNAdaptConfig(lr=1e-2, batch_size=len(x_stepped)),
+        compiled=step,
+    )
+    if groups == 1:
+        adapter.adapt(x_stepped)  # first step: the closure's tail
+        engine(x_served)
+        if between is not None:
+            between(model, memo)
+        left = [np.float64(adapter.adapt(x_stepped).loss)]
+        left += _adapter_state(adapter).values()
+    else:
+        left = [np.array(plan.run(x_stepped))]
+    for tap in plan.bn_taps:
+        left += [tap.batch_mean, tap.batch_var, tap.grad_gamma, tap.grad_beta]
+    left.append(engine(x_served).numpy())
+    counts = dict(plan.backend_info["stem_memo"])
+    return counts, [np.array(a).tobytes() for a in left]
+
+
+def _empty(model, memo):
+    memo.header["n"] = 0
+
+
+@needs_cc
+class TestStemMemo:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_hit_leaves_the_bytes_of_a_miss(self, threads, monkeypatch):
+        """Batch 1 serving a batch-1 step: the hit takes the stored rows
+        in place (the readers' table entry follows the memo), and every
+        buffer the frame leaves is what running the conv leaves."""
+        _tile_everything(monkeypatch)
+        x = _stem_frames(1)
+        hit, got = _frame_bytes(threads, x, x.copy(), 1)
+        miss, want = _frame_bytes(threads, x, x.copy(), 1, between=_empty)
+        assert hit["alias"] and hit["hits"] == 2 and miss["empty"] == 2
+        assert sum(hit.values()) - hit["alias"] == 2
+        assert got == want
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_group_of_two_draws_from_a_batch_of_four(
+        self, threads, monkeypatch
+    ):
+        """A fused group of 2 finds its samples at other positions of a
+        batch-4 launch: one copy per sample, same bytes."""
+        _tile_everything(monkeypatch)
+        x4 = _stem_frames(4)
+        x2 = x4[[3, 1]]
+        hit, got = _frame_bytes(threads, x4, x2, 2)
+        miss, want = _frame_bytes(threads, x4, x2, 2, between=_empty)
+        assert hit["hits"] == 1 and miss["empty"] == 1
+        assert got == want
+
+    def test_what_misses_and_why(self):
+        """Content decides: another frame, a frame changed in place after
+        it was served, weights overwritten in place between the two
+        replays and a step nobody served before each run the conv, and
+        say which; a NaN frame is bytes like any other."""
+        model, engine, step, memo = _stem_pair(1)
+        x, y = _stem_frames(1), _stem_frames(1, seed=3)
+        plan = step.plan_for(x)
+        counts = plan.backend_info["stem_memo"]
+        fresh = CompiledAdaptStep(model, backend="numpy").plan_for(x)
+
+        def stepped(frame, reason):
+            before = dict(counts)
+            got = _step_outputs(plan, frame)
+            after = dict(counts)
+            assert after.pop(reason) == before.pop(reason) + 1
+            assert after == before
+            want = _step_outputs(fresh, frame)
+            if not np.isnan(frame).any():
+                for a, b in zip(got, want):
+                    np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-9)
+            return got
+
+        stepped(x, "empty")  # nothing served yet
+        engine(x)
+        served = stepped(x, "hits")
+        stepped(y, "frame")
+        engine(x)
+        x[0, 1, 5, 7] += 1.0
+        stepped(x, "frame")
+        engine(x)
+        conv = model.backbone.conv1
+        held = conv.weight.data
+        conv.weight.data[...] = held * 0.5
+        assert conv.weight.data is held
+        halved = stepped(x, "weights")
+        assert not np.allclose(halved[1], served[1])
+        engine(x)
+        stepped(x, "hits")
+        x[0, 0, 0, 0] = np.nan
+        engine(x)
+        nan_hit = stepped(x, "hits")
+        memo.header["n"] = 0
+        nan_ran = stepped(x, "empty")
+        assert [a.tobytes() for a in nan_hit] == [a.tobytes() for a in nan_ran]
+
+    def test_another_input_size_is_a_shape_miss(self):
+        backend = CGenBackend(threads=1)
+        rng = np.random.default_rng(5)
+        model = _bn_model(rng)
+        engine = compile_model(model, backend=backend)
+        step = CompiledAdaptStep(model, backend=backend)
+        small = rng.standard_normal((1, 3, 8, 12)).astype(np.float32)
+        wide = rng.standard_normal((1, 3, 8, 20)).astype(np.float32)
+        plan = step.plan_for(small)
+        engine(small)
+        engine(wide)  # the memo is re-dimensioned for the latest geometry
+        plan.run(small)
+        assert plan.backend_info["stem_memo"]["shape"] == 1
+        engine(small)  # the storage is the wide plan's: nothing stored
+        plan.run(small)
+        assert plan.backend_info["stem_memo"]["shape"] == 2
+
+    def test_a_model_that_is_only_served_stores_nothing(self, rng):
+        backend = CGenBackend(threads=1)
+        model = _bn_model(rng)
+        engine = compile_model(model, backend=backend)
+        x = rng.standard_normal((2, 3, 8, 12)).astype(np.float32)
+        engine(x)
+        memo = backend.stem_memo(model[0].weight)
+        assert memo.nbytes == 0 and memo.header["cap"][0] == 0
+        assert engine.plan_for(x.shape, x.dtype).backend_info[
+            "stem_memo"] is None
+        CompiledAdaptStep(model, backend=backend).plan_for(x[:1])
+        # two samples' input, the weights, two samples' f64 rows
+        assert memo.nbytes == 2 * x[0].nbytes + model[0].weight.data.nbytes \
+            + 2 * 8 * 8 * 12 * 8
+        assert memo.header["cap"][0] == 2
+
+    def test_a_numpy_reader_keeps_the_copy(self, monkeypatch):
+        """A plan with any Python closure left names no table entry to
+        repoint: its hits copy into the buffer the closure reads."""
+        real = cgen.CRenderer._try_bn_train
+        monkeypatch.setattr(
+            cgen.CRenderer, "_try_bn_train", lambda self, spec, fb: None
+        )
+        x = _stem_frames(1)
+        hit, got = _frame_bytes(1, x, x.copy(), 1)
+        monkeypatch.setattr(cgen.CRenderer, "_try_bn_train", real)
+        assert not hit["alias"] and hit["hits"] == 2
+        _, want = _frame_bytes(1, x, x.copy(), 1, between=_empty)
+        # numpy's pairwise BN statistics vs the lanes': the band, not
+        # bytes (every array the frame leaves is int64 or float64)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(
+                np.frombuffer(a), np.frombuffer(b), rtol=1e-5, atol=1e-7
+            )
+
+
+# ---------------------------------------------------------------------------
+# bind on change: one identity sweep a replay, binders only behind it
+
+
+def _count_binders(monkeypatch):
+    """Count every binder closure call of plans compiled from here on."""
+    calls = [0]
+    register = cgen._Offer.bind_on
+
+    def counting(self, bind, owner, *paths):
+        def counted():
+            calls[0] += 1
+            return bind()
+
+        register(self, counted, owner, *paths)
+
+    monkeypatch.setattr(cgen._Offer, "bind_on", counting)
+    return calls
+
+
+class _ServedTwins:
+    """A cgen and a numpy (engine, adapter, session) over twin models,
+    fed the same frames: serve, then one armed step, both plan kinds a
+    frame; the cgen side's binder closures are counted."""
+
+    def __init__(self, monkeypatch):
+        from repro.serve.streams import StreamRegistry
+
+        self.binders = _count_binders(monkeypatch)
+        self.sides = {}
+        for backend in ("cgen", "numpy"):
+            model = _pool_stack(29, np.float64)
+            model.eval()
+            adapter = LDBNAdapt(
+                model, LDBNAdaptConfig(backend=backend, lr=1e-2)
+            )
+            session = StreamRegistry(model).register(
+                "s0", iter(()), adapter, deadline_ms=33.3
+            )
+            self.sides[backend] = (
+                model, compile_model(model, backend=backend), adapter, session
+            )
+        self.rng = np.random.default_rng(61)
+
+    def each(self, change):
+        for model, _, adapter, session in self.sides.values():
+            change(model, adapter, session)
+
+    def frame(self):
+        """One served-and-adapted frame on both sides, held to the numpy
+        side; returns how many binder closures the cgen side called."""
+        x = self.rng.standard_normal((1, 3, 9, 13)).astype(np.float32)
+        before = self.binders[0]
+        logits = {}
+        for backend, (_, engine, adapter, _) in self.sides.items():
+            logits[backend] = engine(x).numpy().copy()
+            adapter.adapt(x)
+        np.testing.assert_allclose(
+            logits["cgen"], logits["numpy"], rtol=1e-9, atol=1e-12
+        )
+        _assert_states_close(*(
+            _adapter_state(self.sides[side][2]) for side in ("cgen", "numpy")
+        ))
+        return self.binders[0] - before
+
+
+@needs_cc
+class TestBindOnChange:
+    def test_steady_frames_call_no_binder(self, monkeypatch):
+        twins = _ServedTwins(monkeypatch)
+        assert twins.frame() > 0  # the first replays bind everything
+        assert [twins.frame() for _ in range(4)] == [0] * 4
+
+    @pytest.mark.parametrize("what", ["conv", "gamma", "beta"])
+    def test_a_rebound_array_is_seen_by_the_next_replay(
+        self, what, monkeypatch
+    ):
+        twins = _ServedTwins(monkeypatch)
+        for _ in range(2):
+            twins.frame()
+
+        def rebind(model, adapter, session):
+            param = {"conv": model[0].weight, "gamma": model[1].weight,
+                     "beta": model[5].bias}[what]
+            held = param.data
+            param.data = held * 0.75
+            assert param.data is not held
+
+        twins.each(rebind)
+        assert twins.frame() > 0  # ... and held to numpy inside
+        assert twins.frame() == 0
+
+    def test_in_place_writes_need_no_binder(self, monkeypatch):
+        """``+=``, ``load_state_dict`` and a session's ``swap_in`` write
+        through the arrays already bound."""
+        twins = _ServedTwins(monkeypatch)
+        for _ in range(2):
+            twins.frame()
+        other = _pool_stack(31, np.float64).state_dict()
+
+        def shift(model, adapter, session):
+            model[1].weight.data += 0.125
+            model[1].running_mean += 0.25
+
+        def swap(model, adapter, session):
+            session.swap_in()  # the state the session registered with
+
+        for change in (
+            shift, lambda model, *_: model.load_state_dict(other), swap,
+        ):
+            twins.each(change)
+            assert twins.frame() == 0
+
+    def test_reset_and_a_checkpoint_restore_are_seen(self, monkeypatch):
+        """Both replace the momentum buffers (and write the model in
+        place): the tail's rows are refilled by the next armed replay,
+        without one binder closure."""
+        from repro.serve import capture_session_state, restore_session_state
+
+        twins = _ServedTwins(monkeypatch)
+        for _ in range(3):
+            twins.frame()
+        twins.each(lambda model, adapter, session: adapter.reset())
+        assert [twins.frame() for _ in range(3)] == [0] * 3
+
+        taken = {}
+
+        def capture(model, adapter, session):
+            session.swap_out()
+            taken[id(session)] = capture_session_state(session)
+
+        def restore(model, adapter, session):
+            buffers = [
+                slots["momentum"] for slots in adapter.optimizer.state.values()
+            ]
+            restore_session_state(session, *taken[id(session)])
+            session.swap_in()
+            assert all(
+                slots["momentum"] is not old for slots, old in
+                zip(adapter.optimizer.state.values(), buffers)
+            )
+
+        twins.each(capture)
+        for _ in range(2):
+            twins.frame()
+        twins.each(restore)
+        assert [twins.frame() for _ in range(2)] == [0] * 2
+
+    def test_a_training_mode_bn_still_raises_every_replay(self, monkeypatch):
+        twins = _ServedTwins(monkeypatch)
+        twins.frame()
+        model, engine, *_ = twins.sides["cgen"]
+        x = np.zeros((1, 3, 9, 13), dtype=np.float32)
+        object.__setattr__(model[1], "training", True)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="training mode"):
+                engine.plan_for(x.shape, x.dtype).run(x)
+        object.__setattr__(model[1], "training", False)
+        twins.frame()
+
+    def test_a_steady_vehicle_frame_calls_no_binder(self, monkeypatch):
+        """The paper's loop — small-r18, infer + one step per frame, two
+        pool threads: after the first frame nothing is rebound, so no
+        binder closure runs, and every step takes the stem from the memo."""
+        from repro.data import ScenarioStream, get_scenario
+        from repro.models import build_model, get_config
+        from repro.pipeline.realtime import RealTimePipeline
+
+        calls = _count_binders(monkeypatch)
+        model = build_model("small-r18", num_lanes=2,
+                            rng=np.random.default_rng(3))
+        model.eval()
+        adapter = LDBNAdapt(
+            model, LDBNAdaptConfig(backend="cgen", threads=2)
+        )
+        pipeline = RealTimePipeline(model, adapter, PipelineConfig(
+            latency_model="wallclock", backend="cgen", threads=2,
+        ))
+        frames = ScenarioStream(
+            get_scenario("night_cut"), get_config("small-r18", num_lanes=2),
+            seed=11, horizon=8,
+        ).take(8).samples
+        pipeline.run(iter(frames[:2]), 2)
+        bound = calls[0]
+        assert bound > 0
+        report = pipeline.run(iter(frames[2:]), 6)
+        assert report.adaptation_steps == 6 and calls[0] == bound
+        x = frames[0].image[None]
+        counts = adapter._compiled.plan_for(x).backend_info["stem_memo"]
+        assert counts["hits"] == 8 and counts["alias"]
+        assert sum(counts.values()) - counts["alias"] == 8

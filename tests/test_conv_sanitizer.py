@@ -33,6 +33,12 @@ widths: where the host has AVX-512 the harness is built and run a second
 time with it switched off, so the rule, the tiles and the scratch they
 index are exercised at 32 and at 64 bytes.
 
+The stem memo rides the same table: per dtype pair a lookup on the empty
+memo (the conv runs), a batch-4 store through the dual-store epilogue of
+a BN + ReLU stem, a 2-sample lookup (every sample found: one copy each)
+and a batch-4 lookup (the whole batch in order: the named table entry is
+repointed), the memo's key / weights / rows on exact-size heap blocks.
+
 Loud skip when the host has no compiler or no sanitizer runtime.
 """
 
@@ -109,9 +115,11 @@ def small_grid_cases():
 def _render(renderer):
     """Offer every geometry's forward conv (three dtype pairs) and input
     gradient (fresh and accumulating, two dtypes) to ``renderer``;
-    returns per stage the scratch it reserved, and the arrays to keep."""
+    returns per stage the scratch it reserved, the arrays to keep, and
+    the plan-owned arrays whose *contents* the stages read (the BN fold
+    flag, the memo counters)."""
     rng = np.random.default_rng(5)
-    needs, keep = [], []
+    needs, keep, contents = [], [], []
 
     def offered(kind, spec):
         renderer._scratch_bytes = 0
@@ -200,7 +208,38 @@ def _render(renderer):
                     geo=geo, x_src=("fixed", x), out_dtype=dtype, out2=out2,
                     arg=saved,
                 ))
-    return needs, keep
+
+    # the stem memo: rows over the plan input (slot 0), one weight each
+    for xd, cd in ((np.float32, np.float64), (np.float32, np.float32)):
+        c, h, w, f = 3, 9, 13, 5
+        weight = nn.Parameter(rng.standard_normal((f, c, 3, 3)).astype(cd))
+        bias = nn.Parameter(rng.standard_normal(f).astype(cd))
+        bn = nn.BatchNorm2d(f)
+        bn.eval()
+        keep += [weight, bias, bn.weight, bn.bias, bn.running_mean,
+                 bn.running_var]
+        first = len(renderer._static)
+        for batch, adapting in ((2, True), (4, False), (2, True), (4, True)):
+            geo = lower_conv((batch, c, h, w), (f, c, 3, 3), (1, 1), (1, 1),
+                             cd, xd)
+            out3 = np.empty((batch, f, geo.p_total), dtype=cd)
+            keep.append(out3)
+            renderer.adapting = adapting
+            offered("conv", dict(
+                geo=geo, weight=weight, bias=bias, out3=out3,
+                x_src=("input", None), relu=not adapting,
+                bn_module=None if adapting else bn,
+            ))
+        renderer.adapting = False
+        # the fold flag reads 0: running statistics, not per-sample rows
+        contents += [
+            arr for _, arr in renderer._static[first:]
+            if arr.dtype == np.int64 and arr is not renderer._memo_io
+        ]
+    # a whole-batch hit repoints this entry: nobody's buffer
+    renderer._memo_io[0] = renderer._bind_static(np.zeros(1))
+    contents.append(renderer._memo_io)
+    return needs, keep, contents
 
 
 def bound_table(renderer):
@@ -220,23 +259,49 @@ def _c_array(values):
     return "{ " + ", ".join(str(int(v)) for v in values) + " }"
 
 
-def _harness_source(renderer, needs, keep):
+def _harness_source(renderer, needs, keep, contents):
     """The library as one unit plus a ``main`` that copies every bound
     buffer into an exact-size heap block and runs each row of the
     renderer's table as both threads of a 2-wide pool — every thread on a
     scratch block of exactly the stage's reserve (stride 0: whichever
-    ``tid`` runs finds it at ``POOL_SCR(tid)``)."""
+    ``tid`` runs finds it at ``POOL_SCR(tid)``).  Buffers hold 0x3c
+    bytes, except the ``contents`` arrays (copied) and the stem memos:
+    their headers as the renderer sized them, over exact-size blocks."""
     tab = bound_table(renderer)
     # slot -> (bytes, element bytes): plan-owned buffers by identity,
-    # parameters by address
+    # parameters by address (an entry nothing is bound to: no block)
     sizes = {slot: (arr.nbytes, arr.itemsize) for slot, arr in renderer._static}
-    by_address = {}
+    by_address = {0: (0, 0)}
     for held in keep:
         data = held.data if isinstance(held, nn.Tensor) else held
         by_address[data.ctypes.data] = (data.nbytes, data.itemsize)
     for slot in range(1, renderer._nslots):
-        sizes.setdefault(slot, by_address[int(tab[slot])])
-    sizes[0] = (0, 0)  # the plan input: no stage here reads it
+        if slot not in sizes:
+            sizes[slot] = by_address[int(tab[slot])]
+    # the plan input: the widest batch a stem row reads, float32
+    sizes[0] = (4 * 3 * 9 * 13 * 4, 4)
+
+    slot_of = {id(arr): slot for slot, arr in renderer._static}
+    fill = "".join(
+        f"    memcpy(T[{slot_of[id(arr)]}], (const i64[]){_c_array(arr)}, "
+        f"{arr.nbytes});\n"
+        for arr in contents
+    )
+    for memo in renderer._memos:
+        head = memo.header.copy()
+        head["key"] = head["wsnap"] = head["raw"] = 0
+        cap, xb, wb, bb, rb = (
+            int(head[k][0])
+            for k in ("cap", "xbytes", "wbytes", "bbytes", "rbytes")
+        )
+        fill += (
+            f"    {{ stem_memo* M = (stem_memo*)T[{slot_of[id(memo.header)]}];\n"
+            f"      memcpy(M, (const i64[]){_c_array(head.view(np.int64))}, "
+            f"sizeof *M);\n"
+            f"      M->key = MEMO[nmemo++] = (char*)malloc({cap * xb});\n"
+            f"      M->wsnap = MEMO[nmemo++] = (char*)malloc({wb + bb});\n"
+            f"      M->raw = MEMO[nmemo++] = (char*)malloc({cap * rb}); }}\n"
+        )
 
     rows, args = renderer._tables()
     slots = range(renderer._nslots)
@@ -251,25 +316,32 @@ static const unsigned long long ARGS[] = {_c_array(args.view(np.uint64))};
 int main(void) {{
     enum {{ NSLOTS = {renderer._nslots}, NSTAGES = {len(needs)} }};
     const stage_row* rows = (const stage_row*)ROWS;
-    char* T[NSLOTS];
+    char *T[NSLOTS], *OWN[NSLOTS], *MEMO[{3 * len(renderer._memos)}];
+    i64 nmemo = 0;
     for (i64 s = 0; s < NSLOTS; ++s) {{
         /* one element into its block, ending where the block ends */
         T[s] = SIZES[s] ? (char*)malloc(SIZES[s] + ITEMS[s]) + ITEMS[s] : 0;
         /* 0x3c bytes: a small finite float at either width */
         if (T[s]) memset(T[s], 0x3c, SIZES[s]);
+        OWN[s] = T[s];  /* a memo hit may repoint an entry of T */
     }}
-    SCR_STRIDE = 0;
+{fill}    SCR_STRIDE = 0;
     for (i64 q = 0; q < NSTAGES; ++q)
         for (i64 t = 0; t < {THREADS}; ++t) {{
             POOL_SCRATCH = (char*)malloc(NEEDS[q]);
             stage_call(T, rows + q, (const char*)ARGS, t, {THREADS});
             free(POOL_SCRATCH);
         }}
+    const i64* io = (const i64*)T[{slot_of[id(renderer._memo_io)]}];
+    printf("memo: %d hits, %d empty, %d other; entry repointed: %d\\n",
+           (int)io[1], (int)io[5], (int)(io[2] + io[3] + io[4]),
+           T[io[0]] != OWN[io[0]]);
     double sum = 0.0;
     for (i64 s = 0; s < NSLOTS; ++s) {{
-        for (i64 b = 0; b < SIZES[s]; ++b) sum += (unsigned char)T[s][b];
-        if (T[s]) free(T[s] - ITEMS[s]);
+        for (i64 b = 0; b < SIZES[s]; ++b) sum += (unsigned char)OWN[s][b];
+        if (OWN[s]) free(OWN[s] - ITEMS[s]);
     }}
+    while (nmemo) free(MEMO[--nmemo]);
     printf("%d stages, checksum %.0f\\n", (int)NSTAGES, sum);
     return 0;
 }}
@@ -323,8 +395,8 @@ def test_conv_helpers_run_clean_under_asan_and_ubsan(tmp_path):
         )
 
     renderer = cgen.CRenderer(CGenBackend(), threads=THREADS)
-    needs, keep = _render(renderer)
-    source = _harness_source(renderer, needs, keep)
+    needs, keep, contents = _render(renderer)
+    source = _harness_source(renderer, needs, keep, contents)
     for kernel in ("conv_float_double", "conv_double_double",
                    "conv_float_float", "convk_float_double",
                    "convk_double_double", "convk_float_float",
@@ -347,3 +419,7 @@ def test_conv_helpers_run_clean_under_asan_and_ubsan(tmp_path):
                              env=_san_env())
         assert ran.returncode == 0, (width, (ran.stdout + ran.stderr)[-4000:])
         assert f"{len(needs)} stages" in ran.stdout
+        # per dtype pair: nothing stored yet, then 2 of 4 found and copied,
+        # then the whole batch in order
+        assert "memo: 4 hits, 2 empty, 0 other; entry repointed: 1" \
+            in ran.stdout
