@@ -49,7 +49,7 @@ class Adapter(abc.ABC):
         # frames observed toward the next step: copies, rows of `_frames`
         # unless a restore installed its own
         self._buffer: list = []
-        self._frames: Optional[np.ndarray] = None  # (batch_size, 3, H, W)
+        self._frames: Optional[np.ndarray] = None  # (frames a step, 3, H, W)
 
     @abc.abstractmethod
     def adapt(self, images: np.ndarray) -> AdaptResult:
@@ -79,18 +79,20 @@ class Adapter(abc.ABC):
         """
         if image.ndim != 3:
             raise ValueError(f"expected a single (3, H, W) frame, got {image.shape}")
-        pending, frames = self._buffer, self._frames
-        if frames is None or frames.shape[1:] != image.shape:
-            frames = self._frames = np.empty(
-                (self.batch_size,) + image.shape, dtype=np.float32
-            )
+        pending = self._buffer
+        # one step's frames: batch_size, or more when a restore installed
+        # that many (a checkpoint taken under a larger batch_size)
+        shape = (max(self.batch_size, len(pending) + 1),) + image.shape
+        frames = self._frames
+        if frames is None or frames.shape != shape:
+            frames = self._frames = np.empty(shape, dtype=np.float32)
         row = frames[len(pending)]
         row[...] = image
-        if len(pending) + 1 < len(frames):
+        if len(pending) + 1 < self.batch_size:
             pending.append(row)
             return None
         for k, held in enumerate(pending):
-            if held.base is not frames:  # put there by a restore
+            if held.base is not frames:  # a restore's, or an outgrown array's
                 frames[k] = held
         pending.clear()
         return self.adapt(frames)

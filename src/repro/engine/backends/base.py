@@ -32,9 +32,10 @@ class PlanBackend:
 
     name: str = "abstract"
 
-    def _renderer(self, threads, adapting: bool):
-        """The stage renderer for one compilation of an inference plan or
-        (``adapting``) an adaptation plan; ``None``: numpy."""
+    def _renderer(self, threads, group_size: int):
+        """The stage renderer for one compilation of an inference plan
+        (``group_size`` 0) or an adaptation plan over groups of
+        ``group_size`` samples; ``None``: numpy."""
         return None
 
     def compile(self, graph, groups: int = 1, profile: bool = False,
@@ -45,11 +46,12 @@ class PlanBackend:
         from ..adapt_plan import AdaptationPlan
         from ..plan import ExecutionPlan
 
-        adapting = any(node.train_bn for node in graph.nodes)
-        renderer = self._renderer(threads, adapting)
-        if adapting:
+        if any(node.train_bn for node in graph.nodes):
+            renderer = self._renderer(
+                threads, graph.input_shape[0] // max(groups, 1)
+            )
             return AdaptationPlan(graph, groups, profile, renderer)
-        return ExecutionPlan(graph, profile, renderer)
+        return ExecutionPlan(graph, profile, self._renderer(threads, 0))
 
 
 _REGISTRY: Dict[str, Callable[[], PlanBackend]] = {}

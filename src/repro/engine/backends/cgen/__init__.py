@@ -56,23 +56,25 @@ lanes is documented with the kernels' text in :mod:`.kernels`.
 
 Nothing is baked that LD-BN-ADAPT mutates at runtime: the BN fold
 vectors (running stats, gamma/beta), every parameter and the per-sample
-fleet ``(scale, shift)`` override are pointer-table entries bound by
-small identity-cached binders, so adaptation updates and fleet overrides
-need no retrace.  A replay does not call them: it reads every attribute
-they bind from in one sweep (:func:`_sweep`) and runs them only when one
-names another object than last time — a rebound array is seen on the next
+fleet ``(scale, shift)`` override are pointer-table entries set by small
+binders, so adaptation updates and fleet overrides need no retrace.  A
+binder is handed the objects it binds and reads nothing else
+(:meth:`_Offer.bind_on`), so a replay need not call it: one sweep reads
+every watched attribute (:func:`_sweep`) and only the binders given
+another object than last time run — a rebound array is seen on the next
 replay, an in-place write needs nothing, a dtype or layout change still
-raises.  The update tail's destinations, an argument of each replay, are
-swept the same way when it is armed.
+raises.
 
 A frame that is served and then adapted convolves its input once: the
 inference plan's stem conv also stores its accumulator rows — bias added,
 no BN folded — into the model's :class:`StemMemo`, with a copy of the
-frames and of the weights it used, and the adaptation plan's stem conv
-takes those rows when its own input and the live weights are the stored
-bytes (``memo_lookup`` in the C; ``backend_info["stem_memo"]`` counts
-hits and misses by reason).  Decided by content, never by call order; a
-miss runs the conv as if there were no memo.
+frames and of the weights it used, and the stem conv of an adaptation
+plan over groups of one sample (the step on the frame just served; a
+larger group holds earlier frames, which no launch stored) copies those
+rows when its own input and the live weights are the stored bytes
+(``memo_lookup`` in the C; ``backend_info["stem_memo"]`` counts hits and
+misses by reason).  Decided by content, never by call order; a miss runs
+the conv as if there were no memo.
 
 Parity is enforced structurally, per stage: after loading, every
 rendered stage is probed on the traced example against its own numpy
@@ -96,7 +98,7 @@ import os
 import warnings
 import weakref
 from dataclasses import replace as _dc_replace
-from functools import partial
+from functools import partial, reduce
 from itertools import product
 from operator import is_
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
@@ -106,7 +108,6 @@ import numpy as np
 from ..base import PlanBackend, register_backend
 from ..core import ConvLowering, PoolLowering, _timed_step
 from ..threading import CGenConfig, PoolHandle, resolve_threads
-from ...tracer import ValueRef
 from .build import (
     _cflags, _load_lib, _plan_variant, default_cache_dir, find_cc,
 )
@@ -197,44 +198,41 @@ def _pack(dtype: np.dtype, *fields) -> bytes:
 _NO_STATE: Dict[str, object] = {}
 
 
-def _bind_dests(target, modules, held: list, row: np.ndarray):
-    """Point ``row`` — one group's ``bn_dest`` structs over the BN layers
-    ``modules`` — at ``target``'s arrays: one identity sweep against
-    ``held``, what the row was last filled from, and only when some array
-    is another object (a rebound ``param.data``, a momentum buffer
-    replaced by ``reset()`` or a checkpoint restore; an in-place write
-    needs nothing) the checks and the addresses again.  True when the row
-    was rewritten, False when it stands, None when the C tail cannot step
-    this state: a momentum buffer not there yet (the optimizer's first
-    step), or anything but contiguous float64 vectors."""
-    slots_of = target.optimizer.state.get
+def _bind_dests(target, taps, held: list, row: np.ndarray) -> bool:
+    """Point ``row`` — one group's ``bn_dest`` structs — at ``target``'s
+    arrays, identity-cached in ``held`` like every other binder (a
+    rebound ``param.data`` or a momentum buffer replaced by ``reset()`` or
+    a checkpoint restore is seen, an in-place write needs nothing).
+    False when the C tail cannot step this state: a momentum buffer not
+    there yet (the optimizer's first step), or anything but contiguous
+    float64 vectors."""
+    state = target.optimizer.state
     need_buffers = bool(target.optimizer.momentum)
-    arrays = target.bn_arrays
-    now: list = []
-    for module in modules:
-        mean, var, count, gamma, beta = arrays(module)
+    at = 0
+    for tap in taps:
+        module = tap.module
+        mean, var, count, gamma, beta = target.bn_arrays(module)
         mgamma = mbeta = None
         if need_buffers:
-            mgamma = slots_of(id(module.weight), _NO_STATE).get("momentum")
-            mbeta = slots_of(id(module.bias), _NO_STATE).get("momentum")
+            mgamma = state.get(id(module.weight), _NO_STATE).get("momentum")
+            mbeta = state.get(id(module.bias), _NO_STATE).get("momentum")
             if mgamma is None or mbeta is None:
-                return None
-        now += (mean, var, gamma, beta, mgamma, mbeta, count)
-    if all(map(is_, now, held)):
-        return False
-    for at, arr in enumerate(now):
-        counts = at % 7 == 6
-        if arr is None:
-            row[at] = 0
-        elif (
-            arr.dtype != (np.int64 if counts else np.float64)
-            or arr.size != (1 if counts else modules[at // 7].num_features)
-            or not arr.flags.c_contiguous
-        ):
-            return None
-        else:
-            row[at] = arr.ctypes.data
-    held[:] = now
+                return False
+        c = module.num_features
+        for arr in (mean, var, gamma, beta, mgamma, mbeta, count):
+            if arr is not held[at]:
+                if arr is None:
+                    row[at] = 0
+                elif (
+                    arr.dtype != (np.int64 if arr is count else np.float64)
+                    or arr.size != (1 if arr is count else c)
+                    or not arr.flags.c_contiguous
+                ):
+                    return False
+                else:
+                    row[at] = arr.ctypes.data
+                held[at] = arr
+            at += 1
     return True
 
 
@@ -298,20 +296,14 @@ def _pool_args(geo: PoolLowering, arg: bool) -> bytes:
     )
 
 
-def _bindv(tab: np.ndarray, slot: int, src: np.ndarray, cell: list) -> bool:
-    """Bind a float64 vector pointer, identity-cached: while the same
-    already-f64-contiguous array (always, in this repo) stays installed
-    the pointer is right and in-place mutations (LD-BN-ADAPT's gamma/beta
-    updates) flow through it; a source that needed a conversion copy is
-    converted again every replay so it stays fresh — the binder says so
-    by returning True."""
-    if src is cell[0] and cell[2]:
-        return False
+def _bindv(tab: np.ndarray, slot: int, src: np.ndarray, keep: list) -> bool:
+    """Bind a float64 vector pointer to ``src``: in-place mutations
+    (LD-BN-ADAPT's gamma/beta updates) flow through it.  True when ``src``
+    (never, in this repo) needed a conversion copy, held in ``keep``: the
+    binder must run again before every replay so the copy stays fresh."""
     arr = np.ascontiguousarray(src, dtype=np.float64)
     tab[slot] = arr.ctypes.data
-    cell[0] = src
-    cell[1] = arr  # keep the converted copy alive while bound
-    cell[2] = arr is src
+    keep[0] = arr
     return arr is not src
 
 
@@ -324,10 +316,8 @@ class StemMemo:
     its batch and geometry (:meth:`want`); storage exists only once an
     adaptation plan asked for lookups (:meth:`enable`), sized for the
     largest batch of the latest geometry — a model that is only served
-    stores nothing.  Resizing empties the memo and frees the old rows (an
-    adaptation plan's repointed table entry is rewritten by its stem row
-    before anything reads it); the header array never moves, so plans
-    compiled before it stay bound.
+    stores nothing.  Resizing empties the memo; the header array never
+    moves, so plans compiled before it stay bound.
     """
 
     def __init__(self):
@@ -379,9 +369,8 @@ class StemMemo:
 
 class _MemoCounts(Mapping):
     """``backend_info["stem_memo"]`` of an adaptation plan: a live view of
-    the counters its stem row keeps (``K.MEMO_COUNTS``) — ``alias`` (the
-    table entry a whole-batch hit repoints; 0: hits copy), ``hits``, and
-    the misses by reason: ``frame`` (some sample's bytes are not stored),
+    the counters its stem row keeps (``K.MEMO_COUNTS``) — ``hits``, and the
+    misses by reason: ``frame`` (some sample's bytes are not stored),
     ``weights`` (the stem weights or bias changed since), ``shape`` (the
     memo holds another geometry), ``empty`` (no inference replay stored
     yet)."""
@@ -410,8 +399,8 @@ class _Offer:
         self.sid = -1            # its row in the stage table, on accept
         self.fallback = fallback
         self.outs = outs
-        self.binders: List[Callable[[], object]] = []
-        self.watched: List[tuple] = []  # (owner, path): what they read
+        self.binders: List[Callable[..., object]] = []
+        self.watched: List[tuple] = []  # per binder: its (owner, path)s
         self.arm: Optional[Callable[[], None]] = None  # run every replay
         self.demoted = False
         self.mt = False          # dispatched across the worker pool
@@ -420,32 +409,53 @@ class _Offer:
         self.tol_dtype = None    # band-tolerance override (reductions
         #                          whose outs are wider than their data)
 
-    def bind_on(self, bind: Callable[[], object], owner, *paths: str) -> None:
-        """Register ``bind``, which points table entries at the arrays
-        ``owner.<path>`` currently are (``path``: ``data`` of a tensor,
-        ``<name>`` or ``<name>.data`` of a module).  A replay runs the
-        plan's binders only when one of the watched attributes reads
-        another object than the replay before saw (or a binder returned
-        True: bind me again)."""
+    def bind_on(self, bind: Callable[..., object], owner, *paths: str) -> None:
+        """Register ``bind``: called with the objects ``owner.<path>``
+        currently are, in order (``path``: ``data`` of a tensor, ``<name>``
+        or ``<name>.data`` of a module), it points table entries at them
+        — and reads nothing else, so what a replay watches is what the
+        binder is given.  A replay calls it when one of them is another
+        object than the replay before saw, or when its last call returned
+        True (it bound a converted copy: bind me again)."""
         self.binders.append(bind)
-        self.watched += [(owner, path) for path in paths]
+        self.watched.append(tuple((owner, path) for path in paths))
+
+    def bind_now(self) -> None:
+        """Run every binder on what it watches (the probe's one call)."""
+        for bind, pairs in zip(self.binders, self.watched):
+            bind(*(
+                reduce(getattr, path.split("."), owner)
+                for owner, path in pairs
+            ))
+        if self.arm is not None:
+            self.arm()
 
 
-def _sweep(watched: List[tuple]) -> Callable[[], list]:
-    """The one read of everything a plan's binders bind from: a function
-    returning the objects the ``watched`` (owner, path) pairs currently
-    name, each pair once.  Module attributes are instance attributes, read
-    from the instance dict — a third of ``getattr``'s price, and this runs
-    before every replay."""
-    tensors, attrs, datas = [], [], []
-    for owner, path in {(id(o), p): (o, p) for o, p in watched}.values():
-        name, _, leaf = path.partition(".")
-        if path == "data":
-            tensors.append(owner)
-        elif leaf in ("", "data") and name in vars(owner):
-            (datas if leaf else attrs).append((vars(owner), name))
-        else:
-            raise ValueError(f"cannot watch {type(owner).__name__}.{path}")
+def _sweep(watched: List[tuple]):
+    """``(sweep, places)`` for a plan's binders, ``watched[k]`` the
+    (owner, path) pairs binder ``k`` is given: ``sweep()`` reads them all,
+    grouped by how they are read, and ``places[k]`` says where binder
+    ``k``'s are in what it returns.  Module attributes are instance
+    attributes, read from the instance dict — a third of ``getattr``'s
+    price, and this runs before every replay."""
+    tensors, attrs, datas = groups = [], [], []
+    found = []  # per watched pair, in order: (its group, its index there)
+    for pairs in watched:
+        for owner, path in pairs:
+            name, _, leaf = path.partition(".")
+            if path == "data":
+                kind, item = 0, owner
+            elif leaf in ("", "data") and name in vars(owner):
+                kind, item = 1 + bool(leaf), (vars(owner), name)
+            else:
+                raise ValueError(
+                    f"cannot watch {type(owner).__name__}.{path}"
+                )
+            found.append((kind, len(groups[kind])))
+            groups[kind].append(item)
+    starts = (0, len(tensors), len(tensors) + len(attrs))
+    at = (starts[kind] + index for kind, index in found)
+    places = [tuple(next(at) for _ in pairs) for pairs in watched]
 
     def sweep() -> list:
         now = [tensor.data for tensor in tensors]
@@ -453,7 +463,10 @@ def _sweep(watched: List[tuple]) -> Callable[[], list]:
         now += [fields[name].data for fields, name in datas]
         return now
 
-    return sweep
+    return sweep, places
+
+
+_UNSEEN = object()  # in a sweep's memory: no replay bound from this yet
 
 
 class CRenderer:
@@ -461,20 +474,20 @@ class CRenderer:
 
     Fills a stage table for whatever step lists the plan exposes as
     ``plan.sections``, in replay order.  ``threads`` is the resolved
-    worker-pool width, i.e. which library the plan loads; ``adapting``
-    says the plan is an adaptation step, whose stem conv asks the model's
-    :class:`StemMemo` where an inference plan's feeds it.
+    worker-pool width, i.e. which library the plan loads; ``group_size``
+    is the samples per group of the adaptation plan being compiled (its
+    stem conv may ask the model's :class:`StemMemo`), 0 for an inference
+    plan (its stem conv feeds it).
     """
 
     def __init__(self, backend: "CGenBackend", threads: int = 1,
-                 adapting: bool = False):
+                 group_size: int = 0):
         self.backend = backend
         self.strict = backend.parity == "strict"
         self.threads = max(1, int(threads))
-        self.adapting = adapting
-        # a looking-up stem row's counters and output, the memos in use
+        self.group_size = group_size
+        # the looking-up stem row's counters, the memos in use
         self._memo_io: Optional[np.ndarray] = None
-        self._memo_out: Optional[np.ndarray] = None
         self._memos: List[StemMemo] = []
         self._offers: List[_Offer] = []
         self._rows: List[tuple] = []     # K.STAGE_ROW values, by stage id
@@ -533,19 +546,14 @@ class CRenderer:
             return None
         slot = self._slot()
         holder = self._tab_holder
-        cell = [None]
 
-        def bind():
-            d = tensor.data
-            if d is cell[0]:
-                return
+        def bind(d):
             if d.dtype != want or not d.flags.c_contiguous:
                 raise RuntimeError(
                     "cgen plan parameter changed dtype/layout after "
                     "compilation; recompile the plan"
                 )
             holder[0][slot] = d.ctypes.data
-            cell[0] = d
 
         offer.bind_on(bind, tensor, "data")
         return slot
@@ -690,16 +698,22 @@ class CRenderer:
         and runs only when the bytes of some sample or of the weights are
         not the ones stored (``backend_info["stem_memo"]`` counts which);
         0 — no memo: the conv could run as a small grid at some vector
-        width, or the weight is not a model parameter.  Whether a replay
-        hits is decided in C, by content (``memo_lookup``)."""
+        width, the weight is not a model parameter, or an adaptation plan
+        that could never hit — groups of more than one sample adapt on
+        frames served by earlier launches, and the memo holds the last
+        one's — or already has its looking-up row.  Whether a replay hits
+        is decided in C, by content (``memo_lookup``)."""
         geo: ConvLowering = spec["geo"]
         itemsize = geo.compute_dtype.itemsize
         never_small = 2 * dims.oh * dims.ow > _NV * _VEC_BYTES_MAX // itemsize
-        looking = self.adapting and (
-            spec["bn_module"] is None and not spec["relu"]
-        )
+        looking = self.group_size > 0
+        if looking and (
+            self.group_size > 1 or self._memo_io is not None
+            or spec["bn_module"] is not None or spec["relu"]
+        ):
+            return 0
         memo = self.backend.stem_memo(spec["weight"])
-        if memo is None or not never_small or self.adapting != looking:
+        if memo is None or not never_small:
             return 0
         slots += [0] * (K.ROW_SLOTS - 1 - len(slots))
         slots.append(self._bind_static(memo.header))
@@ -713,41 +727,9 @@ class CRenderer:
             ))
             return 1
         memo.enable()
-        if self._memo_io is None:
-            self._memo_io = np.zeros(len(K.MEMO_COUNTS), dtype=np.int64)
-            self._memo_out = spec["out3"]
+        self._memo_io = np.zeros(len(K.MEMO_COUNTS), dtype=np.int64)
         slots[4] = self._bind_static(self._memo_io)
         return 2
-
-    def _alias_slot(self, plan, graph) -> int:
-        """The table entry every rendered reader of the stem conv's output
-        goes through — a whole-batch memo hit points it at the stored rows
-        instead of copying them — or 0 when there is no such single entry:
-        the value cannot be told from the graph, or some node's output is
-        a view of it (readers this cannot list).  The conv's own entry is
-        private to its row and always names the plan's buffer."""
-        at = self._memo_out.ctypes.data
-
-        def reads(node, vid):
-            return any(
-                isinstance(ref, ValueRef) and ref.vid == vid
-                for ref in node.inputs
-            )
-
-        def placed_there(node):
-            out = plan._fixed.get(node.out_vid)
-            return out is not None and out.ctypes.data == at
-
-        stems = [
-            node.out_vid for node in graph.nodes
-            if reads(node, graph.input_vid) and placed_there(node)
-        ]
-        if len(stems) != 1 or any(
-            reads(node, stems[0]) and placed_there(node)
-            for node in graph.nodes
-        ):
-            return 0
-        return self._static_ids.get(id(plan._fixed[stems[0]]), 0)
 
     def _bn_slots(self, module, n: int, c: int, offer: _Offer):
         """``(slots, eps)`` — the per-sample flag, (scale, shift) and the
@@ -762,17 +744,16 @@ class CRenderer:
         slots = [self._slot() for _ in range(6)]  # scale shift mean var g b
         s_sc, s_sh, s_m, s_v, s_g, s_b = slots
         holder = self._tab_holder
-        cells = [[None, None, False] for _ in slots]
+        keeps = [[None] for _ in slots]
 
-        def bind():
+        def bind(training, ps, mean, var, gamma, beta):
             tab = holder[0]
-            if module.training:
+            if training:
                 raise RuntimeError(
                     "compiled plan replayed with a BatchNorm layer in "
                     "training mode; adaptation steps must use the eager "
                     "path"
                 )
-            ps = module.per_sample_stats
             if ps is not None:
                 scale, shift = ps
                 if scale.shape != (n, c):
@@ -781,13 +762,13 @@ class CRenderer:
                         f"expected ({n}, {c})"
                     )
                 flag[0] = 1
-                return (_bindv(tab, s_sc, scale, cells[0])
-                        | _bindv(tab, s_sh, shift, cells[1]))
+                return (_bindv(tab, s_sc, scale, keeps[0])
+                        | _bindv(tab, s_sh, shift, keeps[1]))
             flag[0] = 0
-            return (_bindv(tab, s_m, module.running_mean, cells[2])
-                    | _bindv(tab, s_v, module.running_var, cells[3])
-                    | _bindv(tab, s_g, module.weight.data, cells[4])
-                    | _bindv(tab, s_b, module.bias.data, cells[5]))
+            return (_bindv(tab, s_m, mean, keeps[2])
+                    | _bindv(tab, s_v, var, keeps[3])
+                    | _bindv(tab, s_g, gamma, keeps[4])
+                    | _bindv(tab, s_b, beta, keeps[5]))
 
         offer.bind_on(
             bind, module, "training", "per_sample_stats", "running_mean",
@@ -806,10 +787,10 @@ class CRenderer:
             return self._fixed_slot(value, np.float64)
         slot = self._slot()
         holder = self._tab_holder
-        cell = [None, None, False]
+        keep = [None]
 
-        def bind():
-            return _bindv(holder[0], slot, getattr(value, attr).data, cell)
+        def bind(vector):
+            return _bindv(holder[0], slot, vector, keep)
 
         offer.bind_on(bind, value, attr + ".data")
         return slot
@@ -1061,16 +1042,15 @@ class CRenderer:
         BN layer of every group — a few lines of C over the taps the
         stages before it filled, inline on the dispatching thread.
 
-        Armed per replay (``offer.arm``, every replay's one call beside
-        the binders' sweep): it reads the destinations the caller passed
-        ``run`` and, when the C can step them (plain SGD-momentum,
-        momentum buffers already there, float64 vectors), binds one
-        ``bn_dest`` row per group and takes them; whatever it leaves —
-        weight decay, Nesterov, an optimizer's first step — the plan hands
-        to the closure after the replay.  Rows are cached per
-        destination, weakly, and refilled only when one of its arrays is
-        another object, so alternating fleet groups copy a row and a
-        steady single stream touches nothing.
+        Armed per replay (``offer.arm``: its destinations are an argument
+        of each replay, not an attribute a sweep could watch): it reads
+        the destinations the caller passed ``run`` and, when the C can
+        step them (plain SGD-momentum, momentum buffers already there,
+        float64 vectors), binds one ``bn_dest`` row per group and takes
+        them; whatever it leaves — weight decay, Nesterov, an optimizer's
+        first step — the plan hands to the closure after the replay.  Rows
+        are cached per destination, weakly, so alternating fleet groups
+        rebind nothing.
         """
         taps, groups, armed = spec["taps"], spec["groups"], spec["update"]
         rows = []
@@ -1087,13 +1067,10 @@ class CRenderer:
         if not rows:
             return None
         ntaps = len(rows)
-        modules = [tap.module for tap in taps]
         flag = np.zeros(1, dtype=np.int64)
         hyper = np.zeros((groups, 3), dtype=np.float64)
         dests = np.zeros((groups, 7 * ntaps), dtype=np.uintp)
-        cache = weakref.WeakKeyDictionary()  # destination -> [held, row]
-        # per group: whose row dests[k] holds, the hyper-parameters set
-        filled: List[list] = [[None, None] for _ in range(groups)]
+        cache = weakref.WeakKeyDictionary()  # destination -> (held, row)
 
         def arm():
             flag[0] = 0
@@ -1110,17 +1087,13 @@ class CRenderer:
                         [None] * (7 * ntaps),
                         np.zeros(7 * ntaps, dtype=np.uintp),
                     )
-                rewritten = _bind_dests(target, modules, *bound)
-                if rewritten is None:
+                if not _bind_dests(target, taps, *bound):
                     return
-                was = filled[k]
-                if rewritten or was[0] is not bound:
-                    dests[k] = bound[1]
-                    was[0] = bound
-                step = (optimizer.lr, optimizer.momentum,
-                        target.effective_momentum)
-                if step != was[1]:
-                    hyper[k] = was[1] = step
+                dests[k] = bound[1]
+                hyper[k] = (
+                    optimizer.lr, optimizer.momentum,
+                    target.effective_momentum,
+                )
             flag[0] = 1
             armed[0] = None
 
@@ -1311,10 +1284,7 @@ class CRenderer:
                 for buf, snap in zip(step.outs, pre):
                     np.copyto(buf, snap, casting="no")
                 try:
-                    for bind in step.binders:
-                        bind()
-                    if step.arm is not None:
-                        step.arm()
+                    step.bind_now()
                     one[0] = step.sid
                     run_fn(tab_ptr, rows_ptr, args_ptr, one.ctypes.data, 1)
                     step.demoted = not all(
@@ -1332,7 +1302,7 @@ class CRenderer:
         # -- rebuild the step lists: surviving rendered stages become
         # repro_run segments (one ctypes call per run of consecutive
         # stages), demoted/declined stages keep their numpy closures
-        binders: List[Callable[[], object]] = []
+        binders: List[Callable[..., object]] = []
         watched: List[tuple] = []
         arms: List[Callable[[], None]] = []
         rendered = demoted = 0
@@ -1403,42 +1373,38 @@ class CRenderer:
         info["workspace_freed"] = freed
 
         if self._memo_io is not None:
-            # the probe's lookups are not replays; a table entry may
-            # follow the memo only when no Python closure reads the
-            # buffer it names
-            self._memo_io[:] = 0
-            if not numpy_stages:
-                self._memo_io[0] = self._alias_slot(plan, graph)
+            self._memo_io[:] = 0  # the probe's lookups are not replays
             info["stem_memo"] = _MemoCounts(self._memo_io)
         keep.extend(self._memos)
 
         if rendered:
             in_dtype = graph.input_dtype
-            hold = [None]
-            # what the binders last bound from; stale until a replay's
-            # binders all ran and none asked to run again
-            seen: List[object] = []
-            stale = [True]
-            sweep = _sweep(watched)
+            hold = [x_probe]
+            sweep, places = _sweep(watched)
+            bound = list(zip(binders, places))
+            # what each binder last bound from
+            seen = [_UNSEEN] * sum(map(len, places))
 
             def pre_replay(x: np.ndarray) -> np.ndarray:
-                if x is not hold[0]:
-                    if x.dtype != in_dtype:
-                        raise TypeError(
-                            f"cgen plan compiled for input dtype "
-                            f"{in_dtype}, got {x.dtype}"
-                        )
-                    x = np.ascontiguousarray(x)
-                    tab[0] = x.ctypes.data
-                    hold[0] = x
+                if x.dtype != in_dtype:
+                    raise TypeError(
+                        f"cgen plan compiled for input dtype {in_dtype}, "
+                        f"got {x.dtype}"
+                    )
+                x = np.ascontiguousarray(x)
+                tab[0] = x.ctypes.data
+                hold[0] = x
                 now = sweep()
-                if stale[0] or not all(map(is_, now, seen)):
-                    stale[0] = True
-                    again = False
-                    for bind in binders:
-                        again |= bool(bind())
+                if not all(map(is_, now, seen)):
+                    moved = {
+                        at for at, was in enumerate(seen) if now[at] is not was
+                    }
+                    for bind, where in bound:
+                        if not moved.isdisjoint(where) and bind(
+                            *[now[at] for at in where]
+                        ):
+                            now[where[0]] = _UNSEEN  # bind it again
                     seen[:] = now
-                    stale[0] = again
                 for arm in arms:
                     arm()
                 return x
@@ -1482,10 +1448,10 @@ class CGenBackend(PlanBackend):
         # $REPRO_CGEN_CACHE without rebuilding backend instances
         return default_cache_dir()
 
-    def _renderer(self, threads: Optional[int], adapting: bool) -> CRenderer:
+    def _renderer(self, threads: Optional[int], group_size: int) -> CRenderer:
         return CRenderer(self, threads=resolve_threads(
             threads if threads is not None else self.threads
-        ), adapting=adapting)
+        ), group_size=group_size)
 
 
 register_backend("cgen", CGenBackend)

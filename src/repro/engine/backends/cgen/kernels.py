@@ -142,7 +142,7 @@ typedef struct {{
     const double *e0, *e1, *e2, *e3; double eps; i64 relu;
     void* raw;
 }} conv_epi;
-/* The stem memo, one per model stem conv (CRenderer._try_stem_memo): the
+/* The stem memo, one per model stem conv (CRenderer._stem_memo): the
  * inputs the last inference replay convolved (`n` samples of `xbytes`,
  * back to back in `key`), the weights then bias it used (`wsnap`) and its
  * accumulator rows with the bias added, before any BN fold (`raw`,
@@ -1021,7 +1021,7 @@ CONV_ARGS = _struct("P PF DF nd dgrad bias bn relu memo d:eps",
 STEM_MEMO = _struct("cap n xbytes wbytes bbytes rbytes P key wsnap raw",
                     P=CONV_PAD)
 #: what a looking-up row's counter slot holds, in MEMO_* order
-MEMO_COUNTS = ("alias", "hits", "frame", "weights", "shape", "empty")
+MEMO_COUNTS = ("hits", "frame", "weights", "shape", "empty")
 BN_ARGS = _struct("groups gs c hw per_group sink d:scalar")
 SWEEP_ARGS = _struct("outer len inner flag d:value")
 LINEAR_ARGS = _struct("n fin fout bias relu")
@@ -1051,8 +1051,7 @@ typedef void kernel_sig(char** T, const i64* S, const void* A,
  * the plan input, never conv_small): slot 11 is the model's stem_memo and
  * the row either feeds it (1: an inference plan) or asks it first (2: an
  * adaptation plan, whose conv has no BN; slot 4 is then the plan's i64
- * {{alias, hits, misses by MEMO_* reason}}, alias the table entry the
- * readers of this output use and a whole-batch hit repoints, 0: copy). */
+ * {{hits, misses by MEMO_* reason}}). */
 typedef struct {{
     conv_pad P, PF; conv_dims DF; i64 nd, dgrad, bias, bn, relu, memo;
     double eps;
@@ -1061,13 +1060,10 @@ typedef struct {{
 /* The memo side of a stem row, sizes in bytes (xs, cs: one input / compute
  * element).  A storing row (memo 1) gets back where its raw rows go.  A
  * looking-up row gets 0 and `*taken` when every sample was found and the
- * conv need not run: it took the stored rows — when they are this batch
- * in this order and the plan named the table entry its readers find the
- * output through, by pointing that entry at them (thread 0 rewrites it on
- * every replay, back to the plan's own buffer o otherwise), else one copy
- * per sample, the samples shared out like any other unit.  Out of line,
- * and handed no conv_epi: the adapters it serves carry the whole conv
- * driver inlined, with the epilogue's fields in registers. */
+ * conv need not run: the stored rows were copied to o, one copy per
+ * sample, the samples shared out like any other unit.  Out of line, and
+ * handed no conv_epi: the adapters it serves carry the whole conv driver
+ * inlined, with the epilogue's fields in registers. */
 static __attribute__((noinline)) void* conv_memo(
     char** T, const i64* S, const conv_args* a, const char* x, const void* w,
     char* o, const void* bias, i64 xs, i64 cs, i64 tid, i64 nt, int* taken)
@@ -1083,14 +1079,9 @@ static __attribute__((noinline)) void* conv_memo(
     i64* io = (i64*)T[S[4]];
     i64 idx[n];
     const int why = memo_lookup(M, &Q, x, w, bias, idx);
-    int alias = why == MEMO_HIT && io[0] && M->n == n;
-    for (i64 s = 0; alias && s < n; ++s) alias = idx[s] == s;
-    if (!tid) {{
-        io[1 + why] += 1;
-        if (io[0]) T[io[0]] = alias ? M->raw : o;
-    }}
+    if (!tid) io[why] += 1;
     if (why != MEMO_HIT) return 0;
-    OWNED(alias ? 0 : n, lo, hi);
+    OWNED(n, lo, hi);
     for (i64 s = lo; s < hi; ++s)
         memcpy(o + s * Q.rbytes, M->raw + idx[s] * Q.rbytes, Q.rbytes);
     *taken = 1;

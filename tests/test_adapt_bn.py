@@ -217,6 +217,20 @@ class TestLDBNAdapt:
         ring[...] = 9.0
         assert adapter.observe_frame(ring).num_frames == 3
         assert seen[1] == [7.0, 8.0, 9.0]
+        # a restore with a step's worth or more pending (a checkpoint taken
+        # under a larger batch_size): the next frame steps on all of them
+        adapter._buffer = [
+            np.full_like(target_images[0], value) for value in (1.0, 2.0, 3.0)
+        ]
+        assert adapter.observe_frame(ring).num_frames == 4
+        assert seen[2] == [1.0, 2.0, 3.0, 9.0]
+        # ... and batch_size is read live
+        adapter.config = LDBNAdaptConfig(batch_size=2)
+        ring[...] = 4.0
+        assert adapter.observe_frame(ring) is None
+        ring[...] = 5.0
+        assert adapter.observe_frame(ring).num_frames == 2
+        assert seen[3] == [4.0, 5.0]
 
     def test_observe_frame_rejects_batches(self, trained_tiny_model, target_images):
         adapter = LDBNAdapt(trained_tiny_model)

@@ -2590,15 +2590,15 @@ def _empty(model, memo):
 class TestStemMemo:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_a_hit_leaves_the_bytes_of_a_miss(self, threads, monkeypatch):
-        """Batch 1 serving a batch-1 step: the hit takes the stored rows
-        in place (the readers' table entry follows the memo), and every
-        buffer the frame leaves is what running the conv leaves."""
+        """Batch 1 serving a batch-1 step: the hit copies the stored
+        rows, and every buffer the frame leaves is what running the conv
+        leaves."""
         _tile_everything(monkeypatch)
         x = _stem_frames(1)
         hit, got = _frame_bytes(threads, x, x.copy(), 1)
         miss, want = _frame_bytes(threads, x, x.copy(), 1, between=_empty)
-        assert hit["alias"] and hit["hits"] == 2 and miss["empty"] == 2
-        assert sum(hit.values()) - hit["alias"] == 2
+        assert hit["hits"] == 2 and miss["empty"] == 2
+        assert sum(hit.values()) == 2
         assert got == want
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -2688,15 +2688,36 @@ class TestStemMemo:
         assert memo.nbytes == 0 and memo.header["cap"][0] == 0
         assert engine.plan_for(x.shape, x.dtype).backend_info[
             "stem_memo"] is None
-        CompiledAdaptStep(model, backend=backend).plan_for(x[:1])
+        # nor does a step over a group of two: it adapts on frames earlier
+        # launches served, and the memo holds the last one's
+        step = CompiledAdaptStep(model, backend=backend)
+        assert step.plan_for(x).backend_info["stem_memo"] is None
+        engine(x)
+        assert memo.nbytes == 0
+        step.plan_for(x[:1])
         # two samples' input, the weights, two samples' f64 rows
         assert memo.nbytes == 2 * x[0].nbytes + model[0].weight.data.nbytes \
             + 2 * 8 * 8 * 12 * 8
         assert memo.header["cap"][0] == 2
 
-    def test_a_numpy_reader_keeps_the_copy(self, monkeypatch):
-        """A plan with any Python closure left names no table entry to
-        repoint: its hits copy into the buffer the closure reads."""
+    def test_one_looking_up_row_a_plan(self, rng):
+        """A second conv over the plan input of an adaptation plan gets
+        no memo (the renderer keeps one set of counters): it just runs."""
+        renderer = cgen.CRenderer(CGenBackend(threads=1), group_size=1)
+        geo = lower_conv((1, 3, 16, 24), (4, 3, 3, 3), (1, 1), (1, 1),
+                         np.float64, np.float32)
+        for _ in range(2):
+            offer = renderer.offer_stage("conv", dict(
+                geo=geo, x_src=("input", None), bias=None, bn_module=None,
+                weight=nn.Parameter(rng.standard_normal((4, 3, 3, 3))),
+                out3=np.empty((1, 4, geo.p_total)), relu=False,
+            ), lambda: None)
+            assert offer is not None
+        assert len(renderer._memos) == 1
+
+    def test_a_numpy_reader_finds_the_copied_rows(self, monkeypatch):
+        """A hit copies into the plan's own buffer, which a stage left a
+        Python closure reads like any other."""
         real = cgen.CRenderer._try_bn_train
         monkeypatch.setattr(
             cgen.CRenderer, "_try_bn_train", lambda self, spec, fb: None
@@ -2704,7 +2725,7 @@ class TestStemMemo:
         x = _stem_frames(1)
         hit, got = _frame_bytes(1, x, x.copy(), 1)
         monkeypatch.setattr(cgen.CRenderer, "_try_bn_train", real)
-        assert not hit["alias"] and hit["hits"] == 2
+        assert hit["hits"] == 2
         _, want = _frame_bytes(1, x, x.copy(), 1, between=_empty)
         # numpy's pairwise BN statistics vs the lanes': the band, not
         # bytes (every array the frame leaves is int64 or float64)
@@ -2724,9 +2745,9 @@ def _count_binders(monkeypatch):
     register = cgen._Offer.bind_on
 
     def counting(self, bind, owner, *paths):
-        def counted():
+        def counted(*values):
             calls[0] += 1
-            return bind()
+            return bind(*values)
 
         register(self, counted, owner, *paths)
 
@@ -2903,5 +2924,4 @@ class TestBindOnChange:
         assert report.adaptation_steps == 6 and calls[0] == bound
         x = frames[0].image[None]
         counts = adapter._compiled.plan_for(x).backend_info["stem_memo"]
-        assert counts["hits"] == 8 and counts["alias"]
-        assert sum(counts.values()) - counts["alias"] == 8
+        assert counts["hits"] == 8 and sum(counts.values()) == 8

@@ -35,9 +35,9 @@ index are exercised at 32 and at 64 bytes.
 
 The stem memo rides the same table: per dtype pair a lookup on the empty
 memo (the conv runs), a batch-4 store through the dual-store epilogue of
-a BN + ReLU stem, a 2-sample lookup (every sample found: one copy each)
-and a batch-4 lookup (the whole batch in order: the named table entry is
-repointed), the memo's key / weights / rows on exact-size heap blocks.
+a BN + ReLU stem, then a 2-sample and a batch-4 lookup (every sample
+found: one copy each), the memo's key / weights / rows on exact-size heap
+blocks.
 
 Loud skip when the host has no compiler or no sanitizer runtime.
 """
@@ -116,8 +116,8 @@ def _render(renderer):
     """Offer every geometry's forward conv (three dtype pairs) and input
     gradient (fresh and accumulating, two dtypes) to ``renderer``;
     returns per stage the scratch it reserved, the arrays to keep, and
-    the plan-owned arrays whose *contents* the stages read (the BN fold
-    flag, the memo counters)."""
+    the plan-owned int64 arrays whose *contents* the stages read (a BN
+    fold flag, or the ``MEMO_COUNTS`` of a looking-up stem row)."""
     rng = np.random.default_rng(5)
     needs, keep, contents = [], [], []
 
@@ -224,21 +224,21 @@ def _render(renderer):
                              cd, xd)
             out3 = np.empty((batch, f, geo.p_total), dtype=cd)
             keep.append(out3)
-            renderer.adapting = adapting
+            # each lookup as its own plan's (one looking-up row a plan)
+            renderer.group_size = int(adapting)
+            renderer._memo_io = None
             offered("conv", dict(
                 geo=geo, weight=weight, bias=bias, out3=out3,
                 x_src=("input", None), relu=not adapting,
                 bn_module=None if adapting else bn,
             ))
-        renderer.adapting = False
-        # the fold flag reads 0: running statistics, not per-sample rows
+        renderer.group_size = 0
+        # the fold flag and the lookups' counters read 0: running
+        # statistics, not per-sample rows; nothing counted yet
         contents += [
             arr for _, arr in renderer._static[first:]
-            if arr.dtype == np.int64 and arr is not renderer._memo_io
+            if arr.dtype == np.int64
         ]
-    # a whole-batch hit repoints this entry: nobody's buffer
-    renderer._memo_io[0] = renderer._bind_static(np.zeros(1))
-    contents.append(renderer._memo_io)
     return needs, keep, contents
 
 
@@ -250,8 +250,7 @@ def bound_table(renderer):
     for slot, arr in renderer._static:
         tab[slot] = arr.ctypes.data
     for offer in renderer._offers:
-        for bind in offer.binders:
-            bind()
+        offer.bind_now()
     return tab
 
 
@@ -287,6 +286,10 @@ def _harness_source(renderer, needs, keep, contents):
         f"{arr.nbytes});\n"
         for arr in contents
     )
+    counters = [
+        slot_of[id(arr)] for arr in contents
+        if arr.size == len(cgen.K.MEMO_COUNTS)
+    ]
     for memo in renderer._memos:
         head = memo.header.copy()
         head["key"] = head["wsnap"] = head["raw"] = 0
@@ -316,14 +319,13 @@ static const unsigned long long ARGS[] = {_c_array(args.view(np.uint64))};
 int main(void) {{
     enum {{ NSLOTS = {renderer._nslots}, NSTAGES = {len(needs)} }};
     const stage_row* rows = (const stage_row*)ROWS;
-    char *T[NSLOTS], *OWN[NSLOTS], *MEMO[{3 * len(renderer._memos)}];
+    char *T[NSLOTS], *MEMO[{3 * len(renderer._memos)}];
     i64 nmemo = 0;
     for (i64 s = 0; s < NSLOTS; ++s) {{
         /* one element into its block, ending where the block ends */
         T[s] = SIZES[s] ? (char*)malloc(SIZES[s] + ITEMS[s]) + ITEMS[s] : 0;
         /* 0x3c bytes: a small finite float at either width */
         if (T[s]) memset(T[s], 0x3c, SIZES[s]);
-        OWN[s] = T[s];  /* a memo hit may repoint an entry of T */
     }}
 {fill}    SCR_STRIDE = 0;
     for (i64 q = 0; q < NSTAGES; ++q)
@@ -332,14 +334,17 @@ int main(void) {{
             stage_call(T, rows + q, (const char*)ARGS, t, {THREADS});
             free(POOL_SCRATCH);
         }}
-    const i64* io = (const i64*)T[{slot_of[id(renderer._memo_io)]}];
-    printf("memo: %d hits, %d empty, %d other; entry repointed: %d\\n",
-           (int)io[1], (int)io[5], (int)(io[2] + io[3] + io[4]),
-           T[io[0]] != OWN[io[0]]);
+    i64 io[{len(cgen.K.MEMO_COUNTS)}] = {{0}};
+    const i64 counters[] = {_c_array(counters)};
+    for (i64 k = 0; k < {len(counters)}; ++k)
+        for (i64 i = 0; i < {len(cgen.K.MEMO_COUNTS)}; ++i)
+            io[i] += ((const i64*)T[counters[k]])[i];
+    printf("memo: %d hits, %d empty, %d other\\n",
+           (int)io[0], (int)io[4], (int)(io[1] + io[2] + io[3]));
     double sum = 0.0;
     for (i64 s = 0; s < NSLOTS; ++s) {{
-        for (i64 b = 0; b < SIZES[s]; ++b) sum += (unsigned char)OWN[s][b];
-        if (OWN[s]) free(OWN[s] - ITEMS[s]);
+        for (i64 b = 0; b < SIZES[s]; ++b) sum += (unsigned char)T[s][b];
+        if (T[s]) free(T[s] - ITEMS[s]);
     }}
     while (nmemo) free(MEMO[--nmemo]);
     printf("%d stages, checksum %.0f\\n", (int)NSTAGES, sum);
@@ -419,7 +424,6 @@ def test_conv_helpers_run_clean_under_asan_and_ubsan(tmp_path):
                              env=_san_env())
         assert ran.returncode == 0, (width, (ran.stdout + ran.stderr)[-4000:])
         assert f"{len(needs)} stages" in ran.stdout
-        # per dtype pair: nothing stored yet, then 2 of 4 found and copied,
-        # then the whole batch in order
-        assert "memo: 4 hits, 2 empty, 0 other; entry repointed: 1" \
-            in ran.stdout
+        # per dtype pair: nothing stored yet, then 2 of the 4 stored
+        # samples found, then all 4 — copied
+        assert "memo: 4 hits, 2 empty, 0 other" in ran.stdout
