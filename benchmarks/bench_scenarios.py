@@ -4,9 +4,7 @@ Runs every registered scenario (abrupt cuts, ramps, oscillations,
 compound degradations — see ``repro.data.domains.SCENARIOS``) through
 the fleet server twice: once with drift detection disabled and once
 with the CUSUM detector + adaptation-reset policy enabled.  Rows are
-archived as the ``scenario_matrix`` section of ``serve_throughput.json``
-so per-scenario accuracy, recovery time, and fleet fps sit under the
-same regression gate as the serving benchmarks.
+archived to ``results/scenario_matrix.json``.
 
 Asserted via :func:`repro.experiments.check_scenarios`:
 
@@ -18,9 +16,9 @@ Asserted via :func:`repro.experiments.check_scenarios`:
 * at least one shifted scenario recovers to its settled accuracy
   strictly faster with resets than without (the headline claim).
 
-The CI smoke lane runs the 3-scenario ``--quick`` subset through the
-CLI (``python -m repro.experiments bench-scenarios --quick``); this
-entry point is the full matrix.
+``tests/test_experiments.py`` asserts the same claims on the 3-scenario
+``QUICK_MATRIX`` subset on every test run; this entry point is the full
+matrix.
 """
 
 from conftest import results_path
@@ -29,8 +27,8 @@ from repro.experiments import (
     check_scenarios,
     format_table,
     get_run_scale,
-    merge_json_section,
     run_bench_scenarios,
+    save_json,
 )
 from repro.experiments.bench_scenarios import COLUMNS as BENCH_SCENARIO_COLUMNS
 
@@ -43,10 +41,6 @@ def test_scenario_matrix(benchmark):
 
     print("\nSCENARIOS — shift matrix: drift resets vs stride-waiting")
     print(format_table(rows, columns=list(BENCH_SCENARIO_COLUMNS)))
-    merge_json_section(
-        results_path("serve_throughput.json"),
-        "scenario_matrix",
-        {f"{r['scenario']}/{r['policy']}": r for r in rows},
-    )
+    save_json(results_path("scenario_matrix.json"), rows)
 
     check_scenarios(rows)

@@ -1,7 +1,6 @@
 """SERVE — fleet throughput, jittered admission, device-pool scaling.
 
-Three scenarios share the ``serve_throughput.json`` artifact (one
-section each, see ``repro.experiments.reporting.merge_json_section``):
+Four studies, each archived to its own ``results/serve_<study>.json``:
 
 * **batched_vs_serial** — host-wallclock frames/sec of serving N
   concurrent adapting streams as N independent
@@ -41,10 +40,9 @@ from repro.experiments import (
     check_slack_dominates,
     format_table,
     get_run_scale,
-    merge_json_section,
     run_bench_devices,
     run_bench_serve,
-    scaling_archive,
+    save_json,
     sustained_streams,
     train_source_model,
 )
@@ -165,9 +163,7 @@ def test_serve_throughput(benchmark):
             ],
         )
     )
-    merge_json_section(
-        results_path("serve_throughput.json"), "batched_vs_serial", rows
-    )
+    save_json(results_path("serve_batched_vs_serial.json"), rows)
 
     for row in rows:
         # BN state isolation: every stream matches its serial twin
@@ -188,9 +184,7 @@ def test_jittered_admission(benchmark):
 
     print("\nSERVE — jittered arrivals: slack admission vs static stride")
     print(format_table(rows, columns=list(BENCH_SERVE_COLUMNS)))
-    merge_json_section(
-        results_path("serve_throughput.json"), "jittered_admission", rows
-    )
+    save_json(results_path("serve_jittered_admission.json"), rows)
 
     # at equal deadline-miss rate, slack admission sustains at least the
     # static-stride fleet's adaptation throughput
@@ -212,10 +206,7 @@ def test_thread_pricing(benchmark):
 
     print("\nSERVE — thread-aware pricing: 1-thread vs 2-thread roofline")
     print(format_table(rows, columns=list(THREAD_PRICING_COLUMNS)))
-    merge_json_section(
-        results_path("serve_throughput.json"), "thread_pricing",
-        {str(r["policy"]): r for r in rows},
-    )
+    save_json(results_path("serve_thread_pricing.json"), rows)
 
     # the re-pricing gate: the 2-thread-priced fleet admits strictly
     # more adaptation steps at an equal-or-better deadline-miss rate
@@ -232,11 +223,7 @@ def test_device_scaling(benchmark):
     print("\nSERVE — device-pool scaling: sustained adapting streams")
     print(format_table(rows, columns=list(BENCH_DEVICE_COLUMNS)))
     print(f"sustained capacity per pool size: {sustained_streams(rows)}")
-    merge_json_section(
-        results_path("serve_throughput.json"),
-        "device_scaling",
-        scaling_archive(rows),
-    )
+    save_json(results_path("serve_device_scaling.json"), rows)
 
     # the scaling gate: at equal deadline-miss budget a 2-device pool
     # sustains >= 1.8x one device's adapting streams, and capacity is

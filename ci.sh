@@ -1,63 +1,72 @@
 #!/usr/bin/env bash
 # PR verification lanes — run from the repo root on every PR.
 #
-#   ./ci.sh            tier-1 tests, the slow marker, and the
-#                      gated-benchmark smoke lane
-#   ./ci.sh --full     additionally runs the remaining quick benchmark
-#                      gates (bench-infer, bench-adapt)
+#   ./ci.sh            tier-1 tests, the slow marker, the CLI smoke lane
+#                      and the cgen lane
+#   ./ci.sh --full     additionally runs the quick bench-infer and
+#                      bench-adapt CLI smokes
 #
-# The smoke lane exists so the benchmark regression loop (archive to
-# benchmarks/results/*.json, diff p95/fps against the previous run's
-# baseline via repro.experiments.regression) is exercised on every PR,
-# not just when a human runs the benchmarks by hand; it ends with the
-# bench-e2e self-check (benchmarks/e2e/run.py --smoke) and the line
-# counts of src/repro/{engine,serve,hw} and of the cgen backend.  Lane 4
-# exercises the cgen C plan backend (its line count beside the parent
-# commit's, the kernel library's cold build and
-# its reuse by a second plan shape, the parity tests twice — single-thread
-# and with a 2-wide worker pool — the conv, BN and max-pool kernels under
-# ASan + UBSan, the bitwise engine suites under REPRO_BACKEND=cgen-strict,
-# plus quick C-served bench runs and the per-kernel micro gates of
-# benchmarks/bench_micro_ops.py: convs, train-BN, max-pool); on
-# hosts without a C compiler it prints a visible skip notice and runs
-# only the compiler-free fallback/registry tests, and on single-core
-# hosts the threaded bench smoke loud-skips (the threaded code path is
-# still covered by the REPRO_CGEN_THREADS=2 test rerun).
+# Timing claims rest on the bench-e2e pair protocol
+# (benchmarks/e2e/compare.py over alternating parent/change runs), not on
+# this script.  The serving studies' properties (slack admission, device
+# scaling, inert tracing, crash recovery, drift resets, thread pricing)
+# are tier-1 tests (tests/test_experiments.py); lane 3 runs one CLI smoke
+# per subcommand not already run by a test, then the bench-e2e
+# self-check (benchmarks/e2e/run.py --smoke) and the line counts of
+# src/repro/{engine,serve,hw} and of the cgen backend.  Lane 4 exercises
+# the cgen C plan backend (its line count beside the parent commit's,
+# the kernel library's cold build and its reuse by a second plan shape,
+# the parity tests with a 2-wide worker pool (tier-1 ran them
+# single-thread), the conv, BN and max-pool kernels under ASan + UBSan,
+# the bitwise engine suites under REPRO_BACKEND=cgen-strict, plus quick
+# C-served bench runs and the per-kernel micro gates of
+# benchmarks/bench_micro_ops.py: convs, train-BN, max-pool); on hosts
+# without a C compiler it prints a visible skip notice and runs only the
+# compiler-free fallback/registry tests, and on single-core hosts the
+# threaded bench smoke loud-skips (the threaded code path is still
+# covered by the REPRO_CGEN_THREADS=2 test rerun).  Every lane prints its
+# wall time, and the script fails if any lane changed the git status of
+# the checkout (a tracked file rewritten, an unignored file left behind).
 
 set -euo pipefail
 cd "$(dirname "$0")"
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
+# the checkout as found: git status plus the bytes of every change to a
+# tracked file, so a lane rewriting an already-modified file shows too
+checkout_state() {
+    git status --porcelain
+    git diff HEAD --binary | cksum
+}
+in_git=$(git rev-parse --is-inside-work-tree 2>/dev/null || echo false)
+if [[ "$in_git" == true ]]; then
+    state_before=$(checkout_state)
+fi
+
+lane_start=$SECONDS
+lane_done() {
+    echo "--- $1: $(( SECONDS - lane_start )) s wall ---"
+    lane_start=$SECONDS
+}
+
 echo "=== lane 1: tier-1 tests (pytest -x -q) ==="
-# wall time and the libraries it left in the cgen cache: against an empty
+# the libraries it left in the cgen cache: against an empty
 # $REPRO_CGEN_CACHE that is one .so per (pool width, parity) the suite
 # touches (9; 291 per-plan units before the kernel library)
-tier1_start=$(date +%s)
 python -m pytest -x -q
 cgen_cache="${REPRO_CGEN_CACHE:-$HOME/.cache/repro_cgen}"
-echo "tier-1: $(( $(date +%s) - tier1_start )) s wall," \
-    "$(find "$cgen_cache" -name '*.so' 2>/dev/null | wc -l) .so in $cgen_cache"
+echo "tier-1: $(find "$cgen_cache" -name '*.so' 2>/dev/null | wc -l) .so in $cgen_cache"
+lane_done "lane 1"
 
 echo "=== lane 2: slow marker (pytest -m slow) ==="
 python -m pytest -m slow -q
+lane_done "lane 2"
 
-echo "=== lane 3: gated benchmark smoke (bench-serve --quick + check_regression) ==="
-python -m repro.experiments bench-serve --quick
-# the 2-device quick run exercises the sharded device-pool path (and its
-# >= 1.8x scaling gate) on every PR, not just when the full benchmark runs
-python -m repro.experiments bench-serve --quick --devices 2
-# telemetry must stay inert: the overhead study re-serves the 2-device
-# fleet traced vs untraced, asserts bitwise output parity and archives
-# both rows under the same regression gate
-python -m repro.experiments bench-serve --quick --trace
-# fault tolerance: checkpointing must be bitwise inert fault-free, a
-# seeded crash+join must recover every hosted session with bounded
-# frame loss, and the identical schedule must replay bitwise; rows are
-# archived under the same regression gate
-python -m repro.experiments bench-serve --quick --recovery
-# scenario matrix smoke: 3 scenarios served with and without drift
-# resets, per-scenario accuracy/recovery gates asserted and rows
-# archived under the same regression gate
+echo "=== lane 3: CLI smokes (bench-scenarios --quick, fleet) + bench-e2e --smoke ==="
+# one CLI smoke per subcommand no test runs: bench-serve --quick is
+# tests/test_utils_train_visualize_cli.py (slow marker, lane 2),
+# bench-infer --quick is tier-1, and the studies' claims are tier-1
+# tests, so what is left here is the scenario matrix's table printer
 python -m repro.experiments bench-scenarios --quick
 # seeded crash+join fleet smoke: the elastic-pool path end to end
 # through the CLI (fault/recovery tables printed, results are scratch)
@@ -72,7 +81,6 @@ if [[ "${1:-}" == "--full" ]]; then
     python -m repro.experiments bench-infer --quick
     python -m repro.experiments bench-adapt --quick
 fi
-python benchmarks/check_regression.py
 # bench-e2e self-check at 1/20 size: metric names/units vs BENCHMARK.json,
 # span nesting, self times tiling each window within 2 % — so a change
 # under src/ that breaks the benchmark's wrappers fails on the PR, not at
@@ -89,6 +97,7 @@ fi
 for layer in engine serve hw engine/backends/cgen; do
     echo "src/repro/$layer: $(find "src/repro/$layer" -name '*.py' | xargs cat | wc -l) lines"
 done
+lane_done "lane 3"
 
 echo "=== lane 4: cgen backend (C plan renderer parity + quick bench) ==="
 # ROADMAP item 6 asks a kernel PR to come in at net zero lines here: the
@@ -142,10 +151,10 @@ with tempfile.TemporaryDirectory() as cache:
         print(f"cgen plan batch {batch}: {time.perf_counter() - start:.2f} s, "
               f"cache_hit {info['cache_hit']}, program {info['program']}")
 PYEOF
-    python -m pytest tests/test_backends.py -q
-    # the same parity suite with a 2-wide worker pool: exercises the
-    # threaded dispatch/barrier/teardown paths even on 1-core hosts
-    # (correctness is thread-count-invariant by construction)
+    # the parity suite (single-thread in tier-1) again with a 2-wide
+    # worker pool: exercises the threaded dispatch/barrier/teardown paths
+    # even on 1-core hosts (correctness is thread-count-invariant by
+    # construction)
     REPRO_CGEN_THREADS=2 python -m pytest tests/test_backends.py -q
     # the library's conv kernels, driven row by row from a generated main,
     # under -fsanitize=address,undefined on exact-size heap buffers: the implicit GEMM's last panel reads up to
@@ -180,8 +189,10 @@ PYEOF
         # down to layer 4's 2x5 grid (the small-grid kernels), the
         # train-BN and max-pool stages vs their closures from 160
         # elements a plane up, and the *_mt rows (2 threads must win, or
-        # the stage runs inline and ties)
-        python -m pytest benchmarks/bench_micro_ops.py -q -k backends
+        # the stage runs inline and ties); its rows go to a scratch
+        # directory, not over the committed micro_ops.json
+        REPRO_RESULTS_DIR="$(mktemp -d)" \
+            python -m pytest benchmarks/bench_micro_ops.py -q -k backends
     else
         echo "NOTICE: threaded bench smoke and micro-kernel gates SKIPPED —"
         echo "        single-core host; the pool cannot beat single-thread"
@@ -193,5 +204,15 @@ else
     # the fallback contract itself is still testable without a compiler
     python -m pytest tests/test_backends.py -q -k "Fallback or Config or Registry"
 fi
+lane_done "lane 4"
 
-echo "ci.sh: all lanes passed"
+if [[ "$in_git" == true ]]; then
+    if [[ "$(checkout_state)" != "$state_before" ]]; then
+        echo "FAILURE: a lane changed the checkout; git status now:"
+        git status --porcelain
+        exit 1
+    fi
+else
+    echo "NOTICE: checkout check SKIPPED — not a git work tree"
+fi
+echo "ci.sh: all lanes passed in $SECONDS s"

@@ -38,7 +38,7 @@ def main() -> None:
     pipeline = RealTimePipeline(
         model,
         adapter,
-        PipelineConfig(latency_model="orin", rolling_window=30),
+        PipelineConfig(latency_model="orin"),
         device=ORIN_POWER_MODES["orin-60w"],
         spec=get_config("paper-r18").to_spec(),
     )

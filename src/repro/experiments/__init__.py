@@ -27,7 +27,6 @@ from .bench_serve import (
     run_bench_devices,
     run_bench_serve,
     run_bench_thread_pricing,
-    scaling_archive,
     sustained_streams,
 )
 from .config import (
@@ -48,12 +47,10 @@ from .fig1_datasets import DomainStats, Fig1Result, export_gallery, run_fig1
 from .fig2_accuracy import Fig2Cell, Fig2Result, run_fig2, train_source_model
 from .fig3_latency import PAPER_FEASIBILITY, Fig3Result, Fig3Row, run_fig3
 from .fleet_serving import FleetRunResult, roofline_comparison_rows, run_fleet
-from .regression import RegressionReport, check_regressions
 from .reporting import (
     format_markdown_table,
     format_table,
     load_json,
-    merge_json_section,
     save_json,
 )
 
@@ -102,14 +99,10 @@ __all__ = [
     "QUICK_SCENARIOS",
     "check_slack_dominates",
     "check_device_scaling",
-    "scaling_archive",
     "sustained_streams",
-    "check_regressions",
-    "RegressionReport",
     "VariantResult",
     "format_table",
     "format_markdown_table",
     "save_json",
     "load_json",
-    "merge_json_section",
 ]

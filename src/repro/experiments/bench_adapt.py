@@ -2,8 +2,9 @@
 
 Shared by ``benchmarks/bench_adapt_step.py`` (the archived pytest
 harness) and the ``python -m repro.experiments bench-adapt`` CLI
-subcommand (the quick regression-gate run).  Two configurations per
-backbone, measured in host wallclock over identical inputs:
+subcommand (a run that asserts parity and writes nothing).  Two
+configurations per backbone, measured in host wallclock over identical
+inputs:
 
 * **single** — one stream's LD-BN-ADAPT step at batch 1: the eager
   autograd path (train forward + full backward + optimizer) versus the

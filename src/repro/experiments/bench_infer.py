@@ -2,13 +2,14 @@
 
 Shared by ``benchmarks/bench_infer_engine.py`` (the archived pytest
 harness) and the ``python -m repro.experiments bench-infer`` CLI
-subcommand (the quick regression-gate run).  For each backbone and batch
-size it measures the model's eval forward both ways — the eager autograd
-path and the compiled engine (:mod:`repro.engine`) — reports p50/p95
-wall-clock latency through the shared percentile helper, and verifies the
-engine's hard parity requirement: outputs **bit-exact**
-(``np.array_equal``) against eager, both on the pristine source model and
-after LD-BN-ADAPT has rewritten the BN state.
+subcommand (a quick run that asserts parity and writes nothing).  For
+each backbone and batch size it measures the model's eval forward both
+ways — the eager autograd path and the compiled engine
+(:mod:`repro.engine`) — reports p50/p95 wall-clock latency through the
+shared percentile helper, and verifies the engine's hard parity
+requirement: outputs **bit-exact** (``np.array_equal``) against eager,
+both on the pristine source model and after LD-BN-ADAPT has rewritten
+the BN state.
 """
 
 from __future__ import annotations
@@ -157,8 +158,7 @@ def run_bench_infer(
                     "cgen_mt_p50_ms": latency_percentile(cgen_mt_ms, 50),
                     "cgen_mt_p95_ms": mt_p95,
                     # single-thread cgen p95 over threaded p95 — the
-                    # thread-scaling headline (speedup keys are not
-                    # regression-gated)
+                    # thread-scaling headline
                     "cgen_mt_speedup_p95": cgen_p95 / mt_p95,
                     "cgen_mt_stages": mt_info["mt_stages"],
                     "cgen_mt_within_band": bool(np.allclose(

@@ -10,10 +10,8 @@ the gather-form phase convs, or on layer 4's 2x5 grid the scatter form
 with the weight columns on the lanes) and the train-mode BN forward and backward
 (numpy: a ufunc pass per op; cgen: lane-accumulator reductions and one
 normalise sweep).  Rows are archived to
-``results/micro_ops.json`` by :mod:`benchmarks.bench_micro_ops`; the
-``*_p95_ms`` keys ride the standard regression gate
-(:mod:`repro.experiments.regression`), so a slowdown in either backend's
-kernels fails CI like any other latency regression.
+``results/micro_ops.json`` by :mod:`benchmarks.bench_micro_ops`, which
+gates the interleaved numpy-vs-cgen ratio of each row in the same run.
 
 Rows where ``fallback`` is True (no C compiler — the cgen plan ran the
 numpy closures stage-by-stage) time the same closures twice by
@@ -312,12 +310,12 @@ def run_micro_threaded(
     conv GEMM, the fused-im2col 3x3 conv (gather folded into the GEMM —
     no workspace materialization), and the rendered adaptation backward
     (BN gamma/beta grads + reduced chain).  Samples are interleaved so
-    machine drift cancels in ``mt_speedup_p95``; the ``*_p95_ms`` keys
-    ride the regression gate.  A stage the renderer keeps inline
-    (``mt_stages`` 0 — its estimated kernel time does not repay a
-    dispatch) runs the same code at both widths and ties.  The first row
-    is the dispatch round trip itself (:func:`_pool_dispatch_row`), the
-    last the interpreter's share of a frame (:func:`_frame_glue_row`).
+    machine drift cancels in ``mt_speedup_p95``.  A stage the renderer
+    keeps inline (``mt_stages`` 0 — its estimated kernel time does not
+    repay a dispatch) runs the same code at both widths and ties.  The
+    first row is the dispatch round trip itself
+    (:func:`_pool_dispatch_row`), the last the interpreter's share of a
+    frame (:func:`_frame_glue_row`).
     """
     rng = np.random.default_rng(seed)
     rows: List[Dict[str, object]] = [_pool_dispatch_row(reps, threads)]

@@ -22,7 +22,8 @@ least one scenario recovers strictly faster with resets than without.
 
 Everything is simulated and seeded (scenario streams derive per-stream
 seeds via ``utils.rng.child_seed``), so every row is exactly
-reproducible and safe to regression-gate.
+reproducible and the claims are a deterministic test
+(``tests/test_experiments.py``, on :data:`QUICK_MATRIX`).
 """
 
 from __future__ import annotations
@@ -44,10 +45,11 @@ from .fig2_accuracy import train_source_model
 
 log = Logger("bench-scenarios")
 
-#: the 3-scenario subset the CI smoke lane runs (one novel cut, one
-#: recurring oscillation exercising the cluster bank, one compound
-#: degradation)
+#: the 3-scenario subset of ``--quick`` (one novel cut, one recurring
+#: oscillation exercising the cluster bank, one compound degradation),
+#: and the whole quick configuration, shared by the CLI and the tests
 QUICK_SCENARIOS = ("night_cut", "tunnel_strobe", "fog_glare")
+QUICK_MATRIX = dict(scenario_names=QUICK_SCENARIOS, num_ticks=36)
 
 #: adaptation cadence of the study: long enough that a shift landing
 #: mid-stride leaves the no-reset policy serving stale statistics for

@@ -31,7 +31,10 @@ module hosts two studies on the simulated Jetson Orin:
   stream).  :func:`check_recovery` asserts all three claims.
 
 Everything is simulated (roofline service times, seeded arrivals), so
-every row is exactly reproducible and safe to regression-gate.
+every row but the host-timed ones (``host_wall_ms``, the checkpoint
+store's ``*_ms_p50/p95``) is exactly reproducible, and each ``check_*``
+is a deterministic property: ``tests/test_experiments.py`` asserts every
+one of them on its ``QUICK_*`` configuration.
 """
 
 from __future__ import annotations
@@ -81,6 +84,13 @@ DEVICE_COUNTS = (1, 2, 4)
 SCALING_MISS_BUDGET = 0.15
 SCALING_MAX_STREAMS = 10
 SCALING_FACTOR = 1.8  # 2 devices must sustain >= 1.8x the streams of 1
+
+#: ``--quick``: the CI-sized configuration of each study, shared by the
+#: CLI and the property tests (the functions' defaults are the full runs)
+QUICK_ADMISSION = dict(num_ticks=24, strides=(1, 8, 16))
+QUICK_SCALING = dict(num_ticks=16, max_streams=6)
+QUICK_OVERHEAD = dict(num_ticks=16)
+QUICK_RECOVERY = dict(num_ticks=12)
 
 #: display order of the study's table, shared by the CLI and the
 #: benchmark harness (the archived rows additionally carry every
@@ -330,7 +340,7 @@ def run_bench_overhead(
     traced run's per-stream outputs are compared bitwise against the
     untraced run's (``parity_ok``), its simulated percentiles are the
     same numbers, and the measured host wall time carries the only real
-    cost (gate-excluded by name: host timings are nondeterministic).
+    cost (reported, not asserted: host timings are nondeterministic).
     """
     scale = scale if scale is not None else get_run_scale()
     benchmark, model = _prepare(scale)
@@ -447,21 +457,6 @@ def run_bench_devices(
             if not sustained:
                 break  # the pool saturated; larger fleets only miss more
     return rows
-
-
-def scaling_archive(rows: List[Dict[str, object]]) -> Dict[str, object]:
-    """Key scaling rows by configuration for the regression archive.
-
-    The scan emits a data-dependent number of rows per pool size (it
-    stops at saturation), so archiving the plain list would let the
-    positional regression gate diff *different* (devices, streams)
-    probes against each other whenever capacity shifts.  Keying each row
-    by its configuration makes the gate compare like with like — probes
-    that appear or disappear are simply skipped.
-    """
-    return {
-        f"{row['devices']}dev_{row['streams']}streams": row for row in rows
-    }
 
 
 def sustained_streams(rows: List[Dict[str, object]]) -> Dict[int, int]:
@@ -642,8 +637,8 @@ def run_bench_recovery(
     A fifth ``store`` row (:data:`STORE_COLUMNS`) times the session
     checkpoint store itself — durable write and verified load, p50/p95
     over :data:`STORE_SAMPLES` calls, and bytes per write — on a session
-    whose drift bank holds two regimes, so the regression gate sees the
-    checkpoint path at its steady-state size, not a fresh session's.
+    whose drift bank holds two regimes, so the row times the checkpoint
+    path at its steady-state size, not a fresh session's.
     """
     scale = scale if scale is not None else get_run_scale()
     benchmark, model = _prepare(scale)

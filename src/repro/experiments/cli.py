@@ -36,9 +36,10 @@ device-pool scaling study at ``--devices N``, the
 telemetry-overhead study at ``--trace``, the crash-recovery study at
 ``--recovery``) and ``bench-scenarios`` (the shift-scenario matrix:
 drift-aware adaptation resets vs stride-waiting over every registered
-scenario, or the 3-scenario CI subset at ``--quick``) each archive
-results and run the regression gate (none is a paper artifact, so
-``all`` includes none of them).
+scenario, or the 3-scenario CI subset at ``--quick``) each print their
+table, assert their property and exit 1 when it fails.  They write no
+file: the pytest harnesses under ``benchmarks/`` archive results, and
+none is a paper artifact, so ``all`` includes none of them.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .bench_adapt import run_bench_adapt
 from .bench_infer import run_bench_infer
 from .bench_scenarios import (
     COLUMNS as BENCH_SCENARIO_COLUMNS,
-    QUICK_SCENARIOS,
+    QUICK_MATRIX,
     check_scenarios,
     run_bench_scenarios,
 )
@@ -61,9 +62,12 @@ from .bench_serve import (
     COLUMNS as BENCH_SERVE_COLUMNS,
     DEVICE_COLUMNS as BENCH_DEVICE_COLUMNS,
     OVERHEAD_COLUMNS as BENCH_OVERHEAD_COLUMNS,
+    QUICK_ADMISSION,
+    QUICK_OVERHEAD,
+    QUICK_RECOVERY,
+    QUICK_SCALING,
     RECOVERY_COLUMNS as BENCH_RECOVERY_COLUMNS,
     STORE_COLUMNS as BENCH_STORE_COLUMNS,
-    STRIDES,
     check_device_scaling,
     check_recovery,
     check_slack_dominates,
@@ -72,15 +76,13 @@ from .bench_serve import (
     run_bench_overhead,
     run_bench_recovery,
     run_bench_serve,
-    scaling_archive,
 )
 from .config import get_run_scale
 from .fig1_datasets import run_fig1
 from .fig2_accuracy import run_fig2
 from .fig3_latency import run_fig3
 from .fleet_serving import roofline_comparison_rows, run_fleet
-from .regression import check_regressions
-from .reporting import format_table, merge_json_section, save_json
+from .reporting import format_table
 from ..telemetry import SpanTracer, render_dashboard
 
 _ARTIFACTS = (
@@ -207,34 +209,23 @@ def _export_trace(tracer: SpanTracer, results_dir: str) -> None:
     )
 
 
-def _default_results_dir() -> str:
-    """The source tree's ``benchmarks/results``, CWD-independent.
-
-    Anchors to the repo root via this package's location (the same
-    directory ``benchmarks/check_regression.py`` gates), falling back to
-    a CWD-relative path for installed-without-sources environments.
-    """
-    repo_root = os.path.dirname(
-        os.path.dirname(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        )
-    )
-    benchmarks = os.path.join(repo_root, "benchmarks")
-    if os.path.isdir(benchmarks):
-        return os.path.join(benchmarks, "results")
-    return os.path.join("benchmarks", "results")
+def _holds(check, rows, failure: str) -> int:
+    """A study's exit code: 0 when ``check(rows)`` holds, else 1."""
+    try:
+        check(rows)
+    except AssertionError as exc:
+        print(f"{failure}: {exc}")
+        return 1
+    return 0
 
 
-def _run_bench_infer(
-    scale, quick: bool, results_dir: str, backend=None, threads=None
-) -> int:
-    """Measure eager vs compiled inference, archive it, gate on p95."""
+def _run_bench_infer(scale, quick: bool, backend=None, threads=None) -> int:
+    """Measure eager vs compiled inference and assert output parity."""
     rows = run_bench_infer(
         scale=scale,
         batch_sizes=(1, 8),
-        # the gate diffs p95 across runs, so even quick runs need
-        # enough samples for a stable tail (max-of-5 flakes on shared
-        # hosts); quick shrinks the adapt work instead
+        # 40 samples keep the printed p95 off a single preemption on a
+        # shared host; quick shrinks the adapt work instead
         reps=40,
         adapt_steps=1 if quick else 2,
         backend=backend if backend is not None else "numpy",
@@ -270,18 +261,11 @@ def _run_bench_infer(
     ):
         print("PARITY FAILURE: threaded cgen output left the parity band")
         return 1
-    if backend in (None, "numpy") and threads is None:
-        # non-default backends (and threaded rows, whose schema differs)
-        # would diff against the numpy baseline
-        save_json(os.path.join(results_dir, "infer_engine.json"), rows)
-    return _gate(results_dir, quick)
+    return 0
 
 
-def _run_bench_adapt(
-    scale, quick: bool, results_dir: str, backend=None
-) -> int:
-    """Measure eager vs compiled/fused adaptation, archive, gate on p95."""
-    # 40 reps for the same reason as bench-infer: a stable gated p95
+def _run_bench_adapt(scale, backend=None) -> int:
+    """Measure eager vs compiled/fused adaptation and assert parity."""
     rows = run_bench_adapt(scale=scale, reps=40, backend=backend)
     print("BENCH-ADAPT — eager vs compiled adaptation-step latency (ms)")
     print(
@@ -317,17 +301,14 @@ def _run_bench_adapt(
             ],
             columns=["backend", "stage", "ms_per_step"], floatfmt=".3f",
         ))
-    if backend in (None, "numpy"):
-        # non-default backends would diff against the numpy baseline
-        save_json(os.path.join(results_dir, "adapt_step.json"), rows)
-    return _gate(results_dir, quick)
+    return 0
 
 
 def _run_bench_serve(
-    scale, quick: bool, results_dir: str, devices: int, placement: str,
+    scale, quick: bool, devices: int, placement: str,
     trace: bool = False, recovery: bool = False, backend=None,
 ) -> int:
-    """Fleet serving studies: archive, assert, gate.
+    """Fleet serving studies: print the table, assert the claim.
 
     ``--devices 1`` (the default) runs the jittered-arrival admission
     study; ``--devices N`` (N > 1) runs the device-pool scaling study
@@ -338,12 +319,10 @@ def _run_bench_serve(
     ``--recovery`` runs the crash-recovery study (checkpoint inertness,
     seeded crash+join replay determinism, bounded frame loss).
     """
+    backend = backend or "numpy"
     if recovery:
         rows = run_bench_recovery(
-            scale=scale,
-            num_streams=3,
-            num_ticks=12 if quick else 24,
-            backend=backend if backend is not None else "numpy",
+            scale=scale, backend=backend, **(QUICK_RECOVERY if quick else {})
         )
         print("BENCH-SERVE — crash recovery: checkpointed elastic pool")
         for title, columns, part in (
@@ -356,26 +335,15 @@ def _run_bench_serve(
             if title:
                 print(title)
             print(format_table(part, columns=list(columns), floatfmt=".3f"))
-        try:
-            check_recovery(rows)
-        except AssertionError as exc:
-            print(f"RECOVERY FAILURE: fault tolerance claim failed: {exc}")
-            return 1
-        merge_json_section(
-            os.path.join(results_dir, "serve_throughput.json"),
-            "recovery_quick" if quick else "recovery",
-            {str(r["scenario"]): r for r in rows},
+        return _holds(
+            check_recovery, rows,
+            "RECOVERY FAILURE: fault tolerance claim failed",
         )
-        return _gate(results_dir, quick)
 
     if trace:
         rows = run_bench_overhead(
-            scale=scale,
-            num_streams=4,
-            num_ticks=16 if quick else 24,
-            devices=2,
-            placement=placement,
-            backend=backend if backend is not None else "numpy",
+            scale=scale, placement=placement, backend=backend,
+            **(QUICK_OVERHEAD if quick else {}),
         )
         print("BENCH-SERVE — telemetry overhead: traced vs untraced fleet")
         print(
@@ -383,26 +351,18 @@ def _run_bench_serve(
                 rows, columns=list(BENCH_OVERHEAD_COLUMNS), floatfmt=".3f"
             )
         )
-        try:
-            check_trace_overhead(rows)
-        except AssertionError as exc:
-            print(f"TELEMETRY FAILURE: tracing was not inert: {exc}")
-            return 1
-        merge_json_section(
-            os.path.join(results_dir, "serve_throughput.json"),
-            "telemetry_overhead_quick" if quick else "telemetry_overhead",
-            {str(r["mode"]): r for r in rows},
+        return _holds(
+            check_trace_overhead, rows,
+            "TELEMETRY FAILURE: tracing was not inert",
         )
-        return _gate(results_dir, quick)
 
     if devices > 1:
         rows = run_bench_devices(
             scale=scale,
             device_counts=tuple(sorted({1, 2, devices})),
-            num_ticks=16 if quick else 24,
-            max_streams=6 if quick else 10,
             placement=placement,
-            backend=backend if backend is not None else "numpy",
+            backend=backend,
+            **(QUICK_SCALING if quick else {}),
         )
         print("BENCH-SERVE — device-pool scaling: sustained adapting streams")
         print(
@@ -410,104 +370,37 @@ def _run_bench_serve(
                 rows, columns=list(BENCH_DEVICE_COLUMNS), floatfmt=".3f"
             )
         )
-        try:
-            check_device_scaling(rows)
-        except AssertionError as exc:
-            print(f"SCALING FAILURE: device pool did not scale: {exc}")
-            return 1
-        # quick rows (fewer ticks, lower scan ceiling) live in their own
-        # section so the positional regression gate never diffs them
-        # against full-run rows; same for non-standard pool sizes
-        if quick:
-            section = "device_scaling_quick"
-        elif devices == 2:
-            section = "device_scaling_cli"
-        else:
-            section = f"device_scaling_cli_{devices}dev"
-        merge_json_section(
-            os.path.join(results_dir, "serve_throughput.json"),
-            section,
-            scaling_archive(rows),
+        return _holds(
+            check_device_scaling, rows,
+            "SCALING FAILURE: device pool did not scale",
         )
-        return _gate(results_dir, quick)
 
     rows = run_bench_serve(
-        scale=scale,
-        num_streams=4,
-        num_ticks=24 if quick else 36,
-        strides=(1, 8, 16) if quick else STRIDES,
-        placement=placement,
-        backend=backend if backend is not None else "numpy",
+        scale=scale, placement=placement, backend=backend,
+        **(QUICK_ADMISSION if quick else {}),
     )
     print("BENCH-SERVE — jittered arrivals: slack admission vs static stride")
     print(format_table(rows, columns=list(BENCH_SERVE_COLUMNS), floatfmt=".3f"))
-    try:
-        check_slack_dominates(rows)
-    except AssertionError as exc:
-        print(f"ADMISSION FAILURE: slack policy did not dominate: {exc}")
-        return 1
-    # quick rows (fewer strides/ticks) live in their own section so the
-    # positional regression gate never diffs them against full-run rows
-    merge_json_section(
-        os.path.join(results_dir, "serve_throughput.json"),
-        "jittered_admission_quick" if quick else "jittered_admission",
-        rows,
+    return _holds(
+        check_slack_dominates, rows,
+        "ADMISSION FAILURE: slack policy did not dominate",
     )
-    return _gate(results_dir, quick)
 
 
-def _run_bench_scenarios(scale, quick: bool, results_dir: str) -> int:
-    """Scenario matrix: drift resets vs stride-waiting, archive, gate.
+def _run_bench_scenarios(scale, quick: bool) -> int:
+    """Scenario matrix: drift resets vs stride-waiting, assert the claims.
 
     ``--quick`` serves the 3-scenario CI subset over a shorter horizon;
     the full run covers every registered scenario.
     """
-    rows = run_bench_scenarios(
-        scale=scale,
-        scenario_names=QUICK_SCENARIOS if quick else None,
-        num_streams=2,
-        num_ticks=36 if quick else 48,
-    )
+    rows = run_bench_scenarios(scale=scale, **(QUICK_MATRIX if quick else {}))
     print("BENCH-SCENARIOS — shift matrix: drift resets vs stride-waiting")
     print(
         format_table(rows, columns=list(BENCH_SCENARIO_COLUMNS), floatfmt=".3f")
     )
-    try:
-        check_scenarios(rows)
-    except AssertionError as exc:
-        print(f"SCENARIO FAILURE: drift-reset claim failed: {exc}")
-        return 1
-    # quick rows (fewer scenarios/ticks) live in their own section so the
-    # positional regression gate never diffs them against full-run rows
-    merge_json_section(
-        os.path.join(results_dir, "serve_throughput.json"),
-        "scenario_matrix_quick" if quick else "scenario_matrix",
-        {f"{r['scenario']}/{r['policy']}": r for r in rows},
+    return _holds(
+        check_scenarios, rows, "SCENARIO FAILURE: drift-reset claim failed"
     )
-    return _gate(results_dir, quick)
-
-
-def _gate(results_dir: str, quick: bool = False) -> int:
-    """Run the latency/throughput regression gate over archived results.
-
-    Quick runs gate at a coarse 50% threshold: the smoke lane exists to
-    catch faceplants on every PR — a kernel falling off its vectorized
-    path or silently falling back to closures is 2-5x — while host-timed
-    p95 tails on a busy shared machine routinely swing 40% run to run.
-    The canonical 10% precision gate belongs to the full harness and
-    ``benchmarks/check_regression.py`` on quiet hardware, where the
-    drift-normalization and lone-outlier rules in
-    :mod:`repro.experiments.regression` absorb what noise remains."""
-    report = check_regressions(results_dir, threshold=0.50 if quick else 0.10)
-    print(f"regression check: {report.summary()}")
-    if report.regressions:
-        print(
-            format_table(
-                [r.as_row() for r in report.regressions], floatfmt=".3f"
-            )
-        )
-        return 1
-    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -650,19 +543,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="bench-infer/bench-adapt/bench-serve only: fewer repetitions "
-        "(fast CI smoke run)",
+        help="bench-infer/bench-serve/bench-scenarios: the CI-sized "
+        "configuration (bench-adapt has one size and ignores it)",
     )
     parser.add_argument(
         "--results-dir",
-        default=None,
-        help="bench-infer/bench-adapt/bench-serve only: where to archive "
-        "and gate results (default: the source tree's benchmarks/results, "
-        "matching benchmarks/check_regression.py)",
+        default=".",
+        help="fleet --trace / trace only: where to write the Chrome trace "
+        "and the JSONL span log (default: the current directory)",
     )
     args = parser.parse_args(argv)
-    if args.results_dir is None:
-        args.results_dir = _default_results_dir()
     scale = get_run_scale(args.scale)
     backend = args.backend
     if backend == "cgen" and args.parity == "strict":
@@ -679,18 +569,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.artifact == "bench-infer":
         return _run_bench_infer(
-            scale, args.quick, args.results_dir, backend,
-            threads=args.threads,
+            scale, args.quick, backend, threads=args.threads
         )
     if args.artifact == "bench-adapt":
-        return _run_bench_adapt(scale, args.quick, args.results_dir, backend)
+        return _run_bench_adapt(scale, backend)
     if args.artifact == "bench-serve":
         return _run_bench_serve(
-            scale, args.quick, args.results_dir, args.devices, args.placement,
+            scale, args.quick, args.devices, args.placement,
             trace=args.trace, recovery=args.recovery, backend=backend,
         )
     if args.artifact == "bench-scenarios":
-        return _run_bench_scenarios(scale, args.quick, args.results_dir)
+        return _run_bench_scenarios(scale, args.quick)
 
     runners = {
         "fig1": _print_fig1,

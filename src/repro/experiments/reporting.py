@@ -86,23 +86,6 @@ def load_json(path: str) -> object:
         return json.load(fh)
 
 
-def merge_json_section(path: str, section: str, payload: object) -> None:
-    """Update one named section of a JSON artifact, keeping the others.
-
-    Lets several harnesses share one result file (e.g. the batched-vs-
-    serial sweep and the jittered-admission study both archive into
-    ``serve_throughput.json``) without clobbering each other.  A legacy
-    artifact that is not a dict of sections is replaced wholesale.
-    """
-    existing = {}
-    if os.path.isfile(path):
-        loaded = load_json(path)
-        if isinstance(loaded, dict):
-            existing = loaded
-    existing[section] = payload
-    save_json(path, existing)
-
-
 def _json_default(obj):
     """Fallback serializer for numpy scalars and dataclass-likes."""
     import numpy as np

@@ -56,7 +56,6 @@ class PipelineConfig:
     latency_model: str = "orin"  # "orin" | "wallclock"
     decode_method: str = "expectation"
     accuracy_threshold_cells: float = TUSIMPLE_THRESHOLD_CELLS
-    rolling_window: int = 30
     backend: str = "numpy"  # plan backend for the compiled forward
     threads: Optional[int] = None  # kernel-pool width (codegen backends)
 
@@ -79,8 +78,6 @@ class PipelineConfig:
                 f"accuracy_threshold_cells must be positive, "
                 f"got {self.accuracy_threshold_cells}"
             )
-        if self.rolling_window < 1:
-            raise ValueError(f"rolling_window must be >= 1, got {self.rolling_window}")
 
 
 class RealTimePipeline:

@@ -200,8 +200,10 @@ demo harness; ``--devices``/``--placement``/``--jitter``/``--admission``
 flags, span tracing + dashboard with ``--trace``), ``python -m
 repro.experiments trace`` (the observability run as its own artifact),
 ``python -m repro.experiments bench-serve`` (jittered-arrival admission
-study, the device-scaling study with ``--devices N``, or the
-telemetry-overhead study with ``--trace``; all regression-gated),
+study, the device-scaling study with ``--devices N``, the
+telemetry-overhead study with ``--trace`` or the crash-recovery study
+with ``--recovery``; each asserts its claim, which
+``tests/test_experiments.py`` also asserts on every test run),
 ``examples/fleet_serving.py`` (device-pool walkthrough with
 placement/migration knobs), ``benchmarks/bench_serve_throughput.py``
 (batched vs. N serial pipelines, jittered admission, device scaling) and

@@ -147,17 +147,12 @@ class TestPipelineConfig:
         with pytest.raises(ValueError):
             PipelineConfig(decode_method="nms")
 
-    def test_invalid_rolling_window_rejected_at_construction(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(rolling_window=0)
-
     def test_invalid_threshold_rejected_at_construction(self):
         with pytest.raises(ValueError):
             PipelineConfig(accuracy_threshold_cells=0.0)
 
     def test_valid_alternatives_accepted(self):
         assert PipelineConfig(decode_method="argmax").decode_method == "argmax"
-        assert PipelineConfig(rolling_window=1).rolling_window == 1
 
 
 class TestRealTimePipeline:

@@ -2,7 +2,7 @@
 and the experiments CLI."""
 
 import io
-import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,48 +250,32 @@ class TestCLI:
         with pytest.raises(SystemExit):
             cli_main(["fig9"])
 
-    def test_bench_infer_quick(self, capsys, tmp_path):
-        """Quick engine benchmark + p95 regression gate round-trips."""
-        results = str(tmp_path / "results")
-        assert cli_main(["bench-infer", "--quick", "--results-dir", results]) == 0
-        out = capsys.readouterr().out
-        assert "BENCH-INFER" in out
-        assert "regression check" in out
-        assert (tmp_path / "results" / "infer_engine.json").exists()
-        baseline = tmp_path / "results" / "baseline" / "infer_engine.json"
-        assert baseline.exists()  # first run recorded the baseline
-        # make the baseline 10x slower so the second run's comparison
-        # passes deterministically regardless of host timing noise
-        # (every gated latency column, incl. the cgen backend's)
-        rows = json.loads(baseline.read_text())
-        for row in rows:
-            for key in list(row):
-                if key.endswith("_p95_ms"):
-                    row[key] *= 10.0
-        baseline.write_text(json.dumps(rows))
-        assert cli_main(["bench-infer", "--quick", "--results-dir", results]) == 0
+    def test_bench_infer_quick(self, capsys):
+        """Quick engine benchmark: parity asserted, nothing written."""
+        before = _results_snapshot()
+        assert cli_main(["bench-infer", "--quick"]) == 0
+        assert "BENCH-INFER" in capsys.readouterr().out
+        assert _results_snapshot() == before
 
     @pytest.mark.slow
-    def test_bench_serve_quick(self, capsys, tmp_path):
-        """Quick jittered-admission benchmark + regression gate round-trips.
-
-        Exercised on every PR by ci.sh's smoke lane (the gated benchmark
-        loop must not rot between hand-runs).
-        """
-        results = str(tmp_path / "results")
-        assert cli_main(["bench-serve", "--quick", "--results-dir", results]) == 0
+    def test_bench_serve_quick(self, capsys):
+        """Quick jittered-admission study through the CLI: it prints its
+        table, asserts its claim and leaves the committed archive alone."""
+        before = _results_snapshot()
+        assert cli_main(["bench-serve", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "BENCH-SERVE" in out
-        assert "regression check" in out
-        artifact = tmp_path / "results" / "serve_throughput.json"
-        assert artifact.exists()
-        payload = json.loads(artifact.read_text())
-        rows = payload["jittered_admission_quick"]
-        assert {r["policy"] for r in rows} >= {"stride-1", "slack"}
-        baseline = tmp_path / "results" / "baseline" / "serve_throughput.json"
-        assert baseline.exists()  # first run recorded the baseline
-        # the simulated study is deterministic, so a second run diffs
-        # cleanly against the recorded baseline and passes the gate
-        assert cli_main(["bench-serve", "--quick", "--results-dir", results]) == 0
-        out = capsys.readouterr().out
-        assert "no regressions" in out
+        assert "stride-1" in out and "slack" in out
+        assert _results_snapshot() == before
+
+
+RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
+
+
+def _results_snapshot():
+    """Every file under ``benchmarks/results``: its bytes and mtime."""
+    return {
+        path: (path.read_bytes(), path.stat().st_mtime_ns)
+        for path in RESULTS.rglob("*")
+        if path.is_file()
+    }
