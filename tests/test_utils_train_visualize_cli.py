@@ -269,7 +269,101 @@ class TestCLI:
         assert _results_snapshot() == before
 
 
-RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
+#: one row set per bench-serve / bench-scenarios study that breaks its
+#: property: (argv, the cli-module study function, its --quick kwargs,
+#: rows, the failure banner the subcommand prints)
+_VIOLATIONS = {
+    "admission": (
+        ["bench-serve"], "run_bench_serve", "QUICK_ADMISSION",
+        [  # the slack fleet is out-adapted at an equal miss rate
+            {"policy": "stride-1", "miss_rate": 0.0, "steps_per_tick": 1.0,
+             "adapting_streams": 4},
+            {"policy": "slack", "miss_rate": 0.0, "steps_per_tick": 0.5,
+             "adapting_streams": 4},
+        ],
+        "ADMISSION FAILURE",
+    ),
+    "devices": (
+        ["bench-serve", "--devices", "2"], "run_bench_devices",
+        "QUICK_SCALING",
+        [  # two devices sustain no more streams than one
+            {"devices": d, "streams": s, "sustained": s == 1}
+            for d in (1, 2) for s in (1, 2)
+        ],
+        "SCALING FAILURE",
+    ),
+    "trace": (
+        ["bench-serve", "--trace"], "run_bench_overhead", "QUICK_OVERHEAD",
+        [  # tracing changed the per-stream outputs
+            {"mode": mode, "spans": 5, "p95_latency_ms": 30.0,
+             "parity_ok": False}
+            for mode in ("untraced", "traced")
+        ],
+        "TELEMETRY FAILURE",
+    ),
+    "recovery": (
+        ["bench-serve", "--recovery"], "run_bench_recovery", "QUICK_RECOVERY",
+        [  # checkpointing changed a fault-free fleet's outputs
+            {"scenario": "checkpointed", "checkpoint_inert": False,
+             "checkpoint_writes": 3},
+            {"scenario": "crash", "replay_ok": True},
+            {"scenario": "store", "bank": 2, "tmp_left": 0},
+        ],
+        "RECOVERY FAILURE",
+    ),
+    "scenarios": (
+        ["bench-scenarios"], "run_bench_scenarios", "QUICK_MATRIX",
+        [  # no drift alarm fired on a scheduled shift
+            {"scenario": "night_cut", "policy": policy, "drift_events": 0,
+             "accuracy": 0.9, "cluster_restores": 0, "shifts": 1,
+             "recovery_frames": 4.0}
+            for policy in ("none", "reset")
+        ],
+        "SCENARIO FAILURE",
+    ),
+}
+
+
+def _stub_study(monkeypatch, name):
+    """Swap the study a bench subcommand runs for canned violating rows;
+    returns (argv, the study's --quick kwargs, the banner, the kwargs
+    each call received)."""
+    from repro.experiments import cli
+
+    argv, runner, quick, rows, banner = _VIOLATIONS[name]
+    calls = []
+
+    def study(**kwargs):
+        calls.append(kwargs)
+        return [dict(row) for row in rows]
+
+    monkeypatch.setattr(cli, runner, study)
+    return argv, getattr(cli, quick), banner, calls
+
+
+class TestBenchExitCodes:
+    """A bench subcommand prints its table, asserts its study's property
+    and returns its exit code; it writes nothing."""
+
+    @pytest.mark.parametrize("name", sorted(_VIOLATIONS))
+    def test_broken_property_exits_1(self, name, monkeypatch, capsys):
+        argv, quick, banner, calls = _stub_study(monkeypatch, name)
+        before = _results_snapshot()
+        assert cli_main(argv + ["--quick"]) == 1
+        assert banner in capsys.readouterr().out
+        (kwargs,) = calls
+        assert quick.items() <= kwargs.items()
+        assert _results_snapshot() == before
+
+    @pytest.mark.parametrize("name", sorted(_VIOLATIONS))
+    def test_full_size_without_quick(self, name, monkeypatch, capsys):
+        argv, quick, _, calls = _stub_study(monkeypatch, name)
+        assert cli_main(argv) == 1
+        (kwargs,) = calls
+        assert not set(quick) & set(kwargs), kwargs
+
+
+RESULTS =Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
 
 def _results_snapshot():
