@@ -22,9 +22,12 @@ pixels), the rendered BN stages and the 3x3 stride-2 max-pool must not
 lose to their closures from ``MIN_GATED_PLANE`` elements per plane up,
 and a 2-wide pool must not lose to one thread on any ``*_mt`` row whose
 stage the renderer tiles (a stage it keeps inline runs the same code at
-both widths and ties by construction).  The end-to-end >= 1.3x cgen gate
-lives in ``bench_infer_engine.py``; a slowdown of a whole frame shows in
-bench-e2e's parent/change pairs (``benchmarks/e2e/compare.py``).
+both widths and ties by construction).  The ``fleet_fold_us`` and
+``session_pack_us`` rows (the fleet's per-launch BN fold, a session
+checkpoint's pack) ride the same archive, ungated.  The end-to-end
+>= 1.3x cgen gate lives in ``bench_infer_engine.py``; a slowdown of a
+whole frame shows in bench-e2e's parent/change pairs
+(``benchmarks/e2e/compare.py``).
 """
 
 import os
@@ -36,7 +39,11 @@ from conftest import results_path
 from repro import nn
 from repro.adapt import LDBNAdapt, LDBNAdaptConfig
 from repro.experiments import format_table, save_json
-from repro.experiments.bench_micro import run_micro_ops, run_micro_threaded
+from repro.experiments.bench_micro import (
+    run_micro_ops,
+    run_micro_serve,
+    run_micro_threaded,
+)
 from repro.models import build_model
 from repro.nn import functional as F
 
@@ -125,6 +132,8 @@ MICRO_MT_COLUMNS = [
     "fallback", "max_abs_diff",
 ]
 
+MICRO_SERVE_COLUMNS = ["op", "shape", "reps", "p50_us", "p95_us", "arrays", "kbytes"]
+
 
 def test_micro_ops_backends(benchmark):
     rows = benchmark.pedantic(
@@ -138,7 +147,10 @@ def test_micro_ops_backends(benchmark):
     mt_rows = run_micro_threaded(reps=MICRO_REPS, threads=2)
     print("\nMICRO — per-kernel single-thread vs 2-thread cgen latency (ms)")
     print(format_table(mt_rows, columns=MICRO_MT_COLUMNS, floatfmt=".4f"))
-    save_json(results_path("micro_ops.json"), rows + mt_rows)
+    serve_rows = run_micro_serve(reps=MICRO_REPS)
+    print("\nMICRO — fleet BN fold per launch, session checkpoint pack (us)")
+    print(format_table(serve_rows, columns=MICRO_SERVE_COLUMNS, floatfmt=".1f"))
+    save_json(results_path("micro_ops.json"), rows + mt_rows + serve_rows)
 
     one_core = (os.cpu_count() or 1) < 2
     if one_core:

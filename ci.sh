@@ -13,7 +13,7 @@
 # are tier-1 tests (tests/test_experiments.py); lane 3 runs one CLI smoke
 # per subcommand not already run by a test, then the bench-e2e
 # self-check (benchmarks/e2e/run.py --smoke) and the line counts of
-# src/repro/{engine,serve,hw} and of the cgen backend.  Lane 4 exercises
+# src/repro/{engine,serve,hw}, each beside the parent commit's.  Lane 4 exercises
 # the cgen C plan backend (its line count beside the parent commit's,
 # the kernel library's cold build and its reuse by a second plan shape,
 # the parity tests with a 2-wide worker pool (tier-1 ran them
@@ -42,6 +42,16 @@ in_git=$(git rev-parse --is-inside-work-tree 2>/dev/null || echo false)
 if [[ "$in_git" == true ]]; then
     state_before=$(checkout_state)
 fi
+
+# a package's python line count, beside what the parent commit had
+meter() {
+    local pkg="src/repro/$1" was
+    was=$(git ls-tree -r --name-only HEAD^ -- "$pkg" 2>/dev/null \
+        | { grep '\.py$' || true; } \
+        | while read -r f; do git show "HEAD^:$f"; done | wc -l) || was="?"
+    echo "$pkg: $(find "$pkg" -name '*.py' | xargs cat | wc -l) lines" \
+        "(parent commit: $was)"
+}
 
 lane_start=$SECONDS
 lane_done() {
@@ -92,22 +102,17 @@ else
     echo "NOTICE: bench-e2e smoke SKIPPED — no C compiler on this host;"
     echo "        its cgen workloads would only measure the numpy fallback"
 fi
-# the meter of ROADMAP item 2 ("engine + serve + hw down >= 15 % together"),
-# the cgen backend (a package since the kernel library) on its own line
-for layer in engine serve hw engine/backends/cgen; do
-    echo "src/repro/$layer: $(find "src/repro/$layer" -name '*.py' | xargs cat | wc -l) lines"
+# the line meter of ROADMAP item 6 ("engine + serve + hw down >= 15 %
+# together"), each package beside the parent commit's count
+for layer in engine serve hw; do
+    meter "$layer"
 done
 lane_done "lane 3"
 
 echo "=== lane 4: cgen backend (C plan renderer parity + quick bench) ==="
 # ROADMAP item 6 asks a kernel PR to come in at net zero lines here: the
 # package now, next to what the parent commit had
-cgen_pkg=src/repro/engine/backends/cgen
-cgen_was=$(git ls-tree -r --name-only HEAD^ -- "$cgen_pkg" 2>/dev/null \
-    | { grep '\.py$' || true; } \
-    | while read -r f; do git show "HEAD^:$f"; done | wc -l) || cgen_was="?"
-echo "$cgen_pkg: $(find "$cgen_pkg" -name '*.py' | xargs cat | wc -l) lines" \
-    "(parent commit: $cgen_was)"
+meter engine/backends/cgen
 # the C backend needs a host compiler; when there is none the engine
 # falls back to numpy closures by design, so this lane degrades to a
 # loud skip rather than a silent pass-through

@@ -174,11 +174,19 @@ class ParameterSnapshot:
     Used by the failure-recovery tests and, through :meth:`capture` /
     :meth:`restore` round-trips, by the fleet-serving stream sessions to
     swap per-stream BN gamma/beta in and out of a shared model.
+    ``saved`` hands it the arrays to keep the copies in (filled by the
+    first :meth:`capture`) instead of fresh ones.
     """
 
-    def __init__(self, params: Iterable[nn.Parameter]):
+    def __init__(
+        self,
+        params: Iterable[nn.Parameter],
+        saved: Optional[List[np.ndarray]] = None,
+    ):
         self.params = list(params)
-        self.saved = [p.data.copy() for p in self.params]
+        self.saved = (
+            saved if saved is not None else [p.data.copy() for p in self.params]
+        )
 
     def restore(self) -> None:
         for p, data in zip(self.params, self.saved):

@@ -12,6 +12,8 @@ with the weight columns on the lanes) and the train-mode BN forward and backward
 normalise sweep).  Rows are archived to
 ``results/micro_ops.json`` by :mod:`benchmarks.bench_micro_ops`, which
 gates the interleaved numpy-vs-cgen ratio of each row in the same run.
+:func:`run_micro_serve` adds the fleet's per-launch BN fold and a
+session checkpoint's pack to the same archive, ungated.
 
 Rows where ``fallback`` is True (no C compiler — the cgen plan ran the
 numpy closures stage-by-stage) time the same closures twice by
@@ -28,12 +30,20 @@ from typing import Dict, List
 import numpy as np
 
 from .. import nn
-from ..adapt import LDBNAdapt, LDBNAdaptConfig
+from ..adapt import LDBNAdapt, LDBNAdaptConfig, frame_signature
 from ..data import ScenarioStream, get_scenario
 from ..engine import CompiledAdaptStep, compile_model
 from ..models import build_model, get_config
 from ..pipeline.monitor import latency_percentile
 from ..pipeline.realtime import PipelineConfig, RealTimePipeline
+from ..serve import (
+    DriftResetConfig,
+    SessionDriftState,
+    StreamRegistry,
+    capture_session_state,
+    per_stream_inference,
+)
+from ..serve.checkpoint import pack_session_state
 
 
 def _micro_cases(rng: np.random.Generator):
@@ -406,6 +416,85 @@ def run_micro_threaded(
         }
     )
     rows.append(_frame_glue_row(reps, threads))
+    return rows
+
+
+def _timed_us(fn, reps: int) -> List[float]:
+    fn()
+    samples = []
+    for _ in range(reps):
+        start = time.perf_counter()
+        fn()
+        samples.append(1e6 * (time.perf_counter() - start))
+    return samples
+
+
+def run_micro_serve(reps: int = 200, seed: int = 0) -> List[Dict[str, object]]:
+    """The fleet's per-session BN bookkeeping, one flat block a session.
+
+    ``fleet_fold_us``: one launch's fold — ``per_stream_inference`` entered
+    and left around nothing — over ``B`` sessions whose states differ.
+    ``session_pack_us``: one durable capture of a tiny-r18 session that
+    has taken an SGD step and banked two drift regimes, with the number
+    of arrays and bytes it packs.
+    """
+    rng = np.random.default_rng(seed)
+    rows: List[Dict[str, object]] = []
+
+    def sessions_of(name: str, count: int):
+        model = build_model(name, num_lanes=2, rng=rng)
+        model.eval()
+        registry = StreamRegistry(model)
+        sessions = []
+        for i in range(count):
+            session = registry.register(
+                f"s{i}", iter(()), LDBNAdapt(model, LDBNAdaptConfig()),
+                deadline_ms=33.3,
+            )
+            session.bn_state.state[2:] += rng.normal(
+                0.0, 0.1, session.bn_state.state[2:].shape
+            )
+            sessions.append(session)
+        return model, sessions
+
+    for name, batch in (("tiny-r18", 1), ("small-r18", 4)):
+        _, sessions = sessions_of(name, batch)
+
+        def fold():
+            with per_stream_inference(sessions):
+                pass
+
+        samples = _timed_us(fold, reps)
+        rows.append({
+            "op": "fleet_fold_us",
+            "shape": f"{name} B={batch}",
+            "reps": reps,
+            "p50_us": latency_percentile(samples, 50),
+            "p95_us": latency_percentile(samples, 95),
+        })
+
+    model, (session,) = sessions_of("tiny-r18", 1)
+    h, w = model.config.input_hw
+    frames = rng.uniform(0.0, 1.0, size=(3, 3, h, w)).astype(np.float32)
+    frames[1] *= 0.2  # two far-apart regimes to bank
+    drift = session.drift = SessionDriftState(DriftResetConfig(), session)
+    for banked, arriving in ((frames[0], frames[1]), (frames[1], frames[2])):
+        drift.regime_sig = frame_signature(banked)
+        drift.reset(session, arriving)
+    session.swap_in()  # a step after the resets: momentum slots to pack
+    session.adapter.observe_frame(frames[2])
+    session.swap_out()
+    arrays, _ = capture_session_state(session)
+    samples = _timed_us(lambda: pack_session_state(session), reps)
+    rows.append({
+        "op": "session_pack_us",
+        "shape": f"tiny-r18 session, {len(drift.bank)} banked regimes",
+        "reps": reps,
+        "p50_us": latency_percentile(samples, 50),
+        "p95_us": latency_percentile(samples, 95),
+        "arrays": len(arrays),
+        "kbytes": len(pack_session_state(session)) / 1024,
+    })
     return rows
 
 

@@ -29,12 +29,12 @@ Architecture
 
 * **streams.py** — per-stream isolation *and arrival modelling*.
   Everything LD-BN-ADAPT touches (BN running statistics, gamma/beta,
-  optimizer momentum) lives in a :class:`StreamSession`;
-  ``ParameterSnapshot``-based ``swap_in``/``swap_out`` materializes a
-  stream's state on the shared model around serial adaptation steps,
-  while eval-mode BN folds to per-sample ``(scale, shift)`` vectors so
-  :func:`per_stream_inference` serves many differently-adapted streams
-  in ONE batched forward.  Each session owns an :class:`ArrivalProcess`
+  optimizer momentum) lives in a :class:`StreamSession`, its BN state
+  one flat block that ``swap_in``/``swap_out`` materialize on the shared
+  model around serial adaptation steps, while eval-mode BN folds to
+  per-sample ``(scale, shift)`` vectors — a whole launch in a few vector
+  ops — so :func:`per_stream_inference` serves many differently-adapted
+  streams in ONE batched forward.  Each session owns an :class:`ArrivalProcess`
   — a seeded realization of its :class:`ArrivalModel`, with the seed
   derived from ``child_seed(arrival_seed, stream_id)`` so a stream's
   arrival realization is invariant to pool size and placement.  The
@@ -115,7 +115,7 @@ Architecture
   failure injection (see the failure model below).
   :class:`SessionCheckpointStore` periodically serializes each
   session's complete adapted state to one flat, CRC-checked buffer per
-  stream (schema ``repro-session-checkpoint-v2``, layout in
+  stream (schema ``repro-session-checkpoint-v3``, layout in
   :mod:`repro.serve.checkpoint`; model checkpoints stay ``.npz``);
   :class:`FaultSchedule` is a seeded, replayable list of crash / stall
   / slow-down / join events the coordinator drains through its event
@@ -128,7 +128,7 @@ joining a running fleet (``FleetServer.add_device``, also a ``join``
 fault event).  What is durable, what is lost, and how recovery runs:
 
 * **Durable** — each session's last checkpoint: BN statistics and
-  gamma/beta (the ``ParameterSnapshot``), optimizer slots, the
+  gamma/beta (the flat BN block), optimizer slots, the
   adapter's pending-frame buffer and step index, admission
   debt/deferrals, serving counters and the arrival-process cursor.
   Checkpoints are written atomically (tmp + ``os.replace``) as magic +
@@ -139,7 +139,8 @@ fault event).  What is durable, what is lost, and how recovery runs:
   ``CheckpointConfig.interval_frames`` served frames, plus a baseline
   at attach time.  ``mode="async"`` models a write-behind store: the
   packed capture is staged and only durable at the next opportunity,
-  bounded by ``max_staleness_frames``.
+  bounded by ``max_staleness_frames``.  A non-finite BN block is never
+  captured (``FleetReport.checkpoint_refusals``, traced with why).
 * **Lost on a crash** — everything since the last durable checkpoint:
   adapted-state progress of frames served since then (counted per
   stream in ``FleetReport.frames_lost``, bounded by the checkpoint

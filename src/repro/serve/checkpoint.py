@@ -10,7 +10,7 @@ crash_device`) restores the last *durable* checkpoint; frames served
 between that checkpoint and the crash are counted as lost, never
 recomputed.
 
-Container (schema ``repro-session-checkpoint-v2``): one flat file per
+Container (schema ``repro-session-checkpoint-v3``): one flat file per
 stream (``<root>/<stream-id>.ckpt``), atomically replaced on every
 write (``<path>.tmp`` + :func:`os.replace`)::
 
@@ -26,21 +26,22 @@ magic and version, that the file is long enough for its header, that
 the manifest's byte count equals the payload's, and the CRC — which
 covers prefix, header and payload, so a flipped bit anywhere in the
 file is caught — and raises :class:`CheckpointCorrupt` otherwise,
-*before* any array is handed out: a restore is all-or-nothing.
+*before* any array is handed out: a restore is all-or-nothing.  A v2
+file (per-layer BN keys) fails that version check.
 
-A session is ~350 small arrays once its drift bank holds two regimes;
-``np.savez`` spent 10 ms per write on per-member zip framing (and
-doubled the file with member headers), where this container is one
-``join`` and one ``write``.  *Model* checkpoints
-(:mod:`repro.nn.serialization`) deliberately stay ``.npz``: they are
-written once per training run, are few large arrays (framing is noise),
-and being openable with stock numpy is worth more there than speed —
-the one place the repo keeps two formats.
+A session is ~50 small arrays once its drift bank holds two regimes
+(~350 in v2, before the flat BN block); ``np.savez`` spent 10 ms per
+write on per-member zip framing (and doubled the file with member
+headers), where this container is one ``join`` and one ``write``.
+*Model* checkpoints (:mod:`repro.nn.serialization`) deliberately stay
+``.npz``: they are written once per training run, are few large arrays
+(framing is noise), and being openable with stock numpy is worth more
+there than speed — the one place the repo keeps two formats.
 
 Array keys:
 
-* ``bn.param.<i>`` — the BN snapshot's interleaved gamma/beta copies
-* ``bn.buffer.<i>.<name>`` — per-layer running mean/var/count buffers
+* ``bn.state`` / ``bn.counts`` — the session's flat BN block (running
+  mean, var, gamma, beta) and its per-layer batch counters
 * ``opt.<j>.<slot>`` — optimizer slots per trainable parameter
   (SGD momentum, Adam step/m/v; scratch buffers are excluded)
 * ``adapt.buffer.<k>`` — frames buffered toward the next adaptation step
@@ -61,7 +62,8 @@ durable copy may get before the writer is forced synchronous.
 
 Checkpointing never mutates session state (a capture serializes the
 live arrays into its own buffer), so a run with checkpointing enabled
-is bitwise identical to one without.
+is bitwise identical to one without.  A non-finite BN block is never
+captured (``refusals`` counts it; the last durable file stays).
 """
 
 from __future__ import annotations
@@ -78,21 +80,22 @@ from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-SCHEMA = "repro-session-checkpoint-v2"
+SCHEMA = "repro-session-checkpoint-v3"
 
 MAGIC = b"RPCKPT"
-VERSION = 2
+VERSION = 3
 _PREFIX = struct.Struct("<6sHI")  # magic, version, header length
 _TRAILER = struct.Struct("<I")  # CRC32 of everything before it
 _KINDS = "biufc"  # dtype kinds whose ``.str`` describes them completely
+REFUSED_NONFINITE = "non-finite BN state"  # why a capture was refused
 
 
 class CheckpointCorrupt(ValueError):
-    """A session checkpoint failed its magic / length / manifest / CRC check."""
+    """A session checkpoint failed a magic/length/manifest/CRC/schema check."""
 
 
 def pack_checkpoint(arrays: Mapping[str, np.ndarray], meta: dict) -> bytes:
-    """Serialize ``arrays`` + JSON-able ``meta`` into one v2 buffer.
+    """Serialize ``arrays`` + JSON-able ``meta`` into one v3 buffer.
 
     Each array is copied exactly once (its C-order bytes, whatever its
     strides), so the buffer is frozen the moment this returns.
@@ -140,7 +143,7 @@ def _unpack_header(blob: bytes, source: str) -> Tuple[dict, list, int]:
 def unpack_checkpoint(
     blob: bytes, source: str = "<bytes>"
 ) -> Tuple[Dict[str, np.ndarray], dict]:
-    """Verify a v2 buffer and return ``(arrays, meta)``.
+    """Verify a v3 buffer and return ``(arrays, meta)``.
 
     The arrays are read-only views into ``blob``.  Raises
     :class:`CheckpointCorrupt` on a bad magic/version, a short file, a
@@ -239,7 +242,7 @@ def pack_session_state(
     admission_state: Optional[Dict[str, object]] = None,
     now_ms: float = 0.0,
 ) -> bytes:
-    """Serialize a session's complete adapted state into one v2 buffer.
+    """Serialize a session's complete adapted state into one v3 buffer.
 
     The live arrays are packed directly (:func:`pack_checkpoint` copies
     each once), so the buffer stays frozen while the session keeps
@@ -248,13 +251,10 @@ def pack_session_state(
     the hosting device's controller (the fuse key is *not* serialized;
     it is recomputed from the adapter at restore).
     """
-    arrays: Dict[str, np.ndarray] = {}
-    bn = session.bn_state
-    for i, saved in enumerate(bn.params.saved):
-        arrays[f"bn.param.{i}"] = saved
-    for i, bufs in enumerate(bn.buffers):
-        for name, arr in bufs.items():
-            arrays[f"bn.buffer.{i}.{name}"] = arr
+    arrays: Dict[str, np.ndarray] = {
+        "bn.state": session.bn_state.state,
+        "bn.counts": session.bn_state.counts,
+    }
     optimizer = getattr(session.adapter, "optimizer", None)
     if optimizer is not None:
         for j, param in enumerate(optimizer.params):
@@ -348,7 +348,7 @@ def restore_session_state(
     recomputes from the adapter).
     """
     if meta.get("schema") != SCHEMA:
-        raise ValueError(
+        raise CheckpointCorrupt(
             f"checkpoint schema {meta.get('schema')!r} for stream "
             f"{session.stream_id!r} does not match {SCHEMA!r}"
         )
@@ -357,12 +357,8 @@ def restore_session_state(
             f"checkpoint belongs to stream {meta.get('stream_id')!r}, "
             f"not {session.stream_id!r}"
         )
-    bn = session.bn_state
-    for i, saved in enumerate(bn.params.saved):
-        saved[...] = arrays[f"bn.param.{i}"]
-    for i, bufs in enumerate(bn.buffers):
-        for name, arr in bufs.items():
-            arr[...] = arrays[f"bn.buffer.{i}.{name}"]
+    session.bn_state.state[...] = arrays["bn.state"]
+    session.bn_state.counts[...] = arrays["bn.counts"]
     optimizer = getattr(session.adapter, "optimizer", None)
     if optimizer is not None:
         for param in optimizer.params:
@@ -429,6 +425,7 @@ class SessionCheckpointStore:
         os.makedirs(self.root, exist_ok=True)
         self.writes = 0  # durable files written
         self.staged_writes = 0  # captures parked for the background writer
+        self.refusals = 0  # captures refused: REFUSED_NONFINITE
         # packed capture + the frames_seen it was taken at, per stream
         self._staged: Dict[str, Tuple[bytes, int]] = {}
         self._last_capture_frames: Dict[str, int] = {}
@@ -450,15 +447,16 @@ class SessionCheckpointStore:
         Flushes the session's staged capture (the background writer has
         had a full interval to complete it), then captures a fresh
         checkpoint if ``interval_frames`` have been served since the
-        last capture.  Returns the number of durable writes performed
-        (0, 1 or 2) so the caller can account them.
+        last capture and the BN block is finite.  Returns the number of
+        durable writes performed (0, 1 or 2) so the caller can account
+        them.
         """
         sid = session.stream_id
         written = 0
         if sid in self._staged:
             written += self._write(sid, *self._staged.pop(sid))
-        last = self._last_capture_frames.get(sid, 0)
-        if session.frames_seen - last < self.config.interval_frames:
+        since = session.frames_seen - self._last_capture_frames.get(sid, 0)
+        if since < self.config.interval_frames or self._refused(session):
             return written
         blob = pack_session_state(session, admission_state, now_ms)
         self._last_capture_frames[sid] = session.frames_seen
@@ -485,6 +483,8 @@ class SessionCheckpointStore:
         Used at registration/attach time so every session has a durable
         baseline before it serves a single frame.
         """
+        if self._refused(session):
+            return 0
         blob = pack_session_state(session, admission_state, now_ms)
         self._staged.pop(session.stream_id, None)
         self._last_capture_frames[session.stream_id] = session.frames_seen
@@ -496,6 +496,12 @@ class SessionCheckpointStore:
         for sid in list(self._staged):
             written += self._write(sid, *self._staged.pop(sid))
         return written
+
+    def _refused(self, session) -> bool:
+        """The rail: True, and counted, when the BN block is non-finite."""
+        refused = not np.isfinite(session.bn_state.state).all()
+        self.refusals += refused
+        return refused
 
     def drop_staged(self, stream_id: str) -> None:
         """Discard a staged capture (its device crashed before the write)."""

@@ -112,25 +112,18 @@ class DriftResetConfig:
             raise ValueError("match_distance must be > 0")
 
 
-def _capture_bn(session) -> Dict[str, list]:
-    """Deep-copy the session's BN params + buffers (never live views)."""
-    return {
-        "params": [np.array(p) for p in session.bn_state.params.saved],
-        "buffers": [
-            {name: np.array(arr) for name, arr in bufs.items()}
-            for bufs in session.bn_state.buffers
-        ],
-    }
+BNState = Tuple[np.ndarray, np.ndarray]  # copies of a BN block + counts
 
 
-def _restore_bn(session, state: Dict[str, list]) -> None:
-    """Write a captured BN state back into the session's snapshot in
-    place (the arrays' identities are load-bearing for swap_in/out)."""
-    for dst, src in zip(session.bn_state.params.saved, state["params"]):
-        dst[...] = src
-    for dst_bufs, src_bufs in zip(session.bn_state.buffers, state["buffers"]):
-        for name, src in src_bufs.items():
-            dst_bufs[name][...] = src
+def _capture_bn(session) -> BNState:
+    """Copy the session's BN block and counts (never live views)."""
+    return session.bn_state.state.copy(), session.bn_state.counts.copy()
+
+
+def _restore_bn(session, state: BNState) -> None:
+    """Write a captured BN block back into the session's snapshot in
+    place (every per-layer view of it is load-bearing)."""
+    session.bn_state.state[...], session.bn_state.counts[...] = state
 
 
 class SessionDriftState:
@@ -146,7 +139,7 @@ class SessionDriftState:
         self.detector = DriftDetector(config.detector)
         self.source = _capture_bn(session)
         # (signature, captured BN state) per previously-adapted regime
-        self.bank: List[Tuple[np.ndarray, Dict[str, list]]] = []
+        self.bank: List[Tuple[np.ndarray, BNState]] = []
         self.events = 0  # alarms fired
         self.resets = 0  # resets applied
         self.cluster_restores = 0  # resets served from the bank
@@ -183,7 +176,7 @@ class SessionDriftState:
                 self.regime_sig = self._sig_sum / self._sig_count
         return False
 
-    def _remember(self, signature: np.ndarray, state: Dict[str, list]) -> None:
+    def _remember(self, signature: np.ndarray, state: BNState) -> None:
         if self.config.bank_size == 0:
             return
         index, dist = nearest_signature(
@@ -252,13 +245,10 @@ class SessionDriftState:
             arrays["drift.sig_sum"] = self._sig_sum
         if self.regime_sig is not None:
             arrays["drift.regime_sig"] = self.regime_sig
-        for b, (sig, state) in enumerate(self.bank):
+        for b, (sig, (state, counts)) in enumerate(self.bank):
             arrays[f"drift.bank.{b}.sig"] = sig
-            for j, p in enumerate(state["params"]):
-                arrays[f"drift.bank.{b}.param.{j}"] = p
-            for j, bufs in enumerate(state["buffers"]):
-                for name, arr in bufs.items():
-                    arrays[f"drift.bank.{b}.buffer.{j}.{name}"] = arr
+            arrays[f"drift.bank.{b}.state"] = state
+            arrays[f"drift.bank.{b}.counts"] = counts
         return arrays
 
     def state_meta(self) -> Dict[str, int]:
@@ -288,18 +278,10 @@ class SessionDriftState:
             if "drift.regime_sig" in arrays
             else None
         )
-        # a banked state is a ``_capture_bn`` of this session, so the
-        # source capture's layout names every key: no manifest scan
         self.bank = []
         for b in range(int(meta["bank"])):
-            prefix = f"drift.bank.{b}."
-            params = [
-                np.array(arrays[f"{prefix}param.{j}"])
-                for j in range(len(self.source["params"]))
-            ]
-            buffers = [
-                {n: np.array(arrays[f"{prefix}buffer.{j}.{n}"]) for n in bufs}
-                for j, bufs in enumerate(self.source["buffers"])
-            ]
-            sig = np.array(arrays[prefix + "sig"])
-            self.bank.append((sig, {"params": params, "buffers": buffers}))
+            sig, state, counts = (
+                np.array(arrays[f"drift.bank.{b}.{key}"])
+                for key in ("sig", "state", "counts")
+            )
+            self.bank.append((sig, (state, counts)))

@@ -68,7 +68,7 @@ from .adapt_batch import (
     static_fuse_key,
 )
 from .admission import SlackAdmission, StepCandidate
-from .checkpoint import SessionCheckpointStore
+from .checkpoint import REFUSED_NONFINITE, SessionCheckpointStore
 from .report import DeviceReport
 from .scheduler import (
     BatchPlan,
@@ -560,11 +560,20 @@ class DeviceWorker:
                     sid, static_fuse_key(session.adapter)
                 )
         if self.checkpoints is not None:
-            self._m_checkpoints.inc(
-                self.checkpoints.checkpoint(
-                    session, self._admission_view(sid), now_ms
-                )
+            self._store(self.checkpoints.checkpoint, session, now_ms)
+
+    def _store(self, call, session: StreamSession, clock_ms: float) -> int:
+        """One checkpoint-store ``call`` (``observe`` / ``checkpoint``) for
+        ``session``: its durable writes counted, its refusal traced."""
+        refusals = self.checkpoints.refusals
+        wrote = call(session, self._admission_view(session.stream_id), clock_ms)
+        self._m_checkpoints.inc(wrote)
+        if self.tracer.enabled and self.checkpoints.refusals > refusals:
+            self.tracer.instant(
+                "checkpoint_refused", clock_ms, pid=self.name, tid="device",
+                cat="fault", stream=session.stream_id, reason=REFUSED_NONFINITE,
             )
+        return wrote
 
     def _admission_view(self, stream_id: str) -> Optional[Dict[str, object]]:
         """Non-destructive admission state for checkpoint captures."""
@@ -999,32 +1008,24 @@ class DeviceWorker:
             # bill an unconditional durable checkpoint: a crash
             # racing the reset must never restore pre-reset state
             # from a stale archive (staged captures are dropped too)
-            self._m_checkpoints.inc(
-                self.checkpoints.checkpoint(
-                    session, self._admission_view(sid), clock_ms
-                )
-            )
+            self._store(self.checkpoints.checkpoint, session, clock_ms)
 
     def _observe_checkpoints(
         self, sessions: List[StreamSession], clock_ms: float
     ) -> None:
         """Give the store one opportunity per distinct served session."""
         for session in {id(s): s for s in sessions}.values():
-            wrote = self.checkpoints.observe(
-                session, self._admission_view(session.stream_id), clock_ms
-            )
-            if wrote:
-                self._m_checkpoints.inc(wrote)
-                if self.tracer.enabled:
-                    self.tracer.instant(
-                        "checkpoint",
-                        clock_ms,
-                        pid=self.name,
-                        tid="device",
-                        cat="fault",
-                        stream=session.stream_id,
-                        frames_seen=session.frames_seen,
-                    )
+            wrote = self._store(self.checkpoints.observe, session, clock_ms)
+            if wrote and self.tracer.enabled:
+                self.tracer.instant(
+                    "checkpoint",
+                    clock_ms,
+                    pid=self.name,
+                    tid="device",
+                    cat="fault",
+                    stream=session.stream_id,
+                    frames_seen=session.frames_seen,
+                )
 
     def _trace_frame(
         self, plan: BatchPlan, start_ms: float, infer_ms: float, req,

@@ -125,6 +125,7 @@ class FleetReport:
     frames_lost: Dict[str, int] = field(default_factory=dict)
     crash_dropped_frames: Dict[str, int] = field(default_factory=dict)
     checkpoint_writes: int = 0
+    checkpoint_refusals: int = 0  # captures of a non-finite BN block
     canary_probes: int = 0
     # drift detection outcome (per stream; empty when detection is off)
     drift_events: Dict[str, int] = field(default_factory=dict)
@@ -357,6 +358,7 @@ class FleetReport:
             "frames_lost": float(self.total_frames_lost),
             "crash_dropped_frames": float(self.total_crash_dropped_frames),
             "checkpoint_writes": float(self.checkpoint_writes),
+            "checkpoint_refusals": float(self.checkpoint_refusals),
             "corrupt_checkpoints": float(self.corrupt_checkpoints),
             "canary_probes": float(self.canary_probes),
             "drift_events": float(self.total_drift_events),

@@ -920,6 +920,9 @@ class FleetServer:
             checkpoint_writes=(
                 self.checkpoints.writes if self.checkpoints is not None else 0
             ),
+            checkpoint_refusals=(
+                self.checkpoints.refusals if self.checkpoints is not None else 0
+            ),
             canary_probes=sum(w.canary_probes for w in self.workers),
         )
         report.device_reports = [

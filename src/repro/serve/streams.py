@@ -6,9 +6,9 @@ its own domain schedule and accumulates its own BN statistics, gamma/beta
 values and optimizer momentum.  This module keeps those states separate:
 
 * :class:`BNStateSnapshot` — a copy of everything BN-related on the model
-  (gamma/beta via :class:`~repro.adapt.base.ParameterSnapshot`, plus the
-  running-statistics buffers).  ``swap_in`` writes the copy into the
-  model, ``swap_out`` captures the model back into the copy.
+  as one flat block laid out by the registry's :class:`BNLayout`; every
+  per-layer array it hands out is a view into it.  ``swap_in`` writes
+  the copy into the model, ``swap_out`` captures the model back into it.
 * :class:`StreamSession` — one registered stream: its frame source, its
   adapter (owning the per-stream optimizer state), its BN snapshot and
   its online monitors.
@@ -24,7 +24,7 @@ values and optimizer momentum.  This module keeps those states separate:
   session's state folds into per-sample ``(scale, shift)`` vectors that
   :class:`repro.nn.modules._BatchNormBase` applies sample-wise.  Frames
   from many differently-adapted streams thus share one forward pass with
-  bitwise-independent normalization.
+  bitwise-independent normalization, folded all at once into fixed buffers.
 """
 
 from __future__ import annotations
@@ -120,8 +120,9 @@ class ArrivalProcess:
         return event
 
 
-class BNStateSnapshot:
-    """Copy of a model's BN parameters + buffers, swappable in and out."""
+class BNLayout:
+    """A model's BN layers as one block: layer ``j`` owns the ``spans[j]``
+    columns of ``channels``, ``eps`` is each column's layer epsilon."""
 
     def __init__(self, model):
         self.modules: List[_BatchNormBase] = [
@@ -129,14 +130,51 @@ class BNStateSnapshot:
         ]
         if not self.modules:
             raise ValueError("model has no BatchNorm layers to snapshot")
-        self.params = ParameterSnapshot(
-            [p for m in self.modules for p in (m.weight, m.bias)]
-        )
-        self.buffers = [
-            {name: np.array(getattr(m, name)) for name in _BN_BUFFER_NAMES}
-            for m in self.modules
+        widths = [m.num_features for m in self.modules]
+        ends = np.cumsum(widths)
+        self.spans = list(zip(ends - widths, ends))
+        self.channels = int(ends[-1])
+        self.eps = np.repeat([float(m.eps) for m in self.modules], widths)
+        self.fields = [vars(m) for m in self.modules]  # their instance dicts
+        self._folds = {}
+
+    def fold_buffers(self, n: int):
+        """``(order, work, folded, pairs)`` of ``n``-sample launches: blocks
+        stack into ``work`` (4, n, C), ``order`` takes its scale and shift
+        rows into ``folded``, layer ``j``'s ``pairs[j]`` view that."""
+        fold = self._folds.get(n)
+        if fold is None:
+            index = np.arange(n * self.channels).reshape(n, -1)
+            order = np.concatenate([index[:, a:b].ravel() for a, b in self.spans])
+            folded = np.empty((2, n * self.channels))
+            pairs = [
+                tuple(folded[:, n * a:n * b].reshape(2, n, -1)) for a, b in self.spans
+            ]
+            work = np.empty((4, n, self.channels))
+            fold = self._folds[n] = (order, work, folded, pairs)
+        return fold
+
+
+class BNStateSnapshot:
+    """A model's BN state as ``state`` (running mean, var, gamma, beta over
+    the layout's channels) and ``counts``, swappable in and out."""
+
+    def __init__(self, layout: BNLayout):
+        self.layout = layout
+        self.modules = layout.modules
+        self.state = np.empty((4, layout.channels))
+        self.counts = np.empty(len(self.modules), dtype=np.int64)
+        mean, var, gamma, beta = [
+            [row[a:b] for a, b in layout.spans] for row in self.state
         ]
+        self.params = ParameterSnapshot(
+            [p for m in self.modules for p in (m.weight, m.bias)],
+            saved=[v for pair in zip(gamma, beta) for v in pair],
+        )
+        counts = [self.counts[j:j + 1] for j in range(len(self.modules))]
+        self.buffers = [dict(zip(_BN_BUFFER_NAMES, b)) for b in zip(mean, var, counts)]
         self._index = {id(m): j for j, m in enumerate(self.modules)}
+        self.swap_out()
 
     def arrays(self, module: _BatchNormBase):
         """This snapshot's ``(running_mean, running_var,
@@ -163,23 +201,6 @@ class BNStateSnapshot:
             for name, arr in bufs.items():
                 arr[...] = getattr(module, name)
 
-    def scale_shift(self, layer_index: int):
-        """Fold layer ``layer_index``'s eval-mode BN into ``(scale, shift)``.
-
-        ``y = (x - mean) / sqrt(var + eps) * gamma + beta`` rewritten as
-        ``y = x * scale + shift`` with per-channel vectors — the form the
-        batched multi-stream forward consumes.
-        """
-        module = self.modules[layer_index]
-        # params are stored interleaved: (weight, bias) per module
-        gamma = self.params.saved[2 * layer_index]
-        beta = self.params.saved[2 * layer_index + 1]
-        bufs = self.buffers[layer_index]
-        inv_std = 1.0 / np.sqrt(bufs["running_var"] + module.eps)
-        scale = gamma * inv_std
-        shift = beta - bufs["running_mean"] * scale
-        return scale, shift
-
 
 class StreamSession:
     """One camera stream's complete serving state.
@@ -201,7 +222,7 @@ class StreamSession:
     def __init__(
         self,
         stream_id: str,
-        model,
+        layout: BNLayout,
         stream: Iterator[LaneSample],
         adapter: Adapter,
         deadline_ms: float,
@@ -219,7 +240,7 @@ class StreamSession:
         self.adapt_phase = adapt_phase
         self.adapt_latency_ms = 0.0  # quoted by the hosting device at attach
         self.arrivals = arrivals
-        self.bn_state = BNStateSnapshot(model)
+        self.bn_state = BNStateSnapshot(layout)
         self.monitor = DeadlineMonitor(deadline_ms)
         self.rolling = RollingAccuracy(rolling_window)
         self.report = PipelineReport(deadline_ms=deadline_ms)
@@ -336,6 +357,7 @@ class StreamRegistry:
 
     def __init__(self, model):
         self.model = model
+        self.layout = BNLayout(model)
         self._sessions: "OrderedDict[str, StreamSession]" = OrderedDict()
 
     def register(
@@ -358,7 +380,7 @@ class StreamRegistry:
             )
         session = StreamSession(
             stream_id,
-            self.model,
+            self.layout,
             stream,
             adapter,
             deadline_ms=deadline_ms,
@@ -393,9 +415,9 @@ class StreamRegistry:
 def per_stream_inference(sessions: Sequence[StreamSession]):
     """Enable the batched multi-stream eval forward on the shared model.
 
-    For every BN layer, stacks each session's folded ``(scale, shift)``
-    into ``(B, C)`` arrays — row ``i`` belonging to ``sessions[i]`` — and
-    installs them as the layer's per-sample stats.  Inside the context,
+    Folds the sessions' BN blocks into per-sample ``(scale, shift)``, all
+    layers at once, and installs layer ``j``'s ``(B, c_j)`` pair — row
+    ``i`` belonging to ``sessions[i]`` — as its stats.  Inside the context,
     ``model(batch)`` with ``batch[i]`` being session ``i``'s frame
     normalizes every sample with its own stream's adapted BN state.  The
     overrides are removed on exit, so plain single-stream forwards (and
@@ -404,17 +426,25 @@ def per_stream_inference(sessions: Sequence[StreamSession]):
     sessions = list(sessions)
     if not sessions:
         raise ValueError("per_stream_inference needs at least one session")
-    modules = sessions[0].bn_state.modules
-    for session in sessions[1:]:
-        if session.bn_state.modules != modules:
-            raise ValueError("sessions must share one model's BN modules")
-    try:
-        for layer_index, module in enumerate(modules):
-            pairs = [s.bn_state.scale_shift(layer_index) for s in sessions]
-            scale = np.stack([p[0] for p in pairs])
-            shift = np.stack([p[1] for p in pairs])
-            module.per_sample_stats = (scale, shift)
+    layout = sessions[0].bn_state.layout
+    if any(s.bn_state.modules != layout.modules for s in sessions[1:]):
+        raise ValueError("sessions must share one model's BN modules")
+    order, work, folded, pairs = layout.fold_buffers(len(sessions))
+    np.stack([s.bn_state.state for s in sessions], 1, out=work)
+    mean, var, gamma, beta = work
+    # in place: gamma <- gamma * (1 / sqrt(var + eps)), beta <- beta - mean * gamma
+    np.add(var, layout.eps, out=var)
+    np.sqrt(var, out=var)
+    np.divide(1.0, var, out=var)
+    np.multiply(gamma, var, out=gamma)
+    np.multiply(mean, gamma, out=mean)
+    np.subtract(beta, mean, out=beta)
+    # in range by construction; mode="raise" would buffer ``out``
+    np.take(work[2:].reshape(2, -1), order, axis=1, out=folded, mode="clip")
+    try:  # instance-dict writes: Module.__setattr__'s effect, a fraction of its price
+        for fields, pair in zip(layout.fields, pairs):
+            fields["per_sample_stats"] = pair
         yield
     finally:
-        for module in modules:
-            module.per_sample_stats = None
+        for fields in layout.fields:
+            fields["per_sample_stats"] = None

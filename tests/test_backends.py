@@ -2883,6 +2883,53 @@ class TestBindOnChange:
         twins.each(restore)
         assert [twins.frame() for _ in range(2)] == [0] * 2
 
+    def test_fleet_launches_keep_the_fold_bound(self, monkeypatch):
+        """Per-stream launches of one batch shape hand every BN layer the
+        same fold pair: a launch with no BN change since the last calls
+        no binder, and one after a session adapted serves that session's
+        new fold — bitwise what a freshly bound plan serves, inside the
+        band of the eager per-sample forward."""
+        from repro.serve.streams import StreamRegistry, per_stream_inference
+
+        calls = _count_binders(monkeypatch)
+        model = _pool_stack(29, np.float64)
+        model.eval()
+        registry = StreamRegistry(model)
+        a, b = (
+            registry.register(
+                sid, iter(()), LDBNAdapt(model, LDBNAdaptConfig(lr=1e-2)),
+                deadline_ms=33.3,
+            )
+            for sid in "ab"
+        )
+        engine = compile_model(model, backend="cgen")
+        rng = np.random.default_rng(67)
+        x = rng.standard_normal((2, 3, 9, 13)).astype(np.float32)
+
+        def launch(plan_engine=engine):
+            before = calls[0]
+            with per_stream_inference([a, b]):
+                served = plan_engine(x).numpy().copy()
+                with nn.no_grad():
+                    eager = model(nn.Tensor(x)).numpy()
+            return served, eager, calls[0] - before
+
+        first, _, bound = launch()
+        assert bound > 0  # the first replay binds everything
+        again, _, bound = launch()
+        assert bound == 0 and again.tobytes() == first.tobytes()
+
+        a.swap_in()
+        a.adapter.adapt(rng.standard_normal((1, 3, 9, 13)).astype(np.float32))
+        a.swap_out()
+        adapted, eager, bound = launch()
+        assert bound == 0
+        assert not np.array_equal(adapted[0], first[0])
+        assert adapted[1].tobytes() == first[1].tobytes()
+        np.testing.assert_allclose(adapted, eager, **_band(np.float64))
+        fresh, _, _ = launch(compile_model(model, backend="cgen"))
+        assert fresh.tobytes() == adapted.tobytes()
+
     def test_a_training_mode_bn_still_raises_every_replay(self, monkeypatch):
         twins = _ServedTwins(monkeypatch)
         twins.frame()

@@ -374,6 +374,90 @@ class TestCheckpointStore:
             not np.array_equal(live[key], durable[key]) for key in durable
         )
 
+    def test_a_v2_checkpoint_is_rejected_typed(
+        self, trained_tiny_model, tiny_benchmark
+    ):
+        """v2 kept the BN state as per-layer arrays; v3 keeps the flat
+        block.  A v2 file fails its version check, and a v2 meta in a v3
+        container fails the schema check — both before any write."""
+        _, server = self._serve_with_store(
+            trained_tiny_model, tiny_benchmark, streams=1
+        )
+        store = server.checkpoints
+        session = server.registry.get("s0")
+        arrays, meta = store.load("s0")
+        v2_meta = dict(meta, schema="repro-session-checkpoint-v2")
+        v2_arrays = {k: v for k, v in arrays.items() if not k.startswith("bn.")}
+        bn = session.bn_state
+        for i, saved in enumerate(bn.params.saved):
+            v2_arrays[f"bn.param.{i}"] = saved
+        for i, bufs in enumerate(bn.buffers):
+            for name, arr in bufs.items():
+                v2_arrays[f"bn.buffer.{i}.{name}"] = arr
+        blob = bytearray(pack_checkpoint(v2_arrays, v2_meta)[:-_TRAILER.size])
+        _, _, header_len = _PREFIX.unpack_from(blob)
+        _PREFIX.pack_into(blob, 0, b"RPCKPT", 2, header_len)
+        blob += _TRAILER.pack(zlib.crc32(blob))
+        with open(store.path_for("s0"), "wb") as fh:
+            fh.write(bytes(blob))
+        for saved in bn.params.saved:
+            saved += 0.5
+        before, _ = capture_session_state(session)
+        with pytest.raises(CheckpointCorrupt, match="not a v3"):
+            store.restore(session)
+        with pytest.raises(CheckpointCorrupt, match="schema"):
+            restore_session_state(session, arrays, v2_meta)
+        _assert_same_state(capture_session_state(session)[0], before)
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_a_non_finite_bn_block_is_never_made_durable(
+        self, mode, trained_tiny_model, tiny_benchmark
+    ):
+        """The rail: one NaN running variance and the due capture is
+        refused — nothing written or staged, counted in the report,
+        traced with its reason — so a crash restores the last finite
+        state bitwise."""
+        from repro.telemetry import SpanTracer
+
+        server = FleetServer(
+            trained_tiny_model,
+            FleetConfig(
+                latency_model="orin", devices=2,
+                checkpoint=CheckpointConfig(interval_frames=2, mode=mode),
+            ),
+            device=DEVICE, spec=SPEC, tracer=SpanTracer(),
+        )
+        for i, frames in enumerate(_frame_lists(tiny_benchmark, 2, 6)):
+            server.add_stream(
+                f"s{i}", iter(frames), adapter_config=LDBNAdaptConfig(lr=1e-3)
+            )
+        server.run(6)
+        store = server.checkpoints
+        store.flush()
+        assert store.refusals == 0
+        session = server.registry.get("s0")
+        worker = server.workers[server.device_of("s0")]
+        durable, _ = store.load("s0")
+        with open(store.path_for("s0"), "rb") as fh:
+            durable_bytes = fh.read()
+        writes, staged = store.writes, store.staged_writes
+
+        session.bn_state.buffers[3]["running_var"][1] = np.nan
+        session.frames_seen += 2  # a capture is due
+        worker._observe_checkpoints([session], worker.device_free_ms)
+        assert (store.writes, store.staged_writes) == (writes, staged)
+        assert store.refusals == 1 and not store._staged
+        with open(store.path_for("s0"), "rb") as fh:
+            assert fh.read() == durable_bytes
+        (refused,) = server.tracer.instants("checkpoint_refused")
+        assert refused.args == {"stream": "s0", "reason": "non-finite BN state"}
+        assert server._build_report(0.0).checkpoint_refusals == 1
+
+        server.crash_device(worker.index, now_ms=worker.device_free_ms + 1.0)
+        restored, _ = capture_session_state(session)
+        _assert_same_state(restored, durable)
+        assert np.isfinite(session.bn_state.state).all()
+
     def test_save_arrays_reserves_the_meta_key(self, tmp_path):
         with pytest.raises(ValueError):
             save_arrays(

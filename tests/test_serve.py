@@ -23,7 +23,7 @@ from repro.serve import (
     static_fuse_key,
 )
 from repro.serve.adapt_batch import FleetAdaptationBatcher
-from repro.serve.streams import BNStateSnapshot
+from repro.serve.streams import BNLayout, BNStateSnapshot
 from tick_oracle import run_ticks
 
 #: the event loop and its tick-synchronous reference, by the names the
@@ -375,7 +375,7 @@ class TestStreamIsolation:
         assert moved
 
     def test_swap_roundtrip_restores_model(self, trained_tiny_model, rng):
-        snapshot = BNStateSnapshot(trained_tiny_model)
+        snapshot = BNStateSnapshot(BNLayout(trained_tiny_model))
         reference = trained_tiny_model.state_dict()
         # dirty the model's BN state
         adapter = LDBNAdapt(trained_tiny_model, LDBNAdaptConfig(lr=1e-2))
