@@ -18,8 +18,7 @@
 # the kernel library's cold build and its reuse by a second plan shape,
 # the parity tests with a 2-wide worker pool (tier-1 ran them
 # single-thread), the conv, BN and max-pool kernels under ASan + UBSan,
-# the bitwise engine suites under REPRO_BACKEND=cgen-strict, plus quick
-# C-served bench runs and the per-kernel micro gates of
+# plus quick C-served bench runs and the per-kernel micro gates of
 # benchmarks/bench_micro_ops.py: convs, train-BN, max-pool); on hosts
 # without a C compiler it prints a visible skip notice and runs only the
 # compiler-free fallback/registry tests, and on single-core hosts the
@@ -61,8 +60,8 @@ lane_done() {
 
 echo "=== lane 1: tier-1 tests (pytest -x -q) ==="
 # the libraries it left in the cgen cache: against an empty
-# $REPRO_CGEN_CACHE that is one .so per (pool width, parity) the suite
-# touches (9; 291 per-plan units before the kernel library)
+# $REPRO_CGEN_CACHE that is one .so per pool width the suite touches
+# (6; 291 per-plan units before the kernel library)
 python -m pytest -x -q
 cgen_cache="${REPRO_CGEN_CACHE:-$HOME/.cache/repro_cgen}"
 echo "tier-1: $(find "$cgen_cache" -name '*.so' 2>/dev/null | wc -l) .so in $cgen_cache"
@@ -137,7 +136,7 @@ with tempfile.TemporaryDirectory() as cache:
 
     start = time.perf_counter()
     so, hit, err = build._ensure_so(
-        K.library_source(2), cache, _cflags(False), _plan_variant(2, False),
+        K.library_source(2), cache, _cflags(), _plan_variant(2),
         K.LIBRARY_PARTS,
     )
     assert so and not hit, err
@@ -174,11 +173,6 @@ PYEOF
     # every buffer starting one element past its block.  Without a
     # sanitizer runtime it skips, and -rs prints the NOTICE
     python -m pytest tests/test_conv_sanitizer.py -q -rs
-    # the bitwise-vs-eager engine suites through the strict renderer (and
-    # the only lane that resolves the backend from $REPRO_BACKEND): strict
-    # plans must stay bitwise on adapted BN states, not just the probe
-    REPRO_BACKEND=cgen-strict python -m pytest tests/test_engine.py \
-        tests/test_adapt_engine.py -q
     # quick end-to-end run with the C backend serving the compiled
     # column: band parity vs eager is asserted inside the command
     python -m repro.experiments bench-infer --quick --backend cgen

@@ -51,6 +51,7 @@ import numpy as np
 
 from .. import nn
 from ..engine import CompiledAdaptStep, UnsupportedAdaptGraph
+from ..engine.backends import available_backends
 from ..nn.functional import update_running_stat
 from ..nn.modules import _BatchNormBase
 from .base import AdaptResult, Adapter, freeze_except, set_bn_training
@@ -102,6 +103,11 @@ class LDBNAdaptConfig:
             raise ValueError("batch_size must be >= 1")
         if self.threads is not None and self.threads < 1:
             raise ValueError("threads must be >= 1 when set")
+        if self.backend is not None and self.backend not in available_backends():
+            raise ValueError(
+                f"unknown plan backend {self.backend!r}; expected one of "
+                f"{available_backends()}"
+            )
         if self.stats_mode not in ("replace", "ema"):
             raise ValueError(f"unknown stats_mode {self.stats_mode!r}")
         if self.optimizer not in ("sgd", "adam"):

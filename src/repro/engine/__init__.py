@@ -57,10 +57,8 @@ Architecture — one lowering, compiled through one entry point:
   consulted *before* the compiler lookup so hosts without a toolchain can
   serve from a shipped cache.  Parity is structural: any stage the renderer
   declines — and the whole plan, when no compiler exists — keeps its
-  numpy closure, and every rendered stage is probed against that closure:
-  ``cgen`` within a per-dtype float band, ``cgen-strict`` bitwise, which
-  is why strict offers only order-preserving stages (elementwise, copies,
-  max-pool; GEMMs, reductions, ``exp`` and log-softmax stay numpy).
+  numpy closure, and every rendered stage is probed against that closure
+  within a per-dtype float band (integer outputs bitwise).
   The kernels are *threaded*: heavy stages tile their output rows over a
   persistent pthread pool inside the ``.so`` (refcounted across plans,
   barrier-synced per stage; :mod:`~repro.engine.backends.threading`), and
@@ -76,7 +74,7 @@ Architecture — one lowering, compiled through one entry point:
   the faster device honestly.  Select a backend via
   ``compile_model(model, backend=...)``, ``$REPRO_BACKEND``,
   ``FleetConfig(backend=...)``, ``PipelineConfig(backend=...)``, or the
-  ``--backend``/``--parity`` CLI flags on ``fleet`` and ``bench-*``.
+  ``--backend`` CLI flag on ``fleet`` and ``bench-*``.
 * :mod:`~repro.engine.compile` — :func:`compile_model` /
   :class:`CompiledInference` and :class:`CompiledAdaptStep`: plan caches
   keyed by ``(shape, dtype[, groups])``, retracing transparently when the

@@ -706,7 +706,7 @@ class AdaptationPlan(StaticPlan):
             grad_in[0], sink,
             lambda dst: np.multiply(g, out, out=dst),
             lambda: g * out,
-            offer=("exp_bwd", dict(g=g, other=out, dtype=node.out_dtype)),
+            offer=("mul_bwd", dict(g=g, other=out, dtype=node.out_dtype)),
         )
 
     def _bwd_logsoftmax(self, node, index, cell, scratch, sink, grad_in):

@@ -8,10 +8,10 @@ handed to that lowering, i.e. what executes each stage:
 * ``numpy`` (:mod:`~repro.engine.backends.numpy_backend`) — no renderer:
   every stage stays the numpy closure the lowering built; bit-exact with
   the eager autograd path and therefore the correctness oracle.
-* ``cgen`` / ``cgen-strict`` (:mod:`~repro.engine.backends.cgen`) — the
-  plan as a stage table over a C kernel library compiled once per host
-  and driven through ``ctypes``; unrenderable stages (or a missing
-  compiler with no cached library) fall back to the numpy closures.
+* ``cgen`` (:mod:`~repro.engine.backends.cgen`) — the plan as a stage
+  table over a C kernel library compiled once per host and driven
+  through ``ctypes``; unrenderable stages (or a missing compiler with no
+  cached library) fall back to the numpy closures.
 
 Backends are looked up by name through a registry so callers thread a
 plain string (``FleetConfig(backend="cgen")``, ``--backend cgen``)

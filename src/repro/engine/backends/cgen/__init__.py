@@ -11,7 +11,7 @@ included — *and* the pruned LD-BN-ADAPT backward (BN gamma/beta grads,
 the reduced chain, max-pool backward, the tail's rules, fresh and
 accumulating contributions alike; conv input gradients in *gather* form
 on the forward's own kernels, :meth:`CRenderer._try_conv_dgrad`).  So a
-band-parity ``small-r18`` step is two C calls, forward and backward — the
+``small-r18`` step is two C calls, forward and backward — the
 backward ending in the *update tail*, the running-statistics refresh and
 the SGD-momentum step on gamma/beta over the taps the stages before it
 filled, armed per replay with the arrays it writes
@@ -20,17 +20,16 @@ counts, by stage label, what still replays as a Python closure.
 
 Nothing is compiled per plan.  The package is split along that seam:
 
-* :mod:`.kernels` — the C text.  One library per (parity flags, pool
-  width), every kernel family instantiated for every dtype behind one
-  adapter signature, closed by the worker-pool runtime of
+* :mod:`.kernels` — the C text.  One library per pool width, every
+  kernel family instantiated for every dtype behind one adapter
+  signature, closed by the worker-pool runtime of
   :mod:`repro.engine.backends.threading` and the exported row walk
   ``repro_run(char** T, const stage_row* rows, const char* args, const
   i64* ids, i64 n)``.
 * :mod:`.build` — ``find_cc``, the on-disk cache, ``dlopen``: the library
   is compiled once per host into ``$REPRO_CGEN_CACHE`` (``cc -shared -O2
-  -march=native -pthread``, plus ``-ffp-contract=off`` under strict
-  parity), and a cached library serves every plan shape with no compiler
-  present.
+  -march=native -pthread -ffp-contract=fast``), and a cached library
+  serves every plan shape with no compiler present.
 * this module — the row builders.  A *row* is ``(kernel id, mt flag,
   offset of the stage's args struct in the plan's args blob, slot indices
   into the pointer table T[])``; the args are the structs the kernels
@@ -80,14 +79,12 @@ Parity is enforced structurally, per stage: after loading, every
 rendered stage is probed on the traced example against its own numpy
 closure (snapshot the output buffers, run the oracle, rewind, run the C
 stage — through the same pool dispatch production uses — compare) and
-demoted back to the closure on mismatch.  ``cgen`` compares within a
-tight tolerance band (:data:`PARITY_RTOL` / :data:`PARITY_ATOL`);
-``cgen-strict`` compares bitwise (``tobytes``) and offers only
-order-preserving stages: GEMMs (conv input gradients included), BN and
-loss-tail reductions, ``exp`` and log-softmax are declined up front
-(:data:`_ORDER_DEPENDENT`) and stay numpy.  A missing compiler with no
-cached library (or a failed compile) falls the whole plan back to the
-numpy closures with a visible :class:`RuntimeWarning`.
+demoted back to the closure on mismatch: float outputs within a tight
+tolerance band (:data:`PARITY_RTOL` / :data:`PARITY_ATOL`), integer
+outputs (the max-pool's saved argmax) bitwise; the numpy backend stays
+the bitwise oracle.  A missing compiler with no cached library (or a
+failed compile) falls the whole plan back to the numpy closures with a
+visible :class:`RuntimeWarning`.
 """
 
 from __future__ import annotations
@@ -107,7 +104,7 @@ import numpy as np
 
 from ..base import PlanBackend, register_backend
 from ..core import ConvLowering, PoolLowering, _timed_step
-from ..threading import CGenConfig, PoolHandle, resolve_threads
+from ..threading import PoolHandle, resolve_threads
 from .build import (
     _cflags, _load_lib, _plan_variant, default_cache_dir, find_cc,
 )
@@ -138,7 +135,7 @@ _GEMM_PER_US = 22000.0
 # tiled from about a million counted elements.
 _SWEEP_PER_US = 2000.0
 
-# Default ("band") parity tolerances, keyed by dtype name.  f64 stages
+# Parity tolerances of the probe, keyed by dtype name.  f64 stages
 # differ from the oracle only in GEMM summation order; f32 additionally
 # accumulates in single precision.
 PARITY_RTOL = {"float64": 1e-9, "float32": 3e-4}
@@ -146,17 +143,6 @@ PARITY_ATOL = {"float64": 1e-12, "float32": 1e-6}
 
 _CTYPE = {"float64": "double", "float32": "float"}
 
-# Stage kinds whose bytes depend on summation order or on a BLAS/libm
-# implementation: a C loop can match the numpy oracle on the probe input
-# and still differ on the next one, so strict parity declines them up
-# front instead of trusting the probe (which stays the safety net for the
-# order-preserving kinds: elementwise, copy/fill, relu_bwd, max-pool).
-# The update tail is here because the probe cannot see it at all: the
-# traced example replays unarmed.
-_ORDER_DEPENDENT = frozenset((
-    "conv", "linear", "conv_dgrad", "linear_bwd", "bn_train", "bn_bwd",
-    "exp", "exp_bwd", "logsoftmax", "logsoftmax_bwd", "reduce", "bn_update",
-))
 # backward kinds rendered for a fresh gradient buffer only: offered an
 # accumulating contribution (``existing + grad``) they decline
 _FRESH_ONLY = frozenset(("linear_bwd", "bn_bwd", "maxpool_bwd"))
@@ -168,8 +154,7 @@ _FRESH_ONLY = frozenset(("linear_bwd", "bn_bwd", "maxpool_bwd"))
 # seeds a gradient buffer with a constant (the loss-mean grad), ``copy``
 # passes one through (add / reshape backward), ``mul_bwd`` is ``g`` times
 # the other factor — also the ``exp`` rule, whose other factor is its own
-# output and which is its own kind so strict declines it together with the
-# forward ``exp``.  The last four are the entropy tail's axis reductions,
+# output.  The last four are the entropy tail's axis reductions,
 # one serial pass per line of ``spec["dims"] = (outer, len, inner)``.
 _SWEEP_KINDS = {
     "relu": ("relu", "out", ("x_src",), None),
@@ -181,7 +166,6 @@ _SWEEP_KINDS = {
     "copy": ("copy", "dst", ("g",), "accumulate"),
     "neg_bwd": ("neg", "dst", ("g",), "accumulate"),
     "mul_bwd": ("mul", "dst", ("g", "other"), "accumulate"),
-    "exp_bwd": ("mul", "dst", ("g", "other"), "accumulate"),
     "relu_bwd": ("relu_bwd", "dst", ("g", "y"), "accumulate"),
     "reduce": ("reduce", "out", ("x_src",), "mean"),
     "broadcast": ("broadcast", "dst", ("g",), "accumulate"),
@@ -483,7 +467,6 @@ class CRenderer:
     def __init__(self, backend: "CGenBackend", threads: int = 1,
                  group_size: int = 0):
         self.backend = backend
-        self.strict = backend.parity == "strict"
         self.threads = max(1, int(threads))
         self.group_size = group_size
         # the looking-up stem row's counters, the memos in use
@@ -578,9 +561,7 @@ class CRenderer:
             builder = partial(self._try_sweep, kind)
         else:
             builder = getattr(self, f"_try_{kind}", None)
-        if (self.strict and kind in _ORDER_DEPENDENT) or (
-            kind in _FRESH_ONLY and spec.get("accumulate")
-        ):
+        if kind in _FRESH_ONLY and spec.get("accumulate"):
             builder = None
         offer = builder(spec, fallback) if builder is not None else None
         if offer is None:
@@ -927,7 +908,6 @@ class CRenderer:
         is walked live in ``weight.data`` — for one ``f``, the tile's
         rows ``c..`` and all taps are one contiguous run — so an in-place
         ``load_state_dict`` is seen like any other parameter update.
-        Band parity only: the oracle is a BLAS GEMM plus col2im.
         """
         geo: ConvLowering = spec["geo"]
         dtype = np.dtype(spec["dtype"])
@@ -1015,7 +995,7 @@ class CRenderer:
         squared deviations are two lane passes, rounded to the data dtype
         before ``1/sqrt(var+eps)`` so everything downstream repeats the
         numpy op sequence; the oracle's pairwise sums differ in the last
-        bits, hence band parity only."""
+        bits, within the band."""
         dtype = np.dtype(spec["dtype"])
         if dtype.name not in _CTYPE:
             return None
@@ -1107,8 +1087,8 @@ class CRenderer:
         )
 
     def _try_maxpool_bwd(self, spec, fallback):
-        """Grad wrt a max-pool input (``k_maxpool_bwd_<ct>``): bitwise,
-        so it survives even the strict probe."""
+        """Grad wrt a max-pool input (``k_maxpool_bwd_<ct>``), bitwise:
+        it repeats the closure's col2im summation order."""
         dtype = np.dtype(spec["dtype"])
         ct = _CTYPE.get(dtype.name)
         geo: PoolLowering = spec["geo"]
@@ -1136,7 +1116,7 @@ class CRenderer:
 
     def _match(self, got: np.ndarray, want: np.ndarray,
                tol_dtype=None) -> bool:
-        if got.dtype.kind in "iu" or self.strict:
+        if got.dtype.kind in "iu":
             return got.tobytes() == want.tobytes()
         name = np.dtype(tol_dtype).name if tol_dtype is not None \
             else got.dtype.name
@@ -1148,12 +1128,12 @@ class CRenderer:
         ))
 
     def _load(self, info: Dict[str, object]):
-        """The kernel library for this pool width and parity — from the
+        """The kernel library for this pool width — from the
         cache, else compiled into it — with this plan's scratch reserved;
         ``(lib, None)`` or ``(None, why not)``."""
         lib, so, cache_hit, recovered, err = _load_lib(
             K.library_source(self.threads), self.backend.cache_dir,
-            _cflags(self.strict), _plan_variant(self.threads, self.strict),
+            _cflags(), _plan_variant(self.threads),
             K.LIBRARY_PARTS,
         )
         if lib is None:
@@ -1176,7 +1156,6 @@ class CRenderer:
             profile.backend = self.backend.name
         info: Dict[str, object] = {
             "backend": self.backend.name,
-            "parity": "strict" if self.strict else "band",
             "stages": sum(len(s) for s in sections),
             "offered": self.offered,
             "declined": self.declined,
@@ -1421,13 +1400,12 @@ class CGenBackend(PlanBackend):
     width; ``None`` resolves per compile via ``$REPRO_CGEN_THREADS`` →
     device cores → host CPUs."""
 
-    def __init__(self, parity: str = "band",
-                 threads: Optional[int] = None,
-                 config: Optional[CGenConfig] = None):
-        self.config = config = config or CGenConfig(parity, threads)
-        self.parity = config.parity
-        self.threads = config.threads
-        self.name = "cgen-strict" if config.parity == "strict" else "cgen"
+    name = "cgen"
+
+    def __init__(self, threads: Optional[int] = None):
+        if threads is not None and int(threads) < 1:
+            raise ValueError(f"threads must be >= 1, got {threads}")
+        self.threads = threads
         # stem conv weight -> its memo, for as long as the model lives
         self._stem_memos = weakref.WeakKeyDictionary()
 
@@ -1455,4 +1433,3 @@ class CGenBackend(PlanBackend):
 
 
 register_backend("cgen", CGenBackend)
-register_backend("cgen-strict", lambda: CGenBackend(parity="strict"))

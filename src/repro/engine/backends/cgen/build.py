@@ -26,17 +26,13 @@ from typing import List, Optional
 _ENV_CC = "REPRO_CC"
 _ENV_CACHE = "REPRO_CGEN_CACHE"
 
-# cc invocation.  Strict parity compiles with -ffp-contract=off so the
-# f64 elementwise epilogues run the same IEEE op sequence as numpy's
-# pass-per-op ufuncs (no FMA contraction) and can probe bitwise; band
-# parity allows contraction — FMA both doubles GEMM throughput and
-# *reduces* rounding error, and the tolerance probe still gates it.
-_BASE_CFLAGS = ["-shared", "-fPIC", "-O2", "-march=native", "-pthread",
-                "-fno-math-errno", "-fvect-cost-model=dynamic"]
-
-
-def _cflags(strict: bool) -> List[str]:
-    return _BASE_CFLAGS + ["-ffp-contract=" + ("off" if strict else "fast")]
+def _cflags() -> List[str]:
+    """The cc invocation.  Contraction is allowed: FMA both doubles GEMM
+    throughput and *reduces* rounding error, and the parity probe's
+    tolerance band gates it."""
+    return ["-shared", "-fPIC", "-O2", "-march=native", "-pthread",
+            "-fno-math-errno", "-fvect-cost-model=dynamic",
+            "-ffp-contract=fast"]
 
 
 def find_cc() -> Optional[str]:
@@ -59,12 +55,12 @@ def default_cache_dir() -> str:
     )
 
 
-def _plan_variant(threads: int, strict: bool) -> str:
+def _plan_variant(threads: int) -> str:
     """Cache-key variant tag: everything besides the literal source that
-    selects a different library (pool width, parity family).  The source
-    already differs per thread count — the tag makes the keying
-    *structural* rather than an accident of codegen."""
-    return f"v2:nt{threads}:{'strict' if strict else 'band'}"
+    selects a different library (the pool width).  The source already
+    differs per thread count — the tag makes the keying *structural*
+    rather than an accident of codegen."""
+    return f"v2:nt{threads}"
 
 
 def _ensure_so(source: str, cache_dir: str, flags: List[str],
@@ -72,7 +68,7 @@ def _ensure_so(source: str, cache_dir: str, flags: List[str],
     """Return ``(so_path, cache_hit, fail_reason)`` for ``source``.
 
     The key covers the source hash, the compile flags, and the
-    ``variant`` tag (thread count / parity), so two configs can never
+    ``variant`` tag (thread count), so two configs can never
     collide on one artifact.  The cache lookup happens *before* the
     compiler lookup: a library compiled once keeps loading after the
     compiler disappears.  A source of several ``parts`` is compiled once

@@ -1,8 +1,8 @@
 """The C text of the cgen kernel library, and the layouts Python packs.
 
 Everything here is static: :func:`library_source` depends on the pool
-width alone, so one compile per (parity flags, pool width) serves every
-plan of every shape on the host.  What a plan hands a kernel — its
+width alone, so one compile per pool width serves every plan of every
+shape on the host.  What a plan hands a kernel — its
 ``stage_row`` and args struct — is declared in ``_PLAN_SOURCE``; each C
 struct there has a numpy mirror of the same name in upper case (every
 field an ``i64`` or a ``double``, so there is no padding to get wrong)
@@ -1257,8 +1257,8 @@ def _linear_source(ct: str) -> str:
     the compiler made of tiny-r18's ``fin = 6`` layer when ``fin`` was a
     plan constant (EXPERIMENTS.md, PR 21), so its bytes stay what they
     were.  ``k_linear_bwd_<ct>``: threads own input-feature columns; per
-    element the o-order is serial.  Band parity only — the oracles are
-    BLAS matmuls."""
+    element the o-order is serial.  Held to the parity band — the oracles
+    are BLAS matmuls."""
     accs = ", ".join(f"a{q} = ({ct})0" for q in range(8))
     muls = " ".join(f"a{q} += wo[i + {q}] * xn[i + {q}];" for q in range(8))
     return f"""\
@@ -1329,7 +1329,7 @@ def _maxpool_source(ct: str) -> str:
     window's stored argmax.  Windows are visited last to first: an input
     cell covered by several windows then receives them in ascending
     kernel-offset order — the col2im summation order of the oracle — so
-    the stage is bitwise and survives the strict probe."""
+    the stage is bitwise."""
     return f"""\
 static inline __attribute__((always_inline)) void maxpool_tap_{ct}(
     const {ct}* restrict row, {ct}* restrict m, i64* restrict a,

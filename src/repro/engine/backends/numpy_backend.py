@@ -2,8 +2,8 @@
 
 This is the bit-exactness oracle — every stage issues the same numpy
 kernels on the same buffers in the same order as the eager autograd
-path.  The codegen backends compile through the *same* lowering and
-differ only in the renderer they pass, which is what makes their
+path.  The cgen backend compiles through the *same* lowering and
+differs only in the renderer it passes, which is what makes its
 per-stage fallback structural: a declined stage simply keeps the closure
 this backend would have produced.  ``threads`` is ignored: numpy's
 kernels thread (or don't) per BLAS build, not per plan.

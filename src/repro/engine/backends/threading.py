@@ -2,8 +2,8 @@
 
 The library tiles its heavy kernels (conv GEMMs, linear, max-pool, large
 sweeps, the BN forward and backward) over a small persistent pthread pool
-that lives *inside* the ``.so`` — one library, so one pool, per (parity
-flags, pool width), shared by every plan of the process:
+that lives *inside* the ``.so`` — one library, so one pool, per pool
+width, shared by every plan of the process:
 
 * the pool is spawned once per loaded library (``repro_pool_start``,
   refcounted — every plan takes one reference and drops it on teardown,
@@ -21,15 +21,15 @@ flags, pool width), shared by every plan of the process:
   Kernels keep nothing there between calls and one replay runs at a time
   per library (the engine is single-threaded above the pool).
 
-**Deterministic-reduction rule** (what keeps ``cgen-strict`` bitwise and
-every run reproducible): the iteration space is partitioned by *fixed
-tile ownership of output elements* — thread ``t`` of ``nt`` owns output
-rows ``[total*t//nt, total*(t+1)//nt)`` and computes each of its outputs
-start-to-finish in the same serial reduction order the single-thread
-kernel uses.  No accumulator is ever shared, no atomics exist, and the
-per-element arithmetic is independent of both ``nt`` and the tile
-boundaries, so outputs are bitwise identical run-to-run *and* across
-thread counts.
+**Deterministic-reduction rule** (what makes every run reproducible):
+the iteration space is partitioned by *fixed tile ownership of output
+elements* — thread ``t`` of ``nt`` owns output rows ``[total*t//nt,
+total*(t+1)//nt)`` and computes each of its outputs start-to-finish in
+the same serial reduction order the single-thread kernel uses.  No
+accumulator is ever shared, no atomics exist, and the per-element
+arithmetic is independent of both ``nt`` and the tile boundaries, so a
+plan's outputs — held to the numpy oracle within the parity band — are
+bitwise identical run-to-run *and* across pool widths.
 
 Thread-count resolution is :func:`resolve_threads` (per compilation) and
 :func:`serving_threads` (what a serving loop's ``threads`` option means).
@@ -38,7 +38,6 @@ Thread-count resolution is :func:`resolve_threads` (per compilation) and
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 ENV_THREADS = "REPRO_CGEN_THREADS"
@@ -48,33 +47,11 @@ ENV_THREADS = "REPRO_CGEN_THREADS"
 MAX_THREADS = 64
 
 
-@dataclass(frozen=True)
-class CGenConfig:
-    """Configuration of one cgen backend instance.
-
-    ``parity`` selects the kernel family (``"band"`` — fast kernels held
-    to a per-dtype float tolerance; ``"strict"`` — bitwise-reproducible
-    kernels).  ``threads`` is the worker-pool width baked into rendered
-    plans; ``None`` defers to :func:`resolve_threads` at compile time.
-    """
-
-    parity: str = "band"
-    threads: Optional[int] = None
-
-    def __post_init__(self):
-        if self.parity not in ("band", "strict"):
-            raise ValueError(
-                f"parity must be 'band' or 'strict': {self.parity!r}"
-            )
-        if self.threads is not None and int(self.threads) < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
-
-
 def resolve_threads(explicit: Optional[int] = None,
                     device_cores: Optional[int] = None) -> int:
     """Resolve the worker-pool width for one plan compilation.
 
-    Priority: ``explicit`` (a ``CGenConfig.threads`` / ``--threads``
+    Priority: ``explicit`` (a ``CGenBackend.threads`` / ``--threads``
     value) > ``$REPRO_CGEN_THREADS`` > ``device_cores`` (the serving
     device profile's CPU core count) > the host CPU count.  Always
     clamped to ``[1, MAX_THREADS]``.

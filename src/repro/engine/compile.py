@@ -90,9 +90,9 @@ def compile_model(model, profile: bool = False, backend=None,
     ``profile=True`` compiles every plan with per-op timing
     (:class:`~repro.engine.plan.PlanProfile`); the default compiles
     closures with no timing code at all.  ``backend`` selects the plan
-    lowering — a registry name (``"numpy"``, ``"cgen"``,
-    ``"cgen-strict"``), a :class:`~repro.engine.backends.PlanBackend`
-    instance, or ``None`` for ``$REPRO_BACKEND``/numpy.  ``threads``
+    lowering — a registry name (``"numpy"``, ``"cgen"``), a
+    :class:`~repro.engine.backends.PlanBackend` instance, or ``None`` for
+    ``$REPRO_BACKEND``/numpy.  ``threads``
     fixes the codegen kernel-pool width per plan (``None`` defers to the
     backend's own resolution chain; the numpy backend ignores it).
     """

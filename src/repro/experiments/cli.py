@@ -533,14 +533,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "pricing; plan compilation defers to REPRO_CGEN_THREADS)",
     )
     parser.add_argument(
-        "--parity",
-        choices=("band", "strict"),
-        default="band",
-        help="cgen only: 'band' renders fast kernels held to a float "
-        "tolerance, 'strict' renders bitwise-reproducible kernels "
-        "(maps --backend cgen to the cgen-strict registration)",
-    )
-    parser.add_argument(
         "--quick",
         action="store_true",
         help="bench-infer/bench-serve/bench-scenarios: the CI-sized "
@@ -555,8 +547,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     scale = get_run_scale(args.scale)
     backend = args.backend
-    if backend == "cgen" and args.parity == "strict":
-        backend = "cgen-strict"
 
     if args.threads is not None and args.threads < 1:
         parser.error(f"--threads must be >= 1, got {args.threads}")

@@ -176,7 +176,7 @@ def run_fleet(
     ``tracer`` collects per-frame spans and fleet events for the Chrome
     trace export and the telemetry dashboard; serving results are
     bitwise identical with or without it.  ``backend`` selects the plan
-    backend the pool serves and adapts with (numpy / cgen / cgen-strict);
+    backend the pool serves and adapts with (numpy / cgen);
     ``threads`` widens the codegen kernel pool AND re-prices the roofline
     model (scheduler/admission see the faster device honestly).
     """

@@ -1,11 +1,6 @@
 """``repro.pipeline`` — the online inference→adapt→next-frame loop."""
 
-from .monitor import (
-    DeadlineMonitor,
-    FrameRecord,
-    PipelineReport,
-    RollingAccuracy,
-)
+from .monitor import DeadlineMonitor, FrameRecord, PipelineReport
 from .realtime import PipelineConfig, RealTimePipeline
 
 __all__ = [
@@ -14,5 +9,4 @@ __all__ = [
     "PipelineReport",
     "FrameRecord",
     "DeadlineMonitor",
-    "RollingAccuracy",
 ]

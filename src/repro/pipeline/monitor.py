@@ -2,14 +2,13 @@
 
 Tracks, frame by frame, what the paper's Fig. 3 measures (per-frame
 latency against the 33.3 ms / 55.5 ms deadlines) and what Fig. 2 measures
-(lane accuracy), but *online*: rolling windows over the adaptation run.
+(lane accuracy), but *online*, frame by frame over the adaptation run.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -98,34 +97,6 @@ class DeadlineMonitor:
     @property
     def p99_latency_ms(self) -> float:
         return self.latency_percentile(99)
-
-
-class RollingAccuracy:
-    """Windowed mean of per-frame accuracies (online learning curve)."""
-
-    def __init__(self, window: int = 30):
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.window = window
-        self._values: Deque[float] = deque(maxlen=window)
-        self._all: List[float] = []
-
-    def update(self, value: float) -> None:
-        """Record one frame; the means are taken when they are read."""
-        self._values.append(value)
-        self._all.append(value)
-
-    @property
-    def current(self) -> float:
-        return float(np.mean(self._values)) if self._values else 0.0
-
-    @property
-    def overall(self) -> float:
-        return float(np.mean(self._all)) if self._all else 0.0
-
-    def curve(self) -> List[float]:
-        """Full per-frame accuracy trajectory."""
-        return list(self._all)
 
 
 @dataclass

@@ -116,7 +116,6 @@ class FleetConfig:
     latency_model: str = "orin"  # "orin" | "wallclock"
     decode_method: str = "expectation"
     accuracy_threshold_cells: float = TUSIMPLE_THRESHOLD_CELLS
-    rolling_window: int = 30
     max_batch_size: int = 8
     aging_rate: float = 0.1
     adapt_stride: int = 1  # static fallback policy: every k-th frame adapts
@@ -150,8 +149,6 @@ class FleetConfig:
             )
         if self.decode_method not in ("argmax", "expectation"):
             raise ValueError(f"unknown decode method {self.decode_method!r}")
-        if self.rolling_window < 1:
-            raise ValueError(f"rolling_window must be >= 1, got {self.rolling_window}")
         if self.max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
         if self.adapt_stride < 1:
@@ -400,7 +397,6 @@ class FleetServer:
             stream,
             adapter,
             deadline_ms=self.config.deadline_ms,
-            rolling_window=self.config.rolling_window,
             adapt_stride=self.config.adapt_stride,
             adapt_phase=index % self.config.adapt_stride,
             arrivals=ArrivalProcess(arrival),

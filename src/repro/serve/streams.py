@@ -39,12 +39,7 @@ import numpy as np
 from ..adapt.base import Adapter, ParameterSnapshot
 from ..data.dataset import LaneSample
 from ..nn.modules import _BatchNormBase
-from ..pipeline.monitor import (
-    DeadlineMonitor,
-    FrameRecord,
-    PipelineReport,
-    RollingAccuracy,
-)
+from ..pipeline.monitor import DeadlineMonitor, FrameRecord, PipelineReport
 from ..utils.rng import make_rng
 
 _BN_BUFFER_NAMES = ("running_mean", "running_var", "num_batches_tracked")
@@ -226,7 +221,6 @@ class StreamSession:
         stream: Iterator[LaneSample],
         adapter: Adapter,
         deadline_ms: float,
-        rolling_window: int = 30,
         adapt_stride: int = 1,
         adapt_phase: int = 0,
         arrivals: Optional[ArrivalProcess] = None,
@@ -242,7 +236,6 @@ class StreamSession:
         self.arrivals = arrivals
         self.bn_state = BNStateSnapshot(layout)
         self.monitor = DeadlineMonitor(deadline_ms)
-        self.rolling = RollingAccuracy(rolling_window)
         self.report = PipelineReport(deadline_ms=deadline_ms)
         self.frames_seen = 0  # frames fully served (decoded + recorded)
         self.frames_ingested = 0  # frames pulled off the camera stream
@@ -334,7 +327,6 @@ class StreamSession:
     ) -> FrameRecord:
         """Append one served frame to this stream's report."""
         met = self.monitor.record(latency_ms)
-        self.rolling.update(accuracy)
         record = FrameRecord(
             index=self.frames_seen,
             timestamp=frame.timestamp,
@@ -366,7 +358,6 @@ class StreamRegistry:
         stream: Iterator[LaneSample],
         adapter: Adapter,
         deadline_ms: float,
-        rolling_window: int = 30,
         adapt_stride: int = 1,
         adapt_phase: int = 0,
         arrivals: Optional[ArrivalProcess] = None,
@@ -384,7 +375,6 @@ class StreamRegistry:
             stream,
             adapter,
             deadline_ms=deadline_ms,
-            rolling_window=rolling_window,
             adapt_stride=adapt_stride,
             adapt_phase=adapt_phase,
             arrivals=arrivals,

@@ -2,11 +2,12 @@
 
 The contract under test ("parity is structural"): whatever subset of a
 plan's stages the ``cgen`` backend renders to C, replaying the plan
-yields the numpy lowering's answer — bitwise under ``cgen-strict``,
-inside the float band under ``cgen`` — and when no C compiler exists the
-whole plan silently (well, with one RuntimeWarning) degrades to the
-numpy closures.  A hypothesis sweep drives random layer stacks and
-dtypes through both parity modes against the numpy oracle; directed
+yields the numpy lowering's answer inside the float band (integer
+outputs, and the kinds with nothing to contract — max-pool forward and
+backward — bitwise), and when no C compiler exists the whole plan
+silently (well, with one RuntimeWarning) degrades to the numpy
+closures.  A hypothesis sweep drives random layer stacks and dtypes
+through the renderer against the numpy oracle; directed
 tests cover the live-BN rebind after adaptation, per-sample fleet
 overrides, the on-disk ``.so`` cache (which must satisfy loads *before*
 looking for a compiler), profile labeling, and the config-level backend
@@ -31,7 +32,6 @@ from repro.engine.backends import (
     PARITY_ATOL,
     PARITY_RTOL,
     CGenBackend,
-    CGenConfig,
     NumpyBackend,
     available_backends,
     find_cc,
@@ -68,9 +68,7 @@ def _fresh_cache(monkeypatch, tmp_path):
 
 class TestRegistry:
     def test_registered_names(self):
-        names = available_backends()
-        for name in ("numpy", "cgen", "cgen-strict"):
-            assert name in names
+        assert available_backends() == ["numpy", "cgen"]
 
     def test_get_backend_unknown_lists_choices(self):
         with pytest.raises(ValueError, match="numpy"):
@@ -91,13 +89,9 @@ class TestRegistry:
         backend = NumpyBackend()
         assert resolve_backend(backend) is backend
 
-    def test_strict_registration_sets_parity(self):
-        assert get_backend("cgen-strict").parity == "strict"
-        assert get_backend("cgen").parity == "band"
-
 
 # ---------------------------------------------------------------------------
-# property sweep: random stacks, both parity modes, vs the numpy oracle
+# property sweep: random stacks vs the numpy oracle
 
 _LAYERS = st.sampled_from(["conv", "conv_bn_relu", "maxpool", "relu"])
 
@@ -133,7 +127,7 @@ def _build_stack(draw, in_ch, rng):
 class TestParitySweep:
     @given(data=st.data())
     @settings(max_examples=8, deadline=None)
-    def test_band_and_strict_vs_numpy_oracle(self, data):
+    def test_band_vs_numpy_oracle(self, data):
         rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
         in_ch = data.draw(st.sampled_from([1, 3]))
         dtype = data.draw(st.sampled_from([np.float32, np.float64]))
@@ -143,12 +137,7 @@ class TestParitySweep:
 
         oracle = compile_model(model)(x).numpy()
         band = compile_model(model, backend="cgen")(x).numpy()
-        strict = compile_model(model, backend="cgen-strict")(x).numpy()
-
         np.testing.assert_allclose(band, oracle, **_band(oracle.dtype))
-        assert np.array_equal(strict, oracle), (
-            "cgen-strict must be bitwise-identical to the numpy lowering"
-        )
 
     @given(data=st.data())
     @settings(max_examples=4, deadline=None)
@@ -163,9 +152,7 @@ class TestParitySweep:
         x = rng.standard_normal((3, fin))
         oracle = compile_model(model)(x).numpy()
         band = compile_model(model, backend="cgen")(x).numpy()
-        strict = compile_model(model, backend="cgen-strict")(x).numpy()
         np.testing.assert_allclose(band, oracle, **_band(oracle.dtype))
-        assert np.array_equal(strict, oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +194,29 @@ class TestLiveBNBinding:
         )
         # still the same compiled plan — no recompile happened
         assert eng_c.plan_for(x.shape, x.dtype) is plan
+
+    def test_served_preset_stays_in_band_after_adaptation(self):
+        """A tiny-r34 plan traced on pristine BN state, replayed after
+        LD-BN-ADAPT rewrote that state: a stage that only matched numpy
+        on the probe input would leave the band on the next state."""
+        model, rng, x = _model_and_frames("tiny-r34", 2, 12345)
+        engines = {
+            name: compile_model(model, backend=name)
+            for name in ("numpy", "cgen")
+        }
+        for engine in engines.values():
+            engine.warm(x)
+        plan = engines["cgen"].plan_for(x.shape, x.dtype)
+        adapter = LDBNAdapt(model, LDBNAdaptConfig(batch_size=2))
+        with nn.adaptation_mode(False):  # eager steps: no plan involved
+            for _ in range(3):
+                adapter.adapt(rng.standard_normal(x.shape).astype(np.float32))
+        model.eval()
+        got = {name: engine(x).numpy().copy() for name, engine in engines.items()}
+        assert engines["cgen"].plan_for(x.shape, x.dtype) is plan
+        np.testing.assert_allclose(
+            got["cgen"], got["numpy"], **_band(np.float32)
+        )
 
     def test_per_sample_override_parity(self, rng):
         model = _bn_model(rng)
@@ -327,7 +337,7 @@ class TestProfileAndInfo:
         x = rng.standard_normal((1, 3, 8, 12)).astype(np.float32)
         engine(x)
         info = engine.plan_for(x.shape, x.dtype).backend_info
-        assert info["backend"] == "cgen" and info["parity"] == "band"
+        assert info["backend"] == "cgen"
         assert info["offered"] >= info["rendered"] > 0
         assert info["so"] and info["fallback_reason"] is None
 
@@ -354,7 +364,15 @@ class TestConfigValidation:
             PipelineConfig(backend="fortran")
 
     def test_pipeline_config_accepts_registered_backends(self):
-        assert PipelineConfig(backend="cgen-strict").backend == "cgen-strict"
+        assert PipelineConfig(backend="cgen").backend == "cgen"
+
+    def test_adapter_config_rejects_unknown_backend(self):
+        """Refused when the config is built, not at the first adapted
+        frame."""
+        with pytest.raises(ValueError, match="plan backend"):
+            LDBNAdaptConfig(backend="fortran")
+        assert LDBNAdaptConfig(backend="cgen").backend == "cgen"
+        assert LDBNAdaptConfig().backend is None  # inherits
 
     def test_thread_counts_validated_when_set(self):
         with pytest.raises(ValueError, match="threads"):
@@ -419,17 +437,12 @@ class TestThreadingUnits:
         assert sum(hi - lo for lo, hi in spans) == 2
         assert sum(1 for lo, hi in spans if hi > lo) == 2
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="parity"):
-            CGenConfig(parity="fast")
+    def test_backend_threads_validated(self):
         with pytest.raises(ValueError, match="threads"):
-            CGenConfig(threads=0)
-        assert CGenConfig().threads is None
-
-    def test_backend_exposes_its_config(self):
-        backend = CGenBackend(parity="strict", threads=3)
-        assert backend.config == CGenConfig(parity="strict", threads=3)
-        assert backend.threads == 3 and backend.name == "cgen-strict"
+            CGenBackend(threads=0)
+        assert CGenBackend().threads is None
+        backend = CGenBackend(threads=3)
+        assert backend.threads == 3 and backend.name == "cgen"
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +453,10 @@ class TestThreadingUnits:
 class TestThreadedParity:
     @given(data=st.data())
     @settings(max_examples=6, deadline=None)
-    def test_band_and_strict_at_random_widths(self, data):
+    def test_band_at_random_widths(self, data):
         """Odd spatial shapes (P not divisible by the tile count,
-        single-row outputs) across pool widths 2..6: band stays in the
-        float band, strict stays bitwise."""
+        single-row outputs) across pool widths 2..6 stay in the float
+        band."""
         rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
         nt = data.draw(st.integers(2, 6))
         in_ch = data.draw(st.sampled_from([1, 3]))
@@ -461,23 +474,20 @@ class TestThreadedParity:
         band = compile_model(
             model, backend=CGenBackend(threads=nt)
         )(x).numpy()
-        strict = compile_model(
-            model, backend=CGenBackend(parity="strict", threads=nt)
-        )(x).numpy()
-
         np.testing.assert_allclose(band, oracle, **_band(oracle.dtype))
-        assert np.array_equal(strict, oracle), (
-            f"cgen-strict must stay bitwise at {nt} threads"
-        )
 
-    def test_strict_is_invariant_across_thread_counts(self, rng):
-        """Fixed tile ownership, no shared accumulators: the strict
-        kernels return the same bits at every pool width."""
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_invariant_across_thread_counts(self, rng, monkeypatch, dtype):
+        """Fixed tile ownership, no shared accumulators: with every stage
+        tiled, the kernels return the same bits at every pool width."""
+        _tile_everything(monkeypatch)
         model = _bn_model(rng)
-        x = rng.standard_normal((2, 3, 9, 13)).astype(np.float32)
+        for param in model.parameters():
+            param.data = param.data.astype(dtype)
+        x = rng.standard_normal((2, 3, 9, 13)).astype(dtype)
         outs = [
             compile_model(
-                model, backend=CGenBackend(parity="strict", threads=nt)
+                model, backend=CGenBackend(threads=nt)
             )(x).numpy()
             for nt in (1, 2, 5)
         ]
@@ -1233,13 +1243,19 @@ def _profiled_plan_and_specs(model, x, backend, threads=None, groups=1):
 
     specs = {}
     offer = AdaptationPlan._offer
+    scratch_free = AdaptationPlan._emit_scratch_free
 
     def spy(self, kind, spec, fallback):
         specs.setdefault(kind, []).append(spec)
         return offer(self, kind, spec, fallback)
 
+    def spy_scratch_free(self, kind, spec, lowering, scratch):
+        specs.setdefault(kind, []).append(spec)
+        return scratch_free(self, kind, spec, lowering, scratch)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(AdaptationPlan, "_offer", spy)
+        patch.setattr(AdaptationPlan, "_emit_scratch_free", spy_scratch_free)
         plan = CompiledAdaptStep(
             model, profile=True, backend=backend, threads=threads
         ).plan_for(x, groups=groups)
@@ -1268,8 +1284,14 @@ class TestMaxPoolFromGeometry:
     NaN's window offset; a compare that drops NaNs (``xv > m``) would
     hide a poisoned pixel from everything downstream of the pool."""
 
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("at, block, poisoned", [(2, 4, 9), (3, 1, 4)])
-    def test_nan_reaches_every_window_that_covers_it(self, at, block, poisoned):
+    def test_nan_reaches_every_window_that_covers_it(
+        self, at, block, poisoned, threads, monkeypatch
+    ):
+        """Tiled at every pool width, so a window whose NaN sits in
+        another tile's rows is still poisoned."""
+        _tile_everything(monkeypatch)
         x = np.random.default_rng(0).standard_normal((1, 1, 8, 8)).astype(
             np.float32
         )
@@ -1278,12 +1300,11 @@ class TestMaxPoolFromGeometry:
         model.eval()
         want = compile_model(model)(x).numpy()
         assert np.isnan(want).sum() == poisoned
-        for backend in ("cgen", "cgen-strict"):
-            engine = compile_model(model, backend=backend)
-            got = engine(x).numpy()
-            assert engine.plan_for(x.shape).backend_info["rendered"] == 1
-            assert np.array_equal(got, want, equal_nan=True), backend
-            assert not np.isinf(got).any()
+        engine = compile_model(model, backend=CGenBackend(threads=threads))
+        got = engine(x).numpy()
+        assert engine.plan_for(x.shape).backend_info["rendered"] == 1
+        assert np.array_equal(got, want, equal_nan=True)
+        assert not np.isinf(got).any()
 
     @pytest.mark.filterwarnings(
         "ignore:invalid value encountered:RuntimeWarning"
@@ -1294,8 +1315,8 @@ class TestMaxPoolFromGeometry:
         """Kernels 1-4 (non-square too), strides 1-3, padding up to past
         the kernel, both dtypes, pool widths 1-3; few distinct values so
         windows tie, infinities of both signs, and NaN pixels: forward
-        values and the saved argmax equal the numpy plan's, band and
-        strict."""
+        values and the saved argmax equal the numpy plan's, bit for
+        bit."""
         rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
         kernel = (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)))
         stride = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
@@ -1321,13 +1342,12 @@ class TestMaxPoolFromGeometry:
         want, want_arg, _ = _pool_stage_alone(model, clean, x, "numpy")
         with pytest.MonkeyPatch.context() as patch:
             _tile_everything(patch)
-            for backend in ("cgen", "cgen-strict"):
-                got, got_arg, info = _pool_stage_alone(
-                    model, clean, x, backend, nt
-                )
-                assert "fwd:maxpool" not in info["numpy_stages"], info
-                assert np.array_equal(got, want, equal_nan=True), backend
-                assert np.array_equal(got_arg, want_arg), backend
+            got, got_arg, info = _pool_stage_alone(
+                model, clean, x, "cgen", nt
+            )
+        assert "fwd:maxpool" not in info["numpy_stages"], info
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(got_arg, want_arg)
 
     def test_no_index_table_is_bound(self, rng):
         """The only integer array a pool-only plan keeps is its stage id
@@ -1364,39 +1384,32 @@ def _train_stack(seed):
 
 @needs_cc
 class TestRenderedBackward:
-    def test_strict_backward_is_bitwise(self, rng):
-        """The rendered gamma/beta backward under cgen-strict returns
-        the numpy plan's loss bit for bit."""
-        x = rng.standard_normal((2, 3, 8, 12)).astype(np.float32)
-        losses = {}
-        for backend in ("numpy", "cgen-strict"):
-            step = CompiledAdaptStep(_train_stack(11), backend=backend)
-            plan = step.plan_for(x)
-            losses[backend] = np.asarray(plan.run(x)).copy()
-            if backend == "cgen-strict":
-                info = plan.backend_info
-                assert info["rendered"] > 0, "backward must render"
-        assert losses["numpy"].tobytes() == losses["cgen-strict"].tobytes()
-
-    def test_strict_backward_invariant_across_widths(self, rng):
-        x = rng.standard_normal((2, 3, 8, 12)).astype(np.float32)
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_backward_invariant_across_widths(self, rng, monkeypatch, groups):
+        """Every stage tiled, forward and backward, one group or a fleet's
+        two: the step's losses are the same bits at pool widths 1, 2 and
+        4."""
+        _tile_everything(monkeypatch)
+        x = rng.standard_normal((2 * groups, 3, 8, 12)).astype(np.float32)
         losses = []
         for nt in (1, 2, 4):
-            step = CompiledAdaptStep(
-                _train_stack(13), backend=CGenBackend(parity="strict"),
-                threads=nt,
-            )
-            losses.append(np.asarray(step.plan_for(x).run(x)).copy())
+            plan = CompiledAdaptStep(
+                _train_stack(13), backend="cgen", threads=nt
+            ).plan_for(x, groups=groups)
+            assert plan.backend_info["rendered"] == plan.backend_info["stages"]
+            losses.append(np.asarray(plan.run(x)).copy())
+        assert losses[0].shape == (groups,)
         assert losses[0].tobytes() == losses[1].tobytes()
         assert losses[0].tobytes() == losses[2].tobytes()
 
-    def test_band_backward_threaded_stays_in_band(self, rng):
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_band_backward_threaded_stays_in_band(self, rng, threads):
         x = rng.standard_normal((2, 3, 8, 12)).astype(np.float32)
         oracle = np.asarray(
             CompiledAdaptStep(_train_stack(17)).plan_for(x).run(x)
         ).copy()
         step = CompiledAdaptStep(
-            _train_stack(17), backend="cgen", threads=2
+            _train_stack(17), backend="cgen", threads=threads
         )
         plan = step.plan_for(x)
         loss = np.asarray(plan.run(x))
@@ -1419,10 +1432,7 @@ class TestRenderedBackward:
 
 
 # ---------------------------------------------------------------------------
-# strict parity offers only order-preserving stages
-
-
-_ORDER_DEPENDENT_LABELS = ("conv", "linear", "bn", "exp")
+# every offered stage is accounted for
 
 
 def _model_and_frames(preset, batch, seed):
@@ -1436,52 +1446,36 @@ def _model_and_frames(preset, batch, seed):
 
 
 @needs_cc
-class TestStrictDeclinesOrderDependentStages:
-    def test_bitwise_across_adapted_bn_states(self):
-        """A plan traced on pristine BN state must stay bitwise after
-        LD-BN-ADAPT rewrote it: a GEMM stage that matched BLAS on the
-        probe input by coincidence differs on the next state."""
-        model, rng, x = _model_and_frames("tiny-r34", 2, 12345)
-        engines = {
-            name: compile_model(model, backend=name)
-            for name in ("numpy", "cgen-strict")
-        }
-        for engine in engines.values():
-            engine.warm(x)
-        adapter = LDBNAdapt(model, LDBNAdaptConfig(batch_size=2))
-        with nn.adaptation_mode(False):  # eager steps: no plan involved
-            for _ in range(3):
-                adapter.adapt(rng.standard_normal(x.shape).astype(np.float32))
-        model.eval()
-        got = {name: engine(x).numpy().copy() for name, engine in engines.items()}
-        assert np.array_equal(got["numpy"], got["cgen-strict"])
-
+class TestOfferAccounting:
     @pytest.mark.parametrize("preset", ["tiny-r18", "tiny-r34", "small-r18"])
     @pytest.mark.parametrize("batch", [1, 2, 4])
     @pytest.mark.parametrize("seed", [3, 7])
-    def test_no_gemm_or_reduction_stage_is_rendered(self, preset, batch, seed):
-        """Nothing whose bytes depend on summation order (or libm) may
-        replay as C in a strict plan — survival of the probe is luck."""
+    def test_every_offer_is_rendered_demoted_or_declined(
+        self, preset, batch, seed
+    ):
+        """On the served presets, inference and adaptation plans alike:
+        each offered stage is counted exactly once, every stage that is
+        not rendered is in ``numpy_stages``, and the replay lands in the
+        band of the numpy plan."""
         model, _, x = _model_and_frames(preset, batch, seed)
-        infer = compile_model(model, profile=True, backend="cgen-strict")
-        infer(x)
-        adapt = CompiledAdaptStep(
-            model, profile=True, backend="cgen-strict"
-        ).plan_for(x)
-        adapt.run(x)
+        infer = compile_model(model, backend="cgen")
+        np.testing.assert_allclose(
+            infer(x).numpy(), compile_model(model)(x).numpy(),
+            **_band(np.float32),
+        )
+        adapt = CompiledAdaptStep(model, backend="cgen").plan_for(x)
+        want = np.asarray(CompiledAdaptStep(model).plan_for(x).run(x)).copy()
+        np.testing.assert_allclose(
+            np.asarray(adapt.run(x)), want, **_band(np.float32)
+        )
         for plan in (infer.plan_for(x.shape), adapt):
-            rendered = [
-                label for label in plan.profile_summary()["op_calls"]
-                if label.startswith("cgen:")
-            ]
-            assert rendered, "order-preserving stages must still render"
-            assert not [
-                label for label in rendered
-                if any(kind in label for kind in _ORDER_DEPENDENT_LABELS)
-            ]
             info = plan.backend_info
+            assert info["rendered"] > 0
             assert info["offered"] == (
                 info["rendered"] + info["demoted"] + info["declined"]
+            )
+            assert info["stages"] == (
+                info["rendered"] + sum(info["numpy_stages"].values())
             )
 
 
@@ -1550,6 +1544,10 @@ class TestRenderedTrainBNAndPoolBackward:
         plan, got = _run_pool_stack("cgen", dtype, groups, threads)
         info = plan.backend_info
         assert info["demoted"] == 0 and info["declined"] == 0
+        assert info["offered"] == info["rendered"]
+        assert info["stages"] == (
+            info["rendered"] + sum(info["numpy_stages"].values())
+        )
         assert not set(_NEW_STAGES) & set(info["numpy_stages"])
         tol = (
             dict(rtol=2e-3, atol=2e-5) if dtype == np.float32
@@ -1562,42 +1560,54 @@ class TestRenderedTrainBNAndPoolBackward:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("groups", [1, 2])
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_strict_is_bitwise_or_demoted(self, dtype, groups, threads):
-        """Under cgen-strict an offered stage either reproduces its
-        closure's bytes or is counted in ``demoted`` and replays as that
-        closure — so the plan equals the numpy plan bit for bit."""
-        _, want = _run_pool_stack("numpy", dtype, groups)
-        plan, got = _run_pool_stack(
-            CGenBackend(parity="strict"), dtype, groups, threads
-        )
-        info = plan.backend_info
-        for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes()
-        assert info["offered"] == (
-            info["rendered"] + info["demoted"] + info["declined"]
-        )
-        assert info["stages"] == (
-            info["rendered"] + sum(info["numpy_stages"].values())
-        )
-        # serial f64 statistics cannot promise the oracle's pairwise
-        # bits, so train-BN is declined (or demoted); the pool backward
-        # repeats the col2im summation order and must survive
-        assert info["numpy_stages"].get("fwd:bn", 0) <= (
-            info["demoted"] + info["declined"]
-        )
-        assert "bwd:maxpool" not in info["numpy_stages"]
+    def test_pool_backward_is_bitwise(self, dtype, groups, threads):
+        """The max-pool backward only routes and sums gradients, in the
+        closure's col2im order, with nothing to contract: rerun alone on
+        the same incoming gradient and argmax (any window offset, the
+        padded border's too, so overlapping windows pile onto one cell),
+        the rendered stage writes the numpy closure's bytes."""
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((2 * groups, 3, 9, 13)).astype(dtype)
+        plans = {}
+        for backend in ("numpy", "cgen"):
+            with pytest.MonkeyPatch.context() as patch:
+                _tile_everything(patch)
+                plan, specs = _profiled_plan_and_specs(
+                    _pool_stack(29, dtype), x, backend, threads, groups
+                )
+            plan.run(x)
+            (spec,) = specs["maxpool_bwd"]
+            plans[backend] = plan, spec
+        info = plans["cgen"][0].backend_info
+        assert "bwd:maxpool" not in info["numpy_stages"], info
+        want_spec = plans["numpy"][1]
+        g = rng.standard_normal(want_spec["g"].shape).astype(dtype)
+        dst = rng.standard_normal(want_spec["dst"].shape).astype(dtype)
+        arg = rng.integers(0, 9, want_spec["arg"].shape)  # a 3x3 window
+        outs = []
+        for plan, spec in plans.values():
+            spec["g"][...] = g
+            spec["arg"][...] = arg
+            spec["dst"][...] = dst
+            (stage,) = _stages(plan, 1, "bwd:maxpool")
+            stage()
+            outs.append(spec["dst"].copy())
+        assert not np.array_equal(outs[0], dst)
+        assert outs[0].tobytes() == outs[1].tobytes()
 
-    @pytest.mark.parametrize("backend", ["cgen", "cgen-strict"])
-    def test_rendered_pool_backward_needs_no_column_scratch(self, backend):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_rendered_pool_backward_needs_no_column_scratch(self, dtype, groups):
         """The closure's ``gcols`` block — only the probe runs it once the
         stage is rendered — is what the numpy plan requests from the
         arena beyond the C plan, to the byte (the stack's one conv input
         gradient is a fresh 1x1, which needs none in either)."""
-        numpy_plan, _ = _run_pool_stack("numpy", np.float64, 1)
-        plan, _ = _run_pool_stack(backend, np.float64, 1)
+        numpy_plan, _ = _run_pool_stack("numpy", dtype, groups)
+        plan, _ = _run_pool_stack("cgen", dtype, groups)
         assert "bwd:maxpool" not in plan.backend_info["numpy_stages"]
-        n, c, pooled = 2, 6, 5 * 7  # the 9x13 map under a 3x3/2/1 pool
-        gcols = n * c * 9 * pooled * 8
+        # the 9x13 map under a 3x3/2/1 pool, over every group's samples
+        n, c, pooled = 2 * groups, 6, 5 * 7
+        gcols = n * c * 9 * pooled * np.dtype(dtype).itemsize
         assert (
             numpy_plan.stats.requested_bytes - plan.stats.requested_bytes
             == gcols
@@ -1948,15 +1958,6 @@ class TestRenderedUpdateTail:
                 slots["step"] for slots in adapter.optimizer.state.values()
             } == {3}
 
-    def test_strict_keeps_the_closure(self):
-        x = np.random.default_rng(0).standard_normal((1, 3, 9, 13)).astype(
-            np.float32
-        )
-        model = _pool_stack(29, np.float64)
-        model.eval()
-        plan = CompiledAdaptStep(model, backend="cgen-strict").plan_for(x)
-        assert plan.backend_info["numpy_stages"]["bwd:update"] == 1
-
     def test_fused_groups_and_checkpoints(self, monkeypatch):
         """The fleet path: sessions as destinations, two groups of two
         alternating over one shared plan, per-stream lr / momentum /
@@ -2182,23 +2183,10 @@ class TestRenderedConvDgrad:
         grads = [[g.tobytes() for g in p._grads.values()] for p in plans]
         assert grads[0] == grads[1] == grads[2]
 
-    def test_strict_keeps_every_dgrad_on_the_closure(self):
-        """Summation order differs from BLAS-then-col2im, so strict
-        declines the kind up front and replays the numpy plan's bytes."""
-        model, _, x = _model_and_frames("small-r18", 1, 3)
-        want = _step_outputs(CompiledAdaptStep(model).plan_for(x), x)
-        plan = CompiledAdaptStep(model, backend="cgen-strict").plan_for(x)
-        got = _step_outputs(plan, x)
-        band = CompiledAdaptStep(model, backend="cgen").plan_for(x)
-        assert plan.backend_info["numpy_stages"]["bwd:conv"] == 20
-        assert "bwd:conv" not in band.backend_info["numpy_stages"]
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
-
     def test_rendered_dgrad_needs_no_column_or_image_scratch(self):
         """The closure's ``gcols`` (and, accumulating, ``gpad``) blocks
         are what the numpy plan requests from the arena beyond the cgen
-        plan, to the byte; strict, declining the kind, requests them."""
+        plan, to the byte."""
         n, c, f, h, w = 2, 4, 6, 7, 9
         x = np.random.default_rng(0).standard_normal((n, c, h, w))
 
@@ -2215,7 +2203,6 @@ class TestRenderedConvDgrad:
         cgen_req, cgen_arena = requested("cgen")
         assert numpy_req - cgen_req == 2 * gcols + gpad
         assert cgen_arena < numpy_arena
-        assert requested("cgen-strict") == (numpy_req, numpy_arena)
 
     def test_one_offer_kind_for_every_geometry(self, monkeypatch):
         """``conv_bwd`` (the identity-only 1x1 path) is gone: every conv

@@ -11,7 +11,6 @@ from repro.pipeline import (
     PipelineConfig,
     PipelineReport,
     RealTimePipeline,
-    RollingAccuracy,
 )
 from repro.pipeline.monitor import FrameRecord
 
@@ -57,37 +56,6 @@ class TestDeadlineMonitor:
     def test_percentile_validation(self):
         with pytest.raises(ValueError):
             DeadlineMonitor(10.0).latency_percentile(-1)
-
-
-class TestRollingAccuracy:
-    def test_window_of_one_tracks_last_value(self):
-        roll = RollingAccuracy(window=1)
-        assert roll.current == 0.0  # empty window
-        roll.update(0.2)
-        assert roll.current == pytest.approx(0.2)
-        roll.update(0.9)
-        assert roll.current == pytest.approx(0.9)  # only the latest survives
-        assert roll.overall == pytest.approx(0.55)
-        assert roll.curve() == [0.2, 0.9]
-
-    def test_window_mean(self):
-        roll = RollingAccuracy(window=2)
-        roll.update(0.0)
-        roll.update(1.0)
-        assert roll.current == 0.5
-        roll.update(1.0)
-        assert roll.current == 1.0  # window dropped the 0.0
-        assert roll.overall == pytest.approx(2.0 / 3.0)
-
-    def test_curve(self):
-        roll = RollingAccuracy(window=3)
-        for v in (0.1, 0.2, 0.3):
-            roll.update(v)
-        assert roll.curve() == [0.1, 0.2, 0.3]
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            RollingAccuracy(window=0)
 
 
 class TestPipelineReport:

@@ -427,7 +427,6 @@ class TestFleetConfig:
             {"deadline_ms": 0.0},
             {"frame_period_ms": -1.0},
             {"decode_method": "nms"},
-            {"rolling_window": 0},
             {"max_batch_size": 0},
             {"adapt_stride": 0},
         ],
