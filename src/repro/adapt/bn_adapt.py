@@ -32,14 +32,13 @@ Implementation notes
   the eager step.  ``repro.nn.adaptation_mode(False)`` forces the eager
   path (the correctness oracle); models whose graphs the plan cannot
   lower fall back to it automatically.
-* With the SGD optimizer the step's epilogue is the plan's too: its
-  last stage, the *update tail*, persists the batch statistics and takes
-  the momentum step on gamma/beta, writing where this adapter says its
-  state lives (:meth:`LDBNAdapt.bn_arrays`: the live modules; momentum
-  buffers stay in ``optimizer.state``, so ``reset()`` and checkpoints
-  see them).  On the ``numpy`` backend that stage is the Python loop
+* The step's epilogue is the plan's too: its last stage, the *update
+  tail*, persists the batch statistics and takes the momentum step on
+  gamma/beta, writing where this adapter says its state lives
+  (:meth:`LDBNAdapt.bn_arrays`: the live modules; momentum buffers stay
+  in ``optimizer.state``, so ``reset()`` and checkpoints see them).  On the ``numpy`` backend that stage is the Python loop
   this module used to hold; ``cgen`` renders it, so a step is two C
-  calls with no per-layer Python after them.  Adam steps here.
+  calls with no per-layer Python after them.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ import numpy as np
 from .. import nn
 from ..engine import CompiledAdaptStep, UnsupportedAdaptGraph
 from ..engine.backends import available_backends
-from ..nn.functional import update_running_stat
 from ..nn.modules import _BatchNormBase
 from .base import AdaptResult, Adapter, freeze_except, set_bn_training
 from .entropy import entropy_loss
@@ -76,8 +74,6 @@ class LDBNAdaptConfig:
         "ema" — exponential blend with ``ema_momentum`` (ablation).
     ema_momentum:
         Momentum for the "ema" mode.
-    optimizer:
-        "sgd" (default; a single step matches the paper) or "adam".
     backend:
         Plan backend for the compiled adaptation step.  ``None``
         inherits: the pool's engine in a fleet
@@ -94,7 +90,6 @@ class LDBNAdaptConfig:
     batch_size: int = 1
     stats_mode: str = "replace"
     ema_momentum: float = 0.1
-    optimizer: str = "sgd"
     backend: Optional[str] = None
     threads: Optional[int] = None
 
@@ -110,8 +105,6 @@ class LDBNAdaptConfig:
             )
         if self.stats_mode not in ("replace", "ema"):
             raise ValueError(f"unknown stats_mode {self.stats_mode!r}")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 class LDBNAdapt(Adapter):
@@ -136,12 +129,9 @@ class LDBNAdapt(Adapter):
         if not bn_params:
             raise ValueError("model has no BatchNorm layers to adapt")
         self._params = freeze_except(model, bn_params)
-        if self.config.optimizer == "sgd":
-            self.optimizer = nn.SGD(
-                self._params, lr=self.config.lr, momentum=self.config.momentum
-            )
-        else:
-            self.optimizer = nn.Adam(self._params, lr=self.config.lr)
+        self.optimizer = nn.SGD(
+            self._params, lr=self.config.lr, momentum=self.config.momentum
+        )
         # CompiledAdaptStep: a fleet hands its pool's shared one down,
         # otherwise built on first use from ``config``
         self._compiled = compiled
@@ -192,32 +182,16 @@ class LDBNAdapt(Adapter):
             module.num_batches_tracked, module.weight.data, module.bias.data,
         )
 
-    def _adapt_compiled(self, images: np.ndarray, momentum: float):
+    def _adapt_compiled(self, images: np.ndarray):
         """One compiled entropy step; returns the loss or None (fallback).
 
-        With SGD the whole step is the plan's: its update tail persists
-        the batch statistics and steps gamma/beta on this adapter's
-        optimizer state.  Adam steps here, over the taps the replay left.
+        The whole step is the plan's: its update tail persists the batch
+        statistics and steps gamma/beta on this adapter's optimizer state.
         """
         plan = self._compiled_plan(images)
         if plan is None:
             return None
-        if self.config.optimizer == "sgd":
-            return float(plan.run(images, update=(self,))[0])
-        losses = plan.run(images)
-        for tap in plan.bn_taps:
-            module = tap.module
-            module.num_batches_tracked += 1
-            update_running_stat(
-                module.running_mean, tap.batch_mean.reshape(-1), momentum
-            )
-            update_running_stat(
-                module.running_var, tap.batch_var.reshape(-1), momentum
-            )
-            module.weight.grad = tap.grad_gamma.reshape(-1)
-            module.bias.grad = tap.grad_beta.reshape(-1)
-        self.optimizer.step()
-        return float(losses[0])
+        return float(plan.run(images, update=(self,))[0])
 
     def adapt(self, images: np.ndarray) -> AdaptResult:
         """One adaptation step on a batch of unlabeled target frames.
@@ -231,15 +205,14 @@ class LDBNAdapt(Adapter):
         if images.ndim != 4:
             raise ValueError(f"expected (N, 3, H, W) batch, got {images.shape}")
 
-        momentum = self.effective_momentum
         loss_value = None
         if nn.compiled_adaptation_enabled() and not self._compiled_unsupported:
-            loss_value = self._adapt_compiled(images, momentum)
+            loss_value = self._adapt_compiled(images)
 
         if loss_value is None:
             original_momenta = [m.momentum for m in self._bn_modules]
             for module in self._bn_modules:
-                module.momentum = momentum
+                module.momentum = self.effective_momentum
 
             set_bn_training(self.model, True)
             try:

@@ -67,9 +67,10 @@ Architecture — one lowering, compiled through one entry point:
   ``compile_model``/``CompiledAdaptStep``, ``FleetConfig``,
   ``PipelineConfig``, ``LDBNAdaptConfig``, or ``--threads``) →
   ``$REPRO_CGEN_THREADS`` → device-profile cores → host CPUs;
-  ``threads=None`` keeps single-thread plans, bitwise-stable with
-  pre-threading runs, while an explicit width also re-prices
-  compute-bound roofline latencies via
+  ``threads=None`` compiles at that resolved width but prices the
+  roofline at one thread (outputs are bitwise the same at every width),
+  while an explicit width also re-prices compute-bound roofline
+  latencies via
   :func:`repro.hw.parallel_speedup` so the scheduler and admission see
   the faster device honestly.  Select a backend via
   ``compile_model(model, backend=...)``, ``$REPRO_BACKEND``,

@@ -32,10 +32,8 @@ class PlanBackend:
 
     name: str = "abstract"
 
-    def _renderer(self, threads, group_size: int):
-        """The stage renderer for one compilation of an inference plan
-        (``group_size`` 0) or an adaptation plan over groups of
-        ``group_size`` samples; ``None``: numpy."""
+    def _renderer(self, threads):
+        """The stage renderer for one plan compilation; ``None``: numpy."""
         return None
 
     def compile(self, graph, groups: int = 1, profile: bool = False,
@@ -47,11 +45,10 @@ class PlanBackend:
         from ..plan import ExecutionPlan
 
         if any(node.train_bn for node in graph.nodes):
-            renderer = self._renderer(
-                threads, graph.input_shape[0] // max(groups, 1)
+            return AdaptationPlan(
+                graph, groups, profile, self._renderer(threads)
             )
-            return AdaptationPlan(graph, groups, profile, renderer)
-        return ExecutionPlan(graph, profile, self._renderer(threads, 0))
+        return ExecutionPlan(graph, profile, self._renderer(threads))
 
 
 _REGISTRY: Dict[str, Callable[[], PlanBackend]] = {}

@@ -64,17 +64,6 @@ another object than last time run — a rebound array is seen on the next
 replay, an in-place write needs nothing, a dtype or layout change still
 raises.
 
-A frame that is served and then adapted convolves its input once: the
-inference plan's stem conv also stores its accumulator rows — bias added,
-no BN folded — into the model's :class:`StemMemo`, with a copy of the
-frames and of the weights it used, and the stem conv of an adaptation
-plan over groups of one sample (the step on the frame just served; a
-larger group holds earlier frames, which no launch stored) copies those
-rows when its own input and the live weights are the stored bytes
-(``memo_lookup`` in the C; ``backend_info["stem_memo"]`` counts hits and
-misses by reason).  Decided by content, never by call order; a miss runs
-the conv as if there were no memo.
-
 Parity is enforced structurally, per stage: after loading, every
 rendered stage is probed on the traced example against its own numpy
 closure (snapshot the output buffers, run the oracle, rewind, run the C
@@ -98,7 +87,7 @@ from dataclasses import replace as _dc_replace
 from functools import partial, reduce
 from itertools import product
 from operator import is_
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -291,87 +280,6 @@ def _bindv(tab: np.ndarray, slot: int, src: np.ndarray, keep: list) -> bool:
     return arr is not src
 
 
-class StemMemo:
-    """What a model's stem conv last did for an inference plan, for its
-    adaptation plans to take: the C ``stem_memo`` (``header``, the one
-    address rows carry) over storage this object owns.
-
-    Every inference plan whose first conv reads the plan input announces
-    its batch and geometry (:meth:`want`); storage exists only once an
-    adaptation plan asked for lookups (:meth:`enable`), sized for the
-    largest batch of the latest geometry — a model that is only served
-    stores nothing.  Resizing empties the memo; the header array never
-    moves, so plans compiled before it stay bound.
-    """
-
-    def __init__(self):
-        self.header = np.zeros(1, dtype=K.STEM_MEMO)
-        self._geometry = None  # (byte sizes, conv_pad past n) stored for
-        self._n = 0            # samples the largest storing plan brings
-        self._enabled = False
-        self._storage = ()     # the arrays header's pointers are into
-
-    def want(self, pad: _ConvPad, sizes: Tuple[int, int, int, int]) -> None:
-        """Room for a storing stage over ``pad`` whose input sample,
-        weights, bias and one sample's rows take ``sizes`` bytes."""
-        geometry = (sizes, pad[1:])
-        if geometry == self._geometry and pad.n <= self._n:
-            return
-        self._n = max(pad.n, self._n) if geometry == self._geometry else pad.n
-        self._geometry = geometry
-        head = self.header[0]
-        head["xbytes"], head["wbytes"], head["bbytes"], head["rbytes"] = sizes
-        head["P"] = tuple(pad)
-        self._allocate()
-
-    def enable(self) -> None:
-        """An adaptation plan will look: allocate."""
-        if not self._enabled:
-            self._enabled = True
-            self._allocate()
-
-    def _allocate(self) -> None:
-        head = self.header[0]
-        head["cap"] = head["n"] = 0
-        if not (self._enabled and self._n):
-            return
-        (xbytes, wbytes, bbytes, rbytes), _ = self._geometry
-        self._storage = [
-            np.empty(size, dtype=np.uint8)
-            for size in (self._n * xbytes, wbytes + bbytes, self._n * rbytes)
-        ]
-        head["key"], head["wsnap"], head["raw"] = (
-            arr.ctypes.data for arr in self._storage
-        )
-        head["cap"] = self._n
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of storage held (0 until somebody looks)."""
-        return sum(arr.nbytes for arr in self._storage)
-
-
-class _MemoCounts(Mapping):
-    """``backend_info["stem_memo"]`` of an adaptation plan: a live view of
-    the counters its stem row keeps (``K.MEMO_COUNTS``) — ``hits``, and the
-    misses by reason: ``frame`` (some sample's bytes are not stored),
-    ``weights`` (the stem weights or bias changed since), ``shape`` (the
-    memo holds another geometry), ``empty`` (no inference replay stored
-    yet)."""
-
-    def __init__(self, io: np.ndarray):
-        self._io = io
-
-    def __getitem__(self, key: str) -> int:
-        return int(self._io[K.MEMO_COUNTS.index(key)])
-
-    def __iter__(self):
-        return iter(K.MEMO_COUNTS)
-
-    def __len__(self) -> int:
-        return len(K.MEMO_COUNTS)
-
-
 class _Offer:
     """One accepted stage: its row id, oracle closure, outputs."""
 
@@ -458,20 +366,12 @@ class CRenderer:
 
     Fills a stage table for whatever step lists the plan exposes as
     ``plan.sections``, in replay order.  ``threads`` is the resolved
-    worker-pool width, i.e. which library the plan loads; ``group_size``
-    is the samples per group of the adaptation plan being compiled (its
-    stem conv may ask the model's :class:`StemMemo`), 0 for an inference
-    plan (its stem conv feeds it).
+    worker-pool width, i.e. which library the plan loads.
     """
 
-    def __init__(self, backend: "CGenBackend", threads: int = 1,
-                 group_size: int = 0):
+    def __init__(self, backend: "CGenBackend", threads: int = 1):
         self.backend = backend
         self.threads = max(1, int(threads))
-        self.group_size = group_size
-        # the looking-up stem row's counters, the memos in use
-        self._memo_io: Optional[np.ndarray] = None
-        self._memos: List[StemMemo] = []
         self._offers: List[_Offer] = []
         self._rows: List[tuple] = []     # K.STAGE_ROW values, by stage id
         self._args = bytearray()         # their args structs, back to back
@@ -658,59 +558,14 @@ class CRenderer:
             eps = bn[1]
         pad, dims = _forward_dims(geo)
         units, est_us = self._conv_units(ct, pad, [dims])
-        memo = 0
-        if sx == 0:
-            memo = self._stem_memo(spec, pad, dims, slots)
         args = _pack(
             K.CONV_ARGS, pad, pad, dims, 1, 0, int(sb != 0),
-            int(bn_module is not None), int(bool(spec["relu"])), memo, eps,
+            int(bn_module is not None), int(bool(spec["relu"])), eps,
         ) + _pack(K.CONV_DIMS, *dims)
         return self._accept(
             offer, kernel, slots, args,
             mt=units >= 2 and self._mt(est_us), geo=geo,
         )
-
-    def _stem_memo(self, spec, pad: _ConvPad, dims: _ConvDims,
-                   slots: list) -> int:
-        """The ``memo`` field of a conv row over the plan input, its slots
-        completed: 1 — an inference plan's stage also stores its rows,
-        bias added and nothing folded, into the model's
-        :class:`StemMemo`; 2 — an adaptation plan's asks the memo first
-        and runs only when the bytes of some sample or of the weights are
-        not the ones stored (``backend_info["stem_memo"]`` counts which);
-        0 — no memo: the conv could run as a small grid at some vector
-        width, the weight is not a model parameter, or an adaptation plan
-        that could never hit — groups of more than one sample adapt on
-        frames served by earlier launches, and the memo holds the last
-        one's — or already has its looking-up row.  Whether a replay hits
-        is decided in C, by content (``memo_lookup``)."""
-        geo: ConvLowering = spec["geo"]
-        itemsize = geo.compute_dtype.itemsize
-        never_small = 2 * dims.oh * dims.ow > _NV * _VEC_BYTES_MAX // itemsize
-        looking = self.group_size > 0
-        if looking and (
-            self.group_size > 1 or self._memo_io is not None
-            or spec["bn_module"] is not None or spec["relu"]
-        ):
-            return 0
-        memo = self.backend.stem_memo(spec["weight"])
-        if memo is None or not never_small:
-            return 0
-        slots += [0] * (K.ROW_SLOTS - 1 - len(slots))
-        slots.append(self._bind_static(memo.header))
-        self._memos.append(memo)
-        if not looking:
-            memo.want(pad, (
-                geo.c * geo.h * geo.w * geo.x_dtype.itemsize,
-                geo.f_out * geo.k_total * itemsize,
-                geo.f_out * itemsize if spec["bias"] is not None else 0,
-                geo.f_out * geo.p_total * itemsize,
-            ))
-            return 1
-        memo.enable()
-        self._memo_io = np.zeros(len(K.MEMO_COUNTS), dtype=np.int64)
-        slots[4] = self._bind_static(self._memo_io)
-        return 2
 
     def _bn_slots(self, module, n: int, c: int, offer: _Offer):
         """``(slots, eps)`` — the per-sample flag, (scale, shift) and the
@@ -942,7 +797,7 @@ class CRenderer:
                        pt, pl, ph, pw)
         forward = _forward_dims(geo, acc)
         units, est_us = self._conv_units(ct, pad, gemms, forward)
-        args = _pack(K.CONV_ARGS, pad, *forward, len(gemms), 1, 0, 0, 0, 0, 0.0)
+        args = _pack(K.CONV_ARGS, pad, *forward, len(gemms), 1, 0, 0, 0, 0.0)
         args += np.array(gemms, dtype=K.CONV_DIMS).tobytes()
         return self._accept(
             offer, f"conv_{ct}_{ct}", (so, sg, sw), args,
@@ -1172,9 +1027,6 @@ class CRenderer:
             # stage label -> how many such stages replay as Python
             # closures (never offered, declined or demoted alike)
             "numpy_stages": {},
-            # an adaptation plan whose stem conv asks the model's memo:
-            # live counts of its replays' hits and misses by reason
-            "stem_memo": None,
         }
         labels = self._labels
         numpy_stages: Dict[str, int] = info["numpy_stages"]
@@ -1351,11 +1203,6 @@ class CRenderer:
             )
         info["workspace_freed"] = freed
 
-        if self._memo_io is not None:
-            self._memo_io[:] = 0  # the probe's lookups are not replays
-            info["stem_memo"] = _MemoCounts(self._memo_io)
-        keep.extend(self._memos)
-
         if rendered:
             in_dtype = graph.input_dtype
             hold = [x_probe]
@@ -1406,19 +1253,6 @@ class CGenBackend(PlanBackend):
         if threads is not None and int(threads) < 1:
             raise ValueError(f"threads must be >= 1, got {threads}")
         self.threads = threads
-        # stem conv weight -> its memo, for as long as the model lives
-        self._stem_memos = weakref.WeakKeyDictionary()
-
-    def stem_memo(self, weight) -> Optional[StemMemo]:
-        """The memo every plan convolving the input with ``weight`` shares
-        (``None`` for a tensor that is not a model parameter)."""
-        try:
-            memo = self._stem_memos.get(weight)
-            if memo is None:
-                memo = self._stem_memos[weight] = StemMemo()
-        except TypeError:  # a bare Tensor takes no weak reference
-            return None
-        return memo
 
     @property
     def cache_dir(self) -> str:
@@ -1426,10 +1260,10 @@ class CGenBackend(PlanBackend):
         # $REPRO_CGEN_CACHE without rebuilding backend instances
         return default_cache_dir()
 
-    def _renderer(self, threads: Optional[int], group_size: int) -> CRenderer:
+    def _renderer(self, threads: Optional[int]) -> CRenderer:
         return CRenderer(self, threads=resolve_threads(
             threads if threads is not None else self.threads
-        ), group_size=group_size)
+        ))
 
 
 register_backend("cgen", CGenBackend)

@@ -132,80 +132,13 @@ typedef struct {{
     i64 f, oh, ow, kn[3], ks[3], a0, as_f, da, db;
     i64 o0, ldo, oy, ox, acc;
 }} conv_dims;
-/* store-time epilogue: bias (compute dtype, may be 0) — after which the
- * row is also stored to `raw` (the stem memo's rows of this sample, laid
- * out like the output) when that is set — then mode 1 — per-sample folded
- * affine e0=scale e1=shift, rows of f per sample — or mode 2 — running
- * stats e0=mean e1=var e2=gamma e3=beta — then ReLU */
+/* store-time epilogue: bias (compute dtype, may be 0), then mode 1 —
+ * per-sample folded affine e0=scale e1=shift, rows of f per sample — or
+ * mode 2 — running stats e0=mean e1=var e2=gamma e3=beta — then ReLU */
 typedef struct {{
     const void* bias; i64 mode;
     const double *e0, *e1, *e2, *e3; double eps; i64 relu;
-    void* raw;
 }} conv_epi;
-/* The stem memo, one per model stem conv (CRenderer._stem_memo): the
- * inputs the last inference replay convolved (`n` samples of `xbytes`,
- * back to back in `key`), the weights then bias it used (`wsnap`) and its
- * accumulator rows with the bias added, before any BN fold (`raw`,
- * `rbytes` a sample) — exactly what the adaptation plan's first conv
- * writes for the same bytes.  `P` is the geometry the storage was sized
- * for (its n ignored), `cap` the samples it holds (0: nobody looks). */
-typedef struct {{
-    i64 cap, n, xbytes, wbytes, bbytes, rbytes;
-    conv_pad P;
-    char *key, *wsnap, *raw;
-}} stem_memo;
-/* the order of a lookup's checks, and of the adaptation plan's counters */
-enum {{ MEMO_HIT, MEMO_FRAME, MEMO_WEIGHTS, MEMO_SHAPE, MEMO_EMPTY }};
-static int memo_fits(const stem_memo* M, const stem_memo* Q)
-{{
-    return M->xbytes == Q->xbytes && M->wbytes == Q->wbytes
-        && M->bbytes == Q->bbytes && M->rbytes == Q->rbytes
-        && !memcmp(&M->P.c, &Q->P.c, sizeof(conv_pad) - sizeof(i64));
-}}
-/* Inference side.  Q is the running stage — geometry and sizes, no
- * pointers — over input x, weights w, bias b (0 for none).  Threads copy
- * the samples they own into the key, thread 0 the weights; returns where
- * the raw rows go, or 0 — nothing stored, the memo left as it was — when
- * the storage is another geometry's or smaller than this batch. */
-static void* memo_store(stem_memo* M, const stem_memo* Q, const char* x,
-                        const void* w, const void* b, i64 tid, i64 nt)
-{{
-    const i64 n = Q->P.n, xb = Q->xbytes;
-    if (M->cap < n || !memo_fits(M, Q)) return 0;
-    const i64 lo = (n * tid) / nt, hi = (n * (tid + 1)) / nt;
-    memcpy(M->key + lo * xb, x + lo * xb, (hi - lo) * xb);
-    if (!tid) {{
-        memcpy(M->wsnap, w, Q->wbytes);
-        if (b) memcpy(M->wsnap + Q->wbytes, b, Q->bbytes);
-        M->n = n;
-    }}
-    return M->raw;
-}}
-/* Adaptation side: MEMO_HIT with idx[s] = the stored sample whose bytes
- * are sample s's, else the first reason there is none.  By content only:
- * memcmp stops at the first differing cache line, so a miss costs a few
- * lines and a hit one pass over the samples. */
-static int memo_lookup(const stem_memo* M, const stem_memo* Q, const char* x,
-                       const void* w, const void* b, i64* idx)
-{{
-    const i64 xb = Q->xbytes;
-    if (!M->n) return MEMO_EMPTY;
-    if (!memo_fits(M, Q)) return MEMO_SHAPE;
-    if (memcmp(M->wsnap, w, Q->wbytes)
-            || (b && memcmp(M->wsnap + Q->wbytes, b, Q->bbytes)))
-        return MEMO_WEIGHTS;
-    for (i64 s = 0; s < Q->P.n; ++s) {{
-        /* its own position first: the batches usually agree */
-        i64 j = s < M->n ? s : 0, tried = 0;
-        while (tried < M->n && memcmp(M->key + j * xb, x + s * xb, xb)) {{
-            ++tried;
-            j = j + 1 < M->n ? j + 1 : 0;
-        }}
-        if (tried == M->n) return MEMO_FRAME;
-        idx[s] = j;
-    }}
-    return MEMO_HIT;
-}}
 static inline i64 conv_kt(const conv_dims* D)
 {{
     return D->kn[0] * D->kn[1] * D->kn[2];
@@ -253,22 +186,16 @@ static void conv_taps(const conv_pad* P, const conv_dims* D,
 def _epilogue_source(ct: str) -> str:
     """``NR_<ct>`` (pixels per register tile) and ``epilogue_<ct>``: the
     numpy closure's post-GEMM op sequence over one output row, op-for-op
-    — the bias add (``epi_bias_<ct>``), then ``_bn_epilogue`` and ReLU
-    (``epi_fold_<ct>``); the panel kernel stores the row to the stem memo
-    between the two."""
+    — the bias add, then ``_bn_epilogue`` and ReLU."""
     return f"""\
 #define NR_{ct} ({_NV} * (i64)(VEC_BYTES / sizeof({ct})))
-static inline void epi_bias_{ct}({ct}* restrict t, i64 nv, i64 fi,
+static inline void epilogue_{ct}({ct}* restrict t, i64 nv, i64 fi,
                                  const conv_epi* E)
 {{
     if (E->bias) {{
         const {ct} b = ((const {ct}*)E->bias)[fi];
         for (i64 q = 0; q < nv; ++q) t[q] = t[q] + b;
     }}
-}}
-static inline void epi_fold_{ct}({ct}* restrict t, i64 nv, i64 fi,
-                                 const conv_epi* E)
-{{
     if (E->mode == 1) {{
         const double sc = E->e0[fi], sh = E->e1[fi];
         for (i64 q = 0; q < nv; ++q) {{
@@ -291,12 +218,6 @@ static inline void epi_fold_{ct}({ct}* restrict t, i64 nv, i64 fi,
             t[q] = v > 0 ? v : (v != v ? v : ({ct})0);
         }}
 }}
-static inline void epilogue_{ct}({ct}* restrict t, i64 nv, i64 fi,
-                                 const conv_epi* E)
-{{
-    epi_bias_{ct}(t, nv, fi, E);
-    epi_fold_{ct}(t, nv, fi, E);
-}}
 """
 
 
@@ -310,8 +231,7 @@ def _gemm_source(ct: str) -> str:
     straight from the copy, feeds ``CONV_MR`` broadcast-FMA rows — and is
     spilled once, to a stack tile the epilogue runs over before the valid
     lanes are stored through the output view row by row (``dst + acc``
-    for an accumulating gradient; a stem conv feeding the memo stores the
-    row twice, before and after the BN fold).  Every output element is the same
+    for an accumulating gradient).  Every output element is the same
     serial-``k`` FMA chain in its own vector lane whatever the panel or
     the lane is: the lanes past a row's end read the cells they fall on
     (the next row, or up to NR - 1 cells of slack after the copy) and are
@@ -382,11 +302,7 @@ static void gemm_{ct}(const {ct}* restrict A, const {ct}* restrict xp,
             const i64 mr = f - f0 < CONV_MR ? f - f0 : CONV_MR;
             for (i64 r = 0; r < mr; ++r) {{
                 const i64 fi = f0 + r;
-                epi_bias_{ct}(tile[r], NR, fi, E);
-                if (E->raw)
-                    panel_store_{ct}(tile[r], ({ct}*)E->raw + fi * D->ldo, D,
-                                     pw, py, px);
-                epi_fold_{ct}(tile[r], NR, fi, E);
+                epilogue_{ct}(tile[r], NR, fi, E);
                 panel_store_{ct}(tile[r], O + fi * D->ldo, D, pw, py, px);
             }}
         }}
@@ -474,7 +390,6 @@ static void conv_{xt}_{ct}(const {xt}* X, const {ct}* A, {ct}* O,
         pad_{xt}_{ct}(X + n * P->c * P->h * P->w, xp, P);
         conv_epi En = *E;
         if (En.mode == 1) {{ En.e0 += n * D->f; En.e1 += n * D->f; }}
-        if (En.raw) En.raw = ({ct}*)En.raw + n * D->f * D->ldo;
         for (i64 d = 0, base = 0, at = 0; d < nd; ++d) {{
             const conv_dims* G = D + d;
             const i64 kt = conv_kt(G), panels = conv_panels(G, pw, NR);
@@ -1014,14 +929,10 @@ KERNEL(bn_update)
 
 # -- what a plan is to the library: rows over one args blob ----------------
 
-ROW_SLOTS = 12  # a stem conv with a BN epilogue: out, x, weight, bias, 7 BN, memo
+ROW_SLOTS = 11  # a conv with a BN epilogue: out, x, weight, bias, 7 BN
 STAGE_ROW = _struct("kernel mt args slot", slot=(ROW_SLOTS,))
-CONV_ARGS = _struct("P PF DF nd dgrad bias bn relu memo d:eps",
+CONV_ARGS = _struct("P PF DF nd dgrad bias bn relu d:eps",
                     P=CONV_PAD, PF=CONV_PAD, DF=CONV_DIMS)  # then nd x CONV_DIMS
-STEM_MEMO = _struct("cap n xbytes wbytes bbytes rbytes P key wsnap raw",
-                    P=CONV_PAD)
-#: what a looking-up row's counter slot holds, in MEMO_* order
-MEMO_COUNTS = ("hits", "frame", "weights", "shape", "empty")
 BN_ARGS = _struct("groups gs c hw per_group sink d:scalar")
 SWEEP_ARGS = _struct("outer len inner flag d:value")
 LINEAR_ARGS = _struct("n fin fout bias relu")
@@ -1047,46 +958,12 @@ typedef void kernel_sig(char** T, const i64* S, const void* A,
  * again for a forward conv; for `dgrad` the conv whose input gradient
  * this is, acc set to add into the sink).  Slots: out, x, weight, bias
  * (when `bias`), then when `bn` the per-sample flag, its (scale, shift)
- * and the running (mean, var, gamma, beta).  `memo` (a forward conv over
- * the plan input, never conv_small): slot 11 is the model's stem_memo and
- * the row either feeds it (1: an inference plan) or asks it first (2: an
- * adaptation plan, whose conv has no BN; slot 4 is then the plan's i64
- * {{hits, misses by MEMO_* reason}}). */
+ * and the running (mean, var, gamma, beta). */
 typedef struct {{
-    conv_pad P, PF; conv_dims DF; i64 nd, dgrad, bias, bn, relu, memo;
+    conv_pad P, PF; conv_dims DF; i64 nd, dgrad, bias, bn, relu;
     double eps;
     conv_dims D[];
 }} conv_args;
-/* The memo side of a stem row, sizes in bytes (xs, cs: one input / compute
- * element).  A storing row (memo 1) gets back where its raw rows go.  A
- * looking-up row gets 0 and `*taken` when every sample was found and the
- * conv need not run: the stored rows were copied to o, one copy per
- * sample, the samples shared out like any other unit.  Out of line, and
- * handed no conv_epi: the adapters it serves carry the whole conv driver
- * inlined, with the epilogue's fields in registers. */
-static __attribute__((noinline)) void* conv_memo(
-    char** T, const i64* S, const conv_args* a, const char* x, const void* w,
-    char* o, const void* bias, i64 xs, i64 cs, i64 tid, i64 nt, int* taken)
-{{
-    stem_memo* M = (stem_memo*)T[S[11]];
-    const conv_dims* D = a->D;
-    const i64 n = a->P.n;
-    const stem_memo Q = {{
-        0, 0, a->P.c * a->P.h * a->P.w * xs, D->f * conv_kt(D) * cs,
-        a->bias ? D->f * cs : 0, D->f * D->oh * D->ow * cs, a->P, 0, 0, 0,
-    }};
-    if (a->memo == 1) return memo_store(M, &Q, x, w, bias, tid, nt);
-    i64* io = (i64*)T[S[4]];
-    i64 idx[n];
-    const int why = memo_lookup(M, &Q, x, w, bias, idx);
-    if (!tid) io[why] += 1;
-    if (why != MEMO_HIT) return 0;
-    OWNED(n, lo, hi);
-    for (i64 s = lo; s < hi; ++s)
-        memcpy(o + s * Q.rbytes, M->raw + idx[s] * Q.rbytes, Q.rbytes);
-    *taken = 1;
-    return 0;
-}}
 /* bn_train (scalar = eps; slots out, x, xhat, inv_std, gamma, beta,
  * batch_mean, batch_var) and bn_bwd (scalar = m, the elements a
  * statistic averaged; slots dst — when `sink` —, g, xhat, inv_std, gamma,
@@ -1112,8 +989,7 @@ typedef struct {{
 def _conv_adapter(xt: str, ct: str) -> str:
     """``k_conv_<xt>_<ct>``: the epilogue from the live slots, then the one
     comparison that picks the stage's kernel at the vector width the
-    compiler found — and, on a stem row, the memo around the panel
-    driver (``conv_memo``)."""
+    compiler found."""
     small = f"convk_{xt}_{ct}(x, w, o, &a->P, a->D, &E, tid, nt);"
     if xt == ct:
         small = (f"if (a->dgrad) convt_{ct}(x, w, o, &a->PF, &a->DF, tid, nt);"
@@ -1125,7 +1001,7 @@ KERNEL(conv_{xt}_{ct})
     const {xt}* x = (const {xt}*)T[S[1]];
     const {ct}* w = (const {ct}*)T[S[2]];
     {ct}* o = ({ct}*)T[S[0]];
-    conv_epi E = {{a->bias ? T[S[3]] : 0, 0, 0, 0, 0, 0, a->eps, a->relu, 0}};
+    conv_epi E = {{a->bias ? T[S[3]] : 0, 0, 0, 0, 0, 0, a->eps, a->relu}};
     if (a->bn) {{
         /* the fleet's per-sample folded affine when installed, else the
          * live running statistics (see epilogue_<ct>) */
@@ -1139,12 +1015,6 @@ KERNEL(conv_{xt}_{ct})
     if (conv_small(&a->DF, NR_{ct})) {{
         {small}
         return;
-    }}
-    if (a->memo) {{
-        int taken = 0;
-        E.raw = conv_memo(T, S, a, (const char*)x, w, (char*)o, E.bias,
-                          sizeof({xt}), sizeof({ct}), tid, nt, &taken);
-        if (taken) return;
     }}
     conv_{xt}_{ct}(x, w, o, &a->P, a->D, a->nd, &E, tid, nt);
 }}

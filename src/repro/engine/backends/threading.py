@@ -76,9 +76,11 @@ def resolve_threads(explicit: Optional[int] = None,
 
 def serving_threads(cfg_threads: Optional[int]) -> Optional[int]:
     """Pool width a serving loop's ``threads`` option selects: ``None``
-    keeps single-thread plans *and* single-thread roofline pricing
-    (bitwise-stable with pre-threading runs); an explicit width threads
-    both, and outranks any device core count in :func:`resolve_threads`."""
+    stays ``None`` — the roofline prices one thread and the compiled
+    plans take the backend's own width (:func:`resolve_threads`:
+    ``$REPRO_CGEN_THREADS``, else the host CPUs; outputs are bitwise the
+    same at every width); an explicit width fixes both, and outranks any
+    device core count in :func:`resolve_threads`."""
     return None if cfg_threads is None else resolve_threads(cfg_threads)
 
 

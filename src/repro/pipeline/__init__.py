@@ -1,6 +1,6 @@
 """``repro.pipeline`` — the online inference→adapt→next-frame loop."""
 
-from .monitor import DeadlineMonitor, FrameRecord, PipelineReport
+from .monitor import FrameRecord, PipelineReport
 from .realtime import PipelineConfig, RealTimePipeline
 
 __all__ = [
@@ -8,5 +8,4 @@ __all__ = [
     "PipelineConfig",
     "PipelineReport",
     "FrameRecord",
-    "DeadlineMonitor",
 ]

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..hw.deadline import deadline_slack_ms
-from ..telemetry.sketch import QuantileSketch, exact_percentile
+from ..telemetry.sketch import exact_percentile
 
 
 def latency_percentile(latencies: Sequence[float], q: float) -> float:
@@ -43,60 +43,6 @@ class FrameRecord:
     entropy: Optional[float] = None  # adaptation loss when a step ran
     adapted: bool = False
     adapt_ms: Optional[float] = None  # adaptation-step latency when one ran
-
-
-class DeadlineMonitor:
-    """Counts deadline hits/misses and latency statistics.
-
-    Latencies feed a streaming
-    :class:`~repro.telemetry.sketch.QuantileSketch` rather than a
-    per-frame list, so a monitor that watches an unbounded stream stays
-    O(1) memory; count / mean / min / max are exact, interior
-    percentiles carry the sketch's relative-error bound.
-    """
-
-    def __init__(self, deadline_ms: float):
-        if deadline_ms <= 0:
-            raise ValueError("deadline must be positive")
-        self.deadline_ms = deadline_ms
-        self.latencies = QuantileSketch()
-        self.misses = 0
-
-    def record(self, latency_ms: float) -> bool:
-        """Record one frame; returns True when the deadline was met."""
-        self.latencies.add(latency_ms)
-        met = latency_ms <= self.deadline_ms
-        if not met:
-            self.misses += 1
-        return met
-
-    @property
-    def count(self) -> int:
-        return self.latencies.count
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.count if self.count else 0.0
-
-    @property
-    def mean_latency_ms(self) -> float:
-        return self.latencies.mean
-
-    def latency_percentile(self, q: float) -> float:
-        """Latency percentile ``q`` in [0, 100]; 0.0 when nothing recorded."""
-        return self.latencies.percentile(q)
-
-    @property
-    def p50_latency_ms(self) -> float:
-        return self.latency_percentile(50)
-
-    @property
-    def p95_latency_ms(self) -> float:
-        return self.latency_percentile(95)
-
-    @property
-    def p99_latency_ms(self) -> float:
-        return self.latency_percentile(99)
 
 
 @dataclass

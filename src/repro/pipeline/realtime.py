@@ -45,7 +45,7 @@ from ..metrics.lane_accuracy import TUSIMPLE_THRESHOLD_CELLS, point_accuracy
 from ..models.spec import ModelSpec
 from ..models.ufld import decode_predictions
 from ..utils.profiling import Timer
-from .monitor import DeadlineMonitor, FrameRecord, PipelineReport
+from .monitor import FrameRecord, PipelineReport
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,9 @@ class RealTimePipeline:
         self.model = model
         self.adapter = adapter
         self.config = config if config is not None else PipelineConfig()
-        # explicit threads both compiles threaded plans and re-prices the
-        # roofline model; None keeps single-thread everywhere (stable)
+        # explicit threads both fixes the plans' width and re-prices the
+        # roofline model; None prices one thread and compiles at the
+        # backend's resolved width
         self.threads: Optional[int] = serving_threads(self.config.threads)
         if self.config.latency_model == "orin":
             if device is None or spec is None:
@@ -172,7 +173,6 @@ class RealTimePipeline:
         modelled = config.latency_model == "orin"
         report = PipelineReport(deadline_ms=deadline_ms)
         frames = report.frames
-        monitor = DeadlineMonitor(deadline_ms)
         timer, observe = self.timer, self.adapter.observe_frame
         clock = time.perf_counter
         iterator = iter(stream)
@@ -211,7 +211,7 @@ class RealTimePipeline:
                     domain=frame.domain,
                     latency_ms=latency,
                     deadline_ms=deadline_ms,
-                    deadline_met=monitor.record(latency),
+                    deadline_met=latency <= deadline_ms,
                     accuracy=accuracy,
                     entropy=result.loss if result else None,
                     adapted=result is not None,

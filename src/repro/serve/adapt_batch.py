@@ -22,11 +22,11 @@ adaptation plan (:class:`repro.engine.CompiledAdaptStep` with
   batching at the last-ulp level).
 
 Batching contract: a stream joins a fused step when its adapter is an
-:class:`~repro.adapt.LDBNAdapt` with the SGD optimizer, the incoming
-frame completes its adaptation batch, and the fused batch sizes agree.
-Learning rates, momenta and stats modes may differ per stream — the
-update tail reads them per group.  Everything else (Adam adapters,
-exotic adapters, unsupported graphs) falls back to the serial path.
+:class:`~repro.adapt.LDBNAdapt`, the incoming frame completes its
+adaptation batch, and the fused batch sizes agree.  Learning rates,
+momenta and stats modes may differ per stream — the update tail reads
+them per group.  Everything else (other adapters, unsupported graphs)
+falls back to the serial path.
 """
 
 from __future__ import annotations
@@ -45,14 +45,14 @@ from .streams import StreamSession
 def static_fuse_key(adapter):
     """The fuse key this adapter's steps carry when they run, or None.
 
-    The *static* half of the batching contract — an SGD-driven
+    The *static* half of the batching contract — an
     :class:`LDBNAdapt` of a given batch size always fuses under the same
     key; whether a particular frame actually has a step to fuse is the
     dynamic half (:meth:`FleetAdaptationBatcher.group_key`).  The
     admission controller uses the static key to know which streams could
     ever share a fused replay (phase packing).
     """
-    if isinstance(adapter, LDBNAdapt) and adapter.config.optimizer == "sgd":
+    if isinstance(adapter, LDBNAdapt):
         return ("ldbn-sgd", adapter.config.batch_size)
     return None
 

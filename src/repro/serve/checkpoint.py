@@ -43,7 +43,7 @@ Array keys:
 * ``bn.state`` / ``bn.counts`` — the session's flat BN block (running
   mean, var, gamma, beta) and its per-layer batch counters
 * ``opt.<j>.<slot>`` — optimizer slots per trainable parameter
-  (SGD momentum, Adam step/m/v; scratch buffers are excluded)
+  (the SGD momentum buffers; scratch buffers are excluded)
 * ``adapt.buffer.<k>`` — frames buffered toward the next adaptation step
 * ``drift.*`` — detector vector, regime accumulators, warm-start bank
 

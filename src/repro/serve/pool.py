@@ -418,9 +418,9 @@ class DeviceWorker:
         self.alive = True
         self.crashed_ms: Optional[float] = None
         self.joined_ms = 0.0
-        # kernel-pool width: only an explicit FleetConfig.threads threads
-        # the compiled plans AND the roofline pricing — None keeps both
-        # at single-thread, bitwise-stable with pre-threading runs
+        # kernel-pool width: an explicit FleetConfig.threads fixes the
+        # compiled plans' width AND the roofline pricing; None prices at
+        # one thread and compiles at the backend's resolved width
         threads = serving_threads(config.threads)
         self.pricing = DevicePricing(spec, device, threads or 1)
         # wallclock mode measures instead of planning; batch greedily
@@ -542,7 +542,7 @@ class DeviceWorker:
         Prices the session's modeled adaptation step on *this* device's
         profile and registers (or imports, when migrating) its admission
         state.  The session object itself — BN snapshot, optimizer
-        slots, monitors — moves untouched.  With a checkpoint store
+        slots, report — moves untouched.  With a checkpoint store
         enabled, the attach immediately writes a durable baseline so
         even a session that crashes before its first interval has
         something to recover from.

@@ -42,7 +42,7 @@ while the coordinator owns what spans devices:
   sustainedly hot while another is cooler by more than the configured
   gap, the hot device's heaviest movable session (no frames queued)
   migrates: the session object — `ParameterSnapshot`, BN buffers,
-  optimizer slots, monitors — moves bitwise untouched, its admission
+  optimizer slots, report — moves bitwise untouched, its admission
   debt transfers between controllers, and its modeled adaptation cost
   is re-priced on the target device.  A cooldown keeps sessions from
   thrashing.
@@ -129,10 +129,11 @@ class FleetConfig:
     placement: str = "least_loaded"  # | "round_robin" | "pinned"
     migration: Optional[MigrationConfig] = None  # None → sessions never move
     backend: str = "numpy"  # plan backend for compiled serving/adaptation
-    # kernel-pool width for codegen backends.  None keeps single-thread
-    # pricing AND compilation (bitwise-stable with pre-threading runs);
-    # setting it threads both the compiled plans and the roofline model,
-    # so scheduler/admission/migration see the faster device honestly.
+    # kernel-pool width for codegen backends.  None prices the roofline
+    # at one thread and compiles at the backend's resolved width
+    # ($REPRO_CGEN_THREADS, else the host CPUs; served bytes are the same
+    # at every width); setting it fixes both, so scheduler/admission/
+    # migration see the faster device honestly.
     threads: Optional[int] = None
     checkpoint: Optional[CheckpointConfig] = None  # None → no session store
     faults: Optional[FaultSchedule] = None  # None → nothing ever fails
@@ -866,7 +867,7 @@ class FleetServer:
         """Move one session between workers, state and backlog intact.
 
         The session object carries its own BN snapshot, optimizer slots
-        and monitors, so the move itself is bitwise lossless; what
+        and report, so the move itself is bitwise lossless; what
         changes hands is the admission state (debt/deferrals/fuse key),
         the modeled adaptation price (re-quoted from the target's own
         profile), and the session's *queued frames* — re-submitted to

@@ -11,7 +11,7 @@ values and optimizer momentum.  This module keeps those states separate:
   the copy into the model, ``swap_out`` captures the model back into it.
 * :class:`StreamSession` — one registered stream: its frame source, its
   adapter (owning the per-stream optimizer state), its BN snapshot and
-  its online monitors.
+  its frame report.
 * :class:`ArrivalModel` / :class:`ArrivalProcess` — the stream's frame
   *arrival* process for the event-driven fleet loop: a per-stream phase
   offset over the camera period, plus a seeded jitter/drop model
@@ -39,7 +39,7 @@ import numpy as np
 from ..adapt.base import Adapter, ParameterSnapshot
 from ..data.dataset import LaneSample
 from ..nn.modules import _BatchNormBase
-from ..pipeline.monitor import DeadlineMonitor, FrameRecord, PipelineReport
+from ..pipeline.monitor import FrameRecord, PipelineReport
 from ..utils.rng import make_rng
 
 _BN_BUFFER_NAMES = ("running_mean", "running_var", "num_batches_tracked")
@@ -202,14 +202,14 @@ class StreamSession:
 
     The session owns everything that must NOT leak between vehicles: the
     frame iterator, the adapter (and through it the optimizer's momentum),
-    the BN state snapshot, and the online monitors.  The model itself is
+    the BN state snapshot, and the frame report.  The model itself is
     shared — sessions take turns materializing their state on it via
     ``swap_in``/``swap_out`` around adaptation steps, and contribute
     folded per-sample stats to batched inference in between.
 
     Because the session is the single container of per-stream state, the
     device pool migrates a stream by *re-homing the session object*: the
-    snapshot, optimizer slots and monitors move bitwise untouched, only
+    snapshot, optimizer slots and report move bitwise untouched, only
     the modeled adaptation price (``adapt_latency_ms``) is re-quoted by
     the target device.
     """
@@ -235,7 +235,9 @@ class StreamSession:
         self.adapt_latency_ms = 0.0  # quoted by the hosting device at attach
         self.arrivals = arrivals
         self.bn_state = BNStateSnapshot(layout)
-        self.monitor = DeadlineMonitor(deadline_ms)
+        if deadline_ms <= 0:
+            raise ValueError("deadline must be positive")
+        self.deadline_ms = deadline_ms
         self.report = PipelineReport(deadline_ms=deadline_ms)
         self.frames_seen = 0  # frames fully served (decoded + recorded)
         self.frames_ingested = 0  # frames pulled off the camera stream
@@ -326,14 +328,13 @@ class StreamSession:
         adapt_ms: Optional[float] = None,
     ) -> FrameRecord:
         """Append one served frame to this stream's report."""
-        met = self.monitor.record(latency_ms)
         record = FrameRecord(
             index=self.frames_seen,
             timestamp=frame.timestamp,
             domain=frame.domain,
             latency_ms=latency_ms,
-            deadline_ms=self.monitor.deadline_ms,
-            deadline_met=met,
+            deadline_ms=self.deadline_ms,
+            deadline_met=latency_ms <= self.deadline_ms,
             accuracy=accuracy,
             entropy=adapt_result.loss if adapt_result else None,
             adapted=adapt_result is not None,

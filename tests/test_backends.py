@@ -382,7 +382,63 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="threads"):
             LDBNAdaptConfig(threads=0)
         assert FleetConfig(threads=2).threads == 2
-        assert PipelineConfig().threads is None  # default: single-thread
+        # default: plans at the backend's resolved width, priced at one
+        assert PipelineConfig().threads is None
+
+
+@needs_cc
+class TestThreadsNone:
+    """``threads=None`` on a serving loop compiles at the backend's
+    resolved width and prices the roofline at one thread."""
+
+    @pytest.mark.parametrize("loop", ["pipeline", "fleet"])
+    def test_compiles_at_the_resolved_width_and_prices_one_thread(
+        self, loop, monkeypatch
+    ):
+        from repro.data import ScenarioStream, get_scenario
+        from repro.hw import ORIN_POWER_MODES, ld_bn_adapt_latency
+        from repro.models import build_model, get_config
+        from repro.pipeline.realtime import RealTimePipeline
+        from repro.serve.server import FleetServer
+
+        monkeypatch.setenv(ENV_THREADS, "3")
+        device = ORIN_POWER_MODES["orin-60w"]
+        spec = get_config("paper-r18").to_spec()
+        model = build_model("tiny-r18", num_lanes=2,
+                            rng=np.random.default_rng(3))
+        model.eval()
+        frames = ScenarioStream(
+            get_scenario("night_cut"), get_config("tiny-r18", num_lanes=2),
+            seed=11, horizon=2,
+        ).take(2).samples
+        one = ld_bn_adapt_latency(spec, device, 1, threads=1)
+        if loop == "pipeline":
+            adapter = LDBNAdapt(model, LDBNAdaptConfig(backend="cgen"))
+            pipeline = RealTimePipeline(
+                model, adapter, PipelineConfig(backend="cgen"),
+                device=device, spec=spec,
+            )
+            report = pipeline.run(iter(frames), 2)
+            engines = [pipeline._compiled, adapter._compiled]
+            assert [f.latency_ms for f in report.frames] == [
+                one.inference_ms + one.adaptation_ms
+            ] * 2
+        else:
+            server = FleetServer(
+                model, FleetConfig(latency_model="orin", backend="cgen"),
+                device=device, spec=spec,
+            )
+            server.add_stream("s0", iter(frames))
+            assert server.run(2).total_frames == 2
+            engines = [server._engine, server._adapt_step]
+            (worker,) = server.workers
+            assert worker.pricing.nt == 1
+            assert worker.pricing.adapt_ms(1) == one.adaptation_ms
+        widths = [
+            plan.backend_info["threads"]
+            for compiled in engines for plan in compiled._plans.values()
+        ]
+        assert len(widths) == 2 and set(widths) == {3}
 
 
 # ---------------------------------------------------------------------------
@@ -1948,16 +2004,6 @@ class TestRenderedUpdateTail:
         run.assert_in_step()
         assert run.calls["cgen"] == run.calls["numpy"] == 3 * 4
 
-    def test_adam_still_steps_in_python(self, monkeypatch):
-        run = _TailRun(monkeypatch, optimizer="adam")
-        run.step(3)
-        run.assert_in_step()
-        assert run.calls == {"numpy": 0, "cgen": 0}
-        for _, adapter in run:
-            assert {
-                slots["step"] for slots in adapter.optimizer.state.values()
-            } == {3}
-
     def test_fused_groups_and_checkpoints(self, monkeypatch):
         """The fleet path: sessions as destinations, two groups of two
         alternating over one shared plan, per-stream lr / momentum /
@@ -2512,22 +2558,21 @@ class TestSmallGridKernels:
 
 
 # ---------------------------------------------------------------------------
-# the stem memo: one stem conv per served-and-adapted frame
+# plans share no state: no plan reads what another plan wrote
 
 
-def _stem_pair(threads):
-    """A served model's two engines over one backend instance (so one
-    memo), the step compiled first: storage exists from the first served
-    frame on."""
+def _served_engines(threads):
+    """A fresh tiny-r18 and its inference and adaptation engines over one
+    backend instance, as a fleet pool holds them."""
     from repro.models import build_model
 
     backend = CGenBackend(threads=threads)
     model = build_model("tiny-r18", rng=np.random.default_rng(1))
     model.eval()
-    engine = compile_model(model, backend=backend)
-    step = CompiledAdaptStep(model, backend=backend)
-    memo = backend.stem_memo(model.backbone.conv1.weight)
-    return model, engine, step, memo
+    return (
+        model, backend, compile_model(model, backend=backend),
+        CompiledAdaptStep(model, backend=backend),
+    )
 
 
 def _stem_frames(batch, seed=2):
@@ -2539,187 +2584,79 @@ def _stem_frames(batch, seed=2):
     ).astype(np.float32)
 
 
-def _frame_bytes(threads, x_served, x_stepped, groups, between=None):
-    """Serve ``x_served``, run ``between(model, memo)``, step on
-    ``x_stepped`` -> (the step plan's memo counts, every byte the frame
-    left: losses, the taps, the state an armed single-stream step wrote,
-    the next served logits)."""
-    model, engine, step, memo = _stem_pair(threads)
+def _frame_bytes(threads, x_served, x_stepped, groups, serve):
+    """On fresh engines, step on ``x_stepped`` — serving ``x_served``
+    before each step when ``serve`` — -> every byte the frames left:
+    losses, the taps, the state an armed single-stream step wrote, the
+    next served logits."""
+    model, _, engine, step = _served_engines(threads)
     plan = step.plan_for(x_stepped, groups=groups)
-    engine(x_served)
-    if between is not None:
-        between(model, memo)
-    adapter = LDBNAdapt(
-        model, LDBNAdaptConfig(lr=1e-2, batch_size=len(x_stepped)),
-        compiled=step,
-    )
+    left = []
     if groups == 1:
-        adapter.adapt(x_stepped)  # first step: the closure's tail
-        engine(x_served)
-        if between is not None:
-            between(model, memo)
-        left = [np.float64(adapter.adapt(x_stepped).loss)]
+        adapter = LDBNAdapt(
+            model, LDBNAdaptConfig(lr=1e-2, batch_size=len(x_stepped)),
+            compiled=step,
+        )
+        for _ in range(2):  # the first step ends in the closure's tail
+            if serve:
+                engine(x_served)
+            left.append(np.float64(adapter.adapt(x_stepped).loss))
         left += _adapter_state(adapter).values()
     else:
-        left = [np.array(plan.run(x_stepped))]
+        if serve:
+            engine(x_served)
+        left.append(np.array(plan.run(x_stepped)))
     for tap in plan.bn_taps:
         left += [tap.batch_mean, tap.batch_var, tap.grad_gamma, tap.grad_beta]
     left.append(engine(x_served).numpy())
-    counts = dict(plan.backend_info["stem_memo"])
-    return counts, [np.array(a).tobytes() for a in left]
+    return [np.array(a).tobytes() for a in left]
 
 
-def _empty(model, memo):
-    memo.header["n"] = 0
+_SERVED_CASES = {
+    # batch-1 serving, a step on the frame just served
+    "b1-g1": (lambda: _stem_frames(1), lambda x: x.copy(), 1),
+    # batch-1 serving of another frame before each step
+    "b1-g1-other": (lambda: _stem_frames(1, seed=3),
+                    lambda x: _stem_frames(1), 1),
+    # a batch-4 launch, then a fused group of 2 over two of its samples
+    "b4-g2": (lambda: _stem_frames(4), lambda x: x[[3, 1]], 2),
+}
 
 
 @needs_cc
-class TestStemMemo:
+class TestPlansShareNoState:
+    @pytest.mark.parametrize("case", sorted(_SERVED_CASES))
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_a_hit_leaves_the_bytes_of_a_miss(self, threads, monkeypatch):
-        """Batch 1 serving a batch-1 step: the hit copies the stored
-        rows, and every buffer the frame leaves is what running the conv
-        leaves."""
-        _tile_everything(monkeypatch)
-        x = _stem_frames(1)
-        hit, got = _frame_bytes(threads, x, x.copy(), 1)
-        miss, want = _frame_bytes(threads, x, x.copy(), 1, between=_empty)
-        assert hit["hits"] == 2 and miss["empty"] == 2
-        assert sum(hit.values()) == 2
-        assert got == want
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_a_group_of_two_draws_from_a_batch_of_four(
-        self, threads, monkeypatch
+    def test_serving_leaves_no_trace_in_the_step(
+        self, threads, case, monkeypatch
     ):
-        """A fused group of 2 finds its samples at other positions of a
-        batch-4 launch: one copy per sample, same bytes."""
+        """Every byte a step leaves is the same whether or not an
+        inference replay ran before it, every stage tiled."""
         _tile_everything(monkeypatch)
-        x4 = _stem_frames(4)
-        x2 = x4[[3, 1]]
-        hit, got = _frame_bytes(threads, x4, x2, 2)
-        miss, want = _frame_bytes(threads, x4, x2, 2, between=_empty)
-        assert hit["hits"] == 1 and miss["empty"] == 1
+        served, stepped, groups = _SERVED_CASES[case]
+        x = served()
+        got = _frame_bytes(threads, x, stepped(x), groups, serve=True)
+        want = _frame_bytes(threads, x, stepped(x), groups, serve=False)
         assert got == want
 
-    def test_what_misses_and_why(self):
-        """Content decides: another frame, a frame changed in place after
-        it was served, weights overwritten in place between the two
-        replays and a step nobody served before each run the conv, and
-        say which; a NaN frame is bytes like any other."""
-        model, engine, step, memo = _stem_pair(1)
-        x, y = _stem_frames(1), _stem_frames(1, seed=3)
-        plan = step.plan_for(x)
-        counts = plan.backend_info["stem_memo"]
-        fresh = CompiledAdaptStep(model, backend="numpy").plan_for(x)
-
-        def stepped(frame, reason):
-            before = dict(counts)
-            got = _step_outputs(plan, frame)
-            after = dict(counts)
-            assert after.pop(reason) == before.pop(reason) + 1
-            assert after == before
-            want = _step_outputs(fresh, frame)
-            if not np.isnan(frame).any():
-                for a, b in zip(got, want):
-                    np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-9)
-            return got
-
-        stepped(x, "empty")  # nothing served yet
-        engine(x)
-        served = stepped(x, "hits")
-        stepped(y, "frame")
-        engine(x)
-        x[0, 1, 5, 7] += 1.0
-        stepped(x, "frame")
-        engine(x)
-        conv = model.backbone.conv1
-        held = conv.weight.data
-        conv.weight.data[...] = held * 0.5
-        assert conv.weight.data is held
-        halved = stepped(x, "weights")
-        assert not np.allclose(halved[1], served[1])
-        engine(x)
-        stepped(x, "hits")
-        x[0, 0, 0, 0] = np.nan
-        engine(x)
-        nan_hit = stepped(x, "hits")
-        memo.header["n"] = 0
-        nan_ran = stepped(x, "empty")
-        assert [a.tobytes() for a in nan_hit] == [a.tobytes() for a in nan_ran]
-
-    def test_another_input_size_is_a_shape_miss(self):
-        backend = CGenBackend(threads=1)
-        rng = np.random.default_rng(5)
-        model = _bn_model(rng)
-        engine = compile_model(model, backend=backend)
-        step = CompiledAdaptStep(model, backend=backend)
-        small = rng.standard_normal((1, 3, 8, 12)).astype(np.float32)
-        wide = rng.standard_normal((1, 3, 8, 20)).astype(np.float32)
-        plan = step.plan_for(small)
-        engine(small)
-        engine(wide)  # the memo is re-dimensioned for the latest geometry
-        plan.run(small)
-        assert plan.backend_info["stem_memo"]["shape"] == 1
-        engine(small)  # the storage is the wide plan's: nothing stored
-        plan.run(small)
-        assert plan.backend_info["stem_memo"]["shape"] == 2
-
-    def test_a_model_that_is_only_served_stores_nothing(self, rng):
-        backend = CGenBackend(threads=1)
-        model = _bn_model(rng)
-        engine = compile_model(model, backend=backend)
-        x = rng.standard_normal((2, 3, 8, 12)).astype(np.float32)
-        engine(x)
-        memo = backend.stem_memo(model[0].weight)
-        assert memo.nbytes == 0 and memo.header["cap"][0] == 0
-        assert engine.plan_for(x.shape, x.dtype).backend_info[
-            "stem_memo"] is None
-        # nor does a step over a group of two: it adapts on frames earlier
-        # launches served, and the memo holds the last one's
-        step = CompiledAdaptStep(model, backend=backend)
-        assert step.plan_for(x).backend_info["stem_memo"] is None
-        engine(x)
-        assert memo.nbytes == 0
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_an_inference_program_does_not_depend_on_adaptation_plans(
+        self, threads, batch
+    ):
+        """Compiling a model's adaptation steps changes neither the
+        program its inference plans are nor what they serve."""
+        model, backend, engine, step = _served_engines(threads)
+        x = _stem_frames(batch)
+        served = engine(x).numpy().tobytes()
+        program = engine.plan_for(x.shape, x.dtype).backend_info["program"]
         step.plan_for(x[:1])
-        # two samples' input, the weights, two samples' f64 rows
-        assert memo.nbytes == 2 * x[0].nbytes + model[0].weight.data.nbytes \
-            + 2 * 8 * 8 * 12 * 8
-        assert memo.header["cap"][0] == 2
-
-    def test_one_looking_up_row_a_plan(self, rng):
-        """A second conv over the plan input of an adaptation plan gets
-        no memo (the renderer keeps one set of counters): it just runs."""
-        renderer = cgen.CRenderer(CGenBackend(threads=1), group_size=1)
-        geo = lower_conv((1, 3, 16, 24), (4, 3, 3, 3), (1, 1), (1, 1),
-                         np.float64, np.float32)
-        for _ in range(2):
-            offer = renderer.offer_stage("conv", dict(
-                geo=geo, x_src=("input", None), bias=None, bn_module=None,
-                weight=nn.Parameter(rng.standard_normal((4, 3, 3, 3))),
-                out3=np.empty((1, 4, geo.p_total)), relu=False,
-            ), lambda: None)
-            assert offer is not None
-        assert len(renderer._memos) == 1
-
-    def test_a_numpy_reader_finds_the_copied_rows(self, monkeypatch):
-        """A hit copies into the plan's own buffer, which a stage left a
-        Python closure reads like any other."""
-        real = cgen.CRenderer._try_bn_train
-        monkeypatch.setattr(
-            cgen.CRenderer, "_try_bn_train", lambda self, spec, fb: None
-        )
-        x = _stem_frames(1)
-        hit, got = _frame_bytes(1, x, x.copy(), 1)
-        monkeypatch.setattr(cgen.CRenderer, "_try_bn_train", real)
-        assert hit["hits"] == 2
-        _, want = _frame_bytes(1, x, x.copy(), 1, between=_empty)
-        # numpy's pairwise BN statistics vs the lanes': the band, not
-        # bytes (every array the frame leaves is int64 or float64)
-        for a, b in zip(got, want):
-            np.testing.assert_allclose(
-                np.frombuffer(a), np.frombuffer(b), rtol=1e-5, atol=1e-7
-            )
+        step.plan_for(x, groups=batch // 2 or 1)
+        fresh = compile_model(model, backend=backend)
+        assert fresh(x).numpy().tobytes() == served
+        assert engine(x).numpy().tobytes() == served
+        assert fresh.plan_for(x.shape, x.dtype).backend_info[
+            "program"] == program
 
 
 # ---------------------------------------------------------------------------
@@ -2932,7 +2869,7 @@ class TestBindOnChange:
     def test_a_steady_vehicle_frame_calls_no_binder(self, monkeypatch):
         """The paper's loop — small-r18, infer + one step per frame, two
         pool threads: after the first frame nothing is rebound, so no
-        binder closure runs, and every step takes the stem from the memo."""
+        binder closure runs."""
         from repro.data import ScenarioStream, get_scenario
         from repro.models import build_model, get_config
         from repro.pipeline.realtime import RealTimePipeline
@@ -2956,6 +2893,3 @@ class TestBindOnChange:
         assert bound > 0
         report = pipeline.run(iter(frames[2:]), 6)
         assert report.adaptation_steps == 6 and calls[0] == bound
-        x = frames[0].image[None]
-        counts = adapter._compiled.plan_for(x).backend_info["stem_memo"]
-        assert counts["hits"] == 8 and sum(counts.values()) == 8

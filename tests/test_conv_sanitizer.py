@@ -33,11 +33,8 @@ widths: where the host has AVX-512 the harness is built and run a second
 time with it switched off, so the rule, the tiles and the scratch they
 index are exercised at 32 and at 64 bytes.
 
-The stem memo rides the same table: per dtype pair a lookup on the empty
-memo (the conv runs), a batch-4 store through the dual-store epilogue of
-a BN + ReLU stem, then a 2-sample and a batch-4 lookup (every sample
-found: one copy each), the memo's key / weights / rows on exact-size heap
-blocks.
+A BN + ReLU stem over the plan input rides the same table, per dtype
+pair: the conv epilogue with bias and the live running statistics.
 
 Loud skip when the host has no compiler or no sanitizer runtime.
 """
@@ -117,7 +114,7 @@ def _render(renderer):
     gradient (fresh and accumulating, two dtypes) to ``renderer``;
     returns per stage the scratch it reserved, the arrays to keep, and
     the plan-owned int64 arrays whose *contents* the stages read (a BN
-    fold flag, or the ``MEMO_COUNTS`` of a looking-up stem row)."""
+    fold flag)."""
     rng = np.random.default_rng(5)
     needs, keep, contents = [], [], []
 
@@ -209,9 +206,10 @@ def _render(renderer):
                     arg=saved,
                 ))
 
-    # the stem memo: rows over the plan input (slot 0), one weight each
+    # a BN + ReLU stem: bias, then the running statistics, over the plan
+    # input (slot 0)
     for xd, cd in ((np.float32, np.float64), (np.float32, np.float32)):
-        c, h, w, f = 3, 9, 13, 5
+        c, h, w, f, batch = 3, 9, 13, 5, 4
         weight = nn.Parameter(rng.standard_normal((f, c, 3, 3)).astype(cd))
         bias = nn.Parameter(rng.standard_normal(f).astype(cd))
         bn = nn.BatchNorm2d(f)
@@ -219,22 +217,15 @@ def _render(renderer):
         keep += [weight, bias, bn.weight, bn.bias, bn.running_mean,
                  bn.running_var]
         first = len(renderer._static)
-        for batch, adapting in ((2, True), (4, False), (2, True), (4, True)):
-            geo = lower_conv((batch, c, h, w), (f, c, 3, 3), (1, 1), (1, 1),
-                             cd, xd)
-            out3 = np.empty((batch, f, geo.p_total), dtype=cd)
-            keep.append(out3)
-            # each lookup as its own plan's (one looking-up row a plan)
-            renderer.group_size = int(adapting)
-            renderer._memo_io = None
-            offered("conv", dict(
-                geo=geo, weight=weight, bias=bias, out3=out3,
-                x_src=("input", None), relu=not adapting,
-                bn_module=None if adapting else bn,
-            ))
-        renderer.group_size = 0
-        # the fold flag and the lookups' counters read 0: running
-        # statistics, not per-sample rows; nothing counted yet
+        geo = lower_conv((batch, c, h, w), (f, c, 3, 3), (1, 1), (1, 1),
+                         cd, xd)
+        out3 = np.empty((batch, f, geo.p_total), dtype=cd)
+        keep.append(out3)
+        offered("conv", dict(
+            geo=geo, weight=weight, bias=bias, out3=out3,
+            x_src=("input", None), relu=True, bn_module=bn,
+        ))
+        # the fold flag reads 0: running statistics, not per-sample rows
         contents += [
             arr for _, arr in renderer._static[first:]
             if arr.dtype == np.int64
@@ -264,8 +255,7 @@ def _harness_source(renderer, needs, keep, contents):
     renderer's table as both threads of a 2-wide pool — every thread on a
     scratch block of exactly the stage's reserve (stride 0: whichever
     ``tid`` runs finds it at ``POOL_SCR(tid)``).  Buffers hold 0x3c
-    bytes, except the ``contents`` arrays (copied) and the stem memos:
-    their headers as the renderer sized them, over exact-size blocks."""
+    bytes, except the ``contents`` arrays (copied)."""
     tab = bound_table(renderer)
     # slot -> (bytes, element bytes): plan-owned buffers by identity,
     # parameters by address (an entry nothing is bound to: no block)
@@ -277,7 +267,7 @@ def _harness_source(renderer, needs, keep, contents):
     for slot in range(1, renderer._nslots):
         if slot not in sizes:
             sizes[slot] = by_address[int(tab[slot])]
-    # the plan input: the widest batch a stem row reads, float32
+    # the plan input: the stem rows' batch, float32
     sizes[0] = (4 * 3 * 9 * 13 * 4, 4)
 
     slot_of = {id(arr): slot for slot, arr in renderer._static}
@@ -286,25 +276,6 @@ def _harness_source(renderer, needs, keep, contents):
         f"{arr.nbytes});\n"
         for arr in contents
     )
-    counters = [
-        slot_of[id(arr)] for arr in contents
-        if arr.size == len(cgen.K.MEMO_COUNTS)
-    ]
-    for memo in renderer._memos:
-        head = memo.header.copy()
-        head["key"] = head["wsnap"] = head["raw"] = 0
-        cap, xb, wb, bb, rb = (
-            int(head[k][0])
-            for k in ("cap", "xbytes", "wbytes", "bbytes", "rbytes")
-        )
-        fill += (
-            f"    {{ stem_memo* M = (stem_memo*)T[{slot_of[id(memo.header)]}];\n"
-            f"      memcpy(M, (const i64[]){_c_array(head.view(np.int64))}, "
-            f"sizeof *M);\n"
-            f"      M->key = MEMO[nmemo++] = (char*)malloc({cap * xb});\n"
-            f"      M->wsnap = MEMO[nmemo++] = (char*)malloc({wb + bb});\n"
-            f"      M->raw = MEMO[nmemo++] = (char*)malloc({cap * rb}); }}\n"
-        )
 
     rows, args = renderer._tables()
     slots = range(renderer._nslots)
@@ -319,8 +290,7 @@ static const unsigned long long ARGS[] = {_c_array(args.view(np.uint64))};
 int main(void) {{
     enum {{ NSLOTS = {renderer._nslots}, NSTAGES = {len(needs)} }};
     const stage_row* rows = (const stage_row*)ROWS;
-    char *T[NSLOTS], *MEMO[{3 * len(renderer._memos)}];
-    i64 nmemo = 0;
+    char *T[NSLOTS];
     for (i64 s = 0; s < NSLOTS; ++s) {{
         /* one element into its block, ending where the block ends */
         T[s] = SIZES[s] ? (char*)malloc(SIZES[s] + ITEMS[s]) + ITEMS[s] : 0;
@@ -334,19 +304,11 @@ int main(void) {{
             stage_call(T, rows + q, (const char*)ARGS, t, {THREADS});
             free(POOL_SCRATCH);
         }}
-    i64 io[{len(cgen.K.MEMO_COUNTS)}] = {{0}};
-    const i64 counters[] = {_c_array(counters)};
-    for (i64 k = 0; k < {len(counters)}; ++k)
-        for (i64 i = 0; i < {len(cgen.K.MEMO_COUNTS)}; ++i)
-            io[i] += ((const i64*)T[counters[k]])[i];
-    printf("memo: %d hits, %d empty, %d other\\n",
-           (int)io[0], (int)io[4], (int)(io[1] + io[2] + io[3]));
     double sum = 0.0;
     for (i64 s = 0; s < NSLOTS; ++s) {{
         for (i64 b = 0; b < SIZES[s]; ++b) sum += (unsigned char)T[s][b];
         if (T[s]) free(T[s] - ITEMS[s]);
     }}
-    while (nmemo) free(MEMO[--nmemo]);
     printf("%d stages, checksum %.0f\\n", (int)NSTAGES, sum);
     return 0;
 }}
@@ -424,6 +386,3 @@ def test_conv_helpers_run_clean_under_asan_and_ubsan(tmp_path):
                              env=_san_env())
         assert ran.returncode == 0, (width, (ran.stdout + ran.stderr)[-4000:])
         assert f"{len(needs)} stages" in ran.stdout
-        # per dtype pair: nothing stored yet, then 2 of the 4 stored
-        # samples found, then all 4 — copied
-        assert "memo: 4 hits, 2 empty, 0 other" in ran.stdout

@@ -1,4 +1,4 @@
-"""Real-time pipeline and monitor tests."""
+"""Real-time pipeline and report tests."""
 
 import numpy as np
 import pytest
@@ -6,56 +6,8 @@ import pytest
 from repro.adapt import LDBNAdapt, LDBNAdaptConfig, NoAdapt
 from repro.hw import ORIN_POWER_MODES
 from repro.models import get_config
-from repro.pipeline import (
-    DeadlineMonitor,
-    PipelineConfig,
-    PipelineReport,
-    RealTimePipeline,
-)
+from repro.pipeline import PipelineConfig, PipelineReport, RealTimePipeline
 from repro.pipeline.monitor import FrameRecord
-
-
-class TestDeadlineMonitor:
-    def test_counts_misses(self):
-        monitor = DeadlineMonitor(deadline_ms=10.0)
-        assert monitor.record(5.0)
-        assert not monitor.record(15.0)
-        assert monitor.misses == 1
-        assert monitor.miss_rate == 0.5
-        assert monitor.mean_latency_ms == 10.0
-
-    def test_p99(self):
-        monitor = DeadlineMonitor(10.0)
-        for v in range(100):
-            monitor.record(float(v))
-        assert monitor.p99_latency_ms >= 98.0
-
-    def test_invalid_deadline(self):
-        with pytest.raises(ValueError):
-            DeadlineMonitor(0.0)
-
-    def test_empty_stats(self):
-        monitor = DeadlineMonitor(10.0)
-        assert monitor.miss_rate == 0.0
-        assert monitor.mean_latency_ms == 0.0
-        assert monitor.p50_latency_ms == 0.0
-        assert monitor.p95_latency_ms == 0.0
-        assert monitor.p99_latency_ms == 0.0
-
-    def test_percentiles(self):
-        monitor = DeadlineMonitor(10.0)
-        for v in range(1, 101):
-            monitor.record(float(v))
-        # interior percentiles carry the streaming sketch's relative
-        # error bound; endpoints are exact (tracked min/max)
-        assert monitor.p50_latency_ms == pytest.approx(50.5, rel=0.011)
-        assert monitor.p95_latency_ms >= 95.0 * (1 - 0.011)
-        assert monitor.latency_percentile(0) == 1.0
-        assert monitor.latency_percentile(100) == 100.0
-
-    def test_percentile_validation(self):
-        with pytest.raises(ValueError):
-            DeadlineMonitor(10.0).latency_percentile(-1)
 
 
 class TestPipelineReport:
@@ -276,6 +228,31 @@ class TestRealTimePipeline:
         report = pipeline.run(iter(frames), num_frames=3)
         assert not report.truncated
         assert report.num_frames == 3
+
+    @pytest.mark.parametrize("deadline, met", [
+        ("above", True), ("at", True), ("below", False),
+    ])
+    def test_a_latency_at_the_deadline_meets_it(
+        self, deadline, met, trained_tiny_model, tiny_benchmark
+    ):
+        """Met means ``latency <= deadline``: the modelled latency of a
+        frame set as the deadline itself counts as met, one ulp less
+        does not."""
+        adapter = NoAdapt(trained_tiny_model)
+        latency = self._run(
+            trained_tiny_model, adapter, tiny_benchmark, frames=1
+        ).frames[0].latency_ms
+        deadline_ms = float({
+            "above": np.nextafter(latency, np.inf), "at": latency,
+            "below": np.nextafter(latency, 0.0),
+        }[deadline])
+        report = self._run(
+            trained_tiny_model, adapter, tiny_benchmark, frames=3,
+            deadline_ms=deadline_ms,
+        )
+        assert [f.latency_ms for f in report.frames] == [latency] * 3
+        assert [f.deadline_met for f in report.frames] == [met] * 3
+        assert report.deadline_miss_rate == (0.0 if met else 1.0)
 
     def test_online_adaptation_improves_over_stream(
         self, trained_tiny_model, tiny_benchmark
