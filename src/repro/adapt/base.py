@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +27,9 @@ class AdaptResult:
     num_frames: int
     step_index: int
     extras: Dict[str, float] = field(default_factory=dict)
+    # the loss was not finite, so the step wrote nothing (its update tail
+    # refused it: no BN array, momentum buffer or step count moved)
+    refused: bool = False
 
 
 class Adapter(abc.ABC):
@@ -46,10 +49,14 @@ class Adapter(abc.ABC):
         self.model = model
         self._initial_state = model.state_dict()
         self._step = 0
-        # frames observed toward the next step: copies, rows of `_frames`
-        # unless a restore installed its own
-        self._buffer: list = []
+        self.refused_steps = 0  # steps whose loss was not finite
+        # frames observed toward the next step, each an (image, stem rows
+        # or None) pair of copies: rows of `_frames` / `_rows` unless a
+        # restore installed its own.  One list, so a frame and its rows
+        # are only ever kept, restored or dropped together.
+        self._pending: List[Tuple[np.ndarray, Optional[np.ndarray]]] = []
         self._frames: Optional[np.ndarray] = None  # (frames a step, 3, H, W)
+        self._rows: Optional[np.ndarray] = None  # (frames a step, F, H', W')
 
     @abc.abstractmethod
     def adapt(self, images: np.ndarray) -> AdaptResult:
@@ -63,9 +70,46 @@ class Adapter(abc.ABC):
     @property
     def pending_frames(self) -> int:
         """Frames buffered by :meth:`observe_frame` toward the next step."""
-        return len(self._buffer)
+        return len(self._pending)
 
-    def observe_frame(self, image: np.ndarray) -> Optional[AdaptResult]:
+    @property
+    def pending_images(self) -> List[np.ndarray]:
+        """The buffered frames, oldest first (this adapter's copies)."""
+        return [image for image, _ in self._pending]
+
+    @property
+    def pending_rows(self) -> List[Optional[np.ndarray]]:
+        """The buffered frames' stem rows (``None`` where a frame came
+        without them), oldest first."""
+        return [rows for _, rows in self._pending]
+
+    def restore_pending(self, images: Sequence[np.ndarray]) -> None:
+        """Replace the buffered frames with copies of ``images`` — a
+        checkpoint restore — which carry no stem rows, so the step they
+        join starts from the images."""
+        self._pending = [
+            (np.array(image, dtype=np.float32), None) for image in images
+        ]
+
+    def clear_pending(self) -> None:
+        """Drop every buffered frame (and its rows)."""
+        self._pending.clear()
+
+    def takes_rows_from(self, engine) -> bool:
+        """Whether :meth:`observe_frame` should be handed the stem rows
+        ``engine`` (a :class:`~repro.engine.CompiledInference`) writes.
+        Only an adapter whose steps replay a compiled plan of the same
+        backend can use them."""
+        return False
+
+    def share_engine(self, backend, threads) -> None:
+        """Adopt a serving loop's plan backend and kernel-pool width where
+        this adapter's own configuration leaves them to it (default: it
+        has none to adopt)."""
+
+    def observe_frame(self, image: np.ndarray,
+                      rows: Optional[np.ndarray] = None
+                      ) -> Optional[AdaptResult]:
         """Stream interface: buffer one frame; adapt when the batch fills.
 
         Returns the :class:`AdaptResult` on steps where adaptation ran,
@@ -76,29 +120,57 @@ class Adapter(abc.ABC):
         caller may hand over the same buffer again for the next frame (a
         camera ring) — and that array is what :meth:`adapt` sees, valid
         until the next step.
+
+        ``rows`` are the frame's stem rows as a serving loop's inference
+        replay wrote them (``(F, H', W')``; see :meth:`takes_rows_from`).
+        They view engine storage the next replay of that batch shape
+        overwrites — as the served logits do — so they are copied too,
+        into a ring beside the frames.  A step whose every frame carries
+        rows starts from them instead of convolving the images again;
+        any frame without (a restored one) puts the step on the images.
         """
         if image.ndim != 3:
             raise ValueError(f"expected a single (3, H, W) frame, got {image.shape}")
-        pending = self._buffer
+        pending = self._pending
+        at = len(pending)
         # one step's frames: batch_size, or more when a restore installed
         # that many (a checkpoint taken under a larger batch_size)
-        shape = (max(self.batch_size, len(pending) + 1),) + image.shape
+        shape = (max(self.batch_size, at + 1),) + image.shape
         frames = self._frames
         if frames is None or frames.shape != shape:
             frames = self._frames = np.empty(shape, dtype=np.float32)
-        row = frames[len(pending)]
-        row[...] = image
-        if len(pending) + 1 < self.batch_size:
-            pending.append(row)
+        frame = frames[at]
+        frame[...] = image
+        ring = self._rows
+        if rows is not None:
+            shape = (len(frames),) + rows.shape
+            if ring is None or ring.shape != shape or ring.dtype != rows.dtype:
+                ring = self._rows = np.empty(shape, dtype=rows.dtype)
+            ring[at] = rows
+            rows = ring[at]
+        if at + 1 < self.batch_size:
+            pending.append((frame, rows))
             return None
-        for k, held in enumerate(pending):
+        from_rows = rows is not None
+        for k, (held, held_rows) in enumerate(pending):
             if held.base is not frames:  # a restore's, or an outgrown array's
                 frames[k] = held
+            if held_rows is None:
+                from_rows = False
+            elif from_rows and held_rows.base is not ring:
+                ring[k] = held_rows
         pending.clear()
+        return self._step_frames(frames, ring if from_rows else None)
+
+    def _step_frames(self, frames: np.ndarray,
+                     rows: Optional[np.ndarray]) -> AdaptResult:
+        """One step on a full batch; ``rows`` (their stem rows, or None)
+        serve adapters that can start from them."""
         return self.adapt(frames)
 
-    def warm(self, image: np.ndarray) -> None:
-        """Do any one-time work a step on frames like ``image`` needs.
+    def warm(self, image: np.ndarray, from_stem: bool = False) -> None:
+        """Do any one-time work a step on frames like ``image`` needs
+        (``from_stem``: a step handed their stem rows).
 
         Serving loops call this outside their timed regions; adapters
         with nothing to compile inherit this no-op.
@@ -108,7 +180,8 @@ class Adapter(abc.ABC):
         """Restore the model to its pre-adaptation state."""
         self.model.load_state_dict(self._initial_state)
         self._step = 0
-        self._buffer.clear()
+        self.refused_steps = 0
+        self.clear_pending()
 
     @property
     def steps_taken(self) -> int:

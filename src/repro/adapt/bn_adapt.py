@@ -36,9 +36,22 @@ Implementation notes
   tail*, persists the batch statistics and takes the momentum step on
   gamma/beta, writing where this adapter says its state lives
   (:meth:`LDBNAdapt.bn_arrays`: the live modules; momentum buffers stay
-  in ``optimizer.state``, so ``reset()`` and checkpoints see them).  On the ``numpy`` backend that stage is the Python loop
-  this module used to hold; ``cgen`` renders it, so a step is two C
-  calls with no per-layer Python after them.
+  in ``optimizer.state``, so ``reset()`` and checkpoints see them).  On
+  the ``numpy`` backend that stage is the Python loop this module used
+  to hold; ``cgen`` renders it, so no per-layer Python runs after the
+  step's C.  A step whose loss is not finite writes nothing: the tail
+  refuses it, and :attr:`~repro.adapt.base.Adapter.refused_steps` counts
+  it.
+* A served frame's stem conv runs once.  The serving loops hand
+  :meth:`~repro.adapt.base.Adapter.observe_frame` the stem rows their
+  inference replay wrote (pre-BN, so valid whatever BN state served the
+  frame) when :meth:`LDBNAdapt.takes_rows_from` their engine — the same
+  backend at the same width, so the rows are the bytes this adapter's
+  own stem conv would write.  A step whose every frame carries rows
+  replays the plan compiled ``from_stem``, which starts at the stem's
+  BN; :meth:`adapt` on images, and any step with a restored frame,
+  replays the plan that starts from the images.  Both leave the same
+  bytes.
 """
 
 from __future__ import annotations
@@ -75,14 +88,18 @@ class LDBNAdaptConfig:
     ema_momentum:
         Momentum for the "ema" mode.
     backend:
-        Plan backend for the compiled adaptation step.  ``None``
-        inherits: the pool's engine in a fleet
-        (:meth:`repro.serve.FleetServer.add_stream`), else
-        ``$REPRO_BACKEND`` / numpy (see :mod:`repro.engine.backends`).
+        Plan backend for the compiled adaptation step.  ``None`` — with
+        ``threads`` also ``None`` — inherits the serving loop's engine:
+        the pool's in a fleet (:meth:`repro.serve.FleetServer.add_stream`),
+        the pipeline's under :class:`repro.pipeline.RealTimePipeline`;
+        an adapter used on its own resolves ``$REPRO_BACKEND`` / numpy
+        (see :mod:`repro.engine.backends`).
     threads:
         Kernel-pool width for codegen backends (``None`` inherits like
-        ``backend``; outside a fleet it defers to the backend's
-        resolution chain, and the numpy backend ignores it).
+        ``backend``; an adapter used on its own defers to the backend's
+        resolution chain, and the numpy backend ignores it).  A pair set
+        explicitly is kept: if it differs from the serving loop's, steps
+        start from the images, never from another backend's stem rows.
     """
 
     lr: float = 1e-3
@@ -145,8 +162,9 @@ class LDBNAdapt(Adapter):
             1.0 if self.config.stats_mode == "replace" else self.config.ema_momentum
         )
 
-    def warm(self, image: np.ndarray) -> None:
-        """Trace + compile the adaptation plan for this adapter's batch size.
+    def warm(self, image: np.ndarray, from_stem: bool = False) -> None:
+        """Trace + compile the adaptation plan for this adapter's batch size
+        (``from_stem``: the plan a step handed stem rows replays).
 
         Serving loops call this outside their timed regions (mirroring
         ``CompiledInference.warm``) so the one-time trace cost never
@@ -158,17 +176,37 @@ class LDBNAdapt(Adapter):
         batch = np.zeros(
             (self.config.batch_size,) + tuple(np.shape(image)), dtype=np.float32
         )
-        self._compiled_plan(batch)
+        self._compiled_plan(batch, from_stem)
 
-    def _compiled_plan(self, images: np.ndarray):
-        """The adaptation plan for ``images``, or None to use eager."""
+    def _step_engine(self) -> CompiledAdaptStep:
         if self._compiled is None:
             self._compiled = CompiledAdaptStep(
                 self.model, backend=self.config.backend,
                 threads=self.config.threads,
             )
+        return self._compiled
+
+    def share_engine(self, backend, threads) -> None:
+        """Compile with a serving loop's ``backend`` / ``threads`` when the
+        config leaves both at ``None`` (and no step was handed down)."""
+        if self._compiled is None and self.config.backend is None \
+                and self.config.threads is None:
+            self._compiled = CompiledAdaptStep(
+                self.model, backend=backend, threads=threads
+            )
+
+    def takes_rows_from(self, engine) -> bool:
+        return (
+            nn.compiled_adaptation_enabled()
+            and not self._compiled_unsupported
+            and self._step_engine().takes_rows_from(engine)
+        )
+
+    def _compiled_plan(self, images: np.ndarray, from_stem: bool = False):
+        """The adaptation plan for ``images`` (or, ``from_stem``, their
+        stem rows), or None to use eager."""
         try:
-            return self._compiled.plan_for(images)
+            return self._step_engine().plan_for(images, from_stem=from_stem)
         except UnsupportedAdaptGraph:
             self._compiled_unsupported = True
             return None
@@ -182,16 +220,37 @@ class LDBNAdapt(Adapter):
             module.num_batches_tracked, module.weight.data, module.bias.data,
         )
 
-    def _adapt_compiled(self, images: np.ndarray):
-        """One compiled entropy step; returns the loss or None (fallback).
+    def record_step(self, loss: float, num_frames: int,
+                    refused: bool = False) -> AdaptResult:
+        """Book one step this adapter's state took (a refused one is
+        counted, not taken) and return its result."""
+        if refused:
+            self.refused_steps += 1
+        else:
+            self._step += 1
+        return AdaptResult(
+            loss=loss,
+            num_frames=num_frames,
+            step_index=self._step,
+            extras={"entropy": loss},
+            refused=refused,
+        )
 
-        The whole step is the plan's: its update tail persists the batch
-        statistics and steps gamma/beta on this adapter's optimizer state.
-        """
-        plan = self._compiled_plan(images)
-        if plan is None:
-            return None
-        return float(plan.run(images, update=(self,))[0])
+    def _run_plan(self, plan, x: np.ndarray, num_frames: int) -> AdaptResult:
+        """One compiled entropy step: the whole step is the plan's — its
+        update tail persists the batch statistics and steps gamma/beta
+        on this adapter's optimizer state, unless the loss is not
+        finite."""
+        loss = float(plan.run(x, update=(self,))[0])
+        return self.record_step(loss, num_frames, refused=not plan.finite[0])
+
+    def _step_frames(self, frames: np.ndarray, rows) -> AdaptResult:
+        if (rows is not None and nn.compiled_adaptation_enabled()
+                and not self._compiled_unsupported):
+            plan = self._compiled_plan(frames, from_stem=True)
+            if plan is not None:
+                return self._run_plan(plan, rows, len(frames))
+        return self.adapt(frames)
 
     def adapt(self, images: np.ndarray) -> AdaptResult:
         """One adaptation step on a batch of unlabeled target frames.
@@ -199,41 +258,34 @@ class LDBNAdapt(Adapter):
         ``images`` is ``(N, 3, H, W)``; N is typically ``config.batch_size``
         (the pipeline buffers frames accordingly, see
         :meth:`observe_frame`).  Runs the compiled plan by default; the
-        eager autograd step under ``repro.nn.adaptation_mode(False)``.
+        eager autograd step under ``repro.nn.adaptation_mode(False)``
+        (which has no finite rail).
         """
         images = np.asarray(images, dtype=np.float32)
         if images.ndim != 4:
             raise ValueError(f"expected (N, 3, H, W) batch, got {images.shape}")
 
-        loss_value = None
         if nn.compiled_adaptation_enabled() and not self._compiled_unsupported:
-            loss_value = self._adapt_compiled(images)
+            plan = self._compiled_plan(images)
+            if plan is not None:
+                return self._run_plan(plan, images, len(images))
 
-        if loss_value is None:
-            original_momenta = [m.momentum for m in self._bn_modules]
-            for module in self._bn_modules:
-                module.momentum = self.effective_momentum
+        original_momenta = [m.momentum for m in self._bn_modules]
+        for module in self._bn_modules:
+            module.momentum = self.effective_momentum
 
-            set_bn_training(self.model, True)
-            try:
-                logits = self.model(nn.Tensor(images, _copy=False))
-                loss = entropy_loss(logits, axis=1)
-                self.model.zero_grad()
-                loss.backward()
-                self.optimizer.step()
-            finally:
-                set_bn_training(self.model, False)
-                for module, m in zip(self._bn_modules, original_momenta):
-                    module.momentum = m
-            loss_value = float(loss.item())
-
-        self._step += 1
-        return AdaptResult(
-            loss=loss_value,
-            num_frames=len(images),
-            step_index=self._step,
-            extras={"entropy": loss_value},
-        )
+        set_bn_training(self.model, True)
+        try:
+            logits = self.model(nn.Tensor(images, _copy=False))
+            loss = entropy_loss(logits, axis=1)
+            self.model.zero_grad()
+            loss.backward()
+            self.optimizer.step()
+        finally:
+            set_bn_training(self.model, False)
+            for module, m in zip(self._bn_modules, original_momenta):
+                module.momentum = m
+        return self.record_step(float(loss.item()), len(images))
 
     # bench-e2e's ``adapt.observe`` span patches this name in
     # ``LDBNAdapt.__dict__``, so the inherited method is bound here too

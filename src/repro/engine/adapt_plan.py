@@ -23,7 +23,17 @@ renderer offers), and this module holds only what is adaptation-specific:
   with the taps — running statistics blended in, one SGD-momentum step
   on gamma/beta — applied per group to the destinations a caller arms
   :meth:`AdaptationPlan.run` with (:func:`_update_tail`), and nothing
-  when it does not.
+  when it does not.  It is the step's rail too: the loss tail flags each
+  group whose loss came out finite (:attr:`AdaptationPlan.finite`), and
+  the tail skips every group it did not flag, so a non-finite pixel
+  writes no BN state at all.
+
+A plan compiled ``from_stem`` is the same lowering with the input cut one
+node later: the stem conv (:func:`~repro.engine.plan.stem_index`) is not
+lowered, and its output — the pre-BN rows an inference plan hands out as
+:attr:`~repro.engine.plan.ExecutionPlan.stem_rows` — is the plan input.
+The stem conv has no backward stage (no BN gamma/beta lies behind it), so
+the two plans replay the same stages after it on the same values.
 
 Every kernel replays the eager op sequence on the same values in the same
 order, so gradients match the autograd oracle, and no autograd
@@ -51,7 +61,7 @@ from ..nn import functional as F
 from ..nn.functional import update_running_stat
 from ..nn.modules import _BatchNormBase
 from ..nn.optim import sgd_update
-from .plan import _ELEMENTWISE, StaticPlan, op_kind
+from .plan import _ELEMENTWISE, StaticPlan, op_kind, stem_index
 from .tracer import TraceGraph, ValueRef
 
 
@@ -110,10 +120,12 @@ class AdaptPlanStats:
     workspace_bytes: int  # dedicated im2col/pool workspaces
 
 
-def _update_tail(armed: list, taps: List[BNLayerTap]) -> Callable[[], None]:
+def _update_tail(armed: list, taps: List[BNLayerTap],
+                 finite: np.ndarray) -> Callable[[], None]:
     """The update tail's numpy closure over ``armed[0]``, the per-group
     destinations of the running replay (see :meth:`AdaptationPlan.run`);
-    it takes them, so whoever applies an update applies it once.
+    it takes them, so whoever applies an update applies it once.  A group
+    whose ``finite`` flag the loss tail cleared is skipped whole.
 
     Per group and BN layer this is the epilogue every LD-BN-ADAPT step has
     always run: count the batch, persist its statistics through
@@ -130,6 +142,8 @@ def _update_tail(armed: list, taps: List[BNLayerTap]) -> Callable[[], None]:
             return
         armed[0] = None
         for k, target in enumerate(targets):
+            if not finite[k]:
+                continue
             momentum = target.effective_momentum
             optimizer = target.optimizer
             for tap in taps:
@@ -166,7 +180,8 @@ class AdaptationPlan(StaticPlan):
     """
 
     def __init__(self, graph: TraceGraph, groups: int = 1,
-                 profile: bool = False, renderer=None):
+                 profile: bool = False, renderer=None,
+                 from_stem: bool = False):
         batch = graph.input_shape[0]
         if groups < 1 or batch % groups:
             raise ValueError(
@@ -174,13 +189,18 @@ class AdaptationPlan(StaticPlan):
             )
         self.groups = groups
         self.group_size = batch // groups
+        self.from_stem = from_stem
         self._fwd: List[Callable[[], None]] = []
         self._bwd: List[Callable[[], None]] = []
         self._grads: Dict[int, np.ndarray] = {}
         self.bn_taps: List[BNLayerTap] = []
+        # per group, after `run`: 1 when its loss came out finite
+        self.finite = np.ones(groups, dtype=np.int64)
         # what the running replay's update tail writes to (see `run`)
         self._update: List[Optional[Sequence]] = [None]
-        self._apply_update = _update_tail(self._update, self.bn_taps)
+        self._apply_update = _update_tail(
+            self._update, self.bn_taps, self.finite
+        )
         super().__init__(graph, profile, renderer)
 
     @property
@@ -228,6 +248,14 @@ class AdaptationPlan(StaticPlan):
         nodes = graph.nodes
         num = len(nodes)
         self._loss_vid = graph.output_vid
+        cut = None
+        if self.from_stem:
+            # the input cut: the stem's output is the plan input
+            cut = stem_index(graph)
+            if cut is None:
+                raise UnsupportedAdaptGraph("the trace has no stem conv")
+            self._input_vid = nodes[cut].out_vid
+            self._input_shape = nodes[cut].out_shape
         shapes, dtypes = self._ct.shapes, self._ct.dtypes
         blocks = self._ct.blocks = {}  # liveness key -> arena block
         self._ct.fallback_scratch = {}  # tag -> buffer, see the method
@@ -377,7 +405,9 @@ class AdaptationPlan(StaticPlan):
         for index, node in enumerate(nodes):
             kind, cell = kinds[index], cells[index]
             before = len(self._fwd)
-            if kind == "conv":
+            if index == cut:
+                pass
+            elif kind == "conv":
                 cell["geo"] = self._lower_conv(node, node.out_vid)
             elif kind == "linear":
                 self._lower_linear(node, node.out_vid)
@@ -423,7 +453,8 @@ class AdaptationPlan(StaticPlan):
         before = len(self._bwd)
         self._offer(
             "bn_update",
-            dict(update=self._update, taps=self.bn_taps, groups=self.groups),
+            dict(update=self._update, taps=self.bn_taps, groups=self.groups,
+                 finite=self.finite),
             self._apply_update,
         )
         self._label_stages(before, "bwd:update")
@@ -484,11 +515,18 @@ class AdaptationPlan(StaticPlan):
         )
         get_x = self._getter(node.inputs[0])
         cell.update(per_group=per_group)
+        finite = self.finite
+
+        def run():
+            np.mean(get_x().reshape(groups, per_group), axis=1, out=out)
+            np.isfinite(out, out=finite)
+
         self._offer(
             "reduce",
             dict(x_src=self._render_source(node.inputs[0]), out=out,
-                 dims=(groups, per_group, 1), mean=True, dtype=node.out_dtype),
-            lambda: np.mean(get_x().reshape(groups, per_group), axis=1, out=out),
+                 dims=(groups, per_group, 1), mean=True, dtype=node.out_dtype,
+                 finite=finite),
+            run,
         )
 
     def _fwd_logsoftmax(self, node, index, cell):
@@ -973,8 +1011,11 @@ class AdaptationPlan(StaticPlan):
             update: Optional[Sequence] = None) -> np.ndarray:
         """One compiled entropy step; returns per-group losses ``(G,)``.
 
-        BN gradients and batch statistics are left in :attr:`bn_taps`
-        (plan-owned buffers, overwritten by the next ``run``).
+        ``x`` is the image batch, or for a ``from_stem`` plan the stem
+        rows of the same frames.  BN gradients and batch statistics are
+        left in :attr:`bn_taps` and the per-group finite flags in
+        :attr:`finite` (plan-owned buffers, overwritten by the next
+        ``run``).
 
         ``update`` arms the update tail for this replay: one destination
         per group, each with ``optimizer`` (an :class:`~repro.nn.SGD`),
@@ -983,7 +1024,8 @@ class AdaptationPlan(StaticPlan):
         ``(running_mean, running_var, num_batches_tracked, gamma, beta)``
         live: the module itself for a single-stream step, a session's
         saved copies in a fused one.  Plans are shared between
-        adapters, so a destination is only ever an argument.
+        adapters, so a destination is only ever an argument.  A group
+        whose loss is not finite is left untouched.
         """
         if update is not None and len(update) != self.groups:
             raise ValueError(

@@ -37,16 +37,17 @@ class PlanBackend:
         return None
 
     def compile(self, graph, groups: int = 1, profile: bool = False,
-                threads=None):
+                threads=None, from_stem: bool = False):
         """Lower ``graph`` to the plan it records: a ``groups``-way
         ``AdaptationPlan`` for an entropy-step trace (it carries
-        train-mode BN nodes), else the inference ``ExecutionPlan``."""
+        train-mode BN nodes; ``from_stem``: its input is the stem rows),
+        else the inference ``ExecutionPlan``."""
         from ..adapt_plan import AdaptationPlan
         from ..plan import ExecutionPlan
 
         if any(node.train_bn for node in graph.nodes):
             return AdaptationPlan(
-                graph, groups, profile, self._renderer(threads)
+                graph, groups, profile, self._renderer(threads), from_stem
             )
         return ExecutionPlan(graph, profile, self._renderer(threads))
 

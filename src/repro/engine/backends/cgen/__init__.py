@@ -10,13 +10,13 @@ train-mode BatchNorm and the entropy tail (log-softmax, sum, mean)
 included — *and* the pruned LD-BN-ADAPT backward (BN gamma/beta grads,
 the reduced chain, max-pool backward, the tail's rules, fresh and
 accumulating contributions alike; conv input gradients in *gather* form
-on the forward's own kernels, :meth:`CRenderer._try_conv_dgrad`).  So a
-``small-r18`` step is two C calls, forward and backward — the
-backward ending in the *update tail*, the running-statistics refresh and
-the SGD-momentum step on gamma/beta over the taps the stages before it
-filled, armed per replay with the arrays it writes
-(:meth:`CRenderer._try_bn_update`); ``backend_info["numpy_stages"]``
-counts, by stage label, what still replays as a Python closure.
+on the forward's own kernels, :meth:`CRenderer._try_conv_dgrad`), ending
+in the *update tail* (:meth:`CRenderer._try_bn_update`, armed per replay;
+it skips a group whose loss the mean flagged non-finite).  A served
+frame's step starts from the stem rows its inference row stored before
+the BN fold: a ``from_stem`` plan has no conv over its input.
+``backend_info["numpy_stages"]`` counts, by stage label, what still
+replays as a Python closure.
 
 Nothing is compiled per plan.  The package is split along that seam:
 
@@ -557,10 +557,16 @@ class CRenderer:
             slots += bn[0]
             eps = bn[1]
         pad, dims = _forward_dims(geo)
+        rows = spec.get("rows")
+        if rows is not None:  # a stem's: stored after the bias add
+            offer.outs.append(rows)
+            slots += [0] * (K.ROW_SLOTS - 1 - len(slots))
+            slots.append(self._fixed_slot(rows, geo.compute_dtype))
         units, est_us = self._conv_units(ct, pad, [dims])
         args = _pack(
             K.CONV_ARGS, pad, pad, dims, 1, 0, int(sb != 0),
-            int(bn_module is not None), int(bool(spec["relu"])), eps,
+            int(bn_module is not None), int(bool(spec["relu"])),
+            int(rows is not None), eps,
         ) + _pack(K.CONV_DIMS, *dims)
         return self._accept(
             offer, kernel, slots, args,
@@ -719,6 +725,9 @@ class CRenderer:
                             dims[0] if flat else None)
         if reads is None:
             return None
+        if spec.get("finite") is not None:  # the loss tail's flags
+            offer.outs.append(spec["finite"])
+            reads.append(self._fixed_slot(spec["finite"], np.int64))
         return self._accept(
             offer, f"{kernel}_{ct}", [so] + reads,
             _pack(K.SWEEP_ARGS, *dims, int(bool(flag and spec[flag])),
@@ -797,7 +806,8 @@ class CRenderer:
                        pt, pl, ph, pw)
         forward = _forward_dims(geo, acc)
         units, est_us = self._conv_units(ct, pad, gemms, forward)
-        args = _pack(K.CONV_ARGS, pad, *forward, len(gemms), 1, 0, 0, 0, 0.0)
+        args = _pack(K.CONV_ARGS, pad, *forward, len(gemms), 1, 0, 0, 0, 0,
+                     0.0)
         args += np.array(gemms, dtype=K.CONV_DIMS).tobytes()
         return self._accept(
             offer, f"conv_{ct}_{ct}", (so, sg, sw), args,
@@ -936,7 +946,8 @@ class CRenderer:
         offer.arm = arm
         return self._accept(
             offer, "bn_update",
-            [self._bind_static(arr) for arr in (dests, hyper, flag)],
+            [self._bind_static(arr)
+             for arr in (dests, hyper, flag, spec["finite"])],
             _pack(K.UPDATE_ARGS, ntaps, groups)
             + np.array(rows, dtype=K.BN_TAP).tobytes(),
         )
@@ -1099,8 +1110,8 @@ class CRenderer:
         # checked against its own oracle closure via snapshot-rewind so
         # every comparison sees bit-identical inputs.  The C stage runs
         # through the same pool dispatch production uses, so the probe
-        # validates the exact threaded execution.
-        x_probe = np.ascontiguousarray(graph._keepalive[0].data)
+        # validates the exact threaded execution (from the input's cut).
+        x_probe = np.ascontiguousarray(graph._keepalive[plan._input_vid].data)
         tab[0] = x_probe.ctypes.data
         plan._input_cell[0] = x_probe
         one = np.empty(1, dtype=np.int64)
@@ -1204,7 +1215,7 @@ class CRenderer:
         info["workspace_freed"] = freed
 
         if rendered:
-            in_dtype = graph.input_dtype
+            in_dtype = x_probe.dtype
             hold = [x_probe]
             sweep, places = _sweep(watched)
             bound = list(zip(binders, places))

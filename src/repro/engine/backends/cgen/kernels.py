@@ -132,12 +132,14 @@ typedef struct {{
     i64 f, oh, ow, kn[3], ks[3], a0, as_f, da, db;
     i64 o0, ldo, oy, ox, acc;
 }} conv_dims;
-/* store-time epilogue: bias (compute dtype, may be 0), then mode 1 —
+/* store-time epilogue: bias (compute dtype, may be 0) — then the panel
+ * kernel stores a stem's pre-BN rows to `rows`, when set — then mode 1 —
  * per-sample folded affine e0=scale e1=shift, rows of f per sample — or
  * mode 2 — running stats e0=mean e1=var e2=gamma e3=beta — then ReLU */
 typedef struct {{
     const void* bias; i64 mode;
     const double *e0, *e1, *e2, *e3; double eps; i64 relu;
+    void* rows;
 }} conv_epi;
 static inline i64 conv_kt(const conv_dims* D)
 {{
@@ -184,18 +186,24 @@ static void conv_taps(const conv_pad* P, const conv_dims* D,
 
 
 def _epilogue_source(ct: str) -> str:
-    """``NR_<ct>`` (pixels per register tile) and ``epilogue_<ct>``: the
-    numpy closure's post-GEMM op sequence over one output row, op-for-op
-    — the bias add, then ``_bn_epilogue`` and ReLU."""
+    """``NR_<ct>`` (pixels per register tile) and the epilogue: the numpy
+    closure's post-GEMM op sequence over one output row, op-for-op — the
+    bias add (``epi_bias_<ct>``), then ``_bn_epilogue`` and ReLU
+    (``epi_fold_<ct>``), a stem's rows stored between the two by the panel
+    kernel and ``gemmk_<ct>`` alike."""
     return f"""\
 #define NR_{ct} ({_NV} * (i64)(VEC_BYTES / sizeof({ct})))
-static inline void epilogue_{ct}({ct}* restrict t, i64 nv, i64 fi,
+static inline void epi_bias_{ct}({ct}* restrict t, i64 nv, i64 fi,
                                  const conv_epi* E)
 {{
     if (E->bias) {{
         const {ct} b = ((const {ct}*)E->bias)[fi];
         for (i64 q = 0; q < nv; ++q) t[q] = t[q] + b;
     }}
+}}
+static inline void epi_fold_{ct}({ct}* restrict t, i64 nv, i64 fi,
+                                 const conv_epi* E)
+{{
     if (E->mode == 1) {{
         const double sc = E->e0[fi], sh = E->e1[fi];
         for (i64 q = 0; q < nv; ++q) {{
@@ -225,20 +233,20 @@ def _gemm_source(ct: str) -> str:
     """``gemm_<ct>``, band parity: the register-blocked implicit GEMM.
 
     ``acc[i, j] = sum_k A[i, aoff[k]] * xp[boff[k] + j]`` for the flat
-    positions ``[j0, j1)`` of one ``conv_dims`` over a padded copy.  A
-    tile of ``CONV_MR x NR`` accumulators stays in named vector registers
-    across the whole ``k`` walk — per tap one unaligned panel load,
-    straight from the copy, feeds ``CONV_MR`` broadcast-FMA rows — and is
-    spilled once, to a stack tile the epilogue runs over before the valid
-    lanes are stored through the output view row by row (``dst + acc``
-    for an accumulating gradient).  Every output element is the same
-    serial-``k`` FMA chain in its own vector lane whatever the panel or
-    the lane is: the lanes past a row's end read the cells they fall on
-    (the next row, or up to NR - 1 cells of slack after the copy) and are
-    dropped, and edge filter blocks repeat the last filter rather than
-    take a scalar remainder path — which is what keeps outputs bitwise
-    identical across thread counts, tile shapes and the parent's
-    explicit-im2col kernel.
+    positions ``[j0, j1)`` of one ``conv_dims`` over a padded copy.  A tile
+    of ``CONV_MR x NR`` accumulators stays in named vector registers across
+    the whole ``k`` walk — per tap one unaligned panel load, straight from
+    the copy, feeds ``CONV_MR`` broadcast-FMA rows — and is spilled once, to
+    a stack tile the epilogue runs over before the valid lanes are stored
+    through the output view row by row (``dst + acc`` for an accumulating
+    gradient; a stem's pre-BN rows too).  Every output element is the same
+    serial-``k`` FMA chain in its own vector lane whatever the panel or the
+    lane is: the lanes past a row's end read the cells they fall on (the
+    next row, or up to NR - 1 cells of slack after the copy) and are
+    dropped, and edge filter blocks repeat the last filter rather than take
+    a scalar remainder path — which is what keeps outputs bitwise identical
+    across thread counts, tile shapes and the parent's explicit-im2col
+    kernel.
     """
     vecs = range(_NV)
     zero = ", ".join(f"c##r##{v} = {{0}}" for v in vecs)
@@ -302,7 +310,11 @@ static void gemm_{ct}(const {ct}* restrict A, const {ct}* restrict xp,
             const i64 mr = f - f0 < CONV_MR ? f - f0 : CONV_MR;
             for (i64 r = 0; r < mr; ++r) {{
                 const i64 fi = f0 + r;
-                epilogue_{ct}(tile[r], NR, fi, E);
+                epi_bias_{ct}(tile[r], NR, fi, E);
+                if (E->rows)
+                    panel_store_{ct}(tile[r], ({ct}*)E->rows + fi * D->ldo,
+                                     D, pw, py, px);
+                epi_fold_{ct}(tile[r], NR, fi, E);
                 panel_store_{ct}(tile[r], O + fi * D->ldo, D, pw, py, px);
             }}
         }}
@@ -390,6 +402,7 @@ static void conv_{xt}_{ct}(const {xt}* X, const {ct}* A, {ct}* O,
         pad_{xt}_{ct}(X + n * P->c * P->h * P->w, xp, P);
         conv_epi En = *E;
         if (En.mode == 1) {{ En.e0 += n * D->f; En.e1 += n * D->f; }}
+        if (En.rows) En.rows = ({ct}*)En.rows + n * D->f * D->ldo;
         for (i64 d = 0, base = 0, at = 0; d < nd; ++d) {{
             const conv_dims* G = D + d;
             const i64 kt = conv_kt(G), panels = conv_panels(G, pw, NR);
@@ -423,7 +436,7 @@ def _gemmk_source(ct: str) -> str:
     takes the last ``kt % VL`` taps as scalars; edge tiles repeat the
     last filter / position, so every output is the same chain wherever it
     falls in a tile or a batch.  A filter block's results then take
-    ``epilogue_<ct>`` once per (filter, sample), as the panel kernel's
+    the epilogue once per (filter, sample), as the panel kernel's
     do, and go through the output view.
     """
     rows = range(_SG_ROWS)
@@ -517,7 +530,11 @@ static void gemmk_{ct}(const {ct}* restrict A, const {ct}* restrict rows,
             {ct}* row = res + r * np + s * hw;
             conv_epi En = *E;
             if (En.mode == 1) {{ En.e0 += s * f; En.e1 += s * f; }}
-            epilogue_{ct}(row, hw, f0 + r, &En);
+            epi_bias_{ct}(row, hw, f0 + r, &En);
+            if (En.rows)  /* a stem: laid out like its (forward) output */
+                memcpy(({ct}*)En.rows + (s * f + f0 + r) * D->ldo, row,
+                       hw * sizeof({ct}));
+            epi_fold_{ct}(row, hw, f0 + r, &En);
             {ct}* o = O + (s * f + f0 + r) * D->ldo;
             for (i64 y = 0; y < oh; ++y)
             for (i64 x = 0; x < ow; ++x) {{
@@ -876,9 +893,10 @@ typedef struct {
 } bn_dest;
 typedef struct { i64 ntaps, groups; bn_tap taps[]; } update_args;
 /* Slots dests (bn_dest per group and tap), H — per group (lr, momentum,
- * running-stat momentum) — and the armed flag.  Op for op
- * update_running_stat (momentum 1.0 is a plain copy) then sgd_update
- * without weight decay or Nesterov; disarms itself. */
+ * running-stat momentum) —, the armed flag and the loss tail's per-group
+ * finite flags: a group whose loss is not finite is skipped whole.  Op
+ * for op update_running_stat (momentum 1.0 is a plain copy) then
+ * sgd_update without weight decay or Nesterov; disarms itself. */
 KERNEL(bn_update)
 {
     const update_args* a = (const update_args*)A;
@@ -887,11 +905,12 @@ KERNEL(bn_update)
     const bn_dest* D = (const bn_dest*)T[S[0]];
     const double* H = (const double*)T[S[1]];
     i64* armed = (i64*)T[S[2]];
+    const i64* finite = (const i64*)T[S[3]];
     (void)tid; (void)nt;
     if (!*armed) return;
     *armed = 0;
     for (i64 k = 0; k < groups; ++k)
-    for (i64 j = 0; j < ntaps; ++j) {
+    for (i64 j = 0; j < ntaps && finite[k]; ++j) {
         const double lr = H[3 * k], mom = H[3 * k + 1], sm = H[3 * k + 2];
         const bn_dest* d = D + k * ntaps + j;
         const i64 c = taps[j].c;
@@ -929,9 +948,9 @@ KERNEL(bn_update)
 
 # -- what a plan is to the library: rows over one args blob ----------------
 
-ROW_SLOTS = 11  # a conv with a BN epilogue: out, x, weight, bias, 7 BN
+ROW_SLOTS = 12  # a stem conv: out, x, weight, bias, 7 BN, its rows
 STAGE_ROW = _struct("kernel mt args slot", slot=(ROW_SLOTS,))
-CONV_ARGS = _struct("P PF DF nd dgrad bias bn relu d:eps",
+CONV_ARGS = _struct("P PF DF nd dgrad bias bn relu rows d:eps",
                     P=CONV_PAD, PF=CONV_PAD, DF=CONV_DIMS)  # then nd x CONV_DIMS
 BN_ARGS = _struct("groups gs c hw per_group sink d:scalar")
 SWEEP_ARGS = _struct("outer len inner flag d:value")
@@ -958,9 +977,10 @@ typedef void kernel_sig(char** T, const i64* S, const void* A,
  * again for a forward conv; for `dgrad` the conv whose input gradient
  * this is, acc set to add into the sink).  Slots: out, x, weight, bias
  * (when `bias`), then when `bn` the per-sample flag, its (scale, shift)
- * and the running (mean, var, gamma, beta). */
+ * and the running (mean, var, gamma, beta), and when `rows` (a forward
+ * conv) slot 11 the stem's pre-BN rows. */
 typedef struct {{
-    conv_pad P, PF; conv_dims DF; i64 nd, dgrad, bias, bn, relu;
+    conv_pad P, PF; conv_dims DF; i64 nd, dgrad, bias, bn, relu, rows;
     double eps;
     conv_dims D[];
 }} conv_args;
@@ -1001,10 +1021,11 @@ KERNEL(conv_{xt}_{ct})
     const {xt}* x = (const {xt}*)T[S[1]];
     const {ct}* w = (const {ct}*)T[S[2]];
     {ct}* o = ({ct}*)T[S[0]];
-    conv_epi E = {{a->bias ? T[S[3]] : 0, 0, 0, 0, 0, 0, a->eps, a->relu}};
+    conv_epi E = {{a->bias ? T[S[3]] : 0, 0, 0, 0, 0, 0, a->eps, a->relu,
+                  a->rows ? T[S[11]] : 0}};
     if (a->bn) {{
         /* the fleet's per-sample folded affine when installed, else the
-         * live running statistics (see epilogue_<ct>) */
+         * live running statistics (see epi_fold_<ct>) */
         const int folded = *(const i64*)T[S[4]] != 0;
         E.mode = folded ? 1 : 2;
         E.e0 = (const double*)T[S[folded ? 5 : 7]];
@@ -1083,8 +1104,9 @@ FLAT(relu_bwd, {ct}, Y[t] > ({ct})0 ? X[t] * ({ct})1 : X[t] * ({ct})0)
 
 def _line_source(ct: str) -> str:
     """The entropy tail's axis reductions: ``reduce`` sums serially where
-    numpy sums pairwise (``broadcast`` is its gradient: every element of a
-    line gets the line's); ``logsoftmax`` is ``x - max - log(sum(exp(x -
+    numpy sums pairwise (and flags each finite line in a bound Y slot: the
+    loss mean's rail); ``broadcast`` is its gradient: every element of a
+    line gets the line's; ``logsoftmax`` is ``x - max - log(sum(exp(x -
     max)))``, its backward ``g - softmax * sum(g)`` from the saved output."""
     f = "" if ct == "double" else "f"
     return f"""\
@@ -1092,6 +1114,7 @@ LINE_STAGE(reduce, {ct})
         {ct} s = ({ct})0;
         for (i64 i = 0; i < len; ++i) s += X[at + i * inner];
         O[u] = flag ? s / ({ct})len : s;
+        if (S[2]) ((i64*)T[S[2]])[u] = isfinite(O[u]);
 LINE_END
 LINE_STAGE(broadcast, {ct})
         for (i64 i = 0; i < len; ++i) PUT(O[at + i * inner], X[u]);

@@ -10,7 +10,11 @@ retraces — plans are cached per ``(shape, dtype)``.
 
 :class:`CompiledAdaptStep` is the training-side twin: a cache of
 :class:`~repro.engine.adapt_plan.AdaptationPlan` objects keyed by
-``(shape, dtype, groups)``, tracing the entropy step on demand.
+``(shape, dtype, groups, from_stem)``, tracing the entropy step on
+demand.  A ``from_stem`` plan starts from the stem rows an inference
+plan of the same backend wrote
+(:attr:`~repro.engine.plan.ExecutionPlan.stem_rows`) instead of from the
+images, so a served frame's stem conv runs once.
 """
 
 from __future__ import annotations
@@ -126,20 +130,24 @@ class CompiledAdaptStep:
         self.threads = threads  # kernel pool width (codegen backends)
         self._plans: Dict[Tuple, AdaptationPlan] = {}
 
-    def plan_for(self, arr: np.ndarray, groups: int = 1) -> AdaptationPlan:
-        """The (cached) adaptation plan for ``arr``'s signature.
+    def plan_for(self, arr: np.ndarray, groups: int = 1,
+                 from_stem: bool = False) -> AdaptationPlan:
+        """The (cached) adaptation plan for the image batch ``arr``'s
+        signature; with ``from_stem`` the plan that takes those images'
+        stem rows instead (see :mod:`repro.engine.adapt_plan`).
 
         Raises :class:`~repro.engine.adapt_plan.UnsupportedAdaptGraph`
         when the traced step contains an op the plan cannot lower — the
         caller falls back to the eager autograd step.  The trace graph is
         not retained: the plan's closures captured what replay needs.
         """
-        key = (arr.shape, arr.dtype.str, int(groups))
+        key = (arr.shape, arr.dtype.str, int(groups), bool(from_stem))
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plans[key] = self.backend.compile(
                 trace_entropy_step(self.model, arr, self.loss_fn),
                 groups=groups, profile=self.profile, threads=self.threads,
+                from_stem=from_stem,
             )
         return plan
 
@@ -152,6 +160,12 @@ class CompiledAdaptStep:
         self.plan_for(
             x.data if isinstance(x, Tensor) else np.asarray(x), groups=groups
         )
+
+    def takes_rows_from(self, engine: CompiledInference) -> bool:
+        """Whether this step's plans can start from the stem rows
+        ``engine``'s plans write: the same backend at the same width, so
+        the rows are the bytes this step's own stem conv would write."""
+        return engine.backend is self.backend and engine.threads == self.threads
 
     @property
     def num_plans(self) -> int:

@@ -89,6 +89,21 @@ def op_kind(node: OpNode) -> str:
     return OP_KINDS.get(node.function, "generic")
 
 
+def stem_index(graph: TraceGraph) -> Optional[int]:
+    """Position of the graph's *stem*: the conv that is the one reader of
+    the graph input (``None`` when the input has another reader or its
+    reader is no conv).  An inference plan hands out the stem's pre-BN
+    rows; an adaptation plan can start from them instead of the input."""
+    readers = [
+        index for index, node in enumerate(graph.nodes)
+        if any(isinstance(r, ValueRef) and r.vid == graph.input_vid
+               for r in node.inputs)
+    ]
+    if len(readers) == 1 and op_kind(graph.nodes[readers[0]]) == "conv":
+        return readers[0]
+    return None
+
+
 @dataclass(frozen=True)
 class PlanStats:
     """Introspection summary of a compiled plan."""
@@ -102,15 +117,19 @@ class PlanStats:
     workspace_bytes: int  # dedicated im2col/pool workspaces
 
 
-def _bn_epilogue(buf3: np.ndarray, module, n: int) -> None:
-    """Apply eval-mode BN in place on a ``(N, C, P)`` GEMM output.
+def _bn_epilogue(buf3: np.ndarray, module, n: int, src=None) -> None:
+    """Apply eval-mode BN to a ``(N, C, P)`` GEMM output ``src`` (default:
+    ``buf3`` itself), writing ``buf3``.
 
     Mirrors the eager ops exactly: per-sample folded affine when the
     fleet override is installed, else normalize with the running stats
     (subtract mean, scale by 1/sqrt(var+eps), then gamma/beta) — the
     same elementwise kernel sequence :func:`repro.nn.functional.batch_norm`
-    runs in eval mode, minus the temporaries.
+    runs in eval mode, minus the temporaries.  Only the first op reads
+    ``src``; out of place it is the same ufunc on the same values.
     """
+    if src is None:
+        src = buf3
     if module.training:
         raise RuntimeError(
             "compiled plan replayed with a BatchNorm layer in training "
@@ -124,11 +143,11 @@ def _bn_epilogue(buf3: np.ndarray, module, n: int) -> None:
             raise ValueError(
                 f"per_sample_stats shaped {scale.shape}, expected ({n}, {c})"
             )
-        buf3 *= scale.reshape(n, c, 1)
+        np.multiply(src, scale.reshape(n, c, 1), out=buf3)
         buf3 += shift.reshape(n, c, 1)
     else:
         inv_std = 1.0 / np.sqrt(module.running_var + module.eps)
-        buf3 -= module.running_mean.reshape(1, c, 1)
+        np.subtract(src, module.running_mean.reshape(1, c, 1), out=buf3)
         buf3 *= inv_std.reshape(1, c, 1)
         buf3 *= module.weight.data.reshape(1, c, 1)
         buf3 += module.bias.data.reshape(1, c, 1)
@@ -292,9 +311,14 @@ class StaticPlan:
         return run
 
     # -- shared forward stage builders ------------------------------------
-    def _lower_conv(self, node, out_vid, bn_module=None, relu=False):
+    def _lower_conv(self, node, out_vid, bn_module=None, relu=False,
+                    rows=False):
         """conv [-> eval-BN] [-> relu] into the buffer backing ``out_vid``;
-        returns the layer's :class:`~.backends.core.ConvLowering`."""
+        returns the layer's :class:`~.backends.core.ConvLowering`.
+
+        ``rows``: the GEMM (bias added) lands in a plan-owned buffer of its
+        own, kept as :attr:`ExecutionPlan.stem_rows`, and the epilogue
+        reads it from there."""
         x_ref = node.inputs[0]
         x_shape, x_dtype = self._ref_shape_dtype(x_ref)
         weight = node.inputs[1].tensor
@@ -314,6 +338,9 @@ class StaticPlan:
             out_vid, (n, f_out, geo.out_h, geo.out_w), geo.compute_dtype
         )
         out3 = out4.reshape(n, f_out, p_total)
+        acc3 = np.empty_like(out3) if rows else out3
+        if rows:
+            self.stem_rows = acc3.reshape(out4.shape)
         get_x = self._getter(x_ref)
 
         def im2col():
@@ -329,21 +356,26 @@ class StaticPlan:
             return cols
 
         def gemm(cc):
-            np.matmul(weight.data.reshape(f_out, k_total), cc, out=out3)
+            np.matmul(weight.data.reshape(f_out, k_total), cc, out=acc3)
 
         def epilogue():
             if bias is not None:
-                np.add(out3, bias.data.reshape(1, -1, 1), out=out3)
+                np.add(acc3, bias.data.reshape(1, -1, 1), out=acc3)
+            src = acc3
             if bn_module is not None:
-                _bn_epilogue(out3, bn_module, n)
+                _bn_epilogue(out3, bn_module, n, src)
+                src = out3
             if relu:
-                np.maximum(out3, 0.0, out=out3)
+                np.maximum(src, 0.0, out=out3)
+            elif src is not out3:
+                np.copyto(out3, src)
 
         self._offer(
             "conv",
             dict(
                 geo=geo, x_src=self._render_source(x_ref), weight=weight,
                 bias=bias, bn_module=bn_module, relu=relu, out3=out3,
+                rows=acc3 if rows else None,
             ),
             self._gemm_stage(im2col, gemm, epilogue),
         )
@@ -486,11 +518,17 @@ class ExecutionPlan(StaticPlan):
     ``run`` returns a view into plan-owned storage: the contents are
     overwritten by the next ``run`` call, so copy if you need to keep a
     result across frames (serving loops decode immediately and don't).
+
+    The plan's second output is :attr:`stem_rows`: the stem conv's rows
+    before its BN epilogue, ``(N, F, H', W')``, what an adaptation plan
+    compiled ``from_stem`` takes as its input — plan-owned storage the
+    next ``run`` overwrites too (``None``: the graph has no fusable stem).
     """
 
     def __init__(self, graph: TraceGraph, profile: bool = False,
                  renderer=None):
         self._steps: List[Callable[[], None]] = []
+        self.stem_rows: Optional[np.ndarray] = None
         super().__init__(graph, profile, renderer)
 
     @property
@@ -518,6 +556,7 @@ class ExecutionPlan(StaticPlan):
         arena = self._arena
         blocks: Dict[int, _Block] = {}
         self._ct.blocks, self._ct.last_use = blocks, last_use
+        stem = stem_index(graph)
         fused = 0
         num_stages = 0
 
@@ -571,7 +610,7 @@ class ExecutionPlan(StaticPlan):
                     self._lower_conv(
                         node, out_vid,
                         bn_node.module if bn_node is not None else None,
-                        relu_node is not None,
+                        relu_node is not None, rows=index == stem,
                     )
                 else:
                     self._lower_linear(node, out_vid, relu_node is not None)

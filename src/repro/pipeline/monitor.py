@@ -43,6 +43,7 @@ class FrameRecord:
     entropy: Optional[float] = None  # adaptation loss when a step ran
     adapted: bool = False
     adapt_ms: Optional[float] = None  # adaptation-step latency when one ran
+    refused: bool = False  # the step's loss was not finite: nothing written
 
 
 @dataclass
@@ -89,6 +90,11 @@ class PipelineReport:
     @property
     def adaptation_steps(self) -> int:
         return sum(1 for f in self.frames if f.adapted)
+
+    @property
+    def refused_steps(self) -> int:
+        """Steps whose loss was not finite, so they wrote nothing."""
+        return sum(1 for f in self.frames if f.refused)
 
     def latency_percentile(self, q: float) -> float:
         """Latency percentile ``q`` in [0, 100] over all frames."""

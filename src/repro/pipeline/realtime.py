@@ -18,7 +18,10 @@ default — a traced static plan with fused conv-BN-ReLU stages and arena
 buffer reuse, bit-exact against eager.  Adaptation steps use the same
 machinery: :class:`repro.adapt.LDBNAdapt` replays the compiled entropy
 step (train-mode forward + backward restricted to BN gamma/beta), warmed
-here outside the timed region like the inference plan.
+here outside the timed region like the inference plan.  An adapter that
+leaves its backend and width to the loop compiles with the pipeline's,
+and is handed each frame's stem rows from the inference replay, so its
+steps skip the stem conv the frame was already served through.
 ``repro.nn.inference_mode(False)`` forces eager inference and
 ``repro.nn.adaptation_mode(False)`` the eager adaptation step (the
 escape hatches).
@@ -116,13 +119,18 @@ class RealTimePipeline:
             self._adapt_ms = None
         self.timer = Timer()
         self._compiled = None  # built lazily on the first compiled forward
-        self._warmed = set()  # frame signatures already traced/compiled
+        adapter.share_engine(self.config.backend, self.threads)
+        # frame signatures already traced/compiled -> the stem rows view
+        # the adapter is handed (None: it steps on the images)
+        self._warmed: dict = {}
 
     # ------------------------------------------------------------------
-    def _warm_engine(self, frame: LaneSample) -> None:
+    def _warm_engine(self, frame: LaneSample) -> Optional[np.ndarray]:
         """Trace/compile outside the timed region, once per frame
         signature: shape, dtype and the compiled-path switches in force
-        (so a run under a toggled mode still warms what it will use)."""
+        (so a run under a toggled mode still warms what it will use).
+        Returns where the inference replay leaves the frame's stem rows
+        when the adapter takes them, else None."""
         image = frame.image
         compiled_inference = nn.compiled_inference_enabled()
         key = (
@@ -130,8 +138,8 @@ class RealTimePipeline:
             nn.compiled_adaptation_enabled(),
         )
         if key in self._warmed:
-            return
-        self._warmed.add(key)
+            return self._warmed[key]
+        rows = None
         if compiled_inference:
             if self._compiled is None:
                 self._compiled = compile_model(
@@ -140,7 +148,16 @@ class RealTimePipeline:
                 )
             self.model.eval()
             self._compiled.warm(image[None])
-        self.adapter.warm(image)
+            stem = self._compiled.plan_for(
+                (1,) + image.shape, image.dtype
+            ).stem_rows
+            if stem is not None and self.adapter.takes_rows_from(
+                self._compiled
+            ):
+                rows = stem[0]
+        self.adapter.warm(image, from_stem=rows is not None)
+        self._warmed[key] = rows
+        return rows
 
     def _predict(self, frame: LaneSample) -> np.ndarray:
         """Lane estimates ``(1, anchors, lanes)`` of one frame."""
@@ -184,11 +201,11 @@ class RealTimePipeline:
                 report.truncated = True
                 break
 
-            self._warm_engine(frame)
+            rows = self._warm_engine(frame)
             start = clock()
             pred = self._predict(frame)
             served = clock()
-            result = observe(frame.image)
+            result = observe(frame.image, rows)
             adapt_s = clock() - served
             timer.add("inference", served - start)
             timer.add("adaptation", adapt_s)
@@ -216,6 +233,7 @@ class RealTimePipeline:
                     entropy=result.loss if result else None,
                     adapted=result is not None,
                     adapt_ms=adapt_ms,
+                    refused=result is not None and result.refused,
                 )
             )
         return report

@@ -21,6 +21,12 @@ adaptation plan (:class:`repro.engine.CompiledAdaptStep` with
   match serial stepping to float precision (the only divergence is GEMM
   batching at the last-ulp level).
 
+A fused group starts from its members' stem rows — the ones the launch's
+inference replay wrote, gathered by the members' positions in the launch
+(:meth:`FleetAdaptationBatcher.stage`'s ``rows``), beside each adapter's
+buffered ones — and replays the plan compiled ``from_stem``; when any
+member frame has none (a restored one) the group starts from the images.
+
 Batching contract: a stream joins a fused step when its adapter is an
 :class:`~repro.adapt.LDBNAdapt`, the incoming frame completes its
 adaptation batch, and the fused batch sizes agree.  Learning rates,
@@ -68,14 +74,14 @@ class StagedGroupStep:
     """
 
     __slots__ = (
-        "batcher", "sessions", "images", "plan", "group_size",
+        "batcher", "sessions", "inputs", "plan", "group_size",
         "results", "per_stream_ms", "done_clock_ms",
     )
 
-    def __init__(self, batcher, sessions, images, plan, group_size):
+    def __init__(self, batcher, sessions, inputs, plan, group_size):
         self.batcher = batcher
         self.sessions = sessions
-        self.images = images
+        self.inputs = inputs  # the plan input: images, or their stem rows
         self.plan = plan
         self.group_size = group_size
         self.results: Optional[Dict[int, AdaptResult]] = None
@@ -145,35 +151,52 @@ class FleetAdaptationBatcher:
             return None  # this frame only buffers; no step to fuse
         return key
 
+    def takes_rows_from(self, engine) -> bool:
+        """Whether stem rows ``engine`` wrote can start this batcher's
+        fused steps (see :meth:`CompiledAdaptStep.takes_rows_from`)."""
+        return self._compiled.takes_rows_from(engine)
+
     def stage(
-        self, sessions: Sequence[StreamSession], frames: Sequence[np.ndarray]
+        self, sessions: Sequence[StreamSession], frames: Sequence[np.ndarray],
+        rows: Optional[Sequence[np.ndarray]] = None,
     ) -> Optional[StagedGroupStep]:
         """Assemble one fused step (trace/compile outside timed regions).
 
-        ``frames`` holds each session's incoming frame image; buffered
-        frames from previous ticks complete each stream's batch.  Returns
-        None when the step cannot be compiled — the caller falls back to
-        serial stepping (nothing has been consumed from the adapters).
+        ``frames`` holds each session's incoming frame image and ``rows``
+        (optional) its stem rows, as the launch's inference replay wrote
+        them; buffered frames from previous ticks complete each stream's
+        batch.  Both are copied.  Returns None when the step cannot be
+        compiled — the caller falls back to serial stepping (nothing has
+        been consumed from the adapters).
         """
         if self._unsupported:
             return None
         group_size = sessions[0].adapter.config.batch_size
-        batches = []
-        for session, image in zip(sessions, frames):
+        images, stems = [], []
+        for k, (session, image) in enumerate(zip(sessions, frames)):
             image = np.asarray(image, dtype=np.float32)
             if image.ndim != 3:
                 raise ValueError(
                     f"expected a single (3, H, W) frame, got {image.shape}"
                 )
-            batches.append(np.stack(session.adapter._buffer + [image]))
-        images = np.concatenate(batches)
+            images += session.adapter.pending_images + [image]
+            stems += session.adapter.pending_rows + [
+                None if rows is None else rows[k]
+            ]
+        images = np.stack(images)
+        from_stem = all(r is not None for r in stems)
         try:
-            plan = self._compiled.plan_for(images, groups=len(sessions))
+            plan = self._compiled.plan_for(
+                images, groups=len(sessions), from_stem=from_stem
+            )
         except UnsupportedAdaptGraph:
             self._unsupported = True
             return None
         self._fused_proven = True
-        return StagedGroupStep(self, list(sessions), images, plan, group_size)
+        return StagedGroupStep(
+            self, list(sessions), np.stack(stems) if from_stem else images,
+            plan, group_size,
+        )
 
     # ------------------------------------------------------------------
     def _execute(self, staged: StagedGroupStep) -> Dict[int, AdaptResult]:
@@ -185,18 +208,14 @@ class FleetAdaptationBatcher:
                 *_, gamma, beta = session.bn_arrays(tap.module)
                 tap.gamma_slot[k] = gamma
                 tap.beta_slot[k] = beta
-        losses = plan.run(staged.images, update=sessions)
+        losses = plan.run(staged.inputs, update=sessions)
 
         results: Dict[int, AdaptResult] = {}
         for k, session in enumerate(sessions):
             adapter = session.adapter
-            adapter._buffer.clear()
-            adapter._step += 1
-            loss = float(losses[k])
-            results[id(session)] = AdaptResult(
-                loss=loss,
-                num_frames=staged.group_size,
-                step_index=adapter._step,
-                extras={"entropy": loss},
+            adapter.clear_pending()
+            results[id(session)] = adapter.record_step(
+                float(losses[k]), staged.group_size,
+                refused=not plan.finite[k],
             )
         return results

@@ -265,7 +265,7 @@ def pack_session_state(
                 if slot in _SCRATCH_SLOTS:
                     continue
                 arrays[f"opt.{j}.{slot}"] = value
-    pending = session.adapter._buffer
+    pending = session.adapter.pending_images
     for k, frame in enumerate(pending):
         arrays[f"adapt.buffer.{k}"] = frame
     drift = getattr(session, "drift", None)
@@ -369,10 +369,10 @@ def restore_session_state(
                 _, j, slot = key.split(".", 2)
                 slots = optimizer.state.setdefault(id(optimizer.params[int(j)]), {})
                 slots[slot] = int(value) if slot == "step" else value.copy()
-    session.adapter._buffer = [
-        arrays[f"adapt.buffer.{k}"].copy()
+    session.adapter.restore_pending([
+        arrays[f"adapt.buffer.{k}"]
         for k in range(int(meta.get("adapt_pending", 0)))
-    ]
+    ])
     session.adapter._step = int(meta["adapter_step"])
     drift = getattr(session, "drift", None)
     if drift is not None and "drift" in meta:

@@ -218,7 +218,7 @@ class SessionDriftState:
         # momentum/buffered frames from the dead regime must not steer
         # the new one
         session.adapter.optimizer.state.clear()
-        session.adapter._buffer = []
+        session.adapter.clear_pending()
         # re-align the stagger so the next frame is due for adaptation,
         # and open a short every-frame burst: recovery must not wait out
         # the stride, nor ride one frame's noisy statistics estimate

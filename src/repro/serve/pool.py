@@ -769,7 +769,7 @@ class DeviceWorker:
         self._m_batch_sizes.record(plan.batch_size)
         self.frames_served += plan.batch_size
 
-        logits, preds = self._forward(sessions, frames)
+        logits, preds, rows = self._forward(sessions, frames)
         if config.latency_model == "orin":
             infer_ms = plan.planned_latency_ms
         else:
@@ -798,7 +798,7 @@ class DeviceWorker:
                 "decode", clock_ms, pid=self.name, tid="device", cat="batch"
             )
         decisions, group_of = self._plan_adaptation(
-            plan, start_ms, infer_ms, leftover_depth
+            plan, start_ms, infer_ms, leftover_depth, rows
         )
         # drift detection feeds on the forward the batch already paid
         # for; with no session listening this is skipped outright and
@@ -818,7 +818,8 @@ class DeviceWorker:
             if fed:
                 session.adapt_grants += 1
                 result, adapt_step_ms, clock_ms, completion_ms = self._adapt(
-                    session, frame, group_of.get(id(req)), clock_ms
+                    session, frame, group_of.get(id(req)), clock_ms,
+                    None if rows is None else rows[frame_pos],
                 )
             else:
                 session.adapt_skips += 1
@@ -848,11 +849,14 @@ class DeviceWorker:
         return clock_ms
 
     def _forward(self, sessions: List[StreamSession], frames):
-        """The batch's one shared forward, decoded: ``(logits, preds)``.
+        """The batch's one shared forward, decoded: ``(logits, preds,
+        rows)`` — ``rows`` the stem rows the replay wrote (None when
+        inference ran eager, or the plan has no stem).
 
-        ``logits`` views storage the pool's engine overwrites on its
-        next replay of this batch shape — every reader (decode, the
-        drift entropy) runs before this worker returns to the loop.
+        ``logits`` and ``rows`` view storage the pool's engine overwrites
+        on its next replay of this batch shape — every reader (decode,
+        the drift entropy, the adapters and fused groups copying rows)
+        runs before this worker returns to the loop.
         """
         images = np.stack([f.image for f in frames]).astype(np.float32)
         compiled = nn.compiled_inference_enabled()
@@ -874,14 +878,19 @@ class DeviceWorker:
                 logits.numpy(), self.model.config,
                 method=self.config.decode_method,
             )
-        return logits, preds
+        return logits, preds, (
+            self._compiled.plan_for(images.shape, images.dtype).stem_rows
+            if compiled else None
+        )
 
     def _adapt(
         self, session: StreamSession, frame,
-        group: Optional[StagedGroupStep], clock_ms: float,
+        group: Optional[StagedGroupStep], clock_ms: float, rows,
     ):
         """Feed one granted frame to its adapter — through its fused
-        group when staging placed it in one, else the serial stepper.
+        group when staging placed it in one, else the serial stepper,
+        handed the frame's stem ``rows`` when it takes them from the
+        pool's engine.
 
         Returns ``(result, adapt_step_ms, clock_ms, completion_ms)``:
         the step's :class:`AdaptResult` (None when the frame only
@@ -893,9 +902,12 @@ class DeviceWorker:
                 clock_ms = self._run_group(group, clock_ms)
             result = group.results[id(session)]
             return result, group.per_stream_ms, clock_ms, group.done_clock_ms
+        adapter = session.adapter
+        if rows is not None and not adapter.takes_rows_from(self._compiled):
+            rows = None
         session.swap_in()
         with self.timer.measure("adaptation"):
-            result = session.adapter.observe_frame(frame.image)
+            result = adapter.observe_frame(frame.image, rows)
         session.swap_out()
         if result is None:
             return None, 0.0, clock_ms, clock_ms
@@ -1171,7 +1183,8 @@ class DeviceWorker:
             )
 
     def _plan_adaptation(
-        self, plan: BatchPlan, start_ms: float, infer_ms: float, leftover_depth: int
+        self, plan: BatchPlan, start_ms: float, infer_ms: float,
+        leftover_depth: int, rows: Optional[np.ndarray],
     ) -> Tuple[Dict[int, _Decision], Dict[int, StagedGroupStep]]:
         """Admission decisions + staged fused steps for this served batch.
 
@@ -1180,36 +1193,44 @@ class DeviceWorker:
         step joining a fused replay; everything else granted keeps the
         serial path.  Staging (batch assembly + one-time trace/compile)
         happens here, outside the timed region, mirroring the inference
-        engine's ``warm``.
+        engine's ``warm``; a group gathers its members' stem rows from
+        the launch's ``rows`` by their positions in the batch.
         """
         decisions = self._admission_decisions(plan, start_ms, infer_ms, leftover_depth)
         self._reconcile_buffer_drift(plan, decisions)
         group_of: Dict[int, StagedGroupStep] = {}
         due = []
         seen_sessions = set()
-        for req in plan.requests:
+        for pos, req in enumerate(plan.requests):
             session, frame = req.payload
             if not decisions[id(req)].feed or id(session) in seen_sessions:
                 continue
             seen_sessions.add(id(session))
-            due.append((req, session, frame))
+            due.append((req, session, frame, pos))
         if self.config.batch_adaptation:
             candidates = [
-                (self._adapt_batcher.group_key(session), (req, session, frame))
-                for req, session, frame in due
+                (self._adapt_batcher.group_key(member[1]), member)
+                for member in due
             ]
             groups, _ = plan_adaptation_groups(candidates)
+            gather = rows is not None and self._adapt_batcher.takes_rows_from(
+                self._compiled
+            )
             for members in groups:
                 staged = self._adapt_batcher.stage(
-                    [session for _, session, _ in members],
-                    [frame.image for _, _, frame in members],
+                    [session for _, session, _, _ in members],
+                    [frame.image for _, _, frame, _ in members],
+                    [rows[pos] for *_, pos in members] if gather else None,
                 )
                 if staged is None:  # graph not lowerable: serial fallback
                     continue
-                for req, _, _ in members:
+                for req, *_ in members:
                     group_of[id(req)] = staged
         # serial steppers warm their compiled plan outside the timed region
-        for req, session, frame in due:
+        for req, session, frame, _ in due:
             if id(req) not in group_of:
-                session.adapter.warm(frame.image)
+                session.adapter.warm(
+                    frame.image, from_stem=rows is not None
+                    and session.adapter.takes_rows_from(self._compiled),
+                )
         return decisions, group_of

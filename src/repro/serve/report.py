@@ -240,6 +240,11 @@ class FleetReport:
         return sum(r.adaptation_steps for r in self.stream_reports.values())
 
     @property
+    def refused_steps(self) -> int:
+        """Steps whose loss was not finite, so they wrote nothing."""
+        return sum(r.refused_steps for r in self.stream_reports.values())
+
+    @property
     def adapting_streams(self) -> int:
         """Streams that took at least one adaptation step."""
         return sum(

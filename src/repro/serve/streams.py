@@ -339,6 +339,7 @@ class StreamSession:
             entropy=adapt_result.loss if adapt_result else None,
             adapted=adapt_result is not None,
             adapt_ms=adapt_ms if adapt_result is not None else None,
+            refused=adapt_result is not None and adapt_result.refused,
         )
         self.report.frames.append(record)
         self.frames_seen += 1

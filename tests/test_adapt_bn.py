@@ -214,7 +214,7 @@ class TestLDBNAdapt:
             result = adapter.observe_frame(ring)
         assert seen == [[1.0, 2.0, 3.0]] and result is None
         assert adapter.pending_frames == 2
-        adapter._buffer = [np.full_like(target_images[0], 7.0)]  # a restore
+        adapter.restore_pending([np.full_like(target_images[0], 7.0)])
         ring[...] = 8.0
         assert adapter.observe_frame(ring) is None
         ring[...] = 9.0
@@ -222,9 +222,9 @@ class TestLDBNAdapt:
         assert seen[1] == [7.0, 8.0, 9.0]
         # a restore with a step's worth or more pending (a checkpoint taken
         # under a larger batch_size): the next frame steps on all of them
-        adapter._buffer = [
+        adapter.restore_pending([
             np.full_like(target_images[0], value) for value in (1.0, 2.0, 3.0)
-        ]
+        ])
         assert adapter.observe_frame(ring).num_frames == 4
         assert seen[2] == [1.0, 2.0, 3.0, 9.0]
         # ... and batch_size is read live

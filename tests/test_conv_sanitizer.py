@@ -34,11 +34,18 @@ time with it switched off, so the rule, the tiles and the scratch they
 index are exercised at 32 and at 64 bytes.
 
 A BN + ReLU stem over the plan input rides the same table, per dtype
-pair: the conv epilogue with bias and the live running statistics.
+pair: the conv epilogue with bias and the live running statistics, and
+the panel kernel's second store of the stem's pre-BN rows.
+
+The sanitized executables are cached beside the kernel library
+(``<cache>/sanitizer/harness-<digest>``), keyed by the compiler, its
+flags and the harness source: only a changed kernel source (or table)
+pays the build, and a planted out-of-bounds access is a changed source.
 
 Loud skip when the host has no compiler or no sanitizer runtime.
 """
 
+import hashlib
 import os
 import subprocess
 
@@ -47,6 +54,7 @@ import pytest
 
 from repro import nn
 from repro.engine.backends import CGenBackend, cgen, find_cc
+from repro.engine.backends.cgen.build import default_cache_dir
 from repro.engine.backends.cgen.kernels import library_source
 from repro.engine.backends.core import lower_conv, lower_pool
 from repro.nn.functional import _conv_output_size
@@ -206,8 +214,8 @@ def _render(renderer):
                     arg=saved,
                 ))
 
-    # a BN + ReLU stem: bias, then the running statistics, over the plan
-    # input (slot 0)
+    # a BN + ReLU stem: bias, its pre-BN rows stored, then the running
+    # statistics, over the plan input (slot 0)
     for xd, cd in ((np.float32, np.float64), (np.float32, np.float32)):
         c, h, w, f, batch = 3, 9, 13, 5, 4
         weight = nn.Parameter(rng.standard_normal((f, c, 3, 3)).astype(cd))
@@ -220,10 +228,11 @@ def _render(renderer):
         geo = lower_conv((batch, c, h, w), (f, c, 3, 3), (1, 1), (1, 1),
                          cd, xd)
         out3 = np.empty((batch, f, geo.p_total), dtype=cd)
-        keep.append(out3)
+        rows = np.empty_like(out3)
+        keep += [out3, rows]
         offered("conv", dict(
             geo=geo, weight=weight, bias=bias, out3=out3,
-            x_src=("input", None), relu=True, bn_module=bn,
+            x_src=("input", None), relu=True, bn_module=bn, rows=rows,
         ))
         # the fold flag reads 0: running statistics, not per-sample rows
         contents += [
@@ -344,6 +353,31 @@ def _narrow_flags(cc):
     return ["-mno-avx512f"] if "__AVX512F__" in macros else []
 
 
+def _built(cc, flags, src, tmp_path):
+    """The sanitized executable of ``src``: from the cache when this
+    compiler, these flags and this source built it before, else built
+    into it (under a name unique to the call, published with
+    ``os.replace``).  ``(path, None)`` or ``(None, the compiler's
+    complaint)``."""
+    key = hashlib.sha256(
+        "\0".join([cc, *flags, src.read_text()]).encode()
+    ).hexdigest()[:24]
+    cache = os.path.join(default_cache_dir(), "sanitizer")
+    exe = os.path.join(cache, f"harness-{key}")
+    if os.path.exists(exe):
+        return exe, None
+    os.makedirs(cache, exist_ok=True)
+    part = tmp_path / f"harness-{key}"
+    built = subprocess.run(
+        [cc, *flags, str(src), "-o", str(part), "-lm"],
+        capture_output=True, text=True,
+    )
+    if built.returncode != 0:
+        return None, built.stderr[-2000:]
+    os.replace(part, exe)
+    return exe, None
+
+
 def _san_env():
     # leak checking needs ptrace, which sandboxes commonly deny
     return dict(os.environ, ASAN_OPTIONS="detect_leaks=0",
@@ -376,13 +410,9 @@ def test_conv_helpers_run_clean_under_asan_and_ubsan(tmp_path):
     src.write_text(source)
     narrow = _narrow_flags(cc)
     for width in ([], narrow) if narrow else ([],):
-        exe = tmp_path / "harness"
-        built = subprocess.run(
-            [cc, *SAN_FLAGS, *width, str(src), "-o", str(exe), "-lm"],
-            capture_output=True, text=True,
-        )
-        assert built.returncode == 0, built.stderr[-2000:]
-        ran = subprocess.run([str(exe)], capture_output=True, text=True,
+        exe, failed = _built(cc, SAN_FLAGS + width, src, tmp_path)
+        assert failed is None, failed
+        ran = subprocess.run([exe], capture_output=True, text=True,
                              env=_san_env())
         assert ran.returncode == 0, (width, (ran.stdout + ran.stderr)[-4000:])
         assert f"{len(needs)} stages" in ran.stdout

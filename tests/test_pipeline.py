@@ -167,8 +167,8 @@ class TestRealTimePipeline:
             model.load_state_dict(_trained_tiny_state)
             adapter = LDBNAdapt(model, LDBNAdaptConfig(lr=1e-3))
             calls, real_warm = [], adapter.warm
-            adapter.warm = lambda image: (
-                calls.append(image.shape), real_warm(image)
+            adapter.warm = lambda image, **kw: (
+                calls.append(image.shape), real_warm(image, **kw)
             )
             pipeline = cls(
                 model, adapter, PipelineConfig(latency_model="orin"),
@@ -183,7 +183,7 @@ class TestRealTimePipeline:
 
         # a new frame shape warms again, exactly once (eager inference so
         # the fixed-size head is not traced at the odd shape)
-        adapter.warm = lambda image: calls.append(image.shape)
+        adapter.warm = lambda image, **kw: calls.append(image.shape)
         frame = next(iter(tiny_benchmark.target_stream(
             rng=np.random.default_rng(0)
         )))

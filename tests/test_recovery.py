@@ -246,7 +246,7 @@ class TestCheckpointStore:
             for arr in bufs.values():
                 arr[...] = arr + 1  # ints (batch counters) included
         session.adapter.optimizer.state.clear()
-        session.adapter._buffer = []
+        session.adapter.clear_pending()
         session.adapter._step += 7
 
         meta = store.restore(session)
