@@ -158,7 +158,9 @@ PYEOF
     # the parity suite (single-thread in tier-1) again with a 2-wide
     # worker pool: exercises the threaded dispatch/barrier/teardown paths
     # even on 1-core hosts (correctness is thread-count-invariant by
-    # construction)
+    # construction), and the no-reuse oracle (TestArenaReuse: every
+    # small-r18 plan kind replays the bytes of its twin compiled with no
+    # arena reuse, so the one liveness analysis frees nothing early)
     REPRO_CGEN_THREADS=2 python -m pytest tests/test_backends.py -q
     # the library's conv kernels, driven row by row from a generated main,
     # under -fsanitize=address,undefined on exact-size heap buffers: the implicit GEMM's last panel reads up to

@@ -257,9 +257,12 @@ class LDBNAdapt(Adapter):
 
         ``images`` is ``(N, 3, H, W)``; N is typically ``config.batch_size``
         (the pipeline buffers frames accordingly, see
-        :meth:`observe_frame`).  Runs the compiled plan by default; the
-        eager autograd step under ``repro.nn.adaptation_mode(False)``
-        (which has no finite rail).
+        :meth:`observe_frame`).  Runs the compiled plan by default, the
+        eager autograd step under ``repro.nn.adaptation_mode(False)`` or
+        on a graph the plan cannot lower.  Either refuses a non-finite
+        batch — the plan by its loss, the eager step by its loss or the
+        BN statistics it wrote — leaving every BN array, momentum buffer
+        and step count as it was.
         """
         images = np.asarray(images, dtype=np.float32)
         if images.ndim != 4:
@@ -273,19 +276,36 @@ class LDBNAdapt(Adapter):
         original_momenta = [m.momentum for m in self._bn_modules]
         for module in self._bn_modules:
             module.momentum = self.effective_momentum
+        # the rail: what the train forward writes, restored on refusal.
+        # Eager ReLU maps NaN to 0, so a poisoned batch can leave the loss
+        # finite: the statistics it wrote tell
+        stats = [
+            (buf, buf.copy()) for m in self._bn_modules for buf in (
+                m.running_mean, m.running_var, m.num_batches_tracked,
+            )
+        ]
 
         set_bn_training(self.model, True)
         try:
             logits = self.model(nn.Tensor(images, _copy=False))
             loss = entropy_loss(logits, axis=1)
-            self.model.zero_grad()
-            loss.backward()
-            self.optimizer.step()
+            finite = bool(np.isfinite(loss.item())) and all(
+                np.isfinite(buf).all() for buf, _ in stats
+            )
+            if finite:
+                self.model.zero_grad()
+                loss.backward()
+                self.optimizer.step()
+            else:
+                for buf, saved in stats:
+                    buf[...] = saved
         finally:
             set_bn_training(self.model, False)
             for module, m in zip(self._bn_modules, original_momenta):
                 module.momentum = m
-        return self.record_step(float(loss.item()), len(images))
+        return self.record_step(
+            float(loss.item()), len(images), refused=not finite
+        )
 
     # bench-e2e's ``adapt.observe`` span patches this name in
     # ``LDBNAdapt.__dict__``, so the inherited method is bound here too

@@ -21,17 +21,18 @@ Architecture — one lowering, compiled through one entry point:
   inputs* resolved at replay time — LD-BN-ADAPT rewrites BN state between
   frames without ever retracing.
 * :mod:`~repro.engine.plan` — the lowering.  ``StaticPlan`` declares each
-  shared op once (op table, numpy closure, renderer offer spec) and asks
-  the calling plan only where the output lives.  :class:`ExecutionPlan`
-  is the forward program with no backward: conv→BN→ReLU chains fuse into
-  one im2col GEMM (``np.matmul(..., out=)``) with the folded BN affine
-  and ReLU as its in-place epilogue, liveness recycles outputs through a
-  byte-arena pool, and im2col workspaces are cached per layer
-  (:mod:`~repro.engine.backends.core`), so replays allocate nothing.
+  shared op once (op table, numpy closure, renderer offer spec) and owns
+  the one liveness analysis over a plan's sections, which recycles
+  buffers through a byte-arena pool (:mod:`~repro.engine.backends.core`,
+  with the per-layer im2col workspaces), so replays allocate nothing.
+  :class:`ExecutionPlan` is the forward program with no backward:
+  conv→BN→ReLU chains fuse into one im2col GEMM (``np.matmul(...,
+  out=)``) with the folded BN affine and ReLU as its in-place epilogue.
 * :mod:`~repro.engine.adapt_plan` — :class:`AdaptationPlan` is that
   forward lowering plus a backward program: grouped train-mode BN and its
   taps, the loss tail, backward rules pruned to the gradient paths that
-  reach a BN gamma/beta, and arena liveness over forward+backward.
+  reach a BN gamma/beta, and the backward's uses for the shared liveness
+  analysis.
   ``groups > 1`` is the fleet's batched same-phase adaptation: per-group
   batch statistics and gamma/beta slots make one replay equal G serial
   steps.  The numpy lowering of a conv input gradient is the one eager

@@ -9,10 +9,10 @@ linear, max-pool and the elementwise ops come from the shared
 :class:`~repro.engine.plan.StaticPlan` builders (same closures, same
 renderer offers), and this module holds only what is adaptation-specific:
 
-* the output-buffer policy — activations, saved-for-backward buffers
-  (``x_hat``, pool argmax, ReLU masks) and gradient buffers live in the
-  engine's arena with liveness computed over the combined
-  forward+backward program, so nothing is written in place;
+* the uses only the backward makes — its reads of activations, the
+  saved-for-backward buffers (``x_hat``, pool argmax, log-softmax
+  scratch) and the gradients — for the one liveness analysis over
+  forward + backward; every output takes a fresh block;
 * the grouped train-mode BN forward and its :class:`BNLayerTap`, and the
   loss tail (log-softmax, sum, per-group mean);
 * the backward rules, pruned to the gradient paths that actually reach a
@@ -71,6 +71,10 @@ class UnsupportedAdaptGraph(RuntimeError):
     Callers fall back to the eager autograd step (which handles every
     op); the compiled path only ever covers graphs it can replay exactly.
     """
+
+
+#: the tag of the buffer a kind saves for its backward (key: tag, index)
+_SAVED = {"bn": "xh", "logsoftmax": "ls", "maxpool": "arg"}
 
 
 def _axis_dims(shape, axis: int) -> Tuple[int, int, int]:
@@ -207,16 +211,7 @@ class AdaptationPlan(StaticPlan):
     def sections(self) -> Tuple[list, ...]:
         return (self._fwd, self._bwd)
 
-    # ------------------------------------------------------------------
-    # output-buffer policy
-    # ------------------------------------------------------------------
-    def _alloc(self, key, shape, dtype) -> np.ndarray:
-        """An arena buffer owned by liveness ``key`` until `_compile`'s
-        ``advance`` reaches the key's last use."""
-        block, view = self._arena.alloc(shape, dtype)
-        block.alive.add(key)
-        self._ct.blocks[key] = block
-        return view
+    WRITES_IN_PLACE = False
 
     def _fallback_scratch(self, tag, shape, dtype) -> np.ndarray:
         """Scratch for the numpy fallback of a stage the renderer took,
@@ -235,12 +230,6 @@ class AdaptationPlan(StaticPlan):
             buffers[tag] = np.frombuffer(mmap.mmap(-1, need), dtype=np.uint8)
         return buffers[tag][:need].view(dtype).reshape(shape)
 
-    def _out(self, vid, shape, dtype, reuse=()) -> np.ndarray:
-        # the backward reads activations long after their forward
-        # consumers ran: always a fresh block, never one of `reuse`
-        out = self._fixed[vid] = self._alloc(("a", vid), shape, dtype)
-        return out
-
     # ------------------------------------------------------------------
     # compilation
     # ------------------------------------------------------------------
@@ -257,7 +246,6 @@ class AdaptationPlan(StaticPlan):
             self._input_vid = nodes[cut].out_vid
             self._input_shape = nodes[cut].out_shape
         shapes, dtypes = self._ct.shapes, self._ct.dtypes
-        blocks = self._ct.blocks = {}  # liveness key -> arena block
         self._ct.fallback_scratch = {}  # tag -> buffer, see the method
         producer: Dict[int, int] = {}
         kinds: List[str] = []
@@ -321,81 +309,36 @@ class AdaptationPlan(StaticPlan):
         def bwd_pos(i: int) -> int:
             return 2 * num - 1 - i
 
-        # reshape outputs are views: uses of the view keep the source's
-        # arena block alive
-        alias: Dict[int, int] = {
-            node.out_vid: node.inputs[0].vid
-            for index, node in enumerate(nodes)
-            if kinds[index] == "reshape" and isinstance(node.inputs[0], ValueRef)
-        }
-
-        def root(vid: int) -> int:
-            while vid in alias:
-                vid = alias[vid]
-            return vid
-
-        last_use: Dict[object, int] = {}
-
-        def use(key, pos):
-            last_use[key] = max(last_use.get(key, -1), pos)
-
-        for index, node in enumerate(nodes):
-            use(("a", root(node.out_vid)), index)  # dead outputs die at birth
-            for r in node.inputs:
-                if isinstance(r, ValueRef):
-                    use(("a", root(r.vid)), index)
-            kind = kinds[index]
-            pos = bwd_pos(index) if has_bwd[index] else index
+        def reads(index: int, node):
+            # what node `index`'s backward stage reads: its own output
+            # (relu, exp, logsoftmax) or its inputs (mul), and the buffer
+            # its forward saved for it
+            kind, pos = kinds[index], index
             if has_bwd[index]:
+                pos = bwd_pos(index)
                 if kind in ("relu", "logsoftmax", "exp"):
-                    use(("a", root(node.out_vid)), pos)
+                    yield ("a", node.out_vid), pos
                 elif kind == "mul":
                     for r in node.inputs:
                         if isinstance(r, ValueRef):
-                            use(("a", root(r.vid)), pos)
-            # internal saved-for-backward / scratch buffers
-            if kind == "bn":
-                use(("xh", index), pos)
-            elif kind == "logsoftmax":
-                use(("ls", index), pos)
-            elif kind == "maxpool":
-                use(("arg", index), pos)
-        use(("a", root(self._loss_vid)), 2 * num)  # returned to caller: pinned
+                            yield ("a", r.vid), pos
+            if kind in _SAVED:
+                yield (_SAVED[kind], index), pos
+
         # gradient buffers: born at the backward stage of their latest
         # consumer, die at the backward stage of their producer
-        for vid in grad_vids:
-            use(("g", vid), bwd_pos(producer[vid]))
-
-        dying: Dict[int, List[object]] = {}
-        for key, pos in last_use.items():
-            if pos <= 2 * num - 1:
-                dying.setdefault(pos, []).append(key)
-
-        arena, alloc = self._arena, self._alloc
-
-        def advance(pos: int) -> None:
-            for key in dying.get(pos, ()):
-                block = blocks.pop(key, None)
-                if block is not None:
-                    block.alive.discard(key)
-                    if not block.alive:
-                        arena.release(block)
-
-        def grad_buffer(vid: int) -> np.ndarray:
-            buf = self._grads.get(vid)
-            if buf is None:
-                buf = alloc(("g", vid), shapes[vid], dtypes[vid])
-                self._grads[vid] = buf
-            return buf
-
-        written: Dict[int, bool] = {}
+        self._lifetimes(nodes, reads, [
+            (("g", vid), bwd_pos(producer[vid])) for vid in grad_vids
+        ])
+        alloc = self._alloc
 
         def sink(vid: int):
-            """(buffer, fresh) for one gradient contribution into ``vid``."""
-            buf = grad_buffer(vid)
-            fresh = not written.get(vid, False)
-            written[vid] = True
-            return buf, fresh
+            """(buffer, fresh) for one gradient contribution into ``vid``;
+            the first one allocates the buffer."""
+            fresh = vid not in self._grads
+            if fresh:
+                self._grads[vid] = alloc(("g", vid), shapes[vid], dtypes[vid])
+            return self._grads[vid], fresh
 
         # per-node compile-time state shared between fwd and bwd closures
         cells: List[dict] = [dict() for _ in range(num)]
@@ -421,10 +364,15 @@ class AdaptationPlan(StaticPlan):
                 )
             elif kind in _ELEMENTWISE:
                 self._lower_elementwise(node, kind)
+            elif kind == "reshape":
+                if not self._lower_view(node):
+                    raise UnsupportedAdaptGraph(
+                        "reshape that is no view of a forward buffer"
+                    )
             else:
                 getattr(self, f"_fwd_{kind}")(node, index, cell)
             self._label_stages(before, f"fwd:{kind}")
-            advance(index)
+            self._advance(index)
 
         # -- backward (pruned) ------------------------------------------
         self._ct.emitting = self._bwd
@@ -437,10 +385,9 @@ class AdaptationPlan(StaticPlan):
 
                 def scratch(tag, shape, dtype, index=index, pos=pos):
                     # stage-local buffer: born in this backward stage and
-                    # released with it, so it never enters the liveness
-                    # table and costs arena bytes only when a builder
-                    # actually asks for it
-                    dying.setdefault(pos, []).append((tag, index))
+                    # released with it, so it costs arena bytes only when
+                    # a builder actually asks for it
+                    self._ct.dying.setdefault(pos, []).append((tag, index))
                     return alloc((tag, index), shape, dtype)
 
                 getattr(self, f"_bwd_{kind}")(
@@ -449,7 +396,7 @@ class AdaptationPlan(StaticPlan):
                 )
                 self._label_stages(before, f"bwd:{kind}")
                 emitted += 1
-            advance(pos)
+            self._advance(pos)
         before = len(self._bwd)
         self._offer(
             "bn_update",
@@ -460,6 +407,7 @@ class AdaptationPlan(StaticPlan):
         self._label_stages(before, "bwd:update")
 
         self._loss_out = self._fixed[self._loss_vid]
+        arena = self._arena
         self.stats = AdaptPlanStats(
             num_ops=num,
             backward_stages=emitted,
@@ -473,19 +421,6 @@ class AdaptationPlan(StaticPlan):
     # ------------------------------------------------------------------
     # adaptation-only forward stages: the loss tail and train-mode BN
     # ------------------------------------------------------------------
-    def _fwd_reshape(self, node, index, cell):
-        src = node.inputs[0]
-        shape = node.kwargs["shape"]
-        if not isinstance(src, ValueRef) or src.vid == self._input_vid:
-            raise UnsupportedAdaptGraph("reshape of a non-activation input")
-        base = self._fixed[src.vid]
-        view = base.reshape(shape)
-        if not np.shares_memory(view, base):  # pragma: no cover - arena bufs
-            raise UnsupportedAdaptGraph("non-view reshape in adaptation trace")
-        # pure view: zero replay cost, no stage emitted — liveness keeps
-        # the source alive as long as the view (same arena block)
-        self._fixed[node.out_vid] = view
-
     def _fwd_sum(self, node, index, cell):
         axis = node.kwargs.get("axis")
         keepdims = node.kwargs.get("keepdims", False)

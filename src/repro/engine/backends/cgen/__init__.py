@@ -593,8 +593,8 @@ class CRenderer:
             if training:
                 raise RuntimeError(
                     "compiled plan replayed with a BatchNorm layer in "
-                    "training mode; adaptation steps must use the eager "
-                    "path"
+                    "training mode; an inference plan replays eval-mode BN "
+                    "only (adaptation steps go through CompiledAdaptStep)"
                 )
             if ps is not None:
                 scale, shift = ps

@@ -5,8 +5,10 @@ The compile-time infrastructure under the one plan lowering
 the adaptation plan are built from); every :class:`PlanBackend` (numpy
 closures, generated C) builds on the same objects:
 
-* :class:`_Arena` / :class:`_Block` — the liveness-driven byte-arena pool
-  op outputs are recycled through;
+* :class:`_Arena` / :class:`_Block` — the byte-arena pool every plan
+  buffer is recycled through, driven by the one liveness table
+  (:meth:`~repro.engine.plan.StaticPlan._lifetimes`) both plan kinds
+  build over their sections;
 * :class:`ConvLowering` / :class:`PoolLowering` — the im2col geometry of
   one conv/pool layer (gather indices, padded-image buffer, column
   workspace) computed once at compile time;
@@ -34,13 +36,12 @@ _ALIGN = 64
 class _Block:
     """One arena-backed byte buffer, viewable as any (shape, dtype)."""
 
-    __slots__ = ("raw", "nbytes", "alive", "pinned")
+    __slots__ = ("raw", "nbytes", "alive")
 
     def __init__(self, nbytes: int):
         self.raw = np.empty(nbytes, dtype=np.uint8)
         self.nbytes = nbytes
-        self.alive: set = set()  # vids currently backed by this block
-        self.pinned = False  # never recycled (e.g. aliased by a generic op)
+        self.alive: set = set()  # liveness keys currently backed by this block
 
     def view(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
         dtype = np.dtype(dtype)
@@ -78,8 +79,7 @@ class _Arena:
         return block, block.view(shape, dtype)
 
     def release(self, block: _Block) -> None:
-        if not block.pinned:
-            self._free.append(block)
+        self._free.append(block)
 
 
 @dataclass

@@ -109,12 +109,12 @@ class CompiledAdaptStep:
     """Compiled LD-BN-ADAPT entropy steps for one model.
 
     Caches one :class:`~repro.engine.adapt_plan.AdaptationPlan` per
-    ``(input shape, dtype, groups)``.  With ``groups == 1`` a plan reads
-    gamma/beta live from the model's BN modules (the single-stream step);
-    with ``groups == G`` it exposes per-group parameter slots — the
-    fleet's mechanism for fusing G same-phase streams' steps into one
-    batched replay.  Tracing restores every buffer it touches, so
-    building a plan never perturbs the model.
+    ``(input shape, dtype, groups, from_stem)``.  With ``groups == 1`` a
+    plan reads gamma/beta live from the model's BN modules (the
+    single-stream step); with ``groups == G`` it exposes per-group
+    parameter slots — the fleet's mechanism for fusing G same-phase
+    streams' steps into one batched replay.  Tracing restores every
+    buffer it touches, so building a plan never perturbs the model.
     """
 
     def __init__(self, model, loss_fn=None, profile: bool = False,
@@ -150,16 +150,6 @@ class CompiledAdaptStep:
                 from_stem=from_stem,
             )
         return plan
-
-    def warm(self, x, groups: int = 1) -> None:
-        """Trace + compile for ``x``'s signature without replaying.
-
-        Serving loops call this outside their timed regions so the
-        one-time trace cost never pollutes per-step latency statistics.
-        """
-        self.plan_for(
-            x.data if isinstance(x, Tensor) else np.asarray(x), groups=groups
-        )
 
     def takes_rows_from(self, engine: CompiledInference) -> bool:
         """Whether this step's plans can start from the stem rows

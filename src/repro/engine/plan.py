@@ -9,30 +9,26 @@ with autograd, only the bookkeeping around the kernels is removed.
 plan (:mod:`repro.engine.adapt_plan`) share, each piece exactly once:
 the op table (:data:`OP_KINDS`: traced ``Function`` -> stage kind), value
 access, the renderer offer, the forward stage builders for conv, linear,
-max-pool and the elementwise ops (numpy closure plus offer spec), the
-replay prologue and the profile summary.  The builders take their
-*output-buffer policy* from the calling plan through :meth:`_out`, which
-is the only place the two plans disagree about a shared op: inference
-recycles a block as soon as its last consumer ran and writes in place
-where it can; adaptation keeps activations alive for the backward.
+max-pool, the elementwise ops and views (numpy closure plus offer spec),
+the buffer policy, the replay prologue and the profile summary.
+
+**Arena buffer reuse** is one liveness analysis over the plan's sections
+(:meth:`StaticPlan._lifetimes`) and one policy assigning buffers from it
+(:meth:`StaticPlan._out`): an arena block is recycled once the last use
+of every value it backs has run, a view is held by its source's block,
+and each plan adds only the uses the shared forward walk cannot see.
+The im2col workspaces are cached per conv/pool layer
+(:mod:`repro.engine.backends.core`), so replays allocate nothing beyond
+tiny per-channel fold vectors.
 
 :class:`ExecutionPlan` is then just the forward program with no
-backward, plus the three inference-only optimizations:
-
-* **Fusion** — a ``conv -> eval-BN -> relu`` chain (and ``linear -> relu``)
-  becomes one stage: im2col-GEMM via ``np.matmul(..., out=)`` into the
-  stage's arena buffer, then the BN affine and ReLU applied in place as a
-  GEMM epilogue.  The BN constants are re-folded from the module's *live*
-  state on every replay (O(C) work), so LD-BN-ADAPT updates and the
-  per-sample ``(scale, shift)`` fleet override need no retrace.
-* **Arena buffer reuse** — liveness analysis assigns op outputs to a pool
-  of byte arenas; a buffer is recycled as soon as the last consumer of
-  every value aliased to it has run.  Steady-state replays allocate
-  nothing beyond tiny per-channel fold vectors.
-* **Cached im2col workspaces** — gather indices, padded-image buffers and
-  column matrices are precomputed per conv/pool layer for the traced
-  input shape (:mod:`repro.engine.backends.core`); replays gather with
-  ``np.take(..., out=)`` instead of rebuilding indices and columns.
+backward, plus **fusion**: a ``conv -> eval-BN -> relu`` chain (and
+``linear -> relu``) becomes one stage — im2col-GEMM via
+``np.matmul(..., out=)`` into the stage's arena buffer, then the BN
+affine and ReLU applied in place as a GEMM epilogue.  The BN constants
+are re-folded from the module's *live* state on every replay (O(C)
+work), so LD-BN-ADAPT updates and the per-sample ``(scale, shift)``
+fleet override need no retrace.
 
 A codegen backend passes a *renderer* that is offered every stage as it
 is lowered and replaces the accepted ones with compiled-kernel calls at
@@ -81,6 +77,13 @@ _ELEMENTWISE = {
     "relu": (np.maximum, (0.0,)), "exp": (np.exp, ()),
     "neg": (np.negative, ()), "add": (np.add, ()), "mul": (np.multiply, ()),
 }
+
+#: a liveness position no replay reaches: a key used there is never freed
+_PINNED = float("inf")
+
+#: the kinds an inference plan has stage builders for
+_INFER_KINDS = {"conv", "linear", "maxpool", "relu", "add", "reshape",
+                "transpose", "bn"}
 
 
 def op_kind(node: OpNode) -> str:
@@ -133,7 +136,8 @@ def _bn_epilogue(buf3: np.ndarray, module, n: int, src=None) -> None:
     if module.training:
         raise RuntimeError(
             "compiled plan replayed with a BatchNorm layer in training "
-            "mode; adaptation steps must use the eager path"
+            "mode; an inference plan replays eval-mode BN only "
+            "(adaptation steps go through CompiledAdaptStep)"
         )
     c = buf3.shape[1]
     ps = module.per_sample_stats
@@ -156,9 +160,10 @@ def _bn_epilogue(buf3: np.ndarray, module, n: int, src=None) -> None:
 class StaticPlan:
     """What every compiled plan is made of (see the module docstring).
 
-    Subclasses provide ``_compile(graph)`` (walk the nodes, call the
-    builders, set ``stats``), ``_out`` (the output-buffer policy),
-    ``sections`` (their step lists in replay order) and ``run``.
+    Subclasses provide ``_compile(graph)`` (analyse lifetimes with
+    :meth:`_lifetimes`, walk the nodes, call the builders, set
+    ``stats``), ``sections`` (their step lists in replay order) and
+    ``run``; :attr:`WRITES_IN_PLACE` picks their buffer policy.
 
     ``renderer`` (optional) is a codegen backend's stage renderer: every
     lowered stage is *offered* to it along with the numpy closure; at the
@@ -175,8 +180,8 @@ class StaticPlan:
         for node in graph.nodes:
             shapes[node.out_vid] = node.out_shape
             dtypes[node.out_vid] = node.out_dtype
-        # everything only compilation needs (each plan adds its liveness
-        # tables): dropped as one object when compilation ends
+        # everything only compilation needs (`_lifetimes` adds the
+        # liveness tables): dropped as one object when compilation ends
         self._ct = SimpleNamespace(
             shapes=shapes, dtypes=dtypes, renderer=renderer,
             emitting=None,  # the step list stages are being appended to
@@ -309,6 +314,79 @@ class StaticPlan:
             add_bucket("epilogue", t3 - t2)
 
         return run
+
+    # -- buffer policy ----------------------------------------------------
+    #: an elementwise stage may write its output over a tensor input whose
+    #: block dies with it.  Adaptation plans do not: that is bitwise too,
+    #: but measured it adds an arena block to every cgen from-stem step.
+    WRITES_IN_PLACE = True
+
+    def _lifetimes(self, nodes, reads, tail) -> None:
+        """The one liveness analysis: each buffer key's last use over the
+        plan's sections in replay order (forward node ``i`` at position
+        ``i``, its backward at ``2n - 1 - i``).  A value's key is ``("a",
+        vid)``; the walk sees every node's output and forward reads, and
+        ``reads(i, node)`` / ``tail`` add the ``(key, position)`` uses only
+        the plan knows of."""
+        last_use: Dict[object, float] = {}
+
+        def use(key, pos) -> None:
+            last_use[key] = max(last_use.get(key, -1), pos)
+
+        for index, node in enumerate(nodes):
+            use(("a", node.out_vid), index)  # dead outputs die at birth
+            for ref in node.inputs:
+                if isinstance(ref, ValueRef):
+                    use(("a", ref.vid), index)
+            for key, pos in reads(index, node):
+                use(key, pos)
+        for key, pos in tail:
+            use(key, pos)
+        self._ct.dying = {}  # position -> keys whose last use it is
+        for key, pos in last_use.items():
+            self._ct.dying.setdefault(pos, []).append(key)
+        self._ct.last_use = last_use
+        self._ct.blocks = {}  # live key -> the arena block backing it
+
+    def _hold(self, key, block: _Block) -> None:
+        block.alive.add(key)
+        self._ct.blocks[key] = block
+
+    def _alloc(self, key, shape, dtype) -> np.ndarray:
+        """An arena buffer held by ``key`` until its last use ran."""
+        block, view = self._arena.alloc(shape, dtype)
+        self._hold(key, block)
+        return view
+
+    def _advance(self, pos) -> None:
+        """Position ``pos`` ran: recycle every block it left backing no
+        live key."""
+        for key in self._ct.dying.get(pos, ()):
+            block = self._ct.blocks.pop(key, None)
+            if block is not None:
+                block.alive.discard(key)
+                if not block.alive:
+                    self._arena.release(block)
+
+    def _out(self, vid, shape, dtype, reuse=()) -> np.ndarray:
+        """The buffer backing value ``vid``: one of the ``reuse`` inputs
+        when in-place writes are on and its block backs nothing used after
+        this stage (``self._ct.cursor``), else a fresh arena block."""
+        ct = self._ct
+        for ref in reuse if self.WRITES_IN_PLACE else ():
+            key = ("a", getattr(ref, "vid", None))
+            block = ct.blocks.get(key)
+            if (block is not None and block.alive == {key}
+                    and ct.last_use[key] == ct.cursor
+                    and ct.shapes[ref.vid] == shape
+                    and ct.dtypes[ref.vid] == dtype):
+                out = self._fixed[ref.vid]
+                self._hold(("a", vid), block)
+                break
+        else:
+            out = self._alloc(("a", vid), shape, dtype)
+        self._fixed[vid] = out
+        return out
 
     # -- shared forward stage builders ------------------------------------
     def _lower_conv(self, node, out_vid, bn_module=None, relu=False,
@@ -451,6 +529,28 @@ class StaticPlan:
         )
         return geo, arg
 
+    def _lower_view(self, node) -> bool:
+        """reshape / transpose as a view of its source's fixed buffer, held
+        by the source's block: no stage, zero replay cost.  False, and
+        nothing registered, when the source has no fixed buffer or the
+        result would be a copy (a reshape of a non-contiguous view copies:
+        freezing that copy would replay stale data)."""
+        src = node.inputs[0]
+        base = self._fixed.get(src.vid) if isinstance(src, ValueRef) else None
+        if base is None:
+            return False
+        if op_kind(node) == "reshape":
+            view = base.reshape(node.kwargs["shape"])
+        else:
+            view = np.transpose(base, node.kwargs["axes"])
+        if not np.shares_memory(view, base):
+            return False
+        self._fixed[node.out_vid] = view
+        block = self._ct.blocks.get(("a", src.vid))
+        if block is not None:
+            self._hold(("a", node.out_vid), block)
+        return True
+
     def _lower_elementwise(self, node, kind):
         """relu / exp / neg / add / mul: one ufunc call with ``out=``; the
         tensor inputs are in-place candidates where the plan's buffer
@@ -540,38 +640,28 @@ class ExecutionPlan(StaticPlan):
         nodes = graph.nodes
         self._ct.emitting = self._steps
         consumers: Dict[int, int] = {}
-        last_use: Dict[int, int] = {}
-        for index, node in enumerate(nodes):
-            last_use.setdefault(node.out_vid, index)  # dead outputs die at birth
+        for node in nodes:
             for ref in node.inputs:
                 if isinstance(ref, ValueRef):
                     consumers[ref.vid] = consumers.get(ref.vid, 0) + 1
-                    last_use[ref.vid] = index
-        last_use[graph.output_vid] = len(nodes)  # plan output never dies
+        kinds = [self._lowering(node) for node in nodes]
 
-        dying: Dict[int, List[int]] = {}
-        for vid, where in last_use.items():
-            dying.setdefault(where, []).append(vid)
+        def reads(index: int, node: OpNode):
+            # a generic op's output may be a view of any tensor input:
+            # their blocks must never be recycled under it
+            return [(("a", ref.vid), _PINNED) for ref in node.inputs
+                    if kinds[index] == "generic" and isinstance(ref, ValueRef)]
 
+        # the plan output is the caller's: it never dies
+        self._lifetimes(nodes, reads, [(("a", graph.output_vid), _PINNED)])
         arena = self._arena
-        blocks: Dict[int, _Block] = {}
-        self._ct.blocks, self._ct.last_use = blocks, last_use
         stem = stem_index(graph)
         fused = 0
         num_stages = 0
 
-        def release_after(start: int, end: int) -> None:
-            for where in range(start, end + 1):
-                for vid in dying.get(where, ()):
-                    block = blocks.get(vid)
-                    if block is not None:
-                        block.alive.discard(vid)
-                        if not block.alive:
-                            arena.release(block)
-
         def fuses(scan: int, tail: OpNode, kind: str) -> bool:
             # nodes[scan] is a `kind` node and the sole consumer of `tail`
-            if scan >= len(nodes) or op_kind(nodes[scan]) != kind:
+            if scan >= len(nodes) or kinds[scan] != kind:
                 return False
             ref = nodes[scan].inputs[0]
             return (
@@ -585,14 +675,11 @@ class ExecutionPlan(StaticPlan):
         index = 0
         while index < len(nodes):
             node = nodes[index]
-            kind = op_kind(node)
+            kind = kinds[index]
             end = self._ct.cursor = index
             before = len(self._steps)
 
-            if kind in ("conv", "linear") and node.out_dtype == np.result_type(
-                self._ref_shape_dtype(node.inputs[0])[1],
-                self._ref_shape_dtype(node.inputs[1])[1],
-            ):
+            if kind in ("conv", "linear"):
                 bn_node = relu_node = None
                 # BN fuses only behind a conv: BatchNorm1d after Linear
                 # would need a 2-D epilogue
@@ -620,31 +707,21 @@ class ExecutionPlan(StaticPlan):
                 self._lower_maxpool(node)
             elif kind in ("relu", "add"):
                 self._lower_elementwise(node, kind)
-            elif kind in ("reshape", "transpose"):
-                self._lower_view(node, kind)
             elif kind == "bn":
                 self._lower_eval_bn(node)
-            else:
+            elif kind == "generic" or not self._lower_view(node):
+                # a view that cannot be fixed is recomputed every replay
                 self._lower_generic(node)
-                # a generic op's output may be a view of any tensor
-                # input; its blocks must never be recycled under it
-                for ref in node.inputs:
-                    if isinstance(ref, ValueRef) and ref.vid in blocks:
-                        blocks[ref.vid].pinned = True
 
             num_stages += 1
             self._label_stages(before, "+".join(
                 self._stage_label(nodes[i]) for i in range(index, end + 1)
             ))
-            release_after(index, end)
+            for pos in range(index, end + 1):
+                self._advance(pos)
             index = end + 1
 
-        out_fixed = self._fixed.get(graph.output_vid)
-        if out_fixed is not None:
-            self._fetch_output = lambda: out_fixed
-        else:
-            slots, ovid = self._slots, graph.output_vid
-            self._fetch_output = lambda: slots[ovid]
+        self._fetch_output = self._getter(ValueRef(graph.output_vid))
 
         self.stats = PlanStats(
             num_ops=len(nodes),
@@ -656,6 +733,16 @@ class ExecutionPlan(StaticPlan):
             workspace_bytes=self._ct.workspace_bytes,
         )
 
+    def _lowering(self, node: OpNode) -> str:
+        """The node's kind, or ``"generic"``: no stage builder for it."""
+        kind = op_kind(node)
+        if kind in ("conv", "linear") and node.out_dtype != np.result_type(
+            self._ref_shape_dtype(node.inputs[0])[1],
+            self._ref_shape_dtype(node.inputs[1])[1],
+        ):
+            return "generic"
+        return kind if kind in _INFER_KINDS else "generic"
+
     @staticmethod
     def _stage_label(node: OpNode) -> str:
         kind = op_kind(node)
@@ -663,70 +750,7 @@ class ExecutionPlan(StaticPlan):
             return getattr(node.function, "__name__", "generic").lower()
         return kind
 
-    # -- output-buffer policy ---------------------------------------------
-    def _out(self, vid, shape, dtype, reuse=()) -> np.ndarray:
-        """The buffer backing value ``vid``: one of the ``reuse`` inputs
-        written in place when this stage is its last use, else an arena
-        block (recycled once every value aliased to it is dead)."""
-        for ref in reuse:
-            if isinstance(ref, ValueRef) and self._can_write_inplace(
-                ref.vid, shape, dtype
-            ):
-                array, block = self._fixed[ref.vid], self._ct.blocks[ref.vid]
-                break
-        else:
-            block, array = self._arena.alloc(shape, dtype)
-        self._register(vid, array, block)
-        return array
-
-    def _can_write_inplace(self, vid: int, shape, dtype) -> bool:
-        block = self._ct.blocks.get(vid)
-        return (
-            block is not None
-            and not block.pinned
-            and block.alive == {vid}
-            and self._ct.last_use[vid] == self._ct.cursor
-            and self._fixed.get(vid) is not None
-            and self._ct.shapes[vid] == shape
-            and self._ct.dtypes[vid] == dtype
-        )
-
-    def _register(self, vid: int, array: np.ndarray,
-                  block: Optional[_Block]) -> None:
-        self._fixed[vid] = array
-        if block is not None:
-            block.alive.add(vid)
-            self._ct.blocks[vid] = block
-
     # -- inference-only stage builders ------------------------------------
-    def _lower_view(self, node, kind):
-        src = node.inputs[0]
-        if kind == "reshape":
-            param = node.kwargs["shape"]
-            transform = lambda a: a.reshape(param)  # noqa: E731
-        else:
-            param = node.kwargs["axes"]
-            transform = lambda a: np.transpose(a, param)  # noqa: E731
-        if isinstance(src, ValueRef):
-            fixed = self._fixed.get(src.vid)
-            if fixed is not None:
-                view = transform(fixed)
-                # reshape of a non-contiguous view COPIES: freezing that
-                # copy would replay stale data, so only precompute when
-                # the result genuinely aliases the live buffer
-                if np.shares_memory(view, fixed):
-                    self._register(
-                        node.out_vid, view, self._ct.blocks.get(src.vid)
-                    )
-                    return  # pure view of a fixed buffer: zero replay cost
-        get_src = self._getter(src)
-        slots, vid = self._slots, node.out_vid
-
-        def run():
-            slots[vid] = transform(get_src())
-
-        self._steps.append(run)
-
     def _lower_eval_bn(self, node):
         """Standalone eval-mode BN (not behind a conv): literal eager math.
 
@@ -744,7 +768,8 @@ class ExecutionPlan(StaticPlan):
             if module.training:
                 raise RuntimeError(
                     "compiled plan replayed with a BatchNorm layer in "
-                    "training mode; adaptation steps must use the eager path"
+                    "training mode; an inference plan replays eval-mode BN "
+                    "only (adaptation steps go through CompiledAdaptStep)"
                 )
             if x.ndim == 4:
                 stat_shape = (1, x.shape[1], 1, 1)

@@ -32,7 +32,8 @@ Batching contract: a stream joins a fused step when its adapter is an
 adaptation batch, and the fused batch sizes agree.  Learning rates,
 momenta and stats modes may differ per stream — the update tail reads
 them per group.  Everything else (other adapters, unsupported graphs)
-falls back to the serial path.
+falls back to the serial path.  Under ``repro.nn.adaptation_mode(False)``
+a staged group runs its members' eager steps one after another.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class StagedGroupStep:
         self.batcher = batcher
         self.sessions = sessions
         self.inputs = inputs  # the plan input: images, or their stem rows
-        self.plan = plan
+        self.plan = plan  # None: its members' eager steps
         self.group_size = group_size
         self.results: Optional[Dict[int, AdaptResult]] = None
         self.per_stream_ms = 0.0
@@ -184,6 +185,10 @@ class FleetAdaptationBatcher:
                 None if rows is None else rows[k]
             ]
         images = np.stack(images)
+        if not nn.compiled_adaptation_enabled():
+            return StagedGroupStep(
+                self, list(sessions), images, None, group_size
+            )
         from_stem = all(r is not None for r in stems)
         try:
             plan = self._compiled.plan_for(
@@ -202,6 +207,17 @@ class FleetAdaptationBatcher:
     def _execute(self, staged: StagedGroupStep) -> Dict[int, AdaptResult]:
         """Run one fused step; its update tail steps every stream's state."""
         sessions, plan = staged.sessions, staged.plan
+        if plan is None:  # eager: each member's own step, serially
+            results = {}
+            for k, session in enumerate(sessions):
+                at = k * staged.group_size
+                session.swap_in()
+                results[id(session)] = session.adapter.adapt(
+                    staged.inputs[at:at + staged.group_size]
+                )
+                session.swap_out()
+                session.adapter.clear_pending()
+            return results
         # parameter slots: row k is stream k's adapted gamma/beta
         for tap in plan.bn_taps:
             for k, session in enumerate(sessions):

@@ -1,0 +1,98 @@
+"""The no-reuse oracle for the plans' one liveness analysis.
+
+Liveness decides which values share arena bytes: a key released before
+its last reader ran lets a later stage overwrite bytes still to be read.
+A plan compiled while ``_Arena.release`` is a no-op gives every key bytes
+of its own, so each replay output must come out the same bytes with and
+without reuse.
+"""
+
+import numpy as np
+
+from repro.adapt import LDBNAdapt, LDBNAdaptConfig
+from repro.engine import CompiledAdaptStep, compile_model
+from repro.engine.backends.core import _Arena
+from repro.models import build_model, get_config
+from repro.serve.streams import StreamRegistry
+
+#: (batch, groups, from_stem); groups None is the inference plan
+CASES = [(1, None, False), (4, None, False)] + [
+    (batch, groups, from_stem)
+    for batch, groups in ((1, 1), (4, 1), (4, 2))
+    for from_stem in (False, True)
+]
+
+
+def case_id(case):
+    batch, groups, from_stem = case
+    if groups is None:
+        return f"infer-b{batch}"
+    return f"adapt-b{batch}g{groups}-{'stem' if from_stem else 'image'}"
+
+
+def replay_bytes(preset, backend, threads, batch, groups, from_stem):
+    """``(bytes, arena blocks)`` of three replays of one plan on a fresh
+    model: an inference plan's logits and stem rows, or an adaptation
+    plan's losses, finite flags and taps with the update tail armed, then
+    the BN state and momentum buffers it left."""
+    model = build_model(preset, num_lanes=2, rng=np.random.default_rng(1))
+    model.eval()
+    h, w = get_config(preset).input_hw
+    frames = [
+        np.random.default_rng(seed).standard_normal(
+            (batch, 3, h, w)
+        ).astype(np.float32)
+        for seed in range(3)
+    ]
+    engine = compile_model(model, backend=backend, threads=threads)
+    out = []
+    if groups is None:
+        for x in frames:
+            out.append(engine(x).numpy().tobytes())
+            plan = engine.plan_for(x.shape, x.dtype)
+            out.append(plan.stem_rows.tobytes())
+        return out, plan.stats.arena_blocks
+    step = CompiledAdaptStep(model, backend=backend, threads=threads)
+    adapters = [LDBNAdapt(model, LDBNAdaptConfig(lr=1e-2), compiled=step)
+                for _ in range(groups)]
+    targets = adapters
+    if groups > 1:
+        registry = StreamRegistry(model)
+        targets = [registry.register(f"s{k}", iter(()), adapter,
+                                     deadline_ms=33.3)
+                   for k, adapter in enumerate(adapters)]
+    plan = step.plan_for(frames[0], groups=groups, from_stem=from_stem)
+    for x in frames:  # the first step's tail is the closure's
+        if groups > 1:
+            for tap in plan.bn_taps:
+                for k, target in enumerate(targets):
+                    *_, gamma, beta = target.bn_arrays(tap.module)
+                    tap.gamma_slot[k] = gamma
+                    tap.beta_slot[k] = beta
+        if from_stem:
+            engine(x)
+            x = engine.plan_for(x.shape, x.dtype).stem_rows
+        out += [plan.run(x, update=targets).tobytes(), plan.finite.tobytes()]
+        out += [a.tobytes() for tap in plan.bn_taps for a in (
+            tap.batch_mean, tap.batch_var, tap.grad_gamma, tap.grad_beta)]
+    out += [np.asarray(v).tobytes() for v in model.state_dict().values()]
+    if groups > 1:
+        for session in targets:
+            out += [session.bn_state.state.tobytes(),
+                    session.bn_state.counts.tobytes()]
+    for adapter in adapters:
+        out += [adapter.optimizer.state[id(p)]["momentum"].tobytes()
+                for p in adapter.optimizer.params]
+    return out, plan.stats.arena_blocks
+
+
+def assert_reuse_is_invisible(monkeypatch, preset, backend, threads, case):
+    """The plan of ``case`` replays the same bytes as its no-reuse twin,
+    which really did keep every key's bytes (more arena blocks)."""
+    reused, blocks = replay_bytes(preset, backend, threads, *case)
+    monkeypatch.setattr(_Arena, "release", lambda self, block: None)
+    fresh, fresh_blocks = replay_bytes(preset, backend, threads, *case)
+    assert fresh_blocks > blocks
+    assert len(fresh) == len(reused)
+    for k, (a, b) in enumerate(zip(fresh, reused)):
+        assert a == b, f"output {k} differs from the no-reuse twin"

@@ -46,6 +46,7 @@ from repro.engine.backends.threading import ENV_THREADS, MAX_THREADS
 from repro.nn import functional as F
 from repro.pipeline.realtime import PipelineConfig
 from repro.serve.server import FleetConfig
+from reuse_oracle import CASES, assert_reuse_is_invisible, case_id
 
 HAVE_CC = find_cc() is not None
 needs_cc = pytest.mark.skipif(HAVE_CC is False, reason="no C compiler")
@@ -2657,6 +2658,24 @@ class TestPlansShareNoState:
         assert engine(x).numpy().tobytes() == served
         assert fresh.plan_for(x.shape, x.dtype).backend_info[
             "program"] == program
+
+
+# ---------------------------------------------------------------------------
+# the one liveness analysis: arena reuse is invisible in every output
+
+
+@needs_cc
+class TestArenaReuse:
+    @pytest.mark.parametrize("case", CASES, ids=case_id)
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_reuse_is_invisible(self, threads, case, monkeypatch):
+        """A small-r18 cgen plan, every stage tiled, replays the bytes of
+        its twin compiled with no arena reuse (``tests/reuse_oracle.py``)."""
+        _tile_everything(monkeypatch)
+        assert_reuse_is_invisible(
+            monkeypatch, "small-r18", CGenBackend(threads=threads), threads,
+            case,
+        )
 
 
 # ---------------------------------------------------------------------------

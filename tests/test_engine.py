@@ -28,6 +28,7 @@ from repro.nn.modules import _BatchNormBase
 from repro.pipeline import PipelineConfig, RealTimePipeline
 from repro.serve import FleetConfig, FleetServer
 from repro.serve.streams import StreamRegistry, per_stream_inference
+from reuse_oracle import CASES, assert_reuse_is_invisible, case_id
 
 
 def _frames(rng, config, batch):
@@ -181,16 +182,21 @@ class TestPlanStructure:
         assert stats.arena_blocks < stats.num_stages
 
     @pytest.mark.parametrize(
-        "preset, infer_arena, adapt_arena, workspace",
+        "preset, infer_arena, adapt_arena, workspace, stem_workspace, "
+        "pair_arena, pair_workspace",
         [
-            ("tiny-r18", 61440, 488576, 1794144),
-            ("small-r18", 491520, 3819776, 10569056),
+            ("tiny-r18", 61440, 488576, 1794144, 963072, 976768, 3588288),
+            ("small-r18", 491520, 3819776, 10569056, 7279616, 7639552,
+             21138112),
         ],
     )
-    def test_plan_shape_pin(self, preset, infer_arena, adapt_arena, workspace):
+    def test_plan_shape_pin(self, preset, infer_arena, adapt_arena, workspace,
+                            stem_workspace, pair_arena, pair_workspace):
         """Both plan kinds come out of one lowering; a change to it must
         not silently move stage counts or buffer footprints (values of the
-        two-lowering engine, batch 1, numpy backend, ``groups=1``)."""
+        two-lowering engine, batch 1, numpy backend, ``groups=1``; the
+        from-stem and two-group plans' are those of the engine before
+        both plans shared one liveness analysis)."""
         model = build_model(preset, rng=np.random.default_rng(0))
         model.eval()
         x = _frames(np.random.default_rng(5), model.config, 1)
@@ -207,6 +213,31 @@ class TestPlanStructure:
         assert stats.workspace_bytes == workspace
         # 86 gradient stages + the update tail
         assert [len(steps) for steps in plan.sections] == [76, 87]
+        # from the stem rows: no stem conv stage or workspace, same arena
+        stem = CompiledAdaptStep(model, backend="numpy").plan_for(
+            x, from_stem=True
+        )
+        stats = stem.stats
+        assert (stats.backward_stages, stats.skipped_backward) == (77, 1)
+        assert (stats.arena_blocks, stats.arena_bytes) == (50, adapt_arena)
+        assert stats.workspace_bytes == stem_workspace
+        assert [len(steps) for steps in stem.sections] == [75, 87]
+        # two groups of one frame each
+        pair = CompiledAdaptStep(model, backend="numpy").plan_for(
+            np.concatenate([x, x]), groups=2
+        )
+        stats = pair.stats
+        assert (stats.backward_stages, stats.skipped_backward) == (77, 1)
+        assert (stats.arena_blocks, stats.arena_bytes) == (50, pair_arena)
+        assert stats.workspace_bytes == pair_workspace
+        assert [len(steps) for steps in pair.sections] == [76, 87]
+
+    @pytest.mark.parametrize("case", CASES, ids=case_id)
+    def test_arena_reuse_is_invisible(self, monkeypatch, case):
+        """A numpy tiny-r18 plan replays the bytes of its twin compiled
+        with no arena reuse (``tests/reuse_oracle.py``)."""
+        assert_reuse_is_invisible(monkeypatch, "tiny-r18", "numpy", None,
+                                  case)
 
     def test_noncontiguous_view_not_frozen(self, rng):
         """reshape-of-transpose copies; the plan must recompute it per

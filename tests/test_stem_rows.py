@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.adapt import LDBNAdapt, LDBNAdaptConfig
 from repro.data import ScenarioStream, get_scenario
 from repro.engine import CompiledAdaptStep, compile_model
@@ -53,7 +54,9 @@ def _tile_everything(monkeypatch):
 
 
 def _backend(name, threads):
-    return CGenBackend(threads=threads) if name == "cgen" else get_backend(name)
+    if name == "cgen":
+        return CGenBackend(threads=threads)
+    return get_backend("numpy" if name == "eager" else name)
 
 
 def _model(preset, seed=1):
@@ -467,9 +470,19 @@ def _positions(h, w):
     return edges + inside
 
 
+#: "eager": every adaptation step through the autograd path
+#: (``nn.adaptation_mode(False)``, entered by :func:`_eager_steps`)
 RAIL_ENGINES = [pytest.param("numpy", None, id="numpy")] + [
     pytest.param("cgen", t, marks=needs_cc, id=f"cgen-t{t}") for t in (1, 2)
-]
+] + [pytest.param("eager", None, id="eager")]
+
+
+@pytest.fixture(autouse=True)
+def _eager_steps(request):
+    callspec = getattr(request.node, "callspec", None)
+    eager = callspec is not None and callspec.params.get("backend") == "eager"
+    with nn.adaptation_mode(not eager):
+        yield
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # deliberate
