@@ -32,6 +32,14 @@ class AdaptResult:
     refused: bool = False
 
 
+def learnable_frame(image: np.ndarray) -> bool:
+    """Whether an adaptation step may learn from ``image``: every pixel
+    finite and not all of them equal.  A NaN anywhere makes both
+    reductions NaN, and every comparison with NaN is false."""
+    lo, hi = image.min(), image.max()
+    return bool(-np.inf < lo < hi < np.inf)
+
+
 class Adapter(abc.ABC):
     """Online test-time adapter bound to a model.
 
@@ -50,6 +58,7 @@ class Adapter(abc.ABC):
         self._initial_state = model.state_dict()
         self._step = 0
         self.refused_steps = 0  # steps whose loss was not finite
+        self.rejected_frames = 0  # frames no step may learn from
         # frames observed toward the next step, each an (image, stem rows
         # or None) pair of copies: rows of `_frames` / `_rows` unless a
         # restore installed its own.  One list, so a frame and its rows
@@ -128,9 +137,18 @@ class Adapter(abc.ABC):
         into a ring beside the frames.  A step whose every frame carries
         rows starts from them instead of convolving the images again;
         any frame without (a restored one) puts the step on the images.
+
+        A frame no step may learn from (:func:`learnable_frame`: a
+        non-finite pixel, or every pixel equal) is rejected before it is
+        buffered: it is counted in :attr:`rejected_frames`, the frames
+        already buffered wait for the next one, and None is returned —
+        the caller has served it with the current state.
         """
         if image.ndim != 3:
             raise ValueError(f"expected a single (3, H, W) frame, got {image.shape}")
+        if not learnable_frame(image):
+            self.rejected_frames += 1
+            return None
         pending = self._pending
         at = len(pending)
         # one step's frames: batch_size, or more when a restore installed
@@ -181,6 +199,7 @@ class Adapter(abc.ABC):
         self.model.load_state_dict(self._initial_state)
         self._step = 0
         self.refused_steps = 0
+        self.rejected_frames = 0
         self.clear_pending()
 
     @property

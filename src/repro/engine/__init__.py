@@ -24,7 +24,8 @@ Architecture — one lowering, compiled through one entry point:
   shared op once (op table, numpy closure, renderer offer spec) and owns
   the one liveness analysis over a plan's sections, which recycles
   buffers through a byte-arena pool (:mod:`~repro.engine.backends.core`,
-  with the per-layer im2col workspaces), so replays allocate nothing.
+  beside the one column workspace every plan's im2col and max-pool
+  columns are views of), so replays allocate nothing.
   :class:`ExecutionPlan` is the forward program with no backward:
   conv→BN→ReLU chains fuse into one im2col GEMM (``np.matmul(...,
   out=)``) with the folded BN affine and ReLU as its in-place epilogue.

@@ -51,7 +51,6 @@ modules and the plan is the single-stream compiled step.
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -61,6 +60,7 @@ from ..nn import functional as F
 from ..nn.functional import update_running_stat
 from ..nn.modules import _BatchNormBase
 from ..nn.optim import sgd_update
+from .backends.core import COLUMNS
 from .plan import _ELEMENTWISE, StaticPlan, op_kind, stem_index
 from .tracer import TraceGraph, ValueRef
 
@@ -121,7 +121,7 @@ class AdaptPlanStats:
     arena_blocks: int
     arena_bytes: int
     requested_bytes: int
-    workspace_bytes: int  # dedicated im2col/pool workspaces
+    workspace_bytes: int  # held alone: padded images (columns are shared)
 
 
 def _update_tail(armed: list, taps: List[BNLayerTap],
@@ -213,23 +213,6 @@ class AdaptationPlan(StaticPlan):
 
     WRITES_IN_PLACE = False
 
-    def _fallback_scratch(self, tag, shape, dtype) -> np.ndarray:
-        """Scratch for the numpy fallback of a stage the renderer took,
-        outside the arena (the rendered stage needs none).  Such
-        fallbacks fill their scratch anew on every call and never run
-        concurrently, so all of them share one buffer per ``tag`` — the
-        largest asked for so far — which lives as long as they do (for a
-        stage that survives its probe: until compilation ends).  An
-        anonymous mapping rather than heap: once the last fallback is
-        dropped the pages go back to the OS, where freed heap chunks of
-        this size stay resident under the long-lived objects allocated
-        after them."""
-        buffers = self._ct.fallback_scratch
-        need = int(np.prod(shape)) * np.dtype(dtype).itemsize
-        if tag not in buffers or buffers[tag].nbytes < need:
-            buffers[tag] = np.frombuffer(mmap.mmap(-1, need), dtype=np.uint8)
-        return buffers[tag][:need].view(dtype).reshape(shape)
-
     # ------------------------------------------------------------------
     # compilation
     # ------------------------------------------------------------------
@@ -246,7 +229,6 @@ class AdaptationPlan(StaticPlan):
             self._input_vid = nodes[cut].out_vid
             self._input_shape = nodes[cut].out_shape
         shapes, dtypes = self._ct.shapes, self._ct.dtypes
-        self._ct.fallback_scratch = {}  # tag -> buffer, see the method
         producer: Dict[int, int] = {}
         kinds: List[str] = []
         for index, node in enumerate(nodes):
@@ -803,23 +785,23 @@ class AdaptationPlan(StaticPlan):
                     dgrad(dst.reshape(n, k_total, p_total))
 
                 def compute_value():
-                    dgrad(grad_cols)
-                    return grad_cols.reshape(x_shape)
+                    cols = grad_cols[0]
+                    dgrad(cols)
+                    return cols.reshape(x_shape)
             else:
                 # accumulating contributions materialize the image first,
                 # as the eager `existing + grad` does
                 image = None if fresh else scratch("gpad", x_shape, dtype)
 
                 def compute_fresh(dst):
-                    dgrad(grad_cols)
+                    cols = grad_cols[0]
+                    dgrad(cols)
                     dst.fill(0.0)
-                    F._col2im_accumulate(
-                        dst, grad_cols, kernel, stride, padding
-                    )
+                    F._col2im_accumulate(dst, cols, kernel, stride, padding)
 
                 def compute_value():
-                    compute_fresh(image)
-                    return image
+                    compute_fresh(image[0])
+                    return image[0]
 
             if fresh:
                 return lambda: compute_fresh(dst)
@@ -835,14 +817,21 @@ class AdaptationPlan(StaticPlan):
     def _emit_scratch_free(self, kind, spec, lowering, scratch):
         """Emit a backward stage whose rendered form needs no scratch
         (it accumulates in registers, or in place, and stores once).
-        ``lowering(scratch)`` builds the numpy step with its column /
-        image scratch drawn from ``scratch``: when the renderer takes
-        the stage that step is only its probe oracle and fallback, and
-        keeps its scratch out of the arena."""
-        placed = self._ct.renderer is not None and self._place(
-            kind, spec, lowering(self._fallback_scratch)
-        )
-        self._bwd.append(placed or lowering(scratch))
+        ``lowering(part)`` builds the numpy step with its column / image
+        scratch drawn from ``part(tag, shape, dtype)``, a one-element
+        list the step reads at call time: arena blocks, or — when the
+        renderer takes the stage and that step is only its probe oracle
+        and fallback — claims on the shared column workspace, laid end
+        to end and dropped with the step."""
+        placed, last = None, []
+
+        def claim(tag, shape, dtype):
+            last[:] = [COLUMNS.claim(shape, dtype, *last)]
+            return last[0]
+
+        if self._ct.renderer is not None:
+            placed = self._place(kind, spec, lowering(claim))
+        self._bwd.append(placed or lowering(lambda *part: [scratch(*part)]))
 
     def _bwd_maxpool(self, node, index, cell, scratch, sink, grad_in):
         if not grad_in:
@@ -862,19 +851,20 @@ class AdaptationPlan(StaticPlan):
             image = None if fresh else scratch("gpad", dst.shape, dtype)
 
             def compute_fresh(dst):
-                grad_cols.fill(0.0)
+                cols = grad_cols[0]
+                cols.fill(0.0)
                 np.put_along_axis(
-                    grad_cols, arg[:, None, :], g4.reshape(nc, 1, -1), axis=1
+                    cols, arg[:, None, :], g4.reshape(nc, 1, -1), axis=1
                 )
                 dst.fill(0.0)
                 F._col2im_accumulate(
-                    dst.reshape(nc, 1, h, w), grad_cols, geo.kernel,
+                    dst.reshape(nc, 1, h, w), cols, geo.kernel,
                     geo.stride, geo.padding,
                 )
 
             def accumulate():
-                compute_fresh(image)
-                np.add(dst, image, out=dst)
+                compute_fresh(image[0])
+                np.add(dst, image[0], out=dst)
 
             return (lambda: compute_fresh(dst)) if fresh else accumulate
 

@@ -296,8 +296,8 @@ class _Offer:
         self.arm: Optional[Callable[[], None]] = None  # run every replay
         self.demoted = False
         self.mt = False          # dispatched across the worker pool
-        self.geo = None          # ConvLowering whose im2col workspace
-        #                          becomes releasable if this survives
+        self.geo = None          # Conv/PoolLowering whose gather
+        #                          workspace is released if this survives
         self.tol_dtype = None    # band-tolerance override (reductions
         #                          whose outs are wider than their data)
 
@@ -683,7 +683,7 @@ class CRenderer:
         return self._accept(
             offer, f"maxpool_{ct}", (so, sx, sa),
             _pool_args(geo, arg is not None),
-            mt=self._mt(cells / _SWEEP_PER_US),
+            mt=self._mt(cells / _SWEEP_PER_US), geo=geo,
         )
 
     def _reads(self, sources, dtype, offer, size=None):
@@ -1192,9 +1192,10 @@ class CRenderer:
             1 for o in self._offers if o.mt and not o.demoted
         ))
 
-        # -- fused-im2col workspace release: a surviving conv stage
-        # gathers inside the library, so its plan-side im2col workspaces
-        # (and the oracle closure capturing them) are dead weight
+        # -- fused-im2col workspace release: a surviving conv or max-pool
+        # stage gathers inside the library, so its plan-side padded image
+        # and column claim (and the oracle closure capturing them) are
+        # dead weight
         freed = 0
         seen_geos = set()
         for offer in self._offers:

@@ -9,9 +9,11 @@ closures, generated C) builds on the same objects:
   buffer is recycled through, driven by the one liveness table
   (:meth:`~repro.engine.plan.StaticPlan._lifetimes`) both plan kinds
   build over their sections;
+* :data:`COLUMNS` — the process's one column workspace: every numpy
+  plan's im2col and max-pool column matrices are views of it;
 * :class:`ConvLowering` / :class:`PoolLowering` — the im2col geometry of
-  one conv/pool layer (gather indices, padded-image buffer, column
-  workspace) computed once at compile time;
+  one conv/pool layer (gather indices, its own padded-image buffer, its
+  claim on :data:`COLUMNS`) computed once at compile time;
 * :class:`PlanProfile` / :func:`_timed_step` — the opt-in per-stage
   replay profiler, tagged with the ``backend`` that produced the stages
   it times.
@@ -22,7 +24,9 @@ workspaces are plain arrays the backends capture however they like.
 
 from __future__ import annotations
 
+import mmap
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -82,42 +86,112 @@ class _Arena:
         self._free.append(block)
 
 
-@dataclass
-class ConvLowering:
-    """Compile-time im2col geometry + workspaces of one conv layer.
+class _Claim(list):
+    """A view of :data:`COLUMNS` in a cell: ``claim[0]`` is a ``(shape,
+    dtype)`` array over bytes ``[start, end)``, rebound when the buffer
+    moves — a replay reads it through the claim, one list index."""
 
-    ``flat`` indexes the (optionally padded) input image per ``(k, p)``
-    column entry; ``padded``/``core``/``cols`` are the cached per-layer
-    workspaces replays gather into with ``np.take(..., out=)``.  When the
-    kernel is 1x1/stride-1/unpadded (``identity_cols``) the input itself
-    is the column matrix and no workspace exists.  Backends that build
-    their columns structurally (the C renderer) need only the scalar
-    geometry above.
-    """
+    __slots__ = ("shape", "dtype", "start", "end", "__weakref__")
+
+
+class _Columns:
+    """The process's one column workspace: every numpy plan's im2col and
+    max-pool columns, at every batch size, and the scratch of the numpy
+    fallbacks of rendered adaptation stages are views of it.
+
+    **Invariant:** a claim is written at the start of the one stage that
+    reads it, and no two stages run at once (plans replay one at a time on
+    the one serving thread; the C worker pool never touches numpy
+    workspaces), so claims may overlap; parts one stage holds together are
+    laid end to end.  Sized to the largest live claim (a claim lives as
+    long as its holder); an anonymous mapping, so a shrunken buffer's
+    pages go back to the OS."""
+
+    def __init__(self):
+        self.raw = np.empty(0, dtype=np.uint8)
+        self._live: Dict[int, Tuple[weakref.ref, int]] = {}  # id: ref, end
+
+    def claims(self) -> List[_Claim]:
+        return [c for c in (ref() for ref, _ in list(self._live.values()))
+                if c is not None]
+
+    def claim(self, shape: Tuple[int, ...], dtype,
+              after: Optional[_Claim] = None) -> _Claim:
+        """A view of ``shape``/``dtype`` from the buffer's start, or from
+        the end of ``after``: a part live in the same stage."""
+        claim = _Claim([None])
+        claim.shape, claim.dtype = tuple(shape), np.dtype(dtype)
+        claim.start = 0 if after is None else -(-after.end // _ALIGN) * _ALIGN
+        claim.end = claim.start + int(np.prod(shape)) * claim.dtype.itemsize
+        key = id(claim)
+        ref = weakref.ref(claim, lambda _: self.release(key))
+        self._live[key] = ref, claim.end
+        self._resize(max(claim.end, self.raw.nbytes), claim)
+        return claim
+
+    def release(self, key: int) -> None:
+        """Drop the claim ``id`` ``key``: its holder died, or gathers."""
+        _, end = self._live.pop(key, (None, -1))
+        if end == self.raw.nbytes:  # it may have been the largest
+            self._resize(max((e for _, e in self._live.values()), default=0))
+
+    def _resize(self, need: int, new: Optional[_Claim] = None) -> None:
+        """Hold ``need`` bytes, binding every claim when the buffer moves
+        (else only ``new``)."""
+        live = [new] if new is not None else []
+        if need != self.raw.nbytes:
+            self.raw = np.frombuffer(mmap.mmap(-1, need), dtype=np.uint8) \
+                if need else np.empty(0, dtype=np.uint8)
+            live = self.claims()
+        for c in live:
+            c[0] = self.raw[c.start:c.end].view(c.dtype).reshape(c.shape)
+
+
+#: the one column workspace of this process (see :class:`_Columns`)
+COLUMNS = _Columns()
+
+
+@dataclass(kw_only=True)
+class _Gather:
+    """Compile-time geometry + workspaces of one gather (conv im2col or
+    max-pool windows): ``flat`` indexes the (optionally padded) input per
+    column entry; ``padded``/``core`` are the layer's own padded image
+    (its ``workspace_nbytes``; the border, zeros or ``-inf``, written
+    once) and ``cols`` its claim on :data:`COLUMNS`, which replays
+    :meth:`gather` into."""
 
     n: int
     c: int
     h: int
     w: int
-    f_out: int
     kernel: Tuple[int, int]
     stride: Tuple[int, int]
     padding: Tuple[int, int]
     out_h: int
     out_w: int
     p_total: int
-    k_total: int
-    compute_dtype: np.dtype
     x_dtype: np.dtype
-    identity_cols: bool
     flat: Optional[np.ndarray] = None
     padded: Optional[np.ndarray] = None
     core: Optional[np.ndarray] = None
-    cols: Optional[np.ndarray] = None
+    cols: Optional[_Claim] = None
     workspace_nbytes: int = 0
 
+    def gather(self, x: np.ndarray) -> np.ndarray:
+        """The columns of input ``x``, gathered into the claim; a 1x1
+        conv's input is its own column matrix."""
+        if self.flat is None:
+            return x.reshape(self.n, self.c, self.p_total)
+        cols = self.cols[0]
+        if self.padded is not None:
+            self.core[...] = x.reshape(self.core.shape)
+            x = self.padded
+        np.take(x.reshape(len(cols), -1), self.flat, axis=1, out=cols,
+                mode="clip")
+        return cols
+
     def release_workspace(self) -> None:
-        """Drop the gather workspaces (padded image, column matrix).
+        """Drop the gather workspaces (padded image, column claim).
 
         Called by a codegen backend once every stage using this lowering
         gathers inside its own kernel (fused im2col) — the plan-side
@@ -126,10 +200,24 @@ class ConvLowering:
         Irreversible for this plan; the numpy closures that captured
         these arrays must already be unreachable.
         """
-        self.padded = None
-        self.core = None
-        self.cols = None
+        if self.cols is not None:
+            COLUMNS.release(id(self.cols))
+        self.padded = self.core = self.cols = None
         self.workspace_nbytes = 0
+
+
+@dataclass(kw_only=True)
+class ConvLowering(_Gather):
+    """The :class:`_Gather` of one conv layer, one column per ``(k, p)``
+    entry.  When the kernel is 1x1/stride-1/unpadded (``identity_cols``)
+    the input itself is the column matrix and no workspace exists.
+    Backends that build their columns structurally (the C renderer) need
+    only the scalar geometry."""
+
+    f_out: int
+    k_total: int
+    compute_dtype: np.dtype
+    identity_cols: bool
 
 
 def lower_conv(
@@ -162,38 +250,20 @@ def lower_conv(
         k, i, j, _, _ = _im2col_indices(c, h, w, (kh, kw), stride, padding)
         hp, wp = h + 2 * padding[0], w + 2 * padding[1]
         geo.flat = ((k * hp + i) * wp + j).astype(np.intp)
+        cols_dtype = x_dtype
         if padding != (0, 0):
             geo.padded = np.zeros((n, c, hp, wp), dtype=compute_dtype)
             geo.core = geo.padded[:, :, padding[0]:padding[0] + h,
                                   padding[1]:padding[1] + w]
-            geo.cols = np.empty((n, k_total, p_total), dtype=compute_dtype)
-            geo.workspace_nbytes = geo.padded.nbytes + geo.cols.nbytes
-        else:
-            geo.cols = np.empty((n, k_total, p_total), dtype=x_dtype)
-            geo.workspace_nbytes = geo.cols.nbytes
+            geo.workspace_nbytes = geo.padded.nbytes
+            cols_dtype = compute_dtype
+        geo.cols = COLUMNS.claim((n, k_total, p_total), cols_dtype)
     return geo
 
 
-@dataclass
-class PoolLowering:
-    """Compile-time geometry + workspaces of one max-pool layer."""
-
-    n: int
-    c: int
-    h: int
-    w: int
-    kernel: Tuple[int, int]
-    stride: Tuple[int, int]
-    padding: Tuple[int, int]
-    out_h: int
-    out_w: int
-    p_total: int
-    x_dtype: np.dtype
-    flat: np.ndarray
-    padded: Optional[np.ndarray] = None
-    core: Optional[np.ndarray] = None
-    cols: Optional[np.ndarray] = None
-    workspace_nbytes: int = 0
+class PoolLowering(_Gather):
+    """The :class:`_Gather` of one max-pool layer, one column per window
+    entry."""
 
 
 def lower_pool(
@@ -220,13 +290,12 @@ def lower_pool(
         h_eff, w_eff = h, w
     _, i, j, _, _ = _im2col_indices(1, h_eff, w_eff, kernel, stride, (0, 0))
     flat = (i * w_eff + j).astype(np.intp)
-    cols = np.empty((n * c, kernel[0] * kernel[1], p_total), dtype=x_dtype)
-    workspace = cols.nbytes + (padded.nbytes if padded is not None else 0)
     return PoolLowering(
         n=n, c=c, h=h, w=w, kernel=kernel, stride=stride, padding=padding,
         out_h=out_h, out_w=out_w, p_total=p_total, x_dtype=x_dtype,
-        flat=flat,
-        padded=padded, core=core, cols=cols, workspace_nbytes=workspace,
+        flat=flat, padded=padded, core=core,
+        cols=COLUMNS.claim((n * c, kernel[0] * kernel[1], p_total), x_dtype),
+        workspace_nbytes=padded.nbytes if padded is not None else 0,
     )
 
 

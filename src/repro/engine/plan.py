@@ -17,9 +17,11 @@ the buffer policy, the replay prologue and the profile summary.
 (:meth:`StaticPlan._out`): an arena block is recycled once the last use
 of every value it backs has run, a view is held by its source's block,
 and each plan adds only the uses the shared forward walk cannot see.
-The im2col workspaces are cached per conv/pool layer
-(:mod:`repro.engine.backends.core`), so replays allocate nothing beyond
-tiny per-channel fold vectors.
+A conv/pool layer's padded image is its own; its im2col column matrix
+is a claim on the process's one column workspace
+(:data:`~repro.engine.backends.core.COLUMNS`), which every plan shares
+because columns never outlive their stage.  Replays allocate nothing
+beyond tiny per-channel fold vectors.
 
 :class:`ExecutionPlan` is then just the forward program with no
 backward, plus **fusion**: a ``conv -> eval-BN -> relu`` chain (and
@@ -117,7 +119,7 @@ class PlanStats:
     arena_blocks: int
     arena_bytes: int  # bytes actually held by the arena
     requested_bytes: int  # bytes the ops would allocate without reuse
-    workspace_bytes: int  # dedicated im2col/pool workspaces
+    workspace_bytes: int  # held alone: padded images (columns are shared)
 
 
 def _bn_epilogue(buf3: np.ndarray, module, n: int, src=None) -> None:
@@ -205,7 +207,7 @@ class StaticPlan:
         # nor the compile-time state is retained: closures captured what
         # replay needs, parameters stay reachable through their
         # ConstRef-held tensors.  The renderer holds every offered stage
-        # and its numpy fallback closure, which captures the im2col
+        # and its numpy fallback closure, which captures the gather
         # workspaces — dropping it is what lets a fused-im2col backend
         # actually free the workspaces it released; and the small tables,
         # allocated between those big transient buffers, would otherwise
@@ -406,10 +408,8 @@ class StaticPlan:
             x_shape, weight.shape, _pair(node.inputs[3]),
             _pair(node.inputs[4]), node.out_dtype, x_dtype,
         )
-        n, c = geo.n, geo.c
-        f_out, p_total, k_total = geo.f_out, geo.p_total, geo.k_total
-        identity_cols = geo.identity_cols
-        padded, core, cols, flat = geo.padded, geo.core, geo.cols, geo.flat
+        n, f_out, p_total = geo.n, geo.f_out, geo.p_total
+        k_total = geo.k_total
         self._ct.workspace_bytes += geo.workspace_nbytes
 
         out4 = self._out(
@@ -420,18 +420,6 @@ class StaticPlan:
         if rows:
             self.stem_rows = acc3.reshape(out4.shape)
         get_x = self._getter(x_ref)
-
-        def im2col():
-            x = get_x()
-            if padded is not None:
-                core[...] = x
-                np.take(padded.reshape(n, -1), flat, axis=1, out=cols,
-                        mode="clip")
-                return cols
-            if identity_cols:
-                return x.reshape(n, c, p_total)
-            np.take(x.reshape(n, -1), flat, axis=1, out=cols, mode="clip")
-            return cols
 
         def gemm(cc):
             np.matmul(weight.data.reshape(f_out, k_total), cc, out=acc3)
@@ -455,7 +443,7 @@ class StaticPlan:
                 bias=bias, bn_module=bn_module, relu=relu, out3=out3,
                 rows=acc3 if rows else None,
             ),
-            self._gemm_stage(im2col, gemm, epilogue),
+            self._gemm_stage(lambda: geo.gather(get_x()), gemm, epilogue),
         )
         return geo
 
@@ -498,26 +486,17 @@ class StaticPlan:
             x_shape, node.out_shape, kernel, stride, _pair(node.inputs[3]),
             x_dtype,
         )
-        n, c, h, w = geo.n, geo.c, geo.h, geo.w
-        padded, core, cols, flat = geo.padded, geo.core, geo.cols, geo.flat
         self._ct.workspace_bytes += geo.workspace_nbytes
         arg = alloc_arg(geo) if alloc_arg is not None else None
         out4 = self._out(node.out_vid, node.out_shape, node.out_dtype)
-        out2 = out4.reshape(n * c, geo.p_total)
+        out2 = out4.reshape(geo.n * geo.c, geo.p_total)
         get_x = self._getter(x_ref)
 
         def run():
-            x = get_x()
-            if padded is not None:
-                core[...] = x.reshape(n * c, h, w)
-                np.take(padded.reshape(n * c, -1), flat, axis=1, out=cols,
-                        mode="clip")
-            else:
-                np.take(x.reshape(n * c, -1), flat, axis=1, out=cols,
-                        mode="clip")
+            window = geo.gather(get_x())
             if arg is not None:
-                np.argmax(cols, axis=1, out=arg)
-            np.max(cols, axis=1, out=out2)
+                np.argmax(window, axis=1, out=arg)
+            np.max(window, axis=1, out=out2)
 
         self._offer(
             "maxpool",

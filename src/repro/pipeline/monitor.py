@@ -44,6 +44,7 @@ class FrameRecord:
     adapted: bool = False
     adapt_ms: Optional[float] = None  # adaptation-step latency when one ran
     refused: bool = False  # the step's loss was not finite: nothing written
+    rejected: bool = False  # not learnable (non-finite or constant): unbuffered
 
 
 @dataclass
@@ -95,6 +96,12 @@ class PipelineReport:
     def refused_steps(self) -> int:
         """Steps whose loss was not finite, so they wrote nothing."""
         return sum(1 for f in self.frames if f.refused)
+
+    @property
+    def rejected_frames(self) -> int:
+        """Frames the adapter would not learn from (a non-finite pixel,
+        or every pixel equal): served, never buffered toward a step."""
+        return sum(1 for f in self.frames if f.rejected)
 
     def latency_percentile(self, q: float) -> float:
         """Latency percentile ``q`` in [0, 100] over all frames."""

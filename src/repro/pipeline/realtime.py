@@ -190,7 +190,8 @@ class RealTimePipeline:
         modelled = config.latency_model == "orin"
         report = PipelineReport(deadline_ms=deadline_ms)
         frames = report.frames
-        timer, observe = self.timer, self.adapter.observe_frame
+        adapter, timer = self.adapter, self.timer
+        observe = adapter.observe_frame
         clock = time.perf_counter
         iterator = iter(stream)
 
@@ -202,6 +203,7 @@ class RealTimePipeline:
                 break
 
             rows = self._warm_engine(frame)
+            rejected = adapter.rejected_frames
             start = clock()
             pred = self._predict(frame)
             served = clock()
@@ -234,6 +236,7 @@ class RealTimePipeline:
                     adapted=result is not None,
                     adapt_ms=adapt_ms,
                     refused=result is not None and result.refused,
+                    rejected=adapter.rejected_frames != rejected,
                 )
             )
         return report

@@ -43,7 +43,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from .. import nn
-from ..adapt.base import AdaptResult
+from ..adapt.base import AdaptResult, learnable_frame
 from ..adapt.bn_adapt import LDBNAdapt
 from ..engine import CompiledAdaptStep, UnsupportedAdaptGraph
 from .streams import StreamSession
@@ -166,40 +166,46 @@ class FleetAdaptationBatcher:
         ``frames`` holds each session's incoming frame image and ``rows``
         (optional) its stem rows, as the launch's inference replay wrote
         them; buffered frames from previous ticks complete each stream's
-        batch.  Both are copied.  Returns None when the step cannot be
-        compiled — the caller falls back to serial stepping (nothing has
-        been consumed from the adapters).
+        batch.  Both are copied.  A session whose frame no step may learn
+        from (:func:`~repro.adapt.base.learnable_frame`) is left out of
+        the group: its own ``observe_frame`` rejects and counts it.
+        Returns None when the step cannot be compiled, or fewer than two
+        sessions of a group are left — the caller falls back to serial
+        stepping (nothing has been consumed from the adapters).
         """
         if self._unsupported:
             return None
         group_size = sessions[0].adapter.config.batch_size
-        images, stems = [], []
+        members, images, stems = [], [], []
         for k, (session, image) in enumerate(zip(sessions, frames)):
             image = np.asarray(image, dtype=np.float32)
             if image.ndim != 3:
                 raise ValueError(
                     f"expected a single (3, H, W) frame, got {image.shape}"
                 )
+            if not learnable_frame(image):
+                continue
+            members.append(session)
             images += session.adapter.pending_images + [image]
             stems += session.adapter.pending_rows + [
                 None if rows is None else rows[k]
             ]
+        if len(members) < min(2, len(sessions)):
+            return None
         images = np.stack(images)
         if not nn.compiled_adaptation_enabled():
-            return StagedGroupStep(
-                self, list(sessions), images, None, group_size
-            )
+            return StagedGroupStep(self, members, images, None, group_size)
         from_stem = all(r is not None for r in stems)
         try:
             plan = self._compiled.plan_for(
-                images, groups=len(sessions), from_stem=from_stem
+                images, groups=len(members), from_stem=from_stem
             )
         except UnsupportedAdaptGraph:
             self._unsupported = True
             return None
         self._fused_proven = True
         return StagedGroupStep(
-            self, list(sessions), np.stack(stems) if from_stem else images,
+            self, members, np.stack(stems) if from_stem else images,
             plan, group_size,
         )
 

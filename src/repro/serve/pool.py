@@ -815,6 +815,7 @@ class DeviceWorker:
         ):
             fed = decisions[id(req)].feed
             result, adapt_step_ms, completion_ms = None, 0.0, clock_ms
+            rejected = session.adapter.rejected_frames
             if fed:
                 session.adapt_grants += 1
                 result, adapt_step_ms, clock_ms, completion_ms = self._adapt(
@@ -826,6 +827,7 @@ class DeviceWorker:
             self._record_frame(
                 plan, start_ms, infer_ms, req, pred,
                 fed, result, adapt_step_ms, completion_ms,
+                session.adapter.rejected_frames != rejected,
             )
             if session.drift is not None and session.drift.observe(
                 float(batch_entropy[frame_pos]), frame.image
@@ -957,10 +959,12 @@ class DeviceWorker:
     def _record_frame(
         self, plan: BatchPlan, start_ms: float, infer_ms: float, req, pred,
         fed: bool, result, adapt_step_ms: float, completion_ms: float,
+        rejected: bool,
     ) -> None:
         """Book one served frame: accuracy, latency and slack into the
         heat signals, the fleet histograms, the tracer and the
-        session's own report."""
+        session's own report (``rejected``: its adapter would not learn
+        from it)."""
         config = self.config
         session, frame = req.payload
         accuracy = point_accuracy(
@@ -991,6 +995,7 @@ class DeviceWorker:
         session.record(
             frame, latency_ms, accuracy, result,
             adapt_ms=adapt_step_ms if result is not None else None,
+            rejected=rejected,
         )
 
     def _reset_drifted(
@@ -1224,8 +1229,12 @@ class DeviceWorker:
                 )
                 if staged is None:  # graph not lowerable: serial fallback
                     continue
-                for req, *_ in members:
-                    group_of[id(req)] = staged
+                # a member left out (its frame is not learnable) goes
+                # serial, where its adapter rejects the frame
+                staged_ids = {id(s) for s in staged.sessions}
+                for req, session, *_ in members:
+                    if id(session) in staged_ids:
+                        group_of[id(req)] = staged
         # serial steppers warm their compiled plan outside the timed region
         for req, session, frame, _ in due:
             if id(req) not in group_of:

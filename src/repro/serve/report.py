@@ -245,6 +245,11 @@ class FleetReport:
         return sum(r.refused_steps for r in self.stream_reports.values())
 
     @property
+    def rejected_frames(self) -> int:
+        """Frames no adapter would learn from; served, never buffered."""
+        return sum(r.rejected_frames for r in self.stream_reports.values())
+
+    @property
     def adapting_streams(self) -> int:
         """Streams that took at least one adaptation step."""
         return sum(

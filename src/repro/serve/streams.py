@@ -326,6 +326,7 @@ class StreamSession:
         accuracy: float,
         adapt_result,
         adapt_ms: Optional[float] = None,
+        rejected: bool = False,
     ) -> FrameRecord:
         """Append one served frame to this stream's report."""
         record = FrameRecord(
@@ -340,6 +341,7 @@ class StreamSession:
             adapted=adapt_result is not None,
             adapt_ms=adapt_ms if adapt_result is not None else None,
             refused=adapt_result is not None and adapt_result.refused,
+            rejected=rejected,
         )
         self.report.frames.append(record)
         self.frames_seen += 1

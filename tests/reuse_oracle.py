@@ -1,17 +1,23 @@
-"""The no-reuse oracle for the plans' one liveness analysis.
+"""The no-reuse oracles for the plans' shared buffers.
 
 Liveness decides which values share arena bytes: a key released before
 its last reader ran lets a later stage overwrite bytes still to be read.
 A plan compiled while ``_Arena.release`` is a no-op gives every key bytes
 of its own, so each replay output must come out the same bytes with and
 without reuse.
+
+Every column matrix is a claim on the one column workspace, shared by
+every stage of every plan: a stage reading columns another stage wrote
+would read whatever was gathered there last.  The private twin gives
+every claim a buffer of its own, as each layer had before the columns
+were shared.
 """
 
 import numpy as np
 
 from repro.adapt import LDBNAdapt, LDBNAdaptConfig
 from repro.engine import CompiledAdaptStep, compile_model
-from repro.engine.backends.core import _Arena
+from repro.engine.backends.core import _Arena, _Claim, _Columns
 from repro.models import build_model, get_config
 from repro.serve.streams import StreamRegistry
 
@@ -96,3 +102,29 @@ def assert_reuse_is_invisible(monkeypatch, preset, backend, threads, case):
     assert len(fresh) == len(reused)
     for k, (a, b) in enumerate(zip(fresh, reused)):
         assert a == b, f"output {k} differs from the no-reuse twin"
+
+
+def private_columns(monkeypatch):
+    """From here on every column claim is a buffer of its own; returns
+    the list of the claims made."""
+    made = []
+
+    def claim(self, shape, dtype, after=None):
+        made.append(_Claim([np.empty(shape, dtype)]))
+        return made[-1]
+
+    monkeypatch.setattr(_Columns, "claim", claim)
+    return made
+
+
+def assert_columns_sharing_is_invisible(monkeypatch, preset, backend,
+                                        threads, case):
+    """The plan of ``case`` replays the same bytes as its twin whose
+    every column claim has a private buffer."""
+    shared, _ = replay_bytes(preset, backend, threads, *case)
+    made = private_columns(monkeypatch)
+    private, _ = replay_bytes(preset, backend, threads, *case)
+    assert made  # the twin really claimed columns of its own
+    assert len(private) == len(shared)
+    for k, (a, b) in enumerate(zip(private, shared)):
+        assert a == b, f"output {k} differs from the private-columns twin"

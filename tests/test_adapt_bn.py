@@ -196,28 +196,35 @@ class TestLDBNAdapt:
     ):
         """A source that hands over one buffer again and again (a camera
         ring) must not turn the batch into copies of its last frame; and
-        frames a restore put in the pending list join the batch in order."""
+        frames a restore put in the pending list join the batch in order.
+        Each frame is told apart by its first pixel; the last is held at
+        0 so no frame is constant (a constant frame is never buffered)."""
         seen = []
 
         class Recording(NoAdapt):
             config = LDBNAdaptConfig(batch_size=3)
 
             def adapt(self, images):
-                seen.append(images.mean(axis=(1, 2, 3)).tolist())
+                seen.append(images[:, 0, 0, 0].tolist())
                 assert images.dtype == np.float32
                 return super().adapt(images)
 
         adapter = Recording(trained_tiny_model)
         ring = np.empty_like(target_images[0], dtype=np.float32)
-        for value in (1.0, 2.0, 3.0, 4.0, 5.0):
+
+        def fill(value):
             ring[...] = value
+            ring[-1, -1, -1] = 0.0
+
+        for value in (1.0, 2.0, 3.0, 4.0, 5.0):
+            fill(value)
             result = adapter.observe_frame(ring)
         assert seen == [[1.0, 2.0, 3.0]] and result is None
         assert adapter.pending_frames == 2
         adapter.restore_pending([np.full_like(target_images[0], 7.0)])
-        ring[...] = 8.0
+        fill(8.0)
         assert adapter.observe_frame(ring) is None
-        ring[...] = 9.0
+        fill(9.0)
         assert adapter.observe_frame(ring).num_frames == 3
         assert seen[1] == [7.0, 8.0, 9.0]
         # a restore with a step's worth or more pending (a checkpoint taken
@@ -229,9 +236,9 @@ class TestLDBNAdapt:
         assert seen[2] == [1.0, 2.0, 3.0, 9.0]
         # ... and batch_size is read live
         adapter.config = LDBNAdaptConfig(batch_size=2)
-        ring[...] = 4.0
+        fill(4.0)
         assert adapter.observe_frame(ring) is None
-        ring[...] = 5.0
+        fill(5.0)
         assert adapter.observe_frame(ring).num_frames == 2
         assert seen[3] == [4.0, 5.0]
 

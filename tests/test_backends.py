@@ -17,6 +17,7 @@ validation in the serving and pipeline layers.
 import ctypes
 import gc
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -41,12 +42,18 @@ from repro.engine.backends import (
     tile_bounds,
 )
 from repro.engine.backends import cgen
-from repro.engine.backends.core import lower_conv
+from repro.engine.backends.cgen.build import _ensure_so
+from repro.engine.backends.core import COLUMNS, lower_conv
 from repro.engine.backends.threading import ENV_THREADS, MAX_THREADS
 from repro.nn import functional as F
 from repro.pipeline.realtime import PipelineConfig
 from repro.serve.server import FleetConfig
-from reuse_oracle import CASES, assert_reuse_is_invisible, case_id
+from reuse_oracle import (
+    CASES,
+    assert_columns_sharing_is_invisible,
+    assert_reuse_is_invisible,
+    case_id,
+)
 
 HAVE_CC = find_cc() is not None
 needs_cc = pytest.mark.skipif(HAVE_CC is False, reason="no C compiler")
@@ -61,6 +68,29 @@ def _band(dtype):
 
 def _fresh_cache(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CGEN_CACHE", str(tmp_path / "cgen-cache"))
+
+
+@pytest.fixture(scope="session")
+def cold_builds(tmp_path_factory):
+    """A cache holding one cold build of the kernel library per pool
+    width (1 and 2), made once a session and never loaded from there."""
+    cache = str(tmp_path_factory.mktemp("cgen-cold"))
+    for threads in (1, 2):
+        so, hit, err = _ensure_so(
+            cgen.K.library_source(threads), cache, cgen._cflags(),
+            cgen._plan_variant(threads), cgen.K.LIBRARY_PARTS,
+        )
+        assert so is not None and not hit, err
+    return cache
+
+
+def _seeded_cache(monkeypatch, tmp_path, cold_builds):
+    """A private cache that starts as a copy of the session's cold builds:
+    for a test of behaviour on a cache rather than of the compile (each
+    copy is a new file, so this process loads it afresh)."""
+    cache = tmp_path / "cgen-cache"
+    shutil.copytree(cold_builds, cache)
+    monkeypatch.setenv("REPRO_CGEN_CACHE", str(cache))
 
 
 # ---------------------------------------------------------------------------
@@ -582,10 +612,11 @@ def _pool_refs(so_path):
 
 @needs_cc
 class TestPoolLifecycle:
-    def test_shared_so_shares_one_pool(self, rng, monkeypatch, tmp_path):
+    def test_shared_so_shares_one_pool(self, rng, monkeypatch, tmp_path,
+                                       cold_builds):
         """Two plans loading the same cached .so take references on ONE
         pool; the workers are joined when the last plan dies."""
-        _fresh_cache(monkeypatch, tmp_path)
+        _seeded_cache(monkeypatch, tmp_path, cold_builds)
         model = _bn_model(rng)
         x = rng.standard_normal((1, 3, 8, 12)).astype(np.float32)
 
@@ -613,9 +644,9 @@ class TestPoolLifecycle:
         assert _pool_refs(so) == 0
 
     def test_single_thread_plan_holds_reference_without_workers(
-        self, rng, monkeypatch, tmp_path
+        self, rng, monkeypatch, tmp_path, cold_builds
     ):
-        _fresh_cache(monkeypatch, tmp_path)
+        _seeded_cache(monkeypatch, tmp_path, cold_builds)
         model = _bn_model(rng)
         x = rng.standard_normal((1, 3, 8, 12)).astype(np.float32)
         engine = compile_model(model, backend=CGenBackend(threads=1))
@@ -636,11 +667,11 @@ class TestPoolLifecycle:
 @needs_cc
 class TestThreadVariantCache:
     def test_thread_counts_key_distinct_artifacts(
-        self, rng, monkeypatch, tmp_path
+        self, rng, monkeypatch, tmp_path, cold_builds
     ):
         """POOL_NT is baked into the TU, so each width must compile to
         its own .so — a 1-thread plan can never load a 4-thread pool."""
-        _fresh_cache(monkeypatch, tmp_path)
+        _seeded_cache(monkeypatch, tmp_path, cold_builds)
         model = _bn_model(rng)
         x = rng.standard_normal((1, 3, 8, 12)).astype(np.float32)
         paths = {}
@@ -858,11 +889,12 @@ class TestOneLibraryPerHost:
             assert np.array_equal(out, compile_model(model)(x).numpy())
             engine(x)  # the plan is built: replaying it warns no more
 
-    def test_the_larger_scratch_reserve_wins(self, rng, monkeypatch, tmp_path):
+    def test_the_larger_scratch_reserve_wins(self, rng, monkeypatch, tmp_path,
+                                             cold_builds):
         """Scratch belongs to the library, grow-only: a plan with a bigger
         conv raises it under a plan already loaded, whose bytes do not
         change; a smaller plan after it lowers nothing."""
-        _fresh_cache(monkeypatch, tmp_path)
+        _seeded_cache(monkeypatch, tmp_path, cold_builds)
 
         def plan_and_output(channels, hw):
             conv = nn.Conv2d(channels, 8, 3, padding=1, bias=False,
@@ -950,12 +982,12 @@ print(json.dumps([
         assert sorted(os.listdir(cache)) == sorted([so, so[:-3] + ".c"])
 
     def test_program_digest_agrees_across_processes(
-        self, monkeypatch, tmp_path
+        self, monkeypatch, tmp_path, cold_builds
     ):
         """``program`` is library key + rows + args — slot indices, no
         address — so two processes building the same plan agree on it and
         a different shape does not."""
-        _fresh_cache(monkeypatch, tmp_path)
+        _seeded_cache(monkeypatch, tmp_path, cold_builds)
         same_a, same_b, other = self._cold_children((1, 1, 2))
         programs = [[info["program"] for info in r] for r in (same_a, same_b)]
         assert programs[0] == programs[1] and None not in programs[0]
@@ -984,6 +1016,28 @@ class TestFusedIm2colWorkspace:
         freed = plan.backend_info["workspace_freed"]
         assert freed > 0
         assert plan.stats.workspace_bytes == max(0, np_ws - freed)
+
+        # a rendered max-pool frees its padded image and columns too: with
+        # every stage rendered the plan holds no workspace and no claim
+        pool = nn.Sequential(
+            nn.Conv2d(3, 8, 3, padding=1, bias=False, rng=rng),
+            nn.BatchNorm2d(8),
+            nn.ReLU(),
+            nn.MaxPool2d(3, stride=2, padding=1),
+            nn.Conv2d(8, 4, 1, rng=rng),
+        )
+        pool.eval()
+        eng_np = compile_model(pool)
+        eng_np(x)
+        assert eng_np.plan_for(x.shape, x.dtype).stats.workspace_bytes > 0
+        gc.collect()
+        before = {id(c) for c in COLUMNS.claims()}
+        eng_c = compile_model(pool, backend=CGenBackend(threads=2))
+        eng_c(x)
+        plan = eng_c.plan_for(x.shape, x.dtype)
+        assert plan.backend_info["rendered"] == plan.backend_info["stages"]
+        assert plan.stats.workspace_bytes == 0
+        assert [c for c in COLUMNS.claims() if id(c) not in before] == []
 
     def test_conv_stages_bind_no_index_table(self, rng):
         """The im2col is rendered from the conv's scalar geometry: a
@@ -2675,6 +2729,16 @@ class TestArenaReuse:
         assert_reuse_is_invisible(
             monkeypatch, "small-r18", CGenBackend(threads=threads), threads,
             case,
+        )
+
+    @pytest.mark.parametrize("case", CASES, ids=case_id)
+    def test_column_sharing_is_invisible(self, case, monkeypatch):
+        """A small-r18 cgen plan, whose probe oracles gather into the
+        shared columns, replays the bytes of its twin whose every column
+        claim has a private buffer (``tests/reuse_oracle.py``)."""
+        _tile_everything(monkeypatch)
+        assert_columns_sharing_is_invisible(
+            monkeypatch, "small-r18", CGenBackend(threads=1), 1, case
         )
 
 

@@ -10,6 +10,8 @@ allocating nothing in steady state.  These tests pin that contract (a
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -22,13 +24,20 @@ from repro.engine import (
     compile_model,
     trace,
 )
+from repro.engine.backends.core import COLUMNS
 from repro.engine.plan import ExecutionPlan
 from repro.models import build_model, get_config
 from repro.nn.modules import _BatchNormBase
 from repro.pipeline import PipelineConfig, RealTimePipeline
 from repro.serve import FleetConfig, FleetServer
 from repro.serve.streams import StreamRegistry, per_stream_inference
-from reuse_oracle import CASES, assert_reuse_is_invisible, case_id
+from reuse_oracle import (
+    CASES,
+    assert_columns_sharing_is_invisible,
+    assert_reuse_is_invisible,
+    case_id,
+    private_columns,
+)
 
 
 def _frames(rng, config, batch):
@@ -185,9 +194,9 @@ class TestPlanStructure:
         "preset, infer_arena, adapt_arena, workspace, stem_workspace, "
         "pair_arena, pair_workspace",
         [
-            ("tiny-r18", 61440, 488576, 1794144, 963072, 976768, 3588288),
-            ("small-r18", 491520, 3819776, 10569056, 7279616, 7639552,
-             21138112),
+            ("tiny-r18", 61440, 488576, 285792, 207360, 976768, 571584),
+            ("small-r18", 491520, 3819776, 1578336, 1299456, 7639552,
+             3156672),
         ],
     )
     def test_plan_shape_pin(self, preset, infer_arena, adapt_arena, workspace,
@@ -196,7 +205,9 @@ class TestPlanStructure:
         not silently move stage counts or buffer footprints (values of the
         two-lowering engine, batch 1, numpy backend, ``groups=1``; the
         from-stem and two-group plans' are those of the engine before
-        both plans shared one liveness analysis)."""
+        both plans shared one liveness analysis).  ``workspace`` is what a
+        plan holds alone, its padded images: the column matrices are
+        claims on the one shared workspace."""
         model = build_model(preset, rng=np.random.default_rng(0))
         model.eval()
         x = _frames(np.random.default_rng(5), model.config, 1)
@@ -238,6 +249,61 @@ class TestPlanStructure:
         with no arena reuse (``tests/reuse_oracle.py``)."""
         assert_reuse_is_invisible(monkeypatch, "tiny-r18", "numpy", None,
                                   case)
+
+    @pytest.mark.parametrize("case", CASES, ids=case_id)
+    def test_column_sharing_is_invisible(self, monkeypatch, case):
+        """A numpy tiny-r18 plan replays the bytes of its twin whose every
+        column claim has a private buffer (``tests/reuse_oracle.py``)."""
+        assert_columns_sharing_is_invisible(
+            monkeypatch, "tiny-r18", "numpy", None, case
+        )
+
+    def test_a_larger_plan_grows_the_one_column_buffer(self, monkeypatch):
+        """Inference at batch 1, then batch 8 grows the column buffer under
+        it: batch 1 replayed again and a from-stem step leave the bytes of
+        the private-columns twin, every live column view lies in the one
+        buffer, and the buffer is the largest live claim (the batch-8
+        stem conv's columns: 8 x 147 x 640 doubles)."""
+
+        def run():
+            model = build_model("tiny-r18", num_lanes=2,
+                                rng=np.random.default_rng(1))
+            model.eval()
+            gen = np.random.default_rng(2)
+            x1, x8 = _frames(gen, model.config, 1), _frames(gen, model.config, 8)
+            engine = compile_model(model, backend="numpy")
+            out = [engine(x1).numpy().tobytes()]
+            engine(x8)
+            out.append(engine(x1).numpy().tobytes())
+            rows = engine.plan_for(x1.shape, x1.dtype).stem_rows
+            adapter = LDBNAdapt(
+                model, LDBNAdaptConfig(lr=1e-2),
+                compiled=CompiledAdaptStep(model, backend="numpy"),
+            )
+            plan = adapter._compiled.plan_for(x1, from_stem=True)
+            out += [rows.tobytes(),
+                    plan.run(rows.copy(), update=[adapter]).tobytes()]
+            out += [a.tobytes() for tap in plan.bn_taps for a in (
+                tap.batch_mean, tap.batch_var, tap.grad_gamma, tap.grad_beta)]
+            out += [np.asarray(v).tobytes()
+                    for v in model.state_dict().values()]
+            out += [adapter.optimizer.state[id(p)]["momentum"].tobytes()
+                    for p in adapter.optimizer.params]
+            return out, (engine, plan)
+
+        gc.collect()
+        before = {id(c) for c in COLUMNS.claims()}
+        shared, keep = run()
+        claims = COLUMNS.claims()
+        ours = [c for c in claims if id(c) not in before]
+        assert ours
+        assert all(np.shares_memory(c[0], COLUMNS.raw) for c in claims)
+        assert max(c.end for c in ours) == 8 * 147 * 640 * 8 == 6021120
+        assert COLUMNS.raw.nbytes == max(c.end for c in claims)
+        del keep
+        private_columns(monkeypatch)
+        private, _ = run()
+        assert private == shared
 
     def test_noncontiguous_view_not_frozen(self, rng):
         """reshape-of-transpose copies; the plan must recompute it per

@@ -161,8 +161,8 @@ class TestBatchedAdaptation:
         # empty buffer: the incoming frame only buffers, nothing to fuse
         assert batcher.group_key(session) is None
         h, w = trained_tiny_model.config.input_hw
-        session.adapter.observe_frame(
-            np.zeros((3, h, w), dtype=np.float32)
+        session.adapter.observe_frame(  # any learnable frame
+            np.arange(3 * h * w, dtype=np.float32).reshape(3, h, w)
         )  # buffered: the NEXT frame completes the batch and can fuse
         assert session.adapter.pending_frames == 1
         assert batcher.group_key(session) == ("ldbn-sgd", 2)
@@ -885,7 +885,9 @@ class TestSlackAdmissionFleet:
         )
         worker = server.workers[0]
         h, w = trained_tiny_model.config.input_hw
-        session.adapter.observe_frame(np.zeros((3, h, w), dtype=np.float32))
+        session.adapter.observe_frame(  # any learnable frame buffers
+            np.arange(3 * h * w, dtype=np.float32).reshape(3, h, w)
+        )
         assert session.adapter.pending_frames == 1  # buffer full: next feeds step
         req = FrameRequest(
             stream_id="s0", frame_index=1, arrival_ms=0.0, deadline_ms=1e9,

@@ -8,8 +8,11 @@ single-stream pipeline, a batch-4 adapter ring, a fused group gathered
 from a launch and a serial fleet step; and wherever a pending frame lost
 its rows (a restore) the step falls back to the images.
 
-The rail: the loss tail flags each group whose loss is finite, and the
-update tail writes nothing for a group it did not flag.
+The rails: a frame with a non-finite pixel, or every pixel equal, never
+reaches a step (it is rejected before it is buffered, alone or in a
+fused group); and behind that the loss tail flags each group whose loss
+is finite, and the update tail writes nothing for a group it did not
+flag.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import pytest
 
 from repro import nn
 from repro.adapt import LDBNAdapt, LDBNAdaptConfig
+from repro.adapt import base as adapt_base
 from repro.data import ScenarioStream, get_scenario
 from repro.engine import CompiledAdaptStep, compile_model
 from repro.engine.adapt_plan import AdaptationPlan
@@ -28,6 +32,7 @@ from repro.hw.device import ORIN_POWER_MODES
 from repro.models import build_model, get_config
 from repro.pipeline import PipelineConfig, RealTimePipeline
 from repro.serve import DriftResetConfig, FleetConfig, FleetServer
+from repro.serve import adapt_batch
 from repro.serve.adapt_batch import FleetAdaptationBatcher
 from repro.serve.drift import SessionDriftState
 from repro.serve.streams import StreamRegistry
@@ -477,6 +482,15 @@ RAIL_ENGINES = [pytest.param("numpy", None, id="numpy")] + [
 ] + [pytest.param("eager", None, id="eager")]
 
 
+@pytest.fixture
+def _no_ingest_rail(monkeypatch):
+    """Let poisoned frames through to a step: the step's own rail is what
+    these tests plant them past (the ingest rail keeps them out of every
+    step, and has its tests below)."""
+    for module in (adapt_base, adapt_batch):
+        monkeypatch.setattr(module, "learnable_frame", lambda image: True)
+
+
 @pytest.fixture(autouse=True)
 def _eager_steps(request):
     callspec = getattr(request.node, "callspec", None)
@@ -485,6 +499,7 @@ def _eager_steps(request):
         yield
 
 
+@pytest.mark.usefixtures("_no_ingest_rail")
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # deliberate
 @pytest.mark.parametrize("backend,threads", RAIL_ENGINES)
 def test_a_poisoned_group_writes_nothing_and_the_rest_update(
@@ -528,6 +543,7 @@ def test_a_poisoned_group_writes_nothing_and_the_rest_update(
             assert session.adapter.refused_steps == refused[k] + poisoned
 
 
+@pytest.mark.usefixtures("_no_ingest_rail")
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # deliberate
 @pytest.mark.parametrize("backend,threads", RAIL_ENGINES)
 def test_a_nan_frame_is_refused_by_a_single_stream_step(backend, threads):
@@ -555,6 +571,7 @@ def test_a_nan_frame_is_refused_by_a_single_stream_step(backend, threads):
     assert adapter.refused_steps == 6 and adapter.steps_taken == 4
 
 
+@pytest.mark.usefixtures("_no_ingest_rail")
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # deliberate
 def test_reports_count_refused_steps(trained_tiny_model, tiny_benchmark):
     from dataclasses import replace
@@ -585,3 +602,123 @@ def test_reports_count_refused_steps(trained_tiny_model, tiny_benchmark):
     for i in range(2):
         server.add_stream(f"s{i}", poisoned(samples, 1 + i))
     assert server.run(4).refused_steps == 2
+
+
+# ---------------------------------------------------------------------------
+# the ingest rail: a frame no step may learn from is never buffered
+
+#: one pixel NaN / +inf / -inf, or every pixel equal
+SPOILS = ["nan", "+inf", "-inf", "constant"]
+
+
+def _spoiled(image, how):
+    image = image.copy()
+    if how == "constant":
+        image[...] = 0.25
+    else:
+        image[1, 2, 3] = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}[how]
+    return image
+
+
+@pytest.mark.parametrize("how", SPOILS)
+@pytest.mark.parametrize("backend,threads", RAIL_ENGINES[:2])
+def test_an_unlearnable_frame_never_joins_a_step(backend, threads, how):
+    """At batch size 4, three clean frames, a spoiled one and a clean one:
+    the spoiled frame is counted and never buffered, and the fifth frame
+    steps with the bytes of a step on the four clean ones."""
+    frames = _frames("tiny-r18", 4)
+
+    def adapter():
+        model = _model("tiny-r18")
+        be = _backend(backend, threads)
+        return LDBNAdapt(
+            model, LDBNAdaptConfig(lr=1e-2, batch_size=4),
+            compiled=CompiledAdaptStep(model, backend=be, threads=threads),
+        )
+
+    clean = adapter()
+    want = [clean.observe_frame(image) for image in frames]
+    spoiled = adapter()
+    for image in frames[:3]:
+        assert spoiled.observe_frame(image) is None
+    assert spoiled.observe_frame(_spoiled(frames[0], how)) is None
+    assert spoiled.pending_frames == 3 and spoiled.rejected_frames == 1
+    got = spoiled.observe_frame(frames[3])
+    assert want[:3] == [None] * 3 and clean.rejected_frames == 0
+    assert got.num_frames == 4 and not got.refused
+    assert np.float64(got.loss).tobytes() == np.float64(want[3].loss).tobytes()
+    assert _state(spoiled) == _state(clean)
+
+
+@pytest.mark.parametrize("backend,threads", RAIL_ENGINES[:2])
+def test_fused_staging_leaves_an_unlearnable_frame_out(backend, threads):
+    """Three streams, the middle one's frame spoiled: the fused step is
+    the two others' group of two, byte for byte, and the spoiled stream's
+    own ``observe_frame`` rejects its frame."""
+
+    def fleet():
+        model = _model("tiny-r18")
+        step = CompiledAdaptStep(model, backend=_backend(backend, threads))
+        registry = StreamRegistry(model)
+        sessions = [
+            registry.register(
+                f"s{i}", iter(()),
+                LDBNAdapt(model, LDBNAdaptConfig(lr=1e-2), compiled=step),
+                deadline_ms=33.3,
+            )
+            for i in range(3)
+        ]
+        return sessions, FleetAdaptationBatcher(model, compiled=step)
+
+    frames = list(_frames("tiny-r18", 3))
+    spoiled = frames[:1] + [_spoiled(frames[1], "nan")] + frames[2:]
+    sessions, batcher = fleet()
+    staged = batcher.stage(sessions, spoiled)
+    assert [id(s) for s in staged.sessions] == [id(sessions[0]),
+                                               id(sessions[2])]
+    staged.execute()
+    assert sessions[1].adapter.observe_frame(spoiled[1]) is None
+    assert sessions[1].adapter.rejected_frames == 1
+    assert batcher.stage(sessions[1:2], spoiled[1:2]) is None
+    twins, twin_batcher = fleet()
+    twin_batcher.stage([twins[0], twins[2]], [frames[0], frames[2]]).execute()
+    for session, twin in zip(sessions, twins):
+        assert _written(session) == _written(twin)
+
+
+def test_reports_count_rejected_frames(trained_tiny_model, tiny_benchmark):
+    """A constant and a NaN frame are served (one record each, marked
+    rejected) and never adapted on; both reports count them, and no step
+    is refused."""
+    from dataclasses import replace
+
+    def spoiled(stream, spoils):
+        for i, sample in enumerate(stream):
+            if i in spoils:
+                sample = replace(
+                    sample, image=_spoiled(sample.image, spoils[i])
+                )
+            yield sample
+
+    samples = tiny_benchmark.target_stream(
+        rng=np.random.default_rng(0)
+    ).take(4).samples
+    adapter = LDBNAdapt(trained_tiny_model, LDBNAdaptConfig(lr=1e-3))
+    report = RealTimePipeline(
+        trained_tiny_model, adapter, PipelineConfig(), device=DEVICE,
+        spec=SPEC,
+    ).run(spoiled(samples, {1: "constant", 2: "nan"}), 4)
+    assert report.num_frames == 4
+    assert [f.rejected for f in report.frames] == [False, True, True, False]
+    assert [f.adapted for f in report.frames] == [True, False, False, True]
+    assert report.rejected_frames == 2 == adapter.rejected_frames
+    assert report.refused_steps == 0 and adapter.steps_taken == 2
+
+    server = FleetServer(
+        trained_tiny_model, FleetConfig(latency_model="orin"),
+        device=DEVICE, spec=SPEC,
+    )
+    for i in range(2):
+        server.add_stream(f"s{i}", spoiled(samples, {1 + i: "constant"}))
+    fleet = server.run(4)
+    assert fleet.rejected_frames == 2 and fleet.refused_steps == 0
