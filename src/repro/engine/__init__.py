@@ -38,11 +38,15 @@ Architecture — one lowering, compiled through one entry point:
   batch statistics and gamma/beta slots make one replay equal G serial
   steps.  The numpy lowering of a conv input gradient is the one eager
   runs: a BLAS dgrad GEMM (:func:`repro.nn.functional._conv_dgrad`) plus
-  an ordered strided col2im
-  (:func:`repro.nn.functional._col2im_accumulate`); ``cgen`` replaces it
-  with the *gather* form — ``dX`` as a stride-1 forward conv of ``dY``
-  per output phase, weights read live, transposed and flipped — on the
-  forward's register-blocked kernel, probed against that closure.
+  a col2im that scatters the columns into a zeroed padded image, one
+  ``np.add.at`` per sample through the forward's flat gather index
+  (:func:`repro.nn.functional._col2im_scatter`; the max-pool backward
+  puts its winners into zeroed columns and runs the same scatter);
+  ``cgen`` replaces it with the *gather* form — ``dX`` as a stride-1
+  forward conv of ``dY`` per output phase, weights read live, transposed
+  and flipped — on the forward's register-blocked kernel, probed against
+  that closure.  Train-mode BN takes its batch statistics from the eager
+  forward's one formula (:func:`repro.nn.functional.batch_stats`).
 * :mod:`~repro.engine.backends` — a *plan backend* contributes only the
   stage renderer handed to the lowering; ``PlanBackend.compile(graph)``
   builds the plan kind the graph records.  ``numpy`` (the default) passes
@@ -80,8 +84,9 @@ Architecture — one lowering, compiled through one entry point:
   ``--backend`` CLI flag on ``fleet`` and ``bench-*``.
 * :mod:`~repro.engine.compile` — :func:`compile_model` /
   :class:`CompiledInference` and :class:`CompiledAdaptStep`: plan caches
-  keyed by ``(shape, dtype[, groups])``, retracing transparently when the
-  input shape changes (fleet batch sizes).
+  keyed by ``(shape, dtype)`` and ``(shape, dtype, groups, from_stem)``,
+  retracing transparently when the input shape changes (fleet batch
+  sizes).
 
 :class:`repro.pipeline.RealTimePipeline`, :class:`repro.serve.FleetServer`
 and :class:`repro.adapt.LDBNAdapt` use these paths by default;

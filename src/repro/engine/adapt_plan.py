@@ -37,7 +37,12 @@ the two plans replay the same stages after it on the same values.
 
 Every kernel replays the eager op sequence on the same values in the same
 order, so gradients match the autograd oracle, and no autograd
-``Context`` or ``Tensor`` is allocated anywhere on the replay path.
+``Context`` or ``Tensor`` is allocated anywhere on the replay path.  The
+formulas with more than one numpy form are the eager ones, called: the
+train-mode BN statistics (:func:`~repro.nn.functional.batch_stats`), the
+conv input gradient's GEMM and flat-index col2im scatter, and the
+max-pool backward's put of the winners before the same scatter; a plan
+builds only their indices and scratch, once, at compile time.
 
 **Grouped replay** is the fleet-batching mechanism: with ``groups=G`` the
 batch axis is split into G contiguous groups of equal size, every
@@ -84,6 +89,28 @@ def _axis_dims(shape, axis: int) -> Tuple[int, int, int]:
         int(np.prod(shape[:axis], dtype=np.int64)), int(shape[axis]),
         int(np.prod(shape[axis + 1:], dtype=np.int64)),
     )
+
+
+def _col2im_into(dst: np.ndarray, fresh: bool, geo, flat: np.ndarray,
+                 scratch) -> Callable[[np.ndarray], None]:
+    """The step writing (``fresh``) or adding the col2im of its columns
+    into ``dst``: :func:`F._col2im_scatter` through ``flat`` into ``dst``
+    itself (fresh, unpadded) or into a padded stage scratch, whose core
+    is then copied or added."""
+    ph, pw = geo.padding
+    n, c, h, w = dst.shape
+    if fresh and not (ph or pw):
+        return lambda cols: F._col2im_scatter(dst, cols, flat)
+    padded = scratch("gpad", (n, c, h + 2 * ph, w + 2 * pw), dst.dtype)
+    apply = np.copyto if fresh else (
+        lambda dst, core: np.add(dst, core, out=dst))
+
+    def step(cols):
+        image = padded[0]
+        F._col2im_scatter(image, cols, flat)
+        apply(dst, image[:, :, ph:ph + h, pw:pw + w])
+
+    return step
 
 
 @dataclass
@@ -536,18 +563,16 @@ class AdaptationPlan(StaticPlan):
         )
 
         def run():
-            x5 = get_x().reshape(gshape)
-            mean = x5.mean(axis=axes, keepdims=True)
-            var = x5.var(axis=axes, keepdims=True)
+            # x - mean lands in x-hat, its square in the output buffer
+            xh5, out5 = xhat.reshape(gshape), out.reshape(gshape)
+            mean, var = F.batch_stats(get_x().reshape(gshape), axes,
+                                      xh5, out5)
             # same ufunc sequence as `1.0 / np.sqrt(var + eps)`, written
             # into the persistent buffer — bitwise identical values
             np.add(var, eps, out=inv5)
             np.sqrt(inv5, out=inv5)
             np.divide(1.0, inv5, out=inv5)
-            xh5 = xhat.reshape(gshape)
-            np.subtract(x5, mean, out=xh5)
             np.multiply(xh5, inv5, out=xh5)
-            out5 = out.reshape(gshape)
             np.multiply(xh5, get_gamma(), out=out5)
             np.add(out5, get_beta(), out=out5)
             tap.batch_mean[...] = mean.reshape(groups, c)
@@ -756,56 +781,39 @@ class AdaptationPlan(StaticPlan):
         g4 = self._grads[node.out_vid]
         weight = node.inputs[1].tensor
         geo = cell["geo"]  # the forward's lowering: same layer geometry
-        n, x_shape = geo.n, (geo.n, geo.c, geo.h, geo.w)
-        kernel, stride, padding = geo.kernel, geo.stride, geo.padding
+        n = geo.n
         k_total, p_total, f_out = geo.k_total, geo.p_total, geo.f_out
         dtype = node.out_dtype
         identity = geo.identity_cols
         dst, fresh = sink(grad_in[0])
 
-        def lowering(scratch):
-            """The numpy step, its column/image scratch from ``scratch``."""
-            # a fresh 1x1 contribution is the GEMM itself, written straight
-            # into the gradient buffer; every other case lands the GEMM in
-            # column scratch first
-            grad_cols = (
-                None if identity and fresh
-                else scratch("gcols", (n, k_total, p_total), dtype)
+        def dgrad(out):
+            F._conv_dgrad(
+                weight.data.reshape(f_out, k_total),
+                g4.reshape(n, f_out, p_total),
+                out=out,
             )
 
-            def dgrad(out):
-                F._conv_dgrad(
-                    weight.data.reshape(f_out, k_total),
-                    g4.reshape(n, f_out, p_total),
-                    out=out,
-                )
-
+        def lowering(scratch):
+            """The numpy step, its column/image scratch from ``scratch``."""
+            if identity and fresh:
+                # a fresh 1x1 contribution is the GEMM itself, written
+                # straight into the gradient buffer
+                return lambda: dgrad(dst.reshape(n, k_total, p_total))
+            # every other case lands the GEMM in column scratch first
+            grad_cols = scratch("gcols", (n, k_total, p_total), dtype)
             if identity:
-                def compute_fresh(dst):
-                    dgrad(dst.reshape(n, k_total, p_total))
-
-                def compute_value():
-                    cols = grad_cols[0]
-                    dgrad(cols)
-                    return cols.reshape(x_shape)
+                write = lambda cols: np.add(  # noqa: E731
+                    dst, cols.reshape(dst.shape), out=dst)
             else:
-                # accumulating contributions materialize the image first,
-                # as the eager `existing + grad` does
-                image = None if fresh else scratch("gpad", x_shape, dtype)
+                write = _col2im_into(dst, fresh, geo, geo.flat, scratch)
 
-                def compute_fresh(dst):
-                    cols = grad_cols[0]
-                    dgrad(cols)
-                    dst.fill(0.0)
-                    F._col2im_accumulate(dst, cols, kernel, stride, padding)
+            def step():
+                cols = grad_cols[0]
+                dgrad(cols)
+                write(cols)
 
-                def compute_value():
-                    compute_fresh(image[0])
-                    return image[0]
-
-            if fresh:
-                return lambda: compute_fresh(dst)
-            return lambda: np.add(dst, compute_value(), out=dst)
+            return step
 
         self._emit_scratch_free(
             "conv_dgrad",
@@ -843,30 +851,23 @@ class AdaptationPlan(StaticPlan):
         dtype = node.out_dtype
         dst, fresh = sink(grad_in[0])
 
+        taps = geo.kernel[0] * geo.kernel[1]
+        # the scatter runs per sample over all channels, as a conv's does
+        flat = F._im2col_flat(geo.c, h, w, geo.kernel, geo.stride,
+                              geo.padding)
+        base = F._winner_base(nc, taps, geo.p_total)
+
         def lowering(scratch):
-            grad_cols = scratch(
-                "gcols", (nc, geo.kernel[0] * geo.kernel[1], geo.p_total),
-                dtype,
-            )
-            image = None if fresh else scratch("gpad", dst.shape, dtype)
+            grad_cols = scratch("gcols", (nc, taps, geo.p_total), dtype)
+            where = scratch("gidx", arg.shape, np.intp)
+            col2im = _col2im_into(dst, fresh, geo, flat, scratch)
 
-            def compute_fresh(dst):
+            def step():
                 cols = grad_cols[0]
-                cols.fill(0.0)
-                np.put_along_axis(
-                    cols, arg[:, None, :], g4.reshape(nc, 1, -1), axis=1
-                )
-                dst.fill(0.0)
-                F._col2im_accumulate(
-                    dst.reshape(nc, 1, h, w), cols, geo.kernel,
-                    geo.stride, geo.padding,
-                )
+                F._put_winners(cols, arg, g4, base, where[0])
+                col2im(cols.reshape(geo.n, geo.c * taps, geo.p_total))
 
-            def accumulate():
-                compute_fresh(image[0])
-                np.add(dst, image[0], out=dst)
-
-            return (lambda: compute_fresh(dst)) if fresh else accumulate
+            return step
 
         self._emit_scratch_free(
             "maxpool_bwd",

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ...nn.functional import _conv_output_size, _im2col_indices
+from ...nn.functional import _conv_output_size, _im2col_flat
 
 _ALIGN = 64
 
@@ -247,9 +247,8 @@ def lower_conv(
         ),
     )
     if not geo.identity_cols:
-        k, i, j, _, _ = _im2col_indices(c, h, w, (kh, kw), stride, padding)
+        geo.flat = _im2col_flat(c, h, w, (kh, kw), stride, padding)
         hp, wp = h + 2 * padding[0], w + 2 * padding[1]
-        geo.flat = ((k * hp + i) * wp + j).astype(np.intp)
         cols_dtype = x_dtype
         if padding != (0, 0):
             geo.padded = np.zeros((n, c, hp, wp), dtype=compute_dtype)
@@ -282,18 +281,15 @@ def lower_pool(
 
     padded = core = None
     if padding != (0, 0):
-        h_eff, w_eff = h + 2 * padding[0], w + 2 * padding[1]
-        padded = np.full((n * c, h_eff, w_eff), -np.inf, dtype=x_dtype)
+        padded = np.full((n * c, h + 2 * padding[0], w + 2 * padding[1]),
+                         -np.inf, dtype=x_dtype)
         core = padded[:, padding[0]:padding[0] + h,
                       padding[1]:padding[1] + w]
-    else:
-        h_eff, w_eff = h, w
-    _, i, j, _, _ = _im2col_indices(1, h_eff, w_eff, kernel, stride, (0, 0))
-    flat = (i * w_eff + j).astype(np.intp)
     return PoolLowering(
         n=n, c=c, h=h, w=w, kernel=kernel, stride=stride, padding=padding,
         out_h=out_h, out_w=out_w, p_total=p_total, x_dtype=x_dtype,
-        flat=flat, padded=padded, core=core,
+        flat=_im2col_flat(1, h, w, kernel, stride, padding),
+        padded=padded, core=core,
         cols=COLUMNS.claim((n * c, kernel[0] * kernel[1], p_total), x_dtype),
         workspace_nbytes=padded.nbytes if padded is not None else 0,
     )

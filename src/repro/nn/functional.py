@@ -100,47 +100,26 @@ def _im2col(
     return cols, out_h, out_w
 
 
-def _col2im_accumulate(
-    image: np.ndarray,
-    cols: np.ndarray,
-    kernel: Tuple[int, int],
-    stride: Tuple[int, int],
-    padding: Tuple[int, int] = (0, 0),
-) -> None:
-    """Add columns (N, C*kh*kw, out_h*out_w) into ``image`` (N, C, H, W).
+def _im2col_flat(c: int, h: int, w: int, kernel: Tuple[int, int],
+                 stride: Tuple[int, int], padding: Tuple[int, int]):
+    """The im2col gather as one flat intp index ``(C*kh*kw, out_h*out_w)``
+    into one padded ``(C, H+2p, W+2p)`` sample: ``(k*Hp + i)*Wp + j``."""
+    k, i, j, _, _ = _im2col_indices(c, h, w, kernel, stride, padding)
+    return ((k * (h + 2 * padding[0]) + i) * (w + 2 * padding[1])
+            + j).astype(np.intp)
 
-    One strided slice-add per kernel offset ``(a, b)``, clipped to the
-    window positions whose tap lands inside the image, so contributions
-    to padding cells are dropped without a padded buffer.  Offsets are
-    visited in ``(kh, kw)`` row-major order: every image element receives
-    its contributions in ascending column-row order, exactly the order
-    of an indexed scatter-add (``ufunc.at``) over the im2col indices, so
-    the sums are bitwise identical to one.
-    """
-    n, c, h, w = image.shape
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    out_h = _conv_output_size(h, kh, sh, ph)
-    out_w = _conv_output_size(w, kw, sw, pw)
-    cols6 = cols.reshape(n, c, kh, kw, out_h, out_w)
-    for a in range(kh):
-        # window rows [lo, hi) whose tap `a` is not in the padding
-        lo_h = max(0, -((a - ph) // sh))
-        hi_h = min(out_h, (h - 1 + ph - a) // sh + 1)
-        if hi_h <= lo_h:
-            continue
-        top = a - ph + sh * lo_h
-        rows = slice(top, top + sh * (hi_h - lo_h - 1) + 1, sh)
-        for b in range(kw):
-            lo_w = max(0, -((b - pw) // sw))
-            hi_w = min(out_w, (w - 1 + pw - b) // sw + 1)
-            if hi_w <= lo_w:
-                continue
-            left = b - pw + sw * lo_w
-            image[:, :, rows, left : left + sw * (hi_w - lo_w - 1) + 1 : sw] += (
-                cols6[:, :, a, b, lo_h:hi_h, lo_w:hi_w]
-            )
+
+def _col2im_scatter(padded: np.ndarray, cols: np.ndarray,
+                    flat: np.ndarray) -> None:
+    """Write the col2im of columns ``(N, K, P)`` into ``padded`` ``(N, C,
+    Hp, Wp)``: zero it, then one ``np.add.at`` per sample through the
+    :func:`_im2col_flat` index (1-D intp: numpy's ``ufunc.at`` fast path).
+    Rows ``k = (c, a, b)`` go in ascending order, so every cell sums its
+    contributions in ascending kernel-offset order, from zero."""
+    padded.fill(0.0)
+    index = flat.reshape(-1)
+    for image, sample in zip(padded.reshape(len(padded), -1), cols):
+        np.add.at(image, index, sample.reshape(-1))
 
 
 def _col2im(
@@ -151,9 +130,12 @@ def _col2im(
     padding: Tuple[int, int],
 ) -> np.ndarray:
     """Scatter-add columns back to image space (adjoint of :func:`_im2col`)."""
-    image = np.zeros(x_shape, dtype=cols.dtype)
-    _col2im_accumulate(image, cols, kernel, stride, padding)
-    return image
+    n, c, h, w = x_shape
+    ph, pw = padding
+    padded = np.empty((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
+    _col2im_scatter(padded, cols,
+                    _im2col_flat(c, h, w, kernel, stride, padding))
+    return np.ascontiguousarray(padded[:, :, ph:ph + h, pw:pw + w])
 
 
 def _conv_dgrad(
@@ -245,28 +227,23 @@ def conv2d(
 # ----------------------------------------------------------------------
 # pooling
 # ----------------------------------------------------------------------
-_POOL_GRAD_SCRATCH: dict = {}
-_POOL_GRAD_SCRATCH_MAX = 8  # the serving loop only ever sees a few shapes
+def _winner_base(planes: int, taps: int, p_total: int) -> np.ndarray:
+    """Flat offset of each window's tap 0 in ``(planes, taps, P)`` columns,
+    ``(planes, P)`` intp: what :func:`_put_winners` adds ``arg * P`` to."""
+    return (np.arange(planes, dtype=np.intp)[:, None] * (taps * p_total)
+            + np.arange(p_total, dtype=np.intp))
 
 
-def _pool_grad_buffer(shape: Tuple[int, int, int], dtype) -> np.ndarray:
-    """Reused zero-filled scratch for max-pool column gradients.
-
-    The real-time loop calls max-pool backward once per adaptation step
-    with a handful of distinct shapes; reusing one buffer per (shape,
-    dtype) avoids a fresh dense allocation every call.  The cache is
-    bounded (FIFO eviction) so shape sweeps don't pin memory forever.
-    """
-    key = (shape, np.dtype(dtype).str)
-    buf = _POOL_GRAD_SCRATCH.get(key)
-    if buf is None:
-        if len(_POOL_GRAD_SCRATCH) >= _POOL_GRAD_SCRATCH_MAX:
-            _POOL_GRAD_SCRATCH.pop(next(iter(_POOL_GRAD_SCRATCH)))
-        buf = np.zeros(shape, dtype=dtype)
-        _POOL_GRAD_SCRATCH[key] = buf
-    else:
-        buf.fill(0.0)
-    return buf
+def _put_winners(cols: np.ndarray, arg: np.ndarray, g: np.ndarray,
+                 base: np.ndarray, index: Optional[np.ndarray] = None) -> None:
+    """Zero the max-pool column gradient ``cols`` ``(NC, kh*kw, P)`` and
+    put each window's gradient ``g`` at its winning tap ``arg`` ``(NC,
+    P)``, one flat put at ``arg * P + base`` (``index``: intp scratch of
+    ``arg``'s shape, or None to allocate)."""
+    cols.fill(0.0)
+    index = np.multiply(arg, cols.shape[2], out=index)
+    np.add(index, base, out=index)
+    cols.put(index, g)
 
 
 class _MaxPool2d(Function):
@@ -304,20 +281,19 @@ class _MaxPool2d(Function):
         n, c, h, w = ctx.attrs["x_shape"]
         arg = ctx.attrs["arg"]  # (n*c, P) winning window offsets
         kernel = ctx.attrs["kernel"]
-        g_flat = g.reshape(n * c, -1)
-        cols_shape = (arg.shape[0], kernel[0] * kernel[1], arg.shape[1])
-        grad_cols = _pool_grad_buffer(cols_shape, g.dtype)
-        np.put_along_axis(grad_cols, arg[:, None, :], g_flat[:, None, :], axis=1)
+        taps, p_total = kernel[0] * kernel[1], arg.shape[1]
+        grad_cols = np.empty((n * c, taps, p_total), dtype=g.dtype)
+        _put_winners(grad_cols, arg, g, _winner_base(n * c, taps, p_total))
         # the forward's -inf border is the col2im padding: gradient that
         # lands on it is clipped away
         grad = _col2im(
-            grad_cols,
-            (n * c, 1, h, w),
+            grad_cols.reshape(n, c * taps, p_total),
+            (n, c, h, w),
             kernel,
             ctx.attrs["stride"],
             ctx.attrs["padding"],
         )
-        return (grad.reshape(n, c, h, w),)
+        return (grad,)
 
 
 def max_pool2d(
@@ -359,13 +335,13 @@ class _AvgPool2d(Function):
             g_flat, ctx.attrs["cols_shape"]
         ).astype(g.dtype, copy=True)
         grad = _col2im(
-            grad_cols,
-            (n * c, 1, h, w),
+            grad_cols.reshape(n, c * window, -1),
+            (n, c, h, w),
             kernel,
             ctx.attrs["stride"],
             ctx.attrs["padding"],
         )
-        return (grad.reshape(n, c, h, w),)
+        return (grad,)
 
 
 def avg_pool2d(
@@ -638,6 +614,28 @@ class _BatchNormEval(Function):
         return grad_x, grad_gamma, grad_beta
 
 
+def batch_stats(
+    x: np.ndarray,
+    axes: Tuple[int, ...],
+    centered: Optional[np.ndarray] = None,
+    square: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Batch mean and biased variance of ``x`` over ``axes`` (keepdims),
+    the bytes of ``x.mean`` and ``x.var``: ``np.var``'s own ufunc sequence
+    (sum, divide by the intp count, subtract, square, sum, divide) run
+    once — its mean is the mean.  ``x - mean`` lands in ``centered``, its
+    square in ``square`` (``x``-shaped, or None to allocate).  Train-mode
+    BN's one formula: the eager forward and the compiled step call it."""
+    count = np.intp(np.prod([x.shape[a] for a in axes]))
+    mean = np.add.reduce(x, axis=axes, keepdims=True)
+    np.true_divide(mean, count, out=mean, casting="unsafe")
+    centered = np.subtract(x, mean, out=centered)
+    square = np.square(centered, out=square)
+    var = np.add.reduce(square, axis=axes, keepdims=True)
+    np.true_divide(var, count, out=var, casting="unsafe")
+    return mean, var
+
+
 def update_running_stat(
     running: np.ndarray, batch: np.ndarray, momentum: float
 ) -> None:
@@ -690,8 +688,7 @@ def batch_norm(
         raise ValueError(f"batch_norm expects 2-D or 4-D input, got {x.ndim}-D")
 
     if training:
-        batch_mean = x.data.mean(axis=axes, keepdims=True)
-        batch_var = x.data.var(axis=axes, keepdims=True)
+        batch_mean, batch_var = batch_stats(x.data, axes)
         # update running stats in place (buffers are flat C-vectors)
         update_running_stat(running_mean, batch_mean.reshape(-1), momentum)
         update_running_stat(running_var, batch_var.reshape(-1), momentum)

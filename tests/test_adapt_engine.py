@@ -241,6 +241,112 @@ class TestGroupedPlan:
             AdaptationPlan(graph, groups=2)
 
 
+def _pool_backward_oracle(x, g):
+    """A 3x3/s2/p1 max-pool input gradient, one window at a time: each
+    window's gradient goes to its first maximal tap in row-major order
+    (``argmax``), and every cell sums what it received in ascending
+    ``(a, b)`` tap order, from zero."""
+    n, c, h, w = x.shape
+    padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)),
+                    constant_values=-np.inf)
+    received = {}
+    for b_, ch, oy, ox in np.ndindex(g.shape):
+        window = padded[b_, ch, 2 * oy:2 * oy + 3, 2 * ox:2 * ox + 3]
+        a, b = divmod(int(np.argmax(window)), 3)
+        cell = (b_, ch, 2 * oy + a - 1, 2 * ox + b - 1)
+        received.setdefault(cell, []).append(((a, b), g[b_, ch, oy, ox]))
+    out = np.zeros_like(x)
+    for cell, parts in received.items():
+        total = out.dtype.type(0.0)
+        for _, value in sorted(parts, key=lambda part: part[0]):
+            total = total + value
+        out[cell] = total
+    return out
+
+
+class TestMaxPoolTies:
+    """The max-pool backward on planted ties, eager and numpy plan: the
+    flat put of the winners, then the same col2im scatter."""
+
+    @staticmethod
+    def _planted():
+        """Channel 0 is one plateau (every window's taps tie; border
+        windows' padding taps are -inf).  In channel 1 the pixel (3, 3)
+        wins the four windows (1..2, 1..2), at taps (2, 2), (2, 0),
+        (0, 2) and (0, 0), and their gradients are planted so only the
+        ascending tap order sums to 1.5 (last-to-first gives 0)."""
+        rng = np.random.default_rng(3)
+        x = np.empty((1, 2, 7, 7))
+        x[0, 0] = 0.25
+        x[0, 1] = -rng.uniform(1.0, 2.0, (7, 7))
+        x[0, 1, 3, 3] = 10.0
+        g = rng.standard_normal((1, 2, 4, 4))
+        g[0, 1, 2, 2], g[0, 1, 2, 1] = 1e16, -1e16
+        g[0, 1, 1, 2], g[0, 1, 1, 1] = 1.0, 0.5
+        return x, g
+
+    @staticmethod
+    def _stack():
+        """BN -> the pool -> 1x1 conv -> BN: the train-mode BN in front
+        puts the pool's backward on the gradient path and maps equal
+        pixels of a channel to equal bytes, so the ties survive it."""
+        rng = np.random.default_rng(5)
+        model = nn.Sequential(
+            nn.BatchNorm2d(2),
+            nn.MaxPool2d(3, stride=2, padding=1),
+            nn.Conv2d(2, 3, 1, rng=rng),
+            nn.BatchNorm2d(3),
+        )
+        model.train()
+        return model
+
+    def test_eager_follows_the_window_oracle(self):
+        x, g = self._planted()
+        xt = nn.Tensor(x, requires_grad=True)
+        nn.functional.max_pool2d(xt, 3, stride=2, padding=1).backward(g)
+        want = _pool_backward_oracle(x, g)
+        assert xt.grad.tobytes() == want.tobytes()
+        assert xt.grad[0, 1, 3, 3] == 1.5
+        # the plateau window (1, 1) hands its gradient to its first tap
+        assert xt.grad[0, 0, 1, 1] == g[0, 0, 1, 1]
+
+    def test_plan_is_bitwise_eager(self, monkeypatch):
+        """The numpy plan's pool stage, its incoming gradient replaced by
+        the planted one, writes the eager backward's bytes on the pool
+        input the plan's own forward saw (the BN's output)."""
+        x, g = self._planted()
+        model = self._stack()
+        seen = []
+        emit = AdaptationPlan._emit_scratch_free
+
+        def spy(self, kind, spec, lowering, scratch):
+            if kind == "maxpool_bwd":
+                inner = lowering
+
+                def lowering(part):
+                    step = inner(part)
+
+                    def planted():
+                        spec["g"][...] = g
+                        step()
+                        seen.append(spec["dst"].copy())
+
+                    return planted
+
+            return emit(self, kind, spec, lowering, scratch)
+
+        monkeypatch.setattr(AdaptationPlan, "_emit_scratch_free", spy)
+        plan = CompiledAdaptStep(model, backend="numpy").plan_for(x)
+        plan.run(x)
+        (got,) = seen
+
+        pooled_in = nn.Tensor(model[0](nn.Tensor(x)).data, requires_grad=True)
+        model[1](pooled_in).backward(g)
+        assert got.tobytes() == pooled_in.grad.tobytes()
+        assert got.tobytes() == _pool_backward_oracle(
+            pooled_in.data, g).tobytes()
+
+
 class TestPlanStructure:
     def test_backward_pruning_and_arena_reuse(self, rng):
         model = build_model("tiny-r18", rng=rng)

@@ -1709,19 +1709,23 @@ class TestRenderedTrainBNAndPoolBackward:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("groups", [1, 2])
     def test_rendered_pool_backward_needs_no_column_scratch(self, dtype, groups):
-        """The closure's ``gcols`` block — only the probe runs it once the
-        stage is rendered — is what the numpy plan requests from the
-        arena beyond the C plan, to the byte (the stack's one conv input
-        gradient is a fresh 1x1, which needs none in either)."""
+        """The closure's ``gcols``, ``gidx`` and ``gpad`` blocks — only
+        the probe runs it once the stage is rendered — are what the numpy
+        plan requests from the arena beyond the C plan, to the byte (the
+        stack's one conv input gradient is a fresh 1x1, which needs none
+        in either)."""
         numpy_plan, _ = _run_pool_stack("numpy", dtype, groups)
         plan, _ = _run_pool_stack("cgen", dtype, groups)
         assert "bwd:maxpool" not in plan.backend_info["numpy_stages"]
         # the 9x13 map under a 3x3/2/1 pool, over every group's samples
         n, c, pooled = 2 * groups, 6, 5 * 7
-        gcols = n * c * 9 * pooled * np.dtype(dtype).itemsize
+        size = np.dtype(dtype).itemsize
+        gcols = n * c * 9 * pooled * size
+        gidx = n * c * pooled * np.dtype(np.intp).itemsize  # winners
+        gpad = n * c * (9 + 2) * (13 + 2) * size  # the padded image
         assert (
             numpy_plan.stats.requested_bytes - plan.stats.requested_bytes
-            == gcols
+            == gcols + gidx + gpad
         )
 
     def test_small_r18_step_is_two_rendered_segments(self):
@@ -2285,9 +2289,9 @@ class TestRenderedConvDgrad:
         assert grads[0] == grads[1] == grads[2]
 
     def test_rendered_dgrad_needs_no_column_or_image_scratch(self):
-        """The closure's ``gcols`` (and, accumulating, ``gpad``) blocks
-        are what the numpy plan requests from the arena beyond the cgen
-        plan, to the byte."""
+        """The closure's ``gcols`` and ``gpad`` (the padded image the
+        col2im scatters into) blocks are what the numpy plan requests
+        from the arena beyond the cgen plan, to the byte."""
         n, c, f, h, w = 2, 4, 6, 7, 9
         x = np.random.default_rng(0).standard_normal((n, c, h, w))
 
@@ -2299,10 +2303,11 @@ class TestRenderedConvDgrad:
             return plan.stats.requested_bytes, plan.stats.arena_bytes
 
         gcols = n * (c * 9) * (h * w) * 8
-        gpad = n * c * h * w * 8
+        gpad = n * c * (h + 2) * (w + 2) * 8
         numpy_req, numpy_arena = requested("numpy")
         cgen_req, cgen_arena = requested("cgen")
-        assert numpy_req - cgen_req == 2 * gcols + gpad
+        # both branches: the fresh one and the accumulating one
+        assert numpy_req - cgen_req == 2 * (gcols + gpad)
         assert cgen_arena < numpy_arena
 
     def test_one_offer_kind_for_every_geometry(self, monkeypatch):

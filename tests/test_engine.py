@@ -191,23 +191,25 @@ class TestPlanStructure:
         assert stats.arena_blocks < stats.num_stages
 
     @pytest.mark.parametrize(
-        "preset, infer_arena, adapt_arena, workspace, stem_workspace, "
-        "pair_arena, pair_workspace",
+        "preset, infer_arena, adapt_blocks, adapt_arena, workspace, "
+        "stem_workspace, pair_arena, pair_workspace",
         [
-            ("tiny-r18", 61440, 488576, 285792, 207360, 976768, 571584),
-            ("small-r18", 491520, 3819776, 1578336, 1299456, 7639552,
+            ("tiny-r18", 61440, 52, 544640, 285792, 207360, 1088896,
+             571584),
+            ("small-r18", 491520, 53, 4242176, 1578336, 1299456, 8484352,
              3156672),
         ],
     )
-    def test_plan_shape_pin(self, preset, infer_arena, adapt_arena, workspace,
-                            stem_workspace, pair_arena, pair_workspace):
+    def test_plan_shape_pin(self, preset, infer_arena, adapt_blocks,
+                            adapt_arena, workspace, stem_workspace,
+                            pair_arena, pair_workspace):
         """Both plan kinds come out of one lowering; a change to it must
-        not silently move stage counts or buffer footprints (values of the
-        two-lowering engine, batch 1, numpy backend, ``groups=1``; the
-        from-stem and two-group plans' are those of the engine before
-        both plans shared one liveness analysis).  ``workspace`` is what a
-        plan holds alone, its padded images: the column matrices are
-        claims on the one shared workspace."""
+        not silently move stage counts or buffer footprints (batch 1,
+        numpy backend, ``groups=1`` unless named).  ``workspace`` is what
+        a plan holds alone, its padded images: the column matrices are
+        claims on the one shared workspace.  The adaptation arena holds
+        the backward's stage scratch too: the col2im's padded image and
+        the max-pool's winner index."""
         model = build_model(preset, rng=np.random.default_rng(0))
         model.eval()
         x = _frames(np.random.default_rng(5), model.config, 1)
@@ -220,7 +222,8 @@ class TestPlanStructure:
         plan = CompiledAdaptStep(model, backend="numpy").plan_for(x)
         stats = plan.stats
         assert (stats.backward_stages, stats.skipped_backward) == (77, 1)
-        assert (stats.arena_blocks, stats.arena_bytes) == (50, adapt_arena)
+        assert (stats.arena_blocks, stats.arena_bytes) == (
+            adapt_blocks, adapt_arena)
         assert stats.workspace_bytes == workspace
         # 86 gradient stages + the update tail
         assert [len(steps) for steps in plan.sections] == [76, 87]
@@ -230,7 +233,8 @@ class TestPlanStructure:
         )
         stats = stem.stats
         assert (stats.backward_stages, stats.skipped_backward) == (77, 1)
-        assert (stats.arena_blocks, stats.arena_bytes) == (50, adapt_arena)
+        assert (stats.arena_blocks, stats.arena_bytes) == (
+            adapt_blocks, adapt_arena)
         assert stats.workspace_bytes == stem_workspace
         assert [len(steps) for steps in stem.sections] == [75, 87]
         # two groups of one frame each
@@ -239,7 +243,8 @@ class TestPlanStructure:
         )
         stats = pair.stats
         assert (stats.backward_stages, stats.skipped_backward) == (77, 1)
-        assert (stats.arena_blocks, stats.arena_bytes) == (50, pair_arena)
+        assert (stats.arena_blocks, stats.arena_bytes) == (
+            adapt_blocks, pair_arena)
         assert stats.workspace_bytes == pair_workspace
         assert [len(steps) for steps in pair.sections] == [76, 87]
 

@@ -5,6 +5,8 @@ gradient correctness on random shapes, BN's normalization contract, the
 entropy bounds the adaptation loss relies on, and softmax normalization.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -207,14 +209,65 @@ class TestConvShapeProperties:
 
 
 def _scatter_col2im(cols, x_shape, kernel, stride, padding):
-    """The ``np.add.at`` scatter the engine used to run — kept here only,
-    as the summation-order reference for the slice-loop col2im."""
+    """A tuple-index ``np.add.at`` scatter over the im2col indices — kept
+    here only, as the summation-order reference for the flat-index
+    col2im: ``(N, C, Hp, Wp)``, padding cells included."""
     n, c, h, w = x_shape
     ph, pw = padding
     padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
     k, i, j, _, _ = F._im2col_indices(c, h, w, kernel, stride, padding)
     np.add.at(padded, (slice(None), k, i, j), cols)
-    return padded[:, :, ph : ph + h, pw : pw + w]
+    return padded
+
+
+def _flat_col2im(cols, x_shape, kernel, stride, padding):
+    """``F._col2im_scatter`` into a padded image, padding cells included."""
+    n, c, h, w = x_shape
+    ph, pw = padding
+    padded = np.full((n, c, h + 2 * ph, w + 2 * pw), np.nan, dtype=cols.dtype)
+    flat = F._im2col_flat(c, h, w, kernel, stride, padding)
+    F._col2im_scatter(padded, cols, flat)
+    return padded
+
+
+def _model_geometries():
+    """Every ``(C, H, W, kernel, stride, padding)`` a conv or max-pool of
+    tiny-r18 and small-r18 scatters its input gradient over (batch 1)."""
+    from repro.engine.plan import op_kind
+    from repro.engine.tracer import ValueRef, trace
+    from repro.models import build_model
+
+    geometries = set()
+    for preset in ("tiny-r18", "small-r18"):
+        model = build_model(preset, rng=np.random.default_rng(0))
+        model.eval()
+        x = np.zeros((1, 3) + tuple(model.config.input_hw))
+        graph = trace(model, x)
+        shapes = {graph.input_vid: graph.input_shape}
+        for node in graph.nodes:
+            shapes[node.out_vid] = node.out_shape
+            kind = op_kind(node)
+            if kind == "conv":
+                kernel = node.inputs[1].tensor.shape[2:]
+                stride, padding = node.inputs[3], node.inputs[4]
+            elif kind == "maxpool":
+                kernel, stride, padding = node.inputs[1:4]
+                stride = kernel if stride is None else stride
+            else:
+                continue
+            assert isinstance(node.inputs[0], ValueRef)
+            _, c, h, w = shapes[node.inputs[0].vid]
+            geometries.add((c, h, w, F._pair(kernel), F._pair(stride),
+                            F._pair(padding)))
+    return sorted(geometries)
+
+
+MODEL_GEOMETRIES = _model_geometries()
+
+
+def _geometry_id(geometry):
+    c, h, w, kernel, stride, padding = geometry
+    return f"{c}x{h}x{w}-k{kernel[0]}s{stride[0]}p{padding[0]}"
 
 
 @st.composite
@@ -235,39 +288,97 @@ def col2im_cases(draw):
     return x_shape, kernel, stride, padding, dtype, seed
 
 
+def _wide_range(rng, shape, dtype):
+    """Values over twelve decades, so another summation order would show."""
+    return (
+        rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, shape)
+    ).astype(dtype)
+
+
 class TestCol2imProperties:
     @given(case=col2im_cases())
     @settings(max_examples=60, deadline=None)
-    def test_accumulate_is_bitwise_the_scatter(self, case):
-        """The strided slice loop visits kernel offsets in (kh, kw)
-        order, so every image element sums its contributions in the same
-        order as the scatter — equal bytes, not just close values."""
+    def test_scatter_is_bitwise_the_tuple_scatter(self, case):
+        """The flat index visits every cell's contributions in ascending
+        kernel-offset order, as the tuple-index scatter does — equal
+        bytes, padding cells included, not just close values."""
         x_shape, kernel, stride, padding, dtype, seed = case
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(x_shape).astype(dtype)
         cols, _, _ = F._im2col(x, kernel, stride, padding)
-        # wide dynamic range so a different summation order would show
-        grad = (
-            rng.standard_normal(cols.shape) * 10.0 ** rng.integers(-6, 6, cols.shape)
-        ).astype(dtype)
+        grad = _wide_range(rng, cols.shape, dtype)
         want = _scatter_col2im(grad, x_shape, kernel, stride, padding)
-        image = np.zeros(x_shape, dtype=dtype)
-        F._col2im_accumulate(image, grad, kernel, stride, padding)
-        assert image.tobytes() == np.ascontiguousarray(want).tobytes()
+        got = _flat_col2im(grad, x_shape, kernel, stride, padding)
+        assert got.tobytes() == want.tobytes()
+        _, _, h, w = x_shape
+        ph, pw = padding
+        core = np.ascontiguousarray(want[:, :, ph:ph + h, pw:pw + w])
         assert F._col2im(grad, x_shape, kernel, stride, padding).tobytes() == (
-            image.tobytes()
+            core.tobytes()
         )
+
+    def test_model_geometries_cover_every_layer_kind(self):
+        kinds = {geometry[3:] for geometry in MODEL_GEOMETRIES}
+        assert {
+            ((7, 7), (2, 2), (3, 3)),  # the stem
+            ((3, 3), (1, 1), (1, 1)),
+            ((3, 3), (2, 2), (1, 1)),  # also the max-pool's
+            ((1, 1), (2, 2), (0, 0)),  # the downsample
+        } <= kinds
+
+    @pytest.mark.parametrize("geometry", MODEL_GEOMETRIES, ids=_geometry_id)
+    def test_every_model_geometry(self, geometry):
+        """Every conv and max-pool geometry of tiny-r18 and small-r18,
+        batch 2, both dtypes."""
+        c, h, w, kernel, stride, padding = geometry
+        rng = np.random.default_rng(c * h * w)
+        x_shape = (2, c, h, w)
+        for dtype in (np.float32, np.float64):
+            cols, _, _ = F._im2col(np.zeros(x_shape, dtype), kernel, stride,
+                                   padding)
+            grad = _wide_range(rng, cols.shape, dtype)
+            assert _flat_col2im(grad, x_shape, kernel, stride, padding) \
+                .tobytes() == _scatter_col2im(
+                    grad, x_shape, kernel, stride, padding).tobytes()
+
+    @pytest.mark.parametrize("geometry", MODEL_GEOMETRIES, ids=_geometry_id)
+    def test_planted_order_sensitive_cells(self, geometry):
+        """The cell with the most taps fed 1e16, 1 and -1e16 by its first
+        three (in every order: the sum is 0 or 1 depending on where the 1
+        comes), then every one of its contributions -0.0 (a zeroed image
+        plus -0.0 is +0.0)."""
+        c, h, w, kernel, stride, padding = geometry
+        x_shape = (1, c, h, w)
+        flat = F._im2col_flat(c, h, w, kernel, stride, padding)
+        cells, counts = np.unique(flat, return_counts=True)
+        most = cells[np.argmax(counts)]
+        taps = np.argwhere(flat == most)  # ascending (k, p)
+
+        def scatters_agree(grad):
+            got = _flat_col2im(grad, x_shape, kernel, stride, padding)
+            want = _scatter_col2im(grad, x_shape, kernel, stride, padding)
+            assert got.tobytes() == want.tobytes()
+            return got
+
+        if len(taps) >= 3:
+            for values in itertools.permutations((1e16, 1.0, -1e16)):
+                grad = np.zeros((1,) + flat.shape)
+                for (k, p), value in zip(taps, values):
+                    grad[0, k, p] = value
+                scatters_agree(grad)
+        grad = np.zeros((1,) + flat.shape)
+        grad[0][flat == most] = -0.0
+        assert not np.signbit(scatters_agree(grad)).any()
 
     @given(case=col2im_cases())
     @settings(**SETTINGS)
-    def test_accumulate_is_the_adjoint_of_im2col(self, case):
-        """<im2col(x), y> == <x, col2im(y)> through the new helper."""
+    def test_scatter_is_the_adjoint_of_im2col(self, case):
+        """<im2col(x), y> == <x, col2im(y)> through the flat scatter."""
         x_shape, kernel, stride, padding, _, seed = case
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(x_shape)
         cols, _, _ = F._im2col(x, kernel, stride, padding)
         y = rng.standard_normal(cols.shape)
-        x_back = np.zeros(x_shape)
-        F._col2im_accumulate(x_back, y, kernel, stride, padding)
+        x_back = F._col2im(y, x_shape, kernel, stride, padding)
         lhs, rhs = float((cols * y).sum()), float((x * x_back).sum())
         assert abs(lhs - rhs) < 1e-8 * max(abs(lhs), 1.0)
