@@ -13,7 +13,7 @@
 # are tier-1 tests (tests/test_experiments.py); lane 3 runs one CLI smoke
 # per subcommand not already run by a test, then the bench-e2e
 # self-check (benchmarks/e2e/run.py --smoke) and the line counts of
-# src/repro/{engine,serve,hw}, each beside the parent commit's.  Lane 4 exercises
+# src/repro/{engine,serve,hw,nn}, each beside the parent commit's.  Lane 4 exercises
 # the cgen C plan backend (its line count beside the parent commit's,
 # the kernel library's cold build and its reuse by a second plan shape,
 # the parity tests with a 2-wide worker pool (tier-1 ran them
@@ -102,8 +102,9 @@ else
     echo "        its cgen workloads would only measure the numpy fallback"
 fi
 # the line meter of ROADMAP item 6 ("engine + serve + hw down >= 15 %
-# together"), each package beside the parent commit's count
-for layer in engine serve hw; do
+# together") and item 12's engine + nn, each package beside the parent
+# commit's count
+for layer in engine serve hw nn; do
     meter "$layer"
 done
 lane_done "lane 3"

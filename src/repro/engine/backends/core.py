@@ -12,8 +12,8 @@ closures, generated C) builds on the same objects:
 * :data:`COLUMNS` — the process's one column workspace: every numpy
   plan's im2col and max-pool column matrices are views of it;
 * :class:`ConvLowering` / :class:`PoolLowering` — the im2col geometry of
-  one conv/pool layer (gather indices, its own padded-image buffer, its
-  claim on :data:`COLUMNS`) computed once at compile time;
+  one conv/pool layer (gather indices, its own padded image and window
+  view, its claim on :data:`COLUMNS`) computed once at compile time;
 * :class:`PlanProfile` / :func:`_timed_step` — the opt-in per-stage
   replay profiler, tagged with the ``backend`` that produced the stages
   it times.
@@ -35,6 +35,10 @@ import numpy as np
 from ...nn.functional import _conv_output_size, _im2col_flat
 
 _ALIGN = 64
+
+#: a padded gather with output rows this wide copies from a window view;
+#: narrower rows keep the flat ``take``, faster on 2x5 / 1x3 grids
+_WINDOW_MIN_ROW = 8
 
 
 class _Block:
@@ -158,7 +162,9 @@ class _Gather:
     column entry; ``padded``/``core`` are the layer's own padded image
     (its ``workspace_nbytes``; the border, zeros or ``-inf``, written
     once) and ``cols`` its claim on :data:`COLUMNS`, which replays
-    :meth:`gather` into."""
+    :meth:`gather` into, with one ``np.copyto`` from ``window`` (rows of
+    :data:`_WINDOW_MIN_ROW` up), a strided ``(n, c, kh, kw, out_h,
+    out_w)`` view of ``padded``: the bytes the ``take`` gathers."""
 
     n: int
     c: int
@@ -174,8 +180,20 @@ class _Gather:
     flat: Optional[np.ndarray] = None
     padded: Optional[np.ndarray] = None
     core: Optional[np.ndarray] = None
+    window: Optional[np.ndarray] = None
     cols: Optional[_Claim] = None
     workspace_nbytes: int = 0
+
+    def _pad(self, padded: np.ndarray) -> None:
+        """Own ``padded`` and, for rows wide enough, the window over it."""
+        (ph, pw), (sh, sw) = self.padding, self.stride
+        self.padded, self.workspace_nbytes = padded, padded.nbytes
+        self.core = padded[..., ph:ph + self.h, pw:pw + self.w]
+        if self.out_w >= _WINDOW_MIN_ROW:
+            st = padded.reshape(self.n, self.c, *padded.shape[-2:]).strides
+            self.window = np.lib.stride_tricks.as_strided(
+                padded, (self.n, self.c, *self.kernel, self.out_h, self.out_w),
+                st + (st[2] * sh, st[3] * sw), writeable=False)
 
     def gather(self, x: np.ndarray) -> np.ndarray:
         """The columns of input ``x``, gathered into the claim; a 1x1
@@ -185,13 +203,16 @@ class _Gather:
         cols = self.cols[0]
         if self.padded is not None:
             self.core[...] = x.reshape(self.core.shape)
+            if self.window is not None:
+                np.copyto(cols.reshape(self.window.shape), self.window)
+                return cols
             x = self.padded
         np.take(x.reshape(len(cols), -1), self.flat, axis=1, out=cols,
                 mode="clip")
         return cols
 
     def release_workspace(self) -> None:
-        """Drop the gather workspaces (padded image, column claim).
+        """Drop the gather workspaces (padded image, window, column claim).
 
         Called by a codegen backend once every stage using this lowering
         gathers inside its own kernel (fused im2col) — the plan-side
@@ -202,7 +223,7 @@ class _Gather:
         """
         if self.cols is not None:
             COLUMNS.release(id(self.cols))
-        self.padded = self.core = self.cols = None
+        self.padded = self.core = self.window = self.cols = None
         self.workspace_nbytes = 0
 
 
@@ -251,10 +272,7 @@ def lower_conv(
         hp, wp = h + 2 * padding[0], w + 2 * padding[1]
         cols_dtype = x_dtype
         if padding != (0, 0):
-            geo.padded = np.zeros((n, c, hp, wp), dtype=compute_dtype)
-            geo.core = geo.padded[:, :, padding[0]:padding[0] + h,
-                                  padding[1]:padding[1] + w]
-            geo.workspace_nbytes = geo.padded.nbytes
+            geo._pad(np.zeros((n, c, hp, wp), dtype=compute_dtype))
             cols_dtype = compute_dtype
         geo.cols = COLUMNS.claim((n, k_total, p_total), cols_dtype)
     return geo
@@ -279,20 +297,16 @@ def lower_pool(
     p_total = out_h * out_w
     x_dtype = np.dtype(x_dtype)
 
-    padded = core = None
-    if padding != (0, 0):
-        padded = np.full((n * c, h + 2 * padding[0], w + 2 * padding[1]),
-                         -np.inf, dtype=x_dtype)
-        core = padded[:, padding[0]:padding[0] + h,
-                      padding[1]:padding[1] + w]
-    return PoolLowering(
+    geo = PoolLowering(
         n=n, c=c, h=h, w=w, kernel=kernel, stride=stride, padding=padding,
         out_h=out_h, out_w=out_w, p_total=p_total, x_dtype=x_dtype,
         flat=_im2col_flat(1, h, w, kernel, stride, padding),
-        padded=padded, core=core,
         cols=COLUMNS.claim((n * c, kernel[0] * kernel[1], p_total), x_dtype),
-        workspace_nbytes=padded.nbytes if padded is not None else 0,
     )
+    if padding != (0, 0):
+        geo._pad(np.full((n * c, h + 2 * padding[0], w + 2 * padding[1]),
+                         -np.inf, dtype=x_dtype))
+    return geo
 
 
 @dataclass

@@ -28,9 +28,9 @@ backward, plus **fusion**: a ``conv -> eval-BN -> relu`` chain (and
 ``linear -> relu``) becomes one stage — im2col-GEMM via
 ``np.matmul(..., out=)`` into the stage's arena buffer, then the BN
 affine and ReLU applied in place as a GEMM epilogue.  The BN constants
-are re-folded from the module's *live* state on every replay (O(C)
-work), so LD-BN-ADAPT updates and the per-sample ``(scale, shift)``
-fleet override need no retrace.
+are read from the module's *live* state on every replay (O(C) work,
+:class:`_InvStdBank`), so LD-BN-ADAPT updates and the per-sample
+``(scale, shift)`` fleet override need no retrace.
 
 A codegen backend passes a *renderer* that is offered every stage as it
 is lowered and replaces the accepted ones with compiled-kernel calls at
@@ -122,19 +122,51 @@ class PlanStats:
     workspace_bytes: int  # held alone: padded images (columns are shared)
 
 
-def _bn_epilogue(buf3: np.ndarray, module, n: int, src=None) -> None:
-    """Apply eval-mode BN to a ``(N, C, P)`` GEMM output ``src`` (default:
-    ``buf3`` itself), writing ``buf3``.
+class _InvStdBank:
+    """``1 / sqrt(running_var + eps)`` of every fused eval-BN epilogue of an
+    inference plan, over one flat buffer: computed at most once per replay
+    (:meth:`StaticPlan._begin` marks it ``stale``), by the first epilogue
+    that asks (under ``per_sample_stats`` none does), from each module's
+    live float64 ``running_var`` with the eager path's three ufuncs."""
+
+    def __init__(self):
+        self.modules, self.stale = [], True
+
+    def add(self, module) -> int:
+        self.modules.append(module)
+        return len(self.modules) - 1
+
+    def seal(self) -> None:
+        widths = [m.num_features for m in self.modules]
+        self.eps = np.repeat([float(m.eps) for m in self.modules], widths)
+        self.flat = np.empty(sum(widths))
+        self.views = [self.flat[end - w:end].reshape(1, w, 1)
+                      for w, end in zip(widths, np.cumsum(widths))]
+
+    def __getitem__(self, index: int) -> np.ndarray:
+        if self.stale:
+            flat = self.flat
+            np.concatenate([m.running_var for m in self.modules], out=flat,
+                           casting="no")
+            np.add(flat, self.eps, out=flat)
+            np.sqrt(flat, out=flat)
+            np.divide(1.0, flat, out=flat)
+            self.stale = False
+        return self.views[index]
+
+
+def _bn_epilogue(buf3: np.ndarray, module, n: int, src, bank,
+                 slot: int) -> None:
+    """Apply eval-mode BN to a ``(N, C, P)`` GEMM output ``src``, writing
+    ``buf3``.
 
     Mirrors the eager ops exactly: per-sample folded affine when the
     fleet override is installed, else normalize with the running stats
-    (subtract mean, scale by 1/sqrt(var+eps), then gamma/beta) — the
+    (subtract mean, scale by ``bank[slot]``, then gamma/beta) — the
     same elementwise kernel sequence :func:`repro.nn.functional.batch_norm`
     runs in eval mode, minus the temporaries.  Only the first op reads
     ``src``; out of place it is the same ufunc on the same values.
     """
-    if src is None:
-        src = buf3
     if module.training:
         raise RuntimeError(
             "compiled plan replayed with a BatchNorm layer in training "
@@ -152,9 +184,8 @@ def _bn_epilogue(buf3: np.ndarray, module, n: int, src=None) -> None:
         np.multiply(src, scale.reshape(n, c, 1), out=buf3)
         buf3 += shift.reshape(n, c, 1)
     else:
-        inv_std = 1.0 / np.sqrt(module.running_var + module.eps)
         np.subtract(src, module.running_mean.reshape(1, c, 1), out=buf3)
-        buf3 *= inv_std.reshape(1, c, 1)
+        buf3 *= bank[slot]
         buf3 *= module.weight.data.reshape(1, c, 1)
         buf3 += module.bias.data.reshape(1, c, 1)
 
@@ -200,7 +231,9 @@ class StaticPlan:
         # re-instrumented later — and the unprofiled closures carry zero
         # timing code, keeping the disabled path cost-free
         self.profile: Optional[PlanProfile] = PlanProfile() if profile else None
+        self._inv_std = _InvStdBank()
         self._compile(graph)
+        self._inv_std.seal()
         if renderer is not None:
             self.backend_info = renderer.finalize(self, graph)
         # Neither the graph (and its keepalive of every traced activation)
@@ -420,6 +453,8 @@ class StaticPlan:
         if rows:
             self.stem_rows = acc3.reshape(out4.shape)
         get_x = self._getter(x_ref)
+        if bn_module is not None:
+            bank, slot = self._inv_std, self._inv_std.add(bn_module)
 
         def gemm(cc):
             np.matmul(weight.data.reshape(f_out, k_total), cc, out=acc3)
@@ -429,7 +464,7 @@ class StaticPlan:
                 np.add(acc3, bias.data.reshape(1, -1, 1), out=acc3)
             src = acc3
             if bn_module is not None:
-                _bn_epilogue(out3, bn_module, n, src)
+                _bn_epilogue(out3, bn_module, n, src, bank, slot)
                 src = out3
             if relu:
                 np.maximum(src, 0.0, out=out3)
@@ -571,6 +606,7 @@ class StaticPlan:
         if self._pre_replay is not None:
             x = self._pre_replay(x)
         self._input_cell[0] = x
+        self._inv_std.stale = True
         if self.profile is not None:
             self.profile.runs += 1
 

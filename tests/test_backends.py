@@ -21,6 +21,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from hypothesis import assume, given, settings, strategies as st
 from repro import nn
 from repro.adapt.bn_adapt import LDBNAdapt, LDBNAdaptConfig
 from repro.engine import CompiledAdaptStep, compile_model
+from repro.engine import plan as plan_module
 from repro.engine.backends import (
     PARITY_ATOL,
     PARITY_RTOL,
@@ -1001,7 +1003,8 @@ print(json.dumps([
 
 @needs_cc
 class TestFusedIm2colWorkspace:
-    def test_rendered_convs_free_their_gather_workspace(self, rng):
+    def test_rendered_convs_free_their_gather_workspace(self, rng,
+                                                        monkeypatch):
         model = _bn_model(rng)
         x = rng.standard_normal((2, 3, 16, 40)).astype(np.float32)
 
@@ -1032,12 +1035,31 @@ class TestFusedIm2colWorkspace:
         assert eng_np.plan_for(x.shape, x.dtype).stats.workspace_bytes > 0
         gc.collect()
         before = {id(c) for c in COLUMNS.claims()}
+        # every padded image the lowering made: its lowering, kept alive
+        # here, must hold no view of it (the window) once released
+        geos, images = [], []
+
+        def spy(lower):
+            def wrapper(*args, **kwargs):
+                geo = lower(*args, **kwargs)
+                if geo.padded is not None:
+                    geos.append((geo, geo.window is not None))
+                    images.append(weakref.ref(geo.padded))
+                return geo
+            return wrapper
+
+        for name in ("lower_conv", "lower_pool"):
+            monkeypatch.setattr(plan_module, name,
+                                spy(getattr(plan_module, name)))
         eng_c = compile_model(pool, backend=CGenBackend(threads=2))
         eng_c(x)
         plan = eng_c.plan_for(x.shape, x.dtype)
         assert plan.backend_info["rendered"] == plan.backend_info["stages"]
         assert plan.stats.workspace_bytes == 0
         assert [c for c in COLUMNS.claims() if id(c) not in before] == []
+        gc.collect()
+        assert [windowed for _, windowed in geos] == [True, True]
+        assert all(ref() is None for ref in images)
 
     def test_conv_stages_bind_no_index_table(self, rng):
         """The im2col is rendered from the conv's scalar geometry: a

@@ -24,6 +24,8 @@ from repro.engine import (
     compile_model,
     trace,
 )
+from repro.engine import plan as plan_module
+from repro.engine.backends import core
 from repro.engine.backends.core import COLUMNS
 from repro.engine.plan import ExecutionPlan
 from repro.models import build_model, get_config
@@ -338,6 +340,148 @@ class TestPlanStructure:
         engine = compile_model(model)
         out = engine(_frames(rng, model.config, 1))
         assert out._ctx is None and not out.requires_grad
+
+
+def _gathers(monkeypatch, preset, batch):
+    """Every gather lowering a numpy inference plan of ``preset`` at
+    ``batch`` compiles."""
+    seen = []
+
+    def spy(lower):
+        def wrapper(*args, **kwargs):
+            seen.append(lower(*args, **kwargs))
+            return seen[-1]
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        for name in ("lower_conv", "lower_pool"):
+            patch.setattr(plan_module, name, spy(getattr(plan_module, name)))
+        model = build_model(preset, num_lanes=2, rng=np.random.default_rng(0))
+        model.eval()
+        compile_model(model, backend="numpy").warm(
+            _frames(np.random.default_rng(1), model.config, batch))
+    return seen
+
+
+class TestWindowGather:
+    """A padded gather with output rows of at least ``_WINDOW_MIN_ROW``
+    copies its columns from a strided window view; the flat ``take`` it
+    replaces is the oracle."""
+
+    @pytest.mark.parametrize("batch", [1, 4, 8])
+    @pytest.mark.parametrize("preset", ["tiny-r18", "small-r18"])
+    def test_window_is_the_flat_take_byte_for_byte(self, monkeypatch, preset,
+                                                   batch):
+        gathers = [g for g in _gathers(monkeypatch, preset, batch)
+                   if g.padded is not None]
+        windowed = [g.window is not None for g in gathers]
+        assert windowed == [g.out_w >= core._WINDOW_MIN_ROW for g in gathers]
+        if preset == "tiny-r18":
+            assert any(windowed) and not all(windowed)
+        gen = np.random.default_rng(batch)
+        for geo in gathers:
+            x = gen.standard_normal((geo.n, geo.c, geo.h, geo.w)).astype(
+                geo.x_dtype)
+            finite = geo.gather(x).copy()
+            planted = x.copy().reshape(-1)
+            at = gen.choice(planted.size, 4 * 4, replace=False)
+            planted[at] = np.repeat([-0.0, np.nan, np.inf, -np.inf], 4)
+            planted = planted.reshape(x.shape)
+            for inp in (x, planted):
+                got = geo.gather(inp).copy()
+                window, geo.window = geo.window, None
+                want = geo.gather(inp).copy()
+                geo.window = window
+                assert got.tobytes() == want.tobytes()
+            if isinstance(geo, core.PoolLowering):
+                # a window entry past the image reads the -inf border
+                border = np.ones(geo.padded.shape[-2:], dtype=bool)
+                border[geo.padding[0]:geo.padding[0] + geo.h,
+                       geo.padding[1]:geo.padding[1] + geo.w] = False
+                assert np.array_equal(
+                    np.isneginf(finite),
+                    np.broadcast_to(border.reshape(-1)[geo.flat],
+                                    finite.shape))
+
+
+class TestInvStdBank:
+    """Every fused eval-BN epilogue's ``1 / sqrt(var + eps)`` is computed
+    over one flat buffer at most once per replay, from the live
+    ``running_var``."""
+
+    def test_fresh_on_every_replay(self, rng):
+        model = build_model("tiny-r18", num_lanes=2, rng=rng)
+        model.eval()
+        x = _frames(rng, model.config, 2)
+        engine = compile_model(model, backend="numpy")
+
+        def same():
+            return engine(x).numpy().tobytes() == _eager(model, x).tobytes()
+
+        assert same()
+        # an LD-BN-ADAPT step writes running_var in place
+        adapter = LDBNAdapt(model, LDBNAdaptConfig(batch_size=2, lr=1e-2))
+        adapter.adapt(_frames(rng, model.config, 2))
+        model.eval()
+        assert same()
+        bns = [m for m in model.modules() if isinstance(m, _BatchNormBase)]
+        for m in bns:
+            m.refresh_statistics(nn.Tensor(
+                rng.standard_normal((2, m.num_features, 3, 3))))
+        assert same()
+        for m in bns:  # rebound, not written
+            m.running_var = m.running_var * 1.5 + 0.25
+        assert same()
+
+    def test_a_stage_rerun_after_a_replay(self, rng):
+        """A profiled plan's stage rerun alone (no replay prologue) reads
+        the bank the replay before it filled."""
+        model = nn.Sequential(nn.Conv2d(3, 8, 3, padding=1, rng=rng),
+                              nn.BatchNorm2d(8), nn.ReLU())
+        model.eval()
+        model[1].running_var[...] = rng.uniform(0.5, 2.0, 8)
+        x = rng.standard_normal((2, 3, 6, 10)).astype(np.float32)
+        engine = compile_model(model, profile=True, backend="numpy")
+        want = _eager(model, x).tobytes()
+        out = engine(x).numpy()
+        assert out.tobytes() == want
+        [stage] = engine.plan_for(x.shape).sections[0]
+        out[...] = 0
+        stage()
+        assert out.tobytes() == want
+
+    def test_once_per_replay_and_never_under_per_sample_stats(
+            self, rng, monkeypatch):
+        model = build_model("tiny-r18", num_lanes=2, rng=rng)
+        model.eval()
+        x = _frames(rng, model.config, 2)
+        engine = compile_model(model, backend="numpy")
+        engine(x)
+        calls = []
+
+        def counting(name):
+            fn = getattr(np, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("concatenate", "sqrt"):  # the bank's pass, no one else's
+            monkeypatch.setattr(np, name, counting(name))
+        engine(x)
+        assert calls == ["concatenate", "sqrt"]
+        bns = [m for m in model.modules() if isinstance(m, _BatchNormBase)]
+        for m in bns:
+            m.per_sample_stats = (
+                rng.uniform(0.5, 2.0, (2, m.num_features)),
+                rng.standard_normal((2, m.num_features)),
+            )
+        calls.clear()
+        out = engine(x).numpy().tobytes()
+        assert calls == []
+        monkeypatch.undo()
+        assert out == _eager(model, x).tobytes()
 
 
 class TestServingWiring:
