@@ -16,9 +16,10 @@ preset (and strictly faster on r34), the fused 4-stream step beats 4
 serial eager steps on both backbones, and the compiled/fused paths match
 the eager oracle to float precision.  Each single row also archives the
 ``cgen`` backend beside the numpy plan (interleaved A/B, parity held to
-the float band) and the per-stage ``op_ms`` table of one profiled plan
-per backend (alternating replays); asserted on it, on the r18 single
-row: the rendered forward convs (``cgen:fwd:conv``) and the rendered
+the float band) and the per-stage ``op_ms`` table: ms per step by
+label, off each backend's plan stage table (``plan.stage_ms``: the
+served steps, each timed alone; backends replayed alternately).
+Asserted on it, on the r18 single row: the rendered forward convs (``cgen:fwd:conv``) and the rendered
 conv input gradients (``cgen:bwd:conv``) each cost no more than the
 numpy/BLAS ones (``fwd:conv`` / ``bwd:conv``), and no ``bwd:conv`` stage
 of the cgen plan is left on numpy.

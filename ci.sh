@@ -2,16 +2,16 @@
 # PR verification lanes — run from the repo root on every PR.
 #
 #   ./ci.sh            tier-1 tests, the slow marker, the CLI smoke lane
-#                      and the cgen lane
-#   ./ci.sh --full     additionally runs the quick bench-infer and
-#                      bench-adapt CLI smokes
+#                      (bench-adapt --quick among them) and the cgen lane
+#   ./ci.sh --full     additionally runs the quick bench-infer CLI smoke
 #
 # Timing claims rest on the bench-e2e pair protocol
 # (benchmarks/e2e/compare.py over alternating parent/change runs), not on
 # this script.  The serving studies' properties (slack admission, device
 # scaling, inert tracing, crash recovery, drift resets, thread pricing)
 # are tier-1 tests (tests/test_experiments.py); lane 3 runs one CLI smoke
-# per subcommand not already run by a test, then the bench-e2e
+# per subcommand not already run by a test (bench-adapt --quick, which
+# prints a plan's per-stage table, on every run), then the bench-e2e
 # self-check (benchmarks/e2e/run.py --smoke) and the line counts of
 # src/repro/{engine,serve,hw,nn}, each beside the parent commit's.  Lane 4 exercises
 # the cgen C plan backend (its line count beside the parent commit's,
@@ -71,12 +71,15 @@ echo "=== lane 2: slow marker (pytest -m slow) ==="
 python -m pytest -m slow -q
 lane_done "lane 2"
 
-echo "=== lane 3: CLI smokes (bench-scenarios --quick, fleet) + bench-e2e --smoke ==="
+echo "=== lane 3: CLI smokes (bench-scenarios, bench-adapt, fleet) + bench-e2e --smoke ==="
 # one CLI smoke per subcommand no test runs: bench-serve --quick is
 # tests/test_utils_train_visualize_cli.py (slow marker, lane 2),
 # bench-infer --quick is tier-1, and the studies' claims are tier-1
-# tests, so what is left here is the scenario matrix's table printer
+# tests, so what is left here is the scenario matrix's table printer and
+# bench-adapt's per-stage table (each backend's plan stage table, timed
+# by plan.stage_ms; parity against eager asserted inside, ~15 s)
 python -m repro.experiments bench-scenarios --quick
+python -m repro.experiments bench-adapt --quick
 # seeded crash+join fleet smoke: the elastic-pool path end to end
 # through the CLI (fault/recovery tables printed, results are scratch)
 python -m repro.experiments fleet --streams 3 --frames 12 --devices 2 \
@@ -88,7 +91,6 @@ python -m repro.experiments fleet --trace --streams 2 --frames 8 \
     --results-dir "$(mktemp -d)" > /dev/null
 if [[ "${1:-}" == "--full" ]]; then
     python -m repro.experiments bench-infer --quick
-    python -m repro.experiments bench-adapt --quick
 fi
 # bench-e2e self-check at 1/20 size: metric names/units vs BENCHMARK.json,
 # span nesting, self times tiling each window within 2 % — so a change

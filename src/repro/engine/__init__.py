@@ -25,7 +25,10 @@ Architecture — one lowering, compiled through one entry point:
   the one liveness analysis over a plan's sections, which recycles
   buffers through a byte-arena pool (:mod:`~repro.engine.backends.core`,
   beside the one column workspace every plan's im2col and max-pool
-  columns are views of), so replays allocate nothing.
+  columns are views of), so replays allocate nothing.  Every plan
+  carries its stage table (``plan.stages``: per section, ``(label,
+  step)`` per lowered stage, the steps the plan serves) and times it
+  with ``plan.stage_ms(x)``.
   :class:`ExecutionPlan` is the forward program with no backward:
   conv→BN→ReLU chains fuse into one im2col GEMM (``np.matmul(...,
   out=)``) with the folded BN affine and ReLU as its in-place epilogue.
@@ -108,7 +111,7 @@ from .backends import (
     resolve_backend,
 )
 from .compile import CompiledAdaptStep, CompiledInference, compile_model
-from .plan import ExecutionPlan, PlanProfile, PlanStats
+from .plan import ExecutionPlan, PlanStats
 from .tracer import TraceGraph, trace, trace_entropy_step
 
 __all__ = [
@@ -125,7 +128,6 @@ __all__ = [
     "register_backend",
     "resolve_backend",
     "ExecutionPlan",
-    "PlanProfile",
     "PlanStats",
     "TraceGraph",
     "trace",

@@ -210,8 +210,7 @@ class AdaptationPlan(StaticPlan):
     also applies them.
     """
 
-    def __init__(self, graph: TraceGraph, groups: int = 1,
-                 profile: bool = False, renderer=None,
+    def __init__(self, graph: TraceGraph, groups: int = 1, renderer=None,
                  from_stem: bool = False):
         batch = graph.input_shape[0]
         if groups < 1 or batch % groups:
@@ -232,7 +231,7 @@ class AdaptationPlan(StaticPlan):
         self._apply_update = _update_tail(
             self._update, self.bn_taps, self.finite
         )
-        super().__init__(graph, profile, renderer)
+        super().__init__(graph, renderer)
 
     @property
     def sections(self) -> Tuple[list, ...]:
@@ -957,8 +956,7 @@ class AdaptationPlan(StaticPlan):
             raise ValueError(
                 f"{len(update)} update destinations for {self.groups} groups"
             )
-        self._update[0] = update
-        self._begin(x)
+        self._begin(x, update)
         for step in self._fwd:
             step()
         for step in self._bwd:
@@ -968,3 +966,9 @@ class AdaptationPlan(StaticPlan):
             # optimizer state it does not render, a first step)
             self._apply_update()
         return self._loss_out
+
+    def _begin(self, x: np.ndarray, update: Optional[Sequence] = None) -> None:
+        """The replay prologue, arming the update tail with ``update``
+        (``None`` in :meth:`stage_ms`: a timed replay updates nothing)."""
+        self._update[0] = update
+        super()._begin(x)

@@ -36,8 +36,8 @@ class PlanBackend:
         """The stage renderer for one plan compilation; ``None``: numpy."""
         return None
 
-    def compile(self, graph, groups: int = 1, profile: bool = False,
-                threads=None, from_stem: bool = False):
+    def compile(self, graph, groups: int = 1, threads=None,
+                from_stem: bool = False):
         """Lower ``graph`` to the plan it records: a ``groups``-way
         ``AdaptationPlan`` for an entropy-step trace (it carries
         train-mode BN nodes; ``from_stem``: its input is the stem rows),
@@ -47,9 +47,9 @@ class PlanBackend:
 
         if any(node.train_bn for node in graph.nodes):
             return AdaptationPlan(
-                graph, groups, profile, self._renderer(threads), from_stem
+                graph, groups, self._renderer(threads), from_stem
             )
-        return ExecutionPlan(graph, profile, self._renderer(threads))
+        return ExecutionPlan(graph, self._renderer(threads))
 
 
 _REGISTRY: Dict[str, Callable[[], PlanBackend]] = {}

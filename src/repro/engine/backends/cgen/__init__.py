@@ -40,7 +40,9 @@ Nothing is compiled per plan.  The package is split along that seam:
   table, not a compile; ``backend_info["program"]`` digests the library
   key, the rows and the args (slot *indices*, never addresses), so equal
   digests in two processes mean the same program.  A run of consecutive
-  rendered stages costs one ``ctypes`` call over their row ids.
+  rendered stages costs one ``ctypes`` call over their row ids; the
+  plan's stage table (``plan.stages``) keeps each as its own one-row
+  call, labelled ``cgen:<label>`` — the step the parity probe runs.
 
 Heavy stages are tiled over the library's pthread pool by *fixed output
 ownership* (:mod:`repro.engine.backends.threading`): outputs are bitwise
@@ -85,14 +87,14 @@ import warnings
 import weakref
 from dataclasses import replace as _dc_replace
 from functools import partial, reduce
-from itertools import product
+from itertools import groupby, product
 from operator import is_
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..base import PlanBackend, register_backend
-from ..core import ConvLowering, PoolLowering, _timed_step
+from ..core import ConvLowering, PoolLowering
 from ..threading import PoolHandle, resolve_threads
 from .build import (
     _cflags, _load_lib, _plan_variant, default_cache_dir, find_cc,
@@ -284,7 +286,7 @@ class _Offer:
     """One accepted stage: its row id, oracle closure, outputs."""
 
     __slots__ = ("sid", "fallback", "outs", "binders", "watched", "arm",
-                 "demoted", "mt", "geo", "tol_dtype")
+                 "demoted", "mt", "geo", "tol_dtype", "row")
 
     def __init__(self, fallback: Callable[[], None],
                  outs: List[np.ndarray]):
@@ -300,6 +302,7 @@ class _Offer:
         #                          workspace is released if this survives
         self.tol_dtype = None    # band-tolerance override (reductions
         #                          whose outs are wider than their data)
+        self.row: Optional[Callable[[], None]] = None  # its one-row call
 
     def bind_on(self, bind: Callable[..., object], owner, *paths: str) -> None:
         """Register ``bind``: called with the objects ``owner.<path>``
@@ -379,7 +382,6 @@ class CRenderer:
         self._static: List[Tuple[int, np.ndarray]] = []
         self._static_ids: Dict[int, int] = {}
         self._tab_holder: List[Optional[np.ndarray]] = [None]
-        self._labels: Dict[Tuple[int, int], str] = {}  # (id(steps), pos)
         self._scratch_bytes = 0
         self.offered = 0
         self.declined = 0
@@ -450,11 +452,6 @@ class CRenderer:
         self._scratch_bytes = max(self._scratch_bytes, int(nbytes))
 
     # -- plan hooks ------------------------------------------------------
-    def note_stage(self, steps: list, start: int, end: int,
-                   label: str) -> None:
-        for pos in range(start, end):
-            self._labels[(id(steps), pos)] = label
-
     def offer_stage(self, kind: str, spec: dict, fallback):
         self.offered += 1
         if kind in _SWEEP_KINDS:
@@ -1017,9 +1014,6 @@ class CRenderer:
 
     def finalize(self, plan, graph) -> Dict[str, object]:
         sections: Tuple[list, ...] = plan.sections
-        profile = plan.profile
-        if profile is not None:
-            profile.backend = self.backend.name
         info: Dict[str, object] = {
             "backend": self.backend.name,
             "stages": sum(len(s) for s in sections),
@@ -1039,23 +1033,18 @@ class CRenderer:
             # closures (never offered, declined or demoted alike)
             "numpy_stages": {},
         }
-        labels = self._labels
         numpy_stages: Dict[str, int] = info["numpy_stages"]
 
-        def on_numpy(steps: list, pos: int) -> str:
-            label = labels.get((id(steps), pos), "stage")
+        def on_numpy(label: str) -> None:
             numpy_stages[label] = numpy_stages.get(label, 0) + 1
-            return label
 
         def bail(reason: Optional[str]):
-            for steps in sections:
-                for pos, step in enumerate(steps):
+            for steps, staged in zip(sections, plan.stages):
+                for pos, (label, step) in enumerate(staged):
                     if isinstance(step, _Offer):
                         steps[pos] = step.fallback
-                for pos in range(len(steps)):
-                    label = on_numpy(steps, pos)
-                    if profile is not None:
-                        steps[pos] = _timed_step(steps[pos], label, profile)
+                    staged[pos] = (label, steps[pos])
+                    on_numpy(label)
             info["fallback_reason"] = reason
             return info
 
@@ -1087,39 +1076,43 @@ class CRenderer:
         ).hexdigest()[:24]
         tab = np.zeros(self._nslots, dtype=np.uintp)
         self._tab_holder[0] = tab
+        # every row id in order: offers are accepted as they are emitted,
+        # so a run of consecutive rendered stages is a run of ids
+        ids = np.arange(len(self._offers), dtype=np.int64)
         keep: List[object] = [lib, tab, pool, rows, args]
         for slot, arr in self._static:
             tab[slot] = arr.ctypes.data
             keep.append(arr)
+        keep.append(ids)
         tab_ptr, rows_ptr, args_ptr = (
             arr.ctypes.data for arr in (tab, rows, args)
         )
 
-        def segment(sids: List[int]):
-            """One ``repro_run`` call over the rows ``sids``."""
-            ids = np.asarray(sids, dtype=np.int64)
-            keep.append(ids)
-            ids_ptr, nseg = ids.ctypes.data, len(sids)
+        def segment(first: int, n: int):
+            """One ``repro_run`` call over the ``n`` rows from ``first``;
+            it owns ``keep``, everything its addresses point into."""
+            ids_ptr = ids.ctypes.data + first * ids.itemsize
 
-            def seg():
-                run_fn(tab_ptr, rows_ptr, args_ptr, ids_ptr, nseg)
+            def seg(keep=keep):
+                run_fn(tab_ptr, rows_ptr, args_ptr, ids_ptr, n)
 
             return seg
 
         # -- parity probe: replay the traced example, each rendered stage
-        # checked against its own oracle closure via snapshot-rewind so
-        # every comparison sees bit-identical inputs.  The C stage runs
-        # through the same pool dispatch production uses, so the probe
-        # validates the exact threaded execution (from the input's cut).
+        # (its one-row step) checked against its own oracle closure via
+        # snapshot-rewind so every comparison sees bit-identical inputs.
+        # The C stage runs through the same pool dispatch production
+        # uses, so the probe validates the exact threaded execution (from
+        # the input's cut).
         x_probe = np.ascontiguousarray(graph._keepalive[plan._input_vid].data)
         tab[0] = x_probe.ctypes.data
         plan._input_cell[0] = x_probe
-        one = np.empty(1, dtype=np.int64)
         for steps in sections:
             for step in steps:
                 if not isinstance(step, _Offer):
                     step()
                     continue
+                step.row = segment(step.sid, 1)
                 pre = [o.copy() for o in step.outs]
                 step.fallback()
                 oracle = [o.copy() for o in step.outs]
@@ -1127,8 +1120,7 @@ class CRenderer:
                     np.copyto(buf, snap, casting="no")
                 try:
                     step.bind_now()
-                    one[0] = step.sid
-                    run_fn(tab_ptr, rows_ptr, args_ptr, one.ctypes.data, 1)
+                    step.row()
                     step.demoted = not all(
                         self._match(buf, want, step.tol_dtype)
                         for buf, want in zip(step.outs, oracle)
@@ -1141,53 +1133,42 @@ class CRenderer:
                     np.copyto(buf, want, casting="no")
         plan._input_cell[0] = None
 
-        # -- rebuild the step lists: surviving rendered stages become
-        # repro_run segments (one ctypes call per run of consecutive
-        # stages), demoted/declined stages keep their numpy closures
+        # -- rebuild the step lists: a run of surviving rendered stages is
+        # served as one repro_run call (tabled row by row, ``cgen:``
+        # labelled), demoted/declined stages keep their numpy closures
         binders: List[Callable[..., object]] = []
         watched: List[tuple] = []
         arms: List[Callable[[], None]] = []
         rendered = demoted = 0
-        for steps in sections:
-            new_steps: List[Callable[[], None]] = []
-            i = 0
-            while i < len(steps):
-                step = steps[i]
-                if isinstance(step, _Offer) and not step.demoted:
-                    j = i + 1
-                    # profiled plans keep per-stage calls so op_ms
-                    # attributes time to individual rendered stages
-                    while (
-                        profile is None and j < len(steps)
-                        and isinstance(steps[j], _Offer)
-                        and not steps[j].demoted
-                    ):
-                        j += 1
-                    for offer in steps[i:j]:
-                        binders.extend(offer.binders)
-                        watched.extend(offer.watched)
-                        if offer.arm is not None:
-                            arms.append(offer.arm)
-                    fn = segment([offer.sid for offer in steps[i:j]])
-                    if profile is not None:
-                        fn = _timed_step(
-                            fn,
-                            "cgen:" + labels.get((id(steps), i), "stage"),
-                            profile,
-                        )
-                    new_steps.append(fn)
-                    rendered += j - i
-                    i = j
+
+        def in_c(pair) -> bool:
+            return isinstance(pair[1], _Offer) and not pair[1].demoted
+
+        for steps, staged in zip(sections, plan.stages):
+            table: list = []
+            steps.clear()
+            for c_run, pairs in groupby(staged, key=in_c):
+                pairs = list(pairs)
+                if not c_run:
+                    for label, step in pairs:
+                        if isinstance(step, _Offer):
+                            demoted += 1
+                            step = step.fallback
+                        on_numpy(label)
+                        table.append((label, step))
+                        steps.append(step)
                     continue
-                fn = step.fallback if isinstance(step, _Offer) else step
-                if isinstance(step, _Offer):
-                    demoted += 1
-                label = on_numpy(steps, i)
-                if profile is not None:
-                    fn = _timed_step(fn, label, profile)
-                new_steps.append(fn)
-                i += 1
-            steps[:] = new_steps
+                for label, offer in pairs:
+                    binders.extend(offer.binders)
+                    watched.extend(offer.watched)
+                    if offer.arm is not None:
+                        arms.append(offer.arm)
+                    table.append(("cgen:" + label, offer.row))
+                first = pairs[0][1]
+                steps.append(first.row if len(pairs) == 1
+                             else segment(first.sid, len(pairs)))
+                rendered += len(pairs)
+            staged[:] = table
         info.update(rendered=rendered, demoted=demoted, mt_stages=sum(
             1 for o in self._offers if o.mt and not o.demoted
         ))

@@ -13,10 +13,7 @@ closures, generated C) builds on the same objects:
   plan's im2col and max-pool column matrices are views of it;
 * :class:`ConvLowering` / :class:`PoolLowering` — the im2col geometry of
   one conv/pool layer (gather indices, its own padded image and window
-  view, its claim on :data:`COLUMNS`) computed once at compile time;
-* :class:`PlanProfile` / :func:`_timed_step` — the opt-in per-stage
-  replay profiler, tagged with the ``backend`` that produced the stages
-  it times.
+  view, its claim on :data:`COLUMNS`) computed once at compile time.
 
 Nothing in this module touches numpy kernels at replay time — the
 workspaces are plain arrays the backends capture however they like.
@@ -25,9 +22,8 @@ workspaces are plain arrays the backends capture however they like.
 from __future__ import annotations
 
 import mmap
-import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -307,61 +303,3 @@ def lower_pool(
         geo._pad(np.full((n * c, h + 2 * padding[0], w + 2 * padding[1]),
                          -np.inf, dtype=x_dtype))
     return geo
-
-
-@dataclass
-class PlanProfile:
-    """Opt-in per-op timing of a compiled plan's replays.
-
-    Created only when a plan is compiled with ``profile=True`` — the
-    default replay path never touches it (the closures are built without
-    any timing code, so disabled profiling costs nothing).  ``op_ms``
-    buckets total milliseconds by stage label (e.g. ``"conv+bn+relu"``,
-    ``"fwd:conv"``; stages a codegen backend rendered are prefixed with
-    the backend name, ``"cgen:conv+bn+relu"``, so profiled runs
-    distinguish rendered from fallback stages); ``bucket_ms`` decomposes
-    the numpy GEMM stages into their ``im2col`` / ``gemm`` / ``epilogue``
-    phases (a stage's phases sum to its ``op_ms`` entry, so the
-    decomposition reconciles — rendered C stages execute as one fused
-    kernel and contribute no buckets).  ``backend`` names the
-    :class:`~repro.engine.backends.base.PlanBackend` that lowered the
-    plan.
-    """
-
-    op_ms: Dict[str, float] = field(default_factory=dict)
-    op_calls: Dict[str, int] = field(default_factory=dict)
-    bucket_ms: Dict[str, float] = field(default_factory=dict)
-    runs: int = 0
-    backend: str = "numpy"
-
-    def add_op(self, label: str, seconds: float) -> None:
-        self.op_ms[label] = self.op_ms.get(label, 0.0) + 1e3 * seconds
-        self.op_calls[label] = self.op_calls.get(label, 0) + 1
-
-    def add_bucket(self, name: str, seconds: float) -> None:
-        self.bucket_ms[name] = self.bucket_ms.get(name, 0.0) + 1e3 * seconds
-
-    def summary(self) -> Dict[str, object]:
-        total = sum(self.op_ms.values())
-        return {
-            "runs": self.runs,
-            "backend": self.backend,
-            "total_ms": total,
-            "op_ms": dict(sorted(self.op_ms.items(), key=lambda kv: -kv[1])),
-            "op_calls": dict(self.op_calls),
-            "bucket_ms": dict(
-                sorted(self.bucket_ms.items(), key=lambda kv: -kv[1])
-            ),
-        }
-
-
-def _timed_step(step, label: str, profile: PlanProfile):
-    """Wrap one replay closure with per-call timing into ``profile``."""
-
-    def timed():
-        t0 = time.perf_counter()
-        step()
-        profile.add_op(label, time.perf_counter() - t0)
-
-    timed.label = label  # lets a benchmark pick one stage out of a plan
-    return timed

@@ -15,6 +15,10 @@ demand.  A ``from_stem`` plan starts from the stem rows an inference
 plan of the same backend wrote
 (:attr:`~repro.engine.plan.ExecutionPlan.stem_rows`) instead of from the
 images, so a served frame's stem conv runs once.
+
+A cached plan is the plan that serves, and the one a per-stage time is
+read from: ``plan_for(...).stage_ms(x)`` replays its stage table
+(:attr:`~repro.engine.plan.StaticPlan.stages`) once, stage by stage.
 """
 
 from __future__ import annotations
@@ -43,10 +47,8 @@ class CompiledInference:
     the same input shape overwrites; copy it if it must outlive a frame.
     """
 
-    def __init__(self, model, profile: bool = False, backend=None,
-                 threads: Optional[int] = None):
+    def __init__(self, model, backend=None, threads: Optional[int] = None):
         self.model = model
-        self.profile = profile  # per-op timing on every plan (opt-in)
         self.backend = resolve_backend(backend)
         self.threads = threads  # kernel pool width (codegen backends)
         self._plans: Dict[Tuple, ExecutionPlan] = {}
@@ -61,8 +63,7 @@ class CompiledInference:
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plans[key] = self.backend.compile(
-                trace(self.model, arr), profile=self.profile,
-                threads=self.threads,
+                trace(self.model, arr), threads=self.threads
             )
         return plan
 
@@ -87,22 +88,17 @@ class CompiledInference:
         return self._plans[(tuple(shape), np.dtype(dtype).str)]
 
 
-def compile_model(model, profile: bool = False, backend=None,
+def compile_model(model, backend=None,
                   threads: Optional[int] = None) -> CompiledInference:
     """Return a compiled, replayable inference callable for ``model``.
 
-    ``profile=True`` compiles every plan with per-op timing
-    (:class:`~repro.engine.plan.PlanProfile`); the default compiles
-    closures with no timing code at all.  ``backend`` selects the plan
-    lowering — a registry name (``"numpy"``, ``"cgen"``), a
-    :class:`~repro.engine.backends.PlanBackend` instance, or ``None`` for
-    ``$REPRO_BACKEND``/numpy.  ``threads``
-    fixes the codegen kernel-pool width per plan (``None`` defers to the
-    backend's own resolution chain; the numpy backend ignores it).
+    ``backend`` selects the plan lowering — a registry name (``"numpy"``,
+    ``"cgen"``), a :class:`~repro.engine.backends.PlanBackend` instance,
+    or ``None`` for ``$REPRO_BACKEND``/numpy.  ``threads`` fixes the
+    codegen kernel-pool width per plan (``None`` defers to the backend's
+    own resolution chain; the numpy backend ignores it).
     """
-    return CompiledInference(
-        model, profile=profile, backend=backend, threads=threads
-    )
+    return CompiledInference(model, backend=backend, threads=threads)
 
 
 class CompiledAdaptStep:
@@ -117,15 +113,14 @@ class CompiledAdaptStep:
     buffer it touches, so building a plan never perturbs the model.
     """
 
-    def __init__(self, model, loss_fn=None, profile: bool = False,
-                 backend=None, threads: Optional[int] = None):
+    def __init__(self, model, loss_fn=None, backend=None,
+                 threads: Optional[int] = None):
         if loss_fn is None:
             from ..adapt.entropy import entropy_loss  # avoid a cycle
 
             loss_fn = entropy_loss
         self.model = model
         self.loss_fn = loss_fn
-        self.profile = profile  # per-op timing on every plan (opt-in)
         self.backend = resolve_backend(backend)
         self.threads = threads  # kernel pool width (codegen backends)
         self._plans: Dict[Tuple, AdaptationPlan] = {}
@@ -146,8 +141,7 @@ class CompiledAdaptStep:
         if plan is None:
             plan = self._plans[key] = self.backend.compile(
                 trace_entropy_step(self.model, arr, self.loss_fn),
-                groups=groups, profile=self.profile, threads=self.threads,
-                from_stem=from_stem,
+                groups=groups, threads=self.threads, from_stem=from_stem,
             )
         return plan
 

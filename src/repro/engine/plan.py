@@ -10,7 +10,7 @@ plan (:mod:`repro.engine.adapt_plan`) share, each piece exactly once:
 the op table (:data:`OP_KINDS`: traced ``Function`` -> stage kind), value
 access, the renderer offer, the forward stage builders for conv, linear,
 max-pool, the elementwise ops and views (numpy closure plus offer spec),
-the buffer policy, the replay prologue and the profile summary.
+the buffer policy, the replay prologue and the stage table.
 
 **Arena buffer reuse** is one liveness analysis over the plan's sections
 (:meth:`StaticPlan._lifetimes`) and one policy assigning buffers from it
@@ -37,6 +37,13 @@ is lowered and replaces the accepted ones with compiled-kernel calls at
 finalize time — see :mod:`repro.engine.backends.cgen`.  Without one this
 module is the pure numpy-closure backend and no autograd ``Context`` (or
 ``Tensor``) is allocated anywhere on the replay path.
+
+**The stage table** (:attr:`StaticPlan.stages`) names what a plan serves:
+per section, one ``(label, step)`` pair per lowered stage — on numpy the
+served closure itself, on ``cgen`` a rendered stage's one-row kernel call
+(labelled ``cgen:<label>``) where the served section merges runs of
+them.  :meth:`StaticPlan.stage_ms` replays an input once through it,
+timing each stage alone; nothing is compiled differently to be timed.
 """
 
 from __future__ import annotations
@@ -55,8 +62,6 @@ from ..nn.tensor import Context
 from .backends.core import (
     _Arena,
     _Block,
-    PlanProfile,
-    _timed_step,
     lower_conv,
     lower_pool,
 )
@@ -194,9 +199,10 @@ class StaticPlan:
     """What every compiled plan is made of (see the module docstring).
 
     Subclasses provide ``_compile(graph)`` (analyse lifetimes with
-    :meth:`_lifetimes`, walk the nodes, call the builders, set
-    ``stats``), ``sections`` (their step lists in replay order) and
-    ``run``; :attr:`WRITES_IN_PLACE` picks their buffer policy.
+    :meth:`_lifetimes`, walk the nodes, call the builders, label what
+    each appended with :meth:`_label_stages`, set ``stats``),
+    ``sections`` (their step lists in replay order) and ``run``;
+    :attr:`WRITES_IN_PLACE` picks their buffer policy.
 
     ``renderer`` (optional) is a codegen backend's stage renderer: every
     lowered stage is *offered* to it along with the numpy closure; at the
@@ -205,7 +211,7 @@ class StaticPlan:
     numpy closures, so fallback is per-stage and structural).
     """
 
-    def __init__(self, graph: TraceGraph, profile: bool, renderer):
+    def __init__(self, graph: TraceGraph, renderer):
         self._input_shape = graph.input_shape
         self._input_vid = graph.input_vid
         shapes: Dict[int, Tuple[int, ...]] = {graph.input_vid: graph.input_shape}
@@ -218,6 +224,7 @@ class StaticPlan:
         self._ct = SimpleNamespace(
             shapes=shapes, dtypes=dtypes, renderer=renderer,
             emitting=None,  # the step list stages are being appended to
+            labels={},  # id(section) -> the label of each of its steps
             workspace_bytes=0,
         )
         self._fixed: Dict[int, np.ndarray] = {}  # buffers fixed at compile time
@@ -226,14 +233,15 @@ class StaticPlan:
         self._arena = _Arena()
         self._pre_replay: Optional[Callable[[np.ndarray], np.ndarray]] = None
         self.backend_info: Dict[str, object] = {"backend": "numpy"}
-        # opt-in profiling must be chosen at compile time: the traced
-        # graph is dropped after compilation, so closures cannot be
-        # re-instrumented later — and the unprofiled closures carry zero
-        # timing code, keeping the disabled path cost-free
-        self.profile: Optional[PlanProfile] = PlanProfile() if profile else None
         self._inv_std = _InvStdBank()
         self._compile(graph)
         self._inv_std.seal()
+        # per section, (label, step) per lowered stage; a renderer's
+        # finalize swaps in the steps it serves
+        self.stages: Tuple[List[Tuple[str, Callable[[], None]]], ...] = tuple(
+            list(zip(self._ct.labels.get(id(steps), ()), steps))
+            for steps in self.sections
+        )
         if renderer is not None:
             self.backend_info = renderer.finalize(self, graph)
         # Neither the graph (and its keepalive of every traced activation)
@@ -306,49 +314,12 @@ class StaticPlan:
         self._ct.emitting.append(self._place(kind, spec, fallback) or fallback)
 
     def _label_stages(self, before: int, label: str) -> None:
-        """Name the closures appended to the current section since
-        position ``before`` (profile ``op_ms`` / ``numpy_stages`` keys)."""
+        """Name the steps appended to the current section since position
+        ``before`` (:attr:`stages` / ``numpy_stages`` keys)."""
         steps = self._ct.emitting
-        if self._ct.renderer is not None:
-            # profiling wraps happen at finalize (the renderer decides per
-            # stage whether the C kernel or the numpy fallback survived)
-            self._ct.renderer.note_stage(steps, before, len(steps), label)
-        elif self.profile is not None:
-            for pos in range(before, len(steps)):
-                steps[pos] = _timed_step(steps[pos], label, self.profile)
-
-    def _gemm_stage(self, load, gemm, epilogue):
-        """One GEMM stage closure from its three phases: ``load()`` returns
-        the right-hand operand (im2col columns / input rows), ``gemm``
-        multiplies it into the output, ``epilogue()`` finishes in place.
-
-        A profiled numpy plan times each phase into ``bucket_ms``
-        (``im2col`` / ``gemm`` / ``epilogue``, summing to the stage's
-        ``op_ms``); with a renderer the closure is the parity oracle and
-        fallback, timed per stage at finalize like any other.
-        """
-        if self.profile is None or self._ct.renderer is not None:
-
-            def run():
-                gemm(load())
-                epilogue()
-
-            return run
-        add_bucket = self.profile.add_bucket
-
-        def run():
-            t0 = time.perf_counter()
-            operand = load()
-            t1 = time.perf_counter()
-            gemm(operand)
-            t2 = time.perf_counter()
-            epilogue()
-            t3 = time.perf_counter()
-            add_bucket("im2col", t1 - t0)
-            add_bucket("gemm", t2 - t1)
-            add_bucket("epilogue", t3 - t2)
-
-        return run
+        self._ct.labels.setdefault(id(steps), []).extend(
+            [label] * (len(steps) - before)
+        )
 
     # -- buffer policy ----------------------------------------------------
     #: an elementwise stage may write its output over a tensor input whose
@@ -456,10 +427,9 @@ class StaticPlan:
         if bn_module is not None:
             bank, slot = self._inv_std, self._inv_std.add(bn_module)
 
-        def gemm(cc):
-            np.matmul(weight.data.reshape(f_out, k_total), cc, out=acc3)
-
-        def epilogue():
+        def run():
+            cols = geo.gather(get_x())
+            np.matmul(weight.data.reshape(f_out, k_total), cols, out=acc3)
             if bias is not None:
                 np.add(acc3, bias.data.reshape(1, -1, 1), out=acc3)
             src = acc3
@@ -478,7 +448,7 @@ class StaticPlan:
                 bias=bias, bn_module=bn_module, relu=relu, out3=out3,
                 rows=acc3 if rows else None,
             ),
-            self._gemm_stage(lambda: geo.gather(get_x()), gemm, epilogue),
+            run,
         )
         return geo
 
@@ -489,11 +459,10 @@ class StaticPlan:
         bias_ref = node.inputs[2]
         bias = bias_ref.tensor if isinstance(bias_ref, ConstRef) else None
         out2 = self._out(out_vid, node.out_shape, node.out_dtype)
+        get_x = self._getter(x_ref)
 
-        def gemm(x):
-            np.matmul(x, weight.data.T, out=out2)
-
-        def epilogue():
+        def run():
+            np.matmul(get_x(), weight.data.T, out=out2)
             if bias is not None:
                 np.add(out2, bias.data, out=out2)
             if relu:
@@ -506,7 +475,7 @@ class StaticPlan:
                 x_dtype=x_dtype, out_dtype=node.out_dtype, weight=weight,
                 bias=bias, relu=relu, out2=out2,
             ),
-            self._gemm_stage(self._getter(x_ref), gemm, epilogue),
+            run,
         )
 
     def _lower_maxpool(self, node, alloc_arg=None):
@@ -607,24 +576,20 @@ class StaticPlan:
             x = self._pre_replay(x)
         self._input_cell[0] = x
         self._inv_std.stale = True
-        if self.profile is not None:
-            self.profile.runs += 1
 
-    def profile_summary(self) -> Optional[Dict[str, object]]:
-        """Per-op timing plus arena byte counters.
-
-        ``None`` unless the plan was compiled with ``profile=True``.
-        """
-        if self.profile is None:
-            return None
-        out = self.profile.summary()
-        out["arena_bytes"] = self.stats.arena_bytes
-        out["requested_bytes"] = self.stats.requested_bytes
-        out["workspace_bytes"] = self.stats.workspace_bytes
-        # which stage kinds still replay as Python closures (codegen
-        # backends only; on the numpy backend that is every stage)
-        out["numpy_stages"] = self.backend_info.get("numpy_stages")
-        return out
+    def stage_ms(self, x: np.ndarray) -> Dict[str, float]:
+        """Replay ``x`` once through :attr:`stages`, each stage timed
+        alone: milliseconds per label (stages sharing one summed),
+        slowest first.  Leaves the bytes ``run(x)`` leaves."""
+        self._begin(x)
+        ms: Dict[str, float] = {}
+        clock = time.perf_counter
+        for section in self.stages:
+            for label, step in section:
+                start = clock()
+                step()
+                ms[label] = ms.get(label, 0.0) + 1e3 * (clock() - start)
+        return dict(sorted(ms.items(), key=lambda kv: -kv[1]))
 
 
 class ExecutionPlan(StaticPlan):
@@ -640,11 +605,10 @@ class ExecutionPlan(StaticPlan):
     next ``run`` overwrites too (``None``: the graph has no fusable stem).
     """
 
-    def __init__(self, graph: TraceGraph, profile: bool = False,
-                 renderer=None):
+    def __init__(self, graph: TraceGraph, renderer=None):
         self._steps: List[Callable[[], None]] = []
         self.stem_rows: Optional[np.ndarray] = None
-        super().__init__(graph, profile, renderer)
+        super().__init__(graph, renderer)
 
     @property
     def sections(self) -> Tuple[list, ...]:

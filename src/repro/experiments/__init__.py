@@ -48,7 +48,6 @@ from .fig2_accuracy import Fig2Cell, Fig2Result, run_fig2, train_source_model
 from .fig3_latency import PAPER_FEASIBILITY, Fig3Result, Fig3Row, run_fig3
 from .fleet_serving import FleetRunResult, roofline_comparison_rows, run_fleet
 from .reporting import (
-    format_markdown_table,
     format_table,
     load_json,
     save_json,
@@ -102,7 +101,6 @@ __all__ = [
     "sustained_streams",
     "VariantResult",
     "format_table",
-    "format_markdown_table",
     "save_json",
     "load_json",
 ]

@@ -18,11 +18,13 @@ inputs:
 Every **single** row also carries the ``cgen`` C backend beside the
 numpy plan — ``cgen_p50_ms``/``cgen_p95_ms`` sampled *interleaved* with a
 numpy-plan adapter (``numpy_ab_p50_ms``) so machine drift cancels in
-``cgen_speedup_p95``, its own parity verdict, and ``op_ms``: the
-per-stage table (ms per step, by stage label) of one profiled plan per
-backend, replayed alternately — which is where "which layer is still on
-numpy" shows, and where the rendered forward convs (``cgen:fwd:conv``)
-are held against the numpy/BLAS ones (``fwd:conv``).
+``cgen_speedup_p95``, its own parity verdict, and ``op_ms``: ms per
+step by stage label, read off each backend's plan stage table
+(:meth:`~repro.engine.plan.StaticPlan.stage_ms`, the steps the plan
+serves, each timed alone), the backends replayed alternately — which is
+where "which layer is still on numpy" shows, and where the rendered
+forward convs (``cgen:fwd:conv``) are held against the numpy/BLAS ones
+(``fwd:conv``).
 
 Each row also records a numerical-parity verdict: the post-step model
 state of the compiled path must match the eager oracle to float
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import time
 import warnings
+from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -92,28 +95,27 @@ def _state_parity(
 
 
 def _stage_tables(model, x: np.ndarray, backends: Sequence[str]):
-    """``{backend: (op_ms per step, backend_info)}`` of one profiled plan
-    per backend, replayed alternately so machine drift lands on every
+    """``{backend: (ms per step by stage label, slowest first,
+    backend_info)}`` of one plan per backend, its stage table replayed
+    alternately with the others' so machine drift lands on every
     backend's table alike and per-stage rows can be compared across them.
     """
     plans = {
-        backend: CompiledAdaptStep(
-            model, profile=True, backend=backend
-        ).plan_for(x)
+        backend: CompiledAdaptStep(model, backend=backend).plan_for(x)
         for backend in backends
     }
     for plan in plans.values():
         for _ in range(3):  # warm the caches the timed replays run from
             plan.run(x)
-        plan.profile.op_ms.clear()
+    totals = {backend: Counter() for backend in plans}
     for _ in range(PROFILE_STEPS):
-        for plan in plans.values():
-            plan.run(x)
+        for backend, plan in plans.items():
+            totals[backend].update(plan.stage_ms(x))
     return {
         backend: (
             {
                 label: total / PROFILE_STEPS
-                for label, total in plan.profile_summary()["op_ms"].items()
+                for label, total in totals[backend].most_common()
             },
             plan.backend_info,
         )

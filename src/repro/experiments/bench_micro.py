@@ -168,23 +168,20 @@ _ADAPT_STAGES = {
 
 def _stage_pair(model, x, section, label):
     """The same five for one stage of the model's adaptation plans, the
-    first labelled ``label`` in ``section``: profiled plans replay stage
-    by stage, so after one full step that stage reruns alone on the
-    step's buffers.  The outputs compared are the first BN's gamma
-    gradients, which everything in these plans feeds."""
+    first labelled ``label`` in ``section`` of the plan's stage table:
+    after one full step that stage reruns alone on the step's buffers.
+    The outputs compared are the first BN's gamma gradients, which
+    everything in these plans feeds."""
     fns, grads, info = [], [], None
     for backend in ("numpy", "cgen"):
         model.train()
-        plan = CompiledAdaptStep(
-            model, profile=True, backend=backend
-        ).plan_for(x)
+        plan = CompiledAdaptStep(model, backend=backend).plan_for(x)
         plan.run(x)
         grads.append(plan.bn_taps[0].grad_gamma.copy())
-        step = next(
-            s for s in plan.sections[section] if s.label.endswith(label)
-        )
-        # the closure alone does not keep the plan's pointer table alive
-        fns.append(lambda step=step, plan=plan: step())
+        fns.append(next(
+            step for name, step in plan.stages[section]
+            if name.endswith(label)
+        ))
         info = plan.backend_info
     fn_np, fn_c = fns
     return fn_np, fn_c, grads[0], grads[1], info

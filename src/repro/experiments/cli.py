@@ -292,7 +292,7 @@ def _run_bench_adapt(scale, backend=None) -> int:
             "back to numpy closures"
         )
     for row in singles:
-        print(f"per-stage ms/step ({row['backbone']}, one profiled plan):")
+        print(f"per-stage ms/step ({row['backbone']}, the plan's stage table):")
         print(format_table(
             [
                 {"stage": label, "backend": backend, "ms_per_step": ms}

@@ -1,4 +1,4 @@
-"""Result formatting: fixed-width tables, markdown and JSON dumps.
+"""Result formatting: fixed-width tables and JSON dumps.
 
 Every experiment harness returns structured rows; these helpers render
 them the way the paper presents its results (and EXPERIMENTS.md records
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 
 def format_table(
@@ -47,30 +47,6 @@ def format_table(
         " | ".join(cell.ljust(w) for cell, w in zip(r, widths)) for r in rendered
     )
     return f"{header}\n{rule}\n{body}"
-
-
-def format_markdown_table(
-    rows: Sequence[Dict[str, object]],
-    columns: Optional[Sequence[str]] = None,
-    floatfmt: str = ".2f",
-) -> str:
-    """Render rows as a GitHub-markdown table (for EXPERIMENTS.md)."""
-    rows = list(rows)
-    if not rows:
-        return "(no rows)"
-    cols = list(columns) if columns is not None else list(rows[0].keys())
-
-    def fmt(value: object) -> str:
-        if isinstance(value, bool):
-            return "yes" if value else "no"
-        if isinstance(value, float):
-            return format(value, floatfmt)
-        return str(value)
-
-    lines = ["| " + " | ".join(cols) + " |", "|" + "|".join("---" for _ in cols) + "|"]
-    for row in rows:
-        lines.append("| " + " | ".join(fmt(row.get(c, "")) for c in cols) + " |")
-    return "\n".join(lines)
 
 
 def save_json(path: str, payload: object) -> None:

@@ -4,10 +4,8 @@ from .deadline import (
     DEADLINE_18FPS_MS,
     DEADLINE_30FPS_MS,
     NAMED_DEADLINES,
-    FeasibilityEntry,
     adaptation_budget_ms,
     deadline_slack_ms,
-    feasibility_table,
     max_fps,
     meets_deadline,
     parallel_speedup,
@@ -32,7 +30,6 @@ from .roofline import (
     amortized_frame_latency,
     backward_latency,
     batched_inference_latency_ms,
-    batching_speedup,
     forward_latency,
     ld_bn_adapt_latency,
     sota_epoch_latency,
@@ -52,7 +49,6 @@ __all__ = [
     "ld_bn_adapt_latency",
     "amortized_frame_latency",
     "batched_inference_latency_ms",
-    "batching_speedup",
     "sota_epoch_latency",
     "DEADLINE_30FPS_MS",
     "DEADLINE_18FPS_MS",
@@ -63,8 +59,6 @@ __all__ = [
     "stream_utilization",
     "parallel_speedup",
     "max_fps",
-    "feasibility_table",
-    "FeasibilityEntry",
     "EnergyEstimate",
     "frame_energy",
     "OperatingPoint",

@@ -10,8 +10,7 @@ Two deadlines from the paper (Sec. IV):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict
 
 from .device import DeviceProfile
 
@@ -97,43 +96,6 @@ def stream_utilization(service_ms: float, period_ms: float) -> float:
     if service_ms < 0:
         raise ValueError(f"service_ms must be >= 0, got {service_ms}")
     return service_ms / period_ms
-
-
-@dataclass(frozen=True)
-class FeasibilityEntry:
-    """One (configuration, deadline) feasibility record."""
-
-    config: str
-    latency_ms: float
-    deadline_name: str
-    deadline_ms: float
-    feasible: bool
-
-
-def feasibility_table(
-    latencies: Dict[str, float],
-    deadlines: Dict[str, float] = None,
-) -> List[FeasibilityEntry]:
-    """Cross every configuration latency with every deadline.
-
-    ``latencies`` maps configuration names (e.g. ``"r18@orin-60w"``) to
-    per-frame milliseconds.  Returns a flat list of records, the data
-    behind Fig. 3's deadline lines.
-    """
-    targets = deadlines if deadlines is not None else NAMED_DEADLINES
-    table = []
-    for config, latency in sorted(latencies.items()):
-        for name, deadline in sorted(targets.items()):
-            table.append(
-                FeasibilityEntry(
-                    config=config,
-                    latency_ms=latency,
-                    deadline_name=name,
-                    deadline_ms=deadline,
-                    feasible=meets_deadline(latency, deadline),
-                )
-            )
-    return table
 
 
 def max_fps(latency_ms: float) -> float:

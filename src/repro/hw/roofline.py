@@ -17,7 +17,7 @@ CARLANE-SOTA baseline takes over an hour on the Orin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from ..models.spec import ModelSpec
 from .deadline import parallel_speedup
@@ -168,18 +168,6 @@ def batched_inference_latency_ms(
     return 1e3 * forward_latency(
         spec, device, batch_size, training=False, threads=threads
     )
-
-
-def batching_speedup(
-    spec: ModelSpec, device: DeviceProfile, batch_size: int
-) -> float:
-    """Per-frame inference speedup of a ``batch_size`` batch vs. batch 1.
-
-    ``b * latency(1) / latency(b)`` — how much faster one shared batched
-    pass serves ``b`` concurrent streams than ``b`` serial passes.
-    """
-    serial = batch_size * batched_inference_latency_ms(spec, device, 1)
-    return serial / batched_inference_latency_ms(spec, device, batch_size)
 
 
 def amortized_frame_latency(

@@ -44,7 +44,7 @@ from .modules import (
     ReLU,
     Sequential,
 )
-from .optim import SGD, Adam, LRScheduler, Optimizer
+from .optim import SGD, LRScheduler, Optimizer
 from .serialization import load_checkpoint, save_checkpoint
 from .tensor import (
     Tensor,
@@ -89,7 +89,6 @@ __all__ = [
     "AdaptiveAvgPool2d",
     "Optimizer",
     "SGD",
-    "Adam",
     "LRScheduler",
     "save_checkpoint",
     "load_checkpoint",

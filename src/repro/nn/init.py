@@ -1,4 +1,5 @@
-"""Weight initializers (Kaiming/Xavier) for the numpy NN framework.
+"""Weight initializers (Kaiming-uniform, PyTorch's bias rule) for the numpy
+NN framework.
 
 These operate in place on :class:`~repro.nn.tensor.Tensor` data and follow
 the fan conventions of ``torch.nn.init`` so that a ResNet initialized here
@@ -42,21 +43,6 @@ def _gain(nonlinearity: str, a: float = 0.0) -> float:
     raise ValueError(f"unsupported nonlinearity {nonlinearity!r}")
 
 
-def kaiming_normal_(
-    tensor: Tensor,
-    mode: str = "fan_in",
-    nonlinearity: str = "relu",
-    rng: Optional[np.random.Generator] = None,
-) -> Tensor:
-    """He-normal initialization, in place."""
-    fan_in, fan_out = _fan_in_out(tensor.shape)
-    fan = fan_in if mode == "fan_in" else fan_out
-    std = _gain(nonlinearity) / math.sqrt(fan)
-    gen = rng if rng is not None else np.random.default_rng()
-    tensor.data[...] = gen.normal(0.0, std, size=tensor.shape).astype(tensor.dtype)
-    return tensor
-
-
 def kaiming_uniform_(
     tensor: Tensor,
     a: float = math.sqrt(5.0),
@@ -68,19 +54,6 @@ def kaiming_uniform_(
     fan_in, fan_out = _fan_in_out(tensor.shape)
     fan = fan_in if mode == "fan_in" else fan_out
     bound = _gain(nonlinearity, a) * math.sqrt(3.0 / fan)
-    gen = rng if rng is not None else np.random.default_rng()
-    tensor.data[...] = gen.uniform(-bound, bound, size=tensor.shape).astype(tensor.dtype)
-    return tensor
-
-
-def xavier_uniform_(
-    tensor: Tensor,
-    gain: float = 1.0,
-    rng: Optional[np.random.Generator] = None,
-) -> Tensor:
-    """Glorot-uniform initialization, in place."""
-    fan_in, fan_out = _fan_in_out(tensor.shape)
-    bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
     gen = rng if rng is not None else np.random.default_rng()
     tensor.data[...] = gen.uniform(-bound, bound, size=tensor.shape).astype(tensor.dtype)
     return tensor

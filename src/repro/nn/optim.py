@@ -1,18 +1,17 @@
 """Optimizers for the numpy NN framework.
 
-``SGD`` (with momentum, weight decay, Nesterov) and ``Adam`` — the two the
-reproduction uses: SGD for source training (as in UFLD) and SGD/Adam for the
-single-step entropy-minimization update of LD-BN-ADAPT and the multi-epoch
+``SGD`` (with momentum, weight decay, Nesterov) — the one optimizer the
+reproduction uses: for source training (as in UFLD), for the single-step
+entropy-minimization update of LD-BN-ADAPT and for the multi-epoch
 retraining of the CARLANE-SOTA baseline.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 import numpy as np
 
-from .modules import Parameter
 from .tensor import Tensor
 
 
@@ -142,46 +141,6 @@ class SGD(Optimizer):
                 weight_decay=self.weight_decay,
                 nesterov=self.nesterov,
             )
-
-
-class Adam(Optimizer):
-    """Adam with bias correction (Kingma & Ba, 2015)."""
-
-    def __init__(
-        self,
-        params: Iterable[Tensor],
-        lr: float = 1e-3,
-        betas=(0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(params, lr)
-        if not 0.0 <= betas[0] < 1.0 or not 0.0 <= betas[1] < 1.0:
-            raise ValueError(f"invalid betas {betas}")
-        self.betas = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-
-    def step(self) -> None:
-        b1, b2 = self.betas
-        for p in self._updatable():
-            grad = p.grad.astype(np.float64)
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            st = self.state.setdefault(id(p), {"step": 0})
-            st["step"] += 1
-            m = st.get("m")
-            v = st.get("v")
-            if m is None:
-                m = np.zeros_like(grad)
-                v = np.zeros_like(grad)
-            m = b1 * m + (1 - b1) * grad
-            v = b2 * v + (1 - b2) * grad * grad
-            st["m"], st["v"] = m, v
-            m_hat = m / (1 - b1 ** st["step"])
-            v_hat = v / (1 - b2 ** st["step"])
-            update = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            p.data -= update.astype(p.data.dtype)
 
 
 class LRScheduler:

@@ -10,8 +10,9 @@ closures.  A hypothesis sweep drives random layer stacks and dtypes
 through the renderer against the numpy oracle; directed
 tests cover the live-BN rebind after adaptation, per-sample fleet
 overrides, the on-disk ``.so`` cache (which must satisfy loads *before*
-looking for a compiler), profile labeling, and the config-level backend
-validation in the serving and pipeline layers.
+looking for a compiler), the stage table (``plan.stages``: what a plan
+serves, stage by stage, and what ``stage_ms`` times), and the
+config-level backend validation in the serving and pipeline layers.
 """
 
 import ctypes
@@ -22,6 +23,8 @@ import subprocess
 import sys
 import warnings
 import weakref
+from collections import Counter
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -356,13 +359,14 @@ class TestFallback:
 class TestProfileAndInfo:
     def test_profile_tags_backend_and_rendered_stages(self, rng):
         model = _bn_model(rng)
-        engine = compile_model(model, profile=True, backend="cgen")
+        engine = compile_model(model, backend="cgen")
         x = rng.standard_normal((1, 3, 8, 12)).astype(np.float32)
         engine(x)
         plan = engine.plan_for(x.shape, x.dtype)
-        summary = plan.profile.summary()
-        assert summary["backend"] == "cgen"
-        assert any(label.startswith("cgen:") for label in summary["op_ms"])
+        assert plan.backend_info["backend"] == "cgen"
+        labels = [label for label, _ in plan.stages[0]]
+        assert labels == ["cgen:conv+bn+relu", "cgen:conv"]
+        assert set(plan.stage_ms(x)) == set(labels)
 
     def test_backend_info_shape(self, rng):
         model = _bn_model(rng)
@@ -382,6 +386,185 @@ class TestProfileAndInfo:
         assert engine.plan_for(x.shape, x.dtype).backend_info == {
             "backend": "numpy"
         }
+
+
+# ---------------------------------------------------------------------------
+# the stage table: per section, (label, step) per lowered stage — the steps
+# the plan serves, a rendered stage as its own one-row call
+
+
+#: (plan kind, batch, groups) of the tiny-r18 plans the table is held on
+_TABLE_CASES = [("infer", 1, 1), ("adapt", 1, 1), ("adapt", 2, 2)]
+_EXECUTORS = ["numpy", pytest.param("cgen", marks=needs_cc)]
+
+
+def _tiny_plan(backend, kind, batch, groups):
+    model, _, x = _model_and_frames("tiny-r18", batch, 5)
+    if kind == "infer":
+        engine = compile_model(model, backend=backend)
+        engine(x)
+        return engine.plan_for(x.shape, x.dtype), x
+    step = CompiledAdaptStep(model, backend=backend)
+    return step.plan_for(x, groups=groups), x
+
+
+def _left(plan, out) -> list:
+    """The bytes a replay left: ``out`` (what ``run`` returned, logits or
+    losses) and the stem rows, or the finite flags and every BN tap."""
+    if not hasattr(plan, "bn_taps"):
+        return [out.tobytes(), plan.stem_rows.tobytes()]
+    return [out.tobytes(), plan.finite.tobytes()] + [
+        arr.tobytes() for tap in plan.bn_taps
+        for arr in (tap.grad_gamma, tap.grad_beta, tap.batch_mean,
+                    tap.batch_var)
+    ]
+
+
+def _served_calls(table) -> int:
+    """How many steps a section serves for its stage table: one per run of
+    rendered stages, one per numpy stage."""
+    return sum(
+        1 if rendered else len(list(pairs))
+        for rendered, pairs in groupby(
+            table, key=lambda pair: pair[0].startswith("cgen:")
+        )
+    )
+
+
+def _decline_maxpool(patch):
+    for kind in ("maxpool", "maxpool_bwd"):
+        patch.setattr(cgen.CRenderer, f"_try_{kind}", lambda *a: None)
+
+
+class TestStageTable:
+    @pytest.mark.parametrize("backend", _EXECUTORS)
+    @pytest.mark.parametrize("case", _TABLE_CASES, ids=str)
+    def test_stage_ms_leaves_the_bytes_run_leaves(self, backend, case):
+        plan, x = _tiny_plan(backend, *case)
+        other = np.random.default_rng(9).standard_normal(x.shape)
+        out = plan.run(x)
+        want = _left(plan, out)
+        plan.run(other.astype(x.dtype))
+        assert _left(plan, out) != want
+        table = plan.stage_ms(x)
+        assert _left(plan, out) == want
+        ms = list(table.values())
+        assert ms == sorted(ms, reverse=True) and min(ms) >= 0.0
+        assert set(table) == {
+            label for section in plan.stages for label, _ in section
+        }
+
+    @pytest.mark.parametrize("backend", _EXECUTORS)
+    def test_a_timed_replay_updates_nothing(self, backend):
+        """``stage_ms`` after a step that applied an update leaves the
+        update tail unarmed: no BN state moves."""
+        model, _, x = _model_and_frames("tiny-r18", 1, 5)
+        adapter = LDBNAdapt(
+            model, LDBNAdaptConfig(batch_size=1, backend=backend)
+        )
+        with nn.adaptation_mode(True):
+            adapter.adapt(x)
+        (plan,) = adapter._compiled._plans.values()
+        state = {k: np.copy(v) for k, v in model.state_dict().items()}
+        plan.stage_ms(x)
+        for key, value in model.state_dict().items():
+            assert np.asarray(value).tobytes() == state[key].tobytes(), key
+
+    def test_numpy_steps_are_the_served_closures(self):
+        for case in _TABLE_CASES:
+            plan, _ = _tiny_plan("numpy", *case)
+            assert [
+                [step for _, step in table] for table in plan.stages
+            ] == list(plan.sections)
+            assert not any(
+                label.startswith("cgen:")
+                for table in plan.stages for label, _ in table
+            )
+
+    @needs_cc
+    @pytest.mark.parametrize("declined", [False, True])
+    @pytest.mark.parametrize("case", _TABLE_CASES, ids=str)
+    def test_cgen_labels_count_what_is_served(self, case, declined):
+        """``cgen:`` rows number ``rendered``, the others ``numpy_stages``
+        label by label, and the sections serve one call per run of rows
+        (the stem's max-pool declined: three calls, else one)."""
+        with pytest.MonkeyPatch.context() as patch:
+            if declined:
+                _decline_maxpool(patch)
+            plan, x = _tiny_plan("cgen", *case)
+        info = plan.backend_info
+        labels = [label for table in plan.stages for label, _ in table]
+        assert len(labels) == info["stages"]
+        assert sum(
+            label.startswith("cgen:") for label in labels
+        ) == info["rendered"] > 0
+        assert Counter(
+            label for label in labels if not label.startswith("cgen:")
+        ) == Counter(info["numpy_stages"])
+        assert bool(info["numpy_stages"]) == declined
+        served = [len(steps) for steps in plan.sections]
+        assert served == [_served_calls(table) for table in plan.stages]
+        assert served[0] == (3 if declined else 1)
+        for steps, table in zip(plan.sections, plan.stages):
+            numpy_steps = [
+                step for label, step in table if not label.startswith("cgen:")
+            ]
+            assert all(any(step is s for s in steps) for step in numpy_steps)
+        plan.stage_ms(x)
+        assert [len(steps) for steps in plan.sections] == served
+
+    @needs_cc
+    def test_small_r18_step_serves_two_calls(self):
+        model, _, x = _model_and_frames("small-r18", 1, 3)
+        plan = CompiledAdaptStep(model, backend="cgen").plan_for(x)
+        assert [len(steps) for steps in plan.sections] == [1, 1]
+        assert sum(map(len, plan.stages)) == plan.backend_info["rendered"]
+
+    @needs_cc
+    def test_bench_adapt_tables_hold_both_executors_convs(self):
+        """The keys ``benchmarks/bench_adapt_step.py``'s gate reads."""
+        from repro.experiments.bench_adapt import _stage_tables
+
+        model, _, x = _model_and_frames("tiny-r18", 1, 5)
+        tables = _stage_tables(model, x, ("numpy", "cgen"))
+        assert {"fwd:conv", "bwd:conv"} <= set(tables["numpy"][0])
+        assert {"cgen:fwd:conv", "cgen:bwd:conv"} <= set(tables["cgen"][0])
+
+    _OUTLIVE = """
+import gc, weakref
+import numpy as np
+from repro.engine import compile_model
+from repro.models import build_model
+
+model = build_model("tiny-r18", rng=np.random.default_rng(0))
+model.eval()
+h, w = model.config.input_hw
+x = np.random.default_rng(1).standard_normal((1, 3, h, w)).astype(np.float32)
+engine = compile_model(model, backend="cgen")
+engine(x)
+plan = engine.plan_for(x.shape, x.dtype)
+assert plan.backend_info["rendered"] == plan.backend_info["stages"]
+(label, row), served = plan.stages[0][0], plan.sections[0][0]
+assert label.startswith("cgen:")
+dropped = weakref.ref(plan)
+del engine, plan
+gc.collect()
+assert dropped() is None, "a step keeps its plan alive"
+for _ in range(50):
+    row()
+    served()
+"""
+
+    @needs_cc
+    def test_a_step_outlives_its_plan(self):
+        """A rendered step owns the arrays its addresses point into: called
+        after its plan was collected it runs (a regression segfaults the
+        child, not pytest), and it does not keep the plan alive."""
+        proc = subprocess.run(
+            [sys.executable, "-c", self._OUTLIVE],
+            capture_output=True, text=True, env=_child_env(),
+        )
+        assert proc.returncode == 0, (proc.returncode, proc.stderr)
 
 
 class TestConfigValidation:
@@ -1269,9 +1452,9 @@ class TestImplicitGemmLanes:
     def test_nan_footprint_dgrad(self, data):
         """The same through the input gradient, a fresh and an
         accumulating sink: after one full step the two ``dY`` buffers get
-        a NaN pixel each and the two ``bwd:conv`` stages are rerun alone
-        (profiled plans replay stage by stage), numpy closure against
-        rendered phases."""
+        a NaN pixel each and the two ``bwd:conv`` stages of the plan's
+        stage table are rerun alone, numpy closure against rendered
+        phases."""
         rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
         kernel = (data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5)))
         stride = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
@@ -1287,7 +1470,7 @@ class TestImplicitGemmLanes:
                                np.random.default_rng(7))
             model.train()
             plan = CompiledAdaptStep(
-                model, profile=True, backend=backend, threads=threads
+                model, backend=backend, threads=threads
             ).plan_for(x)
             plan.run(x)
             # gradient buffers in creation order: ..., dY of conv_a, dY of
@@ -1296,8 +1479,7 @@ class TestImplicitGemmLanes:
             spot = np.random.default_rng(3)
             for dy in (dy_a, dy_b):
                 dy[(0,) + tuple(spot.integers(d) for d in dy.shape[1:])] = np.nan
-            steps = [s for s in plan.sections[1]
-                     if s.label.endswith("bwd:conv")]
+            steps = _stages(plan, 1, "bwd:conv")
             assert len(steps) == 2
             for step in steps:
                 step()
@@ -1368,10 +1550,10 @@ class TestImplicitGemmLanes:
 # max-pool walked from its geometry: first maximum, NaNs propagate
 
 
-def _profiled_plan_and_specs(model, x, backend, threads=None, groups=1):
-    """A profiled adaptation plan (it replays stage by stage, so one
-    stage can be rerun alone) and, by kind, the offer specs of its stages
-    in emission order — the buffers each stage reads and writes."""
+def _plan_and_specs(model, x, backend, threads=None, groups=1):
+    """An adaptation plan (:func:`_stages` picks a stage to rerun alone)
+    and, by kind, the offer specs of its stages in emission order — the
+    buffers each stage reads and writes."""
     from repro.engine.adapt_plan import AdaptationPlan
 
     specs = {}
@@ -1390,20 +1572,23 @@ def _profiled_plan_and_specs(model, x, backend, threads=None, groups=1):
         patch.setattr(AdaptationPlan, "_offer", spy)
         patch.setattr(AdaptationPlan, "_emit_scratch_free", spy_scratch_free)
         plan = CompiledAdaptStep(
-            model, profile=True, backend=backend, threads=threads
+            model, backend=backend, threads=threads
         ).plan_for(x, groups=groups)
     return plan, specs
 
 
 def _stages(plan, section, label):
-    return [s for s in plan.sections[section] if s.label.endswith(label)]
+    """The steps of ``plan``'s stage table ``section`` labelled ``label``
+    (``cgen:`` prefixed or not)."""
+    return [step for name, step in plan.stages[section]
+            if name.endswith(label)]
 
 
 def _pool_stage_alone(model, x_traced, x, backend, threads=None):
     """The pool's output and saved argmax after its stage reran alone on
     ``x`` (later stages recycle the pool's arena blocks), from a plan
     traced on ``x_traced``."""
-    plan, specs = _profiled_plan_and_specs(model, x_traced, backend, threads)
+    plan, specs = _plan_and_specs(model, x_traced, backend, threads)
     plan.run(x)
     (stage,) = _stages(plan, 0, "fwd:maxpool")
     stage()
@@ -1705,7 +1890,7 @@ class TestRenderedTrainBNAndPoolBackward:
         for backend in ("numpy", "cgen"):
             with pytest.MonkeyPatch.context() as patch:
                 _tile_everything(patch)
-                plan, specs = _profiled_plan_and_specs(
+                plan, specs = _plan_and_specs(
                     _pool_stack(29, dtype), x, backend, threads, groups
                 )
             plan.run(x)
@@ -1876,7 +2061,7 @@ class TestBNReductionsOnLanes:
             for param in model.parameters():
                 param.data = param.data.astype(dtype)
             model.train()
-            return _profiled_plan_and_specs(
+            return _plan_and_specs(
                 model, clean, backend, 2, groups
             )
 

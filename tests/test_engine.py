@@ -434,18 +434,19 @@ class TestInvStdBank:
         assert same()
 
     def test_a_stage_rerun_after_a_replay(self, rng):
-        """A profiled plan's stage rerun alone (no replay prologue) reads
-        the bank the replay before it filled."""
+        """A stage of the plan's table rerun alone (no replay prologue)
+        reads the bank the replay before it filled."""
         model = nn.Sequential(nn.Conv2d(3, 8, 3, padding=1, rng=rng),
                               nn.BatchNorm2d(8), nn.ReLU())
         model.eval()
         model[1].running_var[...] = rng.uniform(0.5, 2.0, 8)
         x = rng.standard_normal((2, 3, 6, 10)).astype(np.float32)
-        engine = compile_model(model, profile=True, backend="numpy")
+        engine = compile_model(model, backend="numpy")
         want = _eager(model, x).tobytes()
         out = engine(x).numpy()
         assert out.tobytes() == want
-        [stage] = engine.plan_for(x.shape).sections[0]
+        [(label, stage)] = engine.plan_for(x.shape).stages[0]
+        assert label == "conv+bn+relu"
         out[...] = 0
         stage()
         assert out.tobytes() == want

@@ -13,7 +13,6 @@ from repro.experiments import (
     RUN_SCALES,
     Fig2Cell,
     Fig2Result,
-    format_markdown_table,
     format_table,
     get_run_scale,
     load_json,
@@ -63,12 +62,6 @@ class TestReporting:
     def test_format_table_bool(self):
         text = format_table([{"ok": True}])
         assert "yes" in text
-
-    def test_markdown_table(self):
-        rows = [{"a": 1.0, "b": "x"}]
-        md = format_markdown_table(rows)
-        assert md.startswith("| a | b |")
-        assert "|---|---|" in md
 
     def test_json_roundtrip(self, tmp_path):
         payload = {"x": np.float64(1.5), "y": np.arange(3), "z": [1, 2]}

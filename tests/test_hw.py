@@ -10,7 +10,6 @@ from repro.hw import (
     POWER_MODE_ORDER,
     DeviceProfile,
     design_space,
-    feasibility_table,
     forward_latency,
     frame_energy,
     backward_latency,
@@ -289,14 +288,6 @@ class TestDeadlines:
         assert max_fps(33.333) == pytest.approx(30.0, rel=1e-3)
         with pytest.raises(ValueError):
             max_fps(0.0)
-
-    def test_feasibility_table(self):
-        table = feasibility_table({"a": 30.0, "b": 60.0})
-        assert len(table) == 4  # 2 configs x 2 deadlines
-        entry = next(
-            e for e in table if e.config == "a" and e.deadline_name == "30fps"
-        )
-        assert entry.feasible
 
 
 class TestEnergy:

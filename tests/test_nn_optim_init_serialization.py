@@ -92,33 +92,6 @@ class TestSGD:
         np.testing.assert_array_equal(grad, [0.0])
 
 
-class TestAdam:
-    def test_first_step_equals_lr(self):
-        """With bias correction, the first Adam step is ~lr * sign(grad)."""
-        p = param([0.0])
-        p.grad = np.array([3.0])
-        nn.Adam([p], lr=0.01).step()
-        np.testing.assert_allclose(p.data, [-0.01], rtol=1e-4)
-
-    def test_converges_on_quadratic(self):
-        p = param([5.0])
-        opt = nn.Adam([p], lr=0.2)
-        for _ in range(200):
-            p.grad = 2.0 * p.data  # d/dp p^2
-            opt.step()
-        assert abs(p.data[0]) < 0.05
-
-    def test_invalid_betas(self):
-        with pytest.raises(ValueError):
-            nn.Adam([param([1.0])], betas=(1.0, 0.9))
-
-    def test_weight_decay_applied(self):
-        p = param([1.0])
-        p.grad = np.array([0.0])
-        nn.Adam([p], lr=0.1, weight_decay=1.0).step()
-        assert p.data[0] < 1.0
-
-
 class TestScheduler:
     def test_step_decay(self):
         p = param([1.0])
@@ -147,22 +120,10 @@ class TestInit:
         with pytest.raises(ValueError):
             init._fan_in_out((5,))
 
-    def test_kaiming_normal_std(self):
-        t = Parameter(np.empty((2000, 100), dtype=np.float32))
-        init.kaiming_normal_(t, rng=np.random.default_rng(0))
-        expected = np.sqrt(2.0 / 100)
-        assert abs(t.data.std() - expected) < 0.01 * expected * 10
-
     def test_kaiming_uniform_bounds(self):
         t = Parameter(np.empty((100, 50), dtype=np.float32))
         init.kaiming_uniform_(t, rng=np.random.default_rng(0))
         bound = np.sqrt(2.0 / (1 + 5.0)) * np.sqrt(3.0 / 50)
-        assert np.abs(t.data).max() <= bound + 1e-6
-
-    def test_xavier_uniform_bounds(self):
-        t = Parameter(np.empty((30, 20), dtype=np.float32))
-        init.xavier_uniform_(t, rng=np.random.default_rng(0))
-        bound = np.sqrt(6.0 / 50)
         assert np.abs(t.data).max() <= bound + 1e-6
 
     def test_constants(self):

@@ -5,7 +5,7 @@ import pytest
 
 from repro import nn
 from repro.adapt import LDBNAdapt, LDBNAdaptConfig, NoAdapt
-from repro.hw import ORIN_POWER_MODES, batched_inference_latency_ms, batching_speedup
+from repro.hw import ORIN_POWER_MODES, batched_inference_latency_ms
 from repro.models import get_config
 from repro.pipeline import PipelineConfig, RealTimePipeline
 from repro.pipeline.monitor import PipelineReport, latency_percentile
@@ -314,10 +314,6 @@ class TestRooflineBatching:
         ]
         assert per_frame == sorted(per_frame, reverse=True)
         assert per_frame[0] > per_frame[-1]
-
-    def test_speedup_exceeds_one(self):
-        assert batching_speedup(self.SPEC, self.DEVICE, 4) > 1.0
-        assert batching_speedup(self.SPEC, self.DEVICE, 1) == pytest.approx(1.0)
 
     def test_invalid_batch(self):
         with pytest.raises(ValueError):

@@ -362,9 +362,6 @@ class _Spy(PlanBackend):
             def offer_stage(self, kind, spec, fallback):
                 spy.offers.append((kind, spec.get("x_src")))
 
-            def note_stage(self, *args):
-                pass
-
             def finalize(self, plan, graph):
                 return {"backend": "spy"}
 

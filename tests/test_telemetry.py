@@ -15,8 +15,9 @@ Covers the observability stack end to end:
   each frame's span chain tiles [arrival, completion] and sums to the
   frame's reported latency, device-lane spans never overlap, and
   span-derived percentiles reconcile with the report's sketches;
-* the engine's opt-in plan profiling (``profile=True``) — bit-exact
-  outputs/losses, im2col/gemm/epilogue buckets, ``None`` when disabled;
+* the engine's per-stage times (``plan.stage_ms``: the plan's own stage
+  table replayed stage by stage) — bit-exact outputs/losses, one entry
+  per stage label, slowest first;
 * the drained-device slack-EWMA decay and the structured JSONL logger.
 """
 
@@ -626,55 +627,36 @@ class TestPlanProfiling:
         model = build_model("tiny-r18", rng=rng)
         model.eval()
         x = _engine_frames(rng, model.config, 2)
-        plain = compile_model(model)
-        profiled = compile_model(model, profile=True)
-        assert np.array_equal(plain(x).numpy(), profiled(x).numpy())
+        engine = compile_model(model)
+        out = engine(x).numpy()
+        want = out.copy()
+        engine(_engine_frames(rng, model.config, 2))
+        engine.plan_for(x.shape).stage_ms(x)
+        assert np.array_equal(out, want)
 
-    def test_inference_profile_summary(self, rng):
-        model = build_model("tiny-r18", rng=rng)
-        model.eval()
-        x = _engine_frames(rng, model.config, 1)
-        engine = compile_model(model, profile=True)
-        engine(x)
-        engine(x)
-        summary = engine.plan_for(x.shape).profile_summary()
-        assert summary["runs"] == 2
-        assert summary["total_ms"] > 0.0
-        assert any("conv" in label for label in summary["op_ms"])
-        # GEMM stages decompose into the im2col/gemm/epilogue buckets
-        assert set(summary["bucket_ms"]) <= {"im2col", "gemm", "epilogue"}
-        assert summary["bucket_ms"]["gemm"] > 0.0
-        assert summary["arena_bytes"] > 0
-        assert summary["requested_bytes"] > 0
-        # every op was called on both replays
-        assert all(calls % 2 == 0 for calls in summary["op_calls"].values())
-
-    def test_disabled_profiling_reports_none(self, rng):
+    def test_inference_stage_table(self, rng):
         model = build_model("tiny-r18", rng=rng)
         model.eval()
         x = _engine_frames(rng, model.config, 1)
         engine = compile_model(model)
         engine(x)
-        assert engine.plan_for(x.shape).profile_summary() is None
+        plan = engine.plan_for(x.shape)
+        table = plan.stage_ms(x)
+        assert set(table) == {label for label, _ in plan.stages[0]}
+        assert "conv+bn+relu" in table and "maxpool" in table
+        ms = list(table.values())
+        assert ms == sorted(ms, reverse=True) and sum(ms) > 0.0
 
     def test_profiled_adapt_step_matches_losses(self):
-        x = _engine_frames(
-            np.random.default_rng(7),
-            build_model("tiny-r18", rng=np.random.default_rng(0)).config,
-            2,
-        )
-        losses = []
-        for profile in (False, True):
-            model = build_model("tiny-r18", rng=np.random.default_rng(0))
-            model.eval()
-            plan = CompiledAdaptStep(model, profile=profile).plan_for(x)
-            losses.append(np.asarray(plan.run(x)).copy())
-            if profile:
-                summary = plan.profile_summary()
-                labels = set(summary["op_ms"])
-                assert any(label.startswith("fwd:") for label in labels)
-                assert any(label.startswith("bwd:") for label in labels)
-                assert summary["runs"] == 1
-            else:
-                assert plan.profile_summary() is None
-        assert np.array_equal(losses[0], losses[1])
+        model = build_model("tiny-r18", rng=np.random.default_rng(0))
+        model.eval()
+        rng = np.random.default_rng(7)
+        x = _engine_frames(rng, model.config, 2)
+        plan = CompiledAdaptStep(model).plan_for(x)
+        losses = plan.run(x)
+        want = losses.copy()
+        plan.run(_engine_frames(rng, model.config, 2))
+        labels = set(plan.stage_ms(x))
+        assert np.array_equal(losses, want)
+        assert any(label.startswith("fwd:") for label in labels)
+        assert any(label.startswith("bwd:") for label in labels)
