@@ -12,8 +12,10 @@
 # are tier-1 tests (tests/test_experiments.py); lane 3 runs one CLI smoke
 # per subcommand not already run by a test (bench-adapt --quick, which
 # prints a plan's per-stage table, on every run), then the bench-e2e
-# self-check (benchmarks/e2e/run.py --smoke) and the line counts of
-# src/repro/{engine,serve,hw,nn}, each beside the parent commit's.  Lane 4 exercises
+# self-check (benchmarks/e2e/run.py --smoke), the line counts of
+# src/repro/{engine,serve,hw,nn} and the combined byte digest of
+# benchmarks/byte_digest.py, each beside the parent commit's (the digests
+# are printed, not gated: a change may move bytes on purpose).  Lane 4 exercises
 # the cgen C plan backend (its line count beside the parent commit's,
 # the kernel library's cold build and its reuse by a second plan shape,
 # the parity tests with a 2-wide worker pool (tier-1 ran them
@@ -109,6 +111,18 @@ fi
 for layer in engine serve hw nn; do
     meter "$layer"
 done
+# the served bytes' digest, beside the parent commit's (its src/ and
+# digest script extracted to a temporary tree); printed only
+echo "byte digest: $(python benchmarks/byte_digest.py | tail -n 1)"
+parent_tree=$(mktemp -d)
+if [[ "$in_git" == true ]] && git archive HEAD^ -- src benchmarks/byte_digest.py \
+        2>/dev/null | tar -x -C "$parent_tree"; then
+    echo "byte digest (parent commit): $(cd "$parent_tree" \
+        && python benchmarks/byte_digest.py | tail -n 1)"
+else
+    echo "byte digest (parent commit): ?"
+fi
+rm -rf "$parent_tree"
 lane_done "lane 3"
 
 echo "=== lane 4: cgen backend (C plan renderer parity + quick bench) ==="

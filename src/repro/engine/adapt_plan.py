@@ -10,15 +10,22 @@ linear, max-pool and the elementwise ops come from the shared
 renderer offers), and this module holds only what is adaptation-specific:
 
 * the uses only the backward makes — its reads of activations, the
-  saved-for-backward buffers (``x_hat``, pool argmax, log-softmax
-  scratch) and the gradients — for the one liveness analysis over
-  forward + backward; every output takes a fresh block;
+  saved-for-backward buffers (``x_hat``, the pool argmax) and the
+  gradients — for the one liveness analysis over forward + backward;
+  every output takes a fresh block.  The arena holds values only: a
+  stage's scratch (the relu mask, the conv and pool column gradients,
+  winner index and padded image, an accumulating contribution's
+  temporary, the log-softmax exponentials) is a claim on the column
+  workspace (:data:`~repro.engine.backends.core.COLUMNS`), on every
+  backend, held by the numpy step that reads it;
 * the grouped train-mode BN forward and its :class:`BNLayerTap`, and the
   loss tail (log-softmax, sum, per-group mean);
 * the backward rules, pruned to the gradient paths that actually reach a
   BN gamma/beta — conv/linear weight gradients and the gradient into the
   stem conv are never computed.  A traced op is supported iff it has a
-  ``_bwd_<kind>`` rule here;
+  ``_bwd_<kind>`` rule here, and each rule writes its gradient in one
+  form, ``write(out)``: :meth:`AdaptationPlan._contribute` points it at
+  the gradient buffer or, when it accumulates, at a temporary it adds;
 * the *update tail*, the backward section's last stage: what a step does
   with the taps — running statistics blended in, one SGD-momentum step
   on gamma/beta — applied per group to the destinations a caller arms
@@ -39,10 +46,11 @@ Every kernel replays the eager op sequence on the same values in the same
 order, so gradients match the autograd oracle, and no autograd
 ``Context`` or ``Tensor`` is allocated anywhere on the replay path.  The
 formulas with more than one numpy form are the eager ones, called: the
-train-mode BN statistics (:func:`~repro.nn.functional.batch_stats`), the
-conv input gradient's GEMM and flat-index col2im scatter, and the
-max-pool backward's put of the winners before the same scatter; a plan
-builds only their indices and scratch, once, at compile time.
+train-mode BN statistics (:func:`~repro.nn.functional.batch_stats`) and
+backward, the log-softmax and its gradient, the conv input gradient's
+GEMM and flat-index col2im scatter, and the max-pool backward's put of
+the winners before the same scatter; a plan builds only their indices
+and scratch, once, at compile time.
 
 **Grouped replay** is the fleet-batching mechanism: with ``groups=G`` the
 batch axis is split into G contiguous groups of equal size, every
@@ -79,7 +87,7 @@ class UnsupportedAdaptGraph(RuntimeError):
 
 
 #: the tag of the buffer a kind saves for its backward (key: tag, index)
-_SAVED = {"bn": "xh", "logsoftmax": "ls", "maxpool": "arg"}
+_SAVED = {"bn": "xh", "maxpool": "arg"}
 
 
 def _axis_dims(shape, axis: int) -> Tuple[int, int, int]:
@@ -91,26 +99,38 @@ def _axis_dims(shape, axis: int) -> Tuple[int, int, int]:
     )
 
 
-def _col2im_into(dst: np.ndarray, fresh: bool, geo, flat: np.ndarray,
-                 scratch) -> Callable[[np.ndarray], None]:
-    """The step writing (``fresh``) or adding the col2im of its columns
-    into ``dst``: :func:`F._col2im_scatter` through ``flat`` into ``dst``
-    itself (fresh, unpadded) or into a padded stage scratch, whose core
-    is then copied or added."""
-    ph, pw = geo.padding
-    n, c, h, w = dst.shape
-    if fresh and not (ph or pw):
-        return lambda cols: F._col2im_scatter(dst, cols, flat)
-    padded = scratch("gpad", (n, c, h + 2 * ph, w + 2 * pw), dst.dtype)
-    apply = np.copyto if fresh else (
-        lambda dst, core: np.add(dst, core, out=dst))
+def _parts():
+    """``part(shape, dtype)``: one stage's scratch, each part a claim on
+    the column workspace laid after the last (a stage's parts are live
+    together; stages overlap).  A claim lives as long as the step holding
+    it, so a rendered stage's fallback takes its scratch with it."""
+    last = []
 
-    def step(cols):
+    def part(shape, dtype):
+        last[:] = [COLUMNS.claim(shape, dtype, *last)]
+        return last[0]
+
+    return part
+
+
+def _col2im_into(geo, flat: np.ndarray, part, dtype
+                 ) -> Callable[[np.ndarray, np.ndarray], None]:
+    """``write(dst, cols)``, the col2im of ``cols`` into ``dst``:
+    :func:`F._col2im_scatter` through ``flat`` into ``dst`` itself
+    (unpadded) or into a padded ``part`` of the stage, whose core is then
+    copied."""
+    ph, pw = geo.padding
+    n, c, h, w = geo.n, geo.c, geo.h, geo.w
+    if not (ph or pw):
+        return lambda dst, cols: F._col2im_scatter(dst, cols, flat)
+    padded = part((n, c, h + 2 * ph, w + 2 * pw), dtype)
+
+    def write(dst, cols):
         image = padded[0]
         F._col2im_scatter(image, cols, flat)
-        apply(dst, image[:, :, ph:ph + h, pw:pw + w])
+        np.copyto(dst, image[:, :, ph:ph + h, pw:pw + w])
 
-    return step
+    return write
 
 
 @dataclass
@@ -386,25 +406,15 @@ class AdaptationPlan(StaticPlan):
         self._ct.emitting = self._bwd
         emitted = 0
         for index in range(num - 1, -1, -1):
-            pos = bwd_pos(index)
             if has_bwd[index]:
                 kind = kinds[index]
                 before = len(self._bwd)
-
-                def scratch(tag, shape, dtype, index=index, pos=pos):
-                    # stage-local buffer: born in this backward stage and
-                    # released with it, so it costs arena bytes only when
-                    # a builder actually asks for it
-                    self._ct.dying.setdefault(pos, []).append((tag, index))
-                    return alloc((tag, index), shape, dtype)
-
                 getattr(self, f"_bwd_{kind}")(
-                    nodes[index], index, cells[index], scratch, sink,
-                    grad_inputs(index),
+                    nodes[index], cells[index], sink, grad_inputs(index)
                 )
                 self._label_stages(before, f"bwd:{kind}")
                 emitted += 1
-            self._advance(pos)
+            self._advance(bwd_pos(index))
         before = len(self._bwd)
         self._offer(
             "bn_update",
@@ -475,25 +485,14 @@ class AdaptationPlan(StaticPlan):
     def _fwd_logsoftmax(self, node, index, cell):
         axis = node.inputs[1]
         out = self._out(node.out_vid, node.out_shape, node.out_dtype)
-        scratch = self._alloc(("ls", index), node.out_shape, node.out_dtype)
+        exps = _parts()(node.out_shape, node.out_dtype)
         get_x = self._getter(node.inputs[0])
-        cell.update(axis=axis, scratch=scratch,
-                    dims=_axis_dims(node.out_shape, axis))
-
-        def run():
-            x = get_x()
-            mx = x.max(axis=axis, keepdims=True)
-            np.subtract(x, mx, out=out)  # shifted
-            np.exp(out, out=scratch)
-            s = scratch.sum(axis=axis, keepdims=True)
-            np.log(s, out=s)
-            np.subtract(out, s, out=out)
-
+        cell.update(axis=axis, dims=_axis_dims(node.out_shape, axis))
         self._offer(
             "logsoftmax",
             dict(x_src=self._render_source(node.inputs[0]), out=out,
                  dims=cell["dims"], dtype=node.out_dtype),
-            run,
+            lambda: F._log_softmax(get_x(), axis, out=out, scratch=exps[0]),
         )
 
     def _fwd_bn(self, node, index, cell):
@@ -592,308 +591,223 @@ class AdaptationPlan(StaticPlan):
     # ------------------------------------------------------------------
     # backward stage builders (emitted in reverse node order)
     # ------------------------------------------------------------------
-    def _contribute(self, vid, sink, compute_fresh, compute_value,
-                    offer=None):
+    def _contribute(self, vid, sink, part, kind, spec, write):
         """Emit one gradient contribution into ``vid``'s sunk buffer.
 
-        ``compute_fresh(dst)`` writes the contribution with ``out=``;
-        ``compute_value()`` returns it (used in accumulate mode, where the
-        eager path also materializes a temporary before ``existing +
-        grad``).  ``offer`` is an optional ``(kind, spec)`` renderer
-        offer; the destination buffer and ``accumulate`` (add to what
-        ``dst`` holds instead of overwriting it) are added to the spec.
-        Builders whose scratch needs depend on ``fresh`` sink first and
-        go through :meth:`_emit_scratch_free`.
+        ``write(out)`` computes the contribution into ``out`` with
+        ``out=`` kernels.  The first contribution writes the buffer
+        itself; a later one writes a ``part`` of the stage and adds it,
+        ``np.add(dst, tmp, out=dst)``: the eager path's ``existing +
+        grad``.  ``(kind, spec)`` is the renderer offer; the destination
+        and ``accumulate`` (add to what ``dst`` holds instead of
+        overwriting it) are added to the spec.
         """
         dst, fresh = sink(vid)
         if fresh:
-            step = lambda: compute_fresh(dst)  # noqa: E731
+            step = lambda: write(dst)  # noqa: E731
         else:
-            step = lambda: np.add(dst, compute_value(), out=dst)  # noqa: E731
-        if offer is None:
-            self._bwd.append(step)
-        else:
-            kind, spec = offer
-            self._offer(kind, dict(spec, dst=dst, accumulate=not fresh), step)
+            tmp = part(dst.shape, dst.dtype)
 
-    def _bwd_mean(self, node, index, cell, scratch, sink, grad_in):
+            def step():
+                out = tmp[0]
+                write(out)
+                np.add(dst, out, out=dst)
+
+        self._offer(kind, dict(spec, dst=dst, accumulate=not fresh), step)
+
+    def _bwd_mean(self, node, cell, sink, grad_in):
         if not grad_in:  # pragma: no cover - loss always carries
             return
-        vid = grad_in[0]
         seed = 1.0 / cell["per_group"]
         self._contribute(
-            vid, sink,
-            lambda dst: dst.fill(seed),
-            lambda: seed,
-            offer=("fill", dict(value=seed, dtype=self._ct.dtypes[vid])),
+            grad_in[0], sink, _parts(),
+            "fill", dict(value=seed, dtype=self._ct.dtypes[grad_in[0]]),
+            lambda out: out.fill(seed),
         )
 
-    def _bwd_neg(self, node, index, cell, scratch, sink, grad_in):
+    def _bwd_neg(self, node, cell, sink, grad_in):
         if not grad_in:
             return
         g = self._grads[node.out_vid]
         self._contribute(
-            grad_in[0], sink,
-            lambda dst: np.negative(g, out=dst),
-            lambda: -g,
-            offer=("neg_bwd", dict(g=g, dtype=node.out_dtype)),
+            grad_in[0], sink, _parts(),
+            "neg_bwd", dict(g=g, dtype=node.out_dtype),
+            lambda out: np.negative(g, out=out),
         )
 
-    def _bwd_sum(self, node, index, cell, scratch, sink, grad_in):
+    def _bwd_sum(self, node, cell, sink, grad_in):
         if not grad_in:
             return
         g = self._grads[node.out_vid]
-        axis = cell["axis"]
-        keepdims = cell["keepdims"]
-        in_shape = self._ct.shapes[grad_in[0]]
-        axis_norm = axis % len(in_shape)
-
-        def expanded():
-            return g if keepdims else np.expand_dims(g, axis_norm)
-
+        axis = cell["axis"] % len(self._ct.shapes[grad_in[0]])
+        expanded = g if cell["keepdims"] else np.expand_dims(g, axis)
         self._contribute(
-            grad_in[0], sink,
-            lambda dst: np.copyto(dst, expanded()),
-            expanded,
-            offer=("broadcast", dict(
-                g=g, dims=cell["dims"], dtype=node.out_dtype,
-            )),
+            grad_in[0], sink, _parts(),
+            "broadcast", dict(g=g, dims=cell["dims"], dtype=node.out_dtype),
+            lambda out: np.copyto(out, expanded),
         )
 
-    def _bwd_mul(self, node, index, cell, scratch, sink, grad_in):
+    def _bwd_mul(self, node, cell, sink, grad_in):
         g = self._grads[node.out_vid]
         a_ref, b_ref = node.inputs[0], node.inputs[1]
         for ref, other in ((a_ref, b_ref), (b_ref, a_ref)):
             if isinstance(ref, ValueRef) and ref.vid in grad_in:
                 get_other = self._getter(other)
                 self._contribute(
-                    ref.vid, sink,
-                    lambda dst, get=get_other: np.multiply(g, get(), out=dst),
-                    lambda get=get_other: g * get(),
-                    offer=("mul_bwd", dict(
-                        g=g, other=self._render_source(other),
-                        dtype=node.out_dtype,
-                    )),
+                    ref.vid, sink, _parts(),
+                    "mul_bwd", dict(g=g, other=self._render_source(other),
+                                    dtype=node.out_dtype),
+                    lambda out, get=get_other: np.multiply(g, get(), out=out),
                 )
 
-    def _bwd_exp(self, node, index, cell, scratch, sink, grad_in):
+    def _bwd_exp(self, node, cell, sink, grad_in):
         if not grad_in:
             return
         g = self._grads[node.out_vid]
-        out = self._fixed[node.out_vid]
+        y = self._fixed[node.out_vid]
         self._contribute(
-            grad_in[0], sink,
-            lambda dst: np.multiply(g, out, out=dst),
-            lambda: g * out,
-            offer=("mul_bwd", dict(g=g, other=out, dtype=node.out_dtype)),
+            grad_in[0], sink, _parts(),
+            "mul_bwd", dict(g=g, other=y, dtype=node.out_dtype),
+            lambda out: np.multiply(g, y, out=out),
         )
 
-    def _bwd_logsoftmax(self, node, index, cell, scratch, sink, grad_in):
+    def _bwd_logsoftmax(self, node, cell, sink, grad_in):
         if not grad_in:
             return
         g = self._grads[node.out_vid]
-        out = self._fixed[node.out_vid]
+        y = self._fixed[node.out_vid]
         axis = cell["axis"]
-        scratch = cell["scratch"]
-
-        def value():
-            np.exp(out, out=scratch)  # softmax
-            s = g.sum(axis=axis, keepdims=True)
-            np.multiply(scratch, s, out=scratch)
-            return scratch
-
+        part = _parts()
+        exps = part(node.out_shape, node.out_dtype)
         self._contribute(
-            grad_in[0], sink,
-            lambda dst: np.subtract(g, value(), out=dst),
-            lambda: g - value(),
-            offer=("logsoftmax_bwd", dict(
-                g=g, y=out, dims=cell["dims"], dtype=node.out_dtype,
-            )),
+            grad_in[0], sink, part,
+            "logsoftmax_bwd", dict(g=g, y=y, dims=cell["dims"],
+                                   dtype=node.out_dtype),
+            lambda out: F._log_softmax_grad(g, y, axis, out=out,
+                                            scratch=exps[0]),
         )
 
-    def _bwd_reshape(self, node, index, cell, scratch, sink, grad_in):
+    def _bwd_reshape(self, node, cell, sink, grad_in):
         if not grad_in:
             return
         g = self._grads[node.out_vid]
-        in_shape = self._ct.shapes[grad_in[0]]
-
-        def reshaped():
-            return g.reshape(in_shape)
-
+        reshaped = g.reshape(self._ct.shapes[grad_in[0]])
         self._contribute(
-            grad_in[0], sink,
-            lambda dst: np.copyto(dst, reshaped()),
-            reshaped,
-            offer=("copy", dict(g=g, dtype=node.out_dtype)),
+            grad_in[0], sink, _parts(),
+            "copy", dict(g=g, dtype=node.out_dtype),
+            lambda out: np.copyto(out, reshaped),
         )
 
-    def _bwd_add(self, node, index, cell, scratch, sink, grad_in):
+    def _bwd_add(self, node, cell, sink, grad_in):
         g = self._grads[node.out_vid]
         for ref in node.inputs[:2]:
             if isinstance(ref, ValueRef) and ref.vid in grad_in:
                 self._contribute(
-                    ref.vid, sink,
-                    lambda dst: np.copyto(dst, g),
-                    lambda: g,
-                    offer=("copy", dict(g=g, dtype=node.out_dtype)),
+                    ref.vid, sink, _parts(),
+                    "copy", dict(g=g, dtype=node.out_dtype),
+                    lambda out: np.copyto(out, g),
                 )
 
-    def _bwd_relu(self, node, index, cell, scratch, sink, grad_in):
+    def _bwd_relu(self, node, cell, sink, grad_in):
         if not grad_in:
             return
         g = self._grads[node.out_vid]
-        out = self._fixed[node.out_vid]
-        mask = scratch("mask", node.out_shape, np.bool_)
+        y = self._fixed[node.out_vid]
+        part = _parts()
+        mask = part(node.out_shape, np.bool_)
 
-        def fresh(dst):
-            np.greater(out, 0, out=mask)
-            np.multiply(g, mask, out=dst)
-
-        def value():
-            np.greater(out, 0, out=mask)
-            return g * mask
+        def write(out):
+            np.greater(y, 0, out=mask[0])
+            np.multiply(g, mask[0], out=out)
 
         self._contribute(
-            grad_in[0], sink, fresh, value,
-            offer=("relu_bwd", dict(g=g, y=out, dtype=node.out_dtype)),
+            grad_in[0], sink, part,
+            "relu_bwd", dict(g=g, y=y, dtype=node.out_dtype), write,
         )
 
-    def _bwd_linear(self, node, index, cell, scratch, sink, grad_in):
+    def _bwd_linear(self, node, cell, sink, grad_in):
         if not grad_in:
             return
         g = self._grads[node.out_vid]
         weight = node.inputs[1].tensor
         self._contribute(
-            grad_in[0], sink,
-            lambda dst: np.matmul(g, weight.data, out=dst),
-            lambda: g @ weight.data,
-            offer=("linear_bwd", dict(
-                g=g, weight=weight,
-                g_shape=self._ct.shapes[node.out_vid],
-                fin=int(weight.shape[1]), dtype=node.out_dtype,
-            )),
+            grad_in[0], sink, _parts(),
+            "linear_bwd", dict(g=g, weight=weight, g_shape=g.shape,
+                               fin=int(weight.shape[1]), dtype=node.out_dtype),
+            lambda out: np.matmul(g, weight.data, out=out),
         )
 
-    def _bwd_conv(self, node, index, cell, scratch, sink, grad_in):
+    def _bwd_conv(self, node, cell, sink, grad_in):
         if not grad_in:
             return
         g4 = self._grads[node.out_vid]
         weight = node.inputs[1].tensor
         geo = cell["geo"]  # the forward's lowering: same layer geometry
-        n = geo.n
-        k_total, p_total, f_out = geo.k_total, geo.p_total, geo.f_out
+        n, k_total, p_total = geo.n, geo.k_total, geo.p_total
         dtype = node.out_dtype
-        identity = geo.identity_cols
-        dst, fresh = sink(grad_in[0])
+        g3 = g4.reshape(n, geo.f_out, p_total)
+        part = _parts()
 
         def dgrad(out):
-            F._conv_dgrad(
-                weight.data.reshape(f_out, k_total),
-                g4.reshape(n, f_out, p_total),
-                out=out,
-            )
+            F._conv_dgrad(weight.data.reshape(geo.f_out, k_total), g3, out=out)
 
-        def lowering(scratch):
-            """The numpy step, its column/image scratch from ``scratch``."""
-            if identity and fresh:
-                # a fresh 1x1 contribution is the GEMM itself, written
-                # straight into the gradient buffer
-                return lambda: dgrad(dst.reshape(n, k_total, p_total))
-            # every other case lands the GEMM in column scratch first
-            grad_cols = scratch("gcols", (n, k_total, p_total), dtype)
-            if identity:
-                write = lambda cols: np.add(  # noqa: E731
-                    dst, cols.reshape(dst.shape), out=dst)
-            else:
-                write = _col2im_into(dst, fresh, geo, geo.flat, scratch)
+        if geo.identity_cols:
+            # a 1x1 input gradient is the GEMM itself
+            write = lambda out: dgrad(  # noqa: E731
+                out.reshape(n, k_total, p_total))
+        else:
+            grad_cols = part((n, k_total, p_total), dtype)
+            col2im = _col2im_into(geo, geo.flat, part, dtype)
 
-            def step():
+            def write(out):
                 cols = grad_cols[0]
                 dgrad(cols)
-                write(cols)
+                col2im(out, cols)
 
-            return step
-
-        self._emit_scratch_free(
-            "conv_dgrad",
-            dict(g=g4, weight=weight, geo=geo, dtype=dtype, dst=dst,
-                 accumulate=not fresh),
-            lowering, scratch,
+        self._contribute(
+            grad_in[0], sink, part,
+            "conv_dgrad", dict(g=g4, weight=weight, geo=geo, dtype=dtype),
+            write,
         )
 
-    def _emit_scratch_free(self, kind, spec, lowering, scratch):
-        """Emit a backward stage whose rendered form needs no scratch
-        (it accumulates in registers, or in place, and stores once).
-        ``lowering(part)`` builds the numpy step with its column / image
-        scratch drawn from ``part(tag, shape, dtype)``, a one-element
-        list the step reads at call time: arena blocks, or — when the
-        renderer takes the stage and that step is only its probe oracle
-        and fallback — claims on the shared column workspace, laid end
-        to end and dropped with the step."""
-        placed, last = None, []
-
-        def claim(tag, shape, dtype):
-            last[:] = [COLUMNS.claim(shape, dtype, *last)]
-            return last[0]
-
-        if self._ct.renderer is not None:
-            placed = self._place(kind, spec, lowering(claim))
-        self._bwd.append(placed or lowering(lambda *part: [scratch(*part)]))
-
-    def _bwd_maxpool(self, node, index, cell, scratch, sink, grad_in):
+    def _bwd_maxpool(self, node, cell, sink, grad_in):
         if not grad_in:
             return
         g4 = self._grads[node.out_vid]
-        geo = cell["geo"]
-        nc, h, w = geo.n * geo.c, geo.h, geo.w
-        arg = cell["arg"]
+        geo, arg = cell["geo"], cell["arg"]
+        nc, taps = geo.n * geo.c, geo.kernel[0] * geo.kernel[1]
         dtype = node.out_dtype
-        dst, fresh = sink(grad_in[0])
-
-        taps = geo.kernel[0] * geo.kernel[1]
         # the scatter runs per sample over all channels, as a conv's does
-        flat = F._im2col_flat(geo.c, h, w, geo.kernel, geo.stride,
+        flat = F._im2col_flat(geo.c, geo.h, geo.w, geo.kernel, geo.stride,
                               geo.padding)
         base = F._winner_base(nc, taps, geo.p_total)
+        part = _parts()
+        grad_cols = part((nc, taps, geo.p_total), dtype)
+        where = part(arg.shape, np.intp)
+        col2im = _col2im_into(geo, flat, part, dtype)
 
-        def lowering(scratch):
-            grad_cols = scratch("gcols", (nc, taps, geo.p_total), dtype)
-            where = scratch("gidx", arg.shape, np.intp)
-            col2im = _col2im_into(dst, fresh, geo, flat, scratch)
+        def write(out):
+            cols = grad_cols[0]
+            F._put_winners(cols, arg, g4, base, where[0])
+            col2im(out, cols.reshape(geo.n, geo.c * taps, geo.p_total))
 
-            def step():
-                cols = grad_cols[0]
-                F._put_winners(cols, arg, g4, base, where[0])
-                col2im(cols.reshape(geo.n, geo.c * taps, geo.p_total))
-
-            return step
-
-        self._emit_scratch_free(
-            "maxpool_bwd",
-            dict(g=g4, arg=arg, geo=geo, dtype=dtype, dst=dst,
-                 accumulate=not fresh),
-            lowering, scratch,
+        self._contribute(
+            grad_in[0], sink, part,
+            "maxpool_bwd", dict(g=g4, arg=arg, geo=geo, dtype=dtype), write,
         )
 
-    def _bwd_bn(self, node, index, cell, scratch, sink, grad_in):
+    def _bwd_bn(self, node, cell, sink, grad_in):
         g = self._grads[node.out_vid]
         gshape, axes, m = cell["gshape"], cell["axes"], cell["m"]
         tap, xhat = cell["tap"], cell["xhat"]
-        get_gamma = cell["get_gamma"]
-        inv5 = cell["inv5"]
-        groups = self.groups
-        c = tap.module.num_features
+        get_gamma, inv5 = cell["get_gamma"], cell["inv5"]
+        groups, c = self.groups, tap.module.num_features
+        g5, xh5 = g.reshape(gshape), xhat.reshape(gshape)
 
-        def grads_gamma_beta():
-            g5 = g.reshape(gshape)
-            xh5 = xhat.reshape(gshape)
-            tap.grad_gamma[...] = (
-                (g5 * xh5).sum(axis=axes, keepdims=True).reshape(groups, c)
-            )
-            tap.grad_beta[...] = (
-                g5.sum(axis=axes, keepdims=True).reshape(groups, c)
-            )
-            return g5, xh5
+        def affine_grads():
+            grad_gamma, grad_beta = F._bn_affine_grads(g5, xh5, axes)
+            tap.grad_gamma[...] = grad_gamma.reshape(groups, c)
+            tap.grad_beta[...] = grad_beta.reshape(groups, c)
 
         spec = dict(
             g=g, xhat=xhat, inv_std=cell["inv_std"],
@@ -901,33 +815,18 @@ class AdaptationPlan(StaticPlan):
             dims=(groups, self.group_size, c, cell["hw"]),
             m=m, gamma=cell["gamma_src"], dtype=node.out_dtype,
         )
-
-        if grad_in:
-            in_shape = self._ct.shapes[grad_in[0]]
-
-            def value():
-                g5, xh5 = grads_gamma_beta()
-                dx_hat = g5 * get_gamma()
-                grad5 = (
-                    inv5
-                    / m
-                    * (
-                        m * dx_hat
-                        - dx_hat.sum(axis=axes, keepdims=True)
-                        - xh5 * (dx_hat * xh5).sum(axis=axes, keepdims=True)
-                    )
-                )
-                return grad5.reshape(in_shape)
-
-            self._contribute(
-                grad_in[0], sink,
-                lambda dst: np.copyto(dst, value()),
-                value,
-                offer=("bn_bwd", spec),
-            )
-        else:
+        if not grad_in:
             # the first BN in the network: nothing upstream needs gradient
-            self._offer("bn_bwd", spec, grads_gamma_beta)
+            self._offer("bn_bwd", spec, affine_grads)
+            return
+
+        def write(out):
+            affine_grads()
+            F._bn_input_grad(g5, xh5, inv5, get_gamma(), axes,
+                             out=out.reshape(gshape))
+
+        self._contribute(grad_in[0], sink, _parts(), "bn_bwd", spec,
+                         write)
 
     # ------------------------------------------------------------------
     # replay

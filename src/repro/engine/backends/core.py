@@ -10,7 +10,8 @@ closures, generated C) builds on the same objects:
   (:meth:`~repro.engine.plan.StaticPlan._lifetimes`) both plan kinds
   build over their sections;
 * :data:`COLUMNS` — the process's one column workspace: every numpy
-  plan's im2col and max-pool column matrices are views of it;
+  plan's im2col and max-pool column matrices, and every adaptation
+  stage's scratch, are views of it;
 * :class:`ConvLowering` / :class:`PoolLowering` — the im2col geometry of
   one conv/pool layer (gather indices, its own padded image and window
   view, its claim on :data:`COLUMNS`) computed once at compile time.
@@ -96,8 +97,9 @@ class _Claim(list):
 
 class _Columns:
     """The process's one column workspace: every numpy plan's im2col and
-    max-pool columns, at every batch size, and the scratch of the numpy
-    fallbacks of rendered adaptation stages are views of it.
+    max-pool columns, at every batch size, and every adaptation stage's
+    scratch (held by its numpy step, served or a rendered stage's
+    fallback) are views of it.
 
     **Invariant:** a claim is written at the start of the one stage that
     reads it, and no two stages run at once (plans replay one at a time on

@@ -17,10 +17,11 @@ the buffer policy, the replay prologue and the stage table.
 (:meth:`StaticPlan._out`): an arena block is recycled once the last use
 of every value it backs has run, a view is held by its source's block,
 and each plan adds only the uses the shared forward walk cannot see.
-A conv/pool layer's padded image is its own; its im2col column matrix
-is a claim on the process's one column workspace
+The arena holds values only.  A conv/pool layer's padded image is its
+own; its im2col column matrix, like every adaptation stage's scratch, is
+a claim on the process's one column workspace
 (:data:`~repro.engine.backends.core.COLUMNS`), which every plan shares
-because columns never outlive their stage.  Replays allocate nothing
+because scratch never outlives its stage.  Replays allocate nothing
 beyond tiny per-channel fold vectors.
 
 :class:`ExecutionPlan` is then just the forward program with no

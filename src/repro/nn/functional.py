@@ -449,12 +449,31 @@ def dropout(
 # ----------------------------------------------------------------------
 # softmax family
 # ----------------------------------------------------------------------
+def _log_softmax(x: np.ndarray, axis: int, out: Optional[np.ndarray] = None,
+                 scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """``x - max - log(sum(exp(x - max)))`` along ``axis``, the shifted
+    input in ``out`` and its exponentials in ``scratch`` (None: allocate)."""
+    shifted = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    log_sum = np.exp(shifted, out=scratch).sum(axis=axis, keepdims=True)
+    np.log(log_sum, out=log_sum)
+    return np.subtract(shifted, log_sum, out=shifted)
+
+
+def _log_softmax_grad(g: np.ndarray, y: np.ndarray, axis: int,
+                      out: Optional[np.ndarray] = None,
+                      scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """The input gradient of a log-softmax with output ``y``: ``g -
+    exp(y) * sum(g)``, the softmax recomputed into ``scratch`` (None:
+    allocate).  The eager backward and the compiled step call it."""
+    softmax = np.exp(y, out=scratch)
+    np.multiply(softmax, g.sum(axis=axis, keepdims=True), out=softmax)
+    return np.subtract(g, softmax, out=out)
+
+
 class _LogSoftmax(Function):
     @staticmethod
     def forward(ctx, x, axis):
-        shifted = x - x.max(axis=axis, keepdims=True)
-        log_sum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-        out = shifted - log_sum
+        out = _log_softmax(x, axis)
         ctx.attrs["axis"] = axis
         ctx.save_for_backward(out)
         return out
@@ -462,9 +481,7 @@ class _LogSoftmax(Function):
     @staticmethod
     def backward(ctx, g):
         (out,) = ctx.saved
-        axis = ctx.attrs["axis"]
-        softmax = np.exp(out)
-        return (g - softmax * g.sum(axis=axis, keepdims=True),)
+        return (_log_softmax_grad(g, out, ctx.attrs["axis"]),)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -552,6 +569,30 @@ def cross_entropy(
 # ----------------------------------------------------------------------
 # batch normalization — the operation LD-BN-ADAPT adapts
 # ----------------------------------------------------------------------
+def _bn_affine_grads(g: np.ndarray, x_hat: np.ndarray,
+                     axes: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
+    """The gamma and beta gradients of a BN layer (keepdims): the sums
+    of ``g * x_hat`` and of ``g`` over ``axes``."""
+    return (g * x_hat).sum(axis=axes, keepdims=True), g.sum(
+        axis=axes, keepdims=True)
+
+
+def _bn_input_grad(g: np.ndarray, x_hat: np.ndarray, inv_std: np.ndarray,
+                   gamma: np.ndarray, axes: Tuple[int, ...],
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The train-mode BN input gradient (through the batch statistics over
+    ``axes``); its last multiply lands in ``out`` (None: allocate)."""
+    m = float(np.prod([g.shape[a] for a in axes]))
+    dx_hat = g * gamma
+    return np.multiply(
+        inv_std / m,
+        m * dx_hat
+        - dx_hat.sum(axis=axes, keepdims=True)
+        - x_hat * (dx_hat * x_hat).sum(axis=axes, keepdims=True),
+        out=out,
+    )
+
+
 class _BatchNorm(Function):
     """Batch normalization with full train-mode backward.
 
@@ -575,20 +616,8 @@ class _BatchNorm(Function):
     def backward(ctx, g):
         x_hat, inv_std, gamma = ctx.saved
         axes = ctx.attrs["axes"]
-        m = float(np.prod([g.shape[a] for a in axes]))
-        grad_gamma = (g * x_hat).sum(axis=axes, keepdims=True)
-        grad_beta = g.sum(axis=axes, keepdims=True)
-        dx_hat = g * gamma
-        # classic fused BN backward (through batch mean and variance)
-        grad_x = (
-            inv_std
-            / m
-            * (
-                m * dx_hat
-                - dx_hat.sum(axis=axes, keepdims=True)
-                - x_hat * (dx_hat * x_hat).sum(axis=axes, keepdims=True)
-            )
-        )
+        grad_gamma, grad_beta = _bn_affine_grads(g, x_hat, axes)
+        grad_x = _bn_input_grad(g, x_hat, inv_std, gamma, axes)
         # mean/var enter as plain arrays (non-parents): no gradient entries
         return grad_x.astype(g.dtype, copy=False), grad_gamma, grad_beta
 
@@ -607,9 +636,7 @@ class _BatchNormEval(Function):
     @staticmethod
     def backward(ctx, g):
         x_hat, inv_std, gamma = ctx.saved
-        axes = ctx.attrs["axes"]
-        grad_gamma = (g * x_hat).sum(axis=axes, keepdims=True)
-        grad_beta = g.sum(axis=axes, keepdims=True)
+        grad_gamma, grad_beta = _bn_affine_grads(g, x_hat, ctx.attrs["axes"])
         grad_x = (g * gamma * inv_std).astype(g.dtype, copy=False)
         return grad_x, grad_gamma, grad_beta
 

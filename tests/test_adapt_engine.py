@@ -317,25 +317,20 @@ class TestMaxPoolTies:
         x, g = self._planted()
         model = self._stack()
         seen = []
-        emit = AdaptationPlan._emit_scratch_free
+        offer = AdaptationPlan._offer
 
-        def spy(self, kind, spec, lowering, scratch):
+        def spy(self, kind, spec, fallback):
             if kind == "maxpool_bwd":
-                inner = lowering
+                step = fallback
 
-                def lowering(part):
-                    step = inner(part)
+                def fallback():
+                    spec["g"][...] = g
+                    step()
+                    seen.append(spec["dst"].copy())
 
-                    def planted():
-                        spec["g"][...] = g
-                        step()
-                        seen.append(spec["dst"].copy())
+            return offer(self, kind, spec, fallback)
 
-                    return planted
-
-            return emit(self, kind, spec, lowering, scratch)
-
-        monkeypatch.setattr(AdaptationPlan, "_emit_scratch_free", spy)
+        monkeypatch.setattr(AdaptationPlan, "_offer", spy)
         plan = CompiledAdaptStep(model, backend="numpy").plan_for(x)
         plan.run(x)
         (got,) = seen
@@ -345,6 +340,73 @@ class TestMaxPoolTies:
         assert got.tobytes() == pooled_in.grad.tobytes()
         assert got.tobytes() == _pool_backward_oracle(
             pooled_in.data, g).tobytes()
+
+
+class _Diamond(nn.Module):
+    """BN -> ``y + branch(y)`` -> BN.  The add's copy is the first
+    gradient contribution into ``y``, so every contribution the branch's
+    backward then makes into ``y`` accumulates."""
+
+    def __init__(self, width, branch, rank=4):
+        super().__init__()
+        bn = nn.BatchNorm2d if rank == 4 else nn.BatchNorm1d
+        self.bn_in, self.bn_out = bn(width), bn(width)
+        self.branch = branch
+
+    def forward(self, x):
+        y = self.bn_in(x)
+        return self.bn_out(y + self.branch(y))
+
+
+def _diamonds():
+    """(rule kind the branch accumulates with, model, input shape)."""
+    rng = np.random.default_rng(17)
+    return {
+        "relu_bwd": ("relu_bwd", _Diamond(4, nn.ReLU()), (2, 4, 5, 7)),
+        "bn_bwd": ("bn_bwd", _Diamond(4, nn.BatchNorm2d(4)), (2, 4, 5, 7)),
+        "maxpool_bwd": ("maxpool_bwd", _Diamond(
+            4, nn.MaxPool2d(3, stride=1, padding=1)), (2, 4, 5, 7)),
+        "conv_dgrad-3x3": ("conv_dgrad", _Diamond(
+            4, nn.Conv2d(4, 4, 3, padding=1, rng=rng)), (2, 4, 5, 7)),
+        "conv_dgrad-1x1": ("conv_dgrad", _Diamond(
+            4, nn.Conv2d(4, 4, 1, rng=rng)), (2, 4, 5, 7)),
+        "linear_bwd": ("linear_bwd", _Diamond(
+            6, nn.Linear(6, 6, rng=rng), rank=2), (3, 6)),
+        "mul_bwd": ("mul_bwd", _Diamond(4, lambda y: y * y), (2, 4, 5, 7)),
+        "copy": ("copy", _Diamond(4, lambda y: y), (2, 4, 5, 7)),
+    }
+
+
+class TestAccumulatingContributions:
+    @pytest.mark.parametrize("case", sorted(_diamonds()))
+    def test_accumulating_rule_is_bitwise_eager(self, case, monkeypatch):
+        """Each backward rule's accumulating contribution (its gradient
+        written into a temporary, then added to the buffer) leaves the
+        eager ``existing + grad`` bytes: the numpy plan's BN gradients
+        equal autograd's byte for byte."""
+        kind, model, shape = _diamonds()[case]
+        model.train()
+        x = np.random.default_rng(3).standard_normal(shape)
+        accumulated = []
+        offer = AdaptationPlan._offer
+
+        def spy(self, kind, spec, fallback):
+            if spec.get("accumulate"):
+                accumulated.append(kind)
+            return offer(self, kind, spec, fallback)
+
+        monkeypatch.setattr(AdaptationPlan, "_offer", spy)
+        plan = CompiledAdaptStep(model, backend="numpy").plan_for(x)
+        assert kind in accumulated
+        plan.run(x)
+        _, eager = _eager_step_grads(model, x)
+        bns = [m for m in model.modules() if isinstance(m, _BatchNormBase)]
+        assert len(plan.bn_taps) == len(bns)
+        by_module = {id(m): g for m, g in zip(bns, eager)}
+        for tap in plan.bn_taps:
+            gamma, beta = by_module[id(tap.module)]
+            assert tap.grad_gamma[0].tobytes() == gamma.tobytes()
+            assert tap.grad_beta[0].tobytes() == beta.tobytes()
 
 
 class TestPlanStructure:

@@ -1558,23 +1558,51 @@ def _plan_and_specs(model, x, backend, threads=None, groups=1):
 
     specs = {}
     offer = AdaptationPlan._offer
-    scratch_free = AdaptationPlan._emit_scratch_free
 
     def spy(self, kind, spec, fallback):
         specs.setdefault(kind, []).append(spec)
         return offer(self, kind, spec, fallback)
 
-    def spy_scratch_free(self, kind, spec, lowering, scratch):
-        specs.setdefault(kind, []).append(spec)
-        return scratch_free(self, kind, spec, lowering, scratch)
-
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(AdaptationPlan, "_offer", spy)
-        patch.setattr(AdaptationPlan, "_emit_scratch_free", spy_scratch_free)
         plan = CompiledAdaptStep(
             model, backend=backend, threads=threads
         ).plan_for(x, groups=groups)
     return plan, specs
+
+
+def _rule_claims(patch, *kinds):
+    """From here on, by kind, the bytes of the column claims each call of
+    the ``_bwd_<kind>`` rules draws: one list per call, in emission
+    order."""
+    from repro.engine.adapt_plan import AdaptationPlan
+    from repro.engine.backends.core import _Columns
+
+    claims, current = {}, [None]
+    claim = _Columns.claim
+
+    def spy_claim(self, shape, dtype, after=None):
+        if current[0] is not None:
+            current[0].append(int(np.prod(shape)) * np.dtype(dtype).itemsize)
+        return claim(self, shape, dtype, after)
+
+    def spy(kind, rule):
+        def spy_rule(self, *args):
+            current[0] = []
+            claims.setdefault(kind, []).append(current[0])
+            try:
+                return rule(self, *args)
+            finally:
+                current[0] = None
+
+        return spy_rule
+
+    patch.setattr(_Columns, "claim", spy_claim)
+    for kind in kinds:
+        name = f"_bwd_{kind}"
+        patch.setattr(AdaptationPlan, name,
+                      spy(kind, getattr(AdaptationPlan, name)))
+    return claims
 
 
 def _stages(plan, section, label):
@@ -1916,12 +1944,14 @@ class TestRenderedTrainBNAndPoolBackward:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("groups", [1, 2])
     def test_rendered_pool_backward_needs_no_column_scratch(self, dtype, groups):
-        """The closure's ``gcols``, ``gidx`` and ``gpad`` blocks — only
-        the probe runs it once the stage is rendered — are what the numpy
-        plan requests from the arena beyond the C plan, to the byte (the
-        stack's one conv input gradient is a fresh 1x1, which needs none
-        in either)."""
-        numpy_plan, _ = _run_pool_stack("numpy", dtype, groups)
+        """The closure's ``gcols``, ``gidx`` and ``gpad`` — only the probe
+        runs it once the stage is rendered — are claims on the column
+        workspace, to the byte, and no arena bytes: the numpy and the C
+        plan request the same arena (the stack's one conv input gradient
+        is a fresh 1x1, which needs no scratch)."""
+        with pytest.MonkeyPatch.context() as patch:
+            claims = _rule_claims(patch, "maxpool", "conv")
+            numpy_plan, _ = _run_pool_stack("numpy", dtype, groups)
         plan, _ = _run_pool_stack("cgen", dtype, groups)
         assert "bwd:maxpool" not in plan.backend_info["numpy_stages"]
         # the 9x13 map under a 3x3/2/1 pool, over every group's samples
@@ -1930,10 +1960,8 @@ class TestRenderedTrainBNAndPoolBackward:
         gcols = n * c * 9 * pooled * size
         gidx = n * c * pooled * np.dtype(np.intp).itemsize  # winners
         gpad = n * c * (9 + 2) * (13 + 2) * size  # the padded image
-        assert (
-            numpy_plan.stats.requested_bytes - plan.stats.requested_bytes
-            == gcols + gidx + gpad
-        )
+        assert claims == {"maxpool": [[gcols, gidx, gpad]], "conv": [[]]}
+        assert numpy_plan.stats.requested_bytes == plan.stats.requested_bytes
 
     def test_small_r18_step_is_two_rendered_segments(self):
         """With train-BN, every conv dgrad and the entropy tail rendered,
@@ -2442,7 +2470,7 @@ class TestRenderedConvDgrad:
         included, and with trailing rows/cols no window reaches — padding
         0-2, both dtypes, a fresh and an accumulating sink per example:
         every rendered dgrad survives the probe against ``_conv_dgrad`` +
-        ``_col2im_accumulate``, the step lands beside the numpy plan,
+        ``_col2im_scatter``, the step lands beside the numpy plan,
         cells no window reaches hold exactly 0, and every gradient
         buffer is bit-for-bit the same at pool widths 1, 2 and 3."""
         from repro.nn import functional as F
@@ -2497,25 +2525,31 @@ class TestRenderedConvDgrad:
 
     def test_rendered_dgrad_needs_no_column_or_image_scratch(self):
         """The closure's ``gcols`` and ``gpad`` (the padded image the
-        col2im scatters into) blocks are what the numpy plan requests
-        from the arena beyond the cgen plan, to the byte."""
+        col2im scatters into), and the accumulating branch's temporary,
+        are claims on the column workspace, to the byte, and no arena
+        bytes: the numpy and the cgen plan request the same arena."""
         n, c, f, h, w = 2, 4, 6, 7, 9
         x = np.random.default_rng(0).standard_normal((n, c, h, w))
 
-        def requested(backend):
+        def plan_for(backend):
             model = _TwoBranch(c, f, (3, 3), (1, 1), (1, 1), np.float64,
                                np.random.default_rng(7))
             model.train()
-            plan = CompiledAdaptStep(model, backend=backend).plan_for(x)
-            return plan.stats.requested_bytes, plan.stats.arena_bytes
+            return CompiledAdaptStep(model, backend=backend).plan_for(x)
 
         gcols = n * (c * 9) * (h * w) * 8
         gpad = n * c * (h + 2) * (w + 2) * 8
-        numpy_req, numpy_arena = requested("numpy")
-        cgen_req, cgen_arena = requested("cgen")
-        # both branches: the fresh one and the accumulating one
-        assert numpy_req - cgen_req == 2 * (gcols + gpad)
-        assert cgen_arena < numpy_arena
+        dst = n * c * h * w * 8
+        with pytest.MonkeyPatch.context() as patch:
+            claims = _rule_claims(patch, "conv")
+            numpy_plan = plan_for("numpy")
+        plan = plan_for("cgen")
+        assert "bwd:conv" not in plan.backend_info["numpy_stages"]
+        # the fresh branch (conv_b, visited first), then the accumulating
+        # one, whose contribution lands in a dst-sized temporary
+        assert claims == {"conv": [[gcols, gpad], [gcols, gpad, dst]]}
+        assert (plan.stats.requested_bytes, plan.stats.arena_bytes) == (
+            numpy_plan.stats.requested_bytes, numpy_plan.stats.arena_bytes)
 
     def test_one_offer_kind_for_every_geometry(self, monkeypatch):
         """``conv_bwd`` (the identity-only 1x1 path) is gone: every conv
