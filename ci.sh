@@ -62,8 +62,10 @@ lane_done() {
 
 echo "=== lane 1: tier-1 tests (pytest -x -q) ==="
 # the libraries it left in the cgen cache: against an empty
-# $REPRO_CGEN_CACHE that is one .so per pool width the suite touches
-# (6; 291 per-plan units before the kernel library)
+# $REPRO_CGEN_CACHE that is one .so per (pool width, compute-type set)
+# the suite touches (11-13: the hypothesis sweep's dtype draws decide
+# which sets appear; 6 when every library held both types, one per
+# width; 291 per-plan units before the kernel library)
 python -m pytest -x -q
 cgen_cache="${REPRO_CGEN_CACHE:-$HOME/.cache/repro_cgen}"
 echo "tier-1: $(find "$cgen_cache" -name '*.so' 2>/dev/null | wc -l) .so in $cgen_cache"
@@ -138,9 +140,11 @@ from repro.engine.backends import find_cc
 sys.exit(0 if find_cc() else 1)
 EOF
 then
-    # one kernel library per host: its cold build (the parts compiled side
-    # by side, then linked) into a fresh cache, and two plan shapes that
-    # must find it there instead of compiling anything
+    # one kernel library per (pool width, compute-type set): the cold build
+    # (the parts compiled side by side, then linked) of {double}, the set
+    # every served model computes in, beside {double, float}'s, into a
+    # fresh cache, and two plan shapes that must find {double}'s there
+    # instead of compiling anything
     python - <<'PYEOF'
 import os, tempfile, time
 import numpy as np
@@ -151,14 +155,16 @@ with tempfile.TemporaryDirectory() as cache:
     from repro.engine.backends.cgen import K, _cflags, _plan_variant, build
     from repro.models import build_model
 
-    start = time.perf_counter()
-    so, hit, err = build._ensure_so(
-        K.library_source(2), cache, _cflags(), _plan_variant(2),
-        K.LIBRARY_PARTS,
-    )
-    assert so and not hit, err
-    print(f"cgen library: cold cc {time.perf_counter() - start:.2f} s "
-          f"({K.LIBRARY_PARTS} parts side by side + link)")
+    for types in (("double", "float"), ("double",)):
+        start = time.perf_counter()
+        so, hit, err = build._ensure_so(
+            K.library_source(2, types), cache, _cflags(), _plan_variant(2),
+            K.library_parts(types),
+        )
+        assert so and not hit, err
+        print(f"cgen library {{{', '.join(types)}}}: cold cc "
+              f"{time.perf_counter() - start:.2f} s "
+              f"({K.library_parts(types)} parts side by side + link)")
     model = build_model("small-r18", rng=np.random.default_rng(0))
     model.eval()
     h, w = model.config.input_hw

@@ -20,12 +20,12 @@ replays as a Python closure.
 
 Nothing is compiled per plan.  The package is split along that seam:
 
-* :mod:`.kernels` — the C text.  One library per pool width, every
-  kernel family instantiated for every dtype behind one adapter
-  signature, closed by the worker-pool runtime of
-  :mod:`repro.engine.backends.threading` and the exported row walk
-  ``repro_run(char** T, const stage_row* rows, const char* args, const
-  i64* ids, i64 n)``.
+* :mod:`.kernels` — the C text.  One library per pool width and set of
+  compute types a plan's rows take, every kernel family instantiated for
+  each of those types behind one adapter signature, closed by the
+  worker-pool runtime of :mod:`repro.engine.backends.threading` and the
+  exported row walk ``repro_run(char** T, const stage_row* rows, const
+  char* args, const i64* ids, i64 n)``.
 * :mod:`.build` — ``find_cc``, the on-disk cache, ``dlopen``: the library
   is compiled once per host into ``$REPRO_CGEN_CACHE`` (``cc -shared -O2
   -march=native -pthread -ffp-contract=fast``), and a cached library
@@ -991,13 +991,14 @@ class CRenderer:
         ))
 
     def _load(self, info: Dict[str, object]):
-        """The kernel library for this pool width — from the
-        cache, else compiled into it — with this plan's scratch reserved;
-        ``(lib, None)`` or ``(None, why not)``."""
+        """The kernel library for this pool width and the compute types
+        the accepted rows take — from the cache, else compiled into it —
+        with this plan's scratch reserved; ``(lib, None)`` or ``(None, why
+        not)``."""
+        types = K.compute_types(K.KERNEL_NAMES[row[0]] for row in self._rows)
         lib, so, cache_hit, recovered, err = _load_lib(
-            K.library_source(self.threads), self.backend.cache_dir,
-            _cflags(), _plan_variant(self.threads),
-            K.LIBRARY_PARTS,
+            K.library_source(self.threads, types), self.backend.cache_dir,
+            _cflags(), _plan_variant(self.threads), K.library_parts(types),
         )
         if lib is None:
             return None, err

@@ -2,13 +2,16 @@
 
 One artifact per (library source, compile flags, variant tag) lives in
 ``$REPRO_CGEN_CACHE`` (default ``~/.cache/repro_cgen``) as ``<key>.so``
-with its source ``<key>.c`` beside it.  The cache is checked *before* the
-compiler lookup — a host that was shipped the cache serves every plan
-shape with no toolchain — and every process on a host races for the same
-file on a cold cache, so both the source and the object are written under
-names unique to the call and published with ``os.replace``: a second
-starter can never hand ``cc`` (or ``dlopen``) a half-written file, and
-concurrent compiles both win.  A cached ``.so`` that fails to load is
+with its source ``<key>.c`` beside it.  The source differs per pool width
+and per set of compute types a plan's rows take, so a host holds one
+library per (width, type set) — one for every plan of an f64 model,
+another for an f32 one — each built once, its parts compiled side by
+side.  The cache is checked *before* the compiler lookup — a host that
+was shipped the cache serves every plan shape with no toolchain — and
+every process on a host races for the same file on a cold cache, so both
+the source and the object are written under names unique to the call and
+published with ``os.replace``: a second starter can never hand ``cc`` (or
+``dlopen``) a half-written file, and concurrent compiles both win.  A cached ``.so`` that fails to load is
 deleted and recompiled once instead of crashing the plan.
 """
 

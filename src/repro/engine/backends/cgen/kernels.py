@@ -1,12 +1,13 @@
 """The C text of the cgen kernel library, and the layouts Python packs.
 
 Everything here is static: :func:`library_source` depends on the pool
-width alone, so one compile per pool width serves every plan of every
-shape on the host.  What a plan hands a kernel — its
-``stage_row`` and args struct — is declared in ``_PLAN_SOURCE``; each C
-struct there has a numpy mirror of the same name in upper case (every
-field an ``i64`` or a ``double``, so there is no padding to get wrong)
-that :mod:`repro.engine.backends.cgen` fills.
+width and the compute types a plan's rows take alone, so one compile per
+(pool width, type set) serves every plan of every shape on the host.
+What a plan hands a kernel — its ``stage_row`` and args struct — is
+declared in ``_PLAN_SOURCE``; each C struct there has a numpy mirror of
+the same name in upper case (every field an ``i64`` or a ``double``, so
+there is no padding to get wrong) that :mod:`repro.engine.backends.cgen`
+fills.
 
 Each kernel family is instantiated per compute type (``double`` /
 ``float``; the convs per (input, compute) pair a lowering can produce)
@@ -213,10 +214,10 @@ static inline void epi_fold_{ct}({ct}* restrict t, i64 nv, i64 fi,
     }} else if (E->mode == 2) {{
         const double m = E->e0[fi], iv = 1.0 / sqrt(E->e1[fi] + E->eps);
         const double g = E->e2[fi], b = E->e3[fi];
-        for (i64 q = 0; q < nv; ++q) {{
-            {ct} v = ({ct})(t[q] - m);
-            v = ({ct})(v * iv);
-            v = ({ct})(v * g);
+        for (i64 q = 0; q < nv; ++q) {{  /* in f64, one cast */
+            double v = t[q] - m;
+            v = v * iv;
+            v = v * g;
             t[q] = ({ct})(v + b);
         }}
     }}
@@ -1315,17 +1316,34 @@ KERNEL_NAMES = [
 ] + ["bn_update"]
 KERNEL_ID = {name: k for k, name in enumerate(KERNEL_NAMES)}
 
-#: objects the library builds from, side by side: one per compute type
-LIBRARY_PARTS = len(_CTYPES)
+
+def compute_types(kernels) -> tuple:
+    """The compute types the named kernels take, in library order: the
+    type a name ends in (``conv_<xt>_<ct>`` counts as ``ct``), so the
+    type-free ``bn_update`` adds none."""
+    named = {name.rpartition("_")[2] for name in kernels}
+    return tuple(ct for ct in _CTYPES if ct in named)
 
 
-def library_source(nt: int) -> str:
-    """The whole library for a pool of ``nt`` threads, one text: shared
-    declarations, then per compute type every kernel family and its
-    adapters, the first type's part closed by ``KERNELS[]``, the pool
-    runtime and the row walk.  Compiled as it is it is one translation
-    unit; with ``-DREPRO_PART=<k>`` only type ``k``'s part is emitted, so
-    the build compiles the parts in parallel and links them."""
+def library_parts(ctypes) -> int:
+    """Objects a library of ``ctypes`` builds from, side by side: two per
+    compute type (the runtime alone when there is none)."""
+    return max(1, 2 * len(compute_types(ctypes)))
+
+
+def library_source(nt: int, ctypes) -> str:
+    """The library for a pool of ``nt`` threads and the compute types
+    ``ctypes``, one text: shared declarations, then per type two parts of
+    about equal ``cc`` time — its convs with their GEMM, tap and
+    small-grid kernels; then BN, linear, max-pool and the sweeps — the
+    last part closed by ``KERNELS[]`` (0 for a kernel of a type left
+    out, which no row of a plan built on it names), the pool runtime and
+    the row walk.  Compiled as it is it is one translation unit; with
+    ``-DREPRO_PART=<k>`` only part ``k`` is emitted, so the build compiles
+    the :func:`library_parts` in parallel and links them."""
+    ctypes = compute_types(ctypes)
+    names = [n for n in KERNEL_NAMES
+             if set(compute_types([n])) <= set(ctypes)]
     parts = [
         "#include <math.h>",
         "#include <pthread.h>",
@@ -1343,33 +1361,38 @@ def library_source(nt: int) -> str:
         "#define POOL_SCR(t) (POOL_SCRATCH + (i64)(t) * SCR_STRIDE)",
         _VEC_PRELUDE,
     ]
-    for ct in _CTYPES:
+    for ct in _CTYPES:  # every type's: f32 BN sums in f64 lanes
         parts.append(_vec_type(ct) + _vec_type(ct, "VEC_BYTES / 2", "vh"))
     parts += [
         _CONV_PRELUDE, _LANES_PRELUDE, _PLAN_SOURCE,
         "LIB_SHARED kernel_sig " + ",\n    ".join(
-            f"k_{name}" for name in KERNEL_NAMES
+            f"k_{name}" for name in names
         ) + ";",
         _SWEEP_SOURCE,
     ]
-    for part, ct in enumerate(_CTYPES):
-        parts += [
-            f"#if !defined(REPRO_PART) || REPRO_PART == {part}",
-            _epilogue_source(ct), _gemm_source(ct), _gemmk_source(ct),
-            _convt_source(ct), _lanes_source(ct), _bn_train_source(ct),
-            _bn_bwd_source(ct), _flat_source(ct),
-            _line_source(ct), _linear_source(ct), _maxpool_source(ct),
-        ]
+    halves = []
+    for ct in ctypes:
+        convs = [_epilogue_source(ct), _gemm_source(ct), _gemmk_source(ct),
+                 _convt_source(ct)]
         for xt, xct in _CONV_PAIRS:
             if xct == ct:
-                parts += [_conv_source(xt, ct), _convk_source(xt, ct),
+                convs += [_conv_source(xt, ct), _convk_source(xt, ct),
                           _conv_adapter(xt, ct)]
-        if part == 0:
-            table = ",\n    ".join(f"k_{name}" for name in KERNEL_NAMES)
-            parts += [
-                _BN_UPDATE_SOURCE,
-                f"static kernel_sig* const KERNELS[] = {{\n    {table}\n}};",
-                pool_runtime_source(nt),
-            ]
-        parts.append("#endif")
+        halves += [convs, [
+            _lanes_source(ct), _bn_train_source(ct), _bn_bwd_source(ct),
+            _flat_source(ct), _line_source(ct), _linear_source(ct),
+            _maxpool_source(ct),
+        ]]
+    table = ",\n    ".join(
+        f"k_{name}" if name in names else "0" for name in KERNEL_NAMES
+    )
+    halves = halves or [[]]
+    halves[-1] += [
+        _BN_UPDATE_SOURCE,
+        f"static kernel_sig* const KERNELS[] = {{\n    {table}\n}};",
+        pool_runtime_source(nt),
+    ]
+    for part, sources in enumerate(halves):
+        parts += [f"#if !defined(REPRO_PART) || REPRO_PART == {part}",
+                  *sources, "#endif"]
     return "\n".join(parts) + "\n"

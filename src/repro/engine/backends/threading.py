@@ -3,7 +3,8 @@
 The library tiles its heavy kernels (conv GEMMs, linear, max-pool, large
 sweeps, the BN forward and backward) over a small persistent pthread pool
 that lives *inside* the ``.so`` — one library, so one pool, per pool
-width, shared by every plan of the process:
+width and set of compute types, shared by every plan of the process that
+takes that set (every plan of an f64 model, say):
 
 * the pool is spawned once per loaded library (``repro_pool_start``,
   refcounted — every plan takes one reference and drops it on teardown,

@@ -61,6 +61,7 @@ from ..nn import tensor as T
 from ..nn.functional import _pair
 from ..nn.tensor import Context
 from .backends.core import (
+    COLUMNS,
     _Arena,
     _Block,
     lower_conv,
@@ -162,7 +163,7 @@ class _InvStdBank:
 
 
 def _bn_epilogue(buf3: np.ndarray, module, n: int, src, bank,
-                 slot: int) -> None:
+                 slot: int, wide=None) -> None:
     """Apply eval-mode BN to a ``(N, C, P)`` GEMM output ``src``, writing
     ``buf3``.
 
@@ -171,7 +172,10 @@ def _bn_epilogue(buf3: np.ndarray, module, n: int, src, bank,
     (subtract mean, scale by ``bank[slot]``, then gamma/beta) — the
     same elementwise kernel sequence :func:`repro.nn.functional.batch_norm`
     runs in eval mode, minus the temporaries.  Only the first op reads
-    ``src``; out of place it is the same ufunc on the same values.
+    ``src``; out of place it is the same ufunc on the same values.  Eager
+    BN keeps those ops in float64 (the statistics' dtype) and casts once,
+    so a narrower ``buf3`` takes them in ``wide`` — a float64 column claim
+    of its shape — and one cast.
     """
     if module.training:
         raise RuntimeError(
@@ -190,10 +194,13 @@ def _bn_epilogue(buf3: np.ndarray, module, n: int, src, bank,
         np.multiply(src, scale.reshape(n, c, 1), out=buf3)
         buf3 += shift.reshape(n, c, 1)
     else:
-        np.subtract(src, module.running_mean.reshape(1, c, 1), out=buf3)
-        buf3 *= bank[slot]
-        buf3 *= module.weight.data.reshape(1, c, 1)
-        buf3 += module.bias.data.reshape(1, c, 1)
+        dst = buf3 if wide is None else wide[0]
+        np.subtract(src, module.running_mean.reshape(1, c, 1), out=dst)
+        dst *= bank[slot]
+        dst *= module.weight.data.reshape(1, c, 1)
+        dst += module.bias.data.reshape(1, c, 1)
+        if wide is not None:
+            np.copyto(buf3, dst, casting="same_kind")
 
 
 class StaticPlan:
@@ -427,6 +434,8 @@ class StaticPlan:
         get_x = self._getter(x_ref)
         if bn_module is not None:
             bank, slot = self._inv_std, self._inv_std.add(bn_module)
+            wide = None if out3.dtype == np.float64 else COLUMNS.claim(
+                out3.shape, np.float64)
 
         def run():
             cols = geo.gather(get_x())
@@ -435,7 +444,7 @@ class StaticPlan:
                 np.add(acc3, bias.data.reshape(1, -1, 1), out=acc3)
             src = acc3
             if bn_module is not None:
-                _bn_epilogue(out3, bn_module, n, src, bank, slot)
+                _bn_epilogue(out3, bn_module, n, src, bank, slot, wide)
                 src = out3
             if relu:
                 np.maximum(src, 0.0, out=out3)

@@ -78,12 +78,14 @@ def _fresh_cache(monkeypatch, tmp_path):
 @pytest.fixture(scope="session")
 def cold_builds(tmp_path_factory):
     """A cache holding one cold build of the kernel library per pool
-    width (1 and 2), made once a session and never loaded from there."""
+    width (1 and 2) for the one compute type of the f64 models these
+    tests seed it for, made once a session and never loaded from there."""
     cache = str(tmp_path_factory.mktemp("cgen-cold"))
     for threads in (1, 2):
         so, hit, err = _ensure_so(
-            cgen.K.library_source(threads), cache, cgen._cflags(),
-            cgen._plan_variant(threads), cgen.K.LIBRARY_PARTS,
+            cgen.K.library_source(threads, ("double",)), cache,
+            cgen._cflags(), cgen._plan_variant(threads),
+            cgen.K.library_parts(("double",)),
         )
         assert so is not None and not hit, err
     return cache
@@ -1024,6 +1026,52 @@ class TestOneLibraryPerHost:
         np.testing.assert_allclose(
             out, compile_model(model)(x2).numpy(), **_band(np.float32)
         )
+
+    def test_a_library_holds_the_compute_types_of_its_plans(
+        self, monkeypatch, tmp_path
+    ):
+        """An f64 small-r18's inference and adaptation plans load one
+        library, compiled once, that defines no ``float`` kernel; a plan
+        computing in f32 loads another.  Both serve within the parity band
+        in one process, each on its own library's pool."""
+        import re
+
+        _fresh_cache(monkeypatch, tmp_path)
+        model, rng, x = _model_and_frames("small-r18", 1, 3)
+        engine = compile_model(model, backend=CGenBackend(threads=2))
+        engine(x)
+        infer = engine.plan_for(x.shape, x.dtype).backend_info
+        adapt = CompiledAdaptStep(
+            model, backend=CGenBackend(threads=2)
+        ).plan_for(x).backend_info
+        assert infer["cache_hit"] is False and adapt["cache_hit"] is True
+        assert adapt["so"] == infer["so"]
+        with open(infer["so"][:-len(".so")] + ".c") as fh:
+            source = fh.read()
+        table = re.search(r"KERNELS\[\] = \{(.*?)\};", source, re.S)
+        present = [k.strip() for k in table.group(1).split(",")]
+        assert len(present) == len(cgen.K.KERNEL_NAMES)
+        assert "k_conv_float_double" in present
+        assert not [k for k in present if k.endswith("_float")]
+        assert not re.search(r"\w_float\(", source)
+
+        small = _bn_model(rng)
+        for layer in (small[0], small[3]):
+            for p in (layer.weight, layer.bias):
+                if p is not None:
+                    p.data = p.data.astype(np.float32)
+        x32 = rng.standard_normal((2, 3, 8, 12)).astype(np.float32)
+        engine32 = compile_model(small, backend=CGenBackend(threads=2))
+        out32 = engine32(x32).numpy()
+        info32 = engine32.plan_for(x32.shape, x32.dtype).backend_info
+        assert out32.dtype == np.float32
+        assert info32["rendered"] == info32["stages"], info32
+        assert info32["so"] != infer["so"] and info32["cache_hit"] is False
+        for eng, arr in ((engine, x), (engine32, x32)):
+            got = eng(arr).numpy()
+            np.testing.assert_allclose(
+                got, compile_model(eng.model)(arr).numpy(), **_band(got.dtype)
+            )
 
     def test_a_truncated_library_is_rebuilt_once_for_every_plan(
         self, monkeypatch, tmp_path

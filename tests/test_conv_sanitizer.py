@@ -288,7 +288,7 @@ def _harness_source(renderer, needs, keep, contents):
 
     rows, args = renderer._tables()
     slots = range(renderer._nslots)
-    return library_source(THREADS) + f"""
+    return library_source(THREADS, ("double", "float")) + f"""
 #include <stdio.h>
 static const i64 SIZES[] = {_c_array(sizes[s][0] for s in slots)};
 static const i64 ITEMS[] = {_c_array(sizes[s][1] for s in slots)};

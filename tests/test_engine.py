@@ -84,6 +84,29 @@ class TestParity:
             _eager(trained_tiny_model, images), engine(images).numpy()
         )
 
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_float32_parameters_bit_exact(self, batch, rng):
+        """Conv and linear parameters in float32, BN state float64 and far
+        from its pristine values: eager BN runs its running-stats ops in
+        float64 and casts once, and so does the fused epilogue."""
+        model = build_model("tiny-r18", num_lanes=2, rng=rng)
+        for m in model.modules():
+            if isinstance(m, (nn.Conv2d, nn.Linear)):
+                for p in (m.weight, m.bias):
+                    if p is not None:
+                        p.data = p.data.astype(np.float32)
+            elif isinstance(m, _BatchNormBase):
+                c = m.num_features
+                m.running_mean[...] = rng.standard_normal(c) * 0.3
+                m.running_var[...] = rng.uniform(0.5, 2.0, c)
+                m.weight.data[...] = rng.uniform(0.5, 1.5, c)
+                m.bias.data[...] = rng.standard_normal(c) * 0.1
+        model.eval()
+        x = _frames(rng, model.config, batch)
+        out = compile_model(model, backend="numpy")(x).numpy()
+        assert out.dtype == np.float32
+        assert np.array_equal(_eager(model, x), out)
+
     def test_replay_reuses_output_storage(self, rng):
         """Outputs view plan-owned buffers overwritten by the next replay."""
         model = build_model("tiny-r18", rng=rng)
