@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # PR verification lanes — run from the repo root on every PR.
 #
-#   ./ci.sh            tier-1 tests, the slow marker, the CLI smoke lane
-#                      (bench-adapt --quick among them) and the cgen lane
+#   ./ci.sh            tier-1 tests (with their 15 slowest listed), the
+#                      slow marker, the CLI smoke lane (bench-adapt
+#                      --quick among them) and the cgen lane
 #   ./ci.sh --full     additionally runs the quick bench-infer CLI smoke
 #
 # Timing claims rest on the bench-e2e pair protocol
@@ -60,13 +61,14 @@ lane_done() {
     lane_start=$SECONDS
 }
 
-echo "=== lane 1: tier-1 tests (pytest -x -q) ==="
+echo "=== lane 1: tier-1 tests (pytest -x -q --durations=15) ==="
+# the 15 slowest tests are listed (where tier-1's wall time goes), then
 # the libraries it left in the cgen cache: against an empty
 # $REPRO_CGEN_CACHE that is one .so per (pool width, compute-type set)
 # the suite touches (11-13: the hypothesis sweep's dtype draws decide
 # which sets appear; 6 when every library held both types, one per
 # width; 291 per-plan units before the kernel library)
-python -m pytest -x -q
+python -m pytest -x -q --durations=15
 cgen_cache="${REPRO_CGEN_CACHE:-$HOME/.cache/repro_cgen}"
 echo "tier-1: $(find "$cgen_cache" -name '*.so' 2>/dev/null | wc -l) .so in $cgen_cache"
 lane_done "lane 1"

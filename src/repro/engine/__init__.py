@@ -75,7 +75,7 @@ Architecture — one lowering, compiled through one entry point:
   reproducible at every pool width.  Width resolves ``threads=`` (on
   ``compile_model``/``CompiledAdaptStep``, ``FleetConfig``,
   ``PipelineConfig``, ``LDBNAdaptConfig``, or ``--threads``) →
-  ``$REPRO_CGEN_THREADS`` → device-profile cores → host CPUs;
+  ``$REPRO_CGEN_THREADS`` → host CPUs;
   ``threads=None`` compiles at that resolved width but prices the
   roofline at one thread (outputs are bitwise the same at every width),
   while an explicit width also re-prices compute-bound roofline

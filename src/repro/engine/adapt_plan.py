@@ -74,7 +74,7 @@ from ..nn.functional import update_running_stat
 from ..nn.modules import _BatchNormBase
 from ..nn.optim import sgd_update
 from .backends.core import COLUMNS
-from .plan import _ELEMENTWISE, StaticPlan, op_kind, stem_index
+from .plan import _ELEMENTWISE, StaticPlan, _get, op_kind, stem_index
 from .tracer import TraceGraph, ValueRef
 
 
@@ -139,9 +139,11 @@ class BNLayerTap:
 
     ``gamma_slot``/``beta_slot`` are ``(G, C)`` parameter inputs read at
     every replay — the fleet batcher fills row ``g`` with stream ``g``'s
-    adapted gamma/beta.  With ``groups == 1`` they are None and the plan
-    reads the live module parameters instead (so single-stream LD-BN-ADAPT
-    updates are visible without refilling anything).  After ``run``:
+    adapted gamma/beta; the stages read them as ``("fixed", gamma_slot)``
+    sources.  With ``groups == 1`` they are None and the stages read the
+    live parameters instead, ``("const", module.weight)`` (so
+    single-stream LD-BN-ADAPT updates are visible without refilling
+    anything).  After ``run``:
 
     * ``grad_gamma``/``grad_beta`` hold the entropy gradients, ``(G, C)``;
     * ``batch_mean``/``batch_var`` hold the per-group batch statistics the
@@ -445,15 +447,16 @@ class AdaptationPlan(StaticPlan):
         if not isinstance(axis, int):
             raise UnsupportedAdaptGraph("sum lowering supports a single axis")
         out = self._out(node.out_vid, node.out_shape, node.out_dtype)
-        get_x = self._getter(node.inputs[0])
+        x_src = self._src(node.inputs[0])
         in_shape, _ = self._ref_shape_dtype(node.inputs[0])
         cell.update(axis=axis, keepdims=keepdims,
                     dims=_axis_dims(in_shape, axis))
         self._offer(
             "reduce",
-            dict(x_src=self._render_source(node.inputs[0]), out=out,
-                 dims=cell["dims"], mean=False, dtype=node.out_dtype),
-            lambda: np.sum(get_x(), axis=axis, keepdims=keepdims, out=out),
+            dict(x_src=x_src, out=out, dims=cell["dims"], mean=False,
+                 dtype=node.out_dtype),
+            lambda: np.sum(_get(x_src), axis=axis, keepdims=keepdims,
+                           out=out),
         )
 
     def _fwd_mean(self, node, index, cell):
@@ -466,19 +469,18 @@ class AdaptationPlan(StaticPlan):
         out = self._fixed[node.out_vid] = np.empty(
             (groups,), dtype=node.out_dtype
         )
-        get_x = self._getter(node.inputs[0])
+        x_src = self._src(node.inputs[0])
         cell.update(per_group=per_group)
         finite = self.finite
 
         def run():
-            np.mean(get_x().reshape(groups, per_group), axis=1, out=out)
+            np.mean(_get(x_src).reshape(groups, per_group), axis=1, out=out)
             np.isfinite(out, out=finite)
 
         self._offer(
             "reduce",
-            dict(x_src=self._render_source(node.inputs[0]), out=out,
-                 dims=(groups, per_group, 1), mean=True, dtype=node.out_dtype,
-                 finite=finite),
+            dict(x_src=x_src, out=out, dims=(groups, per_group, 1),
+                 mean=True, dtype=node.out_dtype, finite=finite),
             run,
         )
 
@@ -486,13 +488,14 @@ class AdaptationPlan(StaticPlan):
         axis = node.inputs[1]
         out = self._out(node.out_vid, node.out_shape, node.out_dtype)
         exps = _parts()(node.out_shape, node.out_dtype)
-        get_x = self._getter(node.inputs[0])
+        x_src = self._src(node.inputs[0])
         cell.update(axis=axis, dims=_axis_dims(node.out_shape, axis))
         self._offer(
             "logsoftmax",
-            dict(x_src=self._render_source(node.inputs[0]), out=out,
-                 dims=cell["dims"], dtype=node.out_dtype),
-            lambda: F._log_softmax(get_x(), axis, out=out, scratch=exps[0]),
+            dict(x_src=x_src, out=out, dims=cell["dims"],
+                 dtype=node.out_dtype),
+            lambda: F._log_softmax(_get(x_src), axis, out=out,
+                                   scratch=exps[0]),
         )
 
     def _fwd_bn(self, node, index, cell):
@@ -533,15 +536,10 @@ class AdaptationPlan(StaticPlan):
             # fills the slots, and garbage would make probes flaky
             gamma_slot = np.ones((groups, c), dtype=np.float64)
             beta_slot = np.zeros((groups, c), dtype=np.float64)
-            gamma_src, beta_src = ("slot", gamma_slot), ("slot", beta_slot)
-            get_gamma = lambda: gamma_slot.reshape(pshape)  # noqa: E731
-            get_beta = lambda: beta_slot.reshape(pshape)  # noqa: E731
+            gamma, beta = ("fixed", gamma_slot), ("fixed", beta_slot)
         else:
             gamma_slot = beta_slot = None
-            gamma_src = beta_src = ("module", module)
-            stat = (1, 1, c) + (1,) * (len(pshape) - 3)
-            get_gamma = lambda: module.weight.data.reshape(stat)  # noqa: E731
-            get_beta = lambda: module.bias.data.reshape(stat)  # noqa: E731
+            gamma, beta = ("const", module.weight), ("const", module.bias)
         tap = BNLayerTap(
             module=module,
             gamma_slot=gamma_slot,
@@ -552,18 +550,17 @@ class AdaptationPlan(StaticPlan):
             batch_var=np.empty((groups, c), dtype=np.float64),
         )
         self.bn_taps.append(tap)
-        get_x = self._getter(x_ref)
+        x_src = self._src(x_ref)
         hw = int(np.prod(x_shape[2:], dtype=np.int64))
         cell.update(
             gshape=gshape, axes=axes, m=m, tap=tap, xhat=xhat,
-            get_gamma=get_gamma, inv_std=inv_std, inv5=inv5, hw=hw,
-            gamma_src=gamma_src,
+            pshape=pshape, inv_std=inv_std, inv5=inv5, hw=hw, gamma=gamma,
         )
 
         def run():
             # x - mean lands in x-hat, its square in the output buffer
             xh5, out5 = xhat.reshape(gshape), out.reshape(gshape)
-            mean, var = F.batch_stats(get_x().reshape(gshape), axes,
+            mean, var = F.batch_stats(_get(x_src).reshape(gshape), axes,
                                       xh5, out5)
             # same ufunc sequence as `1.0 / np.sqrt(var + eps)`, written
             # into the persistent buffer — bitwise identical values
@@ -571,17 +568,18 @@ class AdaptationPlan(StaticPlan):
             np.sqrt(inv5, out=inv5)
             np.divide(1.0, inv5, out=inv5)
             np.multiply(xh5, inv5, out=xh5)
-            np.multiply(xh5, get_gamma(), out=out5)
-            np.add(out5, get_beta(), out=out5)
+            # (G, C) per-group slots, or the (C,) live parameters (G = 1)
+            np.multiply(xh5, _get(gamma).reshape(pshape), out=out5)
+            np.add(out5, _get(beta).reshape(pshape), out=out5)
             tap.batch_mean[...] = mean.reshape(groups, c)
             tap.batch_var[...] = var.reshape(groups, c)
 
         self._offer(
             "bn_train",
             dict(
-                x_src=self._render_source(x_ref), out=out, xhat=xhat,
+                x_src=x_src, out=out, xhat=xhat,
                 inv_std=inv_std, batch_mean=tap.batch_mean,
-                batch_var=tap.batch_var, gamma=gamma_src, beta=beta_src,
+                batch_var=tap.batch_var, gamma=gamma, beta=beta,
                 dims=(groups, group_size, c, hw), eps=eps,
                 dtype=node.out_dtype,
             ),
@@ -652,12 +650,11 @@ class AdaptationPlan(StaticPlan):
         a_ref, b_ref = node.inputs[0], node.inputs[1]
         for ref, other in ((a_ref, b_ref), (b_ref, a_ref)):
             if isinstance(ref, ValueRef) and ref.vid in grad_in:
-                get_other = self._getter(other)
+                src = self._src(other)
                 self._contribute(
                     ref.vid, sink, _parts(),
-                    "mul_bwd", dict(g=g, other=self._render_source(other),
-                                    dtype=node.out_dtype),
-                    lambda out, get=get_other: np.multiply(g, get(), out=out),
+                    "mul_bwd", dict(g=g, other=src, dtype=node.out_dtype),
+                    lambda out, src=src: np.multiply(g, _get(src), out=out),
                 )
 
     def _bwd_exp(self, node, cell, sink, grad_in):
@@ -800,7 +797,7 @@ class AdaptationPlan(StaticPlan):
         g = self._grads[node.out_vid]
         gshape, axes, m = cell["gshape"], cell["axes"], cell["m"]
         tap, xhat = cell["tap"], cell["xhat"]
-        get_gamma, inv5 = cell["get_gamma"], cell["inv5"]
+        gamma, pshape, inv5 = cell["gamma"], cell["pshape"], cell["inv5"]
         groups, c = self.groups, tap.module.num_features
         g5, xh5 = g.reshape(gshape), xhat.reshape(gshape)
 
@@ -813,7 +810,7 @@ class AdaptationPlan(StaticPlan):
             g=g, xhat=xhat, inv_std=cell["inv_std"],
             grad_gamma=tap.grad_gamma, grad_beta=tap.grad_beta,
             dims=(groups, self.group_size, c, cell["hw"]),
-            m=m, gamma=cell["gamma_src"], dtype=node.out_dtype,
+            m=m, gamma=gamma, dtype=node.out_dtype,
         )
         if not grad_in:
             # the first BN in the network: nothing upstream needs gradient
@@ -822,8 +819,8 @@ class AdaptationPlan(StaticPlan):
 
         def write(out):
             affine_grads()
-            F._bn_input_grad(g5, xh5, inv5, get_gamma(), axes,
-                             out=out.reshape(gshape))
+            F._bn_input_grad(g5, xh5, inv5, _get(gamma).reshape(pshape),
+                             axes, out=out.reshape(gshape))
 
         self._contribute(grad_in[0], sink, _parts(), "bn_bwd", spec,
                          write)

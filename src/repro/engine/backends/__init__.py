@@ -7,7 +7,7 @@ their output space over a persistent pthread pool living inside the
 ``.so`` (:mod:`repro.engine.backends.threading`), with fixed tile
 ownership of output rows and unshared accumulators so outputs are
 bitwise at any thread count.  Pool width resolves ``CGenBackend.threads``
-→ ``$REPRO_CGEN_THREADS`` → device-profile cores → host CPUs, and
+→ ``$REPRO_CGEN_THREADS`` → host CPUs, and
 ``PlanBackend.compile`` takes a ``threads`` override.  See
 :mod:`repro.engine.backends.base` for the interface and registry,
 :mod:`repro.engine.backends.core` for the shared arena/liveness/im2col

@@ -4,12 +4,12 @@ The renderer rides along :class:`~repro.engine.plan.ExecutionPlan` /
 :class:`~repro.engine.adapt_plan.AdaptationPlan` compilation: every fused
 stage the numpy lowering produces is *offered* together with its closure,
 and the renderer either fills a row of the plan's stage table or declines
-(unsupported op, dynamic-slot input, non-contiguous buffer, exotic
-dtype).  For adaptation plans the whole step is offered: the forward —
-train-mode BatchNorm and the entropy tail (log-softmax, sum, mean)
-included — *and* the pruned LD-BN-ADAPT backward (BN gamma/beta grads,
-the reduced chain, max-pool backward, the tail's rules, fresh and
-accumulating contributions alike; conv input gradients in *gather* form
+(unsupported op, non-contiguous buffer, exotic dtype).  For adaptation
+plans the whole step is offered: the forward — train-mode BatchNorm and
+the entropy tail (log-softmax, sum, mean) included — *and* the pruned
+LD-BN-ADAPT backward (BN gamma/beta grads, the reduced chain, max-pool
+backward, the tail's rules, fresh and accumulating contributions
+alike; conv input gradients in *gather* form
 on the forward's own kernels, :meth:`CRenderer._try_conv_dgrad`), ending
 in the *update tail* (:meth:`CRenderer._try_bn_update`, armed per replay;
 it skips a group whose loss the mean flagged non-finite).  A served
@@ -409,9 +409,8 @@ class CRenderer:
         return self._bind_static(arr)
 
     def _source_slot(self, src, dtype, offer: _Offer) -> Optional[int]:
-        """Slot for a stage input, or ``None`` when not renderable."""
-        if src is None:
-            return None
+        """Slot for a stage source (``plan.StaticPlan._src``), or ``None``
+        when not renderable."""
         kind, val = src
         if kind == "input":
             return 0
@@ -615,14 +614,15 @@ class CRenderer:
         )
         return [sflag] + slots, eps
 
-    def _affine_slot(self, source, attr: str, offer: _Offer):
+    def _affine_slot(self, source, offer: _Offer):
         """Slot of a train-mode BN's f64 gamma/beta vector, or ``None``:
-        ``("slot", array)`` is a stable per-group ``(groups, c)`` array the
-        fleet fills before each grouped replay, ``("module", bn)`` the live
-        ``bn.<attr>`` parameter, rebound per replay so optimizer updates
-        flow through."""
+        ``("fixed", array)`` is a stable per-group ``(groups, c)`` array
+        the fleet fills before each grouped replay, ``("const", param)``
+        the live parameter, rebound per replay so optimizer updates flow
+        through — converted to float64 (:func:`_bindv`), as the numpy
+        stage computes in it."""
         mode, value = source
-        if mode == "slot":
+        if mode == "fixed":
             return self._fixed_slot(value, np.float64)
         slot = self._slot()
         holder = self._tab_holder
@@ -631,7 +631,7 @@ class CRenderer:
         def bind(vector):
             return _bindv(holder[0], slot, vector, keep)
 
-        offer.bind_on(bind, value, attr + ".data")
+        offer.bind_on(bind, value, "data")
         return slot
 
     def _try_linear(self, spec, fallback):
@@ -825,7 +825,7 @@ class CRenderer:
         return self._accept(
             offer, f"{kernel}_{_CTYPE[dtype.name]}", slots,
             _pack(K.BN_ARGS, groups, gs, c, hw,
-                  int(spec["gamma"][0] == "slot"), int(sink), float(scalar)),
+                  int(spec["gamma"][0] == "fixed"), int(sink), float(scalar)),
             mt=self._mt(passes * groups * gs * c * hw / _SWEEP_PER_US),
             tol_dtype=dtype,
         )
@@ -843,7 +843,7 @@ class CRenderer:
             self._fixed_slot(spec["g"], dtype),
             self._fixed_slot(spec["xhat"], dtype),
             self._fixed_slot(spec["inv_std"], dtype),
-            self._affine_slot(spec["gamma"], "weight", offer),
+            self._affine_slot(spec["gamma"], offer),
             self._fixed_slot(gg, np.float64),
             self._fixed_slot(gb, np.float64),
         ]
@@ -869,8 +869,8 @@ class CRenderer:
             self._source_slot(spec["x_src"], dtype, offer),
             self._fixed_slot(xh, dtype),
             self._fixed_slot(inv, dtype),
-            self._affine_slot(spec["gamma"], "weight", offer),
-            self._affine_slot(spec["beta"], "bias", offer),
+            self._affine_slot(spec["gamma"], offer),
+            self._affine_slot(spec["beta"], offer),
             self._fixed_slot(bm, np.float64),
             self._fixed_slot(bv, np.float64),
         ]
@@ -1239,7 +1239,7 @@ class CGenBackend(PlanBackend):
     """Plans as stage tables over threaded C kernels, per-stage numpy
     fallback, one disk-cached library.  ``threads`` fixes the worker-pool
     width; ``None`` resolves per compile via ``$REPRO_CGEN_THREADS`` →
-    device cores → host CPUs."""
+    host CPUs."""
 
     name = "cgen"
 

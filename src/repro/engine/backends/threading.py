@@ -48,13 +48,11 @@ ENV_THREADS = "REPRO_CGEN_THREADS"
 MAX_THREADS = 64
 
 
-def resolve_threads(explicit: Optional[int] = None,
-                    device_cores: Optional[int] = None) -> int:
+def resolve_threads(explicit: Optional[int] = None) -> int:
     """Resolve the worker-pool width for one plan compilation.
 
     Priority: ``explicit`` (a ``CGenBackend.threads`` / ``--threads``
-    value) > ``$REPRO_CGEN_THREADS`` > ``device_cores`` (the serving
-    device profile's CPU core count) > the host CPU count.  Always
+    value) > ``$REPRO_CGEN_THREADS`` > the host CPU count.  Always
     clamped to ``[1, MAX_THREADS]``.
     """
     if explicit is not None:
@@ -68,8 +66,6 @@ def resolve_threads(explicit: Optional[int] = None,
                 raise ValueError(
                     f"${ENV_THREADS} must be an integer, got {env!r}"
                 ) from None
-        elif device_cores:
-            n = int(device_cores)
         else:
             n = os.cpu_count() or 1
     return max(1, min(n, MAX_THREADS))

@@ -7,10 +7,18 @@ with autograd, only the bookkeeping around the kernels is removed.
 
 :class:`StaticPlan` is everything the inference plan and the adaptation
 plan (:mod:`repro.engine.adapt_plan`) share, each piece exactly once:
-the op table (:data:`OP_KINDS`: traced ``Function`` -> stage kind), value
-access, the renderer offer, the forward stage builders for conv, linear,
+the op table (:data:`OP_KINDS`: traced ``Function`` -> stage kind), the
+values, the renderer offer, the forward stage builders for conv, linear,
 max-pool, the elementwise ops and views (numpy closure plus offer spec),
 the buffer policy, the replay prologue and the stage table.
+
+**Values** live in one store: every value but the plan input is a buffer
+fixed at compile time (``_fixed``) — a view of its source's buffer, or
+what its stage writes (an op with no stage builder runs its eager
+forward and copies the result in).  A stage input is described once, by
+:meth:`StaticPlan._src`: ``("input", cell)``, ``("fixed", array)``,
+``("const", tensor)`` or ``("value", v)``.  The numpy step reads it with
+:func:`_get`, and the renderer offer carries the same tuple to bind.
 
 **Arena buffer reuse** is one liveness analysis over the plan's sections
 (:meth:`StaticPlan._lifetimes`) and one policy assigning buffers from it
@@ -129,8 +137,18 @@ class PlanStats:
     workspace_bytes: int  # held alone: padded images (columns are shared)
 
 
+def _get(src):
+    """The value a stage source (:meth:`StaticPlan._src`) holds now."""
+    kind, value = src
+    if kind == "input":
+        return value[0]
+    if kind == "const":
+        return value.data
+    return value
+
+
 class _InvStdBank:
-    """``1 / sqrt(running_var + eps)`` of every fused eval-BN epilogue of an
+    """``1 / sqrt(running_var + eps)`` of every eval-BN epilogue of an
     inference plan, over one flat buffer: computed at most once per replay
     (:meth:`StaticPlan._begin` marks it ``stale``), by the first epilogue
     that asks (under ``per_sample_stats`` none does), from each module's
@@ -184,6 +202,7 @@ def _bn_epilogue(buf3: np.ndarray, module, n: int, src, bank,
             "(adaptation steps go through CompiledAdaptStep)"
         )
     c = buf3.shape[1]
+    dst = buf3 if wide is None else wide[0]
     ps = module.per_sample_stats
     if ps is not None:
         scale, shift = ps
@@ -191,16 +210,15 @@ def _bn_epilogue(buf3: np.ndarray, module, n: int, src, bank,
             raise ValueError(
                 f"per_sample_stats shaped {scale.shape}, expected ({n}, {c})"
             )
-        np.multiply(src, scale.reshape(n, c, 1), out=buf3)
-        buf3 += shift.reshape(n, c, 1)
+        np.multiply(src, scale.reshape(n, c, 1), out=dst)
+        dst += shift.reshape(n, c, 1)
     else:
-        dst = buf3 if wide is None else wide[0]
         np.subtract(src, module.running_mean.reshape(1, c, 1), out=dst)
         dst *= bank[slot]
         dst *= module.weight.data.reshape(1, c, 1)
         dst += module.bias.data.reshape(1, c, 1)
-        if wide is not None:
-            np.copyto(buf3, dst, casting="same_kind")
+    if wide is not None:
+        np.copyto(buf3, dst, casting="same_kind")
 
 
 class StaticPlan:
@@ -235,8 +253,7 @@ class StaticPlan:
             labels={},  # id(section) -> the label of each of its steps
             workspace_bytes=0,
         )
-        self._fixed: Dict[int, np.ndarray] = {}  # buffers fixed at compile time
-        self._slots: Dict[int, np.ndarray] = {}  # per-replay values
+        self._fixed: Dict[int, np.ndarray] = {}  # every value's buffer
         self._input_cell: List[Optional[np.ndarray]] = [None]
         self._arena = _Arena()
         self._pre_replay: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -265,41 +282,20 @@ class StaticPlan:
         del self._ct
 
     # -- value access ---------------------------------------------------
-    def _getter(self, ref) -> Callable[[], object]:
+    def _src(self, ref):
+        """A stage input as the one source tuple its numpy step reads (with
+        :func:`_get`) and its renderer offer carries: ``("input", cell)``
+        for the plan input, ``("fixed", array)`` for a buffer fixed at
+        compile time, ``("const", tensor)`` for a traced constant or
+        parameter (its live ``data``), ``("value", v)`` for a plain
+        argument."""
         if isinstance(ref, ValueRef):
-            vid = ref.vid
-            fixed = self._fixed.get(vid)
-            if fixed is not None:
-                return lambda: fixed
-            if vid == self._input_vid:
-                cell = self._input_cell
-                return lambda: cell[0]
-            slots = self._slots
-            return lambda: slots[vid]
-        if isinstance(ref, ConstRef):
-            tensor = ref.tensor
-            return lambda: tensor.data
-        value = ref
-        return lambda: value
-
-    def _render_source(self, ref):
-        """Classify a stage input for the renderer.
-
-        Returns ``("input", None)`` for the plan input, ``("fixed", arr)``
-        for a compile-time-fixed buffer, ``("const", tensor)`` for a
-        traced constant/parameter, or ``None`` when the value is only
-        available through a dynamic slot (not renderable).
-        """
-        if isinstance(ref, ValueRef):
-            fixed = self._fixed.get(ref.vid)
-            if fixed is not None:
-                return ("fixed", fixed)
             if ref.vid == self._input_vid:
-                return ("input", None)
-            return None
+                return ("input", self._input_cell)
+            return ("fixed", self._fixed[ref.vid])
         if isinstance(ref, ConstRef):
             return ("const", ref.tensor)
-        return None
+        return ("value", ref)
 
     def _ref_shape_dtype(self, ref):
         if isinstance(ref, ValueRef):
@@ -431,14 +427,14 @@ class StaticPlan:
         acc3 = np.empty_like(out3) if rows else out3
         if rows:
             self.stem_rows = acc3.reshape(out4.shape)
-        get_x = self._getter(x_ref)
+        x_src = self._src(x_ref)
         if bn_module is not None:
             bank, slot = self._inv_std, self._inv_std.add(bn_module)
             wide = None if out3.dtype == np.float64 else COLUMNS.claim(
                 out3.shape, np.float64)
 
         def run():
-            cols = geo.gather(get_x())
+            cols = geo.gather(_get(x_src))
             np.matmul(weight.data.reshape(f_out, k_total), cols, out=acc3)
             if bias is not None:
                 np.add(acc3, bias.data.reshape(1, -1, 1), out=acc3)
@@ -454,7 +450,7 @@ class StaticPlan:
         self._offer(
             "conv",
             dict(
-                geo=geo, x_src=self._render_source(x_ref), weight=weight,
+                geo=geo, x_src=x_src, weight=weight,
                 bias=bias, bn_module=bn_module, relu=relu, out3=out3,
                 rows=acc3 if rows else None,
             ),
@@ -469,10 +465,10 @@ class StaticPlan:
         bias_ref = node.inputs[2]
         bias = bias_ref.tensor if isinstance(bias_ref, ConstRef) else None
         out2 = self._out(out_vid, node.out_shape, node.out_dtype)
-        get_x = self._getter(x_ref)
+        x_src = self._src(x_ref)
 
         def run():
-            np.matmul(get_x(), weight.data.T, out=out2)
+            np.matmul(_get(x_src), weight.data.T, out=out2)
             if bias is not None:
                 np.add(out2, bias.data, out=out2)
             if relu:
@@ -481,7 +477,7 @@ class StaticPlan:
         self._offer(
             "linear",
             dict(
-                x_src=self._render_source(x_ref), x_shape=x_shape,
+                x_src=x_src, x_shape=x_shape,
                 x_dtype=x_dtype, out_dtype=node.out_dtype, weight=weight,
                 bias=bias, relu=relu, out2=out2,
             ),
@@ -504,10 +500,10 @@ class StaticPlan:
         arg = alloc_arg(geo) if alloc_arg is not None else None
         out4 = self._out(node.out_vid, node.out_shape, node.out_dtype)
         out2 = out4.reshape(geo.n * geo.c, geo.p_total)
-        get_x = self._getter(x_ref)
+        x_src = self._src(x_ref)
 
         def run():
-            window = geo.gather(get_x())
+            window = geo.gather(_get(x_src))
             if arg is not None:
                 np.argmax(window, axis=1, out=arg)
             np.max(window, axis=1, out=out2)
@@ -515,8 +511,8 @@ class StaticPlan:
         self._offer(
             "maxpool",
             dict(
-                geo=geo, x_src=self._render_source(x_ref),
-                out_dtype=node.out_dtype, out2=out2, arg=arg,
+                geo=geo, x_src=x_src, out_dtype=node.out_dtype, out2=out2,
+                arg=arg,
             ),
             run,
         )
@@ -525,7 +521,7 @@ class StaticPlan:
     def _lower_view(self, node) -> bool:
         """reshape / transpose as a view of its source's fixed buffer, held
         by the source's block: no stage, zero replay cost.  False, and
-        nothing registered, when the source has no fixed buffer or the
+        nothing registered, when the source is the plan input or the
         result would be a copy (a reshape of a non-contiguous view copies:
         freezing that copy would replay stale data)."""
         src = node.inputs[0]
@@ -551,26 +547,23 @@ class StaticPlan:
         ufunc, consts = _ELEMENTWISE[kind]
         refs = node.inputs[:ufunc.nin - len(consts)]
         out = self._out(node.out_vid, node.out_shape, node.out_dtype, refs)
-        get_a = self._getter(refs[0])
+        a = self._src(refs[0])
         if len(refs) == 1:
             self._offer(
-                kind,
-                dict(x_src=self._render_source(refs[0]), out=out,
-                     dtype=node.out_dtype),
-                lambda: ufunc(get_a(), *consts, out=out),
+                kind, dict(x_src=a, out=out, dtype=node.out_dtype),
+                lambda: ufunc(_get(a), *consts, out=out),
             )
             return
-        get_b = self._getter(refs[1])
+        b = self._src(refs[1])
         self._offer(
             kind,
             dict(
-                a_src=self._render_source(refs[0]),
-                b_src=self._render_source(refs[1]),
+                a_src=a, b_src=b,
                 a_shape=self._ref_shape_dtype(refs[0])[0],
                 b_shape=self._ref_shape_dtype(refs[1])[0],
                 out_shape=node.out_shape, out=out, dtype=node.out_dtype,
             ),
-            lambda: ufunc(get_a(), get_b(), out=out),
+            lambda: ufunc(_get(a), _get(b), out=out),
         )
 
     # -- replay -----------------------------------------------------------
@@ -635,14 +628,9 @@ class ExecutionPlan(StaticPlan):
                     consumers[ref.vid] = consumers.get(ref.vid, 0) + 1
         kinds = [self._lowering(node) for node in nodes]
 
-        def reads(index: int, node: OpNode):
-            # a generic op's output may be a view of any tensor input:
-            # their blocks must never be recycled under it
-            return [(("a", ref.vid), _PINNED) for ref in node.inputs
-                    if kinds[index] == "generic" and isinstance(ref, ValueRef)]
-
         # the plan output is the caller's: it never dies
-        self._lifetimes(nodes, reads, [(("a", graph.output_vid), _PINNED)])
+        self._lifetimes(nodes, lambda index, node: (),
+                        [(("a", graph.output_vid), _PINNED)])
         arena = self._arena
         stem = stem_index(graph)
         fused = 0
@@ -699,7 +687,7 @@ class ExecutionPlan(StaticPlan):
             elif kind == "bn":
                 self._lower_eval_bn(node)
             elif kind == "generic" or not self._lower_view(node):
-                # a view that cannot be fixed is recomputed every replay
+                # a view that cannot be fixed is copied every replay
                 self._lower_generic(node)
 
             num_stages += 1
@@ -710,7 +698,7 @@ class ExecutionPlan(StaticPlan):
                 self._advance(pos)
             index = end + 1
 
-        self._fetch_output = self._getter(ValueRef(graph.output_vid))
+        self._output = self._src(ValueRef(graph.output_vid))
 
         self.stats = PlanStats(
             num_ops=len(nodes),
@@ -741,55 +729,31 @@ class ExecutionPlan(StaticPlan):
 
     # -- inference-only stage builders ------------------------------------
     def _lower_eval_bn(self, node):
-        """Standalone eval-mode BN (not behind a conv): literal eager math.
-
-        Never offered to a renderer: the numpy path allocates fresh
-        output arrays into dynamic slots, and rendering it would change
-        the fallback's allocation semantics — structural parity keeps
-        this stage on the oracle path.
-        """
+        """Standalone eval-mode BN (not behind a conv): the fused stage's
+        epilogue over its input, viewed ``(N, C, P)``."""
         module = node.module
-        get_x = self._getter(node.inputs[0])
-        slots, vid = self._slots, node.out_vid
-
-        def run():
-            x = get_x()
-            if module.training:
-                raise RuntimeError(
-                    "compiled plan replayed with a BatchNorm layer in "
-                    "training mode; an inference plan replays eval-mode BN "
-                    "only (adaptation steps go through CompiledAdaptStep)"
-                )
-            if x.ndim == 4:
-                stat_shape = (1, x.shape[1], 1, 1)
-            else:
-                stat_shape = (1, x.shape[1])
-            ps = module.per_sample_stats
-            if ps is not None:
-                scale, shift = ps
-                shape = (x.shape[0], x.shape[1]) + (1,) * (x.ndim - 2)
-                slots[vid] = x * scale.reshape(shape) + shift.reshape(shape)
-                return
-            mean = module.running_mean.reshape(stat_shape)
-            var = module.running_var.reshape(stat_shape)
-            inv_std = 1.0 / np.sqrt(var + module.eps)
-            x_hat = (x - mean) * inv_std
-            gamma = module.weight.data.reshape(stat_shape)
-            beta = module.bias.data.reshape(stat_shape)
-            slots[vid] = (gamma * x_hat + beta).astype(x.dtype, copy=False)
-
-        self._steps.append(run)
+        n, c = node.out_shape[:2]
+        out3 = self._out(node.out_vid, node.out_shape,
+                         node.out_dtype).reshape(n, c, -1)
+        x_src = self._src(node.inputs[0])
+        bank, slot = self._inv_std, self._inv_std.add(module)
+        wide = None if out3.dtype == np.float64 else COLUMNS.claim(
+            out3.shape, np.float64)
+        self._steps.append(lambda: _bn_epilogue(
+            out3, module, n, _get(x_src).reshape(n, c, -1), bank, slot, wide
+        ))
 
     def _lower_generic(self, node):
-        """Fallback: re-run the op's forward with a throwaway context."""
+        """Fallback: re-run the op's forward with a throwaway context and
+        copy its result into the value's buffer."""
         fn = node.function
-        getters = [self._getter(ref) for ref in node.inputs]
+        srcs = [self._src(ref) for ref in node.inputs]
         kwargs = node.kwargs
-        slots, vid = self._slots, node.out_vid
+        out = self._out(node.out_vid, node.out_shape, node.out_dtype)
 
         def run():
-            ctx = Context(fn, ())
-            slots[vid] = fn.forward(ctx, *[g() for g in getters], **kwargs)
+            result = fn.forward(Context(fn, ()), *map(_get, srcs), **kwargs)
+            np.copyto(out, result)
 
         self._steps.append(run)
 
@@ -798,4 +762,4 @@ class ExecutionPlan(StaticPlan):
         self._begin(x)
         for step in self._steps:
             step()
-        return self._fetch_output()
+        return _get(self._output)

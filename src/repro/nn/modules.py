@@ -380,9 +380,11 @@ class _BatchNormBase(Module):
                 f"({x.shape[0]}, {self.num_features})"
             )
         shape = (x.shape[0], self.num_features) + (1,) * (x.ndim - 2)
-        return x * Tensor(scale.reshape(shape), _copy=False) + Tensor(
+        out = x * Tensor(scale.reshape(shape), _copy=False) + Tensor(
             shift.reshape(shape), _copy=False
         )
+        # computed in the statistics' float64, cast once, as eval BN does
+        return out if out.dtype == x.dtype else out.astype(x.dtype)
 
     def refresh_statistics(self, x: Tensor) -> None:
         """Replace running statistics with the statistics of batch ``x``.

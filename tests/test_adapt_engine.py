@@ -17,7 +17,12 @@ import pytest
 from repro import nn
 from repro.adapt import LDBNAdapt, LDBNAdaptConfig, entropy_loss
 from repro.adapt.base import set_bn_training
-from repro.engine import AdaptationPlan, CompiledAdaptStep, trace_entropy_step
+from repro.engine import (
+    AdaptationPlan,
+    CompiledAdaptStep,
+    UnsupportedAdaptGraph,
+    trace_entropy_step,
+)
 from repro.models import build_model
 from repro.nn.modules import _BatchNormBase
 from repro.pipeline import PipelineConfig, RealTimePipeline
@@ -496,3 +501,91 @@ class TestWiringAndFallback:
             if f.adapted
         )
         assert report.adaptation_percentile(50) > 0
+
+
+class _Net(nn.Module):
+    """``forward(self, x)`` over the named layers it is given."""
+
+    def __init__(self, forward, **layers):
+        super().__init__()
+        for name, layer in layers.items():
+            setattr(self, name, layer)
+        self._forward = forward
+
+    def forward(self, x):
+        return self._forward(self, x)
+
+
+def _refusals():
+    """Case -> (model, loss_fn or None for the entropy, from_stem, what
+    the refusal says): every graph ``CompiledAdaptStep.plan_for`` refuses
+    that a model and loss can produce, over ``(2, 3, 4, 5)`` images."""
+    rng = np.random.default_rng(29)
+    F = nn.functional
+
+    def conv_bn(forward=lambda m, x: m.bn(m.conv(x)), c=4):
+        return _Net(forward, conv=nn.Conv2d(3, 4, 3, padding=1, rng=rng),
+                    bn=nn.BatchNorm2d(c))
+
+    return {
+        "op-without-rule": (
+            conv_bn(lambda m, x: F.sigmoid(m.bn(m.conv(x)))), None, False,
+            "no adaptation-plan lowering"),
+        "loss-not-a-global-mean": (
+            conv_bn(), lambda y: entropy_loss(y, reduction="per_sample"),
+            False, "global mean loss"),
+        "multi-axis-sum": (
+            conv_bn(), lambda y: F.log_softmax(y, 1).sum(axis=(1, 2)).mean(),
+            False, "single axis"),
+        "reshape-no-view": (
+            _Net(lambda m, x: m.bn(m.fc(x.flatten(1))),
+                 fc=nn.Linear(60, 5, rng=rng), bn=nn.BatchNorm1d(5)),
+            None, False, "no view"),
+        "bn-batch-not-the-groups": (
+            conv_bn(lambda m, x: m.bn(m.conv(x).reshape(4, 2, 4, 5)
+                                      ).reshape(2, 4, 4, 5), c=2),
+            None, False, "does not match groups"),
+        "from-stem-without-a-stem": (
+            _Net(lambda m, x: m.bn(m.conv(m.bn_in(x))),
+                 bn_in=nn.BatchNorm2d(3),
+                 conv=nn.Conv2d(3, 4, 3, padding=1, rng=rng),
+                 bn=nn.BatchNorm2d(4)),
+            None, True, "no stem conv"),
+    }
+
+
+class TestRefusals:
+    """Each refusal of the plan raises :class:`UnsupportedAdaptGraph`, and
+    an adapter compiled with that step takes the eager step instead,
+    leaving the bytes ``adaptation_mode(False)`` leaves.  Eval-mode BN
+    inside an adaptation trace is refused too, but no model reaches it:
+    the entropy-step trace puts every BN layer in training mode."""
+
+    @pytest.mark.parametrize("case", sorted(_refusals()))
+    def test_refused_step_runs_eager(self, case):
+        model, loss_fn, from_stem, match = _refusals()[case]
+        twin = _refusals()[case][0]
+        model.eval()
+        x = np.random.default_rng(8).standard_normal(
+            (2, 3, 4, 5)).astype(np.float32)
+        step = CompiledAdaptStep(model, loss_fn=loss_fn, backend="numpy")
+        with pytest.raises(UnsupportedAdaptGraph, match=match):
+            step.plan_for(x, from_stem=from_stem)
+        config = LDBNAdaptConfig(batch_size=2, lr=1e-2)
+        adapter = LDBNAdapt(model, config, compiled=step)
+        oracle = LDBNAdapt(twin, config)
+        rows = np.zeros((4, 4, 5), dtype=np.float32) if from_stem else None
+        for k in range(2):
+            frames = x + k
+            for each, compiled in ((adapter, True), (oracle, False)):
+                with nn.adaptation_mode(compiled):
+                    if from_stem:  # a step whose every frame brings rows
+                        for frame in frames:
+                            each.observe_frame(frame, rows)
+                    else:
+                        each.adapt(frames)
+        assert adapter._compiled_unsupported
+        assert step.num_plans == 0
+        want = twin.state_dict()
+        for key, value in model.state_dict().items():
+            assert value.tobytes() == want[key].tobytes(), key

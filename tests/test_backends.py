@@ -668,13 +668,9 @@ class TestThreadingUnits:
         monkeypatch.setenv(ENV_THREADS, "4")
         assert resolve_threads(2) == 2
 
-    def test_env_beats_device_and_host(self, monkeypatch):
+    def test_env_beats_host(self, monkeypatch):
         monkeypatch.setenv(ENV_THREADS, "3")
-        assert resolve_threads(None, device_cores=8) == 3
-
-    def test_device_cores_beat_host_count(self, monkeypatch):
-        monkeypatch.delenv(ENV_THREADS, raising=False)
-        assert resolve_threads(None, device_cores=6) == 6
+        assert resolve_threads(None) == 3
 
     def test_host_fallback_is_positive(self, monkeypatch):
         monkeypatch.delenv(ENV_THREADS, raising=False)

@@ -172,12 +172,12 @@ def _render(renderer):
         inv_std = np.ones((groups, c), dtype=dtype)
         taps = [np.zeros((groups, c)) for _ in range(4)]
         if groups > 1:
-            gamma = ("slot", np.ones((groups, c)))
-            beta = ("slot", np.zeros((groups, c)))
+            gamma = ("fixed", np.ones((groups, c)))
+            beta = ("fixed", np.zeros((groups, c)))
             keep += [gamma[1], beta[1]]
         else:
             module = nn.BatchNorm2d(c)
-            gamma = beta = ("module", module)
+            gamma, beta = ("const", module.weight), ("const", module.bias)
             keep += [module.weight, module.bias]
         keep += [x, out, xhat, g, dst, inv_std] + taps
         dims = (groups, gs, c, hw)

@@ -11,6 +11,7 @@ allocating nothing in steady state.  These tests pin that contract (a
 from __future__ import annotations
 
 import gc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from repro.engine import (
     trace,
 )
 from repro.engine import plan as plan_module
-from repro.engine.backends import core
+from repro.engine.backends import PARITY_ATOL, PARITY_RTOL, core, find_cc
 from repro.engine.backends.core import COLUMNS
 from repro.engine.plan import ExecutionPlan
 from repro.models import build_model, get_config
@@ -51,6 +52,23 @@ def _eager(model, x):
     model.eval()
     with nn.no_grad():
         return model(nn.Tensor(x, _copy=False)).numpy().copy()
+
+
+@contextmanager
+def _per_sample_stats(model, batch, rng):
+    """Every BN layer normalizes each sample with its own float64
+    ``(scale, shift)``, as the fleet's per-stream override does."""
+    bns = [m for m in model.modules() if isinstance(m, _BatchNormBase)]
+    for m in bns:
+        m.per_sample_stats = (
+            rng.uniform(0.5, 1.5, (batch, m.num_features)),
+            rng.standard_normal((batch, m.num_features)) * 0.1,
+        )
+    try:
+        yield
+    finally:
+        for m in bns:
+            m.per_sample_stats = None
 
 
 class TestParity:
@@ -88,7 +106,8 @@ class TestParity:
     def test_float32_parameters_bit_exact(self, batch, rng):
         """Conv and linear parameters in float32, BN state float64 and far
         from its pristine values: eager BN runs its running-stats ops in
-        float64 and casts once, and so does the fused epilogue."""
+        float64 and casts once, and so does the fused epilogue — and so
+        do both under the per-sample override."""
         model = build_model("tiny-r18", num_lanes=2, rng=rng)
         for m in model.modules():
             if isinstance(m, (nn.Conv2d, nn.Linear)):
@@ -103,9 +122,14 @@ class TestParity:
                 m.bias.data[...] = rng.standard_normal(c) * 0.1
         model.eval()
         x = _frames(rng, model.config, batch)
-        out = compile_model(model, backend="numpy")(x).numpy()
+        engine = compile_model(model, backend="numpy")
+        out = engine(x).numpy()
         assert out.dtype == np.float32
         assert np.array_equal(_eager(model, x), out)
+        with _per_sample_stats(model, batch, rng):
+            eager, out = _eager(model, x), engine(x).numpy()
+        assert eager.dtype == out.dtype == np.float32
+        assert np.array_equal(eager, out)
 
     def test_replay_reuses_output_storage(self, rng):
         """Outputs view plan-owned buffers overwritten by the next replay."""
@@ -429,7 +453,7 @@ class TestWindowGather:
 
 
 class TestInvStdBank:
-    """Every fused eval-BN epilogue's ``1 / sqrt(var + eps)`` is computed
+    """Every eval-BN epilogue's ``1 / sqrt(var + eps)`` is computed
     over one flat buffer at most once per replay, from the live
     ``running_var``."""
 
@@ -507,6 +531,114 @@ class TestInvStdBank:
         assert calls == []
         monkeypatch.undo()
         assert out == _eager(model, x).tobytes()
+
+
+class _LinearBN(nn.Module):
+    """Linear -> BatchNorm1d: BN fuses only behind a conv."""
+
+    def __init__(self, gen):
+        super().__init__()
+        self.fc = nn.Linear(6, 5, rng=gen)
+        self.bn = nn.BatchNorm1d(5)
+
+    def forward(self, x):
+        return self.bn(self.fc(x))
+
+
+class _ResidualBN(nn.Module):
+    """``relu(bn(y) + y)``: the conv's second reader keeps its BN apart."""
+
+    def __init__(self, gen):
+        super().__init__()
+        self.conv = nn.Conv2d(3, 4, 3, padding=1, rng=gen)
+        self.bn = nn.BatchNorm2d(4)
+
+    def forward(self, x):
+        y = self.conv(x)
+        return nn.functional.relu(self.bn(y) + y)
+
+
+class _SigmoidLinear(nn.Module):
+    """Linear -> BatchNorm1d -> sigmoid (no stage builder) -> Linear."""
+
+    def __init__(self, gen):
+        super().__init__()
+        self.fc = nn.Linear(6, 8, rng=gen)
+        self.bn = nn.BatchNorm1d(8)
+        self.head = nn.Linear(8, 3, rng=gen)
+
+    def forward(self, x):
+        return self.head(nn.functional.sigmoid(self.bn(self.fc(x))))
+
+
+#: case -> (model, input shape past the batch, dtype, the stage it is for)
+_OFF_PATH = {
+    "linear-bn1d-f64": (_LinearBN, (6,), np.float64, "bn"),
+    "linear-bn1d-f32": (_LinearBN, (6,), np.float32, "bn"),
+    "conv-bn-residual": (_ResidualBN, (3, 5, 7), np.float32, "bn"),
+    "sigmoid-linear": (_SigmoidLinear, (6,), np.float64, "_sigmoid"),
+}
+
+
+def _off_path(case):
+    """``(model, inputs(batch))`` of an :data:`_OFF_PATH` case: every
+    parameter in the case's dtype, BN state far from pristine."""
+    build, shape, dtype, _ = _OFF_PATH[case]
+    rng = np.random.default_rng(23)
+    model = build(rng)
+    for m in model.modules():
+        for name in ("weight", "bias"):
+            p = getattr(m, name, None)
+            if p is not None:
+                p.data = p.data.astype(dtype)
+        if isinstance(m, _BatchNormBase):
+            c = m.num_features
+            m.running_mean[...] = rng.standard_normal(c) * 0.3
+            m.running_var[...] = rng.uniform(0.5, 2.0, c)
+            m.weight.data[...] = rng.uniform(0.5, 1.5, c)
+            m.bias.data[...] = rng.standard_normal(c) * 0.1
+    model.eval()
+    return model, lambda batch: rng.standard_normal(
+        (batch,) + shape).astype(dtype)
+
+
+class TestStagesOffTheServedPath:
+    """The inference builders no served model reaches: standalone eval BN
+    (behind a Linear, or behind a conv with a second reader) runs the
+    fused stage's epilogue, and an op with no stage builder runs its
+    eager forward and copies the result into a buffer fixed at compile
+    time, which the stages after it read like any other."""
+
+    @pytest.mark.parametrize("case", sorted(_OFF_PATH))
+    def test_numpy_plan_is_bitwise_eager(self, case):
+        model, inputs = _off_path(case)
+        rng = np.random.default_rng(4)
+        engine = compile_model(model, backend="numpy")
+        batch = 3
+        for _ in range(3):
+            x = inputs(batch)
+            assert np.array_equal(_eager(model, x), engine(x).numpy())
+            with _per_sample_stats(model, batch, rng):
+                eager, out = _eager(model, x), engine(x).numpy()
+            assert eager.dtype == out.dtype == x.dtype
+            assert np.array_equal(eager, out)
+        plan = engine.plan_for(x.shape, x.dtype)
+        assert engine.num_plans == 1
+        assert _OFF_PATH[case][3] in [label for label, _ in plan.stages[0]]
+
+    @pytest.mark.skipif(find_cc() is None, reason="no C compiler")
+    def test_cgen_renders_the_stage_after_a_builderless_op(self):
+        model, inputs = _off_path("sigmoid-linear")
+        engine = compile_model(model, backend="cgen", threads=1)
+        x = inputs(3)
+        out = engine(x).numpy()
+        info = engine.plan_for(x.shape, x.dtype).backend_info
+        assert "linear" not in info["numpy_stages"], info
+        assert info["numpy_stages"] == {"bn": 1, "_sigmoid": 1}, info
+        np.testing.assert_allclose(
+            out, _eager(model, x), rtol=PARITY_RTOL["float64"],
+            atol=PARITY_ATOL["float64"],
+        )
 
 
 class TestServingWiring:
