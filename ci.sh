@@ -14,9 +14,10 @@
 # per subcommand not already run by a test (bench-adapt --quick, which
 # prints a plan's per-stage table, on every run), then the bench-e2e
 # self-check (benchmarks/e2e/run.py --smoke), the line counts of
-# src/repro/{engine,serve,hw,nn} and the combined byte digest of
-# benchmarks/byte_digest.py, each beside the parent commit's (the digests
-# are printed, not gated: a change may move bytes on purpose).  Lane 4 exercises
+# src/repro/{engine,serve,hw,nn}, the combined byte digest of
+# benchmarks/byte_digest.py and the memory line of
+# benchmarks/stream_memory.py, each beside the parent commit's (printed,
+# not gated: a change may move bytes on purpose).  Lane 4 exercises
 # the cgen C plan backend (its line count beside the parent commit's,
 # the kernel library's cold build and its reuse by a second plan shape,
 # the parity tests with a 2-wide worker pool (tier-1 ran them
@@ -116,15 +117,25 @@ for layer in engine serve hw nn; do
     meter "$layer"
 done
 # the served bytes' digest, beside the parent commit's (its src/ and
-# digest script extracted to a temporary tree); printed only
+# digest script extracted to a temporary tree), then the memory line of
+# benchmarks/stream_memory.py (traced compile high-water of the small-r18
+# batch-4 inference and group-2 adaptation plans, the bytes one
+# add_stream retains), this checkout's script over both trees; printed only
 echo "byte digest: $(python benchmarks/byte_digest.py | tail -n 1)"
 parent_tree=$(mktemp -d)
 if [[ "$in_git" == true ]] && git archive HEAD^ -- src benchmarks/byte_digest.py \
         2>/dev/null | tar -x -C "$parent_tree"; then
     echo "byte digest (parent commit): $(cd "$parent_tree" \
         && python benchmarks/byte_digest.py | tail -n 1)"
+    parent_ok=true
 else
     echo "byte digest (parent commit): ?"
+    parent_ok=false
+fi
+python benchmarks/stream_memory.py
+if [[ "$parent_ok" == true ]]; then
+    cp benchmarks/stream_memory.py "$parent_tree/benchmarks/"
+    echo "parent commit's $(python "$parent_tree/benchmarks/stream_memory.py")"
 fi
 rm -rf "$parent_tree"
 lane_done "lane 3"

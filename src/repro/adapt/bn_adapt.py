@@ -65,7 +65,7 @@ from .. import nn
 from ..engine import CompiledAdaptStep, UnsupportedAdaptGraph
 from ..engine.backends import available_backends
 from ..nn.modules import _BatchNormBase
-from .base import AdaptResult, Adapter, freeze_except, set_bn_training
+from .base import AdaptResult, Adapter, set_bn_training
 from .entropy import entropy_loss
 
 
@@ -135,24 +135,24 @@ class LDBNAdapt(Adapter):
         config: Optional[LDBNAdaptConfig] = None,
         compiled=None,
     ):
-        super().__init__(model)
-        self.config = config if config is not None else LDBNAdaptConfig()
-        bn_params = []
-        self._bn_modules = []
-        for module in model.modules():
-            if isinstance(module, _BatchNormBase):
-                self._bn_modules.append(module)
-                bn_params.extend([module.weight, module.bias])
-        if not bn_params:
+        self._bn_modules = [
+            m for m in model.modules() if isinstance(m, _BatchNormBase)
+        ]
+        if not self._bn_modules:
             raise ValueError("model has no BatchNorm layers to adapt")
-        self._params = freeze_except(model, bn_params)
+        super().__init__(model, [
+            p for m in self._bn_modules for p in (m.weight, m.bias)
+        ])
+        self.config = config if config is not None else LDBNAdaptConfig()
         self.optimizer = nn.SGD(
             self._params, lr=self.config.lr, momentum=self.config.momentum
         )
         # CompiledAdaptStep: a fleet hands its pool's shared one down,
         # otherwise built on first use from ``config``
         self._compiled = compiled
-        self._compiled_unsupported = False  # graph can't be lowered: stay eager
+        # the input kinds (``from_stem`` flags) the graph cannot be
+        # lowered from: a step fed that kind stays eager
+        self._compiled_unsupported = set()
 
     # ------------------------------------------------------------------
     @property
@@ -169,10 +169,8 @@ class LDBNAdapt(Adapter):
         Serving loops call this outside their timed regions (mirroring
         ``CompiledInference.warm``) so the one-time trace cost never
         pollutes per-frame latency statistics.  No-op when the compiled
-        path is disabled or unsupported.
+        path is disabled or refused for that input kind.
         """
-        if not nn.compiled_adaptation_enabled() or self._compiled_unsupported:
-            return
         batch = np.zeros(
             (self.config.batch_size,) + tuple(np.shape(image)), dtype=np.float32
         )
@@ -198,17 +196,23 @@ class LDBNAdapt(Adapter):
     def takes_rows_from(self, engine) -> bool:
         return (
             nn.compiled_adaptation_enabled()
-            and not self._compiled_unsupported
+            and True not in self._compiled_unsupported
             and self._step_engine().takes_rows_from(engine)
         )
 
     def _compiled_plan(self, images: np.ndarray, from_stem: bool = False):
         """The adaptation plan for ``images`` (or, ``from_stem``, their
-        stem rows), or None to use eager."""
+        stem rows), or None to use eager: under ``adaptation_mode(False)``,
+        or once the graph refused that input kind.  A refusal is kept per
+        kind, so a graph with no stem conv still steps compiled on its
+        images."""
+        if (not nn.compiled_adaptation_enabled()
+                or from_stem in self._compiled_unsupported):
+            return None
         try:
             return self._step_engine().plan_for(images, from_stem=from_stem)
         except UnsupportedAdaptGraph:
-            self._compiled_unsupported = True
+            self._compiled_unsupported.add(from_stem)
             return None
 
     @staticmethod
@@ -245,8 +249,7 @@ class LDBNAdapt(Adapter):
         return self.record_step(loss, num_frames, refused=not plan.finite[0])
 
     def _step_frames(self, frames: np.ndarray, rows) -> AdaptResult:
-        if (rows is not None and nn.compiled_adaptation_enabled()
-                and not self._compiled_unsupported):
+        if rows is not None:
             plan = self._compiled_plan(frames, from_stem=True)
             if plan is not None:
                 return self._run_plan(plan, rows, len(frames))
@@ -268,10 +271,9 @@ class LDBNAdapt(Adapter):
         if images.ndim != 4:
             raise ValueError(f"expected (N, 3, H, W) batch, got {images.shape}")
 
-        if nn.compiled_adaptation_enabled() and not self._compiled_unsupported:
-            plan = self._compiled_plan(images)
-            if plan is not None:
-                return self._run_plan(plan, images, len(images))
+        plan = self._compiled_plan(images)
+        if plan is not None:
+            return self._run_plan(plan, images, len(images))
 
         original_momenta = [m.momentum for m in self._bn_modules]
         for module in self._bn_modules:

@@ -25,7 +25,7 @@ from typing import List, Optional
 import numpy as np
 
 from .. import nn
-from .base import AdaptResult, Adapter, freeze_except, set_bn_training
+from .base import AdaptResult, Adapter, set_bn_training
 from .entropy import entropy_loss
 
 
@@ -52,11 +52,10 @@ class _GroupAdapter(Adapter):
         params: List[nn.Parameter],
         config: Optional[VariantConfig] = None,
     ):
-        super().__init__(model)
-        self.config = config if config is not None else VariantConfig()
         if not params:
             raise ValueError(f"{self.name}: empty parameter group")
-        self._params = freeze_except(model, params)
+        super().__init__(model, params)
+        self.config = config if config is not None else VariantConfig()
         self.optimizer = nn.SGD(
             self._params, lr=self.config.lr, momentum=self.config.momentum
         )

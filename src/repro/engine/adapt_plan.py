@@ -261,6 +261,16 @@ class AdaptationPlan(StaticPlan):
 
     WRITES_IN_PLACE = False
 
+    def _plan_input(self, graph: TraceGraph) -> int:
+        """The traced input, or ``from_stem`` the input cut: the stem's
+        output."""
+        if not self.from_stem:
+            return graph.input_vid
+        cut = stem_index(graph)
+        if cut is None:
+            raise UnsupportedAdaptGraph("the trace has no stem conv")
+        return graph.nodes[cut].out_vid
+
     # ------------------------------------------------------------------
     # compilation
     # ------------------------------------------------------------------
@@ -268,14 +278,7 @@ class AdaptationPlan(StaticPlan):
         nodes = graph.nodes
         num = len(nodes)
         self._loss_vid = graph.output_vid
-        cut = None
-        if self.from_stem:
-            # the input cut: the stem's output is the plan input
-            cut = stem_index(graph)
-            if cut is None:
-                raise UnsupportedAdaptGraph("the trace has no stem conv")
-            self._input_vid = nodes[cut].out_vid
-            self._input_shape = nodes[cut].out_shape
+        cut = stem_index(graph) if self.from_stem else None
         shapes, dtypes = self._ct.shapes, self._ct.dtypes
         producer: Dict[int, int] = {}
         kinds: List[str] = []
@@ -355,6 +358,17 @@ class AdaptationPlan(StaticPlan):
             if kind in _SAVED:
                 yield (_SAVED[kind], index), pos
 
+        # a gradient's dtype is eager autograd's: the widest of its
+        # value's and of every gradient flowing back into it (an f32
+        # value read by an f64 layer takes an f64 gradient)
+        gdtypes = {self._loss_vid: dtypes[self._loss_vid]}
+        for index in range(num - 1, -1, -1):
+            for vid in grad_inputs(index):
+                gdtypes[vid] = np.result_type(
+                    gdtypes.get(vid, dtypes[vid]),
+                    gdtypes[nodes[index].out_vid],
+                )
+
         # gradient buffers: born at the backward stage of their latest
         # consumer, die at the backward stage of their producer
         self._lifetimes(nodes, reads, [
@@ -367,7 +381,7 @@ class AdaptationPlan(StaticPlan):
             the first one allocates the buffer."""
             fresh = vid not in self._grads
             if fresh:
-                self._grads[vid] = alloc(("g", vid), shapes[vid], dtypes[vid])
+                self._grads[vid] = alloc(("g", vid), shapes[vid], gdtypes[vid])
             return self._grads[vid], fresh
 
         # per-node compile-time state shared between fwd and bwd closures
@@ -395,10 +409,11 @@ class AdaptationPlan(StaticPlan):
             elif kind in _ELEMENTWISE:
                 self._lower_elementwise(node, kind)
             elif kind == "reshape":
+                # one that copies (of the plan input, or of a strided
+                # view) is copied into its own buffer; its backward
+                # reshapes the gradient either way
                 if not self._lower_view(node):
-                    raise UnsupportedAdaptGraph(
-                        "reshape that is no view of a forward buffer"
-                    )
+                    self._lower_generic(node)
             else:
                 getattr(self, f"_fwd_{kind}")(node, index, cell)
             self._label_stages(before, f"fwd:{kind}")
@@ -551,6 +566,11 @@ class AdaptationPlan(StaticPlan):
         )
         self.bn_taps.append(tap)
         x_src = self._src(x_ref)
+        # eager computes the affine at gamma/beta's width and casts once:
+        # an f32 input under f64 parameters takes a wide part
+        wide_dtype = np.result_type(node.out_dtype, _get(gamma), _get(beta))
+        wide = None if wide_dtype == node.out_dtype else _parts()(
+            node.out_shape, wide_dtype)
         hw = int(np.prod(x_shape[2:], dtype=np.int64))
         cell.update(
             gshape=gshape, axes=axes, m=m, tap=tap, xhat=xhat,
@@ -569,8 +589,11 @@ class AdaptationPlan(StaticPlan):
             np.divide(1.0, inv5, out=inv5)
             np.multiply(xh5, inv5, out=xh5)
             # (G, C) per-group slots, or the (C,) live parameters (G = 1)
-            np.multiply(xh5, _get(gamma).reshape(pshape), out=out5)
-            np.add(out5, _get(beta).reshape(pshape), out=out5)
+            dst5 = out5 if wide is None else wide[0].reshape(gshape)
+            np.multiply(xh5, _get(gamma).reshape(pshape), out=dst5)
+            np.add(dst5, _get(beta).reshape(pshape), out=dst5)
+            if wide is not None:
+                np.copyto(out5, dst5, casting="same_kind")
             tap.batch_mean[...] = mean.reshape(groups, c)
             tap.batch_var[...] = var.reshape(groups, c)
 

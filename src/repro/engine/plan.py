@@ -238,13 +238,17 @@ class StaticPlan:
     """
 
     def __init__(self, graph: TraceGraph, renderer):
-        self._input_shape = graph.input_shape
-        self._input_vid = graph.input_vid
+        self._input_vid = self._plan_input(graph)
+        # the traced activations go before any buffer is allocated; a
+        # renderer's parity probe keeps the plan input's example until
+        # finalize has run
+        graph.release(self._input_vid if renderer is not None else None)
         shapes: Dict[int, Tuple[int, ...]] = {graph.input_vid: graph.input_shape}
         dtypes: Dict[int, np.dtype] = {graph.input_vid: graph.input_dtype}
         for node in graph.nodes:
             shapes[node.out_vid] = node.out_shape
             dtypes[node.out_vid] = node.out_dtype
+        self._input_shape = shapes[self._input_vid]
         # everything only compilation needs (`_lifetimes` adds the
         # liveness tables): dropped as one object when compilation ends
         self._ct = SimpleNamespace(
@@ -269,17 +273,22 @@ class StaticPlan:
         )
         if renderer is not None:
             self.backend_info = renderer.finalize(self, graph)
-        # Neither the graph (and its keepalive of every traced activation)
-        # nor the compile-time state is retained: closures captured what
-        # replay needs, parameters stay reachable through their
-        # ConstRef-held tensors.  The renderer holds every offered stage
-        # and its numpy fallback closure, which captures the gather
-        # workspaces — dropping it is what lets a fused-im2col backend
-        # actually free the workspaces it released; and the small tables,
-        # allocated between those big transient buffers, would otherwise
-        # pin the freed heap for the plan's lifetime (+16 MB peak RSS on
-        # the benchmark's fleet workloads when they were kept).
+            graph.release()
+        # Neither the graph's activations nor the compile-time state is
+        # retained: closures captured what replay needs, parameters stay
+        # reachable through their ConstRef-held tensors.  The renderer
+        # holds every offered stage and its numpy fallback closure, which
+        # captures the gather workspaces — dropping it is what lets a
+        # fused-im2col backend actually free the workspaces it released;
+        # and the small tables, allocated between those big transient
+        # buffers, would otherwise pin the freed heap for the plan's
+        # lifetime (+16 MB peak RSS on the benchmark's fleet workloads
+        # when they were kept).
         del self._ct
+
+    def _plan_input(self, graph: TraceGraph) -> int:
+        """The vid of the value :meth:`run` is fed: the traced input."""
+        return graph.input_vid
 
     # -- value access ---------------------------------------------------
     def _src(self, ref):
@@ -540,6 +549,21 @@ class StaticPlan:
             self._hold(("a", node.out_vid), block)
         return True
 
+    def _lower_generic(self, node):
+        """Fallback: re-run the op's forward with a throwaway context and
+        copy its result into the value's own buffer (a view that cannot
+        be fixed is copied every replay)."""
+        fn = node.function
+        srcs = [self._src(ref) for ref in node.inputs]
+        kwargs = node.kwargs
+        out = self._out(node.out_vid, node.out_shape, node.out_dtype)
+
+        def run():
+            result = fn.forward(Context(fn, ()), *map(_get, srcs), **kwargs)
+            np.copyto(out, result)
+
+        self._ct.emitting.append(run)
+
     def _lower_elementwise(self, node, kind):
         """relu / exp / neg / add / mul: one ufunc call with ``out=``; the
         tensor inputs are in-place candidates where the plan's buffer
@@ -687,7 +711,6 @@ class ExecutionPlan(StaticPlan):
             elif kind == "bn":
                 self._lower_eval_bn(node)
             elif kind == "generic" or not self._lower_view(node):
-                # a view that cannot be fixed is copied every replay
                 self._lower_generic(node)
 
             num_stages += 1
@@ -742,20 +765,6 @@ class ExecutionPlan(StaticPlan):
         self._steps.append(lambda: _bn_epilogue(
             out3, module, n, _get(x_src).reshape(n, c, -1), bank, slot, wide
         ))
-
-    def _lower_generic(self, node):
-        """Fallback: re-run the op's forward with a throwaway context and
-        copy its result into the value's buffer."""
-        fn = node.function
-        srcs = [self._src(ref) for ref in node.inputs]
-        kwargs = node.kwargs
-        out = self._out(node.out_vid, node.out_shape, node.out_dtype)
-
-        def run():
-            result = fn.forward(Context(fn, ()), *map(_get, srcs), **kwargs)
-            np.copyto(out, result)
-
-        self._steps.append(run)
 
     # -- replay ---------------------------------------------------------
     def run(self, x: np.ndarray) -> np.ndarray:

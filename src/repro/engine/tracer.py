@@ -88,12 +88,23 @@ class TraceGraph:
     output_vid: int
     input_shape: Tuple[int, ...]
     input_dtype: np.dtype
-    # traced tensors kept alive so id()-based vids stay unambiguous
-    _keepalive: List[Tensor] = field(default_factory=list, repr=False)
+    # traced tensors by vid, kept alive while recording so id()-based
+    # vids stay unambiguous; a plan releases them (see `release`)
+    _keepalive: List[Optional[Tensor]] = field(default_factory=list,
+                                               repr=False)
 
     @property
     def num_ops(self) -> int:
         return len(self.nodes)
+
+    def release(self, keep: Optional[int] = None) -> None:
+        """Drop every traced activation but value ``keep``'s.  No lowering
+        reads them — shapes and dtypes are on the nodes — and a
+        renderer's parity probe replays one, the plan input's example; a
+        graph is lowered once."""
+        for vid in range(len(self._keepalive)):
+            if vid != keep:
+                self._keepalive[vid] = None
 
 
 def _record_forward(example: np.ndarray, forward,

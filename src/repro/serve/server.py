@@ -351,6 +351,14 @@ class FleetServer:
         adaptation step; one configured explicitly, or built by the
         caller, compiles its own.
 
+        A stream costs a few copies of the model's BN state, not of the
+        model: the session's BN block and its adapter's reset copy (an
+        :class:`~repro.adapt.base.Adapter` copies only what it can
+        write), plus per-array headers — on ``small-r18`` one
+        ``add_stream`` retains ~115 kB against 38.6 kB of BN state, where
+        the whole model is 8.7 MB.  The adaptation plans are the pool's,
+        shared by every stream that inherits its step.
+
         Without an explicit ``arrival`` model the stream gets the fleet
         default: phase offset ``i * phase_spread_ms`` for the *i*-th
         registered stream, the configured jitter/drop statistics, and a

@@ -537,10 +537,6 @@ def _refusals():
         "multi-axis-sum": (
             conv_bn(), lambda y: F.log_softmax(y, 1).sum(axis=(1, 2)).mean(),
             False, "single axis"),
-        "reshape-no-view": (
-            _Net(lambda m, x: m.bn(m.fc(x.flatten(1))),
-                 fc=nn.Linear(60, 5, rng=rng), bn=nn.BatchNorm1d(5)),
-            None, False, "no view"),
         "bn-batch-not-the-groups": (
             conv_bn(lambda m, x: m.bn(m.conv(x).reshape(4, 2, 4, 5)
                                       ).reshape(2, 4, 4, 5), c=2),
@@ -557,9 +553,11 @@ def _refusals():
 class TestRefusals:
     """Each refusal of the plan raises :class:`UnsupportedAdaptGraph`, and
     an adapter compiled with that step takes the eager step instead,
-    leaving the bytes ``adaptation_mode(False)`` leaves.  Eval-mode BN
-    inside an adaptation trace is refused too, but no model reaches it:
-    the entropy-step trace puts every BN layer in training mode."""
+    leaving the bytes ``adaptation_mode(False)`` leaves.  A refusal holds
+    for its input kind only: a graph refused ``from_stem`` still steps
+    compiled on its images.  Eval-mode BN inside an adaptation trace is
+    refused too, but no model reaches it: the entropy-step trace puts
+    every BN layer in training mode."""
 
     @pytest.mark.parametrize("case", sorted(_refusals()))
     def test_refused_step_runs_eager(self, case):
@@ -584,8 +582,58 @@ class TestRefusals:
                             each.observe_frame(frame, rows)
                     else:
                         each.adapt(frames)
-        assert adapter._compiled_unsupported
-        assert step.num_plans == 0
+        assert adapter._compiled_unsupported == {from_stem}
+        # refused from the stem rows, the step falls back to the image plan
+        assert step.num_plans == (1 if from_stem else 0)
         want = twin.state_dict()
         for key, value in model.state_dict().items():
             assert value.tobytes() == want[key].tobytes(), key
+
+
+class TestInputReshape:
+    """A reshape of the plan input is no view of a plan buffer: the plan
+    copies it into the reshape's own buffer every replay.  Steps compiled
+    that way leave the bytes of the eager step on numpy; on ``cgen`` the
+    copy is a numpy stage beside rendered ones, which hold the float band
+    of their numpy closures (as every rendered adaptation stage does)."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "cgen"])
+    def test_two_compiled_steps_match_eager(self, backend):
+        from repro.engine.backends import find_cc
+
+        if backend == "cgen" and find_cc() is None:
+            pytest.skip("no C compiler")
+
+        def net():
+            rng = np.random.default_rng(29)
+            return _Net(lambda m, x: m.bn(m.fc(x.flatten(1))),
+                        fc=nn.Linear(60, 5, rng=rng), bn=nn.BatchNorm1d(5))
+
+        model, twin = net(), net()
+        model.eval()
+        twin.eval()
+        x = np.random.default_rng(8).standard_normal(
+            (2, 3, 4, 5)).astype(np.float32)
+        step = CompiledAdaptStep(model, backend=backend)
+        config = LDBNAdaptConfig(batch_size=2, lr=1e-2)
+        adapter = LDBNAdapt(model, config, compiled=step)
+        oracle = LDBNAdapt(twin, config)
+        losses = []
+        for k in range(2):
+            with nn.adaptation_mode(False):
+                want = oracle.adapt(x + k).loss
+            losses.append((adapter.adapt(x + k).loss, want))
+        assert step.num_plans == 1 and not adapter._compiled_unsupported
+        info = step.plan_for(x).backend_info
+        assert info["backend"] == backend
+        got, want = model.state_dict(), twin.state_dict()
+        got["losses"], want["losses"] = np.array(losses).T
+        for key in want:
+            if backend == "numpy":
+                assert got[key].tobytes() == want[key].tobytes(), key
+            else:
+                np.testing.assert_allclose(got[key], want[key], rtol=1e-9,
+                                           atol=1e-12, err_msg=key)
+        if backend == "cgen":
+            assert info["numpy_stages"].get("fwd:reshape") == 1
+            assert info["rendered"] > 0
