@@ -14,8 +14,8 @@
 # per subcommand not already run by a test (bench-adapt --quick, which
 # prints a plan's per-stage table, on every run), then the bench-e2e
 # self-check (benchmarks/e2e/run.py --smoke), the line counts of
-# src/repro/{engine,serve,hw,nn}, the combined byte digest of
-# benchmarks/byte_digest.py and the memory line of
+# src/repro/{engine,serve,hw,nn,pipeline} and of src/repro, the combined
+# byte digest of benchmarks/byte_digest.py and the memory line of
 # benchmarks/stream_memory.py, each beside the parent commit's (printed,
 # not gated: a change may move bytes on purpose).  Lane 4 exercises
 # the cgen C plan backend (its line count beside the parent commit's,
@@ -46,7 +46,8 @@ if [[ "$in_git" == true ]]; then
     state_before=$(checkout_state)
 fi
 
-# a package's python line count, beside what the parent commit had
+# a package's python line count (all of src/repro for ""), beside what
+# the parent commit had
 meter() {
     local pkg="src/repro/$1" was
     was=$(git ls-tree -r --name-only HEAD^ -- "$pkg" 2>/dev/null \
@@ -111,11 +112,12 @@ else
     echo "        its cgen workloads would only measure the numpy fallback"
 fi
 # the line meter of ROADMAP item 6 ("engine + serve + hw down >= 15 %
-# together") and item 12's engine + nn, each package beside the parent
-# commit's count
-for layer in engine serve hw nn; do
+# together"), item 12's engine + nn and the vehicle facade (pipeline),
+# each package beside the parent commit's count, then all of src/repro
+for layer in engine serve hw nn pipeline; do
     meter "$layer"
 done
+meter ""
 # the served bytes' digest, beside the parent commit's (its src/ and
 # digest script extracted to a temporary tree), then the memory line of
 # benchmarks/stream_memory.py (traced compile high-water of the small-r18

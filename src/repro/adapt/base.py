@@ -127,10 +127,11 @@ class Adapter(abc.ABC):
         backend can use them."""
         return False
 
-    def share_engine(self, backend, threads) -> None:
-        """Adopt a serving loop's plan backend and kernel-pool width where
-        this adapter's own configuration leaves them to it (default: it
-        has none to adopt)."""
+    def share_engine(self, step) -> None:
+        """Step on a serving loop's compiled adaptation ``step`` (a
+        :class:`~repro.engine.CompiledAdaptStep`) where this adapter's
+        own configuration leaves the backend and width to it (default: it
+        compiles nothing to share)."""
 
     def observe_frame(self, image: np.ndarray,
                       rows: Optional[np.ndarray] = None

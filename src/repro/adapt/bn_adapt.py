@@ -90,10 +90,10 @@ class LDBNAdaptConfig:
     backend:
         Plan backend for the compiled adaptation step.  ``None`` — with
         ``threads`` also ``None`` — inherits the serving loop's engine:
-        the pool's in a fleet (:meth:`repro.serve.FleetServer.add_stream`),
-        the pipeline's under :class:`repro.pipeline.RealTimePipeline`;
-        an adapter used on its own resolves ``$REPRO_BACKEND`` / numpy
-        (see :mod:`repro.engine.backends`).
+        the pool's step, once :meth:`repro.serve.FleetServer.add_stream`
+        registers the adapter (a :class:`repro.pipeline.RealTimePipeline`
+        is a one-stream fleet); an adapter used on its own resolves
+        ``$REPRO_BACKEND`` / numpy (see :mod:`repro.engine.backends`).
     threads:
         Kernel-pool width for codegen backends (``None`` inherits like
         ``backend``; an adapter used on its own defers to the backend's
@@ -147,8 +147,8 @@ class LDBNAdapt(Adapter):
         self.optimizer = nn.SGD(
             self._params, lr=self.config.lr, momentum=self.config.momentum
         )
-        # CompiledAdaptStep: a fleet hands its pool's shared one down,
-        # otherwise built on first use from ``config``
+        # CompiledAdaptStep: a fleet hands its pool's shared one down
+        # (share_engine), otherwise built on first use from ``config``
         self._compiled = compiled
         # the input kinds (``from_stem`` flags) the graph cannot be
         # lowered from: a step fed that kind stays eager
@@ -169,12 +169,13 @@ class LDBNAdapt(Adapter):
         Serving loops call this outside their timed regions (mirroring
         ``CompiledInference.warm``) so the one-time trace cost never
         pollutes per-frame latency statistics.  No-op when the compiled
-        path is disabled or refused for that input kind.
+        path is disabled or refused for that input kind.  Returns before
+        allocating anything when the plan is already compiled, so a loop
+        may call it on every frame.
         """
-        batch = np.zeros(
-            (self.config.batch_size,) + tuple(np.shape(image)), dtype=np.float32
-        )
-        self._compiled_plan(batch, from_stem)
+        shape = (self.config.batch_size,) + tuple(np.shape(image))
+        if not self._step_engine().holds(shape, np.float32, from_stem=from_stem):
+            self._compiled_plan(np.zeros(shape, dtype=np.float32), from_stem)
 
     def _step_engine(self) -> CompiledAdaptStep:
         if self._compiled is None:
@@ -184,14 +185,11 @@ class LDBNAdapt(Adapter):
             )
         return self._compiled
 
-    def share_engine(self, backend, threads) -> None:
-        """Compile with a serving loop's ``backend`` / ``threads`` when the
-        config leaves both at ``None`` (and no step was handed down)."""
-        if self._compiled is None and self.config.backend is None \
-                and self.config.threads is None:
-            self._compiled = CompiledAdaptStep(
-                self.model, backend=backend, threads=threads
-            )
+    def share_engine(self, step: CompiledAdaptStep) -> None:
+        """Step on a serving loop's compiled ``step`` when the config
+        leaves ``backend`` and ``threads`` to it (both ``None``)."""
+        if self.config.backend is None and self.config.threads is None:
+            self._compiled = step
 
     def takes_rows_from(self, engine) -> bool:
         return (

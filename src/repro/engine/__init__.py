@@ -91,8 +91,9 @@ Architecture — one lowering, compiled through one entry point:
   retracing transparently when the input shape changes (fleet batch
   sizes).
 
-:class:`repro.pipeline.RealTimePipeline`, :class:`repro.serve.FleetServer`
-and :class:`repro.adapt.LDBNAdapt` use these paths by default;
+:class:`repro.serve.FleetServer` (and with it
+:class:`repro.pipeline.RealTimePipeline`, a one-stream fleet) and
+:class:`repro.adapt.LDBNAdapt` use these paths by default;
 ``repro.nn.inference_mode(False)`` / ``repro.nn.adaptation_mode(False)``
 are the escape hatches back to eager (the correctness oracle).
 """

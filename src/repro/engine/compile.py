@@ -145,6 +145,12 @@ class CompiledAdaptStep:
             )
         return plan
 
+    def holds(self, shape, dtype=np.float32, groups: int = 1,
+              from_stem: bool = False) -> bool:
+        """Whether the plan for an image batch of that signature is built."""
+        key = (tuple(shape), np.dtype(dtype).str, groups, from_stem)
+        return key in self._plans
+
     def takes_rows_from(self, engine: CompiledInference) -> bool:
         """Whether this step's plans can start from the stem rows
         ``engine``'s plans write: the same backend at the same width, so

@@ -45,9 +45,9 @@ from .. import nn
 from ..adapt.bn_adapt import LDBNAdapt, LDBNAdaptConfig
 from ..engine import CompiledAdaptStep
 from ..models import build_model, get_config
-from ..pipeline.monitor import latency_percentile
 from ..serve.adapt_batch import FleetAdaptationBatcher
 from ..serve.streams import StreamRegistry
+from ..telemetry.sketch import exact_percentile
 from .config import BACKBONES, RunScale, get_run_scale
 
 DEFAULT_FLEET_STREAMS = 4
@@ -152,12 +152,12 @@ def _cgen_columns(
                     samples[backend] += _time_ms(lambda: adapter.adapt(x), 1)
     model.load_state_dict(pristine)
     info = tables["cgen"][1]
-    cgen_p95 = latency_percentile(samples["cgen"], 95)
+    cgen_p95 = exact_percentile(samples["cgen"], 95)
     return {
-        "cgen_p50_ms": latency_percentile(samples["cgen"], 50),
+        "cgen_p50_ms": exact_percentile(samples["cgen"], 50),
         "cgen_p95_ms": cgen_p95,
-        "numpy_ab_p50_ms": latency_percentile(samples["numpy"], 50),
-        "cgen_speedup_p95": latency_percentile(samples["numpy"], 95) / cgen_p95,
+        "numpy_ab_p50_ms": exact_percentile(samples["numpy"], 50),
+        "cgen_speedup_p95": exact_percentile(samples["numpy"], 95) / cgen_p95,
         "cgen_rendered": info["rendered"],
         "cgen_stages": info["stages"],
         "cgen_fallback": info["rendered"] == 0,
@@ -263,8 +263,8 @@ def run_bench_adapt(
                 adapter.adapt(x)  # warm: trace + compile outside timing
                 timings[label] = _time_ms(lambda: adapter.adapt(x), reps)
         model.load_state_dict(pristine)
-        eager_p50 = latency_percentile(timings["eager"], 50)
-        compiled_p50 = latency_percentile(timings["compiled"], 50)
+        eager_p50 = exact_percentile(timings["eager"], 50)
+        compiled_p50 = exact_percentile(timings["compiled"], 50)
         rows.append(
             {
                 "backbone": backbone,
@@ -273,9 +273,9 @@ def run_bench_adapt(
                 "streams": 1,
                 "reps": reps,
                 "eager_p50_ms": eager_p50,
-                "eager_p95_ms": latency_percentile(timings["eager"], 95),
+                "eager_p95_ms": exact_percentile(timings["eager"], 95),
                 "compiled_p50_ms": compiled_p50,
-                "compiled_p95_ms": latency_percentile(timings["compiled"], 95),
+                "compiled_p95_ms": exact_percentile(timings["compiled"], 95),
                 "speedup_p50": eager_p50 / compiled_p50,
                 "max_state_diff": state_diff,
                 "parity_ok": bool(state_diff <= parity_atol),
@@ -319,8 +319,8 @@ def run_bench_adapt(
         fused()  # warm: trace + compile the grouped plan outside timing
         serial_ms = _time_ms(serial_eager, reps)
         fused_ms = _time_ms(fused, reps)
-        eager_p50 = latency_percentile(serial_ms, 50)
-        fused_p50 = latency_percentile(fused_ms, 50)
+        eager_p50 = exact_percentile(serial_ms, 50)
+        fused_p50 = exact_percentile(fused_ms, 50)
         rows.append(
             {
                 "backbone": backbone,
@@ -329,9 +329,9 @@ def run_bench_adapt(
                 "streams": fleet_streams,
                 "reps": reps,
                 "eager_p50_ms": eager_p50,
-                "eager_p95_ms": latency_percentile(serial_ms, 95),
+                "eager_p95_ms": exact_percentile(serial_ms, 95),
                 "compiled_p50_ms": fused_p50,
-                "compiled_p95_ms": latency_percentile(fused_ms, 95),
+                "compiled_p95_ms": exact_percentile(fused_ms, 95),
                 "speedup_p50": eager_p50 / fused_p50,
                 "max_state_diff": fleet_diff,
                 "parity_ok": bool(fleet_diff <= parity_atol),

@@ -25,7 +25,7 @@ from ..adapt.bn_adapt import LDBNAdapt, LDBNAdaptConfig
 from ..engine import compile_model
 from ..engine.backends import PARITY_ATOL, PARITY_RTOL
 from ..models import build_model, get_config
-from ..pipeline.monitor import latency_percentile
+from ..telemetry.sketch import exact_percentile
 from .config import BACKBONES, RunScale, get_run_scale
 
 DEFAULT_BATCH_SIZES = (1, 8)
@@ -143,19 +143,19 @@ def run_bench_infer(
             adapter.reset()
             model.eval()
 
-            eager_p50 = latency_percentile(eager_ms, 50)
-            compiled_p50 = latency_percentile(compiled_ms, 50)
-            compiled_p95 = latency_percentile(compiled_ms, 95)
-            cgen_p95 = latency_percentile(cgen_ms, 95)
+            eager_p50 = exact_percentile(eager_ms, 50)
+            compiled_p50 = exact_percentile(compiled_ms, 50)
+            compiled_p95 = exact_percentile(compiled_ms, 95)
+            cgen_p95 = exact_percentile(cgen_ms, 95)
             mt_cols: Dict[str, object] = {}
             if mt:
                 mt_info = cgen_mt_engine.plan_for(
                     x.shape, x.dtype
                 ).backend_info
-                mt_p95 = latency_percentile(cgen_mt_ms, 95)
+                mt_p95 = exact_percentile(cgen_mt_ms, 95)
                 mt_cols = {
                     "cgen_threads": mt_info["threads"],
-                    "cgen_mt_p50_ms": latency_percentile(cgen_mt_ms, 50),
+                    "cgen_mt_p50_ms": exact_percentile(cgen_mt_ms, 50),
                     "cgen_mt_p95_ms": mt_p95,
                     # single-thread cgen p95 over threaded p95 — the
                     # thread-scaling headline
@@ -175,11 +175,11 @@ def run_bench_infer(
                     "reps": reps,
                     "backend": backend,
                     "eager_p50_ms": eager_p50,
-                    "eager_p95_ms": latency_percentile(eager_ms, 95),
+                    "eager_p95_ms": exact_percentile(eager_ms, 95),
                     "compiled_p50_ms": compiled_p50,
                     "compiled_p95_ms": compiled_p95,
                     "speedup_p50": eager_p50 / compiled_p50,
-                    "cgen_p50_ms": latency_percentile(cgen_ms, 50),
+                    "cgen_p50_ms": exact_percentile(cgen_ms, 50),
                     "cgen_p95_ms": cgen_p95,
                     "cgen_speedup_p95": compiled_p95 / cgen_p95,
                     "cgen_rendered": cgen_info["rendered"],

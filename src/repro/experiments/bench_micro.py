@@ -34,7 +34,6 @@ from ..adapt import LDBNAdapt, LDBNAdaptConfig, frame_signature
 from ..data import ScenarioStream, get_scenario
 from ..engine import CompiledAdaptStep, compile_model
 from ..models import build_model, get_config
-from ..pipeline.monitor import latency_percentile
 from ..pipeline.realtime import PipelineConfig, RealTimePipeline
 from ..serve import (
     DriftResetConfig,
@@ -44,6 +43,7 @@ from ..serve import (
     per_stream_inference,
 )
 from ..serve.checkpoint import pack_session_state
+from ..telemetry.sketch import exact_percentile
 
 
 def _micro_cases(rng: np.random.Generator):
@@ -236,8 +236,8 @@ def _pool_dispatch_row(reps: int, threads: int) -> Dict[str, object]:
             start = time.perf_counter()
             ping(1)
             samples.append(1e6 * (time.perf_counter() - start))
-        row["dispatch_p50_us"] = latency_percentile(samples, 50)
-        row["dispatch_p95_us"] = latency_percentile(samples, 95)
+        row["dispatch_p50_us"] = exact_percentile(samples, 50)
+        row["dispatch_p95_us"] = exact_percentile(samples, 95)
     return row
 
 
@@ -272,8 +272,12 @@ def _frame_glue_row(reps: int, threads: int) -> Dict[str, object]:
         warnings.simplefilter("ignore", RuntimeWarning)
         pipeline.run(iter(pool), 4)  # compile; the optimizer's first step
     x = pool[0].image[None]
-    infer = pipeline._compiled.plan_for(x.shape, x.dtype)
-    adapt = adapter._compiled.plan_for(x)
+    engine = pipeline.server._engine
+    infer = engine.plan_for(x.shape, x.dtype)
+    # the plan the steps replay: from the stem rows the inference wrote
+    adapt = adapter._compiled.plan_for(
+        x, from_stem=adapter.takes_rows_from(engine)
+    )
     ballast = np.zeros(GLUE_EVICT_MB << 17)  # float64
     inside = [0.0]
 
@@ -303,8 +307,8 @@ def _frame_glue_row(reps: int, threads: int) -> Dict[str, object]:
         "rendered": info.get("rendered", 0),
         "fallback": info.get("rendered", 0) == 0,
         "max_abs_diff": 0.0,
-        "glue_p50_us": latency_percentile(samples, 50),
-        "glue_p95_us": latency_percentile(samples, 95),
+        "glue_p50_us": exact_percentile(samples, 50),
+        "glue_p95_us": exact_percentile(samples, 95),
     }
 
 
@@ -351,17 +355,17 @@ def run_micro_threaded(
         st_ms, mt_ms = _interleaved_ms(
             lambda: eng_st(x), lambda: eng_mt(x), reps
         )
-        st_p95 = latency_percentile(st_ms, 95)
-        mt_p95 = latency_percentile(mt_ms, 95)
+        st_p95 = exact_percentile(st_ms, 95)
+        mt_p95 = exact_percentile(mt_ms, 95)
         rows.append(
             {
                 "op": name,
                 "shape": "x".join(str(d) for d in x.shape),
                 "threads": info["threads"],
                 "reps": reps,
-                "cgen_st_p50_ms": latency_percentile(st_ms, 50),
+                "cgen_st_p50_ms": exact_percentile(st_ms, 50),
                 "cgen_st_p95_ms": st_p95,
-                "cgen_mt_p50_ms": latency_percentile(mt_ms, 50),
+                "cgen_mt_p50_ms": exact_percentile(mt_ms, 50),
                 "cgen_mt_p95_ms": mt_p95,
                 "mt_speedup_p95": st_p95 / mt_p95,
                 "mt_stages": info["mt_stages"],
@@ -393,17 +397,17 @@ def run_micro_threaded(
     st_ms, mt_ms = _interleaved_ms(
         lambda: plan_st.run(x), lambda: plan_mt.run(x), reps
     )
-    st_p95 = latency_percentile(st_ms, 95)
-    mt_p95 = latency_percentile(mt_ms, 95)
+    st_p95 = exact_percentile(st_ms, 95)
+    mt_p95 = exact_percentile(mt_ms, 95)
     rows.append(
         {
             "op": "rendered_backward_mt",
             "shape": "x".join(str(d) for d in x.shape),
             "threads": info["threads"],
             "reps": reps,
-            "cgen_st_p50_ms": latency_percentile(st_ms, 50),
+            "cgen_st_p50_ms": exact_percentile(st_ms, 50),
             "cgen_st_p95_ms": st_p95,
-            "cgen_mt_p50_ms": latency_percentile(mt_ms, 50),
+            "cgen_mt_p50_ms": exact_percentile(mt_ms, 50),
             "cgen_mt_p95_ms": mt_p95,
             "mt_speedup_p95": st_p95 / mt_p95,
             "mt_stages": info["mt_stages"],
@@ -466,8 +470,8 @@ def run_micro_serve(reps: int = 200, seed: int = 0) -> List[Dict[str, object]]:
             "op": "fleet_fold_us",
             "shape": f"{name} B={batch}",
             "reps": reps,
-            "p50_us": latency_percentile(samples, 50),
-            "p95_us": latency_percentile(samples, 95),
+            "p50_us": exact_percentile(samples, 50),
+            "p95_us": exact_percentile(samples, 95),
         })
 
     model, (session,) = sessions_of("tiny-r18", 1)
@@ -487,8 +491,8 @@ def run_micro_serve(reps: int = 200, seed: int = 0) -> List[Dict[str, object]]:
         "op": "session_pack_us",
         "shape": f"tiny-r18 session, {len(drift.bank)} banked regimes",
         "reps": reps,
-        "p50_us": latency_percentile(samples, 50),
-        "p95_us": latency_percentile(samples, 95),
+        "p50_us": exact_percentile(samples, 50),
+        "p95_us": exact_percentile(samples, 95),
         "arrays": len(arrays),
         "kbytes": len(pack_session_state(session)) / 1024,
     })
@@ -517,8 +521,8 @@ def run_micro_ops(reps: int = 200, seed: int = 0) -> List[Dict[str, object]]:
         probe = min(_interleaved_ms(fn_np, fn_c, 5)[0])
         reps_row = int(min(10 * reps, max(reps, 50.0 / probe)))
         np_ms, c_ms = _interleaved_ms(fn_np, fn_c, reps_row)
-        np_p95 = latency_percentile(np_ms, 95)
-        c_p95 = latency_percentile(c_ms, 95)
+        np_p95 = exact_percentile(np_ms, 95)
+        c_p95 = exact_percentile(c_ms, 95)
         rows.append(
             {
                 "op": name,
@@ -529,9 +533,9 @@ def run_micro_ops(reps: int = 200, seed: int = 0) -> List[Dict[str, object]]:
                     np.prod((y_np if stage is None else x).shape[2:])
                 ),
                 "reps": reps_row,
-                "numpy_p50_ms": latency_percentile(np_ms, 50),
+                "numpy_p50_ms": exact_percentile(np_ms, 50),
                 "numpy_p95_ms": np_p95,
-                "cgen_p50_ms": latency_percentile(c_ms, 50),
+                "cgen_p50_ms": exact_percentile(c_ms, 50),
                 "cgen_p95_ms": c_p95,
                 "speedup_p95": np_p95 / c_p95,
                 "rendered": info["rendered"],

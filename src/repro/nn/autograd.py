@@ -68,8 +68,8 @@ def enable_grad():
 # ----------------------------------------------------------------------
 # compiled-inference mode
 # ----------------------------------------------------------------------
-# When True (default), eval-mode serving loops (RealTimePipeline,
-# FleetServer) run forwards through the compiled engine in repro.engine:
+# When True (default), the eval-mode serving loop (FleetServer, which
+# also serves RealTimePipeline) runs forwards through the compiled engine:
 # traced static plans with fused conv-BN-ReLU stages and arena buffer
 # reuse, bit-exact against the eager path.  The flag lives here, next to
 # the grad mode, so repro.nn can expose it without importing the engine.

@@ -1,6 +1,7 @@
-"""``repro.pipeline`` — the online inference→adapt→next-frame loop."""
+"""``repro.pipeline`` — the online inference→adapt→next-frame loop of one
+vehicle, a one-stream :class:`repro.serve.FleetServer`."""
 
-from .monitor import FrameRecord, PipelineReport
+from ..serve.report import FrameRecord, PipelineReport
 from .realtime import PipelineConfig, RealTimePipeline
 
 __all__ = [

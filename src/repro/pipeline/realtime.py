@@ -1,59 +1,49 @@
-"""The real-time loop: inference → adaptation → next frame.
+"""One vehicle: inference → adaptation → next frame, as a fleet of one.
 
-This is the deployment scenario the paper targets (Sec. III): a 30 FPS
-camera produces unlabeled frames; for each frame the model first runs
-inference (producing the lane estimate the vehicle acts on), then one
-LD-BN-ADAPT step updates the model before the next frame arrives.
+The paper's deployment (Sec. III): a 30 FPS camera produces unlabeled
+frames; each is inferred (the lane estimate the vehicle acts on), then
+one LD-BN-ADAPT step updates the model before the next frame is served.
+That is one stream of :class:`repro.serve.FleetServer`, the one serving
+loop: :meth:`RealTimePipeline.run` registers the caller's adapter as its
+server's only stream, serves it and returns that stream's
+:class:`PipelineReport`.  Two constants make the fleet a vehicle: the
+camera period is the paper's 30 FPS, and frames are served one at a time
+(``max_batch_size=1``), so frame *i*'s step lands before frame *i + 1*
+is inferred even when the device falls behind.
 
-Latency accounting is pluggable:
-
-* ``latency_model="orin"`` — per-frame latency comes from the analytic
-  Jetson Orin roofline (the configuration under study), so deadline
-  statistics reflect the paper's platform rather than the host CPU;
-* ``latency_model="wallclock"`` — measured host time (useful for
-  profiling the numpy implementation itself).
-
-Inference runs through the compiled engine (:mod:`repro.engine`) by
-default — a traced static plan with fused conv-BN-ReLU stages and arena
-buffer reuse, bit-exact against eager.  Adaptation steps use the same
-machinery: :class:`repro.adapt.LDBNAdapt` replays the compiled entropy
-step (train-mode forward + backward restricted to BN gamma/beta), warmed
-here outside the timed region like the inference plan.  An adapter that
-leaves its backend and width to the loop compiles with the pipeline's,
-and is handed each frame's stem rows from the inference replay, so its
-steps skip the stem conv the frame was already served through.
-``repro.nn.inference_mode(False)`` forces eager inference and
-``repro.nn.adaptation_mode(False)`` the eager adaptation step (the
-escape hatches).
+``latency_model="orin"`` prices each frame on the analytic Jetson Orin
+roofline: a frame that did not queue costs exactly ``inference +
+adaptation`` (the step only where one ran), one that waited behind an
+overrunning step adds the time it queued.  ``"wallclock"`` measures the
+host time of the frame's forward, decode and step.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-import numpy as np
-
-from .. import nn
 from ..adapt.base import Adapter
-from ..engine import compile_model
-from ..engine.backends import available_backends
-from ..engine.backends.threading import serving_threads
-from ..data.dataset import FrameStream, LaneSample
+from ..data.dataset import LaneSample
 from ..hw.deadline import DEADLINE_30FPS_MS
 from ..hw.device import DeviceProfile
-from ..hw.roofline import ld_bn_adapt_latency
-from ..metrics.lane_accuracy import TUSIMPLE_THRESHOLD_CELLS, point_accuracy
+from ..metrics.lane_accuracy import TUSIMPLE_THRESHOLD_CELLS
 from ..models.spec import ModelSpec
-from ..models.ufld import decode_predictions
-from ..utils.profiling import Timer
-from .monitor import FrameRecord, PipelineReport
+from ..serve import ArrivalModel, FleetConfig, FleetServer, PipelineReport
+
+# bench-e2e's spans patch these two names through this module's
+# ``__dict__``; the frame loop that calls them is the fleet's
+# (``repro.serve.pool``), but the names stay importable here
+from ..metrics.lane_accuracy import point_accuracy  # noqa: F401
+from ..models.ufld import decode_predictions  # noqa: F401
+
+#: the one stream's id on the pipeline's server
+STREAM = "vehicle"
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Real-time loop configuration."""
+    """Real-time loop configuration (validated as the fleet's)."""
 
     deadline_ms: float = DEADLINE_30FPS_MS
     latency_model: str = "orin"  # "orin" | "wallclock"
@@ -63,28 +53,26 @@ class PipelineConfig:
     threads: Optional[int] = None  # kernel-pool width (codegen backends)
 
     def __post_init__(self):
-        if self.latency_model not in ("orin", "wallclock"):
-            raise ValueError(f"unknown latency model {self.latency_model!r}")
-        if self.threads is not None and self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
-        if self.backend not in available_backends():
-            raise ValueError(
-                f"unknown plan backend {self.backend!r}; expected one of "
-                f"{available_backends()}"
-            )
-        if self.deadline_ms <= 0:
-            raise ValueError(f"deadline_ms must be positive, got {self.deadline_ms}")
-        if self.decode_method not in ("argmax", "expectation"):
-            raise ValueError(f"unknown decode method {self.decode_method!r}")
-        if self.accuracy_threshold_cells <= 0:
-            raise ValueError(
-                f"accuracy_threshold_cells must be positive, "
-                f"got {self.accuracy_threshold_cells}"
-            )
+        self.fleet_config()
+
+    def fleet_config(self) -> FleetConfig:
+        """The one-stream fleet this vehicle is: a 30 FPS camera, served
+        one frame at a time."""
+        return FleetConfig(
+            deadline_ms=self.deadline_ms,
+            frame_period_ms=DEADLINE_30FPS_MS,
+            latency_model=self.latency_model,
+            decode_method=self.decode_method,
+            accuracy_threshold_cells=self.accuracy_threshold_cells,
+            backend=self.backend,
+            threads=self.threads,
+            max_batch_size=1,
+        )
 
 
 class RealTimePipeline:
-    """Drives a model + adapter over a frame stream with deadline tracking."""
+    """One vehicle: a model + adapter served as a one-stream fleet, with
+    deadline tracking."""
 
     def __init__(
         self,
@@ -97,81 +85,8 @@ class RealTimePipeline:
         self.model = model
         self.adapter = adapter
         self.config = config if config is not None else PipelineConfig()
-        # explicit threads both fixes the plans' width and re-prices the
-        # roofline model; None prices one thread and compiles at the
-        # backend's resolved width
-        self.threads: Optional[int] = serving_threads(self.config.threads)
-        if self.config.latency_model == "orin":
-            if device is None or spec is None:
-                raise ValueError(
-                    "latency_model='orin' requires a DeviceProfile and a "
-                    "paper-size ModelSpec (the platform under study)"
-                )
-            breakdown = ld_bn_adapt_latency(
-                spec, device, adapter.batch_size, threads=self.threads or 1
-            )
-            # inference happens every frame; the adaptation step is paid on
-            # the frames where a step actually runs
-            self._infer_ms = breakdown.inference_ms
-            self._adapt_ms = breakdown.adaptation_ms
-        else:
-            self._infer_ms = None
-            self._adapt_ms = None
-        self.timer = Timer()
-        self._compiled = None  # built lazily on the first compiled forward
-        adapter.share_engine(self.config.backend, self.threads)
-        # frame signatures already traced/compiled -> the stem rows view
-        # the adapter is handed (None: it steps on the images)
-        self._warmed: dict = {}
-
-    # ------------------------------------------------------------------
-    def _warm_engine(self, frame: LaneSample) -> Optional[np.ndarray]:
-        """Trace/compile outside the timed region, once per frame
-        signature: shape, dtype and the compiled-path switches in force
-        (so a run under a toggled mode still warms what it will use).
-        Returns where the inference replay leaves the frame's stem rows
-        when the adapter takes them, else None."""
-        image = frame.image
-        compiled_inference = nn.compiled_inference_enabled()
-        key = (
-            image.shape, image.dtype, compiled_inference,
-            nn.compiled_adaptation_enabled(),
-        )
-        if key in self._warmed:
-            return self._warmed[key]
-        rows = None
-        if compiled_inference:
-            if self._compiled is None:
-                self._compiled = compile_model(
-                    self.model, backend=self.config.backend,
-                    threads=self.threads,
-                )
-            self.model.eval()
-            self._compiled.warm(image[None])
-            stem = self._compiled.plan_for(
-                (1,) + image.shape, image.dtype
-            ).stem_rows
-            if stem is not None and self.adapter.takes_rows_from(
-                self._compiled
-            ):
-                rows = stem[0]
-        self.adapter.warm(image, from_stem=rows is not None)
-        self._warmed[key] = rows
-        return rows
-
-    def _predict(self, frame: LaneSample) -> np.ndarray:
-        """Lane estimates ``(1, anchors, lanes)`` of one frame."""
-        batch = frame.image[None]
-        if nn.compiled_inference_enabled():
-            # `_warm_engine` built the engine and set eval mode once: no
-            # per-frame model walk, the engine refuses a training model
-            logits = self._compiled(batch)
-        else:
-            self.model.eval()
-            with nn.no_grad():
-                logits = self.model(nn.Tensor(batch, _copy=False))
-        return decode_predictions(
-            logits.numpy(), self.model.config, method=self.config.decode_method
+        self.server = FleetServer(
+            model, self.config.fleet_config(), device=device, spec=spec
         )
 
     def run(self, stream: Iterable[LaneSample], num_frames: int) -> PipelineReport:
@@ -181,62 +96,20 @@ class RealTimePipeline:
         the online accuracy diagnostics — the adapter sees raw images.
 
         If the stream ends before ``num_frames`` frames were produced, the
-        partial report is returned with ``report.truncated`` set instead of
-        leaking the stream's ``StopIteration``.
+        partial report is returned with ``report.truncated`` set.  A later
+        ``run`` continues from the adapted state on the same compiled
+        plans, its camera starting where the device clock stands.
         """
-        config = self.config
-        deadline_ms = config.deadline_ms
-        threshold = config.accuracy_threshold_cells
-        modelled = config.latency_model == "orin"
-        report = PipelineReport(deadline_ms=deadline_ms)
-        frames = report.frames
-        adapter, timer = self.adapter, self.timer
-        observe = adapter.observe_frame
-        clock = time.perf_counter
-        iterator = iter(stream)
-
-        for index in range(num_frames):
-            try:
-                frame = next(iterator)
-            except StopIteration:
-                report.truncated = True
-                break
-
-            rows = self._warm_engine(frame)
-            rejected = adapter.rejected_frames
-            start = clock()
-            pred = self._predict(frame)
-            served = clock()
-            result = observe(frame.image, rows)
-            adapt_s = clock() - served
-            timer.add("inference", served - start)
-            timer.add("adaptation", adapt_s)
-
-            accuracy = point_accuracy(
-                pred, frame.gt_cells[None], threshold
-            ).accuracy
-
-            if modelled:
-                latency = self._infer_ms + (self._adapt_ms if result else 0.0)
-                adapt_ms = self._adapt_ms if result else None
-            else:
-                latency = 1e3 * (served - start) + 1e3 * adapt_s
-                adapt_ms = 1e3 * adapt_s if result else None
-
-            frames.append(
-                FrameRecord(
-                    index=index,
-                    timestamp=frame.timestamp,
-                    domain=frame.domain,
-                    latency_ms=latency,
-                    deadline_ms=deadline_ms,
-                    deadline_met=latency <= deadline_ms,
-                    accuracy=accuracy,
-                    entropy=result.loss if result else None,
-                    adapted=result is not None,
-                    adapt_ms=adapt_ms,
-                    refused=result is not None and result.refused,
-                    rejected=adapter.rejected_frames != rejected,
-                )
-            )
-        return report
+        server = self.server
+        session = server.add_stream(
+            STREAM, stream, adapter=self.adapter,
+            arrival=ArrivalModel(
+                period_ms=server.config.period_ms,
+                phase_ms=server.workers[0].device_free_ms,
+            ),
+        )
+        try:
+            server.run(num_frames)
+        finally:
+            server.remove_stream(STREAM)
+        return session.report

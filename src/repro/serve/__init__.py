@@ -1,10 +1,11 @@
 """``repro.serve`` — fleet serving: N adapting vehicles, a pool of devices.
 
 The paper deploys one vehicle adapting online at 30 FPS
-(:class:`repro.pipeline.RealTimePipeline`).  This package scales that
-deployment story to a *fleet*: many concurrent camera streams, each with
-its own domain-shift schedule, its own LD-BN-ADAPT state and its own
-frame-arrival process, sharded across a **pool of devices** — one
+(:class:`repro.pipeline.RealTimePipeline`, served here as a fleet of
+one stream).  This package scales that deployment story to a *fleet*:
+many concurrent camera streams, each with its own domain-shift
+schedule, its own LD-BN-ADAPT state and its own frame-arrival process,
+sharded across a **pool of devices** — one
 simulated Orin saturates at ~2-3 paper-scale adapting streams, so the
 serving layer places sessions on devices, serves each device with its
 own deadline-aware scheduler, and migrates sessions off sustained-hot
@@ -233,7 +234,7 @@ from .pool import (
     MigrationPlanner,
     place_stream,
 )
-from .report import DeviceReport, FleetReport
+from .report import DeviceReport, FleetReport, FrameRecord, PipelineReport
 from .scheduler import (
     BatchPlan,
     DeadlineAwareScheduler,
@@ -254,6 +255,8 @@ __all__ = [
     "FleetServer",
     "FleetConfig",
     "FleetReport",
+    "PipelineReport",
+    "FrameRecord",
     "CheckpointConfig",
     "CheckpointCorrupt",
     "SessionCheckpointStore",

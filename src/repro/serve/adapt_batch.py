@@ -76,7 +76,7 @@ class StagedGroupStep:
 
     __slots__ = (
         "batcher", "sessions", "inputs", "plan", "group_size",
-        "results", "per_stream_ms", "done_clock_ms",
+        "results", "per_stream_ms", "done",
     )
 
     def __init__(self, batcher, sessions, inputs, plan, group_size):
@@ -87,7 +87,7 @@ class StagedGroupStep:
         self.group_size = group_size
         self.results: Optional[Dict[int, AdaptResult]] = None
         self.per_stream_ms = 0.0
-        self.done_clock_ms = 0.0
+        self.done = (0.0, 0.0)  # (device clock, batch service) at completion
 
     @property
     def num_streams(self) -> int:

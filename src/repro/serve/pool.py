@@ -80,6 +80,13 @@ from .streams import StreamSession, per_stream_inference
 PLACEMENT_POLICIES = ("least_loaded", "round_robin", "pinned")
 
 
+def _later(at: Tuple[float, float], ms: float) -> Tuple[float, float]:
+    """``at`` — (device clock, the batch's priced service so far) — ``ms``
+    later.  Both sums advance term by term, so the service of a frame
+    that did not queue is exactly the sum of its priced terms."""
+    return at[0] + ms, at[1] + ms
+
+
 def place_stream(
     policy: str,
     index: int,
@@ -779,7 +786,7 @@ class DeviceWorker:
         # same-batch adaptation steps are then fused into grouped
         # compiled replays (per-stream state slots, no model swap), with
         # remaining granted steps running serially in batch order
-        clock_ms = start_ms + infer_ms
+        at = (start_ms + infer_ms, infer_ms)
         tracer = self.tracer
         if tracer.enabled and config.latency_model == "orin":
             # device-lane batch spans only exist on the simulated clock:
@@ -795,7 +802,7 @@ class DeviceWorker:
                 batch=plan.batch_size,
             )
             tracer.instant(
-                "decode", clock_ms, pid=self.name, tid="device", cat="batch"
+                "decode", at[0], pid=self.name, tid="device", cat="batch"
             )
         decisions, group_of = self._plan_adaptation(
             plan, start_ms, infer_ms, leftover_depth, rows
@@ -814,19 +821,19 @@ class DeviceWorker:
             zip(plan.requests, sessions, frames, preds)
         ):
             fed = decisions[id(req)].feed
-            result, adapt_step_ms, completion_ms = None, 0.0, clock_ms
+            result, adapt_step_ms, done = None, 0.0, at
             rejected = session.adapter.rejected_frames
             if fed:
                 session.adapt_grants += 1
-                result, adapt_step_ms, clock_ms, completion_ms = self._adapt(
-                    session, frame, group_of.get(id(req)), clock_ms,
+                result, adapt_step_ms, at, done = self._adapt(
+                    session, frame, group_of.get(id(req)), at,
                     None if rows is None else rows[frame_pos],
                 )
             else:
                 session.adapt_skips += 1
             self._record_frame(
                 plan, start_ms, infer_ms, req, pred,
-                fed, result, adapt_step_ms, completion_ms,
+                fed, result, adapt_step_ms, done,
                 session.adapter.rejected_frames != rejected,
             )
             if session.drift is not None and session.drift.observe(
@@ -835,6 +842,7 @@ class DeviceWorker:
                 # resets apply after the batch completes: detection must
                 # never perturb an in-flight fused adaptation group
                 drift_fired[id(session)] = (session, frame.image)
+        clock_ms = at[0]
         for session in sessions:
             # until the whole batch completes the session counts as in
             # flight on this device — the migration planner's movability
@@ -860,7 +868,7 @@ class DeviceWorker:
         the drift entropy, the adapters and fused groups copying rows)
         runs before this worker returns to the loop.
         """
-        images = np.stack([f.image for f in frames]).astype(np.float32)
+        images = np.stack([f.image for f in frames], dtype=np.float32)
         compiled = nn.compiled_inference_enabled()
         if compiled:
             # one-time trace per batch size, outside the timed region
@@ -874,8 +882,8 @@ class DeviceWorker:
                 else:
                     with nn.no_grad():
                         logits = self.model(nn.Tensor(images, _copy=False))
-            # decode is part of serving a frame, so wallclock inference cost
-            # includes it — same accounting as RealTimePipeline._predict
+            # decode is part of serving a frame, so wallclock inference
+            # cost includes it
             preds = decode_predictions(
                 logits.numpy(), self.model.config,
                 method=self.config.decode_method,
@@ -887,53 +895,61 @@ class DeviceWorker:
 
     def _adapt(
         self, session: StreamSession, frame,
-        group: Optional[StagedGroupStep], clock_ms: float, rows,
+        group: Optional[StagedGroupStep], at: Tuple[float, float], rows,
     ):
         """Feed one granted frame to its adapter — through its fused
         group when staging placed it in one, else the serial stepper,
         handed the frame's stem ``rows`` when it takes them from the
         pool's engine.
 
-        Returns ``(result, adapt_step_ms, clock_ms, completion_ms)``:
-        the step's :class:`AdaptResult` (None when the frame only
-        buffered), the stream's share of its cost, the advanced device
-        clock and the instant this frame's work completed.
+        ``at`` is (device clock, the batch's priced service so far).
+        Returns ``(result, adapt_step_ms, at, done)``: the step's
+        :class:`AdaptResult` (None when the frame only buffered), the
+        stream's share of its cost, the advanced ``at`` and where it
+        stood when this frame's work completed.
         """
         if group is not None:
             if group.results is None:  # first member launches it
-                clock_ms = self._run_group(group, clock_ms)
+                at = self._run_group(group, at)
             result = group.results[id(session)]
-            return result, group.per_stream_ms, clock_ms, group.done_clock_ms
+            return result, group.per_stream_ms, at, group.done
         adapter = session.adapter
         if rows is not None and not adapter.takes_rows_from(self._compiled):
             rows = None
-        session.swap_in()
+        # only a step writes the shared model: a frame that fills no
+        # batch is buffered without materializing the session on it
+        steps = adapter.pending_frames + 1 >= adapter.batch_size
+        if steps:
+            session.swap_in()
         with self.timer.measure("adaptation"):
             result = adapter.observe_frame(frame.image, rows)
-        session.swap_out()
+        if steps:
+            session.swap_out()
         if result is None:
-            return None, 0.0, clock_ms, clock_ms
+            return None, 0.0, at, at
         orin = self.config.latency_model == "orin"
         adapt_step_ms = (
             session.adapt_latency_ms
             if orin
             else 1e3 * self.timer.records["adaptation"][-1]
         )
-        clock_ms += adapt_step_ms
         if self.tracer.enabled and orin:
             self.tracer.span(
                 "adapt",
-                clock_ms - adapt_step_ms,
+                at[0],
                 adapt_step_ms,
                 pid=self.name,
                 tid="device",
                 cat="adapt",
                 stream=session.stream_id,
             )
-        return result, adapt_step_ms, clock_ms, clock_ms
+        at = _later(at, adapt_step_ms)
+        return result, adapt_step_ms, at, at
 
-    def _run_group(self, group: StagedGroupStep, clock_ms: float) -> float:
-        """Execute one fused adaptation step; returns the advanced clock."""
+    def _run_group(
+        self, group: StagedGroupStep, at: Tuple[float, float]
+    ) -> Tuple[float, float]:
+        """Execute one fused adaptation step; returns the advanced ``at``."""
         with self.timer.measure("adaptation"):
             group.results = group.execute()
         if self.config.latency_model == "orin":
@@ -942,11 +958,11 @@ class DeviceWorker:
             fused_ms = 1e3 * self.timer.records["adaptation"][-1]
         self._m_adapt_batch_sizes.record(group.num_streams)
         group.per_stream_ms = fused_ms / group.num_streams
-        group.done_clock_ms = clock_ms + fused_ms
+        group.done = _later(at, fused_ms)
         if self.tracer.enabled and self.config.latency_model == "orin":
             self.tracer.span(
                 "adapt_fused",
-                clock_ms,
+                at[0],
                 fused_ms,
                 pid=self.name,
                 tid="device",
@@ -954,24 +970,28 @@ class DeviceWorker:
                 streams=group.num_streams,
                 group_size=group.group_size,
             )
-        return group.done_clock_ms
+        return group.done
 
     def _record_frame(
         self, plan: BatchPlan, start_ms: float, infer_ms: float, req, pred,
-        fed: bool, result, adapt_step_ms: float, completion_ms: float,
+        fed: bool, result, adapt_step_ms: float, done: Tuple[float, float],
         rejected: bool,
     ) -> None:
         """Book one served frame: accuracy, latency and slack into the
         heat signals, the fleet histograms, the tracer and the
-        session's own report (``rejected``: its adapter would not learn
-        from it)."""
+        session's own report (``done``: the device clock and the batch's
+        priced service when its work completed; ``rejected``: its
+        adapter would not learn from it)."""
         config = self.config
         session, frame = req.payload
         accuracy = point_accuracy(
             pred[None], frame.gt_cells[None], config.accuracy_threshold_cells
         ).accuracy
+        completion_ms = done[0]
         if config.latency_model == "orin":
-            latency_ms = completion_ms - req.arrival_ms
+            # queue wait plus priced service: no clock difference, so a
+            # frame that did not queue costs exactly its priced terms
+            latency_ms = (start_ms - req.arrival_ms) + done[1]
         else:
             # processing cost only (no simulated queueing): this frame's
             # share of the batched forward plus its adaptation share
@@ -1212,7 +1232,7 @@ class DeviceWorker:
                 continue
             seen_sessions.add(id(session))
             due.append((req, session, frame, pos))
-        if self.config.batch_adaptation:
+        if self.config.batch_adaptation and len(due) > 1:  # a group is 2+
             candidates = [
                 (self._adapt_batcher.group_key(member[1]), member)
                 for member in due

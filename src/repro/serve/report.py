@@ -1,16 +1,16 @@
 """Fleet-level aggregation of per-stream serving reports.
 
-A fleet run produces one :class:`~repro.pipeline.monitor.PipelineReport`
-per stream (the same record type the single-vehicle pipeline emits, so
-per-stream numbers are directly comparable to serial
-:class:`~repro.pipeline.RealTimePipeline` baselines).  This module rolls
-them up into what a serving operator watches: tail latency (p50/p95/p99)
-and deadline-slack percentiles across the whole fleet, per-stream
-accuracy, deadline-miss rate, queue depth at batch launch, adaptation
-admission grants/skips, in-flight frame drops, sustained throughput
-against the serial alternative, and — for device pools — one
-:class:`DeviceReport` row per pool member (utilization, queue depth,
-session count, migrations) plus the migration event log.
+A fleet run produces one :class:`PipelineReport` per stream, one
+:class:`FrameRecord` per served frame (a single vehicle,
+:class:`~repro.pipeline.RealTimePipeline`, is a fleet of one and returns
+its stream's report).  This module rolls them up into what a serving
+operator watches: tail latency (p50/p95/p99) and deadline-slack
+percentiles across the whole fleet, per-stream accuracy, deadline-miss
+rate, queue depth at batch launch, adaptation admission grants/skips,
+in-flight frame drops, sustained throughput against the serial
+alternative, and — for device pools — one :class:`DeviceReport` row per
+pool member (utilization, queue depth, session count, migrations) plus
+the migration event log.
 
 The fleet-wide distributions are **streaming sketches**
 (:class:`~repro.telemetry.Histogram`, DDSketch-style): device workers
@@ -33,8 +33,127 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..pipeline.monitor import PipelineReport
+import numpy as np
+
+from ..hw.deadline import deadline_slack_ms
 from ..telemetry.metrics import Histogram
+from ..telemetry.sketch import exact_percentile
+
+
+@dataclass
+class FrameRecord:
+    """Everything observed about one processed frame."""
+
+    index: int
+    timestamp: float
+    domain: str
+    latency_ms: float
+    deadline_ms: float
+    deadline_met: bool
+    accuracy: float  # point accuracy of this frame's prediction
+    entropy: Optional[float] = None  # adaptation loss when a step ran
+    adapted: bool = False
+    adapt_ms: Optional[float] = None  # adaptation-step latency when one ran
+    refused: bool = False  # the step's loss was not finite: nothing written
+    rejected: bool = False  # not learnable (non-finite or constant): unbuffered
+
+
+@dataclass
+class PipelineReport:
+    """Summary of one online-adaptation run.
+
+    ``truncated`` is set when the source stream ended before the requested
+    number of frames — the report then covers only the frames that ran.
+    """
+
+    frames: List[FrameRecord] = field(default_factory=list)
+    deadline_ms: float = 0.0
+    truncated: bool = False
+
+    @property
+    def num_frames(self) -> int:
+        return len(self.frames)
+
+    @property
+    def mean_accuracy(self) -> float:
+        if not self.frames:
+            return 0.0
+        return float(np.mean([f.accuracy for f in self.frames]))
+
+    def accuracy_over(self, first: int = 0, last: Optional[int] = None) -> float:
+        """Mean accuracy over a frame range (e.g. after warm-up)."""
+        chunk = self.frames[first:last]
+        if not chunk:
+            return 0.0
+        return float(np.mean([f.accuracy for f in chunk]))
+
+    @property
+    def mean_latency_ms(self) -> float:
+        if not self.frames:
+            return 0.0
+        return float(np.mean([f.latency_ms for f in self.frames]))
+
+    @property
+    def deadline_miss_rate(self) -> float:
+        if not self.frames:
+            return 0.0
+        return float(np.mean([not f.deadline_met for f in self.frames]))
+
+    @property
+    def adaptation_steps(self) -> int:
+        return sum(1 for f in self.frames if f.adapted)
+
+    @property
+    def refused_steps(self) -> int:
+        """Steps whose loss was not finite, so they wrote nothing."""
+        return sum(1 for f in self.frames if f.refused)
+
+    @property
+    def rejected_frames(self) -> int:
+        """Frames the adapter would not learn from (a non-finite pixel,
+        or every pixel equal): served, never buffered toward a step."""
+        return sum(1 for f in self.frames if f.rejected)
+
+    def latency_percentile(self, q: float) -> float:
+        """Latency percentile ``q`` in [0, 100] over all frames."""
+        return exact_percentile([f.latency_ms for f in self.frames], q)
+
+    def slack_percentile(self, q: float) -> float:
+        """Deadline-slack percentile over all frames (negative = missed).
+
+        Low percentiles (p10) show how close the stream runs to its
+        deadline, the signal the fleet's admission controller throttles
+        adaptation on.
+        """
+        return exact_percentile(
+            [
+                deadline_slack_ms(f.latency_ms, f.deadline_ms)
+                for f in self.frames
+            ],
+            q,
+        )
+
+    def adaptation_percentile(self, q: float) -> float:
+        """Adaptation-step latency percentile over frames where one ran."""
+        return exact_percentile(
+            [f.adapt_ms for f in self.frames if f.adapt_ms is not None], q
+        )
+
+    @property
+    def mean_adapt_ms(self) -> float:
+        steps = [f.adapt_ms for f in self.frames if f.adapt_ms is not None]
+        return float(np.mean(steps)) if steps else 0.0
+
+    def summary(self) -> Dict[str, float]:
+        return {
+            "frames": float(self.num_frames),
+            "mean_accuracy": self.mean_accuracy,
+            "mean_latency_ms": self.mean_latency_ms,
+            "deadline_ms": self.deadline_ms,
+            "deadline_miss_rate": self.deadline_miss_rate,
+            "adaptation_steps": float(self.adaptation_steps),
+            "truncated": float(self.truncated),
+        }
 
 
 @dataclass

@@ -13,7 +13,7 @@ while the coordinator owns what spans devices:
   shape.  One :class:`~repro.engine.CompiledInference` and one
   :class:`~repro.engine.CompiledAdaptStep`, built from
   ``FleetConfig.backend`` / ``threads``, go to every worker (joins
-  included) and to every adapter created here with ``backend`` /
+  included) and to every registered adapter with ``backend`` /
   ``threads`` left at ``None``.  Safe because the event loop replays
   batches serially on one host thread, plans read weights and BN state
   live from the shared model, and logits and BN taps are consumed
@@ -150,6 +150,11 @@ class FleetConfig:
             )
         if self.decode_method not in ("argmax", "expectation"):
             raise ValueError(f"unknown decode method {self.decode_method!r}")
+        if self.accuracy_threshold_cells <= 0:
+            raise ValueError(
+                f"accuracy_threshold_cells must be positive, "
+                f"got {self.accuracy_threshold_cells}"
+            )
         if self.max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
         if self.adapt_stride < 1:
@@ -346,10 +351,11 @@ class FleetServer:
         each vehicle should start from.  Without an explicit ``adapter``
         a per-stream :class:`LDBNAdapt` is created (optionally from
         ``adapter_config``); every session owns its adapter and therefore
-        its optimizer momentum.  A created adapter whose config leaves
-        ``backend`` and ``threads`` at ``None`` replays the pool's shared
-        adaptation step; one configured explicitly, or built by the
-        caller, compiles its own.
+        its optimizer momentum.  Any adapter whose config leaves
+        ``backend`` and ``threads`` at ``None`` — created here or passed
+        in — steps on the pool's shared adaptation step
+        (:meth:`~repro.adapt.base.Adapter.share_engine`); one configured
+        explicitly compiles its own.
 
         A stream costs a few copies of the model's BN state, not of the
         model: the session's BN block and its adapter's reset copy (an
@@ -375,14 +381,8 @@ class FleetServer:
         if adapter is not None and adapter_config is not None:
             raise ValueError("pass either adapter or adapter_config, not both")
         if adapter is None:
-            if adapter_config is None:
-                adapter_config = LDBNAdaptConfig()
-            # ``None`` inherits: in a fleet, the pool's shared step
-            inherits = adapter_config.backend is None and adapter_config.threads is None
-            adapter = LDBNAdapt(
-                self.model, adapter_config,
-                compiled=self._adapt_step if inherits else None,
-            )
+            adapter = LDBNAdapt(self.model, adapter_config)
+        adapter.share_engine(self._adapt_step)
         index = len(self.registry)
         if arrival is None:
             arrival = ArrivalModel(
@@ -416,6 +416,16 @@ class FleetServer:
             session.drift = SessionDriftState(self.config.drift, session)
         target.attach(session)
         self._placements[stream_id] = target.index
+        return session
+
+    def remove_stream(self, stream_id: str) -> StreamSession:
+        """Deregister a stream (a vehicle leaving the fleet): its session
+        leaves its device, any frames it still has queued unserved, and
+        is returned as it stands."""
+        session = self.registry.remove(stream_id)
+        worker = self.workers[self._placements.pop(stream_id)]
+        worker.scheduler.extract_stream(stream_id)
+        worker.detach(session)
         return session
 
     @property

@@ -39,8 +39,8 @@ import numpy as np
 from ..adapt.base import Adapter, ParameterSnapshot
 from ..data.dataset import LaneSample
 from ..nn.modules import _BatchNormBase
-from ..pipeline.monitor import FrameRecord, PipelineReport
 from ..utils.rng import make_rng
+from .report import FrameRecord, PipelineReport
 
 _BN_BUFFER_NAMES = ("running_mean", "running_var", "num_batches_tracked")
 
@@ -392,6 +392,11 @@ class StreamRegistry:
                 f"unknown stream {stream_id!r}; registered: {list(self._sessions)}"
             )
         return self._sessions[stream_id]
+
+    def remove(self, stream_id: str) -> StreamSession:
+        session = self.get(stream_id)
+        del self._sessions[stream_id]
+        return session
 
     def __len__(self) -> int:
         return len(self._sessions)

@@ -18,10 +18,9 @@ count.  Count, sum, min and max are tracked exactly, so means and the
 q=0 / q=100 endpoints have no sketch error at all.
 
 :func:`exact_percentile` is the one shared exact implementation behind
-``pipeline.monitor.latency_percentile`` and every list-backed percentile
-left in the codebase (per-stream reports keep their exact per-frame
-records; only the unbounded fleet/device aggregations moved to
-sketches).
+every list-backed percentile left in the codebase (per-stream reports
+keep their exact per-frame records; only the unbounded fleet/device
+aggregations moved to sketches).
 """
 
 from __future__ import annotations

@@ -637,7 +637,7 @@ class TestThreadsNone:
                 device=device, spec=spec,
             )
             report = pipeline.run(iter(frames), 2)
-            engines = [pipeline._compiled, adapter._compiled]
+            engines = [pipeline.server._engine, adapter._compiled]
             assert [f.latency_ms for f in report.frames] == [
                 one.inference_ms + one.adaptation_ms
             ] * 2

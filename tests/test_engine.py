@@ -665,7 +665,8 @@ class TestServingWiring:
         )
         report = pipeline.run(self._stream(config, rng, 3), 3)
         assert report.num_frames == 3
-        assert isinstance(pipeline._compiled, CompiledInference)
+        engine = pipeline.server._engine
+        assert isinstance(engine, CompiledInference) and engine.num_plans == 1
 
     def test_inference_mode_escape_hatch(self, trained_tiny_model, rng):
         config = trained_tiny_model.config
@@ -677,7 +678,7 @@ class TestServingWiring:
         with nn.inference_mode(False):
             report = pipeline.run(self._stream(config, rng, 3), 3)
         assert report.num_frames == 3
-        assert pipeline._compiled is None  # eager path: engine never built
+        assert pipeline.server._engine.num_plans == 0  # eager: no plan compiled
         assert nn.compiled_inference_enabled()  # restored on exit
 
     def test_fleet_server_engine_matches_eager(self, trained_tiny_model):

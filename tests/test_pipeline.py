@@ -6,8 +6,13 @@ import pytest
 from repro.adapt import LDBNAdapt, LDBNAdaptConfig, NoAdapt
 from repro.hw import ORIN_POWER_MODES
 from repro.models import get_config
-from repro.pipeline import PipelineConfig, PipelineReport, RealTimePipeline
-from repro.pipeline.monitor import FrameRecord
+from repro.pipeline import (
+    FrameRecord,
+    PipelineConfig,
+    PipelineReport,
+    RealTimePipeline,
+)
+from repro.serve import FleetConfig
 
 
 class TestPipelineReport:
@@ -70,6 +75,11 @@ class TestPipelineConfig:
     def test_invalid_threshold_rejected_at_construction(self):
         with pytest.raises(ValueError):
             PipelineConfig(accuracy_threshold_cells=0.0)
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0])
+    def test_fleet_rejects_a_threshold_that_is_not_positive(self, threshold):
+        with pytest.raises(ValueError, match="accuracy_threshold_cells"):
+            FleetConfig(accuracy_threshold_cells=threshold)
 
     def test_valid_alternatives_accepted(self):
         assert PipelineConfig(decode_method="argmax").decode_method == "argmax"
@@ -146,31 +156,36 @@ class TestRealTimePipeline:
     def test_engine_warms_once_per_frame_signature(
         self, _trained_tiny_state, tiny_benchmark
     ):
-        """``_warm_engine`` sits in the frame gap: it must trace/compile
-        once per (shape, dtype), not walk the model and allocate a zero
-        batch on every frame — and skipping it changes nothing served."""
-        from dataclasses import replace
-
-        from repro import nn
+        """The serving loop warms the adapter on every due frame, in the
+        frame gap: it must allocate a zero batch and look up its plan
+        once per (shape, dtype, input kind), not on every frame — and
+        skipping the rework changes nothing served."""
         from repro.models import build_model
 
-        class RewarmEveryFrame(RealTimePipeline):
-            def _warm_engine(self, frame):
-                self._warmed.clear()
-                super()._warm_engine(frame)
+        class RewarmEveryFrame(LDBNAdapt):
+            def warm(self, image, from_stem=False):
+                shape = (self.config.batch_size,) + image.shape
+                self._compiled_plan(np.zeros(shape, np.float32), from_stem)
 
         reports, warm_calls = [], []
-        for cls in (RewarmEveryFrame, RealTimePipeline):
+        for cls in (RewarmEveryFrame, LDBNAdapt):
             model = build_model(
                 "tiny-r18", num_lanes=2, rng=np.random.default_rng(1)
             )
             model.load_state_dict(_trained_tiny_state)
-            adapter = LDBNAdapt(model, LDBNAdaptConfig(lr=1e-3))
-            calls, real_warm = [], adapter.warm
-            adapter.warm = lambda image, **kw: (
-                calls.append(image.shape), real_warm(image, **kw)
-            )
-            pipeline = cls(
+            adapter = cls(model, LDBNAdaptConfig(lr=1e-3))
+            calls, real_plan = [], adapter._compiled_plan
+
+            def plan(images, from_stem=False, adapter=adapter, calls=calls,
+                     real_plan=real_plan):
+                # a step hands over the adapter's own frame ring, a warm
+                # a batch it just allocated
+                if images is not adapter._frames:
+                    calls.append(images.shape)
+                return real_plan(images, from_stem)
+
+            adapter._compiled_plan = plan
+            pipeline = RealTimePipeline(
                 model, adapter, PipelineConfig(latency_model="orin"),
                 device=ORIN_POWER_MODES["orin-60w"],
                 spec=get_config("paper-r18").to_spec(),
@@ -181,18 +196,15 @@ class TestRealTimePipeline:
         assert len(warm_calls[0]) == 10 and len(warm_calls[1]) == 1
         assert reports[0].frames == reports[1].frames
 
-        # a new frame shape warms again, exactly once (eager inference so
-        # the fixed-size head is not traced at the odd shape)
-        adapter.warm = lambda image, **kw: calls.append(image.shape)
-        frame = next(iter(tiny_benchmark.target_stream(
+        # a new signature — the step from the images instead of the stem
+        # rows — warms again, exactly once
+        image = next(iter(tiny_benchmark.target_stream(
             rng=np.random.default_rng(0)
-        )))
-        cropped = replace(frame, image=frame.image[:, :-2, :])
+        ))).image
         before = len(calls)
-        with nn.inference_mode(False):
-            pipeline._warm_engine(cropped)
-            pipeline._warm_engine(cropped)
-        assert calls[before:] == [cropped.image.shape]
+        adapter.warm(image, from_stem=False)
+        adapter.warm(image, from_stem=False)
+        assert calls[before:] == [(1,) + image.shape]
 
     def test_short_stream_returns_truncated_report(
         self, trained_tiny_model, tiny_benchmark

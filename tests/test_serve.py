@@ -7,8 +7,7 @@ from repro import nn
 from repro.adapt import LDBNAdapt, LDBNAdaptConfig, NoAdapt
 from repro.hw import ORIN_POWER_MODES, batched_inference_latency_ms
 from repro.models import get_config
-from repro.pipeline import PipelineConfig, RealTimePipeline
-from repro.pipeline.monitor import PipelineReport, latency_percentile
+from repro.pipeline import PipelineConfig, PipelineReport, RealTimePipeline
 from repro.serve import (
     AdmissionConfig,
     ArrivalModel,
@@ -24,6 +23,7 @@ from repro.serve import (
 )
 from repro.serve.adapt_batch import FleetAdaptationBatcher
 from repro.serve.streams import BNLayout, BNStateSnapshot
+from repro.telemetry.sketch import exact_percentile
 from tick_oracle import run_ticks
 
 #: the event loop and its tick-synchronous reference, by the names the
@@ -1328,8 +1328,9 @@ class TestBuildsEachThingOnce:
     def test_pool_lowers_each_plan_once(self, trained_tiny_model, tiny_benchmark):
         """A 3-device fleet with a join: every worker replays the
         coordinator's one engine pair, so the pool holds one plan per
-        batch size served; default adapters inherit the pool's step, an
-        explicitly configured or caller-built adapter keeps its own."""
+        batch size served; default adapters inherit the pool's step,
+        caller-built ones too, an explicitly configured adapter keeps its
+        own."""
         from repro.serve import FaultSchedule
         from repro.telemetry import SpanTracer
 
@@ -1359,11 +1360,12 @@ class TestBuildsEachThingOnce:
         )
         served = {e.args["batch"] for e in tracer.spans("forward", tid="device")}
         assert engine.num_plans == len(served)
-        assert all(session.adapter._compiled is step for session in defaults)
+        assert all(
+            session.adapter._compiled is step for session in defaults + [built]
+        )
         assert step.num_plans >= 1  # the defaults' steps went through it
-        for session in (explicit, built):
-            own = session.adapter._compiled
-            assert own is not None and own is not step and own.num_plans == 1
+        own = explicit.adapter._compiled
+        assert own is not None and own is not step and own.num_plans == 1
 
     def test_cgen_fleet_serves_singleton_steps_in_c(
         self, trained_tiny_model, tiny_benchmark, tmp_path, monkeypatch
@@ -1385,6 +1387,28 @@ class TestBuildsEachThingOnce:
         (plan,) = step._plans.values()
         assert plan.backend_info["backend"] == "cgen"
         assert plan.backend_info["rendered"] > 0
+
+    def test_a_caller_built_default_adapter_steps_on_the_pools_step(
+        self, trained_tiny_model, tiny_benchmark, tmp_path, monkeypatch
+    ):
+        """One rule for every registered adapter: an ``LDBNAdapt()`` the
+        caller built (``backend`` and ``threads`` left at ``None``)
+        replays the pool's C step on a ``cgen`` server, as one
+        ``add_stream`` creates does."""
+        from repro.engine.backends import find_cc
+
+        if find_cc() is None:
+            pytest.skip("NOTICE: no C compiler — cgen fleet step not exercised")
+        monkeypatch.setenv("REPRO_CGEN_CACHE", str(tmp_path))
+        server = self._server(trained_tiny_model, backend="cgen")
+        adapter = LDBNAdapt(trained_tiny_model)
+        server.add_stream(
+            "s0", self._frames(tiny_benchmark, 0, 2), adapter=adapter
+        )
+        assert adapter._compiled is server._adapt_step
+        assert server.run(2).adaptation_steps == 2
+        (plan,) = server._adapt_step._plans.values()
+        assert plan.backend_info["backend"] == "cgen"
 
     def test_zero_jitter_cohorts_in_closed_form(
         self, trained_tiny_model, tiny_benchmark
@@ -1454,8 +1478,8 @@ class TestEmptyWindowPercentiles:
 
     def test_latency_percentile_accepts_numpy_arrays(self):
         # regression: `if not <ndarray>` raised "truth value is ambiguous"
-        assert latency_percentile(np.asarray([3.0, 1.0]), 50) == pytest.approx(2.0)
-        assert latency_percentile(np.asarray([]), 95) == 0.0
+        assert exact_percentile(np.asarray([3.0, 1.0]), 50) == pytest.approx(2.0)
+        assert exact_percentile(np.asarray([]), 95) == 0.0
 
     def test_empty_fleet_report_percentile_family(self):
         report = FleetReport(deadline_ms=33.3)

@@ -434,8 +434,13 @@ def test_an_inference_program_does_not_depend_on_from_stem_plans(threads):
 def test_a_default_adapter_compiles_with_the_pipelines_backend():
     model = _model("tiny-r18")
     adapter = LDBNAdapt(model)
-    RealTimePipeline(model, adapter, PipelineConfig(backend="cgen"),
-                     device=DEVICE, spec=SPEC)
+    pipeline = RealTimePipeline(model, adapter, PipelineConfig(backend="cgen"),
+                                device=DEVICE, spec=SPEC)
+    pipeline.run(iter(ScenarioStream(
+        get_scenario("night_cut"), get_config("tiny-r18", num_lanes=2),
+        seed=5, horizon=1,
+    ).take(1).samples), 1)
+    assert adapter._compiled is pipeline.server._adapt_step
     assert adapter._compiled.backend.name == "cgen"
 
 
