@@ -29,7 +29,7 @@ from ..hw.deadline import DEADLINE_30FPS_MS
 from ..hw.device import DeviceProfile
 from ..metrics.lane_accuracy import TUSIMPLE_THRESHOLD_CELLS
 from ..models.spec import ModelSpec
-from ..serve import ArrivalModel, FleetConfig, FleetServer, PipelineReport
+from ..serve import FleetConfig, FleetServer, PipelineReport
 
 # bench-e2e's spans patch these two names through this module's
 # ``__dict__``; the frame loop that calls them is the fleet's
@@ -98,18 +98,11 @@ class RealTimePipeline:
         If the stream ends before ``num_frames`` frames were produced, the
         partial report is returned with ``report.truncated`` set.  A later
         ``run`` continues from the adapted state on the same compiled
-        plans, its camera starting where the device clock stands.
+        plans, its camera starting where the last run ended.
         """
-        server = self.server
-        session = server.add_stream(
-            STREAM, stream, adapter=self.adapter,
-            arrival=ArrivalModel(
-                period_ms=server.config.period_ms,
-                phase_ms=server.workers[0].device_free_ms,
-            ),
-        )
+        session = self.server.add_stream(STREAM, stream, adapter=self.adapter)
         try:
-            server.run(num_frames)
+            self.server.run(num_frames)
         finally:
-            server.remove_stream(STREAM)
+            self.server.remove_stream(STREAM)
         return session.report

@@ -367,9 +367,11 @@ class FleetServer:
 
         Without an explicit ``arrival`` model the stream gets the fleet
         default: phase offset ``i * phase_spread_ms`` for the *i*-th
-        registered stream, the configured jitter/drop statistics, and a
-        per-stream child seed of ``arrival_seed`` keyed by *stream id* —
-        deterministic, and invariant to pool size and placement.
+        registered stream, counted from the pool's clock (0 before the
+        first ``run``, where the last run ended after it), the configured
+        jitter/drop statistics, and a per-stream child seed of
+        ``arrival_seed`` keyed by *stream id* — deterministic, and
+        invariant to pool size and placement.
 
         ``device`` pins the session to a pool index; otherwise the
         configured placement policy picks one from the roofline-estimated
@@ -387,7 +389,8 @@ class FleetServer:
         if arrival is None:
             arrival = ArrivalModel(
                 period_ms=self.config.period_ms,
-                phase_ms=index * self.config.phase_spread_ms,
+                phase_ms=max(w.device_free_ms for w in self.workers)
+                + index * self.config.phase_spread_ms,
                 jitter_ms=self.config.jitter_ms,
                 drop_rate=self.config.drop_rate,
                 seed=child_seed(self.config.arrival_seed, stream_id),

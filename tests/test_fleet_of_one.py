@@ -98,15 +98,14 @@ def _pipeline(model, adapter, frames, backend, latency_model, splits):
         PipelineConfig(latency_model=latency_model, backend=backend),
         **_priced(latency_model),
     )
-    reports, start = [], 0
+    served, start = [], 0
     for stop in splits + [len(frames)]:
-        reports.append(pipeline.run(iter(frames[start:stop]), stop - start))
+        served += pipeline.run(iter(frames[start:stop]), stop - start).frames
         start = stop
-    return [f for report in reports for f in report.frames]
+    return served
 
 
 def _fleet(model, adapter, frames, backend, latency_model, splits):
-    assert not splits  # a registry holds a stream id once
     server = FleetServer(
         model,
         FleetConfig(
@@ -114,9 +113,19 @@ def _fleet(model, adapter, frames, backend, latency_model, splits):
         ),
         **_priced(latency_model),
     )
-    server.add_stream("vehicle", iter(frames), adapter=adapter)
-    return server.run(len(frames)).stream_reports["vehicle"].frames
+    served, start = [], 0
+    for stop in splits + [len(frames)]:
+        server.add_stream("vehicle", iter(frames[start:stop]), adapter=adapter)
+        report = server.run(stop - start)
+        served += report.stream_reports["vehicle"].frames
+        server.remove_stream("vehicle")
+        start = stop
+    return served
 
+
+LOOPS = pytest.mark.parametrize(
+    "loop", [_pipeline, _fleet], ids=["pipeline", "fleet"]
+)
 
 CASES = [
     pytest.param("numpy", "wallclock", 1, False, id="numpy-wall-b1"),
@@ -135,7 +144,7 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("loop", [_pipeline, _fleet], ids=["pipeline", "fleet"])
+@LOOPS
 @pytest.mark.parametrize("backend, latency_model, batch, poison", CASES)
 def test_serves_the_serial_reference_bitwise(
     loop, backend, latency_model, batch, poison,
@@ -161,8 +170,9 @@ def test_serves_the_serial_reference_bitwise(
         assert [f.rejected for f in served].count(True) == 1
 
 
+@LOOPS
 def test_two_runs_continue_where_the_first_stopped(
-    _trained_tiny_state, tiny_benchmark
+    loop, _trained_tiny_state, tiny_benchmark
 ):
     """A second ``run()`` resumes the adapted state (and the adapter's
     buffered frames) of the first."""
@@ -172,24 +182,28 @@ def test_two_runs_continue_where_the_first_stopped(
     want_state = model.state_dict()
 
     model = _model(_trained_tiny_state)
-    served = _pipeline(model, _adapter(model, 4), frames, "numpy", "orin", [3])
+    served = loop(model, _adapter(model, 4), frames, "numpy", "orin", [3])
     assert _records(served) == want
     assert [f.index for f in served] == [0, 1, 2, 0, 1, 2, 3, 4]
     for name, array in want_state.items():
         assert model.state_dict()[name].tobytes() == array.tobytes(), name
 
 
-@pytest.mark.parametrize("loop", [_pipeline, _fleet], ids=["pipeline", "fleet"])
+@LOOPS
 @pytest.mark.parametrize("batch", [1, None], ids=["b1", "noadapt"])
+@pytest.mark.parametrize("splits", [[], [3]], ids=["one-run", "two-runs"])
 def test_an_unqueued_orin_frame_costs_its_priced_terms_exactly(
-    loop, batch, _trained_tiny_state, tiny_benchmark
+    loop, batch, splits, _trained_tiny_state, tiny_benchmark
 ):
     """The modelled latency of a frame that did not queue (a batch-1
     step fits the camera period on orin-60w) is the sum ``inference +
-    adaptation``, to the last bit."""
+    adaptation``, to the last bit — in a second run too, whose stream
+    arrives from where the first run left the device clock."""
     frames = _frames(tiny_benchmark, poison=False)
     model = _model(_trained_tiny_state)
-    served = loop(model, _adapter(model, batch), frames, "numpy", "orin", [])
+    served = loop(
+        model, _adapter(model, batch), frames, "numpy", "orin", splits
+    )
     priced = ld_bn_adapt_latency(SPEC, DEVICE, 1)
     assert [f.latency_ms for f in served] == [
         priced.inference_ms + priced.adaptation_ms if f.adapted
