@@ -2,11 +2,14 @@
 
     python benchmarks/byte_digest.py
 
-Prints one sha256 per case and a combined one; writes no file.  A change
-that must leave every byte the engine produces as it was (a faster
-kernel, a refactor) prints the same combined digest as its parent
-commit: run this file in both checkouts (it imports the ``repro`` of the
-checkout it sits in) and compare the last line.
+Prints one sha256 per case, then two combined ones: over the arrays
+alone, and over the arrays with the ``cgen`` program digests (the last
+line); writes no file.  A change that must leave every byte the engine
+produces as it was (a faster kernel, a refactor) prints the same last
+line as its parent commit: run this file in both checkouts (it imports
+the ``repro`` of the checkout it sits in) and compare.  A change that
+moves only how a rendered plan binds its slots moves the last line but
+not the arrays-only one.
 
 Cases:
 
@@ -130,7 +133,8 @@ def fused_case(preset, backend, from_stem):
         rows = engine.plan_for(x.shape, x.dtype).stem_rows
         staged = batcher.stage(sessions, list(x),
                                list(rows) if from_stem else None)
-        if staged is None:  # the NaN frame left one stream: no group
+        if staged is None or staged.num_streams < 2:
+            # the NaN frame left one stream: no fused step is taken
             out.append(np.array([k]))
             continue
         results = staged.execute()
@@ -187,13 +191,16 @@ def cases():
 
 
 def main() -> None:
-    combined = hashlib.sha256()
+    combined, arrays_only = hashlib.sha256(), hashlib.sha256()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the NaN steps
         for name, run in cases():
-            line = digest(*run())
+            arrays, program = run()
+            line = digest(arrays, program)
             combined.update(line.encode())
+            arrays_only.update(digest(arrays).encode())
             print(f"{name:34s} {line}")
+    print(f"{'combined (arrays only)':34s} {arrays_only.hexdigest()}")
     print(f"{'combined':34s} {combined.hexdigest()}")
 
 

@@ -13,11 +13,12 @@
 # are tier-1 tests (tests/test_experiments.py); lane 3 runs one CLI smoke
 # per subcommand not already run by a test (bench-adapt --quick, which
 # prints a plan's per-stage table, on every run), then the bench-e2e
-# self-check (benchmarks/e2e/run.py --smoke), the line counts of
-# src/repro/{engine,serve,hw,nn,pipeline} and of src/repro, the combined
-# byte digest of benchmarks/byte_digest.py and the memory line of
-# benchmarks/stream_memory.py, each beside the parent commit's (printed,
-# not gated: a change may move bytes on purpose).  Lane 4 exercises
+# self-check (benchmarks/e2e/run.py --smoke) with each workload's
+# adaptation group size, fused share and swap time, the line counts of
+# src/repro/{engine,serve,hw,nn,adapt,pipeline} and of src/repro, the two
+# combined byte digests of benchmarks/byte_digest.py and the memory line
+# of benchmarks/stream_memory.py, each beside the parent commit's
+# (printed, not gated: a change may move bytes on purpose).  Lane 4 exercises
 # the cgen C plan backend (its line count beside the parent commit's,
 # the kernel library's cold build and its reuse by a second plan shape,
 # the parity tests with a 2-wide worker pool (tier-1 ran them
@@ -107,6 +108,18 @@ fi
 # a C compiler it loud-skips, exactly as lane 4 does
 if python -c 'import sys; from repro.engine.backends import find_cc; sys.exit(0 if find_cc() else 1)'; then
     python benchmarks/e2e/run.py --smoke
+    # how each workload's adaptation steps ran (printed, no gate): mean
+    # group size, the share of steps in groups of two or more, and the
+    # p50 of a session swap onto the model (0 when nothing swapped)
+    python - <<'PY'
+import json
+for name in ("vehicle_b1", "vehicle_b4", "fleet_lockstep", "fleet_churn"):
+    with open(f".bench_build/e2e/results/{name}.smoke.json") as f:
+        layer = json.load(f)["per_layer"]
+    print(f"smoke {name}: " + ", ".join(f"{m} {layer[m]:.3g}" for m in (
+        "serve.adapt_batch.group_mean", "serve.adapt_batch.fused_share",
+        "serve.streams.swap_us_p50")))
+PY
 else
     echo "NOTICE: bench-e2e smoke SKIPPED — no C compiler on this host;"
     echo "        its cgen workloads would only measure the numpy fallback"
@@ -114,21 +127,25 @@ fi
 # the line meter of ROADMAP item 6 ("engine + serve + hw down >= 15 %
 # together"), item 12's engine + nn and the vehicle facade (pipeline),
 # each package beside the parent commit's count, then all of src/repro
-for layer in engine serve hw nn pipeline; do
+for layer in engine serve hw nn adapt pipeline; do
     meter "$layer"
 done
 meter ""
-# the served bytes' digest, beside the parent commit's (its src/ and
-# digest script extracted to a temporary tree), then the memory line of
-# benchmarks/stream_memory.py (traced compile high-water of the small-r18
-# batch-4 inference and group-2 adaptation plans, the bytes one
-# add_stream retains), this checkout's script over both trees; printed only
-echo "byte digest: $(python benchmarks/byte_digest.py | tail -n 1)"
+# the served bytes' two combined digests (arrays only, then with the
+# cgen program digests), beside the parent commit's, then the memory line
+# of benchmarks/stream_memory.py (traced compile high-water of the
+# small-r18 batch-4 inference and group-2 adaptation plans, the bytes one
+# add_stream retains): this checkout's scripts over both trees (the
+# parent's src/ extracted to a temporary tree); printed only
+python benchmarks/byte_digest.py | tail -n 2 | sed 's/^/byte digest: /'
 parent_tree=$(mktemp -d)
-if [[ "$in_git" == true ]] && git archive HEAD^ -- src benchmarks/byte_digest.py \
+if [[ "$in_git" == true ]] && git archive HEAD^ -- src \
         2>/dev/null | tar -x -C "$parent_tree"; then
-    echo "byte digest (parent commit): $(cd "$parent_tree" \
-        && python benchmarks/byte_digest.py | tail -n 1)"
+    mkdir -p "$parent_tree/benchmarks"
+    cp benchmarks/byte_digest.py benchmarks/stream_memory.py \
+        "$parent_tree/benchmarks/"
+    python "$parent_tree/benchmarks/byte_digest.py" | tail -n 2 \
+        | sed 's/^/byte digest (parent commit): /'
     parent_ok=true
 else
     echo "byte digest (parent commit): ?"
@@ -136,7 +153,6 @@ else
 fi
 python benchmarks/stream_memory.py
 if [[ "$parent_ok" == true ]]; then
-    cp benchmarks/stream_memory.py "$parent_tree/benchmarks/"
     echo "parent commit's $(python "$parent_tree/benchmarks/stream_memory.py")"
 fi
 rm -rf "$parent_tree"

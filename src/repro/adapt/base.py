@@ -203,14 +203,6 @@ class Adapter(abc.ABC):
         serve adapters that can start from them."""
         return self.adapt(frames)
 
-    def warm(self, image: np.ndarray, from_stem: bool = False) -> None:
-        """Do any one-time work a step on frames like ``image`` needs
-        (``from_stem``: a step handed their stem rows).
-
-        Serving loops call this outside their timed regions; adapters
-        with nothing to compile inherit this no-op.
-        """
-
     def reset(self) -> None:
         """Restore what this adapter adapts — its trainable parameters and
         the BN running statistics — to their values at construction, and

@@ -34,9 +34,11 @@ Implementation notes
   lower fall back to it automatically.
 * The step's epilogue is the plan's too: its last stage, the *update
   tail*, persists the batch statistics and takes the momentum step on
-  gamma/beta, writing where this adapter says its state lives
-  (:meth:`LDBNAdapt.bn_arrays`: the live modules; momentum buffers stay
-  in ``optimizer.state``, so ``reset()`` and checkpoints see them).  On
+  gamma/beta, writing where this adapter says its state lives — the
+  place the step's forward read gamma/beta from
+  (:meth:`LDBNAdapt.bn_arrays`: the live modules; a fleet hands the
+  plan its sessions instead; momentum buffers stay in
+  ``optimizer.state``, so ``reset()`` and checkpoints see them).  On
   the ``numpy`` backend that stage is the Python loop this module used
   to hold; ``cgen`` renders it, so no per-layer Python runs after the
   step's C.  A step whose loss is not finite writes nothing: the tail
@@ -63,7 +65,8 @@ import numpy as np
 
 from .. import nn
 from ..engine import CompiledAdaptStep, UnsupportedAdaptGraph
-from ..engine.backends import available_backends
+from ..engine.adapt_plan import live_bn_arrays
+from ..engine.backends import available_backends, resolve_backend
 from ..nn.modules import _BatchNormBase
 from .base import AdaptResult, Adapter, set_bn_training
 from .entropy import entropy_loss
@@ -89,7 +92,8 @@ class LDBNAdaptConfig:
         Momentum for the "ema" mode.
     backend:
         Plan backend for the compiled adaptation step.  ``None`` — with
-        ``threads`` also ``None`` — inherits the serving loop's engine:
+        ``threads`` also ``None`` — inherits the serving loop's engine,
+        as does a ``backend`` / ``threads`` pair equal to the loop's:
         the pool's step, once :meth:`repro.serve.FleetServer.add_stream`
         registers the adapter (a :class:`repro.pipeline.RealTimePipeline`
         is a one-stream fleet); an adapter used on its own resolves
@@ -98,8 +102,10 @@ class LDBNAdaptConfig:
         Kernel-pool width for codegen backends (``None`` inherits like
         ``backend``; an adapter used on its own defers to the backend's
         resolution chain, and the numpy backend ignores it).  A pair set
-        explicitly is kept: if it differs from the serving loop's, steps
-        start from the images, never from another backend's stem rows.
+        explicitly that equals the serving loop's shares the loop's step
+        too; one that differs is kept: its steps run on their own engine,
+        never in a fleet group, and start from the images, never from
+        another backend's stem rows.
     """
 
     lr: float = 1e-3
@@ -162,22 +168,10 @@ class LDBNAdapt(Adapter):
             1.0 if self.config.stats_mode == "replace" else self.config.ema_momentum
         )
 
-    def warm(self, image: np.ndarray, from_stem: bool = False) -> None:
-        """Trace + compile the adaptation plan for this adapter's batch size
-        (``from_stem``: the plan a step handed stem rows replays).
-
-        Serving loops call this outside their timed regions (mirroring
-        ``CompiledInference.warm``) so the one-time trace cost never
-        pollutes per-frame latency statistics.  No-op when the compiled
-        path is disabled or refused for that input kind.  Returns before
-        allocating anything when the plan is already compiled, so a loop
-        may call it on every frame.
-        """
-        shape = (self.config.batch_size,) + tuple(np.shape(image))
-        if not self._step_engine().holds(shape, np.float32, from_stem=from_stem):
-            self._compiled_plan(np.zeros(shape, dtype=np.float32), from_stem)
-
-    def _step_engine(self) -> CompiledAdaptStep:
+    def step_engine(self) -> CompiledAdaptStep:
+        """The :class:`~repro.engine.CompiledAdaptStep` this adapter's
+        steps replay (built from ``config`` on first use unless a serving
+        loop shared its own)."""
         if self._compiled is None:
             self._compiled = CompiledAdaptStep(
                 self.model, backend=self.config.backend,
@@ -187,15 +181,19 @@ class LDBNAdapt(Adapter):
 
     def share_engine(self, step: CompiledAdaptStep) -> None:
         """Step on a serving loop's compiled ``step`` when the config
-        leaves ``backend`` and ``threads`` to it (both ``None``)."""
-        if self.config.backend is None and self.config.threads is None:
+        leaves ``backend`` and ``threads`` to it (both ``None``) or names
+        the pair ``step`` was built with."""
+        backend, threads = self.config.backend, self.config.threads
+        if (backend is None and threads is None) or (
+            resolve_backend(backend) is step.backend and threads == step.threads
+        ):
             self._compiled = step
 
     def takes_rows_from(self, engine) -> bool:
         return (
             nn.compiled_adaptation_enabled()
             and True not in self._compiled_unsupported
-            and self._step_engine().takes_rows_from(engine)
+            and self.step_engine().takes_rows_from(engine)
         )
 
     def _compiled_plan(self, images: np.ndarray, from_stem: bool = False):
@@ -208,19 +206,14 @@ class LDBNAdapt(Adapter):
                 or from_stem in self._compiled_unsupported):
             return None
         try:
-            return self._step_engine().plan_for(images, from_stem=from_stem)
+            return self.step_engine().plan_for(images, from_stem=from_stem)
         except UnsupportedAdaptGraph:
             self._compiled_unsupported.add(from_stem)
             return None
 
-    @staticmethod
-    def bn_arrays(module: _BatchNormBase):
-        """Where the update tail of a single-stream step writes (see
-        :meth:`repro.engine.AdaptationPlan.run`): the live module."""
-        return (
-            module.running_mean, module.running_var,
-            module.num_batches_tracked, module.weight.data, module.bias.data,
-        )
+    # where a single-stream step reads gamma/beta and its update tail
+    # writes (see repro.engine.AdaptationPlan.run): the live module
+    bn_arrays = staticmethod(live_bn_arrays)
 
     def record_step(self, loss: float, num_frames: int,
                     refused: bool = False) -> AdaptResult:

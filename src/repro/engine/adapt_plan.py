@@ -55,16 +55,21 @@ and scratch, once, at compile time.
 **Grouped replay** is the fleet-batching mechanism: with ``groups=G`` the
 batch axis is split into G contiguous groups of equal size, every
 BatchNorm normalizes each group with that group's own batch statistics
-and per-group gamma/beta (read from plan-input *slots*), and the loss is
-one mean entropy per group.  A single grouped replay therefore equals G
-independent serial adaptation steps — one per stream — sharing every
-GEMM.  With ``groups=1`` gamma/beta are read live from the model's BN
-modules and the plan is the single-stream compiled step.
+and per-group gamma/beta, and the loss is one mean entropy per group.  A
+single grouped replay therefore equals G independent serial adaptation
+steps — one per stream — sharing every GEMM.  At every group count a
+train-mode BN reads gamma/beta from plan-owned ``(G, C)`` float64
+*slots*, and :meth:`AdaptationPlan.run` fills row k from the k-th update
+destination — the same place the update tail then writes — so a step's
+reads and writes both go where its state lives: the live modules for a
+single-stream adapter, a session's BN block in a fleet (a one-stream
+fleet step is a group of one).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -88,6 +93,19 @@ class UnsupportedAdaptGraph(RuntimeError):
 
 #: the tag of the buffer a kind saves for its backward (key: tag, index)
 _SAVED = {"bn": "xh", "maxpool": "arg"}
+
+
+def live_bn_arrays(module: _BatchNormBase):
+    """A BN layer's ``(running_mean, running_var, num_batches_tracked,
+    gamma, beta)`` on the module itself: where a single-stream step's
+    state lives, and what a one-group replay handed no destination reads."""
+    return (
+        module.running_mean, module.running_var,
+        module.num_batches_tracked, module.weight.data, module.bias.data,
+    )
+
+
+_LIVE = SimpleNamespace(bn_arrays=live_bn_arrays)
 
 
 def _axis_dims(shape, axis: int) -> Tuple[int, int, int]:
@@ -137,13 +155,12 @@ def _col2im_into(geo, flat: np.ndarray, part, dtype
 class BNLayerTap:
     """Plan inputs/outputs of one BatchNorm layer, in execution order.
 
-    ``gamma_slot``/``beta_slot`` are ``(G, C)`` parameter inputs read at
-    every replay — the fleet batcher fills row ``g`` with stream ``g``'s
-    adapted gamma/beta; the stages read them as ``("fixed", gamma_slot)``
-    sources.  With ``groups == 1`` they are None and the stages read the
-    live parameters instead, ``("const", module.weight)`` (so
-    single-stream LD-BN-ADAPT updates are visible without refilling
-    anything).  After ``run``:
+    ``gamma_slot``/``beta_slot`` are the ``(G, C)`` float64 affine the
+    stages read, at every group count (the renderer binds them like any
+    plan-owned buffer).  They start as the module's own values, so the
+    backend parity probe replays a real affine, and
+    :meth:`AdaptationPlan.run` fills row ``k`` from its ``k``-th update
+    destination.  After ``run``:
 
     * ``grad_gamma``/``grad_beta`` hold the entropy gradients, ``(G, C)``;
     * ``batch_mean``/``batch_var`` hold the per-group batch statistics the
@@ -152,8 +169,8 @@ class BNLayerTap:
     """
 
     module: _BatchNormBase
-    gamma_slot: Optional[np.ndarray]
-    beta_slot: Optional[np.ndarray]
+    gamma_slot: np.ndarray
+    beta_slot: np.ndarray
     grad_gamma: np.ndarray
     grad_beta: np.ndarray
     batch_mean: np.ndarray
@@ -545,16 +562,10 @@ class AdaptationPlan(StaticPlan):
         # fixed at compile time.  Tiny — (G, C) per BN layer.
         inv_std = np.empty((groups, c), dtype=node.out_dtype)
         inv5 = inv_std.reshape(pshape)
-        if groups > 1:
-            # ones/zeros (the BN identity), not np.empty: the backend
-            # parity probe replays the traced example before the fleet
-            # fills the slots, and garbage would make probes flaky
-            gamma_slot = np.ones((groups, c), dtype=np.float64)
-            beta_slot = np.zeros((groups, c), dtype=np.float64)
-            gamma, beta = ("fixed", gamma_slot), ("fixed", beta_slot)
-        else:
-            gamma_slot = beta_slot = None
-            gamma, beta = ("const", module.weight), ("const", module.bias)
+        gamma_slot = np.empty((groups, c), dtype=np.float64)
+        beta_slot = np.empty((groups, c), dtype=np.float64)
+        gamma_slot[...], beta_slot[...] = module.weight.data, module.bias.data
+        gamma5, beta5 = gamma_slot.reshape(pshape), beta_slot.reshape(pshape)
         tap = BNLayerTap(
             module=module,
             gamma_slot=gamma_slot,
@@ -567,14 +578,14 @@ class AdaptationPlan(StaticPlan):
         self.bn_taps.append(tap)
         x_src = self._src(x_ref)
         # eager computes the affine at gamma/beta's width and casts once:
-        # an f32 input under f64 parameters takes a wide part
-        wide_dtype = np.result_type(node.out_dtype, _get(gamma), _get(beta))
+        # an f32 input under the f64 slots takes a wide part
+        wide_dtype = np.result_type(node.out_dtype, np.float64)
         wide = None if wide_dtype == node.out_dtype else _parts()(
             node.out_shape, wide_dtype)
         hw = int(np.prod(x_shape[2:], dtype=np.int64))
         cell.update(
             gshape=gshape, axes=axes, m=m, tap=tap, xhat=xhat,
-            pshape=pshape, inv_std=inv_std, inv5=inv5, hw=hw, gamma=gamma,
+            inv_std=inv_std, inv5=inv5, hw=hw, gamma5=gamma5,
         )
 
         def run():
@@ -588,10 +599,9 @@ class AdaptationPlan(StaticPlan):
             np.sqrt(inv5, out=inv5)
             np.divide(1.0, inv5, out=inv5)
             np.multiply(xh5, inv5, out=xh5)
-            # (G, C) per-group slots, or the (C,) live parameters (G = 1)
             dst5 = out5 if wide is None else wide[0].reshape(gshape)
-            np.multiply(xh5, _get(gamma).reshape(pshape), out=dst5)
-            np.add(dst5, _get(beta).reshape(pshape), out=dst5)
+            np.multiply(xh5, gamma5, out=dst5)
+            np.add(dst5, beta5, out=dst5)
             if wide is not None:
                 np.copyto(out5, dst5, casting="same_kind")
             tap.batch_mean[...] = mean.reshape(groups, c)
@@ -602,7 +612,7 @@ class AdaptationPlan(StaticPlan):
             dict(
                 x_src=x_src, out=out, xhat=xhat,
                 inv_std=inv_std, batch_mean=tap.batch_mean,
-                batch_var=tap.batch_var, gamma=gamma, beta=beta,
+                batch_var=tap.batch_var, gamma=gamma_slot, beta=beta_slot,
                 dims=(groups, group_size, c, hw), eps=eps,
                 dtype=node.out_dtype,
             ),
@@ -820,7 +830,7 @@ class AdaptationPlan(StaticPlan):
         g = self._grads[node.out_vid]
         gshape, axes, m = cell["gshape"], cell["axes"], cell["m"]
         tap, xhat = cell["tap"], cell["xhat"]
-        gamma, pshape, inv5 = cell["gamma"], cell["pshape"], cell["inv5"]
+        gamma5, inv5 = cell["gamma5"], cell["inv5"]
         groups, c = self.groups, tap.module.num_features
         g5, xh5 = g.reshape(gshape), xhat.reshape(gshape)
 
@@ -833,7 +843,7 @@ class AdaptationPlan(StaticPlan):
             g=g, xhat=xhat, inv_std=cell["inv_std"],
             grad_gamma=tap.grad_gamma, grad_beta=tap.grad_beta,
             dims=(groups, self.group_size, c, cell["hw"]),
-            m=m, gamma=gamma, dtype=node.out_dtype,
+            m=m, gamma=tap.gamma_slot, dtype=node.out_dtype,
         )
         if not grad_in:
             # the first BN in the network: nothing upstream needs gradient
@@ -842,8 +852,8 @@ class AdaptationPlan(StaticPlan):
 
         def write(out):
             affine_grads()
-            F._bn_input_grad(g5, xh5, inv5, _get(gamma).reshape(pshape),
-                             axes, out=out.reshape(gshape))
+            F._bn_input_grad(g5, xh5, inv5, gamma5, axes,
+                             out=out.reshape(gshape))
 
         self._contribute(grad_in[0], sink, _parts(), "bn_bwd", spec,
                          write)
@@ -861,15 +871,19 @@ class AdaptationPlan(StaticPlan):
         :attr:`finite` (plan-owned buffers, overwritten by the next
         ``run``).
 
-        ``update`` arms the update tail for this replay: one destination
-        per group, each with ``optimizer`` (an :class:`~repro.nn.SGD`),
+        ``update`` names this replay's state: one destination per group,
+        each with ``optimizer`` (an :class:`~repro.nn.SGD`),
         ``effective_momentum`` (what the running statistics blend with;
         1.0 replaces) and ``bn_arrays(module)`` — where that BN layer's
         ``(running_mean, running_var, num_batches_tracked, gamma, beta)``
-        live: the module itself for a single-stream step, a session's
-        saved copies in a fused one.  Plans are shared between
-        adapters, so a destination is only ever an argument.  A group
-        whose loss is not finite is left untouched.
+        live: the module itself for a single-stream adapter, a session's
+        BN block in a fleet.  Row k of every gamma/beta slot is filled
+        from destination k before the forward, and the update tail
+        writes back to it.  Plans are shared between adapters, so a
+        destination is only ever an argument.  A group whose loss is not
+        finite is left untouched.  With no destinations a one-group
+        replay reads the live modules and a grouped one reads what its
+        caller left in the slots.
         """
         if update is not None and len(update) != self.groups:
             raise ValueError(
@@ -887,7 +901,15 @@ class AdaptationPlan(StaticPlan):
         return self._loss_out
 
     def _begin(self, x: np.ndarray, update: Optional[Sequence] = None) -> None:
-        """The replay prologue, arming the update tail with ``update``
-        (``None`` in :meth:`stage_ms`: a timed replay updates nothing)."""
+        """The replay prologue: the affine slots filled from ``update``
+        (see :meth:`run`), which arms the update tail (``None`` in
+        :meth:`stage_ms`: a timed replay updates nothing)."""
         self._update[0] = update
+        if update is None and self.groups == 1:
+            update = (_LIVE,)
+        for tap in self.bn_taps:
+            for k, target in enumerate(update or ()):
+                *_, gamma, beta = target.bn_arrays(tap.module)
+                tap.gamma_slot[k] = gamma
+                tap.beta_slot[k] = beta
         super()._begin(x)

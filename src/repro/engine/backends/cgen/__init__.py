@@ -614,26 +614,6 @@ class CRenderer:
         )
         return [sflag] + slots, eps
 
-    def _affine_slot(self, source, offer: _Offer):
-        """Slot of a train-mode BN's f64 gamma/beta vector, or ``None``:
-        ``("fixed", array)`` is a stable per-group ``(groups, c)`` array
-        the fleet fills before each grouped replay, ``("const", param)``
-        the live parameter, rebound per replay so optimizer updates flow
-        through — converted to float64 (:func:`_bindv`), as the numpy
-        stage computes in it."""
-        mode, value = source
-        if mode == "fixed":
-            return self._fixed_slot(value, np.float64)
-        slot = self._slot()
-        holder = self._tab_holder
-        keep = [None]
-
-        def bind(vector):
-            return _bindv(holder[0], slot, vector, keep)
-
-        offer.bind_on(bind, value, "data")
-        return slot
-
     def _try_linear(self, spec, fallback):
         dtype = np.dtype(spec["out_dtype"])
         ct = _CTYPE.get(dtype.name)
@@ -825,7 +805,7 @@ class CRenderer:
         return self._accept(
             offer, f"{kernel}_{_CTYPE[dtype.name]}", slots,
             _pack(K.BN_ARGS, groups, gs, c, hw,
-                  int(spec["gamma"][0] == "fixed"), int(sink), float(scalar)),
+                  1, int(sink), float(scalar)),  # per-group gamma rows
             mt=self._mt(passes * groups * gs * c * hw / _SWEEP_PER_US),
             tol_dtype=dtype,
         )
@@ -843,7 +823,7 @@ class CRenderer:
             self._fixed_slot(spec["g"], dtype),
             self._fixed_slot(spec["xhat"], dtype),
             self._fixed_slot(spec["inv_std"], dtype),
-            self._affine_slot(spec["gamma"], offer),
+            self._fixed_slot(spec["gamma"], np.float64),
             self._fixed_slot(gg, np.float64),
             self._fixed_slot(gb, np.float64),
         ]
@@ -869,8 +849,8 @@ class CRenderer:
             self._source_slot(spec["x_src"], dtype, offer),
             self._fixed_slot(xh, dtype),
             self._fixed_slot(inv, dtype),
-            self._affine_slot(spec["gamma"], offer),
-            self._affine_slot(spec["beta"], offer),
+            self._fixed_slot(spec["gamma"], np.float64),
+            self._fixed_slot(spec["beta"], np.float64),
             self._fixed_slot(bm, np.float64),
             self._fixed_slot(bv, np.float64),
         ]

@@ -67,13 +67,14 @@ class CompiledInference:
             )
         return plan
 
-    def warm(self, x) -> None:
-        """Trace + compile the plan for ``x``'s signature without replaying.
+    def warm(self, x) -> ExecutionPlan:
+        """Trace + compile the plan for ``x``'s signature without
+        replaying; returns it.
 
         Serving loops call this outside their timed regions so the
         one-time trace cost never pollutes per-frame latency statistics.
         """
-        self._plan(x.data if isinstance(x, Tensor) else np.asarray(x))
+        return self._plan(x.data if isinstance(x, Tensor) else np.asarray(x))
 
     def __call__(self, x) -> Tensor:
         arr = x.data if isinstance(x, Tensor) else np.asarray(x)
@@ -105,12 +106,14 @@ class CompiledAdaptStep:
     """Compiled LD-BN-ADAPT entropy steps for one model.
 
     Caches one :class:`~repro.engine.adapt_plan.AdaptationPlan` per
-    ``(input shape, dtype, groups, from_stem)``.  With ``groups == 1`` a
-    plan reads gamma/beta live from the model's BN modules (the
-    single-stream step); with ``groups == G`` it exposes per-group
-    parameter slots — the fleet's mechanism for fusing G same-phase
-    streams' steps into one batched replay.  Tracing restores every
-    buffer it touches, so building a plan never perturbs the model.
+    ``(input shape, dtype, groups, from_stem)``.  A plan of ``G`` groups
+    steps ``G`` states at once, each read and written where its update
+    destination says it lives: a single-stream adapter's live modules,
+    or the sessions of a fleet group (``G = 1`` included) — the fleet's
+    mechanism for fusing same-phase streams' steps into one replay, and
+    for stepping one stream without touching the shared model.  Tracing
+    restores every buffer it touches, so building a plan never perturbs
+    the model.
     """
 
     def __init__(self, model, loss_fn=None, backend=None,
@@ -144,12 +147,6 @@ class CompiledAdaptStep:
                 groups=groups, threads=self.threads, from_stem=from_stem,
             )
         return plan
-
-    def holds(self, shape, dtype=np.float32, groups: int = 1,
-              from_stem: bool = False) -> bool:
-        """Whether the plan for an image batch of that signature is built."""
-        key = (tuple(shape), np.dtype(dtype).str, groups, from_stem)
-        return key in self._plans
 
     def takes_rows_from(self, engine: CompiledInference) -> bool:
         """Whether this step's plans can start from the stem rows

@@ -96,13 +96,16 @@ class RealTimePipeline:
         the online accuracy diagnostics — the adapter sees raw images.
 
         If the stream ends before ``num_frames`` frames were produced, the
-        partial report is returned with ``report.truncated`` set.  A later
-        ``run`` continues from the adapted state on the same compiled
-        plans, its camera starting where the last run ended.
+        partial report is returned with ``report.truncated`` set.  The
+        fleet steps the stream's own BN block, never the model; when the
+        run ends that block is written onto the model once, so the
+        caller's model holds the adapted state and a later ``run``
+        continues from it on the same compiled plans, its camera starting
+        where the last run ended.
         """
         session = self.server.add_stream(STREAM, stream, adapter=self.adapter)
         try:
             self.server.run(num_frames)
         finally:
-            self.server.remove_stream(STREAM)
+            self.server.remove_stream(STREAM).bn_state.swap_in()
         return session.report

@@ -25,18 +25,20 @@ Architecture
                  state + adapter │ DeadlineAwareScheduler  (scheduler.py)
                                  │ SlackAdmission budget   (admission.py)
                                  │ the pool's ONE compiled engine pair
-                                 └ batched fwd + fused adaptation
+                                 └ batched fwd + grouped adaptation
                                                            (adapt_batch.py)
 
 * **streams.py** — per-stream isolation *and arrival modelling*.
   Everything LD-BN-ADAPT touches (BN running statistics, gamma/beta,
   optimizer momentum) lives in a :class:`StreamSession`, its BN state
-  one flat block that ``swap_in``/``swap_out`` materialize on the shared
-  model around serial adaptation steps, while eval-mode BN folds to
-  per-sample ``(scale, shift)`` vectors — a whole launch in a few vector
-  ops — so :func:`per_stream_inference` serves many differently-adapted
-  streams in ONE batched forward.  Each session owns an :class:`ArrivalProcess`
-  — a seeded realization of its :class:`ArrivalModel`, with the seed
+  one flat block that every compiled step reads and writes in place;
+  ``swap_in``/``swap_out`` materialize it on the shared model only for
+  a step no plan of the pool's takes, and when a vehicle's run ends.
+  Eval-mode BN folds to per-sample ``(scale, shift)`` vectors — a whole
+  launch in a few vector ops — so :func:`per_stream_inference` serves
+  many differently-adapted streams in ONE batched forward.  Each session
+  owns an :class:`ArrivalProcess` — a seeded realization of its
+  :class:`ArrivalModel`, with the seed
   derived from ``child_seed(arrival_seed, stream_id)`` so a stream's
   arrival realization is invariant to pool size and placement.  The
   session is also the unit of migration: re-homing it moves all
@@ -46,7 +48,7 @@ Architecture
   price each stream per device), its scheduler + queue, its admission
   budget, its pricing (memoised roofline quotes) and its clock; the
   per-batch serving path (shared forward → decode → admission-gated
-  fused/serial adaptation → per-frame record → drift resets →
+  grouped adaptation → per-frame record → drift resets →
   checkpoints, one method each) lives here.  The compiled engines are
   the coordinator's, shared by every worker: one frozen network, so
   each plan is lowered once per pool.  :func:`place_stream` is the
@@ -68,7 +70,7 @@ Architecture
   deadline is already unmeetable, and exposes the earliest pending
   arrival so the event loop can launch the instant the device frees up.
   :func:`plan_adaptation_groups` partitions the steps granted in one
-  served batch into same-key fused groups.
+  served batch into same-key groups.
 * **admission.py** — slack-driven adaptation admission control, one
   controller per device.  :class:`SlackAdmission` grants the optional
   adaptation work from observed deadline slack: steps shed when the
@@ -81,14 +83,16 @@ Architecture
   erases nor inflates its catch-up claim.  The static ``adapt_stride``
   stagger remains as the legacy policy when no :class:`AdmissionConfig`
   is given.
-* **adapt_batch.py** — batched same-batch adaptation, one batcher per
-  device over the pool's shared adaptation step (the fused-billing
-  verdict stays per device).  Granted steps that land in the same
-  served batch fuse into ONE grouped replay of the compiled adaptation
-  plan with per-stream state slots read straight from each session's
-  snapshot (no model swap); per-stream results match serial stepping
-  to float precision.
-  ``FleetConfig(batch_adaptation=False)`` disables fusing.
+* **adapt_batch.py** — grouped adaptation, one batcher per device over
+  the pool's shared adaptation step (the fused-billing verdict stays per
+  device).  Every granted step the pool's plans take is one group of a
+  replay of the compiled adaptation plan, which reads each stream's
+  gamma/beta from its session and writes its update back there (no
+  model swap); same-key steps that land in the same served batch fuse
+  into ONE such replay, and a lone step is a group of one.  Per-stream
+  results match serial stepping to float precision (bitwise for a
+  group of one).  ``FleetConfig(batch_adaptation=False)`` disables
+  fusing: every step is a group of one.
 * **server.py** — the fleet coordinator.  It builds the pool's one
   compiled engine pair and runs the one event loop: a fleet-wide
   time-ordered arrival heap; arrivals route to the session's current

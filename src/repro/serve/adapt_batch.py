@@ -1,39 +1,41 @@
-"""Fleet-wide batched adaptation: fuse same-phase streams' entropy steps.
+"""Fleet adaptation: every compiled LD-BN-ADAPT step of a served batch.
 
-The fleet server's inference already amortizes across streams (one
-batched compiled forward with per-sample BN folds); until now every
-adapting stream still paid a *serial* entropy step — swap its BN state
-onto the shared model, run train-forward + backward + optimizer, swap it
-back out.  This module fuses the steps of streams that adapt on the same
-tick (same ``adapt_phase``) into ONE grouped replay of the compiled
-adaptation plan (:class:`repro.engine.CompiledAdaptStep` with
-``groups=K``):
+A stream's LD-BN-ADAPT state is its BN block
+(:class:`~repro.serve.streams.BNStateSnapshot`), and an adaptation plan
+(:class:`repro.engine.CompiledAdaptStep`) reads and writes gamma/beta
+wherever its caller says the state lives.  So a fleet never materializes
+a session on the shared model to step it: this module stages the steps
+of a served batch as *groups* — one replay of the plan compiled with
+``groups=K`` for K same-key streams, K = 1 included:
 
-* every stream's frames form one contiguous *group* of the fused batch;
+* every stream's frames form one contiguous group of the replayed batch;
 * each BatchNorm normalizes each group with that group's own batch
-  statistics and that stream's own gamma/beta (plan-input slots filled
-  straight from the stream's :class:`~repro.serve.streams.BNStateSnapshot`
-  — no model swap-in/swap-out at all);
-* the plan returns one loss per stream, and its update tail — the stage
-  a serial step ends in too, armed here with the sessions themselves —
-  applies every stream's running-statistics refresh and SGD step
-  directly to that stream's snapshot, so the resulting per-stream states
-  match serial stepping to float precision (the only divergence is GEMM
-  batching at the last-ulp level).
+  statistics and that stream's own gamma/beta, which
+  :meth:`~repro.engine.AdaptationPlan.run` reads from the sessions
+  themselves, the destinations it is handed;
+* the plan returns one loss per stream, and its update tail applies
+  every stream's running-statistics refresh and SGD step directly to
+  that stream's block, so the resulting per-stream states match serial
+  stepping to float precision (the only divergence is GEMM batching at
+  the last-ulp level; a group of one is the serial step, bitwise).
 
-A fused group starts from its members' stem rows — the ones the launch's
+A group starts from its members' stem rows — the ones the launch's
 inference replay wrote, gathered by the members' positions in the launch
 (:meth:`FleetAdaptationBatcher.stage`'s ``rows``), beside each adapter's
 buffered ones — and replays the plan compiled ``from_stem``; when any
 member frame has none (a restored one) the group starts from the images.
 
-Batching contract: a stream joins a fused step when its adapter is an
-:class:`~repro.adapt.LDBNAdapt`, the incoming frame completes its
-adaptation batch, and the fused batch sizes agree.  Learning rates,
-momenta and stats modes may differ per stream — the update tail reads
-them per group.  Everything else (other adapters, unsupported graphs)
-falls back to the serial path.  Under ``repro.nn.adaptation_mode(False)``
-a staged group runs its members' eager steps one after another.
+Grouping contract: a stream's step is staged when its adapter is an
+:class:`~repro.adapt.LDBNAdapt` stepping on the batcher's own engine
+(:meth:`~repro.adapt.LDBNAdapt.step_engine`: the pool's, shared by
+:meth:`~repro.serve.FleetServer.add_stream`), the incoming frame
+completes its adaptation batch, and compiled adaptation is on; streams
+fuse when their batch sizes agree too.  Learning rates, momenta and stats
+modes may differ per stream — the update tail reads them per group.
+Everything else (other adapters, an adapter on another engine, graphs
+the plan cannot lower) steps on its own, swapped onto the model.  Under
+``repro.nn.adaptation_mode(False)`` a staged group runs its members'
+eager steps one after another.
 """
 
 from __future__ import annotations
@@ -53,19 +55,20 @@ def static_fuse_key(adapter):
     """The fuse key this adapter's steps carry when they run, or None.
 
     The *static* half of the batching contract — an
-    :class:`LDBNAdapt` of a given batch size always fuses under the same
+    :class:`LDBNAdapt` of a given batch size on a given engine (its
+    :class:`~repro.engine.CompiledAdaptStep`) always fuses under the same
     key; whether a particular frame actually has a step to fuse is the
     dynamic half (:meth:`FleetAdaptationBatcher.group_key`).  The
     admission controller uses the static key to know which streams could
     ever share a fused replay (phase packing).
     """
     if isinstance(adapter, LDBNAdapt):
-        return ("ldbn-sgd", adapter.config.batch_size)
+        return ("ldbn-sgd", adapter.config.batch_size, adapter.step_engine())
     return None
 
 
 class StagedGroupStep:
-    """One fused adaptation step of a served batch.
+    """One grouped adaptation step of a served batch (one member or more).
 
     Staging (batch assembly + plan lookup, which traces on first use)
     happens outside the serving loop's timed region; :meth:`execute`
@@ -98,7 +101,7 @@ class StagedGroupStep:
 
 
 class FleetAdaptationBatcher:
-    """Plans and runs fused same-phase adaptation steps for one model.
+    """Plans and runs the grouped adaptation steps of one model.
 
     Stages from ``compiled``'s plan cache — a device pool passes the one
     :class:`~repro.engine.CompiledAdaptStep` its workers share — or from
@@ -113,7 +116,7 @@ class FleetAdaptationBatcher:
             else CompiledAdaptStep(model, backend=backend, threads=threads)
         )
         self._unsupported = False
-        self._fused_proven = False  # a grouped stage has succeeded
+        self._fused_proven = False  # a stage of 2+ streams has succeeded
 
     @property
     def unsupported(self) -> bool:
@@ -124,13 +127,13 @@ class FleetAdaptationBatcher:
     def fuse_billable(self) -> bool:
         """Whether admission may bill steps at the fused (sublinear) rate.
 
-        Until a grouped stage has actually succeeded, fused costing would
-        be speculative: if the graph then turns out unlowerable, granted
-        steps fall back to serial execution and a fused-priced budget
-        would overrun the deadline it guaranteed.  Serial pricing is
-        always an over-estimate of the fused cost, so billing serially
-        before the first proof (and forever after an ``unsupported``
-        verdict) keeps the feasibility invariant hard.
+        Until a stage of two or more streams has succeeded, fused
+        costing would be speculative: if the graph then turns out
+        unlowerable, granted steps fall back to serial execution and a
+        fused-priced budget would overrun the deadline it guaranteed.
+        Serial pricing is always an over-estimate of the fused cost, so
+        billing serially before the first proof (and forever after an
+        ``unsupported`` verdict) keeps the feasibility invariant hard.
         """
         return self._fused_proven and not self._unsupported
 
@@ -138,15 +141,16 @@ class FleetAdaptationBatcher:
     def group_key(self, session: StreamSession):
         """Hashable fuse key for this session's next step, or None.
 
-        None means the session cannot join a fused step now: its adapter
-        is not a SGD-driven :class:`LDBNAdapt`, this frame does not
-        complete its adaptation batch, or compiled adaptation is off.
+        None means the session cannot join a group now: its adapter is
+        not a SGD-driven :class:`LDBNAdapt` stepping on this batcher's
+        engine, this frame does not complete its adaptation batch, or
+        compiled adaptation is off.
         """
         if self._unsupported or not nn.compiled_adaptation_enabled():
             return None
         adapter = session.adapter
         key = static_fuse_key(adapter)
-        if key is None:
+        if key is None or key[2] is not self._compiled:
             return None
         if adapter.pending_frames != adapter.config.batch_size - 1:
             return None  # this frame only buffers; no step to fuse
@@ -161,7 +165,7 @@ class FleetAdaptationBatcher:
         self, sessions: Sequence[StreamSession], frames: Sequence[np.ndarray],
         rows: Optional[Sequence[np.ndarray]] = None,
     ) -> Optional[StagedGroupStep]:
-        """Assemble one fused step (trace/compile outside timed regions).
+        """Assemble one grouped step (trace/compile outside timed regions).
 
         ``frames`` holds each session's incoming frame image and ``rows``
         (optional) its stem rows, as the launch's inference replay wrote
@@ -169,9 +173,9 @@ class FleetAdaptationBatcher:
         batch.  Both are copied.  A session whose frame no step may learn
         from (:func:`~repro.adapt.base.learnable_frame`) is left out of
         the group: its own ``observe_frame`` rejects and counts it.
-        Returns None when the step cannot be compiled, or fewer than two
-        sessions of a group are left — the caller falls back to serial
-        stepping (nothing has been consumed from the adapters).
+        Returns None when the step cannot be compiled, or no session is
+        left — the caller falls back to stepping each session on its own
+        (nothing has been consumed from the adapters).
         """
         if self._unsupported:
             return None
@@ -190,7 +194,7 @@ class FleetAdaptationBatcher:
             stems += session.adapter.pending_rows + [
                 None if rows is None else rows[k]
             ]
-        if len(members) < min(2, len(sessions)):
+        if not members:
             return None
         images = np.stack(images)
         if not nn.compiled_adaptation_enabled():
@@ -203,7 +207,7 @@ class FleetAdaptationBatcher:
         except UnsupportedAdaptGraph:
             self._unsupported = True
             return None
-        self._fused_proven = True
+        self._fused_proven |= len(members) > 1
         return StagedGroupStep(
             self, members, np.stack(stems) if from_stem else images,
             plan, group_size,
@@ -211,7 +215,8 @@ class FleetAdaptationBatcher:
 
     # ------------------------------------------------------------------
     def _execute(self, staged: StagedGroupStep) -> Dict[int, AdaptResult]:
-        """Run one fused step; its update tail steps every stream's state."""
+        """Run one grouped step: the plan reads each member's gamma/beta
+        from its session and its update tail steps that session's state."""
         sessions, plan = staged.sessions, staged.plan
         if plan is None:  # eager: each member's own step, serially
             results = {}
@@ -224,12 +229,6 @@ class FleetAdaptationBatcher:
                 session.swap_out()
                 session.adapter.clear_pending()
             return results
-        # parameter slots: row k is stream k's adapted gamma/beta
-        for tap in plan.bn_taps:
-            for k, session in enumerate(sessions):
-                *_, gamma, beta = session.bn_arrays(tap.module)
-                tap.gamma_slot[k] = gamma
-                tap.beta_slot[k] = beta
         losses = plan.run(staged.inputs, update=sessions)
 
         results: Dict[int, AdaptResult] = {}

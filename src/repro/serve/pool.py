@@ -17,8 +17,9 @@ module holds the three layers of that sharding:
   :class:`~repro.engine.CompiledAdaptStep` and hands them to every
   worker — each ``(shape, groups)`` plan is lowered once per pool.  The
   per-batch serving path lives here, one method per ledger line:
-  shared forward + decode, admission and staging, fused/serial
-  adaptation, the per-frame record, drift resets, checkpoints.
+  shared forward + decode, admission and staging, grouped adaptation
+  (a lone step is a group of one), the per-frame record, drift resets,
+  checkpoints.
 * :func:`place_stream` — pure placement policies over roofline-estimated
   per-stream device cost: ``"least_loaded"`` (argmin of projected
   utilization, the default), ``"round_robin"`` (registration order
@@ -33,9 +34,8 @@ module holds the three layers of that sharding:
   ``cooldown_ms`` plus a longer per-session refractory
   (``session_cooldown_ms``, default twice the fleet-wide one) keeps
   sessions from thrashing back and forth.  Migration
-  transfers the session object wholesale — its
-  :class:`~repro.adapt.base.ParameterSnapshot`, BN buffers and
-  optimizer slots move bitwise untouched — plus its admission debt
+  transfers the session object wholesale — its BN block and optimizer
+  slots move bitwise untouched — plus its admission debt
   (:meth:`SlackAdmission.export_stream`), and re-prices its modeled
   adaptation cost on the target device.
 """
@@ -49,6 +49,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .. import nn
+from ..adapt.base import learnable_frame
 from ..engine import CompiledAdaptStep, CompiledInference, compile_model
 from ..engine.backends.threading import serving_threads
 from ..hw.deadline import (
@@ -783,9 +784,9 @@ class DeviceWorker:
             infer_ms = 1e3 * self.timer.records["inference"][-1]
 
         # inference completes for the whole batch at once; granted
-        # same-batch adaptation steps are then fused into grouped
-        # compiled replays (per-stream state slots, no model swap), with
-        # remaining granted steps running serially in batch order
+        # adaptation steps then run as grouped compiled replays (each
+        # stream's state read and written in its session, no model
+        # swap), same-key ones fused, the rest on their own in batch order
         at = (start_ms + infer_ms, infer_ms)
         tracer = self.tracer
         if tracer.enabled and config.latency_model == "orin":
@@ -872,7 +873,7 @@ class DeviceWorker:
         compiled = nn.compiled_inference_enabled()
         if compiled:
             # one-time trace per batch size, outside the timed region
-            self._compiled.warm(images)
+            plan = self._compiled.warm(images)
         else:
             self.model.eval()
         with self.timer.measure("inference"):
@@ -888,19 +889,18 @@ class DeviceWorker:
                 logits.numpy(), self.model.config,
                 method=self.config.decode_method,
             )
-        return logits, preds, (
-            self._compiled.plan_for(images.shape, images.dtype).stem_rows
-            if compiled else None
-        )
+        return logits, preds, plan.stem_rows if compiled else None
 
     def _adapt(
         self, session: StreamSession, frame,
         group: Optional[StagedGroupStep], at: Tuple[float, float], rows,
     ):
-        """Feed one granted frame to its adapter — through its fused
-        group when staging placed it in one, else the serial stepper,
-        handed the frame's stem ``rows`` when it takes them from the
-        pool's engine.
+        """Feed one granted frame to its adapter — through its group when
+        staging placed it in one, else the adapter's own
+        ``observe_frame``, handed the frame's stem ``rows`` when it takes
+        them from the pool's engine, with the session swapped onto the
+        shared model around a step (no plan of the pool's takes it: an
+        eager step, an unlowerable graph, another adapter or engine).
 
         ``at`` is (device clock, the batch's priced service so far).
         Returns ``(result, adapt_step_ms, at, done)``: the step's
@@ -917,8 +917,10 @@ class DeviceWorker:
         if rows is not None and not adapter.takes_rows_from(self._compiled):
             rows = None
         # only a step writes the shared model: a frame that fills no
-        # batch is buffered without materializing the session on it
-        steps = adapter.pending_frames + 1 >= adapter.batch_size
+        # batch, or that the adapter rejects, is handled without
+        # materializing the session on it
+        steps = (adapter.pending_frames + 1 >= adapter.batch_size
+                 and learnable_frame(frame.image))
         if steps:
             session.swap_in()
         with self.timer.measure("adaptation"):
@@ -949,27 +951,28 @@ class DeviceWorker:
     def _run_group(
         self, group: StagedGroupStep, at: Tuple[float, float]
     ) -> Tuple[float, float]:
-        """Execute one fused adaptation step; returns the advanced ``at``."""
+        """Execute one grouped adaptation step; returns the advanced
+        ``at``.  A group of one is booked as a lone step: only groups of
+        two or more count as fused batches."""
         with self.timer.measure("adaptation"):
             group.results = group.execute()
         if self.config.latency_model == "orin":
             fused_ms = self.adapt_cost_fn(group.num_streams * group.group_size)
         else:
             fused_ms = 1e3 * self.timer.records["adaptation"][-1]
-        self._m_adapt_batch_sizes.record(group.num_streams)
+        fused = group.num_streams > 1
+        if fused:
+            self._m_adapt_batch_sizes.record(group.num_streams)
         group.per_stream_ms = fused_ms / group.num_streams
         group.done = _later(at, fused_ms)
         if self.tracer.enabled and self.config.latency_model == "orin":
-            self.tracer.span(
-                "adapt_fused",
-                at[0],
-                fused_ms,
-                pid=self.name,
-                tid="device",
-                cat="adapt",
-                streams=group.num_streams,
-                group_size=group.group_size,
+            name, args = (
+                ("adapt_fused", dict(streams=group.num_streams,
+                                     group_size=group.group_size))
+                if fused else ("adapt", dict(stream=group.sessions[0].stream_id))
             )
+            self.tracer.span(name, at[0], fused_ms, pid=self.name,
+                             tid="device", cat="adapt", **args)
         return group.done
 
     def _record_frame(
@@ -1211,15 +1214,17 @@ class DeviceWorker:
         self, plan: BatchPlan, start_ms: float, infer_ms: float,
         leftover_depth: int, rows: Optional[np.ndarray],
     ) -> Tuple[Dict[int, _Decision], Dict[int, StagedGroupStep]]:
-        """Admission decisions + staged fused steps for this served batch.
+        """Admission decisions + staged grouped steps for this batch.
 
         Returns ``(decisions, group_of)``: the per-request admission
         outcome and ``{id(request): StagedGroupStep}`` for every granted
-        step joining a fused replay; everything else granted keeps the
-        serial path.  Staging (batch assembly + one-time trace/compile)
-        happens here, outside the timed region, mirroring the inference
-        engine's ``warm``; a group gathers its members' stem rows from
-        the launch's ``rows`` by their positions in the batch.
+        step the pool's plans take — same-key steps share one group, or
+        each is a group of one under ``batch_adaptation=False``;
+        everything else granted is fed to its adapter on its own.
+        Staging (batch assembly + one-time trace/compile) happens here,
+        outside the timed region, mirroring the inference engine's
+        ``warm``; a group gathers its members' stem rows from the
+        launch's ``rows`` by their positions in the batch.
         """
         decisions = self._admission_decisions(plan, start_ms, infer_ms, leftover_depth)
         self._reconcile_buffer_drift(plan, decisions)
@@ -1232,34 +1237,25 @@ class DeviceWorker:
                 continue
             seen_sessions.add(id(session))
             due.append((req, session, frame, pos))
-        if self.config.batch_adaptation and len(due) > 1:  # a group is 2+
-            candidates = [
-                (self._adapt_batcher.group_key(member[1]), member)
-                for member in due
-            ]
-            groups, _ = plan_adaptation_groups(candidates)
-            gather = rows is not None and self._adapt_batcher.takes_rows_from(
-                self._compiled
+        batcher = self._adapt_batcher
+        keyed = [(batcher.group_key(member[1]), member) for member in due]
+        if self.config.batch_adaptation:
+            groups, _ = plan_adaptation_groups(keyed)
+        else:
+            groups = [[member] for key, member in keyed if key is not None]
+        gather = rows is not None and batcher.takes_rows_from(self._compiled)
+        for members in groups:
+            staged = batcher.stage(
+                [session for _, session, _, _ in members],
+                [frame.image for _, _, frame, _ in members],
+                [rows[pos] for *_, pos in members] if gather else None,
             )
-            for members in groups:
-                staged = self._adapt_batcher.stage(
-                    [session for _, session, _, _ in members],
-                    [frame.image for _, _, frame, _ in members],
-                    [rows[pos] for *_, pos in members] if gather else None,
-                )
-                if staged is None:  # graph not lowerable: serial fallback
-                    continue
-                # a member left out (its frame is not learnable) goes
-                # serial, where its adapter rejects the frame
-                staged_ids = {id(s) for s in staged.sessions}
-                for req, session, *_ in members:
-                    if id(session) in staged_ids:
-                        group_of[id(req)] = staged
-        # serial steppers warm their compiled plan outside the timed region
-        for req, session, frame, _ in due:
-            if id(req) not in group_of:
-                session.adapter.warm(
-                    frame.image, from_stem=rows is not None
-                    and session.adapter.takes_rows_from(self._compiled),
-                )
+            if staged is None:  # graph not lowerable: steps on their own
+                continue
+            # a member left out (its frame is not learnable) is fed on
+            # its own, where its adapter rejects the frame
+            staged_ids = {id(s) for s in staged.sessions}
+            for req, session, *_ in members:
+                if id(session) in staged_ids:
+                    group_of[id(req)] = staged
         return decisions, group_of

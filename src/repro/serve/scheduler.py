@@ -21,9 +21,9 @@ repo uses:
 
 Besides inference batches, the scheduler module also plans *adaptation*
 batching: :func:`plan_adaptation_groups` partitions the streams due for
-an adaptation step this tick into same-key groups that the server fuses
-into one grouped compiled step (see :mod:`repro.serve.adapt_batch`),
-leaving the rest to step serially.
+an adaptation step this tick into same-key groups, each one grouped
+compiled step (see :mod:`repro.serve.adapt_batch`; a lone step is a
+group of one), leaving the keyless rest to step on their own.
 
 The scheduler is pure logic over :class:`FrameRequest` objects; it never
 touches the model, so it is unit-testable with synthetic latency
@@ -183,34 +183,23 @@ class DeadlineAwareScheduler:
 
 def plan_adaptation_groups(
     candidates: Sequence[Tuple[object, object]],
-    min_group_size: int = 2,
 ) -> Tuple[List[List[object]], List[object]]:
-    """Partition adaptation-step candidates into fused groups.
+    """Partition adaptation-step candidates into groups.
 
     ``candidates`` is a sequence of ``(key, item)`` pairs in serving
-    order; ``key`` is a hashable batching key (items only fuse when keys
-    are equal) or None for items that must step serially.  Returns
-    ``(groups, serial)``: ``groups`` is a list of same-key item lists of
-    at least ``min_group_size`` members, ``serial`` the remaining items
-    — both preserving the original order.  Pure logic, no model access:
-    the server decides *what* is fusable (via the batcher's key), this
-    decides *which* steps share a fused replay.
+    order; ``key`` is a hashable batching key (items only share a group
+    when keys are equal) or None for items that must step on their own.
+    Returns ``(groups, serial)``: ``groups`` holds one list per key, in
+    order of first appearance, ``serial`` the None-keyed items — both
+    preserving the original order.  Pure logic, no model access: the
+    server decides *what* is groupable (via the batcher's key), this
+    decides *which* steps share a replay.
     """
-    if min_group_size < 2:
-        raise ValueError(
-            f"min_group_size must be >= 2, got {min_group_size}"
-        )
     by_key: "OrderedDict[object, List[object]]" = OrderedDict()
-    order: List[Tuple[object, object]] = []
+    serial: List[object] = []
     for key, item in candidates:
-        order.append((key, item))
-        if key is not None:
+        if key is None:
+            serial.append(item)
+        else:
             by_key.setdefault(key, []).append(item)
-    grouped_ids = set()
-    groups: List[List[object]] = []
-    for key, items in by_key.items():
-        if len(items) >= min_group_size:
-            groups.append(items)
-            grouped_ids.update(id(item) for item in items)
-    serial = [item for _, item in order if id(item) not in grouped_ids]
-    return groups, serial
+    return list(by_key.values()), serial

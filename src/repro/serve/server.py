@@ -14,10 +14,11 @@ while the coordinator owns what spans devices:
   :class:`~repro.engine.CompiledAdaptStep`, built from
   ``FleetConfig.backend`` / ``threads``, go to every worker (joins
   included) and to every registered adapter with ``backend`` /
-  ``threads`` left at ``None``.  Safe because the event loop replays
-  batches serially on one host thread, plans read weights and BN state
-  live from the shared model, and logits and BN taps are consumed
-  before the next launch.
+  ``threads`` left at ``None`` or set to the pool's own pair.  Safe
+  because the event loop replays batches serially on one host thread,
+  plans read weights live from the shared model and each stream's BN
+  state from its session, and logits and BN taps are consumed before
+  the next launch.
 * **placement** — at registration each stream is placed by
   ``FleetConfig(placement=...)``: ``"least_loaded"`` (argmin projected
   utilization from the roofline-estimated per-stream cost *on each
@@ -41,8 +42,8 @@ while the coordinator owns what spans devices:
   :class:`~repro.serve.pool.MigrationPlanner`; when one device runs
   sustainedly hot while another is cooler by more than the configured
   gap, the hot device's heaviest movable session (no frames queued)
-  migrates: the session object — `ParameterSnapshot`, BN buffers,
-  optimizer slots, report — moves bitwise untouched, its admission
+  migrates: the session object — its BN block, optimizer slots,
+  report — moves bitwise untouched, its admission
   debt transfers between controllers, and its modeled adaptation cost
   is re-priced on the target device.  A cooldown keeps sessions from
   thrashing.
@@ -119,7 +120,7 @@ class FleetConfig:
     max_batch_size: int = 8
     aging_rate: float = 0.1
     adapt_stride: int = 1  # static fallback policy: every k-th frame adapts
-    batch_adaptation: bool = True  # fuse same-batch streams' entropy steps
+    batch_adaptation: bool = True  # False: every step a group of one
     jitter_ms: float = 0.0  # per-frame arrival delay, uniform in [0, jitter]
     drop_rate: float = 0.0  # probability a frame is lost before the server
     phase_spread_ms: float = 0.0  # stream i's arrival phase = i * spread
@@ -352,10 +353,11 @@ class FleetServer:
         a per-stream :class:`LDBNAdapt` is created (optionally from
         ``adapter_config``); every session owns its adapter and therefore
         its optimizer momentum.  Any adapter whose config leaves
-        ``backend`` and ``threads`` at ``None`` — created here or passed
-        in — steps on the pool's shared adaptation step
-        (:meth:`~repro.adapt.base.Adapter.share_engine`); one configured
-        explicitly compiles its own.
+        ``backend`` and ``threads`` at ``None``, or names the pool's own
+        pair — created here or passed in — steps on the pool's shared
+        adaptation step (:meth:`~repro.adapt.base.Adapter.share_engine`)
+        as a group of the pool's grouped replays; one configured with
+        another pair compiles its own and steps on its own.
 
         A stream costs a few copies of the model's BN state, not of the
         model: the session's BN block and its adapter's reset copy (an

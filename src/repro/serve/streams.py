@@ -7,8 +7,10 @@ values and optimizer momentum.  This module keeps those states separate:
 
 * :class:`BNStateSnapshot` — a copy of everything BN-related on the model
   as one flat block laid out by the registry's :class:`BNLayout`; every
-  per-layer array it hands out is a view into it.  ``swap_in`` writes
-  the copy into the model, ``swap_out`` captures the model back into it.
+  per-layer array it hands out is a view into it, and a compiled
+  adaptation step reads and writes those views in place.  ``swap_in``
+  writes the copy into the model, ``swap_out`` captures the model back
+  into it: for a step no compiled plan of the pool's takes.
 * :class:`StreamSession` — one registered stream: its frame source, its
   adapter (owning the per-stream optimizer state), its BN snapshot and
   its frame report.
@@ -203,9 +205,11 @@ class StreamSession:
     The session owns everything that must NOT leak between vehicles: the
     frame iterator, the adapter (and through it the optimizer's momentum),
     the BN state snapshot, and the frame report.  The model itself is
-    shared — sessions take turns materializing their state on it via
-    ``swap_in``/``swap_out`` around adaptation steps, and contribute
-    folded per-sample stats to batched inference in between.
+    shared: a compiled adaptation step reads and writes the session's
+    block where it lives (the session is the step's update destination,
+    see :meth:`bn_arrays`), batched inference folds it into per-sample
+    stats, and only a step no pool plan takes materializes the session
+    on the model via ``swap_in``/``swap_out``.
 
     Because the session is the single container of per-stream state, the
     device pool migrates a stream by *re-homing the session object*: the
@@ -305,9 +309,9 @@ class StreamSession:
     def swap_out(self) -> None:
         self.bn_state.swap_out()
 
-    # A session is its group's destination in a fused adaptation step
-    # (see repro.engine.AdaptationPlan.run): the adapter's optimizer
-    # stepping the snapshot, no swap onto the model.
+    # A session is its group's destination in a grouped adaptation step
+    # (see repro.engine.AdaptationPlan.run): the plan reads its gamma/beta
+    # and the adapter's optimizer steps its block, no swap onto the model.
     @property
     def optimizer(self):
         return self.adapter.optimizer

@@ -171,15 +171,8 @@ def _render(renderer):
         )
         inv_std = np.ones((groups, c), dtype=dtype)
         taps = [np.zeros((groups, c)) for _ in range(4)]
-        if groups > 1:
-            gamma = ("fixed", np.ones((groups, c)))
-            beta = ("fixed", np.zeros((groups, c)))
-            keep += [gamma[1], beta[1]]
-        else:
-            module = nn.BatchNorm2d(c)
-            gamma, beta = ("const", module.weight), ("const", module.bias)
-            keep += [module.weight, module.bias]
-        keep += [x, out, xhat, g, dst, inv_std] + taps
+        gamma, beta = np.ones((groups, c)), np.zeros((groups, c))
+        keep += [x, out, xhat, g, dst, inv_std, gamma, beta] + taps
         dims = (groups, gs, c, hw)
         offered("bn_train", dict(
             x_src=("fixed", x), out=out, xhat=xhat, inv_std=inv_std,

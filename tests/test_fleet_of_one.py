@@ -118,7 +118,9 @@ def _fleet(model, adapter, frames, backend, latency_model, splits):
         server.add_stream("vehicle", iter(frames[start:stop]), adapter=adapter)
         report = server.run(stop - start)
         served += report.stream_reports["vehicle"].frames
-        server.remove_stream("vehicle")
+        # the fleet steps the session's BN block, not the model: write it
+        # back, as the pipeline does, so the next stream starts from it
+        server.remove_stream("vehicle").swap_in()
         start = stop
     return served
 

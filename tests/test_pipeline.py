@@ -153,59 +153,6 @@ class TestRealTimePipeline:
         assert all(f.deadline_met for f in report.frames)
         assert not report.truncated
 
-    def test_engine_warms_once_per_frame_signature(
-        self, _trained_tiny_state, tiny_benchmark
-    ):
-        """The serving loop warms the adapter on every due frame, in the
-        frame gap: it must allocate a zero batch and look up its plan
-        once per (shape, dtype, input kind), not on every frame — and
-        skipping the rework changes nothing served."""
-        from repro.models import build_model
-
-        class RewarmEveryFrame(LDBNAdapt):
-            def warm(self, image, from_stem=False):
-                shape = (self.config.batch_size,) + image.shape
-                self._compiled_plan(np.zeros(shape, np.float32), from_stem)
-
-        reports, warm_calls = [], []
-        for cls in (RewarmEveryFrame, LDBNAdapt):
-            model = build_model(
-                "tiny-r18", num_lanes=2, rng=np.random.default_rng(1)
-            )
-            model.load_state_dict(_trained_tiny_state)
-            adapter = cls(model, LDBNAdaptConfig(lr=1e-3))
-            calls, real_plan = [], adapter._compiled_plan
-
-            def plan(images, from_stem=False, adapter=adapter, calls=calls,
-                     real_plan=real_plan):
-                # a step hands over the adapter's own frame ring, a warm
-                # a batch it just allocated
-                if images is not adapter._frames:
-                    calls.append(images.shape)
-                return real_plan(images, from_stem)
-
-            adapter._compiled_plan = plan
-            pipeline = RealTimePipeline(
-                model, adapter, PipelineConfig(latency_model="orin"),
-                device=ORIN_POWER_MODES["orin-60w"],
-                spec=get_config("paper-r18").to_spec(),
-            )
-            stream = tiny_benchmark.target_stream(rng=np.random.default_rng(0))
-            reports.append(pipeline.run(stream, 10))
-            warm_calls.append(calls)
-        assert len(warm_calls[0]) == 10 and len(warm_calls[1]) == 1
-        assert reports[0].frames == reports[1].frames
-
-        # a new signature — the step from the images instead of the stem
-        # rows — warms again, exactly once
-        image = next(iter(tiny_benchmark.target_stream(
-            rng=np.random.default_rng(0)
-        ))).image
-        before = len(calls)
-        adapter.warm(image, from_stem=False)
-        adapter.warm(image, from_stem=False)
-        assert calls[before:] == [(1,) + image.shape]
-
     def test_short_stream_returns_truncated_report(
         self, trained_tiny_model, tiny_benchmark
     ):

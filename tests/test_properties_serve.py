@@ -68,22 +68,21 @@ keyed_items = st.lists(
 
 
 class TestGroupPlanningProperties:
-    @given(candidates=keyed_items, min_group=st.integers(2, 4))
+    @given(candidates=keyed_items)
     @settings(**SETTINGS)
-    def test_partition_is_exact_and_never_mixes_keys(
-        self, candidates, min_group
-    ):
+    def test_partition_is_exact_and_never_mixes_keys(self, candidates):
         items = [object() for _ in candidates]
         keyed = [(key, item) for (key, _), item in zip(candidates, items)]
-        groups, serial = plan_adaptation_groups(keyed, min_group_size=min_group)
+        groups, serial = plan_adaptation_groups(keyed)
 
         key_of = {id(item): key for key, item in keyed}
-        # no group mixes keys, groups never go below the minimum size,
-        # and serial-only (None-key) items never join a group
+        # no group mixes keys or is empty, one group per key, and exactly
+        # the serial-only (None-key) items stay out of every group
         for group in groups:
-            assert len(group) >= min_group
             keys = {key_of[id(item)] for item in group}
-            assert len(keys) == 1 and None not in keys
+            assert group and len(keys) == 1 and None not in keys
+        assert len(groups) == len({key for key, _ in keyed} - {None})
+        assert all(key_of[id(item)] is None for item in serial)
 
         # exact partition: every item appears exactly once overall
         out = [id(item) for group in groups for item in group]

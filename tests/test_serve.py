@@ -108,24 +108,13 @@ class TestAdaptationGroupPlanning:
             ("a", 1), ("b", 2), ("a", 3), (None, 4), ("b", 5), ("c", 6),
         ]
         groups, serial = plan_adaptation_groups(candidates)
-        assert groups == [[1, 3], [2, 5]]
-        assert serial == [4, 6]
+        assert groups == [[1, 3], [2, 5], [6]]
+        assert serial == [4]
 
-    def test_singletons_stay_serial(self):
+    def test_singletons_are_groups_of_one(self):
         groups, serial = plan_adaptation_groups([("a", 1), ("b", 2)])
-        assert groups == []
-        assert serial == [1, 2]
-
-    def test_min_group_size(self):
-        candidates = [("a", 1), ("a", 2), ("a", 3)]
-        groups, serial = plan_adaptation_groups(candidates, min_group_size=3)
-        assert groups == [[1, 2, 3]]
-        groups, serial = plan_adaptation_groups(
-            candidates[:2] + [("b", 9)], min_group_size=3
-        )
-        assert groups == [] and serial == [1, 2, 9]
-        with pytest.raises(ValueError):
-            plan_adaptation_groups(candidates, min_group_size=1)
+        assert groups == [[1], [2]]
+        assert serial == []
 
 
 class TestBatchedAdaptation:
@@ -145,9 +134,12 @@ class TestBatchedAdaptation:
         ]
 
     def test_group_key_eligibility(self, trained_tiny_model):
-        batcher = FleetAdaptationBatcher(trained_tiny_model)
-        (sgd,) = self._sessions(trained_tiny_model, 1)
-        assert batcher.group_key(sgd) == ("ldbn-sgd", 1)
+        (sgd, other) = self._sessions(trained_tiny_model, 2)
+        step = sgd.adapter.step_engine()
+        batcher = FleetAdaptationBatcher(trained_tiny_model, compiled=step)
+        assert batcher.group_key(sgd) == ("ldbn-sgd", 1, step)
+        # an adapter stepping on another engine never joins this batcher
+        assert batcher.group_key(other) is None
         registry = StreamRegistry(trained_tiny_model)
         noop = registry.register(
             "noop", iter(()), NoAdapt(trained_tiny_model), deadline_ms=33.3
@@ -156,8 +148,9 @@ class TestBatchedAdaptation:
 
     def test_buffering_frame_not_fused(self, trained_tiny_model):
         """A frame that only fills the buffer has no step to fuse."""
-        batcher = FleetAdaptationBatcher(trained_tiny_model)
         (session,) = self._sessions(trained_tiny_model, 1, batch_size=2)
+        step = session.adapter.step_engine()
+        batcher = FleetAdaptationBatcher(trained_tiny_model, compiled=step)
         # empty buffer: the incoming frame only buffers, nothing to fuse
         assert batcher.group_key(session) is None
         h, w = trained_tiny_model.config.input_hw
@@ -165,7 +158,7 @@ class TestBatchedAdaptation:
             np.arange(3 * h * w, dtype=np.float32).reshape(3, h, w)
         )  # buffered: the NEXT frame completes the batch and can fuse
         assert session.adapter.pending_frames == 1
-        assert batcher.group_key(session) == ("ldbn-sgd", 2)
+        assert batcher.group_key(session) == ("ldbn-sgd", 2, step)
 
     def test_fused_step_matches_serial_stepping(self, trained_tiny_model, rng):
         """Acceptance: fused per-stream states == serial stepping."""
@@ -922,7 +915,7 @@ class TestSlackAdmissionFleet:
 
     def test_static_fuse_key(self, trained_tiny_model):
         sgd = LDBNAdapt(trained_tiny_model, LDBNAdaptConfig(batch_size=2))
-        assert static_fuse_key(sgd) == ("ldbn-sgd", 2)
+        assert static_fuse_key(sgd) == ("ldbn-sgd", 2, sgd.step_engine())
         assert static_fuse_key(NoAdapt(trained_tiny_model)) is None
 
 
@@ -1329,8 +1322,8 @@ class TestBuildsEachThingOnce:
         """A 3-device fleet with a join: every worker replays the
         coordinator's one engine pair, so the pool holds one plan per
         batch size served; default adapters inherit the pool's step,
-        caller-built ones too, an explicitly configured adapter keeps its
-        own."""
+        caller-built ones and one naming the pool's own pair too, an
+        adapter configured with another pair keeps its own."""
         from repro.serve import FaultSchedule
         from repro.telemetry import SpanTracer
 
@@ -1345,11 +1338,15 @@ class TestBuildsEachThingOnce:
         ]
         explicit = server.add_stream(
             "explicit", self._frames(tiny_benchmark, 4, 6),
-            adapter_config=LDBNAdaptConfig(backend="numpy"),
+            adapter_config=LDBNAdaptConfig(backend="numpy", threads=1),
         )
         built = server.add_stream(
             "built", self._frames(tiny_benchmark, 5, 6),
             adapter=LDBNAdapt(trained_tiny_model),
+        )
+        same_pair = server.add_stream(
+            "same-pair", self._frames(tiny_benchmark, 6, 6),
+            adapter_config=LDBNAdaptConfig(backend="numpy"),
         )
         server.run(6)
         assert len(server.workers) == 4  # the join arrived
@@ -1361,7 +1358,8 @@ class TestBuildsEachThingOnce:
         served = {e.args["batch"] for e in tracer.spans("forward", tid="device")}
         assert engine.num_plans == len(served)
         assert all(
-            session.adapter._compiled is step for session in defaults + [built]
+            session.adapter._compiled is step
+            for session in defaults + [built, same_pair]
         )
         assert step.num_plans >= 1  # the defaults' steps went through it
         own = explicit.adapter._compiled
