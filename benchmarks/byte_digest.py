@@ -2,14 +2,16 @@
 
     python benchmarks/byte_digest.py
 
-Prints one sha256 per case, then two combined ones: over the arrays
-alone, and over the arrays with the ``cgen`` program digests (the last
-line); writes no file.  A change that must leave every byte the engine
-produces as it was (a faster kernel, a refactor) prints the same last
-line as its parent commit: run this file in both checkouts (it imports
-the ``repro`` of the checkout it sits in) and compare.  A change that
-moves only how a rendered plan binds its slots moves the last line but
-not the arrays-only one.
+Prints one sha256 per case, then three combined ones: over the numpy
+cases' arrays alone, over every case's arrays, and over the arrays with
+the ``cgen`` program digests (the last line); writes no file.  A change
+that must leave every byte the engine produces as it was (a faster
+kernel, a refactor) prints the same last line as its parent commit: run
+this file in both checkouts (it imports the ``repro`` of the checkout it
+sits in) and compare.  A change that moves only how a rendered plan
+binds its slots moves the last line but not the arrays-only one; a
+change that may move only ``cgen`` rounding moves neither the per-case
+numpy lines nor ``combined (numpy arrays)``.
 
 Cases:
 
@@ -191,15 +193,20 @@ def cases():
 
 
 def main() -> None:
-    combined, arrays_only = hashlib.sha256(), hashlib.sha256()
+    combined, arrays_only, numpy_only = (
+        hashlib.sha256(), hashlib.sha256(), hashlib.sha256())
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the NaN steps
         for name, run in cases():
             arrays, program = run()
             line = digest(arrays, program)
             combined.update(line.encode())
-            arrays_only.update(digest(arrays).encode())
+            arrays_line = digest(arrays).encode()
+            arrays_only.update(arrays_line)
+            if " numpy " in name:
+                numpy_only.update(arrays_line)
             print(f"{name:34s} {line}")
+    print(f"{'combined (numpy arrays)':34s} {numpy_only.hexdigest()}")
     print(f"{'combined (arrays only)':34s} {arrays_only.hexdigest()}")
     print(f"{'combined':34s} {combined.hexdigest()}")
 

@@ -15,7 +15,7 @@
 # prints a plan's per-stage table, on every run), then the bench-e2e
 # self-check (benchmarks/e2e/run.py --smoke) with each workload's
 # adaptation group size, fused share and swap time, the line counts of
-# src/repro/{engine,serve,hw,nn,adapt,pipeline} and of src/repro, the two
+# src/repro/{engine,serve,hw,nn,adapt,pipeline} and of src/repro, the three
 # combined byte digests of benchmarks/byte_digest.py and the memory line
 # of benchmarks/stream_memory.py, each beside the parent commit's
 # (printed, not gated: a change may move bytes on purpose).  Lane 4 exercises
@@ -137,14 +137,14 @@ meter ""
 # small-r18 batch-4 inference and group-2 adaptation plans, the bytes one
 # add_stream retains): this checkout's scripts over both trees (the
 # parent's src/ extracted to a temporary tree); printed only
-python benchmarks/byte_digest.py | tail -n 2 | sed 's/^/byte digest: /'
+python benchmarks/byte_digest.py | tail -n 3 | sed 's/^/byte digest: /'
 parent_tree=$(mktemp -d)
 if [[ "$in_git" == true ]] && git archive HEAD^ -- src \
         2>/dev/null | tar -x -C "$parent_tree"; then
     mkdir -p "$parent_tree/benchmarks"
     cp benchmarks/byte_digest.py benchmarks/stream_memory.py \
         "$parent_tree/benchmarks/"
-    python "$parent_tree/benchmarks/byte_digest.py" | tail -n 2 \
+    python "$parent_tree/benchmarks/byte_digest.py" | tail -n 3 \
         | sed 's/^/byte digest (parent commit): /'
     parent_ok=true
 else

@@ -6,7 +6,9 @@
   ablations;
 * :class:`CarlaneSOTA` — the offline SGPCS-style baseline (k-means
   embedding alignment + pseudo-labels + full retraining);
-* :class:`NoAdapt` — the un-adapted source model.
+* :class:`NoAdapt` — the un-adapted source model;
+* :class:`BNStateSnapshot` — a model's BN state as one block, what a
+  compiled LD-BN-ADAPT step reads and writes.
 
 ``LDBNAdapt`` with ``stats_mode="replace"`` and entropy loss is the
 structured-output analogue of Tent [Wang et al., ICLR 2021], which the
@@ -23,6 +25,7 @@ from .base import (
     set_bn_training,
 )
 from .bn_adapt import LDBNAdapt, LDBNAdaptConfig
+from .bn_state import BNLayout, BNStateSnapshot
 from .entropy import entropy_loss
 from .kmeans import (
     KMeansResult,
@@ -46,6 +49,8 @@ __all__ = [
     "entropy_loss",
     "LDBNAdapt",
     "LDBNAdaptConfig",
+    "BNLayout",
+    "BNStateSnapshot",
     "ConvAdapt",
     "FCAdapt",
     "VariantConfig",

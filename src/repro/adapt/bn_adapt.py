@@ -34,16 +34,15 @@ Implementation notes
   lower fall back to it automatically.
 * The step's epilogue is the plan's too: its last stage, the *update
   tail*, persists the batch statistics and takes the momentum step on
-  gamma/beta, writing where this adapter says its state lives — the
-  place the step's forward read gamma/beta from
-  (:meth:`LDBNAdapt.bn_arrays`: the live modules; a fleet hands the
-  plan its sessions instead; momentum buffers stay in
-  ``optimizer.state``, so ``reset()`` and checkpoints see them).  On
-  the ``numpy`` backend that stage is the Python loop this module used
-  to hold; ``cgen`` renders it, so no per-layer Python runs after the
-  step's C.  A step whose loss is not finite writes nothing: the tail
-  refuses it, and :attr:`~repro.adapt.base.Adapter.refused_steps` counts
-  it.
+  gamma/beta over one BN block, once per step on every backend — a
+  fleet hands the plan its sessions' blocks, a standalone adapter its
+  own block of the live model (:attr:`LDBNAdapt.bn_state`), captured
+  before the step and written back after it.  The momentum buffers stay
+  per parameter in ``optimizer.state`` — views of one block, re-adopted
+  when ``reset()``, a checkpoint or an eager step replaced them — so
+  checkpoints, drift resets and eager steps see them.  A step whose loss
+  is not finite writes nothing: the tail refuses it, and
+  :attr:`~repro.adapt.base.Adapter.refused_steps` counts it.
 * A served frame's stem conv runs once.  The serving loops hand
   :meth:`~repro.adapt.base.Adapter.observe_frame` the stem rows their
   inference replay wrote (pre-BN, so valid whatever BN state served the
@@ -65,10 +64,10 @@ import numpy as np
 
 from .. import nn
 from ..engine import CompiledAdaptStep, UnsupportedAdaptGraph
-from ..engine.adapt_plan import live_bn_arrays
 from ..engine.backends import available_backends, resolve_backend
 from ..nn.modules import _BatchNormBase
 from .base import AdaptResult, Adapter, set_bn_training
+from .bn_state import BNLayout, BNStateSnapshot
 from .entropy import entropy_loss
 
 
@@ -159,6 +158,7 @@ class LDBNAdapt(Adapter):
         # the input kinds (``from_stem`` flags) the graph cannot be
         # lowered from: a step fed that kind stays eager
         self._compiled_unsupported = set()
+        self._bn_state: Optional[BNStateSnapshot] = None
 
     # ------------------------------------------------------------------
     @property
@@ -211,9 +211,15 @@ class LDBNAdapt(Adapter):
             self._compiled_unsupported.add(from_stem)
             return None
 
-    # where a single-stream step reads gamma/beta and its update tail
-    # writes (see repro.engine.AdaptationPlan.run): the live module
-    bn_arrays = staticmethod(live_bn_arrays)
+    @property
+    def bn_state(self) -> BNStateSnapshot:
+        """This adapter's ``live`` block of the model: where a standalone
+        compiled step reads gamma/beta and its update tail writes (see
+        :meth:`repro.engine.AdaptationPlan.run`).  Built on the first
+        such step: an adapter a fleet steps never needs one."""
+        if self._bn_state is None:
+            self._bn_state = BNStateSnapshot(BNLayout(self.model), live=True)
+        return self._bn_state
 
     def record_step(self, loss: float, num_frames: int,
                     refused: bool = False) -> AdaptResult:
@@ -234,8 +240,8 @@ class LDBNAdapt(Adapter):
     def _run_plan(self, plan, x: np.ndarray, num_frames: int) -> AdaptResult:
         """One compiled entropy step: the whole step is the plan's — its
         update tail persists the batch statistics and steps gamma/beta
-        on this adapter's optimizer state, unless the loss is not
-        finite."""
+        of :attr:`bn_state` on this adapter's optimizer state, unless the
+        loss is not finite."""
         loss = float(plan.run(x, update=(self,))[0])
         return self.record_step(loss, num_frames, refused=not plan.finite[0])
 

@@ -26,11 +26,16 @@ renderer offers), and this module holds only what is adaptation-specific:
   ``_bwd_<kind>`` rule here, and each rule writes its gradient in one
   form, ``write(out)``: :meth:`AdaptationPlan._contribute` points it at
   the gradient buffer or, when it accumulates, at a temporary it adds;
-* the *update tail*, the backward section's last stage: what a step does
-  with the taps — running statistics blended in, one SGD-momentum step
-  on gamma/beta — applied per group to the destinations a caller arms
-  :meth:`AdaptationPlan.run` with (:func:`_update_tail`), and nothing
-  when it does not.  It is the step's rail too: the loss tail flags each
+* the *update tail*, the backward section's last stage and a plain
+  numpy step on every backend (labelled ``bwd:update``, never offered to
+  a renderer): what a step does with the taps, once per group over the
+  whole BN block of the destination :meth:`AdaptationPlan.run` was handed
+  — the group's statistics and gradients taken into block column order
+  with one ``take``, the running statistics blended in with
+  :func:`~repro.nn.functional.update_running_stat` on its rows 0:2, one
+  SGD-momentum step with :func:`~repro.nn.optim.sgd_update` on rows 2:4
+  (:func:`_update_tail`), and nothing when the replay has no
+  destinations.  It is the step's rail too: the loss tail flags each
   group whose loss came out finite (:attr:`AdaptationPlan.finite`), and
   the tail skips every group it did not flag, so a non-finite pixel
   writes no BN state at all.
@@ -59,17 +64,18 @@ and per-group gamma/beta, and the loss is one mean entropy per group.  A
 single grouped replay therefore equals G independent serial adaptation
 steps — one per stream — sharing every GEMM.  At every group count a
 train-mode BN reads gamma/beta from plan-owned ``(G, C)`` float64
-*slots*, and :meth:`AdaptationPlan.run` fills row k from the k-th update
-destination — the same place the update tail then writes — so a step's
-reads and writes both go where its state lives: the live modules for a
-single-stream adapter, a session's BN block in a fleet (a one-stream
-fleet step is a group of one).
+*slots*, and :meth:`AdaptationPlan.run` fills them, every layer and group
+in one gather, from the blocks of its update destinations — the
+blocks the update tail then writes — so a step's reads and writes both
+go where its state lives: a session's BN block in a fleet (a one-stream
+fleet step is a group of one), a standalone adapter's block of the live
+model, captured before the step and written back after it.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -93,19 +99,6 @@ class UnsupportedAdaptGraph(RuntimeError):
 
 #: the tag of the buffer a kind saves for its backward (key: tag, index)
 _SAVED = {"bn": "xh", "maxpool": "arg"}
-
-
-def live_bn_arrays(module: _BatchNormBase):
-    """A BN layer's ``(running_mean, running_var, num_batches_tracked,
-    gamma, beta)`` on the module itself: where a single-stream step's
-    state lives, and what a one-group replay handed no destination reads."""
-    return (
-        module.running_mean, module.running_var,
-        module.num_batches_tracked, module.weight.data, module.bias.data,
-    )
-
-
-_LIVE = SimpleNamespace(bn_arrays=live_bn_arrays)
 
 
 def _axis_dims(shape, axis: int) -> Tuple[int, int, int]:
@@ -155,14 +148,16 @@ def _col2im_into(geo, flat: np.ndarray, part, dtype
 class BNLayerTap:
     """Plan inputs/outputs of one BatchNorm layer, in execution order.
 
-    ``gamma_slot``/``beta_slot`` are the ``(G, C)`` float64 affine the
-    stages read, at every group count (the renderer binds them like any
-    plan-owned buffer).  They start as the module's own values, so the
-    backend parity probe replays a real affine, and
-    :meth:`AdaptationPlan.run` fills row ``k`` from its ``k``-th update
-    destination.  After ``run``:
+    Every field but ``module`` is a contiguous ``(G, C)`` float64 view
+    into one of two layer-major buffers of the plan (this layer's rows
+    after the layers before it), which the renderer binds like any
+    plan-owned buffer.  ``gamma_slot``/``beta_slot`` are the affine the
+    stages read, at every group count: they start as the module's own
+    values, so the backend parity probe replays a real affine, and
+    :meth:`AdaptationPlan.run` fills row ``k`` of every layer from its
+    ``k``-th update destination in one gather.  After ``run``:
 
-    * ``grad_gamma``/``grad_beta`` hold the entropy gradients, ``(G, C)``;
+    * ``grad_gamma``/``grad_beta`` hold the entropy gradients;
     * ``batch_mean``/``batch_var`` hold the per-group batch statistics the
       forward normalized with — exactly what the statistics-refresh step
       persists into the running buffers.
@@ -175,6 +170,44 @@ class BNLayerTap:
     grad_beta: np.ndarray
     batch_mean: np.ndarray
     batch_var: np.ndarray
+
+
+class _BlockColumns:
+    """Where a BN block's columns sit in a plan's layer-major tap rows.
+
+    ``columns(layout)`` is ``(gather, take)`` for blocks of ``layout``
+    (:class:`~repro.adapt.bn_state.BNLayout`): ``gather`` picks the slot
+    order out of the G destinations' blocks stacked ``(G, C)`` and
+    flattened, ``take[k]`` picks group ``k``'s columns of the four tap
+    rows, flattened, in block order (a flat ``take`` is the faster one).
+    Built once per layout, held as long as the layout is."""
+
+    def __init__(self, taps: List[BNLayerTap], groups: int):
+        self.taps, self.groups = taps, groups
+        self._of = weakref.WeakKeyDictionary()
+
+    def __call__(self, layout) -> Tuple[np.ndarray, np.ndarray]:
+        found = self._of.get(layout)
+        if found is None:
+            spans = {id(m): span for m, span in zip(layout.modules, layout.spans)}
+            width, groups = layout.channels, self.groups
+            if sorted(id(t.module) for t in self.taps) != sorted(spans):
+                # every layer once, or the indices below are no permutation
+                raise ValueError(
+                    "the destination's BN block and this plan's BN layers "
+                    "differ"
+                )
+            gather = np.concatenate([
+                (np.arange(groups)[:, None] * width
+                 + np.arange(*spans[id(t.module)])).ravel()
+                for t in self.taps
+            ])
+            take = np.empty_like(gather)
+            take[gather] = np.arange(gather.size)
+            take = take.reshape(groups, 1, width) + (
+                np.arange(4)[:, None] * gather.size)
+            found = self._of[layout] = (gather, take.reshape(groups, -1))
+        return found
 
 
 @dataclass(frozen=True)
@@ -190,51 +223,51 @@ class AdaptPlanStats:
     workspace_bytes: int  # held alone: padded images (columns are shared)
 
 
-def _update_tail(armed: list, taps: List[BNLayerTap],
-                 finite: np.ndarray) -> Callable[[], None]:
-    """The update tail's numpy closure over ``armed[0]``, the per-group
+def _update_tail(armed: list, finite: np.ndarray, tap_rows: np.ndarray,
+                 columns: _BlockColumns) -> Callable[[], None]:
+    """The update tail's closure over ``armed[0]``, the per-group
     destinations of the running replay (see :meth:`AdaptationPlan.run`);
-    it takes them, so whoever applies an update applies it once.  A group
-    whose ``finite`` flag the loss tail cleared is skipped whole.
+    it takes them, so an update is applied once.  A group whose
+    ``finite`` flag the loss tail cleared is skipped whole.
 
-    Per group and BN layer this is the epilogue every LD-BN-ADAPT step has
-    always run: count the batch, persist its statistics through
-    :func:`~repro.nn.functional.update_running_stat`, step gamma and beta
-    through :func:`~repro.nn.optim.sgd_update` (momentum buffers in the
-    optimizer's own ``state``, keyed by the module's parameters wherever
-    the stepped arrays live).  It captures no plan: plans stay free of
+    Per group this is the epilogue every LD-BN-ADAPT step has always run,
+    over the destination's whole BN block: its statistics and gradients
+    (``tap_rows``: batch mean, batch var, grad gamma, grad beta) taken
+    into block column order, the batch counted, the statistics persisted
+    through :func:`~repro.nn.functional.update_running_stat`, gamma and
+    beta stepped through :func:`~repro.nn.optim.sgd_update` with the
+    momentum block of the optimizer's per-parameter buffers
+    (``optimizer_slots``).  It captures no plan: plans stay free of
     reference cycles.
     """
+    work = np.empty((4, tap_rows.shape[1] // finite.size))
+    rows_flat, work_flat = tap_rows.reshape(-1), work.reshape(-1)
 
     def apply_update() -> None:
         targets = armed[0]
         if targets is None:
             return
         armed[0] = None
+        _, take = columns(targets[0].bn_state.layout)
         for k, target in enumerate(targets):
             if not finite[k]:
                 continue
-            momentum = target.effective_momentum
-            optimizer = target.optimizer
-            for tap in taps:
-                module = tap.module
-                mean, var, count, gamma, beta = target.bn_arrays(module)
-                count += 1
-                update_running_stat(mean, tap.batch_mean[k], momentum)
-                update_running_stat(var, tap.batch_var[k], momentum)
-                for data, grad, param in (
-                    (gamma, tap.grad_gamma[k], module.weight),
-                    (beta, tap.grad_beta[k], module.bias),
-                ):
-                    sgd_update(
-                        data,
-                        grad,
-                        optimizer.state.setdefault(id(param), {}),
-                        optimizer.lr,
-                        momentum=optimizer.momentum,
-                        weight_decay=optimizer.weight_decay,
-                        nesterov=optimizer.nesterov,
-                    )
+            block, optimizer = target.bn_state, target.optimizer
+            np.take(rows_flat, take[k], out=work_flat, mode="clip")
+            block.counts += 1
+            update_running_stat(block.state[:2], work[:2],
+                                target.effective_momentum)
+            sgd_update(
+                block.state[2:],
+                work[2:],
+                block.optimizer_slots(optimizer),
+                optimizer.lr,
+                momentum=optimizer.momentum,
+                weight_decay=optimizer.weight_decay,
+                nesterov=optimizer.nesterov,
+            )
+            if block.live:
+                block.swap_in()
 
     return apply_update
 
@@ -263,13 +296,11 @@ class AdaptationPlan(StaticPlan):
         self._bwd: List[Callable[[], None]] = []
         self._grads: Dict[int, np.ndarray] = {}
         self.bn_taps: List[BNLayerTap] = []
+        self._columns = _BlockColumns(self.bn_taps, groups)
         # per group, after `run`: 1 when its loss came out finite
         self.finite = np.ones(groups, dtype=np.int64)
         # what the running replay's update tail writes to (see `run`)
         self._update: List[Optional[Sequence]] = [None]
-        self._apply_update = _update_tail(
-            self._update, self.bn_taps, self.finite
-        )
         super().__init__(graph, renderer)
 
     @property
@@ -403,6 +434,12 @@ class AdaptationPlan(StaticPlan):
 
         # per-node compile-time state shared between fwd and bwd closures
         cells: List[dict] = [dict() for _ in range(num)]
+        # the taps' layer-major rows: the affine slots, and the batch
+        # statistics and gradients (each BN takes its views in order)
+        width = sum(n.module.num_features for n in nodes if n.module is not None)
+        self._affine = np.empty((2, self.groups * width))
+        self._tap_rows = np.empty((4, self.groups * width))
+        self._tap_at = 0
 
         # -- forward: the shared lowering, buffers per `_out` -------------
         self._ct.emitting = self._fwd
@@ -450,12 +487,8 @@ class AdaptationPlan(StaticPlan):
                 emitted += 1
             self._advance(bwd_pos(index))
         before = len(self._bwd)
-        self._offer(
-            "bn_update",
-            dict(update=self._update, taps=self.bn_taps, groups=self.groups,
-                 finite=self.finite),
-            self._apply_update,
-        )
+        self._bwd.append(_update_tail(
+            self._update, self.finite, self._tap_rows, self._columns))
         self._label_stages(before, "bwd:update")
 
         self._loss_out = self._fixed[self._loss_vid]
@@ -562,19 +595,14 @@ class AdaptationPlan(StaticPlan):
         # fixed at compile time.  Tiny — (G, C) per BN layer.
         inv_std = np.empty((groups, c), dtype=node.out_dtype)
         inv5 = inv_std.reshape(pshape)
-        gamma_slot = np.empty((groups, c), dtype=np.float64)
-        beta_slot = np.empty((groups, c), dtype=np.float64)
+        at, self._tap_at = self._tap_at, self._tap_at + groups * c
+        gamma_slot, beta_slot, *rows = [
+            buf[at:self._tap_at].reshape(groups, c)
+            for buf in (*self._affine, *self._tap_rows)
+        ]
         gamma_slot[...], beta_slot[...] = module.weight.data, module.bias.data
         gamma5, beta5 = gamma_slot.reshape(pshape), beta_slot.reshape(pshape)
-        tap = BNLayerTap(
-            module=module,
-            gamma_slot=gamma_slot,
-            beta_slot=beta_slot,
-            grad_gamma=np.empty((groups, c), dtype=np.float64),
-            grad_beta=np.empty((groups, c), dtype=np.float64),
-            batch_mean=np.empty((groups, c), dtype=np.float64),
-            batch_var=np.empty((groups, c), dtype=np.float64),
-        )
+        tap = BNLayerTap(module, gamma_slot, beta_slot, *rows[2:], *rows[:2])
         self.bn_taps.append(tap)
         x_src = self._src(x_ref)
         # eager computes the affine at gamma/beta's width and casts once:
@@ -872,18 +900,18 @@ class AdaptationPlan(StaticPlan):
         ``run``).
 
         ``update`` names this replay's state: one destination per group,
-        each with ``optimizer`` (an :class:`~repro.nn.SGD`),
+        each with ``bn_state`` — its BN block, a
+        :class:`~repro.adapt.bn_state.BNStateSnapshot` (all of one
+        layout) —, ``optimizer`` (an :class:`~repro.nn.SGD`) and
         ``effective_momentum`` (what the running statistics blend with;
-        1.0 replaces) and ``bn_arrays(module)`` — where that BN layer's
-        ``(running_mean, running_var, num_batches_tracked, gamma, beta)``
-        live: the module itself for a single-stream adapter, a session's
-        BN block in a fleet.  Row k of every gamma/beta slot is filled
-        from destination k before the forward, and the update tail
-        writes back to it.  Plans are shared between adapters, so a
-        destination is only ever an argument.  A group whose loss is not
-        finite is left untouched.  With no destinations a one-group
-        replay reads the live modules and a grouped one reads what its
-        caller left in the slots.
+        1.0 replaces): a fleet session, or a standalone adapter, whose
+        block is ``live``.  Row k of every gamma/beta slot is filled from
+        block k before the forward, and the update tail writes back to
+        it.  Plans are shared between adapters, so a destination is only
+        ever an argument.  A group whose loss is not finite is left
+        untouched.  With no destinations the replay reads what is in the
+        slots — the module's values at compile time, or the last
+        destinations' — and updates nothing.
         """
         if update is not None and len(update) != self.groups:
             raise ValueError(
@@ -894,22 +922,21 @@ class AdaptationPlan(StaticPlan):
             step()
         for step in self._bwd:
             step()
-        if self._update[0] is not None:
-            # a rendered tail left these destinations to the closure (an
-            # optimizer state it does not render, a first step)
-            self._apply_update()
         return self._loss_out
 
     def _begin(self, x: np.ndarray, update: Optional[Sequence] = None) -> None:
-        """The replay prologue: the affine slots filled from ``update``
-        (see :meth:`run`), which arms the update tail (``None`` in
-        :meth:`stage_ms`: a timed replay updates nothing)."""
+        """The replay prologue: the affine slots filled from ``update``'s
+        blocks in one gather (see :meth:`run`), which arms the update tail
+        (``None`` in :meth:`stage_ms`: a timed replay updates nothing)."""
         self._update[0] = update
-        if update is None and self.groups == 1:
-            update = (_LIVE,)
-        for tap in self.bn_taps:
-            for k, target in enumerate(update or ()):
-                *_, gamma, beta = target.bn_arrays(tap.module)
-                tap.gamma_slot[k] = gamma
-                tap.beta_slot[k] = beta
+        if update:
+            blocks = [target.bn_state for target in update]
+            gather, _ = self._columns(blocks[0].layout)
+            for block in blocks:
+                if block.live:
+                    block.swap_out()
+            rows = [block.state[2:] for block in blocks]
+            source = rows[0] if len(rows) == 1 else np.stack(rows, axis=1)
+            np.take(source.reshape(2, -1), gather, axis=1, out=self._affine,
+                    mode="clip")
         super()._begin(x)

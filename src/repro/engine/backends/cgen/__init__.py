@@ -10,13 +10,14 @@ the entropy tail (log-softmax, sum, mean) included — *and* the pruned
 LD-BN-ADAPT backward (BN gamma/beta grads, the reduced chain, max-pool
 backward, the tail's rules, fresh and accumulating contributions
 alike; conv input gradients in *gather* form
-on the forward's own kernels, :meth:`CRenderer._try_conv_dgrad`), ending
-in the *update tail* (:meth:`CRenderer._try_bn_update`, armed per replay;
-it skips a group whose loss the mean flagged non-finite).  A served
-frame's step starts from the stem rows its inference row stored before
-the BN fold: a ``from_stem`` plan has no conv over its input.
-``backend_info["numpy_stages"]`` counts, by stage label, what still
-replays as a Python closure.
+on the forward's own kernels, :meth:`CRenderer._try_conv_dgrad`).  Only
+the step's *update tail* is never offered: it is one numpy block formula
+on every backend (``bwd:update``, :mod:`repro.engine.adapt_plan`), run
+after the backward's C.  A served frame's step starts from the stem rows
+its inference row stored before the BN fold: a ``from_stem`` plan has no
+conv over its input.  ``backend_info["numpy_stages"]`` counts, by stage
+label, what still replays as a Python closure (the update tail
+included).
 
 Nothing is compiled per plan.  The package is split along that seam:
 
@@ -34,15 +35,15 @@ Nothing is compiled per plan.  The package is split along that seam:
   offset of the stage's args struct in the plan's args blob, slot indices
   into the pointer table T[])``; the args are the structs the kernels
   take (``conv_pad`` / ``conv_dims`` geometry, element counts, an
-  accumulate flag, a fill value, pool geometry, the update tail's taps),
-  packed from Python as numpy structured values.  Rows and args are plain
-  data held by the plan, so a new batch shape or group count costs a
-  table, not a compile; ``backend_info["program"]`` digests the library
-  key, the rows and the args (slot *indices*, never addresses), so equal
-  digests in two processes mean the same program.  A run of consecutive
-  rendered stages costs one ``ctypes`` call over their row ids; the
-  plan's stage table (``plan.stages``) keeps each as its own one-row
-  call, labelled ``cgen:<label>`` — the step the parity probe runs.
+  accumulate flag, a fill value, pool geometry), packed from Python as
+  numpy structured values.  Rows and args are plain data held by the
+  plan, so a new batch shape or group count costs a table, not a
+  compile; ``backend_info["program"]`` digests the library key, the rows
+  and the args (slot *indices*, never addresses), so equal digests in two
+  processes mean the same program.  A run of consecutive rendered stages
+  costs one ``ctypes`` call over their row ids; the plan's stage table
+  (``plan.stages``) keeps each as its own one-row call, labelled
+  ``cgen:<label>`` — the step the parity probe runs.
 
 Heavy stages are tiled over the library's pthread pool by *fixed output
 ownership* (:mod:`repro.engine.backends.threading`): outputs are bitwise
@@ -84,7 +85,6 @@ import ctypes
 import hashlib
 import os
 import warnings
-import weakref
 from dataclasses import replace as _dc_replace
 from functools import partial, reduce
 from itertools import groupby, product
@@ -170,47 +170,6 @@ def _pack(dtype: np.dtype, *fields) -> bytes:
     return np.array(fields, dtype=dtype).tobytes()
 
 
-_NO_STATE: Dict[str, object] = {}
-
-
-def _bind_dests(target, taps, held: list, row: np.ndarray) -> bool:
-    """Point ``row`` — one group's ``bn_dest`` structs — at ``target``'s
-    arrays, identity-cached in ``held`` like every other binder (a
-    rebound ``param.data`` or a momentum buffer replaced by ``reset()`` or
-    a checkpoint restore is seen, an in-place write needs nothing).
-    False when the C tail cannot step this state: a momentum buffer not
-    there yet (the optimizer's first step), or anything but contiguous
-    float64 vectors."""
-    state = target.optimizer.state
-    need_buffers = bool(target.optimizer.momentum)
-    at = 0
-    for tap in taps:
-        module = tap.module
-        mean, var, count, gamma, beta = target.bn_arrays(module)
-        mgamma = mbeta = None
-        if need_buffers:
-            mgamma = state.get(id(module.weight), _NO_STATE).get("momentum")
-            mbeta = state.get(id(module.bias), _NO_STATE).get("momentum")
-            if mgamma is None or mbeta is None:
-                return False
-        c = module.num_features
-        for arr in (mean, var, gamma, beta, mgamma, mbeta, count):
-            if arr is not held[at]:
-                if arr is None:
-                    row[at] = 0
-                elif (
-                    arr.dtype != (np.int64 if arr is count else np.float64)
-                    or arr.size != (1 if arr is count else c)
-                    or not arr.flags.c_contiguous
-                ):
-                    return False
-                else:
-                    row[at] = arr.ctypes.data
-                held[at] = arr
-            at += 1
-    return True
-
-
 def _phase_axis(size: int, k: int, s: int, p: int):
     """One axis of a conv input gradient, split by residue mod the stride.
 
@@ -285,8 +244,8 @@ def _bindv(tab: np.ndarray, slot: int, src: np.ndarray, keep: list) -> bool:
 class _Offer:
     """One accepted stage: its row id, oracle closure, outputs."""
 
-    __slots__ = ("sid", "fallback", "outs", "binders", "watched", "arm",
-                 "demoted", "mt", "geo", "tol_dtype", "row")
+    __slots__ = ("sid", "fallback", "outs", "binders", "watched", "demoted",
+                 "mt", "geo", "tol_dtype", "row")
 
     def __init__(self, fallback: Callable[[], None],
                  outs: List[np.ndarray]):
@@ -295,7 +254,6 @@ class _Offer:
         self.outs = outs
         self.binders: List[Callable[..., object]] = []
         self.watched: List[tuple] = []  # per binder: its (owner, path)s
-        self.arm: Optional[Callable[[], None]] = None  # run every replay
         self.demoted = False
         self.mt = False          # dispatched across the worker pool
         self.geo = None          # Conv/PoolLowering whose gather
@@ -322,8 +280,6 @@ class _Offer:
                 reduce(getattr, path.split("."), owner)
                 for owner, path in pairs
             ))
-        if self.arm is not None:
-            self.arm()
 
 
 def _sweep(watched: List[tuple]):
@@ -804,8 +760,7 @@ class CRenderer:
         groups, gs, c, hw = spec["dims"]
         return self._accept(
             offer, f"{kernel}_{_CTYPE[dtype.name]}", slots,
-            _pack(K.BN_ARGS, groups, gs, c, hw,
-                  1, int(sink), float(scalar)),  # per-group gamma rows
+            _pack(K.BN_ARGS, groups, gs, c, hw, int(sink), float(scalar)),
             mt=self._mt(passes * groups * gs * c * hw / _SWEEP_PER_US),
             tol_dtype=dtype,
         )
@@ -856,78 +811,6 @@ class CRenderer:
         ]
         return self._bn_stage(offer, spec, "bn_train", slots, False,
                               spec["eps"], 3)
-
-    def _try_bn_update(self, spec, fallback):
-        """The step's update tail (``adapt_plan._update_tail`` is the
-        closure): running statistics blended in at the adapter's
-        momentum, then the SGD-momentum step on gamma/beta, over every
-        BN layer of every group — a few lines of C over the taps the
-        stages before it filled, inline on the dispatching thread.
-
-        Armed per replay (``offer.arm``: its destinations are an argument
-        of each replay, not an attribute a sweep could watch): it reads
-        the destinations the caller passed ``run`` and, when the C can
-        step them (plain SGD-momentum, momentum buffers already there,
-        float64 vectors), binds one ``bn_dest`` row per group and takes
-        them; whatever it leaves — weight decay, Nesterov, an optimizer's
-        first step — the plan hands to the closure after the replay.  Rows
-        are cached per destination, weakly, so alternating fleet groups
-        rebind nothing.
-        """
-        taps, groups, armed = spec["taps"], spec["groups"], spec["update"]
-        rows = []
-        for tap in taps:
-            slots = [
-                self._fixed_slot(arr, np.float64) for arr in (
-                    tap.batch_mean, tap.batch_var, tap.grad_gamma,
-                    tap.grad_beta,
-                )
-            ]
-            if None in slots:
-                return None
-            rows.append(tuple(slots) + (tap.module.num_features,))
-        if not rows:
-            return None
-        ntaps = len(rows)
-        flag = np.zeros(1, dtype=np.int64)
-        hyper = np.zeros((groups, 3), dtype=np.float64)
-        dests = np.zeros((groups, 7 * ntaps), dtype=np.uintp)
-        cache = weakref.WeakKeyDictionary()  # destination -> (held, row)
-
-        def arm():
-            flag[0] = 0
-            targets = armed[0]
-            if targets is None:
-                return
-            for k, target in enumerate(targets):
-                optimizer = target.optimizer
-                if optimizer.weight_decay or optimizer.nesterov:
-                    return
-                bound = cache.get(target)
-                if bound is None:
-                    bound = cache[target] = (
-                        [None] * (7 * ntaps),
-                        np.zeros(7 * ntaps, dtype=np.uintp),
-                    )
-                if not _bind_dests(target, taps, *bound):
-                    return
-                dests[k] = bound[1]
-                hyper[k] = (
-                    optimizer.lr, optimizer.momentum,
-                    target.effective_momentum,
-                )
-            flag[0] = 1
-            armed[0] = None
-
-        offer = _Offer(fallback, [])
-        offer.arm = arm
-        return self._accept(
-            offer, "bn_update",
-            [self._bind_static(arr)
-             for arr in (dests, hyper, flag, spec["finite"])],
-            _pack(K.UPDATE_ARGS, ntaps, groups)
-            + np.array(rows, dtype=K.BN_TAP).tobytes(),
-        )
 
     def _try_maxpool_bwd(self, spec, fallback):
         """Grad wrt a max-pool input (``k_maxpool_bwd_<ct>``), bitwise:
@@ -1119,7 +1002,6 @@ class CRenderer:
         # labelled), demoted/declined stages keep their numpy closures
         binders: List[Callable[..., object]] = []
         watched: List[tuple] = []
-        arms: List[Callable[[], None]] = []
         rendered = demoted = 0
 
         def in_c(pair) -> bool:
@@ -1142,8 +1024,6 @@ class CRenderer:
                 for label, offer in pairs:
                     binders.extend(offer.binders)
                     watched.extend(offer.watched)
-                    if offer.arm is not None:
-                        arms.append(offer.arm)
                     table.append(("cgen:" + label, offer.row))
                 first = pairs[0][1]
                 steps.append(first.row if len(pairs) == 1
@@ -1205,8 +1085,6 @@ class CRenderer:
                         ):
                             now[where[0]] = _UNSEEN  # bind it again
                     seen[:] = now
-                for arm in arms:
-                    arm()
                 return x
 
             plan._pre_replay = pre_replay

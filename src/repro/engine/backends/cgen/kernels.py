@@ -801,7 +801,6 @@ KERNEL(bn_train_{ct})
 {{
     const bn_args* a = (const bn_args*)A;
     const i64 groups = a->groups, gs = a->gs, c = a->c, hw = a->hw;
-    const i64 per_group = a->per_group;
     const {ct}* restrict X = (const {ct}*)T[S[1]];
     {ct}* restrict XH = ({ct}*)T[S[2]];
     {ct}* restrict O = ({ct}*)T[S[0]];
@@ -818,8 +817,8 @@ KERNEL(bn_train_{ct})
         IS[u] = iv;
         BM[u] = (double)mean;
         BV[u] = (double)var;
-        const double ga = GA[per_group ? u : ch];
-        const double be = BE[per_group ? u : ch];
+        const double ga = GA[u];
+        const double be = BE[u];
         for (i64 s = 0; s < gs; ++s) {{
             {planes}
             {ct}* xh = XH + first + s * step;
@@ -853,7 +852,6 @@ KERNEL(bn_bwd_{ct})
 {{
     const bn_args* a = (const bn_args*)A;
     const i64 groups = a->groups, gs = a->gs, c = a->c, hw = a->hw;
-    const i64 per_group = a->per_group;
     const {ct}* restrict G = (const {ct}*)T[S[1]];
     const {ct}* restrict XH = (const {ct}*)T[S[2]];
     const {ct}* IS = (const {ct}*)T[S[3]];
@@ -867,7 +865,7 @@ KERNEL(bn_bwd_{ct})
         GG[u] = sgx;
         GB[u] = sg;
         if (!O) continue;
-        const double ga = GA[per_group ? u : ch];
+        const double ga = GA[u];
         const double sdx = ga * sg, sdxx = ga * sgx;
         const double c0 = (double)IS[u] / m;
         for (i64 s = 0; s < gs; ++s) {{
@@ -882,78 +880,13 @@ KERNEL(bn_bwd_{ct})
 """
 
 
-# The update tail (see :meth:`CRenderer._try_bn_update`): per BN layer the
-# slots of the tap's plan-owned (groups, c) buffers, and per (group, layer)
-# the destination arrays bound for this replay.
-BN_TAP = _struct("mean var ggamma gbeta c")
-UPDATE_ARGS = _struct("ntaps groups")  # then ntaps x BN_TAP
-_BN_UPDATE_SOURCE = """\
-typedef struct { i64 mean, var, ggamma, gbeta, c; } bn_tap;
-typedef struct {
-    double *rmean, *rvar, *gamma, *beta, *mgamma, *mbeta; i64* count;
-} bn_dest;
-typedef struct { i64 ntaps, groups; bn_tap taps[]; } update_args;
-/* Slots dests (bn_dest per group and tap), H — per group (lr, momentum,
- * running-stat momentum) —, the armed flag and the loss tail's per-group
- * finite flags: a group whose loss is not finite is skipped whole.  Op
- * for op update_running_stat (momentum 1.0 is a plain copy) then
- * sgd_update without weight decay or Nesterov; disarms itself. */
-KERNEL(bn_update)
-{
-    const update_args* a = (const update_args*)A;
-    const bn_tap* taps = a->taps;
-    const i64 ntaps = a->ntaps, groups = a->groups;
-    const bn_dest* D = (const bn_dest*)T[S[0]];
-    const double* H = (const double*)T[S[1]];
-    i64* armed = (i64*)T[S[2]];
-    const i64* finite = (const i64*)T[S[3]];
-    (void)tid; (void)nt;
-    if (!*armed) return;
-    *armed = 0;
-    for (i64 k = 0; k < groups; ++k)
-    for (i64 j = 0; j < ntaps && finite[k]; ++j) {
-        const double lr = H[3 * k], mom = H[3 * k + 1], sm = H[3 * k + 2];
-        const bn_dest* d = D + k * ntaps + j;
-        const i64 c = taps[j].c;
-        const double* restrict bm = (const double*)T[taps[j].mean] + k * c;
-        const double* restrict bv = (const double*)T[taps[j].var] + k * c;
-        const double* restrict gg = (const double*)T[taps[j].ggamma] + k * c;
-        const double* restrict gb = (const double*)T[taps[j].gbeta] + k * c;
-        *d->count += 1;
-        if (sm == 1.0)
-            for (i64 i = 0; i < c; ++i) {
-                d->rmean[i] = bm[i];
-                d->rvar[i] = bv[i];
-            }
-        else
-            for (i64 i = 0; i < c; ++i) {
-                d->rmean[i] = d->rmean[i] * (1.0 - sm) + sm * bm[i];
-                d->rvar[i] = d->rvar[i] * (1.0 - sm) + sm * bv[i];
-            }
-        if (mom != 0.0)
-            for (i64 i = 0; i < c; ++i) {
-                d->mgamma[i] = d->mgamma[i] * mom + gg[i];
-                d->gamma[i] -= lr * d->mgamma[i];
-                d->mbeta[i] = d->mbeta[i] * mom + gb[i];
-                d->beta[i] -= lr * d->mbeta[i];
-            }
-        else
-            for (i64 i = 0; i < c; ++i) {
-                d->gamma[i] -= lr * gg[i];
-                d->beta[i] -= lr * gb[i];
-            }
-    }
-}
-"""
-
-
 # -- what a plan is to the library: rows over one args blob ----------------
 
 ROW_SLOTS = 12  # a stem conv: out, x, weight, bias, 7 BN, its rows
 STAGE_ROW = _struct("kernel mt args slot", slot=(ROW_SLOTS,))
 CONV_ARGS = _struct("P PF DF nd dgrad bias bn relu rows d:eps",
                     P=CONV_PAD, PF=CONV_PAD, DF=CONV_DIMS)  # then nd x CONV_DIMS
-BN_ARGS = _struct("groups gs c hw per_group sink d:scalar")
+BN_ARGS = _struct("groups gs c hw sink d:scalar")
 SWEEP_ARGS = _struct("outer len inner flag d:value")
 LINEAR_ARGS = _struct("n fin fout bias relu")
 POOL_ARGS = _struct("nc h w oh ow kh kw sh sw pt pl arg")
@@ -990,7 +923,7 @@ typedef struct {{
  * statistic averaged; slots dst — when `sink` —, g, xhat, inv_std, gamma,
  * grad_gamma, grad_beta) */
 typedef struct {{
-    i64 groups, gs, c, hw, per_group, sink; double scalar;
+    i64 groups, gs, c, hw, sink; double scalar;
 }} bn_args;
 /* What the sweeps take: an (outer, len, inner) block — flat stages
  * `outer` elements with len = inner = 1 —, one flag (accumulate into the
@@ -1313,14 +1246,13 @@ KERNEL_NAMES = [
         "bn_train", "bn_bwd", "linear", "linear_bwd", "maxpool",
         "maxpool_bwd", *_FLAT_NAMES, *_LINE_NAMES,
     )
-] + ["bn_update"]
+]
 KERNEL_ID = {name: k for k, name in enumerate(KERNEL_NAMES)}
 
 
 def compute_types(kernels) -> tuple:
     """The compute types the named kernels take, in library order: the
-    type a name ends in (``conv_<xt>_<ct>`` counts as ``ct``), so the
-    type-free ``bn_update`` adds none."""
+    type a name ends in (``conv_<xt>_<ct>`` counts as ``ct``)."""
     named = {name.rpartition("_")[2] for name in kernels}
     return tuple(ct for ct in _CTYPES if ct in named)
 
@@ -1388,7 +1320,6 @@ def library_source(nt: int, ctypes) -> str:
     )
     halves = halves or [[]]
     halves[-1] += [
-        _BN_UPDATE_SOURCE,
         f"static kernel_sig* const KERNELS[] = {{\n    {table}\n}};",
         pool_runtime_source(nt),
     ]

@@ -107,9 +107,9 @@ class CompiledAdaptStep:
 
     Caches one :class:`~repro.engine.adapt_plan.AdaptationPlan` per
     ``(input shape, dtype, groups, from_stem)``.  A plan of ``G`` groups
-    steps ``G`` states at once, each read and written where its update
-    destination says it lives: a single-stream adapter's live modules,
-    or the sessions of a fleet group (``G = 1`` included) — the fleet's
+    steps ``G`` states at once, each the BN block of an update
+    destination: a single-stream adapter's block of the live model, or
+    the sessions of a fleet group (``G = 1`` included) — the fleet's
     mechanism for fusing same-phase streams' steps into one replay, and
     for stepping one stream without touching the shared model.  Tracing
     restores every buffer it touches, so building a plan never perturbs

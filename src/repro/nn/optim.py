@@ -72,13 +72,10 @@ def sgd_update(
     kept in ``state`` — no per-parameter temporaries on the adaptation
     hot path.  Shared by :meth:`SGD.step` (source training, the eager
     adaptation step) and the compiled adaptation plan's update tail
-    (:func:`repro.engine.adapt_plan._update_tail`), which steps the live
-    parameters for a single stream and each session's saved copies in a
-    fleet's fused group — so eager, serial and batched stepping apply
-    bitwise-identical updates.  The ``cgen`` backend renders the
-    momentum-only case of this sequence in C
-    (``bn_update`` in :mod:`repro.engine.backends.cgen`); weight decay
-    and Nesterov always run here.
+    (:func:`repro.engine.adapt_plan._update_tail`), which calls it once
+    per step and stream on the gamma/beta rows of a whole BN block, on
+    every backend — so eager, serial and batched stepping apply
+    bitwise-identical updates: every operation is elementwise.
     """
     work = state.get("work")
     if work is None or work.shape != grad.shape:

@@ -31,7 +31,9 @@ Architecture
 * **streams.py** — per-stream isolation *and arrival modelling*.
   Everything LD-BN-ADAPT touches (BN running statistics, gamma/beta,
   optimizer momentum) lives in a :class:`StreamSession`, its BN state
-  one flat block that every compiled step reads and writes in place;
+  one flat block (:class:`~repro.adapt.bn_state.BNStateSnapshot`) that
+  every compiled step reads with one gather and updates with one block
+  formula, its momentum buffers views of one block beside it;
   ``swap_in``/``swap_out`` materialize it on the shared model only for
   a step no plan of the pool's takes, and when a vehicle's run ends.
   Eval-mode BN folds to per-sample ``(scale, shift)`` vectors — a whole

@@ -1,23 +1,24 @@
 """Fleet adaptation: every compiled LD-BN-ADAPT step of a served batch.
 
 A stream's LD-BN-ADAPT state is its BN block
-(:class:`~repro.serve.streams.BNStateSnapshot`), and an adaptation plan
-(:class:`repro.engine.CompiledAdaptStep`) reads and writes gamma/beta
-wherever its caller says the state lives.  So a fleet never materializes
-a session on the shared model to step it: this module stages the steps
-of a served batch as *groups* — one replay of the plan compiled with
-``groups=K`` for K same-key streams, K = 1 included:
+(:class:`~repro.adapt.bn_state.BNStateSnapshot`), and an adaptation plan
+(:class:`repro.engine.CompiledAdaptStep`) reads and writes the blocks its
+caller hands it.  So a fleet never materializes a session on the shared
+model to step it: this module stages the steps of a served batch as
+*groups* — one replay of the plan compiled with ``groups=K`` for K
+same-key streams, K = 1 included:
 
 * every stream's frames form one contiguous group of the replayed batch;
 * each BatchNorm normalizes each group with that group's own batch
   statistics and that stream's own gamma/beta, which
-  :meth:`~repro.engine.AdaptationPlan.run` reads from the sessions
-  themselves, the destinations it is handed;
+  :meth:`~repro.engine.AdaptationPlan.run` gathers from the sessions'
+  blocks, the destinations it is handed, in one ``take``;
 * the plan returns one loss per stream, and its update tail applies
-  every stream's running-statistics refresh and SGD step directly to
-  that stream's block, so the resulting per-stream states match serial
-  stepping to float precision (the only divergence is GEMM batching at
-  the last-ulp level; a group of one is the serial step, bitwise).
+  every stream's running-statistics refresh and SGD step to that
+  stream's whole block at once (the momentum buffers views of one block
+  beside it), so the resulting per-stream states match serial stepping
+  to float precision (the only divergence is GEMM batching at the
+  last-ulp level; a group of one is the serial step, bitwise).
 
 A group starts from its members' stem rows — the ones the launch's
 inference replay wrote, gathered by the members' positions in the launch
@@ -216,7 +217,7 @@ class FleetAdaptationBatcher:
     # ------------------------------------------------------------------
     def _execute(self, staged: StagedGroupStep) -> Dict[int, AdaptResult]:
         """Run one grouped step: the plan reads each member's gamma/beta
-        from its session and its update tail steps that session's state."""
+        from its session's block and its update tail steps that block."""
         sessions, plan = staged.sessions, staged.plan
         if plan is None:  # eager: each member's own step, serially
             results = {}

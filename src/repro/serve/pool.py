@@ -42,6 +42,7 @@ module holds the three layers of that sharding:
 
 from __future__ import annotations
 
+import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
@@ -409,7 +410,7 @@ class DeviceWorker:
         config,
         device=None,
         spec=None,
-        timer=None,
+        busy_s: Optional[List[float]] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: SpanTracer = NULL_TRACER,
         checkpoints: Optional[SessionCheckpointStore] = None,
@@ -420,7 +421,10 @@ class DeviceWorker:
         self.model = model
         self.config = config
         self.device = device
-        self.timer = timer
+        # wall-clock seconds of inference and adaptation served: one
+        # running sum the pool's workers share (wallclock elapsed time)
+        self.busy_s = busy_s if busy_s is not None else [0.0]
+        self._infer_s = 0.0  # the last forward's, read by its batch
         self.tracer = tracer
         self.checkpoints = checkpoints
         self.alive = True
@@ -781,7 +785,7 @@ class DeviceWorker:
         if config.latency_model == "orin":
             infer_ms = plan.planned_latency_ms
         else:
-            infer_ms = 1e3 * self.timer.records["inference"][-1]
+            infer_ms = 1e3 * self._infer_s
 
         # inference completes for the whole batch at once; granted
         # adaptation steps then run as grouped compiled replays (each
@@ -876,19 +880,21 @@ class DeviceWorker:
             plan = self._compiled.warm(images)
         else:
             self.model.eval()
-        with self.timer.measure("inference"):
-            with per_stream_inference(sessions):
-                if compiled:
-                    logits = self._compiled(images)
-                else:
-                    with nn.no_grad():
-                        logits = self.model(nn.Tensor(images, _copy=False))
-            # decode is part of serving a frame, so wallclock inference
-            # cost includes it
-            preds = decode_predictions(
-                logits.numpy(), self.model.config,
-                method=self.config.decode_method,
-            )
+        start = time.perf_counter()
+        with per_stream_inference(sessions):
+            if compiled:
+                logits = self._compiled(images)
+            else:
+                with nn.no_grad():
+                    logits = self.model(nn.Tensor(images, _copy=False))
+        # decode is part of serving a frame, so wallclock inference
+        # cost includes it
+        preds = decode_predictions(
+            logits.numpy(), self.model.config,
+            method=self.config.decode_method,
+        )
+        self._infer_s = time.perf_counter() - start
+        self.busy_s[0] += self._infer_s
         return logits, preds, plan.stem_rows if compiled else None
 
     def _adapt(
@@ -923,8 +929,10 @@ class DeviceWorker:
                  and learnable_frame(frame.image))
         if steps:
             session.swap_in()
-        with self.timer.measure("adaptation"):
-            result = adapter.observe_frame(frame.image, rows)
+        start = time.perf_counter()
+        result = adapter.observe_frame(frame.image, rows)
+        step_s = time.perf_counter() - start
+        self.busy_s[0] += step_s
         if steps:
             session.swap_out()
         if result is None:
@@ -933,7 +941,7 @@ class DeviceWorker:
         adapt_step_ms = (
             session.adapt_latency_ms
             if orin
-            else 1e3 * self.timer.records["adaptation"][-1]
+            else 1e3 * step_s
         )
         if self.tracer.enabled and orin:
             self.tracer.span(
@@ -954,12 +962,14 @@ class DeviceWorker:
         """Execute one grouped adaptation step; returns the advanced
         ``at``.  A group of one is booked as a lone step: only groups of
         two or more count as fused batches."""
-        with self.timer.measure("adaptation"):
-            group.results = group.execute()
+        start = time.perf_counter()
+        group.results = group.execute()
+        step_s = time.perf_counter() - start
+        self.busy_s[0] += step_s
         if self.config.latency_model == "orin":
             fused_ms = self.adapt_cost_fn(group.num_streams * group.group_size)
         else:
-            fused_ms = 1e3 * self.timer.records["adaptation"][-1]
+            fused_ms = 1e3 * step_s
         fused = group.num_streams > 1
         if fused:
             self._m_adapt_batch_sizes.record(group.num_streams)

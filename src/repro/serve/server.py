@@ -80,7 +80,6 @@ from ..metrics.lane_accuracy import TUSIMPLE_THRESHOLD_CELLS
 from ..models.spec import ModelSpec
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.trace import NULL_TRACER, SpanTracer
-from ..utils.profiling import Timer
 from ..utils.rng import child_seed
 from .adapt_batch import static_fuse_key
 from .admission import AdmissionConfig
@@ -256,7 +255,9 @@ class FleetServer:
                 )
             pool = [None] * self.config.devices
         self.device = pool[0] if pool[0] is not None else device
-        self.timer = Timer()
+        # wall-clock seconds of inference and adaptation, summed by the
+        # workers (a wallclock report's elapsed time)
+        self.busy_s = [0.0]
         self.checkpoints: Optional[SessionCheckpointStore] = (
             SessionCheckpointStore(self.config.checkpoint)
             if self.config.checkpoint is not None
@@ -299,7 +300,7 @@ class FleetServer:
         """A pool member wired to everything the pool shares."""
         return DeviceWorker(
             index, self.model, self.config, device=profile, spec=self.spec,
-            timer=self.timer, metrics=self.metrics, tracer=self.tracer,
+            busy_s=self.busy_s, metrics=self.metrics, tracer=self.tracer,
             checkpoints=self.checkpoints,
             engine=self._engine, adapt_step=self._adapt_step,
         )
@@ -923,7 +924,7 @@ class FleetServer:
             latency_model=self.config.latency_model,
             elapsed_ms=elapsed_ms
             if self.config.latency_model == "orin"
-            else 1e3 * (self.timer.total("inference") + self.timer.total("adaptation")),
+            else 1e3 * self.busy_s[0],
             batch_sizes=metrics.histogram("fleet/batch_size"),
             adapt_batch_sizes=metrics.histogram("fleet/adapt_batch_size"),
             queue_depths=metrics.histogram("fleet/queue_depth"),

@@ -5,12 +5,13 @@ LD-BN-ADAPT state is inherently per-vehicle: each stream drifts through
 its own domain schedule and accumulates its own BN statistics, gamma/beta
 values and optimizer momentum.  This module keeps those states separate:
 
-* :class:`BNStateSnapshot` — a copy of everything BN-related on the model
-  as one flat block laid out by the registry's :class:`BNLayout`; every
-  per-layer array it hands out is a view into it, and a compiled
-  adaptation step reads and writes those views in place.  ``swap_in``
-  writes the copy into the model, ``swap_out`` captures the model back
-  into it: for a step no compiled plan of the pool's takes.
+* :class:`~repro.adapt.bn_state.BNStateSnapshot` (re-exported here with
+  :class:`~repro.adapt.bn_state.BNLayout`) — a copy of everything
+  BN-related on the model as one flat block laid out by the registry's
+  layout; every per-layer array it hands out is a view into it, and a
+  compiled adaptation step reads and writes the block in place.
+  ``swap_in`` writes the copy into the model, ``swap_out`` captures the
+  model back into it: for a step no compiled plan of the pool's takes.
 * :class:`StreamSession` — one registered stream: its frame source, its
   adapter (owning the per-stream optimizer state), its BN snapshot and
   its frame report.
@@ -38,13 +39,11 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..adapt.base import Adapter, ParameterSnapshot
+from ..adapt.base import Adapter
+from ..adapt.bn_state import BNLayout, BNStateSnapshot
 from ..data.dataset import LaneSample
-from ..nn.modules import _BatchNormBase
 from ..utils.rng import make_rng
 from .report import FrameRecord, PipelineReport
-
-_BN_BUFFER_NAMES = ("running_mean", "running_var", "num_batches_tracked")
 
 
 @dataclass(frozen=True)
@@ -117,88 +116,6 @@ class ArrivalProcess:
         return event
 
 
-class BNLayout:
-    """A model's BN layers as one block: layer ``j`` owns the ``spans[j]``
-    columns of ``channels``, ``eps`` is each column's layer epsilon."""
-
-    def __init__(self, model):
-        self.modules: List[_BatchNormBase] = [
-            m for m in model.modules() if isinstance(m, _BatchNormBase)
-        ]
-        if not self.modules:
-            raise ValueError("model has no BatchNorm layers to snapshot")
-        widths = [m.num_features for m in self.modules]
-        ends = np.cumsum(widths)
-        self.spans = list(zip(ends - widths, ends))
-        self.channels = int(ends[-1])
-        self.eps = np.repeat([float(m.eps) for m in self.modules], widths)
-        self.fields = [vars(m) for m in self.modules]  # their instance dicts
-        self._folds = {}
-
-    def fold_buffers(self, n: int):
-        """``(order, work, folded, pairs)`` of ``n``-sample launches: blocks
-        stack into ``work`` (4, n, C), ``order`` takes its scale and shift
-        rows into ``folded``, layer ``j``'s ``pairs[j]`` view that."""
-        fold = self._folds.get(n)
-        if fold is None:
-            index = np.arange(n * self.channels).reshape(n, -1)
-            order = np.concatenate([index[:, a:b].ravel() for a, b in self.spans])
-            folded = np.empty((2, n * self.channels))
-            pairs = [
-                tuple(folded[:, n * a:n * b].reshape(2, n, -1)) for a, b in self.spans
-            ]
-            work = np.empty((4, n, self.channels))
-            fold = self._folds[n] = (order, work, folded, pairs)
-        return fold
-
-
-class BNStateSnapshot:
-    """A model's BN state as ``state`` (running mean, var, gamma, beta over
-    the layout's channels) and ``counts``, swappable in and out."""
-
-    def __init__(self, layout: BNLayout):
-        self.layout = layout
-        self.modules = layout.modules
-        self.state = np.empty((4, layout.channels))
-        self.counts = np.empty(len(self.modules), dtype=np.int64)
-        mean, var, gamma, beta = [
-            [row[a:b] for a, b in layout.spans] for row in self.state
-        ]
-        self.params = ParameterSnapshot(
-            [p for m in self.modules for p in (m.weight, m.bias)],
-            saved=[v for pair in zip(gamma, beta) for v in pair],
-        )
-        counts = [self.counts[j:j + 1] for j in range(len(self.modules))]
-        self.buffers = [dict(zip(_BN_BUFFER_NAMES, b)) for b in zip(mean, var, counts)]
-        self._index = {id(m): j for j, m in enumerate(self.modules)}
-        self.swap_out()
-
-    def arrays(self, module: _BatchNormBase):
-        """This snapshot's ``(running_mean, running_var,
-        num_batches_tracked, gamma, beta)`` of one BN layer."""
-        j = self._index[id(module)]
-        bufs = self.buffers[j]
-        return (
-            bufs["running_mean"], bufs["running_var"],
-            bufs["num_batches_tracked"],
-            self.params.saved[2 * j], self.params.saved[2 * j + 1],
-        )
-
-    def swap_in(self) -> None:
-        """Write this snapshot's state into the shared model."""
-        self.params.restore()
-        for module, bufs in zip(self.modules, self.buffers):
-            for name, arr in bufs.items():
-                module._set_buffer(name, arr)
-
-    def swap_out(self) -> None:
-        """Capture the shared model's current state into this snapshot."""
-        self.params.capture()
-        for module, bufs in zip(self.modules, self.buffers):
-            for name, arr in bufs.items():
-                arr[...] = getattr(module, name)
-
-
 class StreamSession:
     """One camera stream's complete serving state.
 
@@ -207,7 +124,7 @@ class StreamSession:
     the BN state snapshot, and the frame report.  The model itself is
     shared: a compiled adaptation step reads and writes the session's
     block where it lives (the session is the step's update destination,
-    see :meth:`bn_arrays`), batched inference folds it into per-sample
+    its ``bn_state`` the block), batched inference folds it into per-sample
     stats, and only a step no pool plan takes materializes the session
     on the model via ``swap_in``/``swap_out``.
 
@@ -310,8 +227,9 @@ class StreamSession:
         self.bn_state.swap_out()
 
     # A session is its group's destination in a grouped adaptation step
-    # (see repro.engine.AdaptationPlan.run): the plan reads its gamma/beta
-    # and the adapter's optimizer steps its block, no swap onto the model.
+    # (see repro.engine.AdaptationPlan.run): the plan reads gamma/beta from
+    # its block and steps the block with the adapter's optimizer, no swap
+    # onto the model.
     @property
     def optimizer(self):
         return self.adapter.optimizer
@@ -319,9 +237,6 @@ class StreamSession:
     @property
     def effective_momentum(self) -> float:
         return self.adapter.effective_momentum
-
-    def bn_arrays(self, module: _BatchNormBase):
-        return self.bn_state.arrays(module)
 
     def record(
         self,

@@ -68,13 +68,7 @@ def replay_bytes(preset, backend, threads, batch, groups, from_stem):
                                      deadline_ms=33.3)
                    for k, adapter in enumerate(adapters)]
     plan = step.plan_for(frames[0], groups=groups, from_stem=from_stem)
-    for x in frames:  # the first step's tail is the closure's
-        if groups > 1:
-            for tap in plan.bn_taps:
-                for k, target in enumerate(targets):
-                    *_, gamma, beta = target.bn_arrays(tap.module)
-                    tap.gamma_slot[k] = gamma
-                    tap.beta_slot[k] = beta
+    for x in frames:
         if from_stem:
             engine(x)
             x = engine.plan_for(x.shape, x.dtype).stem_rows

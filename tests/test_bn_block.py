@@ -42,8 +42,10 @@ needs_cc = pytest.mark.skipif(find_cc() is None, reason="no C compiler")
 def _oracle_fold(session, j):
     """Layer ``j``'s per-layer fold, exactly as it was computed before
     the flat block: the reference every installed pair must equal."""
-    module = session.bn_state.modules[j]
-    mean, var, _, gamma, beta = session.bn_state.arrays(module)
+    bn = session.bn_state
+    module = bn.modules[j]
+    mean, var = bn.buffers[j]["running_mean"], bn.buffers[j]["running_var"]
+    gamma, beta = bn.params.saved[2 * j:2 * j + 2]
     inv_std = 1.0 / np.sqrt(var + module.eps)
     scale = gamma * inv_std
     shift = beta - mean * scale
@@ -65,7 +67,6 @@ def assert_views_of_block(session):
     bn = session.bn_state
     arrays = list(bn.params.saved)
     arrays += [arr for bufs in bn.buffers for arr in bufs.values()]
-    arrays += [arr for m in bn.modules for arr in bn.arrays(m)]
     for arr in arrays:
         assert arr.flags.c_contiguous
         assert np.shares_memory(arr, bn.state) or np.shares_memory(

@@ -1,0 +1,207 @@
+"""The momentum block: one ``(2, C)`` array per BN block, viewed per
+parameter.
+
+A compiled LD-BN-ADAPT step updates a whole BN block with one formula,
+its SGD momentum a ``(2, C)`` block whose row spans are the optimizer's
+per-parameter ``momentum`` buffers.  Everything else — an eager step,
+``reset()``, a checkpoint restore, a drift reset, a migration — keeps
+reading and writing per-parameter buffers, and may replace them; the
+next compiled step adopts them back.  Held here, on a fleet session and
+on a standalone adapter, through one sequence of all of them:
+
+* after every operation the BN state, ``num_batches_tracked`` and every
+  momentum buffer equal an all-eager twin's — ``tobytes``-equal on
+  numpy, inside the float band on ``cgen``;
+* after every compiled step each momentum buffer is a view of its block.
+"""
+
+import numpy as np
+import pytest
+
+from repro import nn
+from repro.adapt import BNLayout, BNStateSnapshot, LDBNAdapt, LDBNAdaptConfig
+from repro.engine.backends import find_cc
+from repro.models import build_model
+from repro.nn.optim import sgd_update
+from repro.serve import (
+    DriftResetConfig,
+    FleetAdaptationBatcher,
+    FleetConfig,
+    FleetServer,
+    SessionDriftState,
+    capture_session_state,
+    restore_session_state,
+)
+
+needs_cc = pytest.mark.skipif(find_cc() is None, reason="no C compiler")
+
+BACKENDS = [
+    pytest.param("numpy", id="numpy"),
+    pytest.param("cgen", id="cgen", marks=needs_cc),
+]
+
+#: compiled steps around every operation that replaces momentum buffers
+SEQUENCE = (
+    "step", "step", "eager", "step", "reset", "step", "checkpoint", "step",
+    "drift", "step", "migrate", "step", "step",
+)
+
+
+def _model():
+    model = build_model("tiny-r18", num_lanes=2, rng=np.random.default_rng(1))
+    model.eval()
+    return model
+
+
+def _images(model, count):
+    h, w = model.config.input_hw
+    rng = np.random.default_rng(5)
+    return rng.normal(0.5, 0.3, size=(count, 3, h, w)).astype(np.float32)
+
+
+def _momenta(adapter):
+    return [
+        adapter.optimizer.state.get(id(p), {}).get("momentum")
+        for p in adapter.optimizer.params
+    ]
+
+
+def _assert_same(got, want, backend):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a is None) == (b is None)
+        if a is None:
+            continue
+        if backend == "numpy":
+            assert a.tobytes() == b.tobytes()
+        else:
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
+
+
+class _Fleet:
+    """One stream on a two-device pool, stepped through the pool's
+    batcher; ``compiled`` False makes every step eager."""
+
+    def __init__(self, backend, compiled):
+        self.model = _model()
+        self.compiled = compiled
+        self.server = FleetServer(self.model, FleetConfig(
+            latency_model="wallclock", deadline_ms=1e9, devices=2,
+            backend=backend,
+        ))
+        self.session = self.server.add_stream(
+            "s0", iter(()), adapter_config=LDBNAdaptConfig(lr=1e-2),
+            device=0,
+        )
+        self.drift = SessionDriftState(
+            DriftResetConfig(reset_mode="source"), self.session)
+        self.batcher = FleetAdaptationBatcher(
+            self.model, compiled=self.session.adapter.step_engine())
+        self.device = 0
+
+    def step(self, image, compiled):
+        with nn.adaptation_mode(compiled and self.compiled):
+            staged = self.batcher.stage([self.session], [image])
+            assert not staged.execute()[id(self.session)].refused
+
+    def apply(self, op, image):
+        session = self.session
+        if op in ("step", "eager"):
+            self.step(image, op == "step")
+        elif op == "reset":
+            session.adapter.reset()
+        elif op == "checkpoint":
+            restore_session_state(session, *capture_session_state(session))
+        elif op == "drift":
+            self.drift.reset(session, image)
+        else:  # migrate: the pool re-homes the session object
+            workers = self.server.workers
+            state = workers[self.device].detach(session)
+            self.device = 1 - self.device
+            workers[self.device].attach(session, state)
+
+    def state(self):
+        bn = self.session.bn_state
+        return [bn.state, bn.counts] + _momenta(self.session.adapter)
+
+    def block(self):
+        return self.session.bn_state.slots["momentum"]
+
+    @property
+    def adapter(self):
+        return self.session.adapter
+
+
+class _Standalone:
+    """One :class:`LDBNAdapt` stepping the model it adapts; a checkpoint
+    is what a restore does to its optimizer (new buffers), a drift reset
+    what it does to it (none), and a migration moves nothing."""
+
+    def __init__(self, backend, compiled):
+        self.model = _model()
+        self.compiled = compiled
+        self.adapter = LDBNAdapt(
+            self.model, LDBNAdaptConfig(lr=1e-2, backend=backend))
+
+    def apply(self, op, image):
+        adapter = self.adapter
+        if op in ("step", "eager"):
+            with nn.adaptation_mode(op == "step" and self.compiled):
+                assert not adapter.adapt(image[None]).refused
+        elif op == "reset":
+            adapter.reset()
+        elif op == "checkpoint":
+            for slots in adapter.optimizer.state.values():
+                slots["momentum"] = slots["momentum"].copy()
+        elif op == "drift":
+            adapter.optimizer.state.clear()
+
+    def state(self):
+        return [np.asarray(v) for v in self.model.state_dict().values()] + (
+            _momenta(self.adapter))
+
+    def block(self):
+        return self.adapter.bn_state.slots["momentum"]
+
+
+@pytest.mark.parametrize("kind", [_Fleet, _Standalone],
+                         ids=["fleet", "standalone"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_every_operation_keeps_the_eager_twins_bytes(kind, backend):
+    served, twin = kind(backend, True), kind(backend, False)
+    images = _images(served.model, len(SEQUENCE))
+    for op, image in zip(SEQUENCE, images):
+        served.apply(op, image)
+        twin.apply(op, image)
+        _assert_same(served.state(), twin.state(), backend)
+        if op == "step":
+            block = served.block()
+            for buf in _momenta(served.adapter):
+                assert np.shares_memory(buf, block), op
+
+
+@pytest.mark.parametrize("momentum", [0.9, -0.5])
+def test_a_missing_buffer_is_adopted_as_the_identity(momentum):
+    """A first step over the block, with no buffer to adopt, leaves the
+    bytes a per-parameter first step leaves (``buf = grad``), signed
+    zeros included."""
+    model = _model()
+    block = BNStateSnapshot(BNLayout(model))
+    params = block.params.params
+    optimizer = nn.SGD(params, lr=0.1, momentum=momentum)
+    grads = np.random.default_rng(2).standard_normal(block.state[2:].shape)
+    grads[:, ::3], grads[:, 1::3] = -0.0, 0.0
+    want = [p.data.copy() for p in params]
+    state = [{} for _ in params]
+    per_param = [grads[row, a:b] for a, b in block.layout.spans
+                 for row in (0, 1)]
+    for data, grad, slots in zip(want, per_param, state):
+        sgd_update(data, grad, slots, 0.1, momentum=momentum)
+    sgd_update(block.state[2:], grads, block.optimizer_slots(optimizer), 0.1,
+               momentum=momentum)
+    for param, data, saved, slots in zip(
+        params, want, block.params.saved, state
+    ):
+        assert saved.tobytes() == data.tobytes()
+        assert (optimizer.state[id(param)]["momentum"].tobytes()
+                == slots["momentum"].tobytes())

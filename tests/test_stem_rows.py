@@ -400,7 +400,9 @@ def test_no_from_stem_cgen_program_has_an_input_conv_row(threads):
     for from_stem, want in ((True, 0), (False, 1)):
         plan = step.plan_for(x, from_stem=from_stem)
         rows = plan._cgen_keep[3]
-        assert plan.backend_info["rendered"] == plan.backend_info["stages"]
+        info = plan.backend_info
+        assert info["numpy_stages"] == {"bwd:update": 1}  # the update tail
+        assert info["rendered"] == info["offered"] == info["stages"] - 1
         assert int(np.sum(
             np.isin(rows["kernel"], convs) & (rows["slot"][:, 1] == 0)
         )) == want

@@ -47,7 +47,6 @@ from repro.telemetry import (
     render_dashboard,
 )
 from repro.utils.logging import Logger, get_json_output, set_json_output
-from repro.utils.profiling import Timer
 
 ALPHA = 0.005
 SETTINGS = dict(max_examples=60, deadline=None)
@@ -236,40 +235,6 @@ class TestMetrics:
         assert snap["load"] == 0.5
         assert snap["lat"]["count"] == 1.0
         assert snap["lat"]["p50"] == pytest.approx(12.0, rel=2 * ALPHA)
-
-
-class TestTimer:
-    def test_percentile_matches_exact_helper(self):
-        timer = Timer()
-        values = [0.001 * k for k in range(1, 41)]
-        for v in values:
-            timer.add("step", v)
-        # endpoints are exact; interior quantiles land within the sketch
-        # band around the order statistics bracketing the rank
-        assert timer.percentile("step", 0) == values[0]
-        assert timer.percentile("step", 100) == values[-1]
-        for q in (50, 95):
-            rank = q / 100.0 * (len(values) - 1)
-            lo, hi = values[math.floor(rank)], values[math.ceil(rank)]
-            tol = 2.0 * ALPHA * hi + 1e-9
-            assert lo - tol <= timer.percentile("step", q) <= hi + tol
-
-    def test_percentile_empty_and_validation(self):
-        timer = Timer()
-        assert timer.percentile("never", 95) == 0.0
-        with pytest.raises(ValueError):
-            timer.percentile("never", 101)
-
-    def test_merge_folds_records_and_sketches(self):
-        a, b = Timer(), Timer()
-        a.add("step", 1.0)
-        b.add("step", 3.0)
-        b.add("other", 2.0)
-        a.merge(b)
-        assert a.count("step") == 2
-        assert a.total("step") == 4.0
-        assert a.percentile("step", 100) == 3.0
-        assert a.percentile("other", 50) == pytest.approx(2.0, rel=2 * ALPHA)
 
 
 class TestLoggerJson:

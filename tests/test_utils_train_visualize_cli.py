@@ -11,7 +11,7 @@ from repro.data.visualize import ascii_frame, ascii_lanes, frame_report
 from repro.experiments.cli import main as cli_main
 from repro.models import decode_predictions, get_config
 from repro.train import SourceTrainer, TrainConfig, TrainReport
-from repro.utils import Logger, Timer, make_rng, rng_stream, set_verbosity, split_rng
+from repro.utils import Logger, make_rng, rng_stream, set_verbosity, split_rng
 from repro.utils.rng import child_seed
 
 
@@ -102,33 +102,6 @@ class TestLogger:
             assert "danger" in buf.getvalue()
         finally:
             set_verbosity(1)
-
-
-class TestTimer:
-    def test_measure_accumulates(self):
-        t = Timer()
-        with t.measure("a"):
-            pass
-        with t.measure("a"):
-            pass
-        assert t.count("a") == 2
-        assert t.total("a") >= 0.0
-        assert t.mean("a") == pytest.approx(t.total("a") / 2)
-
-    def test_summary_and_reset(self):
-        t = Timer()
-        t.add("x", 1.0)
-        t.add("x", 3.0)
-        summary = t.summary()
-        assert summary["x"]["total"] == 4.0
-        assert summary["x"]["mean"] == 2.0
-        t.reset()
-        assert t.count("x") == 0
-
-    def test_unknown_name_is_zero(self):
-        t = Timer()
-        assert t.total("nope") == 0.0
-        assert t.mean("nope") == 0.0
 
 
 class TestTrainer:
