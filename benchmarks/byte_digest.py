@@ -108,7 +108,10 @@ def adapt_case(preset, backend, n, from_stem):
         engine(x)
         src = engine.plan_for(x.shape, x.dtype).stem_rows if from_stem else x
         plan = step.plan_for(x, from_stem=from_stem)
+        adapter.bn_state.swap_out()  # what LDBNAdapt's own step does
         out += [plan.run(src, update=(adapter,))] + _taps(plan)
+        if plan.finite[0]:
+            adapter.bn_state.swap_in()
     out += list(model.state_dict().values()) + _momentum(adapter)
     return out, plan.backend_info.get("program")
 

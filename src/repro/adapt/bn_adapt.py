@@ -213,12 +213,12 @@ class LDBNAdapt(Adapter):
 
     @property
     def bn_state(self) -> BNStateSnapshot:
-        """This adapter's ``live`` block of the model: where a standalone
-        compiled step reads gamma/beta and its update tail writes (see
+        """This adapter's block of the model: where a standalone compiled
+        step reads gamma/beta and its update tail writes (see
         :meth:`repro.engine.AdaptationPlan.run`).  Built on the first
         such step: an adapter a fleet steps never needs one."""
         if self._bn_state is None:
-            self._bn_state = BNStateSnapshot(BNLayout(self.model), live=True)
+            self._bn_state = BNStateSnapshot(BNLayout(self.model))
         return self._bn_state
 
     def record_step(self, loss: float, num_frames: int,
@@ -238,12 +238,18 @@ class LDBNAdapt(Adapter):
         )
 
     def _run_plan(self, plan, x: np.ndarray, num_frames: int) -> AdaptResult:
-        """One compiled entropy step: the whole step is the plan's — its
-        update tail persists the batch statistics and steps gamma/beta
-        of :attr:`bn_state` on this adapter's optimizer state, unless the
-        loss is not finite."""
+        """One compiled entropy step on :attr:`bn_state`, captured from
+        the model first: the plan's update tail persists the batch
+        statistics and steps gamma/beta on this adapter's optimizer
+        state, and the block goes back into the model, unless the loss is
+        not finite."""
+        block = self.bn_state
+        block.swap_out()
         loss = float(plan.run(x, update=(self,))[0])
-        return self.record_step(loss, num_frames, refused=not plan.finite[0])
+        refused = not plan.finite[0]
+        if not refused:
+            block.swap_in()
+        return self.record_step(loss, num_frames, refused=refused)
 
     def _step_frames(self, frames: np.ndarray, rows) -> AdaptResult:
         if rows is not None:

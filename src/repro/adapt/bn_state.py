@@ -9,9 +9,9 @@ gamma/beta from a block and writes its update back to it:
 
 * a fleet session's block *is* its stream's state
   (:class:`repro.serve.StreamSession`);
-* a standalone :class:`~repro.adapt.LDBNAdapt` steps a ``live`` block of
-  the model it adapts: captured from the model before the step, written
-  back after it.
+* a standalone :class:`~repro.adapt.LDBNAdapt` steps a block of the
+  model it adapts: it captures the block from the model before the step
+  and writes it back after it.
 
 The optimizer's momentum follows the same shape: one ``(2, C)`` block
 (:meth:`BNStateSnapshot.optimizer_slots`) whose rows the optimizer's
@@ -70,16 +70,10 @@ class BNLayout:
 
 class BNStateSnapshot:
     """A model's BN state as ``state`` (running mean, var, gamma, beta over
-    the layout's channels) and ``counts``, swappable in and out.
+    the layout's channels) and ``counts``, swappable in and out."""
 
-    ``live`` marks the block of a standalone adapter: a compiled step
-    captures it from the model first (``swap_out``) and writes it back
-    after (``swap_in``).  A session's block is not live: it is the state.
-    """
-
-    def __init__(self, layout: BNLayout, live: bool = False):
+    def __init__(self, layout: BNLayout):
         self.layout = layout
-        self.live = live
         self.modules = layout.modules
         self.state = np.empty((4, layout.channels))
         self.counts = np.empty(len(self.modules), dtype=np.int64)

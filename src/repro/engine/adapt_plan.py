@@ -266,8 +266,6 @@ def _update_tail(armed: list, finite: np.ndarray, tap_rows: np.ndarray,
                 weight_decay=optimizer.weight_decay,
                 nesterov=optimizer.nesterov,
             )
-            if block.live:
-                block.swap_in()
 
     return apply_update
 
@@ -904,8 +902,9 @@ class AdaptationPlan(StaticPlan):
         :class:`~repro.adapt.bn_state.BNStateSnapshot` (all of one
         layout) —, ``optimizer`` (an :class:`~repro.nn.SGD`) and
         ``effective_momentum`` (what the running statistics blend with;
-        1.0 replaces): a fleet session, or a standalone adapter, whose
-        block is ``live``.  Row k of every gamma/beta slot is filled from
+        1.0 replaces): a fleet session, or a standalone adapter (which
+        captures its block from the model before the replay and writes it
+        back after).  Row k of every gamma/beta slot is filled from
         block k before the forward, and the update tail writes back to
         it.  Plans are shared between adapters, so a destination is only
         ever an argument.  A group whose loss is not finite is left
@@ -932,9 +931,6 @@ class AdaptationPlan(StaticPlan):
         if update:
             blocks = [target.bn_state for target in update]
             gather, _ = self._columns(blocks[0].layout)
-            for block in blocks:
-                if block.live:
-                    block.swap_out()
             rows = [block.state[2:] for block in blocks]
             source = rows[0] if len(rows) == 1 else np.stack(rows, axis=1)
             np.take(source.reshape(2, -1), gather, axis=1, out=self._affine,

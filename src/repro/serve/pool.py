@@ -410,7 +410,6 @@ class DeviceWorker:
         config,
         device=None,
         spec=None,
-        busy_s: Optional[List[float]] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: SpanTracer = NULL_TRACER,
         checkpoints: Optional[SessionCheckpointStore] = None,
@@ -421,10 +420,8 @@ class DeviceWorker:
         self.model = model
         self.config = config
         self.device = device
-        # wall-clock seconds of inference and adaptation served: one
-        # running sum the pool's workers share (wallclock elapsed time)
-        self.busy_s = busy_s if busy_s is not None else [0.0]
-        self._infer_s = 0.0  # the last forward's, read by its batch
+        # wall-clock seconds of inference and adaptation served
+        self.busy_s = 0.0
         self.tracer = tracer
         self.checkpoints = checkpoints
         self.alive = True
@@ -781,11 +778,11 @@ class DeviceWorker:
         self._m_batch_sizes.record(plan.batch_size)
         self.frames_served += plan.batch_size
 
-        logits, preds, rows = self._forward(sessions, frames)
+        logits, preds, rows, infer_s = self._forward(sessions, frames)
         if config.latency_model == "orin":
             infer_ms = plan.planned_latency_ms
         else:
-            infer_ms = 1e3 * self._infer_s
+            infer_ms = 1e3 * infer_s
 
         # inference completes for the whole batch at once; granted
         # adaptation steps then run as grouped compiled replays (each
@@ -865,8 +862,9 @@ class DeviceWorker:
 
     def _forward(self, sessions: List[StreamSession], frames):
         """The batch's one shared forward, decoded: ``(logits, preds,
-        rows)`` — ``rows`` the stem rows the replay wrote (None when
-        inference ran eager, or the plan has no stem).
+        rows, seconds)`` — ``rows`` the stem rows the replay wrote (None
+        when inference ran eager, or the plan has no stem), ``seconds``
+        the wall-clock time of the forward and its decode.
 
         ``logits`` and ``rows`` view storage the pool's engine overwrites
         on its next replay of this batch shape — every reader (decode,
@@ -893,9 +891,9 @@ class DeviceWorker:
             logits.numpy(), self.model.config,
             method=self.config.decode_method,
         )
-        self._infer_s = time.perf_counter() - start
-        self.busy_s[0] += self._infer_s
-        return logits, preds, plan.stem_rows if compiled else None
+        infer_s = time.perf_counter() - start
+        self.busy_s += infer_s
+        return logits, preds, plan.stem_rows if compiled else None, infer_s
 
     def _adapt(
         self, session: StreamSession, frame,
@@ -932,7 +930,7 @@ class DeviceWorker:
         start = time.perf_counter()
         result = adapter.observe_frame(frame.image, rows)
         step_s = time.perf_counter() - start
-        self.busy_s[0] += step_s
+        self.busy_s += step_s
         if steps:
             session.swap_out()
         if result is None:
@@ -965,7 +963,7 @@ class DeviceWorker:
         start = time.perf_counter()
         group.results = group.execute()
         step_s = time.perf_counter() - start
-        self.busy_s[0] += step_s
+        self.busy_s += step_s
         if self.config.latency_model == "orin":
             fused_ms = self.adapt_cost_fn(group.num_streams * group.group_size)
         else:

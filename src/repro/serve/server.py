@@ -255,9 +255,6 @@ class FleetServer:
                 )
             pool = [None] * self.config.devices
         self.device = pool[0] if pool[0] is not None else device
-        # wall-clock seconds of inference and adaptation, summed by the
-        # workers (a wallclock report's elapsed time)
-        self.busy_s = [0.0]
         self.checkpoints: Optional[SessionCheckpointStore] = (
             SessionCheckpointStore(self.config.checkpoint)
             if self.config.checkpoint is not None
@@ -300,7 +297,7 @@ class FleetServer:
         """A pool member wired to everything the pool shares."""
         return DeviceWorker(
             index, self.model, self.config, device=profile, spec=self.spec,
-            busy_s=self.busy_s, metrics=self.metrics, tracer=self.tracer,
+            metrics=self.metrics, tracer=self.tracer,
             checkpoints=self.checkpoints,
             engine=self._engine, adapt_step=self._adapt_step,
         )
@@ -924,7 +921,7 @@ class FleetServer:
             latency_model=self.config.latency_model,
             elapsed_ms=elapsed_ms
             if self.config.latency_model == "orin"
-            else 1e3 * self.busy_s[0],
+            else 1e3 * sum(worker.busy_s for worker in self.workers),
             batch_sizes=metrics.histogram("fleet/batch_size"),
             adapt_batch_sizes=metrics.histogram("fleet/adapt_batch_size"),
             queue_depths=metrics.histogram("fleet/queue_depth"),

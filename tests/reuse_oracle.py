@@ -76,10 +76,9 @@ def replay_bytes(preset, backend, threads, batch, groups, from_stem):
         out += [a.tobytes() for tap in plan.bn_taps for a in (
             tap.batch_mean, tap.batch_var, tap.grad_gamma, tap.grad_beta)]
     out += [np.asarray(v).tobytes() for v in model.state_dict().values()]
-    if groups > 1:
-        for session in targets:
-            out += [session.bn_state.state.tobytes(),
-                    session.bn_state.counts.tobytes()]
+    for target in targets:  # the blocks the steps wrote
+        out += [target.bn_state.state.tobytes(),
+                target.bn_state.counts.tobytes()]
     for adapter in adapters:
         out += [adapter.optimizer.state[id(p)]["momentum"].tobytes()
                 for p in adapter.optimizer.params]

@@ -2337,6 +2337,13 @@ class TestOneUpdateTail:
         run.assert_in_step()
         for key, data in old.items():
             assert data.tobytes() == kept[key].tobytes()
+        # and a float32 parameter: the block steps it in float64 and
+        # writes it back rounded, both backends alike
+        for _, adapter in run:
+            param = adapter.optimizer.params[0]
+            param.data = param.data.astype(np.float32)
+        run.step(1)
+        run.assert_in_step()
 
     @pytest.mark.parametrize("tweak", ["weight_decay", "nesterov"])
     def test_weight_decay_and_nesterov_take_the_same_tail(

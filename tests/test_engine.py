@@ -342,6 +342,8 @@ class TestPlanStructure:
                 tap.batch_mean, tap.batch_var, tap.grad_gamma, tap.grad_beta)]
             out += [np.asarray(v).tobytes()
                     for v in model.state_dict().values()]
+            out += [adapter.bn_state.state.tobytes(),
+                    adapter.bn_state.counts.tobytes()]
             out += [adapter.optimizer.state[id(p)]["momentum"].tobytes()
                     for p in adapter.optimizer.params]
             return out, (engine, plan)
