@@ -14,7 +14,8 @@
 # per subcommand not already run by a test (bench-adapt --quick, which
 # prints a plan's per-stage table, on every run), then the bench-e2e
 # self-check (benchmarks/e2e/run.py --smoke) with each workload's
-# adaptation group size, fused share and swap time, the line counts of
+# adaptation group size, fused share, swap time, fold time and worker
+# self time per frame, the line counts of
 # src/repro/{engine,serve,hw,nn,adapt,pipeline} and of src/repro, the three
 # combined byte digests of benchmarks/byte_digest.py and the memory line
 # of benchmarks/stream_memory.py, each beside the parent commit's
@@ -108,9 +109,11 @@ fi
 # a C compiler it loud-skips, exactly as lane 4 does
 if python -c 'import sys; from repro.engine.backends import find_cc; sys.exit(0 if find_cc() else 1)'; then
     python benchmarks/e2e/run.py --smoke
-    # how each workload's adaptation steps ran (printed, no gate): mean
-    # group size, the share of steps in groups of two or more, and the
-    # p50 of a session swap onto the model (0 when nothing swapped)
+    # how each workload's adaptation steps ran and what its serve layer
+    # costs (printed, no gate): mean group size, the share of steps in
+    # groups of two or more, the p50 of a session swap onto the model (0
+    # when nothing swapped), the p50 of a launch's BN fold and the
+    # worker's own time per frame
     python - <<'PY'
 import json
 for name in ("vehicle_b1", "vehicle_b4", "fleet_lockstep", "fleet_churn"):
@@ -118,7 +121,8 @@ for name in ("vehicle_b1", "vehicle_b4", "fleet_lockstep", "fleet_churn"):
         layer = json.load(f)["per_layer"]
     print(f"smoke {name}: " + ", ".join(f"{m} {layer[m]:.3g}" for m in (
         "serve.adapt_batch.group_mean", "serve.adapt_batch.fused_share",
-        "serve.streams.swap_us_p50")))
+        "serve.streams.swap_us_p50", "serve.streams.fold_ms_p50",
+        "serve.worker_self_ms_per_frame")))
 PY
 else
     echo "NOTICE: bench-e2e smoke SKIPPED — no C compiler on this host;"

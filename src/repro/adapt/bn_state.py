@@ -13,6 +13,16 @@ gamma/beta from a block and writes its update back to it:
   model it adapts: it captures the block from the model before the step
   and writes it back after it.
 
+The block also owns its eval-mode fold (:meth:`BNStateSnapshot.folded`):
+the per-channel ``(scale, shift)`` an eval BatchNorm applies, recomputed
+only after the block was written.  Whatever writes ``state`` in place
+calls :meth:`BNStateSnapshot.written` after it; the writers are the
+compiled update tail (:func:`repro.engine.adapt_plan._update_tail`),
+:meth:`BNStateSnapshot.swap_out`, the drift restore
+(:func:`repro.serve.drift._restore_bn`) and the checkpoint restore
+(:func:`repro.serve.checkpoint.restore_session_state`).  A write that
+bypasses them leaves the fold stale.
+
 The optimizer's momentum follows the same shape: one ``(2, C)`` block
 (:meth:`BNStateSnapshot.optimizer_slots`) whose rows the optimizer's
 per-parameter ``momentum`` buffers view, so eager steps, checkpoints and
@@ -21,6 +31,7 @@ drift resets keep reading and writing per-parameter buffers.
 
 from __future__ import annotations
 
+from itertools import count
 from operator import is_
 from typing import List
 
@@ -31,6 +42,29 @@ from .base import ParameterSnapshot
 
 _BN_BUFFER_NAMES = ("running_mean", "running_var", "num_batches_tracked")
 _EMPTY: dict = {}
+# one stamp per block write, unique across blocks: a launch's stamps name
+# its blocks and their contents at once
+_STAMPS = count()
+
+
+class _LaunchFold:
+    """The fold buffers of ``n``-sample launches (see
+    :meth:`BNLayout.launch_pairs`)."""
+
+    __slots__ = ("order", "stack", "folded", "pairs", "stamps")
+
+    def __init__(self, layout: "BNLayout", n: int):
+        index = np.arange(n * layout.channels).reshape(n, -1)
+        self.order = np.concatenate(
+            [index[:, a:b].ravel() for a, b in layout.spans]
+        )
+        self.stack = np.empty((2, n, layout.channels))
+        self.folded = np.empty((2, n * layout.channels))
+        self.pairs = [
+            tuple(self.folded[:, n * a:n * b].reshape(2, n, -1))
+            for a, b in layout.spans
+        ]
+        self.stamps: List[int] = []  # the blocks ``folded`` holds
 
 
 class BNLayout:
@@ -51,26 +85,33 @@ class BNLayout:
         self.fields = [vars(m) for m in self.modules]  # their instance dicts
         self._folds = {}
 
-    def fold_buffers(self, n: int):
-        """``(order, work, folded, pairs)`` of ``n``-sample launches: blocks
-        stack into ``work`` (4, n, C), ``order`` takes its scale and shift
-        rows into ``folded``, layer ``j``'s ``pairs[j]`` view that."""
+    def launch_pairs(self, blocks) -> list:
+        """Layer ``j``'s ``(scale, shift)`` pair of a launch of ``blocks``
+        (:class:`BNStateSnapshot` of this layout), each ``(n, c_j)``, row
+        ``i`` from ``blocks[i]``.  The same pair objects every launch of
+        ``n`` blocks; a launch of the blocks the last one of its size
+        had, none written since, moves no byte.  Otherwise each block's
+        fold (refolded only if written) is taken into place."""
+        n = len(blocks)
         fold = self._folds.get(n)
         if fold is None:
-            index = np.arange(n * self.channels).reshape(n, -1)
-            order = np.concatenate([index[:, a:b].ravel() for a, b in self.spans])
-            folded = np.empty((2, n * self.channels))
-            pairs = [
-                tuple(folded[:, n * a:n * b].reshape(2, n, -1)) for a, b in self.spans
-            ]
-            work = np.empty((4, n, self.channels))
-            fold = self._folds[n] = (order, work, folded, pairs)
-        return fold
+            fold = self._folds[n] = _LaunchFold(self, n)
+        stamps = [block.stamp for block in blocks]
+        if stamps != fold.stamps:
+            folds = [block.folded() for block in blocks]
+            source = folds[0] if n == 1 else np.stack(folds, 1, out=fold.stack)
+            # in range by construction; mode="raise" would buffer ``out``
+            np.take(source.reshape(2, -1), fold.order, axis=1,
+                    out=fold.folded, mode="clip")
+            fold.stamps = stamps
+        return fold.pairs
 
 
 class BNStateSnapshot:
     """A model's BN state as ``state`` (running mean, var, gamma, beta over
-    the layout's channels) and ``counts``, swappable in and out."""
+    the layout's channels) and ``counts``, swappable in and out, with its
+    eval fold (:meth:`folded`); ``stamp`` changes on every
+    :meth:`written`."""
 
     def __init__(self, layout: BNLayout):
         self.layout = layout
@@ -88,7 +129,30 @@ class BNStateSnapshot:
         self.buffers = [dict(zip(_BN_BUFFER_NAMES, b)) for b in zip(mean, var, counts)]
         # sgd_update's state for the gamma/beta rows (see optimizer_slots)
         self.slots = {}
+        self.fold = np.empty((2, layout.channels))  # scale, shift
+        self._folded_at = None  # the stamp ``fold`` was computed at
         self.swap_out()
+
+    def written(self) -> None:
+        """Mark ``state`` written in place: the next :meth:`folded`
+        recomputes the fold, and no launch reuses one of before."""
+        self.stamp = next(_STAMPS)
+
+    def folded(self) -> np.ndarray:
+        """The block's eval-BN fold, ``(2, C)``: ``scale = gamma /
+        sqrt(var + eps)`` and ``shift = beta - mean * scale``, recomputed
+        only when the block was :meth:`written` since the last call."""
+        if self._folded_at != self.stamp:
+            mean, var, gamma, beta = self.state
+            scale, shift = self.fold
+            np.add(var, self.layout.eps, out=scale)
+            np.sqrt(scale, out=scale)
+            np.divide(1.0, scale, out=scale)
+            np.multiply(gamma, scale, out=scale)
+            np.multiply(mean, scale, out=shift)
+            np.subtract(beta, shift, out=shift)
+            self._folded_at = self.stamp
+        return self.fold
 
     def swap_in(self) -> None:
         """Write this snapshot's state into the shared model."""
@@ -103,6 +167,7 @@ class BNStateSnapshot:
         for module, bufs in zip(self.modules, self.buffers):
             for name, arr in bufs.items():
                 arr[...] = getattr(module, name)
+        self.written()
 
     def optimizer_slots(self, optimizer) -> dict:
         """:func:`~repro.nn.optim.sgd_update`'s state for the block's

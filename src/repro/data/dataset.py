@@ -13,6 +13,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,17 +39,30 @@ class LaneSample:
 
 
 class LaneDataset:
-    """An in-memory dataset of rendered frames with UFLD labels."""
+    """An in-memory dataset of rendered frames with UFLD labels.
+
+    ``images``, ``labels`` and ``gt_cells`` stack the samples' arrays on
+    first read: a dataset that is only iterated frame by frame (a
+    camera stream's) holds its frames once."""
 
     def __init__(self, samples: Sequence[LaneSample], name: str = "dataset"):
         if not samples:
             raise ValueError("LaneDataset requires at least one sample")
         self.name = name
         self.samples = list(samples)
-        self.images = np.stack([s.image for s in self.samples])
-        self.labels = np.stack([s.label for s in self.samples])
-        self.gt_cells = np.stack([s.gt_cells for s in self.samples])
         self.domains = [s.domain for s in self.samples]
+
+    @cached_property
+    def images(self) -> np.ndarray:
+        return np.stack([s.image for s in self.samples])
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        return np.stack([s.label for s in self.samples])
+
+    @cached_property
+    def gt_cells(self) -> np.ndarray:
+        return np.stack([s.gt_cells for s in self.samples])
 
     def __len__(self) -> int:
         return len(self.samples)

@@ -237,8 +237,9 @@ def _update_tail(armed: list, finite: np.ndarray, tap_rows: np.ndarray,
     through :func:`~repro.nn.functional.update_running_stat`, gamma and
     beta stepped through :func:`~repro.nn.optim.sgd_update` with the
     momentum block of the optimizer's per-parameter buffers
-    (``optimizer_slots``).  It captures no plan: plans stay free of
-    reference cycles.
+    (``optimizer_slots``), and the block marked written, so its eval fold
+    is recomputed before the next launch reads it.  It captures no plan:
+    plans stay free of reference cycles.
     """
     work = np.empty((4, tap_rows.shape[1] // finite.size))
     rows_flat, work_flat = tap_rows.reshape(-1), work.reshape(-1)
@@ -266,6 +267,7 @@ def _update_tail(armed: list, finite: np.ndarray, tap_rows: np.ndarray,
                 weight_decay=optimizer.weight_decay,
                 nesterov=optimizer.nesterov,
             )
+            block.written()
 
     return apply_update
 

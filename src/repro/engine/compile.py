@@ -102,6 +102,10 @@ def compile_model(model, backend=None,
     return CompiledInference(model, backend=backend, threads=threads)
 
 
+def _step_key(shape, dtype, groups, from_stem) -> Tuple:
+    return (tuple(shape), np.dtype(dtype).str, int(groups), bool(from_stem))
+
+
 class CompiledAdaptStep:
     """Compiled LD-BN-ADAPT entropy steps for one model.
 
@@ -139,7 +143,7 @@ class CompiledAdaptStep:
         caller falls back to the eager autograd step.  The trace graph is
         not retained: the plan's closures captured what replay needs.
         """
-        key = (arr.shape, arr.dtype.str, int(groups), bool(from_stem))
+        key = _step_key(arr.shape, arr.dtype, groups, from_stem)
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plans[key] = self.backend.compile(
@@ -147,6 +151,12 @@ class CompiledAdaptStep:
                 groups=groups, threads=self.threads, from_stem=from_stem,
             )
         return plan
+
+    def cached(self, shape, dtype=np.float32, groups: int = 1,
+               from_stem: bool = False) -> Optional[AdaptationPlan]:
+        """The plan :meth:`plan_for` returns for an image batch of
+        ``shape`` and ``dtype``, or None when it is not built yet."""
+        return self._plans.get(_step_key(shape, dtype, groups, from_stem))
 
     def takes_rows_from(self, engine: CompiledInference) -> bool:
         """Whether this step's plans can start from the stem rows

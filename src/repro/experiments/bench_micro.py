@@ -434,7 +434,9 @@ def run_micro_serve(reps: int = 200, seed: int = 0) -> List[Dict[str, object]]:
     """The fleet's per-session BN bookkeeping, one flat block a session.
 
     ``fleet_fold_us``: one launch's fold — ``per_stream_inference`` entered
-    and left around nothing — over ``B`` sessions whose states differ.
+    and left around nothing — over ``B`` sessions whose states differ,
+    once with every block marked written before the launch (each block
+    refolded) and once with none (the last launch's pairs reused).
     ``session_pack_us``: one durable capture of a tiny-r18 session that
     has taken an SGD step and banked two drift regimes, with the number
     of arrays and bytes it packs.
@@ -452,27 +454,31 @@ def run_micro_serve(reps: int = 200, seed: int = 0) -> List[Dict[str, object]]:
                 f"s{i}", iter(()), LDBNAdapt(model, LDBNAdaptConfig()),
                 deadline_ms=33.3,
             )
-            session.bn_state.state[2:] += rng.normal(
-                0.0, 0.1, session.bn_state.state[2:].shape
-            )
+            block = session.bn_state
+            block.state[2:] += rng.normal(0.0, 0.1, block.state[2:].shape)
+            block.written()
             sessions.append(session)
         return model, sessions
 
     for name, batch in (("tiny-r18", 1), ("small-r18", 4)):
         _, sessions = sessions_of(name, batch)
 
-        def fold():
+        def launch(write: bool) -> None:
+            if write:  # what a step's update tail marks
+                for session in sessions:
+                    session.bn_state.written()
             with per_stream_inference(sessions):
                 pass
 
-        samples = _timed_us(fold, reps)
-        rows.append({
-            "op": "fleet_fold_us",
-            "shape": f"{name} B={batch}",
-            "reps": reps,
-            "p50_us": exact_percentile(samples, 50),
-            "p95_us": exact_percentile(samples, 95),
-        })
+        for write, when in ((True, "after a write"), (False, "reused")):
+            samples = _timed_us(lambda: launch(write), reps)
+            rows.append({
+                "op": "fleet_fold_us",
+                "shape": f"{name} B={batch}, {when}",
+                "reps": reps,
+                "p50_us": exact_percentile(samples, 50),
+                "p95_us": exact_percentile(samples, 95),
+            })
 
     model, (session,) = sessions_of("tiny-r18", 1)
     h, w = model.config.input_hw

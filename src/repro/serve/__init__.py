@@ -36,11 +36,15 @@ Architecture
   formula, its momentum buffers views of one block beside it;
   ``swap_in``/``swap_out`` materialize it on the shared model only for
   a step no plan of the pool's takes, and when a vehicle's run ends.
-  Eval-mode BN folds to per-sample ``(scale, shift)`` vectors — a whole
-  launch in a few vector ops — so :func:`per_stream_inference` serves
-  many differently-adapted streams in ONE batched forward.  Each session
-  owns an :class:`ArrivalProcess` — a seeded realization of its
-  :class:`ArrivalModel`, with the seed
+  Eval-mode BN folds to per-sample ``(scale, shift)`` vectors, so
+  :func:`per_stream_inference` serves many differently-adapted streams
+  in ONE batched forward.  The fold belongs to the block
+  (:meth:`~repro.adapt.bn_state.BNStateSnapshot.folded`): it is
+  recomputed only after one of the block's writers — the compiled update
+  tail, ``swap_out``, the drift restore, the checkpoint restore — marked
+  it written, so a launch of unchanged sessions does no fold arithmetic.
+  Each session owns an :class:`ArrivalProcess` — a seeded realization of
+  its :class:`ArrivalModel`, with the seed
   derived from ``child_seed(arrival_seed, stream_id)`` so a stream's
   arrival realization is invariant to pool size and placement.  The
   session is also the unit of migration: re-homing it moves all

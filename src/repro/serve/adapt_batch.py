@@ -197,17 +197,25 @@ class FleetAdaptationBatcher:
             ]
         if not members:
             return None
-        images = np.stack(images)
-        if not nn.compiled_adaptation_enabled():
-            return StagedGroupStep(self, members, images, None, group_size)
-        from_stem = all(r is not None for r in stems)
-        try:
-            plan = self._compiled.plan_for(
-                images, groups=len(members), from_stem=from_stem
-            )
-        except UnsupportedAdaptGraph:
-            self._unsupported = True
-            return None
+        compiled = nn.compiled_adaptation_enabled()
+        from_stem = compiled and all(r is not None for r in stems)
+        # a from-stem step reads only the rows: its images key the plan,
+        # and are stacked only to build it
+        plan = self._compiled.cached(
+            (len(images),) + images[0].shape, groups=len(members),
+            from_stem=True,
+        ) if from_stem else None
+        if plan is None:
+            images = np.stack(images)
+            if not compiled:
+                return StagedGroupStep(self, members, images, None, group_size)
+            try:
+                plan = self._compiled.plan_for(
+                    images, groups=len(members), from_stem=from_stem
+                )
+            except UnsupportedAdaptGraph:
+                self._unsupported = True
+                return None
         self._fused_proven |= len(members) > 1
         return StagedGroupStep(
             self, members, np.stack(stems) if from_stem else images,

@@ -335,13 +335,14 @@ def restore_session_state(
     """Write a captured state back into ``session``; returns admission state.
 
     Restores the BN snapshot (in place — per-sample folding keeps its
-    aliases), optimizer slots (stale slots for checkpointed-empty
-    parameters are dropped), the adapter's pending-frame buffer and step
-    index.  With ``counters=True`` the serving counters and arrival
-    cursor are restored too — that is a *cold* restore resuming a
-    stream from scratch; live crash recovery keeps the session's
-    counters (frames since the checkpoint are lost, not rewound, so
-    report indices never collide).
+    aliases — and marked written, so its fold is recomputed), optimizer
+    slots (stale slots for checkpointed-empty parameters are dropped),
+    the adapter's pending-frame buffer and step index.  With
+    ``counters=True`` the serving counters and arrival cursor are
+    restored too — that is a *cold* restore resuming a stream from
+    scratch; live crash recovery keeps the session's counters (frames
+    since the checkpoint are lost, not rewound, so report indices never
+    collide).
 
     The return value is an :meth:`~repro.serve.admission.SlackAdmission.
     import_stream`-shaped dict (minus the fuse key, which the caller
@@ -359,6 +360,7 @@ def restore_session_state(
         )
     session.bn_state.state[...] = arrays["bn.state"]
     session.bn_state.counts[...] = arrays["bn.counts"]
+    session.bn_state.written()
     optimizer = getattr(session.adapter, "optimizer", None)
     if optimizer is not None:
         for param in optimizer.params:

@@ -122,8 +122,11 @@ def _capture_bn(session) -> BNState:
 
 def _restore_bn(session, state: BNState) -> None:
     """Write a captured BN block back into the session's snapshot in
-    place (every per-layer view of it is load-bearing)."""
-    session.bn_state.state[...], session.bn_state.counts[...] = state
+    place (every per-layer view of it is load-bearing) and mark it
+    written."""
+    block = session.bn_state
+    block.state[...], block.counts[...] = state
+    block.written()
 
 
 class SessionDriftState:

@@ -468,6 +468,8 @@ class DeviceWorker:
         self.migrations_out = 0
         self.sessions: "OrderedDict[str, StreamSession]" = OrderedDict()
         self.session_cost_ms: Dict[str, float] = {}
+        # per launch, recorded here only: the fleet's two views are the
+        # merge of every worker's (FleetServer._build_report)
         self.batch_sizes = Histogram()
         self.queue_depths = Histogram()
         self._last_served_ms: Optional[float] = None  # idle-decay anchor
@@ -480,9 +482,7 @@ class DeviceWorker:
         # serializes batches).  Instruments are cached here so the hot
         # path never does a registry lookup.
         metrics = metrics if metrics is not None else MetricsRegistry()
-        self._m_batch_sizes = metrics.histogram("fleet/batch_size")
         self._m_adapt_batch_sizes = metrics.histogram("fleet/adapt_batch_size")
-        self._m_queue_depths = metrics.histogram("fleet/queue_depth")
         self._m_latency = metrics.histogram("fleet/latency_ms")
         self._m_slack = metrics.histogram("fleet/slack_ms")
         self._m_adapt = metrics.histogram("fleet/adapt_ms")
@@ -756,7 +756,6 @@ class DeviceWorker:
         """
         depth = self.scheduler.pending_count
         self.queue_depths.record(depth)
-        self._m_queue_depths.record(depth)
         plan = self.scheduler.next_batch(now_ms)
         if plan is None:  # pragma: no cover - pending implies a plan
             return now_ms
@@ -775,7 +774,6 @@ class DeviceWorker:
         sessions = [req.payload[0] for req in plan.requests]
         frames = [req.payload[1] for req in plan.requests]
         self.batch_sizes.record(plan.batch_size)
-        self._m_batch_sizes.record(plan.batch_size)
         self.frames_served += plan.batch_size
 
         logits, preds, rows, infer_s = self._forward(sessions, frames)
@@ -871,7 +869,11 @@ class DeviceWorker:
         the drift entropy, the adapters and fused groups copying rows)
         runs before this worker returns to the loop.
         """
-        images = np.stack([f.image for f in frames], dtype=np.float32)
+        image = frames[0].image
+        if len(frames) == 1 and image.dtype == np.float32:
+            images = image[None]  # no plan writes its input: no copy
+        else:
+            images = np.stack([f.image for f in frames], dtype=np.float32)
         compiled = nn.compiled_inference_enabled()
         if compiled:
             # one-time trace per batch size, outside the timed region

@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import reduce
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..adapt.base import Adapter
@@ -78,7 +79,7 @@ from ..hw.deadline import DEADLINE_30FPS_MS, stream_utilization
 from ..hw.device import DeviceProfile, get_power_mode
 from ..metrics.lane_accuracy import TUSIMPLE_THRESHOLD_CELLS
 from ..models.spec import ModelSpec
-from ..telemetry.metrics import MetricsRegistry
+from ..telemetry.metrics import Histogram, MetricsRegistry
 from ..telemetry.trace import NULL_TRACER, SpanTracer
 from ..utils.rng import child_seed
 from .adapt_batch import static_fuse_key
@@ -922,9 +923,15 @@ class FleetServer:
             elapsed_ms=elapsed_ms
             if self.config.latency_model == "orin"
             else 1e3 * sum(worker.busy_s for worker in self.workers),
-            batch_sizes=metrics.histogram("fleet/batch_size"),
+            # a worker records each launch once; merging integer-valued
+            # sketches is exact
+            batch_sizes=reduce(Histogram.merge,
+                               (w.batch_sizes for w in self.workers),
+                               Histogram()),
             adapt_batch_sizes=metrics.histogram("fleet/adapt_batch_size"),
-            queue_depths=metrics.histogram("fleet/queue_depth"),
+            queue_depths=reduce(Histogram.merge,
+                                (w.queue_depths for w in self.workers),
+                                Histogram()),
             latency_histogram=metrics.histogram("fleet/latency_ms"),
             slack_histogram=metrics.histogram("fleet/slack_ms"),
             adapt_histogram=metrics.histogram("fleet/adapt_ms"),

@@ -27,7 +27,11 @@ values and optimizer momentum.  This module keeps those states separate:
   session's state folds into per-sample ``(scale, shift)`` vectors that
   :class:`repro.nn.modules._BatchNormBase` applies sample-wise.  Frames
   from many differently-adapted streams thus share one forward pass with
-  bitwise-independent normalization, folded all at once into fixed buffers.
+  bitwise-independent normalization.  The fold is part of the session's
+  block, recomputed only after a writer (the compiled update tail,
+  ``swap_out``, the drift and checkpoint restores) marked the block
+  written, and taken into fixed per-launch buffers only when the
+  launch's sessions or their blocks changed.
 """
 
 from __future__ import annotations
@@ -36,8 +40,6 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..adapt.base import Adapter
 from ..adapt.bn_state import BNLayout, BNStateSnapshot
@@ -333,13 +335,19 @@ class StreamRegistry:
 def per_stream_inference(sessions: Sequence[StreamSession]):
     """Enable the batched multi-stream eval forward on the shared model.
 
-    Folds the sessions' BN blocks into per-sample ``(scale, shift)``, all
-    layers at once, and installs layer ``j``'s ``(B, c_j)`` pair — row
-    ``i`` belonging to ``sessions[i]`` — as its stats.  Inside the context,
-    ``model(batch)`` with ``batch[i]`` being session ``i``'s frame
-    normalizes every sample with its own stream's adapted BN state.  The
-    overrides are removed on exit, so plain single-stream forwards (and
-    all training-mode adaptation passes) are unaffected.
+    Installs layer ``j``'s ``(B, c_j)`` per-sample ``(scale, shift)``
+    pair — row ``i`` belonging to ``sessions[i]`` — as its stats.  The
+    fold belongs to each session's block
+    (:meth:`~repro.adapt.bn_state.BNStateSnapshot.folded`) and is
+    recomputed only for a block written since its last fold — by the
+    compiled update tail, ``swap_out``, a drift restore or a checkpoint
+    restore; a launch of the sessions the last launch of its size had,
+    none written since, installs the pairs as they are
+    (:meth:`~repro.adapt.bn_state.BNLayout.launch_pairs`).  Inside the
+    context, ``model(batch)`` with ``batch[i]`` being session ``i``'s
+    frame normalizes every sample with its own stream's adapted BN
+    state.  The overrides are removed on exit, so plain single-stream
+    forwards (and all training-mode adaptation passes) are unaffected.
     """
     sessions = list(sessions)
     if not sessions:
@@ -347,18 +355,7 @@ def per_stream_inference(sessions: Sequence[StreamSession]):
     layout = sessions[0].bn_state.layout
     if any(s.bn_state.modules != layout.modules for s in sessions[1:]):
         raise ValueError("sessions must share one model's BN modules")
-    order, work, folded, pairs = layout.fold_buffers(len(sessions))
-    np.stack([s.bn_state.state for s in sessions], 1, out=work)
-    mean, var, gamma, beta = work
-    # in place: gamma <- gamma * (1 / sqrt(var + eps)), beta <- beta - mean * gamma
-    np.add(var, layout.eps, out=var)
-    np.sqrt(var, out=var)
-    np.divide(1.0, var, out=var)
-    np.multiply(gamma, var, out=gamma)
-    np.multiply(mean, gamma, out=mean)
-    np.subtract(beta, mean, out=beta)
-    # in range by construction; mode="raise" would buffer ``out``
-    np.take(work[2:].reshape(2, -1), order, axis=1, out=folded, mode="clip")
+    pairs = layout.launch_pairs([s.bn_state for s in sessions])
     try:  # instance-dict writes: Module.__setattr__'s effect, a fraction of its price
         for fields, pair in zip(layout.fields, pairs):
             fields["per_sample_stats"] = pair

@@ -4,7 +4,9 @@ The registry is the fleet's metric namespace.  A :class:`FleetServer`
 owns one registry; each :class:`~repro.serve.pool.DeviceWorker` records
 into device-scoped instruments and, for the fleet-wide views, into
 shared instruments handed down by the coordinator — exactly the shape
-the old ``_fleet_*`` sink lists had, but constant-memory.
+the old ``_fleet_*`` sink lists had, but constant-memory.  A series
+recorded per device only (batch sizes, queue depths) gets its fleet
+view by merging the devices' sketches.
 
 :class:`Histogram` wraps a :class:`~repro.telemetry.sketch.QuantileSketch`
 and deliberately keeps a list-like surface (``len``, truthiness,

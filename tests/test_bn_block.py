@@ -9,8 +9,14 @@ it, and a launch folds the whole block at once.  Under test:
   source and to a banked cluster, a checkpoint restore, migration inside
   a live fleet), every ``(scale, shift)`` a launch installs is
   ``tobytes``-equal to the per-layer fold the block replaced, at batch
-  1, 2 and 4 and on a backlog batch carrying one session twice;
-* every per-layer array still shares memory with its session's block.
+  1, 2 and 4 and on a backlog batch carrying one session twice.  Each
+  case launches every batch right before the write under test, so a
+  writer that does not mark its block written serves a stale fold;
+* a launch after no write reuses the fold: a block poked without a
+  writer still launches the pair of before;
+* every per-layer array still shares memory with its session's block;
+* a launch of one frame hands the plan the frame's own memory, and
+  leaves its bytes as they were.
 """
 
 import numpy as np
@@ -19,6 +25,7 @@ import pytest
 from repro.adapt import LDBNAdapt, LDBNAdaptConfig, frame_signature
 from repro.data import ScenarioStream, get_scenario
 from repro.engine.backends import find_cc
+from repro.engine.compile import CompiledInference
 from repro.hw import ORIN_POWER_MODES
 from repro.models import get_config
 from repro.serve import (
@@ -107,6 +114,10 @@ def _serial_step(session, image):
 
 
 class TestFoldOracle:
+    """Each case launches every batch right before the write under test
+    (``assert_every_batch_folds_oracle``), so the launch after it can
+    only pass by refolding the written block."""
+
     def test_fresh_sessions(self, sessions):
         assert_every_batch_folds_oracle(sessions)
         layout = sessions[0].bn_state.layout
@@ -115,6 +126,7 @@ class TestFoldOracle:
 
     def test_serial_step(self, sessions, trained_tiny_model, rng):
         for session, image in zip(sessions[:2], _frames(trained_tiny_model, rng, 2)):
+            assert_every_batch_folds_oracle(sessions)
             _serial_step(session, image)
         assert_every_batch_folds_oracle(sessions)
 
@@ -124,8 +136,8 @@ class TestFoldOracle:
     def test_fused_group_step(self, backend, sessions, trained_tiny_model, rng):
         batcher = FleetAdaptationBatcher(trained_tiny_model, backend=backend)
         group = sessions[1:3]
-        # the second step finds momentum buffers, so under cgen it is the
-        # rendered update tail that writes the blocks
+        # the second step finds momentum buffers
+        assert_every_batch_folds_oracle(sessions)
         for _ in range(2):
             staged = batcher.stage(group, _frames(trained_tiny_model, rng, 2))
             assert staged is not None
@@ -140,12 +152,14 @@ class TestFoldOracle:
         there += 0.8  # a far-away regime
         _serial_step(session, here)
         drift.regime_sig = frame_signature(here)
+        assert_every_batch_folds_oracle(sessions)
         assert drift.reset(session, there) == "source"
         assert_every_batch_folds_oracle(sessions)
         if mode == "cluster":
             # come back: the banked regime of ``here`` is restored
             _serial_step(session, there)
             drift.regime_sig = frame_signature(there)
+            assert_every_batch_folds_oracle(sessions)
             assert drift.reset(session, here) == "cluster"
             assert_every_batch_folds_oracle(sessions)
 
@@ -155,8 +169,85 @@ class TestFoldOracle:
         _serial_step(session, frames[0])
         taken = capture_session_state(session)
         _serial_step(session, frames[1])
+        assert_every_batch_folds_oracle(sessions)
         restore_session_state(session, *taken)
         assert_every_batch_folds_oracle(sessions)
+
+
+def _installed(sessions):
+    """Copies of the pairs ``per_stream_inference(sessions)`` installs."""
+    with per_stream_inference(sessions):
+        return [
+            tuple(a.copy() for a in m.per_sample_stats)
+            for m in sessions[0].bn_state.modules
+        ]
+
+
+def _same_pairs(got, want):
+    return all(
+        g.tobytes() == w.tobytes()
+        for g_pair, w_pair in zip(got, want)
+        for g, w in zip(g_pair, w_pair)
+    )
+
+
+def test_a_launch_after_no_write_reuses_the_fold(sessions):
+    """The fold is refolded on a write, not on a launch.  A block poked
+    without a writer launches the pair of before, every batch size, and
+    so does a launch of a new size (each block's fold is reused); a
+    launch of the blocks the last launch of its size had reads not even
+    those folds.  Once marked written, the oracle again."""
+    a, b = sessions[:2]
+    batches = ([a], [a, b], [b, a, a])
+    before = [_installed(batch) for batch in batches]
+    a.bn_state.state[1:] *= 1.5  # var, gamma, beta: no writer sees it
+    for batch, pairs in zip(batches, before):
+        assert _same_pairs(_installed(batch), pairs)
+    # a size not launched yet: each block's own fold, taken into place
+    mixed = [tuple(x[[1, 0, 1, 0]] for x in pair) for pair in before[1]]
+    assert _same_pairs(_installed([b, a, b, a]), mixed)
+    a.bn_state.fold[...] = 0.0  # not even the block's fold is read
+    for batch, pairs in zip(batches, before):
+        assert _same_pairs(_installed(batch), pairs)
+    a.bn_state.written()
+    for batch, pairs in zip(batches, before):
+        assert not _same_pairs(_installed(batch), pairs)
+        assert_launch_folds_oracle(batch)
+
+
+@pytest.mark.parametrize(
+    "backend", ["numpy", pytest.param("cgen", marks=needs_cc)]
+)
+def test_a_lone_frame_is_the_plan_input(backend, trained_tiny_model,
+                                        monkeypatch):
+    """A launch of one float32 frame replays the plan on the frame's own
+    memory — no stacked copy — and leaves its bytes as they were."""
+    read = []
+    call = CompiledInference.__call__
+
+    def spied(engine, x):
+        out = call(engine, x)
+        read.append(engine.plan_for(x.shape, x.dtype)._input_cell[0])
+        return out
+
+    monkeypatch.setattr(CompiledInference, "__call__", spied)
+    frames = ScenarioStream(
+        get_scenario("fog_bank"), trained_tiny_model.config, seed=5,
+        horizon=6,
+    ).take(6).samples
+    kept = [f.image.copy() for f in frames]
+    server = FleetServer(
+        trained_tiny_model,
+        FleetConfig(latency_model="wallclock", backend=backend,
+                    max_batch_size=1, adapt_stride=2),
+    )
+    server.add_stream("s0", iter(frames))
+    report = server.run(6)
+    assert report.stream_reports["s0"].adaptation_steps > 0
+    assert len(read) == len(frames)
+    for frame, image, copy in zip(frames, read, kept):
+        assert np.shares_memory(image, frame.image)
+        assert frame.image.tobytes() == copy.tobytes()
 
 
 def test_every_fleet_launch_folds_the_oracle(trained_tiny_model, monkeypatch):
