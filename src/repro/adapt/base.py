@@ -45,7 +45,8 @@ class Adapter(abc.ABC):
     """Online test-time adapter bound to a model.
 
     Lifecycle: construct with the model and the parameters to adapt
-    (``trainable``: every other parameter is frozen), call :meth:`adapt`
+    (``trainable``: every other parameter is frozen — here, and again by
+    each eager step, as adapters may share one model), call :meth:`adapt`
     with successive unlabeled batches — or feed single frames to
     :meth:`observe_frame`, the stream interface the serving loops use —
     and optionally :meth:`reset` to restore what it adapts.
@@ -219,9 +220,14 @@ class Adapter(abc.ABC):
     def steps_taken(self) -> int:
         return self._step
 
+    @property
+    def trained_parameters(self) -> List[nn.Parameter]:
+        """The parameters this adapter's steps descend on."""
+        return self._params
+
     def trainable_parameter_count(self) -> int:
         """Number of scalars this adapter updates (paper: BN ≈ 1%)."""
-        return sum(p.size for p in self.model.parameters() if p.requires_grad)
+        return sum(p.size for p in self._params)
 
 
 class NoAdapt(Adapter):

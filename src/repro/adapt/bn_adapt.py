@@ -66,7 +66,7 @@ from .. import nn
 from ..engine import CompiledAdaptStep, UnsupportedAdaptGraph
 from ..engine.backends import available_backends, resolve_backend
 from ..nn.modules import _BatchNormBase
-from .base import AdaptResult, Adapter, set_bn_training
+from .base import AdaptResult, Adapter, freeze_except, set_bn_training
 from .bn_state import BNLayout, BNStateSnapshot
 from .entropy import entropy_loss
 
@@ -290,6 +290,9 @@ class LDBNAdapt(Adapter):
             )
         ]
 
+        # the model is shared: another adapter's constructor may have
+        # frozen the parameters this step descends on
+        freeze_except(self.model, self._params)
         set_bn_training(self.model, True)
         try:
             logits = self.model(nn.Tensor(images, _copy=False))

@@ -25,7 +25,7 @@ from typing import List, Optional
 import numpy as np
 
 from .. import nn
-from .base import AdaptResult, Adapter, set_bn_training
+from .base import AdaptResult, Adapter, freeze_except, set_bn_training
 from .entropy import entropy_loss
 
 
@@ -64,6 +64,9 @@ class _GroupAdapter(Adapter):
         images = np.asarray(images, dtype=np.float32)
         if images.ndim != 4:
             raise ValueError(f"expected (N, 3, H, W) batch, got {images.shape}")
+        # the model is shared: another adapter's constructor may have
+        # frozen the parameters this step descends on
+        freeze_except(self.model, self._params)
         if self.config.refresh_bn_stats:
             set_bn_training(self.model, True)
         try:

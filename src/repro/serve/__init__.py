@@ -97,8 +97,7 @@ Architecture
   model swap); same-key steps that land in the same served batch fuse
   into ONE such replay, and a lone step is a group of one.  Per-stream
   results match serial stepping to float precision (bitwise for a
-  group of one).  ``FleetConfig(batch_adaptation=False)`` disables
-  fusing: every step is a group of one.
+  group of one).
 * **server.py** — the fleet coordinator.  It builds the pool's one
   compiled engine pair and runs the one event loop: a fleet-wide
   time-ordered arrival heap; arrivals route to the session's current
@@ -117,8 +116,8 @@ Architecture
   session's BN state from the source snapshot or warm-starts it from a
   per-session bank of previously adapted states keyed by domain
   signature (:func:`repro.adapt.frame_signature`), clears optimizer
-  momentum, re-aligns the adaptation stagger so the next frame adapts,
-  and re-quotes the stream on its device.  Enabled via
+  momentum and re-aligns the adaptation stagger so the next frame
+  adapts.  Enabled via
   ``FleetConfig(drift=DriftResetConfig(...))``; detection is pure
   observation, so a run in which no alarm fires is bitwise identical
   to one without the detector.
@@ -172,7 +171,7 @@ fault event).  What is durable, what is lost, and how recovery runs:
   committed on the simulated clock completes); queued frames are
   counted dead; each hosted session is restored from its durable
   checkpoint, re-placed over the surviving pool by the normal placement
-  path, re-quoted at the new device's prices, and its admission
+  path (from then on priced by the new device), and its admission
   debt re-imported.  A checkpoint that fails verification is a
   *reported fallback*, not a crash: the session is handled as if it had
   no durable checkpoint (its live state untouched, every frame since

@@ -29,14 +29,14 @@ member frame has none (a restored one) the group starts from the images.
 Grouping contract: a stream's step is staged when its adapter is an
 :class:`~repro.adapt.LDBNAdapt` stepping on the batcher's own engine
 (:meth:`~repro.adapt.LDBNAdapt.step_engine`: the pool's, shared by
-:meth:`~repro.serve.FleetServer.add_stream`), the incoming frame
-completes its adaptation batch, and compiled adaptation is on; streams
-fuse when their batch sizes agree too.  Learning rates, momenta and stats
+:meth:`~repro.serve.FleetServer.add_stream`), compiled adaptation is
+on, and the incoming frame completes its adaptation batch; streams fuse
+when their batch sizes agree too.  Learning rates, momenta and stats
 modes may differ per stream — the update tail reads them per group.
 Everything else (other adapters, an adapter on another engine, graphs
-the plan cannot lower) steps on its own, swapped onto the model.  Under
-``repro.nn.adaptation_mode(False)`` a staged group runs its members'
-eager steps one after another.
+the plan cannot lower, every step under
+``repro.nn.adaptation_mode(False)``) steps on its own, swapped onto the
+model by the device worker.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def static_fuse_key(adapter):
     :class:`LDBNAdapt` of a given batch size on a given engine (its
     :class:`~repro.engine.CompiledAdaptStep`) always fuses under the same
     key; whether a particular frame actually has a step to fuse is the
-    dynamic half (:meth:`FleetAdaptationBatcher.group_key`).  The
+    serving loop's to decide (it follows the adapter's buffer).  The
     admission controller uses the static key to know which streams could
     ever share a fused replay (phase packing).
     """
@@ -87,7 +87,7 @@ class StagedGroupStep:
         self.batcher = batcher
         self.sessions = sessions
         self.inputs = inputs  # the plan input: images, or their stem rows
-        self.plan = plan  # None: its members' eager steps
+        self.plan = plan
         self.group_size = group_size
         self.results: Optional[Dict[int, AdaptResult]] = None
         self.per_stream_ms = 0.0
@@ -140,21 +140,18 @@ class FleetAdaptationBatcher:
 
     # ------------------------------------------------------------------
     def group_key(self, session: StreamSession):
-        """Hashable fuse key for this session's next step, or None.
+        """Hashable fuse key for this session's steps, or None.
 
         None means the session cannot join a group now: its adapter is
         not a SGD-driven :class:`LDBNAdapt` stepping on this batcher's
-        engine, this frame does not complete its adaptation batch, or
-        compiled adaptation is off.
+        engine, the graph proved unlowerable, or compiled adaptation is
+        off.  Whether the frame at hand steps is the caller's to follow.
         """
         if self._unsupported or not nn.compiled_adaptation_enabled():
             return None
-        adapter = session.adapter
-        key = static_fuse_key(adapter)
+        key = static_fuse_key(session.adapter)
         if key is None or key[2] is not self._compiled:
             return None
-        if adapter.pending_frames != adapter.config.batch_size - 1:
-            return None  # this frame only buffers; no step to fuse
         return key
 
     def takes_rows_from(self, engine) -> bool:
@@ -174,11 +171,12 @@ class FleetAdaptationBatcher:
         batch.  Both are copied.  A session whose frame no step may learn
         from (:func:`~repro.adapt.base.learnable_frame`) is left out of
         the group: its own ``observe_frame`` rejects and counts it.
-        Returns None when the step cannot be compiled, or no session is
-        left — the caller falls back to stepping each session on its own
-        (nothing has been consumed from the adapters).
+        Returns None when the step cannot be compiled (compiled
+        adaptation is off, or the graph is unlowerable), or no session
+        is left — the caller falls back to stepping each session on its
+        own (nothing has been consumed from the adapters).
         """
-        if self._unsupported:
+        if self._unsupported or not nn.compiled_adaptation_enabled():
             return None
         group_size = sessions[0].adapter.config.batch_size
         members, images, stems = [], [], []
@@ -197,8 +195,7 @@ class FleetAdaptationBatcher:
             ]
         if not members:
             return None
-        compiled = nn.compiled_adaptation_enabled()
-        from_stem = compiled and all(r is not None for r in stems)
+        from_stem = all(r is not None for r in stems)
         # a from-stem step reads only the rows: its images key the plan,
         # and are stacked only to build it
         plan = self._compiled.cached(
@@ -207,8 +204,6 @@ class FleetAdaptationBatcher:
         ) if from_stem else None
         if plan is None:
             images = np.stack(images)
-            if not compiled:
-                return StagedGroupStep(self, members, images, None, group_size)
             try:
                 plan = self._compiled.plan_for(
                     images, groups=len(members), from_stem=from_stem
@@ -227,17 +222,6 @@ class FleetAdaptationBatcher:
         """Run one grouped step: the plan reads each member's gamma/beta
         from its session's block and its update tail steps that block."""
         sessions, plan = staged.sessions, staged.plan
-        if plan is None:  # eager: each member's own step, serially
-            results = {}
-            for k, session in enumerate(sessions):
-                at = k * staged.group_size
-                session.swap_in()
-                results[id(session)] = session.adapter.adapt(
-                    staged.inputs[at:at + staged.group_size]
-                )
-                session.swap_out()
-                session.adapter.clear_pending()
-            return results
         losses = plan.run(staged.inputs, update=sessions)
 
         results: Dict[int, AdaptResult] = {}

@@ -26,8 +26,7 @@ closes that gap:
   recovery does not wait out the stride stagger — and a short
   every-frame adaptation burst re-estimates the new regime's BN
   statistics over several frames instead of trusting one;
-* the hosting device re-quotes the stream's adaptation cost and bills
-  an *unconditional durable checkpoint*, so a crash racing the reset
+* the hosting device bills an *unconditional durable checkpoint*, so a crash racing the reset
   can never roll the stream back to pre-reset state.
 
 Everything here is per-session: resets write the session's

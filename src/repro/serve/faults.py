@@ -27,9 +27,9 @@ Event kinds
     meantime.
 ``slow``
     Device ``device``'s service times are multiplied by ``factor`` from
-    ``time_ms`` on (sustained degradation).  Hosted sessions'
-    adaptation prices are re-quoted so admission and placement see the
-    new cost.
+    ``time_ms`` on (sustained degradation).  Admission, placement and
+    migration read every price from the device's pricing, so they see
+    the new cost.
 ``join``
     A new device with power-mode ``profile`` joins the pool at
     ``time_ms``, its slack prior seeded from the roofline model so the

@@ -36,8 +36,9 @@ module holds the three layers of that sharding:
   sessions from thrashing back and forth.  Migration
   transfers the session object wholesale — its BN block and optimizer
   slots move bitwise untouched — plus its admission debt
-  (:meth:`SlackAdmission.export_stream`), and re-prices its modeled
-  adaptation cost on the target device.
+  (:meth:`SlackAdmission.export_stream`); its modeled adaptation cost
+  is the target device's from then on (a worker reads every price from
+  its :class:`DevicePricing` where it is used, never from a session).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -336,20 +337,6 @@ class MigrationPlanner:
         self._last_moved_ms[decision.stream_id] = now_ms
 
 
-class _Decision(NamedTuple):
-    """One frame's admission outcome: feed the adapter or withhold it.
-
-    ``planned_step`` records whether the admission controller budgeted an
-    actual optimization step for this feed (as opposed to a free
-    buffering frame); :meth:`DeviceWorker._reconcile_buffer_drift` refuses
-    any feed whose real buffer state would turn a free plan into an
-    unbudgeted step.
-    """
-
-    feed: bool
-    planned_step: bool
-
-
 class DevicePricing:
     """One device's modeled service times: memoised roofline quotes
     times the fault-injection ``slowdown``.
@@ -467,7 +454,6 @@ class DeviceWorker:
         self.migrations_in = 0
         self.migrations_out = 0
         self.sessions: "OrderedDict[str, StreamSession]" = OrderedDict()
-        self.session_cost_ms: Dict[str, float] = {}
         # per launch, recorded here only: the fleet's two views are the
         # merge of every worker's (FleetServer._build_report)
         self.batch_sizes = Histogram()
@@ -519,25 +505,13 @@ class DeviceWorker:
         )
         return self.latency_fn(1) + per_frame_adapt
 
-    def _requote(self, session: StreamSession) -> None:
-        """Price ``session`` on this device as it stands now: its modeled
-        adaptation step and its per-period service demand (attach, a
-        slow-down and a drift reset all re-quote through here)."""
-        if self.config.latency_model == "orin":
-            session.adapt_latency_ms = self.adapt_cost_fn(
-                session.adapter.batch_size
-            )
-        self.session_cost_ms[session.stream_id] = self.estimate_cost_ms(
-            session.adapter
-        )
-
     @property
     def load(self) -> float:
         """Sum of the placed streams' estimated utilizations."""
         period = self.config.period_ms
         return sum(
-            stream_utilization(cost, period)
-            for cost in self.session_cost_ms.values()
+            stream_utilization(self.estimate_cost_ms(session.adapter), period)
+            for session in self.sessions.values()
         )
 
     def attach(
@@ -548,19 +522,18 @@ class DeviceWorker:
     ) -> None:
         """Place a session on this device (registration or migration).
 
-        Prices the session's modeled adaptation step on *this* device's
-        profile and registers (or imports, when migrating) its admission
-        state.  The session object itself — BN snapshot, optimizer
-        slots, report — moves untouched.  With a checkpoint store
-        enabled, the attach immediately writes a durable baseline so
-        even a session that crashes before its first interval has
-        something to recover from.
+        Registers (or imports, when migrating) the session's admission
+        state; its modeled costs are this device's from here on.  The
+        session object itself — BN snapshot, optimizer slots, report —
+        moves untouched.  With a checkpoint store enabled, the attach
+        immediately writes a durable baseline so even a session that
+        crashes before its first interval has something to recover
+        from.
         """
         sid = session.stream_id
         self.sessions[sid] = session
         # a session handed over at ``now_ms`` cannot be served earlier
         self.device_free_ms = max(self.device_free_ms, now_ms)
-        self._requote(session)
         if self.admission is not None:
             if admission_state is not None:
                 self.admission.import_stream(sid, admission_state)
@@ -594,7 +567,6 @@ class DeviceWorker:
         """Remove a session from this device; returns its admission state."""
         sid = session.stream_id
         del self.sessions[sid]
-        del self.session_cost_ms[sid]
         if self.admission is not None:
             return self.admission.export_stream(sid)
         return None
@@ -603,16 +575,13 @@ class DeviceWorker:
     def set_slowdown(self, factor: float) -> None:
         """Degrade this device's modeled service times by ``factor``.
 
-        Compounds with earlier slow-downs.  The scheduler and the
-        admission controller read the pricing's ``slowdown`` live; the
-        hosted sessions' cached quotes are refreshed here, so admission
-        feasibility and placement see the new prices.
+        Compounds with earlier slow-downs.  Every price this worker's
+        scheduler, admission, placement and migration read comes from
+        the pricing, which multiplies ``slowdown`` in live.
         """
         if factor <= 0:
             raise ValueError(f"slowdown factor must be > 0, got {factor}")
         self.pricing.slowdown *= factor
-        for session in self.sessions.values():
-            self._requote(session)
 
     def crash(self, now_ms: float) -> None:
         """Mark this device dead at ``now_ms``; it never launches again.
@@ -804,7 +773,7 @@ class DeviceWorker:
             tracer.instant(
                 "decode", at[0], pid=self.name, tid="device", cat="batch"
             )
-        decisions, group_of = self._plan_adaptation(
+        fed, group_of = self._plan_adaptation(
             plan, start_ms, infer_ms, leftover_depth, rows
         )
         # drift detection feeds on the forward the batch already paid
@@ -820,20 +789,19 @@ class DeviceWorker:
         for frame_pos, (req, session, frame, pred) in enumerate(
             zip(plan.requests, sessions, frames, preds)
         ):
-            fed = decisions[id(req)].feed
             result, adapt_step_ms, done = None, 0.0, at
             rejected = session.adapter.rejected_frames
-            if fed:
+            if fed[frame_pos]:
                 session.adapt_grants += 1
                 result, adapt_step_ms, at, done = self._adapt(
-                    session, frame, group_of.get(id(req)), at,
+                    session, frame, group_of.get(frame_pos), at,
                     None if rows is None else rows[frame_pos],
                 )
             else:
                 session.adapt_skips += 1
             self._record_frame(
                 plan, start_ms, infer_ms, req, pred,
-                fed, result, adapt_step_ms, done,
+                fed[frame_pos], result, adapt_step_ms, done,
                 session.adapter.rejected_frames != rejected,
             )
             if session.drift is not None and session.drift.observe(
@@ -939,9 +907,7 @@ class DeviceWorker:
             return None, 0.0, at, at
         orin = self.config.latency_model == "orin"
         adapt_step_ms = (
-            session.adapt_latency_ms
-            if orin
-            else 1e3 * step_s
+            self.pricing.adapt_ms(adapter.batch_size) if orin else 1e3 * step_s
         )
         if self.tracer.enabled and orin:
             self.tracer.span(
@@ -1037,8 +1003,6 @@ class DeviceWorker:
         """Apply one fired drift alarm once its batch has completed."""
         mode = session.drift.reset(session, image)
         sid = session.stream_id
-        # the incoming regime re-prices the stream's adaptation step
-        self._requote(session)
         self._m_drift_events.inc()
         self._m_drift_resets.inc()
         if mode == "cluster":
@@ -1125,53 +1089,51 @@ class DeviceWorker:
         tracer.instant("emit", completion_ms, cat="frame", **lane)
 
     # ------------------------------------------------------------------
-    def _admission_decisions(
-        self, plan: BatchPlan, start_ms: float, infer_ms: float, leftover_depth: int
-    ) -> Dict[int, _Decision]:
-        """Per-request adaptation grants for one served batch.
+    def _grants(
+        self, plan: BatchPlan, start_ms: float, infer_ms: float,
+        leftover_depth: int,
+    ) -> Tuple[List[bool], List[bool]]:
+        """Admission's grant per request of one served batch, and whether
+        it budgeted that grant as a step (else as free buffering).
 
         Static policy (no admission controller): the stream's
         ``adapt_stride``/``adapt_phase`` schedule, offset-corrected when
-        a backlogged batch carries several frames of one stream.  Slack
-        policy: :meth:`SlackAdmission.admit` over the batch's step
-        candidates, with the roofline feasibility budget measured from
-        the batch's earliest deadline.
+        a backlogged batch carries several frames of one stream; any
+        grant may step.  Slack policy: :meth:`SlackAdmission.admit` over
+        the batch's step candidates, with the roofline feasibility
+        budget measured from the batch's earliest deadline.
         """
-        decisions: Dict[int, _Decision] = {}
         requests = plan.requests
-        sessions = [req.payload[0] for req in requests]
         if self.admission is None:
             offsets: Dict[int, int] = {}
-            for req, session in zip(requests, sessions):
+            grants = []
+            for req in requests:
+                session = req.payload[0]
                 k = offsets.get(id(session), 0)
                 offsets[id(session)] = k + 1
-                decisions[id(req)] = _Decision(session.due_for_adaptation(k), True)
-            return decisions
-
+                grants.append(session.due_for_adaptation(k))
+            return grants, grants
+        batcher = self._adapt_batcher
+        priced = self.adapt_cost_fn is not None
         candidates = []
-        assumed_pending: Dict[int, int] = {}
-        first_step: Dict[int, int] = {}
-        for i, (req, session) in enumerate(zip(requests, sessions)):
+        assumed: Dict[int, int] = {}  # each stream's buffer, grants taken
+        for req in requests:
+            session = req.payload[0]
             adapter = session.adapter
-            batch_size = adapter.batch_size
-            if id(session) not in assumed_pending:
-                assumed_pending[id(session)] = adapter.pending_frames
-            pending = assumed_pending[id(session)]
-            would_step = pending >= batch_size - 1
-            assumed_pending[id(session)] = 0 if would_step else pending + 1
-            fuse_key = None
-            if would_step and id(session) not in first_step:
-                first_step[id(session)] = i
-                fuse_key = self._adapt_batcher.group_key(session)
-            candidates.append(
-                StepCandidate(
-                    stream_id=session.stream_id,
-                    would_step=would_step,
-                    fuse_key=fuse_key,
-                    frames_per_step=batch_size,
-                    serial_cost_ms=session.adapt_latency_ms,
-                )
-            )
+            size = adapter.batch_size
+            first = id(session) not in assumed
+            pending = adapter.pending_frames if first else assumed[id(session)]
+            steps = pending >= size - 1
+            assumed[id(session)] = 0 if steps else pending + 1
+            candidates.append(StepCandidate(
+                stream_id=session.stream_id,
+                would_step=steps,
+                # a group's step: the stream's first frame completes it
+                fuse_key=(batcher.group_key(session)
+                          if first and pending == size - 1 else None),
+                frames_per_step=size,
+                serial_cost_ms=self.pricing.adapt_ms(size) if priced else 0.0,
+            ))
         if self.config.latency_model == "orin":
             batch_deadline_ms = min(r.deadline_ms for r in requests)
             budget_ms = adaptation_budget_ms(batch_deadline_ms, start_ms + infer_ms)
@@ -1181,91 +1143,65 @@ class DeviceWorker:
         # itself; before that — or if the graph is unlowerable — steps
         # are billed at the serial rate, an over-estimate that keeps the
         # feasibility guarantee hard even when stage() falls back
-        allow_fused = (
-            self.config.batch_adaptation and self._adapt_batcher.fuse_billable
-        )
         grants = self.admission.admit(
-            candidates, budget_ms, leftover_depth, allow_fused=allow_fused
+            candidates, budget_ms, leftover_depth,
+            allow_fused=batcher.fuse_billable,
         )
-        for req, candidate, grant in zip(requests, candidates, grants):
-            decisions[id(req)] = _Decision(grant, candidate.would_step)
-        return decisions
-
-    def _reconcile_buffer_drift(
-        self, plan: BatchPlan, decisions: Dict[int, _Decision]
-    ) -> None:
-        """Refuse feeds the plan budgeted as free buffering but that the
-        adapter's *actual* buffer state would turn into a step.
-
-        Admission predicts buffer phases assuming its grants are taken;
-        a denied step leaves the buffer full, so a later frame planned
-        as "free buffering" would fire an unbudgeted step.  Decisions
-        are reconciled here — before fused staging — so a refused frame
-        can never ride along in a grouped replay either.
-        """
-        sim_pending: Dict[int, int] = {}
-        for req in plan.requests:
-            session, _ = req.payload
-            decision = decisions[id(req)]
-            adapter = session.adapter
-            if not decision.feed:
-                continue
-            if id(session) not in sim_pending:
-                sim_pending[id(session)] = adapter.pending_frames
-            would_step = sim_pending[id(session)] >= adapter.batch_size - 1
-            if would_step and not decision.planned_step:
-                decisions[id(req)] = _Decision(False, False)
-                continue  # refused: buffer state unchanged
-            sim_pending[id(session)] = (
-                0 if would_step else sim_pending[id(session)] + 1
-            )
+        return grants, [c.would_step for c in candidates]
 
     def _plan_adaptation(
         self, plan: BatchPlan, start_ms: float, infer_ms: float,
         leftover_depth: int, rows: Optional[np.ndarray],
-    ) -> Tuple[Dict[int, _Decision], Dict[int, StagedGroupStep]]:
-        """Admission decisions + staged grouped steps for this batch.
-
-        Returns ``(decisions, group_of)``: the per-request admission
-        outcome and ``{id(request): StagedGroupStep}`` for every granted
-        step the pool's plans take — same-key steps share one group, or
-        each is a group of one under ``batch_adaptation=False``;
-        everything else granted is fed to its adapter on its own.
-        Staging (batch assembly + one-time trace/compile) happens here,
-        outside the timed region, mirroring the inference engine's
-        ``warm``; a group gathers its members' stem rows from the
-        launch's ``rows`` by their positions in the batch.
+    ) -> Tuple[List[bool], Dict[int, StagedGroupStep]]:
+        """This batch's adaptation, decided in one walk: ``(fed,
+        group_of)``, whether each request feeds its adapter and
+        ``{position: StagedGroupStep}`` for each step the pool's plans
+        take (same-key steps share a group; any other feed goes to its
+        adapter on its own).  The walk follows each adapter's buffer
+        through the :meth:`_grants`, withholds a feed budgeted as free
+        buffering that would step (a denied step left the buffer full),
+        and makes a stream's first feed a group candidate when it
+        completes the batch.  Staging (batch assembly, one-time trace)
+        happens here, outside the timed region; a group gathers its
+        members' stem rows from ``rows`` by their launch positions.
         """
-        decisions = self._admission_decisions(plan, start_ms, infer_ms, leftover_depth)
-        self._reconcile_buffer_drift(plan, decisions)
-        group_of: Dict[int, StagedGroupStep] = {}
-        due = []
-        seen_sessions = set()
-        for pos, req in enumerate(plan.requests):
-            session, frame = req.payload
-            if not decisions[id(req)].feed or id(session) in seen_sessions:
-                continue
-            seen_sessions.add(id(session))
-            due.append((req, session, frame, pos))
+        grants, budgeted = self._grants(plan, start_ms, infer_ms, leftover_depth)
+        requests = plan.requests
         batcher = self._adapt_batcher
-        keyed = [(batcher.group_key(member[1]), member) for member in due]
-        if self.config.batch_adaptation:
-            groups, _ = plan_adaptation_groups(keyed)
-        else:
-            groups = [[member] for key, member in keyed if key is not None]
+        fed: List[bool] = []
+        keyed = []
+        buffered: Dict[int, int] = {}  # each fed stream's buffer so far
+        for pos, (req, grant) in enumerate(zip(requests, grants)):
+            session = req.payload[0]
+            adapter = session.adapter
+            first = id(session) not in buffered
+            pending = adapter.pending_frames if first else buffered[id(session)]
+            steps = pending >= adapter.batch_size - 1
+            fed.append(grant and (budgeted[pos] or not steps))
+            if not fed[-1]:
+                continue  # the buffer stands
+            buffered[id(session)] = 0 if steps else pending + 1
+            if first and pending == adapter.batch_size - 1:
+                key = batcher.group_key(session)
+                if key is not None:
+                    keyed.append((key, pos))
+        group_of: Dict[int, StagedGroupStep] = {}
+        if not keyed:
+            return fed, group_of
+        groups, _ = plan_adaptation_groups(keyed)
         gather = rows is not None and batcher.takes_rows_from(self._compiled)
-        for members in groups:
+        for positions in groups:
+            members = [requests[pos].payload for pos in positions]
             staged = batcher.stage(
-                [session for _, session, _, _ in members],
-                [frame.image for _, _, frame, _ in members],
-                [rows[pos] for *_, pos in members] if gather else None,
+                [session for session, _ in members],
+                [frame.image for _, frame in members],
+                [rows[pos] for pos in positions] if gather else None,
             )
             if staged is None:  # graph not lowerable: steps on their own
                 continue
             # a member left out (its frame is not learnable) is fed on
             # its own, where its adapter rejects the frame
-            staged_ids = {id(s) for s in staged.sessions}
-            for req, session, *_ in members:
-                if id(session) in staged_ids:
-                    group_of[id(req)] = staged
-        return decisions, group_of
+            for pos, (session, _) in zip(positions, members):
+                if session in staged.sessions:
+                    group_of[pos] = staged
+        return fed, group_of

@@ -45,7 +45,7 @@ while the coordinator owns what spans devices:
   migrates: the session object — its BN block, optimizer slots,
   report — moves bitwise untouched, its admission
   debt transfers between controllers, and its modeled adaptation cost
-  is re-priced on the target device.  A cooldown keeps sessions from
+  is the target device's from then on.  A cooldown keeps sessions from
   thrashing.
 
 A pool of one device (``FleetConfig(devices=1)``, the default)
@@ -120,7 +120,6 @@ class FleetConfig:
     max_batch_size: int = 8
     aging_rate: float = 0.1
     adapt_stride: int = 1  # static fallback policy: every k-th frame adapts
-    batch_adaptation: bool = True  # False: every step a group of one
     jitter_ms: float = 0.0  # per-frame arrival delay, uniform in [0, jitter]
     drop_rate: float = 0.0  # probability a frame is lost before the server
     phase_spread_ms: float = 0.0  # stream i's arrival phase = i * spread
@@ -356,7 +355,11 @@ class FleetServer:
         pair — created here or passed in — steps on the pool's shared
         adaptation step (:meth:`~repro.adapt.base.Adapter.share_engine`)
         as a group of the pool's grouped replays; one configured with
-        another pair compiles its own and steps on its own.
+        another pair compiles its own and steps on its own.  A session
+        isolates BN state only, so an adapter that trains parameters
+        outside the BN affine (``ConvAdapt``, ``FCAdapt``) writes the
+        shared model itself: it serves a fleet of one stream, and a
+        stream beside it is refused, in either order.
 
         A stream costs a few copies of the model's BN state, not of the
         model: the session's BN block and its adapter's reset copy (an
@@ -383,6 +386,15 @@ class FleetServer:
         """
         if adapter is not None and adapter_config is not None:
             raise ValueError("pass either adapter or adapter_config, not both")
+        if len(self.registry) and any(
+            self._trains_shared(a) for a in
+            [adapter] + [session.adapter for session in self.registry]
+        ):
+            raise ValueError(
+                f"cannot add {stream_id!r}: an adapter that trains "
+                "parameters outside the BN affine writes the shared model, "
+                "so it can only serve a fleet of one stream"
+            )
         if adapter is None:
             adapter = LDBNAdapt(self.model, adapter_config)
         adapter.share_engine(self._adapt_step)
@@ -421,6 +433,15 @@ class FleetServer:
         target.attach(session)
         self._placements[stream_id] = target.index
         return session
+
+    def _trains_shared(self, adapter: Optional[Adapter]) -> bool:
+        """Whether ``adapter`` trains a parameter no session isolates (a
+        session holds BN state only: everything else is the model's)."""
+        if adapter is None:  # the default LDBNAdapt
+            return False
+        bn = {id(p) for m in self.registry.layout.modules
+              for p in (m.weight, m.bias)}
+        return any(id(p) not in bn for p in adapter.trained_parameters)
 
     def remove_stream(self, stream_id: str) -> StreamSession:
         """Deregister a stream (a vehicle leaving the fleet): its session
@@ -520,8 +541,8 @@ class FleetServer:
            checkpoint (async-staged captures are lost, like any
            write-behind store) and re-placed over the surviving pool via
            the normal placement path; its admission debt is re-imported
-           from the checkpoint and its adaptation price re-quoted by the
-           new device.  Frames served between the checkpoint and the
+           from the checkpoint and its adaptation priced by the new
+           device.  Frames served between the checkpoint and the
            crash are **lost, not recomputed**: serving counters stand,
            only the adapted state rolls back (``frames_lost`` row).  A
            checkpoint that fails verification
@@ -846,9 +867,11 @@ class FleetServer:
             return False
         period = self.config.period_ms
         costs = {
-            sid: stream_utilization(cost, period)
+            sid: stream_utilization(
+                worker.estimate_cost_ms(session.adapter), period
+            )
             for worker in alive
-            for sid, cost in worker.session_cost_ms.items()
+            for sid, session in worker.sessions.items()
         }
         decision = planner.plan(
             now_ms, ewmas, served,
@@ -891,8 +914,7 @@ class FleetServer:
         The session object carries its own BN snapshot, optimizer slots
         and report, so the move itself is bitwise lossless; what
         changes hands is the admission state (debt/deferrals/fuse key),
-        the modeled adaptation price (re-quoted from the target's own
-        profile), and the session's *queued frames* — re-submitted to
+        the modeled adaptation price (the target's own profile's), and the session's *queued frames* — re-submitted to
         the target's scheduler with arrivals and deadlines intact, so a
         saturated device can actually shed its backlog.  ``attach``
         floors the target's clock at the handoff instant: re-homed

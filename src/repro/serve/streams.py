@@ -132,9 +132,9 @@ class StreamSession:
 
     Because the session is the single container of per-stream state, the
     device pool migrates a stream by *re-homing the session object*: the
-    snapshot, optimizer slots and report move bitwise untouched, only
-    the modeled adaptation price (``adapt_latency_ms``) is re-quoted by
-    the target device.
+    snapshot, optimizer slots and report move bitwise untouched.  A
+    session carries no price: the hosting device reads its adaptation
+    step's modeled cost from its own pricing where it is used.
     """
 
     def __init__(
@@ -155,7 +155,6 @@ class StreamSession:
         self.adapter = adapter
         self.adapt_stride = adapt_stride
         self.adapt_phase = adapt_phase
-        self.adapt_latency_ms = 0.0  # quoted by the hosting device at attach
         self.arrivals = arrivals
         self.bn_state = BNStateSnapshot(layout)
         if deadline_ms <= 0:

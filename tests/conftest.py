@@ -69,3 +69,20 @@ def trained_tiny_model(_trained_tiny_state):
 @pytest.fixture
 def untrained_tiny_model():
     return build_model("tiny-r18", num_lanes=2, rng=np.random.default_rng(3))
+
+
+@pytest.fixture
+def groups_of_one(monkeypatch):
+    """Call it to have every device worker stage each adaptation step as
+    a group of its own from then on — the serial side of a fused-vs-serial
+    comparison — through a fake of
+    ``repro.serve.pool.plan_adaptation_groups``."""
+    from repro.serve import pool
+
+    def split(keyed):
+        return (
+            [[item] for key, item in keyed if key is not None],
+            [item for key, item in keyed if key is None],
+        )
+
+    return lambda: monkeypatch.setattr(pool, "plan_adaptation_groups", split)

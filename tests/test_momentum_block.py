@@ -79,8 +79,9 @@ def _assert_same(got, want, backend):
 
 
 class _Fleet:
-    """One stream on a two-device pool, stepped through the pool's
-    batcher; ``compiled`` False makes every step eager."""
+    """One stream on a two-device pool, a compiled step staged through
+    the pool's batcher, an eager one swapped onto the model around the
+    adapter's own step; ``compiled`` False makes every step eager."""
 
     def __init__(self, backend, compiled):
         self.model = _model()
@@ -100,9 +101,15 @@ class _Fleet:
         self.device = 0
 
     def step(self, image, compiled):
-        with nn.adaptation_mode(compiled and self.compiled):
-            staged = self.batcher.stage([self.session], [image])
-            assert not staged.execute()[id(self.session)].refused
+        session = self.session
+        if compiled and self.compiled:
+            staged = self.batcher.stage([session], [image])
+            assert not staged.execute()[id(session)].refused
+            return
+        with nn.adaptation_mode(False):  # as the pool's lone route steps
+            session.swap_in()
+            assert not session.adapter.adapt(image[None]).refused
+            session.swap_out()
 
     def apply(self, op, image):
         session = self.session

@@ -683,8 +683,9 @@ class TestMigrationStatePreservation:
         assert session.adapter.steps_taken == steps_taken
         assert server.workers[1].admission.debt("s0") == debt
         assert server.workers[0].admission.debt("s0") == 0
-        assert session.adapt_latency_ms == pytest.approx(
-            ld_bn_adapt_latency(spec, pool[1], 1).adaptation_ms
+        worker = server.workers[server.device_of("s0")]
+        assert worker.pricing.adapt_ms(session.adapter.batch_size) == (
+            pytest.approx(ld_bn_adapt_latency(spec, pool[1], 1).adaptation_ms)
         )
 
 

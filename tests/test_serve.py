@@ -117,6 +117,27 @@ class TestAdaptationGroupPlanning:
         assert serial == []
 
 
+def _learnable_image(model) -> np.ndarray:
+    h, w = model.config.input_hw
+    return np.arange(3 * h * w, dtype=np.float32).reshape(3, h, w)
+
+
+def _launch(session, *images):
+    """A launch of ``session``'s frames ``images``, in order."""
+    from types import SimpleNamespace
+
+    from repro.serve.scheduler import BatchPlan, FrameRequest
+
+    requests = tuple(
+        FrameRequest(
+            stream_id=session.stream_id, frame_index=k, arrival_ms=0.0,
+            deadline_ms=1e9, payload=(session, SimpleNamespace(image=image)),
+        )
+        for k, image in enumerate(images)
+    )
+    return BatchPlan(requests=requests, planned_latency_ms=0.0)
+
+
 class TestBatchedAdaptation:
     def _sessions(self, model, count, lr=1e-3, batch_size=1):
         registry = StreamRegistry(model)
@@ -147,18 +168,26 @@ class TestBatchedAdaptation:
         assert batcher.group_key(noop) is None
 
     def test_buffering_frame_not_fused(self, trained_tiny_model):
-        """A frame that only fills the buffer has no step to fuse."""
-        (session,) = self._sessions(trained_tiny_model, 1, batch_size=2)
-        step = session.adapter.step_engine()
-        batcher = FleetAdaptationBatcher(trained_tiny_model, compiled=step)
+        """A frame that only fills the buffer gets no group from the
+        worker's adaptation walk; the frame that completes it does."""
+        server = FleetServer(
+            trained_tiny_model,
+            FleetConfig(latency_model="wallclock", deadline_ms=1e9),
+        )
+        session = server.add_stream(
+            "s0", iter(()), adapter_config=LDBNAdaptConfig(batch_size=2)
+        )
+        worker = server.workers[0]
+        image = _learnable_image(trained_tiny_model)
+        plan = _launch(session, image)
         # empty buffer: the incoming frame only buffers, nothing to fuse
-        assert batcher.group_key(session) is None
-        h, w = trained_tiny_model.config.input_hw
-        session.adapter.observe_frame(  # any learnable frame
-            np.arange(3 * h * w, dtype=np.float32).reshape(3, h, w)
-        )  # buffered: the NEXT frame completes the batch and can fuse
+        assert worker._plan_adaptation(plan, 0.0, 0.0, 0, None) == ([True], {})
+        session.adapter.observe_frame(image)
         assert session.adapter.pending_frames == 1
-        assert batcher.group_key(session) == ("ldbn-sgd", 2, step)
+        # buffered: the next frame completes the batch and is staged
+        fed, group_of = worker._plan_adaptation(plan, 0.0, 0.0, 0, None)
+        assert fed == [True] and group_of[0].sessions == [session]
+        assert session.adapter.pending_frames == 1  # staging consumes none
 
     def test_fused_step_matches_serial_stepping(self, trained_tiny_model, rng):
         """Acceptance: fused per-stream states == serial stepping."""
@@ -213,9 +242,10 @@ class TestBatchedAdaptation:
             assert session.adapter.steps_taken == 1
 
     def test_fleet_server_batched_equals_serial_config(
-        self, trained_tiny_model, tiny_benchmark
+        self, trained_tiny_model, tiny_benchmark, groups_of_one
     ):
-        """FleetServer(batch_adaptation=True) == the serial-stepping run."""
+        """A fleet fusing its steps == the same fleet stepping each
+        stream in a group of its own."""
         frames = 6
         frame_lists = [
             tiny_benchmark.target_stream(rng=np.random.default_rng(300 + i))
@@ -225,15 +255,11 @@ class TestBatchedAdaptation:
         ]
         pristine = trained_tiny_model.state_dict()
 
-        def run(batch_adaptation):
+        def run():
             trained_tiny_model.load_state_dict(pristine)
             server = FleetServer(
                 trained_tiny_model,
-                FleetConfig(
-                    latency_model="wallclock",
-                    deadline_ms=1e9,
-                    batch_adaptation=batch_adaptation,
-                ),
+                FleetConfig(latency_model="wallclock", deadline_ms=1e9),
             )
             sessions = [
                 server.add_stream(
@@ -249,8 +275,9 @@ class TestBatchedAdaptation:
             ]
             return report, states
 
-        batched_report, batched_states = run(True)
-        serial_report, serial_states = run(False)
+        batched_report, batched_states = run()
+        groups_of_one()
+        serial_report, serial_states = run()
         # every tick fused all three same-phase streams into one step
         assert batched_report.adapt_batch_sizes == [3] * frames
         assert serial_report.adapt_batch_sizes == []
@@ -776,7 +803,7 @@ class TestSlackAdmissionFleet:
         return server.run(ticks), sessions
 
     def test_fused_vs_serial_state_parity_under_admission_skips(
-        self, trained_tiny_model, tiny_benchmark
+        self, trained_tiny_model, tiny_benchmark, groups_of_one
     ):
         """Satellite acceptance: with the controller pinned permanently
         hot, only debt-forced catch-up steps run — a decision trace that
@@ -789,10 +816,12 @@ class TestSlackAdmissionFleet:
         )
         runs = {}
         for fused in (True, False):
+            if not fused:
+                groups_of_one()
             report, sessions = self._run(
                 trained_tiny_model, pristine, tiny_benchmark, 9,
                 deadline_ms=1e9, frame_period_ms=33.3,
-                admission=always_hot, batch_adaptation=fused,
+                admission=always_hot,
             )
             runs[fused] = (
                 report,
@@ -856,14 +885,11 @@ class TestSlackAdmissionFleet:
             assert rows[session.stream_id]["adapt_skips"] == session.adapt_skips
 
     def test_buffer_drift_refusal_happens_before_staging(
-        self, trained_tiny_model
+        self, trained_tiny_model, monkeypatch
     ):
         """A feed budgeted as free buffering onto a full buffer (after a
-        denied step) must be refused at plan time, so it can never be
+        denied step) must be withheld at plan time, so it can never be
         staged into a fused group and stepped unbudgeted."""
-        from repro.serve.pool import _Decision
-        from repro.serve.scheduler import BatchPlan, FrameRequest
-
         server = FleetServer(
             trained_tiny_model,
             FleetConfig(latency_model="wallclock", deadline_ms=1e9,
@@ -873,23 +899,27 @@ class TestSlackAdmissionFleet:
             "s0", iter(()), adapter_config=LDBNAdaptConfig(batch_size=2)
         )
         worker = server.workers[0]
-        h, w = trained_tiny_model.config.input_hw
-        session.adapter.observe_frame(  # any learnable frame buffers
-            np.arange(3 * h * w, dtype=np.float32).reshape(3, h, w)
-        )
+        image = _learnable_image(trained_tiny_model)
+        session.adapter.observe_frame(image)
         assert session.adapter.pending_frames == 1  # buffer full: next feeds step
-        req = FrameRequest(
-            stream_id="s0", frame_index=1, arrival_ms=0.0, deadline_ms=1e9,
-            payload=(session, None),
+        # a backlogged launch of two frames: admission plans the first to
+        # step and the second to buffer after it
+        plan = _launch(session, image, image)
+        admit = worker.admission.admit
+        monkeypatch.setattr(
+            worker.admission, "admit",  # deny the step, grant the buffering
+            lambda candidates, *a, **k: [not c.would_step for c in candidates],
         )
-        plan = BatchPlan(requests=(req,), planned_latency_ms=0.0)
-        decisions = {id(req): _Decision(True, False)}  # planned: free buffer
-        worker._reconcile_buffer_drift(plan, decisions)
-        assert not decisions[id(req)].feed  # refused, not silently stepped
-        # a budgeted step on the same state passes through untouched
-        decisions = {id(req): _Decision(True, True)}
-        worker._reconcile_buffer_drift(plan, decisions)
-        assert decisions[id(req)].feed
+        # the denied step left the buffer full: the "free" feed would
+        # step, so it is withheld, not silently stepped
+        assert worker._plan_adaptation(plan, 0.0, 0.0, 0, None) == (
+            [False, False], {}
+        )
+        # granted as planned, the step is fed and staged, the buffering too
+        monkeypatch.setattr(worker.admission, "admit", admit)
+        fed, group_of = worker._plan_adaptation(plan, 0.0, 0.0, 0, None)
+        assert fed == [True, True] and list(group_of) == [0]
+        assert group_of[0].sessions == [session]
 
     def test_slack_hysteresis_latches_between_thresholds(self):
         from repro.serve import SlackAdmission, StepCandidate
@@ -1089,14 +1119,18 @@ class TestDevicePool:
             trained_tiny_model, trained_tiny_model.state_dict(), frame_lists,
             2, pins=[0, 1], device_pool=pool,
         )
-        fast, slow = sessions
-        assert fast.adapt_latency_ms == pytest.approx(
+        fast, slow = (
+            server.workers[server.device_of(s.stream_id)].pricing.adapt_ms(
+                s.adapter.batch_size)
+            for s in sessions
+        )
+        assert fast == pytest.approx(
             ld_bn_adapt_latency(self.SPEC, pool[0], 1).adaptation_ms
         )
-        assert slow.adapt_latency_ms == pytest.approx(
+        assert slow == pytest.approx(
             ld_bn_adapt_latency(self.SPEC, pool[1], 1).adaptation_ms
         )
-        assert slow.adapt_latency_ms > fast.adapt_latency_ms
+        assert slow > fast
         # the slow device also plans slower batches
         assert server.workers[1].latency_fn(1) > server.workers[0].latency_fn(1)
         # and least-loaded placement would prefer the faster device
@@ -1248,9 +1282,10 @@ class TestDevicePool:
         # admission debt followed the session to the new controller
         assert server.workers[1].admission.debt("s0") == 5
         assert server.workers[0].admission.debt("s0") == 0
-        # the adaptation price was re-quoted on the slower device
-        assert session.adapt_latency_ms == pytest.approx(
-            ld_bn_adapt_latency(self.SPEC, pool[1], 1).adaptation_ms
+        # the adaptation price is the slower device's
+        worker = server.workers[server.device_of("s0")]
+        assert worker.pricing.adapt_ms(session.adapter.batch_size) == (
+            pytest.approx(ld_bn_adapt_latency(self.SPEC, pool[1], 1).adaptation_ms)
         )
 
 
@@ -1464,6 +1499,85 @@ class TestBuildsEachThingOnce:
         assert offered == [False, False, False, True] * 2
         assert session.adapter.steps_taken == report.adaptation_steps == 2
         assert report.admission_grants["conv"] == 8
+
+
+class TestMixedAdapters:
+    """Streams of different adapter kinds on one fleet: a session holds
+    BN state only, and every adapter descends on the one shared model."""
+
+    TICKS = 4
+
+    def _frames(self, benchmark, seed):
+        return list(
+            benchmark.target_stream(rng=np.random.default_rng(seed))
+            .take(self.TICKS).samples
+        )
+
+    def test_eager_step_beside_a_no_adapt_stream(
+        self, trained_tiny_model, tiny_benchmark
+    ):
+        """``NoAdapt``'s constructor, run after LD-BN-ADAPT's, freezes
+        every parameter of the shared model; the eager LD-BN-ADAPT step
+        beside it still descends on its own, to the bytes the stream
+        reaches served alone."""
+        model = trained_tiny_model
+        pristine = model.state_dict()
+
+        def served(beside):
+            model.load_state_dict(pristine)
+            server = FleetServer(
+                model, FleetConfig(latency_model="wallclock", deadline_ms=1e9)
+            )
+            for sid in ["ldbn", "noop"] if beside else ["ldbn"]:
+                server.add_stream(
+                    sid, iter(self._frames(tiny_benchmark, 700)),
+                    adapter=NoAdapt(model) if sid == "noop" else None,
+                )
+            with nn.adaptation_mode(False):
+                server.run(self.TICKS)
+            block = server.registry.get("ldbn").bn_state
+            steps = server.registry.get("ldbn").adapter.steps_taken
+            return steps, block.state.tobytes(), block.counts.tobytes()
+
+        alone = served(False)
+        assert alone[0] == self.TICKS
+        assert served(True) == alone
+
+    def test_a_non_bn_adapter_serves_only_alone(
+        self, trained_tiny_model, tiny_benchmark
+    ):
+        """An adapter training parameters outside the BN affine writes
+        the shared model: ``add_stream`` refuses it beside another stream,
+        in either order, before a default adapter is built (whose
+        constructor would freeze its weights); alone it adapts them."""
+        from repro.adapt import ConvAdapt
+        from repro.adapt.variants import VariantConfig
+
+        model = trained_tiny_model
+        config = FleetConfig(latency_model="wallclock", deadline_ms=1e9)
+        server = FleetServer(model, config)
+        server.add_stream("ldbn", iter(()))
+        with pytest.raises(ValueError, match="outside the BN affine"):
+            server.add_stream("conv", iter(()), adapter=ConvAdapt(model))
+        assert server.registry.stream_ids == ["ldbn"]
+
+        server = FleetServer(model, config)
+        adapter = ConvAdapt(model, VariantConfig(lr=1e-2))
+        session = server.add_stream(
+            "conv", iter(self._frames(tiny_benchmark, 701)), adapter=adapter
+        )
+        with pytest.raises(ValueError, match="outside the BN affine"):
+            server.add_stream("ldbn", iter(()))
+        assert server.registry.stream_ids == ["conv"]
+        weights = model.conv_parameters()
+        assert all(p.requires_grad for p in weights)
+        before = [p.data.copy() for p in weights]
+        report = server.run(self.TICKS)
+        assert session.adapter.steps_taken == report.adaptation_steps
+        assert report.adaptation_steps == self.TICKS
+        assert any(
+            np.abs(p.data - was).max() > 0 for p, was in zip(weights, before)
+        )
 
 
 class TestEmptyWindowPercentiles:

@@ -241,8 +241,10 @@ class TestRowsFedStepsAreTheImageSteps:
 
 
 @pytest.mark.parametrize("backend,preset,threads", TINY)
-def test_serial_fleet_step(monkeypatch, backend, preset, threads):
+def test_serial_fleet_step(monkeypatch, groups_of_one, backend, preset,
+                           threads):
     """Unfused fleet steps are handed the served sample's rows."""
+    groups_of_one()
     pools = [
         ScenarioStream(
             get_scenario(name), get_config(preset, num_lanes=2), seed=7,
@@ -256,7 +258,7 @@ def test_serial_fleet_step(monkeypatch, backend, preset, threads):
         server = FleetServer(
             model,
             FleetConfig(latency_model="orin", backend=backend,
-                        threads=threads, batch_adaptation=False),
+                        threads=threads),
             device=DEVICE, spec=SPEC,
         )
         for i, pool in enumerate(pools):
@@ -527,8 +529,19 @@ def test_a_poisoned_group_writes_nothing_and_the_rest_update(
         for i in range(groups)
     ]
     batcher = FleetAdaptationBatcher(model, compiled=step)
+
+    def step_group(frames):
+        if backend != "eager":
+            return batcher.stage(sessions, list(frames)).execute()
+        results = {}  # eager: each step as the pool's lone route runs it
+        for session, frame in zip(sessions, frames):
+            session.swap_in()
+            results[id(session)] = session.adapter.adapt(frame[None])
+            session.swap_out()
+        return results
+
     clean = _frames("tiny-r18", groups)
-    batcher.stage(sessions, list(clean)).execute()  # momentum buffers exist
+    step_group(clean)  # momentum buffers exist
 
     poisons = [(pos, value) for pos in _positions(h, w)
                for value in (np.nan, np.inf, -np.inf)]
@@ -539,7 +552,7 @@ def test_a_poisoned_group_writes_nothing_and_the_rest_update(
             frames[k, c, y, x] = value
         before = [_written(s) for s in sessions]
         refused = [s.adapter.refused_steps for s in sessions]
-        results = batcher.stage(sessions, list(frames)).execute()
+        results = step_group(frames)
         for k, session in enumerate(sessions):
             poisoned = k < len(chunk)
             assert results[id(session)].refused is poisoned
