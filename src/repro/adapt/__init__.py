@@ -8,7 +8,8 @@
   embedding alignment + pseudo-labels + full retraining);
 * :class:`NoAdapt` — the un-adapted source model;
 * :class:`BNStateSnapshot` — a model's BN state as one block, what a
-  compiled LD-BN-ADAPT step reads and writes.
+  compiled LD-BN-ADAPT step reads and writes; the model's own (its
+  :class:`BNLayout`'s ``home``) is viewed by its BN modules.
 
 ``LDBNAdapt`` with ``stats_mode="replace"`` and entropy loss is the
 structured-output analogue of Tent [Wang et al., ICLR 2021], which the
@@ -19,7 +20,6 @@ from .base import (
     AdaptResult,
     Adapter,
     NoAdapt,
-    ParameterSnapshot,
     freeze_all,
     freeze_except,
     set_bn_training,
@@ -45,7 +45,6 @@ __all__ = [
     "freeze_all",
     "freeze_except",
     "set_bn_training",
-    "ParameterSnapshot",
     "entropy_loss",
     "LDBNAdapt",
     "LDBNAdaptConfig",

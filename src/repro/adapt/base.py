@@ -18,6 +18,7 @@ import numpy as np
 
 from .. import nn
 from ..nn.modules import _BatchNormBase
+from .bn_state import BNLayout
 
 
 @dataclass
@@ -51,10 +52,11 @@ class Adapter(abc.ABC):
     :meth:`observe_frame`, the stream interface the serving loops use —
     and optionally :meth:`reset` to restore what it adapts.
 
-    An adapter keeps a copy of exactly the state it can write: its
-    trainable parameters and every BatchNorm layer's ``running_mean``,
-    ``running_var`` and ``num_batches_tracked``.  For LD-BN-ADAPT that is
-    the BN state alone: 38.6 kB on ``small-r18``, whose whole state is
+    An adapter keeps a copy of exactly the state it can write: the running
+    statistics and counts of the model's BN block (:attr:`bn_state`, the
+    home block its BN modules view), its gamma/beta rows when it trains
+    them, and any other parameter it trains.  For LD-BN-ADAPT that is
+    the block alone: 38.6 kB on ``small-r18``, whose whole state is
     8.7 MB, and that is what a fleet pays per stream for its adapter over
     the one shared model.
     """
@@ -65,14 +67,18 @@ class Adapter(abc.ABC):
     def __init__(self, model: nn.Module, trainable: Iterable[nn.Parameter] = ()):
         self.model = model
         self._params = freeze_except(model, trainable)
-        # what reset() restores, as (owner, attribute, saved copy)
-        self._initial_state = [
-            (p, "data", p.data.copy()) for p in self._params
-        ] + [
-            (m, name, np.array(getattr(m, name)))
-            for m in model.modules() if isinstance(m, _BatchNormBase)
-            for name in ("running_mean", "running_var", "num_batches_tracked")
-        ]
+        # the model's home block, which its BN modules' arrays view
+        self.bn_state = BNLayout(model).home
+        affine = {
+            id(p) for m in self.bn_state.layout.modules for p in (m.weight, m.bias)
+        }
+        state, counts = self.bn_state.read()
+        rows = 4 if any(id(p) in affine for p in self._params) else 2
+        # what reset() restores: the block rows this adapter writes, its
+        # counts, and (param, copy) for each other parameter it trains
+        self._initial_state = (state[:rows].copy(), counts.copy(), [
+            (p, p.data.copy()) for p in self._params if id(p) not in affine
+        ])
         self._step = 0
         self.refused_steps = 0  # steps whose loss was not finite
         self.rejected_frames = 0  # frames no step may learn from
@@ -209,8 +215,10 @@ class Adapter(abc.ABC):
         the BN running statistics — to their values at construction, and
         forget its steps and buffered frames.  Frozen parameters are not
         copied: no step of this adapter writes them."""
-        for owner, name, saved in self._initial_state:
-            getattr(owner, name)[...] = saved
+        state, counts, params = self._initial_state
+        self.bn_state.write(state, counts)
+        for param, saved in params:
+            param.data[...] = saved
         self._step = 0
         self.refused_steps = 0
         self.rejected_frames = 0
@@ -271,42 +279,3 @@ def set_bn_training(model: nn.Module, mode: bool) -> None:
     for module in model.modules():
         if isinstance(module, _BatchNormBase):
             object.__setattr__(module, "training", mode)
-
-
-class ParameterSnapshot:
-    """Save/restore a subset of parameters.
-
-    Used by the failure-recovery tests and, through :meth:`capture` /
-    :meth:`restore` round-trips, by the fleet-serving stream sessions to
-    swap per-stream BN gamma/beta in and out of a shared model.
-    ``saved`` hands it the arrays to keep the copies in (filled by the
-    first :meth:`capture`) instead of fresh ones.
-    """
-
-    def __init__(
-        self,
-        params: Iterable[nn.Parameter],
-        saved: Optional[List[np.ndarray]] = None,
-    ):
-        self.params = list(params)
-        self.saved = (
-            saved if saved is not None else [p.data.copy() for p in self.params]
-        )
-
-    def restore(self) -> None:
-        for p, data in zip(self.params, self.saved):
-            p.data[...] = data
-
-    def capture(self) -> None:
-        """Re-save the parameters' *current* values into the snapshot."""
-        for p, data in zip(self.params, self.saved):
-            data[...] = p.data
-
-    def max_change(self) -> float:
-        """Largest absolute parameter change since the snapshot."""
-        if not self.params:
-            return 0.0
-        return max(
-            float(np.abs(p.data - saved).max())
-            for p, saved in zip(self.params, self.saved)
-        )

@@ -35,13 +35,14 @@ Implementation notes
 * The step's epilogue is the plan's too: its last stage, the *update
   tail*, persists the batch statistics and takes the momentum step on
   gamma/beta over one BN block, once per step on every backend — a
-  fleet hands the plan its sessions' blocks, a standalone adapter its
-  own block of the live model (:attr:`LDBNAdapt.bn_state`), captured
-  before the step and written back after it.  The momentum buffers stay
-  per parameter in ``optimizer.state`` — views of one block, re-adopted
-  when ``reset()``, a checkpoint or an eager step replaced them — so
-  checkpoints, drift resets and eager steps see them.  A step whose loss
-  is not finite writes nothing: the tail refuses it, and
+  fleet hands the plan its sessions' blocks, a standalone adapter the
+  model's home block (``LDBNAdapt.bn_state``), which the model's BN
+  modules view, so the step writes the model with no copy around it.
+  The momentum buffers stay per parameter in ``optimizer.state`` —
+  views of one block per adapter (:meth:`LDBNAdapt.optimizer_slots`),
+  re-adopted when ``reset()``, a checkpoint or an eager step replaced
+  them — so checkpoints, drift resets and eager steps see them.  A step
+  whose loss is not finite writes nothing: the tail refuses it, and
   :attr:`~repro.adapt.base.Adapter.refused_steps` counts it.
 * A served frame's stem conv runs once.  The serving loops hand
   :meth:`~repro.adapt.base.Adapter.observe_frame` the stem rows their
@@ -58,6 +59,7 @@ Implementation notes
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from typing import Optional
 
 import numpy as np
@@ -65,10 +67,11 @@ import numpy as np
 from .. import nn
 from ..engine import CompiledAdaptStep, UnsupportedAdaptGraph
 from ..engine.backends import available_backends, resolve_backend
-from ..nn.modules import _BatchNormBase
 from .base import AdaptResult, Adapter, freeze_except, set_bn_training
-from .bn_state import BNLayout, BNStateSnapshot
+from .bn_state import BNLayout
 from .entropy import entropy_loss
+
+_EMPTY: dict = {}
 
 
 @dataclass(frozen=True)
@@ -140,11 +143,7 @@ class LDBNAdapt(Adapter):
         config: Optional[LDBNAdaptConfig] = None,
         compiled=None,
     ):
-        self._bn_modules = [
-            m for m in model.modules() if isinstance(m, _BatchNormBase)
-        ]
-        if not self._bn_modules:
-            raise ValueError("model has no BatchNorm layers to adapt")
+        self._bn_modules = BNLayout(model).modules  # raises with none
         super().__init__(model, [
             p for m in self._bn_modules for p in (m.weight, m.bias)
         ])
@@ -158,7 +157,8 @@ class LDBNAdapt(Adapter):
         # the input kinds (``from_stem`` flags) the graph cannot be
         # lowered from: a step fed that kind stays eager
         self._compiled_unsupported = set()
-        self._bn_state: Optional[BNStateSnapshot] = None
+        # sgd_update's state for the gamma/beta rows (see optimizer_slots)
+        self.slots = {}
 
     # ------------------------------------------------------------------
     @property
@@ -211,15 +211,41 @@ class LDBNAdapt(Adapter):
             self._compiled_unsupported.add(from_stem)
             return None
 
-    @property
-    def bn_state(self) -> BNStateSnapshot:
-        """This adapter's block of the model: where a standalone compiled
-        step reads gamma/beta and its update tail writes (see
-        :meth:`repro.engine.AdaptationPlan.run`).  Built on the first
-        such step: an adapter a fleet steps never needs one."""
-        if self._bn_state is None:
-            self._bn_state = BNStateSnapshot(BNLayout(self.model))
-        return self._bn_state
+    def optimizer_slots(self) -> dict:
+        """:func:`~repro.nn.optim.sgd_update`'s state for a BN block's
+        gamma/beta rows under this adapter's optimizer, whichever block it
+        steps: ``"work"`` and, with momentum, ``"momentum"`` — a ``(2, C)``
+        block whose row spans are the optimizer's momentum buffers.
+
+        A buffer that is not a view of the block (``reset()`` cleared it,
+        a checkpoint restore or an eager first step made a new one) is
+        adopted: copied in, and its entry pointed at the view.  A missing
+        one is adopted as the zero whose product with the momentum is
+        ``-0.0``, the identity of the blend, so ``-0.0 + grad`` is the
+        per-parameter first step's ``grad`` bit for bit."""
+        slots, optimizer = self.slots, self.optimizer
+        if not optimizer.momentum:
+            return slots
+        block, layout = slots.get("momentum"), self.bn_state.layout
+        if block is None:
+            block = slots["momentum"] = np.empty((2, layout.channels))
+            self._momentum_views = [
+                row[a:b] for a, b in layout.spans for row in block
+            ]
+        state = optimizer.state
+        if all(map(is_, [state.get(id(p), _EMPTY).get("momentum")
+                         for p in self._params], self._momentum_views)):
+            return slots
+        for param, view in zip(self._params, self._momentum_views):
+            entry = state.setdefault(id(param), {})
+            held = entry.get("momentum")
+            if held is not view:
+                view[...] = (
+                    np.copysign(0.0, -optimizer.momentum) if held is None
+                    else held
+                )
+                entry["momentum"] = view
+        return slots
 
     def record_step(self, loss: float, num_frames: int,
                     refused: bool = False) -> AdaptResult:
@@ -238,18 +264,12 @@ class LDBNAdapt(Adapter):
         )
 
     def _run_plan(self, plan, x: np.ndarray, num_frames: int) -> AdaptResult:
-        """One compiled entropy step on :attr:`bn_state`, captured from
-        the model first: the plan's update tail persists the batch
-        statistics and steps gamma/beta on this adapter's optimizer
-        state, and the block goes back into the model, unless the loss is
-        not finite."""
-        block = self.bn_state
-        block.swap_out()
+        """One compiled entropy step on :attr:`bn_state`, the model's own
+        block: the plan's update tail persists the batch statistics and
+        steps gamma/beta on this adapter's optimizer state, unless the
+        loss is not finite."""
         loss = float(plan.run(x, update=(self,))[0])
-        refused = not plan.finite[0]
-        if not refused:
-            block.swap_in()
-        return self.record_step(loss, num_frames, refused=refused)
+        return self.record_step(loss, num_frames, refused=not plan.finite[0])
 
     def _step_frames(self, frames: np.ndarray, rows) -> AdaptResult:
         if rows is not None:
@@ -281,14 +301,12 @@ class LDBNAdapt(Adapter):
         original_momenta = [m.momentum for m in self._bn_modules]
         for module in self._bn_modules:
             module.momentum = self.effective_momentum
-        # the rail: what the train forward writes, restored on refusal.
-        # Eager ReLU maps NaN to 0, so a poisoned batch can leave the loss
-        # finite: the statistics it wrote tell
-        stats = [
-            (buf, buf.copy()) for m in self._bn_modules for buf in (
-                m.running_mean, m.running_var, m.num_batches_tracked,
-            )
-        ]
+        # the rail: what the train forward writes (the home block's
+        # statistics and counts), restored on refusal.  Eager ReLU maps NaN
+        # to 0, so a poisoned batch can leave the loss finite: the
+        # statistics it wrote tell
+        state, counts = self.bn_state.read()
+        stats = state[:2].copy(), counts.copy()
 
         # the model is shared: another adapter's constructor may have
         # frozen the parameters this step descends on
@@ -297,16 +315,14 @@ class LDBNAdapt(Adapter):
         try:
             logits = self.model(nn.Tensor(images, _copy=False))
             loss = entropy_loss(logits, axis=1)
-            finite = bool(np.isfinite(loss.item())) and all(
-                np.isfinite(buf).all() for buf, _ in stats
-            )
+            finite = bool(np.isfinite(loss.item())) and bool(
+                np.isfinite(self.bn_state.read()[0][:2]).all())
             if finite:
                 self.model.zero_grad()
                 loss.backward()
                 self.optimizer.step()
             else:
-                for buf, saved in stats:
-                    buf[...] = saved
+                self.bn_state.write(*stats)
         finally:
             set_bn_training(self.model, False)
             for module, m in zip(self._bn_modules, original_momenta):
@@ -322,7 +338,3 @@ class LDBNAdapt(Adapter):
     def reset(self) -> None:
         super().reset()
         self.optimizer.state.clear()
-
-    @property
-    def num_bn_layers(self) -> int:
-        return len(self._bn_modules)

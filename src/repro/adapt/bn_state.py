@@ -3,48 +3,48 @@
 LD-BN-ADAPT adapts the BatchNorm statistics and affine and nothing else
 (Bhardwaj et al., Sec. III), so that state is one ``(4, C)`` float64
 block over the model's BN channels — running mean, running variance,
-gamma, beta — plus one ``num_batches_tracked`` count per layer.  A
+gamma, beta — plus one ``num_batches_tracked`` count per layer, which a
 compiled adaptation step (:meth:`repro.engine.AdaptationPlan.run`) reads
-gamma/beta from a block and writes its update back to it:
+and writes in place.
 
-* a fleet session's block *is* its stream's state
-  (:class:`repro.serve.StreamSession`);
-* a standalone :class:`~repro.adapt.LDBNAdapt` steps a block of the
-  model it adapts: it captures the block from the model before the step
-  and writes it back after it.
+A model's own state is its *home* block (:attr:`BNLayout.home`, made by
+the first layout over it): every BN module's ``weight.data``,
+``bias.data``, running statistics and count view its rows, so eager code
+and a standalone :class:`~repro.adapt.LDBNAdapt` step (its ``bn_state``)
+write it directly, and any other block — a fleet session's — crosses
+onto the model and back as two array copies (``swap_in`` / ``swap_out``).
+An array that is no view — a float32 parameter, a ``param.data`` a
+caller rebound — keeps its identity and dtype as a *stray*: found by
+identity once per crossing (:meth:`BNStateSnapshot.read`), copied in,
+and written back after each write; a rebinding moves the block to fresh
+rows, every array a stray, so the view it replaced is never written.
 
-The block also owns its eval-mode fold (:meth:`BNStateSnapshot.folded`):
-the per-channel ``(scale, shift)`` an eval BatchNorm applies, recomputed
-only after the block was written.  Whatever writes ``state`` in place
-calls :meth:`BNStateSnapshot.written` after it; the writers are the
-compiled update tail (:func:`repro.engine.adapt_plan._update_tail`),
-:meth:`BNStateSnapshot.swap_out`, the drift restore
-(:func:`repro.serve.drift._restore_bn`) and the checkpoint restore
-(:func:`repro.serve.checkpoint.restore_session_state`).  A write that
-bypasses them leaves the fold stale.
-
-The optimizer's momentum follows the same shape: one ``(2, C)`` block
-(:meth:`BNStateSnapshot.optimizer_slots`) whose rows the optimizer's
-per-parameter ``momentum`` buffers view, so eager steps, checkpoints and
-drift resets keep reading and writing per-parameter buffers.
+A block owns its eval fold (:meth:`BNStateSnapshot.folded`), recomputed
+only after a writer called :meth:`~BNStateSnapshot.written`: the update
+tail (:func:`repro.engine.adapt_plan._update_tail`) and the one block
+copy, :meth:`~BNStateSnapshot.write` (the swaps, ``Adapter.reset``, the
+drift and checkpoint restores).  Eager writers (train-mode BN, ``SGD.step``,
+``load_state_dict``) call nothing, so the home block refolds on every read.
 """
 
 from __future__ import annotations
 
+import weakref
 from itertools import count
 from operator import is_
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
 from ..nn.modules import _BatchNormBase
-from .base import ParameterSnapshot
 
-_BN_BUFFER_NAMES = ("running_mean", "running_var", "num_batches_tracked")
-_EMPTY: dict = {}
+# a module's arrays in block row order (mean, var, gamma, beta), then its count
+_ARRAY_NAMES = ("running_mean", "running_var", "data", "data",
+                "num_batches_tracked")
 # one stamp per block write, unique across blocks: a launch's stamps name
 # its blocks and their contents at once
 _STAMPS = count()
+_HOMES = weakref.WeakKeyDictionary()  # model -> its home block
 
 
 class _LaunchFold:
@@ -69,7 +69,8 @@ class _LaunchFold:
 
 class BNLayout:
     """A model's BN layers as one block: layer ``j`` owns the ``spans[j]``
-    columns of ``channels``, ``eps`` is each column's layer epsilon."""
+    columns of ``channels``, ``eps`` is each column's layer epsilon, and
+    ``home`` is the model's own block, made by its first layout."""
 
     def __init__(self, model):
         self.modules: List[_BatchNormBase] = [
@@ -84,6 +85,9 @@ class BNLayout:
         self.eps = np.repeat([float(m.eps) for m in self.modules], widths)
         self.fields = [vars(m) for m in self.modules]  # their instance dicts
         self._folds = {}
+        self.home = _HOMES.get(model)
+        if self.home is None or self.home.layout.modules != self.modules:
+            self.home = _HOMES[model] = _HomeBlock(self)
 
     def launch_pairs(self, blocks) -> list:
         """Layer ``j``'s ``(scale, shift)`` pair of a launch of ``blocks``
@@ -111,27 +115,27 @@ class BNStateSnapshot:
     """A model's BN state as ``state`` (running mean, var, gamma, beta over
     the layout's channels) and ``counts``, swappable in and out, with its
     eval fold (:meth:`folded`); ``stamp`` changes on every
-    :meth:`written`."""
+    :meth:`written`.  A new one holds the model's current state."""
 
     def __init__(self, layout: BNLayout):
         self.layout = layout
-        self.modules = layout.modules
-        self.state = np.empty((4, layout.channels))
-        self.counts = np.empty(len(self.modules), dtype=np.int64)
-        mean, var, gamma, beta = [
-            [row[a:b] for a, b in layout.spans] for row in self.state
-        ]
-        self.params = ParameterSnapshot(
-            [p for m in self.modules for p in (m.weight, m.bias)],
-            saved=[v for pair in zip(gamma, beta) for v in pair],
-        )
-        counts = [self.counts[j:j + 1] for j in range(len(self.modules))]
-        self.buffers = [dict(zip(_BN_BUFFER_NAMES, b)) for b in zip(mean, var, counts)]
-        # sgd_update's state for the gamma/beta rows (see optimizer_slots)
-        self.slots = {}
         self.fold = np.empty((2, layout.channels))  # scale, shift
         self._folded_at = None  # the stamp ``fold`` was computed at
+        self.state = np.empty((4, layout.channels))
+        self.counts = np.empty(len(layout.modules), dtype=np.int64)
         self.swap_out()
+
+    def read(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(state, counts)``, the block's own arrays."""
+        return self.state, self.counts
+
+    def write(self, state: np.ndarray, counts: np.ndarray) -> None:
+        """The one block copy: ``state`` into the block's leading rows
+        (all four, or the statistics alone) and ``counts`` into its
+        counts, then :meth:`written`."""
+        self.state[:len(state)] = state
+        self.counts[...] = counts
+        self.written()
 
     def written(self) -> None:
         """Mark ``state`` written in place: the next :meth:`folded`
@@ -155,52 +159,80 @@ class BNStateSnapshot:
         return self.fold
 
     def swap_in(self) -> None:
-        """Write this snapshot's state into the shared model."""
-        self.params.restore()
-        for module, bufs in zip(self.modules, self.buffers):
-            for name, arr in bufs.items():
-                module._set_buffer(name, arr)
+        """Write this block onto the shared model (into its home block)."""
+        self.layout.home.write(*self.read())
 
     def swap_out(self) -> None:
-        """Capture the shared model's current state into this snapshot."""
-        self.params.capture()
-        for module, bufs in zip(self.modules, self.buffers):
-            for name, arr in bufs.items():
-                arr[...] = getattr(module, name)
-        self.written()
+        """Capture the shared model's current state into this block."""
+        self.write(*self.layout.home.read())
 
-    def optimizer_slots(self, optimizer) -> dict:
-        """:func:`~repro.nn.optim.sgd_update`'s state for the block's
-        gamma/beta rows under ``optimizer``: ``"work"`` and, with
-        momentum, ``"momentum"`` — a ``(2, C)`` block whose row spans are
-        the optimizer's per-parameter momentum buffers.
 
-        A buffer that is not a view of the block (``reset()`` cleared it,
-        a checkpoint restore or an eager first step made a new one) is
-        adopted: copied in, and its entry pointed at the view.  A missing
-        one is adopted as the zero whose product with the momentum is
-        ``-0.0``, the identity of the blend, so ``-0.0 + grad`` is the
-        per-parameter first step's ``grad`` bit for bit."""
-        slots = self.slots
-        if not optimizer.momentum:
-            return slots
-        block = slots.get("momentum")
-        if block is None:
-            block = slots["momentum"] = np.empty((2, self.layout.channels))
-            self._views = [
-                row[a:b] for a, b in self.layout.spans for row in block
-            ]
-        state = optimizer.state
-        if all(map(is_, [state.get(id(p), _EMPTY).get("momentum")
-                         for p in self.params.params], self._views)):
-            return slots
-        for param, view in zip(self.params.params, self._views):
-            entry = state.setdefault(id(param), {})
-            held = entry.get("momentum")
-            if held is not view:
-                view[...] = (
-                    np.copysign(0.0, -optimizer.momentum) if held is None
-                    else held
-                )
-                entry["momentum"] = view
-        return slots
+class _HomeBlock(BNStateSnapshot):
+    """A model's own block: its BN modules' arrays view its rows."""
+
+    def __init__(self, layout: BNLayout):
+        self.layout = layout
+        self.fold = np.empty((2, layout.channels))
+        self._folded_at = None
+        # per module: the arrays of block rows 0-3, then its count
+        self._owners = [
+            owner for m in layout.modules
+            for owner in (m, m, m.weight, m.bias, m)
+        ]
+        self._names = _ARRAY_NAMES * len(layout.modules)
+        self._arrays = None  # what the last identity sweep found
+        self._move()
+
+    @property
+    def stamp(self) -> int:
+        # eager writers do not call written(): a new stamp on every read,
+        # so every fold, and every launch holding this block, is recomputed
+        return next(_STAMPS)
+
+    def _move(self) -> None:
+        """Fresh rows holding the modules' arrays' values; the first time,
+        every array they can view (its dtype and shape) is pointed at them."""
+        first = self._arrays is None
+        held = list(map(getattr, self._owners, self._names))
+        state = self.state = np.empty((4, self.layout.channels))
+        counts = self.counts = np.empty(len(self.layout.modules), np.int64)
+        views = [
+            view for j, (a, b) in enumerate(self.layout.spans)
+            for view in (*state[:, a:b], counts[j:j + 1])
+        ]
+        for k, (owner, name, array, view) in enumerate(
+            zip(self._owners, self._names, held, views)
+        ):
+            view[...] = array
+            if first and array.dtype == view.dtype and array.shape == view.shape:
+                held[k] = view
+                if name == "data":
+                    owner.data = view
+                else:
+                    owner.register_buffer(name, view)
+        self._arrays = held
+        self._strays = [(a, v) for a, v in zip(held, views) if a is not v]
+
+    def read(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(state, counts)`` after the crossing's identity sweep: a
+        module array rebound since the last one moves the block, and every
+        stray is copied in."""
+        held = map(getattr, self._owners, self._names)
+        if not all(map(is_, held, self._arrays)):
+            self._move()
+        for array, view in self._strays:
+            view[...] = array
+        return self.state, self.counts
+
+    def write(self, state: np.ndarray, counts: np.ndarray) -> None:
+        self.read()
+        super().write(state, counts)
+
+    def written(self) -> None:
+        """Copy the rows of every stray back out to it (in its dtype)."""
+        for array, view in self._strays:
+            array[...] = view
+
+    def folded(self) -> np.ndarray:
+        self.read()
+        return super().folded()

@@ -236,8 +236,8 @@ def _update_tail(armed: list, finite: np.ndarray, tap_rows: np.ndarray,
     into block column order, the batch counted, the statistics persisted
     through :func:`~repro.nn.functional.update_running_stat`, gamma and
     beta stepped through :func:`~repro.nn.optim.sgd_update` with the
-    momentum block of the optimizer's per-parameter buffers
-    (``optimizer_slots``), and the block marked written, so its eval fold
+    destination's momentum block of the optimizer's per-parameter buffers
+    (``optimizer_slots()``), and the block marked written, so its eval fold
     is recomputed before the next launch reads it.  It captures no plan:
     plans stay free of reference cycles.
     """
@@ -261,7 +261,7 @@ def _update_tail(armed: list, finite: np.ndarray, tap_rows: np.ndarray,
             sgd_update(
                 block.state[2:],
                 work[2:],
-                block.optimizer_slots(optimizer),
+                target.optimizer_slots(),
                 optimizer.lr,
                 momentum=optimizer.momentum,
                 weight_decay=optimizer.weight_decay,
@@ -902,14 +902,14 @@ class AdaptationPlan(StaticPlan):
         ``update`` names this replay's state: one destination per group,
         each with ``bn_state`` — its BN block, a
         :class:`~repro.adapt.bn_state.BNStateSnapshot` (all of one
-        layout) —, ``optimizer`` (an :class:`~repro.nn.SGD`) and
+        layout) —, ``optimizer`` (an :class:`~repro.nn.SGD`),
+        ``optimizer_slots()`` (its momentum block) and
         ``effective_momentum`` (what the running statistics blend with;
-        1.0 replaces): a fleet session, or a standalone adapter (which
-        captures its block from the model before the replay and writes it
-        back after).  Row k of every gamma/beta slot is filled from
-        block k before the forward, and the update tail writes back to
-        it.  Plans are shared between adapters, so a destination is only
-        ever an argument.  A group whose loss is not finite is left
+        1.0 replaces): a fleet session, or a standalone adapter (its
+        block the model's own).  Row k of every gamma/beta slot is filled
+        from block k before the forward, and the update tail writes back
+        to it.  Plans are shared between adapters, so a destination is
+        only ever an argument.  A group whose loss is not finite is left
         untouched.  With no destinations the replay reads what is in the
         slots — the module's values at compile time, or the last
         destinations' — and updates nothing.
@@ -933,7 +933,7 @@ class AdaptationPlan(StaticPlan):
         if update:
             blocks = [target.bn_state for target in update]
             gather, _ = self._columns(blocks[0].layout)
-            rows = [block.state[2:] for block in blocks]
+            rows = [block.read()[0][2:] for block in blocks]
             source = rows[0] if len(rows) == 1 else np.stack(rows, axis=1)
             np.take(source.reshape(2, -1), gather, axis=1, out=self._affine,
                     mode="clip")

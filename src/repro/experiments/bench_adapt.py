@@ -196,17 +196,11 @@ def _fleet_parity(
                     session.swap_in()
                     session.adapter.adapt(image[None])
                     session.swap_out()
-        snapshots[label] = [
-            [p.copy() for p in s.bn_state.params.saved]
-            + [np.array(b[name]) for b in s.bn_state.buffers
-               for name in ("running_mean", "running_var")]
-            for s in sessions
-        ]
+        snapshots[label] = [s.bn_state.state.copy() for s in sessions]
     model.load_state_dict(pristine)
     return max(
         float(np.abs(a - b).max())
-        for fused_s, serial_s in zip(snapshots["fused"], snapshots["serial"])
-        for a, b in zip(fused_s, serial_s)
+        for a, b in zip(snapshots["fused"], snapshots["serial"])
     )
 
 

@@ -34,8 +34,9 @@ Architecture
   one flat block (:class:`~repro.adapt.bn_state.BNStateSnapshot`) that
   every compiled step reads with one gather and updates with one block
   formula, its momentum buffers views of one block beside it;
-  ``swap_in``/``swap_out`` materialize it on the shared model only for
-  a step no plan of the pool's takes, and when a vehicle's run ends.
+  ``swap_in``/``swap_out`` copy it into the model's own block (which its
+  BN modules view) and back only for a step no plan of the pool's
+  takes, and when a vehicle's run ends.
   Eval-mode BN folds to per-sample ``(scale, shift)`` vectors, so
   :func:`per_stream_inference` serves many differently-adapted streams
   in ONE batched forward.  The fold belongs to the block

@@ -334,8 +334,8 @@ def restore_session_state(
 ) -> dict:
     """Write a captured state back into ``session``; returns admission state.
 
-    Restores the BN snapshot (in place — per-sample folding keeps its
-    aliases — and marked written, so its fold is recomputed), optimizer
+    Restores the BN block (one block copy, which marks it written, so
+    its fold is recomputed), optimizer
     slots (stale slots for checkpointed-empty parameters are dropped),
     the adapter's pending-frame buffer and step index.  With
     ``counters=True`` the serving counters and arrival cursor are
@@ -358,9 +358,7 @@ def restore_session_state(
             f"checkpoint belongs to stream {meta.get('stream_id')!r}, "
             f"not {session.stream_id!r}"
         )
-    session.bn_state.state[...] = arrays["bn.state"]
-    session.bn_state.counts[...] = arrays["bn.counts"]
-    session.bn_state.written()
+    session.bn_state.write(arrays["bn.state"], arrays["bn.counts"])
     optimizer = getattr(session.adapter, "optimizer", None)
     if optimizer is not None:
         for param in optimizer.params:

@@ -114,20 +114,6 @@ class DriftResetConfig:
 BNState = Tuple[np.ndarray, np.ndarray]  # copies of a BN block + counts
 
 
-def _capture_bn(session) -> BNState:
-    """Copy the session's BN block and counts (never live views)."""
-    return session.bn_state.state.copy(), session.bn_state.counts.copy()
-
-
-def _restore_bn(session, state: BNState) -> None:
-    """Write a captured BN block back into the session's snapshot in
-    place (every per-layer view of it is load-bearing) and mark it
-    written."""
-    block = session.bn_state
-    block.state[...], block.counts[...] = state
-    block.written()
-
-
 class SessionDriftState:
     """Per-session drift detector + warm-start bank + reset mechanics.
 
@@ -139,7 +125,7 @@ class SessionDriftState:
     def __init__(self, config: DriftResetConfig, session):
         self.config = config
         self.detector = DriftDetector(config.detector)
-        self.source = _capture_bn(session)
+        self.source = tuple(a.copy() for a in session.bn_state.read())
         # (signature, captured BN state) per previously-adapted regime
         self.bank: List[Tuple[np.ndarray, BNState]] = []
         self.events = 0  # alarms fired
@@ -210,13 +196,14 @@ class SessionDriftState:
             )
             if self.regime_sig is not None:
                 # bank the outgoing regime before overwriting it
-                self._remember(self.regime_sig, _capture_bn(session))
+                self._remember(self.regime_sig, tuple(
+                    a.copy() for a in session.bn_state.read()))
             if hit is not None:
-                _restore_bn(session, hit)
+                session.bn_state.write(*hit)
                 restored = "cluster"
                 self.cluster_restores += 1
         if restored == "source":
-            _restore_bn(session, self.source)
+            session.bn_state.write(*self.source)
         # momentum/buffered frames from the dead regime must not steer
         # the new one
         session.adapter.optimizer.state.clear()

@@ -892,8 +892,10 @@ class DeviceWorker:
             rows = None
         # only a step writes the shared model: a frame that fills no
         # batch, or that the adapter rejects, is handled without
-        # materializing the session on it
-        steps = (adapter.pending_frames + 1 >= adapter.batch_size
+        # materializing the session on it, and so is a step of an adapter
+        # that trains no parameter (NoAdapt): it writes no model array
+        steps = (adapter.trained_parameters
+                 and adapter.pending_frames + 1 >= adapter.batch_size
                  and learnable_frame(frame.image))
         if steps:
             session.swap_in()

@@ -8,10 +8,10 @@ values and optimizer momentum.  This module keeps those states separate:
 * :class:`~repro.adapt.bn_state.BNStateSnapshot` (re-exported here with
   :class:`~repro.adapt.bn_state.BNLayout`) — a copy of everything
   BN-related on the model as one flat block laid out by the registry's
-  layout; every per-layer array it hands out is a view into it, and a
-  compiled adaptation step reads and writes the block in place.
-  ``swap_in`` writes the copy into the model, ``swap_out`` captures the
-  model back into it: for a step no compiled plan of the pool's takes.
+  layout, which a compiled adaptation step reads and writes in place.
+  ``swap_in`` copies it into the model's home block (which the model's
+  BN modules view) and ``swap_out`` back, two array copies each: for a
+  step no compiled plan of the pool's takes.
 * :class:`StreamSession` — one registered stream: its frame source, its
   adapter (owning the per-stream optimizer state), its BN snapshot and
   its frame report.
@@ -128,7 +128,7 @@ class StreamSession:
     block where it lives (the session is the step's update destination,
     its ``bn_state`` the block), batched inference folds it into per-sample
     stats, and only a step no pool plan takes materializes the session
-    on the model via ``swap_in``/``swap_out``.
+    on the model via ``swap_in``/``swap_out`` (two block copies).
 
     Because the session is the single container of per-stream state, the
     device pool migrates a stream by *re-homing the session object*: the
@@ -229,8 +229,8 @@ class StreamSession:
 
     # A session is its group's destination in a grouped adaptation step
     # (see repro.engine.AdaptationPlan.run): the plan reads gamma/beta from
-    # its block and steps the block with the adapter's optimizer, no swap
-    # onto the model.
+    # its block and steps it with the adapter's optimizer, no swap onto
+    # the model.
     @property
     def optimizer(self):
         return self.adapter.optimizer
@@ -238,6 +238,9 @@ class StreamSession:
     @property
     def effective_momentum(self) -> float:
         return self.adapter.effective_momentum
+
+    def optimizer_slots(self) -> dict:
+        return self.adapter.optimizer_slots()
 
     def record(
         self,
@@ -352,7 +355,7 @@ def per_stream_inference(sessions: Sequence[StreamSession]):
     if not sessions:
         raise ValueError("per_stream_inference needs at least one session")
     layout = sessions[0].bn_state.layout
-    if any(s.bn_state.modules != layout.modules for s in sessions[1:]):
+    if any(s.bn_state.layout.modules != layout.modules for s in sessions[1:]):
         raise ValueError("sessions must share one model's BN modules")
     pairs = layout.launch_pairs([s.bn_state for s in sessions])
     try:  # instance-dict writes: Module.__setattr__'s effect, a fraction of its price

@@ -14,7 +14,6 @@ from repro.adapt import (
     LDBNAdapt,
     LDBNAdaptConfig,
     NoAdapt,
-    ParameterSnapshot,
     entropy_loss,
     freeze_all,
     freeze_except,
@@ -72,14 +71,6 @@ class TestFreezeHelpers:
                 assert module.training
             elif isinstance(module, (nn.Conv2d, nn.Linear)):
                 assert not module.training
-
-    def test_parameter_snapshot(self, untrained_tiny_model):
-        params = untrained_tiny_model.bn_parameters()
-        snap = ParameterSnapshot(params)
-        params[0].data += 1.0
-        assert snap.max_change() == pytest.approx(1.0)
-        snap.restore()
-        assert snap.max_change() == 0.0
 
 
 class TestLDBNAdapt:
@@ -388,13 +379,15 @@ class TestReplaceModeDropsNonFiniteRunningStats:
                 )
                 for i in range(2)
             ]
+            spans = sessions[0].bn_state.layout.spans
             if poisoned:
-                for bufs in sessions[0].bn_state.buffers:
-                    _poison(bufs["running_mean"], bufs["running_var"])
+                mean, var = sessions[0].bn_state.state[:2]
+                for a, b in spans:
+                    _poison(mean[a:b], var[a:b])
             FleetAdaptationBatcher(model).stage(sessions, frames).execute()
             return [
-                [(b["running_mean"].copy(), b["running_var"].copy())
-                 for b in s.bn_state.buffers]
+                [(s.bn_state.state[0, a:b].copy(),
+                  s.bn_state.state[1, a:b].copy()) for a, b in spans]
                 for s in sessions
             ]
 

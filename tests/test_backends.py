@@ -2316,7 +2316,7 @@ class TestOneUpdateTail:
         run.step(3)
         run.assert_in_step()
         for _, adapter in run:
-            block = adapter.bn_state.slots["momentum"]
+            block = adapter.slots["momentum"]
             for param in adapter.optimizer.params:
                 assert np.shares_memory(
                     adapter.optimizer.state[id(param)]["momentum"], block)

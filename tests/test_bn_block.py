@@ -16,18 +16,26 @@ it, and a launch folds the whole block at once.  Under test:
   writer still launches the pair of before;
 * every per-layer array still shares memory with its session's block;
 * a launch of one frame hands the plan the frame's own memory, and
-  leaves its bytes as they were.
+  leaves its bytes as they were;
+* the model's own block (its layout's ``home``): every BN module array
+  views it, eager writers that mark nothing are refolded, and an array a
+  caller rebound (or a float32 one) keeps its identity and is still
+  written.
 """
+
+import operator
 
 import numpy as np
 import pytest
 
-from repro.adapt import LDBNAdapt, LDBNAdaptConfig, frame_signature
+from repro import nn
+from repro.adapt import BNLayout, LDBNAdapt, LDBNAdaptConfig, frame_signature
 from repro.data import ScenarioStream, get_scenario
 from repro.engine.backends import find_cc
 from repro.engine.compile import CompiledInference
 from repro.hw import ORIN_POWER_MODES
 from repro.models import get_config
+from repro.nn.tensor import Tensor
 from repro.serve import (
     CheckpointConfig,
     DriftResetConfig,
@@ -50,9 +58,9 @@ def _oracle_fold(session, j):
     """Layer ``j``'s per-layer fold, exactly as it was computed before
     the flat block: the reference every installed pair must equal."""
     bn = session.bn_state
-    module = bn.modules[j]
-    mean, var = bn.buffers[j]["running_mean"], bn.buffers[j]["running_var"]
-    gamma, beta = bn.params.saved[2 * j:2 * j + 2]
+    module = bn.layout.modules[j]
+    a, b = bn.layout.spans[j]
+    mean, var, gamma, beta = bn.state[:, a:b]
     inv_std = 1.0 / np.sqrt(var + module.eps)
     scale = gamma * inv_std
     shift = beta - mean * scale
@@ -61,7 +69,7 @@ def _oracle_fold(session, j):
 
 def assert_launch_folds_oracle(sessions):
     """The pairs ``per_stream_inference(sessions)`` installs, bitwise."""
-    modules = sessions[0].bn_state.modules
+    modules = sessions[0].bn_state.layout.modules
     with per_stream_inference(sessions):
         for j, module in enumerate(modules):
             scale, shift = module.per_sample_stats
@@ -72,8 +80,8 @@ def assert_launch_folds_oracle(sessions):
 
 def assert_views_of_block(session):
     bn = session.bn_state
-    arrays = list(bn.params.saved)
-    arrays += [arr for bufs in bn.buffers for arr in bufs.values()]
+    arrays = [row[a:b] for a, b in bn.layout.spans for row in bn.state]
+    arrays += [bn.counts[j:j + 1] for j in range(len(bn.counts))]
     for arr in arrays:
         assert arr.flags.c_contiguous
         assert np.shares_memory(arr, bn.state) or np.shares_memory(
@@ -179,7 +187,7 @@ def _installed(sessions):
     with per_stream_inference(sessions):
         return [
             tuple(a.copy() for a in m.per_sample_stats)
-            for m in sessions[0].bn_state.modules
+            for m in sessions[0].bn_state.layout.modules
         ]
 
 
@@ -298,3 +306,102 @@ def test_every_fleet_launch_folds_the_oracle(trained_tiny_model, monkeypatch):
     assert report.total_migrations >= 1
     assert report.adapt_batch_sizes.count > 0
     assert report.checkpoint_refusals == 0
+
+
+# ---------------------------------------------------------------------------
+# the model's home block
+
+
+def _module_arrays(module):
+    return [module.running_mean, module.running_var, module.weight.data,
+            module.bias.data, module.num_batches_tracked]
+
+
+def _fresh_fold(layout):
+    """The fold of what the model's BN modules hold, computed apart."""
+    mean, var, gamma, beta = (
+        np.concatenate([_module_arrays(m)[r] for m in layout.modules])
+        for r in range(4)
+    )
+    scale = gamma * (1.0 / np.sqrt(var + layout.eps))
+    return np.stack([scale, beta - mean * scale])
+
+
+class TestHomeBlock:
+    def test_every_bn_array_views_the_home_block(self, trained_tiny_model):
+        """After the first layout every BN module array is a view of one
+        block, and a second layout of the model finds that block."""
+        layout = BNLayout(trained_tiny_model)
+        home = layout.home
+        for j, module in enumerate(layout.modules):
+            a, b = layout.spans[j]
+            *rows, count = _module_arrays(module)
+            for r, array in enumerate(rows):
+                assert np.shares_memory(array, home.state[r, a:b])
+            assert np.shares_memory(count, home.counts[j:j + 1])
+        assert BNLayout(trained_tiny_model).home is home
+        assert StreamRegistry(trained_tiny_model).layout.home is home
+
+    def test_eager_writers_are_refolded(self, trained_tiny_model, rng):
+        """Train-mode BN statistics, ``SGD.step`` and ``load_state_dict``
+        write the home block without calling ``written()``: its fold and
+        a launch of it still read what the modules hold."""
+        model = trained_tiny_model
+        pristine = model.state_dict()
+        layout = BNLayout(model)
+        home = layout.home
+        adapter = LDBNAdapt(model, LDBNAdaptConfig(lr=1e-2))
+        writers = [
+            lambda: model.train()(Tensor(_frames(model, rng, 2))),
+            lambda: adapter.adapt(_frames(model, rng, 1)),
+            lambda: model.load_state_dict(pristine),
+        ]
+        for write in writers:
+            before = home.folded().copy()
+            pairs = layout.launch_pairs([home])
+            with nn.adaptation_mode(False):
+                write()
+            model.eval()
+            want = _fresh_fold(layout)
+            assert want.tobytes() != before.tobytes()
+            assert home.folded().tobytes() == want.tobytes()
+            assert layout.launch_pairs([home]) is pairs
+            for (scale, shift), (a, b) in zip(pairs, layout.spans):
+                assert scale.tobytes() == want[0, a:b].tobytes()
+                assert shift.tobytes() == want[1, a:b].tobytes()
+
+    def test_a_stray_array_keeps_its_identity(self, trained_tiny_model, rng):
+        """A float32 parameter and a rebound ``param.data`` are not views
+        of the home block: a compiled standalone step and ``swap_in``
+        still write them, in their own dtype, the view a rebinding
+        replaced is left unwritten, and no array changes identity."""
+        model = trained_tiny_model
+        session = StreamRegistry(model).register(
+            "s", iter(()), LDBNAdapt(model), deadline_ms=33.3)
+        layout = BNLayout(model)
+        first, second = layout.modules[:2]
+        second.weight.data = second.weight.data.astype(np.float32)
+        replaced = first.bias.data
+        first.bias.data = replaced.copy()
+        kept = replaced.copy()
+        held = [a for m in layout.modules for a in _module_arrays(m)]
+        adapter = LDBNAdapt(model, LDBNAdaptConfig(lr=1e-1))
+        home = adapter.bn_state
+        strays = [second.weight.data, first.bias.data]
+        before = [s.copy() for s in strays]
+        assert not adapter.adapt(_frames(model, rng, 1)).refused
+        assert all(map(operator.is_, held, (
+            a for m in layout.modules for a in _module_arrays(m))))
+        assert strays[0].dtype == np.float32
+        for stray, was in zip(strays, before):
+            assert np.abs(stray - was).max() > 0
+        (a, b), (c, d) = layout.spans[:2]
+        assert strays[1].tobytes() == home.state[3, a:b].tobytes()
+        assert replaced.tobytes() == kept.tobytes()
+        session.swap_in()
+        assert all(map(operator.is_, held, (
+            a for m in layout.modules for a in _module_arrays(m))))
+        assert strays[0].tobytes() == session.bn_state.state[2, c:d].astype(
+            np.float32).tobytes()
+        assert strays[1].tobytes() == session.bn_state.state[3, a:b].tobytes()
+        assert replaced.tobytes() == kept.tobytes()

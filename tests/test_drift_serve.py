@@ -166,8 +166,7 @@ class TestDriftCheckpointing:
         drift.regime_sig = None
         drift._sig_sum = None
         drift._sig_count = 0
-        for saved in session.bn_state.params.saved:
-            saved += 1.0
+        session.bn_state.state[2:] += 1.0  # gamma/beta
 
         assert store.restore(session) is not None
         restored, meta = capture_session_state(session)

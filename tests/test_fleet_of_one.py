@@ -21,7 +21,7 @@ from repro.metrics.lane_accuracy import TUSIMPLE_THRESHOLD_CELLS, point_accuracy
 from repro.models import build_model, get_config
 from repro.models.ufld import decode_predictions
 from repro.pipeline import PipelineConfig, RealTimePipeline
-from repro.serve import FleetConfig, FleetServer
+from repro.serve import FleetConfig, FleetServer, StreamSession
 
 needs_cc = pytest.mark.skipif(find_cc() is None, reason="no C compiler")
 
@@ -212,3 +212,29 @@ def test_an_unqueued_orin_frame_costs_its_priced_terms_exactly(
         else priced.inference_ms
         for f in served
     ]
+
+
+def test_a_no_adapt_stream_is_never_swapped(
+    _trained_tiny_state, tiny_benchmark, monkeypatch
+):
+    """A ``NoAdapt`` step writes no model array, so the fleet does not
+    swap its session onto the model: ten frames, ten steps, the serial
+    reference's records, and no ``swap_in``."""
+    frames = tiny_benchmark.target_stream(
+        rng=np.random.default_rng(200)
+    ).take(10).samples
+    model = _model(_trained_tiny_state)
+    want = _reference(model, NoAdapt(model), frames, "numpy")
+
+    model = _model(_trained_tiny_state)
+    swaps = []
+    swap_in = StreamSession.swap_in
+    monkeypatch.setattr(
+        StreamSession, "swap_in", lambda self: swaps.append(swap_in(self)))
+    server = FleetServer(model, FleetConfig(
+        latency_model="wallclock", max_batch_size=1))
+    session = server.add_stream("vehicle", iter(frames), adapter=NoAdapt(model))
+    report = server.run(len(frames))
+    assert swaps == []
+    assert session.adapter.steps_taken == report.adaptation_steps == 10
+    assert _records(report.stream_reports["vehicle"].frames) == want

@@ -132,7 +132,7 @@ class _Fleet:
         return [bn.state, bn.counts] + _momenta(self.session.adapter)
 
     def block(self):
-        return self.session.bn_state.slots["momentum"]
+        return self.session.adapter.slots["momentum"]
 
     @property
     def adapter(self):
@@ -168,7 +168,7 @@ class _Standalone:
             _momenta(self.adapter))
 
     def block(self):
-        return self.adapter.bn_state.slots["momentum"]
+        return self.adapter.slots["momentum"]
 
 
 @pytest.mark.parametrize("kind", [_Fleet, _Standalone],
@@ -194,8 +194,9 @@ def test_a_missing_buffer_is_adopted_as_the_identity(momentum):
     zeros included."""
     model = _model()
     block = BNStateSnapshot(BNLayout(model))
-    params = block.params.params
-    optimizer = nn.SGD(params, lr=0.1, momentum=momentum)
+    adapter = LDBNAdapt(model, LDBNAdaptConfig(lr=0.1, momentum=momentum))
+    optimizer = adapter.optimizer
+    params = optimizer.params
     grads = np.random.default_rng(2).standard_normal(block.state[2:].shape)
     grads[:, ::3], grads[:, 1::3] = -0.0, 0.0
     want = [p.data.copy() for p in params]
@@ -204,11 +205,36 @@ def test_a_missing_buffer_is_adopted_as_the_identity(momentum):
                  for row in (0, 1)]
     for data, grad, slots in zip(want, per_param, state):
         sgd_update(data, grad, slots, 0.1, momentum=momentum)
-    sgd_update(block.state[2:], grads, block.optimizer_slots(optimizer), 0.1,
+    sgd_update(block.state[2:], grads, adapter.optimizer_slots(), 0.1,
                momentum=momentum)
-    for param, data, saved, slots in zip(
-        params, want, block.params.saved, state
-    ):
+    rows = [row[a:b] for a, b in block.layout.spans for row in block.state[2:]]
+    for param, data, saved, slots in zip(params, want, rows, state):
         assert saved.tobytes() == data.tobytes()
         assert (optimizer.state[id(param)]["momentum"].tobytes()
                 == slots["momentum"].tobytes())
+
+
+def test_two_standalone_adapters_keep_their_own_momentum():
+    """Two standalone adapters on one model share its home block, not a
+    momentum block: stepping in turn on numpy, the model and each
+    adapter's momentum buffers stay the bytes of an all-eager twin's."""
+    sides = []
+    for compiled in (True, False):
+        model = _model()
+        adapters = [
+            LDBNAdapt(model, LDBNAdaptConfig(lr=lr, backend="numpy"))
+            for lr in (1e-2, 3e-2)
+        ]
+        sides.append((model, adapters, compiled))
+    images = _images(sides[0][0], 6)
+    for k, image in enumerate(images):
+        for model, adapters, compiled in sides:
+            with nn.adaptation_mode(compiled):
+                assert not adapters[k % 2].adapt(image[None]).refused
+        (served, mine, _), (twin, theirs, _) = sides
+        _assert_same(list(served.state_dict().values()),
+                     list(twin.state_dict().values()), "numpy")
+        for a, b in zip(mine, theirs):
+            _assert_same(_momenta(a), _momenta(b), "numpy")
+    assert not np.shares_memory(mine[0].slots["momentum"],
+                                mine[1].slots["momentum"])

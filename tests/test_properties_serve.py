@@ -655,11 +655,7 @@ class TestMigrationStatePreservation:
         session.swap_out()
         server.workers[0].admission._debt["s0"] = debt
 
-        params = [p.copy() for p in session.bn_state.params.saved]
-        buffers = [
-            {k: np.array(v) for k, v in bufs.items()}
-            for bufs in session.bn_state.buffers
-        ]
+        state, counts = (a.copy() for a in session.bn_state.read())
         optimizer = session.adapter.optimizer
         opt_state = {
             key: {k: np.array(v) for k, v in slot.items()}
@@ -670,11 +666,8 @@ class TestMigrationStatePreservation:
         server._migrate("s0", 0, 1)
 
         assert server.workers[1].sessions["s0"] is session
-        for before, after in zip(params, session.bn_state.params.saved):
-            np.testing.assert_array_equal(before, after)
-        for before, after in zip(buffers, session.bn_state.buffers):
-            for key in before:
-                np.testing.assert_array_equal(before[key], after[key])
+        np.testing.assert_array_equal(state, session.bn_state.state)
+        np.testing.assert_array_equal(counts, session.bn_state.counts)
         assert session.adapter.optimizer is optimizer
         assert set(opt_state) == set(optimizer.state)
         for key, slot in opt_state.items():

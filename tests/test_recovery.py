@@ -240,11 +240,8 @@ class TestCheckpointStore:
         reference, _ = capture_session_state(session)
 
         # vandalize everything the checkpoint protects
-        for saved in session.bn_state.params.saved:
-            saved += 1.0
-        for bufs in session.bn_state.buffers:
-            for arr in bufs.values():
-                arr[...] = arr + 1  # ints (batch counters) included
+        session.bn_state.state[...] += 1.0
+        session.bn_state.counts[...] += 1  # ints (batch counters) included
         session.adapter.optimizer.state.clear()
         session.adapter.clear_pending()
         session.adapter._step += 7
@@ -315,8 +312,7 @@ class TestCheckpointStore:
             good = fh.read()
         # move the live session off the checkpoint, so a partial restore
         # would show
-        for saved in session.bn_state.params.saved:
-            saved += 0.5
+        session.bn_state.state[2:] += 0.5  # gamma/beta
         before, _ = capture_session_state(session)
 
         header_end = _PREFIX.size + _PREFIX.unpack_from(good)[2]
@@ -363,8 +359,7 @@ class TestCheckpointStore:
         assert store.observe(session) == 0  # staged, nothing durable yet
         assert store.staged_writes == 1 and not store.has_checkpoint("s0")
         staged, _ = capture_session_state(session)
-        for saved in session.bn_state.params.saved:
-            saved += 1.0
+        session.bn_state.state[2:] += 1.0  # gamma/beta
         assert store.flush() == 1
         durable, meta = store.load("s0")
         _assert_same_state(durable, staged)
@@ -389,9 +384,15 @@ class TestCheckpointStore:
         v2_meta = dict(meta, schema="repro-session-checkpoint-v2")
         v2_arrays = {k: v for k, v in arrays.items() if not k.startswith("bn.")}
         bn = session.bn_state
-        for i, saved in enumerate(bn.params.saved):
+        spans = bn.layout.spans
+        for i, saved in enumerate(
+            row[a:b] for a, b in spans for row in bn.state[2:]
+        ):
             v2_arrays[f"bn.param.{i}"] = saved
-        for i, bufs in enumerate(bn.buffers):
+        for i, (a, b) in enumerate(spans):
+            bufs = {"running_mean": bn.state[0, a:b],
+                    "running_var": bn.state[1, a:b],
+                    "num_batches_tracked": bn.counts[i:i + 1]}
             for name, arr in bufs.items():
                 v2_arrays[f"bn.buffer.{i}.{name}"] = arr
         blob = bytearray(pack_checkpoint(v2_arrays, v2_meta)[:-_TRAILER.size])
@@ -400,8 +401,7 @@ class TestCheckpointStore:
         blob += _TRAILER.pack(zlib.crc32(blob))
         with open(store.path_for("s0"), "wb") as fh:
             fh.write(bytes(blob))
-        for saved in bn.params.saved:
-            saved += 0.5
+        bn.state[2:] += 0.5  # gamma/beta
         before, _ = capture_session_state(session)
         with pytest.raises(CheckpointCorrupt, match="not a v3"):
             store.restore(session)
@@ -442,7 +442,8 @@ class TestCheckpointStore:
             durable_bytes = fh.read()
         writes, staged = store.writes, store.staged_writes
 
-        session.bn_state.buffers[3]["running_var"][1] = np.nan
+        start, _ = session.bn_state.layout.spans[3]
+        session.bn_state.state[1, start + 1] = np.nan  # layer 3's running_var[1]
         session.frames_seen += 2  # a capture is due
         worker._observe_checkpoints([session], worker.device_free_ms)
         assert (store.writes, store.staged_writes) == (writes, staged)

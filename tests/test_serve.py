@@ -31,6 +31,18 @@ from tick_oracle import run_ticks
 INGEST_LOOPS = (("async", FleetServer.run), ("sync", run_ticks))
 
 
+def _affine(session):
+    """A copy of the gamma/beta rows of the session's BN block."""
+    return session.bn_state.state[2:].copy()
+
+
+def _buffers(session):
+    """Copies of the session's BN block statistics, by buffer name."""
+    state, counts = session.bn_state.read()
+    return {"running_mean": state[0].copy(), "running_var": state[1].copy(),
+            "num_batches_tracked": counts.copy()}
+
+
 def _request(sid, arrival, deadline, index=0):
     return FrameRequest(
         stream_id=sid, frame_index=index, arrival_ms=arrival, deadline_ms=deadline
@@ -201,11 +213,8 @@ class TestBatchedAdaptation:
         def snapshot(sessions):
             return [
                 (
-                    [p.copy() for p in s.bn_state.params.saved],
-                    [
-                        {k: np.array(v) for k, v in bufs.items()}
-                        for bufs in s.bn_state.buffers
-                    ],
+                    [_affine(s)],
+                    [_buffers(s)],
                 )
                 for s in sessions
             ]
@@ -271,7 +280,7 @@ class TestBatchedAdaptation:
             ]
             report = server.run(frames)
             states = [
-                [p.copy() for p in s.bn_state.params.saved] for s in sessions
+                [_affine(s)] for s in sessions
             ]
             return report, states
 
@@ -365,7 +374,7 @@ class TestStreamIsolation:
         """Stream A adapting must not leak into stream B's snapshot."""
         _, a, b = self._two_sessions(trained_tiny_model)
         h, w = trained_tiny_model.config.input_hw
-        baseline = [dict(bufs) for bufs in b.bn_state.buffers]
+        baseline = [_buffers(b)]
 
         a.swap_in()
         for _ in range(3):
@@ -373,12 +382,12 @@ class TestStreamIsolation:
             a.adapter.observe_frame(frame)
         a.swap_out()
 
-        for before, after in zip(baseline, b.bn_state.buffers):
+        for before, after in zip(baseline, [_buffers(b)]):
             np.testing.assert_array_equal(before["running_mean"], after["running_mean"])
         # but A's own snapshot moved
         moved = any(
             np.abs(bufs["running_mean"] - base["running_mean"]).max() > 1e-6
-            for bufs, base in zip(a.bn_state.buffers, baseline)
+            for bufs, base in zip([_buffers(a)], baseline)
         )
         assert moved
 
@@ -452,9 +461,9 @@ class TestStreamIsolation:
         _, a, b = self._two_sessions(trained_tiny_model)
         with per_stream_inference([a, b]):
             assert all(
-                m.per_sample_stats is not None for m in a.bn_state.modules
+                m.per_sample_stats is not None for m in a.bn_state.layout.modules
             )
-        assert all(m.per_sample_stats is None for m in a.bn_state.modules)
+        assert all(m.per_sample_stats is None for m in a.bn_state.layout.modules)
 
 
 class TestFleetConfig:
@@ -557,7 +566,7 @@ class TestFleetServer:
         assert b.adapter.steps_taken == 4
         gap = max(
             np.abs(x["running_mean"] - y["running_mean"]).max()
-            for x, y in zip(a.bn_state.buffers, b.bn_state.buffers)
+            for x, y in zip([_buffers(a)], [_buffers(b)])
         )
         assert gap > 1e-6  # different streams, different adapted stats
 
@@ -714,7 +723,7 @@ class TestAsyncIngest:
                 ],
                 report.batch_sizes,
                 report.adapt_batch_sizes,
-                [[p.copy() for p in s.bn_state.params.saved] for s in sessions],
+                [[_affine(s)] for s in sessions],
             )
         a, s = outputs["async"], outputs["sync"]
         assert a[0] == s[0]
@@ -825,7 +834,7 @@ class TestSlackAdmissionFleet:
             )
             runs[fused] = (
                 report,
-                [[p.copy() for p in s.bn_state.params.saved] for s in sessions],
+                [[_affine(s)] for s in sessions],
             )
         fused_report, fused_states = runs[True]
         serial_report, serial_states = runs[False]
@@ -1255,11 +1264,8 @@ class TestDevicePool:
             4, pins=[0], device_pool=pool, devices=2,
             admission=AdmissionConfig(),
         )
-        params_before = [p.copy() for p in session.bn_state.params.saved]
-        buffers_before = [
-            {k: np.array(v) for k, v in bufs.items()}
-            for bufs in session.bn_state.buffers
-        ]
+        params_before = [_affine(session)]
+        buffers_before = [_buffers(session)]
         opt_state_before = {
             key: {k: np.array(v) for k, v in slot.items()}
             for key, slot in session.adapter.optimizer.state.items()
@@ -1269,9 +1275,9 @@ class TestDevicePool:
         assert server.device_of("s0") == 1
         assert "s0" not in server.workers[0].sessions
         assert server.workers[1].sessions["s0"] is session
-        for before, after in zip(params_before, session.bn_state.params.saved):
+        for before, after in zip(params_before, [_affine(session)]):
             np.testing.assert_array_equal(before, after)
-        for before, after in zip(buffers_before, session.bn_state.buffers):
+        for before, after in zip(buffers_before, [_buffers(session)]):
             for key in before:
                 np.testing.assert_array_equal(before[key], after[key])
         for key, slot in opt_state_before.items():

@@ -46,7 +46,20 @@ def _bn_bytes(model) -> int:
 
 
 def _snapshot_bytes(adapter) -> int:
-    return sum(saved.nbytes for *_, saved in adapter._initial_state)
+    state, counts, params = adapter._initial_state
+    return state.nbytes + counts.nbytes + sum(
+        saved.nbytes for _, saved in params)
+
+
+def _saved(adapter, model) -> set:
+    """``(id(owner), name)`` of every array ``reset()`` restores: a row of
+    the saved BN block stands for that array of every layer."""
+    state, _, params = adapter._initial_state
+    rows = ("running_mean", "running_var", "weight", "bias")[:len(state)]
+    return {
+        (id(m), name) for m in _bn_modules(model)
+        for name in rows + ("num_batches_tracked",)
+    } | {(id(p), "data") for p, _ in params}
 
 
 def _model(preset="small-r18", seed=0):
@@ -69,7 +82,7 @@ class TestAdapterSnapshot:
         adapter = variant(model)
         group = (model.conv_parameters() if variant is ConvAdapt
                  else model.fc_parameters())
-        saved = {(id(owner), name) for owner, name, _ in adapter._initial_state}
+        saved = _saved(adapter, model)
         want = {(id(p), "data") for p in group} | {
             (id(m), name) for m in _bn_modules(model) for name in _BN_BUFFERS
         }
@@ -81,7 +94,7 @@ class TestAdapterSnapshot:
         model = _model("tiny-r18")
         adapter = NoAdapt(model)
         assert not any(p.requires_grad for p in model.parameters())
-        assert {name for _, name, _ in adapter._initial_state} == set(
+        assert {name for _, name in _saved(adapter, model)} == set(
             _BN_BUFFERS)
         assert _snapshot_bytes(adapter) == _buffer_bytes(model)
 
