@@ -49,22 +49,15 @@ _HOMES = weakref.WeakKeyDictionary()  # model -> its home block
 
 class _LaunchFold:
     """The fold buffers of ``n``-sample launches (see
-    :meth:`BNLayout.launch_pairs`)."""
+    :meth:`BNLayout.launch_pairs`): ``stack`` holds its blocks' folds in
+    block column order, and every pair views it at its layer's span."""
 
-    __slots__ = ("order", "stack", "folded", "pairs", "stamps")
+    __slots__ = ("stack", "pairs", "stamps")
 
     def __init__(self, layout: "BNLayout", n: int):
-        index = np.arange(n * layout.channels).reshape(n, -1)
-        self.order = np.concatenate(
-            [index[:, a:b].ravel() for a, b in layout.spans]
-        )
         self.stack = np.empty((2, n, layout.channels))
-        self.folded = np.empty((2, n * layout.channels))
-        self.pairs = [
-            tuple(self.folded[:, n * a:n * b].reshape(2, n, -1))
-            for a, b in layout.spans
-        ]
-        self.stamps: List[int] = []  # the blocks ``folded`` holds
+        self.pairs = [tuple(self.stack[:, :, a:b]) for a, b in layout.spans]
+        self.stamps: List[int] = []  # the blocks ``stack`` holds
 
 
 class BNLayout:
@@ -92,21 +85,19 @@ class BNLayout:
     def launch_pairs(self, blocks) -> list:
         """Layer ``j``'s ``(scale, shift)`` pair of a launch of ``blocks``
         (:class:`BNStateSnapshot` of this layout), each ``(n, c_j)``, row
-        ``i`` from ``blocks[i]``.  The same pair objects every launch of
-        ``n`` blocks; a launch of the blocks the last one of its size
-        had, none written since, moves no byte.  Otherwise each block's
-        fold (refolded only if written) is taken into place."""
+        ``i`` from ``blocks[i]``: the ``spans[j]`` columns of one
+        ``(2, n, C)`` stack of the blocks' folds, rows ``C`` apart.  The
+        same pair objects every launch of ``n`` blocks; a launch of the
+        blocks the last one of its size had, none written since, moves no
+        byte.  Otherwise each block's fold (refolded only if written) is
+        stacked into place."""
         n = len(blocks)
         fold = self._folds.get(n)
         if fold is None:
             fold = self._folds[n] = _LaunchFold(self, n)
         stamps = [block.stamp for block in blocks]
         if stamps != fold.stamps:
-            folds = [block.folded() for block in blocks]
-            source = folds[0] if n == 1 else np.stack(folds, 1, out=fold.stack)
-            # in range by construction; mode="raise" would buffer ``out``
-            np.take(source.reshape(2, -1), fold.order, axis=1,
-                    out=fold.folded, mode="clip")
+            np.stack([block.folded() for block in blocks], 1, out=fold.stack)
             fold.stamps = stamps
         return fold.pairs
 

@@ -30,8 +30,8 @@ renderer offers), and this module holds only what is adaptation-specific:
   numpy step on every backend (labelled ``bwd:update``, never offered to
   a renderer): what a step does with the taps, once per group over the
   whole BN block of the destination :meth:`AdaptationPlan.run` was handed
-  — the group's statistics and gradients taken into block column order
-  with one ``take``, the running statistics blended in with
+  — the group's statistics and gradients, already in block column order:
+  the running statistics blended in with
   :func:`~repro.nn.functional.update_running_stat` on its rows 0:2, one
   SGD-momentum step with :func:`~repro.nn.optim.sgd_update` on rows 2:4
   (:func:`_update_tail`), and nothing when the replay has no
@@ -62,19 +62,24 @@ batch axis is split into G contiguous groups of equal size, every
 BatchNorm normalizes each group with that group's own batch statistics
 and per-group gamma/beta, and the loss is one mean entropy per group.  A
 single grouped replay therefore equals G independent serial adaptation
-steps — one per stream — sharing every GEMM.  At every group count a
-train-mode BN reads gamma/beta from plan-owned ``(G, C)`` float64
-*slots*, and :meth:`AdaptationPlan.run` fills them, every layer and group
-in one gather, from the blocks of its update destinations — the
-blocks the update tail then writes — so a step's reads and writes both
-go where its state lives: a session's BN block in a fleet (a one-stream
-fleet step is a group of one), a standalone adapter's block of the live
-model, captured before the step and written back after it.
+steps — one per stream — sharing every GEMM.
+
+Every BN row the plan reads or writes lies in block column order (the
+model's :class:`~repro.adapt.bn_state.BNLayout`, recorded on the trace):
+the affine slots are one ``(2, G, C)`` float64 buffer, the batch
+statistics and gradients one ``(4, G, C)``, row ``k`` group ``k``'s, and
+a layer's ``(G, c)`` views sit at its span, rows ``C`` apart.  At every
+group count a train-mode BN reads gamma/beta from those slots, and
+:meth:`AdaptationPlan.run` fills them with one stack of its update
+destinations' gamma/beta rows — the blocks the update tail then writes
+from the same columns — so a step's reads and writes both go where its
+state lives: a session's BN block in a fleet (a one-stream fleet step is
+a group of one), or a standalone adapter's, the model's own block that
+its BN modules view.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -148,14 +153,15 @@ def _col2im_into(geo, flat: np.ndarray, part, dtype
 class BNLayerTap:
     """Plan inputs/outputs of one BatchNorm layer, in execution order.
 
-    Every field but ``module`` is a contiguous ``(G, C)`` float64 view
-    into one of two layer-major buffers of the plan (this layer's rows
-    after the layers before it), which the renderer binds like any
-    plan-owned buffer.  ``gamma_slot``/``beta_slot`` are the affine the
-    stages read, at every group count: they start as the module's own
-    values, so the backend parity probe replays a real affine, and
-    :meth:`AdaptationPlan.run` fills row ``k`` of every layer from its
-    ``k``-th update destination in one gather.  After ``run``:
+    Every field but ``module`` is a ``(G, c)`` float64 view of the plan's
+    block-major rows at this layer's span of the model's BN block — row
+    ``k`` group ``k``'s, rows ``C`` apart (see the module docstring) —,
+    which the renderer binds at that row pitch.  ``gamma_slot``/
+    ``beta_slot`` are the affine the stages read, at every group count:
+    they start as the module's own values, so the backend parity probe
+    replays a real affine, and :meth:`AdaptationPlan.run` fills row ``k``
+    of every layer from its ``k``-th update destination in one stack.
+    After ``run``:
 
     * ``grad_gamma``/``grad_beta`` hold the entropy gradients;
     * ``batch_mean``/``batch_var`` hold the per-group batch statistics the
@@ -172,44 +178,6 @@ class BNLayerTap:
     batch_var: np.ndarray
 
 
-class _BlockColumns:
-    """Where a BN block's columns sit in a plan's layer-major tap rows.
-
-    ``columns(layout)`` is ``(gather, take)`` for blocks of ``layout``
-    (:class:`~repro.adapt.bn_state.BNLayout`): ``gather`` picks the slot
-    order out of the G destinations' blocks stacked ``(G, C)`` and
-    flattened, ``take[k]`` picks group ``k``'s columns of the four tap
-    rows, flattened, in block order (a flat ``take`` is the faster one).
-    Built once per layout, held as long as the layout is."""
-
-    def __init__(self, taps: List[BNLayerTap], groups: int):
-        self.taps, self.groups = taps, groups
-        self._of = weakref.WeakKeyDictionary()
-
-    def __call__(self, layout) -> Tuple[np.ndarray, np.ndarray]:
-        found = self._of.get(layout)
-        if found is None:
-            spans = {id(m): span for m, span in zip(layout.modules, layout.spans)}
-            width, groups = layout.channels, self.groups
-            if sorted(id(t.module) for t in self.taps) != sorted(spans):
-                # every layer once, or the indices below are no permutation
-                raise ValueError(
-                    "the destination's BN block and this plan's BN layers "
-                    "differ"
-                )
-            gather = np.concatenate([
-                (np.arange(groups)[:, None] * width
-                 + np.arange(*spans[id(t.module)])).ravel()
-                for t in self.taps
-            ])
-            take = np.empty_like(gather)
-            take[gather] = np.arange(gather.size)
-            take = take.reshape(groups, 1, width) + (
-                np.arange(4)[:, None] * gather.size)
-            found = self._of[layout] = (gather, take.reshape(groups, -1))
-        return found
-
-
 @dataclass(frozen=True)
 class AdaptPlanStats:
     """Introspection summary of a compiled adaptation plan."""
@@ -223,8 +191,8 @@ class AdaptPlanStats:
     workspace_bytes: int  # held alone: padded images (columns are shared)
 
 
-def _update_tail(armed: list, finite: np.ndarray, tap_rows: np.ndarray,
-                 columns: _BlockColumns) -> Callable[[], None]:
+def _update_tail(armed: list, finite: np.ndarray,
+                 tap_rows: np.ndarray) -> Callable[[], None]:
     """The update tail's closure over ``armed[0]``, the per-group
     destinations of the running replay (see :meth:`AdaptationPlan.run`);
     it takes them, so an update is applied once.  A group whose
@@ -232,8 +200,8 @@ def _update_tail(armed: list, finite: np.ndarray, tap_rows: np.ndarray,
 
     Per group this is the epilogue every LD-BN-ADAPT step has always run,
     over the destination's whole BN block: its statistics and gradients
-    (``tap_rows``: batch mean, batch var, grad gamma, grad beta) taken
-    into block column order, the batch counted, the statistics persisted
+    (``tap_rows[:, k]``: batch mean, batch var, grad gamma, grad beta, in
+    block column order), the batch counted, the statistics persisted
     through :func:`~repro.nn.functional.update_running_stat`, gamma and
     beta stepped through :func:`~repro.nn.optim.sgd_update` with the
     destination's momentum block of the optimizer's per-parameter buffers
@@ -241,26 +209,21 @@ def _update_tail(armed: list, finite: np.ndarray, tap_rows: np.ndarray,
     is recomputed before the next launch reads it.  It captures no plan:
     plans stay free of reference cycles.
     """
-    work = np.empty((4, tap_rows.shape[1] // finite.size))
-    rows_flat, work_flat = tap_rows.reshape(-1), work.reshape(-1)
-
     def apply_update() -> None:
         targets = armed[0]
         if targets is None:
             return
         armed[0] = None
-        _, take = columns(targets[0].bn_state.layout)
         for k, target in enumerate(targets):
             if not finite[k]:
                 continue
             block, optimizer = target.bn_state, target.optimizer
-            np.take(rows_flat, take[k], out=work_flat, mode="clip")
             block.counts += 1
-            update_running_stat(block.state[:2], work[:2],
+            update_running_stat(block.state[:2], tap_rows[:2, k],
                                 target.effective_momentum)
             sgd_update(
                 block.state[2:],
-                work[2:],
+                tap_rows[2:, k],
                 target.optimizer_slots(),
                 optimizer.lr,
                 momentum=optimizer.momentum,
@@ -296,7 +259,6 @@ class AdaptationPlan(StaticPlan):
         self._bwd: List[Callable[[], None]] = []
         self._grads: Dict[int, np.ndarray] = {}
         self.bn_taps: List[BNLayerTap] = []
-        self._columns = _BlockColumns(self.bn_taps, groups)
         # per group, after `run`: 1 when its loss came out finite
         self.finite = np.ones(groups, dtype=np.int64)
         # what the running replay's update tail writes to (see `run`)
@@ -434,12 +396,13 @@ class AdaptationPlan(StaticPlan):
 
         # per-node compile-time state shared between fwd and bwd closures
         cells: List[dict] = [dict() for _ in range(num)]
-        # the taps' layer-major rows: the affine slots, and the batch
-        # statistics and gradients (each BN takes its views in order)
-        width = sum(n.module.num_features for n in nodes if n.module is not None)
-        self._affine = np.empty((2, self.groups * width))
-        self._tap_rows = np.empty((4, self.groups * width))
-        self._tap_at = 0
+        # the taps' rows in block column order, group k's in row k: the
+        # affine slots, and the batch statistics and gradients (each BN
+        # views its layer's span)
+        layout = graph.bn_layout
+        self._spans = dict(zip(map(id, layout.modules), layout.spans))
+        self._affine = np.empty((2, self.groups, layout.channels))
+        self._tap_rows = np.empty((4, self.groups, layout.channels))
 
         # -- forward: the shared lowering, buffers per `_out` -------------
         self._ct.emitting = self._fwd
@@ -487,8 +450,10 @@ class AdaptationPlan(StaticPlan):
                 emitted += 1
             self._advance(bwd_pos(index))
         before = len(self._bwd)
-        self._bwd.append(_update_tail(
-            self._update, self.finite, self._tap_rows, self._columns))
+        # a destination's block must be of this layout, every layer tapped
+        self._modules = None if self._spans else layout.modules
+        self._bwd.append(_update_tail(self._update, self.finite,
+                                      self._tap_rows))
         self._label_stages(before, "bwd:update")
 
         self._loss_out = self._fixed[self._loss_vid]
@@ -595,10 +560,12 @@ class AdaptationPlan(StaticPlan):
         # fixed at compile time.  Tiny — (G, C) per BN layer.
         inv_std = np.empty((groups, c), dtype=node.out_dtype)
         inv5 = inv_std.reshape(pshape)
-        at, self._tap_at = self._tap_at, self._tap_at + groups * c
+        span = self._spans.pop(id(module), None)
+        if span is None:
+            raise UnsupportedAdaptGraph("a BN layer runs twice in the step")
+        a, b = span
         gamma_slot, beta_slot, *rows = [
-            buf[at:self._tap_at].reshape(groups, c)
-            for buf in (*self._affine, *self._tap_rows)
+            buf[:, a:b] for buf in (*self._affine, *self._tap_rows)
         ]
         gamma_slot[...], beta_slot[...] = module.weight.data, module.bias.data
         gamma5, beta5 = gamma_slot.reshape(pshape), beta_slot.reshape(pshape)
@@ -908,11 +875,13 @@ class AdaptationPlan(StaticPlan):
         1.0 replaces): a fleet session, or a standalone adapter (its
         block the model's own).  Row k of every gamma/beta slot is filled
         from block k before the forward, and the update tail writes back
-        to it.  Plans are shared between adapters, so a destination is
-        only ever an argument.  A group whose loss is not finite is left
-        untouched.  With no destinations the replay reads what is in the
-        slots — the module's values at compile time, or the last
-        destinations' — and updates nothing.
+        to it; a block of another model's layout (or of one with a layer
+        the step does not reach) is refused before any byte moves.  Plans
+        are shared between adapters, so a destination is only ever an
+        argument.  A group whose loss is not finite is left untouched.
+        With no destinations the replay reads what is in the slots — the
+        module's values at compile time, or the last destinations' — and
+        updates nothing.
         """
         if update is not None and len(update) != self.groups:
             raise ValueError(
@@ -927,14 +896,17 @@ class AdaptationPlan(StaticPlan):
 
     def _begin(self, x: np.ndarray, update: Optional[Sequence] = None) -> None:
         """The replay prologue: the affine slots filled from ``update``'s
-        blocks in one gather (see :meth:`run`), which arms the update tail
-        (``None`` in :meth:`stage_ms`: a timed replay updates nothing)."""
-        self._update[0] = update
+        blocks, their gamma/beta rows stacked as they lie (see
+        :meth:`run`), which arms the update tail (``None`` in
+        :meth:`stage_ms`: a timed replay updates nothing)."""
         if update:
             blocks = [target.bn_state for target in update]
-            gather, _ = self._columns(blocks[0].layout)
-            rows = [block.read()[0][2:] for block in blocks]
-            source = rows[0] if len(rows) == 1 else np.stack(rows, axis=1)
-            np.take(source.reshape(2, -1), gather, axis=1, out=self._affine,
-                    mode="clip")
+            if any(block.layout.modules != self._modules for block in blocks):
+                raise ValueError(
+                    "the destination's BN block and this plan's BN layers "
+                    "differ"
+                )
+            np.stack([block.read()[0][2:] for block in blocks], axis=1,
+                     out=self._affine)
+        self._update[0] = update
         super()._begin(x)

@@ -230,15 +230,23 @@ def _pool_args(geo: PoolLowering, arg: bool) -> bytes:
     )
 
 
-def _bindv(tab: np.ndarray, slot: int, src: np.ndarray, keep: list) -> bool:
-    """Bind a float64 vector pointer to ``src``: in-place mutations
-    (LD-BN-ADAPT's gamma/beta updates) flow through it.  True when ``src``
-    (never, in this repo) needed a conversion copy, held in ``keep``: the
-    binder must run again before every replay so the copy stays fresh."""
-    arr = np.ascontiguousarray(src, dtype=np.float64)
-    tab[slot] = arr.ctypes.data
-    keep[0] = arr
-    return arr is not src
+def _bindv(tab: np.ndarray, slots, srcs, keep: list) -> bool:
+    """Bind float64 pointers ``slots`` to ``srcs``, vectors or rows of
+    them at one pitch (a launch's fold pairs, views of one stack): in-place
+    mutations (LD-BN-ADAPT's gamma/beta updates, a refold) flow through
+    them.  True when they needed conversion copies — all of them, so the
+    pitch stays one —, held in ``keep``: the binder must run again before
+    every replay so the copies stay fresh."""
+    arrs = srcs
+    if len({a.strides for a in srcs}) > 1 or not all(
+        a.dtype == np.float64 and a.strides[-1] == 8 and a.strides[0] % 8 == 0
+        for a in srcs
+    ):
+        arrs = [np.ascontiguousarray(a, dtype=np.float64) for a in srcs]
+    for slot, arr in zip(slots, arrs):
+        tab[slot] = arr.ctypes.data
+    keep[:] = arrs
+    return arrs is not srcs
 
 
 class _Offer:
@@ -526,19 +534,18 @@ class CRenderer:
         )
 
     def _bn_slots(self, module, n: int, c: int, offer: _Offer):
-        """``(slots, eps)`` — the per-sample flag, (scale, shift) and the
-        running (mean, var, gamma, beta) — plus the per-replay binder for
-        the live BN fold vectors."""
+        """``(slots, eps)`` — the per-sample flag and row pitch, (scale,
+        shift) and the running (mean, var, gamma, beta) — plus the
+        per-replay binder for the live BN fold vectors."""
         try:
             eps = float(module.eps)
         except (TypeError, AttributeError):
             return None
-        flag = np.zeros(1, dtype=np.int64)
+        flag = np.zeros(2, dtype=np.int64)
         sflag = self._bind_static(flag)
         slots = [self._slot() for _ in range(6)]  # scale shift mean var g b
-        s_sc, s_sh, s_m, s_v, s_g, s_b = slots
         holder = self._tab_holder
-        keeps = [[None] for _ in slots]
+        keeps = [[], []]  # what the pair and the running vectors bound
 
         def bind(training, ps, mean, var, gamma, beta):
             tab = holder[0]
@@ -555,14 +562,11 @@ class CRenderer:
                         f"per_sample_stats shaped {scale.shape}, "
                         f"expected ({n}, {c})"
                     )
-                flag[0] = 1
-                return (_bindv(tab, s_sc, scale, keeps[0])
-                        | _bindv(tab, s_sh, shift, keeps[1]))
+                copied = _bindv(tab, slots[:2], ps, keeps[0])
+                flag[:] = 1, keeps[0][0].strides[0] // 8
+                return copied
             flag[0] = 0
-            return (_bindv(tab, s_m, mean, keeps[2])
-                    | _bindv(tab, s_v, var, keeps[3])
-                    | _bindv(tab, s_g, gamma, keeps[4])
-                    | _bindv(tab, s_b, beta, keeps[5]))
+            return _bindv(tab, slots[2:], (mean, var, gamma, beta), keeps[1])
 
         offer.bind_on(
             bind, module, "training", "per_sample_stats", "running_mean",
@@ -747,20 +751,25 @@ class CRenderer:
             mt=units >= 2 and self._mt(est_us),
         )
 
-    def _bn_stage(self, offer, spec, kernel, slots, sink, scalar, passes):
-        """Row of a ``bn_train`` / ``bn_bwd`` stage.  Threads own (group,
-        channel) pairs; each pair's sums accumulate in f64 on the vector
-        lanes — deterministic for any nt.  The band tolerance is keyed to
-        the *data* dtype (``tol_dtype``): the f64 tap buffers hold
-        data-dtype statistics whose pairwise-vs-lane difference lives at
-        that scale."""
-        if None in slots:
+    def _bn_stage(self, offer, spec, kernel, slots, rows, sink, scalar,
+                  passes):
+        """Row of a ``bn_train`` / ``bn_bwd`` stage: ``slots``, then
+        ``rows``, its f64 ``(groups, c)`` tap views, bound at the one row
+        pitch they share.  Threads own (group, channel) pairs; each pair's
+        sums accumulate in f64 on the vector lanes — deterministic for any
+        nt.  The band tolerance is keyed to the *data* dtype
+        (``tol_dtype``): the f64 tap buffers hold data-dtype statistics
+        whose pairwise-vs-lane difference lives at that scale."""
+        (kind, (ld, unit)), *other = {(a.dtype, a.strides) for a in rows}
+        if None in slots or other or kind != np.float64 or unit != 8 or ld % 8:
             return None
+        slots += [self._bind_static(a) for a in rows]
         dtype = np.dtype(spec["dtype"])
         groups, gs, c, hw = spec["dims"]
         return self._accept(
             offer, f"{kernel}_{_CTYPE[dtype.name]}", slots,
-            _pack(K.BN_ARGS, groups, gs, c, hw, int(sink), float(scalar)),
+            _pack(K.BN_ARGS, groups, gs, c, hw, ld // 8, int(sink),
+                  float(scalar)),
             mt=self._mt(passes * groups * gs * c * hw / _SWEEP_PER_US),
             tol_dtype=dtype,
         )
@@ -778,11 +787,9 @@ class CRenderer:
             self._fixed_slot(spec["g"], dtype),
             self._fixed_slot(spec["xhat"], dtype),
             self._fixed_slot(spec["inv_std"], dtype),
-            self._fixed_slot(spec["gamma"], np.float64),
-            self._fixed_slot(gg, np.float64),
-            self._fixed_slot(gb, np.float64),
         ]
-        return self._bn_stage(offer, spec, "bn_bwd", slots, dst is not None,
+        return self._bn_stage(offer, spec, "bn_bwd", slots,
+                              [spec["gamma"], gg, gb], dst is not None,
                               spec["m"], 2)
 
     def _try_bn_train(self, spec, fallback):
@@ -804,12 +811,9 @@ class CRenderer:
             self._source_slot(spec["x_src"], dtype, offer),
             self._fixed_slot(xh, dtype),
             self._fixed_slot(inv, dtype),
-            self._fixed_slot(spec["gamma"], np.float64),
-            self._fixed_slot(spec["beta"], np.float64),
-            self._fixed_slot(bm, np.float64),
-            self._fixed_slot(bv, np.float64),
         ]
-        return self._bn_stage(offer, spec, "bn_train", slots, False,
+        return self._bn_stage(offer, spec, "bn_train", slots,
+                              [spec["gamma"], spec["beta"], bm, bv], False,
                               spec["eps"], 3)
 
     def _try_maxpool_bwd(self, spec, fallback):

@@ -135,12 +135,13 @@ typedef struct {{
 }} conv_dims;
 /* store-time epilogue: bias (compute dtype, may be 0) — then the panel
  * kernel stores a stem's pre-BN rows to `rows`, when set — then mode 1 —
- * per-sample folded affine e0=scale e1=shift, rows of f per sample — or
- * mode 2 — running stats e0=mean e1=var e2=gamma e3=beta — then ReLU */
+ * per-sample folded affine e0=scale e1=shift, one row of f per sample,
+ * rows ld apart — or mode 2 — running stats e0=mean e1=var e2=gamma
+ * e3=beta — then ReLU */
 typedef struct {{
     const void* bias; i64 mode;
     const double *e0, *e1, *e2, *e3; double eps; i64 relu;
-    void* rows;
+    void* rows; i64 ld;
 }} conv_epi;
 static inline i64 conv_kt(const conv_dims* D)
 {{
@@ -402,7 +403,7 @@ static void conv_{xt}_{ct}(const {xt}* X, const {ct}* A, {ct}* O,
         const i64 last = uhi - n * per < per ? uhi - n * per : per;
         pad_{xt}_{ct}(X + n * P->c * P->h * P->w, xp, P);
         conv_epi En = *E;
-        if (En.mode == 1) {{ En.e0 += n * D->f; En.e1 += n * D->f; }}
+        if (En.mode == 1) {{ En.e0 += n * En.ld; En.e1 += n * En.ld; }}
         if (En.rows) En.rows = ({ct}*)En.rows + n * D->f * D->ldo;
         for (i64 d = 0, base = 0, at = 0; d < nd; ++d) {{
             const conv_dims* G = D + d;
@@ -530,7 +531,7 @@ static void gemmk_{ct}(const {ct}* restrict A, const {ct}* restrict rows,
         for (i64 s = 0; s < n; ++s) {{
             {ct}* row = res + r * np + s * hw;
             conv_epi En = *E;
-            if (En.mode == 1) {{ En.e0 += s * f; En.e1 += s * f; }}
+            if (En.mode == 1) {{ En.e0 += s * En.ld; En.e1 += s * En.ld; }}
             epi_bias_{ct}(row, hw, f0 + r, &En);
             if (En.rows)  /* a stem: laid out like its (forward) output */
                 memcpy(({ct}*)En.rows + (s * f + f0 + r) * D->ldo, row,
@@ -773,12 +774,14 @@ def _lane_sums(*names: str) -> str:
     return f"        v_double {vecs};\n        double {tails};\n"
 
 
-# the (group, channel) units a thread owns, and where unit u's planes are
+# the (group, channel) units a thread owns, where unit u's planes are and
+# its column r of the f64 rows, a->ld apart
 _BN_UNITS = """\
     OWNED(groups * c, ulo, uhi);
     for (i64 u = ulo, gr = ulo / c, ch = ulo % c; u < uhi; ++u, ++ch) {
         if (ch == c) { ch = 0; ++gr; }
         const i64 first = (gr * gs * c + ch) * hw, step = c * hw;
+        const i64 r = gr * a->ld + ch;
 """
 
 
@@ -815,10 +818,10 @@ KERNEL(bn_train_{ct})
         const {ct} var = ({ct})(lanes_fold(q0, q1, q2, q3, qt) / m);
         const {ct} iv = ({ct})1 / {sqrt}(var + ({ct})eps);
         IS[u] = iv;
-        BM[u] = (double)mean;
-        BV[u] = (double)var;
-        const double ga = GA[u];
-        const double be = BE[u];
+        BM[r] = (double)mean;
+        BV[r] = (double)var;
+        const double ga = GA[r];
+        const double be = BE[r];
         for (i64 s = 0; s < gs; ++s) {{
             {planes}
             {ct}* xh = XH + first + s * step;
@@ -862,10 +865,10 @@ KERNEL(bn_bwd_{ct})
 {_BN_UNITS}{_lane_sums("b", "w")}{grad_pass}\
         const double sg = lanes_fold(b0, b1, b2, b3, bt);
         const double sgx = lanes_fold(w0, w1, w2, w3, wt);
-        GG[u] = sgx;
-        GB[u] = sg;
+        GG[r] = sgx;
+        GB[r] = sg;
         if (!O) continue;
-        const double ga = GA[u];
+        const double ga = GA[r];
         const double sdx = ga * sg, sdxx = ga * sgx;
         const double c0 = (double)IS[u] / m;
         for (i64 s = 0; s < gs; ++s) {{
@@ -886,7 +889,7 @@ ROW_SLOTS = 12  # a stem conv: out, x, weight, bias, 7 BN, its rows
 STAGE_ROW = _struct("kernel mt args slot", slot=(ROW_SLOTS,))
 CONV_ARGS = _struct("P PF DF nd dgrad bias bn relu rows d:eps",
                     P=CONV_PAD, PF=CONV_PAD, DF=CONV_DIMS)  # then nd x CONV_DIMS
-BN_ARGS = _struct("groups gs c hw sink d:scalar")
+BN_ARGS = _struct("groups gs c hw ld sink d:scalar")
 SWEEP_ARGS = _struct("outer len inner flag d:value")
 LINEAR_ARGS = _struct("n fin fout bias relu")
 POOL_ARGS = _struct("nc h w oh ow kh kw sh sw pt pl arg")
@@ -910,9 +913,9 @@ typedef void kernel_sig(char** T, const i64* S, const void* A,
  * conv that conv_small and the small-grid kernels are stated on (P, D[0]
  * again for a forward conv; for `dgrad` the conv whose input gradient
  * this is, acc set to add into the sink).  Slots: out, x, weight, bias
- * (when `bias`), then when `bn` the per-sample flag, its (scale, shift)
- * and the running (mean, var, gamma, beta), and when `rows` (a forward
- * conv) slot 11 the stem's pre-BN rows. */
+ * (when `bias`), then when `bn` the per-sample flag and row pitch, its
+ * (scale, shift) rows and the running (mean, var, gamma, beta), and when
+ * `rows` (a forward conv) slot 11 the stem's pre-BN rows. */
 typedef struct {{
     conv_pad P, PF; conv_dims DF; i64 nd, dgrad, bias, bn, relu, rows;
     double eps;
@@ -921,9 +924,10 @@ typedef struct {{
 /* bn_train (scalar = eps; slots out, x, xhat, inv_std, gamma, beta,
  * batch_mean, batch_var) and bn_bwd (scalar = m, the elements a
  * statistic averaged; slots dst — when `sink` —, g, xhat, inv_std, gamma,
- * grad_gamma, grad_beta) */
+ * grad_gamma, grad_beta).  The f64 slots are (groups, c) rows ld apart
+ * (a layer's span of the plan's block-major rows); inv_std is packed. */
 typedef struct {{
-    i64 groups, gs, c, hw, sink; double scalar;
+    i64 groups, gs, c, hw, ld, sink; double scalar;
 }} bn_args;
 /* What the sweeps take: an (outer, len, inner) block — flat stages
  * `outer` elements with len = inner = 1 —, one flag (accumulate into the
@@ -956,12 +960,14 @@ KERNEL(conv_{xt}_{ct})
     const {ct}* w = (const {ct}*)T[S[2]];
     {ct}* o = ({ct}*)T[S[0]];
     conv_epi E = {{a->bias ? T[S[3]] : 0, 0, 0, 0, 0, 0, a->eps, a->relu,
-                  a->rows ? T[S[11]] : 0}};
+                  a->rows ? T[S[11]] : 0, 0}};
     if (a->bn) {{
-        /* the fleet's per-sample folded affine when installed, else the
-         * live running statistics (see epi_fold_<ct>) */
-        const int folded = *(const i64*)T[S[4]] != 0;
+        /* the fleet's per-sample folded affine when installed, its rows
+         * ld apart, else the live running statistics (see epi_fold_<ct>) */
+        const i64* ps = (const i64*)T[S[4]];
+        const int folded = ps[0] != 0;
         E.mode = folded ? 1 : 2;
+        E.ld = ps[1];
         E.e0 = (const double*)T[S[folded ? 5 : 7]];
         E.e1 = (const double*)T[S[folded ? 6 : 8]];
         E.e2 = folded ? 0 : (const double*)T[S[9]];

@@ -88,6 +88,10 @@ class TraceGraph:
     output_vid: int
     input_shape: Tuple[int, ...]
     input_dtype: np.dtype
+    # an entropy step's: the model's BN layers as one block
+    # (:class:`~repro.adapt.bn_state.BNLayout`), whose columns the plan's
+    # BN rows take
+    bn_layout: Any = None
     # traced tensors by vid, kept alive while recording so id()-based
     # vids stay unambiguous; a plan releases them (see `release`)
     _keepalive: List[Optional[Tensor]] = field(default_factory=list,
@@ -213,11 +217,15 @@ def trace_entropy_step(model, example: np.ndarray, loss_fn) -> TraceGraph:
 
     The trace forward itself is side-effect free: the running-statistics
     buffers and ``num_batches_tracked`` counters the training forward
-    mutates are snapshotted before and restored after.
+    mutates are snapshotted before and restored after.  The graph records
+    the model's :class:`~repro.adapt.bn_state.BNLayout` (``bn_layout``),
+    whose first making points the BN arrays at the model's home block,
+    values unchanged.
     """
-    bn_modules = [m for m in model.modules() if isinstance(m, _BatchNormBase)]
-    if not bn_modules:
-        raise ValueError("model has no BatchNorm layers; nothing to adapt")
+    from ..adapt.bn_state import BNLayout  # adapt imports the engine
+
+    layout = BNLayout(model)  # raises with no BN layer to adapt
+    bn_modules = layout.modules
     saved_buffers = [
         {
             name: np.array(getattr(m, name))
@@ -229,9 +237,11 @@ def trace_entropy_step(model, example: np.ndarray, loss_fn) -> TraceGraph:
     for module in bn_modules:
         object.__setattr__(module, "training", True)
     try:
-        return _record_forward(
+        graph = _record_forward(
             np.asarray(example), lambda x: loss_fn(model(x)), True
         )
+        graph.bn_layout = layout
+        return graph
     finally:
         for module, training in zip(bn_modules, saved_training):
             object.__setattr__(module, "training", training)

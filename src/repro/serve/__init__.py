@@ -32,8 +32,8 @@ Architecture
   Everything LD-BN-ADAPT touches (BN running statistics, gamma/beta,
   optimizer momentum) lives in a :class:`StreamSession`, its BN state
   one flat block (:class:`~repro.adapt.bn_state.BNStateSnapshot`) that
-  every compiled step reads with one gather and updates with one block
-  formula, its momentum buffers views of one block beside it;
+  whose gamma/beta rows every compiled step stacks into its slots as
+  they lie and updates with one block formula, its momentum buffers views of one block beside it;
   ``swap_in``/``swap_out`` copy it into the model's own block (which its
   BN modules view) and back only for a step no plan of the pool's
   takes, and when a vehicle's run ends.

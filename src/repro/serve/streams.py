@@ -30,8 +30,9 @@ values and optimizer momentum.  This module keeps those states separate:
   bitwise-independent normalization.  The fold is part of the session's
   block, recomputed only after a writer (the compiled update tail,
   ``swap_out``, the drift and checkpoint restores) marked the block
-  written, and taken into fixed per-launch buffers only when the
-  launch's sessions or their blocks changed.
+  written, and stacked into a fixed per-launch buffer, which every
+  layer's pair views, only when the launch's sessions or their blocks
+  changed.
 """
 
 from __future__ import annotations

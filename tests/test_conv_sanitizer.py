@@ -18,8 +18,9 @@ outside a buffer, misaligned table or signed overflow aborts it.
 The same ``main`` runs the kernels that walk planes a vector at a time:
 ``bn_train`` / ``bn_bwd`` (f64 lane accumulators loaded at any element
 boundary, a scalar remainder that must stop at the plane's end) over
-planes of 1 to 77 elements, one and two groups, both data dtypes, and the
-geometry-walked max-pool at odd sizes.  Every buffer starts one element
+planes of 1 to 77 elements, one and two groups, both data dtypes, their
+f64 rows packed or, as a plan's tap views are, a span of wider
+``(groups, C)`` rows, and the geometry-walked max-pool at odd sizes.  Every buffer starts one element
 past its heap block's start — no vector load may assume more alignment
 than its element type has — and ends where the block ends.
 
@@ -35,7 +36,11 @@ index are exercised at 32 and at 64 bytes.
 
 A BN + ReLU stem over the plan input rides the same table, per dtype
 pair: the conv epilogue with bias and the live running statistics, and
-the panel kernel's second store of the stem's pre-BN rows.
+the panel kernel's second store of the stem's pre-BN rows.  So does a
+stem under a two-sample launch's per-sample folds, on the panel kernel
+and on ``convk_*``: each sample's ``(scale, shift)`` row a span of a
+wider row, as a launch's pairs are.  Every buffer's heap block covers
+exactly the elements its strides reach.
 
 The sanitized executables are cached beside the kernel library
 (``<cache>/sanitizer/harness-<digest>``), keyed by the compiler, its
@@ -48,6 +53,7 @@ Loud skip when the host has no compiler or no sanitizer runtime.
 import hashlib
 import os
 import subprocess
+from itertools import product
 
 import numpy as np
 import pytest
@@ -159,10 +165,12 @@ def _render(renderer):
                     accumulate=accumulate,
                 ))
 
-    # planes below, at and off every multiple of the 4- and 8-lane loops
-    for hw, groups, dtype in [
-        (hw, groups, dtype) for hw in (1, 3, 7, 9, 15, 31, 33, 65, 77)
+    # planes below, at and off every multiple of the 4- and 8-lane loops;
+    # the f64 rows packed, or a span of wider rows (pitch 8 > c)
+    for hw, groups, dtype, pitch in [
+        (hw, groups, dtype, pitch) for hw in (1, 3, 7, 9, 15, 31, 33, 65, 77)
         for groups in (1, 2) for dtype in (np.float32, np.float64)
+        for pitch in (3, 8)
     ]:
         gs, c = 2, 3
         shape = (groups * gs, c, 1, hw)
@@ -170,8 +178,12 @@ def _render(renderer):
             rng.standard_normal(shape).astype(dtype) for _ in range(5)
         )
         inv_std = np.ones((groups, c), dtype=dtype)
-        taps = [np.zeros((groups, c)) for _ in range(4)]
-        gamma, beta = np.ones((groups, c)), np.zeros((groups, c))
+        # (groups, c) f64 rows: the last c of rows `pitch` long
+        taps, gamma, beta = (
+            [np.zeros((groups, pitch))[:, pitch - c:] for _ in range(4)],
+            np.ones((groups, pitch))[:, pitch - c:],
+            np.zeros((groups, pitch))[:, pitch - c:],
+        )
         keep += [x, out, xhat, g, dst, inv_std, gamma, beta] + taps
         dims = (groups, gs, c, hw)
         offered("bn_train", dict(
@@ -232,7 +244,40 @@ def _render(renderer):
             arr for _, arr in renderer._static[first:]
             if arr.dtype == np.int64
         ]
+
+    # a stem under a two-sample launch's per-sample folds, on the panel
+    # kernel (9x13) and on convk (1x3): each sample's (scale, shift) row
+    # the span 1:1+f of a row f + 4 long, as a launch's pairs are
+    for (h, w), (xd, cd) in product(((9, 13), (1, 3)), (
+            (np.float32, np.float64), (np.float32, np.float32))):
+        c, f, batch = 3, 5, 2
+        weight = nn.Parameter(rng.standard_normal((f, c, 3, 3)).astype(cd))
+        bn = nn.BatchNorm2d(f)
+        bn.eval()
+        stack = rng.uniform(0.5, 1.5, (2, batch, f + 4))
+        bn.per_sample_stats = tuple(stack[:, :, 1:1 + f])
+        first = len(renderer._static)
+        geo = lower_conv((batch, c, h, w), (f, c, 3, 3), (1, 1), (1, 1),
+                         cd, xd)
+        out3 = np.empty((batch, f, geo.p_total), dtype=cd)
+        keep += [weight, out3, *bn.per_sample_stats]
+        offered("conv", dict(
+            geo=geo, weight=weight, bias=None, out3=out3,
+            x_src=("input", None), relu=True, bn_module=bn,
+        ))
+        # the fold flag reads 1 and the pitch f + 4, once bound
+        contents += [
+            arr for _, arr in renderer._static[first:]
+            if arr.dtype == np.int64
+        ]
     return needs, keep, contents
+
+
+def _extent(arr):
+    """The bytes ``arr``'s (non-negative) strides reach."""
+    return arr.itemsize + sum(
+        (n - 1) * step for n, step in zip(arr.shape, arr.strides)
+    ) if arr.size else 0
 
 
 def bound_table(renderer):
@@ -253,7 +298,7 @@ def _c_array(values):
 
 def _harness_source(renderer, needs, keep, contents):
     """The library as one unit plus a ``main`` that copies every bound
-    buffer into an exact-size heap block and runs each row of the
+    buffer into a heap block of exactly its extent and runs each row of the
     renderer's table as both threads of a 2-wide pool — every thread on a
     scratch block of exactly the stage's reserve (stride 0: whichever
     ``tid`` runs finds it at ``POOL_SCR(tid)``).  Buffers hold 0x3c
@@ -261,11 +306,12 @@ def _harness_source(renderer, needs, keep, contents):
     tab = bound_table(renderer)
     # slot -> (bytes, element bytes): plan-owned buffers by identity,
     # parameters by address (an entry nothing is bound to: no block)
-    sizes = {slot: (arr.nbytes, arr.itemsize) for slot, arr in renderer._static}
+    sizes = {slot: (_extent(arr), arr.itemsize)
+             for slot, arr in renderer._static}
     by_address = {0: (0, 0)}
     for held in keep:
         data = held.data if isinstance(held, nn.Tensor) else held
-        by_address[data.ctypes.data] = (data.nbytes, data.itemsize)
+        by_address[data.ctypes.data] = (_extent(data), data.itemsize)
     for slot in range(1, renderer._nslots):
         if slot not in sizes:
             sizes[slot] = by_address[int(tab[slot])]
