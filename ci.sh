@@ -139,7 +139,8 @@ meter ""
 # cgen program digests), beside the parent commit's, then the memory line
 # of benchmarks/stream_memory.py (traced compile high-water of the
 # small-r18 batch-4 inference and group-2 adaptation plans, the bytes one
-# add_stream retains): this checkout's scripts over both trees (the
+# add_stream retains and one more stream after its first compiled step
+# retains): this checkout's scripts over both trees (the
 # parent's src/ extracted to a temporary tree); printed only
 python benchmarks/byte_digest.py | tail -n 3 | sed 's/^/byte digest: /'
 parent_tree=$(mktemp -d)

@@ -63,6 +63,7 @@ class Adapter(abc.ABC):
 
     name: str = "adapter"
     config = None  # subclasses with hyper-parameters set a config object
+    optimizer = None  # subclasses that descend set an nn.SGD
 
     def __init__(self, model: nn.Module, trainable: Iterable[nn.Parameter] = ()):
         self.model = model
@@ -213,16 +214,24 @@ class Adapter(abc.ABC):
     def reset(self) -> None:
         """Restore what this adapter adapts — its trainable parameters and
         the BN running statistics — to their values at construction, and
-        forget its steps and buffered frames.  Frozen parameters are not
-        copied: no step of this adapter writes them."""
+        forget its momentum, steps and buffered frames.  Frozen parameters
+        are not copied: no step of this adapter writes them."""
         state, counts, params = self._initial_state
         self.bn_state.write(state, counts)
         for param, saved in params:
             param.data[...] = saved
+        self.forget_momentum()
         self._step = 0
         self.refused_steps = 0
         self.rejected_frames = 0
         self.clear_pending()
+
+    def forget_momentum(self) -> None:
+        """Drop the optimizer's momentum (nothing without an optimizer),
+        so the next step starts afresh: a reset, a drift reset or a
+        checkpoint restore."""
+        if self.optimizer is not None:
+            self.optimizer.state.clear()
 
     @property
     def steps_taken(self) -> int:

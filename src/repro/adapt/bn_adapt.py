@@ -38,10 +38,11 @@ Implementation notes
   fleet hands the plan its sessions' blocks, a standalone adapter the
   model's home block (``LDBNAdapt.bn_state``), which the model's BN
   modules view, so the step writes the model with no copy around it.
-  The momentum buffers stay per parameter in ``optimizer.state`` —
-  views of one block per adapter (:meth:`LDBNAdapt.optimizer_slots`),
-  re-adopted when ``reset()``, a checkpoint or an eager step replaced
-  them — so checkpoints, drift resets and eager steps see them.  A step
+  The momentum is one ``(2, C)`` block per adapter (``slots``), built
+  at construction; each parameter's ``optimizer.state`` buffer is its
+  span view for good, so an eager step, a checkpoint restore and
+  :meth:`~repro.adapt.base.Adapter.forget_momentum` (``reset()``, a
+  drift reset) all write the block in place.  A step
   whose loss is not finite writes nothing: the tail refuses it, and
   :attr:`~repro.adapt.base.Adapter.refused_steps` counts it.
 * A served frame's stem conv runs once.  The serving loops hand
@@ -59,7 +60,6 @@ Implementation notes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import is_
 from typing import Optional
 
 import numpy as np
@@ -70,8 +70,6 @@ from ..engine.backends import available_backends, resolve_backend
 from .base import AdaptResult, Adapter, freeze_except, set_bn_training
 from .bn_state import BNLayout
 from .entropy import entropy_loss
-
-_EMPTY: dict = {}
 
 
 @dataclass(frozen=True)
@@ -157,8 +155,17 @@ class LDBNAdapt(Adapter):
         # the input kinds (``from_stem`` flags) the graph cannot be
         # lowered from: a step fed that kind stays eager
         self._compiled_unsupported = set()
-        # sgd_update's state for the gamma/beta rows (see optimizer_slots)
+        # sgd_update's state for a BN block's gamma/beta rows: "work" and,
+        # with momentum, "momentum", a (2, C) block whose row spans are
+        # the optimizer's per-parameter momentum buffers
         self.slots = {}
+        if self.optimizer.momentum:
+            layout = self.bn_state.layout
+            block = self.slots["momentum"] = np.empty((2, layout.channels))
+            views = [row[a:b] for a, b in layout.spans for row in block]
+            for param, view in zip(self._params, views):
+                self.optimizer.state[id(param)] = {"momentum": view}
+            self.forget_momentum()
 
     # ------------------------------------------------------------------
     @property
@@ -211,41 +218,14 @@ class LDBNAdapt(Adapter):
             self._compiled_unsupported.add(from_stem)
             return None
 
-    def optimizer_slots(self) -> dict:
-        """:func:`~repro.nn.optim.sgd_update`'s state for a BN block's
-        gamma/beta rows under this adapter's optimizer, whichever block it
-        steps: ``"work"`` and, with momentum, ``"momentum"`` — a ``(2, C)``
-        block whose row spans are the optimizer's momentum buffers.
-
-        A buffer that is not a view of the block (``reset()`` cleared it,
-        a checkpoint restore or an eager first step made a new one) is
-        adopted: copied in, and its entry pointed at the view.  A missing
-        one is adopted as the zero whose product with the momentum is
-        ``-0.0``, the identity of the blend, so ``-0.0 + grad`` is the
-        per-parameter first step's ``grad`` bit for bit."""
-        slots, optimizer = self.slots, self.optimizer
-        if not optimizer.momentum:
-            return slots
-        block, layout = slots.get("momentum"), self.bn_state.layout
-        if block is None:
-            block = slots["momentum"] = np.empty((2, layout.channels))
-            self._momentum_views = [
-                row[a:b] for a, b in layout.spans for row in block
-            ]
-        state = optimizer.state
-        if all(map(is_, [state.get(id(p), _EMPTY).get("momentum")
-                         for p in self._params], self._momentum_views)):
-            return slots
-        for param, view in zip(self._params, self._momentum_views):
-            entry = state.setdefault(id(param), {})
-            held = entry.get("momentum")
-            if held is not view:
-                view[...] = (
-                    np.copysign(0.0, -optimizer.momentum) if held is None
-                    else held
-                )
-                entry["momentum"] = view
-        return slots
+    def forget_momentum(self) -> None:
+        """Refill the momentum block with the zero whose product with the
+        momentum is ``-0.0``, the identity of the blend, so the next step
+        leaves ``-0.0 + grad``: the per-parameter first step's ``grad``
+        bit for bit."""
+        block = self.slots.get("momentum")
+        if block is not None:
+            block[...] = np.copysign(0.0, -self.optimizer.momentum)
 
     def record_step(self, loss: float, num_frames: int,
                     refused: bool = False) -> AdaptResult:
@@ -334,7 +314,3 @@ class LDBNAdapt(Adapter):
     # bench-e2e's ``adapt.observe`` span patches this name in
     # ``LDBNAdapt.__dict__``, so the inherited method is bound here too
     observe_frame = Adapter.observe_frame
-
-    def reset(self) -> None:
-        super().reset()
-        self.optimizer.state.clear()

@@ -85,10 +85,6 @@ class _GroupAdapter(Adapter):
             step_index=self._step,
         )
 
-    def reset(self) -> None:
-        super().reset()
-        self.optimizer.state.clear()
-
 
 class ConvAdapt(_GroupAdapter):
     """Entropy adaptation of all convolution weights (ablation)."""

@@ -203,10 +203,10 @@ def _update_tail(armed: list, finite: np.ndarray,
     (``tap_rows[:, k]``: batch mean, batch var, grad gamma, grad beta, in
     block column order), the batch counted, the statistics persisted
     through :func:`~repro.nn.functional.update_running_stat`, gamma and
-    beta stepped through :func:`~repro.nn.optim.sgd_update` with the
-    destination's momentum block of the optimizer's per-parameter buffers
-    (``optimizer_slots()``), and the block marked written, so its eval fold
-    is recomputed before the next launch reads it.  It captures no plan:
+    beta stepped through :func:`~repro.nn.optim.sgd_update` on the
+    destination's ``slots`` (its momentum block, which the optimizer's
+    per-parameter buffers view), and the block marked written, so its eval
+    fold is recomputed before the next launch reads it.  It captures no plan:
     plans stay free of reference cycles.
     """
     def apply_update() -> None:
@@ -224,7 +224,7 @@ def _update_tail(armed: list, finite: np.ndarray,
             sgd_update(
                 block.state[2:],
                 tap_rows[2:, k],
-                target.optimizer_slots(),
+                target.slots,
                 optimizer.lr,
                 momentum=optimizer.momentum,
                 weight_decay=optimizer.weight_decay,
@@ -870,7 +870,7 @@ class AdaptationPlan(StaticPlan):
         each with ``bn_state`` — its BN block, a
         :class:`~repro.adapt.bn_state.BNStateSnapshot` (all of one
         layout) —, ``optimizer`` (an :class:`~repro.nn.SGD`),
-        ``optimizer_slots()`` (its momentum block) and
+        ``slots`` (its momentum block, in place) and
         ``effective_momentum`` (what the running statistics blend with;
         1.0 replaces): a fleet session, or a standalone adapter (its
         block the model's own).  Row k of every gamma/beta slot is filled

@@ -47,9 +47,6 @@ class ConstRef:
 
     tensor: Tensor
 
-    def fetch(self) -> np.ndarray:
-        return self.tensor.data
-
 
 @dataclass
 class OpNode:
@@ -72,12 +69,6 @@ class OpNode:
     module: Optional[_BatchNormBase] = None
     train_bn: bool = False
 
-    @property
-    def kind(self) -> str:
-        if self.module is not None:
-            return "bn"
-        return self.function.__name__.lstrip("_").lower()
-
 
 @dataclass
 class TraceGraph:
@@ -96,10 +87,6 @@ class TraceGraph:
     # vids stay unambiguous; a plan releases them (see `release`)
     _keepalive: List[Optional[Tensor]] = field(default_factory=list,
                                                repr=False)
-
-    @property
-    def num_ops(self) -> int:
-        return len(self.nodes)
 
     def release(self, keep: Optional[int] = None) -> None:
         """Drop every traced activation but value ``keep``'s.  No lowering

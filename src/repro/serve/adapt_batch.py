@@ -12,7 +12,7 @@ same-key streams, K = 1 included:
 * each BatchNorm normalizes each group with that group's own batch
   statistics and that stream's own gamma/beta, which
   :meth:`~repro.engine.AdaptationPlan.run` gathers from the sessions'
-  blocks, the destinations it is handed, in one ``take``;
+  blocks, the destinations it is handed, in one ``np.stack``;
 * the plan returns one loss per stream, and its update tail applies
   every stream's running-statistics refresh and SGD step to that
   stream's whole block at once (the momentum buffers views of one block
@@ -118,11 +118,6 @@ class FleetAdaptationBatcher:
         )
         self._unsupported = False
         self._fused_proven = False  # a stage of 2+ streams has succeeded
-
-    @property
-    def unsupported(self) -> bool:
-        """True once a stage attempt found the graph unlowerable."""
-        return self._unsupported
 
     @property
     def fuse_billable(self) -> bool:

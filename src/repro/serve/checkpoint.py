@@ -335,9 +335,10 @@ def restore_session_state(
     """Write a captured state back into ``session``; returns admission state.
 
     Restores the BN block (one block copy, which marks it written, so
-    its fold is recomputed), optimizer
-    slots (stale slots for checkpointed-empty parameters are dropped),
-    the adapter's pending-frame buffer and step index.  With
+    its fold is recomputed), the optimizer slots (the adapter forgets its
+    momentum, then each saved slot is written into the buffer the
+    optimizer holds, or kept as a copy where it holds none), the
+    adapter's pending-frame buffer and step index.  With
     ``counters=True`` the serving counters and arrival cursor are
     restored too — that is a *cold* restore resuming a stream from
     scratch; live crash recovery keeps the session's counters (frames
@@ -361,14 +362,18 @@ def restore_session_state(
     session.bn_state.write(arrays["bn.state"], arrays["bn.counts"])
     optimizer = getattr(session.adapter, "optimizer", None)
     if optimizer is not None:
-        for param in optimizer.params:
-            optimizer.state.pop(id(param), None)
+        session.adapter.forget_momentum()
         # one pass over the manifest: ``opt.<j>.<slot>`` keys by parameter
         for key, value in arrays.items():
             if key.startswith("opt."):
                 _, j, slot = key.split(".", 2)
                 slots = optimizer.state.setdefault(id(optimizer.params[int(j)]), {})
-                slots[slot] = int(value) if slot == "step" else value.copy()
+                if slot == "step":
+                    slots[slot] = int(value)
+                elif slot in slots:
+                    slots[slot][...] = value
+                else:
+                    slots[slot] = value.copy()
     session.adapter.restore_pending([
         arrays[f"adapt.buffer.{k}"]
         for k in range(int(meta.get("adapt_pending", 0)))

@@ -20,8 +20,8 @@ closes that gap:
   domain signature (:func:`repro.adapt.kmeans.frame_signature`), so a
   *recurring* shift (tunnel exits, fog lifting) restores the matching
   regime instantly instead of re-learning it;
-* the optimizer slots and the adapter's pending-frame buffer are
-  cleared (momentum from the dead regime must not steer the new one),
+* the adapter forgets its momentum and its pending-frame buffer
+  (momentum from the dead regime must not steer the new one),
   the adaptation phase is re-aligned so the very next frame is due —
   recovery does not wait out the stride stagger — and a short
   every-frame adaptation burst re-estimates the new regime's BN
@@ -206,7 +206,7 @@ class SessionDriftState:
             session.bn_state.write(*self.source)
         # momentum/buffered frames from the dead regime must not steer
         # the new one
-        session.adapter.optimizer.state.clear()
+        session.adapter.forget_momentum()
         session.adapter.clear_pending()
         # re-align the stagger so the next frame is due for adaptation,
         # and open a short every-frame burst: recovery must not wait out

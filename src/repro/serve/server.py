@@ -362,12 +362,13 @@ class FleetServer:
         stream beside it is refused, in either order.
 
         A stream costs a few copies of the model's BN state, not of the
-        model: the session's BN block and its adapter's reset copy (an
+        model: the session's BN block, its adapter's reset copy (an
         :class:`~repro.adapt.base.Adapter` copies only what it can
-        write), plus per-array headers — on ``small-r18`` one
-        ``add_stream`` retains ~115 kB against 38.6 kB of BN state, where
-        the whole model is 8.7 MB.  The adaptation plans are the pool's,
-        shared by every stream that inherits its step.
+        write) and momentum block, plus per-array headers — on
+        ``small-r18`` one ``add_stream`` retains ~131 kB against 38.6 kB
+        of BN state, where the whole model is 8.7 MB.  The adaptation
+        plans are the pool's, shared by every stream that inherits its
+        step.
 
         Without an explicit ``arrival`` model the stream gets the fleet
         default: phase offset ``i * phase_spread_ms`` for the *i*-th

@@ -240,8 +240,9 @@ class StreamSession:
     def effective_momentum(self) -> float:
         return self.adapter.effective_momentum
 
-    def optimizer_slots(self) -> dict:
-        return self.adapter.optimizer_slots()
+    @property
+    def slots(self) -> dict:
+        return self.adapter.slots
 
     def record(
         self,

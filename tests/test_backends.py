@@ -17,6 +17,7 @@ config-level backend validation in the serving and pipeline layers.
 
 import ctypes
 import gc
+import operator
 import os
 import shutil
 import subprocess
@@ -2203,6 +2204,11 @@ def _adapter_state(adapter):
     return {key: np.array(value) for key, value in state.items()}
 
 
+def _momenta(adapter):
+    return [adapter.optimizer.state[id(p)]["momentum"]
+            for p in adapter.optimizer.params]
+
+
 def _assert_states_close(got, want):
     assert got.keys() == want.keys()
     for key in want:
@@ -2307,19 +2313,24 @@ class TestOneUpdateTail:
             for key, value in model.state_dict().items():
                 assert value.tobytes() == before[key].tobytes(), (backend, key)
 
-    def test_reset_then_a_step_adopts_fresh_buffers(self, monkeypatch):
+    def test_reset_then_a_step_keeps_the_block_views(self, monkeypatch):
+        """``reset()`` refills the momentum block with the blend's
+        identity in place: every buffer stays the view it was, and the
+        steps after it stay in step."""
         run = _TailRun(monkeypatch)
         run.step(3)
         for _, adapter in run:
+            buffers = _momenta(adapter)
             adapter.reset()
-            assert adapter.optimizer.state == {}
+            block = adapter.slots["momentum"]
+            assert (np.signbit(block) & (block == 0)).all()
+            assert all(map(operator.is_, _momenta(adapter), buffers))
         run.step(3)
         run.assert_in_step()
         for _, adapter in run:
             block = adapter.slots["momentum"]
-            for param in adapter.optimizer.params:
-                assert np.shares_memory(
-                    adapter.optimizer.state[id(param)]["momentum"], block)
+            for buf in _momenta(adapter):
+                assert np.shares_memory(buf, block)
 
     def test_a_rebound_param_is_seen(self, monkeypatch):
         """A standalone step captures the live model: a rebound
@@ -2361,9 +2372,8 @@ class TestOneUpdateTail:
         alternating over one shared plan, per-stream lr / momentum /
         stats mode.  Snapshots and momentum buffers track a numpy
         batcher's; a checkpoint taken after a tail step restores
-        ``tobytes``-equal, and the step after it (restored buffers are
-        new arrays, adopted back into the block) still lands beside
-        numpy's."""
+        ``tobytes``-equal, and the step after it (the restore wrote the
+        saved buffers into the block) still lands beside numpy's."""
         from repro.serve import capture_session_state, restore_session_state
         from repro.serve.adapt_batch import FleetAdaptationBatcher
         from repro.serve.streams import StreamRegistry
@@ -3161,9 +3171,9 @@ class TestBindOnChange:
             assert twins.frame() == 0
 
     def test_reset_and_a_checkpoint_restore_are_seen(self, monkeypatch):
-        """Both replace the momentum buffers (and write the model in
-        place): the tail's rows are refilled by the next armed replay,
-        without one binder closure."""
+        """Both write the momentum block and the model in place: every
+        momentum buffer stays the object it was, and the tail's rows are
+        refilled by the next armed replay, without one binder closure."""
         from repro.serve import capture_session_state, restore_session_state
 
         twins = _ServedTwins(monkeypatch)
@@ -3179,15 +3189,10 @@ class TestBindOnChange:
             taken[id(session)] = capture_session_state(session)
 
         def restore(model, adapter, session):
-            buffers = [
-                slots["momentum"] for slots in adapter.optimizer.state.values()
-            ]
+            buffers = _momenta(adapter)
             restore_session_state(session, *taken[id(session)])
             session.swap_in()
-            assert all(
-                slots["momentum"] is not old for slots, old in
-                zip(adapter.optimizer.state.values(), buffers)
-            )
+            assert all(map(operator.is_, _momenta(adapter), buffers))
 
         twins.each(capture)
         for _ in range(2):

@@ -126,7 +126,7 @@ def test_a_destination_of_another_model_is_refused(backend):
     foreign = LDBNAdapt(other, LDBNAdaptConfig(lr=1e-2, momentum=0.9))
     foreign.adapt(x)  # momentum buffers to watch
     block = foreign.bn_state
-    momentum = foreign.optimizer_slots()["momentum"]
+    momentum = foreign.slots["momentum"]
 
     def held():
         return [a.tobytes() for a in (block.state, block.counts, momentum,

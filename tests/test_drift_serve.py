@@ -7,7 +7,7 @@ The acceptance claims under test:
   without the detector: observation feeds on the forward pass the batch
   already paid for and never perturbs serving;
 * an abrupt scenario shift raises an alarm and triggers an adaptation
-  reset (BN re-init, optimizer slots cleared, stagger re-aligned, burst
+  reset (BN re-init, momentum forgotten, stagger re-aligned, burst
   opened), and a *recurring* regime is warm-started from the cluster
   bank rather than from source;
 * the per-session drift state (detector vector, regime signature,
@@ -22,7 +22,7 @@ The acceptance claims under test:
 import numpy as np
 import pytest
 
-from repro.adapt import LDBNAdaptConfig
+from repro.adapt import LDBNAdaptConfig, NoAdapt
 from repro.data import ScenarioStream, get_scenario
 from repro.experiments.bench_serve import per_stream_outputs
 from repro.hw import ORIN_POWER_MODES
@@ -54,7 +54,8 @@ def _scenario_frames(name, ticks, stream_id="s0", seed=77):
     )
 
 
-def _serve(model, pristine, name, ticks, drift, streams=1, **cfg):
+def _serve(model, pristine, name, ticks, drift, streams=1, adapter=None,
+           **cfg):
     model.load_state_dict(pristine)
     server = FleetServer(
         model,
@@ -66,9 +67,9 @@ def _serve(model, pristine, name, ticks, drift, streams=1, **cfg):
     )
     for i in range(streams):
         frames = _scenario_frames(name, ticks, stream_id=f"s{i}")
-        server.add_stream(
-            f"s{i}", iter(frames), adapter_config=LDBNAdaptConfig(lr=1e-3)
-        )
+        server.add_stream(f"s{i}", iter(frames), **(
+            {"adapter": adapter(model)} if adapter
+            else {"adapter_config": LDBNAdaptConfig(lr=1e-3)}))
     return server.run(ticks), server
 
 
@@ -116,6 +117,20 @@ class TestDriftResets:
         assert session.drift.events == report.drift_events["s0"] >= 1
         # the reset realigned the stagger and opened an adaptation burst
         assert session.adapt_burst_until > 18
+
+    def test_a_no_adapt_stream_resets(self, trained_tiny_model):
+        """A drift reset forgets the momentum of an adapter that has no
+        optimizer as a no-op: the fleet serves on, the session's block
+        back at its source state."""
+        pristine = trained_tiny_model.state_dict()
+        report, server = _serve(
+            trained_tiny_model, pristine, "night_cut", 24,
+            drift=DriftResetConfig(), adapter=NoAdapt,
+        )
+        assert report.total_drift_resets >= 1
+        session = server.registry.get("s0")
+        for got, want in zip(session.bn_state.read(), session.drift.source):
+            assert got.tobytes() == want.tobytes()
 
     def test_recurring_regime_warm_starts_from_bank(self, trained_tiny_model):
         pristine = trained_tiny_model.state_dict()

@@ -1,18 +1,21 @@
-"""The momentum block: one ``(2, C)`` array per BN block, viewed per
+"""The momentum block: one ``(2, C)`` array per adapter, viewed per
 parameter.
 
-A compiled LD-BN-ADAPT step updates a whole BN block with one formula,
-its SGD momentum a ``(2, C)`` block whose row spans are the optimizer's
-per-parameter ``momentum`` buffers.  Everything else — an eager step,
-``reset()``, a checkpoint restore, a drift reset, a migration — keeps
-reading and writing per-parameter buffers, and may replace them; the
-next compiled step adopts them back.  Held here, on a fleet session and
-on a standalone adapter, through one sequence of all of them:
+An :class:`LDBNAdapt` builds its SGD momentum as one ``(2, C)`` block at
+construction, and the optimizer's per-parameter ``momentum`` buffers are
+its row spans for good.  A compiled step updates the block with one
+formula; an eager step updates the buffers in place; ``reset()``, a drift
+reset and a checkpoint restore go through ``forget_momentum()``, which
+refills the block with the blend's identity, and a restore then writes
+the saved buffers into it; a migration moves nothing.  Held here, on a
+fleet session and on a standalone adapter, through one sequence of all
+of them:
 
 * after every operation the BN state, ``num_batches_tracked`` and every
   momentum buffer equal an all-eager twin's — ``tobytes``-equal on
   numpy, inside the float band on ``cgen``;
-* after every compiled step each momentum buffer is a view of its block.
+* after every operation, on both sides, each momentum buffer is a view
+  of its block.
 """
 
 import numpy as np
@@ -40,7 +43,7 @@ BACKENDS = [
     pytest.param("cgen", id="cgen", marks=needs_cc),
 ]
 
-#: compiled steps around every operation that replaces momentum buffers
+#: compiled steps around every operation that writes momentum
 SEQUENCE = (
     "step", "step", "eager", "step", "reset", "step", "checkpoint", "step",
     "drift", "step", "migrate", "step", "step",
@@ -141,8 +144,9 @@ class _Fleet:
 
 class _Standalone:
     """One :class:`LDBNAdapt` stepping the model it adapts; a checkpoint
-    is what a restore does to its optimizer (new buffers), a drift reset
-    what it does to it (none), and a migration moves nothing."""
+    is what a restore does to its optimizer (forget, then write the saved
+    buffers back in place), a drift reset what it does to it (forget),
+    and a migration moves nothing."""
 
     def __init__(self, backend, compiled):
         self.model = _model()
@@ -158,10 +162,12 @@ class _Standalone:
         elif op == "reset":
             adapter.reset()
         elif op == "checkpoint":
-            for slots in adapter.optimizer.state.values():
-                slots["momentum"] = slots["momentum"].copy()
+            saved = [buf.copy() for buf in _momenta(adapter)]
+            adapter.forget_momentum()
+            for buf, value in zip(_momenta(adapter), saved):
+                buf[...] = value
         elif op == "drift":
-            adapter.optimizer.state.clear()
+            adapter.forget_momentum()
 
     def state(self):
         return [np.asarray(v) for v in self.model.state_dict().values()] + (
@@ -181,31 +187,40 @@ def test_every_operation_keeps_the_eager_twins_bytes(kind, backend):
         served.apply(op, image)
         twin.apply(op, image)
         _assert_same(served.state(), twin.state(), backend)
-        if op == "step":
-            block = served.block()
-            for buf in _momenta(served.adapter):
+        for side in (served, twin):
+            block = side.block()
+            for buf in _momenta(side.adapter):
                 assert np.shares_memory(buf, block), op
 
 
+@pytest.mark.parametrize("forgotten", [False, True],
+                         ids=["fresh", "forgotten"])
 @pytest.mark.parametrize("momentum", [0.9, -0.5])
-def test_a_missing_buffer_is_adopted_as_the_identity(momentum):
-    """A first step over the block, with no buffer to adopt, leaves the
-    bytes a per-parameter first step leaves (``buf = grad``), signed
-    zeros included."""
+def test_a_first_step_over_the_block_is_a_per_parameter_first_step(
+        momentum, forgotten):
+    """A first step over a fresh block, or over one whose momentum was
+    forgotten after a step, leaves the bytes a per-parameter first step
+    leaves (``buf = grad``), signed zeros included."""
     model = _model()
     block = BNStateSnapshot(BNLayout(model))
     adapter = LDBNAdapt(model, LDBNAdaptConfig(lr=0.1, momentum=momentum))
     optimizer = adapter.optimizer
     params = optimizer.params
-    grads = np.random.default_rng(2).standard_normal(block.state[2:].shape)
+    rng = np.random.default_rng(2)
+    if forgotten:
+        sgd_update(block.state[2:], rng.standard_normal(block.state[2:].shape),
+                   adapter.slots, 0.1, momentum=momentum)
+        adapter.forget_momentum()
+    grads = rng.standard_normal(block.state[2:].shape)
     grads[:, ::3], grads[:, 1::3] = -0.0, 0.0
-    want = [p.data.copy() for p in params]
+    want = [row[a:b].copy() for a, b in block.layout.spans
+            for row in block.state[2:]]
     state = [{} for _ in params]
     per_param = [grads[row, a:b] for a, b in block.layout.spans
                  for row in (0, 1)]
     for data, grad, slots in zip(want, per_param, state):
         sgd_update(data, grad, slots, 0.1, momentum=momentum)
-    sgd_update(block.state[2:], grads, adapter.optimizer_slots(), 0.1,
+    sgd_update(block.state[2:], grads, adapter.slots, 0.1,
                momentum=momentum)
     rows = [row[a:b] for a, b in block.layout.spans for row in block.state[2:]]
     for param, data, saved, slots in zip(params, want, rows, state):
@@ -238,3 +253,21 @@ def test_two_standalone_adapters_keep_their_own_momentum():
             _assert_same(_momenta(a), _momenta(b), "numpy")
     assert not np.shares_memory(mine[0].slots["momentum"],
                                 mine[1].slots["momentum"])
+
+
+def test_a_restore_without_momentum_keys_leaves_the_identity():
+    """A capture with no ``opt.*`` keys (as a checkpoint of another
+    adapter kind has none) restores the blend's identity into the block
+    the optimizer's buffers still view."""
+    fleet = _Fleet("numpy", True)
+    image = _images(fleet.model, 1)[0]
+    fleet.step(image, True)
+    arrays, meta = capture_session_state(fleet.session)
+    block = fleet.block()
+    assert block.any()
+    restore_session_state(fleet.session, {
+        key: value for key, value in arrays.items()
+        if not key.startswith("opt.")}, meta)
+    assert (np.signbit(block) & (block == 0)).all()
+    for buf in _momenta(fleet.adapter):
+        assert np.shares_memory(buf, block)

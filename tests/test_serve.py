@@ -952,6 +952,51 @@ class TestSlackAdmissionFleet:
         controller.ewma_slack_ms = 10.0
         assert step_granted()
 
+    @staticmethod
+    def _packer(partner=True, **config):
+        """A controller over one solo fused step of ``s0`` (its group of
+        one in the batch), with ``s1`` registered under the same fuse key
+        unless ``partner`` is False."""
+        from repro.serve import SlackAdmission, StepCandidate
+
+        controller = SlackAdmission(
+            AdmissionConfig(pack_patience=2, **config), lambda n: 1.0 + 0.5 * n
+        )
+        if partner:
+            controller.register_stream("s1", "key")
+        step = StepCandidate(stream_id="s0", would_step=True, fuse_key="key",
+                             serial_cost_ms=1.5)
+        return controller, step
+
+    def test_phase_packing_defers_a_solo_step_up_to_its_patience(self):
+        controller, step = self._packer()
+        grants = [controller.admit([step], budget_ms=1e9, queue_depth=2)[0]
+                  for _ in range(3)]
+        assert grants == [False, False, True]
+        assert controller.peek_stream("s0")["deferrals"] == 0
+        assert controller.debt("s0") == 0
+
+    @pytest.mark.parametrize("partner, depth", [(False, 2), (True, 1)],
+                             ids=["no-partner", "queue-depth-1"])
+    def test_phase_packing_grants_with_nothing_to_pack(self, partner, depth):
+        controller, step = self._packer(partner=partner)
+        assert controller.admit([step], budget_ms=1e9, queue_depth=depth)
+        assert controller.peek_stream("s0")["deferrals"] == 0
+
+    @pytest.mark.parametrize("debt, granted", [(7, False), (8, True), (9, True)])
+    def test_phase_packing_yields_to_max_debt(self, debt, granted):
+        controller, step = self._packer(max_debt=8)
+        controller.import_stream("s0", {"static_key": "key", "debt": debt})
+        assert controller.admit(
+            [step], budget_ms=1e9, queue_depth=2) == [granted]
+
+    def test_phase_packing_never_grants_an_infeasible_step(self):
+        controller, step = self._packer(max_debt=3, headroom_ms=0.0)
+        grants = [controller.admit([step], budget_ms=1.4, queue_depth=2)[0]
+                  for _ in range(8)]
+        assert grants == [False] * 8
+        assert controller.debt("s0") == 8
+
     def test_static_fuse_key(self, trained_tiny_model):
         sgd = LDBNAdapt(trained_tiny_model, LDBNAdaptConfig(batch_size=2))
         assert static_fuse_key(sgd) == ("ldbn-sgd", 2, sgd.step_engine())

@@ -120,8 +120,10 @@ class TestAdapterSnapshot:
 
     def test_add_stream_retains_a_few_bn_states(self):
         """What one more stream keeps: its adapter's copy and its session's
-        BN block (each the BN state's bytes) plus per-array headers — not
-        a copy of the model (8.7 MB on small-r18)."""
+        BN block (each the BN state's bytes), its adapter's momentum block
+        (half of them: the gamma/beta rows) and one optimizer entry per
+        parameter, plus per-array headers — not a copy of the model
+        (8.7 MB on small-r18)."""
         model = _model()
         server = FleetServer(model, FleetConfig(latency_model="wallclock"))
         server.add_stream("s0", iter(()))
